@@ -11,7 +11,7 @@ LDFLAGS := -X m4lsm/internal/buildinfo.Version=$(VERSION) -X m4lsm/internal/buil
 # examples/ at 0%, so 70 fails on a real regression, not on noise.
 COVER_FLOOR ?= 70
 
-.PHONY: build install test race race-short vet lint check cover difftest bench bench-parallel bench-shards bench-obs bench-overload bench-pyramid bench-recovery bench-repr bench-selfobs bench-ingest fuzz torture soak profile
+.PHONY: build install test race race-short vet lint check cover difftest bench-check bench bench-parallel bench-shards bench-obs bench-overload bench-pyramid bench-recovery bench-repr bench-selfobs bench-ingest fuzz torture soak profile
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -84,6 +84,8 @@ fuzz:
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
+# It also keeps raw sleeps out of library code, and keeps the query layers
+# (root package, m4ql, server) from growing a second read path.
 lint:
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
@@ -100,12 +102,28 @@ lint:
 		echo "(deterministic jitter, context-aware). Exempt: govern/backoff.go, faultfs (injected latency)."; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -nE '\b(e|engine)\.Snapshot\(' m4lsm.go raw.go internal/m4ql/*.go internal/server/*.go \
+		| grep -v '_test\.go:' \
+		| grep -v -e '^internal/m4ql/exec\.go:' -e '^internal/server/ui\.go:' -e '^raw\.go:'; true); \
+	n=$$(grep -cE '\b(e|engine)\.Snapshot\(' internal/m4ql/exec.go raw.go | tr '\n' ' '); \
+	if [ -n "$$bad" ] || [ "$$n" != "internal/m4ql/exec.go:1 raw.go:1 " ]; then \
+		echo "lint: queries take their snapshots in one place, m4ql.Read (internal/m4ql/exec.go);"; \
+		echo "build a Statement and call it. Exempt: DB.Raw (raw.go), the series listing in server/ui.go."; \
+		echo "$$bad"; echo "snapshot calls: $$n"; exit 1; \
+	fi
 
-# check is the standard gate for this repo: static analysis, the logging
-# and backoff lints, the suite (including the crash-recovery torture and the
+# bench-check compiles and tests the benchmark. bench/ is a module of its
+# own (so it stays out of `go build ./...` and the coverage floor), which
+# means nothing else notices when an internal rename breaks it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# check is the standard gate for this repo: static analysis, the logging,
+# backoff and one-read-path lints, the benchmark module's own vet and tests,
+# the suite (including the crash-recovery torture and the
 # short-mode differential harness) under the race detector, the overload
 # soak, the coverage floor, and a short fuzz pass over the recovery parsers.
-check: vet lint race-short soak cover
+check: vet lint bench-check race-short soak cover
 	$(MAKE) fuzz FUZZTIME=3s
 
 bench:

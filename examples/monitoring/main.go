@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -18,6 +19,7 @@ import (
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 	"m4lsm/internal/viz"
 )
 
@@ -95,15 +97,15 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			rows, err := groupby.Compute(snap2, m4.Query{Tqs: q.Tqs, Tqe: q.Tqe, W: 1},
-				[]groupby.Func{groupby.Count, groupby.Avg, groupby.Min, groupby.Max})
+			rows, err := groupby.Compute(context.Background(), []*storage.Snapshot{snap2}, m4.Query{Tqs: q.Tqs, Tqe: q.Tqe, W: 1},
+				[]groupby.Func{groupby.Count, groupby.Avg, groupby.Min, groupby.Max}, m4lsm.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
-			if len(rows) != 1 {
+			if len(rows[0]) != 1 {
 				log.Fatalf("sensor %s: no data", id)
 			}
-			v := rows[0].Values
+			v := rows[0][0].Values
 			fmt.Printf("%s: count=%.0f avg=%.2f min=%.2f max=%.2f  m4(%dpx)=%v (%d/%d chunks pruned)\n",
 				id, v[0], v[1], v[2], v[3], q.W, m4Latency.Round(time.Microsecond),
 				snap.Stats.ChunksPruned, len(snap.Chunks))

@@ -49,7 +49,7 @@ func RunAblations(cfg Config) ([]AblationRow, error) {
 			RangeMillis: avgChunkSpan(p, cfg) / 2,
 			Seed:        cfg.Seed,
 		}
-		b, err := build(cfg, p, 0.3, del, dir)
+		b, err := build(cfg, p, 0.3, del, dir, false)
 		if err != nil {
 			cleanup()
 			return nil, err

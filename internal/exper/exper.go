@@ -98,14 +98,16 @@ type builtDataset struct {
 }
 
 // build generates the preset at the config's scale and loads it with the
-// requested storage shape.
-func build(cfg Config, p workload.Preset, overlap float64, del workload.DeleteOptions, dir string) (*builtDataset, error) {
+// requested storage shape. The paper's figures pass pyramid=false (Table 4:
+// no precomputation), which also spares every per-chunk flush of the load a
+// manifest rewrite; only sweeps that report pyramid counters turn it on.
+func build(cfg Config, p workload.Preset, overlap float64, del workload.DeleteOptions, dir string, pyramid bool) (*builtDataset, error) {
 	n := int(float64(p.Points) * cfg.Scale)
 	if n < 10 {
 		n = 10
 	}
 	data := p.Generate(n, cfg.Seed)
-	e, err := lsm.Open(lsm.Options{Dir: dir, FlushThreshold: cfg.ChunkSize, DisableWAL: true})
+	e, err := lsm.Open(lsm.Options{Dir: dir, FlushThreshold: cfg.ChunkSize, DisableWAL: true, DisablePyramid: !pyramid})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +210,7 @@ func RunFig10(cfg Config) ([]Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir)
+		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir, false)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -243,7 +245,7 @@ func RunFig11(cfg Config) ([]Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir)
+		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir, false)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -283,7 +285,7 @@ func RunFig12(cfg Config) ([]Measurement, error) {
 			if err != nil {
 				return nil, err
 			}
-			b, err := build(cfg, p, overlap, workload.DeleteOptions{}, dir)
+			b, err := build(cfg, p, overlap, workload.DeleteOptions{}, dir, false)
 			if err != nil {
 				cleanup()
 				return nil, err
@@ -326,7 +328,7 @@ func RunFig13(cfg Config) ([]Measurement, error) {
 				RangeMillis: avgChunkSpan(p, cfg) / 10, // small vs chunk span (§4.4)
 				Seed:        cfg.Seed + int64(pi),
 			}
-			b, err := build(cfg, p, 0.1, del, dir)
+			b, err := build(cfg, p, 0.1, del, dir, false)
 			if err != nil {
 				cleanup()
 				return nil, err
@@ -372,7 +374,7 @@ func RunFig14(cfg Config) ([]Measurement, error) {
 			if del.Count < 1 {
 				del.Count = 1
 			}
-			b, err := build(cfg, p, 0.1, del, dir)
+			b, err := build(cfg, p, 0.1, del, dir, false)
 			if err != nil {
 				cleanup()
 				return nil, err

@@ -70,7 +70,7 @@ func runFaultCell(cfg Config, p workload.Preset, rate float64, dir string) (*Fau
 	// chunk-source layer: file opens and footer parses stay reliable, every
 	// query-time chunk read rolls the dice.
 	name := p.Name
-	b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir)
+	b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir, false)
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func RunRepr(cfg Config) ([]ReprRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir)
+		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir, true)
 		if err != nil {
 			cleanup()
 			return nil, err

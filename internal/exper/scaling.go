@@ -37,7 +37,7 @@ func RunScaling(cfg Config) ([]Measurement, error) {
 			RangeMillis: avgChunkSpan(p, cfg) / 2,
 			Seed:        cfg.Seed,
 		}
-		b, err := build(cfg, p, 0.3, del, dir)
+		b, err := build(cfg, p, 0.3, del, dir, false)
 		if err != nil {
 			cleanup()
 			return nil, err

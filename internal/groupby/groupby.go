@@ -13,11 +13,14 @@
 package groupby
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/mergeread"
+	"m4lsm/internal/obs"
 	"m4lsm/internal/storage"
 )
 
@@ -94,9 +97,15 @@ func representable(fns []Func) bool {
 	return true
 }
 
-// Compute evaluates the aggregate functions per time span. Spans without
-// surviving points are omitted.
-func Compute(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
+// Compute evaluates the aggregate functions per time span for every
+// snapshot, positionally (out[i] belongs to snaps[i]); spans without
+// surviving points are omitted. It runs under the same contract as the M4
+// and REPRESENT forms: ctx cancels, opts.Strict fails on an unreadable
+// chunk where the default drops it with a snapshot warning, opts.Budget
+// caps loads, opts.Parallelism bounds the workers and opts.Metrics
+// receives the operator counters (op="lsm" for the envelope path,
+// op="groupby" for the merge scan).
+func Compute(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([][]Row, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -108,39 +117,36 @@ func Compute(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
 			return nil, fmt.Errorf("groupby: unknown function %d", f)
 		}
 	}
+	start := time.Now()
+	compute := computeFromMerge
 	if representable(fns) {
-		return computeFromM4(snap, q, fns)
+		compute = computeFromM4
 	}
-	return computeFromMerge(snap, q, fns)
+	outs, err := compute(ctx, snaps, q, fns, opts)
+	obs.TraceOf(ctx).Phase("groupby", time.Since(start))
+	return outs, err
 }
 
-// computeFromM4 answers envelope functions from the merge-free operator.
-func computeFromM4(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
-	aggs, err := m4lsm.Compute(snap, q)
+// computeFromM4 answers envelope functions from the merge-free operator,
+// all series in one batch.
+func computeFromM4(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([][]Row, error) {
+	aggs, err := m4lsm.ComputeMultiContext(ctx, snaps, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	var rows []Row
-	for i, a := range aggs {
-		if a.Empty {
-			continue
-		}
-		row := Row{Span: i, Values: make([]float64, len(fns))}
-		for j, f := range fns {
-			switch f {
-			case Min:
-				row.Values[j] = a.Bottom.V
-			case Max:
-				row.Values[j] = a.Top.V
-			case First:
-				row.Values[j] = a.First.V
-			case Last:
-				row.Values[j] = a.Last.V
+	outs := make([][]Row, len(aggs))
+	for si := range aggs {
+		accums := make([]spanAccum, q.W)
+		for i, a := range aggs[si] {
+			if !a.Empty {
+				// count only marks the span non-empty: envelope function
+				// sets never project it.
+				accums[i] = spanAccum{count: 1, min: a.Bottom.V, max: a.Top.V, first: a.First.V, last: a.Last.V}
 			}
 		}
-		rows = append(rows, row)
+		outs[si] = rows(accums, fns)
 	}
-	return rows, nil
+	return outs, nil
 }
 
 // spanAccum accumulates one span's running aggregates.
@@ -151,37 +157,70 @@ type spanAccum struct {
 	first, last float64
 }
 
-// computeFromMerge streams the merged series once.
-func computeFromMerge(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
-	it, err := mergeread.NewIterator(snap, q.Range())
-	if err != nil {
-		return nil, err
+// computeFromMerge streams each snapshot's merged series once. The loads
+// go through mergeread.LoadContext, so strictness, degradation and budget
+// charging are exactly the UDF baseline's.
+func computeFromMerge(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([][]Row, error) {
+	tr := obs.TraceOf(ctx)
+	met := obs.NewOperatorMetrics(opts.Metrics, "groupby")
+	lopts := mergeread.LoadOptions{Parallelism: opts.Parallelism, Strict: opts.Strict, Budget: opts.Budget}
+	outs := make([][]Row, len(snaps))
+	total := map[string]int64{}
+	for si, snap := range snaps {
+		start := time.Now()
+		var before storage.Stats
+		if snap.Stats != nil {
+			before = snap.Stats.Load()
+		}
+		loaded, err := mergeread.LoadContext(ctx, snap, lopts)
+		if err != nil {
+			if len(snaps) > 1 {
+				err = fmt.Errorf("groupby: series %q: %w", snap.SeriesID, err)
+			}
+			return nil, err
+		}
+		it := loaded.Iterator(q.Range())
+		accums := make([]spanAccum, q.W)
+		for {
+			p, ok := it.Next()
+			if !ok {
+				break
+			}
+			i := q.SpanIndex(p.T)
+			if i < 0 {
+				continue
+			}
+			acc := &accums[i]
+			if acc.count == 0 {
+				*acc = spanAccum{min: p.V, max: p.V, first: p.V}
+			}
+			if p.V < acc.min {
+				acc.min = p.V
+			}
+			if p.V > acc.max {
+				acc.max = p.V
+			}
+			acc.last = p.V
+			acc.sum += p.V
+			acc.count++
+		}
+		outs[si] = rows(accums, fns)
+		if snap.Stats != nil {
+			delta := snap.Stats.Load().Sub(before)
+			met.RecordQuery(time.Since(start), delta.ChunksLoaded, delta.ChunksPruned,
+				delta.TimeBlocksLoaded, delta.PointsDecoded, delta.CacheHits)
+			for k, v := range delta.Map() {
+				total[k] += v
+			}
+		}
 	}
-	accums := make([]spanAccum, q.W)
-	for {
-		p, ok := it.Next()
-		if !ok {
-			break
-		}
-		i := q.SpanIndex(p.T)
-		if i < 0 {
-			continue
-		}
-		acc := &accums[i]
-		if acc.count == 0 {
-			*acc = spanAccum{min: p.V, max: p.V, first: p.V}
-		}
-		if p.V < acc.min {
-			acc.min = p.V
-		}
-		if p.V > acc.max {
-			acc.max = p.V
-		}
-		acc.last = p.V
-		acc.sum += p.V
-		acc.count++
-	}
-	var rows []Row
+	tr.SetCounters(total)
+	return outs, nil
+}
+
+// rows projects the requested functions out of the non-empty spans.
+func rows(accums []spanAccum, fns []Func) []Row {
+	var out []Row
 	for i := range accums {
 		acc := &accums[i]
 		if acc.count == 0 {
@@ -206,7 +245,7 @@ func computeFromMerge(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, er
 				row.Values[j] = acc.last
 			}
 		}
-		rows = append(rows, row)
+		out = append(out, row)
 	}
-	return rows, nil
+	return out
 }

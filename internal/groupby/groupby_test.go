@@ -1,11 +1,13 @@
 package groupby
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"m4lsm/internal/m4"
+	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/testutil"
@@ -26,13 +28,22 @@ func buildSnapshot(t *testing.T, chunks map[storage.Version]series.Series, dels 
 	return snap
 }
 
+// compute1 runs Compute over one snapshot with default options.
+func compute1(snap *storage.Snapshot, q m4.Query, fns []Func) ([]Row, error) {
+	outs, err := Compute(context.Background(), []*storage.Snapshot{snap}, q, fns, m4lsm.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
 func TestComputeAllFunctions(t *testing.T) {
 	snap := buildSnapshot(t, map[storage.Version]series.Series{
 		1: {{T: 0, V: 2}, {T: 10, V: 8}, {T: 20, V: 5}, {T: 60, V: 1}},
 	}, nil)
 	q := m4.Query{Tqs: 0, Tqe: 100, W: 2}
 	fns := []Func{Count, Sum, Avg, Min, Max, First, Last}
-	rows, err := Compute(snap, q, fns)
+	rows, err := compute1(snap, q, fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +69,7 @@ func TestEnvelopeUsesMergeFreePath(t *testing.T) {
 		1: {{T: 0, V: 2}, {T: 10, V: 8}},
 	}, nil)
 	q := m4.Query{Tqs: 0, Tqe: 100, W: 1}
-	rows, err := Compute(snap, q, []Func{Min, Max, First, Last})
+	rows, err := compute1(snap, q, []Func{Min, Max, First, Last})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +86,7 @@ func TestCountForcesMerge(t *testing.T) {
 		1: {{T: 0, V: 2}, {T: 10, V: 8}},
 	}, nil)
 	q := m4.Query{Tqs: 0, Tqe: 100, W: 1}
-	if _, err := Compute(snap, q, []Func{Count}); err != nil {
+	if _, err := compute1(snap, q, []Func{Count}); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Stats.ChunksLoaded == 0 {
@@ -89,7 +100,7 @@ func TestOverwritesNotDoubleCounted(t *testing.T) {
 		2: {{T: 10, V: 6}}, // overwrite, not an extra point
 	}, []storage.Delete{{SeriesID: "s", Version: 3, Start: 0, End: 0}})
 	q := m4.Query{Tqs: 0, Tqe: 100, W: 1}
-	rows, err := Compute(snap, q, []Func{Count, Sum})
+	rows, err := compute1(snap, q, []Func{Count, Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +111,13 @@ func TestOverwritesNotDoubleCounted(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	snap := buildSnapshot(t, map[storage.Version]series.Series{1: {{T: 0, V: 1}}}, nil)
-	if _, err := Compute(snap, m4.Query{Tqs: 0, Tqe: 0, W: 1}, []Func{Count}); err == nil {
+	if _, err := compute1(snap, m4.Query{Tqs: 0, Tqe: 0, W: 1}, []Func{Count}); err == nil {
 		t.Error("invalid query accepted")
 	}
-	if _, err := Compute(snap, m4.Query{Tqs: 0, Tqe: 10, W: 1}, nil); err == nil {
+	if _, err := compute1(snap, m4.Query{Tqs: 0, Tqe: 10, W: 1}, nil); err == nil {
 		t.Error("empty function list accepted")
 	}
-	if _, err := Compute(snap, m4.Query{Tqs: 0, Tqe: 10, W: 1}, []Func{Func(99)}); err == nil {
+	if _, err := compute1(snap, m4.Query{Tqs: 0, Tqe: 10, W: 1}, []Func{Func(99)}); err == nil {
 		t.Error("unknown function accepted")
 	}
 }
@@ -141,12 +152,12 @@ func TestAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := Compute(snap, q, fns)
+		rows, err := compute1(snap, q, fns)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Also the envelope-only fast path.
-		envRows, err := Compute(snap, q, []Func{Min, Max, First, Last})
+		envRows, err := compute1(snap, q, []Func{Min, Max, First, Last})
 		if err != nil {
 			t.Fatalf("seed %d env: %v", seed, err)
 		}

@@ -132,52 +132,6 @@ func TestColdShardWALRetirement(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration: a directory with the old monolithic "wal" file
-// must open cleanly, fold the records into segment 1, and remove the
-// legacy file.
-func TestLegacyWALMigration(t *testing.T) {
-	dir := t.TempDir()
-	log, _, err := tsfile.OpenRecordLog(filepath.Join(dir, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Append(encodeInsert("s", pts(10, 1, 20, 2)), true); err != nil {
-		t.Fatal(err)
-	}
-	// A torn legacy tail must be dropped, exactly as OpenRecordLog would.
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "wal"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x22, 0x01}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	e, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if _, err := os.Stat(filepath.Join(dir, "wal")); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy wal file not removed after migration")
-	}
-	if _, err := os.Stat(walSegPath(dir, 1)); err != nil {
-		t.Errorf("segment 1 missing after migration: %v", err)
-	}
-	full := series.TimeRange{Start: 0, End: 100}
-	snap, err := e.Snapshot("s", full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := materialize(t, snap, full); !reflect.DeepEqual(got, series.Series(pts(10, 1, 20, 2))) {
-		t.Fatalf("migrated data = %v", got)
-	}
-}
-
 // TestCorruptSealedSegmentQuarantined: flipping a byte inside a sealed
 // segment must quarantine that segment on reopen (set aside as *.bad, a
 // warning raised) while every other segment still replays.

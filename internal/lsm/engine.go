@@ -34,7 +34,6 @@ import (
 
 	"m4lsm/internal/cache"
 	"m4lsm/internal/encoding"
-	"m4lsm/internal/govern"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -86,14 +85,11 @@ type Options struct {
 	WrapSource func(src storage.ChunkSource) storage.ChunkSource
 	// ReadRetries bounds how many times a transient chunk-read fault is
 	// retried (with deterministic jittered backoff) before it surfaces to
-	// the query. 0 means the default of 2 retries (3 attempts total);
-	// DisableReadRetry turns retrying off entirely. Detected corruption
-	// is never retried. RetryBaseDelay/RetryMaxDelay shape the backoff
-	// (defaults 1ms/50ms).
-	ReadRetries      int
-	DisableReadRetry bool
-	RetryBaseDelay   time.Duration
-	RetryMaxDelay    time.Duration
+	// the query. 0 means the default of 2 retries (3 attempts total).
+	// Detected corruption is never retried. RetryBaseDelay is the first
+	// backoff (default 1ms), doubling up to 50ms.
+	ReadRetries    int
+	RetryBaseDelay time.Duration
 	// SpaceProbeInterval rate-limits the disk-space probe that recovers
 	// the engine from read-only degraded mode after ENOSPC. 0 means the
 	// default of one probe per second; negative probes on every write
@@ -120,11 +116,6 @@ type Options struct {
 	// chunks are quarantined before any query can trip over them. 0
 	// disables the background pass (Scrub can still be called directly).
 	ScrubInterval time.Duration
-	// ScrubLimits caps one scrub pass's I/O through a govern budget so
-	// scrubbing never starves queries; an exhausted budget yields a
-	// partial pass that resumes where it left off on the next run. The
-	// zero value scans everything.
-	ScrubLimits govern.Limits
 	// WALGroupSize bounds how many records one WAL group commit carries
 	// (leader/follower batching; see groupcommit.go). Concurrent writers
 	// share one fsync per group when SyncWAL is on. 0 means 128.
@@ -155,11 +146,9 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// WAL opcodes. Legacy untagged records (ops 1 and 2) predate sharding and
-// are still replayed; the engine always writes the shard-tagged forms.
+// WAL opcodes. 1 and 2 were the untagged pre-sharding forms and stay
+// unassigned.
 const (
-	walOpInsert        byte = 1
-	walOpDelete        byte = 2
 	walOpInsertSharded byte = 3
 	walOpDeleteSharded byte = 4
 	walOpCheckpoint    byte = 5
@@ -1162,8 +1151,8 @@ func (e *Engine) Kill() {
 }
 
 // replayWAL applies one recovered WAL record to the owning shard's
-// memtable. Sharded records (ops 3 and 4) carry the writer's shard index
-// for debuggability, but routing always re-hashes the series id so a
+// memtable. Insert and delete records carry the writer's shard index for
+// debuggability, but routing always re-hashes the series id so a
 // directory reopens correctly under a different NumShards. seq is the
 // segment the record came from: inserts re-seed the shard's pendingMin
 // watermark, checkpoints clear it and drop the shard's replayed memtable.
@@ -1181,7 +1170,7 @@ func (e *Engine) replayWAL(seq uint64, rec []byte) error {
 		}
 	}
 	switch op {
-	case walOpInsert, walOpInsertSharded:
+	case walOpInsertSharded:
 		id, pts, err := decodeInsert(body)
 		if err != nil {
 			return err
@@ -1214,7 +1203,7 @@ func (e *Engine) replayWAL(seq uint64, rec []byte) error {
 			e.wal.pendingMin[shard] = 0
 		}
 		return nil
-	case walOpDelete, walOpDeleteSharded:
+	case walOpDeleteSharded:
 		d, err := decodeWALDelete(body)
 		if err != nil {
 			return err

@@ -122,9 +122,6 @@ func (e *Engine) tryRecover() bool {
 // disk are wrong, re-reading cannot help — so it fails immediately and
 // keeps the quarantine path intact.
 func (e *Engine) retryPolicy() storage.RetryPolicy {
-	if e.opts.DisableReadRetry {
-		return storage.RetryPolicy{}
-	}
 	retries := e.opts.ReadRetries
 	if retries <= 0 {
 		retries = 2
@@ -132,7 +129,6 @@ func (e *Engine) retryPolicy() storage.RetryPolicy {
 	return storage.RetryPolicy{
 		MaxAttempts: retries + 1,
 		BaseDelay:   e.opts.RetryBaseDelay,
-		MaxDelay:    e.opts.RetryMaxDelay,
 		Seed:        uint64(e.opts.FlushThreshold)*0x9e37 + 1, // any fixed, config-stable seed
 		IsPermanent: func(err error) bool { return errors.Is(err, tsfile.ErrCorrupt) },
 		OnRetry:     func() { e.readRetries.Add(1) },

@@ -1,49 +1,11 @@
 package lsm
 
-// Debugging and verification aids for the rollup pyramid. The differential
-// harness calls PyrCheckInvariants after every generated workload; both
-// helpers exist to turn "a cell served a wrong value" failures into a
-// pinpointed level/index instead of a span-level mismatch.
+// Verification aid for the rollup pyramid. The differential harness calls
+// PyrCheckInvariants after every generated workload to turn "a cell served
+// a wrong value" failures into a pinpointed level/index instead of a
+// span-level mismatch.
 
-import (
-	"fmt"
-	"strings"
-)
-
-// PyrDebugDump renders the pyramid state for one series: per level the
-// coverage and the cells overlapping [lo, hi) at that level's granularity,
-// plus the stale set.
-func (e *Engine) PyrDebugDump(id string, lo, hi int64) string {
-	if e.pyr == nil {
-		return "<no pyramid>"
-	}
-	p := e.pyr
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	sp := p.series[id]
-	if sp == nil {
-		return "<no series entry>"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "extent=[%d,%d] hasExtent=%v stale=%v\n", sp.minT, sp.maxT, sp.hasExtent, sp.stale)
-	for _, lv := range sp.levels {
-		fmt.Fprintf(&b, "L%d gen=%d cover=%v cells:", lv.log, lv.gen, lv.cover)
-		for idx := lo >> lv.log; idx <= (hi-1)>>lv.log; idx++ {
-			c, ok := lv.cells[idx]
-			cov := lv.cover.contains(idx, idx+1)
-			if !ok && !cov {
-				continue
-			}
-			if !ok {
-				fmt.Fprintf(&b, " [%d,%d)cov=%v:empty", idx<<lv.log, (idx+1)<<lv.log, cov)
-				continue
-			}
-			fmt.Fprintf(&b, " [%d,%d)cov=%v:{f=%v l=%v b=%v t=%v}", idx<<lv.log, (idx+1)<<lv.log, cov, c.first, c.last, c.bottom, c.top)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
+import "fmt"
 
 // PyrCheckInvariants verifies, for one series, that every covered parent
 // cell has both children covered and equals the combination of its

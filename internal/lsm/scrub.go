@@ -7,10 +7,11 @@
 // have been re-secured by a flush — so silent bit rot is found and
 // contained before any query trips over it.
 //
-// Scrub I/O is charged against a govern budget (Options.ScrubLimits): an
-// exhausted budget ends the pass early and the next pass resumes at the
-// cursor where this one stopped, so scrubbing amortizes over passes
-// instead of starving queries.
+// Scrub I/O is charged against a govern budget (ScrubOptions.Limits, set
+// per call; the background pass scans everything): an exhausted budget
+// ends the pass early and the next pass resumes at the cursor where this
+// one stopped, so scrubbing amortizes over passes instead of starving
+// queries.
 package lsm
 
 import (
@@ -254,7 +255,7 @@ func (e *Engine) startScrubber() {
 			case <-tick.C:
 				// Errors are carried by the scrub_* counters and the
 				// report; the background loop has no one to return them to.
-				e.Scrub(ScrubOptions{Limits: e.opts.ScrubLimits, Heal: true}) //nolint:errcheck
+				e.Scrub(ScrubOptions{Heal: true}) //nolint:errcheck
 			}
 		}
 	}()

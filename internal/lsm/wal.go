@@ -13,19 +13,17 @@ import (
 // WAL payloads. Record framing (length + CRC) is provided by
 // tsfile.RecordLog; these encode the payload bytes only.
 //
-//	insert:         0x01 | body
-//	delete:         0x02 | body
-//	insert sharded: 0x03 | uvarint shard | body
-//	delete sharded: 0x04 | uvarint shard | body
-//	checkpoint:     0x05 | uvarint shard | uvarint numShards | uvarint upToSeq
+//	insert:     0x03 | uvarint shard | body
+//	delete:     0x04 | uvarint shard | body
+//	checkpoint: 0x05 | uvarint shard | uvarint numShards | uvarint upToSeq
 //
 //	insert body: uvarint len(id) | id | uvarint n | n × (varint t, 8B v)
 //	delete body: uvarint len(id) | id | uvarint version | varint start | varint end
 //
-// The sharded forms (what the engine writes) prefix the body with the
-// writing shard's index. The tag is diagnostic: replay always re-routes by
-// hashing the series id, so WALs survive a NumShards change, and the
-// untagged legacy forms still decode.
+// The shard prefix names the writing shard. The tag is diagnostic: replay
+// always re-routes by hashing the series id, so WALs survive a NumShards
+// change. Ops 0x01/0x02 were the untagged pre-sharding forms; they are gone
+// and fail replay as "unknown wal op".
 //
 // A checkpoint records that every earlier record of one shard is durable
 // in chunk files (appended at the end of that shard's flush, under its
@@ -35,16 +33,8 @@ import (
 // ones replayed into that shard". Under any other layout the checkpoint is
 // ignored and the full tail replays, which is merely redundant.
 
-func encodeInsert(seriesID string, pts []series.Point) []byte {
-	return appendInsertBody([]byte{walOpInsert}, seriesID, pts)
-}
-
 func encodeInsertSharded(shard int, seriesID string, pts []series.Point) []byte {
 	buf := encoding.AppendUvarint([]byte{walOpInsertSharded}, uint64(shard))
-	return appendInsertBody(buf, seriesID, pts)
-}
-
-func appendInsertBody(buf []byte, seriesID string, pts []series.Point) []byte {
 	buf = encoding.AppendUvarint(buf, uint64(len(seriesID)))
 	buf = append(buf, seriesID...)
 	buf = encoding.AppendUvarint(buf, uint64(len(pts)))
@@ -94,16 +84,8 @@ func decodeInsert(b []byte) (string, []series.Point, error) {
 	return id, pts, nil
 }
 
-func encodeDelete(d storage.Delete) []byte {
-	return appendDeleteBody([]byte{walOpDelete}, d)
-}
-
 func encodeDeleteSharded(shard int, d storage.Delete) []byte {
 	buf := encoding.AppendUvarint([]byte{walOpDeleteSharded}, uint64(shard))
-	return appendDeleteBody(buf, d)
-}
-
-func appendDeleteBody(buf []byte, d storage.Delete) []byte {
 	buf = encoding.AppendUvarint(buf, uint64(len(d.SeriesID)))
 	buf = append(buf, d.SeriesID...)
 	buf = encoding.AppendUvarint(buf, uint64(d.Version))

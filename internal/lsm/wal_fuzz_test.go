@@ -14,12 +14,13 @@ import (
 // The WAL decoders parse bytes recovered from disk after a crash; arbitrary
 // input must never panic, and anything they accept must survive a re-encode
 // round trip (no two payloads decoding to states that re-encode
-// differently from what was stored).
+// differently from what was stored). The encoders prefix the body with the
+// op byte and a one-byte shard tag (shard 0), hence the [2:].
 
 func FuzzDecodeInsert(f *testing.F) {
-	f.Add(encodeInsert("s1", []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}})[1:])
-	f.Add(encodeInsert("", nil)[1:])
-	f.Add(encodeInsert("unicode-séries", []series.Point{{T: math.MaxInt64, V: math.Inf(1)}})[1:])
+	f.Add(encodeInsertSharded(0, "s1", []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}})[2:])
+	f.Add(encodeInsertSharded(0, "", nil)[2:])
+	f.Add(encodeInsertSharded(0, "unicode-séries", []series.Point{{T: math.MaxInt64, V: math.Inf(1)}})[2:])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -27,8 +28,8 @@ func FuzzDecodeInsert(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := encodeInsert(id, pts)
-		id2, pts2, err := decodeInsert(enc[1:])
+		enc := encodeInsertSharded(0, id, pts)
+		id2, pts2, err := decodeInsert(enc[2:])
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload rejected: %v", err)
 		}
@@ -44,8 +45,8 @@ func FuzzDecodeInsert(f *testing.F) {
 }
 
 func FuzzDecodeWALDelete(f *testing.F) {
-	f.Add(encodeDelete(storage.Delete{SeriesID: "s1", Version: 7, Start: -10, End: 10})[1:])
-	f.Add(encodeDelete(storage.Delete{Version: math.MaxUint64 >> 1})[1:])
+	f.Add(encodeDeleteSharded(0, storage.Delete{SeriesID: "s1", Version: 7, Start: -10, End: 10})[2:])
+	f.Add(encodeDeleteSharded(0, storage.Delete{Version: math.MaxUint64 >> 1})[2:])
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 's', 0x80})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -53,7 +54,7 @@ func FuzzDecodeWALDelete(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d2, err := decodeWALDelete(encodeDelete(d)[1:])
+		d2, err := decodeWALDelete(encodeDeleteSharded(0, d)[2:])
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload rejected: %v", err)
 		}

@@ -96,9 +96,8 @@ type walog struct {
 	retiredBytes int64
 }
 
-// openWALog scans dir for WAL segments, migrates a legacy monolithic
-// "wal" file if present, and returns the log positioned for appending
-// plus every recovered record in segment order.
+// openWALog scans dir for WAL segments and returns the log positioned for
+// appending plus every recovered record in segment order.
 func openWALog(dir string, numShards int, segBytes int64) (*walog, []walEntry, error) {
 	if segBytes <= 0 {
 		segBytes = defaultWALSegmentBytes
@@ -108,9 +107,6 @@ func openWALog(dir string, numShards int, segBytes int64) (*walog, []walEntry, e
 		segBytes:   segBytes,
 		pendingMin: make([]uint64, numShards),
 		pins:       make(map[uint64]int),
-	}
-	if err := w.migrateLegacy(dir, numShards); err != nil {
-		return nil, nil, err
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -225,67 +221,6 @@ func (w *walog) quarantineSegment(path string, cause error) error {
 	w.warnings = append(w.warnings,
 		fmt.Sprintf("wal segment %s corrupt, set aside as %s: %v", filepath.Base(path), filepath.Base(bad), cause))
 	return nil
-}
-
-// migrateLegacy folds a pre-segmentation monolithic "wal" file into the
-// first segment. The migration is atomic (temp file + rename), so a crash
-// either leaves the legacy file authoritative or the segment complete; a
-// legacy file next to existing segments means the rename landed and only
-// the cleanup remains.
-func (w *walog) migrateLegacy(dir string, numShards int) error {
-	legacy := filepath.Join(dir, "wal")
-	data, err := os.ReadFile(legacy)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	tmp := filepath.Join(dir, "wal.migrate.tmp")
-	os.Remove(tmp) // stale leftover from an interrupted migration
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for _, ent := range entries {
-		if _, ok := parseWALSegName(ent.Name()); ok {
-			// Segments already exist: an earlier migration completed its
-			// rename but crashed before removing the legacy file.
-			return os.Remove(legacy)
-		}
-	}
-	seg, err := tsfile.CreateSegment(tmp, tsfile.SegmentHeader{Seq: 1, Shards: uint32(numShards)})
-	if err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	// Replaying the legacy bytes through the same framing the RecordLog
-	// used: the valid prefix carries over, a torn legacy tail is dropped
-	// exactly as OpenRecordLog would have dropped it.
-	rest := data
-	for len(rest) > 0 {
-		payload, n := tsfile.ParseRecordFrame(rest)
-		if n == 0 {
-			break
-		}
-		if err := seg.Append(payload, false); err != nil {
-			seg.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("wal: migrate legacy: %w", err)
-		}
-		rest = rest[n:]
-	}
-	if err := seg.Sync(); err != nil {
-		seg.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	if err := seg.Close(); err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	if err := os.Rename(tmp, walSegPath(dir, 1)); err != nil {
-		return fmt.Errorf("wal: migrate legacy: %w", err)
-	}
-	return os.Remove(legacy)
 }
 
 // totalBytes is the WAL's on-disk footprint (sealed + active).

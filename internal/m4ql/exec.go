@@ -130,88 +130,20 @@ func writeTable(sb *strings.Builder, columns []string, rows [][]float64) {
 	}
 }
 
-// queryBudget builds the statement's resource budget: the TIMEOUT clause
-// overrides the server-wide defaults the context carries (installed via
-// govern.WithLimits), and chunk/point caps come from those defaults alone.
-// Returns nil — no budget at all — when neither source sets a limit. The
-// budget is shared across every series of a multi-series statement: the
-// limits govern the query, not each series.
-func queryBudget(ctx context.Context, stmt Statement) *govern.Budget {
-	return govern.NewBudget(govern.Limits{Timeout: stmt.Timeout}.Merge(govern.LimitsOf(ctx)))
-}
-
-// Execute runs a parsed statement against the engine.
-func Execute(e *lsm.Engine, stmt Statement) (*Result, error) {
-	return ExecuteContext(context.Background(), e, stmt)
-}
-
-// ExecuteContext runs a parsed statement under a context: cancellation
-// aborts the operator's worker pool and returns ctx.Err().
-func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
-	tr := obs.TraceOf(ctx)
-	if tr == nil && stmt.Trace {
-		ctx, tr = obs.WithTrace(ctx)
-	}
-	if stmt.Represent != nil {
-		return executeRepresent(ctx, e, stmt, tr)
-	}
-	if stmt.Multi() {
-		return executeMulti(ctx, e, stmt, tr)
-	}
-	if len(stmt.Aggregates) > 0 {
-		return executeGroupBy(ctx, e, stmt)
-	}
-	snap, err := e.Snapshot(stmt.SeriesID, stmt.Query.Range())
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Strict {
-		// Chunks already quarantined are excluded at snapshot time; a
-		// STRICT query must fail rather than omit them silently.
-		if ws := snap.Warnings.List(); len(ws) > 0 {
-			return nil, fmt.Errorf("m4ql: strict read: %s", ws[0])
-		}
-	}
-	budget := queryBudget(ctx, stmt)
-	start := time.Now()
-	var aggs []m4.Aggregate
-	switch stmt.Operator {
-	case OpUDF:
-		aggs, err = m4udf.ComputeContext(ctx, snap, stmt.Query, m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	default:
-		aggs, err = m4lsm.ComputeContext(ctx, snap, stmt.Query, m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	}
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-
-	warnings := snap.Warnings.List()
-	res := &Result{
-		Columns:   append([]string{"span"}, columnStrings(stmt.Columns)...),
-		Operator:  stmt.Operator.String(),
-		Elapsed:   elapsed,
-		Stats:     snap.Stats.Load(),
-		SpanCount: stmt.Query.W,
-		Partial:   len(warnings) > 0,
-		Warnings:  warnings,
-	}
-	for i, a := range aggs {
-		if a.Empty {
-			continue
-		}
-		row := make([]float64, 0, len(stmt.Columns)+1)
-		row = append(row, float64(i))
-		for _, c := range stmt.Columns {
-			row = append(row, cell(a, c))
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if tr != nil {
-		tr.Warn(warnings...)
-		res.Trace = tr.Finish()
-	}
-	return res, nil
+// SeriesOutput is one series' typed share of an executed statement. The
+// statement's form decides the payload: Aggregates (one per span) for the
+// M4 form, Points for REPRESENT, Groups (non-empty spans only) for GROUP BY
+// aggregates.
+type SeriesOutput struct {
+	SeriesID   string
+	Aggregates []m4.Aggregate
+	Points     series.Series
+	Groups     []groupby.Row
+	Stats      storage.Stats
+	// Warnings lists every degradation of this series' read: chunks
+	// excluded at snapshot time, dropped mid-query or refused by the budget.
+	// Non-empty means the output is partial.
+	Warnings []string
 }
 
 // resolveSeries turns the statement's FROM clause into the concrete series
@@ -232,265 +164,188 @@ func resolveSeries(e *lsm.Engine, stmt Statement) []string {
 	return ids
 }
 
-// executeMulti runs a multi-series statement (`FROM s1, s2` or a wildcard)
-// as one batched query: all series' snapshots are taken first, then the
-// series×span×G tasks feed a single shared worker pool via the operators'
-// ComputeMultiContext. Each series keeps its own rows, cost counters and
-// degradation status; the top-level Stats is their sum and Partial/Warnings
-// aggregate with series attribution.
-func executeMulti(ctx context.Context, e *lsm.Engine, stmt Statement, tr *obs.Trace) (*Result, error) {
+// Read is the one read path. Every query surface — m4ql text, the root
+// package's M4/Represent/Render calls, the server's /render — builds a
+// Statement and comes through here, so the contract below holds everywhere:
+//
+//  1. resolve the series list (explicit FROM list or wildcard expansion; a
+//     single series is a list of one);
+//  2. take every series' snapshot before any operator runs;
+//  3. under STRICT, fail if a snapshot already excluded a quarantined chunk
+//     — a strict read never omits data silently;
+//  4. build one budget for the whole statement from its TIMEOUT clause over
+//     the limits the context carries (govern.WithLimits: server defaults,
+//     the root API's MaxChunks/MaxPoints);
+//  5. dispatch form {M4 aggregates | REPRESENT points | GROUP BY rows} ×
+//     operator {LSM | UDF} through the batched entry points and collect each
+//     series' output with its own cost counters and warnings.
+//
+// Without STRICT an unreadable chunk or an exhausted budget degrades the
+// series it belongs to (SeriesOutput.Warnings non-empty, i.e. Partial) and
+// never fails the statement; with it the same conditions are errors.
+// Outputs are positional with the resolved list; errors name the series
+// only when the statement is multi-series.
+func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, error) {
+	if err := stmt.Query.Validate(); err != nil {
+		return nil, err
+	}
 	ids := resolveSeries(e, stmt)
 	snaps := make([]*storage.Snapshot, len(ids))
 	for i, id := range ids {
 		snap, err := e.Snapshot(id, stmt.Query.Range())
-		if err != nil {
+		switch {
+		case err != nil && stmt.Multi():
 			return nil, fmt.Errorf("m4ql: series %q: %w", id, err)
-		}
-		if stmt.Strict {
-			if ws := snap.Warnings.List(); len(ws) > 0 {
-				return nil, fmt.Errorf("m4ql: strict read: series %q: %s", id, ws[0])
-			}
+		case err != nil:
+			return nil, err
+		case stmt.Strict && snap.Warnings.Len() > 0 && stmt.Multi():
+			return nil, fmt.Errorf("m4ql: strict read: series %q: %s", id, snap.Warnings.List()[0])
+		case stmt.Strict && snap.Warnings.Len() > 0:
+			return nil, fmt.Errorf("m4ql: strict read: %s", snap.Warnings.List()[0])
 		}
 		snaps[i] = snap
 	}
-	start := time.Now()
-	var outs [][]m4.Aggregate
-	var err error
-	if len(stmt.Aggregates) > 0 {
-		// GROUP BY aggregates scan merged streams per series; there is no
-		// batched operator for them, so loop sequentially.
-		return executeGroupByMulti(ctx, e, stmt, tr, ids, snaps, start)
-	}
-	budget := queryBudget(ctx, stmt)
-	switch stmt.Operator {
-	case OpUDF:
-		outs, err = m4udf.ComputeMultiContext(ctx, snaps, stmt.Query, m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	default:
-		outs, err = m4lsm.ComputeMultiContext(ctx, snaps, stmt.Query, m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-	}
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
+	budget := govern.NewBudget(govern.Limits{Timeout: stmt.Timeout}.Merge(govern.LimitsOf(ctx)))
+	lsmOpts := m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
+	udfOpts := m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
 
-	res := &Result{
-		Columns:   append([]string{"span"}, columnStrings(stmt.Columns)...),
-		Operator:  stmt.Operator.String(),
-		Elapsed:   elapsed,
-		SpanCount: stmt.Query.W,
-		Series:    make([]SeriesResult, len(ids)),
-	}
-	for si, id := range ids {
-		sr := SeriesResult{SeriesID: id, Stats: snaps[si].Stats.Load()}
-		sr.Warnings = snaps[si].Warnings.List()
-		sr.Partial = len(sr.Warnings) > 0
-		for i, a := range outs[si] {
-			if a.Empty {
-				continue
-			}
-			row := make([]float64, 0, len(stmt.Columns)+1)
-			row = append(row, float64(i))
-			for _, c := range stmt.Columns {
-				row = append(row, cell(a, c))
-			}
-			sr.Rows = append(sr.Rows, row)
-		}
-		res.Stats.Add(sr.Stats)
-		if sr.Partial {
-			res.Partial = true
-			for _, w := range sr.Warnings {
-				res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", id, w))
-			}
-		}
-		res.Series[si] = sr
-	}
-	if tr != nil {
-		tr.Warn(res.Warnings...)
-		res.Trace = tr.Finish()
-	}
-	return res, nil
-}
-
-// executeRepresent runs a REPRESENT statement: the chosen representation
-// operator over every FROM series, returning (time, value) point rows.
-// Single-series statements keep the flat Rows shape, multi-series ones get
-// per-series blocks, exactly like the span-table form. USING still selects
-// the physical path: LSM takes the merge-free machinery (metadata pruning
-// and pyramid cells for minmax/minmaxlttb, the dedicated merge path for
-// lttb), UDF merges everything and runs the reference reduction.
-func executeRepresent(ctx context.Context, e *lsm.Engine, stmt Statement, tr *obs.Trace) (*Result, error) {
-	spec := *stmt.Represent
-	ids := stmt.Series
-	if stmt.Wildcard {
-		ids = resolveSeries(e, stmt)
-	}
-	snaps := make([]*storage.Snapshot, len(ids))
-	for i, id := range ids {
-		snap, err := e.Snapshot(id, stmt.Query.Range())
-		if err != nil {
-			return nil, fmt.Errorf("m4ql: series %q: %w", id, err)
-		}
-		if stmt.Strict {
-			if ws := snap.Warnings.List(); len(ws) > 0 {
-				return nil, fmt.Errorf("m4ql: strict read: series %q: %s", id, ws[0])
-			}
-		}
-		snaps[i] = snap
-	}
-	budget := queryBudget(ctx, stmt)
-	start := time.Now()
-	var outs []series.Series
+	outs := make([]SeriesOutput, len(ids))
 	var err error
-	switch stmt.Operator {
-	case OpUDF:
-		outs = make([]series.Series, len(snaps))
-		for i, snap := range snaps {
-			outs[i], err = m4udf.ReduceContext(ctx, snap, stmt.Query, spec, m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
-			if err != nil {
+	switch udf := stmt.Operator == OpUDF; {
+	case stmt.Represent != nil && udf:
+		for i := range snaps {
+			if outs[i].Points, err = m4udf.ReduceContext(ctx, snaps[i], stmt.Query, *stmt.Represent, udfOpts); err != nil {
 				break
 			}
 		}
+	case stmt.Represent != nil:
+		var pts []series.Series
+		pts, err = m4lsm.ReduceMultiContext(ctx, snaps, stmt.Query, *stmt.Represent, lsmOpts)
+		for i := range pts {
+			outs[i].Points = pts[i]
+		}
+	case len(stmt.Aggregates) > 0:
+		// Envelope-only function sets run merge-free, count/sum/avg scan
+		// the merged stream; USING is informational for this form.
+		var groups [][]groupby.Row
+		groups, err = groupby.Compute(ctx, snaps, stmt.Query, stmt.Aggregates, lsmOpts)
+		for i := range groups {
+			outs[i].Groups = groups[i]
+		}
 	default:
-		outs, err = m4lsm.ReduceMultiContext(ctx, snaps, stmt.Query, spec, m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget})
+		var aggs [][]m4.Aggregate
+		if udf {
+			aggs, err = m4udf.ComputeMultiContext(ctx, snaps, stmt.Query, udfOpts)
+		} else {
+			aggs, err = m4lsm.ComputeMultiContext(ctx, snaps, stmt.Query, lsmOpts)
+		}
+		for i := range aggs {
+			outs[i].Aggregates = aggs[i]
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Columns:   []string{"time", "value"},
-		Operator:  stmt.Operator.String(),
-		Elapsed:   time.Since(start),
-		SpanCount: stmt.Query.W,
-		Represent: spec.String(),
+	for i, id := range ids {
+		outs[i].SeriesID = id
+		outs[i].Stats = snaps[i].Stats.Load()
+		outs[i].Warnings = snaps[i].Warnings.List()
 	}
-	pointRows := func(s series.Series) [][]float64 {
-		rows := make([][]float64, len(s))
-		for i, p := range s {
-			rows[i] = []float64{float64(p.T), p.V}
-		}
-		return rows
-	}
-	if stmt.Multi() {
-		res.Series = make([]SeriesResult, len(ids))
-		for si, id := range ids {
-			sr := SeriesResult{SeriesID: id, Rows: pointRows(outs[si]), Stats: snaps[si].Stats.Load()}
-			sr.Warnings = snaps[si].Warnings.List()
-			sr.Partial = len(sr.Warnings) > 0
-			res.Stats.Add(sr.Stats)
-			if sr.Partial {
-				res.Partial = true
-				for _, w := range sr.Warnings {
-					res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", id, w))
-				}
-			}
-			res.Series[si] = sr
-		}
-	} else {
-		res.Rows = pointRows(outs[0])
-		res.Stats = snaps[0].Stats.Load()
-		res.Warnings = snaps[0].Warnings.List()
-		res.Partial = len(res.Warnings) > 0
-	}
-	if tr != nil {
-		tr.Warn(res.Warnings...)
-		res.Trace = tr.Finish()
-	}
-	return res, nil
+	return outs, nil
 }
 
-// executeGroupByMulti is the aggregate form over several series: a
-// sequential per-series groupby.Compute with the same per-series result
-// blocks as the M4 form.
-func executeGroupByMulti(ctx context.Context, e *lsm.Engine, stmt Statement, tr *obs.Trace, ids []string, snaps []*storage.Snapshot, start time.Time) (*Result, error) {
-	res := &Result{
-		Columns:   []string{"span"},
-		Operator:  stmt.Operator.String(),
-		SpanCount: stmt.Query.W,
-		Series:    make([]SeriesResult, len(ids)),
-	}
-	for _, f := range stmt.Aggregates {
-		res.Columns = append(res.Columns, f.String())
-	}
-	for si, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows, err := groupby.Compute(snaps[si], stmt.Query, stmt.Aggregates)
-		if err != nil {
-			return nil, fmt.Errorf("m4ql: series %q: %w", id, err)
-		}
-		sr := SeriesResult{SeriesID: id, Stats: snaps[si].Stats.Load()}
-		sr.Warnings = snaps[si].Warnings.List()
-		sr.Partial = len(sr.Warnings) > 0
-		for _, r := range rows {
-			row := make([]float64, 0, len(r.Values)+1)
-			row = append(row, float64(r.Span))
-			row = append(row, r.Values...)
-			sr.Rows = append(sr.Rows, row)
-		}
-		res.Stats.Add(sr.Stats)
-		if sr.Partial {
-			res.Partial = true
-			for _, w := range sr.Warnings {
-				res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", id, w))
-			}
-		}
-		res.Series[si] = sr
-	}
-	res.Elapsed = time.Since(start)
-	if tr != nil {
-		tr.Phase("groupby", res.Elapsed)
-		tr.Warn(res.Warnings...)
-		tr.SetCounters(res.Stats.Map())
-		res.Trace = tr.Finish()
-	}
-	return res, nil
+// Execute runs a parsed statement against the engine.
+func Execute(e *lsm.Engine, stmt Statement) (*Result, error) {
+	return ExecuteContext(context.Background(), e, stmt)
 }
 
-// executeGroupBy runs the aggregate form of the query: one row per
-// non-empty span with the requested scalar functions. Envelope-only
-// function sets (min/max/first/last) execute merge-free via the M4-LSM
-// machinery; count/sum/avg scan the merged stream (the USING clause is
-// informational only for this form).
-func executeGroupBy(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
+// ExecuteContext runs a parsed statement under a context (cancellation
+// aborts the operator's worker pool and returns ctx.Err()) and tabulates the
+// executor's typed outputs: single-series statements keep the flat Rows
+// shape, multi-series ones get one Series block each, decided by the
+// statement (stmt.Multi), not by how many series a wildcard matched.
+// Elapsed covers the whole read — snapshots included.
+func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
 	tr := obs.TraceOf(ctx)
-	snap, err := e.Snapshot(stmt.SeriesID, stmt.Query.Range())
-	if err != nil {
-		return nil, err
+	if tr == nil && stmt.Trace {
+		ctx, tr = obs.WithTrace(ctx)
 	}
 	start := time.Now()
-	rows, err := groupby.Compute(snap, stmt.Query, stmt.Aggregates)
+	outs, err := Read(ctx, e, stmt)
 	if err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		tr.Phase("groupby", time.Since(start))
-	}
-	warnings := snap.Warnings.List()
 	res := &Result{
-		Columns:   []string{"span"},
 		Operator:  stmt.Operator.String(),
 		Elapsed:   time.Since(start),
-		Stats:     snap.Stats.Load(),
 		SpanCount: stmt.Query.W,
-		Partial:   len(warnings) > 0,
-		Warnings:  warnings,
 	}
-	for _, f := range stmt.Aggregates {
-		res.Columns = append(res.Columns, f.String())
+	switch {
+	case stmt.Represent != nil:
+		res.Columns = []string{"time", "value"}
+		res.Represent = stmt.Represent.String()
+	case len(stmt.Aggregates) > 0:
+		res.Columns = []string{"span"}
+		for _, f := range stmt.Aggregates {
+			res.Columns = append(res.Columns, f.String())
+		}
+	default:
+		res.Columns = append([]string{"span"}, columnStrings(stmt.Columns)...)
 	}
-	for _, r := range rows {
-		row := make([]float64, 0, len(r.Values)+1)
-		row = append(row, float64(r.Span))
-		row = append(row, r.Values...)
-		res.Rows = append(res.Rows, row)
+	if stmt.Multi() {
+		res.Series = make([]SeriesResult, len(outs))
+		for i, o := range outs {
+			res.Series[i] = SeriesResult{SeriesID: o.SeriesID, Rows: rows(stmt, o), Stats: o.Stats,
+				Partial: len(o.Warnings) > 0, Warnings: o.Warnings}
+			res.Stats.Add(o.Stats)
+			for _, w := range o.Warnings {
+				res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", o.SeriesID, w))
+			}
+		}
+	} else {
+		if len(outs) != 1 {
+			return nil, fmt.Errorf("m4ql: statement names no series")
+		}
+		res.Rows, res.Stats, res.Warnings = rows(stmt, outs[0]), outs[0].Stats, outs[0].Warnings
 	}
+	res.Partial = len(res.Warnings) > 0
 	if tr != nil {
-		tr.Warn(warnings...)
-		tr.SetCounters(res.Stats.Map())
+		tr.Warn(res.Warnings...)
 		res.Trace = tr.Finish()
 	}
 	return res, nil
+}
+
+// rows tabulates one series' output in the statement's form: (time, value)
+// per point for REPRESENT, the span index plus the projected columns per
+// non-empty span otherwise (of Groups and Aggregates only the statement's
+// own form is set).
+func rows(stmt Statement, o SeriesOutput) [][]float64 {
+	if stmt.Represent != nil {
+		out := make([][]float64, len(o.Points))
+		for i, p := range o.Points {
+			out[i] = []float64{float64(p.T), p.V}
+		}
+		return out
+	}
+	var out [][]float64
+	for _, g := range o.Groups {
+		row := make([]float64, 0, len(g.Values)+1)
+		row = append(row, float64(g.Span))
+		out = append(out, append(row, g.Values...))
+	}
+	for i, a := range o.Aggregates {
+		if a.Empty {
+			continue
+		}
+		row := make([]float64, 0, len(stmt.Columns)+1)
+		row = append(row, float64(i))
+		for _, c := range stmt.Columns {
+			row = append(row, cell(a, c))
+		}
+		out = append(out, row)
+	}
+	return out
 }
 
 // Run parses and executes a query in one step. EXPLAIN statements execute

@@ -19,8 +19,9 @@ func ComputeMulti(snaps []*storage.Snapshot, q m4.Query) ([][]m4.Aggregate, erro
 // ComputeMultiContext is the baseline's batched form, the UDF counterpart
 // of m4lsm.ComputeMultiContext: each series is merged and scanned exactly as
 // ComputeContext would, with the batch fanned across Options.Parallelism
-// workers at series granularity (each series runs sequentially inside, so
-// the batch never oversubscribes the budget). Results are positional —
+// workers at series granularity; each series gets the workers' share of
+// the parallelism inside, so the batch never oversubscribes it and a batch
+// of one is exactly ComputeContext. Results are positional —
 // out[i] belongs to snaps[i] — and identical to per-series ComputeContext
 // calls; per-series cost counters stay on each snapshot's own Stats.
 func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts Options) ([][]m4.Aggregate, error) {
@@ -34,11 +35,12 @@ func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Qu
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(snaps) {
-		par = len(snaps)
-	}
 	inner := opts
 	inner.Parallelism = 1
+	if par > len(snaps) {
+		inner.Parallelism = par / len(snaps)
+		par = len(snaps)
+	}
 	outs := make([][]m4.Aggregate, len(snaps))
 	errs := make([]error, len(snaps))
 	run := func(i int) {

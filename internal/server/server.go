@@ -22,11 +22,11 @@ import (
 	"m4lsm/internal/govern"
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/m4"
-	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4ql"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/obs/history"
 	"m4lsm/internal/reprops"
+	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/viz"
 )
@@ -750,29 +750,14 @@ func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no series match %q", seriesParam))
 		return
 	}
-	snaps := make([]*storage.Snapshot, len(ids))
-	for i, id := range ids {
-		snap, err := h.engine.Snapshot(id, q.Range())
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		snaps[i] = snap
-	}
-	reduced, err := m4lsm.ReduceMultiContext(r.Context(), snaps, q, spec, m4lsm.Options{
-		Metrics: h.reg,
-		Budget:  govern.NewBudget(govern.LimitsOf(r.Context())),
-	})
-	var cost storage.Stats
-	for _, snap := range snaps {
-		cost.Add(snap.Stats.Load())
-	}
+	// The request is a REPRESENT statement over the series list; it runs
+	// through the one read path under the budget gated() put on the context.
+	outs, err := m4ql.Read(r.Context(), h.engine, m4ql.Statement{Series: ids, Query: q, Represent: &spec})
 	if spec.Kind == reprops.KindM4 {
 		ev.Operator = "lsm"
 	} else {
 		ev.Operator = spec.Kind.String()
 	}
-	eventStats(ev, cost)
 	if err != nil {
 		ev.Error = err.Error()
 		if code, kind := mapQueryError(err); code != 0 {
@@ -782,16 +767,21 @@ func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
+	var cost storage.Stats
+	// Warnings cover both snapshot-time quarantines and operator-level
+	// degradation (FP substitution).
+	warnings := 0
+	reduced := make([]series.Series, len(outs))
+	for i, o := range outs {
+		cost.Add(o.Stats)
+		warnings += len(o.Warnings)
+		reduced[i] = o.Points
+	}
+	eventStats(ev, cost)
 	vp := viz.ViewportForAll(reduced, tqs, tqe)
 	canvas := viz.NewCanvas(width, height)
 	for _, s := range reduced {
 		viz.RasterizeOnto(canvas, s, vp)
-	}
-	// Warnings collected after the compute cover both snapshot-time
-	// quarantines and operator-level degradation (FP substitution).
-	warnings := 0
-	for _, snap := range snaps {
-		warnings += snap.Warnings.Len()
 	}
 	if warnings > 0 {
 		w.Header().Set("X-M4-Partial", strconv.Itoa(warnings))

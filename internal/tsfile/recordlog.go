@@ -76,12 +76,6 @@ func parseRecord(b []byte) (payload []byte, n int) {
 	return payload, total
 }
 
-// ParseRecordFrame scans the first framed record of b, returning its
-// payload and total encoded length (0 when b does not start with a
-// complete valid record). Segment migration reuses it to re-frame legacy
-// monolithic-WAL bytes.
-func ParseRecordFrame(b []byte) (payload []byte, n int) { return parseRecord(b) }
-
 // Append writes one record. If sync is true the file is fsynced before
 // returning, making the record durable.
 func (l *RecordLog) Append(payload []byte, sync bool) error {

@@ -35,9 +35,7 @@ import (
 	"m4lsm/internal/govern"
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/m4"
-	intm4lsm "m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4ql"
-	"m4lsm/internal/m4udf"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -238,9 +236,22 @@ type M4Options struct {
 	Timeout   time.Duration
 }
 
-// budget builds the options' resource budget (nil when unlimited).
-func (o M4Options) budget() *govern.Budget {
-	return govern.NewBudget(govern.Limits{MaxChunks: o.MaxChunks, MaxPoints: o.MaxPoints, Timeout: o.Timeout})
+// statement turns the root API's arguments into the m4ql statement the one
+// read path (m4ql.Read) executes. MaxChunks and MaxPoints travel on the
+// context, the way the server's per-query defaults do.
+func (o M4Options) statement(ctx context.Context, ids []string, tqs, tqe int64, w int) (context.Context, m4ql.Statement, error) {
+	if o.Operator != OperatorLSM && o.Operator != OperatorUDF {
+		return nil, m4ql.Statement{}, fmt.Errorf("m4lsm: unknown operator %d", o.Operator)
+	}
+	ctx = govern.WithLimits(ctx, govern.Limits{MaxChunks: o.MaxChunks, MaxPoints: o.MaxPoints})
+	return ctx, m4ql.Statement{
+		Series:      ids,
+		Query:       m4.Query{Tqs: tqs, Tqe: tqe, W: w},
+		Operator:    m4ql.Operator(o.Operator),
+		Parallelism: o.Parallelism,
+		Strict:      o.StrictReads,
+		Timeout:     o.Timeout,
+	}, nil
 }
 
 // M4 runs an M4 representation query with the default operator (M4-LSM):
@@ -286,41 +297,11 @@ type M4Result struct {
 // failing it: they are skipped (corrupt ones quarantined engine-wide) and
 // reported in M4Result.Warnings.
 func (db *DB) M4Context(ctx context.Context, seriesID string, tqs, tqe int64, w int, opts M4Options) (*M4Result, error) {
-	q := m4.Query{Tqs: tqs, Tqe: tqe, W: w}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	snap, err := db.engine.Snapshot(seriesID, q.Range())
+	res, err := db.M4MultiContext(ctx, []string{seriesID}, tqs, tqe, w, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.StrictReads {
-		// Chunks already quarantined are excluded at snapshot time; a
-		// strict read must fail rather than omit them silently.
-		if ws := snap.Warnings.List(); len(ws) > 0 {
-			return nil, fmt.Errorf("m4lsm: strict read: %s", ws[0])
-		}
-	}
-	budget := opts.budget()
-	var aggs []m4.Aggregate
-	switch opts.Operator {
-	case OperatorLSM:
-		aggs, err = intm4lsm.ComputeContext(ctx, snap, q, intm4lsm.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	case OperatorUDF:
-		aggs, err = m4udf.ComputeContext(ctx, snap, q, m4udf.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	default:
-		return nil, fmt.Errorf("m4lsm: unknown operator %d", opts.Operator)
-	}
-	if err != nil {
-		return nil, err
-	}
-	warnings := snap.Warnings.List()
-	return &M4Result{
-		Aggregates: publicAggregates(aggs),
-		Stats:      publicStats(snap.Stats.Load()),
-		Partial:    len(warnings) > 0,
-		Warnings:   warnings,
-	}, nil
+	return &M4Result{Aggregates: res[0].Aggregates, Stats: res[0].Stats, Partial: res[0].Partial, Warnings: res[0].Warnings}, nil
 }
 
 // RepresentOptions configure one representation query: the usual execution
@@ -364,54 +345,33 @@ func (db *DB) Represent(seriesID string, tqs, tqe int64, w int, representation s
 // dedicated merge path, while OperatorUDF merges everything and reduces the
 // assembled series. Both produce bit-identical points.
 func (db *DB) RepresentContext(ctx context.Context, seriesID string, tqs, tqe int64, w int, opts RepresentOptions) (*RepresentResult, error) {
-	spec, err := reprops.ParseSpec(repOrDefault(opts.Representation))
+	rep := opts.Representation
+	if rep == "" {
+		rep = "m4"
+	}
+	spec, err := reprops.ParseSpec(rep)
 	if err != nil {
 		return nil, err
 	}
-	q := m4.Query{Tqs: tqs, Tqe: tqe, W: w}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	snap, err := db.engine.Snapshot(seriesID, q.Range())
+	ctx, stmt, err := opts.statement(ctx, []string{seriesID}, tqs, tqe, w)
 	if err != nil {
 		return nil, err
 	}
-	if opts.StrictReads {
-		if ws := snap.Warnings.List(); len(ws) > 0 {
-			return nil, fmt.Errorf("m4lsm: strict read: %s", ws[0])
-		}
-	}
-	budget := opts.budget()
-	var pts series.Series
-	switch opts.Operator {
-	case OperatorLSM:
-		pts, err = intm4lsm.ReduceContext(ctx, snap, q, spec, intm4lsm.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	case OperatorUDF:
-		pts, err = m4udf.ReduceContext(ctx, snap, q, spec, m4udf.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	default:
-		return nil, fmt.Errorf("m4lsm: unknown operator %d", opts.Operator)
-	}
+	stmt.Represent = &spec
+	outs, err := m4ql.Read(ctx, db.engine, stmt)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = publicPoint(p)
+	pts := make([]Point, len(outs[0].Points))
+	for i, p := range outs[0].Points {
+		pts[i] = publicPoint(p)
 	}
-	warnings := snap.Warnings.List()
 	return &RepresentResult{
-		Points:   out,
-		Stats:    publicStats(snap.Stats.Load()),
-		Partial:  len(warnings) > 0,
-		Warnings: warnings,
+		Points:   pts,
+		Stats:    publicStats(outs[0].Stats),
+		Partial:  len(outs[0].Warnings) > 0,
+		Warnings: outs[0].Warnings,
 	}, nil
-}
-
-func repOrDefault(r string) string {
-	if r == "" {
-		return "m4"
-	}
-	return r
 }
 
 // SeriesAggregates is one series' share of a multi-series M4 query.
@@ -439,46 +399,22 @@ func (db *DB) M4Multi(ids []string, tqs, tqe int64, w int) ([]SeriesAggregates, 
 // opts.StrictReads, unreadable chunks degrade only the series they belong
 // to, reported in that series' Partial/Warnings.
 func (db *DB) M4MultiContext(ctx context.Context, ids []string, tqs, tqe int64, w int, opts M4Options) ([]SeriesAggregates, error) {
-	q := m4.Query{Tqs: tqs, Tqe: tqe, W: w}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	snaps := make([]*storage.Snapshot, len(ids))
-	for i, id := range ids {
-		snap, err := db.engine.Snapshot(id, q.Range())
-		if err != nil {
-			return nil, fmt.Errorf("m4lsm: series %q: %w", id, err)
-		}
-		if opts.StrictReads {
-			if ws := snap.Warnings.List(); len(ws) > 0 {
-				return nil, fmt.Errorf("m4lsm: strict read: series %q: %s", id, ws[0])
-			}
-		}
-		snaps[i] = snap
-	}
-	budget := opts.budget()
-	var outs [][]m4.Aggregate
-	var err error
-	switch opts.Operator {
-	case OperatorLSM:
-		outs, err = intm4lsm.ComputeMultiContext(ctx, snaps, q, intm4lsm.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	case OperatorUDF:
-		outs, err = m4udf.ComputeMultiContext(ctx, snaps, q, m4udf.Options{Parallelism: opts.Parallelism, Strict: opts.StrictReads, Metrics: db.engine.Metrics(), Budget: budget})
-	default:
-		return nil, fmt.Errorf("m4lsm: unknown operator %d", opts.Operator)
-	}
+	ctx, stmt, err := opts.statement(ctx, ids, tqs, tqe, w)
 	if err != nil {
 		return nil, err
 	}
-	res := make([]SeriesAggregates, len(ids))
-	for i, id := range ids {
-		warnings := snaps[i].Warnings.List()
+	outs, err := m4ql.Read(ctx, db.engine, stmt)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]SeriesAggregates, len(outs))
+	for i, o := range outs {
 		res[i] = SeriesAggregates{
-			SeriesID:   id,
-			Aggregates: publicAggregates(outs[i]),
-			Stats:      publicStats(snaps[i].Stats.Load()),
-			Partial:    len(warnings) > 0,
-			Warnings:   warnings,
+			SeriesID:   o.SeriesID,
+			Aggregates: publicAggregates(o.Aggregates),
+			Stats:      publicStats(o.Stats),
+			Partial:    len(o.Warnings) > 0,
+			Warnings:   o.Warnings,
 		}
 	}
 	return res, nil

@@ -2,9 +2,16 @@ package m4lsm
 
 import (
 	"bytes"
+	"context"
 	"image/png"
 	"reflect"
 	"testing"
+
+	"m4lsm/internal/faultfs"
+	"m4lsm/internal/lsm"
+	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
+	"m4lsm/internal/tsfile"
 )
 
 func TestRaw(t *testing.T) {
@@ -56,6 +63,69 @@ func TestRender(t *testing.T) {
 	}
 	if _, err := db.Render("s", 0, 1000, 80, 0); err == nil {
 		t.Error("h=0 accepted")
+	}
+}
+
+// versionSource corrupts the reads of one chunk version and serves the rest.
+type versionSource struct {
+	ver           storage.Version
+	faulty, clean storage.ChunkSource
+}
+
+func (s versionSource) pick(m storage.ChunkMeta) storage.ChunkSource {
+	if m.Version == s.ver {
+		return s.faulty
+	}
+	return s.clean
+}
+func (s versionSource) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+	return s.pick(m).ReadChunk(m)
+}
+func (s versionSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) { return s.pick(m).ReadTimes(m) }
+
+// TestTupleReadsAreStrict: Render and Raw return no Partial flag, so a
+// quarantined chunk must fail them; M4Context reports it instead.
+func TestTupleReadsAreStrict(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, WithFlushThreshold(20), WithoutPyramid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		db.Write("s", Point{Time: int64(i * 5), Value: float64((i * 3) % 17)})
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(faultfs.Config{Seed: 1, FlipRate: 1})
+	e, err := lsm.Open(lsm.Options{Dir: dir, DisablePyramid: true, WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
+		faulty := faultfs.Wrap(src, inj)
+		faulty.CorruptErr = tsfile.ErrCorrupt
+		return versionSource{ver: 2, faulty: faulty, clean: src}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db = &DB{engine: e}
+	defer db.Close()
+
+	// The merge-everything operator is certain to read the corrupt chunk.
+	res, err := db.M4Context(context.Background(), "s", 0, 500, 10, M4Options{Operator: OperatorUDF})
+	if err != nil || !res.Partial || len(res.Warnings) == 0 {
+		t.Fatalf("lenient read over a corrupt chunk: partial=%v err=%v", res != nil && res.Partial, err)
+	}
+	if n := db.Info().QuarantinedChunks; n != 1 {
+		t.Fatalf("QuarantinedChunks = %d, want 1", n)
+	}
+	res, err = db.M4Context(context.Background(), "s", 0, 500, 10, M4Options{})
+	if err != nil || !res.Partial {
+		t.Fatalf("M4Context over a quarantined chunk: partial=%v err=%v", res != nil && res.Partial, err)
+	}
+	if _, err := db.Render("s", 0, 500, 50, 20); err == nil {
+		t.Error("Render drew a chart with a quarantined chunk missing")
+	}
+	if _, err := db.Raw("s", 0, 500); err == nil {
+		t.Error("Raw returned points with a quarantined chunk missing")
 	}
 }
 
