@@ -11,7 +11,7 @@ LDFLAGS := -X m4lsm/internal/buildinfo.Version=$(VERSION) -X m4lsm/internal/buil
 # examples/ at 0%, so 70 fails on a real regression, not on noise.
 COVER_FLOOR ?= 70
 
-.PHONY: build install test race race-short vet lint check cover difftest bench-check bench bench-parallel bench-shards bench-obs bench-overload bench-pyramid bench-recovery bench-repr bench-selfobs bench-ingest fuzz torture soak profile
+.PHONY: build install test race race-short vet lint check cover difftest bench-check bench bench-parallel bench-shards bench-obs bench-overload bench-pyramid bench-recovery bench-repr bench-selfobs fuzz torture soak profile
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -84,8 +84,9 @@ fuzz:
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
-# It also keeps raw sleeps out of library code, and keeps the query layers
-# (root package, m4ql, server) from growing a second read path.
+# It also keeps raw sleeps out of library code, keeps the query layers
+# (root package, m4ql, server) from growing a second read path, and keeps
+# internal/lsm from growing a second write path or reaching into the WAL.
 lint:
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
@@ -112,6 +113,17 @@ lint:
 		echo "$$bad"; echo "snapshot calls: $$n"; exit 1; \
 	fi
 
+	@n=$$(grep -cE 'sh\.mem\[[^]]*\] = append\(' internal/lsm/*.go | grep -v '_test\.go:' | grep -v ':0$$' | tr '\n' ' '); \
+	bad=$$(grep -rnE '\b(walMu|walAppend)' internal/lsm; \
+		grep -rnE 'tsfile\.(CreateSegment|OpenSegmentAppend|ReadSegment|ParseSegment)|wal-%|"wal-' --include='*.go' --exclude='*_test.go' . \
+		| grep -v -e '^\./internal/wal/' -e '^\./internal/tsfile/' -e '^\./bench/' -e '^\./cmd/m4server/main\.go:.*flag\.'; true); \
+	if [ -n "$$bad" ] || [ "$$n" != "internal/lsm/ingest.go:1 " ]; then \
+		echo "lint: inserts reach a memtable in one place, memAppend (internal/lsm/ingest.go), called by"; \
+		echo "applyRun and WAL replay; the log is reached through internal/wal's methods only."; \
+		echo "Exempt: WAL file globs in tests, the -wal-* flags of m4server."; \
+		echo "$$bad"; echo "memtable appends: $$n"; exit 1; \
+	fi
+
 # bench-check compiles and tests the benchmark. bench/ is a module of its
 # own (so it stays out of `go build ./...` and the coverage floor), which
 # means nothing else notices when an internal rename breaks it.
@@ -119,7 +131,7 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # check is the standard gate for this repo: static analysis, the logging,
-# backoff and one-read-path lints, the benchmark module's own vet and tests,
+# backoff, one-read-path and one-write-path lints, the benchmark module's own vet and tests,
 # the suite (including the crash-recovery torture and the
 # short-mode differential harness) under the race detector, the overload
 # soak, the coverage floor, and a short fuzz pass over the recovery parsers.
@@ -159,13 +171,6 @@ bench-repr:
 # segment, retirement pinned by a cold shard) vs segmented.
 bench-recovery:
 	$(GO) run ./cmd/m4bench -exp recovery -reps 3
-
-# bench-ingest regenerates the ingestion sweep of BENCH_ingest.json:
-# write throughput across concurrent writers × batch size × SyncWAL, with
-# the in-sweep requirement that batched ingestion reproduces the
-# point-by-point database bit-for-bit and beats it 5x at 8 durable writers.
-bench-ingest:
-	$(GO) run ./cmd/m4bench -exp ingest -reps 3
 
 # bench-selfobs regenerates the self-observability sweep of BENCH_selfobs.json:
 # M4 query latency with the self-metrics sampler off vs hammering at 2ms,

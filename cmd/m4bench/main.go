@@ -176,13 +176,6 @@ func run(out io.Writer, name string, cfg exper.Config, markdown bool, nSeries, n
 		}
 		exper.WriteRecovery(out, exper.RecoveryTitle(), ms)
 		return nil
-	case "ingest":
-		ms, err := exper.RunIngest(cfg)
-		if err != nil {
-			return err
-		}
-		exper.WriteIngest(out, exper.IngestTitle(), ms)
-		return nil
 	case "selfobs":
 		ms, err := exper.RunSelfObs(cfg)
 		if err != nil {

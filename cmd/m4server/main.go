@@ -79,13 +79,12 @@ func main() {
 		readRetries  = flag.Int("read-retries", 0, "retry attempts for transient chunk-read failures (0 = engine default)")
 		pyramid      = flag.Bool("pyramid", true, "maintain the M4 rollup pyramid (precomputed multi-resolution span aggregates); false always computes from chunks")
 
-		scrubEvery  = flag.Duration("scrub-interval", 0, "period of the background integrity scrubber (chunk CRCs, pyramid manifest, WAL segments; 0 disables — /admin/scrub still works on demand)")
-		walSegBytes = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = engine default)")
-		syncWAL     = flag.Bool("sync-wal", false, "fsync the WAL before acknowledging writes (group commit amortizes the sync across concurrent writers)")
-		walGroup    = flag.Int("wal-group-size", 0, "max records per WAL group commit (0 = engine default 128)")
-		ingestQueuePoints = flag.Int("ingest-queue-points", 0, "per-shard batched-ingest queue cap in points before backpressure (0 = engine default 65536)")
-		ingestQueueBytes  = flag.Int("ingest-queue-bytes", 0, "per-shard batched-ingest queue cap in payload bytes (0 = engine default 8MiB)")
-		ingestWait        = flag.Duration("ingest-enqueue-wait", 0, "max time a batch blocks on a full ingest queue before the retryable backpressure error (0 = engine default 2s; negative fails immediately)")
+		scrubEvery        = flag.Duration("scrub-interval", 0, "period of the background integrity scrubber (chunk CRCs, pyramid manifest, WAL segments; 0 disables — /admin/scrub still works on demand)")
+		walSegBytes       = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = engine default)")
+		syncWAL           = flag.Bool("sync-wal", false, "fsync the WAL before acknowledging writes (group commit amortizes the sync across concurrent writers)")
+		walGroup          = flag.Int("wal-group-size", 0, "max records per WAL group commit (0 = engine default 128)")
+		ingestQueuePoints = flag.Int("ingest-queue-points", 0, "per-shard ingest queue cap in points before backpressure (0 = engine default 65536)")
+		ingestWait        = flag.Duration("ingest-enqueue-wait", 0, "max time a write blocks on a full ingest queue before the retryable backpressure error (0 = engine default 2s; negative fails immediately)")
 
 		selfMetrics = flag.Duration("self-metrics-interval", time.Second, "period at which the metrics registry is sampled into root.sys.* series inside the engine (0 disables)")
 		eventLog    = flag.String("event-log", "", "JSONL file receiving one wide event per /query and /render ('' keeps the tail in memory only, served at /debug/events)")
@@ -110,8 +109,7 @@ func main() {
 	engine, err := lsm.Open(lsm.Options{Dir: *dir, Metrics: reg, NumShards: *shards, ReadRetries: *readRetries, DisablePyramid: !*pyramid,
 		ScrubInterval: *scrubEvery, WALSegmentBytes: *walSegBytes,
 		SyncWAL: *syncWAL, WALGroupSize: *walGroup,
-		IngestQueuePoints: *ingestQueuePoints, IngestQueueBytes: *ingestQueueBytes,
-		IngestEnqueueWait: *ingestWait})
+		IngestQueuePoints: *ingestQueuePoints, IngestEnqueueWait: *ingestWait})
 	if err != nil {
 		logger.Error("open engine", "dir", *dir, "err", err)
 		os.Exit(1)
@@ -135,8 +133,8 @@ func main() {
 		EventLogBuffer:      *eventBuffer,
 	})
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: handler,
+		Addr:              *addr,
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,

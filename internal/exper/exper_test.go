@@ -342,35 +342,3 @@ func TestRunRecovery(t *testing.T) {
 		t.Errorf("table output:\n%s", buf.String())
 	}
 }
-
-func TestRunIngest(t *testing.T) {
-	ms, err := RunIngest(Config{Scale: 0.001, Reps: 1, Seed: 11, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(ingestWriters) * 2 * len(ingestBatches)
-	if len(ms) != want {
-		t.Fatalf("cells = %d, want %d", len(ms), want)
-	}
-	for _, m := range ms {
-		// RunIngest already fails the in-sweep cross-check and the durable
-		// 8-writer speedup floor; check the rest of the shape.
-		if m.Points <= 0 || m.Elapsed <= 0 || m.PointsPerSec <= 0 {
-			t.Errorf("cell %+v: non-positive measurement", m)
-		}
-		if m.Batch == 1 && m.Speedup != 1 {
-			t.Errorf("cell %+v: baseline speedup = %f, want 1", m, m.Speedup)
-		}
-		if m.GroupRecords <= 0 {
-			t.Errorf("cell %+v: no WAL records group-committed", m)
-		}
-		if m.GroupCommits > m.GroupRecords {
-			t.Errorf("cell %+v: more groups than records", m)
-		}
-	}
-	var buf bytes.Buffer
-	WriteIngest(&buf, IngestTitle(), ms)
-	if !strings.Contains(buf.String(), "points/s") || !strings.Contains(buf.String(), "walGroups") {
-		t.Errorf("table output:\n%s", buf.String())
-	}
-}

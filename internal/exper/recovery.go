@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"time"
 
 	"m4lsm/internal/lsm"
@@ -210,18 +208,7 @@ func recoveryIngest(cfg Config, dir string, n int, segBytes int64) (walBytes int
 	}
 	info := e.Info()
 	e.Kill()
-	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, p := range matches {
-		fi, err := os.Stat(p)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		walBytes += fi.Size()
-	}
-	return walBytes, len(matches), info.WALRetiredBytes, nil
+	return info.WALBytes, info.WALSegments, info.WALRetiredBytes, nil
 }
 
 // recoveryReopen opens the killed database, timing the open (WAL replay

@@ -165,10 +165,9 @@ var Titles = map[string]string{
 	"overload":  "Overload: admission control under concurrent slow queries",
 	"recovery":  "Recovery: replay after kill, monolithic vs segmented WAL",
 	"selfobs":   "Self-observability: sampler overhead and cardinality bound",
-	"ingest":    "Ingestion: WriteBatch vs Write across writers, batch size and WAL durability",
 }
 
 // ExpNames lists the experiments in presentation order.
 func ExpNames() []string {
-	return []string{"table2", "fig1", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "scaling", "pyramid", "repr", "shards", "ablations", "faults", "overload", "recovery", "ingest", "selfobs"}
+	return []string{"table2", "fig1", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "scaling", "pyramid", "repr", "shards", "ablations", "faults", "overload", "recovery", "selfobs"}
 }

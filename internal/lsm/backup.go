@@ -152,28 +152,20 @@ func (e *Engine) Backup(dir string) (BackupManifest, error) {
 		}
 		caps = append(caps, capture{name: name, data: data})
 	}
-	if e.wal != nil {
-		e.walMu.Lock()
-		for _, s := range e.wal.sealed {
-			caps = append(caps, capture{name: filepath.Base(s.path), path: s.path})
-		}
-		// The active segment keeps growing after the locks drop, so
-		// capture its record-aligned prefix now: Size() is tracked in
-		// memory and always sits on a record boundary.
-		data := make([]byte, e.wal.active.Size())
-		f, err := os.Open(e.wal.active.Path())
-		if err == nil {
-			_, err = io.ReadFull(f, data)
-			f.Close()
-		}
-		if err != nil {
-			e.walMu.Unlock()
-			e.unlockAll()
-			e.backupErrors.Add(1)
-			return m, fmt.Errorf("lsm: backup wal: %w", err)
-		}
-		caps = append(caps, capture{name: filepath.Base(e.wal.active.Path()), data: data})
-		e.walMu.Unlock()
+	// Sealed WAL segments are immutable like chunk files; the active one
+	// keeps growing after the locks drop, so its record-aligned bytes so
+	// far are captured now.
+	sealed, activePath, active, err := e.wal.Capture()
+	if err != nil {
+		e.unlockAll()
+		e.backupErrors.Add(1)
+		return m, fmt.Errorf("lsm: backup: %w", err)
+	}
+	for _, s := range sealed {
+		caps = append(caps, capture{name: filepath.Base(s.Path), path: s.Path})
+	}
+	if activePath != "" {
+		caps = append(caps, capture{name: filepath.Base(activePath), data: active})
 	}
 	// Hardlink the immutable files while still pinned: a link survives the
 	// source being unlinked later, and is O(1) regardless of size.

@@ -180,11 +180,7 @@ func (e *Engine) Compact() error {
 				}
 			}
 			if hasQuarantined {
-				bad, err := uniqueBadPath(f.Path())
-				if err == nil {
-					err = os.Rename(f.Path(), bad)
-				}
-				if err != nil {
+				if _, err := tsfile.SetAside(f.Path()); err != nil {
 					return fmt.Errorf("lsm: quarantine pre-compaction file: %w", err)
 				}
 				e.badFiles++
@@ -210,7 +206,7 @@ func (e *Engine) Compact() error {
 		if err := e.step("compact.walreset"); err != nil {
 			return err
 		}
-		if err := e.walResetAll(); err != nil {
+		if err := e.wal.Reset(); err != nil {
 			return err
 		}
 	}

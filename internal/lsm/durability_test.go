@@ -14,6 +14,7 @@ import (
 	"m4lsm/internal/govern"
 	"m4lsm/internal/series"
 	"m4lsm/internal/tsfile"
+	"m4lsm/internal/wal"
 )
 
 // --- segmented WAL ------------------------------------------------------
@@ -152,12 +153,12 @@ func TestCorruptSealedSegmentQuarantined(t *testing.T) {
 	e.Kill()
 
 	// Corrupt a record byte in sealed segment 2 (header stays valid).
-	raw, err := os.ReadFile(walSegPath(dir, 2))
+	raw, err := os.ReadFile(wal.SegmentPath(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[tsfile.SegmentHeaderLen+2] ^= 0xff
-	if err := os.WriteFile(walSegPath(dir, 2), raw, 0o644); err != nil {
+	if err := os.WriteFile(wal.SegmentPath(dir, 2), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -572,12 +573,12 @@ func TestScrubCorruptSealedWALSegment(t *testing.T) {
 		t.Fatal("need several live segments")
 	}
 	// Rot a record inside sealed segment 1 while the engine runs.
-	raw, err := os.ReadFile(walSegPath(dir, 1))
+	raw, err := os.ReadFile(wal.SegmentPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[tsfile.SegmentHeaderLen+2] ^= 0xff
-	if err := os.WriteFile(walSegPath(dir, 1), raw, 0o644); err != nil {
+	if err := os.WriteFile(wal.SegmentPath(dir, 1), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -592,7 +593,7 @@ func TestScrubCorruptSealedWALSegment(t *testing.T) {
 	// checkpointed, retirement usually unlinks it first and the quarantine
 	// rename finds it already gone. Either way the rotten file must not
 	// remain live under its original name.
-	if _, err := os.Stat(walSegPath(dir, 1)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(wal.SegmentPath(dir, 1)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt segment still live: stat err = %v", err)
 	}
 	if len(rep.Errors) != 0 {

@@ -14,8 +14,10 @@
 // The engine is sharded: series are routed to NumShards independent lock
 // stripes by hash(seriesID) (see shard.go), so writers to different series
 // never contend on one global mutex. The WAL is a sequence of segment files
-// shared by all shards (walseg.go); records carry a shard tag, and recovery
-// routes each record back to the owning shard by re-hashing the series id.
+// shared by all shards (internal/wal); records carry a shard tag, and
+// recovery routes each record back to the owning shard by re-hashing the
+// series id. Every insert reaches a memtable through one function, applyRun
+// (ingest.go).
 // Flush and Compact run per-shard, concurrently up to the GOMAXPROCS budget.
 package lsm
 
@@ -23,9 +25,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,6 +40,7 @@ import (
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
+	"m4lsm/internal/wal"
 )
 
 // Options configures an Engine.
@@ -107,7 +110,7 @@ type Options struct {
 	// flush/compact time. See pyramid.go.
 	DisablePyramid bool
 	// WALSegmentBytes is the size at which the active WAL segment is
-	// sealed and a fresh one started (see walseg.go); sealed segments
+	// sealed and a fresh one started (see internal/wal); sealed segments
 	// retire individually as their shards flush. 0 means 1 MiB.
 	WALSegmentBytes int64
 	// ScrubInterval, when positive, runs the background integrity
@@ -117,18 +120,17 @@ type Options struct {
 	// disables the background pass (Scrub can still be called directly).
 	ScrubInterval time.Duration
 	// WALGroupSize bounds how many records one WAL group commit carries
-	// (leader/follower batching; see groupcommit.go). Concurrent writers
+	// (leader/follower batching; see internal/wal). Concurrent writers
 	// share one fsync per group when SyncWAL is on. 0 means 128.
 	WALGroupSize int
-	// IngestQueuePoints / IngestQueueBytes cap each shard's batched-ingest
-	// queue (see ingest.go): a WriteBatch enqueue that would overflow
-	// either cap blocks up to IngestEnqueueWait and then fails with the
-	// retryable ErrIngestBackpressure. Defaults: 65536 points, 8 MiB.
+	// IngestQueuePoints caps each shard's ingest queue in points (see
+	// ingest.go): an enqueue that would overflow it blocks up to
+	// IngestEnqueueWait and then fails with the retryable
+	// ErrIngestBackpressure. 0 means 65536.
 	IngestQueuePoints int
-	IngestQueueBytes  int
-	// IngestEnqueueWait bounds how long a WriteBatch blocks on a full
-	// shard queue before backpressure surfaces. 0 means 2s; negative
-	// fails immediately.
+	// IngestEnqueueWait bounds how long a write blocks on a full shard
+	// queue before backpressure surfaces. 0 means 2s; negative fails
+	// immediately.
 	IngestEnqueueWait time.Duration
 }
 
@@ -146,22 +148,14 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// WAL opcodes. 1 and 2 were the untagged pre-sharding forms and stay
-// unassigned.
-const (
-	walOpInsertSharded byte = 3
-	walOpDeleteSharded byte = 4
-	walOpCheckpoint    byte = 5
-)
-
 // Engine is the LSM storage engine. All methods are safe for concurrent
 // use.
 //
-// Lock order: a series operation takes its shard's mutex first and may then
-// take walMu (WAL append/reset) or fileMu (file-list update); walMu and
-// fileMu are never nested inside each other, quarMu nests inside anything.
-// More than one shard lock is held only by Close, Kill and Compact, which
-// acquire all shards in index order.
+// Lock order: shard.mu → (wal, internal). A series operation takes its
+// shard's mutex first and may then call into the WAL (which owns its own
+// lock) or take fileMu (file-list update), never one inside the other;
+// quarMu nests inside anything. More than one shard lock is held only by
+// Close, Kill, Compact and Backup, which acquire all shards in index order.
 type Engine struct {
 	opts Options
 
@@ -185,18 +179,13 @@ type Engine struct {
 	// footer did not validate — crash leftovers recovered via the WAL.
 	badFiles int
 
-	// walMu serializes every mutation of the segmented WAL shared by all
-	// shards: appends, rotation, checkpointing and segment retirement.
-	// walCommit is the group-commit hand-off in front of it: writers
-	// enqueue records there and a single leader per group takes walMu
-	// (see groupcommit.go).
-	walMu     sync.Mutex
-	wal       *walog
-	walCommit walCommitter
+	// wal is the segmented, group-committed log shared by all shards; nil
+	// (a disabled log whose methods are no-ops) under DisableWAL.
+	wal *wal.Log
 
-	// ing owns the bounded batched-ingest queues and their append
-	// workers (see ingest.go); workers take shard locks, so Close/Kill
-	// stop the ingester before lockAll.
+	// ing owns the bounded ingest queues and their append workers (see
+	// ingest.go); workers take shard locks, so Close/Kill stop the
+	// ingester before lockAll.
 	ing *ingester
 
 	// mods is the shared delete sidecar; the ModLog is internally locked,
@@ -264,7 +253,7 @@ type Engine struct {
 type engineMetrics struct {
 	pointsWritten *obs.Counter
 	deletes       *obs.Counter
-	walAppends    *obs.Counter
+	walRecords    *obs.Counter
 	flushes       *obs.Counter
 	flushSeconds  *obs.Histogram
 	flushedPoints *obs.Counter
@@ -343,19 +332,13 @@ func Open(opts Options) (*Engine, error) {
 	// replayed ranges stale).
 	e.pyrLoad()
 	if !opts.DisableWAL {
-		wal, entries, err := openWALog(opts.Dir, len(e.shards), opts.WALSegmentBytes)
+		e.wal, err = wal.Open(wal.Options{Dir: opts.Dir, Shards: len(e.shards),
+			SegmentBytes: opts.WALSegmentBytes, GroupSize: opts.WALGroupSize,
+			Sync: opts.SyncWAL, Step: opts.StepHook}, e.replayRecord, e.replayCheckpoint)
 		if err != nil {
+			e.closeFiles()
 			mods.Close()
 			return nil, fmt.Errorf("lsm: %w", err)
-		}
-		e.wal = wal
-		for i, ent := range entries {
-			if err := e.replayWAL(ent.seq, ent.payload); err != nil {
-				e.closeFiles()
-				mods.Close()
-				wal.active.Close()
-				return nil, fmt.Errorf("lsm: wal segment %d record %d: %w", ent.seq, i, err)
-			}
 		}
 	}
 	e.registerMetrics(opts.Metrics)
@@ -370,7 +353,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	e.met = engineMetrics{
 		pointsWritten: reg.Counter("lsm_points_written_total"),
 		deletes:       reg.Counter("lsm_deletes_total"),
-		walAppends:    reg.Counter("lsm_wal_appends_total"),
+		walRecords:    reg.Counter("lsm_wal_appends_total"),
 		flushes:       reg.Counter("lsm_flushes_total"),
 		flushSeconds:  reg.Histogram("lsm_flush_seconds"),
 		flushedPoints: reg.Counter("lsm_flushed_points_total"),
@@ -400,30 +383,19 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("lsm_read_only_trips_total", func() float64 { return float64(e.roTrips.Load()) })
 	reg.CounterFunc("lsm_read_retries_total", func() float64 { return float64(e.readRetries.Load()) })
 	reg.CounterFunc("lsm_read_retry_exhausted_total", func() float64 { return float64(e.retryExhausted.Load()) })
-	walStat := func(f func(*walog) float64) func() float64 {
-		return func() float64 {
-			if e.wal == nil || e.closed.Load() {
-				return 0
-			}
-			e.walMu.Lock()
-			defer e.walMu.Unlock()
-			if e.closed.Load() {
-				return 0
-			}
-			return f(e.wal)
-		}
+	walStat := func(f func(wal.Stats) float64) func() float64 {
+		return func() float64 { return f(e.wal.Stats()) }
 	}
-	reg.GaugeFunc("lsm_wal_bytes", walStat(func(w *walog) float64 { return float64(w.totalBytes()) }))
-	reg.GaugeFunc("lsm_wal_segments", walStat(func(w *walog) float64 { return float64(len(w.sealed) + 1) }))
-	reg.CounterFunc("lsm_wal_retired_total", walStat(func(w *walog) float64 { return float64(w.retiredSegs) }))
-	reg.CounterFunc("lsm_wal_retired_bytes_total", walStat(func(w *walog) float64 { return float64(w.retiredBytes) }))
-	reg.CounterFunc("lsm_wal_rotations_total", walStat(func(w *walog) float64 { return float64(w.rotations) }))
-	reg.CounterFunc("lsm_wal_torn_truncations_total", walStat(func(w *walog) float64 { return float64(w.tornTruncated) }))
-	reg.GaugeFunc("lsm_wal_quarantined_segments", walStat(func(w *walog) float64 { return float64(w.quarantinedSeg) }))
-	reg.CounterFunc("lsm_wal_group_commits_total", func() float64 { return float64(e.walCommit.groups.Load()) })
-	reg.CounterFunc("lsm_wal_group_records_total", func() float64 { return float64(e.walCommit.records.Load()) })
+	reg.GaugeFunc("lsm_wal_bytes", walStat(func(s wal.Stats) float64 { return float64(s.Bytes) }))
+	reg.GaugeFunc("lsm_wal_segments", walStat(func(s wal.Stats) float64 { return float64(s.Segments) }))
+	reg.CounterFunc("lsm_wal_retired_total", walStat(func(s wal.Stats) float64 { return float64(s.RetiredSegments) }))
+	reg.CounterFunc("lsm_wal_retired_bytes_total", walStat(func(s wal.Stats) float64 { return float64(s.RetiredBytes) }))
+	reg.CounterFunc("lsm_wal_rotations_total", walStat(func(s wal.Stats) float64 { return float64(s.Rotations) }))
+	reg.CounterFunc("lsm_wal_torn_truncations_total", walStat(func(s wal.Stats) float64 { return float64(s.TornTruncations) }))
+	reg.GaugeFunc("lsm_wal_quarantined_segments", walStat(func(s wal.Stats) float64 { return float64(s.QuarantinedSegments) }))
+	reg.CounterFunc("lsm_wal_group_commits_total", walStat(func(s wal.Stats) float64 { return float64(s.Groups) }))
+	reg.CounterFunc("lsm_wal_group_records_total", walStat(func(s wal.Stats) float64 { return float64(s.Records) }))
 	reg.GaugeFunc("lsm_ingest_queue_points", func() float64 { return float64(e.ing.queuedPoints()) })
-	reg.GaugeFunc("lsm_ingest_queue_bytes", func() float64 { return float64(e.ing.queuedBytes()) })
 	reg.CounterFunc("lsm_ingest_batches_total", func() float64 { return float64(e.ing.batches.Load()) })
 	reg.CounterFunc("lsm_ingest_entries_total", func() float64 { return float64(e.ing.entries.Load()) })
 	reg.CounterFunc("lsm_ingest_points_total", func() float64 { return float64(e.ing.pointsIn.Load()) })
@@ -480,24 +452,6 @@ func (e *Engine) openTSFile(path string) (*tsfile.Reader, error) {
 	})
 }
 
-// uniqueBadPath picks an unused quarantine name for path: path.bad, or
-// path.bad.1, path.bad.2, ... when earlier crashes already left one. A
-// previously quarantined file must never be overwritten — it may be the
-// only copy of data an operator wants to salvage by hand.
-func uniqueBadPath(path string) (string, error) {
-	for i := 0; ; i++ {
-		cand := path + ".bad"
-		if i > 0 {
-			cand = fmt.Sprintf("%s.bad.%d", path, i)
-		}
-		if _, err := os.Lstat(cand); errors.Is(err, os.ErrNotExist) {
-			return cand, nil
-		} else if err != nil {
-			return "", err
-		}
-	}
-}
-
 // loadFiles opens every readable chunk file in the directory, routing each
 // chunk to its series' shard. Files without a valid footer (crash during
 // flush) are renamed aside; their contents are still in the WAL. Runs
@@ -526,12 +480,8 @@ func (e *Engine) loadFiles() error {
 		r, err := e.openTSFile(path)
 		if errors.Is(err, tsfile.ErrCorrupt) {
 			// Incomplete flush; set aside and rely on the WAL.
-			bad, berr := uniqueBadPath(path)
-			if berr != nil {
-				return fmt.Errorf("lsm: quarantine %s: %w", name, berr)
-			}
-			if rerr := os.Rename(path, bad); rerr != nil {
-				return fmt.Errorf("lsm: quarantine %s: %w", name, rerr)
+			if _, err := tsfile.SetAside(path); err != nil {
+				return fmt.Errorf("lsm: quarantine %s: %w", name, err)
 			}
 			e.badFiles++
 			continue
@@ -597,69 +547,11 @@ func (e *Engine) closeFiles() {
 // Write buffers points for seriesID. Points may arrive in any order and may
 // overwrite earlier timestamps; the latest write for a timestamp wins. A
 // flush is triggered automatically when the buffer reaches FlushThreshold.
+// It is WriteBatch of one entry — the same queue, WAL record and error
+// classes, including the retryable ErrIngestBackpressure when the series'
+// shard queue stays saturated.
 func (e *Engine) Write(seriesID string, pts ...series.Point) error {
-	if len(pts) == 0 {
-		return nil
-	}
-	if seriesID == "" {
-		return errors.New("lsm: empty series id")
-	}
-	for _, p := range pts {
-		if math.IsNaN(p.V) {
-			return fmt.Errorf("lsm: NaN value at t=%d", p.T)
-		}
-	}
-	if err := e.writable(); err != nil {
-		return err
-	}
-	sh, shardIx := e.shardFor(seriesID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e.closed.Load() {
-		return errors.New("lsm: engine closed")
-	}
-	sh.memPts.Add(int64(len(pts)))
-	if e.wal != nil {
-		if err := e.step("wal.append"); err != nil {
-			sh.memPts.Add(-int64(len(pts)))
-			return err
-		}
-		// The append claims this shard's pendingMin watermark under walMu,
-		// so the record's segment cannot retire before this shard's next
-		// flush checkpoint — and that checkpoint cannot race in between the
-		// append and the memtable update because we hold the shard lock.
-		if _, err := e.walAppend(encodeInsertSharded(shardIx, seriesID, pts), shardIx, false); err != nil {
-			sh.memPts.Add(-int64(len(pts)))
-			return e.classifyWrite(err)
-		}
-		e.met.walAppends.Inc()
-		if err := e.step("wal.appended"); err != nil {
-			sh.memPts.Add(-int64(len(pts)))
-			return err
-		}
-	}
-	e.pyrMarkStalePoints(seriesID, pts)
-	sh.mem[seriesID] = append(sh.mem[seriesID], pts...)
-	e.met.pointsWritten.Add(int64(len(pts)))
-	if len(sh.mem[seriesID]) >= e.opts.FlushThreshold {
-		n, err := e.flushShardLocked(sh)
-		if err != nil {
-			// The points themselves are durable (memtable + WAL); only
-			// the flush failed. Classify so disk-full surfaces as the
-			// retryable degraded-mode error.
-			return e.classifyWrite(err)
-		}
-		if n > 0 {
-			// Classified like the flush above: ENOSPC while retiring WAL
-			// segments or persisting the pyramid manifest must flip the
-			// engine read-only, not surface as an anonymous I/O error.
-			if err := e.maybeRetireWAL(); err != nil {
-				return e.classifyWrite(err)
-			}
-			return e.classifyWrite(e.pyrMaybeSave())
-		}
-	}
-	return nil
+	return e.WriteBatch(BatchEntry{SeriesID: seriesID, Points: pts})
 }
 
 // Delete records an append-only range tombstone covering the closed range
@@ -676,7 +568,7 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e.closed.Load() {
-		return errors.New("lsm: engine closed")
+		return errEngineClosed
 	}
 	d := storage.Delete{SeriesID: seriesID, Version: e.allocVersion(), Start: start, End: end}
 	// Mark the range stale before anything becomes visible; over-marking
@@ -684,23 +576,22 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	e.pyrMarkStaleClosed(seriesID, start, end)
 	// The WAL is written first and is authoritative: a crash between the two
 	// appends leaves the delete in the WAL only, and recovery re-appends it
-	// to the mods sidecar (see replayWAL). The reverse order would leave a
+	// to the mods sidecar (see replayRecord). The reverse order would leave a
 	// half-applied delete — recorded against flushed chunks but not against
 	// WAL-replayed memtable points.
-	var walSeq uint64
+	var rec [1]wal.Record
 	if e.wal != nil {
 		if err := e.step("wal.append"); err != nil {
-			return err
-		}
-		// pin=true: the record's segment must survive until the delete is
-		// durable in the mods sidecar below — it does not count toward the
-		// shard's pendingMin (deletes carry no memtable points to flush).
-		seq, err := e.walAppend(encodeDeleteSharded(shardIx, d), shardIx, true)
-		if err != nil {
 			return e.classifyWrite(err)
 		}
-		walSeq = seq
-		e.met.walAppends.Inc()
+		// Pinned: the record's segment must survive until the delete is
+		// durable in the mods sidecar below — it claims no flush watermark
+		// (deletes carry no memtable points to flush).
+		rec[0] = wal.Record{Payload: encodeDeleteSharded(shardIx, d), Shard: shardIx, Pin: true}
+		if err := e.wal.Commit(rec[:]); err != nil {
+			return e.classifyWrite(err)
+		}
+		e.met.walRecords.Inc()
 	}
 	if err := e.step("mods.append"); err != nil {
 		return err
@@ -708,9 +599,9 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	if err := e.modsLog().Append(d); err != nil {
 		return e.classifyWrite(err)
 	}
-	if e.wal != nil {
-		e.walUnpin(walSeq)
-	}
+	// On any failure above the pin is kept: conservative, the segment
+	// just retires later.
+	e.wal.Unpin(rec[0].Seq)
 	e.met.deletes.Inc()
 	sh.applyDeleteToMem(d)
 	return nil
@@ -728,22 +619,29 @@ func (e *Engine) Flush() error {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		if e.closed.Load() {
-			return errors.New("lsm: engine closed")
+			return errEngineClosed
 		}
 		n, err := e.flushShardLocked(sh)
 		flushed.Add(int64(n))
 		return err
 	})
-	if err != nil {
-		return e.classifyWrite(err)
-	}
-	if flushed.Load() > 0 {
-		if err := e.maybeRetireWAL(); err != nil {
-			return e.classifyWrite(err)
+	return e.afterFlush(int(flushed.Load()), err)
+}
+
+// afterFlush is the one tail every flush site runs — the ingest workers
+// (still under their shard's lock), Flush and Close: once points left a
+// memtable, drop the WAL segments their checkpoints freed and persist the
+// pyramid. Errors are classified, so ENOSPC anywhere in flush, retirement
+// or the manifest save flips the engine read-only with the typed error
+// instead of surfacing as an anonymous I/O failure; a failed flush loses
+// nothing (memtable + WAL still hold the points).
+func (e *Engine) afterFlush(flushed int, err error) error {
+	if err == nil && flushed > 0 {
+		if err = e.wal.Retire(); err == nil {
+			err = e.pyrMaybeSave()
 		}
-		return e.classifyWrite(e.pyrMaybeSave())
 	}
-	return nil
+	return e.classifyWrite(err)
 }
 
 // flushShardLocked persists one shard's memtable, separating in-order data
@@ -798,7 +696,7 @@ func (e *Engine) flushShardLocked(sh *shard) (int, error) {
 	// Checkpoint while still holding sh.mu: every WAL record of this shard
 	// so far is now durable in chunk files, and no new write can race in
 	// before the checkpoint lands.
-	if err := e.walCheckpoint(sh.ix); err != nil {
+	if err := e.wal.Checkpoint(sh.ix); err != nil {
 		return 0, err
 	}
 	e.met.flushes.Inc()
@@ -880,7 +778,7 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if e.closed.Load() {
-		return nil, errors.New("lsm: engine closed")
+		return nil, errEngineClosed
 	}
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{
@@ -1029,6 +927,7 @@ func (e *Engine) Info() Info {
 	e.quarMu.Unlock()
 	ro, roReason := e.ReadOnly()
 	ps := e.pyrInfo()
+	ws := e.wal.Stats()
 	info := Info{
 		Shards:             len(e.shards),
 		Files:              files,
@@ -1052,19 +951,14 @@ func (e *Engine) Info() Info {
 		ScrubErrors:        e.scrubErrors.Load(),
 		BackupRuns:         e.backupRuns.Load(),
 		LastBackupUnix:     e.lastBackupUnix.Load(),
-	}
-	if e.wal != nil && !e.closed.Load() {
-		e.walMu.Lock()
-		if !e.closed.Load() {
-			info.WALSegments = len(e.wal.sealed) + 1
-			info.WALBytes = e.wal.totalBytes()
-			info.WALRetiredSegments = e.wal.retiredSegs
-			info.WALRetiredBytes = e.wal.retiredBytes
-			info.WALTornTruncations = e.wal.tornTruncated
-			info.WALQuarantinedSegments = e.wal.quarantinedSeg
-			info.WALWarnings = append([]string(nil), e.wal.warnings...)
-		}
-		e.walMu.Unlock()
+
+		WALSegments:            ws.Segments,
+		WALBytes:               ws.Bytes,
+		WALRetiredSegments:     ws.RetiredSegments,
+		WALRetiredBytes:        ws.RetiredBytes,
+		WALTornTruncations:     ws.TornTruncations,
+		WALQuarantinedSegments: ws.QuarantinedSegments,
+		WALWarnings:            ws.Warnings,
 	}
 	return info
 }
@@ -1096,33 +990,23 @@ func (e *Engine) Close() error {
 	var err error
 	flushed := 0
 	for _, sh := range e.shards {
-		n, ferr := e.flushShardLocked(sh)
-		flushed += n
-		if ferr != nil {
-			err = ferr
+		var n int
+		if n, err = e.flushShardLocked(sh); err != nil {
 			break
 		}
+		flushed += n
 	}
-	if err == nil && flushed > 0 {
-		err = e.maybeRetireWAL()
-	}
-	if err == nil {
+	if err = e.afterFlush(flushed, err); err == nil {
+		// Deletes and quarantines dirty the pyramid without a flush.
 		err = e.pyrMaybeSave()
 	}
 	e.closed.Store(true)
 	e.closeFiles()
-	if mods := e.modsLog(); mods != nil {
-		if cerr := mods.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := e.modsLog().Close(); err == nil {
+		err = cerr
 	}
-	if e.wal != nil {
-		e.walMu.Lock()
-		cerr := e.wal.active.Close()
-		e.walMu.Unlock()
-		if err == nil {
-			err = cerr
-		}
+	if cerr := e.wal.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -1140,98 +1024,62 @@ func (e *Engine) Kill() {
 	}
 	e.closed.Store(true)
 	e.closeFiles()
-	if mods := e.modsLog(); mods != nil {
-		mods.Close()
-	}
-	if e.wal != nil {
-		e.walMu.Lock()
-		e.wal.active.Close()
-		e.walMu.Unlock()
-	}
+	e.modsLog().Close()
+	e.wal.Close()
 }
 
-// replayWAL applies one recovered WAL record to the owning shard's
-// memtable. Insert and delete records carry the writer's shard index for
-// debuggability, but routing always re-hashes the series id so a
-// directory reopens correctly under a different NumShards. seq is the
-// segment the record came from: inserts re-seed the shard's pendingMin
-// watermark, checkpoints clear it and drop the shard's replayed memtable.
-// Runs single-threaded during Open.
-func (e *Engine) replayWAL(seq uint64, rec []byte) error {
-	if len(rec) == 0 {
-		return errors.New("empty record")
-	}
+// replayRecord applies one recovered WAL record during Open (wal.Open
+// calls it in log order, single-threaded) and returns the shard whose
+// flush watermark the record re-claims: the owning shard for an insert,
+// none for a delete. Records carry the writer's shard index for
+// debuggability, but routing always re-hashes the series id so a directory
+// reopens correctly under a different NumShards.
+func (e *Engine) replayRecord(rec []byte) (claim int, err error) {
 	op := rec[0]
-	body := rec[1:]
-	if op == walOpInsertSharded || op == walOpDeleteSharded {
-		var err error
-		if _, body, err = encoding.Uvarint(body); err != nil {
-			return fmt.Errorf("wal shard tag: %w", err)
-		}
+	if op != walOpInsertSharded && op != walOpDeleteSharded {
+		return -1, fmt.Errorf("unknown wal op %d", op)
 	}
-	switch op {
-	case walOpInsertSharded:
+	_, body, err := encoding.Uvarint(rec[1:])
+	if err != nil {
+		return -1, fmt.Errorf("wal shard tag: %w", err)
+	}
+	if op == walOpInsertSharded {
 		id, pts, err := decodeInsert(body)
 		if err != nil {
-			return err
+			return -1, err
 		}
 		sh, ix := e.shardFor(id)
-		e.pyrMarkStalePoints(id, pts)
-		sh.mem[id] = append(sh.mem[id], pts...)
-		sh.memPts.Add(int64(len(pts)))
-		if e.wal != nil && e.wal.pendingMin[ix] == 0 {
-			e.wal.pendingMin[ix] = seq
-		}
-		return nil
-	case walOpCheckpoint:
-		shard, numShards, _, err := decodeCheckpoint(body)
-		if err != nil {
-			return err
-		}
-		// Honored only under the layout it was written for: with a matching
-		// numShards, the records it clears route to exactly the shard it
-		// names. Under any other layout replay keeps everything (redundant
-		// but harmless — WAL order is preserved, so re-inserted points are
-		// superseded by the flushed chunks exactly as they were live).
-		if numShards != len(e.shards) {
-			return nil
-		}
-		sh := e.shards[shard]
-		sh.mem = make(map[string]series.Series)
-		sh.memPts.Store(0)
-		if e.wal != nil {
-			e.wal.pendingMin[shard] = 0
-		}
-		return nil
-	case walOpDeleteSharded:
-		d, err := decodeWALDelete(body)
-		if err != nil {
-			return err
-		}
-		// A delete reaches the WAL before the mods sidecar; a crash between
-		// the two appends leaves it in the WAL only. Re-append it so the
-		// delete applies to flushed chunks, not just replayed points.
-		mods := e.modsLog()
-		present := false
-		for _, m := range mods.All() {
-			if m == d {
-				present = true
-				break
-			}
-		}
-		if !present {
-			if err := mods.Append(d); err != nil {
-				return err
-			}
-			e.bumpVersion(d.Version)
-		}
-		sh, _ := e.shardFor(d.SeriesID)
-		e.pyrMarkStaleClosed(d.SeriesID, d.Start, d.End)
-		sh.applyDeleteToMem(d)
-		return nil
-	default:
-		return fmt.Errorf("unknown wal op %d", op)
+		e.memAppend(sh, id, pts)
+		return ix, nil
 	}
+	d, err := decodeWALDelete(body)
+	if err != nil {
+		return -1, err
+	}
+	// A delete reaches the WAL before the mods sidecar; a crash between the
+	// two appends leaves it in the WAL only. Re-append it so the delete
+	// applies to flushed chunks, not just replayed points.
+	mods := e.modsLog()
+	if !slices.Contains(mods.All(), d) {
+		if err := mods.Append(d); err != nil {
+			return -1, err
+		}
+		e.bumpVersion(d.Version)
+	}
+	sh, _ := e.shardFor(d.SeriesID)
+	e.pyrMarkStaleClosed(d.SeriesID, d.Start, d.End)
+	sh.applyDeleteToMem(d)
+	return -1, nil
+}
+
+// replayCheckpoint drops a shard's replayed memtable: the flush that wrote
+// the checkpoint made every earlier record of the shard durable in chunk
+// files. wal.Open only reports checkpoints written under this engine's
+// shard count, so the records it clears routed to exactly this shard.
+func (e *Engine) replayCheckpoint(shard int) {
+	sh := e.shards[shard]
+	sh.mem = make(map[string]series.Series)
+	sh.memPts.Store(0)
 }
 
 // quarantineChunk excludes a chunk whose bytes failed a CRC or decode

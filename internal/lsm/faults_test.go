@@ -16,6 +16,7 @@ import (
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
+	"m4lsm/internal/wal"
 )
 
 // TestUniqueBadSuffix: recovery must never overwrite an earlier quarantine
@@ -344,7 +345,7 @@ func TestTornWALTail(t *testing.T) {
 	}
 	e.Kill() // no flush: everything lives in the WAL
 
-	walPath := walSegPath(dir, 1) // the active (and only) WAL segment
+	walPath := wal.SegmentPath(dir, 1) // the active (and only) WAL segment
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +396,7 @@ func TestStepHookSiteNames(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"wal.append", "wal.group", "wal.appended", "flush.create:000000.seq.tsf",
+	want := []string{"ingest.enqueue", "ingest.drain", "wal.append", "wal.group", "wal.appended", "flush.create:000000.seq.tsf",
 		"flush.chunk:000000.seq.tsf", "flush.footer:000000.seq.tsf",
 		"flush.reopen:000000.seq.tsf", "pyramid.rebuild", "flush.walreset",
 		"wal.retire", "pyramid.save"}

@@ -1,14 +1,20 @@
-// Batched, backpressured ingestion: Engine.WriteBatch enqueues per-series
-// point slices onto bounded per-shard queues drained by append workers
-// (one per shard; a single sequential worker under a StepHook so fault
-// schedules stay deterministic). The caller blocks until every entry of
-// its batch is durable — ack still means "WAL group synced" — so the only
-// thing the queue buys is batching: a worker drains a whole run of items,
-// takes its shard lock once, and submits all their WAL records as ONE
-// group commit, amortizing both the lock round-trips and the fsync.
+// The write path. Every insert — Engine.Write, WriteBatch, the HTTP /write
+// handler, bulk loaders — is a batch of per-series entries that travels
+//
+//	WriteBatch → per-shard bounded queue → append worker → applyRun
+//
+// and applyRun is the only code that turns entries into WAL records and
+// memtable points: one shard-lock hold, one wal.Commit for the run's
+// records, memAppend per entry, at most one flush, the shared afterFlush
+// tail. The caller blocks until every entry of its batch is resolved — ack
+// means "WAL group synced" — so the only thing the queue buys is batching:
+// a worker drains a whole run of entries queued by concurrent callers and
+// amortizes the lock round-trip and the fsync across them. One append
+// worker per shard; a single sequential worker under a StepHook so fault
+// schedules stay deterministic.
 //
 // Backpressure, never unbounded buffering: each shard's queue is capped in
-// both points and bytes. An enqueue that would overflow blocks for at most
+// points. An enqueue that would overflow blocks for at most
 // Options.IngestEnqueueWait and then fails with ErrIngestBackpressure, a
 // typed retryable error the HTTP layer maps to 429. Nothing is ever
 // silently dropped — every entry is either acknowledged durable or its
@@ -16,9 +22,10 @@
 //
 // Crash atomicity is per WAL record, i.e. per BatchEntry: a crashed batch
 // may recover any subset of its entries (each was its own record), but
-// never a partial entry. The torture matrix drives the two step sites here
-// (ingest.enqueue before anything is queued, ingest.drain before a worker
-// touches its shard) plus wal.group in the committer.
+// never a partial entry. Step sites, in path order: ingest.enqueue (before
+// anything is queued), ingest.drain (before a worker touches its shard),
+// wal.append, wal.group (inside wal.Commit), wal.appended, then the flush
+// sites.
 package lsm
 
 import (
@@ -30,23 +37,22 @@ import (
 	"time"
 
 	"m4lsm/internal/series"
+	"m4lsm/internal/wal"
 )
 
-// ErrIngestBackpressure marks a WriteBatch rejected because a shard's
-// ingest queue stayed full past the enqueue deadline. The condition is
-// transient — workers are draining — so callers should back off and
-// retry; point writes are idempotent overwrites, so retrying a partially
-// enqueued batch is safe.
+// ErrIngestBackpressure marks a write rejected because a shard's ingest
+// queue stayed full past the enqueue deadline. The condition is transient
+// — workers are draining — so callers should back off and retry; point
+// writes are idempotent overwrites, so retrying a partially enqueued batch
+// is safe.
 var ErrIngestBackpressure = errors.New("lsm: ingest queue full (backpressure, retry)")
 
-// errEngineClosed is what queued-but-undrained entries fail with when the
-// engine shuts down underneath them.
+// errEngineClosed is what every operation on a closed engine fails with,
+// queued-but-undrained entries included.
 var errEngineClosed = errors.New("lsm: engine closed")
 
-// Default ingest-queue bounds (per shard).
 const (
-	defaultIngestQueuePoints = 1 << 16 // 64k points
-	defaultIngestQueueBytes  = 8 << 20 // 8 MiB of point payload
+	defaultIngestQueuePoints = 1 << 16 // per shard
 	defaultIngestWait        = 2 * time.Second
 	// ingestDrainRun bounds how many queued items one worker round takes:
 	// enough to amortize the shard lock and share a group commit, small
@@ -55,7 +61,7 @@ const (
 )
 
 // BatchEntry is one series' slice of a WriteBatch: it becomes exactly one
-// WAL record, the crash-atomicity unit of batched ingestion.
+// WAL record, the crash-atomicity unit of ingestion.
 type BatchEntry struct {
 	SeriesID string
 	Points   []series.Point
@@ -70,25 +76,18 @@ type batchResult struct {
 	done    chan struct{}
 }
 
-func (r *batchResult) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-}
-
 func (r *batchResult) finish(n int64) {
 	if r.pending.Add(-n) == 0 {
 		close(r.done)
 	}
 }
 
-// ingestItem is one queued BatchEntry.
+// ingestItem is one queued BatchEntry. pts aliases the caller's slice: the
+// caller is blocked in WriteBatch until the item resolves, and memAppend
+// copies.
 type ingestItem struct {
 	seriesID string
-	pts      series.Series
-	bytes    int
+	pts      []series.Point
 	res      *batchResult
 }
 
@@ -102,7 +101,6 @@ type ingester struct {
 	cond   *sync.Cond
 	queues [][]ingestItem // per shard
 	points []int          // queued points per shard
-	bytes  []int          // queued payload bytes per shard
 
 	closing bool // no new enqueues; workers drain what is queued, then exit
 	killed  bool // workers fail what is queued, then exit
@@ -115,21 +113,15 @@ type ingester struct {
 	entries      atomic.Int64
 	pointsIn     atomic.Int64
 	backpressure atomic.Int64
-	drainRounds  atomic.Int64
 }
 
 func newIngester(shards int) *ingester {
-	ing := &ingester{
-		queues: make([][]ingestItem, shards),
-		points: make([]int, shards),
-		bytes:  make([]int, shards),
-	}
+	ing := &ingester{queues: make([][]ingestItem, shards), points: make([]int, shards)}
 	ing.cond = sync.NewCond(&ing.mu)
 	return ing
 }
 
-// queuedPoints / queuedBytes report the current queue depth across all
-// shards, for the bounded-queue gauges.
+// queuedPoints reports the current queue depth across all shards.
 func (ing *ingester) queuedPoints() int {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -140,74 +132,33 @@ func (ing *ingester) queuedPoints() int {
 	return total
 }
 
-func (ing *ingester) queuedBytes() int {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	total := 0
-	for _, n := range ing.bytes {
-		total += n
-	}
-	return total
-}
-
-func (e *Engine) ingestQueuePointsCap() int {
-	if n := e.opts.IngestQueuePoints; n > 0 {
-		return n
-	}
-	return defaultIngestQueuePoints
-}
-
-func (e *Engine) ingestQueueBytesCap() int {
-	if n := e.opts.IngestQueueBytes; n > 0 {
-		return n
-	}
-	return defaultIngestQueueBytes
-}
-
-func (e *Engine) ingestWait() time.Duration {
-	if w := e.opts.IngestEnqueueWait; w != 0 {
-		if w < 0 {
-			return 0
-		}
-		return w
-	}
-	return defaultIngestWait
-}
-
 // startIngestWorkers launches the append workers on first use: one per
 // shard normally, a single worker walking every shard in index order when
 // a StepHook is installed (deterministic drain schedules, like
 // shardParallelism).
 func (e *Engine) startIngestWorkers() {
-	ing := e.ing
-	ing.started.Do(func() {
+	e.ing.started.Do(func() {
+		first, n := 0, len(e.shards)
 		if e.opts.StepHook != nil {
-			ing.wg.Add(1)
-			go func() {
-				defer ing.wg.Done()
-				e.ingestWorker(-1)
-			}()
-			return
+			first, n = -1, 1
 		}
-		for i := range e.shards {
-			ing.wg.Add(1)
+		e.ing.wg.Add(n)
+		for i := 0; i < n; i++ {
 			go func(ix int) {
-				defer ing.wg.Done()
+				defer e.ing.wg.Done()
 				e.ingestWorker(ix)
-			}(i)
+			}(first + i)
 		}
 	})
 }
 
-// WriteBatch ingests several series' points through the bounded append
-// queues: entries are enqueued per shard (blocking up to
-// Options.IngestEnqueueWait when a queue is full, then failing with
-// ErrIngestBackpressure) and the call returns once every entry is durable
-// — the acknowledgment contract is identical to Write's, each entry
-// becoming one group-committed WAL record. On a partially enqueued batch
-// the call waits for the entries that did get in, then reports the
-// backpressure error; retrying the whole batch is safe because point
-// writes are idempotent overwrites.
+// WriteBatch ingests several series' points: entries are enqueued per
+// shard (blocking up to Options.IngestEnqueueWait when a queue is full,
+// then failing with ErrIngestBackpressure) and the call returns once every
+// entry is durable, each entry one group-committed WAL record. On a
+// partially enqueued batch the call waits for the entries that did get in,
+// then reports the backpressure error; retrying the whole batch is safe
+// because point writes are idempotent overwrites.
 func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	total := 0
 	for _, ent := range entries {
@@ -233,38 +184,39 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	// The enqueue site crashes BEFORE anything is queued: an injected kill
 	// here loses the whole batch, never half of it.
 	if err := e.step("ingest.enqueue"); err != nil {
-		return err
+		return e.classifyWrite(err)
 	}
 	e.startIngestWorkers()
+	limit, wait := e.opts.IngestQueuePoints, e.opts.IngestEnqueueWait
+	if limit <= 0 {
+		limit = defaultIngestQueuePoints
+	}
+	if wait == 0 {
+		wait = defaultIngestWait
+	}
 	res := &batchResult{done: make(chan struct{})}
 	// The caller holds one reference of its own so a worker finishing the
 	// first entry cannot close done while later entries are still being
 	// enqueued.
 	res.pending.Store(1)
-	queued := int64(0)
+	var queued, queuedPts int64
 	var enqErr error
 	for _, ent := range entries {
 		if len(ent.Points) == 0 {
 			continue
 		}
-		_, shardIx := e.shardFor(ent.SeriesID)
-		item := ingestItem{
-			seriesID: ent.SeriesID,
-			pts:      append(series.Series(nil), ent.Points...),
-			bytes:    len(ent.Points) * 16, // 8-byte time + 8-byte value
-			res:      res,
-		}
 		res.pending.Add(1)
-		if err := e.ing.enqueue(shardIx, item, e.ingestQueuePointsCap(), e.ingestQueueBytesCap(), e.ingestWait()); err != nil {
+		_, shardIx := e.shardFor(ent.SeriesID)
+		if enqErr = e.ing.enqueue(shardIx, ingestItem{ent.SeriesID, ent.Points, res}, limit, wait); enqErr != nil {
 			res.pending.Add(-1)
-			enqErr = err
 			break
 		}
 		queued++
+		queuedPts += int64(len(ent.Points))
 	}
 	e.ing.batches.Add(1)
 	e.ing.entries.Add(queued)
-	e.ing.pointsIn.Add(int64(total))
+	e.ing.pointsIn.Add(queuedPts)
 	// Release the caller's reference and wait for the queued entries even
 	// when a later entry hit backpressure: returning while entries are in
 	// flight would detach the caller from the bounded queue.
@@ -273,70 +225,53 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	if enqErr != nil {
 		return enqErr
 	}
-	res.mu.Lock()
-	defer res.mu.Unlock()
 	return res.err
 }
 
-// enqueue adds one item to a shard's queue, blocking while the queue is
-// over either cap, up to wait. The caps are soft by one item: a queue
-// below cap accepts an item of any size (otherwise an entry larger than
-// the cap could never be ingested).
-func (ing *ingester) enqueue(shardIx int, item ingestItem, maxPoints, maxBytes int, wait time.Duration) error {
+// enqueue adds one item to a shard's queue, blocking while the queue is at
+// its point cap, up to wait (<= 0: not at all). The cap is soft by one
+// item: a queue below it accepts an item of any size (otherwise an entry
+// larger than the cap could never be ingested).
+func (ing *ingester) enqueue(shardIx int, item ingestItem, maxPoints int, wait time.Duration) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
+	if ing.points[shardIx] >= maxPoints && wait > 0 {
+		// sync.Cond has no timed wait; a timer broadcast bounds the block.
+		deadline := time.Now().Add(wait)
+		timer := time.AfterFunc(wait, ing.cond.Broadcast)
+		defer timer.Stop()
+		for ing.points[shardIx] >= maxPoints && !ing.closing && !ing.killed && time.Now().Before(deadline) {
+			ing.cond.Wait()
+		}
+	}
 	if ing.closing || ing.killed {
 		return errEngineClosed
 	}
-	if ing.points[shardIx] >= maxPoints || ing.bytes[shardIx] >= maxBytes {
-		if wait <= 0 {
-			ing.backpressure.Add(1)
-			return fmt.Errorf("%w: shard %d holds %d points / %d bytes",
-				ErrIngestBackpressure, shardIx, ing.points[shardIx], ing.bytes[shardIx])
-		}
-		deadline := time.Now().Add(wait)
-		// sync.Cond has no timed wait; a timer broadcast bounds the block.
-		timer := time.AfterFunc(wait, ing.cond.Broadcast)
-		defer timer.Stop()
-		for ing.points[shardIx] >= maxPoints || ing.bytes[shardIx] >= maxBytes {
-			if ing.closing || ing.killed {
-				return errEngineClosed
-			}
-			if !time.Now().Before(deadline) {
-				ing.backpressure.Add(1)
-				return fmt.Errorf("%w: shard %d held %d points / %d bytes past %s",
-					ErrIngestBackpressure, shardIx, ing.points[shardIx], ing.bytes[shardIx], wait)
-			}
-			ing.cond.Wait()
-		}
-		if ing.closing || ing.killed {
-			return errEngineClosed
-		}
+	if n := ing.points[shardIx]; n >= maxPoints {
+		ing.backpressure.Add(1)
+		return fmt.Errorf("%w: shard %d holds %d points", ErrIngestBackpressure, shardIx, n)
 	}
 	ing.queues[shardIx] = append(ing.queues[shardIx], item)
 	ing.points[shardIx] += len(item.pts)
-	ing.bytes[shardIx] += item.bytes
 	// Wake the shard's worker (and any writer whose timer fired).
 	ing.cond.Broadcast()
 	return nil
 }
 
-// take pops up to ingestDrainRun items from one shard's queue.
+// take pops up to ingestDrainRun items from the head of one shard's queue.
 func (ing *ingester) take(shardIx int) []ingestItem {
 	q := ing.queues[shardIx]
-	if len(q) == 0 {
+	n := min(len(q), ingestDrainRun)
+	if n == 0 {
 		return nil
 	}
-	n := len(q)
-	if n > ingestDrainRun {
-		n = ingestDrainRun
+	run, rest := q[:n:n], q[n:]
+	if len(rest) == 0 {
+		rest = nil // the run still aliases the array; the next enqueue starts a fresh one
 	}
-	run := append([]ingestItem(nil), q[:n]...)
-	rest := append([]ingestItem(nil), q[n:]...)
 	ing.queues[shardIx] = rest
 	for _, it := range run {
 		ing.points[shardIx] -= len(it.pts)
-		ing.bytes[shardIx] -= it.bytes
 	}
 	return run
 }
@@ -373,96 +308,89 @@ func (e *Engine) ingestWorker(shardIx int) {
 		// Freed capacity: release writers blocked on a full queue.
 		ing.cond.Broadcast()
 		if killed {
-			failRun(run, errEngineClosed)
-			continue
+			resolveRun(run, errEngineClosed)
+		} else {
+			resolveRun(run, e.applyRun(ix, run))
 		}
-		ing.drainRounds.Add(1)
-		e.drainRun(ix, run)
 	}
 }
 
-// failRun resolves a run of items with one error.
-func failRun(run []ingestItem, err error) {
+// resolveRun releases every item of a run to its waiting caller, with one
+// shared outcome.
+func resolveRun(run []ingestItem, err error) {
 	for _, it := range run {
-		it.res.fail(err)
+		if err != nil {
+			it.res.mu.Lock()
+			if it.res.err == nil {
+				it.res.err = err
+			}
+			it.res.mu.Unlock()
+		}
 		it.res.finish(1)
 	}
 }
 
-// drainRun applies one run of queued items to their shard: all WAL records
-// submitted as one group commit under a single shard-lock acquisition,
-// then the memtable inserts, then at most one flush when the threshold is
-// crossed. Failures resolve every item in the run — with ErrCrash verbatim
-// for the torture harness, or classified (ENOSPC -> read-only) otherwise.
-func (e *Engine) drainRun(shardIx int, run []ingestItem) {
+// applyRun applies one run of queued items to their shard: all WAL records
+// committed as one group under a single shard-lock hold, then the memtable
+// inserts, then at most one flush when a series crossed the threshold. An
+// error fails the whole run — faultfs.ErrCrash verbatim for the torture
+// harness, ENOSPC classified into read-only mode. A commit failure leaves
+// the memtable untouched; a flush failure loses nothing (the points are in
+// the memtable and the WAL) and reports a retryable error.
+func (e *Engine) applyRun(shardIx int, run []ingestItem) error {
 	// The drain site crashes before the shard is touched: the run's
 	// records are not yet in the WAL, so the kill loses whole entries,
 	// never parts of one.
 	if err := e.step("ingest.drain"); err != nil {
-		failRun(run, err)
-		return
+		return e.classifyWrite(err)
 	}
 	sh := e.shards[shardIx]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if e.closed.Load() {
-		sh.mu.Unlock()
-		failRun(run, errEngineClosed)
-		return
+		return errEngineClosed
 	}
 	if e.wal != nil {
-		reqs := make([]*walReq, len(run))
+		if err := e.step("wal.append"); err != nil {
+			return e.classifyWrite(err)
+		}
+		// The commit claims this shard's flush watermark inside the log, so
+		// the records' segment cannot retire before the shard's next flush
+		// checkpoint — and that checkpoint cannot race in between the commit
+		// and the memtable update because we hold the shard lock.
+		recs := make([]wal.Record, len(run))
 		for i, it := range run {
-			reqs[i] = &walReq{
-				payload: encodeInsertSharded(shardIx, it.seriesID, it.pts),
-				shardIx: shardIx,
-				done:    make(chan struct{}),
-			}
+			recs[i] = wal.Record{Payload: encodeInsertSharded(shardIx, it.seriesID, it.pts), Shard: shardIx}
 		}
-		e.walSubmit(reqs)
-		// One failed record fails its whole group (commitGroup is
-		// all-or-nothing per group), so checking the first error covers
-		// the run.
-		for _, r := range reqs {
-			if r.err != nil {
-				failRun(run, e.classifyWrite(r.err))
-				sh.mu.Unlock()
-				return
-			}
+		if err := e.wal.Commit(recs); err != nil {
+			return e.classifyWrite(err)
 		}
-		e.met.walAppends.Add(int64(len(reqs)))
+		e.met.walRecords.Add(int64(len(recs)))
+		if err := e.step("wal.appended"); err != nil {
+			return e.classifyWrite(err)
+		}
 	}
-	flushNeeded := false
+	full := false
 	for _, it := range run {
-		e.pyrMarkStalePoints(it.seriesID, it.pts)
-		sh.mem[it.seriesID] = append(sh.mem[it.seriesID], it.pts...)
-		sh.memPts.Add(int64(len(it.pts)))
+		full = e.memAppend(sh, it.seriesID, it.pts) || full
 		e.met.pointsWritten.Add(int64(len(it.pts)))
-		if len(sh.mem[it.seriesID]) >= e.opts.FlushThreshold {
-			flushNeeded = true
-		}
 	}
-	var err error
-	if flushNeeded {
-		var n int
-		n, err = e.flushShardLocked(sh)
-		if err == nil && n > 0 {
-			if err = e.maybeRetireWAL(); err == nil {
-				err = e.pyrMaybeSave()
-			}
-		}
-		err = e.classifyWrite(err)
+	if !full {
+		return nil
 	}
-	sh.mu.Unlock()
-	if err != nil {
-		// The points are durable (WAL + memtable); only the flush failed.
-		// Report it like Write does: the caller sees a retryable error,
-		// the data is not lost.
-		failRun(run, err)
-		return
-	}
-	for _, it := range run {
-		it.res.finish(1)
-	}
+	n, err := e.flushShardLocked(sh)
+	return e.afterFlush(n, err)
+}
+
+// memAppend is the only place points enter a memtable — applyRun for live
+// writes, replayRecord during recovery. It marks the touched pyramid cells
+// stale first and reports whether the series' buffer reached the flush
+// threshold. Caller holds sh.mu (or is single-threaded Open).
+func (e *Engine) memAppend(sh *shard, id string, pts []series.Point) (full bool) {
+	e.pyrMarkStalePoints(id, pts)
+	sh.mem[id] = append(sh.mem[id], pts...)
+	sh.memPts.Add(int64(len(pts)))
+	return len(sh.mem[id]) >= e.opts.FlushThreshold
 }
 
 // stopIngest shuts the ingest subsystem down. drain=true (Close) lets the
@@ -492,9 +420,8 @@ func (e *Engine) stopIngest(drain bool) {
 		leftovers = append(leftovers, ing.queues[i]...)
 		ing.queues[i] = nil
 		ing.points[i] = 0
-		ing.bytes[i] = 0
 	}
 	ing.mu.Unlock()
-	failRun(leftovers, errEngineClosed)
+	resolveRun(leftovers, errEngineClosed)
 	ing.cond.Broadcast()
 }

@@ -354,17 +354,10 @@ func (e *Engine) pyrRebuildShard(sh *shard) error {
 	if p == nil {
 		return nil
 	}
-	ix := 0
-	for i, s := range e.shards {
-		if s == sh {
-			ix = i
-			break
-		}
-	}
 	p.mu.RLock()
 	var ids []string
 	for id, sp := range p.series {
-		if len(sp.stale) > 0 && shardIndex(id, len(e.shards)) == ix {
+		if len(sp.stale) > 0 && shardIndex(id, len(e.shards)) == sh.ix {
 			ids = append(ids, id)
 		}
 	}

@@ -143,37 +143,25 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 // points in chunk files, so the records the bad segment held are no longer
 // the only copy of anything.
 func (e *Engine) scrubWALSegments(rep *ScrubReport) {
-	if e.wal == nil {
-		return
-	}
-	e.walMu.Lock()
-	sealed := append([]walSealed(nil), e.wal.sealed...)
-	e.walMu.Unlock()
-	for _, s := range sealed {
+	for _, s := range e.wal.Sealed() {
 		if e.closed.Load() {
 			rep.Partial = true
 			return
 		}
 		rep.WALSegmentsChecked++
-		hdr, _, err := tsfile.ReadSegment(s.path)
-		if err == nil && hdr.Seq != s.seq {
-			err = fmt.Errorf("%w: segment header seq %d under name seq %d", tsfile.ErrCorrupt, hdr.Seq, s.seq)
-		}
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, os.ErrNotExist) {
-			continue // retired concurrently — nothing left to verify
+		err := s.Verify()
+		if err == nil || errors.Is(err, os.ErrNotExist) {
+			continue // intact, or retired concurrently — nothing left to verify
 		}
 		if !errors.Is(err, tsfile.ErrCorrupt) {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: %v", s.seq, err))
+			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: %v", s.Seq, err))
 			continue
 		}
 		// Re-secure before quarantining: flushing every shard supersedes
 		// whatever records the corrupt segment held, so losing it cannot
 		// lose data that is only in the WAL.
 		if ferr := e.Flush(); ferr != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: flush before quarantine: %v", s.seq, ferr))
+			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: flush before quarantine: %v", s.Seq, ferr))
 			continue
 		}
 		if serr := e.step("scrub.quarantine"); serr != nil {
@@ -181,18 +169,7 @@ func (e *Engine) scrubWALSegments(rep *ScrubReport) {
 			rep.Partial = true
 			return
 		}
-		e.walMu.Lock()
-		qerr := e.wal.quarantineSegment(s.path, err)
-		if qerr == nil {
-			for i, ss := range e.wal.sealed {
-				if ss.seq == s.seq {
-					e.wal.sealed = append(e.wal.sealed[:i:i], e.wal.sealed[i+1:]...)
-					break
-				}
-			}
-		}
-		e.walMu.Unlock()
-		if qerr != nil {
+		if qerr := e.wal.Quarantine(s, err); qerr != nil {
 			if errors.Is(qerr, os.ErrNotExist) {
 				continue // the flush retired it before we could rename
 			}

@@ -12,9 +12,9 @@ import (
 // shard is one lock stripe of the engine. Series are routed to shards by
 // shardIndex, and each shard owns the memtables, chunk registry and
 // sequence-space watermark of its series, guarded by its own RWMutex. Global
-// resources — the WAL file, the mods sidecar, the chunk-file list and the
-// version counter — stay shared and are guarded separately (see the Engine
-// field comments for the lock order).
+// resources — the WAL, the mods sidecar, the chunk-file list and the
+// version counter — stay shared and guard themselves (see the Engine
+// comment for the lock order).
 type shard struct {
 	mu  sync.RWMutex
 	ix  int                      // this shard's index, for WAL checkpoints

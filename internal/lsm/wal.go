@@ -10,28 +10,22 @@ import (
 	"m4lsm/internal/storage"
 )
 
-// WAL payloads. Record framing (length + CRC) is provided by
-// tsfile.RecordLog; these encode the payload bytes only.
+// WAL payloads: the bytes the engine hands to wal.Log, which frames,
+// segments and group-commits them as opaque records (and defines op 0x05,
+// the flush checkpoint, itself).
 //
-//	insert:     0x03 | uvarint shard | body
-//	delete:     0x04 | uvarint shard | body
-//	checkpoint: 0x05 | uvarint shard | uvarint numShards | uvarint upToSeq
-//
-//	insert body: uvarint len(id) | id | uvarint n | n × (varint t, 8B v)
-//	delete body: uvarint len(id) | id | uvarint version | varint start | varint end
+//	insert: 0x03 | uvarint shard | uvarint len(id) | id | uvarint n | n × (varint t, 8B v)
+//	delete: 0x04 | uvarint shard | uvarint len(id) | id | uvarint version | varint start | varint end
 //
 // The shard prefix names the writing shard. The tag is diagnostic: replay
 // always re-routes by hashing the series id, so WALs survive a NumShards
 // change. Ops 0x01/0x02 were the untagged pre-sharding forms; they are gone
 // and fail replay as "unknown wal op".
-//
-// A checkpoint records that every earlier record of one shard is durable
-// in chunk files (appended at the end of that shard's flush, under its
-// lock). Replay honors it only when the recorded numShards matches the
-// reopening engine's layout — routing is a pure function of (id,
-// numShards), so equality means "the records this clears are exactly the
-// ones replayed into that shard". Under any other layout the checkpoint is
-// ignored and the full tail replays, which is merely redundant.
+
+const (
+	walOpInsertSharded byte = 3
+	walOpDeleteSharded byte = 4
+)
 
 func encodeInsertSharded(shard int, seriesID string, pts []series.Point) []byte {
 	buf := encoding.AppendUvarint([]byte{walOpInsertSharded}, uint64(shard))
@@ -92,34 +86,6 @@ func encodeDeleteSharded(shard int, d storage.Delete) []byte {
 	buf = encoding.AppendVarint(buf, d.Start)
 	buf = encoding.AppendVarint(buf, d.End)
 	return buf
-}
-
-func encodeCheckpoint(shard, numShards int, upTo uint64) []byte {
-	buf := encoding.AppendUvarint([]byte{walOpCheckpoint}, uint64(shard))
-	buf = encoding.AppendUvarint(buf, uint64(numShards))
-	return encoding.AppendUvarint(buf, upTo)
-}
-
-func decodeCheckpoint(b []byte) (shard, numShards int, upTo uint64, err error) {
-	s, b, err := encoding.Uvarint(b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	n, b, err := encoding.Uvarint(b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	upTo, b, err = encoding.Uvarint(b)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if len(b) != 0 {
-		return 0, 0, 0, fmt.Errorf("wal checkpoint: %d trailing bytes", len(b))
-	}
-	if n == 0 || s >= n || n > 1<<20 {
-		return 0, 0, 0, fmt.Errorf("wal checkpoint: shard %d of %d", s, n)
-	}
-	return int(s), int(n), upTo, nil
 }
 
 func decodeWALDelete(b []byte) (storage.Delete, error) {

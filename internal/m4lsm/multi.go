@@ -348,7 +348,7 @@ func (p *seriesPlan) assemble(rest []gKind) error {
 				if !op.opts.Strict && op.degraded.Load() {
 					// The aggregate fields default to FP, so skipping the
 					// assignment below is the substitution.
-					op.snap.Warnings.Add("span %d: %v lost to unreadable chunks, substituted FP", i, rest[kind])
+					op.snap.Warnings.Add("span %d: %v lost with its dropped chunks, substituted FP", i, rest[kind])
 					continue
 				}
 				return fmt.Errorf("internal: span %d: %v empty after FP found %v", i, rest[kind], fp)

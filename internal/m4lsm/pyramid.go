@@ -27,9 +27,9 @@ import (
 
 // pyrSpanPlan is one span's pyramid decomposition.
 type pyrSpanPlan struct {
-	cells      []storage.PyramidCell
-	leftRange  series.TimeRange // [span.Start, cells[0].Start)
-	rightRange series.TimeRange // [last cell End, span.End)
+	cells                   []storage.PyramidCell
+	leftRange               series.TimeRange // [span.Start, cells[0].Start)
+	rightRange              series.TimeRange // [last cell End, span.End)
 	leftChunks, rightChunks []*chunkState
 }
 
@@ -132,7 +132,7 @@ func (p *seriesPlan) fragmentAgg(i int, r series.TimeRange, chunks []*chunkState
 		}
 		if !ok {
 			if !op.opts.Strict && op.degraded.Load() {
-				op.snap.Warnings.Add("span %d: %v lost to unreadable chunks, substituted FP", i, kind)
+				op.snap.Warnings.Add("span %d: %v lost with its dropped chunks, substituted FP", i, kind)
 				continue
 			}
 			return m4.Aggregate{}, fmt.Errorf("internal: span %d: %v empty after FP found %v", i, kind, fp)

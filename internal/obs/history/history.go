@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"m4lsm/internal/lsm"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 )
@@ -33,9 +34,12 @@ import (
 // is documented as reserved.
 const DefaultPrefix = "root.sys."
 
-// Sink receives sampled points; *lsm.Engine satisfies it.
+// Sink receives each tick's points as one batch — one entry, one point per
+// system series; *lsm.Engine satisfies it. One batch per tick rather than
+// one write per series: under a synced WAL that is one group commit a
+// second instead of one fsync per series.
 type Sink interface {
-	Write(seriesID string, pts ...series.Point) error
+	WriteBatch(entries ...lsm.BatchEntry) error
 }
 
 // Config wires a Sampler.
@@ -145,30 +149,17 @@ func (s *Sampler) Stop() {
 	<-s.done
 }
 
-// SampleOnce walks the registry once, writing one point per system series
-// at timestamp now. It returns the number of points written and the first
-// write error (sampling continues past errors: a read-only engine drops
-// this tick's points, it does not wedge the sampler).
+// SampleOnce walks the registry once and writes one point per system series
+// at timestamp now, as a single batch. It returns the number of points
+// written and the write error (sampling continues past errors: a read-only
+// engine drops this tick's points, it does not wedge the sampler).
 func (s *Sampler) SampleOnce(now time.Time) (int, error) {
 	t := now.UnixMilli()
-	n := 0
-	var firstErr error
+	var batch []lsm.BatchEntry
 	write := func(id string, v float64) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			batch = append(batch, lsm.BatchEntry{SeriesID: id, Points: []series.Point{{T: t, V: v}}})
 		}
-		if err := s.cfg.Sink.Write(id, series.Point{T: t, V: v}); err != nil {
-			s.writeErr.Inc()
-			if firstErr == nil {
-				firstErr = err
-			}
-			if !s.loggedErr {
-				s.loggedErr = true
-				s.cfg.Logger.Warn("self-metrics: write", "series", id, "err", err)
-			}
-			return
-		}
-		n++
 	}
 
 	var qCount, rCount, cacheHits, cacheMisses float64
@@ -238,10 +229,21 @@ func (s *Sampler) SampleOnce(now time.Time) (int, error) {
 	write(s.cfg.Prefix+"derived.cache_hit_ratio", ratio)
 	s.prevWhen = now
 
+	// A failed batch counts as a dropped tick even when some entries got in
+	// before the error (re-sampling the same instant later is idempotent).
+	n, err := len(batch), s.cfg.Sink.WriteBatch(batch...)
+	if err != nil {
+		n = 0
+		s.writeErr.Inc()
+		if !s.loggedErr {
+			s.loggedErr = true
+			s.cfg.Logger.Warn("self-metrics: write", "points", len(batch), "err", err)
+		}
+	}
 	s.samples.Inc()
 	s.points.Add(int64(n))
 	s.lastUnix.Set(now.Unix())
-	return n, firstErr
+	return n, err
 }
 
 // SeriesName maps one instrument identity to its system series id, the

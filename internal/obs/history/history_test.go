@@ -8,11 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"m4lsm/internal/lsm"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 )
 
-// memSink collects writes in memory; failN makes the first N writes fail.
+// memSink collects writes in memory; failN makes the first N batches fail.
 type memSink struct {
 	mu    sync.Mutex
 	data  map[string][]series.Point
@@ -21,14 +22,16 @@ type memSink struct {
 
 func newMemSink() *memSink { return &memSink{data: map[string][]series.Point{}} }
 
-func (s *memSink) Write(id string, pts ...series.Point) error {
+func (s *memSink) WriteBatch(entries ...lsm.BatchEntry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failN > 0 {
 		s.failN--
 		return errors.New("injected sink failure")
 	}
-	s.data[id] = append(s.data[id], pts...)
+	for _, ent := range entries {
+		s.data[ent.SeriesID] = append(s.data[ent.SeriesID], ent.Points...)
+	}
 	return nil
 }
 
@@ -214,19 +217,17 @@ func TestWriteErrorsCounted(t *testing.T) {
 	sink := newMemSink()
 	sink.failN = 2
 	s := New(Config{Registry: reg, Sink: sink})
-	n, err := s.SampleOnce(time.UnixMilli(1000))
-	if err == nil {
-		t.Fatal("SampleOnce swallowed the sink error")
-	}
-	if n == 0 {
-		t.Error("sampling stopped at the first error instead of continuing")
+	for tick := int64(1); tick <= 2; tick++ {
+		if n, err := s.SampleOnce(time.UnixMilli(1000 * tick)); err == nil || n != 0 {
+			t.Fatalf("tick %d: SampleOnce = %d, %v; want the sink error and no points", tick, n, err)
+		}
 	}
 	if got := reg.Counter("selfmetrics_write_errors_total").Value(); got != 2 {
-		t.Errorf("write_errors counter = %d, want 2", got)
+		t.Errorf("write_errors counter = %d, want 2 (one per dropped tick)", got)
 	}
-	// Later healthy ticks succeed.
-	if _, err := s.SampleOnce(time.UnixMilli(2000)); err != nil {
-		t.Fatal(err)
+	// A failed tick does not wedge the sampler: later healthy ticks succeed.
+	if n, err := s.SampleOnce(time.UnixMilli(3000)); err != nil || n == 0 {
+		t.Fatalf("healthy tick after failures = %d, %v", n, err)
 	}
 }
 

@@ -280,13 +280,15 @@ func TestDebugEventsEndpoint(t *testing.T) {
 
 // waitRecordedSettles polls until the event log has recorded want events
 // (the final Record runs in a deferred handler after the response body is
-// flushed, so the client can win the race).
+// flushed, so the client can win the race) and its writer goroutine has
+// moved every one of them into the ring /debug/events and Recent serve.
 func waitRecordedSettles(t *testing.T, h *Handler, want int64) {
 	t.Helper()
+	ev := h.Events()
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Events().Recorded() < want {
+	for ev.Recorded() < want || ev.Written()+ev.Dropped() < ev.Recorded() {
 		if time.Now().After(deadline) {
-			t.Fatalf("event log stuck at %d recorded, want %d", h.Events().Recorded(), want)
+			t.Fatalf("event log stuck at %d recorded / %d written, want %d", ev.Recorded(), ev.Written(), want)
 		}
 		runtime.Gosched()
 	}

@@ -42,6 +42,25 @@ var (
 // ErrCorrupt reports a structurally invalid chunk file.
 var ErrCorrupt = errors.New("tsfile: corrupt file")
 
+// SetAside renames a file that failed validation to an unused quarantine
+// name — path.bad, or path.bad.1, path.bad.2, ... when earlier crashes
+// already left one — and returns it. A previously quarantined file is
+// never overwritten: it may be the only copy of data an operator wants to
+// salvage by hand.
+func SetAside(path string) (string, error) {
+	for i := 0; ; i++ {
+		bad := path + ".bad"
+		if i > 0 {
+			bad = fmt.Sprintf("%s.bad.%d", path, i)
+		}
+		if _, err := os.Lstat(bad); errors.Is(err, os.ErrNotExist) {
+			return bad, os.Rename(path, bad)
+		} else if err != nil {
+			return "", err
+		}
+	}
+}
+
 // Writer creates a chunk file. Chunks are appended with WriteChunk and the
 // footer is written by Close; a writer whose Close failed leaves no valid
 // file behind (the footer magic will be missing).

@@ -179,7 +179,12 @@ func Open(dir string, opts ...Option) (*DB, error) {
 }
 
 // Write buffers points for a series. Points may arrive out of order and
-// may overwrite earlier timestamps (the latest write wins).
+// may overwrite earlier timestamps (the latest write wins). It returns
+// once the points are in the WAL (synced under a durable configuration).
+// Writes pass through a bounded per-shard queue: when that stays saturated
+// the call fails with the engine's retryable backpressure error
+// (lsm.ErrIngestBackpressure) rather than buffering without bound — back
+// off and retry; rewriting the same points is idempotent.
 func (db *DB) Write(seriesID string, pts ...Point) error {
 	internal := make([]series.Point, len(pts))
 	for i, p := range pts {
