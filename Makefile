@@ -11,7 +11,7 @@ LDFLAGS := -X m4lsm/internal/buildinfo.Version=$(VERSION) -X m4lsm/internal/buil
 # examples/ at 0%, so 70 fails on a real regression, not on noise.
 COVER_FLOOR ?= 70
 
-.PHONY: build install test race race-short vet lint check cover difftest bench-check bench bench-parallel bench-shards bench-obs bench-overload bench-pyramid bench-recovery bench-repr bench-selfobs fuzz torture soak profile
+.PHONY: build install test race race-short vet lint check cover difftest bench-check bench bench-smoke fuzz torture soak profile
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -85,8 +85,10 @@ fuzz:
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
 # It also keeps raw sleeps out of library code, keeps the query layers
-# (root package, m4ql, server) from growing a second read path, and keeps
-# internal/lsm from growing a second write path or reaching into the WAL.
+# (root package, m4ql, server) from growing a second read path, keeps
+# internal/lsm from growing a second write path or reaching into the WAL,
+# keeps a second measurement stack from growing beside bench/, and checks
+# that every test DESIGN.md's invariant table names exists.
 lint:
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
@@ -123,6 +125,26 @@ lint:
 		echo "Exempt: WAL file globs in tests, the -wal-* flags of m4server."; \
 		echo "$$bad"; echo "memtable appends: $$n"; exit 1; \
 	fi
+	@bad=$$(ls BENCH_*.json 2>/dev/null; \
+		grep -nE '^bench-[a-z-]*:' Makefile | grep -vE '^[0-9]+:bench-(check|smoke):'; \
+		grep -nE '^func Benchmark' *_test.go 2>/dev/null; \
+		grep -nE '"m4lsm/internal/(server|obs/history)"' internal/exper/*.go; true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: numbers come from one place, bash bench/run.sh (spec in BENCHMARK.json); internal/exper"; \
+		echo "only regenerates the paper's tables. No BENCH_*.json at the root, no bench-* target but"; \
+		echo "bench-check and bench-smoke, no root-package Benchmark, no server-level sweep in exper."; \
+		echo "Exempt: per-package micro-benchmarks beside their code (internal/encoding, internal/stepreg)."; \
+		echo "$$bad"; exit 1; \
+	fi
+	@names=$$(sed -n '/^## [0-9. ]*Invariants/,$$p' DESIGN.md | grep -oE '\b(Test|Fuzz)[A-Za-z0-9_]+' | sort -u); \
+	bad=$$(for name in $$names; do \
+			grep -rqE "^func $$name\(" --include='*_test.go' --exclude-dir=.bench_build . || echo "$$name"; \
+		done); \
+	if [ -n "$$bad" ] || [ -z "$$names" ]; then \
+		echo "lint: every invariant in DESIGN.md's table names the test, fuzzer or lint that enforces it,"; \
+		echo "and each name must resolve (grep -rn 'func <name>(' over *_test.go). Unresolved:"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 # bench-check compiles and tests the benchmark. bench/ is a module of its
 # own (so it stays out of `go build ./...` and the coverage floor), which
@@ -138,54 +160,19 @@ bench-check:
 check: vet lint bench-check race-short soak cover
 	$(MAKE) fuzz FUZZTIME=3s
 
+# bench is the one way to measure this repository: four HTTP workloads,
+# end-to-end and per-layer metrics, spec in BENCHMARK.json. A speed or size
+# claim is `bash bench/run.sh -diff parent.json change.json`. bench-smoke is
+# the seconds-short pass of the same workloads with their in-run oracles.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 10x .
+	bash bench/run.sh
 
-# bench-parallel regenerates the worker-scaling numbers of BENCH_parallel.json.
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkM4LSMParallel|BenchmarkM4UDFParallel' -benchtime 30x .
-
-# bench-shards regenerates the sharding sweep of BENCH_shard.json.
-bench-shards:
-	$(GO) run ./cmd/m4bench -exp shards -scale 0.05 -series 16 -reps 10
-
-# bench-overload regenerates the admission-control sweep of BENCH_overload.json.
-bench-overload:
-	$(GO) run ./cmd/m4bench -exp overload -scale 0.02 -clients 12
-
-# bench-pyramid regenerates the rollup-pyramid sweep of BENCH_pyramid.json:
-# fixed-w query latency across three orders of magnitude of data size,
-# pyramid on vs off.
-bench-pyramid:
-	$(GO) run ./cmd/m4bench -exp pyramid -reps 5
-
-# bench-repr regenerates the representation-operator sweep of
-# BENCH_repr.json: quality (pixel error, DSSIM vs the full-series raster)
-# versus cost (latency, chunk loads) for M4, MinMax, LTTB and MinMaxLTTB
-# across dashboard span counts, plus the MinMax zero-chunk pyramid check.
-bench-repr:
-	$(GO) run ./cmd/m4bench -exp repr -reps 5
-
-# bench-recovery regenerates the crash-recovery sweep of BENCH_recovery.json:
-# reopen time and replayed WAL bytes after a kill, monolithic (one huge
-# segment, retirement pinned by a cold shard) vs segmented.
-bench-recovery:
-	$(GO) run ./cmd/m4bench -exp recovery -reps 3
-
-# bench-selfobs regenerates the self-observability sweep of BENCH_selfobs.json:
-# M4 query latency with the self-metrics sampler off vs hammering at 2ms,
-# plus the sampler's cardinality bound and history queryability checks.
-bench-selfobs:
-	$(GO) run ./cmd/m4bench -exp selfobs -reps 5
-
-# bench-obs regenerates the observability-overhead numbers of BENCH_obs.json
-# (instrumentation off vs metrics vs metrics+trace).
-bench-obs:
-	$(GO) test -run '^$$' -bench 'BenchmarkM4LSMObs' -benchtime 50x .
+bench-smoke:
+	bash bench/run.sh -smoke
 
 # profile runs the paper's Figure 10 sweep under the CPU and heap profilers;
 # inspect with `go tool pprof profiles/cpu.pprof`.
 profile:
 	mkdir -p profiles
-	$(GO) run ./cmd/m4bench -exp fig10 -cpuprofile profiles/cpu.pprof -memprofile profiles/heap.pprof
+	$(GO) run ./cmd/m4paper -exp fig10 -cpuprofile profiles/cpu.pprof -memprofile profiles/heap.pprof
 	@echo "profiles written to ./profiles"

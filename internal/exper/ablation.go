@@ -38,7 +38,7 @@ func RunAblations(cfg Config) ([]AblationRow, error) {
 	}
 	var out []AblationRow
 	for di, p := range cfg.Datasets {
-		dir, cleanup, err := tempDir(cfg, fmt.Sprintf("ablation-%d", di))
+		dir, cleanup, err := tempDir(fmt.Sprintf("ablation-%d", di))
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +49,7 @@ func RunAblations(cfg Config) ([]AblationRow, error) {
 			RangeMillis: avgChunkSpan(p, cfg) / 2,
 			Seed:        cfg.Seed,
 		}
-		b, err := build(cfg, p, 0.3, del, dir, false)
+		b, err := build(cfg, p, 0.3, del, dir)
 		if err != nil {
 			cleanup()
 			return nil, err

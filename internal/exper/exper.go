@@ -1,8 +1,9 @@
 // Package exper is the experiment harness: it rebuilds the storage states
 // and queries of the paper's evaluation (§4) and measures both operators.
-// Every figure of the evaluation section has a Run function here; the
-// cmd/m4bench binary prints the resulting series, and bench_test.go wraps
-// them as Go benchmarks.
+// Every table and figure of the evaluation section has a Run function here
+// and the cmd/m4paper binary prints the result. That is this package's
+// whole job: how fast this implementation is gets measured by bench/ (see
+// BENCHMARK.json), never here.
 //
 // Latencies are wall-clock on whatever machine runs the harness. Absolute
 // numbers differ from the paper's HDD/Java testbed, so each measurement
@@ -39,11 +40,8 @@ type Config struct {
 	Reps int
 	// Seed drives all generators.
 	Seed int64
-	// Dir is the working directory for database files; a temporary
-	// directory is used when empty.
-	Dir string
 	// Parallelism is passed to both operators (0 = GOMAXPROCS, 1 =
-	// sequential). The scaling experiment overrides it per measurement.
+	// sequential).
 	Parallelism int
 	// Datasets to run; defaults to the four Table 2 presets.
 	Datasets []workload.Preset
@@ -98,16 +96,15 @@ type builtDataset struct {
 }
 
 // build generates the preset at the config's scale and loads it with the
-// requested storage shape. The paper's figures pass pyramid=false (Table 4:
-// no precomputation), which also spares every per-chunk flush of the load a
-// manifest rewrite; only sweeps that report pyramid counters turn it on.
-func build(cfg Config, p workload.Preset, overlap float64, del workload.DeleteOptions, dir string, pyramid bool) (*builtDataset, error) {
+// requested storage shape. The pyramid is off (Table 4: no precomputation),
+// which also spares every per-chunk flush of the load a manifest rewrite.
+func build(cfg Config, p workload.Preset, overlap float64, del workload.DeleteOptions, dir string) (*builtDataset, error) {
 	n := int(float64(p.Points) * cfg.Scale)
 	if n < 10 {
 		n = 10
 	}
 	data := p.Generate(n, cfg.Seed)
-	e, err := lsm.Open(lsm.Options{Dir: dir, FlushThreshold: cfg.ChunkSize, DisableWAL: true, DisablePyramid: !pyramid})
+	e, err := lsm.Open(lsm.Options{Dir: dir, FlushThreshold: cfg.ChunkSize, DisableWAL: true, DisablePyramid: true})
 	if err != nil {
 		return nil, err
 	}
@@ -181,14 +178,7 @@ func measure(cfg Config, b *builtDataset, name string, q m4.Query) (Measurement,
 	return m, nil
 }
 
-func tempDir(cfg Config, tag string) (string, func(), error) {
-	if cfg.Dir != "" {
-		dir := fmt.Sprintf("%s/%s", cfg.Dir, tag)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", nil, err
-		}
-		return dir, func() {}, nil
-	}
+func tempDir(tag string) (string, func(), error) {
 	dir, err := os.MkdirTemp("", "m4lsm-"+tag+"-")
 	if err != nil {
 		return "", nil, err
@@ -206,11 +196,11 @@ func RunFig10(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	var out []Measurement
 	for di, p := range cfg.Datasets {
-		dir, cleanup, err := tempDir(cfg, fmt.Sprintf("fig10-%d", di))
+		dir, cleanup, err := tempDir(fmt.Sprintf("fig10-%d", di))
 		if err != nil {
 			return nil, err
 		}
-		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir, false)
+		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -241,11 +231,11 @@ func RunFig11(cfg Config) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	var out []Measurement
 	for di, p := range cfg.Datasets {
-		dir, cleanup, err := tempDir(cfg, fmt.Sprintf("fig11-%d", di))
+		dir, cleanup, err := tempDir(fmt.Sprintf("fig11-%d", di))
 		if err != nil {
 			return nil, err
 		}
-		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir, false)
+		b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -281,11 +271,11 @@ func RunFig12(cfg Config) ([]Measurement, error) {
 	var out []Measurement
 	for di, p := range cfg.Datasets {
 		for oi, overlap := range Fig12Overlaps {
-			dir, cleanup, err := tempDir(cfg, fmt.Sprintf("fig12-%d-%d", di, oi))
+			dir, cleanup, err := tempDir(fmt.Sprintf("fig12-%d-%d", di, oi))
 			if err != nil {
 				return nil, err
 			}
-			b, err := build(cfg, p, overlap, workload.DeleteOptions{}, dir, false)
+			b, err := build(cfg, p, overlap, workload.DeleteOptions{}, dir)
 			if err != nil {
 				cleanup()
 				return nil, err
@@ -314,7 +304,7 @@ func RunFig13(cfg Config) ([]Measurement, error) {
 	var out []Measurement
 	for di, p := range cfg.Datasets {
 		for pi, pct := range Fig13DeletePcts {
-			dir, cleanup, err := tempDir(cfg, fmt.Sprintf("fig13-%d-%d", di, pi))
+			dir, cleanup, err := tempDir(fmt.Sprintf("fig13-%d-%d", di, pi))
 			if err != nil {
 				return nil, err
 			}
@@ -328,7 +318,7 @@ func RunFig13(cfg Config) ([]Measurement, error) {
 				RangeMillis: avgChunkSpan(p, cfg) / 10, // small vs chunk span (§4.4)
 				Seed:        cfg.Seed + int64(pi),
 			}
-			b, err := build(cfg, p, 0.1, del, dir, false)
+			b, err := build(cfg, p, 0.1, del, dir)
 			if err != nil {
 				cleanup()
 				return nil, err
@@ -357,7 +347,7 @@ func RunFig14(cfg Config) ([]Measurement, error) {
 	var out []Measurement
 	for di, p := range cfg.Datasets {
 		for mi, mult := range Fig14RangeMultipliers {
-			dir, cleanup, err := tempDir(cfg, fmt.Sprintf("fig14-%d-%d", di, mi))
+			dir, cleanup, err := tempDir(fmt.Sprintf("fig14-%d-%d", di, mi))
 			if err != nil {
 				return nil, err
 			}
@@ -374,7 +364,7 @@ func RunFig14(cfg Config) ([]Measurement, error) {
 			if del.Count < 1 {
 				del.Count = 1
 			}
-			b, err := build(cfg, p, 0.1, del, dir, false)
+			b, err := build(cfg, p, 0.1, del, dir)
 			if err != nil {
 				cleanup()
 				return nil, err

@@ -50,7 +50,7 @@ func RunFaults(cfg Config, rates []float64) ([]FaultMeasurement, error) {
 	var out []FaultMeasurement
 	for di, p := range cfg.Datasets {
 		for ri, rate := range rates {
-			dir, cleanup, err := tempDir(cfg, fmt.Sprintf("faults-%d-%d", di, ri))
+			dir, cleanup, err := tempDir(fmt.Sprintf("faults-%d-%d", di, ri))
 			if err != nil {
 				return nil, err
 			}
@@ -70,7 +70,7 @@ func runFaultCell(cfg Config, p workload.Preset, rate float64, dir string) (*Fau
 	// chunk-source layer: file opens and footer parses stay reliable, every
 	// query-time chunk read rolls the dice.
 	name := p.Name
-	b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir, false)
+	b, err := build(cfg, p, 0.1, workload.DeleteOptions{}, dir)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,11 @@
-package repr
+package exper
 
 import (
 	"math/rand"
 	"testing"
 
 	"m4lsm/internal/m4"
+	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/viz"
 )
@@ -26,16 +27,16 @@ func TestAllTechniquesProduceSortedSubBudgetOutput(t *testing.T) {
 	s := genSeries(rng, 5000)
 	q := m4.Query{Tqs: 0, Tqe: s[len(s)-1].T + 1, W: 64}
 	budgets := map[string]int{"M4": 4 * q.W, "MinMax": 2 * q.W, "LTTB": q.W, "MinMaxLTTB": q.W, "Sampling": q.W, "PAA": q.W}
-	for _, tech := range Techniques() {
-		out, err := tech.Fn(q, s)
+	for _, tech := range techniques() {
+		out, err := tech.reduce(q, s)
 		if err != nil {
-			t.Fatalf("%s: %v", tech.Name, err)
+			t.Fatalf("%s: %v", tech.name, err)
 		}
 		if err := out.Validate(); err != nil {
-			t.Errorf("%s output: %v", tech.Name, err)
+			t.Errorf("%s output: %v", tech.name, err)
 		}
-		if len(out) == 0 || len(out) > budgets[tech.Name] {
-			t.Errorf("%s kept %d points, budget %d", tech.Name, len(out), budgets[tech.Name])
+		if len(out) == 0 || len(out) > budgets[tech.name] {
+			t.Errorf("%s kept %d points, budget %d", tech.name, len(out), budgets[tech.name])
 		}
 	}
 }
@@ -52,13 +53,13 @@ func TestOnlyM4IsErrorFree(t *testing.T) {
 		q := m4.Query{Tqs: 0, Tqe: s[len(s)-1].T + 1, W: 50}
 		vp := viz.ViewportFor(s, q.Tqs, q.Tqe)
 		full := viz.Rasterize(s, vp, q.W, 60)
-		for _, tech := range Techniques() {
-			out, err := tech.Fn(q, s)
+		for _, tech := range techniques() {
+			out, err := tech.reduce(q, s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if viz.Diff(full, viz.Rasterize(out, vp, q.W, 60)) == 0 {
-				zeroErr[tech.Name]++
+				zeroErr[tech.name]++
 			}
 		}
 	}
@@ -75,7 +76,7 @@ func TestOnlyM4IsErrorFree(t *testing.T) {
 func TestPAAValues(t *testing.T) {
 	s := series.Series{{T: 0, V: 2}, {T: 1, V: 4}, {T: 5, V: 10}}
 	q := m4.Query{Tqs: 0, Tqe: 10, W: 2}
-	out, err := PAA(q, s)
+	out, err := paa(q, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPAAValues(t *testing.T) {
 func TestMinMaxSingleValueSpan(t *testing.T) {
 	s := series.Series{{T: 1, V: 5}}
 	q := m4.Query{Tqs: 0, Tqe: 10, W: 1}
-	out, err := MinMax(q, s)
+	out, err := reprops.Reduce(reprops.Spec{Kind: reprops.KindMinMax}, q, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestMinMaxSingleValueSpan(t *testing.T) {
 func TestSampleKeepsFirsts(t *testing.T) {
 	s := series.Series{{T: 0, V: 1}, {T: 2, V: 9}, {T: 5, V: 3}, {T: 7, V: 4}}
 	q := m4.Query{Tqs: 0, Tqe: 10, W: 2}
-	out, err := Sample(q, s)
+	out, err := sample(q, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +114,9 @@ func TestSampleKeepsFirsts(t *testing.T) {
 }
 
 func TestInvalidQueryPropagates(t *testing.T) {
-	for _, tech := range Techniques() {
-		if _, err := tech.Fn(m4.Query{Tqs: 0, Tqe: 0, W: 1}, nil); err == nil {
-			t.Errorf("%s accepted an invalid query", tech.Name)
+	for _, tech := range techniques() {
+		if _, err := tech.reduce(m4.Query{Tqs: 0, Tqe: 0, W: 1}, nil); err == nil {
+			t.Errorf("%s accepted an invalid query", tech.name)
 		}
 	}
 }

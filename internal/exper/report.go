@@ -146,7 +146,7 @@ func WriteFig8(w io.Writer, results []Fig8Result) {
 	}
 }
 
-// Titles for the standard experiments, keyed by the m4bench -exp flag.
+// Titles for the experiments, keyed by the m4paper -exp flag.
 var Titles = map[string]string{
 	"table2":    "Table 2: dataset summary",
 	"fig1":      "Figure 1: pixel error of reductions",
@@ -156,18 +156,12 @@ var Titles = map[string]string{
 	"fig12":     "Figure 12: varying chunk overlap percentage",
 	"fig13":     "Figure 13: varying delete percentage",
 	"fig14":     "Figure 14: varying delete time range",
-	"scaling":   "Scaling: varying worker parallelism",
-	"pyramid":   "Pyramid: data size vs latency at fixed w",
-	"repr":      "Representation operators: quality vs cost across w",
-	"shards":    "Sharding: shard count vs write throughput and wildcard query",
 	"ablations": "Ablations: M4-LSM design choices",
 	"faults":    "Fault injection: graceful degradation under chunk-read faults",
-	"overload":  "Overload: admission control under concurrent slow queries",
-	"recovery":  "Recovery: replay after kill, monolithic vs segmented WAL",
-	"selfobs":   "Self-observability: sampler overhead and cardinality bound",
 }
 
-// ExpNames lists the experiments in presentation order.
+// ExpNames lists the experiments in presentation order: the paper's
+// tables and figures, then the degradation check.
 func ExpNames() []string {
-	return []string{"table2", "fig1", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "scaling", "pyramid", "repr", "shards", "ablations", "faults", "overload", "recovery", "selfobs"}
+	return []string{"table2", "fig1", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "ablations", "faults"}
 }

@@ -1,13 +1,10 @@
 // Package faultfs injects storage faults deterministically, so tests and
 // benchmarks can prove the query path degrades gracefully instead of hoping
-// it does. Three layers are wrapped:
+// it does. Two layers are wrapped:
 //
-//   - File (io.ReaderAt): byte-level faults — read errors, bit-flips, short
-//     reads and latency — under the tsfile CRC checks, so injected
-//     corruption exercises the real detection path.
-//   - Source (storage.ChunkSource): chunk-level faults for in-memory
-//     sources, where every fault surfaces as a read error (CRC detection
-//     lives below this layer).
+//   - Source (storage.ChunkSource): chunk-level read faults, where every
+//     fault surfaces as a read error (CRC detection lives below this
+//     layer; tests that need a real CRC miss rewrite bytes on disk).
 //   - StepInjector: a write-path hook that simulates a process kill at the
 //     n-th WAL-append/flush/footer/reopen step, for crash-recovery torture.
 //
@@ -20,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,14 +160,6 @@ func (in *Injector) Decide(site string) Fault {
 	return FaultNone
 }
 
-// siteHash drives secondary choices (which bit to flip, where to cut a
-// short read) from the same deterministic source.
-func (in *Injector) siteHash(site string) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|aux|%s", in.cfg.Seed, site)
-	return mix64(h.Sum64())
-}
-
 func (in *Injector) count(f Fault) {
 	switch f {
 	case FaultErr:
@@ -193,53 +181,6 @@ func (in *Injector) Stats() Stats {
 		Shorts: in.shorts.Load(),
 		Slows:  in.slows.Load(),
 	}
-}
-
-// File wraps an io.ReaderAt with byte-level fault injection. Sites are
-// keyed by name, offset and length, so a repeated read of the same region
-// fails the same way.
-type File struct {
-	ra   io.ReaderAt
-	name string
-	inj  *Injector
-}
-
-// WrapFile wraps ra; name distinguishes files in site keys.
-func WrapFile(ra io.ReaderAt, name string, inj *Injector) *File {
-	return &File{ra: ra, name: name, inj: inj}
-}
-
-// ReadAt implements io.ReaderAt with faults applied to the result.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	site := f.inj.attemptSite(fmt.Sprintf("file:%s@%d+%d", f.name, off, len(p)))
-	fault := f.inj.Decide(site)
-	switch fault {
-	case FaultErr:
-		f.inj.count(fault)
-		return 0, fmt.Errorf("%w: read %s", ErrInjected, site)
-	case FaultSlow:
-		f.inj.count(fault)
-		time.Sleep(f.inj.cfg.Latency)
-	}
-	n, err := f.ra.ReadAt(p, off)
-	if err != nil {
-		return n, err
-	}
-	switch fault {
-	case FaultFlip:
-		if n > 0 {
-			f.inj.count(fault)
-			bit := f.inj.siteHash(site) % uint64(n*8)
-			p[bit/8] ^= 1 << (bit % 8)
-		}
-	case FaultShort:
-		if n > 1 {
-			f.inj.count(fault)
-			cut := 1 + int(f.inj.siteHash(site)%uint64(n-1))
-			return cut, fmt.Errorf("%w: short read %s: %d of %d bytes", ErrInjected, site, cut, n)
-		}
-	}
-	return n, nil
 }
 
 // Source wraps a storage.ChunkSource with chunk-level fault injection.

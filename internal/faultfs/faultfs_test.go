@@ -1,12 +1,10 @@
 package faultfs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -53,80 +51,6 @@ func TestDecideRates(t *testing.T) {
 			t.Errorf("%v rate = %.3f, want ~%.2f", c.f, got, c.want)
 		}
 	}
-}
-
-func TestFileFaults(t *testing.T) {
-	data := bytes.Repeat([]byte{0xAA}, 64)
-	ra := bytes.NewReader(data)
-
-	t.Run("err", func(t *testing.T) {
-		f := WrapFile(ra, "f", NewInjector(Config{Seed: 1, ErrRate: 1}))
-		if _, err := f.ReadAt(make([]byte, 16), 0); !errors.Is(err, ErrInjected) {
-			t.Fatalf("err = %v", err)
-		}
-	})
-	t.Run("flip", func(t *testing.T) {
-		in := NewInjector(Config{Seed: 1, FlipRate: 1})
-		f := WrapFile(ra, "f", in)
-		buf := make([]byte, 16)
-		n, err := f.ReadAt(buf, 0)
-		if err != nil || n != 16 {
-			t.Fatalf("n=%d err=%v", n, err)
-		}
-		diff := 0
-		for i, b := range buf {
-			diff += bitsSet(b ^ data[i])
-		}
-		if diff != 1 {
-			t.Fatalf("%d bits flipped, want exactly 1", diff)
-		}
-		// Same site flips the same bit.
-		buf2 := make([]byte, 16)
-		f.ReadAt(buf2, 0)
-		if !bytes.Equal(buf, buf2) {
-			t.Error("repeated read flipped a different bit")
-		}
-		if in.Stats().Flips != 2 {
-			t.Errorf("flips = %d, want 2", in.Stats().Flips)
-		}
-	})
-	t.Run("short", func(t *testing.T) {
-		f := WrapFile(ra, "f", NewInjector(Config{Seed: 1, ShortRate: 1}))
-		buf := make([]byte, 16)
-		n, err := f.ReadAt(buf, 0)
-		if !errors.Is(err, ErrInjected) || n <= 0 || n >= 16 {
-			t.Fatalf("n=%d err=%v, want partial read with error", n, err)
-		}
-	})
-	t.Run("slow", func(t *testing.T) {
-		in := NewInjector(Config{Seed: 1, SlowRate: 1, Latency: time.Microsecond})
-		f := WrapFile(ra, "f", in)
-		buf := make([]byte, 16)
-		if n, err := f.ReadAt(buf, 0); err != nil || n != 16 {
-			t.Fatalf("n=%d err=%v", n, err)
-		}
-		if !bytes.Equal(buf, data[:16]) {
-			t.Error("slow read corrupted data")
-		}
-		if in.Stats().Slows != 1 {
-			t.Errorf("slows = %d", in.Stats().Slows)
-		}
-	})
-	t.Run("none", func(t *testing.T) {
-		f := WrapFile(ra, "f", NewInjector(Config{Seed: 1}))
-		buf := make([]byte, 16)
-		if n, err := f.ReadAt(buf, 3); err != nil || n != 16 || !bytes.Equal(buf, data[3:19]) {
-			t.Fatalf("clean read broken: n=%d err=%v", n, err)
-		}
-	})
-}
-
-func bitsSet(b byte) int {
-	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
-	}
-	return n
 }
 
 func memSnapshotSource(t *testing.T) (storage.ChunkMeta, *storage.MemSource) {

@@ -121,7 +121,7 @@ func (e *Engine) Compact() error {
 		if err := w.Close(); err != nil {
 			return err
 		}
-		r, err := e.openTSFile(path)
+		r, err := tsfile.Open(path)
 		if err != nil {
 			return fmt.Errorf("lsm: reopen compacted file: %w", err)
 		}

@@ -24,7 +24,6 @@ package lsm
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -78,10 +77,6 @@ type Options struct {
 	// Installing a StepHook also forces per-shard maintenance to run
 	// sequentially, so injection schedules stay deterministic.
 	StepHook func(site string) error
-	// WrapFile, when set, wraps the io.ReaderAt of every chunk file the
-	// engine opens, letting faultfs inject byte-level read faults under
-	// the CRC checks. path names the file being opened.
-	WrapFile func(path string, ra io.ReaderAt) io.ReaderAt
 	// WrapSource, when set, wraps the chunk source of every chunk file,
 	// injecting chunk-level read faults at query time only — file opens
 	// and footer parses stay clean. Applied beneath the chunk cache.
@@ -441,17 +436,6 @@ func (e *Engine) step(site string) error {
 	return e.opts.StepHook(site)
 }
 
-// openTSFile opens a chunk file, routing reads through Options.WrapFile
-// when fault injection is configured.
-func (e *Engine) openTSFile(path string) (*tsfile.Reader, error) {
-	if e.opts.WrapFile == nil {
-		return tsfile.Open(path)
-	}
-	return tsfile.OpenWith(path, func(ra io.ReaderAt) io.ReaderAt {
-		return e.opts.WrapFile(path, ra)
-	})
-}
-
 // loadFiles opens every readable chunk file in the directory, routing each
 // chunk to its series' shard. Files without a valid footer (crash during
 // flush) are renamed aside; their contents are still in the WAL. Runs
@@ -477,7 +461,7 @@ func (e *Engine) loadFiles() error {
 	sort.Strings(names)
 	for _, name := range names {
 		path := filepath.Join(e.opts.Dir, name)
-		r, err := e.openTSFile(path)
+		r, err := tsfile.Open(path)
 		if errors.Is(err, tsfile.ErrCorrupt) {
 			// Incomplete flush; set aside and rely on the WAL.
 			if _, err := tsfile.SetAside(path); err != nil {
@@ -753,7 +737,7 @@ func (e *Engine) writeSpaceFile(sh *shard, ids []string, bySeries map[string]ser
 	if err := e.step("flush.reopen:" + name); err != nil {
 		return err
 	}
-	r, err := e.openTSFile(path)
+	r, err := tsfile.Open(path)
 	if err != nil {
 		return fmt.Errorf("lsm: reopen flushed file: %w", err)
 	}

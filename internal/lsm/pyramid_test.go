@@ -1,12 +1,14 @@
 package lsm
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
+	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 )
 
@@ -254,5 +256,76 @@ func TestPyramidDisabled(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, pyramidFileName)); !os.IsNotExist(err) {
 		t.Fatalf("manifest exists despite DisablePyramid (stat err = %v)", err)
+	}
+}
+
+// REPRESENT minmax needs only BP/TP, which are exactly what a rollup cell
+// stores: over a dense, cell-aligned window it must answer from pyramid
+// cells alone (no chunk and no time-block load) and still equal the
+// full-scan reduction of the raw data. LTTB on the same store is the
+// contrast: it has no metadata path and loads every chunk.
+func TestMinMaxAnswersFromPyramidAlone(t *testing.T) {
+	const (
+		id = "root.sg.dense"
+		n  = 1 << 14
+	)
+	e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 1000, DisableWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(7))
+	raw := make(series.Series, n)
+	v := 0.0
+	for i := range raw {
+		v += rng.Float64()*2 - 1
+		raw[i] = series.Point{T: int64(i), V: v}
+	}
+	for off := 0; off < n; off += 4096 {
+		if err := e.Write(id, raw[off:off+4096]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	q := m4.Query{Tqs: 0, Tqe: n, W: 64}
+	minmax := reprops.Spec{Kind: reprops.KindMinMax}
+	snap, err := e.Snapshot(id, q.Range())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m4lsm.Reduce(snap, q, minmax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := snap.Stats.Load()
+	if st.ChunksLoaded != 0 || st.TimeBlocksLoaded != 0 || st.PyramidSpans != int64(q.W) {
+		t.Errorf("minmax: %d chunk loads, %d time-block loads, %d of %d spans from the pyramid; want 0, 0, all",
+			st.ChunksLoaded, st.TimeBlocksLoaded, st.PyramidSpans, q.W)
+	}
+	want, err := reprops.Reduce(minmax, q, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("minmax kept %d points, the full-scan reduction %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("minmax point %d = %v, the full-scan reduction has %v", i, got[i], want[i])
+		}
+	}
+
+	snap, err = e.Snapshot(id, q.Range())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m4lsm.Reduce(snap, q, reprops.Spec{Kind: reprops.KindLTTB}); err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.Stats.Load(); len(snap.Chunks) == 0 || st.ChunksLoaded != int64(len(snap.Chunks)) {
+		t.Errorf("lttb loaded %d of %d chunks; want every one", st.ChunksLoaded, len(snap.Chunks))
 	}
 }

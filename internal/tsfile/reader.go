@@ -26,17 +26,6 @@ type Reader struct {
 
 // Open validates the file framing and loads the chunk metadata table.
 func Open(path string) (*Reader, error) {
-	return open(path, nil)
-}
-
-// OpenWith opens path but routes all reads (including the footer parse)
-// through wrap(f), letting callers inject faults or instrumentation between
-// the reader and the file. wrap == nil behaves like Open.
-func OpenWith(path string, wrap func(io.ReaderAt) io.ReaderAt) (*Reader, error) {
-	return open(path, wrap)
-}
-
-func open(path string, wrap func(io.ReaderAt) io.ReaderAt) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("tsfile: %w", err)
@@ -46,11 +35,7 @@ func open(path string, wrap func(io.ReaderAt) io.ReaderAt) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("tsfile: %w", err)
 	}
-	var ra io.ReaderAt = f
-	if wrap != nil {
-		ra = wrap(f)
-	}
-	r := &Reader{ra: ra, size: fi.Size(), closer: f, path: path}
+	r := &Reader{ra: f, size: fi.Size(), closer: f, path: path}
 	if err := r.readFooter(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tsfile: open %s: %w", path, err)
