@@ -11,7 +11,7 @@ LDFLAGS := -X m4lsm/internal/buildinfo.Version=$(VERSION) -X m4lsm/internal/buil
 # examples/ at 0%, so 70 fails on a real regression, not on noise.
 COVER_FLOOR ?= 70
 
-.PHONY: build install test race race-short vet lint check cover difftest bench-check bench bench-smoke fuzz torture soak profile
+.PHONY: build install test race race-short vet lint check cover difftest bench-check microbench bench bench-smoke fuzz torture soak profile
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -68,7 +68,8 @@ soak:
 
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
 # footers, record logs), the m4ql parser including the REPRESENT
-# clause, and the /write line-protocol parser. Go allows one -fuzz
+# clause, the /write line-protocol parser, and the Gorilla codec against
+# its bit-at-a-time reference. Go allows one -fuzz
 # target per invocation, so each runs separately for FUZZTIME (the seed
 # corpus also runs in plain `make test`).
 fuzz:
@@ -80,6 +81,8 @@ fuzz:
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzBitStream$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
 
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
@@ -87,8 +90,9 @@ fuzz:
 # It also keeps raw sleeps out of library code, keeps the query layers
 # (root package, m4ql, server) from growing a second read path, keeps
 # internal/lsm from growing a second write path or reaching into the WAL,
-# keeps a second measurement stack from growing beside bench/, and checks
-# that every test DESIGN.md's invariant table names exists.
+# keeps a second measurement stack from growing beside bench/, keeps the
+# chunk read path columnar, and checks that every test DESIGN.md's invariant
+# table names exists.
 lint:
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
@@ -133,7 +137,16 @@ lint:
 		echo "lint: numbers come from one place, bash bench/run.sh (spec in BENCHMARK.json); internal/exper"; \
 		echo "only regenerates the paper's tables. No BENCH_*.json at the root, no bench-* target but"; \
 		echo "bench-check and bench-smoke, no root-package Benchmark, no server-level sweep in exper."; \
-		echo "Exempt: per-package micro-benchmarks beside their code (internal/encoding, internal/stepreg)."; \
+		echo "Exempt: per-package micro-benchmarks beside their code (internal/encoding, internal/tsfile,"; \
+		echo "internal/stepreg), which make microbench runs once each so they cannot rot."; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nE 'FromColumns\(|\.Points\(\)|\.Columns\(\)' internal/tsfile/reader.go \
+		$$(ls internal/cache/*.go internal/mergeread/*.go internal/m4lsm/*.go internal/m4udf/*.go | grep -v '_test\.go$$'); true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: a chunk is loaded, cached, merged and scanned as series.Columns (whose Times()/Values() are"; \
+		echo "the shared slices, no copy). Building rows from columns or columns from rows belongs to whoever"; \
+		echo "asked for rows (mergeread.Merge's caller, DB.Raw, tests) or was handed them (tsfile/writer.go)."; \
 		echo "$$bad"; exit 1; \
 	fi
 	@names=$$(sed -n '/^## [0-9. ]*Invariants/,$$p' DESIGN.md | grep -oE '\b(Test|Fuzz)[A-Za-z0-9_]+' | sort -u); \
@@ -152,12 +165,19 @@ lint:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# microbench runs every per-package micro-benchmark for one iteration: since
+# the root-package benchmarks went, nothing else executes them, and a
+# benchmark that is never run stops compiling or starts failing unnoticed.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg
+
 # check is the standard gate for this repo: static analysis, the logging,
-# backoff, one-read-path and one-write-path lints, the benchmark module's own vet and tests,
+# backoff, one-read-path, one-write-path and columnar-read-path lints, the
+# benchmark module's own vet and tests, one pass of the micro-benchmarks,
 # the suite (including the crash-recovery torture and the
 # short-mode differential harness) under the race detector, the overload
 # soak, the coverage floor, and a short fuzz pass over the recovery parsers.
-check: vet lint bench-check race-short soak cover
+check: vet lint bench-check microbench race-short soak cover
 	$(MAKE) fuzz FUZZTIME=3s
 
 # bench is the one way to measure this repository: four HTTP workloads,

@@ -138,7 +138,7 @@ func TestLoadSubcommand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(data)
+		total += data.Len()
 	}
 	if total != n {
 		t.Fatalf("loaded %d points, want %d", total, n)

@@ -54,8 +54,9 @@ func dumpFile(path string, points bool) {
 		if err != nil {
 			log.Fatalf("tsfiledump: chunk %d: %v", i, err)
 		}
-		for _, p := range data {
-			fmt.Printf("      %d %g\n", p.T, p.V)
+		ts, vs := data.Times(), data.Values()
+		for i, t := range ts {
+			fmt.Printf("      %d %g\n", t, vs[i])
 		}
 	}
 }

@@ -35,8 +35,8 @@ type key struct {
 type entry struct {
 	key   key
 	size  int64
-	times []int64
-	data  series.Series
+	times []int64        // kindTimes
+	cols  series.Columns // kindData
 }
 
 // LRU is a thread-safe byte-bounded least-recently-used cache shared by
@@ -132,23 +132,23 @@ func Wrap(src storage.ChunkSource, lru *LRU) *Source {
 }
 
 // ReadChunk implements storage.ChunkSource.
-func (s *Source) ReadChunk(meta storage.ChunkMeta) (series.Series, error) {
+func (s *Source) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
 	data, _, err := s.ReadChunkCached(meta)
 	return data, err
 }
 
 // ReadChunkCached implements storage.CachedSource: ReadChunk plus a
 // served-from-cache flag, letting ChunkRef attribute hits to the query.
-func (s *Source) ReadChunkCached(meta storage.ChunkMeta) (series.Series, bool, error) {
+func (s *Source) ReadChunkCached(meta storage.ChunkMeta) (series.Columns, bool, error) {
 	k := key{meta.SeriesID, meta.Version, kindData}
 	if e, ok := s.lru.get(k); ok {
-		return e.data, true, nil
+		return e.cols, true, nil
 	}
 	data, err := s.inner.ReadChunk(meta)
 	if err != nil {
-		return nil, false, err
+		return series.Columns{}, false, err
 	}
-	s.lru.put(&entry{key: k, size: int64(len(data)) * 16, data: data})
+	s.lru.put(&entry{key: k, size: int64(data.Len()) * 16, cols: data})
 	return data, false, nil
 }
 
@@ -162,7 +162,7 @@ func (s *Source) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
 // ReadTimesCached implements storage.CachedSource.
 func (s *Source) ReadTimesCached(meta storage.ChunkMeta) ([]int64, bool, error) {
 	if e, ok := s.lru.get(key{meta.SeriesID, meta.Version, kindData}); ok {
-		return e.data.Times(), true, nil
+		return e.cols.Times(), true, nil
 	}
 	k := key{meta.SeriesID, meta.Version, kindTimes}
 	if e, ok := s.lru.get(k); ok {

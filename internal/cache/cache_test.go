@@ -17,7 +17,7 @@ type countingSource struct {
 	mu         sync.Mutex
 }
 
-func (c *countingSource) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+func (c *countingSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	c.mu.Lock()
 	c.chunkReads++
 	c.mu.Unlock()
@@ -46,7 +46,7 @@ func TestCacheHitsSecondRead(t *testing.T) {
 	src, phys, meta := setup(t, 1<<20)
 	for i := 0; i < 3; i++ {
 		data, err := src.ReadChunk(meta)
-		if err != nil || len(data) != 2 {
+		if err != nil || data.Len() != 2 {
 			t.Fatal(data, err)
 		}
 	}
@@ -168,6 +168,31 @@ func TestChunkRefCacheAttribution(t *testing.T) {
 	}
 	if got := stats2.Load(); got.CacheHits != 0 || got.CacheMisses != 0 {
 		t.Errorf("cold source counted cache traffic: %+v", got)
+	}
+}
+
+// TestWarmReadsShareColumns pins the read-only contract of ChunkSource: a
+// hit hands out the cached columns themselves, so it costs no allocation —
+// not even for a timestamp read answered from a cached full chunk.
+func TestWarmReadsShareColumns(t *testing.T) {
+	src, _, meta := setup(t, 1<<20)
+	cold, err := src.ReadChunk(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		cols series.Columns
+		ts   []int64
+		hit  bool
+	)
+	if n := testing.AllocsPerRun(100, func() { cols, hit, _ = src.ReadChunkCached(meta) }); n != 0 || !hit {
+		t.Errorf("warm ReadChunkCached: %v allocs/op, hit=%v; want 0, true", n, hit)
+	}
+	if n := testing.AllocsPerRun(100, func() { ts, hit, _ = src.ReadTimesCached(meta) }); n != 0 || !hit {
+		t.Errorf("warm ReadTimesCached: %v allocs/op, hit=%v; want 0, true", n, hit)
+	}
+	if &cols.Times()[0] != &cold.Times()[0] || &ts[0] != &cold.Times()[0] || &cols.Values()[0] != &cold.Values()[0] {
+		t.Error("a warm read returned a copy of the cached columns")
 	}
 }
 

@@ -35,11 +35,15 @@ func (c Codec) EncodeTimesWith(dst []byte, ts []int64) []byte {
 }
 
 // DecodeTimesWith dispatches to the codec's timestamp decoder.
-func (c Codec) DecodeTimesWith(b []byte) ([]int64, []byte, error) {
+func (c Codec) DecodeTimesWith(b []byte) ([]int64, []byte, error) { return c.DecodeTimesInto(nil, b) }
+
+// DecodeTimesInto dispatches to the codec's timestamp decoder with a
+// caller-owned destination (see DecodeValuesInto for the contract).
+func (c Codec) DecodeTimesInto(dst []int64, b []byte) ([]int64, []byte, error) {
 	if c == CodecPlain {
-		return DecodeTimesPlain(b)
+		return DecodeTimesPlainInto(dst, b)
 	}
-	return DecodeTimes(b)
+	return DecodeTimesInto(dst, b)
 }
 
 // EncodeValuesWith dispatches to the codec's value encoder.
@@ -52,8 +56,28 @@ func (c Codec) EncodeValuesWith(dst []byte, vs []float64) []byte {
 
 // DecodeValuesWith dispatches to the codec's value decoder.
 func (c Codec) DecodeValuesWith(b []byte) ([]float64, []byte, error) {
+	return c.DecodeValuesInto(nil, b)
+}
+
+// DecodeValuesInto dispatches to the codec's value decoder with a
+// caller-owned destination (see DecodeValuesInto for the contract).
+func (c Codec) DecodeValuesInto(dst []float64, b []byte) ([]float64, []byte, error) {
 	if c == CodecPlain {
-		return DecodeValuesPlain(b)
+		return DecodeValuesPlainInto(dst, b)
 	}
-	return DecodeValues(b)
+	return DecodeValuesInto(dst, b)
+}
+
+// blockCount parses the element count every block starts with. A decoder
+// handed a destination (non-nil dst) decodes exactly len(dst) elements, so
+// a block whose count differs is corrupt.
+func blockCount[T any](b []byte, dst []T) (uint64, []byte, error) {
+	count, b, err := Uvarint(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if dst != nil && count != uint64(len(dst)) {
+		return 0, nil, corruptf("block holds %d elements, want %d", count, len(dst))
+	}
+	return count, b, nil
 }

@@ -1,9 +1,12 @@
 package encoding
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -136,11 +139,49 @@ func TestDecodeTimesCorrupt(t *testing.T) {
 			t.Errorf("truncation at %d bytes decoded successfully", cut)
 		}
 	}
+	// A damaged count must be refused from the block's size alone, before
+	// anything is allocated for it (2^31 timestamps would be 16 GiB).
+	hostile := append(AppendUvarint(nil, 1<<31), enc[1:]...)
+	assertCorruptWithoutAllocating(t, "DecodeTimes", func() error { _, _, err := DecodeTimes(hostile); return err })
+	assertCorruptWithoutAllocating(t, "DecodeTimesPlain", func() error {
+		_, _, err := DecodeTimesPlain(AppendUvarint(nil, 1<<61)) // count*8 wraps to 0
+		return err
+	})
+	// A caller-owned destination pins the count.
+	if _, _, err := DecodeTimesInto(make([]int64, 3), enc); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("4-timestamp block decoded into a 3-element destination: %v", err)
+	}
+	if got, _, err := DecodeTimesInto(make([]int64, 4), enc); err != nil || got[3] != 4 {
+		t.Errorf("decode into an exact destination = %v, %v", got, err)
+	}
+}
+
+// assertCorruptWithoutAllocating runs a decode of a block whose count is
+// damaged: it must fail with ErrCorrupt having allocated next to nothing
+// (the error value itself), not the gigabytes the count asks for.
+func assertCorruptWithoutAllocating(t *testing.T, name string, decode func() error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("%s with a damaged count: %v, want ErrCorrupt", name, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Errorf("%s with a damaged count allocated %d bytes before refusing it", name, grew)
+	}
 }
 
 func valuesRoundTrip(t *testing.T, vs []float64) {
 	t.Helper()
 	enc := EncodeValues(nil, vs)
+	if ref := refEncodeValues(nil, vs); !bytes.Equal(enc, ref) {
+		t.Fatalf("EncodeValues = %x, bit-at-a-time reference %x", enc, ref)
+	}
+	if app := EncodeValues([]byte{0xEE}, vs); app[0] != 0xEE || !bytes.Equal(app[1:], enc) {
+		t.Fatalf("EncodeValues behind a 1-byte prefix = %x, want ee + %x", app, enc)
+	}
 	got, rest, err := DecodeValues(enc)
 	if err != nil {
 		t.Fatalf("DecodeValues: %v", err)
@@ -224,6 +265,21 @@ func TestDecodeValuesCorrupt(t *testing.T) {
 			t.Errorf("truncation at %d bytes decoded to a full block", cut)
 		}
 	}
+	// The count is bounded by the payload's bits before anything is
+	// allocated: 2^31 values would be 16 GiB, this payload holds at most
+	// 8*plen-63.
+	hostile := append(AppendUvarint(nil, 1<<31), enc[1:]...)
+	assertCorruptWithoutAllocating(t, "DecodeValues", func() error { _, _, err := DecodeValues(hostile); return err })
+	assertCorruptWithoutAllocating(t, "DecodeValuesPlain", func() error {
+		_, _, err := DecodeValuesPlain(AppendUvarint(nil, 1<<61))
+		return err
+	})
+	if _, _, err := DecodeValuesInto(make([]float64, 5), enc); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("4-value block decoded into a 5-element destination: %v", err)
+	}
+	if got, _, err := DecodeValuesInto(make([]float64, 4), enc); err != nil || got[2] != 3.5 {
+		t.Errorf("decode into an exact destination = %v, %v", got, err)
+	}
 }
 
 func TestPlainRoundTrip(t *testing.T) {
@@ -285,28 +341,28 @@ func TestBitStreamRoundTrip(t *testing.T) {
 	w.writeBits(0b1011, 4)
 	w.writeBits(0xDEADBEEF, 32)
 	w.writeBit(0)
-	r := newBitReader(w.bytes())
-	if b, _ := r.readBit(); b != 1 {
+	r := bitReader{buf: w.bytes()}
+	if b := r.readBit(); b != 1 {
 		t.Fatal("bit 0")
 	}
-	if v, _ := r.readBits(4); v != 0b1011 {
+	if v := r.readBits(4); v != 0b1011 {
 		t.Fatalf("bits = %b", v)
 	}
-	if v, _ := r.readBits(32); v != 0xDEADBEEF {
+	if v := r.readBits(32); v != 0xDEADBEEF {
 		t.Fatalf("word = %x", v)
 	}
-	if b, _ := r.readBit(); b != 0 {
+	if b := r.readBit(); b != 0 || r.err() != nil {
 		t.Fatal("trailing bit")
 	}
 }
 
 func TestBitReaderExhaustion(t *testing.T) {
-	r := newBitReader([]byte{0xFF})
-	if _, err := r.readBits(8); err != nil {
-		t.Fatal(err)
+	r := bitReader{buf: []byte{0xFF}}
+	if v := r.readBits(8); v != 0xFF || r.err() != nil {
+		t.Fatalf("readBits(8) = %x, %v", v, r.err())
 	}
-	if _, err := r.readBit(); err == nil {
-		t.Error("reading past end must error")
+	if r.readBit(); !errors.Is(r.err(), ErrCorrupt) {
+		t.Errorf("reading past end: err = %v, want ErrCorrupt", r.err())
 	}
 }
 
@@ -316,14 +372,13 @@ func TestBitStreamProperty(t *testing.T) {
 		for _, v := range fields {
 			w.writeBits(uint64(v), 16)
 		}
-		r := newBitReader(w.bytes())
+		r := bitReader{buf: w.bytes()}
 		for _, v := range fields {
-			got, err := r.readBits(16)
-			if err != nil || got != uint64(v) {
+			if got := r.readBits(16); got != uint64(v) {
 				return false
 			}
 		}
-		return true
+		return r.err() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

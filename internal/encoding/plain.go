@@ -18,19 +18,25 @@ func EncodeTimesPlain(dst []byte, ts []int64) []byte {
 }
 
 // DecodeTimesPlain decodes a block produced by EncodeTimesPlain.
-func DecodeTimesPlain(b []byte) ([]int64, []byte, error) {
-	count, b, err := Uvarint(b)
+func DecodeTimesPlain(b []byte) ([]int64, []byte, error) { return DecodeTimesPlainInto(nil, b) }
+
+// DecodeTimesPlainInto is DecodeTimesPlain under the dst contract of
+// DecodeValuesInto.
+func DecodeTimesPlainInto(dst []int64, b []byte) ([]int64, []byte, error) {
+	count, b, err := blockCount(b, dst)
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(b)) < count*8 {
-		return nil, nil, corruptf("plain timestamp block short: need %d bytes, have %d", count*8, len(b))
+	if count > uint64(len(b))/8 { // by division: count*8 overflows on a damaged count
+		return nil, nil, corruptf("plain block short: %d elements in %d bytes", count, len(b))
 	}
-	ts := make([]int64, count)
-	for i := range ts {
-		ts[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+	if dst == nil {
+		dst = make([]int64, count)
 	}
-	return ts, b[count*8:], nil
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return dst, b[count*8:], nil
 }
 
 // EncodeValuesPlain appends count + raw little-endian float64 bits.
@@ -43,17 +49,23 @@ func EncodeValuesPlain(dst []byte, vs []float64) []byte {
 }
 
 // DecodeValuesPlain decodes a block produced by EncodeValuesPlain.
-func DecodeValuesPlain(b []byte) ([]float64, []byte, error) {
-	count, b, err := Uvarint(b)
+func DecodeValuesPlain(b []byte) ([]float64, []byte, error) { return DecodeValuesPlainInto(nil, b) }
+
+// DecodeValuesPlainInto is DecodeValuesPlain under the dst contract of
+// DecodeValuesInto.
+func DecodeValuesPlainInto(dst []float64, b []byte) ([]float64, []byte, error) {
+	count, b, err := blockCount(b, dst)
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(b)) < count*8 {
-		return nil, nil, corruptf("plain value block short: need %d bytes, have %d", count*8, len(b))
+	if count > uint64(len(b))/8 { // by division: count*8 overflows on a damaged count
+		return nil, nil, corruptf("plain block short: %d elements in %d bytes", count, len(b))
 	}
-	vs := make([]float64, count)
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	if dst == nil {
+		dst = make([]float64, count)
 	}
-	return vs, b[count*8:], nil
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return dst, b[count*8:], nil
 }

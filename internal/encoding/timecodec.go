@@ -36,40 +36,50 @@ func EncodeTimes(dst []byte, ts []int64) []byte {
 
 // DecodeTimes decodes a block produced by EncodeTimes and returns the
 // timestamps along with the remaining buffer.
-func DecodeTimes(b []byte) ([]int64, []byte, error) {
-	count, b, err := Uvarint(b)
+func DecodeTimes(b []byte) ([]int64, []byte, error) { return DecodeTimesInto(nil, b) }
+
+// DecodeTimesInto is DecodeTimes into caller-owned memory, under the
+// contract of DecodeValuesInto: a non-nil dst must have exactly the block's
+// count as its length; a nil dst is allocated once the count is known to
+// fit the block.
+func DecodeTimesInto(dst []int64, b []byte) ([]int64, []byte, error) {
+	count, b, err := blockCount(b, dst)
 	if err != nil {
 		return nil, nil, err
 	}
-	const maxCount = 1 << 31
-	if count > maxCount {
-		return nil, nil, corruptf("timestamp count %d too large", count)
+	// Every timestamp costs at least one byte.
+	if count > uint64(len(b)) {
+		return nil, nil, corruptf("timestamp count %d exceeds the %d bytes of the block", count, len(b))
 	}
-	ts := make([]int64, 0, count)
+	if dst == nil {
+		dst = make([]int64, count)
+	}
 	if count == 0 {
-		return ts, b, nil
+		return dst, b, nil
 	}
-	t0, b, err := Varint(b)
+	t, b, err := Varint(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	ts = append(ts, t0)
+	dst[0] = t
 	if count == 1 {
-		return ts, b, nil
+		return dst, b, nil
 	}
 	delta, b, err := Varint(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	ts = append(ts, t0+delta)
-	for uint64(len(ts)) < count {
+	t += delta
+	dst[1] = t
+	for i := 2; i < len(dst); i++ {
 		dod, rest, err := Varint(b)
 		if err != nil {
 			return nil, nil, err
 		}
 		b = rest
 		delta += dod
-		ts = append(ts, ts[len(ts)-1]+delta)
+		t += delta
+		dst[i] = t
 	}
-	return ts, b, nil
+	return dst, b, nil
 }

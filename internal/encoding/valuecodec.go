@@ -26,7 +26,15 @@ func EncodeValues(dst []byte, vs []float64) []byte {
 	if len(vs) == 0 {
 		return dst
 	}
-	w := bitWriter{}
+	// The payload is written straight into dst behind room for its length
+	// prefix, sized for the longest payload these values can produce
+	// (64 bits, then at most 2+5+6+64 per value); a shorter prefix closes
+	// the gap afterwards.
+	maxPayload := uint64(8 + (len(vs)-1)*10)
+	lenAt := len(dst)
+	dst = AppendUvarint(dst, maxPayload)
+	payloadAt := len(dst)
+	w := bitWriter{buf: dst}
 	prev := math.Float64bits(vs[0])
 	w.writeBits(prev, 64)
 	leading, trailing := uint(65), uint(0) // 65 marks "no window yet"
@@ -38,46 +46,54 @@ func EncodeValues(dst []byte, vs []float64) []byte {
 			w.writeBit(0)
 			continue
 		}
-		w.writeBit(1)
 		lz := uint(bits.LeadingZeros64(xor))
 		tz := uint(bits.TrailingZeros64(xor))
 		if lz >= 32 {
 			lz = 31 // 5-bit field
 		}
 		if leading <= 64 && lz >= leading && tz >= trailing {
-			// Fits inside the previous window.
-			w.writeBit(0)
-			n := 64 - leading - trailing
-			w.writeBits(xor>>trailing, n)
+			// Fits inside the previous window: control bits '10'.
+			w.writeBits(0b10, 2)
+			w.writeBits(xor>>trailing, 64-leading-trailing)
 			continue
 		}
 		leading, trailing = lz, tz
 		n := 64 - leading - trailing
-		w.writeBit(1)
-		w.writeBits(uint64(leading), 5)
-		// n is in [1, 64]; store n-1 in 6 bits.
-		w.writeBits(uint64(n-1), 6)
+		// Control bits '11', 5 bits of leading, n-1 (n is in [1, 64]) in 6.
+		w.writeBits(0b11<<11|uint64(leading)<<6|uint64(n-1), 13)
 		w.writeBits(xor>>trailing, n)
 	}
-	payload := w.bytes()
-	dst = AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+	dst = w.bytes()
+	payload := dst[payloadAt:]
+	dst = AppendUvarint(dst[:lenAt], uint64(len(payload)))
+	if len(dst) < payloadAt {
+		dst = append(dst, payload...)
+	} else {
+		dst = dst[:payloadAt+len(payload)]
+	}
+	return dst
 }
 
 // DecodeValues decodes a block produced by EncodeValues and returns the
 // values along with the remaining buffer.
-func DecodeValues(b []byte) ([]float64, []byte, error) {
-	count, b, err := Uvarint(b)
+func DecodeValues(b []byte) ([]float64, []byte, error) { return DecodeValuesInto(nil, b) }
+
+// DecodeValuesInto is DecodeValues into caller-owned memory: a non-nil dst
+// must have exactly the block's count as its length (a chunk reader passes
+// the count its metadata promises) and is returned filled; a nil dst is
+// allocated, after the count has been checked against what the payload can
+// hold, so a damaged count cannot ask for more memory than the block
+// justifies.
+func DecodeValuesInto(dst []float64, b []byte) ([]float64, []byte, error) {
+	count, b, err := blockCount(b, dst)
 	if err != nil {
 		return nil, nil, err
 	}
-	const maxCount = 1 << 31
-	if count > maxCount {
-		return nil, nil, corruptf("value count %d too large", count)
-	}
-	vs := make([]float64, 0, count)
 	if count == 0 {
-		return vs, b, nil
+		if dst == nil {
+			dst = []float64{}
+		}
+		return dst, b, nil
 	}
 	plen, b, err := Uvarint(b)
 	if err != nil {
@@ -86,51 +102,39 @@ func DecodeValues(b []byte) ([]float64, []byte, error) {
 	if plen > uint64(len(b)) {
 		return nil, nil, corruptf("value payload %d exceeds buffer %d", plen, len(b))
 	}
-	r := newBitReader(b[:plen])
-	rest := b[plen:]
-	first, err := r.readBits(64)
-	if err != nil {
-		return nil, nil, err
+	// The first value costs 64 bits and every later one at least one.
+	if plen < 8 || count-1 > 8*plen-64 {
+		return nil, nil, corruptf("value count %d exceeds what %d payload bytes can hold", count, plen)
 	}
-	prev := first
-	vs = append(vs, math.Float64frombits(prev))
+	if dst == nil {
+		dst = make([]float64, count)
+	}
+	// The loop cannot outrun the payload by more than the count allows (an
+	// exhausted reader returns zeros, which decode as "same as previous"),
+	// so exhaustion is checked once, after it.
+	r := bitReader{buf: b[:plen]}
+	prev := r.readBits(64)
+	dst[0] = math.Float64frombits(prev)
 	var leading, trailing uint
-	for uint64(len(vs)) < count {
-		ctl, err := r.readBit()
-		if err != nil {
-			return nil, nil, err
-		}
-		if ctl == 0 {
-			vs = append(vs, math.Float64frombits(prev))
+	for i := 1; i < len(dst); i++ {
+		if r.readBit() == 0 {
+			dst[i] = math.Float64frombits(prev)
 			continue
 		}
-		ctl, err = r.readBit()
-		if err != nil {
-			return nil, nil, err
-		}
-		if ctl == 1 {
-			lz, err := r.readBits(5)
-			if err != nil {
-				return nil, nil, err
-			}
-			nm1, err := r.readBits(6)
-			if err != nil {
-				return nil, nil, err
-			}
-			leading = uint(lz)
-			n := uint(nm1) + 1
+		if r.readBit() == 1 {
+			win := r.readBits(11)
+			leading = uint(win >> 6)
+			n := uint(win&63) + 1
 			if leading+n > 64 {
 				return nil, nil, corruptf("window leading=%d sig=%d", leading, n)
 			}
 			trailing = 64 - leading - n
 		}
-		n := 64 - leading - trailing
-		sig, err := r.readBits(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		prev ^= sig << trailing
-		vs = append(vs, math.Float64frombits(prev))
+		prev ^= r.readBits(64-leading-trailing) << trailing
+		dst[i] = math.Float64frombits(prev)
 	}
-	return vs, rest, nil
+	if err := r.err(); err != nil {
+		return nil, nil, err
+	}
+	return dst, b[plen:], nil
 }

@@ -227,9 +227,9 @@ func (s *Source) fault(meta storage.ChunkMeta, op string) error {
 }
 
 // ReadChunk implements storage.ChunkSource.
-func (s *Source) ReadChunk(meta storage.ChunkMeta) (series.Series, error) {
+func (s *Source) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
 	if err := s.fault(meta, "data"); err != nil {
-		return nil, err
+		return series.Columns{}, err
 	}
 	return s.inner.ReadChunk(meta)
 }

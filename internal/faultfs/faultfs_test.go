@@ -96,7 +96,7 @@ func TestSourceFaults(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		s := Wrap(inner, NewInjector(Config{Seed: 1}))
 		data, err := s.ReadChunk(meta)
-		if err != nil || len(data) != 2 {
+		if err != nil || data.Len() != 2 {
 			t.Fatalf("data=%v err=%v", data, err)
 		}
 	})

@@ -48,7 +48,7 @@ func materialize(t *testing.T, snap *storage.Snapshot, r series.TimeRange) serie
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range data {
+		for _, p := range data.Points() {
 			if cur, ok := best[p.T]; !ok || c.Meta.Version > cur.ver {
 				best[p.T] = versioned{p, c.Meta.Version}
 			}

@@ -196,7 +196,7 @@ func TestTransientFaultsNotQuarantined(t *testing.T) {
 	e, err := Open(Options{Dir: dir, WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
 		wrapped := faultfs.Wrap(src, inj)
 		return sourceFunc{
-			read:  func(m storage.ChunkMeta) (series.Series, error) { return pick(faulty, wrapped, src).ReadChunk(m) },
+			read:  func(m storage.ChunkMeta) (series.Columns, error) { return pick(faulty, wrapped, src).ReadChunk(m) },
 			times: func(m storage.ChunkMeta) ([]int64, error) { return pick(faulty, wrapped, src).ReadTimes(m) },
 		}
 	}})
@@ -236,12 +236,12 @@ func TestTransientFaultsNotQuarantined(t *testing.T) {
 }
 
 type sourceFunc struct {
-	read  func(storage.ChunkMeta) (series.Series, error)
+	read  func(storage.ChunkMeta) (series.Columns, error)
 	times func(storage.ChunkMeta) ([]int64, error)
 }
 
-func (s sourceFunc) ReadChunk(m storage.ChunkMeta) (series.Series, error) { return s.read(m) }
-func (s sourceFunc) ReadTimes(m storage.ChunkMeta) ([]int64, error)       { return s.times(m) }
+func (s sourceFunc) ReadChunk(m storage.ChunkMeta) (series.Columns, error) { return s.read(m) }
+func (s sourceFunc) ReadTimes(m storage.ChunkMeta) ([]int64, error)        { return s.times(m) }
 
 func pick(faulty bool, a, b storage.ChunkSource) storage.ChunkSource {
 	if faulty {

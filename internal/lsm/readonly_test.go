@@ -186,9 +186,9 @@ func TestReadRetryRecoversTransientFault(t *testing.T) {
 		RetryBaseDelay: 1, // nanosecond-scale: no real sleeping in tests
 		WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
 			return sourceFunc{
-				read: func(m storage.ChunkMeta) (series.Series, error) {
+				read: func(m storage.ChunkMeta) (series.Columns, error) {
 					if failOnce.Add(-1) == 0 {
-						return nil, fmt.Errorf("%w: transient blip", faultfs.ErrInjected)
+						return series.Columns{}, fmt.Errorf("%w: transient blip", faultfs.ErrInjected)
 					}
 					return src.ReadChunk(m)
 				},
@@ -234,8 +234,8 @@ func TestReadRetryExhaustion(t *testing.T) {
 		RetryBaseDelay: 1,
 		WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
 			return sourceFunc{
-				read: func(m storage.ChunkMeta) (series.Series, error) {
-					return nil, fmt.Errorf("%w: hard down", faultfs.ErrInjected)
+				read: func(m storage.ChunkMeta) (series.Columns, error) {
+					return series.Columns{}, fmt.Errorf("%w: hard down", faultfs.ErrInjected)
 				},
 				times: func(m storage.ChunkMeta) ([]int64, error) {
 					return nil, fmt.Errorf("%w: hard down", faultfs.ErrInjected)

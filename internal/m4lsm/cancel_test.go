@@ -23,7 +23,7 @@ type slowSource struct {
 	reads atomic.Int64
 }
 
-func (s *slowSource) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+func (s *slowSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	s.reads.Add(1)
 	time.Sleep(s.delay)
 	return s.inner.ReadChunk(m)
@@ -153,9 +153,9 @@ type failingSource struct {
 	err   error
 }
 
-func (f *failingSource) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+func (f *failingSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	if f.bad[m.Version] {
-		return nil, fmt.Errorf("read chunk v%d: %w", m.Version, f.err)
+		return series.Columns{}, fmt.Errorf("read chunk v%d: %w", m.Version, f.err)
 	}
 	return f.inner.ReadChunk(m)
 }

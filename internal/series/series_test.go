@@ -114,6 +114,41 @@ func TestFromColumnsPanicsOnMismatch(t *testing.T) {
 	FromColumns([]int64{1, 2}, []float64{1})
 }
 
+// TestColumnsViewsShareMemory: Columns is a header over two slices — the
+// accessors, copies of the value and Slice all see the same arrays, and
+// Slice agrees with Series.Slice on every range.
+func TestColumnsViewsShareMemory(t *testing.T) {
+	s := Series{{1, 1.5}, {4, -2}, {9, 0}, {12, 7}}
+	c := s.Columns()
+	if c.Len() != len(s) || !reflect.DeepEqual(c.Points(), s) || c.At(2) != s[2] {
+		t.Fatalf("columns of %v = %v", s, c)
+	}
+	for start := int64(-1); start <= 14; start++ {
+		for end := start - 1; end <= 14; end++ {
+			r := TimeRange{start, end}
+			got, want := c.Slice(r), s.Slice(r)
+			if !reflect.DeepEqual(got.Points(), append(Series{}, want...)) {
+				t.Fatalf("Slice(%v) = %v, want %v", r, got.Points(), want)
+			}
+			if got.Len() == 0 {
+				continue
+			}
+			if i, _ := s.IndexOf(want[0].T); &got.Times()[0] != &c.Times()[i] || &got.Values()[0] != &c.Values()[i] {
+				t.Fatalf("Slice(%v) is not a view of the original arrays", r)
+			}
+		}
+	}
+	if (Columns{}).Len() != 0 || (Columns{}).Slice(TimeRange{0, 9}).Len() != 0 {
+		t.Error("zero Columns is not empty")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on mismatched column lengths")
+		}
+	}()
+	NewColumns([]int64{1, 2}, []float64{1})
+}
+
 func TestTimeRange(t *testing.T) {
 	r := TimeRange{10, 20}
 	if !r.Contains(10) || r.Contains(20) || !r.Contains(19) || r.Contains(9) {

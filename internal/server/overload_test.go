@@ -27,7 +27,7 @@ type blockingSource struct {
 	release chan struct{}
 }
 
-func (b *blockingSource) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+func (b *blockingSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	<-b.release
 	return b.inner.ReadChunk(m)
 }
@@ -44,7 +44,7 @@ type slowSource struct {
 	delay time.Duration
 }
 
-func (s *slowSource) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+func (s *slowSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	time.Sleep(s.delay)
 	return s.inner.ReadChunk(m)
 }

@@ -81,7 +81,7 @@ func TestWriteEndpointIngests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got += len(data)
+		got += data.Len()
 	}
 	if got != 2 {
 		t.Fatalf("root.a holds %d points, want 2", got)
@@ -497,7 +497,7 @@ func TestIngestHammerHTTP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range data {
+			for _, p := range data.Points() {
 				got[p.T] = p.V
 			}
 		}

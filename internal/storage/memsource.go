@@ -13,7 +13,16 @@ import (
 // chunk/delete states without touching disk.
 type MemSource struct {
 	mu     sync.RWMutex
-	chunks map[chunkKey]series.Series
+	chunks map[chunkKey]*memChunk
+}
+
+// memChunk is a registered chunk: the rows as handed in, and their columnar
+// form, built by the first read. Most snapshots of a memtable are never
+// loaded (metadata or the pyramid answers), so AddChunk does not convert.
+type memChunk struct {
+	rows series.Series
+	once sync.Once
+	cols series.Columns
 }
 
 type chunkKey struct {
@@ -23,7 +32,7 @@ type chunkKey struct {
 
 // NewMemSource returns an empty in-memory source.
 func NewMemSource() *MemSource {
-	return &MemSource{chunks: make(map[chunkKey]series.Series)}
+	return &MemSource{chunks: make(map[chunkKey]*memChunk)}
 }
 
 // AddChunk registers data as a chunk and returns its metadata. The data
@@ -51,29 +60,27 @@ func (m *MemSource) AddChunk(seriesID string, version Version, data series.Serie
 		ValuesLen: int64(len(data)) * 8,
 	}
 	m.mu.Lock()
-	m.chunks[chunkKey{seriesID, version}] = data
+	m.chunks[chunkKey{seriesID, version}] = &memChunk{rows: data}
 	m.mu.Unlock()
 	return meta, nil
 }
 
 // ReadChunk implements ChunkSource.
-func (m *MemSource) ReadChunk(meta ChunkMeta) (series.Series, error) {
+func (m *MemSource) ReadChunk(meta ChunkMeta) (series.Columns, error) {
 	m.mu.RLock()
-	data, ok := m.chunks[chunkKey{meta.SeriesID, meta.Version}]
+	c, ok := m.chunks[chunkKey{meta.SeriesID, meta.Version}]
 	m.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("mem source: no chunk %s v%d", meta.SeriesID, meta.Version)
+		return series.Columns{}, fmt.Errorf("mem source: no chunk %s v%d", meta.SeriesID, meta.Version)
 	}
-	return data, nil
+	c.once.Do(func() { c.cols = c.rows.Columns() })
+	return c.cols, nil
 }
 
 // ReadTimes implements ChunkSource.
 func (m *MemSource) ReadTimes(meta ChunkMeta) ([]int64, error) {
-	data, err := m.ReadChunk(meta)
-	if err != nil {
-		return nil, err
-	}
-	return data.Times(), nil
+	cols, err := m.ReadChunk(meta)
+	return cols.Times(), err
 }
 
 var _ ChunkSource = (*MemSource)(nil)

@@ -84,15 +84,15 @@ func (r *retrySource) do(read func() error) error {
 }
 
 // ReadChunk implements ChunkSource.
-func (r *retrySource) ReadChunk(meta ChunkMeta) (series.Series, error) {
-	var out series.Series
+func (r *retrySource) ReadChunk(meta ChunkMeta) (series.Columns, error) {
+	var out series.Columns
 	err := r.do(func() error {
 		var e error
 		out, e = r.inner.ReadChunk(meta)
 		return e
 	})
 	if err != nil {
-		return nil, err
+		return series.Columns{}, err
 	}
 	return out, nil
 }

@@ -99,9 +99,13 @@ func (d Delete) String() string {
 
 // ChunkSource reads chunk contents given their metadata. Implementations:
 // tsfile.Reader (disk) and MemSource (tests, memtable snapshots).
+//
+// Returned columns are shared and must not be modified: a cache, a memtable
+// snapshot or another query may hold the very same slices. Callers may
+// retain them for as long as they like.
 type ChunkSource interface {
 	// ReadChunk decodes the full chunk (timestamps and values).
-	ReadChunk(meta ChunkMeta) (series.Series, error)
+	ReadChunk(meta ChunkMeta) (series.Columns, error)
 	// ReadTimes decodes only the timestamp block. This is the partial
 	// load used by BP/TP candidate verification (§3.4): existence
 	// probes need timestamps only, at roughly half the I/O and decode
@@ -116,7 +120,7 @@ type ChunkSource interface {
 type CachedSource interface {
 	ChunkSource
 	// ReadChunkCached is ReadChunk plus a served-from-cache flag.
-	ReadChunkCached(meta ChunkMeta) (data series.Series, hit bool, err error)
+	ReadChunkCached(meta ChunkMeta) (data series.Columns, hit bool, err error)
 	// ReadTimesCached is ReadTimes plus a served-from-cache flag.
 	ReadTimesCached(meta ChunkMeta) (ts []int64, hit bool, err error)
 }
@@ -136,9 +140,9 @@ func NewChunkRef(meta ChunkMeta, src ChunkSource, stats *Stats) ChunkRef {
 }
 
 // Load reads and decodes the full chunk.
-func (c ChunkRef) Load() (series.Series, error) {
+func (c ChunkRef) Load() (series.Columns, error) {
 	var (
-		data series.Series
+		data series.Columns
 		hit  bool
 		err  error
 	)
@@ -149,7 +153,7 @@ func (c ChunkRef) Load() (series.Series, error) {
 		data, err = c.source.ReadChunk(c.Meta)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("load %v: %w", c.Meta, err)
+		return series.Columns{}, fmt.Errorf("load %v: %w", c.Meta, err)
 	}
 	if c.stats != nil {
 		atomic.AddInt64(&c.stats.ChunksLoaded, 1)

@@ -82,7 +82,7 @@ func TestMemSourceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[1] != data[1] {
+	if got.Len() != 3 || got.At(1) != data[1] {
 		t.Errorf("ReadChunk = %v", got)
 	}
 	ts, err := src.ReadTimes(meta)
@@ -91,6 +91,12 @@ func TestMemSourceRoundTrip(t *testing.T) {
 	}
 	if len(ts) != 3 || ts[2] != 3 {
 		t.Errorf("ReadTimes = %v", ts)
+	}
+	// Every read of a registered chunk shares one set of columns: a probe
+	// of the memtable costs no copy.
+	again, _ := src.ReadChunk(meta)
+	if &ts[0] != &got.Times()[0] || &again.Values()[0] != &got.Values()[0] {
+		t.Error("reads of one chunk returned distinct columns")
 	}
 }
 

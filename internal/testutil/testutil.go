@@ -102,7 +102,7 @@ func NaiveMerge(snap *storage.Snapshot, r series.TimeRange) (series.Series, erro
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range data {
+		for _, p := range data.Points() {
 			if cur, ok := best[p.T]; !ok || c.Meta.Version > cur.ver {
 				best[p.T] = versioned{p, c.Meta.Version}
 			}

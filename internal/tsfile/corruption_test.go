@@ -63,7 +63,7 @@ func TestEveryByteFlip(t *testing.T) {
 					// An accepted read must return the original data (the
 					// flip hit an unread region, e.g. the redundant chunk
 					// header fields) and intact metadata.
-					if !reflect.DeepEqual(got, data) {
+					if !reflect.DeepEqual(got.Points(), data) {
 						t.Fatalf("byte %d mask %x: silent data corruption", pos, mask)
 					}
 					if m.Count != meta.Count || m.Version != meta.Version {

@@ -1,0 +1,130 @@
+package tsfile
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"m4lsm/internal/encoding"
+	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
+)
+
+// goldenChunks regenerates the three chunks of testdata/parent-c39d07c/
+// golden.tsf from a fixed seed: MF03-shaped high-entropy values on a
+// near-regular 10 ms clock, a constant run, and the floats that stress the
+// XOR window (signed zeros, infinities, subnormals, sign and max-exponent
+// flips).
+func goldenChunks() []series.Series {
+	const n = 1200
+	rng := rand.New(rand.NewSource(0xc39d07c))
+	walk := make(series.Series, n)
+	t, v := int64(1_639_000_000_000), 230.0
+	for i := range walk {
+		t += 10
+		if rng.Intn(400) == 0 {
+			t += int64(rng.Intn(5000))
+		}
+		v += rng.NormFloat64() * 0.37
+		walk[i] = series.Point{T: t, V: v}
+	}
+	flat := make(series.Series, n)
+	for i := range flat {
+		flat[i] = series.Point{T: int64(i) * 1000, V: 42.5}
+	}
+	edges := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), // largest subnormal
+		math.Float64frombits(0x0010000000000000), // smallest normal
+		math.MaxFloat64, -math.MaxFloat64, 1, -1,
+		math.Float64frombits(0x7fe0000000000001), math.Float64frombits(0x0000000000000001),
+		math.Float64frombits(0x8000000000000001), math.Float64frombits(0xffefffffffffffff),
+	}
+	edge := make(series.Series, n)
+	t = -600
+	for i := range edge {
+		t += int64(1 + rng.Intn(3)*rng.Intn(1<<20))
+		ev := edges[rng.Intn(len(edges))]
+		if rng.Intn(4) == 0 {
+			ev = edges[i%len(edges)]
+		}
+		edge[i] = series.Point{T: t, V: ev}
+	}
+	return []series.Series{walk, flat, edge}
+}
+
+// writeGolden writes goldenChunks to path as one chunk file.
+func writeGolden(path string) error {
+	w, err := Create(path)
+	if err != nil {
+		return err
+	}
+	for i, data := range goldenChunks() {
+		id := []string{"root.walk", "root.flat", "root.edge"}[i]
+		if _, err := w.WriteChunk(id, storage.Version(i+1), encoding.CodecGorilla, data); err != nil {
+			return err
+		}
+	}
+	return w.Close()
+}
+
+// TestParentChunkFileRoundTrips pins "same bytes on disk" across the codec
+// rewrite: testdata/parent-c39d07c/golden.tsf was written by writeGolden
+// running the bit-at-a-time codec of commit c39d07c. The current reader must
+// decode it to the regenerated points, bit for bit, and the current writer
+// must produce the identical file from those points.
+func TestParentChunkFileRoundTrips(t *testing.T) {
+	golden := filepath.Join("testdata", "parent-c39d07c", "golden.tsf")
+	want := goldenChunks()
+	r, err := Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(r.Metas()) != len(want) {
+		t.Fatalf("golden file holds %d chunks, want %d", len(r.Metas()), len(want))
+	}
+	for i, m := range r.Metas() {
+		if len(want[i]) < 1000 {
+			t.Fatalf("chunk %d regenerates to %d points, want >= 1000", i, len(want[i]))
+		}
+		cols, err := r.ReadChunk(m)
+		if err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+		ts, err := r.ReadTimes(m)
+		if err != nil {
+			t.Fatalf("chunk %d times: %v", i, err)
+		}
+		if cols.Len() != len(want[i]) || len(ts) != len(want[i]) {
+			t.Fatalf("chunk %d: decoded %d points / %d times, want %d", i, cols.Len(), len(ts), len(want[i]))
+		}
+		for j, p := range want[i] {
+			got := cols.At(j)
+			if got.T != p.T || ts[j] != p.T || math.Float64bits(got.V) != math.Float64bits(p.V) {
+				t.Fatalf("chunk %d point %d: decoded (%d, %x), times-only %d, want (%d, %x)",
+					i, j, got.T, math.Float64bits(got.V), ts[j], p.T, math.Float64bits(p.V))
+			}
+		}
+	}
+
+	rewritten := filepath.Join(t.TempDir(), "rewritten.tsf")
+	if err := writeGolden(rewritten); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := os.ReadFile(rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(old, now) {
+		t.Fatalf("re-encoding the golden points gives %d bytes that differ from the parent's %d-byte file", len(now), len(old))
+	}
+}

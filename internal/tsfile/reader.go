@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
@@ -121,72 +122,92 @@ func (r *Reader) Close() error {
 	return r.closer.Close()
 }
 
+// blockBufs recycles the raw (still encoded) bytes of a chunk between
+// loads. A buffer's lifetime provably ends inside ReadChunk/ReadTimes: the
+// decoders copy every value out of it, so it goes back before they return.
+// The decoded columns are never pooled — caches, merges and operators
+// retain them.
+var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readBlocks fetches header + timestamp block and optionally the value
-// block of a chunk, verifying checksums.
-func (r *Reader) readBlocks(meta storage.ChunkMeta, withValues bool) (times, values []byte, err error) {
+// block of a chunk into buf (taken from blockBufs by the caller, grown here
+// if too small), verifying checksums. The returned blocks alias buf.
+func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, withValues bool) (times, values []byte, err error) {
+	// The two block CRCs are the last 8 bytes of the header, and no part of
+	// a chunk is longer than its file.
+	for _, l := range [...]int64{meta.HeaderLen - 8, meta.TimesLen, meta.ValuesLen} {
+		if l < 0 || l > r.size {
+			return nil, nil, fmt.Errorf("%w: chunk lengths %d+%d+%d in a %d-byte file", ErrCorrupt, meta.HeaderLen, meta.TimesLen, meta.ValuesLen, r.size)
+		}
+	}
 	n := meta.HeaderLen + meta.TimesLen
 	if withValues {
 		n += meta.ValuesLen
 	}
-	buf := make([]byte, n)
-	if _, err := r.ra.ReadAt(buf, meta.Offset); err != nil {
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if _, err := r.ra.ReadAt(b, meta.Offset); err != nil {
 		return nil, nil, fmt.Errorf("read chunk at %d: %w", meta.Offset, err)
 	}
-	hdr := buf[:meta.HeaderLen]
-	// The two block CRCs are the last 8 bytes of the header.
-	if meta.HeaderLen < 8 {
-		return nil, nil, fmt.Errorf("%w: header too short", ErrCorrupt)
-	}
-	timesCRC := binary.LittleEndian.Uint32(hdr[meta.HeaderLen-8:])
-	valuesCRC := binary.LittleEndian.Uint32(hdr[meta.HeaderLen-4:])
-	times = buf[meta.HeaderLen : meta.HeaderLen+meta.TimesLen]
+	timesCRC := binary.LittleEndian.Uint32(b[meta.HeaderLen-8:])
+	valuesCRC := binary.LittleEndian.Uint32(b[meta.HeaderLen-4:])
+	times = b[meta.HeaderLen : meta.HeaderLen+meta.TimesLen]
+	values = b[meta.HeaderLen+meta.TimesLen:]
 	if crc32.ChecksumIEEE(times) != timesCRC {
 		return nil, nil, fmt.Errorf("%w: timestamp block checksum mismatch (%s v%d)", ErrCorrupt, meta.SeriesID, meta.Version)
 	}
-	if withValues {
-		values = buf[meta.HeaderLen+meta.TimesLen:]
-		if crc32.ChecksumIEEE(values) != valuesCRC {
-			return nil, nil, fmt.Errorf("%w: value block checksum mismatch (%s v%d)", ErrCorrupt, meta.SeriesID, meta.Version)
-		}
+	if withValues && crc32.ChecksumIEEE(values) != valuesCRC {
+		return nil, nil, fmt.Errorf("%w: value block checksum mismatch (%s v%d)", ErrCorrupt, meta.SeriesID, meta.Version)
 	}
 	return times, values, nil
 }
 
-// ReadChunk implements storage.ChunkSource.
-func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Series, error) {
-	timesBlock, valuesBlock, err := r.readBlocks(meta, true)
-	if err != nil {
-		return nil, err
+// decodeTimes decodes a timestamp block into a fresh column of exactly
+// meta.Count elements; a block holding any other count, or trailing bytes,
+// is corrupt. Every timestamp costs at least one encoded byte, which bounds
+// the allocation a damaged count can ask for.
+func decodeTimes(meta storage.ChunkMeta, block []byte) ([]int64, error) {
+	if meta.Count < 0 || meta.Count > meta.TimesLen {
+		return nil, fmt.Errorf("%w: count %d in a %d-byte timestamp block", ErrCorrupt, meta.Count, meta.TimesLen)
 	}
-	ts, rest, err := meta.Codec.DecodeTimesWith(timesBlock)
+	ts, rest, err := meta.Codec.DecodeTimesInto(make([]int64, meta.Count), block)
 	if err != nil || len(rest) != 0 {
 		return nil, fmt.Errorf("%w: timestamp block decode (%v)", ErrCorrupt, err)
 	}
-	vs, rest, err := meta.Codec.DecodeValuesWith(valuesBlock)
+	return ts, nil
+}
+
+// ReadChunk implements storage.ChunkSource.
+func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
+	buf := blockBufs.Get().(*[]byte)
+	defer blockBufs.Put(buf)
+	timesBlock, valuesBlock, err := r.readBlocks(buf, meta, true)
+	if err != nil {
+		return series.Columns{}, err
+	}
+	ts, err := decodeTimes(meta, timesBlock)
+	if err != nil {
+		return series.Columns{}, err
+	}
+	vs, rest, err := meta.Codec.DecodeValuesInto(make([]float64, meta.Count), valuesBlock)
 	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: value block decode (%v)", ErrCorrupt, err)
+		return series.Columns{}, fmt.Errorf("%w: value block decode (%v)", ErrCorrupt, err)
 	}
-	if int64(len(ts)) != meta.Count || len(ts) != len(vs) {
-		return nil, fmt.Errorf("%w: count mismatch: meta %d, times %d, values %d", ErrCorrupt, meta.Count, len(ts), len(vs))
-	}
-	return series.FromColumns(ts, vs), nil
+	return series.NewColumns(ts, vs), nil
 }
 
 // ReadTimes implements storage.ChunkSource: it fetches and decodes only the
 // timestamp block.
 func (r *Reader) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
-	timesBlock, _, err := r.readBlocks(meta, false)
+	buf := blockBufs.Get().(*[]byte)
+	defer blockBufs.Put(buf)
+	timesBlock, _, err := r.readBlocks(buf, meta, false)
 	if err != nil {
 		return nil, err
 	}
-	ts, rest, err := meta.Codec.DecodeTimesWith(timesBlock)
-	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: timestamp block decode (%v)", ErrCorrupt, err)
-	}
-	if int64(len(ts)) != meta.Count {
-		return nil, fmt.Errorf("%w: count mismatch: meta %d, times %d", ErrCorrupt, meta.Count, len(ts))
-	}
-	return ts, nil
+	return decodeTimes(meta, timesBlock)
 }
 
 var _ storage.ChunkSource = (*Reader)(nil)

@@ -73,8 +73,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunk %s: %d pts, want %d", m.SeriesID, len(got), len(want))
+		if !reflect.DeepEqual(got.Points(), want) {
+			t.Fatalf("chunk %s: %d pts, want %d", m.SeriesID, got.Len(), len(want))
 		}
 		ts, err := r.ReadTimes(m)
 		if err != nil {
@@ -117,7 +117,7 @@ func TestBothCodecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, data) {
+		if !reflect.DeepEqual(got.Points(), data) {
 			t.Fatalf("%v: data mismatch", codec)
 		}
 		r.Close()
@@ -290,7 +290,7 @@ func TestManyChunksOffsets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want[i]) {
+		if !reflect.DeepEqual(got.Points(), want[i]) {
 			t.Fatalf("chunk %d mismatch", i)
 		}
 	}

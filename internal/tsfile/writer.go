@@ -70,6 +70,8 @@ type Writer struct {
 	offset int64
 	metas  []storage.ChunkMeta
 	closed bool
+	// Encode scratch, reused from chunk to chunk: a flush writes hundreds.
+	times, values []byte
 }
 
 // Create opens path for writing and emits the file header.
@@ -105,8 +107,10 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec enco
 		return storage.ChunkMeta{}, fmt.Errorf("tsfile: chunk %s v%d: bad codec %d", seriesID, version, codec)
 	}
 
-	timesBlock := codec.EncodeTimesWith(nil, data.Times())
-	valuesBlock := codec.EncodeValuesWith(nil, data.Values())
+	cols := data.Columns()
+	w.times = codec.EncodeTimesWith(w.times[:0], cols.Times())
+	w.values = codec.EncodeValuesWith(w.values[:0], cols.Values())
+	timesBlock, valuesBlock := w.times, w.values
 
 	var hdr []byte
 	hdr = encoding.AppendUvarint(hdr, uint64(len(seriesID)))

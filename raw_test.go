@@ -78,7 +78,7 @@ func (s versionSource) pick(m storage.ChunkMeta) storage.ChunkSource {
 	}
 	return s.clean
 }
-func (s versionSource) ReadChunk(m storage.ChunkMeta) (series.Series, error) {
+func (s versionSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	return s.pick(m).ReadChunk(m)
 }
 func (s versionSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) { return s.pick(m).ReadTimes(m) }
