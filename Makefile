@@ -68,10 +68,10 @@ soak:
 
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
 # footers, record logs), the m4ql parser including the REPRESENT
-# clause, the /write line-protocol parser, and the Gorilla codec against
-# its bit-at-a-time reference. Go allows one -fuzz
-# target per invocation, so each runs separately for FUZZTIME (the seed
-# corpus also runs in plain `make test`).
+# clause, the /write line-protocol parser, the Gorilla codec against its
+# bit-at-a-time reference, and the step-regression build against its
+# reference. Go allows one -fuzz target per invocation, so each runs
+# separately for FUZZTIME (the seed corpus also runs in plain `make test`).
 fuzz:
 	$(GO) test ./internal/m4ql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWriteBody$$' -fuzztime $(FUZZTIME)
@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzBitStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stepreg -run '^$$' -fuzz '^FuzzStepregBuild$$' -fuzztime $(FUZZTIME)
 
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
@@ -138,7 +139,7 @@ lint:
 		echo "only regenerates the paper's tables. No BENCH_*.json at the root, no bench-* target but"; \
 		echo "bench-check and bench-smoke, no root-package Benchmark, no server-level sweep in exper."; \
 		echo "Exempt: per-package micro-benchmarks beside their code (internal/encoding, internal/tsfile,"; \
-		echo "internal/stepreg), which make microbench runs once each so they cannot rot."; \
+		echo "internal/stepreg, internal/m4lsm), which make microbench runs once each so they cannot rot."; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -nE 'FromColumns\(|\.Points\(\)|\.Columns\(\)' internal/tsfile/reader.go \
@@ -169,7 +170,7 @@ bench-check:
 # the root-package benchmarks went, nothing else executes them, and a
 # benchmark that is never run stops compiling or starts failing unnoticed.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm
 
 # check is the standard gate for this repo: static analysis, the logging,
 # backoff, one-read-path, one-write-path and columnar-read-path lints, the

@@ -101,6 +101,16 @@ func (c *LRU) put(e *entry) {
 	}
 }
 
+func (c *LRU) remove(k key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.ll.Remove(el)
+		delete(c.items, k)
+		c.used -= el.Value.(*entry).size
+	}
+}
+
 // Stats reports cache effectiveness.
 type Stats struct {
 	Hits, Misses int64
@@ -174,6 +184,32 @@ func (s *Source) ReadTimesCached(meta storage.ChunkMeta) ([]int64, bool, error) 
 	}
 	s.lru.put(&entry{key: k, size: int64(len(ts)) * 8, times: ts})
 	return ts, false, nil
+}
+
+// ReadValues implements storage.ChunkSource.
+func (s *Source) ReadValues(meta storage.ChunkMeta) ([]float64, error) {
+	vs, _, err := s.ReadValuesCached(meta)
+	return vs, err
+}
+
+// ReadValuesCached implements storage.CachedSource. A cached full chunk
+// serves the read. Otherwise the value block is read, and a cached
+// timestamp entry is upgraded to a full one with it; without one nothing is
+// cached, since a value column is never cached apart from its timestamps.
+func (s *Source) ReadValuesCached(meta storage.ChunkMeta) ([]float64, bool, error) {
+	k := key{meta.SeriesID, meta.Version, kindData}
+	if e, ok := s.lru.get(k); ok {
+		return e.cols.Values(), true, nil
+	}
+	vs, err := s.inner.ReadValues(meta)
+	if err != nil {
+		return nil, false, err
+	}
+	if e, ok := s.lru.get(key{meta.SeriesID, meta.Version, kindTimes}); ok {
+		s.lru.remove(e.key)
+		s.lru.put(&entry{key: k, size: int64(len(vs)) * 16, cols: series.NewColumns(e.times, vs)})
+	}
+	return vs, false, nil
 }
 
 var _ storage.CachedSource = (*Source)(nil)

@@ -14,6 +14,7 @@ type countingSource struct {
 	inner      storage.ChunkSource
 	chunkReads int
 	timeReads  int
+	valueReads int
 	mu         sync.Mutex
 }
 
@@ -29,6 +30,13 @@ func (c *countingSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) {
 	c.timeReads++
 	c.mu.Unlock()
 	return c.inner.ReadTimes(m)
+}
+
+func (c *countingSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	c.mu.Lock()
+	c.valueReads++
+	c.mu.Unlock()
+	return c.inner.ReadValues(m)
 }
 
 func setup(t *testing.T, capBytes int64) (*Source, *countingSource, storage.ChunkMeta) {
@@ -84,6 +92,35 @@ func TestTimesCachedSeparately(t *testing.T) {
 	src.ReadChunk(meta)
 	if phys.chunkReads != 1 {
 		t.Errorf("chunk reads = %d, want 1", phys.chunkReads)
+	}
+}
+
+// TestValueReadUpgradesTimesEntry: the value half of a load completes a
+// cached timestamp entry into a full one, so the next full or value read is
+// a hit; with no timestamps cached the value read passes through uncached.
+func TestValueReadUpgradesTimesEntry(t *testing.T) {
+	src, phys, meta := setup(t, 1<<20)
+	if vs, err := src.ReadValues(meta); err != nil || len(vs) != 2 || vs[1] != 2 {
+		t.Fatal(vs, err)
+	}
+	if st := src.lru.Stats(); st.Entries != 0 {
+		t.Errorf("value column cached without its timestamps: %+v", st)
+	}
+	src.ReadTimes(meta)
+	if vs, err := src.ReadValues(meta); err != nil || len(vs) != 2 || vs[1] != 2 {
+		t.Fatal(vs, err)
+	}
+	if st := src.lru.Stats(); st.Entries != 1 || st.UsedBytes != 2*16 {
+		t.Errorf("after upgrade: %+v, want one full entry", st)
+	}
+	cols, err := src.ReadChunk(meta)
+	if err != nil || cols.Len() != 2 {
+		t.Fatal(cols, err)
+	}
+	src.ReadValues(meta)
+	if phys.chunkReads != 0 || phys.timeReads != 1 || phys.valueReads != 2 {
+		t.Errorf("physical reads chunk/times/values = %d/%d/%d, want 0/1/2",
+			phys.chunkReads, phys.timeReads, phys.valueReads)
 	}
 }
 
@@ -151,9 +188,12 @@ func TestChunkRefCacheAttribution(t *testing.T) {
 	if _, err := ref.LoadTimes(); err != nil { // served by the cached chunk
 		t.Fatal(err)
 	}
+	if _, err := ref.LoadValues(); err != nil { // likewise
+		t.Fatal(err)
+	}
 	got := stats.Load()
-	if got.CacheMisses != 1 || got.CacheHits != 3 {
-		t.Errorf("hits=%d misses=%d, want 3/1", got.CacheHits, got.CacheMisses)
+	if got.CacheMisses != 1 || got.CacheHits != 4 {
+		t.Errorf("hits=%d misses=%d, want 4/1", got.CacheHits, got.CacheMisses)
 	}
 	// An uncached source records neither.
 	mem := storage.NewMemSource()
@@ -191,7 +231,11 @@ func TestWarmReadsShareColumns(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { ts, hit, _ = src.ReadTimesCached(meta) }); n != 0 || !hit {
 		t.Errorf("warm ReadTimesCached: %v allocs/op, hit=%v; want 0, true", n, hit)
 	}
-	if &cols.Times()[0] != &cold.Times()[0] || &ts[0] != &cold.Times()[0] || &cols.Values()[0] != &cold.Values()[0] {
+	var vs []float64
+	if n := testing.AllocsPerRun(100, func() { vs, hit, _ = src.ReadValuesCached(meta) }); n != 0 || !hit {
+		t.Errorf("warm ReadValuesCached: %v allocs/op, hit=%v; want 0, true", n, hit)
+	}
+	if &cols.Times()[0] != &cold.Times()[0] || &ts[0] != &cold.Times()[0] || &cols.Values()[0] != &cold.Values()[0] || &vs[0] != &cold.Values()[0] {
 		t.Error("a warm read returned a copy of the cached columns")
 	}
 }
@@ -231,6 +275,10 @@ func TestConcurrentAccess(t *testing.T) {
 					return
 				}
 				if _, err := src.ReadTimes(m); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := src.ReadValues(m); err != nil {
 					t.Error(err)
 					return
 				}

@@ -242,6 +242,16 @@ func (s *Source) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
 	return s.inner.ReadTimes(meta)
 }
 
+// ReadValues implements storage.ChunkSource. A value-only read is the rest
+// of a data load, so it draws the "data" site's fault: a seed fails the same
+// chunks whichever load shape reaches them.
+func (s *Source) ReadValues(meta storage.ChunkMeta) ([]float64, error) {
+	if err := s.fault(meta, "data"); err != nil {
+		return nil, err
+	}
+	return s.inner.ReadValues(meta)
+}
+
 var _ storage.ChunkSource = (*Source)(nil)
 
 // StepInjector simulates a process kill at the n-th write-path step. The

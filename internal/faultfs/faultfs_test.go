@@ -74,6 +74,34 @@ func TestSourceFaults(t *testing.T) {
 		if _, err := s.ReadTimes(meta); !errors.Is(err, ErrInjected) {
 			t.Fatalf("times err = %v", err)
 		}
+		if _, err := s.ReadValues(meta); !errors.Is(err, ErrInjected) {
+			t.Fatalf("values err = %v", err)
+		}
+	})
+	t.Run("value reads draw the data site", func(t *testing.T) {
+		mem := storage.NewMemSource()
+		s := Wrap(mem, NewInjector(Config{Seed: 3, ErrRate: 0.5}))
+		failed := 0
+		for v := storage.Version(1); v <= 40; v++ {
+			m, err := mem.AddChunk("s", v, series.Series{{T: 1, V: float64(v)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, chunkErr := s.ReadChunk(m)
+			vs, valuesErr := s.ReadValues(m)
+			if (chunkErr == nil) != (valuesErr == nil) {
+				t.Fatalf("v%d: ReadChunk err %v, ReadValues err %v: one site, two fates", v, chunkErr, valuesErr)
+			}
+			if valuesErr == nil && vs[0] != float64(v) {
+				t.Fatalf("v%d: values = %v", v, vs)
+			}
+			if chunkErr != nil {
+				failed++
+			}
+		}
+		if failed == 0 || failed == 40 {
+			t.Fatalf("%d of 40 chunks failed at rate 0.5", failed)
+		}
 	})
 	t.Run("flip without sentinel", func(t *testing.T) {
 		s := Wrap(inner, NewInjector(Config{Seed: 1, FlipRate: 1}))

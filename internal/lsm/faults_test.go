@@ -243,6 +243,13 @@ type sourceFunc struct {
 func (s sourceFunc) ReadChunk(m storage.ChunkMeta) (series.Columns, error) { return s.read(m) }
 func (s sourceFunc) ReadTimes(m storage.ChunkMeta) ([]int64, error)        { return s.times(m) }
 
+// ReadValues is the value half of read, so a double that fails data reads
+// fails value-only reads too.
+func (s sourceFunc) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	cols, err := s.read(m)
+	return cols.Values(), err
+}
+
 func pick(faulty bool, a, b storage.ChunkSource) storage.ChunkSource {
 	if faulty {
 		return a

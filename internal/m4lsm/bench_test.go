@@ -1,0 +1,195 @@
+package m4lsm
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"m4lsm/internal/encoding"
+	"m4lsm/internal/m4"
+	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
+	"m4lsm/internal/tsfile"
+	"m4lsm/internal/workload"
+)
+
+// table4Snapshot builds the paper's Table 4 storage shape: MF03 points in
+// chunks of 1000, a tenth of them written as fully overlapping pairs, then
+// 20 range deletes of 500 intervals each. The chunks are encoded once into
+// a chunk file held in memory, so every load decodes them as a cold read
+// of the file would. The file's reader is every chunk's source.
+func table4Snapshot(tb testing.TB, chunks int) (*storage.Snapshot, *tsfile.Reader) {
+	tb.Helper()
+	const chunkSize = 1000
+	preset := workload.MF03()
+	data := preset.Generate(chunks*chunkSize, 1)
+	path := filepath.Join(tb.TempDir(), "table4.tsf")
+	w, err := tsfile.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ver := storage.Version(1)
+	write := func(pts series.Series) {
+		if _, err := w.WriteChunk("root.mf03", ver, encoding.CodecGorilla, pts); err != nil {
+			tb.Fatal(err)
+		}
+		ver++
+	}
+	for i := 0; i < chunks; i++ {
+		part := data[i*chunkSize : (i+1)*chunkSize]
+		if i+1 < chunks && rng.Float64() < 0.10 {
+			// Interleave the pair: both chunks span the union's range.
+			pair := data[i*chunkSize : (i+2)*chunkSize]
+			var even, odd series.Series
+			for j, p := range pair {
+				if j%2 == 0 {
+					even = append(even, p)
+				} else {
+					odd = append(odd, p)
+				}
+			}
+			write(even)
+			write(odd)
+			i++
+			continue
+		}
+		write(part)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := tsfile.OpenReaderAt(bytes.NewReader(raw), int64(len(raw)), "table4")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap := &storage.Snapshot{SeriesID: "root.mf03", Stats: &storage.Stats{}, Warnings: &storage.Warnings{}}
+	for _, m := range r.Metas() {
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(m, r, snap.Stats))
+	}
+	lo, hi := data[0].T, data[len(data)-1].T
+	for i := 0; i < 20; i++ {
+		start := lo + rng.Int63n(hi-lo)
+		snap.Deletes = append(snap.Deletes, storage.Delete{SeriesID: "root.mf03", Version: ver, Start: start, End: start + 500*preset.IntervalMs})
+		ver++
+	}
+	return snap, r
+}
+
+// fullQuery asks for w spans over the snapshot's whole extent.
+func fullQuery(snap *storage.Snapshot, w int) m4.Query {
+	q := m4.Query{Tqs: snap.Chunks[0].Meta.First.T, Tqe: snap.Chunks[0].Meta.Last.T + 1, W: w}
+	for _, c := range snap.Chunks {
+		q.Tqs = min(q.Tqs, c.Meta.First.T)
+		q.Tqe = max(q.Tqe, c.Meta.Last.T+1)
+	}
+	return q
+}
+
+// BenchmarkComputeTable4 is one M4-LSM query over the Table 4 shape at the
+// paper's two span counts, every chunk load a decode.
+func BenchmarkComputeTable4(b *testing.B) {
+	snap, _ := table4Snapshot(b, 64)
+	for _, w := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			q := fullQuery(snap, w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compute(snap, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestComputeAllocsDoNotScaleWithTasks: on a fixed chunk set where every
+// chunk is split, and so loaded, at both span counts, a query's allocations
+// are the same few per chunk and per query whether it runs 400 tasks or
+// 4000 — no task allocates its candidate-loop state.
+func TestComputeAllocsDoNotScaleWithTasks(t *testing.T) {
+	snap, _ := table4Snapshot(t, 32)
+	allocs := func(w int) float64 {
+		q := fullQuery(snap, w)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := ComputeWithOptions(snap, q, Options{Parallelism: 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(100), allocs(1000)
+	if many > few+64 {
+		t.Errorf("allocations per query: %v at w=100, %v at w=1000; want at most 64 more for 10x the tasks", few, many)
+	}
+}
+
+// blockReads counts, per chunk version, the reads that decode each block.
+type blockReads struct {
+	inner storage.ChunkSource
+	mu    sync.Mutex
+	times map[storage.Version]int // ReadTimes and ReadChunk
+	vals  map[storage.Version]int // ReadValues and ReadChunk
+}
+
+func (b *blockReads) count(m storage.ChunkMeta, times, vals int) {
+	b.mu.Lock()
+	b.times[m.Version] += times
+	b.vals[m.Version] += vals
+	b.mu.Unlock()
+}
+
+func (b *blockReads) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
+	b.count(m, 1, 1)
+	return b.inner.ReadChunk(m)
+}
+
+func (b *blockReads) ReadTimes(m storage.ChunkMeta) ([]int64, error) {
+	b.count(m, 1, 0)
+	return b.inner.ReadTimes(m)
+}
+
+func (b *blockReads) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	b.count(m, 0, 1)
+	return b.inner.ReadValues(m)
+}
+
+// TestTimestampBlockDecodedOnce: a chunk whose timestamps a probe already
+// fetched is completed with its value block alone, so no query decodes a
+// chunk's timestamp block, or its value block, twice.
+func TestTimestampBlockDecodedOnce(t *testing.T) {
+	snap, r := table4Snapshot(t, 32)
+	for _, par := range []int{1, 4} {
+		for _, w := range []int{10, 100, 1000} {
+			reads := &blockReads{inner: r, times: map[storage.Version]int{}, vals: map[storage.Version]int{}}
+			stats := &storage.Stats{}
+			s := &storage.Snapshot{SeriesID: snap.SeriesID, Deletes: snap.Deletes, Stats: stats, Warnings: &storage.Warnings{}}
+			for _, c := range snap.Chunks {
+				s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, reads, stats))
+			}
+			if _, err := ComputeWithOptions(s, fullQuery(s, w), Options{Parallelism: par}); err != nil {
+				t.Fatal(err)
+			}
+			completed := 0
+			for ver, n := range reads.times {
+				if n > 1 || reads.vals[ver] > 1 {
+					t.Errorf("par %d w=%d: chunk v%d: timestamp block decoded %d times, value block %d", par, w, ver, n, reads.vals[ver])
+				}
+				if n == 1 && reads.vals[ver] == 1 {
+					completed++
+				}
+			}
+			if int64(completed) != stats.ChunksLoaded {
+				t.Errorf("par %d w=%d: %d chunks fully read, stats count %d loads", par, w, completed, stats.ChunksLoaded)
+			}
+		}
+	}
+}

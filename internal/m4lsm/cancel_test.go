@@ -35,6 +35,12 @@ func (s *slowSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) {
 	return s.inner.ReadTimes(m)
 }
 
+func (s *slowSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	s.reads.Add(1)
+	time.Sleep(s.delay)
+	return s.inner.ReadValues(m)
+}
+
 // slowSnapshot builds nChunks disjoint overwrite-heavy chunks behind a slow
 // source; every chunk needs a load (each chunk is overwritten at one point
 // by a higher version, so metadata alone cannot answer).
@@ -165,6 +171,13 @@ func (f *failingSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) {
 		return nil, fmt.Errorf("read times v%d: %w", m.Version, f.err)
 	}
 	return f.inner.ReadTimes(m)
+}
+
+func (f *failingSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	if f.bad[m.Version] {
+		return nil, fmt.Errorf("read values v%d: %w", m.Version, f.err)
+	}
+	return f.inner.ReadValues(m)
 }
 
 // degradedSnapshot: three overlapping chunks, the middle one unreadable.

@@ -1,11 +1,14 @@
 package m4lsm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"m4lsm/internal/m4"
+	"m4lsm/internal/m4udf"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/testutil"
@@ -282,6 +285,54 @@ func TestSoakEquivalence(t *testing.T) {
 					t.Fatalf("profile %d seed %d span %d:\n got %v\nwant %v", pi, seed, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestSplitChunkOverwrittenExtremumScansAfresh: a chunk split across both
+// spans whose chunk-wide top (span 0) and bottom (span 1) are overwritten by
+// a later chunk. The TP and BP tasks load the chunk over their span — the
+// per-(chunk, span) summary all four functions share — find the extremum
+// overwritten and exclude it. The rescan under that exclusion must be the
+// task's own: answered from the shared summary it would offer the same
+// point again, forever.
+func TestSplitChunkOverwrittenExtremumScansAfresh(t *testing.T) {
+	base := make(series.Series, 100)
+	for i := range base {
+		base[i] = series.Point{T: int64(i), V: float64(i % 10)}
+	}
+	base[40].V = 100
+	base[60].V = -100
+	snap := buildSnapshot(t, map[storage.Version]series.Series{
+		1: base,
+		2: {{T: 40, V: -1}, {T: 60, V: 5}},
+	}, nil)
+	q := m4.Query{Tqs: 0, Tqe: 100, W: 2}
+	want, err := m4udf.Compute(snap, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 4}, {Parallelism: 1, EagerLoad: true}} {
+		type result struct {
+			aggs []m4.Aggregate
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			aggs, err := ComputeWithOptions(snap, q, opts)
+			done <- result{aggs, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("%+v: %v", opts, r.err)
+			}
+			assertEquivalent(t, r.aggs, want, fmt.Sprintf("%+v", opts))
+			if r.aggs[0].Top != (series.Point{T: 9, V: 9}) || r.aggs[1].Bottom != (series.Point{T: 50, V: 0}) {
+				t.Fatalf("%+v: %v; the overwritten extrema leaked through", opts, r.aggs)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%+v: the candidate loop keeps offering the excluded extremum", opts)
 		}
 	}
 }

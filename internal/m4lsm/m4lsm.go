@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,29 +124,28 @@ func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, opt
 
 // timedG wraps computeG with per-task timing when tracing or metrics are
 // armed; otherwise it forwards with zero overhead beyond two nil checks.
-func (op *operator) timedG(spanIdx int, span series.TimeRange, chunks []*chunkState, g gKind) (series.Point, bool, error) {
+func (op *operator) timedG(sc *spanComputer, spanIdx int, span series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
 	if op.tr == nil && op.met == nil {
-		return op.computeG(span, chunks, g)
+		return op.computeG(sc, span, chunks, g)
 	}
 	t0 := time.Now()
-	pt, ok, err := op.computeG(span, chunks, g)
+	pt, ok, err := op.computeG(sc, span, chunks, g)
 	d := time.Since(t0)
 	op.tr.Task(spanIdx, g.String(), d)
 	op.met.RecordTask(d)
 	return pt, ok, err
 }
 
-// runPool executes tasks 0..n-1 across at most par worker goroutines,
-// pulling task indexes off a shared atomic counter. par <= 1 runs inline
-// on the calling goroutine with zero scheduling overhead. A task error
-// stops the pool early; callers inspect per-task results for the error.
-func runPool(par, n int, run func(int) error) {
-	if par > n {
-		par = n
-	}
+// runPool executes tasks 0..n-1 across at most len(scratch) worker
+// goroutines, pulling task indexes off a shared atomic counter; worker w
+// runs its tasks on scratch[w]. One worker runs inline on the calling
+// goroutine. A task error stops the pool early; callers inspect per-task
+// results for the error.
+func runPool(scratch []spanComputer, n int, run func(*spanComputer, int) error) {
+	par := min(len(scratch), n)
 	if par <= 1 {
 		for t := 0; t < n; t++ {
-			if run(t) != nil {
+			if run(&scratch[0], t) != nil {
 				return
 			}
 		}
@@ -158,6 +158,7 @@ func runPool(par, n int, run func(int) error) {
 	)
 	wg.Add(par)
 	for w := 0; w < par; w++ {
+		sc := &scratch[w]
 		go func() {
 			defer wg.Done()
 			for {
@@ -165,7 +166,7 @@ func runPool(par, n int, run func(int) error) {
 				if t >= n || failed.Load() {
 					return
 				}
-				if run(t) != nil {
+				if run(sc, t) != nil {
 					failed.Store(true)
 					return
 				}
@@ -210,10 +211,11 @@ type gResult struct {
 }
 
 // computeG evaluates one representation function over one span: the unit
-// of work the pool schedules. Views are task-local, so concurrent tasks on
-// the same span never share mutable state; per-task counters flush into
-// the shared stats with one atomic Add on the way out.
-func (op *operator) computeG(span series.TimeRange, chunks []*chunkState, g gKind) (series.Point, bool, error) {
+// of work the pool schedules, run on the worker's scratch sc. Views are
+// task-local; concurrent tasks share only chunk states and summaries, both
+// behind the chunk's mutex. Per-task counters flush into the shared stats
+// with one Add on the way out.
+func (op *operator) computeG(sc *spanComputer, span series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
 	if err := op.ctx.Err(); err != nil {
 		return series.Point{}, false, err
 	}
@@ -225,13 +227,11 @@ func (op *operator) computeG(span series.TimeRange, chunks []*chunkState, g gKin
 			return series.Point{}, false, err
 		}
 	}
-	sc := &spanComputer{op: op, span: span, views: make([]*view, len(chunks))}
+	sc.reset(op, span, chunks)
 	defer func() { op.stats.Add(sc.local) }()
-	for i, cs := range chunks {
-		sc.views[i] = sc.newView(cs)
-	}
 	if op.opts.EagerLoad {
-		for _, v := range sc.views {
+		for i := range sc.views {
+			v := &sc.views[i]
 			if err := sc.materialize(v); err != nil {
 				if err := sc.chunkFailed(v, err); err != nil {
 					return series.Point{}, false, err
@@ -317,10 +317,11 @@ func (op *operator) budgetDenied(cs *chunkState, err error) {
 
 // chunkState caches per-chunk loads across spans and functions. The mutex
 // is the singleflight gate: N workers racing to materialize the same chunk
-// serialize on it, the first performs the LoadTimes/Load I/O, and the rest
-// find the columns already present — exactly one load per chunk per query
-// regardless of parallelism. The loaded columns are written once under the
-// lock and never mutated, so post-ensure reads outside the lock are safe.
+// serialize on it, the first performs the LoadTimes/Load/LoadValues I/O,
+// and the rest find the columns already present — exactly one load per
+// chunk per query regardless of parallelism. The loaded columns are written
+// once under the lock and never mutated, so post-ensure reads outside the
+// lock are safe. The lock also guards the chunk's assignments' summaries.
 type chunkState struct {
 	ref  storage.ChunkRef
 	meta storage.ChunkMeta
@@ -368,12 +369,6 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 	return nil
 }
 
-func (op *operator) ensureData(cs *chunkState) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return op.ensureDataLocked(cs)
-}
-
 func (op *operator) ensureDataLocked(cs *chunkState) error {
 	if cs.loadErr != nil {
 		return cs.loadErr
@@ -387,14 +382,21 @@ func (op *operator) ensureDataLocked(cs *chunkState) error {
 	if err := op.budget.ChargeChunk(int64(cs.meta.Count)); err != nil {
 		return err
 	}
-	cols, err := cs.ref.Load()
+	// With the timestamps already here, the rest of the load is the value
+	// block alone: no chunk's timestamp block is decoded twice.
+	var err error
+	if cs.hasTimes {
+		cs.values, err = cs.ref.LoadValues()
+	} else {
+		var cols series.Columns
+		cols, err = cs.ref.Load()
+		cs.times, cs.values = cols.Times(), cols.Values()
+	}
 	if err != nil {
 		cs.loadErr = err
 		return err
 	}
-	cs.values = cols.Values()
 	if !cs.hasTimes {
-		cs.times = cols.Times()
 		cs.buildProbe(op.opts)
 		cs.hasTimes = true
 	}
@@ -448,56 +450,85 @@ type gSlot struct {
 	pt series.Point
 }
 
-// view is one chunk restricted to one span (an element of C” in §3.1).
-type view struct {
-	cs           *chunkState
-	ver          storage.Version
-	first        gSlot
-	last         gSlot
-	bottom       gSlot
-	top          gSlot
-	excluded     map[int64]bool // timestamps verified overwritten by later chunks (lazily allocated)
-	materialized bool
-	dead         bool // no surviving points in the span
+// assignment is one chunk assigned to one range of a query: a span, or a
+// pyramid span's boundary fragment (whose four functions run in one task).
+// Every task over the range works on the same assignment, and so shares
+// the chunk's summary over exactly that range.
+type assignment struct {
+	cs  *chunkState
+	sum summary // guarded by cs.mu
 }
 
-// spanComputer runs one candidate loop for one span. It is task-local:
-// its views (and their slots and exclusion sets) belong to a
-// single goroutine, and operator counters accumulate in local before one
-// atomic flush when the task finishes.
+// summary is a chunk's FP/LP/BP/TP over its assignment's range after the
+// query's deletes, as positions into its columns (first < 0: none
+// survives). It is a function of the chunk, range and deletes alone, so
+// whichever task computes it, every result stays byte-identical.
+type summary struct {
+	scanned                  bool
+	first, last, bottom, top int
+}
+
+// view is one chunk restricted to one span (an element of C” in §3.1).
+type view struct {
+	*assignment
+	ver      storage.Version
+	first    gSlot
+	last     gSlot
+	bottom   gSlot
+	top      gSlot
+	excluded []int64 // sorted timestamps verified overwritten by later chunks
+	dead     bool    // no surviving points in the span
+}
+
+// spanComputer runs one candidate loop for one span. It is a worker's
+// scratch, reset by every task it runs: its views (and their slots and
+// exclusion sets) belong to a single goroutine, and operator counters
+// accumulate in local before one flush when the task finishes.
 type spanComputer struct {
 	op    *operator
 	span  series.TimeRange
-	views []*view
+	views []view
+	frag  []assignment // the current pyramid fragment's chunks
 	local storage.Stats
 }
 
-// newView restricts chunk metadata to the span: the virtual deletes of
-// §3.1. Metadata points falling outside the span degrade to bounds.
-func (sc *spanComputer) newView(cs *chunkState) *view {
-	m := cs.meta
-	v := &view{cs: cs, ver: m.Version}
-	if m.First.T >= sc.span.Start {
+// reset points the scratch at a new task, reusing its view arena.
+func (sc *spanComputer) reset(op *operator, span series.TimeRange, chunks []assignment) {
+	sc.op, sc.span, sc.local = op, span, storage.Stats{}
+	if cap(sc.views) < len(chunks) {
+		sc.views = make([]view, len(chunks))
+	}
+	sc.views = sc.views[:len(chunks)]
+	for i := range chunks {
+		sc.views[i].reset(&chunks[i], span)
+	}
+}
+
+// reset restricts chunk metadata to the span: the virtual deletes of §3.1.
+// Metadata points falling outside the span degrade to bounds.
+func (v *view) reset(a *assignment, span series.TimeRange) {
+	m := a.cs.meta
+	*v = view{assignment: a, ver: m.Version, excluded: v.excluded[:0]}
+	if m.First.T >= span.Start {
 		v.first = gSlot{st: stPoint, pt: m.First}
 	} else {
-		v.first = gSlot{st: stBoundTime, pt: series.Point{T: sc.span.Start}}
+		v.first = gSlot{st: stBoundTime, pt: series.Point{T: span.Start}}
 	}
-	if m.Last.T < sc.span.End {
+	if m.Last.T < span.End {
 		v.last = gSlot{st: stPoint, pt: m.Last}
 	} else {
-		v.last = gSlot{st: stBoundTime, pt: series.Point{T: sc.span.End - 1}}
+		v.last = gSlot{st: stBoundTime, pt: series.Point{T: span.End - 1}}
 	}
-	if sc.span.Contains(m.Bottom.T) {
+	if span.Contains(m.Bottom.T) {
 		v.bottom = gSlot{st: stPoint, pt: m.Bottom}
 	} else {
 		v.bottom = gSlot{st: stBoundValue, pt: series.Point{V: m.Bottom.V}}
 	}
-	if sc.span.Contains(m.Top.T) {
+	if span.Contains(m.Top.T) {
 		v.top = gSlot{st: stPoint, pt: m.Top}
 	} else {
 		v.top = gSlot{st: stBoundValue, pt: series.Point{V: m.Top.V}}
 	}
-	return v
 }
 
 // chunkFailed routes a chunk read error: under Strict — or when the query's
@@ -537,7 +568,8 @@ func (sc *spanComputer) deletedLater(t int64, ver storage.Version) (storage.Dele
 // Definition 2.7 this holds regardless of whether that later point is
 // itself deleted.
 func (sc *spanComputer) overwrittenLater(t int64, ver storage.Version) (bool, error) {
-	for _, w := range sc.views {
+	for i := range sc.views {
+		w := &sc.views[i]
 		if w.ver <= ver {
 			continue
 		}
@@ -563,43 +595,81 @@ func (sc *spanComputer) overwrittenLater(t int64, ver storage.Version) (bool, er
 // materialize loads the chunk and recalculates the view's metadata under
 // the span, deletes and known overwrites (Table 1 case c).
 func (sc *spanComputer) materialize(v *view) error {
-	if err := sc.op.ensureData(v.cs); err != nil {
+	s, err := sc.op.summarize(v.assignment, sc.span, v.excluded)
+	if err != nil {
 		return err
 	}
-	v.materialized = true
-	sc.recompute(v)
+	if s.first < 0 {
+		v.dead = true
+		return nil
+	}
+	ts, vs := v.cs.times, v.cs.values
+	at := func(i int) gSlot { return gSlot{st: stVerifiedPoint, pt: series.Point{T: ts[i], V: vs[i]}} }
+	v.first, v.last, v.bottom, v.top = at(s.first), at(s.last), at(s.bottom), at(s.top)
 	return nil
 }
 
-// recompute refreshes a materialized view's slots from its surviving span
-// points, in one pass over the span's stretch of the columns. Ties resolve
-// as in storage.ComputeMeta: the first strictly smaller (larger) value wins.
-func (sc *spanComputer) recompute(v *view) {
-	in := series.NewColumns(v.cs.times, v.cs.values).Slice(sc.span)
-	ts, vs := in.Times(), in.Values()
-	first, last, bottom, top := -1, 0, 0, 0
-	for i, t := range ts {
-		if v.excluded != nil && v.excluded[t] || sc.op.deleteIx.Covered(t, v.ver) {
+// summarize loads the chunk and returns its summary over r, under the
+// chunk's singleflight mutex. Without exclusions that is the assignment's
+// shared summary, scanned once per (chunk, range) per query by whichever
+// task gets there first; a view's overwrite exclusions are its own task's
+// business, so with any the range is scanned afresh and nothing is shared.
+func (op *operator) summarize(a *assignment, r series.TimeRange, excluded []int64) (summary, error) {
+	cs := a.cs
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if err := op.ensureDataLocked(cs); err != nil {
+		return summary{}, err
+	}
+	if len(excluded) > 0 {
+		return op.scan(cs, r, excluded), nil
+	}
+	if !a.sum.scanned {
+		a.sum = op.scan(cs, r, nil)
+	}
+	return a.sum, nil
+}
+
+// scan finds the surviving FP/LP/BP/TP of the chunk's columns over r in
+// one pass, skipping the sorted excluded timestamps and deleted points. A
+// range query on the delete index decides whether any delete applies at
+// all; only if one does is each point checked, by a sweep beside the
+// column. Ties resolve as in storage.ComputeMeta: the first strictly
+// smaller (larger) value wins.
+func (op *operator) scan(cs *chunkState, r series.TimeRange, excluded []int64) summary {
+	ts, vs := cs.times, cs.values
+	lo, _ := slices.BinarySearch(ts, r.Start)
+	hi, _ := slices.BinarySearch(ts, r.End)
+	s := summary{scanned: true, first: -1}
+	if lo >= hi {
+		return s
+	}
+	ver := cs.meta.Version
+	checkDeletes := op.deleteIx.CoversAny(ts[lo], ts[hi-1], ver)
+	sweep := op.deleteIx.Sweep(ts[lo], ver)
+	x := 0
+	for i := lo; i < hi; i++ {
+		t := ts[i]
+		if checkDeletes && sweep.Covered(t) {
+			continue
+		}
+		for x < len(excluded) && excluded[x] < t {
+			x++
+		}
+		if x < len(excluded) && excluded[x] == t {
 			continue
 		}
 		switch {
-		case first < 0:
-			first, bottom, top = i, i, i
-		case vs[i] < vs[bottom]:
-			bottom = i
-		case vs[i] > vs[top]:
-			top = i
+		case s.first < 0:
+			s.first, s.bottom, s.top = i, i, i
+		case vs[i] < vs[s.bottom]:
+			s.bottom = i
+		case vs[i] > vs[s.top]:
+			s.top = i
 		}
-		last = i
+		s.last = i
 	}
-	if first < 0 {
-		v.dead = true
-		return
-	}
-	v.first = gSlot{st: stVerifiedPoint, pt: in.At(first)}
-	v.last = gSlot{st: stVerifiedPoint, pt: in.At(last)}
-	v.bottom = gSlot{st: stVerifiedPoint, pt: in.At(bottom)}
-	v.top = gSlot{st: stVerifiedPoint, pt: in.At(top)}
+	return s
 }
 
 // timeSlot selects the FP or LP slot.
@@ -632,7 +702,8 @@ func (sc *spanComputer) computeTimeExtreme(isFirst bool) (series.Point, bool, er
 		// Candidate generation (§3.2): the extreme time over all views,
 		// bounds included; among equal times the largest version.
 		var best *view
-		for _, v := range sc.views {
+		for i := range sc.views {
+			v := &sc.views[i]
 			if v.dead {
 				continue
 			}
@@ -817,7 +888,8 @@ func (sc *spanComputer) computeValueExtreme(isBottom bool) (series.Point, bool, 
 		// it can hide the true extremum and must win ties for
 		// resolution); among equals the largest version.
 		var best *view
-		for _, v := range sc.views {
+		for i := range sc.views {
+			v := &sc.views[i]
 			if v.dead {
 				continue
 			}
@@ -873,13 +945,9 @@ func (sc *spanComputer) computeValueExtreme(isBottom bool) (series.Point, bool, 
 				// Lazy load (§3.4): exclude the overwritten point and
 				// recalculate; remaining metadata candidates of other
 				// chunks stay in play automatically via the loop.
-				if best.excluded == nil {
-					best.excluded = map[int64]bool{}
-				}
-				best.excluded[p.T] = true
-				if best.materialized {
-					sc.recompute(best)
-				} else if err := sc.materialize(best); err != nil {
+				i, _ := slices.BinarySearch(best.excluded, p.T)
+				best.excluded = slices.Insert(best.excluded, i, p.T)
+				if err := sc.materialize(best); err != nil {
 					if err := sc.chunkFailed(best, err); err != nil {
 						return series.Point{}, false, err
 					}

@@ -89,6 +89,9 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
+	// One scratch per worker, shared by both waves: no task allocates its
+	// candidate-loop state.
+	scratch := make([]spanComputer, par)
 	phase("plan")
 
 	// Wave 1: every series' FP tasks in one pool, alongside the pyramid
@@ -111,16 +114,16 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			fpTasks = append(fpTasks, fpRef{pi, k, true})
 		}
 	}
-	runPool(par, len(fpTasks), func(t int) error {
+	runPool(scratch, len(fpTasks), func(sc *spanComputer, t int) error {
 		ref := fpTasks[t]
 		p := plans[ref.plan]
 		if ref.pyramid {
-			err := p.computePyramidSpan(ref.k)
+			err := p.computePyramidSpan(sc, ref.k)
 			p.pyrErrs[ref.k] = err
 			return err
 		}
 		span := p.work[ref.k]
-		pt, ok, err := p.op.timedG(span, q.Span(span), p.perSpan[span], gFP)
+		pt, ok, err := p.op.timedG(sc, span, q.Span(span), p.spanChunks(span), gFP)
 		p.firsts[ref.k] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
@@ -159,11 +162,11 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			}
 		}
 	}
-	runPool(par, len(restTasks), func(t int) error {
+	runPool(scratch, len(restTasks), func(sc *spanComputer, t int) error {
 		ref := restTasks[t]
 		p := plans[ref.plan]
 		span := p.work[p.live[ref.j]]
-		pt, ok, err := p.op.timedG(span, q.Span(span), p.perSpan[span], rest[ref.kind])
+		pt, ok, err := p.op.timedG(sc, span, q.Span(span), p.spanChunks(span), rest[ref.kind])
 		p.rests[restCount*ref.j+ref.kind] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
@@ -214,7 +217,8 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 // the task-result slots the two waves fill in.
 type seriesPlan struct {
 	op          *operator
-	perSpan     [][]*chunkState
+	assigned    []assignment // every span's chunks, span after span
+	spanOff     []int        // span i's chunks are assigned[spanOff[i]:spanOff[i+1]]
 	out         []m4.Aggregate
 	work        []int // span indexes with at least one chunk
 	firsts      []gResult
@@ -244,47 +248,65 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	if instrumented {
 		p.statsBefore = op.stats.Load()
 	}
-	p.perSpan = make([][]*chunkState, q.W)
 	p.pyr = planPyramid(snap, q, opts)
+	// spanAssigned reports whether a chunk joins span i's own candidate
+	// loop: not in a pyramid span, nor in a zero-width one (W > range).
+	spanAssigned := func(meta storage.ChunkMeta, i int) bool {
+		return (p.pyr == nil || p.pyr[i] == nil) && meta.OverlapsRange(q.Span(i))
+	}
 	// Chunk states are materialized lazily: a chunk whose every span is
 	// answered from pyramid cells (and that misses the boundary fragments)
 	// never needs one, and on wide snapshots those per-chunk allocations
 	// would otherwise dominate an all-cells query's cost. Metadata tests
 	// run on ref.Meta directly; the state is built on first assignment.
+	// This pass also counts span i's chunks into spanOff[i+1].
+	p.spanOff = make([]int, q.W+1)
 	for ci := range snap.Chunks {
 		meta := snap.Chunks[ci].Meta
-		lo := clampSpan(q, meta.First.T)
-		hi := clampSpan(q, meta.Last.T)
 		var cs *chunkState
-		for i := lo; i <= hi; i++ {
+		state := func() *chunkState {
+			if cs == nil {
+				cs = op.addState(snap.Chunks[ci])
+			}
+			return cs
+		}
+		for i := clampSpan(q, meta.First.T); i <= clampSpan(q, meta.Last.T); i++ {
 			// A pyramid span needs chunks only over its boundary
 			// fragments; its interior is already folded into the cells.
 			if p.pyr != nil {
 				if pp := p.pyr[i]; pp != nil {
 					if meta.OverlapsRange(pp.leftRange) {
-						if cs == nil {
-							cs = op.addState(snap.Chunks[ci])
-						}
-						pp.leftChunks = append(pp.leftChunks, cs)
+						pp.leftChunks = append(pp.leftChunks, state())
 					}
 					if meta.OverlapsRange(pp.rightRange) {
-						if cs == nil {
-							cs = op.addState(snap.Chunks[ci])
-						}
-						pp.rightChunks = append(pp.rightChunks, cs)
+						pp.rightChunks = append(pp.rightChunks, state())
 					}
 					continue
 				}
 			}
-			// Guard against zero-width spans produced by W > range.
-			if s := q.Span(i); meta.OverlapsRange(s) {
-				if cs == nil {
-					cs = op.addState(snap.Chunks[ci])
-				}
-				p.perSpan[i] = append(p.perSpan[i], cs)
+			if spanAssigned(meta, i) {
+				state()
+				p.spanOff[i+1]++
 			}
 		}
 	}
+	// A second pass lays the spans' chunks out in one slice, snapshot order
+	// within a span, with spanOff[i] as span i's fill cursor.
+	for i := 1; i <= q.W; i++ {
+		p.spanOff[i] += p.spanOff[i-1]
+	}
+	p.assigned = make([]assignment, p.spanOff[q.W])
+	for _, cs := range op.states {
+		for i := clampSpan(q, cs.meta.First.T); i <= clampSpan(q, cs.meta.Last.T); i++ {
+			if spanAssigned(cs.meta, i) {
+				p.assigned[p.spanOff[i]] = assignment{cs: cs}
+				p.spanOff[i]++
+			}
+		}
+	}
+	copy(p.spanOff[1:], p.spanOff[:q.W])
+	p.spanOff[0] = 0
+
 	p.out = make([]m4.Aggregate, q.W)
 	p.work = make([]int, 0, q.W)
 	var pyrSpans, pyrCells, pyrFallback int64
@@ -307,7 +329,7 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 				continue
 			}
 		}
-		if len(p.perSpan[i]) == 0 {
+		if len(p.spanChunks(i)) == 0 {
 			p.out[i] = m4.Aggregate{Empty: true}
 			continue
 		}
@@ -324,6 +346,11 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	p.firsts = make([]gResult, len(p.work))
 	p.pyrErrs = make([]error, len(p.pyrWork))
 	return p
+}
+
+// spanChunks returns the chunks assigned to span i.
+func (p *seriesPlan) spanChunks(i int) []assignment {
+	return p.assigned[p.spanOff[i]:p.spanOff[i+1]]
 }
 
 // assemble combines the wave results into the series' aggregates, applying

@@ -92,7 +92,7 @@ func TestRunPool(t *testing.T) {
 	for _, par := range []int{0, 1, 2, 4, 16} {
 		const n = 100
 		hits := make([]int32, n)
-		runPool(par, n, func(i int) error {
+		runPool(make([]spanComputer, max(par, 1)), n, func(_ *spanComputer, i int) error {
 			hits[i]++
 			return nil
 		})

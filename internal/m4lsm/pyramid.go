@@ -84,15 +84,15 @@ func (pp *pyrSpanPlan) cellsOnly() m4.Aggregate {
 
 // computePyramidSpan evaluates pyramid span k (indexing p.pyrWork): both
 // boundary fragments through the candidate loop, stitched with the cells.
-// Runs as one wave-1 pool task.
-func (p *seriesPlan) computePyramidSpan(k int) error {
+// Runs as one wave-1 pool task on the worker's scratch sc.
+func (p *seriesPlan) computePyramidSpan(sc *spanComputer, k int) error {
 	i := p.pyrWork[k]
 	pp := p.pyr[i]
-	left, err := p.fragmentAgg(i, pp.leftRange, pp.leftChunks)
+	left, err := p.fragmentAgg(sc, i, pp.leftRange, pp.leftChunks)
 	if err != nil {
 		return err
 	}
-	right, err := p.fragmentAgg(i, pp.rightRange, pp.rightChunks)
+	right, err := p.fragmentAgg(sc, i, pp.rightRange, pp.rightChunks)
 	if err != nil {
 		return err
 	}
@@ -111,12 +111,19 @@ func (p *seriesPlan) computePyramidSpan(k int) error {
 // fragment is narrower than one base cell, so this is O(1) chunks for
 // in-order data. Degradation mirrors assemble: when a chunk was dropped
 // mid-query and a later function comes up empty, FP substitutes.
-func (p *seriesPlan) fragmentAgg(i int, r series.TimeRange, chunks []*chunkState) (m4.Aggregate, error) {
-	if r.End <= r.Start || len(chunks) == 0 {
+func (p *seriesPlan) fragmentAgg(sc *spanComputer, i int, r series.TimeRange, states []*chunkState) (m4.Aggregate, error) {
+	if r.End <= r.Start || len(states) == 0 {
 		return m4.Aggregate{Empty: true}, nil
 	}
+	// All four functions run in this one task, so the fragment's
+	// assignments live in the worker's scratch, not in the plan.
+	chunks := sc.frag[:0]
+	for _, cs := range states {
+		chunks = append(chunks, assignment{cs: cs})
+	}
+	sc.frag = chunks
 	op := p.op
-	fp, ok, err := op.timedG(i, r, chunks, gFP)
+	fp, ok, err := op.timedG(sc, i, r, chunks, gFP)
 	if err != nil {
 		return m4.Aggregate{}, err
 	}
@@ -126,7 +133,7 @@ func (p *seriesPlan) fragmentAgg(i int, r series.TimeRange, chunks []*chunkState
 	out := m4.Aggregate{First: fp, Last: fp, Bottom: fp, Top: fp}
 	slots := [...]*series.Point{gLP: &out.Last, gBP: &out.Bottom, gTP: &out.Top}
 	for kind := gLP; kind <= gTP; kind++ {
-		pt, ok, err := op.timedG(i, r, chunks, kind)
+		pt, ok, err := op.timedG(sc, i, r, chunks, kind)
 		if err != nil {
 			return m4.Aggregate{}, err
 		}

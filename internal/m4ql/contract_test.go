@@ -62,6 +62,9 @@ func (s onlySeries) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	return s.pick(m).ReadChunk(m)
 }
 func (s onlySeries) ReadTimes(m storage.ChunkMeta) ([]int64, error) { return s.pick(m).ReadTimes(m) }
+func (s onlySeries) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	return s.pick(m).ReadValues(m)
+}
 
 // TestReadContract runs the same degrade / strict / budget / timeout /
 // cancel / quarantine cases over every statement form, one series and two:

@@ -158,7 +158,9 @@ func (l *Loaded) Iterator(r series.TimeRange) *Iterator {
 		if in.Len() == 0 {
 			continue
 		}
-		it.h = append(it.h, &cursor{ts: in.Times(), vs: in.Values(), ver: c.ver})
+		ts := in.Times()
+		deleted := l.deletes.CoversAny(ts[0], ts[len(ts)-1], c.ver)
+		it.h = append(it.h, &cursor{ts: ts, vs: in.Values(), ver: c.ver, deleted: deleted})
 	}
 	heap.Init(&it.h)
 	return it
@@ -178,6 +180,9 @@ type cursor struct {
 	vs  []float64
 	pos int
 	ver storage.Version
+	// deleted: a later delete covers some of the stretch, so its points
+	// need checking. Most cursors need none.
+	deleted bool
 }
 
 type cursorHeap []*cursor
@@ -221,7 +226,7 @@ func (it *Iterator) Next() (series.Point, bool) {
 		top := it.h[0]
 		t := top.ts[top.pos]
 		winner := series.Point{T: t, V: top.vs[top.pos]}
-		winnerVer := top.ver
+		winnerVer, checkDeletes := top.ver, top.deleted
 		for len(it.h) > 0 && it.h[0].ts[it.h[0].pos] == t {
 			c := it.h[0]
 			c.pos++
@@ -231,7 +236,7 @@ func (it *Iterator) Next() (series.Point, bool) {
 				heap.Fix(&it.h, 0)
 			}
 		}
-		if it.deletes.Covered(t, winnerVer) {
+		if checkDeletes && it.deletes.Covered(t, winnerVer) {
 			continue
 		}
 		return winner, true

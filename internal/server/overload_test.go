@@ -37,6 +37,11 @@ func (b *blockingSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) {
 	return b.inner.ReadTimes(m)
 }
 
+func (b *blockingSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	<-b.release
+	return b.inner.ReadValues(m)
+}
+
 // slowSource delays every chunk read so concurrent queries overlap long
 // enough to contend for the admission gate.
 type slowSource struct {
@@ -52,6 +57,11 @@ func (s *slowSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 func (s *slowSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) {
 	time.Sleep(s.delay)
 	return s.inner.ReadTimes(m)
+}
+
+func (s *slowSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	time.Sleep(s.delay)
+	return s.inner.ReadValues(m)
 }
 
 // newGatedServer opens a many-chunk engine whose chunk sources are wrapped

@@ -22,7 +22,9 @@ package stepreg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Probe is the chunk-index interface consumed by the M4-LSM operator.
@@ -52,6 +54,10 @@ type Index struct {
 	maxErr int // max |f(t_i) - i| observed over the chunk at build time
 }
 
+// deltaBufs recycles Build's one piece of working memory, the sorted time
+// deltas, so a build allocates only the Index and its two model slices.
+var deltaBufs = sync.Pool{New: func() any { return new([]int64) }}
+
 // Build learns a step-regression index over ts, which must be strictly
 // increasing (chunk writers guarantee this).
 func Build(ts []int64) *Index {
@@ -68,31 +74,40 @@ func Build(ts []int64) *Index {
 		return ix
 	}
 
-	deltas := make([]int64, n-1)
+	buf := deltaBufs.Get().(*[]int64)
+	defer deltaBufs.Put(buf)
+	deltas := slices.Grow((*buf)[:0], n-1)[:n-1]
+	*buf = deltas
 	for i := 1; i < n; i++ {
 		deltas[i-1] = ts[i] - ts[i-1]
 	}
-	med := median(deltas)
+	// The 3-sigma threshold is taken before the in-place sort: its float
+	// sums must run in time order for the model to stay bit-identical.
+	mu, sigma := meanStd(deltas)
+	thr := mu + 3*sigma
+	slices.Sort(deltas)
+	med := deltas[len(deltas)/2]
 	if med <= 0 {
 		med = 1
 	}
 	ix.k = 1 / float64(med)
 
-	mu, sigma := meanStd(deltas)
-	thr := mu + 3*sigma
-
 	// Changing points: 1-based positions j (2..n-1) where the delta
-	// crosses the threshold in either direction (§3.5.3).
-	var changing []int
-	for j := 2; j <= n-1; j++ {
+	// crosses the threshold in either direction (§3.5.3). One pass counts
+	// them to size the model, a second places them.
+	crosses := func(j int) bool {
 		dPrev := float64(ts[j-1] - ts[j-2]) // P_j.t - P_{j-1}.t, 1-based
 		dNext := float64(ts[j] - ts[j-1])   // P_{j+1}.t - P_j.t
-		if (dPrev <= thr && dNext > thr) || (dPrev > thr && dNext <= thr) {
-			changing = append(changing, j)
+		return (dPrev <= thr && dNext > thr) || (dPrev > thr && dNext <= thr)
+	}
+	changing := 0
+	for j := 2; j <= n-1; j++ {
+		if crosses(j) {
+			changing++
 		}
 	}
 
-	m := len(changing) + 2 // |S|
+	m := changing + 2 // |S|
 	nseg := m - 1
 	b := make([]float64, nseg+1) // 1-based b_1..b_{m-1}
 	b[1] = 1 - ix.k*float64(ts[0])
@@ -103,13 +118,18 @@ func Build(ts []int64) *Index {
 			b[nseg] = float64(n)
 		}
 	}
-	for i := 2; i <= nseg-1; i++ {
-		j := changing[i-2] // the (i-1)-th changing point, 1-based position
+	// b_i for i in 2..nseg-1 sits at the (i-1)-th changing point j; the
+	// last changing point only bounds the final segment, set above.
+	for i, j := 2, 2; i <= nseg-1; j++ {
+		if !crosses(j) {
+			continue
+		}
 		if i%2 == 1 {
 			b[i] = float64(j) - ix.k*float64(ts[j-1])
 		} else {
 			b[i] = float64(j)
 		}
+		i++
 	}
 
 	splits := make([]int64, m+1) // 1-based t_1..t_m
@@ -134,9 +154,22 @@ func Build(ts []int64) *Index {
 	ix.splits = splits[1:]
 	ix.intercepts = b[1:]
 
-	// Exactness guard: record the worst prediction error on the chunk.
+	// Exactness guard: record the worst prediction error on the chunk. The
+	// timestamps ascend, so the segment holding each is found by walking
+	// the splits beside them: seg counts the splits <= t. A prediction
+	// within maxErr+0.25 of its position cannot round to a larger error,
+	// so only the others pay for the rounding.
+	seg := 0
+	slope, icpt := ix.line(-1)
 	for i, t := range ts {
-		pred := ix.eval(t)
+		for seg < len(ix.splits) && ix.splits[seg] <= t {
+			seg++
+			slope, icpt = ix.line(seg - 1)
+		}
+		pred := slope*float64(t) + icpt
+		if d, lim := pred-float64(i+1), float64(ix.maxErr)+0.25; d <= lim && d >= -lim {
+			continue
+		}
 		if e := absInt(int(math.Round(pred)) - (i + 1)); e > ix.maxErr {
 			ix.maxErr = e
 		}
@@ -147,12 +180,19 @@ func Build(ts []int64) *Index {
 // eval computes f(t) of Definition 3.6 with 1-based positions. Timestamps
 // outside [t_1, t_m] are clamped to the nearest boundary segment.
 func (ix *Index) eval(t int64) float64 {
+	// Locate the segment: the largest index with splits[i] <= t.
+	slope, icpt := ix.line(sort.Search(len(ix.splits), func(i int) bool { return ix.splits[i] > t }) - 1)
+	return slope*float64(t) + icpt
+}
+
+// line returns f on segment i, the largest index with splits[i] <= t (-1
+// when none is), as f(t) = slope*t + intercept: a level segment has slope
+// 0.
+func (ix *Index) line(i int) (slope, intercept float64) {
 	m := len(ix.splits)
 	if m == 0 {
-		return 1
+		return 0, 1
 	}
-	// Locate the segment: i is the largest index with splits[i] <= t.
-	i := sort.Search(m, func(i int) bool { return ix.splits[i] > t }) - 1
 	if i < 0 {
 		i = 0
 	}
@@ -167,9 +207,9 @@ func (ix *Index) eval(t int64) float64 {
 	}
 	seg := i + 1 // 1-based segment number
 	if seg%2 == 1 {
-		return ix.k*float64(t) + ix.intercepts[i] // tilt
+		return ix.k, ix.intercepts[i] // tilt
 	}
-	return ix.intercepts[i] // level
+	return 0, ix.intercepts[i] // level
 }
 
 // window returns a [lo, hi) 0-based position window guaranteed to contain
@@ -299,13 +339,6 @@ func (s Segment) String() string {
 		return fmt.Sprintf("[%d,%d) tilt  f(t)=%.6g*t%+.6g", s.Start, s.End, s.Slope, s.Intercept)
 	}
 	return fmt.Sprintf("[%d,%d) level f(t)=%.6g", s.Start, s.End, s.Intercept)
-}
-
-func median(xs []int64) int64 {
-	cp := make([]int64, len(xs))
-	copy(cp, xs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp[len(cp)/2]
 }
 
 func meanStd(xs []int64) (mu, sigma float64) {

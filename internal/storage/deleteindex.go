@@ -66,12 +66,49 @@ func NewDeleteIndex(deletes []Delete) *DeleteIndex {
 	return ix
 }
 
+// segment returns the index of the segment holding t, -1 before the first.
+func (ix *DeleteIndex) segment(t int64) int {
+	return sort.Search(len(ix.bounds), func(i int) bool { return ix.bounds[i] > t }) - 1
+}
+
 // Covered reports whether timestamp t is covered by any delete with a
 // version strictly larger than ver.
 func (ix *DeleteIndex) Covered(t int64, ver Version) bool {
-	i := sort.Search(len(ix.bounds), func(i int) bool { return ix.bounds[i] > t }) - 1
-	if i < 0 {
-		return false
+	i := ix.segment(t)
+	return i >= 0 && ix.maxVer[i] > ver
+}
+
+// CoversAny reports whether Covered(t, ver) holds for some t in the closed
+// range [lo, hi], lo <= hi. A scan over a sorted column whose first and last
+// timestamps it refutes needs no per-point delete check at all.
+func (ix *DeleteIndex) CoversAny(lo, hi int64, ver Version) bool {
+	for i := max(ix.segment(lo), 0); i < len(ix.bounds) && ix.bounds[i] <= hi; i++ {
+		if ix.maxVer[i] > ver {
+			return true
+		}
 	}
-	return ix.maxVer[i] > ver
+	return false
+}
+
+// Sweep answers Covered for one version at non-decreasing timestamps by
+// walking the index segments beside a sorted column, a merge-join: amortized
+// O(1) per point instead of a binary search each.
+type Sweep struct {
+	ix  *DeleteIndex
+	ver Version
+	i   int // segment holding the last timestamp looked up, -1 before the first
+}
+
+// Sweep starts a cursor for version ver at timestamp from.
+func (ix *DeleteIndex) Sweep(from int64, ver Version) Sweep {
+	return Sweep{ix: ix, ver: ver, i: ix.segment(from)}
+}
+
+// Covered is DeleteIndex.Covered(t, ver) for a t no smaller than the
+// previous lookup's, or than the cursor's start.
+func (s *Sweep) Covered(t int64) bool {
+	for b := s.ix.bounds; s.i+1 < len(b) && b[s.i+1] <= t; {
+		s.i++
+	}
+	return s.i >= 0 && s.ix.maxVer[s.i] > s.ver
 }

@@ -78,3 +78,47 @@ func TestDeleteIndexAgainstNaiveProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteIndexRangeProperty holds the range query and the sweep to
+// Covered at every point: CoversAny(lo, hi, ver) is Covered(t, ver) for
+// some t in [lo, hi], and a sweep over ascending timestamps answers
+// Covered(t, ver) at each. The states include an empty index, deletes
+// ending at MaxInt64 and ties between delete and chunk versions.
+func TestDeleteIndexRangeProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(8)
+		dels := make([]Delete, 0, n)
+		for i := 0; i < n; i++ {
+			start := rng.Int63n(100)
+			end := start + rng.Int63n(30)
+			if rng.Intn(10) == 0 {
+				end = math.MaxInt64
+			}
+			dels = append(dels, Delete{Version: Version(1 + rng.Intn(4)), Start: start, End: end})
+		}
+		ix := NewDeleteIndex(dels)
+		for probe := 0; probe < 50; probe++ {
+			lo := rng.Int63n(150) - 20
+			hi := lo + rng.Int63n(40)
+			ver := Version(rng.Intn(6))
+			want := false
+			for tt := lo; tt <= hi; tt++ {
+				want = want || ix.Covered(tt, ver)
+			}
+			if got := ix.CoversAny(lo, hi, ver); got != want {
+				t.Fatalf("trial %d: CoversAny(%d, %d, v%d) = %v, want %v (dels %v)", trial, lo, hi, ver, got, want, dels)
+			}
+			sw := ix.Sweep(lo, ver)
+			for tt := lo; tt <= hi; tt += 1 + rng.Int63n(3) {
+				if got, want := sw.Covered(tt), ix.Covered(tt, ver); got != want {
+					t.Fatalf("trial %d: sweep from %d Covered(%d, v%d) = %v, want %v (dels %v)", trial, lo, tt, ver, got, want, dels)
+				}
+			}
+		}
+		// The far end of the time axis: only an open-ended delete reaches it.
+		if got, want := ix.CoversAny(math.MaxInt64-1, math.MaxInt64, 0), ix.Covered(math.MaxInt64, 0); got != want {
+			t.Fatalf("trial %d: CoversAny at MaxInt64 = %v, want %v (dels %v)", trial, got, want, dels)
+		}
+	}
+}

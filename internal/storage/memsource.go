@@ -83,4 +83,10 @@ func (m *MemSource) ReadTimes(meta ChunkMeta) ([]int64, error) {
 	return cols.Times(), err
 }
 
+// ReadValues implements ChunkSource.
+func (m *MemSource) ReadValues(meta ChunkMeta) ([]float64, error) {
+	cols, err := m.ReadChunk(meta)
+	return cols.Values(), err
+}
+
 var _ ChunkSource = (*MemSource)(nil)

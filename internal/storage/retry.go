@@ -54,61 +54,43 @@ func WithRetry(src ChunkSource, p RetryPolicy) ChunkSource {
 	return &retrySource{inner: src, p: p}
 }
 
-// do runs read up to MaxAttempts times. The backoff sleep is bounded and
-// small, so it deliberately runs uncancelled: ChunkSource has no context,
-// and the operators re-check theirs at the next task boundary.
-func (r *retrySource) do(read func() error) error {
-	var err error
+// retry runs read up to MaxAttempts times. The backoff sleep is bounded
+// and small, so it deliberately runs uncancelled: ChunkSource has no
+// context, and the operators re-check theirs at the next task boundary.
+func retry[T any](r *retrySource, read func() (T, error)) (T, error) {
 	for attempt := 1; ; attempt++ {
-		err = read()
-		if err == nil {
-			return nil
+		out, err := read()
+		if err == nil || r.p.IsPermanent != nil && r.p.IsPermanent(err) {
+			return out, err
 		}
-		if r.p.IsPermanent != nil && r.p.IsPermanent(err) {
-			return err
+		if attempt < r.p.MaxAttempts {
+			if r.p.OnRetry != nil {
+				r.p.OnRetry()
+			}
+			if serr := govern.SleepBackoff(context.Background(), attempt, r.p.BaseDelay, r.p.MaxDelay, r.p.Seed); serr == nil {
+				continue
+			}
 		}
-		if attempt >= r.p.MaxAttempts {
-			break
+		if r.p.OnExhausted != nil {
+			r.p.OnExhausted()
 		}
-		if r.p.OnRetry != nil {
-			r.p.OnRetry()
-		}
-		if serr := govern.SleepBackoff(context.Background(), attempt, r.p.BaseDelay, r.p.MaxDelay, r.p.Seed); serr != nil {
-			break
-		}
+		return out, err
 	}
-	if r.p.OnExhausted != nil {
-		r.p.OnExhausted()
-	}
-	return err
 }
 
 // ReadChunk implements ChunkSource.
 func (r *retrySource) ReadChunk(meta ChunkMeta) (series.Columns, error) {
-	var out series.Columns
-	err := r.do(func() error {
-		var e error
-		out, e = r.inner.ReadChunk(meta)
-		return e
-	})
-	if err != nil {
-		return series.Columns{}, err
-	}
-	return out, nil
+	return retry(r, func() (series.Columns, error) { return r.inner.ReadChunk(meta) })
 }
 
 // ReadTimes implements ChunkSource.
 func (r *retrySource) ReadTimes(meta ChunkMeta) ([]int64, error) {
-	var out []int64
-	err := r.do(func() error {
-		var e error
-		out, e = r.inner.ReadTimes(meta)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return retry(r, func() ([]int64, error) { return r.inner.ReadTimes(meta) })
+}
+
+// ReadValues implements ChunkSource.
+func (r *retrySource) ReadValues(meta ChunkMeta) ([]float64, error) {
+	return retry(r, func() ([]float64, error) { return r.inner.ReadValues(meta) })
 }
 
 var _ ChunkSource = (*retrySource)(nil)

@@ -111,6 +111,9 @@ type ChunkSource interface {
 	// probes need timestamps only, at roughly half the I/O and decode
 	// cost of a full load.
 	ReadTimes(meta ChunkMeta) ([]int64, error)
+	// ReadValues decodes only the value block: the rest of a full load
+	// for a caller already holding the timestamps from ReadTimes.
+	ReadValues(meta ChunkMeta) ([]float64, error)
 }
 
 // CachedSource is the optional interface of chunk sources that can report
@@ -123,6 +126,8 @@ type CachedSource interface {
 	ReadChunkCached(meta ChunkMeta) (data series.Columns, hit bool, err error)
 	// ReadTimesCached is ReadTimes plus a served-from-cache flag.
 	ReadTimesCached(meta ChunkMeta) (ts []int64, hit bool, err error)
+	// ReadValuesCached is ReadValues plus a served-from-cache flag.
+	ReadValuesCached(meta ChunkMeta) (vs []float64, hit bool, err error)
 }
 
 // ChunkRef binds chunk metadata to its source and to the snapshot's cost
@@ -141,41 +146,38 @@ func NewChunkRef(meta ChunkMeta, src ChunkSource, stats *Stats) ChunkRef {
 
 // Load reads and decodes the full chunk.
 func (c ChunkRef) Load() (series.Columns, error) {
-	var (
-		data series.Columns
-		hit  bool
-		err  error
-	)
-	if cs, ok := c.source.(CachedSource); ok {
-		data, hit, err = cs.ReadChunkCached(c.Meta)
-		c.countCache(hit)
-	} else {
-		data, err = c.source.ReadChunk(c.Meta)
-	}
+	data, err := read(c, CachedSource.ReadChunkCached, ChunkSource.ReadChunk)
 	if err != nil {
 		return series.Columns{}, fmt.Errorf("load %v: %w", c.Meta, err)
 	}
+	c.countLoad()
+	return data, nil
+}
+
+// LoadValues reads and decodes only the value block, completing a full load
+// of a chunk whose timestamps an earlier LoadTimes fetched. It counts as one
+// full load, exactly like Load.
+func (c ChunkRef) LoadValues() ([]float64, error) {
+	vs, err := read(c, CachedSource.ReadValuesCached, ChunkSource.ReadValues)
+	if err != nil {
+		return nil, fmt.Errorf("load values %v: %w", c.Meta, err)
+	}
+	c.countLoad()
+	return vs, nil
+}
+
+// countLoad attributes one full load to the query's stats.
+func (c ChunkRef) countLoad() {
 	if c.stats != nil {
 		atomic.AddInt64(&c.stats.ChunksLoaded, 1)
 		atomic.AddInt64(&c.stats.BytesRead, c.Meta.HeaderLen+c.Meta.TimesLen+c.Meta.ValuesLen)
 		atomic.AddInt64(&c.stats.PointsDecoded, c.Meta.Count)
 	}
-	return data, nil
 }
 
 // LoadTimes reads and decodes only the timestamp block.
 func (c ChunkRef) LoadTimes() ([]int64, error) {
-	var (
-		ts  []int64
-		hit bool
-		err error
-	)
-	if cs, ok := c.source.(CachedSource); ok {
-		ts, hit, err = cs.ReadTimesCached(c.Meta)
-		c.countCache(hit)
-	} else {
-		ts, err = c.source.ReadTimes(c.Meta)
-	}
+	ts, err := read(c, CachedSource.ReadTimesCached, ChunkSource.ReadTimes)
 	if err != nil {
 		return nil, fmt.Errorf("load times %v: %w", c.Meta, err)
 	}
@@ -185,6 +187,17 @@ func (c ChunkRef) LoadTimes() ([]int64, error) {
 		atomic.AddInt64(&c.stats.PointsDecoded, c.Meta.Count)
 	}
 	return ts, nil
+}
+
+// read performs one load shape through the ref's source: the cached form
+// when a cache sits under the ref, attributing its hit or miss.
+func read[T any](c ChunkRef, cached func(CachedSource, ChunkMeta) (T, bool, error), plain func(ChunkSource, ChunkMeta) (T, error)) (T, error) {
+	if cs, ok := c.source.(CachedSource); ok {
+		out, hit, err := cached(cs, c.Meta)
+		c.countCache(hit)
+		return out, err
+	}
+	return plain(c.source, c.Meta)
 }
 
 // countCache attributes one cached-source read to the query's stats.
@@ -352,11 +365,14 @@ func (s *Stats) Reset() {
 
 // Add accumulates o into s atomically. o is taken by value and read with
 // plain loads: callers pass either a literal or a worker-local Stats no
-// other goroutine is mutating.
+// other goroutine is mutating. Zero fields — most of a task's counters —
+// cost no atomic operation.
 func (s *Stats) Add(o Stats) {
 	dst, src := s.fields(), o.fields()
 	for i, f := range dst {
-		atomic.AddInt64(f, *src[i])
+		if d := *src[i]; d != 0 {
+			atomic.AddInt64(f, d)
+		}
 	}
 }
 

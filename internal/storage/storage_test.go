@@ -2,6 +2,7 @@ package storage
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"m4lsm/internal/series"
@@ -134,6 +135,14 @@ func TestChunkRefCountsCost(t *testing.T) {
 	if stats.TimeBlocksLoaded != 1 || stats.PointsDecoded != 4 || stats.BytesRead != 48 {
 		t.Errorf("after LoadTimes: %v", &stats)
 	}
+	// The value half of a load counts as a full load, exactly like Load.
+	vs, err := ref.LoadValues()
+	if err != nil || len(vs) != 2 || vs[1] != 2 {
+		t.Fatal(vs, err)
+	}
+	if stats.ChunksLoaded != 2 || stats.PointsDecoded != 6 || stats.BytesRead != 80 {
+		t.Errorf("after LoadValues: %v", &stats)
+	}
 }
 
 func TestChunkRefNilStats(t *testing.T) {
@@ -144,6 +153,9 @@ func TestChunkRefNilStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ref.LoadTimes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.LoadValues(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,6 +170,35 @@ func TestStatsAddReset(t *testing.T) {
 	a.Reset()
 	if a != (Stats{}) {
 		t.Errorf("Reset = %+v", a)
+	}
+
+	// Sparse adds — one non-zero field each, as a task's counters mostly
+	// are — from concurrent workers still sum field by field (run under
+	// -race by make check).
+	var shared Stats
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				var o Stats
+				f := o.fields()
+				*f[(w+i)%len(f)] = int64(w + 1)
+				shared.Add(o)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var want Stats
+	f := want.fields()
+	for w := 0; w < 8; w++ {
+		for i := 0; i < 100; i++ {
+			*f[(w+i)%len(f)] += int64(w + 1)
+		}
+	}
+	if got := shared.Load(); got != want {
+		t.Errorf("concurrent sparse Add = %+v, want %+v", got, want)
 	}
 }
 

@@ -57,6 +57,18 @@ func BenchmarkReadTimes(b *testing.B) {
 	}
 }
 
+func BenchmarkReadValues(b *testing.B) {
+	r, meta := openBenchChunk(b)
+	b.SetBytes(8 * meta.Count)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.ReadValues(meta); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestReadChunkAllocations pins what a cold load allocates: the two decoded
 // columns and nothing per point — the raw block buffer is pooled (one spare
 // allocation is allowed for the pool refilling after a GC).
@@ -75,5 +87,12 @@ func TestReadChunkAllocations(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("ReadTimes of %d points: %v allocs/op, want <= 2", meta.Count, n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := r.ReadValues(meta); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("ReadValues of %d points: %v allocs/op, want <= 2", meta.Count, n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestEveryByteFlip flips every byte of a chunk file, one at a time, and
-// requires that Open/ReadChunk/ReadTimes never panic and never silently
+// requires that Open/ReadChunk/ReadTimes/ReadValues never panic and never silently
 // return wrong data: each outcome must be either an error or data
 // identical to the original. (Flips inside the chunk header's encoded
 // fields can go unnoticed because reads address chunks via the footer
@@ -56,6 +56,9 @@ func TestEveryByteFlip(t *testing.T) {
 				}
 				defer r.Close()
 				for _, m := range r.Metas() {
+					if vs, err := r.ReadValues(m); err == nil && !reflect.DeepEqual(vs, data.Values()) {
+						t.Fatalf("byte %d mask %x: silent value corruption", pos, mask)
+					}
 					got, err := r.ReadChunk(m)
 					if err != nil {
 						continue // detected at read

@@ -54,6 +54,7 @@ func FuzzOpen(f *testing.F) {
 		for _, m := range r.Metas() {
 			r.ReadChunk(m)
 			r.ReadTimes(m)
+			r.ReadValues(m)
 		}
 	})
 }

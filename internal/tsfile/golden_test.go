@@ -100,14 +100,18 @@ func TestParentChunkFileRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk %d times: %v", i, err)
 		}
-		if cols.Len() != len(want[i]) || len(ts) != len(want[i]) {
-			t.Fatalf("chunk %d: decoded %d points / %d times, want %d", i, cols.Len(), len(ts), len(want[i]))
+		vs, err := r.ReadValues(m)
+		if err != nil {
+			t.Fatalf("chunk %d values: %v", i, err)
+		}
+		if cols.Len() != len(want[i]) || len(ts) != len(want[i]) || len(vs) != len(want[i]) {
+			t.Fatalf("chunk %d: decoded %d points / %d times / %d values, want %d", i, cols.Len(), len(ts), len(vs), len(want[i]))
 		}
 		for j, p := range want[i] {
 			got := cols.At(j)
-			if got.T != p.T || ts[j] != p.T || math.Float64bits(got.V) != math.Float64bits(p.V) {
-				t.Fatalf("chunk %d point %d: decoded (%d, %x), times-only %d, want (%d, %x)",
-					i, j, got.T, math.Float64bits(got.V), ts[j], p.T, math.Float64bits(p.V))
+			if got.T != p.T || ts[j] != p.T || math.Float64bits(got.V) != math.Float64bits(p.V) || math.Float64bits(vs[j]) != math.Float64bits(p.V) {
+				t.Fatalf("chunk %d point %d: decoded (%d, %x), times-only %d, values-only %x, want (%d, %x)",
+					i, j, got.T, math.Float64bits(got.V), ts[j], math.Float64bits(vs[j]), p.T, math.Float64bits(p.V))
 			}
 		}
 	}

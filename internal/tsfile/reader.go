@@ -123,16 +123,17 @@ func (r *Reader) Close() error {
 }
 
 // blockBufs recycles the raw (still encoded) bytes of a chunk between
-// loads. A buffer's lifetime provably ends inside ReadChunk/ReadTimes: the
-// decoders copy every value out of it, so it goes back before they return.
-// The decoded columns are never pooled — caches, merges and operators
-// retain them.
+// loads. A buffer's lifetime provably ends inside the Read call that took
+// it: the decoders copy every value out of it, so it goes back before they
+// return. The decoded columns are never pooled — caches, merges and
+// operators retain them.
 var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// readBlocks fetches header + timestamp block and optionally the value
-// block of a chunk into buf (taken from blockBufs by the caller, grown here
-// if too small), verifying checksums. The returned blocks alias buf.
-func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, withValues bool) (times, values []byte, err error) {
+// readBlocks fetches the chunk's header and blocks, through the value block
+// when wantValues, into buf (taken from blockBufs by the caller, grown here
+// if too small) with one ReadAt, and verifies the checksum of each block
+// wanted. The returned blocks alias buf.
+func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, wantTimes, wantValues bool) (times, values []byte, err error) {
 	// The two block CRCs are the last 8 bytes of the header, and no part of
 	// a chunk is longer than its file.
 	for _, l := range [...]int64{meta.HeaderLen - 8, meta.TimesLen, meta.ValuesLen} {
@@ -141,7 +142,7 @@ func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, withValues bool
 		}
 	}
 	n := meta.HeaderLen + meta.TimesLen
-	if withValues {
+	if wantValues {
 		n += meta.ValuesLen
 	}
 	if int64(cap(*buf)) < n {
@@ -155,45 +156,45 @@ func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, withValues bool
 	valuesCRC := binary.LittleEndian.Uint32(b[meta.HeaderLen-4:])
 	times = b[meta.HeaderLen : meta.HeaderLen+meta.TimesLen]
 	values = b[meta.HeaderLen+meta.TimesLen:]
-	if crc32.ChecksumIEEE(times) != timesCRC {
+	if wantTimes && crc32.ChecksumIEEE(times) != timesCRC {
 		return nil, nil, fmt.Errorf("%w: timestamp block checksum mismatch (%s v%d)", ErrCorrupt, meta.SeriesID, meta.Version)
 	}
-	if withValues && crc32.ChecksumIEEE(values) != valuesCRC {
+	if wantValues && crc32.ChecksumIEEE(values) != valuesCRC {
 		return nil, nil, fmt.Errorf("%w: value block checksum mismatch (%s v%d)", ErrCorrupt, meta.SeriesID, meta.Version)
 	}
 	return times, values, nil
 }
 
-// decodeTimes decodes a timestamp block into a fresh column of exactly
-// meta.Count elements; a block holding any other count, or trailing bytes,
-// is corrupt. Every timestamp costs at least one encoded byte, which bounds
-// the allocation a damaged count can ask for.
-func decodeTimes(meta storage.ChunkMeta, block []byte) ([]int64, error) {
+// decodeColumn decodes one block into a fresh column of exactly meta.Count
+// elements; a block holding any other count, or trailing bytes, is corrupt.
+// Every timestamp costs at least one encoded byte, so a count above the
+// timestamp block's length is refused before anything is allocated.
+func decodeColumn[T any](meta storage.ChunkMeta, block []byte, name string, decode func(dst []T, b []byte) ([]T, []byte, error)) ([]T, error) {
 	if meta.Count < 0 || meta.Count > meta.TimesLen {
 		return nil, fmt.Errorf("%w: count %d in a %d-byte timestamp block", ErrCorrupt, meta.Count, meta.TimesLen)
 	}
-	ts, rest, err := meta.Codec.DecodeTimesInto(make([]int64, meta.Count), block)
+	col, rest, err := decode(make([]T, meta.Count), block)
 	if err != nil || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: timestamp block decode (%v)", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %s block decode (%v)", ErrCorrupt, name, err)
 	}
-	return ts, nil
+	return col, nil
 }
 
 // ReadChunk implements storage.ChunkSource.
 func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
 	buf := blockBufs.Get().(*[]byte)
 	defer blockBufs.Put(buf)
-	timesBlock, valuesBlock, err := r.readBlocks(buf, meta, true)
+	timesBlock, valuesBlock, err := r.readBlocks(buf, meta, true, true)
 	if err != nil {
 		return series.Columns{}, err
 	}
-	ts, err := decodeTimes(meta, timesBlock)
+	ts, err := decodeColumn(meta, timesBlock, "timestamp", meta.Codec.DecodeTimesInto)
 	if err != nil {
 		return series.Columns{}, err
 	}
-	vs, rest, err := meta.Codec.DecodeValuesInto(make([]float64, meta.Count), valuesBlock)
-	if err != nil || len(rest) != 0 {
-		return series.Columns{}, fmt.Errorf("%w: value block decode (%v)", ErrCorrupt, err)
+	vs, err := decodeColumn(meta, valuesBlock, "value", meta.Codec.DecodeValuesInto)
+	if err != nil {
+		return series.Columns{}, err
 	}
 	return series.NewColumns(ts, vs), nil
 }
@@ -203,11 +204,24 @@ func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
 func (r *Reader) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
 	buf := blockBufs.Get().(*[]byte)
 	defer blockBufs.Put(buf)
-	timesBlock, _, err := r.readBlocks(buf, meta, false)
+	timesBlock, _, err := r.readBlocks(buf, meta, true, false)
 	if err != nil {
 		return nil, err
 	}
-	return decodeTimes(meta, timesBlock)
+	return decodeColumn(meta, timesBlock, "timestamp", meta.Codec.DecodeTimesInto)
+}
+
+// ReadValues implements storage.ChunkSource: it verifies and decodes only
+// the value block. The timestamp block it reads past is the one the
+// caller's ReadTimes already verified and decoded.
+func (r *Reader) ReadValues(meta storage.ChunkMeta) ([]float64, error) {
+	buf := blockBufs.Get().(*[]byte)
+	defer blockBufs.Put(buf)
+	_, valuesBlock, err := r.readBlocks(buf, meta, false, true)
+	if err != nil {
+		return nil, err
+	}
+	return decodeColumn(meta, valuesBlock, "value", meta.Codec.DecodeValuesInto)
 }
 
 var _ storage.ChunkSource = (*Reader)(nil)

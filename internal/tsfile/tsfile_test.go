@@ -1,6 +1,7 @@
 package tsfile
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -82,6 +83,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ts, want.Times()) {
 			t.Fatalf("times %s mismatch", m.SeriesID)
+		}
+		vs, err := r.ReadValues(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(vs, want.Values()) {
+			t.Fatalf("values %s mismatch", m.SeriesID)
 		}
 		// Metadata must match ComputeMeta of the data.
 		f, l, b, tp, _ := storage.ComputeMeta(want)
@@ -233,6 +241,12 @@ func TestReadDetectsCorruptChunkData(t *testing.T) {
 	if _, err := r.ReadTimes(r.Metas()[0]); err == nil {
 		t.Error("corrupt timestamp block (times path) read successfully")
 	}
+	// A value-only read verifies the value block alone: the timestamp block
+	// is the one its caller's ReadTimes already checked.
+	vs, err := r.ReadValues(r.Metas()[0])
+	if err != nil || !reflect.DeepEqual(vs, genSeries(200, 6).Values()) {
+		t.Errorf("ReadValues on timestamp-block corruption = %v, %v; want the intact values", len(vs), err)
+	}
 }
 
 func TestReadDetectsCorruptValueBlockOnly(t *testing.T) {
@@ -249,6 +263,9 @@ func TestReadDetectsCorruptValueBlockOnly(t *testing.T) {
 	defer r.Close()
 	if _, err := r.ReadChunk(r.Metas()[0]); err == nil {
 		t.Error("corrupt value block read successfully")
+	}
+	if _, err := r.ReadValues(r.Metas()[0]); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("corrupt value block, value-only read: err = %v, want ErrCorrupt", err)
 	}
 	// Timestamp-only read must still succeed: the corruption is confined
 	// to the value block, which partial loads never touch.
@@ -417,6 +434,33 @@ func TestModLogRejectsInvertedRange(t *testing.T) {
 	defer m.Close()
 	if err := m.Append(storage.Delete{SeriesID: "s", Version: 1, Start: 10, End: 5}); err == nil {
 		t.Error("inverted range accepted")
+	}
+}
+
+// TestEveryLoadShapeChecksCount: a count the blocks do not hold is
+// corruption on every load shape, and a count no block could hold is
+// refused before anything is allocated for it.
+func TestEveryLoadShapeChecksCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.tsf")
+	m := writeFile(t, path, map[string][]series.Series{"s": {genSeries(300, 9)}})[0]
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	shapes := map[string]func(storage.ChunkMeta) error{
+		"chunk":  func(m storage.ChunkMeta) error { _, err := r.ReadChunk(m); return err },
+		"times":  func(m storage.ChunkMeta) error { _, err := r.ReadTimes(m); return err },
+		"values": func(m storage.ChunkMeta) error { _, err := r.ReadValues(m); return err },
+	}
+	for name, read := range shapes {
+		for _, count := range []int64{m.Count - 1, m.Count + 1, -1, 1 << 34} {
+			bad := m
+			bad.Count = count
+			if err := read(bad); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s with count %d: err = %v, want ErrCorrupt", name, count, err)
+			}
+		}
 	}
 }
 

@@ -82,6 +82,9 @@ func (s versionSource) ReadChunk(m storage.ChunkMeta) (series.Columns, error) {
 	return s.pick(m).ReadChunk(m)
 }
 func (s versionSource) ReadTimes(m storage.ChunkMeta) ([]int64, error) { return s.pick(m).ReadTimes(m) }
+func (s versionSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	return s.pick(m).ReadValues(m)
+}
 
 // TestTupleReadsAreStrict: Render and Raw return no Partial flag, so a
 // quarantined chunk must fail them; M4Context reports it instead.
