@@ -139,7 +139,7 @@ lint:
 		echo "only regenerates the paper's tables. No BENCH_*.json at the root, no bench-* target but"; \
 		echo "bench-check and bench-smoke, no root-package Benchmark, no server-level sweep in exper."; \
 		echo "Exempt: per-package micro-benchmarks beside their code (internal/encoding, internal/tsfile,"; \
-		echo "internal/stepreg, internal/m4lsm), which make microbench runs once each so they cannot rot."; \
+		echo "internal/stepreg, internal/m4lsm, internal/viz), which make microbench runs once each so they cannot rot."; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -nE 'FromColumns\(|\.Points\(\)|\.Columns\(\)' internal/tsfile/reader.go \
@@ -170,7 +170,7 @@ bench-check:
 # the root-package benchmarks went, nothing else executes them, and a
 # benchmark that is never run stops compiling or starts failing unnoticed.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz
 
 # check is the standard gate for this repo: static analysis, the logging,
 # backoff, one-read-path, one-write-path and columnar-read-path lints, the

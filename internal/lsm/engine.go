@@ -779,7 +779,33 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 		}
 		e.quarantineChunk(meta, err)
 	}
+	// The memtable's chunk goes last; it is built first so the chunk list
+	// is allocated at its exact size.
+	var mem storage.ChunkRef
+	hasMem := false
+	if buf := sh.mem[seriesID]; len(buf) > 0 {
+		data := series.SortDedup(buf.Clone())
+		memSrc := storage.NewMemSource()
+		meta, err := memSrc.AddChunk(seriesID, storage.Version(e.nextVer.Load()), data)
+		if err != nil {
+			return nil, fmt.Errorf("lsm: memtable snapshot: %w", err)
+		}
+		mem, hasMem = storage.NewChunkRef(meta, memSrc, stats), meta.OverlapsRange(r)
+	}
 	e.quarMu.Lock()
+	n := 0
+	if hasMem {
+		n++
+	}
+	for _, ce := range sh.chunks[seriesID] {
+		if !ce.meta.OverlapsRange(r) {
+			continue
+		}
+		if _, bad := e.quarantined[chunkID{ce.meta.SeriesID, ce.meta.Version}]; !bad {
+			n++
+		}
+	}
+	snap.Chunks = make([]storage.ChunkRef, 0, n)
 	for _, ce := range sh.chunks[seriesID] {
 		if !ce.meta.OverlapsRange(r) {
 			continue
@@ -791,16 +817,8 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(ce.meta, ce.src, stats))
 	}
 	e.quarMu.Unlock()
-	if buf := sh.mem[seriesID]; len(buf) > 0 {
-		data := series.SortDedup(buf.Clone())
-		memSrc := storage.NewMemSource()
-		meta, err := memSrc.AddChunk(seriesID, storage.Version(e.nextVer.Load()), data)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: memtable snapshot: %w", err)
-		}
-		if meta.OverlapsRange(r) {
-			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, memSrc, stats))
-		}
+	if hasMem {
+		snap.Chunks = append(snap.Chunks, mem)
 	}
 	for _, d := range e.modsLog().ForSeries(seriesID) {
 		if d.Start < r.End && d.End >= r.Start {

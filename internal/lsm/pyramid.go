@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 
 	"m4lsm/internal/encoding"
+	"m4lsm/internal/m4"
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -658,67 +659,62 @@ func (e *Engine) pyrViewFor(seriesID string, r series.TimeRange) storage.Pyramid
 	return v
 }
 
-// PlanSpan implements storage.PyramidSource: greedy decomposition of the
-// cell-aligned interior of [start, end), coarsest usable level first. The
-// cell aggregates are fetched under the pyramid lock with generation
-// verification, so a rebuild racing an old snapshot forces fallback instead
-// of serving cells newer than the snapshot's chunk list.
-func (v *pyramidView) PlanSpan(start, end int64) ([]storage.PyramidCell, bool) {
+// PlanSpans implements storage.PyramidSource in one pass under one pyramid
+// read lock: each view level is checked against its live generation once,
+// so a rebuild racing an old snapshot forces fallback instead of serving
+// cells newer than the snapshot's chunk list. Each span's cell-aligned
+// interior is then tiled greedily, coarsest usable level first, and its
+// cells folded straight into the span's aggregate.
+func (v *pyramidView) PlanSpans(q m4.Query, spans []storage.PyramidSpan, aggs []m4.Aggregate) int {
 	if len(v.levels) == 0 {
-		return nil, false
-	}
-	base := v.levels[0].log
-	a, b := cellCeil(start, base), cellFloor(end, base)
-	if a >= b {
-		return nil, false
-	}
-	type pick struct {
-		li     int
-		idx    int64
-		lo, hi int64
-	}
-	var picks []pick
-	for pos := a; pos < b; {
-		found := false
-		for li := len(v.levels) - 1; li >= 0; li-- {
-			lw := int64(1) << v.levels[li].log
-			if pos&(lw-1) != 0 || pos+lw > b {
-				continue
-			}
-			idx := pos >> v.levels[li].log
-			if !v.levels[li].usable.contains(idx, idx+1) {
-				continue
-			}
-			picks = append(picks, pick{li: li, idx: idx, lo: pos, hi: pos + lw})
-			pos += lw
-			found = true
-			break
-		}
-		if !found || len(picks) > pyrMaxPlanCells {
-			return nil, false
-		}
+		return 0
 	}
 	p := v.p
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	sp := p.series[v.id]
 	if sp == nil {
-		return nil, false
+		return 0
 	}
-	out := make([]storage.PyramidCell, 0, len(picks))
-	for _, pk := range picks {
-		lv := sp.level(v.levels[pk.li].log)
-		if lv == nil || lv.gen != v.levels[pk.li].gen {
-			return nil, false
+	// live[li] is view level li's cells, nil when rebuilt since the snapshot.
+	var live [pyrMaxLevels]*pyrLevel
+	for li, vl := range v.levels {
+		if lv := sp.level(vl.log); lv != nil && lv.gen == vl.gen {
+			live[li] = lv
 		}
-		cell := storage.PyramidCell{Start: pk.lo, End: pk.hi, Empty: true}
-		if c, ok := lv.cells[pk.idx]; ok {
-			cell.First, cell.Last, cell.Bottom, cell.Top = c.first, c.last, c.bottom, c.top
-			cell.Empty = false
-		}
-		out = append(out, cell)
 	}
-	return out, true
+	base := v.levels[0].log
+	planned := 0
+	for i := range spans {
+		span := q.Span(i)
+		slot := storage.PyramidSpan{Lo: cellCeil(span.Start, base), Hi: cellFloor(span.End, base)}
+		agg := m4.Aggregate{Empty: true}
+		pos := slot.Lo
+		for pos < slot.Hi && slot.Cells < pyrMaxPlanCells {
+			li := len(v.levels) - 1
+			var idx int64
+			for ; li >= 0; li-- {
+				vl := &v.levels[li]
+				idx = pos >> vl.log
+				if idx<<vl.log == pos && pos+int64(1)<<vl.log <= slot.Hi && vl.usable.contains(idx, idx+1) {
+					break
+				}
+			}
+			if li < 0 || live[li] == nil {
+				break
+			}
+			if c, ok := live[li].cells[idx]; ok {
+				agg.Merge(m4.Aggregate{First: c.first, Last: c.last, Bottom: c.bottom, Top: c.top})
+			}
+			slot.Cells++
+			pos += int64(1) << v.levels[li].log
+		}
+		if slot.Lo < slot.Hi && pos == slot.Hi {
+			spans[i], aggs[i] = slot, agg
+			planned++
+		}
+	}
+	return planned
 }
 
 // pyrMaybeSave writes the manifest if cells changed since the last save.

@@ -9,7 +9,6 @@ package m4
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"m4lsm/internal/series"
 )
@@ -119,30 +118,34 @@ func Equivalent(a, b Aggregate) bool {
 		a.Bottom.V == b.Bottom.V && a.Top.V == b.Top.V
 }
 
+// Merge folds b, the aggregate of the sub-interval right after a's, into a:
+// First stays a's (b's when a is empty), Last becomes b's, and Bottom/Top
+// take b's extremes only when strictly more extreme, so value ties keep the
+// earlier point — exactly what Observe computes over the concatenated
+// points. Merge is associative, so folded runs of parts merge alike.
+func (a *Aggregate) Merge(b Aggregate) {
+	switch {
+	case b.Empty:
+	case a.Empty:
+		*a = b
+	default:
+		a.Last = b.Last
+		if b.Bottom.V < a.Bottom.V {
+			a.Bottom = b.Bottom
+		}
+		if b.Top.V > a.Top.V {
+			a.Top = b.Top
+		}
+	}
+}
+
 // Combine folds the aggregates of consecutive sub-intervals into the
 // aggregate of their union. Parts must be in time order and must partition
-// disjoint intervals: then First is the first non-empty part's First, Last
-// the last non-empty part's Last, and Bottom/Top the extremes across parts,
-// keeping the earliest point on value ties — exactly what Observe computes
-// over the concatenated points. The rollup-pyramid planner uses this to
-// stitch precomputed cells with exactly-computed boundary fragments.
+// disjoint intervals.
 func Combine(parts ...Aggregate) Aggregate {
 	out := Aggregate{Empty: true}
 	for _, p := range parts {
-		if p.Empty {
-			continue
-		}
-		if out.Empty {
-			out = p
-			continue
-		}
-		out.Last = p.Last
-		if p.Bottom.V < out.Bottom.V {
-			out.Bottom = p.Bottom
-		}
-		if p.Top.V > out.Top.V {
-			out.Top = p.Top
-		}
+		out.Merge(p)
 	}
 	return out
 }
@@ -198,22 +201,26 @@ func ComputeSeries(q Query, s series.Series) ([]Aggregate, error) {
 
 // Points flattens aggregates into the reduced series M4 renders: for every
 // non-empty span the first, bottom/top (in time order) and last points,
-// deduplicated and sorted by time. This is the series a client draws.
+// deduplicated and sorted by time. This is the series a client draws. The
+// aggregates are a query's, in span order: spans are disjoint and ordered,
+// and within one First is the earliest point and Last the latest, so the
+// output is built in order with no sort. A point at the time of the last
+// one kept is the same point of the merged series, and is dropped.
 func Points(aggs []Aggregate) series.Series {
 	out := make(series.Series, 0, 4*len(aggs))
 	for _, a := range aggs {
 		if a.Empty {
 			continue
 		}
-		out = append(out, a.First, a.Bottom, a.Top, a.Last)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
-	dedup := out[:0]
-	for i, p := range out {
-		if i > 0 && p.T == dedup[len(dedup)-1].T {
-			continue // the same merged series cannot carry two values per t
+		lo, hi := a.Bottom, a.Top
+		if hi.T < lo.T {
+			lo, hi = hi, lo
 		}
-		dedup = append(dedup, p)
+		for _, p := range [...]series.Point{a.First, lo, hi, a.Last} {
+			if len(out) == 0 || p.T > out[len(out)-1].T {
+				out = append(out, p)
+			}
+		}
 	}
-	return dedup
+	return out
 }

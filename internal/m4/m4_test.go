@@ -195,10 +195,14 @@ func TestPoints(t *testing.T) {
 		{Empty: true},
 		{First: series.Point{T: 10, V: 5}, Last: series.Point{T: 10, V: 5},
 			Bottom: series.Point{T: 10, V: 5}, Top: series.Point{T: 10, V: 5}},
+		// Top before Bottom, and Bottom is Last.
+		{First: series.Point{T: 20, V: 2}, Last: series.Point{T: 23, V: -1},
+			Bottom: series.Point{T: 23, V: -1}, Top: series.Point{T: 21, V: 7}},
 	}
 	got := Points(aggs)
 	want := series.Series{
 		{T: 1, V: 1}, {T: 2, V: 0}, {T: 3, V: 9}, {T: 4, V: 4}, {T: 10, V: 5},
+		{T: 20, V: 2}, {T: 21, V: 7}, {T: 23, V: -1},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Points = %v, want %v", got, want)

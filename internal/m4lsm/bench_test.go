@@ -112,6 +112,28 @@ func BenchmarkComputeTable4(b *testing.B) {
 	}
 }
 
+// BenchmarkComputePyramid is one query answered from pyramid cells alone:
+// the snapshot and the operator over cell-aligned windows at w=1024.
+func BenchmarkComputePyramid(b *testing.B) {
+	e := alignedEngine(b)
+	var qs []m4.Query
+	for off := int64(0); off+1<<16 <= alignedPoints; off += 1 << 13 {
+		qs = append(qs, m4.Query{Tqs: off, Tqe: off + 1<<16, W: 1024})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		snap := alignedSnapshot(b, e, q)
+		if _, err := Compute(snap, q); err != nil {
+			b.Fatal(err)
+		}
+		if loads := snap.Stats.Load().ChunksLoaded; loads != 0 {
+			b.Fatalf("aligned window loaded %d chunks", loads)
+		}
+	}
+}
+
 // TestComputeAllocsDoNotScaleWithTasks: on a fixed chunk set where every
 // chunk is split, and so loaded, at both span counts, a query's allocations
 // are the same few per chunk and per query whether it runs 400 tasks or

@@ -488,7 +488,6 @@ type spanComputer struct {
 	op    *operator
 	span  series.TimeRange
 	views []view
-	frag  []assignment // the current pyramid fragment's chunks
 	local storage.Stats
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"m4lsm/internal/m4"
 	"m4lsm/internal/obs"
+	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
 
@@ -123,7 +124,7 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			return err
 		}
 		span := p.work[ref.k]
-		pt, ok, err := p.op.timedG(sc, span, q.Span(span), p.spanChunks(span), gFP)
+		pt, ok, err := p.op.timedG(sc, span, q.Span(span), p.chunks(2*span), gFP)
 		p.firsts[ref.k] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
@@ -166,7 +167,7 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 		ref := restTasks[t]
 		p := plans[ref.plan]
 		span := p.work[p.live[ref.j]]
-		pt, ok, err := p.op.timedG(sc, span, q.Span(span), p.spanChunks(span), rest[ref.kind])
+		pt, ok, err := p.op.timedG(sc, span, q.Span(span), p.chunks(2*span), rest[ref.kind])
 		p.rests[restCount*ref.j+ref.kind] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
@@ -213,20 +214,20 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 }
 
 // seriesPlan is one series' share of a batched query: its operator (chunk
-// states, delete index, per-series stats), the span→chunk distribution, and
-// the task-result slots the two waves fill in.
+// states, delete index, per-series stats), the chunk lists of its spans and
+// pyramid fragments, and the task-result slots the two waves fill in.
 type seriesPlan struct {
 	op          *operator
-	assigned    []assignment // every span's chunks, span after span
-	spanOff     []int        // span i's chunks are assigned[spanOff[i]:spanOff[i+1]]
+	assigned    []assignment // every chunk list, one after another
+	listOff     []int        // list l's chunks are assigned[listOff[l]:listOff[l+1]]
 	out         []m4.Aggregate
 	work        []int // span indexes with at least one chunk
 	firsts      []gResult
 	live        []int // indexes into work with surviving points
 	rests       []gResult
-	pyr         []*pyrSpanPlan // per span; nil slice when the pyramid is off
-	pyrWork     []int          // pyramid spans with boundary chunks to compute
-	pyrErrs     []error        // parallel to pyrWork, filled by wave 1
+	pyr         []storage.PyramidSpan // per span; nil when the pyramid answers none
+	pyrWork     []int                 // pyramid spans with boundary chunks to compute
+	pyrErrs     []error               // parallel to pyrWork, filled by wave 1
 	statsBefore storage.Stats
 }
 
@@ -248,66 +249,50 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	if instrumented {
 		p.statsBefore = op.stats.Load()
 	}
-	p.pyr = planPyramid(snap, q, opts)
-	// spanAssigned reports whether a chunk joins span i's own candidate
-	// loop: not in a pyramid span, nor in a zero-width one (W > range).
-	spanAssigned := func(meta storage.ChunkMeta, i int) bool {
-		return (p.pyr == nil || p.pyr[i] == nil) && meta.OverlapsRange(q.Span(i))
-	}
-	// Chunk states are materialized lazily: a chunk whose every span is
-	// answered from pyramid cells (and that misses the boundary fragments)
-	// never needs one, and on wide snapshots those per-chunk allocations
-	// would otherwise dominate an all-cells query's cost. Metadata tests
-	// run on ref.Meta directly; the state is built on first assignment.
-	// This pass also counts span i's chunks into spanOff[i+1].
-	p.spanOff = make([]int, q.W+1)
+	p.out = make([]m4.Aggregate, q.W)
+	p.pyr = planPyramid(snap, q, opts, p.out)
+	// Span i has chunk lists 2i and 2i+1 (see listEnd), and a chunk joins
+	// each list of its spans whose range it overlaps. Chunk states are
+	// materialized lazily: a chunk whose every span is answered from
+	// pyramid cells, and that misses the boundary fragments, never needs
+	// one, and on wide snapshots those per-chunk allocations would
+	// otherwise dominate an all-cells query's cost. This pass counts list
+	// l's chunks into listOff[l+1].
+	lists := 2 * q.W
+	p.listOff = make([]int, lists+1)
 	for ci := range snap.Chunks {
 		meta := snap.Chunks[ci].Meta
 		var cs *chunkState
-		state := func() *chunkState {
-			if cs == nil {
-				cs = op.addState(snap.Chunks[ci])
-			}
-			return cs
-		}
 		for i := clampSpan(q, meta.First.T); i <= clampSpan(q, meta.Last.T); i++ {
-			// A pyramid span needs chunks only over its boundary
-			// fragments; its interior is already folded into the cells.
-			if p.pyr != nil {
-				if pp := p.pyr[i]; pp != nil {
-					if meta.OverlapsRange(pp.leftRange) {
-						pp.leftChunks = append(pp.leftChunks, state())
+			for l := 2 * i; l < p.listEnd(i); l++ {
+				if meta.OverlapsRange(p.listRange(l)) {
+					if cs == nil {
+						cs = op.addState(snap.Chunks[ci])
 					}
-					if meta.OverlapsRange(pp.rightRange) {
-						pp.rightChunks = append(pp.rightChunks, state())
-					}
-					continue
+					p.listOff[l+1]++
 				}
 			}
-			if spanAssigned(meta, i) {
-				state()
-				p.spanOff[i+1]++
-			}
 		}
 	}
-	// A second pass lays the spans' chunks out in one slice, snapshot order
-	// within a span, with spanOff[i] as span i's fill cursor.
-	for i := 1; i <= q.W; i++ {
-		p.spanOff[i] += p.spanOff[i-1]
+	// A second pass lays the lists out in one slice, snapshot order within
+	// a list, with listOff[l] as list l's fill cursor.
+	for l := 1; l <= lists; l++ {
+		p.listOff[l] += p.listOff[l-1]
 	}
-	p.assigned = make([]assignment, p.spanOff[q.W])
+	p.assigned = make([]assignment, p.listOff[lists])
 	for _, cs := range op.states {
 		for i := clampSpan(q, cs.meta.First.T); i <= clampSpan(q, cs.meta.Last.T); i++ {
-			if spanAssigned(cs.meta, i) {
-				p.assigned[p.spanOff[i]] = assignment{cs: cs}
-				p.spanOff[i]++
+			for l := 2 * i; l < p.listEnd(i); l++ {
+				if cs.meta.OverlapsRange(p.listRange(l)) {
+					p.assigned[p.listOff[l]] = assignment{cs: cs}
+					p.listOff[l]++
+				}
 			}
 		}
 	}
-	copy(p.spanOff[1:], p.spanOff[:q.W])
-	p.spanOff[0] = 0
+	copy(p.listOff[1:], p.listOff[:lists])
+	p.listOff[0] = 0
 
-	p.out = make([]m4.Aggregate, q.W)
 	p.work = make([]int, 0, q.W)
 	var pyrSpans, pyrCells, pyrFallback int64
 	for i := 0; i < q.W; i++ {
@@ -315,21 +300,17 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 			p.out[i] = m4.Aggregate{Empty: true}
 			continue
 		}
-		if p.pyr != nil {
-			if pp := p.pyr[i]; pp != nil {
-				pyrSpans++
-				pyrCells += int64(len(pp.cells))
-				if len(pp.leftChunks) == 0 && len(pp.rightChunks) == 0 {
-					// Both fragments are provably empty: the span is
-					// answered entirely from cells, zero tasks.
-					p.out[i] = pp.cellsOnly()
-				} else {
-					p.pyrWork = append(p.pyrWork, i)
-				}
-				continue
+		if p.pyramidSpan(i) {
+			pyrSpans++
+			pyrCells += int64(p.pyr[i].Cells)
+			// With both fragments provably empty the span is its
+			// cells, already in p.out: zero tasks.
+			if len(p.chunks(2*i)) > 0 || len(p.chunks(2*i+1)) > 0 {
+				p.pyrWork = append(p.pyrWork, i)
 			}
+			continue
 		}
-		if len(p.spanChunks(i)) == 0 {
+		if len(p.chunks(2*i)) == 0 {
 			p.out[i] = m4.Aggregate{Empty: true}
 			continue
 		}
@@ -348,9 +329,39 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	return p
 }
 
-// spanChunks returns the chunks assigned to span i.
-func (p *seriesPlan) spanChunks(i int) []assignment {
-	return p.assigned[p.spanOff[i]:p.spanOff[i+1]]
+// pyramidSpan reports whether the pyramid answers span i's interior.
+func (p *seriesPlan) pyramidSpan(i int) bool { return p.pyr != nil && p.pyr[i].Cells > 0 }
+
+// Span i owns chunk lists 2i and 2i+1: its left and right boundary
+// fragments when the pyramid answers its interior, otherwise its own
+// candidate loop and an unused, always empty list. listEnd bounds the lists
+// a chunk may join, 2i up to listEnd(i).
+func (p *seriesPlan) listEnd(i int) int {
+	if p.pyramidSpan(i) {
+		return 2*i + 2
+	}
+	return 2*i + 1
+}
+
+// listRange returns the time range of chunk list l; the chunks overlapping
+// it join the list. An empty range, such as a zero-width span's (W > range)
+// or an empty fragment, attaches no chunk.
+func (p *seriesPlan) listRange(l int) series.TimeRange {
+	i := l / 2
+	span := p.op.q.Span(i)
+	switch {
+	case !p.pyramidSpan(i):
+		return span
+	case l%2 == 1:
+		return series.TimeRange{Start: p.pyr[i].Hi, End: span.End}
+	default:
+		return series.TimeRange{Start: span.Start, End: p.pyr[i].Lo}
+	}
+}
+
+// chunks returns the chunks of list l.
+func (p *seriesPlan) chunks(l int) []assignment {
+	return p.assigned[p.listOff[l]:p.listOff[l+1]]
 }
 
 // assemble combines the wave results into the series' aggregates, applying

@@ -21,13 +21,21 @@ type OperatorMetrics struct {
 }
 
 // NewOperatorMetrics resolves the operator's instruments from the
-// registry; a nil registry yields a nil (inert) OperatorMetrics.
+// registry; a nil registry yields a nil (inert) OperatorMetrics. Every query
+// asks, so the set is resolved once per operator label and kept: instruments
+// are never removed, so it stays what a fresh resolution would return.
 func NewOperatorMetrics(r *Registry, op string) *OperatorMetrics {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	m := r.ops[op]
+	r.mu.Unlock()
+	if m != nil {
+		return m
+	}
 	l := []string{"op", op}
-	return &OperatorMetrics{
+	m = &OperatorMetrics{
 		queries:       r.Counter("m4_queries_total", l...),
 		querySeconds:  r.Histogram("m4_query_seconds", l...),
 		taskSeconds:   r.Histogram("m4_task_seconds", l...),
@@ -40,6 +48,10 @@ func NewOperatorMetrics(r *Registry, op string) *OperatorMetrics {
 		pyramidCells:  r.Counter("m4_pyramid_cells_total", l...),
 		pyramidFalls:  r.Counter("m4_pyramid_fallback_spans_total", l...),
 	}
+	r.mu.Lock()
+	r.ops[op] = m
+	r.mu.Unlock()
+	return m
 }
 
 // RecordPyramid accumulates one query's rollup-pyramid attribution: spans

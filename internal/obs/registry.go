@@ -27,12 +27,13 @@ import (
 // twice for the same identity returns the same instrument.
 type Registry struct {
 	mu    sync.Mutex
-	instr map[string]*instrument // key: name + serialized labels
+	instr map[string]*instrument      // key: name + serialized labels
+	ops   map[string]*OperatorMetrics // NewOperatorMetrics, by operator label
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{instr: make(map[string]*instrument)}
+	return &Registry{instr: make(map[string]*instrument), ops: make(map[string]*OperatorMetrics)}
 }
 
 // instrKind discriminates exposition types.

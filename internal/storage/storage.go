@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"m4lsm/internal/encoding"
+	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
 )
 
@@ -52,9 +53,9 @@ type ChunkMeta struct {
 func (m ChunkMeta) Interval() (start, end int64) { return m.First.T, m.Last.T }
 
 // OverlapsRange reports whether the chunk's closed interval intersects the
-// half-open query range r.
+// half-open query range r. An empty range overlaps nothing.
 func (m ChunkMeta) OverlapsRange(r series.TimeRange) bool {
-	return m.First.T < r.End && m.Last.T >= r.Start
+	return r.Start < r.End && m.First.T < r.End && m.Last.T >= r.Start
 }
 
 func (m ChunkMeta) String() string {
@@ -214,33 +215,31 @@ func (c ChunkRef) countCache(hit bool) {
 	}
 }
 
-// PyramidCell is one precomputed rollup cell handed to the planner: the M4
-// representation points of the fully merged series (latest version wins,
-// deletes applied) restricted to the half-open interval [Start, End). Empty
-// reports that the merged series has no surviving point in the interval.
-type PyramidCell struct {
-	Start, End int64
-	First      series.Point
-	Last       series.Point
-	Bottom     series.Point
-	Top        series.Point
-	Empty      bool
+// PyramidSpan is the pyramid's plan for one span of a query: the span's
+// cell-aligned interior [Lo, Hi) and the number of precomputed cells tiling
+// it. Cells == 0 means the pyramid cannot answer the span.
+type PyramidSpan struct {
+	Lo, Hi int64
+	Cells  int
 }
 
 // PyramidSource exposes precomputed multi-resolution rollup cells to the
-// query planner. Implementations are snapshots: the cells they hand out
-// must reflect the same merged state as the Snapshot's chunk list, or
-// report ok=false.
+// query planner. Implementations are snapshots: the cells they fold must
+// reflect the same merged state as the Snapshot's chunk list, or answer
+// nothing.
 type PyramidSource interface {
-	// PlanSpan decomposes the largest cell-aligned interior of [start, end)
-	// into contiguous, non-overlapping cells in time order. ok=false means
-	// the pyramid cannot cover the span — cells there are missing or
-	// invalidated by writes the snapshot must observe — and the caller
-	// falls back to raw chunk reads for the whole span. When ok, at least
-	// one cell is returned, cells[0].Start is the first aligned instant
-	// ≥ start, and the last cell's End is ≤ end; the caller computes the
-	// two uncovered boundary fragments exactly.
-	PlanSpan(start, end int64) ([]PyramidCell, bool)
+	// PlanSpans plans every span i of q (len(spans) == len(aggs) == q.W)
+	// whose largest cell-aligned interior decomposes into usable cells: it
+	// fills spans[i], sets aggs[i] to those cells folded in time order into
+	// one aggregate of the fully merged series (latest version wins,
+	// deletes applied) over the interior, and returns how many spans it
+	// planned. A span left with Cells == 0, and its aggregate untouched —
+	// cells there are missing or invalidated by writes the snapshot must
+	// observe — falls back to raw chunk reads as a whole. For a planned
+	// span, Lo is the first aligned instant >= the span's start and Hi <=
+	// its end; the caller computes the two uncovered boundary fragments
+	// exactly.
+	PlanSpans(q m4.Query, spans []PyramidSpan, aggs []m4.Aggregate) int
 }
 
 // Snapshot is the immutable view of one series a query executes against:

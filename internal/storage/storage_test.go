@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
 )
 
@@ -49,11 +50,29 @@ func TestChunkMetaOverlaps(t *testing.T) {
 		{series.TimeRange{Start: 200, End: 300}, true}, // starts on last point (closed)
 		{series.TimeRange{Start: 201, End: 300}, false},
 		{series.TimeRange{Start: 150, End: 160}, true},
+		{series.TimeRange{Start: 150, End: 150}, false}, // empty, straddled by the chunk
+		{series.TimeRange{Start: 200, End: 200}, false}, // empty, on the last point
 	}
 	for _, tc := range tests {
 		if got := m.OverlapsRange(tc.r); got != tc.want {
 			t.Errorf("OverlapsRange(%v) = %v, want %v", tc.r, got, tc.want)
 		}
+	}
+	// With more spans than instants some spans have zero width; the chunk
+	// covers the whole range, yet joins none of those.
+	q := m4.Query{Tqs: 120, Tqe: 125, W: 8}
+	zero := 0
+	for i := 0; i < q.W; i++ {
+		s := q.Span(i)
+		if got := m.OverlapsRange(s); got == s.Empty() {
+			t.Errorf("span %d %v: OverlapsRange = %v", i, s, got)
+		}
+		if s.Empty() {
+			zero++
+		}
+	}
+	if zero == 0 {
+		t.Fatalf("%+v has no zero-width span", q)
 	}
 }
 

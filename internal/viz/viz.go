@@ -12,20 +12,21 @@ package viz
 
 import (
 	"fmt"
-	"image"
-	"image/color"
-	"image/png"
-	"io"
 	"math"
+	"math/bits"
 	"strings"
 
 	"m4lsm/internal/series"
 )
 
-// Canvas is a binary pixel grid; (0,0) is the top-left corner.
+// Canvas is a binary pixel grid; (0,0) is the top-left corner. Each row
+// starts on a word boundary and holds its pixels in PNG bit order: pixel x
+// of row y is bit 63-x%64 of word y*stride+x/64, so a row's words written
+// big-endian are its 1-bit scanline (see WritePNG). Bits past W stay clear.
 type Canvas struct {
-	W, H int
-	bits []uint64
+	W, H   int
+	stride int // words per row
+	bits   []uint64
 }
 
 // NewCanvas allocates a cleared canvas. It panics on non-positive
@@ -34,7 +35,13 @@ func NewCanvas(w, h int) *Canvas {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("viz: invalid canvas %dx%d", w, h))
 	}
-	return &Canvas{W: w, H: h, bits: make([]uint64, (w*h+63)/64)}
+	stride := (w + 63) / 64
+	return &Canvas{W: w, H: h, stride: stride, bits: make([]uint64, stride*h)}
+}
+
+// pixel returns the word holding the in-bounds pixel (x, y) and its mask.
+func (c *Canvas) pixel(x, y int) (*uint64, uint64) {
+	return &c.bits[y*c.stride+x/64], 1 << (63 - x%64)
 }
 
 // Set lights the pixel at (x, y); out-of-bounds coordinates are ignored.
@@ -42,8 +49,8 @@ func (c *Canvas) Set(x, y int) {
 	if x < 0 || x >= c.W || y < 0 || y >= c.H {
 		return
 	}
-	i := y*c.W + x
-	c.bits[i/64] |= 1 << (i % 64)
+	word, mask := c.pixel(x, y)
+	*word |= mask
 }
 
 // Get reports whether the pixel at (x, y) is lit.
@@ -51,17 +58,15 @@ func (c *Canvas) Get(x, y int) bool {
 	if x < 0 || x >= c.W || y < 0 || y >= c.H {
 		return false
 	}
-	i := y*c.W + x
-	return c.bits[i/64]&(1<<(i%64)) != 0
+	word, mask := c.pixel(x, y)
+	return *word&mask != 0
 }
 
 // Count returns the number of lit pixels.
 func (c *Canvas) Count() int {
 	n := 0
 	for _, w := range c.bits {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -111,9 +116,7 @@ func Diff(a, b *Canvas) int {
 	}
 	n := 0
 	for i := range a.bits {
-		for w := a.bits[i] ^ b.bits[i]; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(a.bits[i] ^ b.bits[i])
 	}
 	return n
 }
@@ -132,21 +135,6 @@ func (c *Canvas) ASCII() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// WritePNG encodes the canvas as a black-on-white PNG.
-func (c *Canvas) WritePNG(w io.Writer) error {
-	img := image.NewGray(image.Rect(0, 0, c.W, c.H))
-	for y := 0; y < c.H; y++ {
-		for x := 0; x < c.W; x++ {
-			if c.Get(x, y) {
-				img.SetGray(x, y, color.Gray{Y: 0})
-			} else {
-				img.SetGray(x, y, color.Gray{Y: 255})
-			}
-		}
-	}
-	return png.Encode(w, img)
 }
 
 // Viewport maps data coordinates to pixels: the half-open time range

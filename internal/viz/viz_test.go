@@ -3,6 +3,7 @@ package viz
 import (
 	"bytes"
 	"image/png"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -251,6 +252,96 @@ func TestWritePNG(t *testing.T) {
 	if img.Bounds().Dx() != 10 || img.Bounds().Dy() != 5 {
 		t.Errorf("png bounds = %v", img.Bounds())
 	}
+}
+
+// TestWritePNGRoundTrip holds the direct encoder to image/png: at widths on
+// both sides of the byte and word boundaries, random bits and rasterized
+// random walks decode to the canvas's bounds and to Get at every pixel.
+func TestWritePNGRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []int{1, 7, 8, 63, 64, 65, 1000, 1024} {
+		for _, h := range []int{1, 3, 400} {
+			noise := NewCanvas(w, h)
+			for i := rng.Intn(w*h/2 + 1); i >= 0; i-- {
+				noise.Set(rng.Intn(w), rng.Intn(h))
+			}
+			s := genSeries(rng, 1+rng.Intn(3*w))
+			walk := Rasterize(s, ViewportFor(s, 0, s[len(s)-1].T+1), w, h)
+			for name, c := range map[string]*Canvas{"noise": noise, "walk": walk} {
+				var buf bytes.Buffer
+				if err := c.WritePNG(&buf); err != nil {
+					t.Fatal(err)
+				}
+				img, err := png.Decode(&buf)
+				if err != nil {
+					t.Fatalf("%dx%d %s: %v", w, h, name, err)
+				}
+				if b := img.Bounds(); b.Min.X != 0 || b.Min.Y != 0 || b.Dx() != w || b.Dy() != h {
+					t.Fatalf("%dx%d %s: bounds %v", w, h, name, b)
+				}
+				lit := 0
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						r, g, b, _ := img.At(x, y).RGBA()
+						black := r == 0 && g == 0 && b == 0
+						if !black && (r != 0xffff || g != 0xffff || b != 0xffff) {
+							t.Fatalf("%dx%d %s: pixel (%d,%d) is neither black nor white", w, h, name, x, y)
+						}
+						if black != c.Get(x, y) {
+							t.Fatalf("%dx%d %s: pixel (%d,%d) decodes black=%v, Get=%v", w, h, name, x, y, black, c.Get(x, y))
+						}
+						if black {
+							lit++
+						}
+					}
+				}
+				if lit != c.Count() {
+					t.Fatalf("%dx%d %s: %d black pixels, Count %d", w, h, name, lit, c.Count())
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestWritePNGAllocations: once the pooled encoder is warm, an encode
+// allocates the same small constant whatever the canvas size.
+func TestWritePNGAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	allocs := func(w, h int) float64 {
+		c := NewCanvas(w, h)
+		c.DrawLine(0, 0, w-1, h-1)
+		c.WritePNG(io.Discard)
+		return testing.AllocsPerRun(20, func() {
+			if err := c.WritePNG(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	big, small := allocs(1024, 400), allocs(64, 8)
+	if big != small || big > 2 {
+		t.Errorf("allocations per encode: %v at 1024x400, %v at 64x8; want the same constant, at most 2", big, small)
+	}
+}
+
+func BenchmarkWritePNG(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	s := genSeries(rng, 20000)
+	c := Rasterize(s, ViewportFor(s, 0, s[len(s)-1].T+1), 1024, 400)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := c.WritePNG(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes")
 }
 
 func TestRasterizeSkipsOutOfRange(t *testing.T) {
