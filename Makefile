@@ -67,7 +67,7 @@ soak:
 		./internal/server ./internal/lsm ./internal/m4lsm ./internal/m4ql ./internal/govern
 
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
-# footers, record logs), the m4ql parser including the REPRESENT
+# footers, record logs, the pyramid manifest), the m4ql parser including the REPRESENT
 # clause, the /write line-protocol parser, the Gorilla codec against its
 # bit-at-a-time reference, and the step-regression build against its
 # reference. Go allows one -fuzz target per invocation, so each runs
@@ -84,14 +84,16 @@ fuzz:
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzBitStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stepreg -run '^$$' -fuzz '^FuzzStepregBuild$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME)
 
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
 # It also keeps raw sleeps out of library code, keeps the query layers
 # (root package, m4ql, server) from growing a second read path, keeps
-# internal/lsm from growing a second write path or reaching into the WAL,
-# keeps a second measurement stack from growing beside bench/, keeps the
+# internal/lsm from growing a second write path, a second chunk-file writer
+# or reaching into the WAL, keeps internal/pyramid from depending on the
+# engine, keeps a second measurement stack from growing beside bench/, keeps the
 # chunk read path columnar, and checks that every test DESIGN.md's invariant
 # table names exists.
 lint:
@@ -129,6 +131,13 @@ lint:
 		echo "applyRun and WAL replay; the log is reached through internal/wal's methods only."; \
 		echo "Exempt: WAL file globs in tests, the -wal-* flags of m4server."; \
 		echo "$$bad"; echo "memtable appends: $$n"; exit 1; \
+	fi
+	@n=$$(grep -c 'tsfile\.Create(' $$(ls internal/lsm/*.go | grep -v '_test\.go$$') | grep -v ':0$$' | tr '\n' ' '); \
+	bad=$$($(GO) list -deps ./internal/pyramid | grep -xE 'm4lsm/internal/(lsm|wal|tsfile)'; true); \
+	if [ -n "$$bad" ] || [ "$$n" != "internal/lsm/flush.go:1 " ]; then \
+		echo "lint: chunk files are written in one place, writeChunkFile (internal/lsm/flush.go), for flush and"; \
+		echo "compaction alike; internal/pyramid knows nothing of the engine, the WAL or the chunk format."; \
+		echo "pyramid depends on: $$bad"; echo "tsfile.Create calls: $$n"; exit 1; \
 	fi
 	@bad=$$(ls BENCH_*.json 2>/dev/null; \
 		grep -nE '^bench-[a-z-]*:' Makefile | grep -vE '^[0-9]+:bench-(check|smoke):'; \
@@ -173,7 +182,8 @@ microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz
 
 # check is the standard gate for this repo: static analysis, the logging,
-# backoff, one-read-path, one-write-path and columnar-read-path lints, the
+# backoff, one-read-path, one-write-path, one-chunk-writer, pyramid-boundary
+# and columnar-read-path lints, the
 # benchmark module's own vet and tests, one pass of the micro-benchmarks,
 # the suite (including the crash-recovery torture and the
 # short-mode differential harness) under the race detector, the overload

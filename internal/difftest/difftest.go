@@ -297,7 +297,8 @@ func (c *Case) Check() error {
 			if err != nil {
 				return err
 			}
-			noPyr, err := m4lsm.ComputeWithOptions(snap, q, m4lsm.Options{DisablePyramid: true})
+			snap.Pyramid = nil // the span×G path alone
+			noPyr, err := m4lsm.Compute(snap, q)
 			if err != nil {
 				return fmt.Errorf("seed %d: m4lsm (pyramid off) %s %+v: %w", c.Seed, id, q, err)
 			}

@@ -82,12 +82,11 @@ func (c *Case) CheckRepr() error {
 					return fmt.Errorf("seed %d: oracle %s %s %+v: %w", c.Seed, id, spec, q, err)
 				}
 				paths := []struct {
-					name string
-					opts m4lsm.Options
-					udf  bool
+					name       string
+					noPyr, udf bool
 				}{
 					{name: "lsm"},
-					{name: "lsm-nopyr", opts: m4lsm.Options{DisablePyramid: true}},
+					{name: "lsm-nopyr", noPyr: true},
 					{name: "udf", udf: true},
 				}
 				for _, path := range paths {
@@ -95,11 +94,14 @@ func (c *Case) CheckRepr() error {
 					if err != nil {
 						return fmt.Errorf("seed %d: snapshot %s: %w", c.Seed, id, err)
 					}
+					if path.noPyr {
+						snap.Pyramid = nil // the span×G path alone
+					}
 					var out series.Series
 					if path.udf {
 						out, err = m4udf.ReduceContext(ctx, snap, q, spec, m4udf.Options{})
 					} else {
-						out, err = m4lsm.ReduceContext(ctx, snap, q, spec, path.opts)
+						out, err = m4lsm.ReduceContext(ctx, snap, q, spec, m4lsm.Options{})
 					}
 					if err != nil {
 						return fmt.Errorf("seed %d: %s %s %s %+v: %w", c.Seed, path.name, spec, id, q, err)

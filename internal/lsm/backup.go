@@ -103,14 +103,16 @@ func DecodeBackupManifest(b []byte) (BackupManifest, error) {
 // if missing; must be empty of manifest files). Safe under concurrent
 // writers: the snapshot is pinned under every shard lock, so it is exactly
 // the state some single instant observed.
-func (e *Engine) Backup(dir string) (BackupManifest, error) {
-	var m BackupManifest
+func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
+	defer func() {
+		if err != nil {
+			e.backupErrors.Add(1)
+		}
+	}()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		e.backupErrors.Add(1)
 		return m, fmt.Errorf("lsm: backup: %w", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, backupManifestName)); err == nil {
-		e.backupErrors.Add(1)
 		return m, fmt.Errorf("lsm: backup: %s already holds a backup", dir)
 	}
 
@@ -125,8 +127,7 @@ func (e *Engine) Backup(dir string) (BackupManifest, error) {
 	e.lockAll()
 	if e.closed.Load() {
 		e.unlockAll()
-		e.backupErrors.Add(1)
-		return m, errors.New("lsm: engine closed")
+		return m, errEngineClosed
 	}
 	m.CreatedUnix = time.Now().Unix()
 	m.NextVersion = e.nextVer.Load()
@@ -147,7 +148,6 @@ func (e *Engine) Backup(dir string) (BackupManifest, error) {
 		}
 		if err != nil {
 			e.unlockAll()
-			e.backupErrors.Add(1)
 			return m, fmt.Errorf("lsm: backup: %w", err)
 		}
 		caps = append(caps, capture{name: name, data: data})
@@ -158,7 +158,6 @@ func (e *Engine) Backup(dir string) (BackupManifest, error) {
 	sealed, activePath, active, err := e.wal.Capture()
 	if err != nil {
 		e.unlockAll()
-		e.backupErrors.Add(1)
 		return m, fmt.Errorf("lsm: backup: %w", err)
 	}
 	for _, s := range sealed {
@@ -181,7 +180,6 @@ func (e *Engine) Backup(dir string) (BackupManifest, error) {
 	}
 	e.unlockAll()
 	if linkErr != nil {
-		e.backupErrors.Add(1)
 		return m, fmt.Errorf("lsm: backup: %w", linkErr)
 	}
 
@@ -192,29 +190,24 @@ func (e *Engine) Backup(dir string) (BackupManifest, error) {
 		dst := filepath.Join(dir, c.name)
 		if c.path == "" {
 			if err := os.WriteFile(dst, c.data, 0o644); err != nil {
-				e.backupErrors.Add(1)
 				return m, fmt.Errorf("lsm: backup: %w", err)
 			}
 		}
 		size, crc, err := fileCRC(dst)
 		if err != nil {
-			e.backupErrors.Add(1)
 			return m, fmt.Errorf("lsm: backup: %w", err)
 		}
 		m.Files = append(m.Files, BackupFile{Name: c.name, Size: size, CRC: crc})
 		total += size
 	}
 	if err := e.step("backup.manifest"); err != nil {
-		e.backupErrors.Add(1)
 		return m, err
 	}
 	enc, err := EncodeBackupManifest(m)
 	if err != nil {
-		e.backupErrors.Add(1)
 		return m, err
 	}
 	if err := writeFileAtomic(filepath.Join(dir, backupManifestName), enc); err != nil {
-		e.backupErrors.Add(1)
 		return m, fmt.Errorf("lsm: backup manifest: %w", err)
 	}
 	e.backupRuns.Add(1)

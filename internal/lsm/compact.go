@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,43 +33,40 @@ func (e *Engine) Compact() error {
 	e.lockAll()
 	defer e.unlockAll()
 	if e.closed.Load() {
-		return fmt.Errorf("lsm: engine closed")
+		return errEngineClosed
 	}
 	compactStart := time.Now()
-	defer func() {
-		e.met.compactions.Inc()
-		e.met.compactSecs.Observe(time.Since(compactStart).Seconds())
-	}()
+	err := e.compactLocked()
+	e.met.compactions.Inc()
+	e.met.compactSecs.Observe(time.Since(compactStart).Seconds())
+	// One classified exit, as for a flush: ENOSPC at any stage flips the
+	// engine read-only with the typed error.
+	return e.classifyWrite(err)
+}
+
+// compactLocked does Compact's work under every shard lock.
+func (e *Engine) compactLocked() error {
 	// Memtable contents ride along: flush first so the merge sees them.
 	for _, sh := range e.shards {
 		if _, err := e.flushShardLocked(sh); err != nil {
 			return err
 		}
 	}
-	// Quarantined chunks cannot be read (their bytes fail CRC); the merge
-	// excludes them, and the files holding them are set aside below instead
-	// of being removed, so the corrupt bytes stay available for salvage.
-	e.quarMu.Lock()
-	quar := make(map[chunkID]bool, len(e.quarantined))
-	for id := range e.quarantined {
-		quar[id] = true
-	}
-	e.quarMu.Unlock()
-	mods := e.modsLog()
-
 	// Write each shard's compacted generation to a fresh file before
 	// touching the old ones; a crash (or error) between here and the swap
 	// below leaves both generations on disk, and duplicate points merge
 	// idempotently. The merged output is in order, so it belongs to the
 	// sequence space. Series merge in sorted-id order within each shard, so
 	// the compacted layout is deterministic for a given shard count.
+	// Quarantined chunks cannot be read (their bytes fail CRC): the
+	// snapshot builder leaves them out, and the files holding them are set
+	// aside below instead of being removed, so the corrupt bytes stay
+	// available for salvage.
 	type shardGen struct {
 		merged map[string]series.Series
 		reader *tsfile.Reader
-		path   string
 	}
 	gens := make([]shardGen, len(e.shards))
-	everything := series.TimeRange{Start: -(1 << 62), End: 1 << 62}
 	err := runShardPool(e.shardParallelism(), len(e.shards), func(i int) error {
 		sh := e.shards[i]
 		ids := make([]string, 0, len(sh.chunks))
@@ -78,15 +76,7 @@ func (e *Engine) Compact() error {
 		sort.Strings(ids)
 		merged := make(map[string]series.Series, len(ids))
 		for _, id := range ids {
-			snap := &storage.Snapshot{SeriesID: id}
-			for _, ce := range sh.chunks[id] {
-				if quar[chunkID{ce.meta.SeriesID, ce.meta.Version}] {
-					continue
-				}
-				snap.Chunks = append(snap.Chunks, storage.NewChunkRef(ce.meta, ce.src, nil))
-			}
-			snap.Deletes = mods.ForSeries(id)
-			data, err := mergeread.Merge(snap, everything)
+			data, err := mergeread.Merge(e.seriesSnapshot(sh, id, everything, 0, nil), everything)
 			if err != nil {
 				return fmt.Errorf("lsm: compact %s: %w", id, err)
 			}
@@ -95,39 +85,9 @@ func (e *Engine) Compact() error {
 			}
 		}
 		gens[i].merged = merged
-		if len(merged) == 0 {
-			return nil
-		}
-		name := fmt.Sprintf("%06d.seq.tsf", e.fileSeq.Add(1)-1)
-		path := filepath.Join(e.opts.Dir, name)
-		w, err := tsfile.Create(path)
-		if err != nil {
-			return err
-		}
-		for _, id := range ids {
-			data := merged[id]
-			for len(data) > 0 {
-				n := len(data)
-				if n > e.opts.FlushThreshold {
-					n = e.opts.FlushThreshold
-				}
-				if _, err := w.WriteChunk(id, e.allocVersion(), e.opts.Codec, data[:n]); err != nil {
-					w.Abort()
-					return err
-				}
-				data = data[n:]
-			}
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		r, err := tsfile.Open(path)
-		if err != nil {
-			return fmt.Errorf("lsm: reopen compacted file: %w", err)
-		}
+		r, err := e.writeChunkFile("seq", ids, merged, false)
 		gens[i].reader = r
-		gens[i].path = path
-		return nil
+		return err
 	})
 	if err != nil {
 		// Drop whatever new-generation files were staged; the old
@@ -135,10 +95,10 @@ func (e *Engine) Compact() error {
 		for _, g := range gens {
 			if g.reader != nil {
 				g.reader.Close()
-				os.Remove(g.path)
+				os.Remove(g.reader.Path())
 			}
 		}
-		return e.classifyWrite(err)
+		return err
 	}
 
 	// Swap in the new generation: the old files are unlinked but their
@@ -159,39 +119,13 @@ func (e *Engine) Compact() error {
 		sh.chunks = make(map[string][]chunkEntry)
 		sh.maxSeqTime = make(map[string]int64)
 		if r := gens[i].reader; r != nil {
-			src := e.sourceFor(r)
-			for _, m := range r.Metas() {
-				sh.chunks[m.SeriesID] = append(sh.chunks[m.SeriesID], chunkEntry{meta: m, src: src})
-			}
+			e.registerChunks(r)
 		}
 		for id, data := range gens[i].merged {
 			sh.maxSeqTime[id] = data[len(data)-1].T
 		}
 	}
-	retire := func() error {
-		e.fileMu.Lock()
-		defer e.fileMu.Unlock()
-		for _, f := range oldFiles {
-			hasQuarantined := false
-			for _, m := range f.Metas() {
-				if quar[chunkID{m.SeriesID, m.Version}] {
-					hasQuarantined = true
-					break
-				}
-			}
-			if hasQuarantined {
-				if _, err := tsfile.SetAside(f.Path()); err != nil {
-					return fmt.Errorf("lsm: quarantine pre-compaction file: %w", err)
-				}
-				e.badFiles++
-			} else if err := os.Remove(f.Path()); err != nil {
-				return fmt.Errorf("lsm: remove pre-compaction file: %w", err)
-			}
-			e.retired = append(e.retired, f)
-		}
-		return nil
-	}
-	if err := retire(); err != nil {
+	if err := e.retireFiles(oldFiles); err != nil {
 		return err
 	}
 	// Deletes are folded into the compacted chunks; reset the sidecar.
@@ -224,6 +158,32 @@ func (e *Engine) Compact() error {
 		}
 	}
 	return e.pyrMaybeSave()
+}
+
+// retireFiles unlinks the pre-compaction generation, setting aside (as
+// *.bad) each file that holds a quarantined chunk. The handles stay open
+// in e.retired for snapshots that still reference them.
+func (e *Engine) retireFiles(old []*tsfile.Reader) error {
+	e.fileMu.Lock()
+	defer e.fileMu.Unlock()
+	for _, f := range old {
+		e.quarMu.Lock()
+		bad := slices.ContainsFunc(f.Metas(), func(m storage.ChunkMeta) bool {
+			_, q := e.quarantined[chunkID{m.SeriesID, m.Version}]
+			return q
+		})
+		e.quarMu.Unlock()
+		if bad {
+			if _, err := tsfile.SetAside(f.Path()); err != nil {
+				return fmt.Errorf("lsm: quarantine pre-compaction file: %w", err)
+			}
+			e.badFiles++
+		} else if err := os.Remove(f.Path()); err != nil {
+			return fmt.Errorf("lsm: remove pre-compaction file: %w", err)
+		}
+		e.retired = append(e.retired, f)
+	}
+	return nil
 }
 
 // resetMods replaces the delete sidecar with an empty one. Caller holds all

@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -186,4 +188,53 @@ func TestSnapshotSurvivesCompaction(t *testing.T) {
 	if !reflect.DeepEqual(got, series.Series(pts(10, 1, 20, 2, 30, 3, 40, 4))) {
 		t.Fatalf("snapshot after compaction: %v", got)
 	}
+}
+
+// TestCompactKeepsExtremeTimestamps: compaction merges over every
+// timestamp a write can carry, so acknowledged points at the int64 edges
+// survive it and a reopen; the one timestamp no half-open range can name,
+// math.MaxInt64, is refused at write time with a typed error.
+func TestCompactKeepsExtremeTimestamps(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := series.Series{
+		{T: math.MinInt64, V: 1}, {T: math.MinInt64 + 1, V: 2},
+		{T: -(1 << 62) - 1, V: 3}, {T: -(1 << 62) + 1, V: 4}, {T: -5, V: 5},
+		{T: 1<<62 - 1, V: 6}, {T: 1<<62 + 1, V: 7}, {T: 1<<62 + 5, V: 8}, {T: math.MaxInt64 - 1, V: 9},
+	}
+	if err := e.Write("s", want...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Write("s", series.Point{T: math.MaxInt64, V: 10}); !errors.Is(err, ErrInvalidWrite) {
+		t.Fatalf("write at MaxInt64: %v, want ErrInvalidWrite", err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(e *Engine, phase string) {
+		t.Helper()
+		snap, err := e.Snapshot("s", everything)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := materialize(t, snap, everything); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d points %v, want %d %v", phase, len(got), got, len(want), want)
+		}
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(e, "compacted")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	check(e2, "reopened")
 }

@@ -12,6 +12,7 @@ import (
 
 	"m4lsm/internal/faultfs"
 	"m4lsm/internal/govern"
+	"m4lsm/internal/pyramid"
 	"m4lsm/internal/series"
 	"m4lsm/internal/tsfile"
 	"m4lsm/internal/wal"
@@ -654,7 +655,7 @@ func TestScrubHealsPyramidManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decodePyramid(healed); err != nil {
+	if _, _, err := pyramid.Decode(healed); err != nil {
 		t.Fatalf("manifest not healed: %v", err)
 	}
 	rep2, err := e.Scrub(ScrubOptions{})

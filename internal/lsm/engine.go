@@ -3,22 +3,26 @@
 // counter ordering chunks and deletes (§2.2.1), and append-only range
 // deletes recorded in a mods sidecar (Definition 2.5).
 //
-// Mirroring the paper's experimental configuration (Table 4), there is no
-// compaction: chunks are immutable once flushed and out-of-order writes
-// produce chunks with overlapping time intervals, exactly the state the
-// M4-LSM operator is designed for. Queries obtain an immutable Snapshot of
-// chunk metadata plus deletes; the unflushed memtable is exposed to the
-// snapshot as an in-memory chunk with a version higher than any flushed
-// chunk.
+// Chunks are immutable once flushed, and out-of-order writes produce chunks
+// with overlapping time intervals, exactly the state the M4-LSM operator is
+// designed for (the paper's Table 4 runs without compaction; Compact is an
+// explicit maintenance call). Queries obtain an immutable Snapshot of chunk
+// metadata plus deletes; the unflushed memtable is exposed to the snapshot
+// as an in-memory chunk with a version higher than any flushed chunk.
 //
 // The engine is sharded: series are routed to NumShards independent lock
-// stripes by hash(seriesID) (see shard.go), so writers to different series
-// never contend on one global mutex. The WAL is a sequence of segment files
-// shared by all shards (internal/wal); records carry a shard tag, and
-// recovery routes each record back to the owning shard by re-hashing the
-// series id. Every insert reaches a memtable through one function, applyRun
-// (ingest.go).
-// Flush and Compact run per-shard, concurrently up to the GOMAXPROCS budget.
+// stripes by hash(seriesID), so writers to different series never contend
+// on one global mutex. The WAL is a sequence of segment files shared by all
+// shards (internal/wal); records carry a shard tag, and recovery routes
+// each record back to the owning shard by re-hashing the series id. Flush
+// and Compact run per-shard, concurrently up to the GOMAXPROCS budget.
+//
+// One file per concern: engine.go (options, lifecycle, Info, metrics),
+// ingest.go (the one write path and deletes), flush.go (flush and the one
+// chunk-file writer), read.go (snapshots through the one series-snapshot
+// builder, quarantine), recovery.go (chunk-file loading, WAL replay and its
+// payload codec), compact.go, shard.go, govern.go, pyramid.go (glue for
+// internal/pyramid), backup.go and scrub.go.
 package lsm
 
 import (
@@ -26,9 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +37,7 @@ import (
 	"m4lsm/internal/cache"
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/obs"
-	"m4lsm/internal/series"
+	"m4lsm/internal/pyramid"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
 	"m4lsm/internal/wal"
@@ -196,7 +197,8 @@ type Engine struct {
 	// later snapshots (their reads can never succeed — the file bytes are
 	// wrong) and surface in Info and /healthz. Guarded by quarMu, not a
 	// shard lock: quarantine reports arrive from query worker goroutines
-	// while other queries hold shard read locks.
+	// while other queries hold shard read locks. Values are the (non-nil)
+	// read errors that condemned each chunk.
 	quarMu      sync.Mutex
 	quarantined map[chunkID]error
 
@@ -213,10 +215,12 @@ type Engine struct {
 	readRetries    atomic.Int64
 	retryExhausted atomic.Int64
 
-	// pyr is the M4 rollup pyramid, nil when Options.DisablePyramid is
-	// set. Its internal mutex nests inside shard locks and is never held
-	// across I/O; see pyramid.go.
-	pyr *pyramid
+	// pyr is the M4 rollup pyramid, nil (whose methods are no-ops) when
+	// Options.DisablePyramid is set. Its lock is a leaf; see pyramid.go.
+	// pyrSaveMu serializes manifest writes; pyrSaves counts them.
+	pyr       *pyramid.Pyramid
+	pyrSaveMu sync.Mutex
+	pyrSaves  atomic.Int64
 
 	// Background scrubber lifecycle (see scrub.go): the ticker goroutine
 	// is stopped before Close/Kill take the shard locks, because a scrub
@@ -255,17 +259,6 @@ type engineMetrics struct {
 	compactions   *obs.Counter
 	compactSecs   *obs.Histogram
 	quarantines   *obs.Counter
-}
-
-// chunkID identifies one immutable chunk across snapshots.
-type chunkID struct {
-	seriesID string
-	version  storage.Version
-}
-
-type chunkEntry struct {
-	meta storage.ChunkMeta
-	src  storage.ChunkSource
 }
 
 // allocVersion hands out the next version number.
@@ -309,7 +302,7 @@ func Open(opts Options) (*Engine, error) {
 		e.cache = cache.NewLRU(opts.ChunkCacheBytes)
 	}
 	if !opts.DisablePyramid {
-		e.pyr = newPyramid()
+		e.pyr = pyramid.New()
 	}
 	if err := e.loadFiles(); err != nil {
 		return nil, err
@@ -403,13 +396,16 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("backup_errors_total", func() float64 { return float64(e.backupErrors.Load()) })
 	reg.CounterFunc("backup_bytes_total", func() float64 { return float64(e.backupBytes.Load()) })
 	if e.pyr != nil {
-		reg.GaugeFunc("lsm_pyramid_series", func() float64 { return float64(e.pyrInfo().series) })
-		reg.GaugeFunc("lsm_pyramid_cells", func() float64 { return float64(e.pyrInfo().cells) })
-		reg.GaugeFunc("lsm_pyramid_stale_ranges", func() float64 { return float64(e.pyrInfo().staleRanges) })
-		reg.CounterFunc("lsm_pyramid_rebuilds_total", func() float64 { return float64(e.pyr.rebuilds.Load()) })
-		reg.CounterFunc("lsm_pyramid_rebuild_errors_total", func() float64 { return float64(e.pyr.rebuildErrors.Load()) })
-		reg.CounterFunc("lsm_pyramid_invalidations_total", func() float64 { return float64(e.pyr.invalidations.Load()) })
-		reg.CounterFunc("lsm_pyramid_saves_total", func() float64 { return float64(e.pyr.saves.Load()) })
+		ps := func(f func(pyramid.Stats) float64) func() float64 {
+			return func() float64 { return f(e.pyr.Stats()) }
+		}
+		reg.GaugeFunc("lsm_pyramid_series", ps(func(s pyramid.Stats) float64 { return float64(s.Series) }))
+		reg.GaugeFunc("lsm_pyramid_cells", ps(func(s pyramid.Stats) float64 { return float64(s.Cells) }))
+		reg.GaugeFunc("lsm_pyramid_stale_ranges", ps(func(s pyramid.Stats) float64 { return float64(s.StaleRanges) }))
+		reg.CounterFunc("lsm_pyramid_rebuilds_total", ps(func(s pyramid.Stats) float64 { return float64(s.Rebuilds) }))
+		reg.CounterFunc("lsm_pyramid_rebuild_errors_total", ps(func(s pyramid.Stats) float64 { return float64(s.RebuildErrors) }))
+		reg.CounterFunc("lsm_pyramid_invalidations_total", ps(func(s pyramid.Stats) float64 { return float64(s.Invalidations) }))
+		reg.CounterFunc("lsm_pyramid_saves_total", func() float64 { return float64(e.pyrSaves.Load()) })
 	}
 	cs := func(f func(cache.Stats) float64) func() float64 {
 		return func() float64 { return f(e.CacheStats()) }
@@ -425,433 +421,12 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 // observability is off). The query layers share it.
 func (e *Engine) Metrics() *obs.Registry { return e.opts.Metrics }
 
-// NumShards reports the engine's shard count.
-func (e *Engine) NumShards() int { return len(e.shards) }
-
 // step invokes the write-path fault hook, if any.
 func (e *Engine) step(site string) error {
 	if e.opts.StepHook == nil {
 		return nil
 	}
 	return e.opts.StepHook(site)
-}
-
-// loadFiles opens every readable chunk file in the directory, routing each
-// chunk to its series' shard. Files without a valid footer (crash during
-// flush) are renamed aside; their contents are still in the WAL. Runs
-// single-threaded during Open, so no locks are taken.
-func (e *Engine) loadFiles() error {
-	entries, err := os.ReadDir(e.opts.Dir)
-	if err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	var names []string
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		if strings.Contains(ent.Name(), ".tsf.bad") {
-			e.badFiles++ // quarantined by an earlier recovery
-			continue
-		}
-		if strings.HasSuffix(ent.Name(), ".tsf") {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		path := filepath.Join(e.opts.Dir, name)
-		r, err := tsfile.Open(path)
-		if errors.Is(err, tsfile.ErrCorrupt) {
-			// Incomplete flush; set aside and rely on the WAL.
-			if _, err := tsfile.SetAside(path); err != nil {
-				return fmt.Errorf("lsm: quarantine %s: %w", name, err)
-			}
-			e.badFiles++
-			continue
-		}
-		if err != nil {
-			e.closeFiles()
-			return fmt.Errorf("lsm: %w", err)
-		}
-		e.files = append(e.files, r)
-		if seq, ok := parseFileSeq(name); ok && int64(seq) >= e.fileSeq.Load() {
-			e.fileSeq.Store(int64(seq) + 1)
-		}
-		unseq := strings.HasSuffix(name, ".unseq.tsf")
-		if unseq {
-			e.unseqFiles++
-		}
-		for _, m := range r.Metas() {
-			sh, _ := e.shardFor(m.SeriesID)
-			sh.chunks[m.SeriesID] = append(sh.chunks[m.SeriesID], chunkEntry{meta: m, src: e.sourceFor(r)})
-			e.bumpVersion(m.Version)
-			if !unseq {
-				if cur, ok := sh.maxSeqTime[m.SeriesID]; !ok || m.Last.T > cur {
-					sh.maxSeqTime[m.SeriesID] = m.Last.T
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func parseFileSeq(name string) (int, bool) {
-	base := strings.TrimSuffix(name, ".tsf")
-	base = strings.TrimSuffix(base, ".seq")
-	base = strings.TrimSuffix(base, ".unseq")
-	if base == "" {
-		return 0, false
-	}
-	seq := 0
-	for _, c := range base {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		seq = seq*10 + int(c-'0')
-	}
-	return seq, true
-}
-
-// closeFiles releases every open chunk-file handle. Callers hold all shard
-// locks (or run single-threaded during Open).
-func (e *Engine) closeFiles() {
-	e.fileMu.Lock()
-	defer e.fileMu.Unlock()
-	for _, f := range e.files {
-		f.Close()
-	}
-	e.files = nil
-	for _, f := range e.retired {
-		f.Close()
-	}
-	e.retired = nil
-}
-
-// Write buffers points for seriesID. Points may arrive in any order and may
-// overwrite earlier timestamps; the latest write for a timestamp wins. A
-// flush is triggered automatically when the buffer reaches FlushThreshold.
-// It is WriteBatch of one entry — the same queue, WAL record and error
-// classes, including the retryable ErrIngestBackpressure when the series'
-// shard queue stays saturated.
-func (e *Engine) Write(seriesID string, pts ...series.Point) error {
-	return e.WriteBatch(BatchEntry{SeriesID: seriesID, Points: pts})
-}
-
-// Delete records an append-only range tombstone covering the closed range
-// [start, end] of seriesID (Definition 2.5). It applies to every chunk with
-// a smaller version and to the current memtable contents.
-func (e *Engine) Delete(seriesID string, start, end int64) error {
-	if end < start {
-		return fmt.Errorf("lsm: inverted delete range [%d,%d]", start, end)
-	}
-	if err := e.writable(); err != nil {
-		return err
-	}
-	sh, shardIx := e.shardFor(seriesID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e.closed.Load() {
-		return errEngineClosed
-	}
-	d := storage.Delete{SeriesID: seriesID, Version: e.allocVersion(), Start: start, End: end}
-	// Mark the range stale before anything becomes visible; over-marking
-	// on a failed append only costs rebuild work.
-	e.pyrMarkStaleClosed(seriesID, start, end)
-	// The WAL is written first and is authoritative: a crash between the two
-	// appends leaves the delete in the WAL only, and recovery re-appends it
-	// to the mods sidecar (see replayRecord). The reverse order would leave a
-	// half-applied delete — recorded against flushed chunks but not against
-	// WAL-replayed memtable points.
-	var rec [1]wal.Record
-	if e.wal != nil {
-		if err := e.step("wal.append"); err != nil {
-			return e.classifyWrite(err)
-		}
-		// Pinned: the record's segment must survive until the delete is
-		// durable in the mods sidecar below — it claims no flush watermark
-		// (deletes carry no memtable points to flush).
-		rec[0] = wal.Record{Payload: encodeDeleteSharded(shardIx, d), Shard: shardIx, Pin: true}
-		if err := e.wal.Commit(rec[:]); err != nil {
-			return e.classifyWrite(err)
-		}
-		e.met.walRecords.Inc()
-	}
-	if err := e.step("mods.append"); err != nil {
-		return err
-	}
-	if err := e.modsLog().Append(d); err != nil {
-		return e.classifyWrite(err)
-	}
-	// On any failure above the pin is kept: conservative, the segment
-	// just retires later.
-	e.wal.Unpin(rec[0].Seq)
-	e.met.deletes.Inc()
-	sh.applyDeleteToMem(d)
-	return nil
-}
-
-// Flush persists every shard's memtable as chunk files and clears the WAL.
-// Shards flush concurrently (sequentially under a StepHook).
-func (e *Engine) Flush() error {
-	if err := e.writable(); err != nil {
-		return err
-	}
-	var flushed atomic.Int64
-	err := runShardPool(e.shardParallelism(), len(e.shards), func(i int) error {
-		sh := e.shards[i]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if e.closed.Load() {
-			return errEngineClosed
-		}
-		n, err := e.flushShardLocked(sh)
-		flushed.Add(int64(n))
-		return err
-	})
-	return e.afterFlush(int(flushed.Load()), err)
-}
-
-// afterFlush is the one tail every flush site runs — the ingest workers
-// (still under their shard's lock), Flush and Close: once points left a
-// memtable, drop the WAL segments their checkpoints freed and persist the
-// pyramid. Errors are classified, so ENOSPC anywhere in flush, retirement
-// or the manifest save flips the engine read-only with the typed error
-// instead of surfacing as an anonymous I/O failure; a failed flush loses
-// nothing (memtable + WAL still hold the points).
-func (e *Engine) afterFlush(flushed int, err error) error {
-	if err == nil && flushed > 0 {
-		if err = e.wal.Retire(); err == nil {
-			err = e.pyrMaybeSave()
-		}
-	}
-	return e.classifyWrite(err)
-}
-
-// flushShardLocked persists one shard's memtable, separating in-order data
-// from out-of-order arrivals the way IoTDB's sequence/unsequence spaces do
-// (reference [26] of the paper): per series, points later than everything
-// already flushed go to the sequence file (whose chunks never overlap
-// previously flushed ones), the rest to an unsequence file. Returns the
-// number of points flushed. Caller holds sh.mu.
-func (e *Engine) flushShardLocked(sh *shard) (int, error) {
-	flushPts := int(sh.memPts.Load())
-	if flushPts == 0 {
-		return 0, nil
-	}
-	flushStart := time.Now()
-	ids := make([]string, 0, len(sh.mem))
-	for id, buf := range sh.mem {
-		if len(buf) > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	seq := map[string]series.Series{}
-	unseq := map[string]series.Series{}
-	for _, id := range ids {
-		data := series.SortDedup(sh.mem[id])
-		split := 0
-		if maxT, ok := sh.maxSeqTime[id]; ok {
-			split = sort.Search(len(data), func(i int) bool { return data[i].T > maxT })
-		}
-		if split > 0 {
-			unseq[id] = data[:split]
-		}
-		if split < len(data) {
-			seq[id] = data[split:]
-			sh.maxSeqTime[id] = data[len(data)-1].T
-		}
-	}
-	if err := e.writeSpaceFile(sh, ids, unseq, "unseq"); err != nil {
-		return 0, err
-	}
-	if err := e.writeSpaceFile(sh, ids, seq, "seq"); err != nil {
-		return 0, err
-	}
-	sh.mem = make(map[string]series.Series)
-	sh.memPts.Store(0)
-	// The memtable is empty and the flushed chunks registered: sh.chunks
-	// plus the mods sidecar are the full merged state, so rebuild this
-	// shard's stale pyramid cells now. Only the fault hook can fail this.
-	if err := e.pyrRebuildShard(sh); err != nil {
-		return 0, err
-	}
-	// Checkpoint while still holding sh.mu: every WAL record of this shard
-	// so far is now durable in chunk files, and no new write can race in
-	// before the checkpoint lands.
-	if err := e.wal.Checkpoint(sh.ix); err != nil {
-		return 0, err
-	}
-	e.met.flushes.Inc()
-	e.met.flushedPoints.Add(int64(flushPts))
-	e.met.flushSeconds.Observe(time.Since(flushStart).Seconds())
-	return flushPts, nil
-}
-
-// writeSpaceFile flushes one space's per-series data as a chunk file and
-// registers its chunks with the shard. Chunks are split at FlushThreshold
-// points so big batches still yield paper-sized chunks. Caller holds sh.mu.
-func (e *Engine) writeSpaceFile(sh *shard, ids []string, bySeries map[string]series.Series, space string) error {
-	if len(bySeries) == 0 {
-		return nil
-	}
-	name := fmt.Sprintf("%06d.%s.tsf", e.fileSeq.Add(1)-1, space)
-	path := filepath.Join(e.opts.Dir, name)
-	if err := e.step("flush.create:" + name); err != nil {
-		return err
-	}
-	w, err := tsfile.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		data := bySeries[id]
-		for len(data) > 0 {
-			n := len(data)
-			if n > e.opts.FlushThreshold {
-				n = e.opts.FlushThreshold
-			}
-			// A step-hook "crash" mid-file must leave the partial bytes on
-			// disk (Crash), unlike a write error, which cleans up (Abort):
-			// recovery quarantines the footer-less leftover and replays
-			// the WAL.
-			if err := e.step("flush.chunk:" + name); err != nil {
-				w.Crash()
-				return err
-			}
-			if _, err := w.WriteChunk(id, e.allocVersion(), e.opts.Codec, data[:n]); err != nil {
-				w.Abort()
-				return err
-			}
-			data = data[n:]
-		}
-	}
-	if err := e.step("flush.footer:" + name); err != nil {
-		w.Crash()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	if err := e.step("flush.reopen:" + name); err != nil {
-		return err
-	}
-	r, err := tsfile.Open(path)
-	if err != nil {
-		return fmt.Errorf("lsm: reopen flushed file: %w", err)
-	}
-	e.fileMu.Lock()
-	e.files = append(e.files, r)
-	if space == "unseq" {
-		e.unseqFiles++
-	}
-	e.fileMu.Unlock()
-	for _, m := range r.Metas() {
-		sh.chunks[m.SeriesID] = append(sh.chunks[m.SeriesID], chunkEntry{meta: m, src: e.sourceFor(r)})
-	}
-	return nil
-}
-
-// Snapshot returns an immutable view of seriesID for the half-open query
-// range r: every chunk whose closed interval overlaps r plus every delete
-// intersecting it. The unflushed memtable appears as one in-memory chunk
-// with a version above all flushed chunks.
-func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapshot, error) {
-	sh, _ := e.shardFor(seriesID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if e.closed.Load() {
-		return nil, errEngineClosed
-	}
-	stats := &storage.Stats{}
-	snap := &storage.Snapshot{
-		SeriesID: seriesID,
-		Stats:    stats,
-		Warnings: &storage.Warnings{},
-	}
-	snap.OnQuarantine = func(meta storage.ChunkMeta, err error) {
-		// Only CRC/decode failures are permanent: the bytes on disk are
-		// wrong and every retry would fail. Transient read errors (I/O
-		// hiccups, injected faults) stay retryable on the next query.
-		if !errors.Is(err, tsfile.ErrCorrupt) {
-			return
-		}
-		e.quarantineChunk(meta, err)
-	}
-	// The memtable's chunk goes last; it is built first so the chunk list
-	// is allocated at its exact size.
-	var mem storage.ChunkRef
-	hasMem := false
-	if buf := sh.mem[seriesID]; len(buf) > 0 {
-		data := series.SortDedup(buf.Clone())
-		memSrc := storage.NewMemSource()
-		meta, err := memSrc.AddChunk(seriesID, storage.Version(e.nextVer.Load()), data)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: memtable snapshot: %w", err)
-		}
-		mem, hasMem = storage.NewChunkRef(meta, memSrc, stats), meta.OverlapsRange(r)
-	}
-	e.quarMu.Lock()
-	n := 0
-	if hasMem {
-		n++
-	}
-	for _, ce := range sh.chunks[seriesID] {
-		if !ce.meta.OverlapsRange(r) {
-			continue
-		}
-		if _, bad := e.quarantined[chunkID{ce.meta.SeriesID, ce.meta.Version}]; !bad {
-			n++
-		}
-	}
-	snap.Chunks = make([]storage.ChunkRef, 0, n)
-	for _, ce := range sh.chunks[seriesID] {
-		if !ce.meta.OverlapsRange(r) {
-			continue
-		}
-		if qerr, ok := e.quarantined[chunkID{ce.meta.SeriesID, ce.meta.Version}]; ok {
-			snap.Warnings.Add("chunk %s v%d quarantined, excluded: %v", ce.meta.SeriesID, ce.meta.Version, qerr)
-			continue
-		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(ce.meta, ce.src, stats))
-	}
-	e.quarMu.Unlock()
-	if hasMem {
-		snap.Chunks = append(snap.Chunks, mem)
-	}
-	for _, d := range e.modsLog().ForSeries(seriesID) {
-		if d.Start < r.End && d.End >= r.Start {
-			snap.Deletes = append(snap.Deletes, d)
-		}
-	}
-	snap.Pyramid = e.pyrViewFor(seriesID, r)
-	return snap, nil
-}
-
-// SeriesIDs lists every series with buffered or flushed data, sorted. The
-// sorted order is load-bearing: wildcard queries expand through it, so the
-// result must be deterministic across runs and shard counts.
-func (e *Engine) SeriesIDs() []string {
-	set := make(map[string]bool)
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for id := range sh.chunks {
-			set[id] = true
-		}
-		for id, buf := range sh.mem {
-			if len(buf) > 0 {
-				set[id] = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	ids := make([]string, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Info summarizes engine state for tooling.
@@ -928,9 +503,9 @@ func (e *Engine) Info() Info {
 	quar := len(e.quarantined)
 	e.quarMu.Unlock()
 	ro, roReason := e.ReadOnly()
-	ps := e.pyrInfo()
+	ps := e.pyr.Stats()
 	ws := e.wal.Stats()
-	info := Info{
+	return Info{
 		Shards:             len(e.shards),
 		Files:              files,
 		UnseqFiles:         unseq,
@@ -944,9 +519,9 @@ func (e *Engine) Info() Info {
 		ReadOnlyReason:     roReason,
 		ReadRetries:        e.readRetries.Load(),
 		ReadRetryExhausted: e.retryExhausted.Load(),
-		PyramidSeries:      ps.series,
-		PyramidCells:       ps.cells,
-		PyramidStaleRanges: ps.staleRanges,
+		PyramidSeries:      ps.Series,
+		PyramidCells:       ps.Cells,
+		PyramidStaleRanges: ps.StaleRanges,
 		ScrubRuns:          e.scrubRuns.Load(),
 		ScrubChunksScanned: e.scrubChunks.Load(),
 		ScrubQuarantines:   e.scrubQuarantines.Load(),
@@ -962,18 +537,6 @@ func (e *Engine) Info() Info {
 		WALQuarantinedSegments: ws.QuarantinedSegments,
 		WALWarnings:            ws.Warnings,
 	}
-	return info
-}
-
-// HasSeries reports whether seriesID has any buffered or flushed data.
-func (e *Engine) HasSeries(seriesID string) bool {
-	sh, _ := e.shardFor(seriesID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if len(sh.chunks[seriesID]) > 0 {
-		return true
-	}
-	return len(sh.mem[seriesID]) > 0
 }
 
 // Close flushes every shard's memtable and releases all file handles.
@@ -1028,101 +591,4 @@ func (e *Engine) Kill() {
 	e.closeFiles()
 	e.modsLog().Close()
 	e.wal.Close()
-}
-
-// replayRecord applies one recovered WAL record during Open (wal.Open
-// calls it in log order, single-threaded) and returns the shard whose
-// flush watermark the record re-claims: the owning shard for an insert,
-// none for a delete. Records carry the writer's shard index for
-// debuggability, but routing always re-hashes the series id so a directory
-// reopens correctly under a different NumShards.
-func (e *Engine) replayRecord(rec []byte) (claim int, err error) {
-	op := rec[0]
-	if op != walOpInsertSharded && op != walOpDeleteSharded {
-		return -1, fmt.Errorf("unknown wal op %d", op)
-	}
-	_, body, err := encoding.Uvarint(rec[1:])
-	if err != nil {
-		return -1, fmt.Errorf("wal shard tag: %w", err)
-	}
-	if op == walOpInsertSharded {
-		id, pts, err := decodeInsert(body)
-		if err != nil {
-			return -1, err
-		}
-		sh, ix := e.shardFor(id)
-		e.memAppend(sh, id, pts)
-		return ix, nil
-	}
-	d, err := decodeWALDelete(body)
-	if err != nil {
-		return -1, err
-	}
-	// A delete reaches the WAL before the mods sidecar; a crash between the
-	// two appends leaves it in the WAL only. Re-append it so the delete
-	// applies to flushed chunks, not just replayed points.
-	mods := e.modsLog()
-	if !slices.Contains(mods.All(), d) {
-		if err := mods.Append(d); err != nil {
-			return -1, err
-		}
-		e.bumpVersion(d.Version)
-	}
-	sh, _ := e.shardFor(d.SeriesID)
-	e.pyrMarkStaleClosed(d.SeriesID, d.Start, d.End)
-	sh.applyDeleteToMem(d)
-	return -1, nil
-}
-
-// replayCheckpoint drops a shard's replayed memtable: the flush that wrote
-// the checkpoint made every earlier record of the shard durable in chunk
-// files. wal.Open only reports checkpoints written under this engine's
-// shard count, so the records it clears routed to exactly this shard.
-func (e *Engine) replayCheckpoint(shard int) {
-	sh := e.shards[shard]
-	sh.mem = make(map[string]series.Series)
-	sh.memPts.Store(0)
-}
-
-// quarantineChunk excludes a chunk whose bytes failed a CRC or decode
-// check from all future snapshots. Shared by the query path (via
-// Snapshot.OnQuarantine) and the integrity scrubber. Reports whether this
-// call was the first to quarantine the chunk.
-func (e *Engine) quarantineChunk(meta storage.ChunkMeta, err error) bool {
-	e.quarMu.Lock()
-	id := chunkID{meta.SeriesID, meta.Version}
-	_, dup := e.quarantined[id]
-	if !dup {
-		e.quarantined[id] = err
-	}
-	e.quarMu.Unlock()
-	if !dup {
-		e.met.quarantines.Inc()
-		// The chunk's points vanish from the merged view; cells that
-		// included them are wrong until the next rebuild.
-		e.pyrMarkStaleClosed(meta.SeriesID, meta.First.T, meta.Last.T)
-	}
-	return !dup
-}
-
-// sourceFor wraps a chunk file reader with query-time fault injection
-// (innermost, so cached loads are not re-faulted), the transient-read
-// retry layer (above injection, so a retry re-draws the fault; below the
-// cache, so only settled reads are cached) and the engine's shared cache
-// when caching is enabled.
-func (e *Engine) sourceFor(r *tsfile.Reader) storage.ChunkSource {
-	var src storage.ChunkSource = r
-	if e.opts.WrapSource != nil {
-		src = e.opts.WrapSource(src)
-	}
-	src = storage.WithRetry(src, e.retryPolicy())
-	if e.cache == nil {
-		return src
-	}
-	return cache.Wrap(src, e.cache)
-}
-
-// CacheStats reports chunk-cache effectiveness; zero when caching is off.
-func (e *Engine) CacheStats() cache.Stats {
-	return e.cache.Stats()
 }

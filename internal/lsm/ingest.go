@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 	"m4lsm/internal/wal"
 )
 
@@ -46,6 +47,13 @@ import (
 // writes are idempotent overwrites, so retrying a partially enqueued batch
 // is safe.
 var ErrIngestBackpressure = errors.New("lsm: ingest queue full (backpressure, retry)")
+
+// ErrInvalidWrite marks a write batch rejected for its content before any
+// of it was queued: an empty series id, a NaN value, or the timestamp
+// math.MaxInt64, which no half-open query range can name (so no query
+// could return the point, and compaction would drop it). Retrying the
+// same batch cannot succeed.
+var ErrInvalidWrite = errors.New("lsm: invalid write")
 
 // errEngineClosed is what every operation on a closed engine fails with,
 // queued-but-undrained entries included.
@@ -152,6 +160,69 @@ func (e *Engine) startIngestWorkers() {
 	})
 }
 
+// Write buffers points for seriesID. Points may arrive in any order and may
+// overwrite earlier timestamps; the latest write for a timestamp wins. A
+// flush is triggered automatically when the buffer reaches FlushThreshold.
+// It is WriteBatch of one entry — the same queue, WAL record and error
+// classes, including the retryable ErrIngestBackpressure when the series'
+// shard queue stays saturated.
+func (e *Engine) Write(seriesID string, pts ...series.Point) error {
+	return e.WriteBatch(BatchEntry{SeriesID: seriesID, Points: pts})
+}
+
+// Delete records an append-only range tombstone covering the closed range
+// [start, end] of seriesID (Definition 2.5). It applies to every chunk with
+// a smaller version and to the current memtable contents.
+func (e *Engine) Delete(seriesID string, start, end int64) error {
+	if end < start {
+		return fmt.Errorf("lsm: inverted delete range [%d,%d]", start, end)
+	}
+	if err := e.writable(); err != nil {
+		return err
+	}
+	sh, shardIx := e.shardFor(seriesID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e.closed.Load() {
+		return errEngineClosed
+	}
+	d := storage.Delete{SeriesID: seriesID, Version: e.allocVersion(), Start: start, End: end}
+	// Mark the range stale before anything becomes visible; over-marking
+	// on a failed append only costs rebuild work.
+	e.pyr.MarkStale(seriesID, start, end)
+	// The WAL is written first and is authoritative: a crash between the two
+	// appends leaves the delete in the WAL only, and recovery re-appends it
+	// to the mods sidecar (see replayRecord). The reverse order would leave a
+	// half-applied delete — recorded against flushed chunks but not against
+	// WAL-replayed memtable points.
+	var rec [1]wal.Record
+	if e.wal != nil {
+		if err := e.step("wal.append"); err != nil {
+			return e.classifyWrite(err)
+		}
+		// Pinned: the record's segment must survive until the delete is
+		// durable in the mods sidecar below — it claims no flush watermark
+		// (deletes carry no memtable points to flush).
+		rec[0] = wal.Record{Payload: encodeDeleteSharded(shardIx, d), Shard: shardIx, Pin: true}
+		if err := e.wal.Commit(rec[:]); err != nil {
+			return e.classifyWrite(err)
+		}
+		e.met.walRecords.Inc()
+	}
+	if err := e.step("mods.append"); err != nil {
+		return err
+	}
+	if err := e.modsLog().Append(d); err != nil {
+		return e.classifyWrite(err)
+	}
+	// On any failure above the pin is kept: conservative, the segment
+	// just retires later.
+	e.wal.Unpin(rec[0].Seq)
+	e.met.deletes.Inc()
+	sh.applyDeleteToMem(d)
+	return nil
+}
+
 // WriteBatch ingests several series' points: entries are enqueued per
 // shard (blocking up to Options.IngestEnqueueWait when a queue is full,
 // then failing with ErrIngestBackpressure) and the call returns once every
@@ -163,11 +234,14 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	total := 0
 	for _, ent := range entries {
 		if ent.SeriesID == "" {
-			return errors.New("lsm: empty series id")
+			return fmt.Errorf("%w: empty series id", ErrInvalidWrite)
 		}
 		for _, p := range ent.Points {
 			if math.IsNaN(p.V) {
-				return fmt.Errorf("lsm: NaN value at t=%d", p.T)
+				return fmt.Errorf("%w: NaN value at t=%d", ErrInvalidWrite, p.T)
+			}
+			if p.T == math.MaxInt64 {
+				return fmt.Errorf("%w: timestamp %d is reserved", ErrInvalidWrite, p.T)
 			}
 		}
 		total += len(ent.Points)
@@ -387,7 +461,7 @@ func (e *Engine) applyRun(shardIx int, run []ingestItem) error {
 // stale first and reports whether the series' buffer reached the flush
 // threshold. Caller holds sh.mu (or is single-threaded Open).
 func (e *Engine) memAppend(sh *shard, id string, pts []series.Point) (full bool) {
-	e.pyrMarkStalePoints(id, pts)
+	e.markStalePoints(id, pts)
 	sh.mem[id] = append(sh.mem[id], pts...)
 	sh.memPts.Add(int64(len(pts)))
 	return len(sh.mem[id]) >= e.opts.FlushThreshold

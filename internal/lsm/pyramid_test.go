@@ -45,7 +45,8 @@ func pyrVerify(t *testing.T, e *Engine, id string, tMax int64) int64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := m4lsm.ComputeWithOptions(snap2, q, m4lsm.Options{DisablePyramid: true})
+		snap2.Pyramid = nil
+		off, err := m4lsm.Compute(snap2, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,6 +105,70 @@ func TestENOSPCFlushEntersReadOnly(t *testing.T) {
 	checkQuery(t, e2, want, "reopened")
 }
 
+// TestENOSPCCompactEntersReadOnly: ENOSPC anywhere in Compact — in the
+// flush it starts with, or in the pyramid save it ends with — returns the
+// typed ErrReadOnly and flips the engine read-only, exactly as under Flush.
+// Once a probe finds space again, every acknowledged point reads back,
+// before and after a reopen.
+func TestENOSPCCompactEntersReadOnly(t *testing.T) {
+	for _, site := range []string{"flush.create:", "pyramid.save"} {
+		t.Run(site, func(t *testing.T) {
+			dir := t.TempDir()
+			var diskFull atomic.Bool
+			hook := func(s string) error {
+				if diskFull.Load() && (strings.HasPrefix(s, site) || s == "probe.space") {
+					return fmt.Errorf("injected: %w", syscall.ENOSPC)
+				}
+				return nil
+			}
+			e, err := Open(Options{Dir: dir, FlushThreshold: 16, StepHook: hook, SpaceProbeInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want series.Series
+			write := func(from, n int64) {
+				t.Helper()
+				for i := from; i < from+n; i++ {
+					p := series.Point{T: i, V: float64(i % 13)}
+					want = append(want, p)
+					if err := e.Write("s", p); err != nil {
+						t.Fatalf("write t=%d: %v", i, err)
+					}
+				}
+			}
+			write(0, 40) // two flushes, eight points left for Compact's own flush
+
+			diskFull.Store(true)
+			if err := e.Compact(); !errors.Is(err, ErrReadOnly) {
+				t.Fatalf("compact on full disk: got %v, want ErrReadOnly", err)
+			}
+			if ro, reason := e.ReadOnly(); !ro || reason == "" {
+				t.Fatalf("engine not read-only after ENOSPC in Compact (ro=%v reason=%q)", ro, reason)
+			}
+			checkQuery(t, e, want, "degraded")
+
+			diskFull.Store(false)
+			write(40, 1) // probes, recovers, succeeds
+			if ro, _ := e.ReadOnly(); ro {
+				t.Fatal("engine still read-only after successful probe")
+			}
+			if err := e.Compact(); err != nil {
+				t.Fatalf("compact after recovery: %v", err)
+			}
+			checkQuery(t, e, want, "recovered")
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e2, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			checkQuery(t, e2, want, "reopened")
+		})
+	}
+}
+
 // checkQuery asserts both operators agree with the oracle reduction of
 // `want` over the full range.
 func checkQuery(t *testing.T, e *Engine, want series.Series, phase string) {

@@ -1,0 +1,274 @@
+// Recovery: Open loads every chunk file (loadFiles), then wal.Open replays
+// the log through replayRecord / replayCheckpoint, whose record payloads
+// are encoded below.
+package lsm
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+
+	"m4lsm/internal/encoding"
+	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
+	"m4lsm/internal/tsfile"
+)
+
+// loadFiles opens every readable chunk file in the directory, routing each
+// chunk to its series' shard. Files without a valid footer (crash during
+// flush) are renamed aside; their contents are still in the WAL. Runs
+// single-threaded during Open, so no locks are taken.
+func (e *Engine) loadFiles() error {
+	entries, err := os.ReadDir(e.opts.Dir)
+	if err != nil {
+		return fmt.Errorf("lsm: %w", err)
+	}
+	var names []string
+	for _, ent := range entries {
+		if ent.IsDir() {
+			continue
+		}
+		if strings.Contains(ent.Name(), ".tsf.bad") {
+			e.badFiles++ // quarantined by an earlier recovery
+			continue
+		}
+		if strings.HasSuffix(ent.Name(), ".tsf") {
+			names = append(names, ent.Name())
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		path := filepath.Join(e.opts.Dir, name)
+		r, err := tsfile.Open(path)
+		if errors.Is(err, tsfile.ErrCorrupt) {
+			// Incomplete flush; set aside and rely on the WAL.
+			if _, err := tsfile.SetAside(path); err != nil {
+				return fmt.Errorf("lsm: quarantine %s: %w", name, err)
+			}
+			e.badFiles++
+			continue
+		}
+		if err != nil {
+			e.closeFiles()
+			return fmt.Errorf("lsm: %w", err)
+		}
+		e.files = append(e.files, r)
+		if seq, ok := parseFileSeq(name); ok && int64(seq) >= e.fileSeq.Load() {
+			e.fileSeq.Store(int64(seq) + 1)
+		}
+		unseq := strings.HasSuffix(name, ".unseq.tsf")
+		if unseq {
+			e.unseqFiles++
+		}
+		e.registerChunks(r)
+		for _, m := range r.Metas() {
+			e.bumpVersion(m.Version)
+			if unseq {
+				continue
+			}
+			sh, _ := e.shardFor(m.SeriesID)
+			if cur, ok := sh.maxSeqTime[m.SeriesID]; !ok || m.Last.T > cur {
+				sh.maxSeqTime[m.SeriesID] = m.Last.T
+			}
+		}
+	}
+	return nil
+}
+
+func parseFileSeq(name string) (int, bool) {
+	base := strings.TrimSuffix(name, ".tsf")
+	base = strings.TrimSuffix(base, ".seq")
+	base = strings.TrimSuffix(base, ".unseq")
+	if base == "" {
+		return 0, false
+	}
+	seq := 0
+	for _, c := range base {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		seq = seq*10 + int(c-'0')
+	}
+	return seq, true
+}
+
+// closeFiles releases every open chunk-file handle. Callers hold all shard
+// locks (or run single-threaded during Open).
+func (e *Engine) closeFiles() {
+	e.fileMu.Lock()
+	defer e.fileMu.Unlock()
+	for _, f := range e.files {
+		f.Close()
+	}
+	e.files = nil
+	for _, f := range e.retired {
+		f.Close()
+	}
+	e.retired = nil
+}
+
+// replayRecord applies one recovered WAL record during Open (wal.Open
+// calls it in log order, single-threaded) and returns the shard whose
+// flush watermark the record re-claims: the owning shard for an insert,
+// none for a delete. Records carry the writer's shard index for
+// debuggability, but routing always re-hashes the series id so a directory
+// reopens correctly under a different NumShards.
+func (e *Engine) replayRecord(rec []byte) (claim int, err error) {
+	op := rec[0]
+	if op != walOpInsertSharded && op != walOpDeleteSharded {
+		return -1, fmt.Errorf("unknown wal op %d", op)
+	}
+	_, body, err := encoding.Uvarint(rec[1:])
+	if err != nil {
+		return -1, fmt.Errorf("wal shard tag: %w", err)
+	}
+	if op == walOpInsertSharded {
+		id, pts, err := decodeInsert(body)
+		if err != nil {
+			return -1, err
+		}
+		sh, ix := e.shardFor(id)
+		e.memAppend(sh, id, pts)
+		return ix, nil
+	}
+	d, err := decodeWALDelete(body)
+	if err != nil {
+		return -1, err
+	}
+	// A delete reaches the WAL before the mods sidecar; a crash between the
+	// two appends leaves it in the WAL only. Re-append it so the delete
+	// applies to flushed chunks, not just replayed points.
+	mods := e.modsLog()
+	if !slices.Contains(mods.All(), d) {
+		if err := mods.Append(d); err != nil {
+			return -1, err
+		}
+		e.bumpVersion(d.Version)
+	}
+	sh, _ := e.shardFor(d.SeriesID)
+	e.pyr.MarkStale(d.SeriesID, d.Start, d.End)
+	sh.applyDeleteToMem(d)
+	return -1, nil
+}
+
+// replayCheckpoint drops a shard's replayed memtable: the flush that wrote
+// the checkpoint made every earlier record of the shard durable in chunk
+// files. wal.Open only reports checkpoints written under this engine's
+// shard count, so the records it clears routed to exactly this shard.
+func (e *Engine) replayCheckpoint(shard int) {
+	sh := e.shards[shard]
+	sh.mem = make(map[string]series.Series)
+	sh.memPts.Store(0)
+}
+
+// WAL payloads: the bytes the engine hands to wal.Log, which frames,
+// segments and group-commits them as opaque records (and defines op 0x05,
+// the flush checkpoint, itself).
+//
+//	insert: 0x03 | uvarint shard | uvarint len(id) | id | uvarint n | n × (varint t, 8B v)
+//	delete: 0x04 | uvarint shard | uvarint len(id) | id | uvarint version | varint start | varint end
+//
+// The shard prefix names the writing shard. The tag is diagnostic: replay
+// always re-routes by hashing the series id, so WALs survive a NumShards
+// change. Ops 0x01/0x02 were the untagged pre-sharding forms; they are gone
+// and fail replay as "unknown wal op".
+
+const (
+	walOpInsertSharded byte = 3
+	walOpDeleteSharded byte = 4
+)
+
+func encodeInsertSharded(shard int, seriesID string, pts []series.Point) []byte {
+	buf := encoding.AppendUvarint([]byte{walOpInsertSharded}, uint64(shard))
+	buf = encoding.AppendUvarint(buf, uint64(len(seriesID)))
+	buf = append(buf, seriesID...)
+	buf = encoding.AppendUvarint(buf, uint64(len(pts)))
+	for _, p := range pts {
+		buf = encoding.AppendVarint(buf, p.T)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.V))
+	}
+	return buf
+}
+
+func decodeInsert(b []byte) (string, []series.Point, error) {
+	idLen, b, err := encoding.Uvarint(b)
+	if err != nil {
+		return "", nil, err
+	}
+	if idLen > uint64(len(b)) {
+		return "", nil, fmt.Errorf("wal insert: id length %d", idLen)
+	}
+	id := string(b[:idLen])
+	b = b[idLen:]
+	n, b, err := encoding.Uvarint(b)
+	if err != nil {
+		return "", nil, err
+	}
+	// Each point takes at least 9 bytes (1-byte varint + 8-byte value); a
+	// count beyond that is a corrupt record, not a huge allocation.
+	if n > uint64(len(b)/9) {
+		return "", nil, fmt.Errorf("wal insert: point count %d exceeds %d payload bytes", n, len(b))
+	}
+	pts := make([]series.Point, 0, n)
+	for i := uint64(0); i < n; i++ {
+		t, rest, err := encoding.Varint(b)
+		if err != nil {
+			return "", nil, err
+		}
+		b = rest
+		if len(b) < 8 {
+			return "", nil, fmt.Errorf("wal insert: truncated value %d", i)
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		pts = append(pts, series.Point{T: t, V: v})
+	}
+	if len(b) != 0 {
+		return "", nil, fmt.Errorf("wal insert: %d trailing bytes", len(b))
+	}
+	return id, pts, nil
+}
+
+func encodeDeleteSharded(shard int, d storage.Delete) []byte {
+	buf := encoding.AppendUvarint([]byte{walOpDeleteSharded}, uint64(shard))
+	buf = encoding.AppendUvarint(buf, uint64(len(d.SeriesID)))
+	buf = append(buf, d.SeriesID...)
+	buf = encoding.AppendUvarint(buf, uint64(d.Version))
+	buf = encoding.AppendVarint(buf, d.Start)
+	buf = encoding.AppendVarint(buf, d.End)
+	return buf
+}
+
+func decodeWALDelete(b []byte) (storage.Delete, error) {
+	var d storage.Delete
+	idLen, b, err := encoding.Uvarint(b)
+	if err != nil {
+		return d, err
+	}
+	if idLen > uint64(len(b)) {
+		return d, fmt.Errorf("wal delete: id length %d", idLen)
+	}
+	d.SeriesID = string(b[:idLen])
+	b = b[idLen:]
+	ver, b, err := encoding.Uvarint(b)
+	if err != nil {
+		return d, err
+	}
+	d.Version = storage.Version(ver)
+	if d.Start, b, err = encoding.Varint(b); err != nil {
+		return d, err
+	}
+	if d.End, b, err = encoding.Varint(b); err != nil {
+		return d, err
+	}
+	if len(b) != 0 {
+		return d, fmt.Errorf("wal delete: %d trailing bytes", len(b))
+	}
+	return d, nil
+}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"m4lsm/internal/govern"
+	"m4lsm/internal/pyramid"
 	"m4lsm/internal/tsfile"
 )
 
@@ -60,7 +61,7 @@ func (e *Engine) Scrub(opts ScrubOptions) (ScrubReport, error) {
 	var rep ScrubReport
 	rep.PyramidOK = true
 	if e.closed.Load() {
-		return rep, errors.New("lsm: engine closed")
+		return rep, errEngineClosed
 	}
 	e.scrubRuns.Add(1)
 	budget := govern.NewBudget(opts.Limits)
@@ -197,15 +198,13 @@ func (e *Engine) scrubPyramid(rep *ScrubReport) {
 		rep.Errors = append(rep.Errors, fmt.Sprintf("pyramid manifest: %v", err))
 		return
 	}
-	if _, _, err := decodePyramid(data); err != nil {
+	if _, _, err := pyramid.Decode(data); err != nil {
 		rep.PyramidOK = false
 		rep.Errors = append(rep.Errors, fmt.Sprintf("pyramid manifest: %v", err))
 		// Heal in place: the in-memory pyramid is authoritative while the
 		// engine runs, so marking it dirty and re-saving rewrites a clean
 		// manifest atomically.
-		e.pyr.mu.Lock()
-		e.pyr.dirty = true
-		e.pyr.mu.Unlock()
+		e.pyr.MarkDirty()
 		if herr := e.pyrMaybeSave(); herr != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("pyramid manifest rewrite: %v", herr))
 		}

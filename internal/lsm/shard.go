@@ -33,6 +33,12 @@ type shard struct {
 	maxSeqTime map[string]int64
 }
 
+// chunkEntry is one registered flushed chunk and the source it reads from.
+type chunkEntry struct {
+	meta storage.ChunkMeta
+	src  storage.ChunkSource
+}
+
 func newShard() *shard {
 	return &shard{
 		mem:        make(map[string]series.Series),

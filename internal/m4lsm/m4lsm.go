@@ -85,11 +85,6 @@ type Options struct {
 	// fault-tolerance path (FP substitution and all). The same *Budget may
 	// be shared by the batched multi-series path and the UDF baseline.
 	Budget *govern.Budget
-	// DisablePyramid makes the operator ignore the snapshot's rollup
-	// pyramid (Snapshot.Pyramid) and compute every span from chunks. The
-	// result is identical either way; the knob exists for A/B comparison
-	// and for the differential harness's pyramid-off oracle runs.
-	DisablePyramid bool
 }
 
 // Compute runs the M4 representation query with default options.

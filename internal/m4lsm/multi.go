@@ -250,7 +250,7 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 		p.statsBefore = op.stats.Load()
 	}
 	p.out = make([]m4.Aggregate, q.W)
-	p.pyr = planPyramid(snap, q, opts, p.out)
+	p.pyr = planPyramid(snap, q, p.out)
 	// Span i has chunk lists 2i and 2i+1 (see listEnd), and a chunk joins
 	// each list of its spans whose range it overlaps. Chunk states are
 	// materialized lazily: a chunk whose every span is answered from

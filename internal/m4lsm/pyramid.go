@@ -27,11 +27,12 @@ import (
 
 // planPyramid asks the snapshot's pyramid about every span in one call,
 // returning one plan per span (Cells == 0: no pyramid answer), or nil when
-// the pyramid is absent, disabled, or answers no span. A planned span's
-// folded cells land in out[i]. Chunk routing and classification happen in
-// newSeriesPlan.
-func planPyramid(snap *storage.Snapshot, q m4.Query, opts Options, out []m4.Aggregate) []storage.PyramidSpan {
-	if snap.Pyramid == nil || opts.DisablePyramid {
+// the pyramid is absent or answers no span. A planned span's folded cells
+// land in out[i]. Chunk routing and classification happen in
+// newSeriesPlan. A caller that wants the span×G path alone clears the
+// snapshot's Pyramid.
+func planPyramid(snap *storage.Snapshot, q m4.Query, out []m4.Aggregate) []storage.PyramidSpan {
+	if snap.Pyramid == nil {
 		return nil
 	}
 	spans := make([]storage.PyramidSpan, q.W)

@@ -1,0 +1,281 @@
+package pyramid
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+
+	"m4lsm/internal/encoding"
+	"m4lsm/internal/m4"
+	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
+)
+
+// randomSeries returns n points at distinct random times in [lo, hi), in
+// time order, with values drawn from a small set so extremes tie often.
+func randomSeries(rng *rand.Rand, n int, lo, hi int64) series.Series {
+	seen := map[int64]bool{}
+	var pts series.Series
+	for len(pts) < n {
+		t := lo + rng.Int63n(hi-lo)
+		if !seen[t] {
+			seen[t] = true
+			pts = append(pts, series.Point{T: t, V: float64(rng.Intn(9))})
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+	return pts
+}
+
+// rebuild marks the whole extent of pts stale and rebuilds id from pts, the
+// way an owner would after a flush.
+func rebuild(p *Pyramid, id string, pts series.Series) {
+	first, last := pts[0].T, pts[len(pts)-1].T
+	p.MarkStale(id, first, last)
+	p.Rebuild(id, first, last, func(r series.TimeRange) (series.Series, error) {
+		return pts.Slice(r), nil
+	})
+}
+
+// scan is the reference: the aggregate of pts over [lo, hi) by Observe.
+func scan(pts series.Series, lo, hi int64) m4.Aggregate {
+	agg := m4.Aggregate{Empty: true}
+	for _, p := range pts.Slice(series.TimeRange{Start: lo, End: hi}) {
+		agg.Observe(p)
+	}
+	return agg
+}
+
+// checkPlans plans q over v and checks every planned interior against the
+// scan, returning how many spans were planned.
+func checkPlans(t *testing.T, v storage.PyramidSource, q m4.Query, pts series.Series) int {
+	t.Helper()
+	if v == nil {
+		return 0
+	}
+	spans, aggs := make([]storage.PyramidSpan, q.W), make([]m4.Aggregate, q.W)
+	n := v.PlanSpans(q, spans, aggs)
+	planned := 0
+	for i, s := range spans {
+		if s.Cells == 0 {
+			continue
+		}
+		planned++
+		span := q.Span(i)
+		if s.Lo < span.Start || s.Hi > span.End || s.Lo >= s.Hi {
+			t.Fatalf("%+v span %d: interior [%d,%d) outside the span [%d,%d)", q, i, s.Lo, s.Hi, span.Start, span.End)
+		}
+		// Cells fold with Merge, which must equal streaming the points,
+		// earliest point winning value ties — so exact equality.
+		if want := scan(pts, s.Lo, s.Hi); aggs[i] != want {
+			t.Fatalf("%+v span %d [%d,%d): cells give %v, the scan %v", q, i, s.Lo, s.Hi, aggs[i], want)
+		}
+	}
+	if planned != n {
+		t.Fatalf("PlanSpans reported %d planned spans, filled %d", n, planned)
+	}
+	return n
+}
+
+func TestRebuildAndPlanMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pts := randomSeries(rng, 3000, -4000, 20000)
+	p := New()
+	rebuild(p, "s", pts)
+	if err := p.CheckInvariants("s"); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Series != 1 || st.Cells == 0 || st.StaleRanges != 0 || st.Rebuilds != 1 {
+		t.Fatalf("stats after one rebuild: %+v", st)
+	}
+	queries := []m4.Query{{Tqs: -4000, Tqe: 20000, W: 8}, {Tqs: 0, Tqe: 16384, W: 16}, {Tqs: 1234, Tqe: 5678, W: 5}}
+	total := 0
+	for _, q := range queries {
+		total += checkPlans(t, p.View("s", q.Range()), q, pts)
+	}
+	if total == 0 {
+		t.Fatal("no span planned from a freshly rebuilt pyramid")
+	}
+
+	// A stale range refuses every cell it touches, until a rebuild re-reads
+	// it. Here the "owner" deletes [4096, 8191] and overwrites one point.
+	p.MarkStale("s", 4096, 8191)
+	q := m4.Query{Tqs: 4096, Tqe: 8192, W: 1}
+	if n := checkPlans(t, p.View("s", q.Range()), q, pts); n != 0 {
+		t.Fatalf("planned %d spans over a stale range", n)
+	}
+	if ids := p.Stale(func(string) bool { return true }); len(ids) != 1 || ids[0] != "s" {
+		t.Fatalf("Stale = %v, want [s]", ids)
+	}
+	if ids := p.Stale(func(string) bool { return false }); len(ids) != 0 {
+		t.Fatalf("Stale with a refusing filter = %v", ids)
+	}
+	var kept series.Series
+	for _, pt := range pts {
+		if pt.T < 4096 || pt.T > 8191 {
+			kept = append(kept, pt)
+		}
+	}
+	kept[10].V = 100
+	p.MarkStale("s", kept[10].T, kept[10].T)
+	p.Rebuild("s", kept[0].T, kept[len(kept)-1].T, func(r series.TimeRange) (series.Series, error) {
+		return kept.Slice(r), nil
+	})
+	if err := p.CheckInvariants("s"); err != nil {
+		t.Fatal(err)
+	}
+	total = 0
+	for _, q := range append(queries, q) {
+		total += checkPlans(t, p.View("s", q.Range()), q, kept)
+	}
+	if total == 0 {
+		t.Fatal("no span planned after the rebuild")
+	}
+}
+
+// A view taken before a rebuild serves nothing from the levels the rebuild
+// touched: its chunk list would disagree with the new cells.
+func TestViewRefusesCellsRebuiltSinceSnapshot(t *testing.T) {
+	pts := randomSeries(rand.New(rand.NewSource(2)), 500, 0, 4096)
+	p := New()
+	rebuild(p, "s", pts)
+	q := m4.Query{Tqs: 0, Tqe: 4096, W: 4}
+	v := p.View("s", q.Range())
+	rebuild(p, "s", pts)
+	if n := checkPlans(t, v, q, pts); n != 0 {
+		t.Fatalf("an old view planned %d spans from rebuilt levels", n)
+	}
+	if n := checkPlans(t, p.View("s", q.Range()), q, pts); n == 0 {
+		t.Fatal("a fresh view planned nothing")
+	}
+}
+
+func TestRebuildReadErrorLeavesStale(t *testing.T) {
+	p := New()
+	p.MarkStale("s", 0, 99)
+	p.Rebuild("s", 0, 99, func(series.TimeRange) (series.Series, error) { return nil, errors.New("unreadable") })
+	if st := p.Stats(); st.StaleRanges != 1 || st.RebuildErrors != 1 || st.Cells != 0 {
+		t.Fatalf("after a failed read: %+v", st)
+	}
+	// An empty extent (first > last) drops the series once nothing is stale.
+	p.Rebuild("s", 1, 0, nil)
+	if st := p.Stats(); st.Series != 0 {
+		t.Fatalf("an empty extent kept %+v", st)
+	}
+}
+
+func TestNilPyramidIsDisabled(t *testing.T) {
+	var p *Pyramid
+	p.MarkStale("s", 0, 10)
+	if p.Stale(func(string) bool { return true }) != nil || p.View("s", series.TimeRange{Start: 0, End: 10}) != nil ||
+		p.Dirty() || p.Stats() != (Stats{}) || p.CheckInvariants("s") != nil {
+		t.Fatal("a nil pyramid is not inert")
+	}
+}
+
+// MarkStale takes a closed range; the +1 to half-open clamps at MaxInt64.
+func TestMarkStaleClosedRangeAtEdges(t *testing.T) {
+	p := New()
+	p.MarkStale("s", math.MaxInt64-1, math.MaxInt64)
+	p.MarkStale("s", math.MinInt64, math.MinInt64)
+	p.MarkStale("s", 5, 4) // inverted: nothing
+	sp := p.series["s"]
+	want := rset{{math.MinInt64, math.MinInt64 + 1}, {math.MaxInt64 - 1, math.MaxInt64}}
+	if len(sp.stale) != len(want) || sp.stale[0] != want[0] || sp.stale[1] != want[1] {
+		t.Fatalf("stale = %v, want %v", sp.stale, want)
+	}
+}
+
+// seedManifest encodes a two-series pyramid, one with cells and one with
+// only stale ranges.
+func seedManifest() []byte {
+	p := New()
+	rebuild(p, "root.a", randomSeries(rand.New(rand.NewSource(3)), 200, -300, 3000))
+	p.MarkStale("root.b", 10, 20)
+	return p.Encode(42)
+}
+
+// countBomb is a CRC-valid manifest of 14 bytes claiming 2^24 series.
+func countBomb() []byte {
+	pl := encoding.AppendUvarint(encoding.AppendUvarint(nil, 0), 1<<24)
+	buf := append(append([]byte(nil), manifestMagic...), pl...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(pl))
+}
+
+func TestManifestRoundTrip(t *testing.T) {
+	enc := seedManifest()
+	p, wm, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wm != 42 || p.Dirty() {
+		t.Fatalf("decoded wm %d dirty %v, want 42 and clean", wm, p.Dirty())
+	}
+	if again := p.Encode(wm); !bytes.Equal(again, enc) {
+		t.Fatal("decode then encode changed the bytes")
+	}
+	for _, bad := range [][]byte{nil, enc[:len(enc)-1], append(append([]byte(nil), enc[:20]...), enc[21:]...), countBomb()} {
+		if _, _, err := Decode(bad); err == nil {
+			t.Fatalf("decoded a corrupt %d-byte manifest", len(bad))
+		}
+	}
+}
+
+// A count the bytes cannot justify is refused before it is allocated for.
+func TestDecodeCountBombAllocatesLittle(t *testing.T) {
+	bomb := countBomb()
+	if len(bomb) != 14 {
+		t.Fatalf("bomb is %d bytes", len(bomb))
+	}
+	var err error
+	allocated := allocatedBy(func() { _, _, err = Decode(bomb) })
+	if !errors.Is(err, errCorrupt) {
+		t.Fatalf("count bomb: %v, want errCorrupt", err)
+	}
+	if allocated > 1<<16 {
+		t.Fatalf("count bomb allocated %d bytes", allocated)
+	}
+}
+
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeManifest: Decode never panics, allocates within a small
+// multiple of its input, and on anything it accepts, decode∘encode is the
+// identity: the re-encoded state decodes to the same watermark and encodes
+// to the same bytes again.
+func FuzzDecodeManifest(f *testing.F) {
+	f.Add(seedManifest())
+	f.Add(countBomb())
+	f.Add(New().Encode(0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p *Pyramid
+		var wm uint64
+		var err error
+		if n := allocatedBy(func() { p, wm, err = Decode(data) }); n > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		enc := p.Encode(wm)
+		p2, wm2, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded manifest does not decode: %v", err)
+		}
+		if wm2 != wm || !bytes.Equal(p2.Encode(wm2), enc) {
+			t.Fatal("decode∘encode is not the identity")
+		}
+	})
+}

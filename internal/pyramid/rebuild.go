@@ -1,0 +1,198 @@
+package pyramid
+
+import (
+	"m4lsm/internal/m4"
+	"m4lsm/internal/series"
+)
+
+// Rebuild re-reads the stale ranges of series id and patches its cells
+// bottom-up: the base level from read's merged, delete-applied points over
+// the expanded stale ranges, every coarser level derived from its children.
+// [first, last] is the series' data extent over the data read can see;
+// first > last means there is none, and drops the series' cells. A read
+// error leaves every stale range in place for the next rebuild. read runs
+// without the pyramid's lock, which is taken only around in-memory
+// snapshots and the final apply.
+func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRange) (series.Series, error)) {
+	p.mu.RLock()
+	sp := p.series[id]
+	if sp == nil || len(sp.stale) == 0 {
+		p.mu.RUnlock()
+		return
+	}
+	staleCopy := sp.stale.clone()
+	oldLmin, hadLevels := uint(0), false
+	if len(sp.levels) > 0 {
+		oldLmin, hadLevels = sp.levels[0].log, true
+	}
+	p.mu.RUnlock()
+
+	if first > last {
+		// No data left: drop the cells. Stale ranges marked while we looked
+		// (concurrent quarantines) survive the subtract.
+		p.mu.Lock()
+		if cur := p.series[id]; cur != nil {
+			cur.levels = nil
+			cur.hasExtent = false
+			cur.stale = cur.stale.subtract(staleCopy)
+			if len(cur.stale) == 0 {
+				delete(p.series, id)
+			}
+			p.dirty = true
+		}
+		p.mu.Unlock()
+		p.rebuilds.Add(1)
+		return
+	}
+
+	// The base level never gets finer: absolute alignment keeps coarse
+	// cells valid when the extent shrinks, and re-fining would force a
+	// full rebuild for no query-cost win.
+	lmin, lmax := levelBounds(first, last)
+	if hadLevels && oldLmin > lmin {
+		lmin = oldLmin
+	}
+	if lmax < lmin {
+		lmax = lmin
+	}
+	if lmax-lmin+1 > maxLevels {
+		lmax = lmin + maxLevels - 1
+	}
+
+	// Expand the stale ranges to base-cell alignment, clipped to the
+	// extent (padded one cell so edge cells rebuild whole): data outside
+	// the extent does not exist, and coverage there would be wasted.
+	base := lmin
+	clipLo, clipHi := cellFloor(first, base), cellCeil(last+1, base)
+	var rebuildT rset
+	for _, r := range staleCopy.intersect(clipLo, clipHi) {
+		rebuildT.add(cellFloor(r.lo, base), cellCeil(r.hi, base))
+	}
+
+	// Merged read of each rebuild range, so cells inherit the exact
+	// merge/delete semantics of the queries they stand in for.
+	type baseBuild struct {
+		idxLo, idxHi int64
+		cells        map[int64]m4.Aggregate
+	}
+	builds := make([]baseBuild, 0, len(rebuildT))
+	for _, r := range rebuildT {
+		pts, err := read(series.TimeRange{Start: r.lo, End: r.hi})
+		if err != nil {
+			// Leave every stale range in place; the next rebuild retries.
+			p.rebuildErrors.Add(1)
+			return
+		}
+		cells := make(map[int64]m4.Aggregate, len(pts)/2+1)
+		for _, pt := range pts {
+			idx := pt.T >> base
+			c, ok := cells[idx]
+			c.Empty = !ok
+			c.Observe(pt)
+			cells[idx] = c
+		}
+		builds = append(builds, baseBuild{idxLo: r.lo >> base, idxHi: r.hi >> base, cells: cells})
+	}
+
+	// Apply: restructure levels, patch the base, derive coarser levels
+	// from their children, clear the stale ranges we covered.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sp = p.series[id]
+	if sp == nil {
+		sp = &seriesPyramid{}
+		p.series[id] = sp
+	}
+	sp.minT, sp.maxT, sp.hasExtent = first, last, true
+
+	nLevels := int(lmax - lmin + 1)
+	levels := make([]*level, nLevels)
+	fresh := make([]bool, nLevels)
+	for i := range levels {
+		log := lmin + uint(i)
+		if lv := sp.level(log); lv != nil {
+			levels[i] = lv
+		} else {
+			levels[i] = &level{log: log, cells: make(map[int64]m4.Aggregate)}
+			fresh[i] = true
+		}
+	}
+	sp.levels = levels
+
+	// When the extent shrank (a tail/head range delete compacted away),
+	// cells beyond the new extent keep no data behind them but their stale
+	// ranges are about to be cleared — drop them and their coverage so they
+	// can't serve deleted data. A cell survives only when it lies FULLY
+	// inside the clip window: keeping a boundary parent whose out-of-extent
+	// child is dropped would break the parent⇒children coverage invariant,
+	// and when data later reappears there the orphaned parent would keep
+	// serving its old value. The map scan runs only when coverage actually
+	// sticks out of the window.
+	for _, lv := range levels {
+		idxLo := (clipLo + int64(1)<<lv.log - 1) >> lv.log // ceil
+		idxHi := clipHi >> lv.log                          // floor
+		if idxHi < idxLo {
+			idxHi = idxLo
+		}
+		clipped := lv.cover.intersect(idxLo, idxHi)
+		if clipped.size() != lv.cover.size() {
+			lv.cover = clipped
+			for idx := range lv.cells {
+				if idx < idxLo || idx >= idxHi {
+					delete(lv.cells, idx)
+				}
+			}
+			lv.gen++
+		}
+	}
+
+	baseLv := levels[0]
+	var touched rset
+	for _, b := range builds {
+		for idx := b.idxLo; idx < b.idxHi; idx++ {
+			if c, ok := b.cells[idx]; ok {
+				baseLv.cells[idx] = c
+			} else {
+				delete(baseLv.cells, idx)
+			}
+		}
+		baseLv.cover.add(b.idxLo, b.idxHi)
+		touched.add(b.idxLo, b.idxHi)
+	}
+	baseLv.gen++
+
+	for li := 1; li < nLevels; li++ {
+		child, parent := levels[li-1], levels[li]
+		// A fresh level derives from the child's whole coverage; an
+		// existing one only where the child changed.
+		src := touched
+		if fresh[li] {
+			src = child.cover
+		}
+		// Parent coverage: a parent cell is known iff both children are.
+		for _, r := range child.cover {
+			if pLo, pHi := (r.lo+1)>>1, r.hi>>1; pLo < pHi {
+				parent.cover.add(pLo, pHi)
+			}
+		}
+		var ptouch rset
+		for _, r := range src {
+			ptouch.add(r.lo>>1, ((r.hi-1)>>1)+1)
+		}
+		for _, r := range ptouch {
+			for idx := r.lo; idx < r.hi; idx++ {
+				if agg := child.childrenOf(idx); agg.Empty || !parent.cover.contains(idx, idx+1) {
+					delete(parent.cells, idx)
+				} else {
+					parent.cells[idx] = agg
+				}
+			}
+		}
+		parent.gen++
+		touched = ptouch
+	}
+
+	sp.stale = sp.stale.subtract(staleCopy)
+	p.dirty = true
+	p.rebuilds.Add(1)
+}

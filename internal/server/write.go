@@ -113,6 +113,10 @@ func (h *Handler) write(w http.ResponseWriter, r *http.Request) {
 	ev.SeriesWritten = len(entries)
 	if err := h.engine.WriteBatch(entries...); err != nil {
 		ev.Error = err.Error()
+		if errors.Is(err, lsm.ErrInvalidWrite) {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		if code, kind := mapQueryError(err); code != 0 {
 			writeMappedError(w, code, kind, err)
 			return

@@ -102,6 +102,7 @@ func TestWriteRejectsMalformed(t *testing.T) {
 		{"NaN", "root.a 10 NaN\n"},
 		{"Inf", "root.a 10 +Inf\n"},
 		{"negative Inf", "root.a 10 -Inf\n"},
+		{"reserved timestamp", "root.a 9223372036854775807 1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
