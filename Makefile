@@ -69,9 +69,10 @@ soak:
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
 # footers, record logs, the pyramid manifest), the m4ql parser including the REPRESENT
 # clause, the /write line-protocol parser, the Gorilla codec against its
-# bit-at-a-time reference, and the step-regression build against its
-# reference. Go allows one -fuzz target per invocation, so each runs
-# separately for FUZZTIME (the seed corpus also runs in plain `make test`).
+# bit-at-a-time reference, the step-regression build against its
+# reference, and the pyramid's range-set algebra against a bitmap. Go
+# allows one -fuzz target per invocation, so each runs separately for
+# FUZZTIME (the seed corpus also runs in plain `make test`).
 fuzz:
 	$(GO) test ./internal/m4ql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWriteBody$$' -fuzztime $(FUZZTIME)
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stepreg -run '^$$' -fuzz '^FuzzStepregBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzRsetOps$$' -fuzztime $(FUZZTIME)
 
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
@@ -148,7 +150,7 @@ lint:
 		echo "only regenerates the paper's tables. No BENCH_*.json at the root, no bench-* target but"; \
 		echo "bench-check and bench-smoke, no root-package Benchmark, no server-level sweep in exper."; \
 		echo "Exempt: per-package micro-benchmarks beside their code (internal/encoding, internal/tsfile,"; \
-		echo "internal/stepreg, internal/m4lsm, internal/viz), which make microbench runs once each so they cannot rot."; \
+		echo "internal/stepreg, internal/m4lsm, internal/viz, internal/pyramid), which make microbench runs once each so they cannot rot."; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -nE 'FromColumns\(|\.Points\(\)|\.Columns\(\)' internal/tsfile/reader.go \
@@ -179,7 +181,7 @@ bench-check:
 # the root-package benchmarks went, nothing else executes them, and a
 # benchmark that is never run stops compiling or starts failing unnoticed.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid
 
 # check is the standard gate for this repo: static analysis, the logging,
 # backoff, one-read-path, one-write-path, one-chunk-writer, pyramid-boundary

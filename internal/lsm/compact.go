@@ -157,7 +157,7 @@ func (e *Engine) compactLocked() error {
 			return err
 		}
 	}
-	return e.pyrMaybeSave()
+	return e.pyrSave(0, true)
 }
 
 // retireFiles unlinks the pre-compaction generation, setting aside (as

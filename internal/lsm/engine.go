@@ -217,10 +217,15 @@ type Engine struct {
 
 	// pyr is the M4 rollup pyramid, nil (whose methods are no-ops) when
 	// Options.DisablePyramid is set. Its lock is a leaf; see pyramid.go.
-	// pyrSaveMu serializes manifest writes; pyrSaves counts them.
-	pyr       *pyramid.Pyramid
-	pyrSaveMu sync.Mutex
-	pyrSaves  atomic.Int64
+	// pyrSaveMu serializes manifest writes and guards the save schedule:
+	// pyrUnsaved is the raw bytes flushed since the last save, pyrLastSize
+	// the size of the last manifest written or loaded (see pyrSave).
+	// pyrSaves counts saves.
+	pyr         *pyramid.Pyramid
+	pyrSaveMu   sync.Mutex
+	pyrUnsaved  int64
+	pyrLastSize int64
+	pyrSaves    atomic.Int64
 
 	// Background scrubber lifecycle (see scrub.go): the ticker goroutine
 	// is stopped before Close/Kill take the shard locks, because a scrub
@@ -259,6 +264,10 @@ type engineMetrics struct {
 	compactions   *obs.Counter
 	compactSecs   *obs.Histogram
 	quarantines   *obs.Counter
+	// Pyramid upkeep: one rebuild observation per shard that had stale
+	// series, one save observation per manifest written.
+	pyrRebuildSecs *obs.Histogram
+	pyrSaveSecs    *obs.Histogram
 }
 
 // allocVersion hands out the next version number.
@@ -348,6 +357,9 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		compactions:   reg.Counter("lsm_compactions_total"),
 		compactSecs:   reg.Histogram("lsm_compact_seconds"),
 		quarantines:   reg.Counter("lsm_quarantines_total"),
+
+		pyrRebuildSecs: reg.Histogram("lsm_pyramid_rebuild_seconds"),
+		pyrSaveSecs:    reg.Histogram("lsm_pyramid_save_seconds"),
 	}
 	if reg == nil {
 		return
@@ -561,10 +573,7 @@ func (e *Engine) Close() error {
 		}
 		flushed += n
 	}
-	if err = e.afterFlush(flushed, err); err == nil {
-		// Deletes and quarantines dirty the pyramid without a flush.
-		err = e.pyrMaybeSave()
-	}
+	err = e.afterFlush(flushed, true, err)
 	e.closed.Store(true)
 	e.closeFiles()
 	if cerr := e.modsLog().Close(); err == nil {

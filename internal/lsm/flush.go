@@ -29,21 +29,24 @@ func (e *Engine) Flush() error {
 		flushed.Add(int64(n))
 		return err
 	})
-	return e.afterFlush(int(flushed.Load()), err)
+	return e.afterFlush(int(flushed.Load()), true, err)
 }
 
 // afterFlush is the one tail every flush site runs — the ingest workers
 // (still under their shard's lock), Flush and Close: once points left a
-// memtable, drop the WAL segments their checkpoints freed and persist the
-// pyramid. Errors are classified, so ENOSPC anywhere in flush, retirement
-// or the manifest save flips the engine read-only with the typed error
-// instead of surfacing as an anonymous I/O failure; a failed flush loses
-// nothing (memtable + WAL still hold the points).
-func (e *Engine) afterFlush(flushed int, err error) error {
+// memtable, drop the WAL segments their checkpoints freed; then save the
+// pyramid manifest when it is due (pyrSave), which an explicit checkpoint
+// (Flush, Close) always makes it. Errors are classified, so ENOSPC
+// anywhere in flush, retirement or the manifest save flips the engine
+// read-only with the typed error instead of surfacing as an anonymous I/O
+// failure; a failed flush loses nothing (memtable + WAL still hold the
+// points).
+func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
 	if err == nil && flushed > 0 {
-		if err = e.wal.Retire(); err == nil {
-			err = e.pyrMaybeSave()
-		}
+		err = e.wal.Retire()
+	}
+	if err == nil {
+		err = e.pyrSave(flushed, checkpoint)
 	}
 	return e.classifyWrite(err)
 }
@@ -57,7 +60,10 @@ func (e *Engine) afterFlush(flushed int, err error) error {
 func (e *Engine) flushShardLocked(sh *shard) (int, error) {
 	flushPts := int(sh.memPts.Load())
 	if flushPts == 0 {
-		return 0, nil
+		// Nothing to write, but deletes and quarantines since the last
+		// flush may have staled cells over flushed data: rebuild them now,
+		// not at whatever write next fills this shard's memtable.
+		return 0, e.pyrRebuildShard(sh)
 	}
 	flushStart := time.Now()
 	ids := make([]string, 0, len(sh.mem))

@@ -453,7 +453,7 @@ func (e *Engine) applyRun(shardIx int, run []ingestItem) error {
 		return nil
 	}
 	n, err := e.flushShardLocked(sh)
-	return e.afterFlush(n, err)
+	return e.afterFlush(n, false, err)
 }
 
 // memAppend is the only place points enter a memtable — applyRun for live

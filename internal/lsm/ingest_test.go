@@ -430,7 +430,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 }
 
 // TestENOSPCRetireFlipsReadOnly is the regression for the classify bug:
-// ENOSPC surfacing from the post-flush maybeRetireWAL/pyrMaybeSave tail of
+// ENOSPC surfacing from the post-flush WAL-retire / pyrSave tail of
 // Write (and Flush) must flip the engine read-only with the typed error,
 // exactly like ENOSPC during the flush itself.
 func TestENOSPCRetireFlipsReadOnly(t *testing.T) {

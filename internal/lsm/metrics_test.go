@@ -55,6 +55,14 @@ func TestEngineMetricsExposition(t *testing.T) {
 		"# TYPE lsm_flush_seconds histogram",
 		"lsm_flush_seconds_count 2",
 		"lsm_compact_seconds_count 1",
+		// Pyramid upkeep is timed apart from the flush: one rebuild per
+		// Flush, one for the delete Compact's flush finds stale, and one
+		// manifest save per explicit checkpoint.
+		"# TYPE lsm_pyramid_rebuild_seconds histogram",
+		"lsm_pyramid_rebuild_seconds_count 3",
+		"# TYPE lsm_pyramid_save_seconds histogram",
+		"lsm_pyramid_save_seconds_count 3",
+		"lsm_pyramid_saves_total 3",
 		"# TYPE lsm_chunks gauge",
 		"lsm_wal_bytes",
 		"chunk_cache_entries",

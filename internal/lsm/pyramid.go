@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"time"
 
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/pyramid"
@@ -38,7 +39,13 @@ func (e *Engine) markStalePoints(seriesID string, pts []series.Point) {
 // injection) can fail it; read errors leave the affected series stale for
 // the next rebuild.
 func (e *Engine) pyrRebuildShard(sh *shard) error {
-	for _, id := range e.pyr.Stale(func(id string) bool { return shardIndex(id, len(e.shards)) == sh.ix }) {
+	ids := e.pyr.Stale(func(id string) bool { return shardIndex(id, len(e.shards)) == sh.ix })
+	if len(ids) == 0 {
+		return nil
+	}
+	start := time.Now()
+	defer func() { e.met.pyrRebuildSecs.Observe(time.Since(start).Seconds()) }()
+	for _, id := range ids {
 		if err := e.step("pyramid.rebuild"); err != nil {
 			return err
 		}
@@ -55,28 +62,45 @@ func (e *Engine) pyrRebuildShard(sh *shard) error {
 	return nil
 }
 
-// pyrMaybeSave writes the manifest if cells changed since the last save.
+// pointBytes is what one raw point weighs when pyrSave paces manifest
+// writes against flushed data: a timestamp and a value.
+const pointBytes = 16
+
+// pyrSave writes the manifest when cells changed since the last save and
+// the save is due. An explicit checkpoint (Flush, Close, Compact, scrub's
+// heal) is always due. An automatic flush, which passes the points it
+// moved, is due once the raw bytes flushed since the last save reach the
+// size of the last manifest: manifest writes then cost at most about one
+// byte per raw byte flushed, and a crash re-marks stale at most about
+// pyrLastSize/pointBytes points the watermark does not vouch for. Skipping
+// a save costs rebuild work after a crash, never a wrong answer.
+//
 // Write failures are swallowed: a stale manifest is safe because the
 // watermark re-marks anything newer on reopen. Only the StepHook can make
 // it fail, simulating a crash between flush and save.
-func (e *Engine) pyrMaybeSave() error {
+func (e *Engine) pyrSave(flushed int, checkpoint bool) error {
 	e.pyrSaveMu.Lock()
 	defer e.pyrSaveMu.Unlock()
-	if !e.pyr.Dirty() {
+	e.pyrUnsaved += int64(flushed) * pointBytes
+	if !e.pyr.Dirty() || (!checkpoint && e.pyrUnsaved < e.pyrLastSize) {
 		return nil
 	}
 	if err := e.step("pyramid.save"); err != nil {
 		return err
 	}
+	start := time.Now()
 	// The watermark is read BEFORE the state is encoded: versions allocated
 	// during the encode get Version >= wm and are re-marked stale on reopen
 	// even if the encoded state happened to include their effects.
 	wm := e.nextVer.Load()
-	if err := writeFileAtomic(filepath.Join(e.opts.Dir, pyramidFileName), e.pyr.Encode(wm)); err != nil {
+	data := e.pyr.Encode(wm)
+	if err := writeFileAtomic(filepath.Join(e.opts.Dir, pyramidFileName), data); err != nil {
 		e.pyr.MarkDirty()
 		return nil
 	}
+	e.pyrUnsaved, e.pyrLastSize = 0, int64(len(data))
 	e.pyrSaves.Add(1)
+	e.met.pyrSaveSecs.Observe(time.Since(start).Seconds())
 	return nil
 }
 
@@ -115,7 +139,7 @@ func (e *Engine) pyrLoad() {
 	var wm uint64
 	if data, err := os.ReadFile(filepath.Join(e.opts.Dir, pyramidFileName)); err == nil {
 		if p, w, err := pyramid.Decode(data); err == nil {
-			e.pyr, wm = p, w
+			e.pyr, wm, e.pyrLastSize = p, w, int64(len(data))
 		}
 	}
 	for _, sh := range e.shards {

@@ -8,6 +8,7 @@ import (
 
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
+	"m4lsm/internal/obs"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 )
@@ -328,5 +329,167 @@ func TestMinMaxAnswersFromPyramidAlone(t *testing.T) {
 	}
 	if st := snap.Stats.Load(); len(snap.Chunks) == 0 || st.ChunksLoaded != int64(len(snap.Chunks)) {
 		t.Errorf("lttb loaded %d of %d chunks; want every one", st.ChunksLoaded, len(snap.Chunks))
+	}
+}
+
+// TestFlushRebuildsAfterDelete: an explicit Flush rebuilds the cells a
+// delete staled even when no memtable holds a point, so an aligned window
+// over an idle series answers from the pyramid again right away instead of
+// falling back to chunk reads until the next write flushes.
+func TestFlushRebuildsAfterDelete(t *testing.T) {
+	e := openTestEngine(t, Options{})
+	const id = "root.sg.idle"
+	rng := rand.New(rand.NewSource(5))
+	data := make(series.Series, 1<<14)
+	for i := range data {
+		data[i] = series.Point{T: int64(i), V: rng.Float64()}
+	}
+	for off := 0; off < len(data); off += 4096 {
+		if err := e.Write(id, data[off:off+4096]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Delete(id, 1000, 2000); err != nil {
+		t.Fatal(err)
+	}
+	rebuilds := e.pyr.Stats().Rebuilds
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.pyr.Stats(); st.StaleRanges != 0 || st.Rebuilds <= rebuilds {
+		t.Fatalf("after Delete + Flush: %+v, want no stale range and a rebuild beyond %d", st, rebuilds)
+	}
+
+	q := m4.Query{Tqs: 0, Tqe: 4096, W: 64}
+	snap, err := e.Snapshot(id, q.Range())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m4lsm.Compute(snap, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := snap.Stats.Load(); st.ChunksLoaded != 0 || st.TimeBlocksLoaded != 0 || st.PyramidSpans != int64(q.W) {
+		t.Errorf("aligned window over the deleted range: %d chunk loads, %d time-block loads, %d of %d spans from the pyramid; want 0, 0, all",
+			st.ChunksLoaded, st.TimeBlocksLoaded, st.PyramidSpans, q.W)
+	}
+	off, err := e.Snapshot(id, q.Range())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off.Pyramid = nil
+	want, err := m4lsm.Compute(off, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !m4.Equivalent(got[i], want[i]) {
+			t.Fatalf("span %d: pyramid-on %v, pyramid-off %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAutoFlushSavesAmortized pins when automatic flushes write the
+// manifest: only once the raw bytes flushed since the last save (16 per
+// point) reach the size of the manifest that save wrote, so many flush
+// rounds cost a few saves. A kill after unsaved flushes loses nothing and
+// answers nothing wrong: reopen re-marks what the old manifest does not
+// vouch for, and the next flush rebuilds it.
+func TestAutoFlushSavesAmortized(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	flushedPts := reg.Counter("lsm_flushed_points_total")
+	rounds := reg.Counter("lsm_flushes_total")
+	manifest := filepath.Join(dir, pyramidFileName)
+	saves, lastSaveAt := 0, int64(0)
+	hook := func(site string) error {
+		if site != "pyramid.save" {
+			return nil
+		}
+		// The step runs before the write: the file on disk is the last save's.
+		if fi, err := os.Stat(manifest); err == nil {
+			if flushed := pointBytes * (flushedPts.Value() - lastSaveAt); flushed < fi.Size() {
+				t.Errorf("save %d after %d flushed bytes, under the last manifest's %d", saves+1, flushed, fi.Size())
+			}
+		}
+		saves++
+		lastSaveAt = flushedPts.Value()
+		return nil
+	}
+	e, err := Open(Options{Dir: dir, FlushThreshold: 64, StepHook: hook, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"root.a", "root.b", "root.c", "root.d"}
+	acked := oracle{}
+	head := int64(0)
+	post := func(i int) {
+		entries := make([]BatchEntry, len(ids))
+		for s, id := range ids {
+			start := head
+			if i%10 == 9 && head > 400 {
+				start = head - 400 // late: overwrites flushed points
+			}
+			batch := make([]series.Point, 16)
+			for j := range batch {
+				batch[j] = series.Point{T: start + int64(j), V: float64((i*31 + s*7 + j) % 23)}
+			}
+			entries[s] = BatchEntry{SeriesID: id, Points: batch}
+			acked.apply(tortureOp{kind: 'w', id: id, pts: batch})
+		}
+		if err := e.WriteBatch(entries...); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 != 9 {
+			head += 16
+		}
+	}
+	i := 0
+	for ; i < 400; i++ {
+		post(i)
+	}
+	// End on flushes the manifest has not seen, with points left in the
+	// memtable (and the WAL) on top.
+	for flushedPts.Value() == lastSaveAt || e.Info().MemtablePoints == 0 {
+		if i == 1000 {
+			t.Fatal("every automatic flush saved the manifest")
+		}
+		post(i)
+		i++
+	}
+	t.Logf("%d automatic flush rounds, %d manifest saves", rounds.Value(), saves)
+	if n := rounds.Value(); n < 50 || int64(saves)*5 > n {
+		t.Fatalf("%d automatic flush rounds made %d manifest saves; want many rounds and at most a fifth as many saves", n, saves)
+	}
+	e.Kill()
+
+	e2 := openTestEngine(t, Options{Dir: dir})
+	if st := e2.pyr.Stats(); st.StaleRanges == 0 {
+		t.Fatal("reopen after unsaved flushes re-marked nothing stale")
+	}
+	full := series.TimeRange{Start: 0, End: head + 64}
+	for _, id := range ids {
+		snap, err := e2.Snapshot(id, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := materialize(t, snap, full), acked.series(id); !seriesEqual(got, want) {
+			t.Fatalf("%s: %d points read back, %d acknowledged", id, len(got), len(want))
+		}
+		pyrVerify(t, e2, id, full.End)
+	}
+	if err := e2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e2.pyr.Stats(); st.StaleRanges != 0 {
+		t.Fatalf("the flush after reopen left %d stale ranges", st.StaleRanges)
+	}
+	for _, id := range ids {
+		if n := pyrVerify(t, e2, id, full.End); n == 0 {
+			t.Fatalf("%s: pyramid unused after the rebuild", id)
+		}
 	}
 }

@@ -205,7 +205,7 @@ func (e *Engine) scrubPyramid(rep *ScrubReport) {
 		// engine runs, so marking it dirty and re-saving rewrites a clean
 		// manifest atomically.
 		e.pyr.MarkDirty()
-		if herr := e.pyrMaybeSave(); herr != nil {
+		if herr := e.pyrSave(0, true); herr != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("pyramid manifest rewrite: %v", herr))
 		}
 	}

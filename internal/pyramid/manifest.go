@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 
 	"m4lsm/internal/encoding"
@@ -27,11 +28,13 @@ var manifestMagic = []byte{'M', '4', 'P', 'Y', 0x01}
 var errCorrupt = errors.New("pyramid: corrupt manifest")
 
 // Encode serializes every series' extent, stale set and levels with the
-// version watermark wm, CRC-trailed, and clears Dirty.
+// version watermark wm, CRC-trailed, and clears Dirty. It holds only the
+// read lock, so views, plans and other readers proceed during an encode;
+// writers (MarkStale, a rebuild's apply) wait for it.
 func (p *Pyramid) Encode(wm uint64) []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dirty = false
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	p.dirty.Store(false)
 	ids := make([]string, 0, len(p.series))
 	for id := range p.series {
 		ids = append(ids, id)
@@ -62,7 +65,7 @@ func (p *Pyramid) Encode(wm uint64) []byte {
 			for idx := range lv.cells {
 				idxs = append(idxs, idx)
 			}
-			sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+			slices.Sort(idxs)
 			for _, idx := range idxs {
 				c := lv.cells[idx]
 				pl = encoding.AppendVarint(pl, idx)

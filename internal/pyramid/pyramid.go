@@ -115,8 +115,9 @@ type Pyramid struct {
 	series map[string]*seriesPyramid
 	// dirty records cell changes since the last Encode. Stale-set changes
 	// alone don't set it: the manifest watermark re-derives any post-save
-	// staleness on reopen.
-	dirty bool
+	// staleness on reopen. Every setter holds mu for writing, so Encode may
+	// clear it under the read lock without losing a set.
+	dirty atomic.Bool
 
 	invalidations atomic.Int64 // MarkStale calls
 	rebuilds      atomic.Int64 // per-series rebuilds completed
@@ -196,19 +197,14 @@ func (p *Pyramid) Stats() Stats {
 
 // Dirty reports whether cells changed since the last Encode.
 func (p *Pyramid) Dirty() bool {
-	if p == nil {
-		return false
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.dirty
+	return p != nil && p.dirty.Load()
 }
 
 // MarkDirty makes the next Dirty report true: the last Encode's bytes were
 // never stored, or the stored copy is bad.
 func (p *Pyramid) MarkDirty() {
 	p.mu.Lock()
-	p.dirty = true
+	p.dirty.Store(true)
 	p.mu.Unlock()
 }
 
@@ -409,6 +405,38 @@ func (s *rset) add(lo, hi int64) {
 	}
 	out := append(t[:i:i], rng{lo, hi})
 	*s = append(out, t[j:]...)
+}
+
+// push is add for input in ascending order: [lo, hi) may start no earlier
+// than the set's last range, so it coalesces with that range or is
+// appended, in O(1). It returns the grown set.
+func (s rset) push(lo, hi int64) rset {
+	if hi <= lo {
+		return s
+	}
+	if n := len(s); n > 0 && lo <= s[n-1].hi {
+		s[n-1].hi = max(s[n-1].hi, hi)
+		return s
+	}
+	return append(s, rng{lo, hi})
+}
+
+// union returns s ∪ o as a fresh set, merged in one pass.
+func (s rset) union(o rset) rset {
+	if len(s)+len(o) == 0 {
+		return nil
+	}
+	out := make(rset, 0, len(s)+len(o))
+	for len(s) > 0 || len(o) > 0 {
+		var r rng
+		if len(o) == 0 || (len(s) > 0 && s[0].lo <= o[0].lo) {
+			r, s = s[0], s[1:]
+		} else {
+			r, o = o[0], o[1:]
+		}
+		out = out.push(r.lo, r.hi)
+	}
+	return out
 }
 
 // contains reports whether [lo, hi) is entirely covered. The set is

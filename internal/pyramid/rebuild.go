@@ -5,6 +5,12 @@ import (
 	"m4lsm/internal/series"
 )
 
+// cellAt is one non-empty base cell folded by Rebuild before it is applied.
+type cellAt struct {
+	idx int64
+	agg m4.Aggregate
+}
+
 // Rebuild re-reads the stale ranges of series id and patches its cells
 // bottom-up: the base level from read's merged, delete-applied points over
 // the expanded stale ranges, every coarser level derived from its children.
@@ -12,7 +18,9 @@ import (
 // first > last means there is none, and drops the series' cells. A read
 // error leaves every stale range in place for the next rebuild. read runs
 // without the pyramid's lock, which is taken only around in-memory
-// snapshots and the final apply.
+// snapshots and the final apply. Its cost is linear in the cells the stale
+// ranges touch plus the levels' coverage sets, never in the cells the
+// series holds elsewhere.
 func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRange) (series.Series, error)) {
 	p.mu.RLock()
 	sp := p.series[id]
@@ -38,7 +46,7 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 			if len(cur.stale) == 0 {
 				delete(p.series, id)
 			}
-			p.dirty = true
+			p.dirty.Store(true)
 		}
 		p.mu.Unlock()
 		p.rebuilds.Add(1)
@@ -66,16 +74,20 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 	clipLo, clipHi := cellFloor(first, base), cellCeil(last+1, base)
 	var rebuildT rset
 	for _, r := range staleCopy.intersect(clipLo, clipHi) {
-		rebuildT.add(cellFloor(r.lo, base), cellCeil(r.hi, base))
+		rebuildT = rebuildT.push(cellFloor(r.lo, base), cellCeil(r.hi, base))
 	}
 
 	// Merged read of each rebuild range, so cells inherit the exact
-	// merge/delete semantics of the queries they stand in for.
+	// merge/delete semantics of the queries they stand in for. The points
+	// arrive in time order, so each range's non-empty base cells fold
+	// straight into one shared slice, in index order: build b owns
+	// cells[b.from:b.to].
 	type baseBuild struct {
 		idxLo, idxHi int64
-		cells        map[int64]m4.Aggregate
+		from, to     int
 	}
 	builds := make([]baseBuild, 0, len(rebuildT))
+	var cells []cellAt
 	for _, r := range rebuildT {
 		pts, err := read(series.TimeRange{Start: r.lo, End: r.hi})
 		if err != nil {
@@ -83,15 +95,16 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 			p.rebuildErrors.Add(1)
 			return
 		}
-		cells := make(map[int64]m4.Aggregate, len(pts)/2+1)
+		b := baseBuild{idxLo: r.lo >> base, idxHi: r.hi >> base, from: len(cells)}
 		for _, pt := range pts {
-			idx := pt.T >> base
-			c, ok := cells[idx]
-			c.Empty = !ok
-			c.Observe(pt)
-			cells[idx] = c
+			if idx := pt.T >> base; len(cells) > b.from && cells[len(cells)-1].idx == idx {
+				cells[len(cells)-1].agg.Observe(pt)
+			} else {
+				cells = append(cells, cellAt{idx: idx, agg: m4.Aggregate{First: pt, Last: pt, Bottom: pt, Top: pt}})
+			}
 		}
-		builds = append(builds, baseBuild{idxLo: r.lo >> base, idxHi: r.hi >> base, cells: cells})
+		b.to = len(cells)
+		builds = append(builds, b)
 	}
 
 	// Apply: restructure levels, patch the base, derive coarser levels
@@ -149,16 +162,20 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 	baseLv := levels[0]
 	var touched rset
 	for _, b := range builds {
+		k := b.from
 		for idx := b.idxLo; idx < b.idxHi; idx++ {
-			if c, ok := b.cells[idx]; ok {
-				baseLv.cells[idx] = c
+			for k < b.to && cells[k].idx < idx {
+				k++
+			}
+			if k < b.to && cells[k].idx == idx {
+				baseLv.cells[idx] = cells[k].agg
 			} else {
 				delete(baseLv.cells, idx)
 			}
 		}
-		baseLv.cover.add(b.idxLo, b.idxHi)
-		touched.add(b.idxLo, b.idxHi)
+		touched = touched.push(b.idxLo, b.idxHi)
 	}
+	baseLv.cover = baseLv.cover.union(touched)
 	baseLv.gen++
 
 	for li := 1; li < nLevels; li++ {
@@ -170,14 +187,15 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 			src = child.cover
 		}
 		// Parent coverage: a parent cell is known iff both children are.
+		// Both sets are sorted, so this is one merge, not an add per range.
+		var known rset
 		for _, r := range child.cover {
-			if pLo, pHi := (r.lo+1)>>1, r.hi>>1; pLo < pHi {
-				parent.cover.add(pLo, pHi)
-			}
+			known = known.push((r.lo+1)>>1, r.hi>>1)
 		}
+		parent.cover = parent.cover.union(known)
 		var ptouch rset
 		for _, r := range src {
-			ptouch.add(r.lo>>1, ((r.hi-1)>>1)+1)
+			ptouch = ptouch.push(r.lo>>1, ((r.hi-1)>>1)+1)
 		}
 		for _, r := range ptouch {
 			for idx := r.lo; idx < r.hi; idx++ {
@@ -193,6 +211,6 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 	}
 
 	sp.stale = sp.stale.subtract(staleCopy)
-	p.dirty = true
+	p.dirty.Store(true)
 	p.rebuilds.Add(1)
 }
