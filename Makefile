@@ -92,12 +92,14 @@ fuzz:
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
 # It also keeps raw sleeps out of library code, keeps the query layers
-# (root package, m4ql, server) from growing a second read path, keeps
+# (root package, m4ql, server) from growing a second read path beside
+# m4ql.Read (exactly one engine Snapshot call, in internal/m4ql/exec.go),
+# keeps examples/ on the public package (no m4lsm/internal/ import), keeps
 # internal/lsm from growing a second write path, a second chunk-file writer
 # or reaching into the WAL, keeps internal/pyramid from depending on the
-# engine, keeps a second measurement stack from growing beside bench/, keeps the
-# chunk read path columnar, and checks that every test DESIGN.md's invariant
-# table names exists.
+# engine, keeps a second measurement stack from growing beside bench/, keeps
+# the chunk read path columnar, and checks that every test DESIGN.md's
+# invariant table names exists.
 lint:
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
@@ -114,14 +116,20 @@ lint:
 		echo "(deterministic jitter, context-aware). Exempt: govern/backoff.go, faultfs (injected latency)."; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -nE '\b(e|engine)\.Snapshot\(' m4lsm.go raw.go internal/m4ql/*.go internal/server/*.go \
+	@bad=$$(grep -nE '\b(e|engine)\.Snapshot\(' *.go internal/m4ql/*.go internal/server/*.go \
 		| grep -v '_test\.go:' \
-		| grep -v -e '^internal/m4ql/exec\.go:' -e '^internal/server/ui\.go:' -e '^raw\.go:'; true); \
-	n=$$(grep -cE '\b(e|engine)\.Snapshot\(' internal/m4ql/exec.go raw.go | tr '\n' ' '); \
-	if [ -n "$$bad" ] || [ "$$n" != "internal/m4ql/exec.go:1 raw.go:1 " ]; then \
+		| grep -v -e '^internal/m4ql/exec\.go:' -e '^internal/server/ui\.go:'; true); \
+	n=$$(grep -cHE '\b(e|engine)\.Snapshot\(' internal/m4ql/exec.go); \
+	if [ -n "$$bad" ] || [ "$$n" != "internal/m4ql/exec.go:1" ]; then \
 		echo "lint: queries take their snapshots in one place, m4ql.Read (internal/m4ql/exec.go);"; \
-		echo "build a Statement and call it. Exempt: DB.Raw (raw.go), the series listing in server/ui.go."; \
+		echo "build a Statement and call it. Exempt: the series listing in server/ui.go."; \
 		echo "$$bad"; echo "snapshot calls: $$n"; exit 1; \
+	fi
+	@bad=$$(grep -rlE '"m4lsm/internal/' --include='*.go' examples/; true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: examples use the public package only (m4lsm: Open, Write, QueryContext, ...), so an"; \
+		echo "outside module can build them; these import m4lsm/internal/:"; \
+		echo "$$bad"; exit 1; \
 	fi
 
 	@n=$$(grep -cE 'sh\.mem\[[^]]*\] = append\(' internal/lsm/*.go | grep -v '_test\.go:' | grep -v ':0$$' | tr '\n' ' '); \
@@ -158,7 +166,7 @@ lint:
 	if [ -n "$$bad" ]; then \
 		echo "lint: a chunk is loaded, cached, merged and scanned as series.Columns (whose Times()/Values() are"; \
 		echo "the shared slices, no copy). Building rows from columns or columns from rows belongs to whoever"; \
-		echo "asked for rows (mergeread.Merge's caller, DB.Raw, tests) or was handed them (tsfile/writer.go)."; \
+		echo "asked for rows (mergeread.Merge's caller, tests) or was handed them (tsfile/writer.go)."; \
 		echo "$$bad"; exit 1; \
 	fi
 	@names=$$(sed -n '/^## [0-9. ]*Invariants/,$$p' DESIGN.md | grep -oE '\b(Test|Fuzz)[A-Za-z0-9_]+' | sort -u); \
@@ -184,8 +192,8 @@ microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid
 
 # check is the standard gate for this repo: static analysis, the logging,
-# backoff, one-read-path, one-write-path, one-chunk-writer, pyramid-boundary
-# and columnar-read-path lints, the
+# backoff, one-read-path, public-examples, one-write-path, one-chunk-writer,
+# pyramid-boundary and columnar-read-path lints, the
 # benchmark module's own vet and tests, one pass of the micro-benchmarks,
 # the suite (including the crash-recovery torture and the
 # short-mode differential harness) under the race detector, the overload

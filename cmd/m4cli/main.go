@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -216,7 +217,7 @@ func repl(engine *lsm.Engine, in io.Reader, out io.Writer) {
 		case strings.HasPrefix(line, "."):
 			fmt.Fprintf(out, "unknown command %s (try .help)\n", line)
 		default:
-			res, explain, err := m4ql.RunAny(engine, line)
+			res, explain, err := m4ql.RunAny(context.Background(), engine, line)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				continue

@@ -1,6 +1,7 @@
 package m4lsm_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -11,10 +12,7 @@ import (
 // Example shows the complete write-then-visualize flow: out-of-order
 // writes, a range delete, and an M4 representation query.
 func Example() {
-	dir, err := os.MkdirTemp("", "m4lsm-example-")
-	if err != nil {
-		log.Fatal(err)
-	}
+	dir, _ := os.MkdirTemp("", "m4lsm-example-")
 	defer os.RemoveAll(dir)
 
 	db, err := m4lsm.Open(dir)
@@ -31,24 +29,22 @@ func Example() {
 	)
 	db.Delete("root.demo", 40, 40)
 
-	aggs, _, err := db.M4("root.demo", 0, 50, 1)
+	res, err := db.QueryContext(context.Background(), `SELECT M4(*) FROM root.demo
+		WHERE time >= 0 AND time < 50 GROUP BY SPANS(1)`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a := aggs[0]
-	fmt.Printf("first=(%d,%g) last=(%d,%g) bottom=%g top=%g\n",
-		a.First.Time, a.First.Value, a.Last.Time, a.Last.Value,
-		a.Bottom.Value, a.Top.Value)
+	// One row per non-empty span: the span index, then time and value of
+	// the first, last, bottom and top points.
+	r := res.Rows[0]
+	fmt.Printf("first=(%.0f,%g) last=(%.0f,%g) bottom=%g top=%g\n", r[1], r[2], r[3], r[4], r[6], r[8])
 	// Output:
 	// first=(10,2) last=(30,7) bottom=2 top=7
 }
 
-// ExampleDB_Query runs the SQL-ish form of the paper's Appendix A.1.
-func ExampleDB_Query() {
-	dir, err := os.MkdirTemp("", "m4lsm-example-")
-	if err != nil {
-		log.Fatal(err)
-	}
+// ExampleDB_QueryContext projects single M4 columns (paper, Appendix A.1).
+func ExampleDB_QueryContext() {
+	dir, _ := os.MkdirTemp("", "m4lsm-example-")
 	defer os.RemoveAll(dir)
 
 	db, err := m4lsm.Open(dir)
@@ -60,7 +56,7 @@ func ExampleDB_Query() {
 	for i := int64(0); i < 8; i++ {
 		db.Write("s", m4lsm.Point{Time: i * 10, Value: float64(i % 3)})
 	}
-	res, err := db.Query(`SELECT FirstValue(s), TopValue(s) FROM s
+	res, err := db.QueryContext(context.Background(), `SELECT FirstValue(s), TopValue(s) FROM s
 		WHERE time >= 0 AND time < 80 GROUP BY SPANS(2) USING LSM`)
 	if err != nil {
 		log.Fatal(err)
@@ -73,12 +69,9 @@ func ExampleDB_Query() {
 	// span 1: first=1 top=2
 }
 
-// ExampleDB_M4With compares the merge-free operator with the baseline.
-func ExampleDB_M4With() {
-	dir, err := os.MkdirTemp("", "m4lsm-example-")
-	if err != nil {
-		log.Fatal(err)
-	}
+// ExampleDB_QueryContext_operators compares M4-LSM with the baseline.
+func ExampleDB_QueryContext_operators() {
+	dir, _ := os.MkdirTemp("", "m4lsm-example-")
 	defer os.RemoveAll(dir)
 
 	db, err := m4lsm.Open(dir, m4lsm.WithFlushThreshold(4))
@@ -92,10 +85,11 @@ func ExampleDB_M4With() {
 	}
 	db.Flush()
 
-	lsmAggs, lsmStats, _ := db.M4With("s", 0, 16, 2, m4lsm.OperatorLSM)
-	udfAggs, udfStats, _ := db.M4With("s", 0, 16, 2, m4lsm.OperatorUDF)
-	fmt.Println("equal results:", lsmAggs[0] == udfAggs[0] && lsmAggs[1] == udfAggs[1])
-	fmt.Println("LSM chunk loads:", lsmStats.ChunksLoaded, "UDF chunk loads:", udfStats.ChunksLoaded)
+	const q = `SELECT M4(*) FROM s WHERE time >= 0 AND time < 16 GROUP BY SPANS(2) USING `
+	lsm, _ := db.QueryContext(context.Background(), q+"LSM")
+	udf, _ := db.QueryContext(context.Background(), q+"UDF")
+	fmt.Println("equal results:", fmt.Sprint(lsm.Rows) == fmt.Sprint(udf.Rows))
+	fmt.Println("LSM chunk loads:", lsm.Stats.ChunksLoaded, "UDF chunk loads:", udf.Stats.ChunksLoaded)
 	// Output:
 	// equal results: true
 	// LSM chunk loads: 0 UDF chunk loads: 4

@@ -1,9 +1,10 @@
 // Quickstart: open a database, write a series (including out-of-order
 // points and a range delete), and run an M4 representation query with the
-// merge-free operator — both through the Go API and the SQL-ish surface.
+// merge-free operator through the library's one read, DB.QueryContext.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -46,28 +47,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Represent the minute in 6 pixel columns.
-	aggs, stats, err := db.M4(seriesID, 0, 60_000, 6)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("span  first           last            bottom  top")
-	for i, a := range aggs {
-		if a.Empty {
-			fmt.Printf("%4d  (empty)\n", i)
-			continue
-		}
-		fmt.Printf("%4d  t=%-6d v=%-4g t=%-6d v=%-4g %-7g %g\n",
-			i, a.First.Time, a.First.Value, a.Last.Time, a.Last.Value,
-			a.Bottom.Value, a.Top.Value)
-	}
-	fmt.Printf("\ncost: %+v\n\n", stats)
-
-	// The same query through the SQL-ish surface of the paper's appendix.
-	res, err := db.Query(`SELECT M4(*) FROM root.demo.temperature
+	// Represent the minute in 6 pixel columns: one row per non-empty span,
+	// the span index followed by the first, last, bottom and top points.
+	res, err := db.QueryContext(context.Background(), `SELECT M4(*) FROM root.demo.temperature
 		WHERE time >= 0 AND time < 60000 GROUP BY SPANS(6) USING LSM`)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(res.Text())
+	fmt.Printf("\nspan 3 starts at t=%.0f with the corrected value %g\n", res.Rows[3][1], res.Rows[3][2])
 }

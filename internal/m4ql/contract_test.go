@@ -67,19 +67,23 @@ func (s onlySeries) ReadValues(m storage.ChunkMeta) ([]float64, error) {
 }
 
 // TestReadContract runs the same degrade / strict / budget / timeout /
-// cancel / quarantine cases over every statement form, one series and two:
+// cancel / quarantine cases over every statement form and its EXPLAIN, one
+// series and two:
 // since all of them go through Read, the outcome must not depend on the
 // form. GROUP BY used to ignore every one of these.
 func TestReadContract(t *testing.T) {
 	dir := contractStore(t)
-	forms := []struct{ name, sel, tail string }{
-		{"m4", "M4(*)", ""},
-		{"m4-udf", "M4(*)", " USING UDF"},
-		{"represent-minmax", "M4(*)", " REPRESENT minmax"},
-		{"represent-lttb", "M4(*)", " REPRESENT lttb"},
-		{"represent-udf", "M4(*)", " REPRESENT lttb USING UDF"},
-		{"groupby-merge", "COUNT(v), AVG(v)", " PARALLEL 2"},
-		{"groupby-envelope", "MIN(v), MAX(v)", ""},
+	forms := []struct{ name, head, sel, tail string }{
+		{"m4", "", "M4(*)", ""},
+		{"m4-udf", "", "M4(*)", " USING UDF"},
+		{"represent-minmax", "", "M4(*)", " REPRESENT minmax"},
+		{"represent-lttb", "", "M4(*)", " REPRESENT lttb"},
+		{"represent-udf", "", "M4(*)", " REPRESENT lttb USING UDF"},
+		{"groupby-merge", "", "COUNT(v), AVG(v)", " PARALLEL 2"},
+		{"groupby-envelope", "", "MIN(v), MAX(v)", ""},
+		// EXPLAIN runs the statement too: a degraded read must show in
+		// the plan, or it prices a partial answer as a whole one.
+		{"explain", "EXPLAIN ", "M4(*)", ""},
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -135,9 +139,9 @@ func TestReadContract(t *testing.T) {
 			}
 			for _, form := range forms {
 				for _, from := range []string{"a", "a, b"} {
-					q := fmt.Sprintf(`SELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)%s%s`,
-						form.sel, from, form.tail, tc.clause)
-					res, err := RunContext(tc.ctx, e, q)
+					q := fmt.Sprintf(`%sSELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)%s%s`,
+						form.head, form.sel, from, form.tail, tc.clause)
+					res, plan, err := RunAny(tc.ctx, e, q)
 					switch {
 					case tc.wantErr != nil:
 						if !errors.Is(err, tc.wantErr) {
@@ -151,6 +155,11 @@ func TestReadContract(t *testing.T) {
 						continue
 					case err != nil:
 						t.Errorf("%s FROM %s: %v", form.name, from, err)
+						continue
+					case res == nil:
+						if strings.Contains(plan, "\npartial: ") != tc.partial {
+							t.Errorf("%s FROM %s: plan shows partial=%v, want %v:\n%s", form.name, from, !tc.partial, tc.partial, plan)
+						}
 						continue
 					}
 					if res.Partial != tc.partial || (len(res.Warnings) > 0) != tc.partial {

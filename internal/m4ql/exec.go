@@ -164,9 +164,10 @@ func resolveSeries(e *lsm.Engine, stmt Statement) []string {
 	return ids
 }
 
-// Read is the one read path. Every query surface — m4ql text, the root
-// package's M4/Represent/Render calls, the server's /render — builds a
-// Statement and comes through here, so the contract below holds everywhere:
+// Read is the one read path. Every query surface — m4ql text (the root
+// package's DB.QueryContext, m4cli, the server's /query), the server's
+// /render — builds a Statement and comes through here, so the contract below
+// holds everywhere:
 //
 //  1. resolve the series list (explicit FROM list or wildcard expansion; a
 //     single series is a list of one);
@@ -174,8 +175,8 @@ func resolveSeries(e *lsm.Engine, stmt Statement) []string {
 //  3. under STRICT, fail if a snapshot already excluded a quarantined chunk
 //     — a strict read never omits data silently;
 //  4. build one budget for the whole statement from its TIMEOUT clause over
-//     the limits the context carries (govern.WithLimits: server defaults,
-//     the root API's MaxChunks/MaxPoints);
+//     the limits the context carries (govern.WithLimits: the server's
+//     per-query defaults);
 //  5. dispatch form {M4 aggregates | REPRESENT points | GROUP BY rows} ×
 //     operator {LSM | UDF} through the batched entry points and collect each
 //     series' output with its own cost counters and warnings.
@@ -252,11 +253,6 @@ func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, e
 		outs[i].Warnings = snaps[i].Warnings.List()
 	}
 	return outs, nil
-}
-
-// Execute runs a parsed statement against the engine.
-func Execute(e *lsm.Engine, stmt Statement) (*Result, error) {
-	return ExecuteContext(context.Background(), e, stmt)
 }
 
 // ExecuteContext runs a parsed statement under a context (cancellation
@@ -348,8 +344,8 @@ func rows(stmt Statement, o SeriesOutput) [][]float64 {
 	return out
 }
 
-// Run parses and executes a query in one step. EXPLAIN statements execute
-// the query and return the plan/cost summary as a single-column result.
+// Run parses and executes a query in one step. EXPLAIN statements are
+// rejected; RunAny runs them.
 func Run(e *lsm.Engine, query string) (*Result, error) {
 	return RunContext(context.Background(), e, query)
 }
@@ -361,20 +357,16 @@ func RunContext(ctx context.Context, e *lsm.Engine, query string) (*Result, erro
 		return nil, err
 	}
 	if stmt.Explain {
-		return nil, fmt.Errorf("m4ql: use Explain for EXPLAIN statements")
+		return nil, fmt.Errorf("m4ql: EXPLAIN is not a query; run it through RunAny")
 	}
 	return ExecuteContext(ctx, e, stmt)
 }
 
 // Explain executes the statement and renders the physical plan with its
 // measured cost, the shape a user inspects to see whether the merge-free
-// operator pruned chunks.
-func Explain(e *lsm.Engine, stmt Statement) (string, error) {
-	return ExplainContext(context.Background(), e, stmt)
-}
-
-// ExplainContext is Explain under a context.
-func ExplainContext(ctx context.Context, e *lsm.Engine, stmt Statement) (string, error) {
+// operator pruned chunks. A degraded read says so: the cost of a partial
+// answer is not the cost of the whole one.
+func Explain(ctx context.Context, e *lsm.Engine, stmt Statement) (string, error) {
 	res, err := ExecuteContext(ctx, e, stmt)
 	if err != nil {
 		return "", err
@@ -430,23 +422,24 @@ func ExplainContext(ctx context.Context, e *lsm.Engine, stmt Statement) (string,
 		nonEmpty += len(res.Series[i].Rows)
 	}
 	fmt.Fprintf(&sb, "  non-empty spans:      %d of %d\n", nonEmpty, res.SpanCount)
+	if res.Partial {
+		fmt.Fprintf(&sb, "partial: %d warning(s), the counts above cover only what was read\n", len(res.Warnings))
+		for _, w := range res.Warnings {
+			fmt.Fprintf(&sb, "  warning: %s\n", w)
+		}
+	}
 	return sb.String(), nil
 }
 
 // RunAny parses and executes either a plain query (returning a tabular
 // result) or an EXPLAIN statement (returning the plan text).
-func RunAny(e *lsm.Engine, query string) (res *Result, explain string, err error) {
-	return RunAnyContext(context.Background(), e, query)
-}
-
-// RunAnyContext is RunAny under a context.
-func RunAnyContext(ctx context.Context, e *lsm.Engine, query string) (res *Result, explain string, err error) {
+func RunAny(ctx context.Context, e *lsm.Engine, query string) (res *Result, explain string, err error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, "", err
 	}
 	if stmt.Explain {
-		explain, err = ExplainContext(ctx, e, stmt)
+		explain, err = Explain(ctx, e, stmt)
 		return nil, explain, err
 	}
 	res, err = ExecuteContext(ctx, e, stmt)

@@ -247,7 +247,7 @@ func TestExplain(t *testing.T) {
 	if !stmt.Explain {
 		t.Fatal("Explain flag not set")
 	}
-	text, err := Explain(e, stmt)
+	text, err := Explain(t.Context(), e, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,18 +260,15 @@ func TestExplain(t *testing.T) {
 	if _, err := Run(e, `EXPLAIN SELECT M4(*) FROM s WHERE time >= 0 AND time < 5 GROUP BY SPANS(1)`); err == nil {
 		t.Error("Run accepted EXPLAIN")
 	}
-	res, explain, err := m4qlRunAny(e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 500 GROUP BY SPANS(5)`)
+	res, explain, err := RunAny(t.Context(), e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 500 GROUP BY SPANS(5)`)
 	if err != nil || res == nil || explain != "" {
 		t.Fatalf("RunAny plain: %v %q %v", res, explain, err)
 	}
-	res, explain, err = m4qlRunAny(e, `EXPLAIN SELECT M4(*) FROM s WHERE time >= 0 AND time < 500 GROUP BY SPANS(5) USING UDF`)
+	res, explain, err = RunAny(t.Context(), e, `EXPLAIN SELECT M4(*) FROM s WHERE time >= 0 AND time < 500 GROUP BY SPANS(5) USING UDF`)
 	if err != nil || res != nil || !strings.Contains(explain, "M4-UDF") {
 		t.Fatalf("RunAny explain: %v %q %v", res, explain, err)
 	}
 }
-
-// m4qlRunAny aliases RunAny for readability inside the test.
-var m4qlRunAny = RunAny
 
 func TestParserNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -401,7 +398,7 @@ func TestExecuteParallelClause(t *testing.T) {
 			t.Errorf("%s: rows diverge from sequential LSM run", suffix)
 		}
 	}
-	explain, err := Explain(e, mustParse(t, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7) PARALLEL 4`))
+	explain, err := Explain(t.Context(), e, mustParse(t, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7) PARALLEL 4`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +522,7 @@ func TestExplainMultiSeries(t *testing.T) {
 	e.Write("root.a", series.Point{T: 1, V: 1})
 	e.Write("root.b", series.Point{T: 1, V: 2})
 	e.Flush()
-	text, err := Explain(e, mustParse(t, `SELECT M4(*) FROM root.* WHERE time >= 0 AND time < 10 GROUP BY SPANS(1)`))
+	text, err := Explain(t.Context(), e, mustParse(t, `SELECT M4(*) FROM root.* WHERE time >= 0 AND time < 10 GROUP BY SPANS(1)`))
 	if err != nil {
 		t.Fatal(err)
 	}

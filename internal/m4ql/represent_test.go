@@ -168,7 +168,7 @@ func TestExplainRepresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Explain(e, stmt)
+	plan, err := Explain(t.Context(), e, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

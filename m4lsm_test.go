@@ -1,6 +1,10 @@
 package m4lsm
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -14,89 +18,79 @@ func openDB(t *testing.T, opts ...Option) *DB {
 	return db
 }
 
+// query runs one statement through the door and fails the test on error.
+func query(t *testing.T, db *DB, q string) *QueryResult {
+	t.Helper()
+	res, err := db.QueryContext(t.Context(), q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return res
+}
+
 func TestPublicAPIRoundTrip(t *testing.T) {
 	db := openDB(t)
-	pts := []Point{{Time: 10, Value: 3}, {Time: 20, Value: 8}, {Time: 30, Value: 1}}
-	if err := db.Write("root.s", pts...); err != nil {
-		t.Fatal(err)
-	}
+	db.Write("root.s", Point{Time: 30, Value: 1}, Point{Time: 10, Value: 3}, Point{Time: 20, Value: 8}, Point{Time: 40, Value: 0})
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	aggs, stats, err := db.M4("root.s", 0, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aggs) != 1 || aggs[0].Empty {
-		t.Fatalf("aggs = %v", aggs)
-	}
-	a := aggs[0]
-	if a.First != (Point{Time: 10, Value: 3}) || a.Last != (Point{Time: 30, Value: 1}) {
-		t.Errorf("first/last = %v/%v", a.First, a.Last)
-	}
-	if a.Bottom.Value != 1 || a.Top.Value != 8 {
-		t.Errorf("bottom/top = %v/%v", a.Bottom, a.Top)
-	}
-	if stats.ChunksPruned != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
-func TestPublicOperatorsAgree(t *testing.T) {
-	db := openDB(t, WithFlushThreshold(50))
-	for i := 199; i >= 0; i-- { // out of order
-		db.Write("s", Point{Time: int64(i * 3), Value: float64((i * 11) % 23)})
-	}
-	db.Flush()
-	db.Delete("s", 100, 140)
-	lsmAggs, _, err := db.M4With("s", 0, 600, 9, OperatorLSM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	udfAggs, _, err := db.M4With("s", 0, 600, 9, OperatorUDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lsmAggs {
-		l, u := lsmAggs[i], udfAggs[i]
-		if l.Empty != u.Empty {
-			t.Fatalf("span %d emptiness: %v vs %v", i, l, u)
-		}
-		if l.Empty {
-			continue
-		}
-		if l.First != u.First || l.Last != u.Last || l.Bottom.Value != u.Bottom.Value || l.Top.Value != u.Top.Value {
-			t.Fatalf("span %d: %v vs %v", i, l, u)
-		}
+	db.Delete("root.s", 35, 45)
+	res := query(t, db, `SELECT M4(*) FROM root.s WHERE time >= 0 AND time < 100 GROUP BY SPANS(1)`)
+	if want := [][]float64{{0, 10, 3, 30, 1, 30, 1, 20, 8}}; !reflect.DeepEqual(res.Rows, want) || res.Partial {
+		t.Fatalf("rows = %v (partial %v), want %v", res.Rows, res.Partial, want)
 	}
 }
 
 func TestPublicQuery(t *testing.T) {
 	db := openDB(t)
 	db.Write("root.s", Point{Time: 5, Value: 2}, Point{Time: 15, Value: 4})
-	db.Flush()
-	res, err := db.Query(`SELECT M4(*) FROM root.s WHERE time >= 0 AND time < 20 GROUP BY SPANS(2)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	if res.Text() == "" {
-		t.Error("empty text")
-	}
-	if _, err := db.Query(`SELECT garbage`); err == nil {
-		t.Error("bad query accepted")
+	res := query(t, db, `SELECT M4(*) FROM root.s WHERE time >= 0 AND time < 20 GROUP BY SPANS(2)`)
+	if len(res.Rows) != 2 || len(res.Columns) != 9 || res.Text() == "" {
+		t.Fatalf("rows = %v columns = %v", res.Rows, res.Columns)
 	}
 }
 
+// TestPublicValidation: a bad statement is an error, and so is EXPLAIN,
+// which is a shell command rather than a query.
 func TestPublicValidation(t *testing.T) {
 	db := openDB(t)
-	if _, _, err := db.M4("s", 10, 5, 3); err == nil {
-		t.Error("inverted range accepted")
+	for _, q := range []string{
+		`SELECT garbage`,
+		`SELECT M4(*) FROM s WHERE time >= 10 AND time < 5 GROUP BY SPANS(3)`,
+		`EXPLAIN SELECT M4(*) FROM s WHERE time >= 0 AND time < 10 GROUP BY SPANS(1)`,
+	} {
+		if _, err := db.QueryContext(t.Context(), q); err == nil {
+			t.Errorf("accepted %s", q)
+		}
 	}
-	if _, _, err := db.M4With("s", 0, 10, 1, Operator(9)); err == nil {
-		t.Error("unknown operator accepted")
+}
+
+// TestPublicOptions: WithFlushThreshold flushes a full memtable on its own.
+func TestPublicOptions(t *testing.T) {
+	db := openDB(t, WithFlushThreshold(10))
+	for i := 0; i < 25; i++ {
+		db.Write("s", Point{Time: int64(i), Value: 1})
+	}
+	if n := db.Info().Files; n != 2 {
+		t.Errorf("files = %d, want 2 auto-flushes at threshold 10", n)
+	}
+}
+
+func TestPublicCompact(t *testing.T) {
+	db := openDB(t, WithFlushThreshold(4))
+	db.Write("s", Point{Time: 10, Value: 1}, Point{Time: 30, Value: 3}, Point{Time: 50, Value: 5}, Point{Time: 70, Value: 7})
+	db.Write("s", Point{Time: 20, Value: 2}, Point{Time: 40, Value: 4}, Point{Time: 60, Value: 6}, Point{Time: 80, Value: 8})
+	db.Delete("s", 40, 45)
+	const q = `SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(2)`
+	before := query(t, db, q).Rows
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if after := query(t, db, q).Rows; !reflect.DeepEqual(before, after) {
+		t.Fatalf("compaction changed the answer: %v vs %v", before, after)
+	}
+	if info := db.Info(); info.Deletes != 0 || info.Files != 1 {
+		t.Errorf("after compaction: %+v, want deletes folded into one file", info)
 	}
 }
 
@@ -110,89 +104,61 @@ func TestPublicPersistence(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir)
-	if err != nil {
+	if db, err = Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	ids := db2.SeriesIDs()
-	if len(ids) != 1 || ids[0] != "s" {
-		t.Fatalf("series = %v", ids)
-	}
-	aggs, _, err := db2.M4("s", 0, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aggs[0].Empty || aggs[0].First.Value != 9 {
-		t.Fatalf("aggs = %v", aggs)
-	}
-	info := db2.Info()
-	if info.Chunks != 1 {
-		t.Errorf("info = %+v", info)
-	}
-}
-
-func TestPublicOptions(t *testing.T) {
-	db := openDB(t, WithPlainEncoding(), WithoutWAL(), WithFlushThreshold(10))
-	for i := 0; i < 25; i++ {
-		db.Write("s", Point{Time: int64(i), Value: 1})
-	}
-	if db.Info().Files != 2 {
-		t.Errorf("files = %d, want 2 auto-flushes at threshold 10", db.Info().Files)
-	}
-}
-
-func TestPublicCompact(t *testing.T) {
-	db := openDB(t, WithFlushThreshold(4))
-	db.Write("s", Point{Time: 10, Value: 1}, Point{Time: 30, Value: 3}, Point{Time: 50, Value: 5}, Point{Time: 70, Value: 7})
-	db.Write("s", Point{Time: 20, Value: 2}, Point{Time: 40, Value: 4}, Point{Time: 60, Value: 6}, Point{Time: 80, Value: 8})
-	db.Delete("s", 40, 45)
-	before, _, err := db.M4("s", 0, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, _, err := db.M4("s", 0, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range before {
-		if before[i].First != after[i].First || before[i].Last != after[i].Last ||
-			before[i].Bottom.Value != after[i].Bottom.Value || before[i].Top.Value != after[i].Top.Value {
-			t.Fatalf("span %d changed by compaction: %v vs %v", i, before[i], after[i])
-		}
-	}
-	info := db.Info()
-	if info.Deletes != 0 || info.Files != 1 {
-		t.Errorf("after compaction: %+v, want deletes folded into one file", info)
+	defer db.Close()
+	res := query(t, db, `SELECT FirstValue(s) FROM s WHERE time >= 0 AND time < 10 GROUP BY SPANS(1)`)
+	if ids := db.SeriesIDs(); !reflect.DeepEqual(ids, []string{"s"}) || !reflect.DeepEqual(res.Rows, [][]float64{{0, 9}}) || db.Info().Chunks != 1 {
+		t.Fatalf("series = %v, rows = %v, info = %+v", ids, res.Rows, db.Info())
 	}
 }
 
 func TestPublicEmptySeries(t *testing.T) {
 	db := openDB(t)
-	aggs, _, err := db.M4("missing", 0, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range aggs {
-		if !a.Empty {
-			t.Fatalf("aggs = %v", aggs)
-		}
+	if res := query(t, db, `SELECT M4(*) FROM missing WHERE time >= 0 AND time < 10 GROUP BY SPANS(4)`); len(res.Rows) != 0 || res.Partial {
+		t.Fatalf("rows = %v partial = %v", res.Rows, res.Partial)
 	}
 }
 
-func TestPublicChunkCacheOption(t *testing.T) {
-	db := openDB(t, WithChunkCache(1<<20), WithFlushThreshold(8))
-	for i := 0; i < 32; i++ {
-		db.Write("s", Point{Time: int64(i), Value: float64(i)})
+// TestPublicDoor runs every statement form of the read contract over one
+// series and two through QueryContext: the LSM and UDF twins of a form
+// agree, a series' rows do not depend on what else the statement names,
+// and a cancelled context stops every form.
+func TestPublicDoor(t *testing.T) {
+	db := buildConcurrencyDB(t, "a", "b")
+	forms := []struct{ name, sel, tail, twin string }{
+		{"m4", "M4(*)", "", ""},
+		{"m4-udf", "M4(*)", " USING UDF", "m4"},
+		{"represent-minmax", "M4(*)", " REPRESENT minmax", ""},
+		{"represent-lttb", "M4(*)", " REPRESENT lttb", ""},
+		{"represent-udf", "M4(*)", " REPRESENT lttb USING UDF", "represent-lttb"},
+		{"groupby-merge", "COUNT(v), AVG(v)", " PARALLEL 2", ""},
+		{"groupby-envelope", "MIN(v), MAX(v)", "", ""},
 	}
-	db.Flush()
-	// Force loads: w larger than chunk count splits everything.
-	for i := 0; i < 2; i++ {
-		if _, _, err := db.M4("s", 0, 32, 16); err != nil {
-			t.Fatal(err)
+	cancelled, cancel := context.WithCancel(t.Context())
+	cancel()
+	rows := map[string][][]float64{}
+	for _, form := range forms {
+		for _, from := range []string{"a", "a, b"} {
+			q := fmt.Sprintf(`SELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)%s`, form.sel, from, form.tail)
+			if _, err := db.QueryContext(cancelled, q); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s FROM %s, cancelled: err = %v", form.name, from, err)
+			}
+			res := query(t, db, q)
+			switch {
+			case res.Partial:
+				t.Errorf("%s FROM %s: partial on a healthy store: %v", form.name, from, res.Warnings)
+			case from == "a":
+				rows[form.name] = res.Rows
+			case len(res.Series) != 2 || res.Rows != nil:
+				t.Errorf("%s FROM a, b: %d rows, %d series blocks", form.name, len(res.Rows), len(res.Series))
+			case !reflect.DeepEqual(res.Series[0].Rows, rows[form.name]) || !reflect.DeepEqual(res.Series[1].Rows, rows[form.name]):
+				t.Errorf("%s FROM a, b: series rows differ from FROM a alone", form.name)
+			}
+		}
+		if form.twin != "" && !reflect.DeepEqual(rows[form.name], rows[form.twin]) {
+			t.Errorf("%s and %s disagree:\n%v\n%v", form.name, form.twin, rows[form.name], rows[form.twin])
 		}
 	}
 }
