@@ -94,6 +94,9 @@ fuzz:
 # It also keeps raw sleeps out of library code, keeps the query layers
 # (root package, m4ql, server) from growing a second read path beside
 # m4ql.Read (exactly one engine Snapshot call, in internal/m4ql/exec.go),
+# keeps one merge-all read (mergeread's chunk load has one caller,
+# mergeread.Read, and the operator packages run no worker pool but
+# govern.RunPool),
 # keeps examples/ on the public package (no m4lsm/internal/ import), keeps
 # internal/lsm from growing a second write path, a second chunk-file writer
 # or reaching into the WAL, keeps internal/pyramid from depending on the
@@ -124,6 +127,16 @@ lint:
 		echo "lint: queries take their snapshots in one place, m4ql.Read (internal/m4ql/exec.go);"; \
 		echo "build a Statement and call it. Exempt: the series listing in server/ui.go."; \
 		echo "$$bad"; echo "snapshot calls: $$n"; exit 1; \
+	fi
+	@n=$$(grep -nE '(^|[^.[:alnum:]_])load\(' $$(ls internal/mergeread/*.go | grep -v '_test\.go$$') \
+		| grep -v 'func load(' | cut -d: -f1 | tr '\n' ' '); \
+	bad=$$(grep -nE 'sync\.WaitGroup|(^|[^[:alnum:]_])go func' \
+		$$(ls internal/m4lsm/*.go internal/m4udf/*.go internal/mergeread/*.go internal/groupby/*.go | grep -v '_test\.go$$'); true); \
+	if [ -n "$$bad" ] || [ "$$n" != "internal/mergeread/mergeread.go " ]; then \
+		echo "lint: one merge-all read: chunks are loaded for a merge in one place, mergeread's load, called"; \
+		echo "once, by mergeread.Read (the UDF baseline, LTTB and GROUP BY's scan are folds over it);"; \
+		echo "the operators fan work out on govern.RunPool only, never on a WaitGroup or goroutine of their own."; \
+		echo "$$bad"; echo "load call sites: $$n"; exit 1; \
 	fi
 	@bad=$$(grep -rlE '"m4lsm/internal/' --include='*.go' examples/; true); \
 	if [ -n "$$bad" ]; then \
@@ -192,8 +205,9 @@ microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid
 
 # check is the standard gate for this repo: static analysis, the logging,
-# backoff, one-read-path, public-examples, one-write-path, one-chunk-writer,
-# pyramid-boundary and columnar-read-path lints, the
+# backoff, one-read-path, one-merge-all-read, public-examples,
+# one-write-path, one-chunk-writer, pyramid-boundary and columnar-read-path
+# lints, the
 # benchmark module's own vet and tests, one pass of the micro-benchmarks,
 # the suite (including the crash-recovery torture and the
 # short-mode differential harness) under the race detector, the overload

@@ -16,6 +16,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -275,7 +276,7 @@ func (c *Case) Check() error {
 			}
 			snaps[i] = snap
 		}
-		multi, err := m4lsm.ComputeMulti(snaps, q)
+		multi, err := m4lsm.ComputeMultiContext(context.Background(), snaps, q, m4lsm.Options{})
 		if err != nil {
 			return fmt.Errorf("seed %d: m4lsm multi %+v: %w", c.Seed, q, err)
 		}
@@ -352,10 +353,10 @@ func (c *Case) checkBudget() error {
 		run  func(*storage.Snapshot, *govern.Budget) ([]m4.Aggregate, error)
 	}{
 		{"m4lsm", func(s *storage.Snapshot, b *govern.Budget) ([]m4.Aggregate, error) {
-			return m4lsm.ComputeWithOptions(s, q, m4lsm.Options{Budget: b})
+			return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{Budget: b})
 		}},
 		{"m4udf", func(s *storage.Snapshot, b *govern.Budget) ([]m4.Aggregate, error) {
-			return m4udf.ComputeWithOptions(s, q, m4udf.Options{Budget: b})
+			return m4udf.ComputeContext(context.Background(), s, q, m4udf.Options{Budget: b})
 		}},
 	}
 	for _, id := range c.ids {

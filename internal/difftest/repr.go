@@ -10,6 +10,7 @@ import (
 	"m4lsm/internal/m4udf"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 )
 
 // Representation-equivalence mode: the same seeded workloads as the M4
@@ -97,15 +98,17 @@ func (c *Case) CheckRepr() error {
 					if path.noPyr {
 						snap.Pyramid = nil // the span×G path alone
 					}
-					var out series.Series
+					snaps := []*storage.Snapshot{snap}
+					var outs []series.Series
 					if path.udf {
-						out, err = m4udf.ReduceContext(ctx, snap, q, spec, m4udf.Options{})
+						outs, err = m4udf.ReduceMultiContext(ctx, snaps, q, spec, m4udf.Options{})
 					} else {
-						out, err = m4lsm.ReduceContext(ctx, snap, q, spec, m4lsm.Options{})
+						outs, err = m4lsm.ReduceMultiContext(ctx, snaps, q, spec, m4lsm.Options{})
 					}
 					if err != nil {
 						return fmt.Errorf("seed %d: %s %s %s %+v: %w", c.Seed, path.name, spec, id, q, err)
 					}
+					out := outs[0]
 					if path.name == "lsm" {
 						c.PyramidSpans += snap.Stats.Load().PyramidSpans
 					}

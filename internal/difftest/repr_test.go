@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 	"m4lsm/internal/viz"
 	"m4lsm/internal/workload"
 )
@@ -136,10 +138,11 @@ func TestGoldenPixelEquivalenceRepr(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := m4lsm.Reduce(snap, q, spec)
+						outs, err := m4lsm.ReduceMultiContext(context.Background(), []*storage.Snapshot{snap}, q, spec, m4lsm.Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
+						got := outs[0]
 						vp := viz.ViewportFor(series.Series(full), tqs, tqe)
 						a := viz.Rasterize(want, vp, c.w, c.h)
 						b := viz.Rasterize(got, vp, c.w, c.h)

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -66,7 +67,7 @@ func RunAblations(cfg Config) ([]AblationRow, error) {
 					return nil, err
 				}
 				start := time.Now()
-				if _, err := m4lsm.ComputeWithOptions(snap, q, v.opts); err != nil {
+				if _, err := m4lsm.ComputeContext(context.Background(), snap, q, v.opts); err != nil {
 					b.close()
 					cleanup()
 					return nil, err

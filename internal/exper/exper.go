@@ -12,6 +12,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -142,7 +143,7 @@ func measure(cfg Config, b *builtDataset, name string, q m4.Query) (Measurement,
 			return m, err
 		}
 		start := time.Now()
-		udfAggs, err := m4udf.ComputeWithOptions(snap, q, m4udf.Options{Parallelism: cfg.Parallelism})
+		udfAggs, err := m4udf.ComputeContext(context.Background(), snap, q, m4udf.Options{Parallelism: cfg.Parallelism})
 		if err != nil {
 			return m, err
 		}
@@ -156,7 +157,7 @@ func measure(cfg Config, b *builtDataset, name string, q m4.Query) (Measurement,
 			return m, err
 		}
 		start = time.Now()
-		lsmAggs, err := m4lsm.ComputeWithOptions(snap, q, m4lsm.Options{Parallelism: cfg.Parallelism})
+		lsmAggs, err := m4lsm.ComputeContext(context.Background(), snap, q, m4lsm.Options{Parallelism: cfg.Parallelism})
 		if err != nil {
 			return m, err
 		}

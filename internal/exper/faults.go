@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -108,7 +109,7 @@ func runFaultCell(cfg Config, p workload.Preset, rate float64, dir string) (*Fau
 		return nil, err
 	}
 	start := time.Now()
-	if _, err := m4lsm.ComputeWithOptions(snap, q, m4lsm.Options{Parallelism: cfg.Parallelism}); err != nil {
+	if _, err := m4lsm.ComputeContext(context.Background(), snap, q, m4lsm.Options{Parallelism: cfg.Parallelism}); err != nil {
 		return nil, fmt.Errorf("%s rate %g: degraded M4-LSM must not fail: %w", name, rate, err)
 	}
 	m.LSMLatency = time.Since(start)
@@ -119,7 +120,7 @@ func runFaultCell(cfg Config, p workload.Preset, rate float64, dir string) (*Fau
 		return nil, err
 	}
 	start = time.Now()
-	if _, err := m4udf.ComputeWithOptions(snap, q, m4udf.Options{Parallelism: cfg.Parallelism}); err != nil {
+	if _, err := m4udf.ComputeContext(context.Background(), snap, q, m4udf.Options{Parallelism: cfg.Parallelism}); err != nil {
 		return nil, fmt.Errorf("%s rate %g: degraded M4-UDF must not fail: %w", name, rate, err)
 	}
 	m.UDFLatency = time.Since(start)
@@ -134,7 +135,7 @@ func runFaultCell(cfg Config, p workload.Preset, rate float64, dir string) (*Fau
 	}
 	if snap.Warnings.Len() > 0 {
 		m.StrictFails = true
-	} else if _, err := m4lsm.ComputeWithOptions(snap, q, m4lsm.Options{Parallelism: cfg.Parallelism, Strict: true}); err != nil {
+	} else if _, err := m4lsm.ComputeContext(context.Background(), snap, q, m4lsm.Options{Parallelism: cfg.Parallelism, Strict: true}); err != nil {
 		if !errors.Is(err, faultfs.ErrInjected) && !errors.Is(err, tsfile.ErrCorrupt) {
 			return nil, fmt.Errorf("%s rate %g: strict run failed oddly: %w", name, rate, err)
 		}

@@ -8,8 +8,8 @@
 //     (First/Last/Min/Max), the query runs on the merge-free M4-LSM
 //     operator: Min/Max are exactly BP/TP values and First/Last are FP/LP
 //     values, so chunk metadata answers them without merging.
-//   - Otherwise (Count/Sum/Avg need every surviving point) the query
-//     streams the merge reader once, like the UDF baseline.
+//   - Otherwise (Count/Sum/Avg need every surviving point) the query is a
+//     fold over the merge-all read (mergeread.Read), like the UDF baseline.
 package groupby
 
 import (
@@ -157,40 +157,21 @@ type spanAccum struct {
 	first, last float64
 }
 
-// computeFromMerge streams each snapshot's merged series once. The loads
-// go through mergeread.LoadContext, so strictness, degradation and budget
-// charging are exactly the UDF baseline's.
+// computeFromMerge is a fold over the merge-all read, so strictness,
+// degradation and budget charging are exactly the UDF baseline's: each
+// series' merged stream is scanned once into per-span accumulators.
 func computeFromMerge(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([][]Row, error) {
-	tr := obs.TraceOf(ctx)
-	met := obs.NewOperatorMetrics(opts.Metrics, "groupby")
-	lopts := mergeread.LoadOptions{Parallelism: opts.Parallelism, Strict: opts.Strict, Budget: opts.Budget}
 	outs := make([][]Row, len(snaps))
-	total := map[string]int64{}
-	for si, snap := range snaps {
-		start := time.Now()
-		var before storage.Stats
-		if snap.Stats != nil {
-			before = snap.Stats.Load()
-		}
-		loaded, err := mergeread.LoadContext(ctx, snap, lopts)
-		if err != nil {
-			if len(snaps) > 1 {
-				err = fmt.Errorf("groupby: series %q: %w", snap.SeriesID, err)
-			}
-			return nil, err
-		}
-		it := loaded.Iterator(q.Range())
+	mopts := mergeread.Options{Parallelism: opts.Parallelism, Strict: opts.Strict, Metrics: opts.Metrics, Budget: opts.Budget}
+	err := mergeread.Read(ctx, snaps, "groupby", mopts, func(i int, l *mergeread.Loaded, _ int, _ *mergeread.Clock) error {
 		accums := make([]spanAccum, q.W)
-		for {
-			p, ok := it.Next()
-			if !ok {
-				break
-			}
-			i := q.SpanIndex(p.T)
-			if i < 0 {
+		it := l.Iterator(q.Range())
+		for p, ok := it.Next(); ok; p, ok = it.Next() {
+			k := q.SpanIndex(p.T)
+			if k < 0 {
 				continue
 			}
-			acc := &accums[i]
+			acc := &accums[k]
 			if acc.count == 0 {
 				*acc = spanAccum{min: p.V, max: p.V, first: p.V}
 			}
@@ -204,17 +185,12 @@ func computeFromMerge(ctx context.Context, snaps []*storage.Snapshot, q m4.Query
 			acc.sum += p.V
 			acc.count++
 		}
-		outs[si] = rows(accums, fns)
-		if snap.Stats != nil {
-			delta := snap.Stats.Load().Sub(before)
-			met.RecordQuery(time.Since(start), delta.ChunksLoaded, delta.ChunksPruned,
-				delta.TimeBlocksLoaded, delta.PointsDecoded, delta.CacheHits)
-			for k, v := range delta.Map() {
-				total[k] += v
-			}
-		}
+		outs[i] = rows(accums, fns)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	tr.SetCounters(total)
 	return outs, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"m4lsm/internal/govern"
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -67,7 +68,7 @@ func (e *Engine) compactLocked() error {
 		reader *tsfile.Reader
 	}
 	gens := make([]shardGen, len(e.shards))
-	err := runShardPool(e.shardParallelism(), len(e.shards), func(i int) error {
+	err := govern.RunPool(e.shardParallelism(), len(e.shards), func(_, i int) error {
 		sh := e.shards[i]
 		ids := make([]string, 0, len(sh.chunks))
 		for id := range sh.chunks {

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -163,7 +164,7 @@ func TestQueryQuarantineCorruptChunk(t *testing.T) {
 
 	// A strict query over the degraded snapshot must fail, not skip.
 	snap3, _ := e.Snapshot("s", q.Range())
-	if _, err := m4lsm.ComputeWithOptions(snap3, q, m4lsm.Options{Strict: true}); err == nil && snap3.Warnings.Len() == 0 {
+	if _, err := m4lsm.ComputeContext(context.Background(), snap3, q, m4lsm.Options{Strict: true}); err == nil && snap3.Warnings.Len() == 0 {
 		t.Error("strict query silently succeeded over corrupt chunk")
 	}
 
@@ -179,7 +180,7 @@ func TestQueryQuarantineCorruptChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m4lsm.ComputeWithOptions(snap4, q, m4lsm.Options{Strict: true}); err != nil {
+	if _, err := m4lsm.ComputeContext(context.Background(), snap4, q, m4lsm.Options{Strict: true}); err != nil {
 		t.Errorf("strict query after compact: %v", err)
 	}
 }
@@ -295,13 +296,13 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			for name, run := range map[string]func(*storage.Snapshot) ([]m4.Aggregate, error){
 				"m4lsm": func(s *storage.Snapshot) ([]m4.Aggregate, error) {
-					return m4lsm.ComputeWithOptions(s, q, m4lsm.Options{Parallelism: 4})
+					return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{Parallelism: 4})
 				},
 				"m4udf": func(s *storage.Snapshot) ([]m4.Aggregate, error) {
-					return m4udf.ComputeWithOptions(s, q, m4udf.Options{Parallelism: 4})
+					return m4udf.ComputeContext(context.Background(), s, q, m4udf.Options{Parallelism: 4})
 				},
 				"m4lsm/strict": func(s *storage.Snapshot) ([]m4.Aggregate, error) {
-					return m4lsm.ComputeWithOptions(s, q, m4lsm.Options{Parallelism: 4, Strict: true})
+					return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{Parallelism: 4, Strict: true})
 				},
 			} {
 				snap, err := e.Snapshot("s", q.Range())

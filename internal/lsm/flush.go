@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"m4lsm/internal/govern"
 	"m4lsm/internal/series"
 	"m4lsm/internal/tsfile"
 )
@@ -18,7 +19,7 @@ func (e *Engine) Flush() error {
 		return err
 	}
 	var flushed atomic.Int64
-	err := runShardPool(e.shardParallelism(), len(e.shards), func(i int) error {
+	err := govern.RunPool(e.shardParallelism(), len(e.shards), func(_, i int) error {
 		sh := e.shards[i]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"m4lsm/internal/obs"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 )
 
 // pyrVerify answers a few query shapes over [0, tMax) through the pyramid-
@@ -298,10 +300,11 @@ func TestMinMaxAnswersFromPyramidAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m4lsm.Reduce(snap, q, minmax)
+	outs, err := m4lsm.ReduceMultiContext(context.Background(), []*storage.Snapshot{snap}, q, minmax, m4lsm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := outs[0]
 	st := snap.Stats.Load()
 	if st.ChunksLoaded != 0 || st.TimeBlocksLoaded != 0 || st.PyramidSpans != int64(q.W) {
 		t.Errorf("minmax: %d chunk loads, %d time-block loads, %d of %d spans from the pyramid; want 0, 0, all",
@@ -324,7 +327,7 @@ func TestMinMaxAnswersFromPyramidAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m4lsm.Reduce(snap, q, reprops.Spec{Kind: reprops.KindLTTB}); err != nil {
+	if _, err := m4lsm.ReduceMultiContext(context.Background(), []*storage.Snapshot{snap}, q, reprops.Spec{Kind: reprops.KindLTTB}, m4lsm.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := snap.Stats.Load(); len(snap.Chunks) == 0 || st.ChunksLoaded != int64(len(snap.Chunks)) {

@@ -121,46 +121,3 @@ func (e *Engine) shardParallelism() int {
 	}
 	return par
 }
-
-// runShardPool runs fn(i) for every i in [0,n) on up to par goroutines and
-// returns the error of the lowest-indexed failure. par <= 1 degenerates to a
-// sequential loop with no goroutines.
-func runShardPool(par, n int, fn func(int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if par <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if par > n {
-		par = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -421,7 +422,7 @@ func TestShardConcurrentTorture(t *testing.T) {
 				}
 				snaps = append(snaps, snap)
 			}
-			if _, err := m4lsm.ComputeMulti(snaps, q); err != nil {
+			if _, err := m4lsm.ComputeMultiContext(context.Background(), snaps, q, m4lsm.Options{}); err != nil {
 				errCh <- err
 				return
 			}

@@ -2,6 +2,7 @@ package m4lsm
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -143,7 +144,7 @@ func TestComputeAllocsDoNotScaleWithTasks(t *testing.T) {
 	allocs := func(w int) float64 {
 		q := fullQuery(snap, w)
 		return testing.AllocsPerRun(3, func() {
-			if _, err := ComputeWithOptions(snap, q, Options{Parallelism: 2}); err != nil {
+			if _, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: 2}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -197,7 +198,7 @@ func TestTimestampBlockDecodedOnce(t *testing.T) {
 			for _, c := range snap.Chunks {
 				s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, reads, stats))
 			}
-			if _, err := ComputeWithOptions(s, fullQuery(s, w), Options{Parallelism: par}); err != nil {
+			if _, err := ComputeContext(context.Background(), s, fullQuery(s, w), Options{Parallelism: par}); err != nil {
 				t.Fatal(err)
 			}
 			completed := 0

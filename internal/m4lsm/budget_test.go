@@ -45,7 +45,7 @@ func TestBudgetGenerousEqualsUnbudgeted(t *testing.T) {
 	}
 	snap2, _ := budgetSnapshot(t)
 	b := govern.NewBudget(govern.Limits{MaxChunks: 1 << 20, MaxPoints: 1 << 30, Timeout: time.Hour})
-	got, err := ComputeWithOptions(snap2, q, Options{Budget: b})
+	got, err := ComputeContext(context.Background(), snap2, q, Options{Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 	quarantined := 0
 	snap.OnQuarantine = func(storage.ChunkMeta, error) { quarantined++ }
 	b := govern.NewBudget(govern.Limits{MaxChunks: 2})
-	if _, err := ComputeWithOptions(snap, q, Options{Budget: b}); err != nil {
+	if _, err := ComputeContext(context.Background(), snap, q, Options{Budget: b}); err != nil {
 		t.Fatalf("lenient budgeted query must degrade, not fail: %v", err)
 	}
 	if snap.Warnings.Len() == 0 {
@@ -82,7 +82,7 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 	}
 
 	snap2, _ := budgetSnapshot(t)
-	_, err := ComputeWithOptions(snap2, q, Options{Strict: true, Budget: govern.NewBudget(govern.Limits{MaxChunks: 2})})
+	_, err := ComputeContext(context.Background(), snap2, q, Options{Strict: true, Budget: govern.NewBudget(govern.Limits{MaxChunks: 2})})
 	if !errors.Is(err, govern.ErrBudgetExceeded) {
 		t.Fatalf("strict budgeted query: got %v, want ErrBudgetExceeded", err)
 	}
@@ -96,7 +96,7 @@ func TestBudgetExhaustionDegrades(t *testing.T) {
 // mergeread.
 func TestBudgetPointLimitUDF(t *testing.T) {
 	snap, q := budgetSnapshot(t)
-	if _, err := m4udf.ComputeWithOptions(snap, q, m4udf.Options{
+	if _, err := m4udf.ComputeContext(context.Background(), snap, q, m4udf.Options{
 		Budget: govern.NewBudget(govern.Limits{MaxPoints: 100}),
 	}); err != nil {
 		t.Fatalf("lenient budgeted UDF query must degrade, not fail: %v", err)
@@ -105,7 +105,7 @@ func TestBudgetPointLimitUDF(t *testing.T) {
 		t.Fatal("no warnings despite exhausted point budget")
 	}
 	snap2, _ := budgetSnapshot(t)
-	_, err := m4udf.ComputeWithOptions(snap2, q, m4udf.Options{
+	_, err := m4udf.ComputeContext(context.Background(), snap2, q, m4udf.Options{
 		Strict: true,
 		Budget: govern.NewBudget(govern.Limits{MaxPoints: 100}),
 	})
@@ -120,7 +120,7 @@ func TestBudgetDeadlineStrictAborts(t *testing.T) {
 	snap, q := budgetSnapshot(t)
 	b := govern.NewBudget(govern.Limits{Timeout: time.Nanosecond})
 	time.Sleep(time.Millisecond) // let the deadline pass
-	_, err := ComputeWithOptions(snap, q, Options{Strict: true, Budget: b})
+	_, err := ComputeContext(context.Background(), snap, q, Options{Strict: true, Budget: b})
 	if !errors.Is(err, govern.ErrBudgetExceeded) {
 		t.Fatalf("strict expired-deadline query: got %v, want ErrBudgetExceeded", err)
 	}

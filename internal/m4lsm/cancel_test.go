@@ -146,7 +146,8 @@ func TestMergereadLoadContextCancel(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancel()
 	}()
-	_, err := mergeread.LoadContext(ctx, snap, mergeread.LoadOptions{Parallelism: 4, Strict: true})
+	err := mergeread.Read(ctx, []*storage.Snapshot{snap}, "udf", mergeread.Options{Parallelism: 4, Strict: true},
+		func(int, *mergeread.Loaded, int, *mergeread.Clock) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -208,7 +209,7 @@ func TestDegradedQuery(t *testing.T) {
 	q := m4.Query{Tqs: 0, Tqe: 40, W: 4}
 
 	snap := degradedSnapshot(t)
-	aggs, err := ComputeWithOptions(snap, q, Options{})
+	aggs, err := ComputeContext(context.Background(), snap, q, Options{})
 	if err != nil {
 		t.Fatalf("lenient: %v", err)
 	}
@@ -220,12 +221,12 @@ func TestDegradedQuery(t *testing.T) {
 	}
 
 	strictSnap := degradedSnapshot(t)
-	if _, err := ComputeWithOptions(strictSnap, q, Options{Strict: true}); err == nil {
+	if _, err := ComputeContext(context.Background(), strictSnap, q, Options{Strict: true}); err == nil {
 		t.Fatal("strict mode returned a silently partial result")
 	}
 
 	udfSnap := degradedSnapshot(t)
-	if _, err := m4udf.ComputeWithOptions(udfSnap, q, m4udf.Options{}); err != nil {
+	if _, err := m4udf.ComputeContext(context.Background(), udfSnap, q, m4udf.Options{}); err != nil {
 		t.Fatalf("udf lenient: %v", err)
 	}
 	if udfSnap.Warnings.Len() == 0 {
@@ -233,7 +234,7 @@ func TestDegradedQuery(t *testing.T) {
 	}
 
 	udfStrict := degradedSnapshot(t)
-	if _, err := m4udf.ComputeWithOptions(udfStrict, q, m4udf.Options{Strict: true}); err == nil {
+	if _, err := m4udf.ComputeContext(context.Background(), udfStrict, q, m4udf.Options{Strict: true}); err == nil {
 		t.Fatal("udf strict mode returned a silently partial result")
 	}
 }
@@ -263,7 +264,7 @@ func TestDegradedReportsOncePerChunk(t *testing.T) {
 	snap.Chunks = append(snap.Chunks, storage.NewChunkRef(badMeta, bad, stats))
 
 	q := m4.Query{Tqs: 0, Tqe: 128, W: 8}
-	if _, err := ComputeWithOptions(snap, q, Options{Parallelism: 4}); err != nil {
+	if _, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: 4}); err != nil {
 		t.Fatalf("lenient: %v", err)
 	}
 	if n := snap.Warnings.Len(); n != 1 {

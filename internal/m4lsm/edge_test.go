@@ -1,6 +1,7 @@
 package m4lsm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -319,7 +320,7 @@ func TestSplitChunkOverwrittenExtremumScansAfresh(t *testing.T) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			aggs, err := ComputeWithOptions(snap, q, opts)
+			aggs, err := ComputeContext(context.Background(), snap, q, opts)
 			done <- result{aggs, err}
 		}()
 		select {

@@ -40,6 +40,7 @@ import (
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
+	"m4lsm/internal/mergeread"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 	"m4lsm/internal/stepreg"
@@ -87,18 +88,13 @@ type Options struct {
 	Budget *govern.Budget
 }
 
-// Compute runs the M4 representation query with default options.
+// Compute runs the M4 representation query over the snapshot's chunks and
+// deletes, without merging chunks, with default options.
 func Compute(snap *storage.Snapshot, q m4.Query) ([]m4.Aggregate, error) {
-	return ComputeWithOptions(snap, q, Options{})
+	return ComputeContext(context.Background(), snap, q, Options{})
 }
 
-// ComputeWithOptions runs the M4 representation query over the snapshot's
-// chunks and deletes without merging chunks.
-func ComputeWithOptions(snap *storage.Snapshot, q m4.Query, opts Options) ([]m4.Aggregate, error) {
-	return ComputeContext(context.Background(), snap, q, opts)
-}
-
-// ComputeContext is ComputeWithOptions under a context: cancellation stops
+// ComputeContext is Compute under a context and options: cancellation stops
 // the worker pool at the next task or chunk-load boundary and returns
 // ctx.Err(). The snapshot's cost counters are final once ComputeContext
 // returns — every worker has joined, cancelled or not.
@@ -117,58 +113,16 @@ func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, opt
 	return outs[0], nil
 }
 
-// timedG wraps computeG with per-task timing when tracing or metrics are
-// armed; otherwise it forwards with zero overhead beyond two nil checks.
+// timedG wraps computeG with per-task timing when the query's clock is
+// armed; otherwise it forwards with zero overhead beyond one nil check.
 func (op *operator) timedG(sc *spanComputer, spanIdx int, span series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
-	if op.tr == nil && op.met == nil {
+	if op.clock == nil {
 		return op.computeG(sc, span, chunks, g)
 	}
 	t0 := time.Now()
 	pt, ok, err := op.computeG(sc, span, chunks, g)
-	d := time.Since(t0)
-	op.tr.Task(spanIdx, g.String(), d)
-	op.met.RecordTask(d)
+	op.clock.Task(spanIdx, g.String(), t0)
 	return pt, ok, err
-}
-
-// runPool executes tasks 0..n-1 across at most len(scratch) worker
-// goroutines, pulling task indexes off a shared atomic counter; worker w
-// runs its tasks on scratch[w]. One worker runs inline on the calling
-// goroutine. A task error stops the pool early; callers inspect per-task
-// results for the error.
-func runPool(scratch []spanComputer, n int, run func(*spanComputer, int) error) {
-	par := min(len(scratch), n)
-	if par <= 1 {
-		for t := 0; t < n; t++ {
-			if run(&scratch[0], t) != nil {
-				return
-			}
-		}
-		return
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		sc := &scratch[w]
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= n || failed.Load() {
-					return
-				}
-				if run(sc, t) != nil {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // gKind names the four representation functions as task coordinates.
@@ -268,8 +222,7 @@ type operator struct {
 	budget   *govern.Budget // nil: unbudgeted (methods are nil-safe)
 	degraded atomic.Bool    // a chunk was dropped; the result is partial
 
-	tr  *obs.Trace           // nil unless the query context carries a trace
-	met *obs.OperatorMetrics // nil unless Options.Metrics is set
+	clock *mergeread.Clock // nil unless the query is traced or metered
 }
 
 // addState materializes the shared chunkState for one snapshot chunk and

@@ -1,6 +1,7 @@
 package m4lsm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -415,7 +416,7 @@ func TestOptionsEquivalence(t *testing.T) {
 		q := randomQuery(rng)
 		want := reference(t, snap, q)
 		for vi, opts := range variants {
-			got, err := ComputeWithOptions(snap, q, opts)
+			got, err := ComputeContext(context.Background(), snap, q, opts)
 			if err != nil {
 				t.Fatalf("seed %d variant %d: %v", seed, vi, err)
 			}
@@ -462,7 +463,7 @@ func TestEagerLoadLoadsEverything(t *testing.T) {
 	}
 	snap := buildSnapshot(t, chunks, nil)
 	q := m4.Query{Tqs: 0, Tqe: 200, W: 2}
-	if _, err := ComputeWithOptions(snap, q, Options{EagerLoad: true}); err != nil {
+	if _, err := ComputeContext(context.Background(), snap, q, Options{EagerLoad: true}); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Stats.ChunksLoaded != 2 {
@@ -490,7 +491,7 @@ func TestPartialLoadPreferredForProbes(t *testing.T) {
 		1: {{T: 10, V: 1}, {T: 15, V: 9}, {T: 20, V: 2}},
 		2: {{T: 12, V: 4}, {T: 22, V: 5}},
 	}, nil)
-	if _, err := ComputeWithOptions(snap2, q, Options{DisablePartialLoad: true}); err != nil {
+	if _, err := ComputeContext(context.Background(), snap2, q, Options{DisablePartialLoad: true}); err != nil {
 		t.Fatal(err)
 	}
 	if snap2.Stats.BytesRead <= partialBytes {

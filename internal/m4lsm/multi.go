@@ -6,18 +6,13 @@ import (
 	"runtime"
 	"sort"
 	"sync/atomic"
-	"time"
 
+	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
-	"m4lsm/internal/obs"
+	"m4lsm/internal/mergeread"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
-
-// ComputeMulti runs one M4 query over several series with default options.
-func ComputeMulti(snaps []*storage.Snapshot, q m4.Query) ([][]m4.Aggregate, error) {
-	return ComputeMultiContext(context.Background(), snaps, q, Options{})
-}
 
 // Rest-wave kind lists: which representation functions run in wave 2 after
 // FP proves span liveness. M4 needs all three; MinMax needs only the value
@@ -57,34 +52,17 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 	if len(snaps) == 0 {
 		return nil, nil
 	}
-	tr := obs.TraceOf(ctx)
-	met := obs.NewOperatorMetrics(opts.Metrics, label)
-	instrumented := tr != nil || met != nil
-	var start, phaseStart time.Time
-	if instrumented {
-		start = time.Now()
-		phaseStart = start
-	}
-	phase := func(name string) {
-		if tr != nil {
-			now := time.Now()
-			tr.Phase(name, now.Sub(phaseStart))
-			phaseStart = now
-		}
-	}
-	// seriesErr attributes a task failure: single-series batches keep the
-	// historical "m4lsm: span %d" shape, multi-series batches name the
-	// series so a fleet query's error is actionable.
+	c := mergeread.StartClock(ctx, opts.Metrics, label)
+	mark := c.Now()
+	// seriesErr attributes a task failure to its span and, in a
+	// multi-series batch, to its series.
 	seriesErr := func(p *seriesPlan, span int, err error) error {
-		if len(snaps) == 1 {
-			return fmt.Errorf("m4lsm: span %d: %w", span, err)
-		}
-		return fmt.Errorf("m4lsm: series %q span %d: %w", p.op.snap.SeriesID, span, err)
+		return mergeread.SeriesError(len(snaps), p.op.snap.SeriesID, fmt.Errorf("m4lsm: span %d: %w", span, err))
 	}
 
 	plans := make([]*seriesPlan, len(snaps))
 	for i, snap := range snaps {
-		plans[i] = newSeriesPlan(ctx, snap, q, opts, tr, met, instrumented)
+		plans[i] = newSeriesPlan(ctx, snap, q, opts, c)
 	}
 	par := opts.Parallelism
 	if par <= 0 {
@@ -93,7 +71,7 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 	// One scratch per worker, shared by both waves: no task allocates its
 	// candidate-loop state.
 	scratch := make([]spanComputer, par)
-	phase("plan")
+	mark = c.Phase("plan", mark)
 
 	// Wave 1: every series' FP tasks in one pool, alongside the pyramid
 	// spans' boundary-fragment tasks (a pyramid span needs no second wave
@@ -115,7 +93,8 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			fpTasks = append(fpTasks, fpRef{pi, k, true})
 		}
 	}
-	runPool(scratch, len(fpTasks), func(sc *spanComputer, t int) error {
+	govern.RunPool(par, len(fpTasks), func(w, t int) error {
+		sc := &scratch[w]
 		ref := fpTasks[t]
 		p := plans[ref.plan]
 		if ref.pyramid {
@@ -128,7 +107,7 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 		p.firsts[ref.k] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
-	phase("wave-fp")
+	mark = c.Phase("wave-fp", mark)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -163,7 +142,8 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			}
 		}
 	}
-	runPool(scratch, len(restTasks), func(sc *spanComputer, t int) error {
+	govern.RunPool(par, len(restTasks), func(w, t int) error {
+		sc := &scratch[w]
 		ref := restTasks[t]
 		p := plans[ref.plan]
 		span := p.work[p.live[ref.j]]
@@ -171,7 +151,7 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 		p.rests[restCount*ref.j+ref.kind] = gResult{pt: pt, ok: ok, err: err}
 		return err
 	})
-	phase("wave-rest")
+	mark = c.Phase("wave-rest", mark)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -195,21 +175,11 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 		}
 		outs[pi] = p.out
 	}
-	if instrumented {
-		phase("assemble")
-		elapsed := time.Since(start)
-		total := map[string]int64{}
-		for _, p := range plans {
-			delta := p.op.stats.Load().Sub(p.statsBefore)
-			met.RecordQuery(elapsed, delta.ChunksLoaded, delta.ChunksPruned,
-				delta.TimeBlocksLoaded, delta.PointsDecoded, delta.CacheHits)
-			met.RecordPyramid(delta.PyramidSpans, delta.PyramidCells, delta.PyramidFallbackSpans)
-			for k, v := range delta.Map() {
-				total[k] += v
-			}
-		}
-		tr.SetCounters(total)
+	c.Phase("assemble", mark)
+	for _, p := range plans {
+		c.Series(p.op.stats, p.statsBefore)
 	}
+	c.Done()
 	return outs, nil
 }
 
@@ -236,8 +206,8 @@ type seriesPlan struct {
 // (the singleflight gate), deletes sorted by version, chunks distributed to
 // spans by index interval, and spans with no chunks answered Empty with no
 // task at all.
-func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options, tr *obs.Trace, met *obs.OperatorMetrics, instrumented bool) *seriesPlan {
-	op := &operator{ctx: ctx, snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget, tr: tr, met: met}
+func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options, c *mergeread.Clock) *seriesPlan {
+	op := &operator{ctx: ctx, snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget, clock: c}
 	if op.stats == nil {
 		op.stats = &storage.Stats{}
 	}
@@ -245,10 +215,7 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	sort.Slice(op.deletes, func(i, j int) bool { return op.deletes[i].Version < op.deletes[j].Version })
 	op.deleteIx = storage.NewDeleteIndex(op.deletes)
 
-	p := &seriesPlan{op: op}
-	if instrumented {
-		p.statsBefore = op.stats.Load()
-	}
+	p := &seriesPlan{op: op, statsBefore: c.Before(op.stats)}
 	p.out = make([]m4.Aggregate, q.W)
 	p.pyr = planPyramid(snap, q, p.out)
 	// Span i has chunk lists 2i and 2i+1 (see listEnd), and a chunk joins

@@ -1,6 +1,7 @@
 package m4lsm
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func snapshotAt(seed int64) *storage.Snapshot {
 }
 
 // TestParallelMatchesSequential is the concurrency equivalence check: on
-// randomized out-of-order/overwrite/delete states, ComputeWithOptions must
+// randomized out-of-order/overwrite/delete states, ComputeContext must
 // return byte-identical aggregates at every parallelism, and the
 // singleflight load gate must keep ChunksLoaded independent of the worker
 // count. Run under -race this also exercises the chunkState sharing.
@@ -33,7 +34,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		q := m4.Query{Tqs: tqs, Tqe: tqe, W: 1 + queryRng.Intn(12)}
 
 		ref := snapshotAt(seed)
-		want, err := ComputeWithOptions(ref, q, Options{Parallelism: 1})
+		want, err := ComputeContext(context.Background(), ref, q, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
@@ -41,7 +42,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 		for _, par := range []int{2, 4, 8} {
 			snap := snapshotAt(seed)
-			got, err := ComputeWithOptions(snap, q, Options{Parallelism: par})
+			got, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("seed %d par %d: %v", seed, par, err)
 			}
@@ -66,14 +67,14 @@ func TestParallelEagerLoad(t *testing.T) {
 		q := m4.Query{Tqs: 0, Tqe: horizon, W: 8}
 
 		ref := snapshotAt(seed)
-		want, err := ComputeWithOptions(ref, q, Options{EagerLoad: true, Parallelism: 1})
+		want, err := ComputeContext(context.Background(), ref, q, Options{EagerLoad: true, Parallelism: 1})
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
 		wantLoads := ref.Stats.Load().ChunksLoaded
 
 		snap := snapshotAt(seed)
-		got, err := ComputeWithOptions(snap, q, Options{EagerLoad: true, Parallelism: 8})
+		got, err := ComputeContext(context.Background(), snap, q, Options{EagerLoad: true, Parallelism: 8})
 		if err != nil {
 			t.Fatalf("seed %d: parallel: %v", seed, err)
 		}
@@ -82,24 +83,6 @@ func TestParallelEagerLoad(t *testing.T) {
 		}
 		if loads := snap.Stats.Load().ChunksLoaded; loads != wantLoads {
 			t.Fatalf("seed %d: eager ChunksLoaded = %d, want %d", seed, loads, wantLoads)
-		}
-	}
-}
-
-// TestRunPool covers the pool helper directly: full coverage of the task
-// index space, inline execution at par<=1, and early stop on error.
-func TestRunPool(t *testing.T) {
-	for _, par := range []int{0, 1, 2, 4, 16} {
-		const n = 100
-		hits := make([]int32, n)
-		runPool(make([]spanComputer, max(par, 1)), n, func(_ *spanComputer, i int) error {
-			hits[i]++
-			return nil
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("par %d: task %d ran %d times", par, i, h)
-			}
 		}
 	}
 }

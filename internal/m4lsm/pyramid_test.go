@@ -64,7 +64,7 @@ func TestAlignedWindowBuildsNoChunkState(t *testing.T) {
 		{Tqs: 0, Tqe: alignedPoints, W: 1024},
 		{Tqs: 1 << 14, Tqe: 1<<14 + 1<<16, W: 64},
 	} {
-		p := newSeriesPlan(context.Background(), alignedSnapshot(t, e, q), q, Options{}, nil, nil, false)
+		p := newSeriesPlan(context.Background(), alignedSnapshot(t, e, q), q, Options{}, nil)
 		if len(p.op.states) != 0 || len(p.pyrWork) != 0 {
 			t.Errorf("%+v: plan built %d chunk states and %d fragment tasks; want none", q, len(p.op.states), len(p.pyrWork))
 		}

@@ -2,30 +2,13 @@ package m4lsm
 
 import (
 	"context"
-	"time"
 
 	"m4lsm/internal/m4"
 	"m4lsm/internal/mergeread"
-	"m4lsm/internal/obs"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
-
-// Reduce answers a representation query with default options.
-func Reduce(snap *storage.Snapshot, q m4.Query, spec reprops.Spec) (series.Series, error) {
-	return ReduceContext(context.Background(), snap, q, spec, Options{})
-}
-
-// ReduceContext answers one representation query over one snapshot through
-// the LSM-native execution path; see ReduceMultiContext.
-func ReduceContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, spec reprops.Spec, opts Options) (series.Series, error) {
-	outs, err := ReduceMultiContext(ctx, []*storage.Snapshot{snap}, q, spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
-}
 
 // ReduceMultiContext evaluates one representation query over several series,
 // choosing the cheapest execution the operator admits:
@@ -38,9 +21,9 @@ func ReduceContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, spec
 //   - MinMaxLTTB runs MinMax at ratio·w spans (metadata and pyramid apply
 //     to the preselection) and LTTB-selects the final w on the tiny subset.
 //   - LTTB cannot use metadata at all — every point's triangle area depends
-//     on its neighbours — so it pays the full merge through mergeread
-//     (budget-charged, strictness and degradation as in the UDF baseline)
-//     and selects sequentially per series.
+//     on its neighbours — so it is a fold over the merge-all read
+//     (mergeread.Read, shared with the UDF baseline) and selects
+//     sequentially per series.
 //
 // Results are positional (out[i] belongs to snaps[i]) and bit-identical to
 // reprops.Reduce over each snapshot's merged series, which the differential
@@ -49,99 +32,44 @@ func ReduceMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Que
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	// The span-based operators differ only in the spans they plan, the
+	// rest wave they run, their label and how a series' aggregates become
+	// points.
+	spans, rest, label, points := q, restM4, "lsm", m4.Points
 	switch spec.Kind {
-	case reprops.KindMinMax:
-		aggs, err := computeMultiKinds(ctx, snaps, q, opts, restMinMax, "minmax")
-		if err != nil {
-			return nil, err
-		}
-		out := make([]series.Series, len(aggs))
-		for i, a := range aggs {
-			out[i] = reprops.MinMaxPoints(a)
-		}
-		return out, nil
 	case reprops.KindLTTB:
 		return reduceLTTB(ctx, snaps, q, opts)
+	case reprops.KindMinMax:
+		rest, label, points = restMinMax, "minmax", reprops.MinMaxPoints
 	case reprops.KindMinMaxLTTB:
-		pre := reprops.PreQuery(q, spec.EffectiveRatio())
-		aggs, err := computeMultiKinds(ctx, snaps, pre, opts, restMinMax, "minmaxlttb")
-		if err != nil {
-			return nil, err
-		}
-		out := make([]series.Series, len(aggs))
-		for i, a := range aggs {
-			out[i] = reprops.LTTB(reprops.MinMaxPoints(a), q.W)
-		}
-		return out, nil
-	default:
-		aggs, err := computeMultiKinds(ctx, snaps, q, opts, restM4, "lsm")
-		if err != nil {
-			return nil, err
-		}
-		out := make([]series.Series, len(aggs))
-		for i, a := range aggs {
-			out[i] = m4.Points(a)
-		}
-		return out, nil
+		spans, rest, label = reprops.PreQuery(q, spec.EffectiveRatio()), restMinMax, "minmaxlttb"
+		points = func(a []m4.Aggregate) series.Series { return reprops.LTTB(reprops.MinMaxPoints(a), q.W) }
 	}
+	aggs, err := computeMultiKinds(ctx, snaps, spans, opts, rest, label)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]series.Series, len(aggs))
+	for i, a := range aggs {
+		out[i] = points(a)
+	}
+	return out, nil
 }
 
-// reduceLTTB merges each snapshot through mergeread (loads fanned across
-// Options.Parallelism workers, Strict/Budget semantics identical to the UDF
-// baseline) and runs the sequential triangle selection on the merged range.
+// reduceLTTB is a fold over the merge-all read (strictness, degradation
+// and budget charging exactly as in the UDF baseline): each series' merged
+// range goes through the sequential triangle selection.
 func reduceLTTB(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts Options) ([]series.Series, error) {
-	tr := obs.TraceOf(ctx)
-	met := obs.NewOperatorMetrics(opts.Metrics, "lttb")
-	instrumented := tr != nil || met != nil
-	var start time.Time
-	if instrumented {
-		start = time.Now()
-	}
-	lopts := mergeread.LoadOptions{Parallelism: opts.Parallelism, Strict: opts.Strict, Budget: opts.Budget}
 	out := make([]series.Series, len(snaps))
-	total := map[string]int64{}
-	for i, snap := range snaps {
-		var statsBefore storage.Stats
-		if instrumented && snap.Stats != nil {
-			statsBefore = snap.Stats.Load()
-		}
-		loaded, err := mergeread.LoadContext(ctx, snap, lopts)
-		if err != nil {
-			return nil, err
-		}
-		var t0 time.Time
-		if instrumented {
-			t0 = time.Now()
-		}
-		it := loaded.Iterator(q.Range())
-		var s series.Series
-		for {
-			p, ok := it.Next()
-			if !ok {
-				break
-			}
-			s = append(s, p)
-		}
-		out[i] = reprops.LTTB(s, q.W)
-		if instrumented {
-			d := time.Since(t0)
-			tr.Task(i, "select", d)
-			met.RecordTask(d)
-			if snap.Stats != nil {
-				delta := snap.Stats.Load().Sub(statsBefore)
-				met.RecordQuery(time.Since(start), delta.ChunksLoaded, delta.ChunksPruned,
-					delta.TimeBlocksLoaded, delta.PointsDecoded, delta.CacheHits)
-				for k, v := range delta.Map() {
-					total[k] += v
-				}
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if instrumented {
-		tr.SetCounters(total)
+	mopts := mergeread.Options{Parallelism: opts.Parallelism, Strict: opts.Strict, Metrics: opts.Metrics, Budget: opts.Budget}
+	err := mergeread.Read(ctx, snaps, "lttb", mopts, func(i int, l *mergeread.Loaded, _ int, c *mergeread.Clock) error {
+		t0 := c.Now()
+		out[i] = reprops.LTTB(l.Series(q.Range()), q.W)
+		c.Task(i, "select", t0)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -66,6 +66,21 @@ func (s onlySeries) ReadValues(m storage.ChunkMeta) ([]float64, error) {
 	return s.pick(m).ReadValues(m)
 }
 
+// contractForms are the statement forms TestReadContract holds to one
+// contract: every form and operator a Statement can select, and EXPLAIN.
+var contractForms = []struct{ name, head, sel, tail string }{
+	{"m4", "", "M4(*)", ""},
+	{"m4-udf", "", "M4(*)", " USING UDF"},
+	{"represent-minmax", "", "M4(*)", " REPRESENT minmax"},
+	{"represent-lttb", "", "M4(*)", " REPRESENT lttb"},
+	{"represent-udf", "", "M4(*)", " REPRESENT lttb USING UDF"},
+	{"groupby-merge", "", "COUNT(v), AVG(v)", " PARALLEL 2"},
+	{"groupby-envelope", "", "MIN(v), MAX(v)", ""},
+	// EXPLAIN runs the statement too: a degraded read must show in the
+	// plan, or it prices a partial answer as a whole one.
+	{"explain", "EXPLAIN ", "M4(*)", ""},
+}
+
 // TestReadContract runs the same degrade / strict / budget / timeout /
 // cancel / quarantine cases over every statement form and its EXPLAIN, one
 // series and two:
@@ -73,18 +88,6 @@ func (s onlySeries) ReadValues(m storage.ChunkMeta) ([]float64, error) {
 // form. GROUP BY used to ignore every one of these.
 func TestReadContract(t *testing.T) {
 	dir := contractStore(t)
-	forms := []struct{ name, head, sel, tail string }{
-		{"m4", "", "M4(*)", ""},
-		{"m4-udf", "", "M4(*)", " USING UDF"},
-		{"represent-minmax", "", "M4(*)", " REPRESENT minmax"},
-		{"represent-lttb", "", "M4(*)", " REPRESENT lttb"},
-		{"represent-udf", "", "M4(*)", " REPRESENT lttb USING UDF"},
-		{"groupby-merge", "", "COUNT(v), AVG(v)", " PARALLEL 2"},
-		{"groupby-envelope", "", "MIN(v), MAX(v)", ""},
-		// EXPLAIN runs the statement too: a degraded read must show in
-		// the plan, or it prices a partial answer as a whole one.
-		{"explain", "EXPLAIN ", "M4(*)", ""},
-	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	capped := govern.WithLimits(context.Background(), govern.Limits{MaxChunks: 1})
@@ -99,10 +102,13 @@ func TestReadContract(t *testing.T) {
 		wantErr     error
 		wantErrText string
 		partial     bool
+		// namesA: the error of FROM a, b must name series a, the one the
+		// faults hit.
+		namesA bool
 	}{
 		{name: "clean", ctx: context.Background()},
 		{name: "degrade", faults: faultfs.Config{Seed: 1, ErrRate: 1}, ctx: context.Background(), partial: true},
-		{name: "strict", faults: faultfs.Config{Seed: 1, ErrRate: 1}, ctx: context.Background(), clause: " STRICT", wantErr: faultfs.ErrInjected},
+		{name: "strict", faults: faultfs.Config{Seed: 1, ErrRate: 1}, ctx: context.Background(), clause: " STRICT", wantErr: faultfs.ErrInjected, namesA: true},
 		{name: "budget", ctx: capped, partial: true},
 		{name: "budget-strict", ctx: capped, clause: " STRICT", wantErr: govern.ErrBudgetExceeded},
 		// Every read of series a sleeps past the 1 ms clause, so the second
@@ -113,7 +119,7 @@ func TestReadContract(t *testing.T) {
 		// FlipRate models detected corruption: the first lenient read
 		// quarantines series a's chunks, later snapshots exclude them.
 		{name: "quarantined", faults: faultfs.Config{Seed: 1, FlipRate: 1}, ctx: context.Background(), partial: true},
-		{name: "quarantined-strict", faults: faultfs.Config{Seed: 1, FlipRate: 1}, ctx: context.Background(), clause: " STRICT", wantErrText: "strict read"},
+		{name: "quarantined-strict", faults: faultfs.Config{Seed: 1, FlipRate: 1}, ctx: context.Background(), clause: " STRICT", wantErrText: "strict read", namesA: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,11 +143,14 @@ func TestReadContract(t *testing.T) {
 					t.Fatal("corrupt reads quarantined nothing")
 				}
 			}
-			for _, form := range forms {
+			for _, form := range contractForms {
 				for _, from := range []string{"a", "a, b"} {
 					q := fmt.Sprintf(`%sSELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)%s%s`,
 						form.head, form.sel, from, form.tail, tc.clause)
 					res, plan, err := RunAny(tc.ctx, e, q)
+					if tc.namesA && from == "a, b" && (err == nil || !strings.Contains(err.Error(), `series "a"`)) {
+						t.Errorf("%s FROM a, b: err = %v, want it to name series \"a\"", form.name, err)
+					}
 					switch {
 					case tc.wantErr != nil:
 						if !errors.Is(err, tc.wantErr) {

@@ -213,15 +213,13 @@ func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, e
 	outs := make([]SeriesOutput, len(ids))
 	var err error
 	switch udf := stmt.Operator == OpUDF; {
-	case stmt.Represent != nil && udf:
-		for i := range snaps {
-			if outs[i].Points, err = m4udf.ReduceContext(ctx, snaps[i], stmt.Query, *stmt.Represent, udfOpts); err != nil {
-				break
-			}
-		}
 	case stmt.Represent != nil:
 		var pts []series.Series
-		pts, err = m4lsm.ReduceMultiContext(ctx, snaps, stmt.Query, *stmt.Represent, lsmOpts)
+		if udf {
+			pts, err = m4udf.ReduceMultiContext(ctx, snaps, stmt.Query, *stmt.Represent, udfOpts)
+		} else {
+			pts, err = m4lsm.ReduceMultiContext(ctx, snaps, stmt.Query, *stmt.Represent, lsmOpts)
+		}
 		for i := range pts {
 			outs[i].Points = pts[i]
 		}

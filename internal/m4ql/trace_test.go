@@ -172,3 +172,28 @@ func TestExecuteGroupByTrace(t *testing.T) {
 		t.Fatal("group-by trace missing")
 	}
 }
+
+// TestTraceCountsEverySeries: a multi-series statement's trace carries the
+// I/O of every series, the same sums as the result's Stats, on every form.
+func TestTraceCountsEverySeries(t *testing.T) {
+	e, err := lsm.Open(lsm.Options{Dir: contractStore(t), DisablePyramid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, form := range contractForms {
+		if form.head != "" {
+			continue // EXPLAIN returns a plan, not a traced result
+		}
+		q := `SELECT ` + form.sel + ` FROM a, b WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)` + form.tail + ` TRACE`
+		res, err := Run(e, q)
+		if err != nil {
+			t.Fatalf("%s: %v", form.name, err)
+		}
+		c := res.Trace.Counters
+		if res.Stats.ChunksLoaded == 0 || c["chunksLoaded"] != res.Stats.ChunksLoaded || c["pointsDecoded"] != res.Stats.PointsDecoded {
+			t.Errorf("%s: trace chunksLoaded %d pointsDecoded %d, Stats %d and %d",
+				form.name, c["chunksLoaded"], c["pointsDecoded"], res.Stats.ChunksLoaded, res.Stats.PointsDecoded)
+		}
+	}
+}

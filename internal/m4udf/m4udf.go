@@ -5,8 +5,8 @@
 // and streams the M4 representation over it. Chunk metadata is never
 // consulted (§A.5.2).
 //
-// The scan parallelizes per span block: chunks are decoded once (the loads
-// themselves fanned across workers), then the w spans are partitioned into
+// Both forms are folds over mergeread.Read, the one merge-all read. The M4
+// scan parallelizes per span block: the w spans are partitioned into
 // contiguous blocks and each worker runs its own k-way merge restricted to
 // its block's time range. Every point belongs to exactly one span, so the
 // blocks write disjoint output slots and the result is byte-identical to
@@ -16,163 +16,98 @@ package m4udf
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/mergeread"
-	"m4lsm/internal/obs"
+	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
 
-// Options tune the baseline's execution; the algorithm is unchanged.
-type Options struct {
-	// Parallelism bounds the goroutines that load chunks and scan span
-	// blocks: 0 uses GOMAXPROCS, 1 is the fully sequential baseline.
-	// Chunks are decoded exactly once at any setting, so the cost
-	// counters stay comparable across the scaling curve.
-	Parallelism int
-	// Strict fails the query on any chunk read error instead of dropping
-	// the unreadable chunk (with a snapshot warning) and merging the rest.
-	Strict bool
-	// Metrics, when non-nil, receives the operator's query counters and
-	// latency histograms (labelled op="udf").
-	Metrics *obs.Registry
-	// Budget, when non-nil, caps the chunks and points the merge may load
-	// and bounds its wall clock; see mergeread.LoadOptions.Budget for the
-	// exact semantics.
-	Budget *govern.Budget
-}
+// Options tune the baseline's execution, the merge-all read's options (its
+// metrics carry op="udf"); the algorithm is unchanged.
+type Options = mergeread.Options
 
 // Compute runs the M4 representation query against a snapshot by merging
 // all chunks online and scanning the merged series.
 func Compute(snap *storage.Snapshot, q m4.Query) ([]m4.Aggregate, error) {
-	return ComputeWithOptions(snap, q, Options{})
+	return ComputeContext(context.Background(), snap, q, Options{})
 }
 
-// ComputeWithOptions runs the baseline with an explicit parallelism.
-func ComputeWithOptions(snap *storage.Snapshot, q m4.Query, opts Options) ([]m4.Aggregate, error) {
-	return ComputeContext(context.Background(), snap, q, opts)
-}
-
-// ComputeContext is ComputeWithOptions under a context: cancellation is
+// ComputeContext is Compute under a context and options: cancellation is
 // observed between chunk loads and span blocks and returns ctx.Err(); the
 // snapshot's cost counters are final once ComputeContext returns.
 func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options) ([]m4.Aggregate, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	tr := obs.TraceOf(ctx)
-	met := obs.NewOperatorMetrics(opts.Metrics, "udf")
-	instrumented := tr != nil || met != nil
-	var start, phaseStart time.Time
-	var statsBefore storage.Stats
-	if instrumented {
-		start = time.Now()
-		phaseStart = start
-		if snap.Stats != nil {
-			statsBefore = snap.Stats.Load()
-		}
-	}
-	phase := func(name string) {
-		if tr != nil {
-			now := time.Now()
-			tr.Phase(name, now.Sub(phaseStart))
-			phaseStart = now
-		}
-	}
-	// finish flushes one completed query into the trace and metrics: the
-	// stats delta (I/O the merge paid) plus total latency.
-	finish := func() {
-		if !instrumented {
-			return
-		}
-		phase("scan")
-		var delta storage.Stats
-		if snap.Stats != nil {
-			delta = snap.Stats.Load().Sub(statsBefore)
-		}
-		met.RecordQuery(time.Since(start), delta.ChunksLoaded, delta.ChunksPruned,
-			delta.TimeBlocksLoaded, delta.PointsDecoded, delta.CacheHits)
-		tr.SetCounters(delta.Map())
-	}
-	loaded, err := mergeread.LoadContext(ctx, snap, mergeread.LoadOptions{Parallelism: par, Strict: opts.Strict, Budget: opts.Budget})
+	outs, err := ComputeMultiContext(ctx, []*storage.Snapshot{snap}, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	phase("load")
-	if par > q.W {
-		par = q.W
-	}
-	if par <= 1 {
-		var t0 time.Time
-		if instrumented {
-			t0 = time.Now()
-		}
-		it := loaded.Iterator(q.Range())
-		out, err := m4.ComputeStream(q, it.Next)
-		if err == nil && instrumented {
-			d := time.Since(t0)
-			tr.Task(0, "scan", d)
-			met.RecordTask(d)
-			finish()
-		}
-		return out, err
-	}
+	return outs[0], nil
+}
 
-	out := make([]m4.Aggregate, q.W)
-	for i := range out {
-		out[i].Empty = true
-	}
-	errs := make([]error, par)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		// Block w covers spans [w*W/par, (w+1)*W/par): contiguous, and
-		// span boundaries are exact (m4.Span and m4.SpanIndex agree), so
-		// an iterator over the block's time range yields exactly the
-		// points of those spans.
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := w*q.W/par, (w+1)*q.W/par
-			if lo >= hi {
-				return
-			}
-			if errs[w] = ctx.Err(); errs[w] != nil {
-				return
-			}
-			r := series.TimeRange{Start: q.Span(lo).Start, End: q.Span(hi - 1).End}
-			var t0 time.Time
-			if instrumented {
-				t0 = time.Now()
-			}
-			errs[w] = scanSpans(q, out, loaded.Iterator(r).Next)
-			if instrumented {
-				// The block's first span is the task coordinate.
-				d := time.Since(t0)
-				tr.Task(lo, "scan", d)
-				met.RecordTask(d)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+// ComputeMultiContext is the baseline's batched form, the UDF counterpart
+// of m4lsm.ComputeMultiContext. Results are positional — out[i] belongs to
+// snaps[i] — and per-series cost counters stay on each snapshot's own
+// Stats.
+func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts Options) ([][]m4.Aggregate, error) {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	outs := make([][]m4.Aggregate, len(snaps))
+	err := mergeread.Read(ctx, snaps, "udf", opts, func(i int, l *mergeread.Loaded, par int, c *mergeread.Clock) error {
+		t0 := c.Now()
+		out := make([]m4.Aggregate, q.W)
+		for k := range out {
+			out[k].Empty = true
 		}
+		blocks := min(par, q.W)
+		err := govern.RunPool(blocks, blocks, func(_, b int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			// Block b covers spans [b*W/blocks, (b+1)*W/blocks): contiguous,
+			// and span boundaries are exact (m4.Span and m4.SpanIndex agree),
+			// so an iterator over the block's time range yields exactly the
+			// points of those spans. Its first span is the task coordinate.
+			lo, hi := b*q.W/blocks, (b+1)*q.W/blocks
+			t := c.Now()
+			err := scanSpans(q, out, l.Iterator(series.TimeRange{Start: q.Span(lo).Start, End: q.Span(hi - 1).End}).Next)
+			c.Task(lo, "scan", t)
+			return err
+		})
+		c.Phase("scan", t0)
+		outs[i] = out
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	finish()
-	return out, nil
+	return outs, nil
+}
+
+// ReduceMultiContext answers a representation query the way a UDF would:
+// merge each series' chunks into the full series and run the reference
+// reduction from reprops over it. Chunk metadata is never consulted, for
+// any operator — this is the baseline the LSM-native
+// m4lsm.ReduceMultiContext is differentially tested against. Results are
+// positional, as in ComputeMultiContext.
+func ReduceMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, spec reprops.Spec, opts Options) ([]series.Series, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	outs := make([]series.Series, len(snaps))
+	err := mergeread.Read(ctx, snaps, "udf", opts, func(i int, l *mergeread.Loaded, _ int, c *mergeread.Clock) error {
+		t0 := c.Now()
+		var err error
+		outs[i], err = reprops.Reduce(spec, q, l.Series(q.Range()))
+		c.Task(i, "reduce", t0)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outs, nil
 }
 
 // scanSpans streams one block's merged points into the shared output,

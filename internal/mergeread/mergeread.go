@@ -3,17 +3,17 @@
 // Definition 2.7 in time order, resolving overwrites by version number and
 // applying range deletes.
 //
-// This is exactly the work the M4-LSM operator avoids; the M4-UDF baseline
-// is built on top of this package.
+// This is exactly the work the M4-LSM operator avoids. Read is the one
+// merge-all read built on it: the M4-UDF baseline, LTTB and GROUP BY's
+// count/sum/avg scan are each a fold over it.
 package mergeread
 
 import (
 	"container/heap"
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
-	"time"
+	"fmt"
+	"runtime"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/obs"
@@ -22,9 +22,9 @@ import (
 )
 
 // Loaded holds every chunk of a snapshot decoded exactly once, ready to
-// feed any number of iterators. Splitting the load from the merge lets the
-// parallel baseline fan per-span scans across goroutines without loading
-// (and counting) each chunk once per worker.
+// feed any number of iterators. Splitting the load from the merge lets a
+// fold fan per-span scans across goroutines without loading (and counting)
+// each chunk once per worker.
 type Loaded struct {
 	chunks  []loadedChunk
 	deletes *storage.DeleteIndex
@@ -35,105 +35,124 @@ type loadedChunk struct {
 	ver  storage.Version
 }
 
-// Load decodes every chunk of the snapshot, fanning the loads across at
-// most parallelism goroutines (<= 1 loads sequentially). Each chunk is
-// read exactly once, so Stats.ChunksLoaded is independent of parallelism.
-// Any read failure fails the load; see LoadContext for graceful mode.
-func Load(snap *storage.Snapshot, parallelism int) (*Loaded, error) {
-	return LoadContext(context.Background(), snap, LoadOptions{Parallelism: parallelism, Strict: true})
-}
-
-// LoadOptions configure LoadContext.
-type LoadOptions struct {
-	// Parallelism bounds the loader goroutines; <= 1 loads sequentially.
+// Options configure a merge-all read.
+type Options struct {
+	// Parallelism bounds the goroutines of the whole read: the series fan
+	// out across them, and each series' chunk loads and fold share what is
+	// left. 0 uses GOMAXPROCS, 1 is fully sequential. Each chunk is loaded
+	// exactly once at any setting, so the cost counters do not depend on it.
 	Parallelism int
-	// Strict fails the whole load on the first chunk read error. The
-	// default drops unreadable chunks, reporting each through the
-	// snapshot's Warnings/OnQuarantine, and merges the rest.
+	// Strict fails the read on the first unreadable chunk. The default
+	// drops it, reporting it through the snapshot's Warnings/OnQuarantine,
+	// and merges the rest.
 	Strict bool
+	// Metrics, when non-nil, receives the operator's query counters and
+	// latency histograms under the read's op label.
+	Metrics *obs.Registry
 	// Budget, when non-nil, caps the load: each chunk charges one chunk
 	// plus its point count before it is read, and the budget's deadline is
-	// checked with the same charge. A refused chunk fails the load under
+	// checked with the same charge. A refused chunk fails the read under
 	// Strict (the error wraps govern.ErrBudgetExceeded) and is otherwise
 	// dropped from the merge with a warning — never a quarantine, since
 	// its bytes are fine.
 	Budget *govern.Budget
 }
 
-// LoadContext decodes every chunk of the snapshot under a context.
-// Cancellation is observed between chunk loads and returns ctx.Err(); the
-// snapshot's counters are final once LoadContext returns.
-func LoadContext(ctx context.Context, snap *storage.Snapshot, opts LoadOptions) (*Loaded, error) {
+// A Fold turns one series' loaded chunks into its form's output for batch
+// position i. par bounds the workers it may use inside the series, and c
+// times its tasks (c is nil, and free, when nothing is measured).
+type Fold func(i int, l *Loaded, par int, c *Clock) error
+
+// Read is the one merge-all read, the shape of the M4-UDF baseline
+// (Fig. 2(b)) and of every operator that needs each surviving point: per
+// series, load every chunk once under ctx, Strict and Budget, then hand
+// the loaded chunks to fold. The series fan out across one worker pool,
+// each getting the pool's share of the parallelism for its loads and fold,
+// so the read never oversubscribes it and a batch of one gets all of it.
+// label names the operator in metrics and traces; every series records its
+// counters there, and a multi-series error names its series. Cancellation
+// is observed between chunk loads and after each fold, and returns
+// ctx.Err(); the snapshots' counters are final once Read returns.
+func Read(ctx context.Context, snaps []*storage.Snapshot, label string, opts Options, fold Fold) error {
+	if len(snaps) == 0 {
+		return nil
+	}
+	c := StartClock(ctx, opts.Metrics, label)
+	par := opts.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	inner := max(1, par/len(snaps))
+	err := govern.RunPool(par, len(snaps), func(_, i int) error {
+		snap := snaps[i]
+		before := c.Before(snap.Stats)
+		l, err := load(ctx, snap, inner, opts, c)
+		if err == nil {
+			err = fold(i, l, inner, c)
+		}
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
+			return SeriesError(len(snaps), snap.SeriesID, err)
+		}
+		c.Series(snap.Stats, before)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	c.Done()
+	return nil
+}
+
+// SeriesError names the series of a failed share of a multi-series batch:
+// the error a batch of one would return, prefixed with `series "id": `.
+// Every batched operator reports its failures in this one wording.
+func SeriesError(batch int, id string, err error) error {
+	if batch == 1 {
+		return err
+	}
+	return fmt.Errorf("series %q: %w", id, err)
+}
+
+// load decodes every chunk of one snapshot, fanning the loads across at
+// most par workers, and records the "load" phase. Read is its only caller.
+func load(ctx context.Context, snap *storage.Snapshot, par int, opts Options, c *Clock) (*Loaded, error) {
+	t0 := c.Now()
 	l := &Loaded{
 		chunks:  make([]loadedChunk, len(snap.Chunks)),
 		deletes: storage.NewDeleteIndex(snap.Deletes),
 	}
 	errs := make([]error, len(snap.Chunks))
-	tr := obs.TraceOf(ctx)
-	load := func(i int) {
-		if errs[i] = ctx.Err(); errs[i] != nil {
-			return
+	err := govern.RunPool(par, len(snap.Chunks), func(_, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if errs[i] = opts.Budget.ChargeChunk(int64(snap.Chunks[i].Meta.Count)); errs[i] != nil {
-			return
+		ref := snap.Chunks[i]
+		err := opts.Budget.ChargeChunk(int64(ref.Meta.Count))
+		if err == nil {
+			t := c.Now()
+			l.chunks[i] = loadedChunk{ver: ref.Meta.Version}
+			l.chunks[i].cols, err = ref.Load()
+			// The chunk index is the task coordinate: a trace shows each
+			// load the merge paid, next to the fold's tasks.
+			c.Task(i, "load", t)
 		}
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
+		if err != nil && opts.Strict {
+			return err
 		}
-		data, err := snap.Chunks[i].Load()
-		if tr != nil {
-			// Chunk index as the task coordinate: a UDF trace shows each
-			// load the merge paid, next to the scan tasks.
-			tr.Task(i, "load", time.Since(t0))
-		}
-		l.chunks[i] = loadedChunk{cols: data, ver: snap.Chunks[i].Meta.Version}
 		errs[i] = err
-	}
-	parallelism := opts.Parallelism
-	if parallelism > len(snap.Chunks) {
-		parallelism = len(snap.Chunks)
-	}
-	if parallelism <= 1 {
-		for i := range snap.Chunks {
-			load(i)
-			if errs[i] != nil && opts.Strict {
-				return nil, errs[i]
-			}
-		}
-	} else {
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		wg.Add(parallelism)
-		for w := 0; w < parallelism; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(snap.Chunks) || ctx.Err() != nil {
-						return
-					}
-					load(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	// A cancelled run may have skipped chunks without recording an error;
-	// never hand back a silently truncated Loaded.
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Resolve errors by chunk index after all workers have joined, so the
-	// outcome (and the warning order) is deterministic across schedules.
+	// Resolve the lenient failures by chunk index, so the warning order is
+	// deterministic across schedules.
 	for i, err := range errs {
 		if err == nil {
 			continue
-		}
-		if opts.Strict {
-			return nil, err
 		}
 		if errors.Is(err, govern.ErrBudgetExceeded) {
 			// Nothing is wrong with the chunk's bytes: warn, don't
@@ -145,7 +164,18 @@ func LoadContext(ctx context.Context, snap *storage.Snapshot, opts LoadOptions) 
 		}
 		l.chunks[i] = loadedChunk{} // empty series: dropped from the merge
 	}
+	c.Phase("load", t0)
 	return l, nil
+}
+
+// Series materializes the merged series restricted to r.
+func (l *Loaded) Series(r series.TimeRange) series.Series {
+	var out series.Series
+	it := l.Iterator(r)
+	for p, ok := it.Next(); ok; p, ok = it.Next() {
+		out = append(out, p)
+	}
+	return out
 }
 
 // Iterator positions a merge over the loaded chunks restricted to the
@@ -167,8 +197,8 @@ func (l *Loaded) Iterator(r series.TimeRange) *Iterator {
 }
 
 // Iterator streams the merged series of a snapshot restricted to a
-// half-open time range. Chunks are loaded eagerly at construction, matching
-// the baseline's "load all chunks, order points by time" behaviour (§1.1).
+// half-open time range. Its chunks were all loaded before it, matching the
+// baseline's "load all chunks, order points by time" behaviour (§1.1).
 type Iterator struct {
 	h       cursorHeap
 	deletes *storage.DeleteIndex
@@ -207,16 +237,6 @@ func (h *cursorHeap) Pop() interface{} {
 	return c
 }
 
-// NewIterator loads every chunk of the snapshot and positions the merge at
-// the first point inside r.
-func NewIterator(snap *storage.Snapshot, r series.TimeRange) (*Iterator, error) {
-	l, err := Load(snap, 1)
-	if err != nil {
-		return nil, err
-	}
-	return l.Iterator(r), nil
-}
-
 // Next returns the next latest point in time order, and false when the
 // range is exhausted.
 func (it *Iterator) Next() (series.Point, bool) {
@@ -244,19 +264,15 @@ func (it *Iterator) Next() (series.Point, bool) {
 	return series.Point{}, false
 }
 
-// Merge materializes the merged series of Definition 2.7 restricted to r.
-// It is the reference implementation used by tests and the baseline.
+// Merge materializes the merged series of Definition 2.7 restricted to r:
+// a strict, sequential merge-all read of one snapshot. It is the reference
+// the tests use and the engine's compaction and pyramid rebuild run on.
 func Merge(snap *storage.Snapshot, r series.TimeRange) (series.Series, error) {
-	it, err := NewIterator(snap, r)
-	if err != nil {
-		return nil, err
-	}
 	var out series.Series
-	for {
-		p, ok := it.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, p)
-	}
+	err := Read(context.Background(), []*storage.Snapshot{snap}, "", Options{Parallelism: 1, Strict: true},
+		func(_ int, l *Loaded, _ int, _ *Clock) error {
+			out = l.Series(r)
+			return nil
+		})
+	return out, err
 }

@@ -1,6 +1,7 @@
 package mergeread
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,7 +137,11 @@ func TestIteratorStreaming(t *testing.T) {
 		1: {{T: 10, V: 1}, {T: 30, V: 3}},
 		2: {{T: 20, V: 2}},
 	}, nil)
-	it, err := NewIterator(snap, series.TimeRange{Start: 0, End: 100})
+	var it *Iterator
+	err := Read(context.Background(), []*storage.Snapshot{snap}, "", Options{}, func(_ int, l *Loaded, _ int, _ *Clock) error {
+		it = l.Iterator(series.TimeRange{Start: 0, End: 100})
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,9 @@ package obs
 import "time"
 
 // OperatorMetrics are the per-operator query instruments, labelled by
-// operator ("lsm" or "udf") so both M4 implementations expose the same
-// names and dashboards can compare them directly. All methods are safe on
+// operator ("lsm", "udf", "minmax", "lttb", "minmaxlttb", "groupby") so
+// every operator exposes the same names and dashboards can compare them
+// directly. All methods are safe on
 // the nil *OperatorMetrics, the fast path when observability is off.
 type OperatorMetrics struct {
 	queries       *Counter

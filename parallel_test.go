@@ -65,16 +65,47 @@ func TestConcurrentM4ThroughCache(t *testing.T) {
 }
 
 // TestParallelismKnobPublic checks the PARALLEL clause end to end: equal
-// rows and identical chunk-load counts at every setting, for both
-// operators.
+// rows and identical chunk-load counts at every setting, for M4 on both
+// operators and for the merge-all forms (LTTB on both operators, GROUP BY's
+// count/avg scan), over one series and over two, where the series share the
+// workers.
 func TestParallelismKnobPublic(t *testing.T) {
-	db := buildConcurrencyDB(t, "s")
-	for _, op := range []string{"LSM", "UDF"} {
-		want := query(t, db, m4Query(53, op, 1))
-		for _, par := range []int{0, 2, 4, 8} {
-			got := query(t, db, m4Query(53, op, par))
-			if !reflect.DeepEqual(got.Rows, want.Rows) || got.Stats.ChunksLoaded != want.Stats.ChunksLoaded {
-				t.Fatalf("%s par %d: rows or ChunksLoaded (%d) differ from sequential (%d)", op, par, got.Stats.ChunksLoaded, want.Stats.ChunksLoaded)
+	db := buildConcurrencyDB(t, "s", "t")
+	forms := []struct{ sel, tail string }{
+		{"M4(*)", " USING LSM"},
+		{"M4(*)", " USING UDF"},
+		{"M4(*)", " REPRESENT lttb"},
+		{"M4(*)", " REPRESENT lttb USING UDF"},
+		{"COUNT(v), AVG(v)", ""},
+	}
+	// Each series' rows: the flat Rows of FROM s, one block per series of
+	// FROM s, t.
+	rows := func(res *QueryResult) [][][]float64 {
+		out := [][][]float64{res.Rows}
+		for _, s := range res.Series {
+			out = append(out, s.Rows)
+		}
+		return out
+	}
+	for _, form := range forms {
+		for _, from := range []string{"s", "s, t"} {
+			// par 0 leaves the clause out: GOMAXPROCS workers.
+			stmt := func(par int) string {
+				q := fmt.Sprintf(`SELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(53)%s`, form.sel, from, form.tail)
+				if par > 0 {
+					q += fmt.Sprintf(" PARALLEL %d", par)
+				}
+				return q
+			}
+			want := query(t, db, stmt(1))
+			if want.Stats.ChunksLoaded == 0 {
+				t.Fatalf("%s: loaded no chunk", stmt(1))
+			}
+			for _, par := range []int{0, 2, 4, 8} {
+				got := query(t, db, stmt(par))
+				if !reflect.DeepEqual(rows(got), rows(want)) || got.Stats.ChunksLoaded != want.Stats.ChunksLoaded {
+					t.Fatalf("%s: rows or ChunksLoaded (%d) differ from PARALLEL 1 (%d)", stmt(par), got.Stats.ChunksLoaded, want.Stats.ChunksLoaded)
+				}
 			}
 		}
 	}
