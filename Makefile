@@ -96,7 +96,8 @@ fuzz:
 # m4ql.Read (exactly one engine Snapshot call, in internal/m4ql/exec.go),
 # keeps one merge-all read (mergeread's chunk load has one caller,
 # mergeread.Read, and the operator packages run no worker pool but
-# govern.RunPool),
+# govern.RunPool), keeps one task shape in m4lsm (one RunPool call, in
+# runWave, and one FP-substitution site, in assemble),
 # keeps examples/ on the public package (no m4lsm/internal/ import), keeps
 # internal/lsm from growing a second write path, a second chunk-file writer
 # or reaching into the WAL, keeps internal/pyramid from depending on the
@@ -137,6 +138,14 @@ lint:
 		echo "once, by mergeread.Read (the UDF baseline, LTTB and GROUP BY's scan are folds over it);"; \
 		echo "the operators fan work out on govern.RunPool only, never on a WaitGroup or goroutine of their own."; \
 		echo "$$bad"; echo "load call sites: $$n"; exit 1; \
+	fi
+	@src=$$(ls internal/m4lsm/*.go | grep -v '_test\.go$$'); \
+	n=$$(cat $$src | grep -c 'govern\.RunPool('); \
+	s=$$(cat $$src | grep -c 'substituted FP'); \
+	if [ "$$n" != 1 ] || [ "$$s" != 1 ]; then \
+		echo "lint: one task shape in m4lsm: spans and pyramid fragments are chunk lists run by the same two"; \
+		echo "waves, so the package has one govern.RunPool call (runWave) and one FP-substitution warning (assemble)."; \
+		echo "RunPool calls: $$n, FP-substitution sites: $$s"; exit 1; \
 	fi
 	@bad=$$(grep -rlE '"m4lsm/internal/' --include='*.go' examples/; true); \
 	if [ -n "$$bad" ]; then \

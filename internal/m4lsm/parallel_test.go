@@ -2,6 +2,7 @@ package m4lsm
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -23,8 +24,17 @@ func snapshotAt(seed int64) *storage.Snapshot {
 // randomized out-of-order/overwrite/delete states, ComputeContext must
 // return byte-identical aggregates at every parallelism, and the
 // singleflight load gate must keep ChunksLoaded independent of the worker
-// count. Run under -race this also exercises the chunkState sharing.
+// count. Windows over the pyramid that are not cell-aligned split every
+// span into boundary fragments around its cells, whose chunk lists run on
+// the pool like any span's. Run under -race this also exercises the
+// chunkState sharing.
 func TestParallelMatchesSequential(t *testing.T) {
+	type input struct {
+		name string
+		snap func() *storage.Snapshot
+		q    m4.Query
+	}
+	var inputs []input
 	queryRng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 200; iter++ {
 		seed := int64(iter)
@@ -32,27 +42,39 @@ func TestParallelMatchesSequential(t *testing.T) {
 		tqs := queryRng.Int63n(horizon)
 		tqe := tqs + 1 + queryRng.Int63n(horizon-tqs)
 		q := m4.Query{Tqs: tqs, Tqe: tqe, W: 1 + queryRng.Intn(12)}
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed), func() *storage.Snapshot { return snapshotAt(seed) }, q})
+	}
+	e := alignedEngine(t)
+	for _, q := range []m4.Query{
+		{Tqs: 37, Tqe: alignedPoints - 91, W: 500},
+		{Tqs: 1000, Tqe: 70001, W: 37},
+		{Tqs: 5, Tqe: 1<<16 + 3, W: 64},
+	} {
+		inputs = append(inputs, input{fmt.Sprintf("fragments %+v", q), func() *storage.Snapshot { return alignedSnapshot(t, e, q) }, q})
+	}
 
-		ref := snapshotAt(seed)
+	for _, in := range inputs {
+		q := in.q
+		ref := in.snap()
 		want, err := ComputeContext(context.Background(), ref, q, Options{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("seed %d: sequential: %v", seed, err)
+			t.Fatalf("%s: sequential: %v", in.name, err)
 		}
 		wantLoads := ref.Stats.Load().ChunksLoaded
 
 		for _, par := range []int{2, 4, 8} {
-			snap := snapshotAt(seed)
+			snap := in.snap()
 			got, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: par})
 			if err != nil {
-				t.Fatalf("seed %d par %d: %v", seed, par, err)
+				t.Fatalf("%s par %d: %v", in.name, par, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d par %d: aggregates diverge from sequential\nq=%+v\nseq: %v\npar: %v",
-					seed, par, q, want, got)
+				t.Fatalf("%s par %d: aggregates diverge from sequential\nq=%+v\nseq: %v\npar: %v",
+					in.name, par, q, want, got)
 			}
 			if loads := snap.Stats.Load().ChunksLoaded; loads != wantLoads {
-				t.Fatalf("seed %d par %d: ChunksLoaded = %d, sequential loaded %d (singleflight must dedupe)",
-					seed, par, loads, wantLoads)
+				t.Fatalf("%s par %d: ChunksLoaded = %d, sequential loaded %d (singleflight must dedupe)",
+					in.name, par, loads, wantLoads)
 			}
 		}
 	}
