@@ -93,7 +93,8 @@ fuzz:
 # stays structured and greppable. Commands, examples and tests are exempt.
 # It also keeps raw sleeps out of library code, keeps the query layers
 # (root package, m4ql, server) from growing a second read path beside
-# m4ql.Read (exactly one engine Snapshot call, in internal/m4ql/exec.go),
+# m4ql.Read (exactly one engine Snapshot call, in internal/m4ql/exec.go, and
+# the server's two executor calls: serve, the series listing),
 # keeps one merge-all read (mergeread's chunk load has one caller,
 # mergeread.Read, and the operator packages run no worker pool but
 # govern.RunPool), keeps one task shape in m4lsm (one RunPool call, in
@@ -122,12 +123,16 @@ lint:
 	fi
 	@bad=$$(grep -nE '\b(e|engine)\.Snapshot\(' *.go internal/m4ql/*.go internal/server/*.go \
 		| grep -v '_test\.go:' \
-		| grep -v -e '^internal/m4ql/exec\.go:' -e '^internal/server/ui\.go:'; true); \
+		| grep -v -e '^internal/m4ql/exec\.go:'; true); \
 	n=$$(grep -cHE '\b(e|engine)\.Snapshot\(' internal/m4ql/exec.go); \
-	if [ -n "$$bad" ] || [ "$$n" != "internal/m4ql/exec.go:1" ]; then \
+	x=$$(grep -cE 'm4ql\.(Read|Exec|ExecuteContext|Run|RunContext|RunAny|Explain)\(' \
+		$$(ls internal/server/*.go | grep -v '_test\.go$$') | grep -v ':0$$' | tr '\n' ' '); \
+	if [ -n "$$bad" ] || [ "$$n" != "internal/m4ql/exec.go:1" ] || \
+		[ "$$x" != "internal/server/server.go:1 internal/server/ui.go:1 " ]; then \
 		echo "lint: queries take their snapshots in one place, m4ql.Read (internal/m4ql/exec.go);"; \
-		echo "build a Statement and call it. Exempt: the series listing in server/ui.go."; \
-		echo "$$bad"; echo "snapshot calls: $$n"; exit 1; \
+		echo "build a Statement and call it. The server calls m4ql's executor twice: in serve (server.go),"; \
+		echo "the one pipeline of /query and /render, and for the series listing (ui.go)."; \
+		echo "$$bad"; echo "snapshot calls: $$n"; echo "server executor calls: $$x"; exit 1; \
 	fi
 	@n=$$(grep -nE '(^|[^.[:alnum:]_])load\(' $$(ls internal/mergeread/*.go | grep -v '_test\.go$$') \
 		| grep -v 'func load(' | cut -d: -f1 | tr '\n' ' '); \

@@ -11,13 +11,14 @@
 //	GET  /render?series=&tqs=&tqe=&w=&h=  two-color PNG line chart; series
 //	                                      accepts a comma list or a prefix
 //	                                      wildcard ("root.*") overlaid on
-//	                                      one canvas
+//	                                      one canvas; [&trace=1] as /query
 //	GET  /metrics                         Prometheus text exposition
 //	GET  /varz                            the same registry as JSON
 //	GET  /dashboard                       self-observability charts, M4-rendered
 //	                                      from the root.sys.* metric history
-//	GET  /debug/slowlog                   slow-query ring buffer
-//	GET  /debug/events                    wide per-query event tail (JSON)
+//	GET  /debug/slowlog                   wide events at or above the minimum
+//	                                      request latency (-slow-query)
+//	GET  /debug/events                    wide per-request event tail (JSON)
 //	POST /admin/backup?dir=<dest>         online backup into <dest>
 //	POST /admin/scrub[?heal=true]         on-demand integrity scrub pass
 //
@@ -62,7 +63,7 @@ func main() {
 		addr      = flag.String("addr", ":8086", "listen address")
 		debugAddr = flag.String("debug-addr", "", "optional pprof/expvar listen address (e.g. localhost:6060); empty disables")
 		drainWait = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		slowQuery = flag.Duration("slow-query", 100*time.Millisecond, "minimum /query latency recorded in /debug/slowlog")
+		slowQuery = flag.Duration("slow-query", 100*time.Millisecond, "minimum request latency recorded in /debug/slowlog")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		shards    = flag.Int("shards", 1, "engine shard count (series are hash-partitioned for concurrent writes and flushes)")
 

@@ -84,12 +84,14 @@ type view struct {
 // spanComputer runs one candidate loop for one chunk list's range. It is a
 // worker's scratch, reset by every task it runs: its views (and their slots
 // and exclusion sets) belong to a single goroutine, and operator counters
-// accumulate in local before one flush when the task finishes.
+// accumulate in local before one flush when the task finishes. deltas is
+// the working memory of every chunk-index build the worker runs.
 type spanComputer struct {
-	op    *operator
-	span  series.TimeRange
-	views []view
-	local storage.Stats
+	op     *operator
+	span   series.TimeRange
+	views  []view
+	local  storage.Stats
+	deltas []int64
 }
 
 // reset points the scratch at a new task, reusing its view arena.
@@ -312,7 +314,7 @@ func (sc *spanComputer) refuteTimeByDelete(v *view, isFirst bool, d storage.Dele
 // kills the view): partial-load the timestamps, find the closest point
 // after/before the bound with the chunk index, and chain over deletes.
 func (sc *spanComputer) resolveTimeBound(v *view, isFirst bool) error {
-	if err := sc.op.ensureTimes(v.cs); err != nil {
+	if err := sc.op.ensureTimes(v.cs, &sc.deltas); err != nil {
 		return err
 	}
 	slot := v.timeSlot(isFirst)

@@ -50,7 +50,9 @@ type summary struct {
 	first, last, bottom, top int
 }
 
-func (op *operator) ensureTimes(cs *chunkState) error {
+// ensureTimes loads the chunk's timestamps and builds its probe, with the
+// calling worker's scratch for the build.
+func (op *operator) ensureTimes(cs *chunkState, scratch *[]int64) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.loadErr != nil {
@@ -60,7 +62,7 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 		return nil
 	}
 	if op.opts.DisablePartialLoad {
-		return op.ensureDataLocked(cs)
+		return op.ensureDataLocked(cs, scratch)
 	}
 	// Cancellation and budget are checked before I/O only and never made
 	// sticky: a cancelled or budget-refused load must not poison the chunk
@@ -78,12 +80,12 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 		return err
 	}
 	cs.times = ts
-	cs.buildProbe(op.opts)
+	cs.buildProbe(op.opts, scratch)
 	cs.hasTimes = true
 	return nil
 }
 
-func (op *operator) ensureDataLocked(cs *chunkState) error {
+func (op *operator) ensureDataLocked(cs *chunkState, scratch *[]int64) error {
 	if cs.loadErr != nil {
 		return cs.loadErr
 	}
@@ -111,25 +113,25 @@ func (op *operator) ensureDataLocked(cs *chunkState) error {
 		return err
 	}
 	if !cs.hasTimes {
-		cs.buildProbe(op.opts)
+		cs.buildProbe(op.opts, scratch)
 		cs.hasTimes = true
 	}
 	cs.hasData = true
 	return nil
 }
 
-func (cs *chunkState) buildProbe(opts Options) {
+func (cs *chunkState) buildProbe(opts Options, scratch *[]int64) {
 	if opts.DisableStepIndex {
 		cs.probe = stepreg.NewPlain(cs.times)
 	} else {
-		cs.probe = stepreg.Build(cs.times)
+		cs.probe = stepreg.BuildScratch(cs.times, scratch)
 	}
 }
 
 // exists probes whether the chunk contains a point at exactly t
 // (Table 1 case a).
 func (sc *spanComputer) exists(cs *chunkState, t int64) (bool, error) {
-	if err := sc.op.ensureTimes(cs); err != nil {
+	if err := sc.op.ensureTimes(cs, &sc.deltas); err != nil {
 		return false, err
 	}
 	sc.local.IndexProbes++
@@ -175,7 +177,7 @@ func (sc *spanComputer) chunkFailed(v *view, err error) error {
 // materialize loads the chunk and recalculates the view's metadata under
 // the span, deletes and known overwrites (Table 1 case c).
 func (sc *spanComputer) materialize(v *view) error {
-	s, err := sc.op.summarize(v.assignment, sc.span, v.excluded)
+	s, err := sc.op.summarize(v.assignment, sc.span, v.excluded, &sc.deltas)
 	if err != nil {
 		return err
 	}
@@ -194,11 +196,11 @@ func (sc *spanComputer) materialize(v *view) error {
 // shared summary, scanned once per (chunk, range) per query by whichever
 // task gets there first; a view's overwrite exclusions are its own task's
 // business, so with any the range is scanned afresh and nothing is shared.
-func (op *operator) summarize(a *assignment, r series.TimeRange, excluded []int64) (summary, error) {
+func (op *operator) summarize(a *assignment, r series.TimeRange, excluded []int64, scratch *[]int64) (summary, error) {
 	cs := a.cs
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if err := op.ensureDataLocked(cs); err != nil {
+	if err := op.ensureDataLocked(cs, scratch); err != nil {
 		return summary{}, err
 	}
 	if len(excluded) > 0 {

@@ -253,13 +253,33 @@ func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, e
 	return outs, nil
 }
 
-// ExecuteContext runs a parsed statement under a context (cancellation
-// aborts the operator's worker pool and returns ctx.Err()) and tabulates the
-// executor's typed outputs: single-series statements keep the flat Rows
-// shape, multi-series ones get one Series block each, decided by the
-// statement (stmt.Multi), not by how many series a wildcard matched.
-// Elapsed covers the whole read — snapshots included.
-func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
+// Outcome is an executed statement before tabulation: the executor's typed
+// per-series outputs and the statement-level facts every surface reports.
+// A surface that draws points (the server's /render) reads Outputs
+// directly; Result tabulates rows for the others.
+type Outcome struct {
+	Outputs  []SeriesOutput
+	Operator string
+	// Elapsed covers the whole read, snapshots included.
+	Elapsed time.Duration
+	// Stats sums every series' cost counters.
+	Stats storage.Stats
+	// Warnings lists every degradation; a multi-series statement prefixes
+	// each with its series. Non-empty means Partial.
+	Warnings []string
+	Partial  bool
+	// Trace is the finished execution trace, when the statement had a
+	// TRACE clause or the context carried an armed trace.
+	Trace *obs.Snapshot
+
+	stmt Statement
+}
+
+// Exec runs a parsed statement under a context (cancellation aborts the
+// operator's worker pool and returns ctx.Err()) through Read, and computes
+// the statement-level facts. A single-series statement must resolve to
+// exactly one series.
+func Exec(ctx context.Context, e *lsm.Engine, stmt Statement) (*Outcome, error) {
 	tr := obs.TraceOf(ctx)
 	if tr == nil && stmt.Trace {
 		ctx, tr = obs.WithTrace(ctx)
@@ -269,10 +289,50 @@ func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result
 	if err != nil {
 		return nil, err
 	}
+	o := &Outcome{Outputs: outs, Operator: stmt.Operator.String(), Elapsed: time.Since(start), stmt: stmt}
+	if !stmt.Multi() && len(outs) != 1 {
+		return nil, fmt.Errorf("m4ql: statement names no series")
+	}
+	for _, out := range outs {
+		o.Stats.Add(out.Stats)
+		if !stmt.Multi() {
+			o.Warnings = out.Warnings
+			continue
+		}
+		for _, w := range out.Warnings {
+			o.Warnings = append(o.Warnings, fmt.Sprintf("series %s: %s", out.SeriesID, w))
+		}
+	}
+	o.Partial = len(o.Warnings) > 0
+	if tr != nil {
+		tr.Warn(o.Warnings...)
+		o.Trace = tr.Finish()
+	}
+	return o, nil
+}
+
+// ExecuteContext is Exec followed by Result.
+func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
+	o, err := Exec(ctx, e, stmt)
+	if err != nil {
+		return nil, err
+	}
+	return o.Result(), nil
+}
+
+// Result tabulates the outcome: single-series statements keep the flat Rows
+// shape, multi-series ones get one Series block each, decided by the
+// statement (stmt.Multi), not by how many series a wildcard matched.
+func (o *Outcome) Result() *Result {
+	stmt := o.stmt
 	res := &Result{
-		Operator:  stmt.Operator.String(),
-		Elapsed:   time.Since(start),
+		Operator:  o.Operator,
+		Elapsed:   o.Elapsed,
+		Stats:     o.Stats,
 		SpanCount: stmt.Query.W,
+		Partial:   o.Partial,
+		Warnings:  o.Warnings,
+		Trace:     o.Trace,
 	}
 	switch {
 	case stmt.Represent != nil:
@@ -286,28 +346,16 @@ func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result
 	default:
 		res.Columns = append([]string{"span"}, columnStrings(stmt.Columns)...)
 	}
-	if stmt.Multi() {
-		res.Series = make([]SeriesResult, len(outs))
-		for i, o := range outs {
-			res.Series[i] = SeriesResult{SeriesID: o.SeriesID, Rows: rows(stmt, o), Stats: o.Stats,
-				Partial: len(o.Warnings) > 0, Warnings: o.Warnings}
-			res.Stats.Add(o.Stats)
-			for _, w := range o.Warnings {
-				res.Warnings = append(res.Warnings, fmt.Sprintf("series %s: %s", o.SeriesID, w))
-			}
-		}
-	} else {
-		if len(outs) != 1 {
-			return nil, fmt.Errorf("m4ql: statement names no series")
-		}
-		res.Rows, res.Stats, res.Warnings = rows(stmt, outs[0]), outs[0].Stats, outs[0].Warnings
+	if !stmt.Multi() {
+		res.Rows = rows(stmt, o.Outputs[0])
+		return res
 	}
-	res.Partial = len(res.Warnings) > 0
-	if tr != nil {
-		tr.Warn(res.Warnings...)
-		res.Trace = tr.Finish()
+	res.Series = make([]SeriesResult, len(o.Outputs))
+	for i, out := range o.Outputs {
+		res.Series[i] = SeriesResult{SeriesID: out.SeriesID, Rows: rows(stmt, out), Stats: out.Stats,
+			Partial: len(out.Warnings) > 0, Warnings: out.Warnings}
 	}
-	return res, nil
+	return res
 }
 
 // rows tabulates one series' output in the statement's form: (time, value)
@@ -350,14 +398,21 @@ func Run(e *lsm.Engine, query string) (*Result, error) {
 
 // RunContext is Run under a context.
 func RunContext(ctx context.Context, e *lsm.Engine, query string) (*Result, error) {
-	stmt, err := Parse(query)
+	stmt, err := ParseQuery(query)
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Explain {
-		return nil, fmt.Errorf("m4ql: EXPLAIN is not a query; run it through RunAny")
-	}
 	return ExecuteContext(ctx, e, stmt)
+}
+
+// ParseQuery parses a statement that answers with rows: EXPLAIN, which
+// answers with a plan, is refused (RunAny runs it).
+func ParseQuery(query string) (Statement, error) {
+	stmt, err := Parse(query)
+	if err == nil && stmt.Explain {
+		err = fmt.Errorf("m4ql: EXPLAIN is not a query; run it through RunAny")
+	}
+	return stmt, err
 }
 
 // Explain executes the statement and renders the physical plan with its

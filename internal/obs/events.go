@@ -9,11 +9,10 @@ import (
 	"time"
 )
 
-// Event is one wide query-log record: everything worth knowing about a
-// single /query or /render request in one flat structure, so "why was this
-// request slow" is answered by one grep of the JSONL file (by request id,
-// linkable from the slow-query log) instead of a join across metrics,
-// traces and access logs.
+// Event is one wide request-log record: everything worth knowing about a
+// single /query, /render or /write request in one flat structure, so "why
+// was this request slow" is answered by one grep of the JSONL file (by
+// request id) instead of a join across metrics, traces and access logs.
 type Event struct {
 	When      time.Time `json:"when"`
 	RequestID string    `json:"requestId,omitempty"`
@@ -57,10 +56,12 @@ type Event struct {
 
 // EventLog is the bounded asynchronous writer behind the wide-event log.
 // Record never blocks: events go into a fixed-capacity channel drained by
-// one writer goroutine that appends JSONL to an optional file and keeps the
-// most recent events in a ring for /debug/events. When the channel is full
-// the event is dropped and counted — an overloaded query path must never
-// stall on its own telemetry.
+// one writer goroutine that appends JSONL to an optional file and keeps two
+// tails: the most recent events (/debug/events) and the most recent ones
+// at or above the slow threshold (/debug/slowlog). The second tail is its
+// own ring, so a burst of fast requests cannot push a slow one out of it.
+// When the channel is full the event is dropped and counted — an
+// overloaded request path must never stall on its own telemetry.
 //
 // The nil *EventLog discards everything, so wiring is optional.
 type EventLog struct {
@@ -70,11 +71,11 @@ type EventLog struct {
 
 	file *os.File // nil: memory-only
 	log  *slog.Logger
+	slow time.Duration // minimum ElapsedNs filed into the slow tail
 
 	mu     sync.Mutex
-	ring   []Event
-	next   int
-	filled bool
+	recent ring
+	slowed ring
 
 	recorded   atomic.Int64
 	written    atomic.Int64
@@ -84,12 +85,47 @@ type EventLog struct {
 	closedFile error
 }
 
+// ring is a fixed-capacity tail of events, overwriting the oldest when
+// full. The EventLog's mutex guards it.
+type ring struct {
+	buf    []Event
+	next   int
+	filled bool
+}
+
+func (r *ring) add(e Event) {
+	r.buf[r.next] = e
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.filled = true
+	}
+}
+
+// newestFirst copies the tail out, most recent event first.
+func (r *ring) newestFirst() []Event {
+	n := r.next
+	if r.filled {
+		n = len(r.buf)
+	}
+	out := make([]Event, 0, n)
+	for i := 0; i < n; i++ {
+		pos := r.next - 1 - i
+		if pos < 0 {
+			pos += len(r.buf)
+		}
+		out = append(out, r.buf[pos])
+	}
+	return out
+}
+
 // NewEventLog builds the log. path names the JSONL file to append to
 // ("" keeps events in memory only); buffer is the channel capacity
-// (default 256); ringCap bounds the in-memory tail served by
-// /debug/events (default 256). The file is opened append-only so several
-// server incarnations interleave whole lines, never torn ones.
-func NewEventLog(path string, buffer, ringCap int, logger *slog.Logger) (*EventLog, error) {
+// (default 256); ringCap bounds each in-memory tail (default 256); events
+// with ElapsedNs of at least slow also enter the slow tail (0 files every
+// event there). The file is opened append-only so several server
+// incarnations interleave whole lines, never torn ones.
+func NewEventLog(path string, buffer, ringCap int, slow time.Duration, logger *slog.Logger) (*EventLog, error) {
 	if buffer <= 0 {
 		buffer = 256
 	}
@@ -100,11 +136,13 @@ func NewEventLog(path string, buffer, ringCap int, logger *slog.Logger) (*EventL
 		logger = slog.Default()
 	}
 	l := &EventLog{
-		ch:   make(chan Event, buffer),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
-		ring: make([]Event, ringCap),
-		log:  logger,
+		ch:     make(chan Event, buffer),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
+		log:    logger,
+		slow:   slow,
+		recent: ring{buf: make([]Event, ringCap)},
+		slowed: ring{buf: make([]Event, ringCap)},
 	}
 	if path != "" {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -132,7 +170,7 @@ func (l *EventLog) Record(e Event) {
 	}
 }
 
-// run is the single writer goroutine: it drains the channel into the ring
+// run is the single writer goroutine: it drains the channel into the tails
 // and the file, and on Close drains whatever is still buffered before
 // exiting.
 func (l *EventLog) run() {
@@ -143,11 +181,9 @@ func (l *EventLog) run() {
 	}
 	write := func(e Event) {
 		l.mu.Lock()
-		l.ring[l.next] = e
-		l.next++
-		if l.next == len(l.ring) {
-			l.next = 0
-			l.filled = true
+		l.recent.add(e)
+		if e.ElapsedNs >= l.slow.Nanoseconds() {
+			l.slowed.add(e)
 		}
 		l.mu.Unlock()
 		if enc != nil {
@@ -177,27 +213,33 @@ func (l *EventLog) run() {
 	}
 }
 
-// Recent returns the buffered tail of the log, newest first. Nil returns
-// nil.
+// Recent returns the tail of the log, newest first. Nil returns nil.
 func (l *EventLog) Recent() []Event {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.next
-	if l.filled {
-		n = len(l.ring)
+	return l.recent.newestFirst()
+}
+
+// Slow returns the slow tail: the most recent events at or above the slow
+// threshold, newest first. Nil returns nil.
+func (l *EventLog) Slow() []Event {
+	if l == nil {
+		return nil
 	}
-	out := make([]Event, 0, n)
-	for i := 0; i < n; i++ {
-		pos := l.next - 1 - i
-		if pos < 0 {
-			pos += len(l.ring)
-		}
-		out = append(out, l.ring[pos])
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.slowed.newestFirst()
+}
+
+// SlowThreshold returns the minimum latency filed into the slow tail.
+func (l *EventLog) SlowThreshold() time.Duration {
+	if l == nil {
+		return 0
 	}
-	return out
+	return l.slow
 }
 
 // Recorded returns how many events Record accepted (including later drops).
@@ -208,7 +250,7 @@ func (l *EventLog) Recorded() int64 {
 	return l.recorded.Load()
 }
 
-// Written returns how many events reached the ring (and file, when set).
+// Written returns how many events reached the tails (and file, when set).
 func (l *EventLog) Written() int64 {
 	if l == nil {
 		return 0

@@ -6,13 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestEventLogRecordCloseDrain(t *testing.T) {
-	l, err := NewEventLog("", 64, 64, nil)
+	l, err := NewEventLog("", 64, 64, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestEventLogBoundedNeverBlocks(t *testing.T) {
 	// capacity and every further Record must take the drop path — a
 	// deterministic probe of the bound (the send path is the same one a slow
 	// disk would exercise).
-	l, err := NewEventLog("", 4, 4, nil)
+	l, err := NewEventLog("", 4, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,31 +82,59 @@ func TestEventLogBoundedNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestEventLogRingWraps drives both tails through the same ring: each
+// input records its events, closes the log, and reads one tail newest
+// first. The slow inputs file only events at or above the threshold, and
+// fast events recorded after a slow one never push it out of its tail.
 func TestEventLogRingWraps(t *testing.T) {
-	l, err := NewEventLog("", 64, 4, nil)
-	if err != nil {
-		t.Fatal(err)
+	ms := func(n int) int64 { return int64(n) * int64(time.Millisecond) }
+	cases := []struct {
+		name     string
+		ringCap  int
+		slow     time.Duration
+		elapsed  []int64 // recorded in order; each event's Statement is its index
+		slowTail bool
+		want     []string // the tail's statements, newest first
+	}{
+		{"recent wraps", 4, 0, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, false, []string{"9", "8", "7", "6"}},
+		{"recent partial fill", 8, 0, []int64{0, 0}, false, []string{"1", "0"}},
+		// A fast event below the threshold, then five slow ones into a
+		// slow tail of three.
+		{"slow wraps", 3, 10 * time.Millisecond, []int64{ms(1), ms(20), ms(20), ms(20), ms(20), ms(20)}, true, []string{"5", "4", "3"}},
+		{"slow partial fill", 8, 0, []int64{0, 0}, true, []string{"1", "0"}},
+		{"slow survives fast burst", 4, 10 * time.Millisecond,
+			[]int64{ms(1), ms(50), ms(1), ms(1), ms(1), ms(1), ms(1), ms(1)}, true, []string{"1"}},
 	}
-	for i := 0; i < 10; i++ {
-		l.Record(Event{ElapsedNs: int64(i)})
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recent := l.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("Recent returned %d events, want ring cap 4", len(recent))
-	}
-	for i, e := range recent {
-		if want := int64(9 - i); e.ElapsedNs != want {
-			t.Errorf("Recent[%d].ElapsedNs = %d, want %d", i, e.ElapsedNs, want)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l, err := NewEventLog("", 64, c.ringCap, c.slow, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ns := range c.elapsed {
+				l.Record(Event{Statement: strconv.Itoa(i), ElapsedNs: ns})
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tail := l.Recent()
+			if c.slowTail {
+				tail = l.Slow()
+			}
+			var got []string
+			for _, e := range tail {
+				got = append(got, e.Statement)
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("tail = %v, want %v", got, c.want)
+			}
+		})
 	}
 }
 
 func TestEventLogJSONLFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
-	l, err := NewEventLog(path, 16, 16, nil)
+	l, err := NewEventLog(path, 16, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +180,7 @@ func TestEventLogJSONLFile(t *testing.T) {
 	}
 
 	// Reopening appends whole lines after the existing ones.
-	l2, err := NewEventLog(path, 16, 16, nil)
+	l2, err := NewEventLog(path, 16, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +206,7 @@ func TestEventLogJSONLFile(t *testing.T) {
 func TestEventLogNil(t *testing.T) {
 	var l *EventLog
 	l.Record(Event{})
-	if l.Recent() != nil || l.Recorded() != 0 || l.Written() != 0 || l.Dropped() != 0 || l.WriteErrors() != 0 {
+	if l.Recent() != nil || l.Slow() != nil || l.SlowThreshold() != 0 || l.Recorded() != 0 || l.Written() != 0 || l.Dropped() != 0 || l.WriteErrors() != 0 {
 		t.Error("nil EventLog not inert")
 	}
 	if err := l.Close(); err != nil {
@@ -185,7 +215,7 @@ func TestEventLogNil(t *testing.T) {
 }
 
 func TestEventLogConcurrentRecord(t *testing.T) {
-	l, err := NewEventLog("", 1024, 1024, nil)
+	l, err := NewEventLog("", 1024, 1024, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +245,7 @@ func TestEventLogConcurrentRecord(t *testing.T) {
 func TestEventLogGoroutineShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		l, err := NewEventLog("", 8, 8, nil)
+		l, err := NewEventLog("", 8, 8, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,12 +111,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.Finish() != nil || tr.ID() != "" {
 		t.Error("nil trace not inert")
 	}
-
-	var sl *SlowLog
-	sl.Record(SlowEntry{ElapsedNs: 1})
-	if sl.Entries() != nil {
-		t.Error("nil slowlog not inert")
-	}
 }
 
 func TestRegistryConcurrency(t *testing.T) {
@@ -187,33 +181,5 @@ func TestTrace(t *testing.T) {
 	}
 	if snap.Counters["chunksLoaded"] != 9 || len(snap.Warnings) != 1 {
 		t.Errorf("counters/warnings: %+v", snap)
-	}
-}
-
-func TestSlowLogRing(t *testing.T) {
-	sl := NewSlowLog(10*time.Millisecond, 3)
-	sl.Record(SlowEntry{Query: "fast", ElapsedNs: int64(time.Millisecond)}) // below threshold
-	for i := 0; i < 5; i++ {
-		sl.Record(SlowEntry{Query: string(rune('a' + i)), ElapsedNs: int64(20 * time.Millisecond)})
-	}
-	got := sl.Entries()
-	if len(got) != 3 {
-		t.Fatalf("entries = %d", len(got))
-	}
-	// Newest first: e, d, c survive (a, b overwritten).
-	for i, want := range []string{"e", "d", "c"} {
-		if got[i].Query != want {
-			t.Errorf("entry %d = %q, want %q", i, got[i].Query, want)
-		}
-	}
-}
-
-func TestSlowLogPartialFill(t *testing.T) {
-	sl := NewSlowLog(0, 8)
-	sl.Record(SlowEntry{Query: "one"})
-	sl.Record(SlowEntry{Query: "two"})
-	got := sl.Entries()
-	if len(got) != 2 || got[0].Query != "two" || got[1].Query != "one" {
-		t.Errorf("entries = %+v", got)
 	}
 }

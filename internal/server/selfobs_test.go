@@ -221,10 +221,17 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	if reqID == "" {
 		t.Fatal("no request id header")
 	}
-	// Bad statement and render events too.
+	// Bad statement and render events too, and a traced render.
 	getJSON(t, srv.URL+"/query?q=BOGUS", nil)
 	traffic(t, srv.URL, 1)
-	waitRecordedSettles(t, h, 4) // traced query + bogus + one traffic query/render pair; /debug fetches are not evented
+	resp, err = http.Get(srv.URL + "/render?series=root.s1&tqs=0&tqe=5000&w=50&h=20&trace=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	renderID := resp.Header.Get("X-Request-ID")
+	resp.Body.Close()
+	waitRecordedSettles(t, h, 5) // traced query + bogus + one traffic query/render pair + traced render; /debug fetches are not evented
 
 	var body struct {
 		Recorded int64       `json:"recorded"`
@@ -235,8 +242,8 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/debug/events", &body); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if body.Recorded != 4 || body.Dropped != 0 {
-		t.Errorf("recorded=%d dropped=%d, want 4/0", body.Recorded, body.Dropped)
+	if body.Recorded != 5 || body.Dropped != 0 {
+		t.Errorf("recorded=%d dropped=%d, want 5/0", body.Recorded, body.Dropped)
 	}
 	byID := map[string]obs.Event{}
 	var badStatement obs.Event
@@ -263,10 +270,13 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	if badStatement.Error == "" {
 		t.Errorf("400 event carries no error: %+v", badStatement)
 	}
+	if rev := byID[renderID]; rev.Endpoint != "/render" || rev.Status != 200 || rev.TraceID == "" || len(rev.Phases) == 0 {
+		t.Errorf("traced render event missing its trace: %+v", rev)
+	}
 
 	// The slow-query log links to the same request id.
 	var slow struct {
-		Entries []obs.SlowEntry `json:"entries"`
+		Entries []obs.Event `json:"entries"`
 	}
 	getJSON(t, srv.URL+"/debug/slowlog", &slow)
 	for _, se := range slow.Entries {

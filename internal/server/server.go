@@ -1,8 +1,12 @@
 // Package server exposes the database over HTTP: m4ql queries as JSON, a
 // PNG line-chart renderer backed by the M4 operator (what a dashboard
-// would call), and introspection endpoints — health, metrics (Prometheus
-// text and JSON), and a slow-query log. cmd/m4server wires it to a
-// database directory.
+// would call), ingestion, and introspection endpoints — health, metrics
+// (Prometheus text and JSON), the wide-event tail and the slow log.
+// cmd/m4server wires it to a database directory.
+//
+// /query and /render are one pipeline: each turns its request into an
+// m4ql.Statement, and serve runs it, maps its errors, fills the wide event
+// and hands the outcome to the endpoint's encoder (JSON rows or a PNG).
 package server
 
 import (
@@ -12,23 +16,17 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"time"
 
 	"m4lsm/internal/buildinfo"
 	"m4lsm/internal/govern"
 	"m4lsm/internal/lsm"
-	"m4lsm/internal/m4"
 	"m4lsm/internal/m4ql"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/obs/history"
-	"m4lsm/internal/reprops"
-	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
-	"m4lsm/internal/viz"
 )
 
 // Config tunes the handler's observability plumbing; the zero value is
@@ -36,11 +34,10 @@ import (
 type Config struct {
 	// Logger receives request and error logs; nil uses slog.Default().
 	Logger *slog.Logger
-	// SlowQueryThreshold is the minimum /query latency recorded in the
-	// slow-query log (default 100ms; negative records every query).
+	// SlowQueryThreshold is the minimum request latency recorded in the
+	// slow log, for every evented endpoint (default 100ms; negative records
+	// every request).
 	SlowQueryThreshold time.Duration
-	// SlowLogCapacity bounds the slow-query ring buffer (default 128).
-	SlowLogCapacity int
 
 	// QuerySlots bounds concurrently executing query-class requests
 	// (/query and /render; health and metrics endpoints are never gated).
@@ -85,9 +82,9 @@ type Config struct {
 	// controlled clock.
 	SelfMetricsInterval time.Duration
 
-	// EventLogPath, when set, appends one JSONL wide event per /query and
-	// /render request to this file. The in-memory tail behind /debug/events
-	// is kept either way.
+	// EventLogPath, when set, appends one JSONL wide event per /query,
+	// /render and /write request to this file. The in-memory tails behind
+	// /debug/events and /debug/slowlog are kept either way.
 	EventLogPath string
 	// EventLogBuffer is the bounded async event channel capacity (default
 	// 256); a full buffer drops events and counts them, never blocking the
@@ -97,19 +94,18 @@ type Config struct {
 
 // Handler serves the HTTP API for one engine.
 type Handler struct {
-	engine  *lsm.Engine
-	mux     *http.ServeMux
-	reg     *obs.Registry
-	slowLog *obs.SlowLog
-	log     *slog.Logger
-	start   time.Time
+	engine *lsm.Engine
+	mux    *http.ServeMux
+	reg    *obs.Registry
+	log    *slog.Logger
+	start  time.Time
 
 	gate      *govern.Gate  // query-class admission; nil: off
 	writeGate *govern.Gate  // /write admission; nil: off
 	limits    govern.Limits // default per-query budget (zero: unbudgeted)
 	maxBody   int64
 
-	events  *obs.EventLog    // wide-event query log (always on)
+	events  *obs.EventLog    // wide-event request log and slow tail (always on)
 	sampler *history.Sampler // nil: self-metrics off
 
 	renderPartial *obs.Counter
@@ -127,27 +123,12 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	threshold := cfg.SlowQueryThreshold
-	if threshold == 0 {
-		threshold = 100 * time.Millisecond
-	} else if threshold < 0 {
-		threshold = 0
-	}
+	threshold := orDefault(cfg.SlowQueryThreshold, 100*time.Millisecond)
+	wait := orDefault(cfg.QueryQueueWait, time.Second)
+	writeWait := orDefault(cfg.WriteQueueWait, time.Second)
 	reg := e.Metrics()
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	wait := cfg.QueryQueueWait
-	if wait == 0 {
-		wait = time.Second
-	} else if wait < 0 {
-		wait = 0
-	}
-	writeWait := cfg.WriteQueueWait
-	if writeWait == 0 {
-		writeWait = time.Second
-	} else if writeWait < 0 {
-		writeWait = 0
 	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody <= 0 {
@@ -157,7 +138,6 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 		engine:        e,
 		mux:           http.NewServeMux(),
 		reg:           reg,
-		slowLog:       obs.NewSlowLog(threshold, cfg.SlowLogCapacity),
 		log:           logger,
 		start:         time.Now(),
 		gate:          govern.NewGate(cfg.QuerySlots, cfg.QueryQueueDepth, wait),
@@ -174,13 +154,13 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 	reg.GaugeFunc("http_write_waiting", func() float64 { return float64(h.writeGate.Waiting()) })
 	buildinfo.Register(reg)
 
-	events, err := obs.NewEventLog(cfg.EventLogPath, cfg.EventLogBuffer, cfg.EventLogBuffer, logger)
+	events, err := obs.NewEventLog(cfg.EventLogPath, cfg.EventLogBuffer, cfg.EventLogBuffer, threshold, logger)
 	if err != nil {
 		// The event file is telemetry, not correctness: a bad path degrades
 		// to the in-memory tail instead of refusing to serve.
 		logger.Warn("event log file unavailable, keeping events in memory only",
 			"path", cfg.EventLogPath, "err", err)
-		events, _ = obs.NewEventLog("", cfg.EventLogBuffer, cfg.EventLogBuffer, logger)
+		events, _ = obs.NewEventLog("", cfg.EventLogBuffer, cfg.EventLogBuffer, threshold, logger)
 	}
 	h.events = events
 	reg.CounterFunc("events_recorded_total", func() float64 { return float64(h.events.Recorded()) })
@@ -214,6 +194,14 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 	h.handle("/admin/backup", h.adminBackup)
 	h.handle("/admin/scrub", h.adminScrub)
 	return h
+}
+
+// orDefault reads a duration knob: 0 means def, negative means none (0).
+func orDefault(d, def time.Duration) time.Duration {
+	if d == 0 {
+		return def
+	}
+	return max(d, 0)
 }
 
 // Close stops the handler's background machinery: the self-metrics sampler
@@ -253,24 +241,20 @@ func (h *Handler) admitted(gate *govern.Gate, fn http.HandlerFunc) http.HandlerF
 			// Rejected before the endpoint ran: the endpoint cannot emit its
 			// wide event, so the gate does — every query-class request
 			// produces exactly one event, shed or served.
-			ev := obs.Event{When: time.Now(), Endpoint: r.URL.Path,
+			ev := obs.Event{When: time.Now(), Endpoint: r.URL.Path, Status: http.StatusServiceUnavailable,
 				RequestID: w.Header().Get("X-Request-ID"), Error: err.Error()}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				ev.Status = http.StatusServiceUnavailable
-				h.events.Record(ev)
-				httpError(w, http.StatusServiceUnavailable, err)
-				return
+			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+				retry := time.Second
+				var oe *govern.OverloadError
+				if errors.As(err, &oe) {
+					retry = oe.RetryAfter
+				}
+				w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
+				w.Header().Set("X-M4-Error", "overloaded")
+				ev.Status = http.StatusTooManyRequests
 			}
-			retry := time.Second
-			var oe *govern.OverloadError
-			if errors.As(err, &oe) {
-				retry = oe.RetryAfter
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-			w.Header().Set("X-M4-Error", "overloaded")
-			ev.Status = http.StatusTooManyRequests
 			h.events.Record(ev)
-			httpError(w, http.StatusTooManyRequests, err)
+			httpError(w, ev.Status, err)
 			return
 		}
 		defer release()
@@ -280,7 +264,7 @@ func (h *Handler) admitted(gate *govern.Gate, fn http.HandlerFunc) http.HandlerF
 
 // mapQueryError classifies operator and engine errors that deserve a
 // specific status code and X-M4-Error header; (0, "") leaves the decision
-// to the endpoint (400 for /query parse errors, 500 for /render internals).
+// to the endpoint (serve's fallback: 400 for /query, 500 for /render).
 func mapQueryError(err error) (code int, kind string) {
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -307,12 +291,6 @@ func writeMappedError(w http.ResponseWriter, code int, kind string, err error) {
 	}
 	httpError(w, code, err)
 }
-
-// Metrics returns the registry the handler reports into.
-func (h *Handler) Metrics() *obs.Registry { return h.reg }
-
-// SlowLog returns the slow-query ring buffer.
-func (h *Handler) SlowLog() *obs.SlowLog { return h.slowLog }
 
 // statusWriter records the response status for metrics and logs.
 type statusWriter struct {
@@ -386,162 +364,9 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	}
 }
 
-func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
-	info := h.engine.Info()
-	status := "ok"
-	if info.BadFiles > 0 || info.QuarantinedChunks > 0 || info.WALQuarantinedSegments > 0 {
-		status = "degraded"
-	}
-	if info.ReadOnly {
-		// Disk-full degradation outranks quarantine noise: writes are
-		// refused until the engine's space probe sees room again.
-		status = "read-only"
-	}
-	version, revision := buildinfo.Info()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status":            status,
-		"files":             info.Files,
-		"chunks":            info.Chunks,
-		"badFiles":          info.BadFiles,
-		"quarantinedChunks": info.QuarantinedChunks,
-		"readOnly":          info.ReadOnly,
-		"readOnlyReason":    info.ReadOnlyReason,
-		"uptimeSeconds":     time.Since(h.start).Seconds(),
-		"goVersion":         runtime.Version(),
-		"goroutines":        runtime.NumGoroutine(),
-		"version":           version,
-		"revision":          revision,
-		"wal": map[string]interface{}{
-			"segments":            info.WALSegments,
-			"bytes":               info.WALBytes,
-			"retiredSegments":     info.WALRetiredSegments,
-			"retiredBytes":        info.WALRetiredBytes,
-			"tornTruncations":     info.WALTornTruncations,
-			"quarantinedSegments": info.WALQuarantinedSegments,
-			"warnings":            info.WALWarnings,
-		},
-		"scrub": map[string]interface{}{
-			"runs":          info.ScrubRuns,
-			"chunksScanned": info.ScrubChunksScanned,
-			"quarantines":   info.ScrubQuarantines,
-			"errors":        info.ScrubErrors,
-		},
-		"backup": map[string]interface{}{
-			"runs":     info.BackupRuns,
-			"lastUnix": info.LastBackupUnix,
-		},
-	})
-}
-
-// adminBackup takes an online backup into the directory named by the dir
-// query parameter (a path on the server's filesystem). POST only: a backup
-// writes outside the database directory.
-func (h *Handler) adminBackup(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	dir := r.URL.Query().Get("dir")
-	if dir == "" {
-		httpError(w, http.StatusBadRequest, errors.New("dir parameter required"))
-		return
-	}
-	man, err := h.engine.Backup(dir)
-	if err != nil {
-		if code, kind := mapQueryError(err); code != 0 {
-			writeMappedError(w, code, kind, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"dir":      dir,
-		"manifest": man,
-	})
-}
-
-// adminScrub runs one on-demand integrity pass. Optional query parameters:
-// heal=true compacts quarantined chunks away, maxChunks bounds the pass's
-// I/O (the next pass resumes at the cursor).
-func (h *Handler) adminScrub(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
-	var opts lsm.ScrubOptions
-	q := r.URL.Query()
-	opts.Heal = q.Get("heal") == "true"
-	if v := q.Get("maxChunks"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad maxChunks %q", v))
-			return
-		}
-		opts.Limits.MaxChunks = n
-	}
-	rep, err := h.engine.Scrub(opts)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (h *Handler) series(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, h.engine.SeriesIDs())
-}
-
-// metrics renders the registry in the Prometheus text exposition format.
-func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := h.reg.WritePrometheus(w); err != nil {
-		slog.Default().Warn("m4server: write metrics", "err", err)
-	}
-}
-
-// varz renders the registry as JSON for humans and scripts.
-func (h *Handler) varz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, h.reg.Snapshot())
-}
-
-// slowlog renders the slow-query ring buffer, newest first. The header
-// carries the estimated p50/p95/p99 of the /query latency histogram so an
-// operator sees "slow relative to what" next to the outliers; entries link
-// into /debug/events by request id.
-func (h *Handler) slowlog(w http.ResponseWriter, _ *http.Request) {
-	qs := h.reg.Histogram("http_request_seconds", "endpoint", "/query").Quantiles(0.50, 0.95, 0.99)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"thresholdNs": h.slowLog.Threshold().Nanoseconds(),
-		"latencySeconds": map[string]float64{
-			"p50": qs[0], "p95": qs[1], "p99": qs[2],
-		},
-		"entries": h.slowLog.Entries(),
-	})
-}
-
-// debugEvents renders the in-memory tail of the wide-event query log,
-// newest first, with the writer's accounting (a non-zero dropped count
-// means the JSONL file has holes — the buffer is bounded by design).
-func (h *Handler) debugEvents(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"recorded": h.events.Recorded(),
-		"written":  h.events.Written(),
-		"dropped":  h.events.Dropped(),
-		"events":   h.events.Recent(),
-	})
-}
-
-// query executes an m4ql statement. The statement comes from the "q" URL
-// parameter (GET) or a JSON body {"query": "..."} (POST). ?trace=1 (or a
-// TRACE clause in the statement) attaches a structured execution trace to
-// the result. The request context cancels the query when the client
-// disconnects; every execution is considered for the slow-query log.
 // finishEvent stamps the response status and elapsed time onto a wide
-// event and records it; deferred by the query-class endpoints so exactly
-// one event leaves per request, whatever path the handler took.
+// event and records it; deferred by the evented endpoints so exactly one
+// event leaves per request, whatever path the handler took.
 func (h *Handler) finishEvent(w http.ResponseWriter, ev *obs.Event) {
 	ev.ElapsedNs = time.Since(ev.When).Nanoseconds()
 	if sw, ok := w.(*statusWriter); ok {
@@ -563,6 +388,47 @@ func eventStats(ev *obs.Event, s storage.Stats) {
 	ev.PyramidFallbackSpans = s.PyramidFallbackSpans
 }
 
+// serve is the query-class pipeline after an endpoint has turned its
+// request into a statement: ?trace= ("1", "true", ...) arms a trace, the
+// statement runs through the one read path, an execution error is mapped
+// to its status (fallback when mapQueryError has none), and the wide event
+// gets the operator, partial flag, warnings, cost counters and trace.
+// encode then writes the answer.
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, ev *obs.Event, stmt m4ql.Statement,
+	fallback int, encode func(http.ResponseWriter, *m4ql.Outcome)) {
+	ctx := r.Context()
+	if on, err := strconv.ParseBool(r.URL.Query().Get("trace")); err == nil && on {
+		ctx, _ = obs.WithTrace(ctx)
+	}
+	out, err := m4ql.Exec(ctx, h.engine, stmt)
+	if err != nil {
+		ev.Error = err.Error()
+		if code, kind := mapQueryError(err); code != 0 {
+			writeMappedError(w, code, kind, err)
+			return
+		}
+		httpError(w, fallback, err)
+		return
+	}
+	ev.Operator = out.Operator
+	ev.Partial = out.Partial
+	ev.Warnings = len(out.Warnings)
+	eventStats(ev, out.Stats)
+	if out.Trace != nil {
+		ev.TraceID = out.Trace.ID
+		ev.Phases = out.Trace.Phases
+	}
+	if out.Partial {
+		obs.Logger(ctx).Warn("partial result", "warnings", len(out.Warnings))
+	}
+	encode(w, out)
+}
+
+// query executes an m4ql statement. The statement comes from the "q" URL
+// parameter (GET) or a JSON body {"query": "..."} (POST). ?trace=1 (or a
+// TRACE clause in the statement) attaches a structured execution trace to
+// the result. The request context cancels the query when the client
+// disconnects. An execution error no status is mapped to answers 400.
 func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 	ev := &obs.Event{When: time.Now(), Endpoint: "/query", RequestID: w.Header().Get("X-Request-ID")}
 	defer h.finishEvent(w, ev)
@@ -594,206 +460,15 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ev.Statement = q
-	ctx := r.Context()
-	if traceOn(r.URL.Query().Get("trace")) {
-		ctx, _ = obs.WithTrace(ctx)
-	}
-	start := time.Now()
-	res, err := m4ql.RunContext(ctx, h.engine, q)
-	elapsed := time.Since(start)
-	entry := obs.SlowEntry{
-		When:      start,
-		RequestID: w.Header().Get("X-Request-ID"),
-		Query:     q,
-		ElapsedNs: elapsed.Nanoseconds(),
-	}
-	if err != nil {
-		entry.Error = err.Error()
-		ev.Error = err.Error()
-		if code, kind := mapQueryError(err); code != 0 {
-			entry.Status = code
-			h.slowLog.Record(entry)
-			writeMappedError(w, code, kind, err)
-			return
-		}
-		entry.Status = http.StatusBadRequest
-		h.slowLog.Record(entry)
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	entry.Status = http.StatusOK
-	entry.Partial = res.Partial
-	h.slowLog.Record(entry)
-	ev.Operator = res.Operator
-	ev.Partial = res.Partial
-	ev.Warnings = len(res.Warnings)
-	eventStats(ev, res.Stats)
-	if res.Trace != nil {
-		ev.TraceID = res.Trace.ID
-		ev.Phases = res.Trace.Phases
-	}
-	if res.Partial {
-		obs.Logger(ctx).Warn("partial query result", "warnings", len(res.Warnings))
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// traceOn interprets the ?trace= parameter ("1", "true", ... arm tracing).
-func traceOn(v string) bool {
-	on, err := strconv.ParseBool(v)
-	return err == nil && on
-}
-
-// expandSeriesParam turns the "series" URL parameter into concrete series
-// ids: a comma-separated list passes through in order, and a trailing "*"
-// expands as a prefix wildcard against the engine's sorted series ids (bare
-// "*" matches everything). An empty expansion returns nil.
-func (h *Handler) expandSeriesParam(param string) ([]string, error) {
-	if strings.HasSuffix(param, "*") {
-		prefix := strings.TrimSuffix(param, "*")
-		if strings.Contains(prefix, ",") {
-			return nil, fmt.Errorf("a series wildcard cannot be combined with a list")
-		}
-		var ids []string
-		for _, id := range h.engine.SeriesIDs() {
-			if strings.HasPrefix(id, prefix) {
-				ids = append(ids, id)
-			}
-		}
-		return ids, nil
-	}
-	var ids []string
-	seen := map[string]bool{}
-	for _, id := range strings.Split(param, ",") {
-		if id == "" || seen[id] {
-			continue
-		}
-		seen[id] = true
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
-
-// render draws a two-color PNG line chart over a time range. Parameters:
-// series (one id, a comma-separated list, or a prefix wildcard like
-// "root.*" — multiple series overlay on one canvas with a shared
-// viewport), tqs, tqe, w (pixel columns = M4 spans), h (pixel rows,
-// default 400), repr (representation operator: m4 — the default —, minmax,
-// lttb or minmaxlttb), and ratio (MinMaxLTTB preselection ratio, 2..64).
-// When nothing matches the request answers 404. When the result is partial
-// — unreadable chunks skipped at snapshot time, or the operator
-// substituted FP for a representation point lost to a mid-query chunk
-// failure — the image still renders, the response carries an X-M4-Partial
-// header counting the warnings, and render_partial_total is incremented.
-func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
-	ev := &obs.Event{When: time.Now(), Endpoint: "/render", RequestID: w.Header().Get("X-Request-ID")}
-	defer h.finishEvent(w, ev)
-	params := r.URL.Query()
-	ev.Statement = "series=" + params.Get("series") + " tqs=" + params.Get("tqs") +
-		" tqe=" + params.Get("tqe") + " w=" + params.Get("w") + " h=" + params.Get("h")
-	if rp := params.Get("repr"); rp != "" {
-		ev.Statement += " repr=" + rp
-	}
-	seriesParam := params.Get("series")
-	if seriesParam == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing series parameter"))
-		return
-	}
-	tqs, err1 := strconv.ParseInt(params.Get("tqs"), 10, 64)
-	tqe, err2 := strconv.ParseInt(params.Get("tqe"), 10, 64)
-	width, err3 := strconv.Atoi(params.Get("w"))
-	if err1 != nil || err2 != nil || err3 != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("tqs, tqe and w must be integers"))
-		return
-	}
-	height := 400
-	if hs := params.Get("h"); hs != "" {
-		var err error
-		if height, err = strconv.Atoi(hs); err != nil || height <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad h parameter"))
-			return
-		}
-	}
-	specText := params.Get("repr")
-	if specText == "" {
-		specText = "m4"
-	}
-	if ratio := params.Get("ratio"); ratio != "" {
-		if !strings.EqualFold(specText, "minmaxlttb") {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("ratio only applies to repr=minmaxlttb"))
-			return
-		}
-		specText += ":" + ratio
-	}
-	spec, err := reprops.ParseSpec(specText)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	q := m4.Query{Tqs: tqs, Tqe: tqe, W: width}
-	if err := q.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ids, err := h.expandSeriesParam(seriesParam)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	for _, id := range ids {
-		if !h.engine.HasSeries(id) {
-			httpError(w, http.StatusNotFound, fmt.Errorf("series %q not found", id))
-			return
-		}
-	}
-	if len(ids) == 0 {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no series match %q", seriesParam))
-		return
-	}
-	// The request is a REPRESENT statement over the series list; it runs
-	// through the one read path under the budget gated() put on the context.
-	outs, err := m4ql.Read(r.Context(), h.engine, m4ql.Statement{Series: ids, Query: q, Represent: &spec})
-	if spec.Kind == reprops.KindM4 {
-		ev.Operator = "lsm"
-	} else {
-		ev.Operator = spec.Kind.String()
-	}
+	stmt, err := m4ql.ParseQuery(q)
 	if err != nil {
 		ev.Error = err.Error()
-		if code, kind := mapQueryError(err); code != 0 {
-			writeMappedError(w, code, kind, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var cost storage.Stats
-	// Warnings cover both snapshot-time quarantines and operator-level
-	// degradation (FP substitution).
-	warnings := 0
-	reduced := make([]series.Series, len(outs))
-	for i, o := range outs {
-		cost.Add(o.Stats)
-		warnings += len(o.Warnings)
-		reduced[i] = o.Points
-	}
-	eventStats(ev, cost)
-	vp := viz.ViewportForAll(reduced, tqs, tqe)
-	canvas := viz.NewCanvas(width, height)
-	for _, s := range reduced {
-		viz.RasterizeOnto(canvas, s, vp)
-	}
-	if warnings > 0 {
-		w.Header().Set("X-M4-Partial", strconv.Itoa(warnings))
-		h.renderPartial.Inc()
-		ev.Partial = true
-		ev.Warnings = warnings
-		obs.Logger(r.Context()).Warn("partial render", "series", seriesParam, "warnings", warnings)
-	}
-	w.Header().Set("Content-Type", "image/png")
-	if err := canvas.WritePNG(w); err != nil {
-		obs.Logger(r.Context()).Warn("write png", "err", err)
-	}
+	h.serve(w, r, ev, stmt, http.StatusBadRequest, func(w http.ResponseWriter, out *m4ql.Outcome) {
+		writeJSON(w, http.StatusOK, out.Result())
+	})
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

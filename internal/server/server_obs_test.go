@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"m4lsm/internal/faultfs"
 	"m4lsm/internal/lsm"
@@ -204,6 +205,11 @@ func TestVarz(t *testing.T) {
 	}
 }
 
+// TestSlowlog: /debug/slowlog is the event log's slow tail. With a negative
+// threshold every evented request lands in it — /query (served and
+// refused), /render and /write alike — as its wide event. With a real
+// threshold one slow request outlives 300 later fast ones, which push it
+// out of the main tail but not out of its own.
 func TestSlowlog(t *testing.T) {
 	e, err := lsm.Open(lsm.Options{Dir: t.TempDir()})
 	if err != nil {
@@ -213,7 +219,7 @@ func TestSlowlog(t *testing.T) {
 		e.Write("root.s1", series.Point{T: int64(i * 10), V: float64(i)})
 	}
 	e.Flush()
-	// Negative threshold records every query.
+	// Negative threshold records every request.
 	h := NewWith(e, Config{SlowQueryThreshold: -1})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() { srv.Close(); h.Close(); e.Close() })
@@ -225,25 +231,101 @@ func TestSlowlog(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/query?q=SELECT+garbage", nil); code != 400 {
 		t.Fatalf("bad query status %d", code)
 	}
+	resp, err := http.Get(srv.URL + "/render?series=root.s1&tqs=0&tqe=1000&w=10&h=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("render status %d", resp.StatusCode)
+	}
+	if resp := postWrite(t, srv.URL, "root.s1 2000 1\n"); resp.StatusCode != 200 {
+		t.Fatalf("write status %d", resp.StatusCode)
+	}
+	// The tail is filled by the event writer goroutine.
+	waitRecordedSettles(t, h, 4)
 	var log struct {
-		ThresholdNs int64           `json:"thresholdNs"`
-		Entries     []obs.SlowEntry `json:"entries"`
+		ThresholdNs int64       `json:"thresholdNs"`
+		Entries     []obs.Event `json:"entries"`
 	}
 	if code := getJSON(t, srv.URL+"/debug/slowlog", &log); code != 200 {
 		t.Fatalf("slowlog status %d", code)
 	}
-	if len(log.Entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(log.Entries))
+	if len(log.Entries) != 4 {
+		t.Fatalf("entries = %d, want 4: %+v", len(log.Entries), log.Entries)
 	}
-	// Newest first: the failed query, then the good one.
-	if log.Entries[0].Status != 400 || log.Entries[0].Error == "" {
-		t.Errorf("entry[0] = %+v", log.Entries[0])
+	// Newest first: the write, the render, the failed query, the good one.
+	if en := log.Entries[0]; en.Endpoint != "/write" || en.Status != 200 || en.PointsWritten != 1 {
+		t.Errorf("entry[0] = %+v", en)
 	}
-	if log.Entries[1].Status != 200 || log.Entries[1].Query != q {
-		t.Errorf("entry[1] = %+v", log.Entries[1])
+	if en := log.Entries[1]; en.Endpoint != "/render" || en.Status != 200 || en.Statement == "" {
+		t.Errorf("entry[1] = %+v", en)
 	}
-	if log.Entries[1].RequestID == "" || log.Entries[1].ElapsedNs <= 0 {
-		t.Errorf("entry[1] missing request id or elapsed: %+v", log.Entries[1])
+	if en := log.Entries[2]; en.Endpoint != "/query" || en.Status != 400 || en.Error == "" {
+		t.Errorf("entry[2] = %+v", en)
+	}
+	if en := log.Entries[3]; en.Status != 200 || en.Statement != q {
+		t.Errorf("entry[3] = %+v", en)
+	}
+	if en := log.Entries[3]; en.RequestID == "" || en.ElapsedNs <= 0 {
+		t.Errorf("entry[3] missing request id or elapsed: %+v", en)
+	}
+
+	// Every chunk read sleeps 100ms, so a query that loads chunks is slow
+	// and one refused at parse time is fast.
+	dir := t.TempDir()
+	e0, err := lsm.Open(lsm.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		e0.Write("root.s1", series.Point{T: int64(i * 10), V: float64(i)})
+	}
+	if err := e0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(faultfs.Config{Seed: 1, SlowRate: 1, Latency: 100 * time.Millisecond})
+	slowEng, err := lsm.Open(lsm.Options{Dir: dir, WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
+		return faultfs.Wrap(src, inj)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowH := NewWith(slowEng, Config{SlowQueryThreshold: 50 * time.Millisecond})
+	slowSrv := httptest.NewServer(slowH)
+	t.Cleanup(func() { slowSrv.Close(); slowH.Close(); slowEng.Close() })
+	resp, err = http.Get(slowSrv.URL + "/query?q=" + urlQuery(q+" USING UDF"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	slowID := resp.Header.Get("X-Request-ID")
+	if resp.StatusCode != 200 || slowID == "" {
+		t.Fatalf("slow query status %d, request id %q", resp.StatusCode, slowID)
+	}
+	const fast = 300
+	for i := 0; i < fast; i++ {
+		if code := getJSON(t, slowSrv.URL+"/query?q=BOGUS", nil); code != 400 {
+			t.Fatalf("fast request status %d", code)
+		}
+	}
+	waitRecordedSettles(t, slowH, 1+fast)
+	for _, ev := range slowH.Events().Recent() {
+		if ev.RequestID == slowID {
+			t.Fatal("the slow request is still in the main tail; the burst did not wrap it")
+		}
+	}
+	if code := getJSON(t, slowSrv.URL+"/debug/slowlog", &log); code != 200 {
+		t.Fatalf("slowlog status %d", code)
+	}
+	found := false
+	for _, en := range log.Entries {
+		found = found || (en.RequestID == slowID && en.ElapsedNs >= int64(50*time.Millisecond))
+	}
+	if !found || log.ThresholdNs != int64(50*time.Millisecond) {
+		t.Errorf("slow request %s not in the slow tail (threshold %d): %+v", slowID, log.ThresholdNs, log.Entries)
 	}
 }
 
@@ -304,23 +386,35 @@ func TestRenderPartial(t *testing.T) {
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() { srv.Close(); h.Close(); e.Close() })
 
-	resp, err := http.Get(srv.URL + "/render?series=root.s1&tqs=0&tqe=3000&w=50&h=40")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("X-M4-Partial") == "" {
-		t.Fatal("no X-M4-Partial header on degraded render")
+	// One id, then a wildcard over it. The first read quarantines what it
+	// failed on, so the second sees a different degradation; both counts
+	// are pinned.
+	for _, c := range []struct{ u, partial string }{
+		{"/render?series=root.s1&tqs=0&tqe=3000&w=50&h=40", "3"},
+		{"/render?series=root.*&tqs=0&tqe=3000&w=50&h=40&repr=minmax", "2"},
+	} {
+		u := c.u
+		resp, err := http.Get(srv.URL + u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", u, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-M4-Partial"); got != c.partial {
+			t.Fatalf("%s: X-M4-Partial %q on a degraded render, want %s", u, got, c.partial)
+		}
+		if ct, xe := resp.Header.Get("Content-Type"), resp.Header.Get("X-M4-Error"); ct != "image/png" || xe != "" {
+			t.Errorf("%s: Content-Type %q, X-M4-Error %q", u, ct, xe)
+		}
 	}
 	var vars map[string]interface{}
 	if code := getJSON(t, srv.URL+"/varz", &vars); code != 200 {
 		t.Fatalf("varz status %d", code)
 	}
-	if v, _ := vars["render_partial_total"].(float64); v != 1 {
+	if v, _ := vars["render_partial_total"].(float64); v != 2 {
 		t.Errorf("render_partial_total = %v", vars["render_partial_total"])
 	}
 }

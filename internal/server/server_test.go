@@ -3,16 +3,23 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"image"
+	"fmt"
 	"image/png"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
 	"m4lsm/internal/lsm"
+	"m4lsm/internal/m4"
+	"m4lsm/internal/mergeread"
 	"m4lsm/internal/obs"
+	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
+	"m4lsm/internal/viz"
 )
 
 func newServer(t *testing.T) *httptest.Server {
@@ -179,7 +186,8 @@ func TestUIPage(t *testing.T) {
 	body := new(bytes.Buffer)
 	body.ReadFrom(resp.Body)
 	got := body.String()
-	for _, want := range []string{"m4lsm", "root.s1", "/render?series=root.s1"} {
+	// The listed range is the series' first and last point, [0, 4991).
+	for _, want := range []string{"m4lsm", "root.s1", "/render?series=root.s1&tqs=0&tqe=4991&"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("ui missing %q", want)
 		}
@@ -195,16 +203,92 @@ func TestUIPage(t *testing.T) {
 	}
 }
 
+// renderOracle draws what /render must answer for ids under the request's
+// parameters: each series fully merged (mergeread.Merge), reduced by the
+// full-scan reprops.Reduce and rasterized onto one shared canvas — the
+// benchmark's oracle rule, here for every series form and representation.
+func renderOracle(t *testing.T, e *lsm.Engine, ids []string, params url.Values) []byte {
+	t.Helper()
+	atoi := func(name string, def int64) int64 {
+		v := params.Get(name)
+		if v == "" {
+			return def
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("oracle: %s=%q", name, v)
+		}
+		return n
+	}
+	q := m4.Query{Tqs: atoi("tqs", 0), Tqe: atoi("tqe", 0), W: int(atoi("w", 0))}
+	specText := params.Get("repr")
+	if specText == "" {
+		specText = "m4"
+	}
+	if r := params.Get("ratio"); r != "" {
+		specText += ":" + r
+	}
+	spec, err := reprops.ParseSpec(specText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduced := make([]series.Series, len(ids))
+	for i, id := range ids {
+		snap, err := e.Snapshot(id, q.Range())
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := mergeread.Merge(snap, q.Range())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reduced[i], err = reprops.Reduce(spec, q, merged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vp := viz.ViewportForAll(reduced, q.Tqs, q.Tqe)
+	canvas := viz.NewCanvas(q.W, int(atoi("h", 400)))
+	for _, s := range reduced {
+		viz.RasterizeOnto(canvas, s, vp)
+	}
+	var buf bytes.Buffer
+	if err := canvas.WritePNG(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRenderMultiSeries is /render's request matrix over a multi-series
+// store: one id, lists (with a duplicate), wildcards (with and without a
+// '.' before the '*'), an id the m4ql lexer cannot read, every
+// representation, every bad parameter, unknown ids and an empty wildcard.
+// Status, X-M4-Error, X-M4-Partial and Content-Type are the endpoint's
+// contract; every 200 must be byte-identical to renderOracle's drawing.
 func TestRenderMultiSeries(t *testing.T) {
 	e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), Metrics: obs.NewRegistry(), NumShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Values are tie-free: on a tie Definition 2.1 allows any extremal
+	// point, so only distinct values pin the raster to the oracle's.
 	for i := 0; i < 200; i++ {
-		e.Write("root.a", series.Point{T: int64(i * 10), V: float64(i % 17)})
-		e.Write("root.b", series.Point{T: int64(i * 10), V: float64(100 + i%13)})
+		e.Write("root.a", series.Point{T: int64(i * 10), V: float64(i%17) + float64(i)*1e-6})
+		e.Write("root.b", series.Point{T: int64(i * 10), V: float64(100+i%13) + float64(i)*1e-6})
+		e.Write("rob.c", series.Point{T: int64(i*10 + 3), V: float64(50+i%7) + float64(i)*1e-6})
 	}
 	e.Flush()
+	// A second flush overlaps the first and overwrites some of it, and a
+	// memtable tail stays unflushed: the operator has merging to do.
+	for i := 50; i < 120; i++ {
+		e.Write("root.a", series.Point{T: int64(i*10 + 5), V: 30 + float64(i)*1e-3})
+	}
+	for i := 60; i < 70; i++ {
+		e.Write("root.b", series.Point{T: int64(i * 10), V: 70 + float64(i)*1e-3})
+	}
+	e.Flush()
+	for i := 200; i < 230; i++ {
+		e.Write("root.a", series.Point{T: int64(i * 10), V: float64(i%11) + float64(i)*1e-6})
+	}
 	h := New(e)
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
@@ -212,59 +296,116 @@ func TestRenderMultiSeries(t *testing.T) {
 		h.Close()
 		e.Close()
 	})
-	decode := func(url string) image.Image {
-		t.Helper()
-		resp, err := http.Get(url)
+	// An id m4ql cannot lex unquoted arrives through /write.
+	var body strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&body, "dev-1/temp %d %g\n", i*20, float64(i%9)+float64(i)*1e-6)
+	}
+	if resp := postWrite(t, srv.URL, body.String()); resp.StatusCode != 200 {
+		t.Fatalf("write status %d", resp.StatusCode)
+	}
+
+	const win = "&tqs=0&tqe=2300&w=80&h=40"
+	all := []string{"dev-1/temp", "rob.c", "root.a", "root.b"}
+	ab := []string{"root.a", "root.b"}
+	cases := []struct {
+		query  string
+		status int
+		ids    []string // a 200's series, in drawing order
+	}{
+		{"series=root.a" + win, 200, []string{"root.a"}},
+		{"series=root.a,root.b" + win, 200, ab},
+		{"series=root.a,root.b,root.a" + win, 200, ab},
+		{"series=root.b,root.a" + win, 200, []string{"root.b", "root.a"}},
+		{"series=root.*" + win, 200, ab},
+		{"series=ro*" + win, 200, []string{"rob.c", "root.a", "root.b"}},
+		{"series=*" + win, 200, all},
+		{"series=dev-1/temp" + win, 200, []string{"dev-1/temp"}},
+		{"series=dev-1/temp,root.a" + win, 200, []string{"dev-1/temp", "root.a"}},
+		{"series=dev-*" + win, 200, []string{"dev-1/temp"}},
+		{"series=root.a&tqs=0&tqe=2300&w=80", 200, []string{"root.a"}}, // default h
+		{"series=root.a&tqs=1000&tqe=9000&w=33&h=17", 200, []string{"root.a"}},
+		{"series=root.a&tqs=-500&tqe=100&w=8&h=8", 200, []string{"root.a"}},
+		{"series=root.a,root.b&repr=m4" + win, 200, ab},
+		{"series=root.a,root.b&repr=minmax" + win, 200, ab},
+		{"series=root.a,root.b&repr=lttb" + win, 200, ab},
+		{"series=root.a,root.b&repr=minmaxlttb" + win, 200, ab},
+		{"series=root.*&repr=MinMaxLTTB&ratio=8" + win, 200, ab},
+		{"series=dev-1/temp&repr=lttb" + win, 200, []string{"dev-1/temp"}},
+
+		{"", 400, nil},
+		{"series=root.a", 400, nil},
+		{"series=&tqs=0&tqe=2300&w=80", 400, nil},
+		{"series=root.a&tqs=x&tqe=2300&w=80", 400, nil},
+		{"series=root.a&tqs=0&tqe=2300", 400, nil},
+		{"series=root.a&tqs=0&tqe=2300&w=1.5", 400, nil},
+		{"series=root.a&tqs=0&tqe=0&w=10", 400, nil},
+		{"series=root.a&tqs=10&tqe=5&w=10", 400, nil},
+		{"series=root.a&tqs=0&tqe=2300&w=0", 400, nil},
+		{"series=root.a&tqs=0&tqe=2300&w=-3", 400, nil},
+		{"series=root.a&tqs=0&tqe=2300&w=80&h=-5", 400, nil},
+		{"series=root.a&tqs=0&tqe=2300&w=80&h=0", 400, nil},
+		{"series=root.a&tqs=0&tqe=2300&w=80&h=x", 400, nil},
+		{"series=root.a&repr=nope" + win, 400, nil},
+		{"series=root.a&repr=lttb&ratio=4" + win, 400, nil},
+		{"series=root.a&ratio=4" + win, 400, nil},
+		{"series=root.a&repr=minmaxlttb&ratio=99" + win, 400, nil},
+		{"series=root.a&repr=minmaxlttb&ratio=x" + win, 400, nil},
+		{"series=root.a,root.*" + win, 400, nil},
+		{"series=nope*&repr=nope" + win, 400, nil},
+		{"series=nope&repr=nope" + win, 400, nil},
+
+		{"series=nope" + win, 404, nil},
+		{"series=root.a,nope" + win, 404, nil},
+		{"series=zzz.*" + win, 404, nil},
+		{"series=root.*,root.a" + win, 404, nil},
+		{"series=," + win, 404, nil},
+		{"series=root.a.*" + win, 404, nil},
+	}
+	pngs := map[string][]byte{}
+	for _, c := range cases {
+		u := "/render?" + c.query
+		resp, err := http.Get(srv.URL + u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", url, resp.StatusCode)
-		}
-		img, err := png.Decode(resp.Body)
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return img
-	}
-	wild := decode(srv.URL + "/render?series=root.*&tqs=0&tqe=2000&w=80&h=40")
-	list := decode(srv.URL + "/render?series=root.a,root.b&tqs=0&tqe=2000&w=80&h=40")
-	if wild.Bounds() != list.Bounds() {
-		t.Fatalf("bounds differ: %v vs %v", wild.Bounds(), list.Bounds())
-	}
-	// Wildcard expansion and the explicit list draw the same overlay.
-	for y := 0; y < 40; y++ {
-		for x := 0; x < 80; x++ {
-			if wild.At(x, y) != list.At(x, y) {
-				t.Fatalf("pixel (%d,%d) differs between wildcard and list render", x, y)
-			}
+		wantType := "application/json"
+		if c.status == 200 {
+			wantType = "image/png"
 		}
-	}
-	// The overlay must differ from a single-series render (shared viewport
-	// spans both bands).
-	single := decode(srv.URL + "/render?series=root.a&tqs=0&tqe=2000&w=80&h=40")
-	same := true
-	for y := 0; y < 40 && same; y++ {
-		for x := 0; x < 80; x++ {
-			if wild.At(x, y) != single.At(x, y) {
-				same = false
-				break
-			}
+		if resp.StatusCode != c.status || resp.Header.Get("Content-Type") != wantType ||
+			resp.Header.Get("X-M4-Error") != "" || resp.Header.Get("X-M4-Partial") != "" {
+			t.Errorf("%s: status %d, Content-Type %q, X-M4-Error %q, X-M4-Partial %q; want %d, %q and no error or partial header (body %.80q)",
+				u, resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("X-M4-Error"),
+				resp.Header.Get("X-M4-Partial"), c.status, wantType, raw)
+			continue
 		}
+		if c.status != 200 {
+			var msg struct{ Error string }
+			if err := json.Unmarshal(raw, &msg); err != nil || msg.Error == "" {
+				t.Errorf("%s: error body %q", u, raw)
+			}
+			continue
+		}
+		params, _ := url.ParseQuery(c.query)
+		if want := renderOracle(t, e, c.ids, params); !bytes.Equal(raw, want) {
+			t.Errorf("%s: PNG (%d bytes) differs from the oracle's drawing of %v (%d bytes)", u, len(raw), c.ids, len(want))
+		}
+		pngs[c.query] = raw
 	}
-	if same {
+	// The wildcard and the explicit list draw the same overlay, and the
+	// overlay is not the single-series chart (the shared viewport spans
+	// both bands).
+	if !bytes.Equal(pngs["series=root.*"+win], pngs["series=root.a,root.b"+win]) {
+		t.Error("wildcard and list renders differ")
+	}
+	if bytes.Equal(pngs["series=root.*"+win], pngs["series=root.a"+win]) {
 		t.Error("overlay render identical to single-series render")
-	}
-	// Nothing matched: 404.
-	if code := getJSON(t, srv.URL+"/render?series=zzz.*&tqs=0&tqe=2000&w=80", nil); code != 404 {
-		t.Errorf("empty wildcard status %d, want 404", code)
-	}
-	if code := getJSON(t, srv.URL+"/render?series=root.a,nope&tqs=0&tqe=2000&w=80", nil); code != 404 {
-		t.Errorf("missing series in list status %d, want 404", code)
-	}
-	if code := getJSON(t, srv.URL+"/render?series=root.a,root.*&tqs=0&tqe=2000&w=80", nil); code != 400 {
-		t.Errorf("wildcard+list status %d, want 400", code)
 	}
 	// Wildcard m4ql through /query.
 	var res struct {

@@ -1,11 +1,12 @@
 package server
 
 import (
+	"fmt"
 	"html/template"
 	"net/http"
-	"strconv"
 
-	"m4lsm/internal/series"
+	"m4lsm/internal/m4"
+	"m4lsm/internal/m4ql"
 )
 
 // uiTemplate is the built-in single-page chart browser: pick a series, get
@@ -58,27 +59,23 @@ func (h *Handler) ui(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	var rows []uiSeries
-	for _, id := range h.engine.SeriesIDs() {
-		snap, err := h.engine.Snapshot(id, series.TimeRange{Start: -(1 << 62), End: 1 << 62})
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
+	// Each series' range is its first and last live point: one M4 span
+	// over (nearly) all of time, read like any other statement. The window
+	// is ±2^61 so its width still fits an int64.
+	outs, err := m4ql.Read(r.Context(), h.engine, m4ql.Statement{Wildcard: true,
+		Query: m4.Query{Tqs: -(1 << 61), Tqe: 1 << 61, W: 1}})
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	rows := make([]uiSeries, len(outs))
+	for i, o := range outs {
 		lo, hi := int64(0), int64(1)
-		for i, c := range snap.Chunks {
-			if i == 0 || c.Meta.First.T < lo {
-				lo = c.Meta.First.T
-			}
-			if i == 0 || c.Meta.Last.T >= hi {
-				hi = c.Meta.Last.T + 1
-			}
+		if a := o.Aggregates[0]; !a.Empty {
+			lo, hi = a.First.T, a.Last.T+1
 		}
-		rows = append(rows, uiSeries{ID: id, Start: lo, End: hi,
-			Query: "SELECT M4(*) FROM " + id +
-				" WHERE time >= " + strconv.FormatInt(lo, 10) +
-				" AND time < " + strconv.FormatInt(hi, 10) +
-				" GROUP BY SPANS(100)"})
+		rows[i] = uiSeries{ID: o.SeriesID, Start: lo, End: hi, Query: fmt.Sprintf(
+			"SELECT M4(*) FROM %s WHERE time >= %d AND time < %d GROUP BY SPANS(100)", o.SeriesID, lo, hi)}
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := uiTemplate.Execute(w, struct{ Series []uiSeries }{rows}); err != nil {

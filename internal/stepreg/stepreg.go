@@ -24,7 +24,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Probe is the chunk-index interface consumed by the M4-LSM operator.
@@ -54,13 +53,15 @@ type Index struct {
 	maxErr int // max |f(t_i) - i| observed over the chunk at build time
 }
 
-// deltaBufs recycles Build's one piece of working memory, the sorted time
-// deltas, so a build allocates only the Index and its two model slices.
-var deltaBufs = sync.Pool{New: func() any { return new([]int64) }}
-
 // Build learns a step-regression index over ts, which must be strictly
 // increasing (chunk writers guarantee this).
-func Build(ts []int64) *Index {
+func Build(ts []int64) *Index { return BuildScratch(ts, new([]int64)) }
+
+// BuildScratch is Build with caller-owned working memory: the sorted time
+// deltas go into *scratch, grown as needed and left there for the next
+// build, so a build allocates only the Index and its two model slices. The
+// index does not keep the scratch.
+func BuildScratch(ts []int64, scratch *[]int64) *Index {
 	ix := &Index{ts: ts}
 	n := len(ts)
 	if n < 2 {
@@ -74,10 +75,8 @@ func Build(ts []int64) *Index {
 		return ix
 	}
 
-	buf := deltaBufs.Get().(*[]int64)
-	defer deltaBufs.Put(buf)
-	deltas := slices.Grow((*buf)[:0], n-1)[:n-1]
-	*buf = deltas
+	deltas := slices.Grow((*scratch)[:0], n-1)[:n-1]
+	*scratch = deltas
 	for i := 1; i < n; i++ {
 		deltas[i-1] = ts[i] - ts[i-1]
 	}

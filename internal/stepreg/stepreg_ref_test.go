@@ -202,10 +202,17 @@ func FuzzStepregBuild(f *testing.F) {
 }
 
 // TestBuildAllocations pins what a build allocates: the Index and its two
-// model slices; the delta scratch comes from a pool.
+// model slices. The delta scratch is the caller's, reused across builds as
+// the operator's workers reuse theirs, so it costs nothing after the first.
 func TestBuildAllocations(t *testing.T) {
 	ts := paperChunk()
-	if n := testing.AllocsPerRun(100, func() { Build(ts) }); n > 3 {
-		t.Errorf("Build of %d points: %v allocs/op, want <= 3", len(ts), n)
+	var scratch []int64
+	BuildScratch(ts, &scratch)
+	first := &scratch[0]
+	if n := testing.AllocsPerRun(100, func() { BuildScratch(ts, &scratch) }); n > 3 {
+		t.Errorf("BuildScratch of %d points: %v allocs/op, want <= 3", len(ts), n)
+	}
+	if &scratch[0] != first {
+		t.Error("BuildScratch replaced a scratch buffer that was large enough")
 	}
 }
