@@ -69,7 +69,8 @@ soak:
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
 # footers, record logs, the pyramid manifest), the m4ql parser including the REPRESENT
 # clause, the /write line-protocol parser, the Gorilla codec against its
-# bit-at-a-time reference, the step-regression build against its
+# bit-at-a-time reference, the timestamp decoder against its per-varint
+# reference, the step-regression build against its
 # reference, and the pyramid's range-set algebra against a bitmap. Go
 # allows one -fuzz target per invocation, so each runs separately for
 # FUZZTIME (the seed corpus also runs in plain `make test`).
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzBitStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeTimes$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stepreg -run '^$$' -fuzz '^FuzzStepregBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzRsetOps$$' -fuzztime $(FUZZTIME)
@@ -102,7 +104,7 @@ fuzz:
 # keeps examples/ on the public package (no m4lsm/internal/ import), keeps
 # internal/lsm from growing a second write path, a second chunk-file writer
 # or reaching into the WAL, keeps internal/pyramid from depending on the
-# engine, keeps a second measurement stack from growing beside bench/, keeps
+# engine, keeps the step-regression fit in the chunk writer alone, keeps a second measurement stack from growing beside bench/, keeps
 # the chunk read path columnar, and checks that every test DESIGN.md's
 # invariant table names exists.
 lint:
@@ -175,6 +177,15 @@ lint:
 		echo "lint: chunk files are written in one place, writeChunkFile (internal/lsm/flush.go), for flush and"; \
 		echo "compaction alike; internal/pyramid knows nothing of the engine, the WAL or the chunk format."; \
 		echo "pyramid depends on: $$bad"; echo "tsfile.Create calls: $$n"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'stepreg\.(Fit|Build)\(' --include='*.go' --exclude='*_test.go' \
+			--exclude-dir=bench --exclude-dir=.bench_build . \
+		| grep -v '^\./internal/tsfile/writer\.go:'; true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: a chunk's step-regression model is fitted once, by the chunk writer (tsfile's WriteChunk),"; \
+		echo "kept in the footer and bound to the loaded timestamps with stepreg.Bind; no other code fits one."; \
+		echo "Exempt: tests, and bench/ (its own module, which times the fit as a layer)."; \
+		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(ls BENCH_*.json 2>/dev/null; \
 		grep -nE '^bench-[a-z-]*:' Makefile | grep -vE '^[0-9]+:bench-(check|smoke):'; \

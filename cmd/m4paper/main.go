@@ -169,7 +169,11 @@ func runExp(out io.Writer, name string, cfg exper.Config, markdown bool) error {
 		exper.WriteFig1(out, rows)
 		return nil
 	case "fig8":
-		exper.WriteFig8(out, exper.RunFig8(cfg))
+		rows, err := exper.RunFig8(cfg)
+		if err != nil {
+			return err
+		}
+		exper.WriteFig8(out, rows)
 		return nil
 	case "ablations":
 		rows, err := exper.RunAblations(cfg)

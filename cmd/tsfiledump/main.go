@@ -1,6 +1,7 @@
 // Command tsfiledump inspects chunk files: the footer metadata of every
-// chunk (series, version, count, time interval and the four representation
-// points) and optionally the decoded points.
+// chunk (series, version, count, time interval, the four representation
+// points and the step-regression model fitted at write time: median Δt,
+// segment count and error window) and optionally the decoded points.
 //
 // Usage:
 //
@@ -45,8 +46,9 @@ func dumpFile(path string, points bool) {
 	for i, m := range r.Metas() {
 		fmt.Printf("  [%d] series=%s version=%d count=%d codec=%s offset=%d bytes=%d\n",
 			i, m.SeriesID, m.Version, m.Count, m.Codec, m.Offset,
-			m.HeaderLen+m.TimesLen+m.ValuesLen)
+			int64(m.HeaderLen)+m.TimesLen+m.ValuesLen)
 		fmt.Printf("      first=%v last=%v bottom=%v top=%v\n", m.First, m.Last, m.Bottom, m.Top)
+		fmt.Printf("      step model: median Δt=%d segments=%d maxErr=%d\n", m.Step.Median, len(m.Step.Changing)+1, m.Step.MaxErr)
 		if !points {
 			continue
 		}

@@ -60,17 +60,17 @@ func (w *bitWriter) bytes() []byte {
 	return w.buf
 }
 
-// bitReader consumes bits written by bitWriter through a 64-bit window
-// refilled eight bytes at a time (byte-wise over the last < 8 bytes), so a
-// read is a shift and a mask. Running out of bits is noticed at a refill
-// and is sticky: the failing read and every later one return 0 and err
-// reports ErrCorrupt, which lets a decoder check once after its loop.
+// bitReader consumes bits written by bitWriter through a bit cursor: a
+// read loads the eight bytes holding its first bit, unaligned, and the
+// ninth for the bits the shift pushed out, so any field of up to 64 bits
+// is one load, a shift and no refill. Only the last eight bytes are read
+// byte-wise. Running out of bits is sticky: the failing read and every
+// later one return 0 and err reports ErrCorrupt, which lets a decoder
+// check once after its loop.
 type bitReader struct {
 	buf       []byte
-	pos       int    // next byte to load into the window
-	win       uint64 // unread bits, left-aligned
-	nwin      uint   // unread bit count in win, 0..64
-	exhausted bool   // a read asked for more bits than the stream had
+	pos       int  // bits consumed
+	exhausted bool // a read asked for more bits than the stream had
 }
 
 // readBit returns the next bit.
@@ -78,39 +78,36 @@ func (r *bitReader) readBit() uint64 { return r.readBits(1) }
 
 // readBits returns the next n bits as the low bits of a uint64. n ≤ 64.
 func (r *bitReader) readBits(n uint) uint64 {
-	if n > r.nwin {
-		return r.refillRead(n)
+	if r.pos>>3+8 >= len(r.buf) {
+		return r.readTail(n)
 	}
-	v := r.win >> (64 - n)
-	r.win <<= n
-	r.nwin -= n
+	v := r.peek() >> (64 - n)
+	r.pos += int(n)
 	return v
 }
 
-// refillRead serves a read the window cannot: it drains the window, loads
-// the next eight bytes (or what is left) and takes the missing bits from
-// them.
-func (r *bitReader) refillRead(n uint) uint64 {
-	need := n - r.nwin
-	hi := r.win >> (64 - r.nwin)
-	if len(r.buf)-r.pos >= 8 {
-		r.win, r.nwin = binary.BigEndian.Uint64(r.buf[r.pos:]), 64
-		r.pos += 8
-	} else {
-		r.win, r.nwin = 0, 0
-		for ; r.pos < len(r.buf); r.pos++ {
-			r.win |= uint64(r.buf[r.pos]) << (56 - r.nwin)
-			r.nwin += 8
-		}
-	}
-	if need > r.nwin {
-		r.win, r.nwin, r.exhausted = 0, 0, true
+// peek returns the 64 bits from the cursor on, left-aligned, without
+// consuming them. The caller makes sure the nine bytes from the cursor's
+// byte are in the buffer.
+func (r *bitReader) peek() uint64 {
+	at, off := r.pos>>3, uint(r.pos&7)
+	return binary.BigEndian.Uint64(r.buf[at:])<<off | uint64(r.buf[at+8])>>(8-off)
+}
+
+// readTail serves a read among the last eight bytes, where the cursor
+// cannot load nine, and notices the stream running out.
+func (r *bitReader) readTail(n uint) uint64 {
+	if r.exhausted || r.pos+int(n) > 8*len(r.buf) {
+		r.pos, r.exhausted = 8*len(r.buf), true
 		return 0
 	}
-	lo := r.win >> (64 - need)
-	r.win <<= need
-	r.nwin -= need
-	return hi<<need | lo
+	var w uint64
+	for i, b := range r.buf[r.pos>>3:] {
+		w |= uint64(b) << (56 - 8*i)
+	}
+	v := w << (r.pos & 7) >> (64 - n)
+	r.pos += int(n)
+	return v
 }
 
 // err reports a stream that ran out of bits as ErrCorrupt.

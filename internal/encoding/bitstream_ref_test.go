@@ -6,13 +6,15 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
 // The bit-at-a-time stream and the Gorilla codec over it, as they stood
-// before the word-at-a-time rewrite. They are the reference the fuzzers
-// below hold the production codec to: same bytes out, same values, same
-// remaining buffer and same error-vs-ok on any input.
+// before the word-at-a-time rewrite, and the timestamp decoder's loop as it
+// stood before one-byte varints were read inline. They are the reference
+// the fuzzers below hold the production codecs to: same bytes out, same
+// values, same remaining buffer and same error-vs-ok on any input.
 
 type refBitWriter struct {
 	buf  []byte
@@ -279,6 +281,80 @@ func FuzzDecodeValues(f *testing.F) {
 		// And the writer is the reference's inverse: same bytes.
 		if enc, ref := EncodeValues(nil, got), refEncodeValues(nil, got); !bytes.Equal(enc, ref) {
 			t.Fatalf("re-encoding %d values: %d bytes differ from the reference's %d", len(got), len(enc), len(ref))
+		}
+	})
+}
+
+// refDecodeTimesInto is DecodeTimesInto as it stood before one-byte varints
+// were read inline: one Varint call per delta-of-delta. It is the reference
+// FuzzDecodeTimes holds the production decoder to.
+func refDecodeTimesInto(dst []int64, b []byte) ([]int64, []byte, error) {
+	count, b, err := blockCount(b, dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	if count > uint64(len(b)) {
+		return nil, nil, corruptf("timestamp count %d exceeds the %d bytes of the block", count, len(b))
+	}
+	if dst == nil {
+		dst = make([]int64, count)
+	}
+	if count == 0 {
+		return dst, b, nil
+	}
+	t, b, err := Varint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	dst[0] = t
+	if count == 1 {
+		return dst, b, nil
+	}
+	delta, b, err := Varint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	t += delta
+	dst[1] = t
+	for i := 2; i < len(dst); i++ {
+		dod, rest, err := Varint(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		b = rest
+		delta += dod
+		t += delta
+		dst[i] = t
+	}
+	return dst, b, nil
+}
+
+// FuzzDecodeTimes feeds arbitrary bytes to the timestamp decoder and its
+// reference: they must agree on the timestamps, the remaining buffer and
+// the error, both into a fresh column and into one of the block's count.
+func FuzzDecodeTimes(f *testing.F) {
+	ts, _ := sensorData(300)
+	f.Add(EncodeTimes(nil, ts))
+	f.Add(append(EncodeTimes(nil, []int64{-5, 1 << 40, 1<<40 + 3, 7, 8, 9}), 0xde, 0xad))
+	f.Add(EncodeTimes(nil, []int64{1, 2, 3, 4})[:5])
+	f.Add(append(AppendUvarint(nil, 3), 0x02, 0x02, 0x80))
+	f.Add(append(AppendUvarint(nil, 1<<31), 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, rest, err := DecodeTimes(b)
+		want, wantRest, rerr := refDecodeTimesInto(nil, b)
+		if (err != nil) != (rerr != nil) || (err != nil && err.Error() != rerr.Error()) {
+			t.Fatalf("decode error %v, reference error %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if !slices.Equal(got, want) || !bytes.Equal(rest, wantRest) {
+			t.Fatalf("decoded %d timestamps and %d remaining bytes, reference %d and %d", len(got), len(rest), len(want), len(wantRest))
+		}
+		into, intoRest, err := DecodeTimesInto(make([]int64, len(got)), b)
+		if err != nil || !slices.Equal(into, got) || !bytes.Equal(intoRest, rest) {
+			t.Fatalf("decode into an exact destination: %d timestamps, %v", len(into), err)
 		}
 	})
 }

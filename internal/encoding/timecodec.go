@@ -71,15 +71,26 @@ func DecodeTimesInto(dst []int64, b []byte) ([]int64, []byte, error) {
 	}
 	t += delta
 	dst[1] = t
+	// On regular data nearly every delta-of-delta is a one-byte varint:
+	// those are unzigzagged in place, and only longer ones, or a block
+	// ending early, take the general decoder.
+	p := 0
 	for i := 2; i < len(dst); i++ {
-		dod, rest, err := Varint(b)
-		if err != nil {
-			return nil, nil, err
+		var dod int64
+		if p < len(b) && b[p] < 0x80 {
+			u := int64(b[p])
+			dod = u>>1 ^ -(u & 1)
+			p++
+		} else {
+			var rest []byte
+			if dod, rest, err = Varint(b[p:]); err != nil {
+				return nil, nil, err
+			}
+			p = len(b) - len(rest)
 		}
-		b = rest
 		delta += dod
 		t += delta
 		dst[i] = t
 	}
-	return dst, b, nil
+	return dst, b[p:], nil
 }

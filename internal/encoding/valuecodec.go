@@ -117,6 +117,39 @@ func DecodeValuesInto(dst []float64, b []byte) ([]float64, []byte, error) {
 	dst[0] = math.Float64frombits(prev)
 	var leading, trailing uint
 	for i := 1; i < len(dst); i++ {
+		// A value takes at most 2+11+64 bits, so while the cursor's byte and
+		// ten more are in the payload none of its reads can run out: its
+		// control bits, its window and, when they fit, its meaningful bits
+		// come from one peek. Near the end it is read field by field, which
+		// is where running out is noticed.
+		if r.pos>>3+10 < len(r.buf) {
+			w := r.peek()
+			if w>>63 == 0 {
+				r.pos++
+				dst[i] = math.Float64frombits(prev)
+				continue
+			}
+			used := uint(2)
+			if w>>62 == 0b11 {
+				leading = uint(w>>57) & 31
+				n := uint(w>>51)&63 + 1
+				if leading+n > 64 {
+					return nil, nil, corruptf("window leading=%d sig=%d", leading, n)
+				}
+				trailing = 64 - leading - n
+				used = 13
+			}
+			sig := 64 - leading - trailing
+			if used+sig <= 64 {
+				prev ^= w << used >> (64 - sig) << trailing
+				r.pos += int(used + sig)
+			} else {
+				r.pos += int(used)
+				prev ^= r.readBits(sig) << trailing
+			}
+			dst[i] = math.Float64frombits(prev)
+			continue
+		}
 		if r.readBit() == 0 {
 			dst[i] = math.Float64frombits(prev)
 			continue

@@ -136,8 +136,11 @@ func TestRunTable2(t *testing.T) {
 }
 
 func TestRunFig8(t *testing.T) {
-	results := RunFig8(Config{Scale: 1, ChunkSize: 1000, Seed: 3,
+	results, err := RunFig8(Config{Scale: 1, ChunkSize: 1000, Seed: 3,
 		Datasets: []workload.Preset{workload.KOB()}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 1 {
 		t.Fatalf("results = %d", len(results))
 	}

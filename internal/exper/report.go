@@ -3,9 +3,12 @@ package exper
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 	"time"
 
+	"m4lsm/internal/encoding"
 	"m4lsm/internal/stepreg"
+	"m4lsm/internal/tsfile"
 	"m4lsm/internal/workload"
 )
 
@@ -108,30 +111,42 @@ type Fig8Result struct {
 	MaxErr      int
 }
 
-// RunFig8 builds one chunk per dataset and reports the learned step
-// regression (Figure 8 shows the timestamp-position steps, Figure 9 the
-// delta distribution driving the learned slope).
-func RunFig8(cfg Config) []Fig8Result {
+// RunFig8 writes one chunk per dataset through the chunk writer and
+// reports the step regression it fitted (Figure 8 shows the
+// timestamp-position steps, Figure 9 the delta distribution driving the
+// learned slope), bound to the chunk's timestamps as a query binds it.
+func RunFig8(cfg Config) ([]Fig8Result, error) {
 	cfg = cfg.withDefaults()
+	dir, cleanup, err := tempDir("fig8")
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
+	w, err := tsfile.Create(filepath.Join(dir, "fig8.tsf"))
+	if err != nil {
+		return nil, err
+	}
+	defer w.Abort() // only the chunks' metadata is wanted
 	out := make([]Fig8Result, 0, len(cfg.Datasets))
 	for _, p := range cfg.Datasets {
 		data := p.Generate(cfg.ChunkSize, cfg.Seed)
+		meta, err := w.WriteChunk(p.Name, 1, encoding.CodecGorilla, data)
+		if err != nil {
+			return nil, fmt.Errorf("fig8 %s: %w", p.Name, err)
+		}
 		ts := data.Times()
-		ix := stepreg.Build(ts)
-		res := Fig8Result{
+		ix := stepreg.Bind(meta.Step, ts)
+		out = append(out, Fig8Result{
 			Dataset:     p.Name,
 			ChunkPoints: len(ts),
 			Slope:       ix.Slope(),
+			MedianDelta: meta.Step.Median,
 			Splits:      ix.Splits(),
 			Segments:    ix.Segments(),
 			MaxErr:      ix.MaxErr(),
-		}
-		if ix.Slope() > 0 {
-			res.MedianDelta = int64(1/ix.Slope() + 0.5)
-		}
-		out = append(out, res)
+		})
 	}
-	return out
+	return out, nil
 }
 
 // WriteFig8 renders the step-regression reproduction.

@@ -436,7 +436,7 @@ func TestScrubQuarantinesCorruptChunk(t *testing.T) {
 	meta := r.Metas()[0]
 	r.Close()
 	raw, _ := os.ReadFile(files[0])
-	raw[meta.Offset+meta.HeaderLen+meta.TimesLen] ^= 0x40
+	raw[meta.Offset+int64(meta.HeaderLen)+meta.TimesLen] ^= 0x40
 	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestScrubQuarantinesCorruptChunk(t *testing.T) {
 	meta2 := r2.Metas()[0]
 	r2.Close()
 	raw2, _ := os.ReadFile(files2[0])
-	raw2[meta2.Offset+meta2.HeaderLen+meta2.TimesLen] ^= 0x40
+	raw2[meta2.Offset+int64(meta2.HeaderLen)+meta2.TimesLen] ^= 0x40
 	if err := os.WriteFile(files2[0], raw2, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func TestScrubQuarantineCrash(t *testing.T) {
 	meta := r.Metas()[0]
 	r.Close()
 	raw, _ := os.ReadFile(files[0])
-	raw[meta.Offset+meta.HeaderLen+meta.TimesLen] ^= 0x40
+	raw[meta.Offset+int64(meta.HeaderLen)+meta.TimesLen] ^= 0x40
 	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

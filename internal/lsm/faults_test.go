@@ -124,7 +124,7 @@ func TestQueryQuarantineCorruptChunk(t *testing.T) {
 	meta := r.Metas()[0]
 	r.Close()
 	raw, _ := os.ReadFile(files[0])
-	raw[meta.Offset+meta.HeaderLen+meta.TimesLen] ^= 0x40
+	raw[meta.Offset+int64(meta.HeaderLen)+meta.TimesLen] ^= 0x40
 	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -111,6 +112,47 @@ func BenchmarkComputeTable4(b *testing.B) {
 			}
 		})
 	}
+}
+
+// table4Mix is paper_cold's window mix over the snapshot's extent, 208
+// queries: eight classes, w in {100, 1000} times four strata of window
+// size that tile the whole range down to 1/64 of it, each class dealt 26
+// windows evenly over its stratum, each at a random offset.
+func table4Mix(snap *storage.Snapshot) []m4.Query {
+	const classes, perClass = 8, 26
+	full := fullQuery(snap, 1)
+	extent := full.Tqe - full.Tqs
+	rng := rand.New(rand.NewSource(1))
+	qs := make([]m4.Query, 0, classes*perClass)
+	for c := 0; c < classes; c++ {
+		w := []int{100, 1000}[c%2]
+		for k := 0; k < perClass; k++ {
+			u := (float64(c/2) + (float64(k)+rng.Float64())/perClass) / 4
+			win := max(int64(float64(extent)*math.Pow(64, -u)), int64(w))
+			off := full.Tqs + int64(float64(extent-win)*rng.Float64())
+			qs = append(qs, m4.Query{Tqs: off, Tqe: off + win, W: w})
+		}
+	}
+	return qs
+}
+
+// BenchmarkComputeTable4Mix runs paper_cold's window mix at parallelism 1
+// over the Table 4 shape at paper_cold's size, 262 chunks, every load a
+// decode. One op is the whole mix; ms/query is its mean.
+func BenchmarkComputeTable4Mix(b *testing.B) {
+	snap, _ := table4Snapshot(b, 262)
+	qs := table4Mix(snap)
+	opts := Options{Parallelism: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			if _, err := ComputeContext(context.Background(), snap, q, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(qs)), "ms/query")
 }
 
 // BenchmarkComputePyramid is one query answered from pyramid cells alone:

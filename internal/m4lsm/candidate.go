@@ -21,18 +21,7 @@ const (
 // gCount is the number of representation functions (tasks per list).
 const gCount = int(gTP) + 1
 
-func (g gKind) String() string {
-	switch g {
-	case gFP:
-		return "FP"
-	case gLP:
-		return "LP"
-	case gBP:
-		return "BP"
-	default:
-		return "TP"
-	}
-}
+func (g gKind) String() string { return [gCount]string{"FP", "LP", "BP", "TP"}[g] }
 
 // gResult is one task's output: the representation point of one function
 // over one chunk list's range, ok=false when the range has no surviving
@@ -84,14 +73,12 @@ type view struct {
 // spanComputer runs one candidate loop for one chunk list's range. It is a
 // worker's scratch, reset by every task it runs: its views (and their slots
 // and exclusion sets) belong to a single goroutine, and operator counters
-// accumulate in local before one flush when the task finishes. deltas is
-// the working memory of every chunk-index build the worker runs.
+// accumulate in local before one flush when the task finishes.
 type spanComputer struct {
-	op     *operator
-	span   series.TimeRange
-	views  []view
-	local  storage.Stats
-	deltas []int64
+	op    *operator
+	span  series.TimeRange
+	views []view
+	local storage.Stats
 }
 
 // reset points the scratch at a new task, reusing its view arena.
@@ -314,7 +301,7 @@ func (sc *spanComputer) refuteTimeByDelete(v *view, isFirst bool, d storage.Dele
 // kills the view): partial-load the timestamps, find the closest point
 // after/before the bound with the chunk index, and chain over deletes.
 func (sc *spanComputer) resolveTimeBound(v *view, isFirst bool) error {
-	if err := sc.op.ensureTimes(v.cs, &sc.deltas); err != nil {
+	if err := sc.op.ensureTimes(v.cs); err != nil {
 		return err
 	}
 	slot := v.timeSlot(isFirst)

@@ -23,11 +23,10 @@ type chunkState struct {
 	meta storage.ChunkMeta
 
 	mu       sync.Mutex
-	times    []int64   // the timestamp column: of the full load itself, or of an earlier partial load
-	values   []float64 // the value column, nil until a full load
-	probe    stepreg.Probe
+	times    []int64       // the timestamp column: of the full load itself, or of an earlier partial load
+	values   []float64     // the value column, nil until a full load
+	probe    stepreg.Probe // bound with the timestamps: nil until they are loaded
 	hasData  bool
-	hasTimes bool
 	loadErr  error // sticky: a failed load is not retried per worker
 	reported bool  // the failure has been reported to the snapshot
 }
@@ -50,19 +49,18 @@ type summary struct {
 	first, last, bottom, top int
 }
 
-// ensureTimes loads the chunk's timestamps and builds its probe, with the
-// calling worker's scratch for the build.
-func (op *operator) ensureTimes(cs *chunkState, scratch *[]int64) error {
+// ensureTimes loads the chunk's timestamps and binds its probe.
+func (op *operator) ensureTimes(cs *chunkState) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if cs.loadErr != nil {
 		return cs.loadErr
 	}
-	if cs.hasTimes {
+	if cs.probe != nil {
 		return nil
 	}
 	if op.opts.DisablePartialLoad {
-		return op.ensureDataLocked(cs, scratch)
+		return op.ensureDataLocked(cs)
 	}
 	// Cancellation and budget are checked before I/O only and never made
 	// sticky: a cancelled or budget-refused load must not poison the chunk
@@ -79,13 +77,11 @@ func (op *operator) ensureTimes(cs *chunkState, scratch *[]int64) error {
 		cs.loadErr = err
 		return err
 	}
-	cs.times = ts
-	cs.buildProbe(op.opts, scratch)
-	cs.hasTimes = true
+	cs.setTimes(ts, op.opts)
 	return nil
 }
 
-func (op *operator) ensureDataLocked(cs *chunkState, scratch *[]int64) error {
+func (op *operator) ensureDataLocked(cs *chunkState) error {
 	if cs.loadErr != nil {
 		return cs.loadErr
 	}
@@ -101,37 +97,40 @@ func (op *operator) ensureDataLocked(cs *chunkState, scratch *[]int64) error {
 	// With the timestamps already here, the rest of the load is the value
 	// block alone: no chunk's timestamp block is decoded twice.
 	var err error
-	if cs.hasTimes {
+	if cs.probe != nil {
 		cs.values, err = cs.ref.LoadValues()
 	} else {
 		var cols series.Columns
-		cols, err = cs.ref.Load()
-		cs.times, cs.values = cols.Times(), cols.Values()
+		if cols, err = cs.ref.Load(); err == nil {
+			cs.setTimes(cols.Times(), op.opts)
+			cs.values = cols.Values()
+		}
 	}
 	if err != nil {
 		cs.loadErr = err
 		return err
 	}
-	if !cs.hasTimes {
-		cs.buildProbe(op.opts, scratch)
-		cs.hasTimes = true
-	}
 	cs.hasData = true
 	return nil
 }
 
-func (cs *chunkState) buildProbe(opts Options, scratch *[]int64) {
-	if opts.DisableStepIndex {
-		cs.probe = stepreg.NewPlain(cs.times)
+// setTimes keeps the chunk's timestamp column and binds its probe to it:
+// the step model the chunk writer fitted, or binary search for a chunk
+// without one (a memtable's) and under DisableStepIndex. No query fits a
+// model.
+func (cs *chunkState) setTimes(ts []int64, opts Options) {
+	cs.times = ts
+	if opts.DisableStepIndex || cs.meta.Step == nil {
+		cs.probe = stepreg.NewPlain(ts)
 	} else {
-		cs.probe = stepreg.BuildScratch(cs.times, scratch)
+		cs.probe = stepreg.Bind(cs.meta.Step, ts)
 	}
 }
 
 // exists probes whether the chunk contains a point at exactly t
 // (Table 1 case a).
 func (sc *spanComputer) exists(cs *chunkState, t int64) (bool, error) {
-	if err := sc.op.ensureTimes(cs, &sc.deltas); err != nil {
+	if err := sc.op.ensureTimes(cs); err != nil {
 		return false, err
 	}
 	sc.local.IndexProbes++
@@ -177,7 +176,7 @@ func (sc *spanComputer) chunkFailed(v *view, err error) error {
 // materialize loads the chunk and recalculates the view's metadata under
 // the span, deletes and known overwrites (Table 1 case c).
 func (sc *spanComputer) materialize(v *view) error {
-	s, err := sc.op.summarize(v.assignment, sc.span, v.excluded, &sc.deltas)
+	s, err := sc.op.summarize(v.assignment, sc.span, v.excluded)
 	if err != nil {
 		return err
 	}
@@ -196,11 +195,11 @@ func (sc *spanComputer) materialize(v *view) error {
 // shared summary, scanned once per (chunk, range) per query by whichever
 // task gets there first; a view's overwrite exclusions are its own task's
 // business, so with any the range is scanned afresh and nothing is shared.
-func (op *operator) summarize(a *assignment, r series.TimeRange, excluded []int64, scratch *[]int64) (summary, error) {
+func (op *operator) summarize(a *assignment, r series.TimeRange, excluded []int64) (summary, error) {
 	cs := a.cs
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if err := op.ensureDataLocked(cs, scratch); err != nil {
+	if err := op.ensureDataLocked(cs); err != nil {
 		return summary{}, err
 	}
 	if len(excluded) > 0 {
@@ -215,9 +214,10 @@ func (op *operator) summarize(a *assignment, r series.TimeRange, excluded []int6
 // scan finds the surviving FP/LP/BP/TP of the chunk's columns over r in
 // one pass, skipping the sorted excluded timestamps and deleted points. A
 // range query on the delete index decides whether any delete applies at
-// all; only if one does is each point checked, by a sweep beside the
-// column. Ties resolve as in storage.ComputeMeta: the first strictly
-// smaller (larger) value wins.
+// all; when neither a delete nor an exclusion falls in the range, the pass
+// is a bare min/max over the values. Otherwise each point is checked, the
+// deletes by a sweep beside the column. Ties resolve as in
+// storage.ComputeMeta: the first strictly smaller (larger) value wins.
 func (op *operator) scan(cs *chunkState, r series.TimeRange, excluded []int64) summary {
 	ts, vs := cs.times, cs.values
 	lo, _ := slices.BinarySearch(ts, r.Start)
@@ -228,6 +228,19 @@ func (op *operator) scan(cs *chunkState, r series.TimeRange, excluded []int64) s
 	}
 	ver := cs.meta.Version
 	checkDeletes := op.deleteIx.CoversAny(ts[lo], ts[hi-1], ver)
+	if x, _ := slices.BinarySearch(excluded, ts[lo]); !checkDeletes && (x == len(excluded) || excluded[x] > ts[hi-1]) {
+		s = summary{scanned: true, first: lo, last: hi - 1, bottom: lo, top: lo}
+		bv, tv := vs[lo], vs[lo]
+		for i := lo + 1; i < hi; i++ {
+			switch v := vs[i]; {
+			case v < bv:
+				bv, s.bottom = v, i
+			case v > tv:
+				tv, s.top = v, i
+			}
+		}
+		return s
+	}
 	sweep := op.deleteIx.Sweep(ts[lo], ver)
 	x := 0
 	for i := lo; i < hi; i++ {

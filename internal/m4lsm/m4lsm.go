@@ -281,14 +281,8 @@ func (op *operator) computeG(sc *spanComputer, r series.TimeRange, chunks []assi
 			}
 		}
 	}
-	switch g {
-	case gFP:
-		return sc.computeTimeExtreme(true)
-	case gLP:
-		return sc.computeTimeExtreme(false)
-	case gBP:
-		return sc.computeValueExtreme(true)
-	default:
-		return sc.computeValueExtreme(false)
+	if g == gFP || g == gLP {
+		return sc.computeTimeExtreme(g == gFP)
 	}
+	return sc.computeValueExtreme(g == gBP)
 }

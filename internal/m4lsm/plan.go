@@ -275,7 +275,7 @@ func (p *seriesPlan) assemble(rest []gKind) error {
 	// (they show up in pyramidSpans/pyramidCells instead).
 	pruned := int64(0)
 	for _, cs := range op.states {
-		if !cs.hasData && !cs.hasTimes {
+		if !cs.hasData && cs.probe == nil {
 			pruned++
 		}
 	}

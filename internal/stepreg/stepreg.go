@@ -22,8 +22,11 @@ package stepreg
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
+
+	"m4lsm/internal/encoding"
 )
 
 // Probe is the chunk-index interface consumed by the M4-LSM operator.
@@ -40,7 +43,7 @@ type Probe interface {
 }
 
 // Index is a step-regression chunk index over a sorted timestamp slice.
-// The zero value is not usable; call Build.
+// The zero value is not usable; call Bind (or Build).
 type Index struct {
 	ts []int64 // the indexed timestamps, strictly increasing
 
@@ -50,130 +53,226 @@ type Index struct {
 	splits     []int64   // split timestamps S = {t_1..t_m}
 	intercepts []float64 // b_1..b_{m-1}, one per segment
 
-	maxErr int // max |f(t_i) - i| observed over the chunk at build time
+	maxErr int // max |f(t_i) - i| observed over the chunk at fit time
+}
+
+// Model is what Fit learns from a chunk's timestamps: the median Δt (the
+// slope is K = 1/Median), the changing points that bound its tilt and level
+// segments, and the worst prediction error over the chunk. It is a few
+// bytes per chunk, kept with the chunk's metadata; Bind turns it back into
+// an Index over the same timestamps in O(segments).
+type Model struct {
+	Median   int64 // median Δt, at least 1 (0 for a chunk of fewer than two points)
+	Changing []int // 1-based changing-point positions j, ascending, each in [2, n-1]
+	MaxErr   int   // max |f(t_i) - i| over the chunk
 }
 
 // Build learns a step-regression index over ts, which must be strictly
-// increasing (chunk writers guarantee this).
-func Build(ts []int64) *Index { return BuildScratch(ts, new([]int64)) }
+// increasing (chunk writers guarantee this). It is Bind(Fit(ts), ts).
+func Build(ts []int64) *Index { return Bind(Fit(ts), ts) }
 
-// BuildScratch is Build with caller-owned working memory: the sorted time
-// deltas go into *scratch, grown as needed and left there for the next
-// build, so a build allocates only the Index and its two model slices. The
-// index does not keep the scratch.
-func BuildScratch(ts []int64, scratch *[]int64) *Index {
-	ix := &Index{ts: ts}
+// Fit learns the step-regression model of ts, which must be strictly
+// increasing: K from the median Δt (§3.5.2), the changing points from the
+// 3-sigma rule on Δt (§3.5.3), and the error window that keeps probes
+// exact. It allocates the Model, its changing points and one buffer of
+// deltas.
+func Fit(ts []int64) *Model {
 	n := len(ts)
 	if n < 2 {
-		// A 0/1-point chunk needs no model; probes fall through to the
-		// (trivial) search window.
-		ix.k = 1
-		if n == 1 {
-			ix.splits = []int64{ts[0], ts[0]}
-			ix.intercepts = []float64{1}
-		}
-		return ix
+		return &Model{}
 	}
-
-	deltas := slices.Grow((*scratch)[:0], n-1)[:n-1]
-	*scratch = deltas
+	deltas := make([]int64, n-1)
 	for i := 1; i < n; i++ {
 		deltas[i-1] = ts[i] - ts[i-1]
 	}
-	// The 3-sigma threshold is taken before the in-place sort: its float
-	// sums must run in time order for the model to stay bit-identical.
+	// The 3-sigma threshold and the changing points are taken before the
+	// selection reorders the deltas: the threshold's float sums must run in
+	// time order for the model to stay bit-identical. A changing point is a
+	// 1-based position j (2..n-1) where Δt crosses the threshold in either
+	// direction (§3.5.3), between deltas[j-2] and deltas[j-1]. They collect
+	// in a stack buffer, which holds the few a step-shaped chunk has.
 	mu, sigma := meanStd(deltas)
 	thr := mu + 3*sigma
-	slices.Sort(deltas)
-	med := deltas[len(deltas)/2]
-	if med <= 0 {
-		med = 1
-	}
-	ix.k = 1 / float64(med)
-
-	// Changing points: 1-based positions j (2..n-1) where the delta
-	// crosses the threshold in either direction (§3.5.3). One pass counts
-	// them to size the model, a second places them.
-	crosses := func(j int) bool {
-		dPrev := float64(ts[j-1] - ts[j-2]) // P_j.t - P_{j-1}.t, 1-based
-		dNext := float64(ts[j] - ts[j-1])   // P_{j+1}.t - P_j.t
-		return (dPrev <= thr && dNext > thr) || (dPrev > thr && dNext <= thr)
-	}
-	changing := 0
-	for j := 2; j <= n-1; j++ {
-		if crosses(j) {
-			changing++
+	var changing [16]int
+	cps := changing[:0]
+	above := float64(deltas[0]) > thr
+	for i := 1; i < n-1; i++ {
+		if next := float64(deltas[i]) > thr; next != above {
+			cps = append(cps, i+1)
+			above = next
 		}
+	}
+	m := &Model{Median: max(nth(deltas, len(deltas)/2), 1)}
+	if len(cps) > 0 {
+		m.Changing = slices.Clone(cps)
 	}
 
-	m := changing + 2 // |S|
-	nseg := m - 1
-	b := make([]float64, nseg+1) // 1-based b_1..b_{m-1}
-	b[1] = 1 - ix.k*float64(ts[0])
-	if nseg >= 2 {
-		if nseg%2 == 1 {
-			b[nseg] = float64(n) - ix.k*float64(ts[n-1])
-		} else {
-			b[nseg] = float64(n)
-		}
-	}
-	// b_i for i in 2..nseg-1 sits at the (i-1)-th changing point j; the
-	// last changing point only bounds the final segment, set above.
-	for i, j := 2, 2; i <= nseg-1; j++ {
-		if !crosses(j) {
-			continue
-		}
-		if i%2 == 1 {
-			b[i] = float64(j) - ix.k*float64(ts[j-1])
-		} else {
-			b[i] = float64(j)
-		}
-		i++
-	}
-
-	splits := make([]int64, m+1) // 1-based t_1..t_m
-	splits[1] = ts[0]
-	splits[m] = ts[n-1]
-	for i := 2; i <= m-1; i++ {
-		var t float64
-		if i%2 == 1 {
-			t = (b[i-1] - b[i]) / ix.k
-		} else {
-			t = (b[i] - b[i-1]) / ix.k
-		}
-		splits[i] = int64(math.Round(t))
-	}
-	// Guard against a degenerate fit producing non-monotonic splits; the
-	// evaluator requires ordered segment boundaries.
-	for i := 2; i <= m; i++ {
-		if splits[i] < splits[i-1] {
-			splits[i] = splits[i-1]
-		}
-	}
-	ix.splits = splits[1:]
-	ix.intercepts = b[1:]
-
-	// Exactness guard: record the worst prediction error on the chunk. The
+	// Exactness guard: record the worst prediction error on the chunk,
+	// with the index bound in stack buffers when the model is small. The
 	// timestamps ascend, so the segment holding each is found by walking
 	// the splits beside them: seg counts the splits <= t. A prediction
 	// within maxErr+0.25 of its position cannot round to a larger error,
 	// so only the others pay for the rounding.
+	var splitBuf [16]int64
+	var icptBuf [16]float64
+	ix := Index{ts: ts}
+	ix.k, ix.splits, ix.intercepts = bind(m, ts, splitBuf[:0], icptBuf[:0])
 	seg := 0
 	slope, icpt := ix.line(-1)
+	lim := 0.25
 	for i, t := range ts {
 		for seg < len(ix.splits) && ix.splits[seg] <= t {
 			seg++
 			slope, icpt = ix.line(seg - 1)
 		}
 		pred := slope*float64(t) + icpt
-		if d, lim := pred-float64(i+1), float64(ix.maxErr)+0.25; d <= lim && d >= -lim {
+		if d := pred - float64(i+1); d <= lim && d >= -lim {
 			continue
 		}
-		if e := absInt(int(math.Round(pred)) - (i + 1)); e > ix.maxErr {
-			ix.maxErr = e
+		if e := absInt(int(math.Round(pred)) - (i + 1)); e > m.MaxErr {
+			m.MaxErr, lim = e, float64(e)+0.25
 		}
 	}
+	return m
+}
+
+// Bind rebuilds the index that m describes over ts, the timestamps m was
+// fitted on: K, the intercepts and the split timestamps are re-derived from
+// the changing points' timestamps in O(segments), bit-identical to the
+// index Fit measured. m is Fit(ts) or a model DecodeModel accepted for
+// len(ts) points.
+func Bind(m *Model, ts []int64) *Index {
+	ix := &Index{ts: ts, maxErr: m.MaxErr}
+	ix.k, ix.splits, ix.intercepts = bind(m, ts, nil, nil)
 	return ix
+}
+
+// AppendBinary appends m's encoding to dst: uvarint Median, uvarint MaxErr,
+// uvarint len(Changing), then each changing point as a uvarint gap from the
+// one before it (from 0 for the first).
+func (m *Model) AppendBinary(dst []byte) []byte {
+	dst = encoding.AppendUvarint(dst, uint64(m.Median))
+	dst = encoding.AppendUvarint(dst, uint64(m.MaxErr))
+	dst = encoding.AppendUvarint(dst, uint64(len(m.Changing)))
+	prev := 0
+	for _, j := range m.Changing {
+		dst = encoding.AppendUvarint(dst, uint64(j-prev))
+		prev = j
+	}
+	return dst
+}
+
+// DecodeModel inverts AppendBinary for the model of a chunk of n points and
+// returns the remaining buffer. A truncated model, or one that cannot
+// describe such a chunk, is encoding.ErrCorrupt.
+func DecodeModel(b []byte, n int64) (*Model, []byte, error) {
+	var f [3]uint64
+	for i := range f {
+		u, rest, err := encoding.Uvarint(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		f[i], b = u, rest
+	}
+	med, maxErr, count := f[0], f[1], f[2]
+	// Every gap costs a byte, so a count the buffer cannot hold is refused
+	// before anything is allocated for it.
+	if n < 0 || med > math.MaxInt64 || maxErr > math.MaxInt64 || count > uint64(len(b)) || count > uint64(max(n-2, 0)) {
+		return nil, nil, fmt.Errorf("%w: step model: median %d, error %d, %d changing points for %d points", encoding.ErrCorrupt, med, maxErr, count, n)
+	}
+	m := &Model{Median: int64(med), MaxErr: int(maxErr)}
+	if count > 0 {
+		m.Changing = make([]int, count)
+	}
+	j := uint64(0)
+	for i := range m.Changing {
+		gap, rest, err := encoding.Uvarint(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, j = rest, j+gap
+		m.Changing[i] = int(j)
+	}
+	if !m.fits(int(n)) {
+		return nil, nil, fmt.Errorf("%w: step model %+v does not fit %d points", encoding.ErrCorrupt, *m, n)
+	}
+	return m, b, nil
+}
+
+// fits reports whether a decoded m can describe a chunk of n strictly
+// increasing timestamps: a median for any chunk of two or more points, and
+// changing points ascending within [2, n-1].
+func (m *Model) fits(n int) bool {
+	if n >= 2 && m.Median < 1 {
+		return false
+	}
+	prev := 1
+	for _, j := range m.Changing {
+		if j <= prev || j > n-1 {
+			return false
+		}
+		prev = j
+	}
+	return true
+}
+
+// bind derives an index's parameters from m and the timestamps it was
+// fitted on, building the splits and intercepts in the given buffers'
+// memory when it suffices. Positions are 1-based, as in the paper: b_i for
+// i in 2..nseg-1 sits at the (i-1)-th changing point j; the last changing
+// point only bounds the final segment.
+func bind(m *Model, ts []int64, splits []int64, b []float64) (k float64, _ []int64, _ []float64) {
+	n := len(ts)
+	if n < 2 {
+		// A 0/1-point chunk needs no model; probes fall through to the
+		// (trivial) search window.
+		if n == 1 {
+			return 1, append(splits, ts[0], ts[0]), append(b, 1)
+		}
+		return 1, nil, nil
+	}
+	k = 1 / float64(m.Median)
+
+	mm := len(m.Changing) + 2 // |S|
+	nseg := mm - 1
+	b = slices.Grow(b[:0], nseg+1)[:nseg+1] // 1-based b_1..b_{m-1}
+	b[1] = 1 - k*float64(ts[0])
+	if nseg >= 2 {
+		if nseg%2 == 1 {
+			b[nseg] = float64(n) - k*float64(ts[n-1])
+		} else {
+			b[nseg] = float64(n)
+		}
+	}
+	for i := 2; i <= nseg-1; i++ {
+		j := m.Changing[i-2]
+		if i%2 == 1 {
+			b[i] = float64(j) - k*float64(ts[j-1])
+		} else {
+			b[i] = float64(j)
+		}
+	}
+
+	splits = slices.Grow(splits[:0], mm+1)[:mm+1] // 1-based t_1..t_m
+	splits[1] = ts[0]
+	splits[mm] = ts[n-1]
+	for i := 2; i <= mm-1; i++ {
+		var t float64
+		if i%2 == 1 {
+			t = (b[i-1] - b[i]) / k
+		} else {
+			t = (b[i] - b[i-1]) / k
+		}
+		splits[i] = int64(math.Round(t))
+	}
+	// Guard against a degenerate fit producing non-monotonic splits; the
+	// evaluator requires ordered segment boundaries.
+	for i := 2; i <= mm; i++ {
+		if splits[i] < splits[i-1] {
+			splits[i] = splits[i-1]
+		}
+	}
+	return k, splits[1:], b[1:]
 }
 
 // eval computes f(t) of Definition 3.6 with 1-based positions. Timestamps
@@ -354,6 +453,50 @@ func meanStd(xs []int64) (mu, sigma float64) {
 	}
 	sigma = math.Sqrt(sigma / float64(len(xs)))
 	return mu, sigma
+}
+
+// nth returns the k-th smallest of xs (0-based), the value sorting would
+// leave at xs[k], in expected O(n): a quickselect that reorders xs, with
+// median-of-three pivots and Hoare partitions so runs of equal deltas split
+// evenly. A selection that keeps partitioning badly finishes with a sort,
+// which bounds the worst case at O(n log n).
+func nth(xs []int64, k int) int64 {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(xs[lo : hi+1])
+			break
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		pivot := min(max(a, c), b)
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] <= pivot <= xs[i..hi], and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 func absInt(x int) int {

@@ -154,7 +154,9 @@ func fuzzTimestamps(seed int64, n int, shape uint8) []int64 {
 }
 
 // FuzzStepregBuild holds Build to refBuild: the same slope, splits,
-// segments and error window, and the same answer to every probe.
+// segments and error window, and the same answer to every probe. The model
+// Fit learns must also survive its encoding: decoded and bound to the same
+// timestamps, it is Build's index field for field.
 func FuzzStepregBuild(f *testing.F) {
 	for shape := uint8(0); shape < 3; shape++ {
 		for _, n := range []uint16{0, 1, 2, 3, 64, 1000} {
@@ -176,6 +178,26 @@ func FuzzStepregBuild(f *testing.F) {
 		if got.MaxErr() != want.MaxErr() {
 			t.Fatalf("MaxErr = %d, want %d", got.MaxErr(), want.MaxErr())
 		}
+		model := Fit(ts)
+		enc := model.AppendBinary([]byte{0xa5})
+		decoded, rest, err := DecodeModel(enc[1:], int64(len(ts)))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("decoding the %d-byte model of %d points: %v, %d bytes left", len(enc)-1, len(ts), err, len(rest))
+		}
+		if !reflect.DeepEqual(decoded, model) {
+			t.Fatalf("decoded model %+v, fitted %+v", decoded, model)
+		}
+		if bound := Bind(decoded, ts); !reflect.DeepEqual(bound, got) {
+			t.Fatalf("Bind(decoded Fit(ts)) = %+v, Build(ts) = %+v", bound, got)
+		}
+		if _, _, err := DecodeModel(enc[1:len(enc)-1], int64(len(ts))); err == nil {
+			t.Fatal("a truncated model decoded")
+		}
+		// A damaged model that still decodes for these timestamps binds to
+		// a worse fit, never to wrong answers: the error window widens.
+		damaged := slices.Clone(enc[1:])
+		damaged[int(uint64(seed)%uint64(len(damaged)))] ^= byte(seed>>8) | 1
+		other, _, err := DecodeModel(damaged, int64(len(ts)))
 		probes := []int64{math.MinInt64 + 1, math.MaxInt64 - 1}
 		for _, q := range ts {
 			probes = append(probes, q-1, q, q+1)
@@ -183,6 +205,14 @@ func FuzzStepregBuild(f *testing.F) {
 		for _, q := range probes {
 			if p, rp := got.Predict(q), refEval(want, q); p != rp {
 				t.Fatalf("Predict(%d) = %v, want %v", q, p, rp)
+			}
+			if err == nil {
+				ox := Bind(other, ts)
+				gi, gok := ox.LastBefore(q)
+				wi, wok := want.LastBefore(q)
+				if ox.Exists(q) != want.Exists(q) || gi != wi || gok != wok {
+					t.Fatalf("damaged model %+v: probes of %d differ", other, q)
+				}
 			}
 			if got.Exists(q) != want.Exists(q) {
 				t.Fatalf("Exists(%d) differs", q)
@@ -201,18 +231,43 @@ func FuzzStepregBuild(f *testing.F) {
 	})
 }
 
-// TestBuildAllocations pins what a build allocates: the Index and its two
-// model slices. The delta scratch is the caller's, reused across builds as
-// the operator's workers reuse theirs, so it costs nothing after the first.
+// TestBuildAllocations pins what a fit allocates: the Model, its changing
+// points and one buffer of deltas. The index it binds to measure the error
+// window lives on the stack when the model is small, as the paper's chunk
+// is, so nothing else is allocated.
 func TestBuildAllocations(t *testing.T) {
 	ts := paperChunk()
-	var scratch []int64
-	BuildScratch(ts, &scratch)
-	first := &scratch[0]
-	if n := testing.AllocsPerRun(100, func() { BuildScratch(ts, &scratch) }); n > 3 {
-		t.Errorf("BuildScratch of %d points: %v allocs/op, want <= 3", len(ts), n)
+	if n := testing.AllocsPerRun(100, func() { Fit(ts) }); n > 3 {
+		t.Errorf("Fit of %d points: %v allocs/op, want <= 3", len(ts), n)
 	}
-	if &scratch[0] != first {
-		t.Error("BuildScratch replaced a scratch buffer that was large enough")
+}
+
+// TestNthIsTheSortedOrderStatistic holds the median's selection to a sort:
+// every rank of short, duplicate-heavy, sorted and reversed inputs.
+func TestNthIsTheSortedOrderStatistic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 70; n++ {
+		for shape := 0; shape < 4; shape++ {
+			xs := make([]int64, n)
+			for i := range xs {
+				switch shape {
+				case 0:
+					xs[i] = rng.Int63n(4)
+				case 1:
+					xs[i] = rng.Int63()
+				case 2:
+					xs[i] = int64(i)
+				default:
+					xs[i] = int64(n - i)
+				}
+			}
+			sorted := slices.Clone(xs)
+			slices.Sort(sorted)
+			for k := range xs {
+				if got := nth(slices.Clone(xs), k); got != sorted[k] {
+					t.Fatalf("shape %d, n=%d: nth(%d) = %d, want %d", shape, n, k, got, sorted[k])
+				}
+			}
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
+	"m4lsm/internal/stepreg"
 )
 
 // Version is the global incremental version number κ assigned to each chunk
@@ -35,6 +36,10 @@ type ChunkMeta struct {
 	Version  Version
 	Count    int64
 	Codec    encoding.Codec
+	// HeaderLen is the bytes of chunk header before the timestamp block.
+	// It sits beside Codec, in what would otherwise be padding, so that
+	// Step costs a snapshot's chunk references no space.
+	HeaderLen int32
 
 	First  series.Point // FP(C^κ)
 	Last   series.Point // LP(C^κ)
@@ -43,9 +48,14 @@ type ChunkMeta struct {
 
 	// Addressing within the chunk file.
 	Offset    int64 // file offset of the chunk record
-	HeaderLen int64 // bytes of chunk header before the timestamp block
 	TimesLen  int64 // bytes of the encoded timestamp block
 	ValuesLen int64 // bytes of the encoded value block
+
+	// Step is the step-regression model of the chunk's timestamps (§3.5),
+	// fitted once, by the chunk writer, and bound to the timestamps when
+	// they are loaded. nil for a chunk that has none (a memtable's), which
+	// is probed by binary search.
+	Step *stepreg.Model
 }
 
 // Interval returns the closed time interval [FP.t, LP.t] covered by the
@@ -171,7 +181,7 @@ func (c ChunkRef) LoadValues() ([]float64, error) {
 func (c ChunkRef) countLoad() {
 	if c.stats != nil {
 		atomic.AddInt64(&c.stats.ChunksLoaded, 1)
-		atomic.AddInt64(&c.stats.BytesRead, c.Meta.HeaderLen+c.Meta.TimesLen+c.Meta.ValuesLen)
+		atomic.AddInt64(&c.stats.BytesRead, int64(c.Meta.HeaderLen)+c.Meta.TimesLen+c.Meta.ValuesLen)
 		atomic.AddInt64(&c.stats.PointsDecoded, c.Meta.Count)
 	}
 }
@@ -184,7 +194,7 @@ func (c ChunkRef) LoadTimes() ([]int64, error) {
 	}
 	if c.stats != nil {
 		atomic.AddInt64(&c.stats.TimeBlocksLoaded, 1)
-		atomic.AddInt64(&c.stats.BytesRead, c.Meta.HeaderLen+c.Meta.TimesLen)
+		atomic.AddInt64(&c.stats.BytesRead, int64(c.Meta.HeaderLen)+c.Meta.TimesLen)
 		atomic.AddInt64(&c.stats.PointsDecoded, c.Meta.Count)
 	}
 	return ts, nil

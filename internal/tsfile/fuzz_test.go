@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"m4lsm/internal/encoding"
+	"m4lsm/internal/stepreg"
 )
 
 // fuzzSeedFile returns the raw bytes of a small valid chunk file.
@@ -36,7 +37,8 @@ func fuzzSeedFile(f *testing.F) []byte {
 
 // FuzzOpen feeds arbitrary bytes to the footer parser and the chunk
 // readers. Whatever the input, Open/ReadChunk/ReadTimes must either error
-// or succeed — never panic or run away.
+// or succeed — never panic or run away — and a step model the footer
+// yields must bind to its chunk's timestamps and answer probes exactly.
 func FuzzOpen(f *testing.F) {
 	raw := fuzzSeedFile(f)
 	f.Add(raw)
@@ -45,6 +47,11 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("M4TS\x01"))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	golden, err := os.ReadFile(filepath.Join("testdata", "footer-m4f2", "golden.tsf"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)), "fuzz")
 		if err != nil {
@@ -53,8 +60,22 @@ func FuzzOpen(f *testing.F) {
 		defer r.Close()
 		for _, m := range r.Metas() {
 			r.ReadChunk(m)
-			r.ReadTimes(m)
 			r.ReadValues(m)
+			ts, err := r.ReadTimes(m)
+			if err != nil {
+				continue
+			}
+			ix, plain := stepreg.Bind(m.Step, ts), stepreg.NewPlain(ts)
+			for _, q := range ts {
+				if !ix.Exists(q) {
+					t.Fatalf("chunk %s v%d: Exists(%d) misses its own timestamp", m.SeriesID, m.Version, q)
+				}
+				i, ok := ix.LastBefore(q)
+				want, wantOK := plain.LastBefore(q)
+				if i != want || ok != wantOK {
+					t.Fatalf("chunk %s v%d: LastBefore(%d) = %d, %v, want %d, %v", m.SeriesID, m.Version, q, i, ok, want, wantOK)
+				}
+			}
 		}
 	})
 }

@@ -2,14 +2,18 @@ package tsfile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
+	"m4lsm/internal/stepreg"
 	"m4lsm/internal/storage"
 )
 
@@ -72,23 +76,30 @@ func writeGolden(path string) error {
 	return w.Close()
 }
 
-// TestParentChunkFileRoundTrips pins "same bytes on disk" across the codec
-// rewrite: testdata/parent-c39d07c/golden.tsf was written by writeGolden
-// running the bit-at-a-time codec of commit c39d07c. The current reader must
-// decode it to the regenerated points, bit for bit, and the current writer
-// must produce the identical file from those points.
-func TestParentChunkFileRoundTrips(t *testing.T) {
-	golden := filepath.Join("testdata", "parent-c39d07c", "golden.tsf")
+// footerStart returns the offset at which raw's footer begins: everything
+// before it is the file magic and the chunks.
+func footerStart(t *testing.T, raw []byte) int {
+	t.Helper()
+	const tailLen = 4 + 8 + 4
+	if len(raw) < tailLen {
+		t.Fatalf("%d-byte file has no tail", len(raw))
+	}
+	off := len(raw) - tailLen - int(binary.LittleEndian.Uint64(raw[len(raw)-12:]))
+	if off < len(fileMagic) || off > len(raw)-tailLen {
+		t.Fatalf("footer length points outside a %d-byte file", len(raw))
+	}
+	return off
+}
+
+// checkGoldenChunks reads every chunk of r in full, timestamps only and
+// values only, and wants goldenChunks' points bit for bit.
+func checkGoldenChunks(t *testing.T, r *Reader, metas []storage.ChunkMeta) {
+	t.Helper()
 	want := goldenChunks()
-	r, err := Open(golden)
-	if err != nil {
-		t.Fatal(err)
+	if len(metas) != len(want) {
+		t.Fatalf("golden file holds %d chunks, want %d", len(metas), len(want))
 	}
-	defer r.Close()
-	if len(r.Metas()) != len(want) {
-		t.Fatalf("golden file holds %d chunks, want %d", len(r.Metas()), len(want))
-	}
-	for i, m := range r.Metas() {
+	for i, m := range metas {
 		if len(want[i]) < 1000 {
 			t.Fatalf("chunk %d regenerates to %d points, want >= 1000", i, len(want[i]))
 		}
@@ -115,20 +126,80 @@ func TestParentChunkFileRoundTrips(t *testing.T) {
 			}
 		}
 	}
+}
 
-	rewritten := filepath.Join(t.TempDir(), "rewritten.tsf")
-	if err := writeGolden(rewritten); err != nil {
-		t.Fatal(err)
-	}
+// TestParentChunkFileRoundTrips pins "same bytes on disk" for the chunks
+// across the codec rewrite and the footer's move to format 2:
+// testdata/parent-c39d07c/golden.tsf was written by writeGolden running the
+// bit-at-a-time codec of commit c39d07c, with a format-1 footer that
+// nothing reads any more. The current writer must produce the identical
+// file up to the footer from the regenerated points, and the current
+// decoders, pointed at the parent's blocks by the new footer's metadata,
+// must read them back bit for bit.
+func TestParentChunkFileRoundTrips(t *testing.T) {
+	golden := filepath.Join("testdata", "parent-c39d07c", "golden.tsf")
 	old, err := os.ReadFile(golden)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenReaderAt(bytes.NewReader(old), int64(len(old)), golden); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("opening a format-1 file: %v, want ErrCorrupt", err)
+	}
+	rewritten := filepath.Join(t.TempDir(), "rewritten.tsf")
+	if err := writeGolden(rewritten); err != nil {
 		t.Fatal(err)
 	}
 	now, err := os.ReadFile(rewritten)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(old, now) {
-		t.Fatalf("re-encoding the golden points gives %d bytes that differ from the parent's %d-byte file", len(now), len(old))
+	if o, n := footerStart(t, old), footerStart(t, now); !bytes.Equal(old[:o], now[:n]) {
+		t.Fatalf("re-encoding the golden points gives %d bytes of chunks that differ from the parent's %d", n, o)
+	}
+	r, err := Open(rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	parent := &Reader{ra: bytes.NewReader(old), size: int64(len(old)), path: golden}
+	checkGoldenChunks(t, parent, r.Metas())
+}
+
+// TestFooterFormat2Golden pins the format-2 footer: testdata/footer-m4f2/
+// golden.tsf is writeGolden's output with the step model in every chunk's
+// metadata. It must open and decode to the golden points, each model must
+// be the fit of its chunk's timestamps, and the current writer must
+// produce the same bytes, footer included.
+func TestFooterFormat2Golden(t *testing.T) {
+	golden := filepath.Join("testdata", "footer-m4f2", "golden.tsf")
+	r, err := Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	checkGoldenChunks(t, r, r.Metas())
+	for i, m := range r.Metas() {
+		ts, err := r.ReadTimes(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fit := stepreg.Fit(ts); !reflect.DeepEqual(m.Step, fit) {
+			t.Fatalf("chunk %d: footer model %+v, fit of its timestamps %+v", i, m.Step, fit)
+		}
+	}
+	rewritten := filepath.Join(t.TempDir(), "rewritten.tsf")
+	if err := writeGolden(rewritten); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-encoding the golden points gives %d bytes that differ from the %d-byte format-2 file", len(got), len(want))
 	}
 }

@@ -71,6 +71,9 @@ func (r *Reader) readFooter() error {
 	if _, err := r.ra.ReadAt(tail, size-tailLen); err != nil {
 		return err
 	}
+	if string(tail[12:]) == string(legacyFooterMagic) {
+		return fmt.Errorf("%w: footer format 1 (before step models) has no reader", ErrCorrupt)
+	}
 	if string(tail[12:]) != string(footerMagic) {
 		return fmt.Errorf("%w: bad footer magic (file not closed?)", ErrCorrupt)
 	}
@@ -136,12 +139,13 @@ var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, wantTimes, wantValues bool) (times, values []byte, err error) {
 	// The two block CRCs are the last 8 bytes of the header, and no part of
 	// a chunk is longer than its file.
-	for _, l := range [...]int64{meta.HeaderLen - 8, meta.TimesLen, meta.ValuesLen} {
+	hlen := int64(meta.HeaderLen)
+	for _, l := range [...]int64{hlen - 8, meta.TimesLen, meta.ValuesLen} {
 		if l < 0 || l > r.size {
 			return nil, nil, fmt.Errorf("%w: chunk lengths %d+%d+%d in a %d-byte file", ErrCorrupt, meta.HeaderLen, meta.TimesLen, meta.ValuesLen, r.size)
 		}
 	}
-	n := meta.HeaderLen + meta.TimesLen
+	n := hlen + meta.TimesLen
 	if wantValues {
 		n += meta.ValuesLen
 	}
@@ -152,10 +156,10 @@ func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, wantTimes, want
 	if _, err := r.ra.ReadAt(b, meta.Offset); err != nil {
 		return nil, nil, fmt.Errorf("read chunk at %d: %w", meta.Offset, err)
 	}
-	timesCRC := binary.LittleEndian.Uint32(b[meta.HeaderLen-8:])
-	valuesCRC := binary.LittleEndian.Uint32(b[meta.HeaderLen-4:])
-	times = b[meta.HeaderLen : meta.HeaderLen+meta.TimesLen]
-	values = b[meta.HeaderLen+meta.TimesLen:]
+	timesCRC := binary.LittleEndian.Uint32(b[hlen-8:])
+	valuesCRC := binary.LittleEndian.Uint32(b[hlen-4:])
+	times = b[hlen : hlen+meta.TimesLen]
+	values = b[hlen+meta.TimesLen:]
 	if wantTimes && crc32.ChecksumIEEE(times) != timesCRC {
 		return nil, nil, fmt.Errorf("%w: timestamp block checksum mismatch (%s v%d)", ErrCorrupt, meta.SeriesID, meta.Version)
 	}

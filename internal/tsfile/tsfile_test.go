@@ -1,7 +1,10 @@
 package tsfile
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +13,7 @@ import (
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
+	"m4lsm/internal/stepreg"
 	"m4lsm/internal/storage"
 )
 
@@ -218,6 +222,38 @@ func TestOpenRejectsCorruptFooter(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsStepModelThatCannotFit: a footer whose checksum holds but
+// whose step model cannot belong to its chunk (no median, a changing point
+// out of range, out of order, or more of them than the chunk has room for)
+// is a corrupt file, not a model for a query to bind.
+func TestOpenRejectsStepModelThatCannotFit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.tsf")
+	metas := writeFile(t, path, map[string][]series.Series{"s": {genSeries(64, 5)}})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := raw[:footerStart(t, raw)]
+	for _, bad := range []*stepreg.Model{
+		{Median: 0},
+		{Median: 1, Changing: []int{64}},
+		{Median: 1, Changing: []int{9, 9}},
+		{Median: 1, Changing: []int{1}},
+		{Median: 1, Changing: make([]int, 63)},
+	} {
+		m := metas[0]
+		m.Step = bad
+		footer := appendMeta(encoding.AppendUvarint(nil, 1), m)
+		file := append(append([]byte(nil), chunks...), footer...)
+		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(footer))
+		file = binary.LittleEndian.AppendUint64(file, uint64(len(footer)))
+		file = append(file, footerMagic...)
+		if _, err := OpenReaderAt(bytes.NewReader(file), int64(len(file)), "bad-model"); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("model %+v for 64 points: open error %v, want ErrCorrupt", bad, err)
+		}
+	}
+}
+
 func TestReadDetectsCorruptChunkData(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.tsf")
 	metas := writeFile(t, path, map[string][]series.Series{"s": {genSeries(200, 6)}})
@@ -226,7 +262,7 @@ func TestReadDetectsCorruptChunkData(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := metas[0]
-	raw[m.Offset+m.HeaderLen+2] ^= 0xFF // inside timestamp block
+	raw[m.Offset+int64(m.HeaderLen)+2] ^= 0xFF // inside timestamp block
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +290,7 @@ func TestReadDetectsCorruptValueBlockOnly(t *testing.T) {
 	metas := writeFile(t, path, map[string][]series.Series{"s": {genSeries(200, 7)}})
 	raw, _ := os.ReadFile(path)
 	m := metas[0]
-	raw[m.Offset+m.HeaderLen+m.TimesLen+2] ^= 0xFF // inside value block
+	raw[m.Offset+int64(m.HeaderLen)+m.TimesLen+2] ^= 0xFF // inside value block
 	os.WriteFile(path, raw, 0o644)
 	r, err := Open(path)
 	if err != nil {
@@ -473,7 +509,7 @@ func TestReadTimesCheaperThanReadChunk(t *testing.T) {
 	if m.TimesLen <= 0 || m.ValuesLen <= 0 {
 		t.Fatalf("bad lengths: %+v", m)
 	}
-	if m.HeaderLen+m.TimesLen >= m.HeaderLen+m.TimesLen+m.ValuesLen {
+	if int64(m.HeaderLen)+m.TimesLen >= int64(m.HeaderLen)+m.TimesLen+m.ValuesLen {
 		t.Fatal("times read not cheaper than full read")
 	}
 }

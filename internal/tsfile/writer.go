@@ -1,9 +1,10 @@
 // Package tsfile implements the on-disk chunk file format, the Go analogue
 // of IoTDB's TsFile in Fig. 15 of the paper: a sequence of immutable chunks
 // (each a compressed segment of one series) followed by a footer holding
-// every chunk's metadata — version number, point count and the four
-// representation points FP/LP/BP/TP — so queries can read metadata without
-// touching chunk data.
+// every chunk's metadata — version number, point count, the four
+// representation points FP/LP/BP/TP and the step-regression model of its
+// timestamps (§3.5) — so queries can read metadata without touching chunk
+// data, and bind the chunk index without fitting it.
 //
 // Timestamps and values are encoded as two separate blocks with separate
 // checksums, so the timestamp block can be fetched and decoded alone; the
@@ -14,7 +15,11 @@
 //	"M4TS" 0x01                                 file magic + format version
 //	chunk*                                      see writeChunk
 //	footer: uvarint count, meta*                see appendMeta
-//	uint32 footerCRC | uint64 footerLen | "M4TF"
+//	uint32 footerCRC | uint64 footerLen | "M4F2"
+//
+// "M4F2" names the footer's format: 2 added the step model to each chunk's
+// metadata. The chunks themselves are laid out as in format 1, whose footer
+// ended "M4TF"; there is no reader for that footer.
 //
 // The package also provides the length+CRC framed append-only record log
 // used by the delete sidecar (.mods) and the engine WAL.
@@ -31,12 +36,15 @@ import (
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
+	"m4lsm/internal/stepreg"
 	"m4lsm/internal/storage"
 )
 
 var (
 	fileMagic   = []byte{'M', '4', 'T', 'S', 0x01}
-	footerMagic = []byte{'M', '4', 'T', 'F'}
+	footerMagic = []byte{'M', '4', 'F', '2'}
+	// legacyFooterMagic ends a format-1 file, whose metadata has no model.
+	legacyFooterMagic = []byte{'M', '4', 'T', 'F'}
 )
 
 // ErrCorrupt reports a structurally invalid chunk file.
@@ -91,7 +99,8 @@ func Create(path string) (*Writer, error) {
 
 // WriteChunk appends one chunk for seriesID with the given version and
 // codec. data must be non-empty and strictly increasing in time. The
-// returned metadata is also recorded for the footer.
+// returned metadata, which carries the step model fitted here, is also
+// recorded for the footer.
 func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec encoding.Codec, data series.Series) (storage.ChunkMeta, error) {
 	if w.closed {
 		return storage.ChunkMeta{}, errors.New("tsfile: writer closed")
@@ -122,6 +131,9 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec enco
 	hdr = encoding.AppendUvarint(hdr, uint64(len(valuesBlock)))
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(timesBlock))
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(valuesBlock))
+	if len(hdr) > math.MaxInt32 {
+		return storage.ChunkMeta{}, fmt.Errorf("tsfile: chunk %s v%d: %d-byte header", seriesID, version, len(hdr))
+	}
 
 	meta := storage.ChunkMeta{
 		SeriesID:  seriesID,
@@ -133,9 +145,10 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec enco
 		Bottom:    bottom,
 		Top:       top,
 		Offset:    w.offset,
-		HeaderLen: int64(len(hdr)),
+		HeaderLen: int32(len(hdr)),
 		TimesLen:  int64(len(timesBlock)),
 		ValuesLen: int64(len(valuesBlock)),
+		Step:      stepreg.Fit(cols.Times()),
 	}
 	for _, b := range [][]byte{hdr, timesBlock, valuesBlock} {
 		if _, err := w.w.Write(b); err != nil {
@@ -228,7 +241,7 @@ func appendMeta(dst []byte, m storage.ChunkMeta) []byte {
 		dst = encoding.AppendVarint(dst, p.T)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.V))
 	}
-	return dst
+	return m.Step.AppendBinary(dst)
 }
 
 // parseMeta inverts appendMeta.
@@ -243,7 +256,8 @@ func parseMeta(b []byte) (storage.ChunkMeta, []byte, error) {
 	}
 	m.SeriesID = string(b[:idLen])
 	b = b[idLen:]
-	fields := []*int64{&m.Count, &m.Offset, &m.HeaderLen, &m.TimesLen, &m.ValuesLen}
+	var headerLen int64
+	fields := []*int64{&m.Count, &m.Offset, &headerLen, &m.TimesLen, &m.ValuesLen}
 	ver, b, err := encoding.Uvarint(b)
 	if err != nil {
 		return m, nil, err
@@ -265,6 +279,10 @@ func parseMeta(b []byte) (storage.ChunkMeta, []byte, error) {
 		*f = int64(u)
 		b = rest
 	}
+	if headerLen < 0 || headerLen > math.MaxInt32 {
+		return m, nil, fmt.Errorf("%w: chunk header length %d", ErrCorrupt, headerLen)
+	}
+	m.HeaderLen = int32(headerLen)
 	for _, p := range []*series.Point{&m.First, &m.Last, &m.Bottom, &m.Top} {
 		t, rest, err := encoding.Varint(b)
 		if err != nil {
@@ -277,6 +295,9 @@ func parseMeta(b []byte) (storage.ChunkMeta, []byte, error) {
 		p.T = t
 		p.V = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
+	}
+	if m.Step, b, err = stepreg.DecodeModel(b, m.Count); err != nil {
+		return m, nil, fmt.Errorf("%w: step model (%v)", ErrCorrupt, err)
 	}
 	return m, b, nil
 }
