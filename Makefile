@@ -93,20 +93,11 @@ fuzz:
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
-# It also keeps raw sleeps out of library code, keeps the query layers
-# (root package, m4ql, server) from growing a second read path beside
-# m4ql.Read (exactly one engine Snapshot call, in internal/m4ql/exec.go, and
-# the server's two executor calls: serve, the series listing),
-# keeps one merge-all read (mergeread's chunk load has one caller,
-# mergeread.Read, and the operator packages run no worker pool but
-# govern.RunPool), keeps one task shape in m4lsm (one RunPool call, in
-# runWave, and one FP-substitution site, in assemble),
-# keeps examples/ on the public package (no m4lsm/internal/ import), keeps
-# internal/lsm from growing a second write path, a second chunk-file writer
-# or reaching into the WAL, keeps internal/pyramid from depending on the
-# engine, keeps the step-regression fit in the chunk writer alone, keeps a second measurement stack from growing beside bench/, keeps
-# the chunk read path columnar, and checks that every test DESIGN.md's
-# invariant table names exists.
+# It also keeps raw sleeps out of library code. The structural rules (one
+# read path, one merge-all read, one task shape, public examples, one write
+# path, one chunk writer, fit-at-write, one measurement stack, the columnar
+# read path, DESIGN.md's invariant table and no test-only production API)
+# are type-checked in arch_test.go, which plain `go test ./...` runs too.
 lint:
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
@@ -123,99 +114,7 @@ lint:
 		echo "(deterministic jitter, context-aware). Exempt: govern/backoff.go, faultfs (injected latency)."; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -nE '\b(e|engine)\.Snapshot\(' *.go internal/m4ql/*.go internal/server/*.go \
-		| grep -v '_test\.go:' \
-		| grep -v -e '^internal/m4ql/exec\.go:'; true); \
-	n=$$(grep -cHE '\b(e|engine)\.Snapshot\(' internal/m4ql/exec.go); \
-	x=$$(grep -cE 'm4ql\.(Read|Exec|ExecuteContext|Run|RunContext|RunAny|Explain)\(' \
-		$$(ls internal/server/*.go | grep -v '_test\.go$$') | grep -v ':0$$' | tr '\n' ' '); \
-	if [ -n "$$bad" ] || [ "$$n" != "internal/m4ql/exec.go:1" ] || \
-		[ "$$x" != "internal/server/server.go:1 internal/server/ui.go:1 " ]; then \
-		echo "lint: queries take their snapshots in one place, m4ql.Read (internal/m4ql/exec.go);"; \
-		echo "build a Statement and call it. The server calls m4ql's executor twice: in serve (server.go),"; \
-		echo "the one pipeline of /query and /render, and for the series listing (ui.go)."; \
-		echo "$$bad"; echo "snapshot calls: $$n"; echo "server executor calls: $$x"; exit 1; \
-	fi
-	@n=$$(grep -nE '(^|[^.[:alnum:]_])load\(' $$(ls internal/mergeread/*.go | grep -v '_test\.go$$') \
-		| grep -v 'func load(' | cut -d: -f1 | tr '\n' ' '); \
-	bad=$$(grep -nE 'sync\.WaitGroup|(^|[^[:alnum:]_])go func' \
-		$$(ls internal/m4lsm/*.go internal/m4udf/*.go internal/mergeread/*.go internal/groupby/*.go | grep -v '_test\.go$$'); true); \
-	if [ -n "$$bad" ] || [ "$$n" != "internal/mergeread/mergeread.go " ]; then \
-		echo "lint: one merge-all read: chunks are loaded for a merge in one place, mergeread's load, called"; \
-		echo "once, by mergeread.Read (the UDF baseline, LTTB and GROUP BY's scan are folds over it);"; \
-		echo "the operators fan work out on govern.RunPool only, never on a WaitGroup or goroutine of their own."; \
-		echo "$$bad"; echo "load call sites: $$n"; exit 1; \
-	fi
-	@src=$$(ls internal/m4lsm/*.go | grep -v '_test\.go$$'); \
-	n=$$(cat $$src | grep -c 'govern\.RunPool('); \
-	s=$$(cat $$src | grep -c 'substituted FP'); \
-	if [ "$$n" != 1 ] || [ "$$s" != 1 ]; then \
-		echo "lint: one task shape in m4lsm: spans and pyramid fragments are chunk lists run by the same two"; \
-		echo "waves, so the package has one govern.RunPool call (runWave) and one FP-substitution warning (assemble)."; \
-		echo "RunPool calls: $$n, FP-substitution sites: $$s"; exit 1; \
-	fi
-	@bad=$$(grep -rlE '"m4lsm/internal/' --include='*.go' examples/; true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint: examples use the public package only (m4lsm: Open, Write, QueryContext, ...), so an"; \
-		echo "outside module can build them; these import m4lsm/internal/:"; \
-		echo "$$bad"; exit 1; \
-	fi
-
-	@n=$$(grep -cE 'sh\.mem\[[^]]*\] = append\(' internal/lsm/*.go | grep -v '_test\.go:' | grep -v ':0$$' | tr '\n' ' '); \
-	bad=$$(grep -rnE '\b(walMu|walAppend)' internal/lsm; \
-		grep -rnE 'tsfile\.(CreateSegment|OpenSegmentAppend|ReadSegment|ParseSegment)|wal-%|"wal-' --include='*.go' --exclude='*_test.go' . \
-		| grep -v -e '^\./internal/wal/' -e '^\./internal/tsfile/' -e '^\./bench/' -e '^\./cmd/m4server/main\.go:.*flag\.'; true); \
-	if [ -n "$$bad" ] || [ "$$n" != "internal/lsm/ingest.go:1 " ]; then \
-		echo "lint: inserts reach a memtable in one place, memAppend (internal/lsm/ingest.go), called by"; \
-		echo "applyRun and WAL replay; the log is reached through internal/wal's methods only."; \
-		echo "Exempt: WAL file globs in tests, the -wal-* flags of m4server."; \
-		echo "$$bad"; echo "memtable appends: $$n"; exit 1; \
-	fi
-	@n=$$(grep -c 'tsfile\.Create(' $$(ls internal/lsm/*.go | grep -v '_test\.go$$') | grep -v ':0$$' | tr '\n' ' '); \
-	bad=$$($(GO) list -deps ./internal/pyramid | grep -xE 'm4lsm/internal/(lsm|wal|tsfile)'; true); \
-	if [ -n "$$bad" ] || [ "$$n" != "internal/lsm/flush.go:1 " ]; then \
-		echo "lint: chunk files are written in one place, writeChunkFile (internal/lsm/flush.go), for flush and"; \
-		echo "compaction alike; internal/pyramid knows nothing of the engine, the WAL or the chunk format."; \
-		echo "pyramid depends on: $$bad"; echo "tsfile.Create calls: $$n"; exit 1; \
-	fi
-	@bad=$$(grep -rnE 'stepreg\.(Fit|Build)\(' --include='*.go' --exclude='*_test.go' \
-			--exclude-dir=bench --exclude-dir=.bench_build . \
-		| grep -v '^\./internal/tsfile/writer\.go:'; true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint: a chunk's step-regression model is fitted once, by the chunk writer (tsfile's WriteChunk),"; \
-		echo "kept in the footer and bound to the loaded timestamps with stepreg.Bind; no other code fits one."; \
-		echo "Exempt: tests, and bench/ (its own module, which times the fit as a layer)."; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(ls BENCH_*.json 2>/dev/null; \
-		grep -nE '^bench-[a-z-]*:' Makefile | grep -vE '^[0-9]+:bench-(check|smoke):'; \
-		grep -nE '^func Benchmark' *_test.go 2>/dev/null; \
-		grep -nE '"m4lsm/internal/(server|obs/history)"' internal/exper/*.go; true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint: numbers come from one place, bash bench/run.sh (spec in BENCHMARK.json); internal/exper"; \
-		echo "only regenerates the paper's tables. No BENCH_*.json at the root, no bench-* target but"; \
-		echo "bench-check and bench-smoke, no root-package Benchmark, no server-level sweep in exper."; \
-		echo "Exempt: per-package micro-benchmarks beside their code (internal/encoding, internal/tsfile,"; \
-		echo "internal/stepreg, internal/m4lsm, internal/viz, internal/pyramid), which make microbench runs once each so they cannot rot."; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -nE 'FromColumns\(|\.Points\(\)|\.Columns\(\)' internal/tsfile/reader.go \
-		$$(ls internal/cache/*.go internal/mergeread/*.go internal/m4lsm/*.go internal/m4udf/*.go | grep -v '_test\.go$$'); true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint: a chunk is loaded, cached, merged and scanned as series.Columns (whose Times()/Values() are"; \
-		echo "the shared slices, no copy). Building rows from columns or columns from rows belongs to whoever"; \
-		echo "asked for rows (mergeread.Merge's caller, tests) or was handed them (tsfile/writer.go)."; \
-		echo "$$bad"; exit 1; \
-	fi
-	@names=$$(sed -n '/^## [0-9. ]*Invariants/,$$p' DESIGN.md | grep -oE '\b(Test|Fuzz)[A-Za-z0-9_]+' | sort -u); \
-	bad=$$(for name in $$names; do \
-			grep -rqE "^func $$name\(" --include='*_test.go' --exclude-dir=.bench_build . || echo "$$name"; \
-		done); \
-	if [ -n "$$bad" ] || [ -z "$$names" ]; then \
-		echo "lint: every invariant in DESIGN.md's table names the test, fuzzer or lint that enforces it,"; \
-		echo "and each name must resolve (grep -rn 'func <name>(' over *_test.go). Unresolved:"; \
-		echo "$$bad"; exit 1; \
-	fi
+	$(GO) test -count=1 -run '^TestArchitecture' .
 
 # bench-check compiles and tests the benchmark. bench/ is a module of its
 # own (so it stays out of `go build ./...` and the coverage floor), which
@@ -229,10 +128,8 @@ bench-check:
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid
 
-# check is the standard gate for this repo: static analysis, the logging,
-# backoff, one-read-path, one-merge-all-read, public-examples,
-# one-write-path, one-chunk-writer, pyramid-boundary and columnar-read-path
-# lints, the
+# check is the standard gate for this repo: static analysis, the logging
+# and backoff greps and the architecture rules, the
 # benchmark module's own vet and tests, one pass of the micro-benchmarks,
 # the suite (including the crash-recovery torture and the
 # short-mode differential harness) under the race detector, the overload

@@ -1,0 +1,945 @@
+package m4lsm_test
+
+// The repository's architecture rules, stated on objects resolved by
+// go/types rather than on strings, so a comment, an alias or a renamed
+// variable does not change a verdict. Every package of the module, and of
+// the frozen bench/ module (which imports internal packages), is
+// type-checked from source; the standard library comes from the
+// toolchain's export data, located by one go list call, so nothing is
+// downloaded.
+// _test.go files are parsed, never type-checked: the rules that read them
+// look at declarations and imports only.
+//
+// TestArchitecture runs each rule as a subtest (go test -run
+// 'TestArchitecture/one_read_path' runs one). TestArchitectureMutations
+// applies one edit to the sources in memory, nothing written to disk, and
+// requires the named rule, and no other, to fail.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+)
+
+const archModule = "m4lsm"
+
+// archPkg is one package: its non-test files type-checked, its _test.go
+// files parsed only.
+type archPkg struct {
+	path   string // import path
+	dir    string // slash-separated, relative to the repo root ("." is the root)
+	files  []*ast.File
+	names  []string // file paths of files
+	tests  []*ast.File
+	tnames []string // file paths of tests
+	types  *types.Package
+	info   *types.Info
+	errs   []error
+	refs   map[string]bool    // objKey of everything the non-test files refer to
+	ifaces []*types.Interface // the interface types they mention, once each
+}
+
+// archTree is the source tree as the rules see it.
+type archTree struct {
+	fset *token.FileSet
+	std  types.Importer
+	src  map[string][]byte // every .go file, DESIGN.md and the Makefile, by slash path
+	root []string          // the files at the repo root
+	pkgs map[string]*archPkg
+}
+
+// archOnce holds the tree both tests read; rules and mutations never
+// change it.
+var archOnce struct {
+	sync.Once
+	tr  *archTree
+	err error
+}
+
+func loadArchTree(t testing.TB) *archTree {
+	t.Helper()
+	archOnce.Do(func() { archOnce.tr, archOnce.err = readArchTree() })
+	if archOnce.err != nil {
+		t.Fatal(archOnce.err)
+	}
+	return archOnce.tr
+}
+
+func readArchTree() (*archTree, error) {
+	tr := &archTree{fset: token.NewFileSet(), src: map[string][]byte{}, pkgs: map[string]*archPkg{}}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || p == "bench/out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		p = filepath.ToSlash(p)
+		if path.Dir(p) == "." {
+			tr.root = append(tr.root, p)
+		}
+		if strings.HasSuffix(p, ".go") || p == "DESIGN.md" || p == "Makefile" {
+			b, err := os.ReadFile(p)
+			tr.src[p] = b
+			if dir := path.Dir(p); strings.HasSuffix(p, ".go") && tr.pkgs[archImportPath(dir)] == nil {
+				tr.pkgs[archImportPath(dir)] = &archPkg{path: archImportPath(dir), dir: dir}
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var std []string
+	for name, b := range tr.src {
+		if f, err := parser.ParseFile(tr.fset, name, b, parser.ImportsOnly); err == nil && strings.HasSuffix(name, ".go") {
+			for _, s := range f.Imports {
+				if ip, _ := strconv.Unquote(s.Path.Value); ip != archModule && !strings.HasPrefix(ip, archModule+"/") {
+					std = append(std, ip)
+				}
+			}
+		}
+	}
+	if tr.std, err = stdImporter(tr.fset, std); err != nil {
+		return nil, err
+	}
+	for _, p := range tr.sorted() {
+		if p.info == nil {
+			tr.check(p)
+		}
+	}
+	return tr, nil
+}
+
+// stdImporter imports the standard library from the toolchain's export
+// data. importer.Default locates it with one go list run per package (~3 s
+// for this tree); this asks for every package the tree imports in one run,
+// and for any other on demand.
+func stdImporter(fset *token.FileSet, paths []string) (types.Importer, error) {
+	exports := map[string]string{}
+	list := func(paths ...string) error {
+		out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, paths...)...).Output()
+		if err != nil {
+			return fmt.Errorf("go list -export: %w", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			if ip, file, ok := strings.Cut(line, "\t"); ok {
+				exports[ip] = file
+			}
+		}
+		return nil
+	}
+	if err := list(paths...); err != nil {
+		return nil, err
+	}
+	return importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
+		if exports[ip] == "" {
+			if err := list(ip); err != nil {
+				return nil, err
+			}
+		}
+		return os.Open(exports[ip])
+	}), nil
+}
+
+// archImportPath maps a directory to its import path; bench/ is the module
+// m4lsm/bench, so one mapping covers both modules.
+func archImportPath(dir string) string {
+	if dir == "." {
+		return archModule
+	}
+	return archModule + "/" + dir
+}
+
+func (tr *archTree) sorted() []*archPkg {
+	out := make([]*archPkg, 0, len(tr.pkgs))
+	for _, p := range tr.pkgs {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].path < out[j].path })
+	return out
+}
+
+// Import resolves module packages from source and the rest from the
+// toolchain.
+func (tr *archTree) Import(ip string) (*types.Package, error) {
+	if ip != archModule && !strings.HasPrefix(ip, archModule+"/") {
+		return tr.std.Import(ip)
+	}
+	p := tr.pkgs[ip]
+	if p == nil {
+		return nil, fmt.Errorf("no package %s in the tree", ip)
+	}
+	if p.info == nil {
+		tr.check(p)
+	}
+	return p.types, nil
+}
+
+// check parses p's files from tr.src and type-checks the non-test ones.
+func (tr *archTree) check(p *archPkg) {
+	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}}
+	var names []string
+	for f := range tr.src {
+		if strings.HasSuffix(f, ".go") && path.Dir(f) == p.dir {
+			names = append(names, f)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f, err := parser.ParseFile(tr.fset, name, tr.src[name], parser.SkipObjectResolution)
+		if err != nil {
+			p.errs = append(p.errs, err)
+			continue
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			p.tests, p.tnames = append(p.tests, f), append(p.tnames, name)
+		} else {
+			p.files, p.names = append(p.files, f), append(p.names, name)
+		}
+	}
+	conf := types.Config{Importer: tr, Error: func(err error) { p.errs = append(p.errs, err) }}
+	p.types, _ = conf.Check(p.path, tr.fset, p.files, p.info)
+	p.refs = map[string]bool{}
+	for _, obj := range p.info.Uses {
+		p.refs[objKey(obj)] = true
+	}
+	seen := map[*types.Interface]bool{}
+	for _, tv := range p.info.Types {
+		if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+			seen[it] = true
+			p.ifaces = append(p.ifaces, it)
+		}
+	}
+}
+
+// archEdit replaces the first occurrence of old in file with new; an empty
+// old appends new to the file.
+type archEdit struct{ file, old, new string }
+
+// mutate returns a copy of tr with the edits applied. Each edited package
+// is parsed and checked again against the other packages as they are.
+func (tr *archTree) mutate(edits ...archEdit) (*archTree, error) {
+	m := &archTree{fset: tr.fset, std: tr.std, root: tr.root,
+		src: make(map[string][]byte, len(tr.src)), pkgs: make(map[string]*archPkg, len(tr.pkgs))}
+	for k, v := range tr.src {
+		m.src[k] = v
+	}
+	for k, v := range tr.pkgs {
+		m.pkgs[k] = v
+	}
+	for _, e := range edits {
+		b, ok := m.src[e.file]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("no file %s", e.file)
+		case e.old == "":
+			m.src[e.file] = []byte(string(b) + e.new)
+		case !strings.Contains(string(b), e.old):
+			return nil, fmt.Errorf("%s does not contain %q", e.file, e.old)
+		default:
+			m.src[e.file] = []byte(strings.Replace(string(b), e.old, e.new, 1))
+		}
+		if strings.HasSuffix(e.file, ".go") {
+			ip := archImportPath(path.Dir(e.file))
+			m.pkgs[ip] = &archPkg{path: ip, dir: path.Dir(e.file)}
+		}
+	}
+	for _, p := range m.sorted() {
+		if p.info == nil {
+			m.check(p)
+		}
+	}
+	return m, nil
+}
+
+// archRef is one site a rule found.
+type archRef struct {
+	file string // slash path
+	fn   string // enclosing top-level function or method, "" at package level
+	line int
+}
+
+func (r archRef) String() string {
+	if r.fn == "" {
+		return fmt.Sprintf("%s:%d", r.file, r.line)
+	}
+	return fmt.Sprintf("%s:%d (%s)", r.file, r.line, r.fn)
+}
+
+// find lists the nodes of the packages' non-test files that match accepts.
+func (tr *archTree) find(pkgs []*archPkg, match func(p *archPkg, n ast.Node) bool) []archRef {
+	var out []archRef
+	for _, p := range pkgs {
+		for i, f := range p.files {
+			for _, d := range f.Decls {
+				fn := ""
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					fn = fd.Name.Name
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if n != nil && match(p, n) {
+						out = append(out, archRef{file: p.names[i], fn: fn, line: tr.fset.Position(n.Pos()).Line})
+					}
+					return true
+				})
+			}
+		}
+	}
+	return out
+}
+
+// uses matches identifiers that refer to an object keep accepts.
+func uses(keep func(types.Object) bool) func(p *archPkg, n ast.Node) bool {
+	return func(p *archPkg, n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		obj := p.info.Uses[id]
+		return obj != nil && keep(obj)
+	}
+}
+
+// stringLit matches string literals containing sub; comments never match.
+func stringLit(sub string) func(p *archPkg, n ast.Node) bool {
+	return func(p *archPkg, n ast.Node) bool {
+		lit, ok := n.(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return false
+		}
+		s, err := strconv.Unquote(lit.Value)
+		return err == nil && strings.Contains(s, sub)
+	}
+}
+
+// pkgsUnder lists the packages at each dir or below it ("." is the root
+// package alone).
+func (tr *archTree) pkgsUnder(dirs ...string) []*archPkg {
+	var out []*archPkg
+	for _, p := range tr.sorted() {
+		for _, d := range dirs {
+			if p.dir == d || d != "." && strings.HasPrefix(p.dir, d+"/") {
+				out = append(out, p)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// pkgsOutside lists the packages not under any of dirs.
+func (tr *archTree) pkgsOutside(dirs ...string) []*archPkg {
+	under := map[*archPkg]bool{}
+	for _, p := range tr.pkgsUnder(dirs...) {
+		under[p] = true
+	}
+	var out []*archPkg
+	for _, p := range tr.sorted() {
+		if !under[p] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// recvType is the type a method is declared on, pointer stripped (nil for
+// a function).
+func recvType(obj types.Object) types.Type {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return nil
+	}
+	rt := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := rt.(*types.Pointer); ok {
+		rt = ptr.Elem()
+	}
+	return rt
+}
+
+// objKey names a package-level object or a method the same way whichever
+// type-check produced it: "m4lsm/internal/lsm.Engine.Snapshot".
+func objKey(obj types.Object) string {
+	if obj.Pkg() == nil {
+		return obj.Name()
+	}
+	if n, ok := recvType(obj).(*types.Named); ok {
+		return obj.Pkg().Path() + "." + n.Obj().Name() + "." + obj.Name()
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// is accepts the objects with the given keys, relative to the module
+// ("internal/lsm.Engine.Snapshot").
+func is(keys ...string) func(types.Object) bool {
+	return func(obj types.Object) bool {
+		k := objKey(obj)
+		for _, want := range keys {
+			if k == archModule+"/"+want {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// onlyAt reports unless refs are exactly one site per want entry ("file"
+// or "file:func"), in order.
+func onlyAt(what string, refs []archRef, want ...string) []string {
+	ok := len(refs) == len(want)
+	for i := 0; ok && i < len(refs); i++ {
+		file, fn, _ := strings.Cut(want[i], ":")
+		ok = refs[i].file == file && (fn == "" || refs[i].fn == fn)
+	}
+	if ok {
+		return nil
+	}
+	found := make([]string, len(refs))
+	for i, r := range refs {
+		found[i] = r.String()
+	}
+	return []string{fmt.Sprintf("%s: want exactly [%s], found [%s]", what, strings.Join(want, ", "), strings.Join(found, ", "))}
+}
+
+// none reports every site in refs.
+func none(what string, refs []archRef) []string {
+	var out []string
+	for _, r := range refs {
+		out = append(out, fmt.Sprintf("%s: %s", r, what))
+	}
+	return out
+}
+
+// imports lists the import paths of p's files by file, tests included
+// when withTests is set.
+func (p *archPkg) imports(withTests bool) map[string][]string {
+	out := map[string][]string{}
+	add := func(names []string, files []*ast.File) {
+		for i, f := range files {
+			for _, s := range f.Imports {
+				ip, _ := strconv.Unquote(s.Path.Value)
+				out[names[i]] = append(out[names[i]], ip)
+			}
+		}
+	}
+	add(p.names, p.files)
+	if withTests {
+		add(p.tnames, p.tests)
+	}
+	return out
+}
+
+// deps is the transitive closure of p's non-test module imports, plus
+// the direct imports of its tests when withTests is set.
+func (tr *archTree) deps(p *archPkg, withTests bool) map[string]bool {
+	seen := map[string]bool{}
+	var walk func(p *archPkg, withTests bool)
+	walk = func(p *archPkg, withTests bool) {
+		for _, ips := range p.imports(withTests) {
+			for _, ip := range ips {
+				if q := tr.pkgs[ip]; q != nil && !seen[ip] {
+					seen[ip] = true
+					walk(q, false)
+				}
+			}
+		}
+	}
+	walk(p, withTests)
+	return seen
+}
+
+// archRule is one architecture rule: check returns its violations.
+type archRule struct {
+	name  string
+	check func(tr *archTree) []string
+}
+
+// archRules is set in init: ruleDesignInvariants reads the rule names.
+var archRules []archRule
+
+func init() {
+	archRules = []archRule{
+		{"one_read_path", ruleOneReadPath},
+		{"one_merge_all_read", ruleOneMergeAllRead},
+		{"one_task_shape", ruleOneTaskShape},
+		{"public_examples", rulePublicExamples},
+		{"one_write_path", ruleOneWritePath},
+		{"one_chunk_writer", ruleOneChunkWriter},
+		{"fit_at_write", ruleFitAtWrite},
+		{"one_measurement_stack", ruleOneMeasurementStack},
+		{"columnar_read_path", ruleColumnarReadPath},
+		{"design_invariants", ruleDesignInvariants},
+		{"production_api", ruleProductionAPI},
+	}
+}
+
+// ruleOneReadPath: queries take their snapshots in one place, m4ql.Read.
+// The query surfaces (the root package, m4ql, server and the commands)
+// refer to the engine's Snapshot once, in internal/m4ql/exec.go's Read; the
+// server calls m4ql's executor (its functions that take the engine) twice:
+// in serve, the one pipeline of /query and /render, and in the UI's series
+// listing.
+func ruleOneReadPath(tr *archTree) []string {
+	surfaces := tr.pkgsUnder(".", "cmd", "internal/m4ql", "internal/server")
+	out := onlyAt("engine Snapshot references", tr.find(surfaces, uses(is("internal/lsm.Engine.Snapshot"))),
+		"internal/m4ql/exec.go:Read")
+	takesEngine := func(obj types.Object) bool {
+		fn, ok := obj.(*types.Func)
+		if !ok || obj.Pkg() == nil || obj.Pkg().Path() != archModule+"/internal/m4ql" {
+			return false
+		}
+		params := fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if ptr, ok := params.At(i).Type().(*types.Pointer); ok {
+				if n, ok := ptr.Elem().(*types.Named); ok && is("internal/lsm.Engine")(n.Obj()) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return append(out, onlyAt("server calls of m4ql's executor", tr.find(tr.pkgsUnder("internal/server"), uses(takesEngine)),
+		"internal/server/server.go:serve", "internal/server/ui.go:ui")...)
+}
+
+// ruleOneMergeAllRead: chunks are loaded for a merge in one place,
+// mergeread's load, referred to once, by mergeread.Read (the UDF baseline,
+// LTTB and GROUP BY's scan are folds over it); the operator packages fan
+// work out on govern.RunPool only, never on a WaitGroup or a goroutine of
+// their own.
+func ruleOneMergeAllRead(tr *archTree) []string {
+	out := onlyAt("mergeread load references", tr.find(tr.pkgsUnder("internal/mergeread"), uses(is("internal/mergeread.load"))),
+		"internal/mergeread/mergeread.go:Read")
+	ops := tr.pkgsUnder("internal/m4lsm", "internal/m4udf", "internal/mergeread", "internal/groupby")
+	out = append(out, none("sync.WaitGroup in an operator package; use govern.RunPool",
+		tr.find(ops, uses(func(obj types.Object) bool { return objKey(obj) == "sync.WaitGroup" })))...)
+	return append(out, none("go statement in an operator package; use govern.RunPool",
+		tr.find(ops, func(_ *archPkg, n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }))...)
+}
+
+// ruleOneTaskShape: spans and pyramid fragments are chunk lists run by the
+// same two waves, so m4lsm refers to govern.RunPool once, in runWave, and
+// has one FP-substitution warning, in assemble.
+func ruleOneTaskShape(tr *archTree) []string {
+	m4lsm := tr.pkgsUnder("internal/m4lsm")
+	out := onlyAt("govern.RunPool references in m4lsm", tr.find(m4lsm, uses(is("internal/govern.RunPool"))),
+		"internal/m4lsm/m4lsm.go:runWave")
+	return append(out, onlyAt(`"substituted FP" warnings in m4lsm`, tr.find(m4lsm, stringLit("substituted FP")),
+		"internal/m4lsm/plan.go:assemble")...)
+}
+
+// rulePublicExamples: examples use the public package only, so an outside
+// module can build them.
+func rulePublicExamples(tr *archTree) []string {
+	var out []string
+	for _, p := range tr.pkgsUnder("examples") {
+		for file, ips := range p.imports(true) {
+			for _, ip := range ips {
+				if strings.HasPrefix(ip, archModule+"/internal/") {
+					out = append(out, fmt.Sprintf("%s imports %s; examples use the public package only", file, ip))
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// ruleOneWritePath: inserts reach a memtable in one place, memAppend
+// (internal/lsm/ingest.go), called by applyRun and WAL replay; the log is
+// reached through internal/wal's methods only: lsm, tests included, has no
+// walMu or walAppend, and only wal and tsfile (and bench/) touch segment
+// files or spell their "wal-" names. Exempt: the -wal-* flags of m4server.
+func ruleOneWritePath(tr *archTree) []string {
+	lsm := tr.pkgsUnder("internal/lsm")
+	// A memtable append is m[k] = append(...) into a map of the type of
+	// shard.mem, however the map is reached.
+	memAppend := func(p *archPkg, n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return false
+		}
+		ix, ok := as.Lhs[0].(*ast.IndexExpr)
+		call, isCall := as.Rhs[0].(*ast.CallExpr)
+		if !ok || !isCall {
+			return false
+		}
+		fn, ok := call.Fun.(*ast.Ident)
+		if _, builtin := p.info.Uses[fn].(*types.Builtin); !ok || !builtin || fn.Name != "append" {
+			return false
+		}
+		shard := p.types.Scope().Lookup("shard")
+		if shard == nil {
+			return false
+		}
+		mem, _, _ := types.LookupFieldOrMethod(shard.Type(), true, p.types, "mem")
+		return mem != nil && types.Identical(p.info.TypeOf(ix.X), mem.Type())
+	}
+	out := onlyAt("memtable appends", tr.find(lsm, memAppend), "internal/lsm/ingest.go:memAppend")
+	for _, p := range lsm {
+		files, names := append(append([]*ast.File{}, p.files...), p.tests...), append(append([]string{}, p.names...), p.tnames...)
+		for i, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && (id.Name == "walMu" || id.Name == "walAppend") {
+					out = append(out, fmt.Sprintf("%s:%d: %s in lsm; the WAL is internal/wal's", names[i], tr.fset.Position(id.Pos()).Line, id.Name))
+				}
+				return true
+			})
+		}
+	}
+	outside := tr.pkgsOutside("internal/wal", "internal/tsfile", "bench")
+	out = append(out, none("segment file access outside internal/wal",
+		tr.find(outside, uses(is("internal/tsfile.CreateSegment", "internal/tsfile.OpenSegmentAppend", "internal/tsfile.ReadSegment", "internal/tsfile.ParseSegment"))))...)
+	flagName := map[ast.Node]bool{}
+	tr.find(tr.pkgsUnder("cmd/m4server"), func(p *archPkg, n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if obj := p.info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "flag" {
+					flagName[call.Args[0]] = true
+				}
+			}
+		}
+		return false
+	})
+	walName := stringLit("wal-")
+	return append(out, none(`WAL file name ("wal-") outside internal/wal`,
+		tr.find(outside, func(p *archPkg, n ast.Node) bool { return walName(p, n) && !flagName[n] }))...)
+}
+
+// ruleOneChunkWriter: chunk files are written in one place, writeChunkFile
+// (internal/lsm/flush.go), for flush and compaction alike; internal/pyramid
+// knows nothing of the engine, the WAL or the chunk format.
+func ruleOneChunkWriter(tr *archTree) []string {
+	out := onlyAt("tsfile.Create references in lsm", tr.find(tr.pkgsUnder("internal/lsm"), uses(is("internal/tsfile.Create"))),
+		"internal/lsm/flush.go:writeChunkFile")
+	for _, p := range tr.pkgsUnder("internal/pyramid") {
+		deps := tr.deps(p, false)
+		for _, bad := range []string{"lsm", "wal", "tsfile"} {
+			if deps[archModule+"/internal/"+bad] {
+				out = append(out, fmt.Sprintf("%s depends on internal/%s", p.path, bad))
+			}
+		}
+	}
+	return out
+}
+
+// ruleFitAtWrite: a chunk's step-regression model is fitted once, by the
+// chunk writer (tsfile's WriteChunk), kept in the footer and bound to the
+// loaded timestamps with stepreg.Bind; no other code fits one. Exempt:
+// stepreg itself, and bench/, its own module, which times the fit as a
+// layer.
+func ruleFitAtWrite(tr *archTree) []string {
+	return onlyAt("stepreg.Fit/Build references", tr.find(tr.pkgsOutside("bench", "internal/stepreg"), uses(is("internal/stepreg.Fit", "internal/stepreg.Build"))),
+		"internal/tsfile/writer.go:WriteChunk")
+}
+
+// ruleOneMeasurementStack: numbers come from one place, bash bench/run.sh
+// (spec in BENCHMARK.json); internal/exper only regenerates the paper's
+// tables. No BENCH_*.json at the root, no bench-* make target but
+// bench-check and bench-smoke, no root-package Benchmark, and exper
+// depends on neither the server nor the self-metrics history. Per-package
+// micro-benchmarks beside their code are fine: make microbench runs them.
+func ruleOneMeasurementStack(tr *archTree) []string {
+	var out []string
+	for _, f := range tr.root {
+		if ok, _ := path.Match("BENCH_*.json", f); ok {
+			out = append(out, f+": a second results file; results come from bench/run.sh")
+		}
+	}
+	target := regexp.MustCompile(`^bench-[a-z-]*:`)
+	for i, line := range strings.Split(string(tr.src["Makefile"]), "\n") {
+		if target.MatchString(line) && !strings.HasPrefix(line, "bench-check:") && !strings.HasPrefix(line, "bench-smoke:") {
+			out = append(out, fmt.Sprintf("Makefile:%d: %s is a second benchmark target", i+1, line))
+		}
+	}
+	root := tr.pkgs[archModule]
+	for i, f := range root.tests {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Benchmark") {
+				out = append(out, fmt.Sprintf("%s: root-package %s; benchmarks live in bench/", root.tnames[i], fd.Name.Name))
+			}
+		}
+	}
+	for _, p := range tr.pkgsUnder("internal/exper") {
+		deps := tr.deps(p, true)
+		for _, bad := range []string{"internal/server", "internal/obs/history"} {
+			if deps[archModule+"/"+bad] {
+				out = append(out, fmt.Sprintf("%s depends on %s; speed sweeps are bench/ workloads", p.path, bad))
+			}
+		}
+	}
+	return out
+}
+
+// ruleColumnarReadPath: a chunk is loaded, cached, merged and scanned as
+// series.Columns, whose Times()/Values() are the shared slices. Building
+// rows from columns or columns from rows (FromColumns, the Points and
+// Columns methods) belongs to whoever asked for rows or was handed them,
+// never to tsfile's reader, cache, mergeread, m4lsm or m4udf.
+func ruleColumnarReadPath(tr *archTree) []string {
+	rows := func(obj types.Object) bool {
+		if _, ok := obj.(*types.Func); !ok {
+			return false
+		}
+		return obj.Name() == "FromColumns" || recvType(obj) != nil && (obj.Name() == "Points" || obj.Name() == "Columns")
+	}
+	var refs []archRef
+	for _, r := range tr.find(tr.pkgsUnder("internal/tsfile", "internal/cache", "internal/mergeread", "internal/m4lsm", "internal/m4udf"), uses(rows)) {
+		if !strings.HasPrefix(r.file, "internal/tsfile/") || r.file == "internal/tsfile/reader.go" {
+			refs = append(refs, r)
+		}
+	}
+	return none("rows built on the columnar read path", refs)
+}
+
+// ruleDesignInvariants: every invariant in DESIGN.md's table names the
+// tests, fuzzers or architecture rules that enforce it, and each name
+// resolves: a Test or Fuzz function in some _test.go file and, for
+// TestArchitecture/<rule>, a rule of this file.
+func ruleDesignInvariants(tr *archTree) []string {
+	design := string(tr.src["DESIGN.md"])
+	at := regexp.MustCompile(`(?m)^## [0-9. ]*Invariants`).FindStringIndex(design)
+	if at == nil {
+		return []string{"DESIGN.md has no Invariants section"}
+	}
+	defined := map[string]bool{}
+	for _, p := range tr.pkgs {
+		for _, f := range p.tests {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+					defined[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	for _, r := range archRules {
+		defined["TestArchitecture/"+r.name] = true
+	}
+	names := regexp.MustCompile(`\b(Test|Fuzz)[A-Za-z0-9_]+(/[A-Za-z0-9_]+)?`).FindAllString(design[at[0]:], -1)
+	if len(names) == 0 {
+		return []string{"DESIGN.md's Invariants section names no test"}
+	}
+	var out []string
+	for _, name := range names {
+		if !defined[name] {
+			out = append(out, fmt.Sprintf("DESIGN.md's invariants name %s, which does not exist", name))
+		}
+	}
+	return out
+}
+
+// archAllow lists the exported internal identifiers that production code
+// does not call on purpose, each with its reason. A package entry covers
+// the whole package.
+var archAllow = map[string]string{
+	"internal/faultfs":                "the fault-injection seam: wraps chunk sources and step hooks in tests",
+	"internal/testutil":               "helpers shared by several packages' tests",
+	"internal/difftest.Run":           "difftest's reproduce entry point: replays one seed",
+	"internal/difftest.RunIngestDiff": "difftest's reproduce entry point for the ingest twins",
+	"internal/difftest.RunRepr":       "difftest's reproduce entry point for REPRESENT",
+	"internal/series.Series.Slice":    "the reference span slicing the m4, groupby and pyramid oracles compare against",
+	"internal/govern.Budget.Used":     "tests read a budget's charges back; the operators only charge",
+	"internal/obs.Counter.Value":      "tests read one counter back; production reads the registry through Snapshot",
+}
+
+// ruleProductionAPI: every exported package-level identifier or method of
+// non-test internal/ code has a non-test reference (bench/ counts: that
+// module is frozen and imports internal packages). Methods that satisfy an
+// interface are exempt, as are archAllow's entries; an entry that names
+// nothing, or API production code now calls, is a violation too.
+func ruleProductionAPI(tr *archTree) []string {
+	// The interfaces a method may satisfy: the error interface, those that
+	// errors.Is/As assert dynamically, and every interface the tree or the
+	// standard library packages it imports declare or mention.
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, src := range []string{"interface{ Unwrap() error }", "interface{ Unwrap() []error }", "interface{ Is(error) bool }", "interface{ As(any) bool }"} {
+		tv, err := types.Eval(token.NewFileSet(), nil, token.NoPos, src)
+		if err != nil {
+			return []string{err.Error()}
+		}
+		ifaces = append(ifaces, tv.Type.Underlying().(*types.Interface))
+	}
+	seen := map[*types.Package]bool{}
+	var addScope func(pkg *types.Package)
+	addScope = func(pkg *types.Package) {
+		if pkg == nil || seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if it, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			addScope(imp)
+		}
+	}
+	used := map[string]bool{}
+	for _, p := range tr.sorted() {
+		for k := range p.refs {
+			used[k] = true
+		}
+		ifaces = append(ifaces, p.ifaces...)
+		addScope(p.types)
+	}
+	byMethod := map[string][]*types.Interface{}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			byMethod[it.Method(i).Name()] = append(byMethod[it.Method(i).Name()], it)
+		}
+	}
+	satisfies := func(fn *types.Func, recv types.Type) bool {
+		for _, it := range byMethod[fn.Name()] {
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
+	}
+	allowed := func(key string) bool {
+		for k := range archAllow {
+			if key == k || strings.HasPrefix(key, k+".") && tr.pkgs[archModule+"/"+k] != nil {
+				return true
+			}
+		}
+		return false
+	}
+	var out []string
+	declared := map[string]bool{}
+	for _, p := range tr.pkgsUnder("internal") {
+		for id, obj := range p.info.Defs {
+			if obj == nil || !obj.Exported() {
+				continue
+			}
+			if rt := recvType(obj); rt != nil {
+				if types.IsInterface(rt) || satisfies(obj.(*types.Func), rt) {
+					continue
+				}
+			} else if obj.Parent() != p.types.Scope() {
+				continue // fields and locals
+			}
+			key := strings.TrimPrefix(objKey(obj), archModule+"/")
+			declared[key] = true
+			if used[objKey(obj)] || allowed(key) {
+				continue
+			}
+			out = append(out, fmt.Sprintf("%s: %s has no non-test caller; delete it, move it into a _test.go file, or allow it with a reason",
+				tr.fset.Position(id.Pos()), key))
+		}
+	}
+	for k := range archAllow {
+		switch {
+		case tr.pkgs[archModule+"/"+k] != nil:
+		case !declared[k]:
+			out = append(out, fmt.Sprintf("allow-list entry %s names nothing", k))
+		case used[archModule+"/"+k]:
+			out = append(out, fmt.Sprintf("allow-list entry %s has a non-test caller; drop the entry", k))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestArchitecture(t *testing.T) {
+	tr := loadArchTree(t)
+	for _, p := range tr.sorted() {
+		for _, err := range p.errs {
+			t.Errorf("%s: %v", p.path, err)
+		}
+	}
+	for _, r := range archRules {
+		t.Run(r.name, func(t *testing.T) {
+			for _, v := range r.check(tr) {
+				t.Error(v)
+			}
+		})
+	}
+}
+
+// archMutations are edits the rules must catch: the breakages each rule
+// was written against, and the ones a string match missed. The last entry
+// must pass: the rules' strings in comments are not code.
+var archMutations = []struct {
+	name  string
+	rule  string // "" for an edit no rule may flag
+	edits []archEdit
+}{
+	{"second mergeread load", "one_merge_all_read", []archEdit{{"internal/mergeread/mergeread.go",
+		"l, err := load(ctx, snap, inner, opts, c)", "_, _ = load(ctx, snap, inner, opts, c)\n\t\tl, err := load(ctx, snap, inner, opts, c)"}}},
+	{"WaitGroup in m4udf", "one_merge_all_read", []archEdit{{"internal/m4udf/m4udf.go", "import (", "import (\n\t\"sync\""},
+		{"internal/m4udf/m4udf.go", "", "\nvar pending sync.WaitGroup\n"}}},
+	{"go func in groupby", "one_merge_all_read", []archEdit{{"internal/groupby/groupby.go", "", "\nfunc spawn() { go func() {}() }\n"}}},
+	{"second RunPool in m4lsm", "one_task_shape", []archEdit{{"internal/m4lsm/m4lsm.go", "",
+		"\nfunc pool() error { return govern.RunPool(1, 1, func(w, t int) error { return nil }) }\n"}}},
+	{"second FP substitution in m4lsm", "one_task_shape", []archEdit{{"internal/m4lsm/plan.go", "", "\nvar fallback = \"span 0: substituted FP\"\n"}}},
+	{"internal import in an example", "public_examples", []archEdit{{"examples/quickstart/main.go", "import (", "import (\n\t_ \"m4lsm/internal/series\""}}},
+	{"second tsfile.Create in lsm", "one_chunk_writer", []archEdit{{"internal/lsm/flush.go", "",
+		"\nfunc create(p string) (*tsfile.Writer, error) { return tsfile.Create(p) }\n"}}},
+	{"Snapshot through a renamed variable", "one_read_path", []archEdit{{"internal/server/server.go", "",
+		"\nfunc peek(eng *lsm.Engine, stmt m4ql.Statement) (*storage.Snapshot, error) {\n\treturn eng.Snapshot(\"root.s\", stmt.Query.Range())\n}\n"}}},
+	{"second executor call in server", "one_read_path", []archEdit{{"internal/server/server.go", "",
+		"\nfunc again(ctx context.Context, h *Handler) { _, _ = m4ql.Exec(ctx, h.engine, m4ql.Statement{}) }\n"}}},
+	{"stepreg.Fit in m4lsm/load.go", "fit_at_write", []archEdit{{"internal/m4lsm/load.go", "", "\nfunc refit(ts []int64) *stepreg.Model { return stepreg.Fit(ts) }\n"}}},
+	{"memtable append through an alias outside ingest.go", "one_write_path", []archEdit{{"internal/lsm/shard.go", "",
+		"\nfunc (sh *shard) put(id string, p series.Point) {\n\tbuf := sh.mem\n\tbuf[id] = append(buf[id], p)\n}\n"}}},
+	{"walMu in lsm", "one_write_path", []archEdit{{"internal/lsm/shard.go", "", "\nvar walMu sync.Mutex\n"}}},
+	{"segment read outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nvar readSeg = tsfile.ReadSegment\n"}}},
+	{"WAL file name outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nconst walGlob = \"wal-*.log\"\n"}}},
+	{"internal/lsm import in pyramid", "one_chunk_writer", []archEdit{{"internal/pyramid/pyramid.go", "import (", "import (\n\t_ \"m4lsm/internal/lsm\""}}},
+	{"FromColumns in mergeread", "columnar_read_path", []archEdit{{"internal/mergeread/mergeread.go", "",
+		"\nfunc rows(ts []int64, vs []float64) series.Series { return series.FromColumns(ts, vs) }\n"}}},
+	{"root Benchmark", "one_measurement_stack", []archEdit{{"m4lsm_test.go", "", "\nfunc BenchmarkOpen(b *testing.B) {}\n"}}},
+	{"exper imports the server", "one_measurement_stack", []archEdit{{"internal/exper/exper.go", "import (", "import (\n\t_ \"m4lsm/internal/server\""}}},
+	{"DESIGN names a missing test", "design_invariants", []archEdit{{"DESIGN.md", "`TestSpecMatchesBenchmarkJSON`", "`TestSpecMatchesBenchmarkJSON`, `TestNoSuchInvariant`"}}},
+	{"exported API only tests call", "production_api", []archEdit{{"internal/series/series.go", "",
+		"\n// Mid is the range's midpoint.\nfunc (r TimeRange) Mid() int64 { return r.Start + (r.End-r.Start)/2 }\n"}}},
+	{"rule strings in comments", "", []archEdit{{"internal/m4lsm/plan.go", "", "\n// substituted FP; govern.RunPool(\n"},
+		{"internal/server/server.go", "", "\n// e.Snapshot( engine.Snapshot( m4ql.Exec(\n"}}},
+}
+
+func TestArchitectureMutations(t *testing.T) {
+	tr := loadArchTree(t)
+	for _, m := range archMutations {
+		t.Run(strings.ReplaceAll(m.name, " ", "_"), func(t *testing.T) {
+			mt, err := tr.mutate(m.edits...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range m.edits {
+				if p := mt.pkgs[archImportPath(path.Dir(e.file))]; strings.HasSuffix(e.file, ".go") && len(p.errs) > 0 {
+					t.Fatalf("the mutated %s does not compile: %v", p.path, p.errs)
+				}
+			}
+			for _, r := range archRules {
+				got := r.check(mt)
+				switch {
+				case r.name == m.rule && len(got) == 0:
+					t.Errorf("%s passes the mutation", r.name)
+				case r.name != m.rule && len(got) > 0:
+					t.Errorf("%s fails too: %v", r.name, got)
+				}
+			}
+		})
+	}
+}

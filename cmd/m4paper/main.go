@@ -182,13 +182,6 @@ func runExp(out io.Writer, name string, cfg exper.Config, markdown bool) error {
 		}
 		exper.WriteAblations(out, rows)
 		return nil
-	case "faults":
-		rows, err := exper.RunFaults(cfg, nil)
-		if err != nil {
-			return err
-		}
-		exper.WriteFaults(out, rows)
-		return nil
 	default:
 		return fmt.Errorf("unknown experiment %q (want %s or all)", name, strings.Join(exper.ExpNames(), ", "))
 	}

@@ -14,7 +14,7 @@ func TestEveryExperimentPrints(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errw.String())
 	}
 	for _, head := range []string{"Table 2", "Figure 1:", "Figures 8/9", "Figure 10", "Figure 11",
-		"Figure 12", "Figure 13", "Figure 14", "Ablations", "Fault injection"} {
+		"Figure 12", "Figure 13", "Figure 14", "Ablations"} {
 		if !strings.Contains(out.String(), "== "+head) {
 			t.Errorf("no %q block in the output", head)
 		}

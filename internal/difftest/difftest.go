@@ -66,16 +66,6 @@ func (o Oracle) Merged(id string) series.Series {
 	return out
 }
 
-// SeriesIDs lists the oracle's series, sorted.
-func (o Oracle) SeriesIDs() []string {
-	ids := make([]string, 0, len(o))
-	for id := range o {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Case is one generated workload: the engine directory stays on disk for
 // the case's lifetime so Close-and-reopen steps can replay the WAL.
 type Case struct {

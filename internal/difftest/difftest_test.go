@@ -51,7 +51,7 @@ func TestOracleSemantics(t *testing.T) {
 	if len(m) != 2 || m[0].T != 3 || m[1].T != 5 || m[1].V != 9 {
 		t.Fatalf("merged = %v", m)
 	}
-	if ids := o.SeriesIDs(); len(ids) != 1 || ids[0] != "s" {
-		t.Fatalf("ids = %v", ids)
+	if _, ok := o["s"]; len(o) != 1 || !ok {
+		t.Fatalf("series = %v", o)
 	}
 }

@@ -411,3 +411,17 @@ func TestCompressionRatioOnSensorLikeData(t *testing.T) {
 	timesRoundTrip(t, ts)
 	valuesRoundTrip(t, vs)
 }
+
+// DecodeTimes decodes a block produced by EncodeTimes and returns the
+// timestamps along with the remaining buffer.
+func DecodeTimes(b []byte) ([]int64, []byte, error) { return DecodeTimesInto(nil, b) }
+
+// DecodeValues decodes a block produced by EncodeValues and returns the
+// values along with the remaining buffer.
+func DecodeValues(b []byte) ([]float64, []byte, error) { return DecodeValuesInto(nil, b) }
+
+// DecodeTimesPlain decodes a block produced by EncodeTimesPlain.
+func DecodeTimesPlain(b []byte) ([]int64, []byte, error) { return DecodeTimesPlainInto(nil, b) }
+
+// DecodeValuesPlain decodes a block produced by EncodeValuesPlain.
+func DecodeValuesPlain(b []byte) ([]float64, []byte, error) { return DecodeValuesPlainInto(nil, b) }

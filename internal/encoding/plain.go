@@ -17,11 +17,8 @@ func EncodeTimesPlain(dst []byte, ts []int64) []byte {
 	return dst
 }
 
-// DecodeTimesPlain decodes a block produced by EncodeTimesPlain.
-func DecodeTimesPlain(b []byte) ([]int64, []byte, error) { return DecodeTimesPlainInto(nil, b) }
-
-// DecodeTimesPlainInto is DecodeTimesPlain under the dst contract of
-// DecodeValuesInto.
+// DecodeTimesPlainInto decodes a block produced by EncodeTimesPlain, under
+// the dst contract of DecodeValuesInto.
 func DecodeTimesPlainInto(dst []int64, b []byte) ([]int64, []byte, error) {
 	count, b, err := blockCount(b, dst)
 	if err != nil {
@@ -48,11 +45,8 @@ func EncodeValuesPlain(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// DecodeValuesPlain decodes a block produced by EncodeValuesPlain.
-func DecodeValuesPlain(b []byte) ([]float64, []byte, error) { return DecodeValuesPlainInto(nil, b) }
-
-// DecodeValuesPlainInto is DecodeValuesPlain under the dst contract of
-// DecodeValuesInto.
+// DecodeValuesPlainInto decodes a block produced by EncodeValuesPlain,
+// under the dst contract of DecodeValuesInto.
 func DecodeValuesPlainInto(dst []float64, b []byte) ([]float64, []byte, error) {
 	count, b, err := blockCount(b, dst)
 	if err != nil {

@@ -34,12 +34,9 @@ func EncodeTimes(dst []byte, ts []int64) []byte {
 	return dst
 }
 
-// DecodeTimes decodes a block produced by EncodeTimes and returns the
-// timestamps along with the remaining buffer.
-func DecodeTimes(b []byte) ([]int64, []byte, error) { return DecodeTimesInto(nil, b) }
-
-// DecodeTimesInto is DecodeTimes into caller-owned memory, under the
-// contract of DecodeValuesInto: a non-nil dst must have exactly the block's
+// DecodeTimesInto decodes a block produced by EncodeTimes and returns the
+// timestamps along with the remaining buffer, under the dst contract of
+// DecodeValuesInto: a non-nil dst must have exactly the block's
 // count as its length; a nil dst is allocated once the count is known to
 // fit the block.
 func DecodeTimesInto(dst []int64, b []byte) ([]int64, []byte, error) {

@@ -74,11 +74,8 @@ func EncodeValues(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// DecodeValues decodes a block produced by EncodeValues and returns the
-// values along with the remaining buffer.
-func DecodeValues(b []byte) ([]float64, []byte, error) { return DecodeValuesInto(nil, b) }
-
-// DecodeValuesInto is DecodeValues into caller-owned memory: a non-nil dst
+// DecodeValuesInto decodes a block produced by EncodeValues and returns the
+// values along with the remaining buffer. A non-nil dst
 // must have exactly the block's count as its length (a chunk reader passes
 // the count its metadata promises) and is returned filled; a nil dst is
 // allocated, after the count has been checked against what the payload can

@@ -172,11 +172,10 @@ var Titles = map[string]string{
 	"fig13":     "Figure 13: varying delete percentage",
 	"fig14":     "Figure 14: varying delete time range",
 	"ablations": "Ablations: M4-LSM design choices",
-	"faults":    "Fault injection: graceful degradation under chunk-read faults",
 }
 
 // ExpNames lists the experiments in presentation order: the paper's
-// tables and figures, then the degradation check.
+// tables and figures, then the ablations.
 func ExpNames() []string {
-	return []string{"table2", "fig1", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "ablations", "faults"}
+	return []string{"table2", "fig1", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "ablations"}
 }

@@ -264,19 +264,6 @@ func Restore(backupDir, destDir string) error {
 	return nil
 }
 
-// OpenBackup verifies backupDir, restores it into opts.Dir (which must be
-// empty or absent) and opens the restored database — WAL replay runs only
-// after every byte has been checksum-verified.
-func OpenBackup(backupDir string, opts Options) (*Engine, error) {
-	if opts.Dir == "" {
-		return nil, errors.New("lsm: OpenBackup: Options.Dir is required")
-	}
-	if err := Restore(backupDir, opts.Dir); err != nil {
-		return nil, err
-	}
-	return Open(opts)
-}
-
 // linkOrCopy hardlinks src to dst, falling back to a byte copy when the
 // backup directory is on another filesystem.
 func linkOrCopy(src, dst string) error {

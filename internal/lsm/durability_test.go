@@ -233,7 +233,10 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	}
 
 	rdir := filepath.Join(t.TempDir(), "restored")
-	r, err := OpenBackup(bdir, Options{Dir: rdir})
+	if err := Restore(bdir, rdir); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Options{Dir: rdir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,10 @@ func TestBackupUnderConcurrentWriters(t *testing.T) {
 	}
 
 	rdir := filepath.Join(t.TempDir(), "restored")
-	r, err := OpenBackup(bdir, Options{Dir: rdir, NumShards: 4})
+	if err := Restore(bdir, rdir); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Options{Dir: rdir, NumShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"m4lsm/internal/cache"
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/pyramid"
 	"m4lsm/internal/storage"
@@ -60,8 +59,6 @@ type Options struct {
 	// analogue of IoTDB's avg_series_point_number_threshold (Table 4
 	// sets it to 1000). Default 1000.
 	FlushThreshold int
-	// Codec selects the chunk encoding. Default CodecGorilla.
-	Codec encoding.Codec
 	// SyncWAL fsyncs the WAL on every write batch. Slower, durable.
 	SyncWAL bool
 	// DisableWAL skips write-ahead logging (used by bulk loaders that
@@ -137,9 +134,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.FlushThreshold <= 0 {
 		out.FlushThreshold = 1000
-	}
-	if !out.Codec.Valid() {
-		out.Codec = encoding.CodecGorilla
 	}
 	return out
 }

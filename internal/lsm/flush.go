@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"m4lsm/internal/encoding"
 	"m4lsm/internal/govern"
 	"m4lsm/internal/series"
 	"m4lsm/internal/tsfile"
@@ -165,7 +166,7 @@ func (e *Engine) writeChunkFile(space string, ids []string, data map[string]seri
 				w.Crash()
 				return nil, err
 			}
-			if _, err := w.WriteChunk(id, e.allocVersion(), e.opts.Codec, pts[:n]); err != nil {
+			if _, err := w.WriteChunk(id, e.allocVersion(), encoding.CodecGorilla, pts[:n]); err != nil {
 				w.Abort()
 				return nil, err
 			}

@@ -139,17 +139,6 @@ func (a *Aggregate) Merge(b Aggregate) {
 	}
 }
 
-// Combine folds the aggregates of consecutive sub-intervals into the
-// aggregate of their union. Parts must be in time order and must partition
-// disjoint intervals.
-func Combine(parts ...Aggregate) Aggregate {
-	out := Aggregate{Empty: true}
-	for _, p := range parts {
-		out.Merge(p)
-	}
-	return out
-}
-
 // ErrUnsorted reports out-of-order input to the streaming computation.
 var ErrUnsorted = errors.New("m4: input points not in increasing time order")
 
@@ -164,25 +153,34 @@ func ComputeStream(q Query, next func() (series.Point, bool)) ([]Aggregate, erro
 	for i := range out {
 		out[i].Empty = true
 	}
+	if err := Fold(q, out, next); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Fold observes a stream of latest points in strictly increasing time
+// order into out, the query's q.W span slots, already initialized: points
+// outside the query's range are skipped, and the first out-of-order point
+// is ErrUnsorted. Streams over disjoint time ranges may fold into the same
+// slots concurrently, since each point touches only its own span's slot.
+func Fold(q Query, out []Aggregate, next func() (series.Point, bool)) error {
 	prevT := int64(0)
 	first := true
 	for {
 		p, ok := next()
 		if !ok {
-			break
+			return nil
 		}
 		if !first && p.T <= prevT {
-			return nil, fmt.Errorf("%w: t=%d after t=%d", ErrUnsorted, p.T, prevT)
+			return fmt.Errorf("%w: t=%d after t=%d", ErrUnsorted, p.T, prevT)
 		}
 		first = false
 		prevT = p.T
-		i := q.SpanIndex(p.T)
-		if i < 0 {
-			continue
+		if i := q.SpanIndex(p.T); i >= 0 {
+			out[i].Observe(p)
 		}
-		out[i].Observe(p)
 	}
-	return out, nil
 }
 
 // ComputeSeries runs the M4 representation query over an in-memory merged

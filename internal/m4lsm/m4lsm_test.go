@@ -72,7 +72,7 @@ func TestSingleChunkSingleSpan(t *testing.T) {
 	}, nil)
 	q := m4.Query{Tqs: 0, Tqe: 100, W: 1}
 	want := reference(t, snap, q) // loads chunks; reset stats before the operator runs
-	snap.Stats.Reset()
+	*snap.Stats = storage.Stats{}
 	got, err := Compute(snap, q)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestFigure2TopPointFromMetadata(t *testing.T) {
 	}, nil)
 	q := m4.Query{Tqs: 0, Tqe: 30, W: 1}
 	want := reference(t, snap, q)
-	snap.Stats.Reset()
+	*snap.Stats = storage.Stats{}
 	got, err := Compute(snap, q)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestSpanSplitChunk(t *testing.T) {
 	}, nil)
 	q := m4.Query{Tqs: 0, Tqe: 100, W: 2} // spans [0,50) and [50,100)
 	want := reference(t, snap, q)
-	snap.Stats.Reset()
+	*snap.Stats = storage.Stats{}
 	got, err := Compute(snap, q)
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestMergeFreePruningOnDisjointChunks(t *testing.T) {
 	snap := buildSnapshot(t, chunks, nil)
 	q := m4.Query{Tqs: 0, Tqe: 1000, W: 10}
 	want := reference(t, snap, q)
-	snap.Stats.Reset()
+	*snap.Stats = storage.Stats{}
 	got, err := Compute(snap, q)
 	if err != nil {
 		t.Fatal(err)

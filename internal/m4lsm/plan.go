@@ -200,13 +200,13 @@ func (p *seriesPlan) chunks(l int) []assignment {
 // (storage.Snapshot.Pyramid), a span whose interior decomposes into valid
 // precomputed cells is answered as
 //
-//	Combine(left fragment, folded cells, right fragment)
+//	left fragment ⊕ folded cells ⊕ right fragment   (⊕ = m4.Aggregate.Merge)
 //
 // where the fragments are the sub-cell slivers at the span's edges,
 // computed exactly by the ordinary candidate loop over only the chunks
 // overlapping them. Every cell holds the FP/LP/BP/TP of the fully-merged
 // series restricted to its interval (cells are built by mergeread at flush
-// time), and m4.Combine is exact over a time-ordered partition, so the
+// time), and Merge is exact over a time-ordered partition, so the
 // result is identical to running the candidate loop over the whole span —
 // but its cost is O(cells + fragment chunks), independent of how many
 // chunks or points the span's interior holds. Spans the pyramid cannot
@@ -232,7 +232,7 @@ func planPyramid(snap *storage.Snapshot, q m4.Query, out []m4.Aggregate) []stora
 // assemble folds each live list's results into its span's aggregate, in
 // time order: list 2i before what out[i] holds, list 2i+1 after it
 // (m4.Aggregate.Merge is associative, so a pyramid span comes out as
-// Combine(left, cells, right) and a plain span as its list's aggregate).
+// left ⊕ cells ⊕ right and a plain span as its list's aggregate).
 // Fields whose kind is absent from rest default to the list's FP, which
 // is also the FP-substitution rule for degraded (non-strict,
 // chunk-dropped) queries. Last, the pruned-chunk count goes into the

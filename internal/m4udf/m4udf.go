@@ -15,7 +15,6 @@ package m4udf
 
 import (
 	"context"
-	"fmt"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
@@ -72,7 +71,7 @@ func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Qu
 			// points of those spans. Its first span is the task coordinate.
 			lo, hi := b*q.W/blocks, (b+1)*q.W/blocks
 			t := c.Now()
-			err := scanSpans(q, out, l.Iterator(series.TimeRange{Start: q.Span(lo).Start, End: q.Span(hi - 1).End}).Next)
+			err := m4.Fold(q, out, l.Iterator(series.TimeRange{Start: q.Span(lo).Start, End: q.Span(hi - 1).End}).Next)
 			c.Task(lo, "scan", t)
 			return err
 		})
@@ -108,26 +107,4 @@ func ReduceMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Que
 		return nil, err
 	}
 	return outs, nil
-}
-
-// scanSpans streams one block's merged points into the shared output,
-// mirroring m4.ComputeStream (including its order check) but folding into
-// pre-initialized span slots.
-func scanSpans(q m4.Query, out []m4.Aggregate, next func() (series.Point, bool)) error {
-	prevT := int64(0)
-	first := true
-	for {
-		p, ok := next()
-		if !ok {
-			return nil
-		}
-		if !first && p.T <= prevT {
-			return fmt.Errorf("%w: t=%d after t=%d", m4.ErrUnsorted, p.T, prevT)
-		}
-		first = false
-		prevT = p.T
-		if i := q.SpanIndex(p.T); i >= 0 {
-			out[i].Observe(p)
-		}
-	}
 }

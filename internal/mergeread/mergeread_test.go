@@ -58,10 +58,14 @@ func TestMergePaperExample(t *testing.T) {
 	if len(got) != 11 {
 		t.Fatalf("got %d points, want 11 (Example 2.8)", len(got))
 	}
-	if i, ok := got.IndexOf(40); !ok || got[i].V != 1 {
-		t.Errorf("t=40 = %v, want overwrite value 1", got[i])
+	at := map[int64]float64{}
+	for _, p := range got {
+		at[p.T] = p.V
 	}
-	if _, ok := got.IndexOf(20); ok {
+	if v, ok := at[40]; !ok || v != 1 {
+		t.Errorf("t=40 = %v, want overwrite value 1", v)
+	}
+	if _, ok := at[20]; ok {
 		t.Error("deleted point t=20 survived")
 	}
 }

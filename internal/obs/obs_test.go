@@ -106,9 +106,9 @@ func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.Phase("p", time.Second)
 	tr.Task(0, "FP", time.Second)
-	tr.SetCounter("c", 1)
+	tr.SetCounters(map[string]int64{"c": 1})
 	tr.Warn("w")
-	if tr.Finish() != nil || tr.ID() != "" {
+	if tr.Finish() != nil {
 		t.Error("nil trace not inert")
 	}
 }
@@ -157,7 +157,7 @@ func TestTrace(t *testing.T) {
 	}
 	wg.Wait()
 	tr.Warn("degraded")
-	tr.SetCounter("chunksLoaded", 9)
+	tr.SetCounters(map[string]int64{"chunksLoaded": 9})
 
 	snap := tr.Finish()
 	if snap.ID == "" || snap.ElapsedNs <= 0 {
@@ -182,4 +182,26 @@ func TestTrace(t *testing.T) {
 	if snap.Counters["chunksLoaded"] != 9 || len(snap.Warnings) != 1 {
 		t.Errorf("counters/warnings: %+v", snap)
 	}
+}
+
+// Add moves the gauge by d (either sign).
+func (g *Gauge) Add(d int64) {
+	if g == nil {
+		return
+	}
+	g.in.val.Add(d)
+}
+
+// Count returns the number of observations (0 on nil).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.in.hist.count.Load()
+}
+
+// Quantile estimates the q-quantile of the histogram's observations so far
+// (see HistogramSample.Quantile for the conventions). 0 on nil.
+func (h *Histogram) Quantile(q float64) float64 {
+	return h.sample().Quantile(q)
 }

@@ -70,11 +70,6 @@ type instrument struct {
 	hist *histogramBuckets // histograms
 }
 
-// L builds an ordered label list; pass k1, v1, k2, v2, ...
-// Labels are serialized in the order given (callers keep them sorted for
-// stable exposition).
-func L(kv ...string) []string { return kv }
-
 func serializeLabels(kv []string) string {
 	if len(kv) == 0 {
 		return ""
@@ -165,22 +160,6 @@ func (g *Gauge) Set(v int64) {
 	g.in.val.Store(v)
 }
 
-// Add moves the gauge by d (either sign).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.in.val.Add(d)
-}
-
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.in.val.Load()
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time. fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
@@ -248,14 +227,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.in.hist.count.Load()
 }
 
 // sorted returns the instruments ordered by (name, labels) for stable

@@ -75,12 +75,6 @@ func (h *HistogramSample) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// Quantile estimates the q-quantile of the histogram's observations so far
-// (see HistogramSample.Quantile for the conventions). 0 on nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.sample().Quantile(q)
-}
-
 // Quantiles estimates several quantiles from one consistent bucket
 // snapshot.
 func (h *Histogram) Quantiles(qs ...float64) []float64 {

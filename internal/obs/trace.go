@@ -79,14 +79,6 @@ func TraceOf(ctx context.Context) *Trace {
 	return tr
 }
 
-// ID returns the trace identifier ("" on nil).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Phase records one sequential stage's duration.
 func (t *Trace) Phase(name string, d time.Duration) {
 	if t == nil {
@@ -104,16 +96,6 @@ func (t *Trace) Task(span int, g string, d time.Duration) {
 	}
 	t.mu.Lock()
 	t.tasks = append(t.tasks, TaskTiming{Span: span, G: g, Ns: d.Nanoseconds()})
-	t.mu.Unlock()
-}
-
-// SetCounter stores one named counter (overwriting an earlier value).
-func (t *Trace) SetCounter(name string, v int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.counters[name] = v
 	t.mu.Unlock()
 }
 

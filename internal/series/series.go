@@ -46,16 +46,6 @@ func (s Series) Validate() error {
 	return nil
 }
 
-// IsSorted reports whether timestamps strictly increase.
-func (s Series) IsSorted() bool {
-	for i := 1; i < len(s); i++ {
-		if s[i].T <= s[i-1].T {
-			return false
-		}
-	}
-	return true
-}
-
 // SortDedup sorts the series by time and keeps, for duplicate timestamps,
 // the point that appears last in the input (mirroring overwrite semantics
 // when a batch carries several values for one timestamp). It returns the
@@ -146,9 +136,6 @@ func (c Columns) Values() []float64 { return c[0].v }
 // Len returns the number of points.
 func (c Columns) Len() int { return len(c[0].t) }
 
-// At returns point i.
-func (c Columns) At(i int) Point { return Point{T: c[0].t[i], V: c[0].v[i]} }
-
 // Points materializes the rows.
 func (c Columns) Points() Series { return FromColumns(c[0].t, c[0].v) }
 
@@ -181,20 +168,6 @@ func (r TimeRange) Contains(t int64) bool { return t >= r.Start && t < r.End }
 // Empty reports whether the range contains no timestamps.
 func (r TimeRange) Empty() bool { return r.End <= r.Start }
 
-// Overlaps reports whether two half-open ranges intersect.
-func (r TimeRange) Overlaps(o TimeRange) bool {
-	return r.Start < o.End && o.Start < r.End
-}
-
-// Intersect returns the overlap of two half-open ranges (possibly empty).
-func (r TimeRange) Intersect(o TimeRange) TimeRange {
-	out := TimeRange{Start: max64(r.Start, o.Start), End: min64(r.End, o.End)}
-	if out.End < out.Start {
-		out.End = out.Start
-	}
-	return out
-}
-
 func (r TimeRange) String() string { return fmt.Sprintf("[%d, %d)", r.Start, r.End) }
 
 // Slice returns the subsequence of s inside the half-open range, as a view
@@ -209,32 +182,6 @@ func (s Series) Slice(r TimeRange) Series {
 		return nil
 	}
 	return s[lo:hi]
-}
-
-// IndexOf returns the position of timestamp t in the sorted series and
-// whether it is present.
-func (s Series) IndexOf(t int64) (int, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i].T >= t })
-	if i < len(s) && s[i].T == t {
-		return i, true
-	}
-	return i, false
-}
-
-// First returns the earliest point. It panics on an empty series.
-func (s Series) First() Point { return s[0] }
-
-// Last returns the latest point. It panics on an empty series.
-func (s Series) Last() Point { return s[len(s)-1] }
-
-// Bounds returns the closed time interval covered by the series and false
-// if the series is empty.
-func (s Series) Bounds() (TimeRange, bool) {
-	if len(s) == 0 {
-		return TimeRange{}, false
-	}
-	// End is exclusive, so one past the last timestamp.
-	return TimeRange{Start: s[0].T, End: s[len(s)-1].T + 1}, true
 }
 
 func max64(a, b int64) int64 {

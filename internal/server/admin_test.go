@@ -137,7 +137,7 @@ func TestHealthzTornWALWarning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(e2)
+	h := NewWith(e2, Config{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()
@@ -190,7 +190,7 @@ func TestHealthzDegradedOnQuarantinedWALSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(e2)
+	h := NewWith(e2, Config{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()

@@ -332,7 +332,7 @@ func TestHealthzReadOnly(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e.Write("root.s1", series.Point{T: int64(i), V: float64(i % 7)})
 	}
-	h := New(e)
+	h := NewWith(e, Config{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()

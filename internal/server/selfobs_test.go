@@ -77,7 +77,7 @@ func TestDashboardRendersChartsThroughM4(t *testing.T) {
 	// line segments inside the dashboard's 15m window.
 	now := time.Now()
 	for i := 4; i >= 0; i-- {
-		if _, err := h.Sampler().SampleOnce(now.Add(-time.Duration(i) * time.Second)); err != nil {
+		if _, err := h.sampler.SampleOnce(now.Add(-time.Duration(i) * time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestSysSeriesQueryableViaM4QL(t *testing.T) {
 	traffic(t, srv.URL, 2)
 	base := time.Now().Add(-10 * time.Second)
 	for i := 0; i < 5; i++ {
-		if _, err := h.Sampler().SampleOnce(base.Add(time.Duration(i) * time.Second)); err != nil {
+		if _, err := h.sampler.SampleOnce(base.Add(time.Duration(i) * time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func TestDebugEventsEndpoint(t *testing.T) {
 // moved every one of them into the ring /debug/events and Recent serve.
 func waitRecordedSettles(t *testing.T, h *Handler, want int64) {
 	t.Helper()
-	ev := h.Events()
+	ev := h.events
 	deadline := time.Now().Add(5 * time.Second)
 	for ev.Recorded() < want || ev.Written()+ev.Dropped() < ev.Recorded() {
 		if time.Now().After(deadline) {
@@ -345,18 +345,18 @@ func TestExactlyOneEventPerRequest(t *testing.T) {
 	wg.Wait()
 	const total = clients * per
 	waitRecordedSettles(t, h, total)
-	if got := h.Events().Recorded(); got != total {
+	if got := h.events.Recorded(); got != total {
 		t.Fatalf("recorded %d events for %d requests (status mix %v)", got, total, status)
 	}
-	if h.Events().Dropped() != 0 {
-		t.Errorf("dropped %d events with default buffer", h.Events().Dropped())
+	if h.events.Dropped() != 0 {
+		t.Errorf("dropped %d events with default buffer", h.events.Dropped())
 	}
 	if status[200] == 0 {
 		t.Errorf("no request succeeded: %v", status)
 	}
 
 	// Every response status appears in the events with matching counts.
-	recent := h.Events().Recent()
+	recent := h.events.Recent()
 	evStatus := map[int]int{}
 	for _, e := range recent {
 		evStatus[e.Status]++

@@ -111,9 +111,6 @@ type Handler struct {
 	renderPartial *obs.Counter
 }
 
-// New builds the HTTP handler with default observability settings.
-func New(e *lsm.Engine) *Handler { return NewWith(e, Config{}) }
-
 // NewWith builds the HTTP handler. The metrics registry is the engine's
 // (so /metrics exposes engine, cache and operator series next to the HTTP
 // ones); an engine opened without one gets a handler-local registry, which
@@ -213,13 +210,6 @@ func (h *Handler) Close() error {
 	}
 	return h.events.Close()
 }
-
-// Sampler returns the self-metrics sampler (nil when disabled); tests and
-// the exper sweep drive SampleOnce directly through it.
-func (h *Handler) Sampler() *history.Sampler { return h.sampler }
-
-// Events returns the wide-event log.
-func (h *Handler) Events() *obs.EventLog { return h.events }
 
 // gated wraps a query-class endpoint with admission control and the default
 // per-query budget. Introspection endpoints (health, metrics, slowlog) stay

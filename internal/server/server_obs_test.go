@@ -57,7 +57,7 @@ func TestHealthDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(e)
+	h := NewWith(e, Config{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() { srv.Close(); h.Close(); e.Close() })
 	var body map[string]interface{}
@@ -312,7 +312,7 @@ func TestSlowlog(t *testing.T) {
 		}
 	}
 	waitRecordedSettles(t, slowH, 1+fast)
-	for _, ev := range slowH.Events().Recent() {
+	for _, ev := range slowH.events.Recent() {
 		if ev.RequestID == slowID {
 			t.Fatal("the slow request is still in the main tail; the burst did not wrap it")
 		}
@@ -341,7 +341,7 @@ func TestQueryCancelled(t *testing.T) {
 		e.Write("root.s1", series.Point{T: int64(i * 10), V: float64(i)})
 	}
 	e.Flush()
-	h := New(e)
+	h := NewWith(e, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodGet,
@@ -382,7 +382,7 @@ func TestRenderPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(e)
+	h := NewWith(e, Config{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() { srv.Close(); h.Close(); e.Close() })
 

@@ -34,7 +34,7 @@ func newServer(t *testing.T) *httptest.Server {
 		e.Write("root.s1", series.Point{T: int64(i * 10), V: float64((i * 7) % 50)})
 	}
 	e.Flush()
-	h := New(e)
+	h := NewWith(e, Config{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()
@@ -289,7 +289,7 @@ func TestRenderMultiSeries(t *testing.T) {
 	for i := 200; i < 230; i++ {
 		e.Write("root.a", series.Point{T: int64(i * 10), V: float64(i%11) + float64(i)*1e-6})
 	}
-	h := New(e)
+	h := NewWith(e, Config{})
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()

@@ -387,14 +387,6 @@ func (ix *Index) LastBefore(t int64) (int, bool) {
 	return pos, true
 }
 
-// Predict evaluates the learned step function f(t) of Definition 3.6,
-// returning the predicted 1-based position of timestamp t. It is exposed
-// for diagnostics; probes add the error window on top of it.
-func (ix *Index) Predict(t int64) float64 { return ix.eval(t) }
-
-// Len returns the number of indexed timestamps.
-func (ix *Index) Len() int { return len(ix.ts) }
-
 // Slope returns the learned slope K in positions per millisecond.
 func (ix *Index) Slope() float64 { return ix.k }
 

@@ -203,7 +203,7 @@ func FuzzStepregBuild(f *testing.F) {
 			probes = append(probes, q-1, q, q+1)
 		}
 		for _, q := range probes {
-			if p, rp := got.Predict(q), refEval(want, q); p != rp {
+			if p, rp := got.eval(q), refEval(want, q); p != rp {
 				t.Fatalf("Predict(%d) = %v, want %v", q, p, rp)
 			}
 			if err == nil {

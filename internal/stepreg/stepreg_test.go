@@ -54,14 +54,14 @@ func TestPaperExampleBoundaries(t *testing.T) {
 	// Proposition 3.7: f(FP.t) = 1 and f(LP.t) = |C|.
 	ts := paperChunk()
 	ix := Build(ts)
-	if got := ix.Predict(ts[0]); math.Abs(got-1) > 1e-6 {
+	if got := ix.eval(ts[0]); math.Abs(got-1) > 1e-6 {
 		t.Errorf("f(first) = %v, want 1", got)
 	}
-	if got := ix.Predict(ts[len(ts)-1]); math.Abs(got-1000) > 1e-6 {
+	if got := ix.eval(ts[len(ts)-1]); math.Abs(got-1000) > 1e-6 {
 		t.Errorf("f(last) = %v, want 1000", got)
 	}
 	// The level segment sits at position 242 (Example 3.8).
-	if got := ix.Predict(1639969000000); math.Abs(got-242) > 1e-6 {
+	if got := ix.eval(1639969000000); math.Abs(got-242) > 1e-6 {
 		t.Errorf("f(level) = %v, want 242", got)
 	}
 }
@@ -236,8 +236,8 @@ func TestFirstAfterLastBeforeSemantics(t *testing.T) {
 func TestLenAndStats(t *testing.T) {
 	ts := paperChunk()
 	ix := Build(ts)
-	if ix.Len() != 1000 {
-		t.Errorf("Len = %d", ix.Len())
+	if len(ix.ts) != 1000 {
+		t.Errorf("Len = %d", len(ix.ts))
 	}
 	if ix.MaxErr() < 0 {
 		t.Errorf("MaxErr = %d", ix.MaxErr())

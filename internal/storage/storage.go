@@ -24,10 +24,6 @@ import (
 // or delete; larger versions apply later (§2.2.1).
 type Version uint64
 
-// InfiniteVersion is larger than any assigned version. The M4-LSM operator
-// uses it for the virtual deletes derived from span boundaries (§3.1).
-const InfiniteVersion Version = ^Version(0)
-
 // ChunkMeta is the precomputed per-chunk metadata: the four representation
 // points {G(C^κ)} plus addressing information. It is read from the chunk
 // file footer without touching chunk data.
@@ -57,10 +53,6 @@ type ChunkMeta struct {
 	// is probed by binary search.
 	Step *stepreg.Model
 }
-
-// Interval returns the closed time interval [FP.t, LP.t] covered by the
-// chunk.
-func (m ChunkMeta) Interval() (start, end int64) { return m.First.T, m.Last.T }
 
 // OverlapsRange reports whether the chunk's closed interval intersects the
 // half-open query range r. An empty range overlaps nothing.
@@ -362,13 +354,6 @@ func (s Stats) Map() map[string]int64 {
 		"pyramidSpans":         s.PyramidSpans,
 		"pyramidCells":         s.PyramidCells,
 		"pyramidFallbackSpans": s.PyramidFallbackSpans,
-	}
-}
-
-// Reset zeroes every counter atomically.
-func (s *Stats) Reset() {
-	for _, f := range s.fields() {
-		atomic.StoreInt64(f, 0)
 	}
 }
 

@@ -118,8 +118,9 @@ func checkGoldenChunks(t *testing.T, r *Reader, metas []storage.ChunkMeta) {
 		if cols.Len() != len(want[i]) || len(ts) != len(want[i]) || len(vs) != len(want[i]) {
 			t.Fatalf("chunk %d: decoded %d points / %d times / %d values, want %d", i, cols.Len(), len(ts), len(vs), len(want[i]))
 		}
+		pts := cols.Points()
 		for j, p := range want[i] {
-			got := cols.At(j)
+			got := pts[j]
 			if got.T != p.T || ts[j] != p.T || math.Float64bits(got.V) != math.Float64bits(p.V) || math.Float64bits(vs[j]) != math.Float64bits(p.V) {
 				t.Fatalf("chunk %d point %d: decoded (%d, %x), times-only %d, values-only %x, want (%d, %x)",
 					i, j, got.T, math.Float64bits(got.V), ts[j], math.Float64bits(vs[j]), p.T, math.Float64bits(p.V))

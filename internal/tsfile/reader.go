@@ -36,16 +36,17 @@ func Open(path string) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("tsfile: %w", err)
 	}
-	r := &Reader{ra: f, size: fi.Size(), closer: f, path: path}
-	if err := r.readFooter(); err != nil {
+	r, err := OpenReaderAt(f, fi.Size(), path)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("tsfile: open %s: %w", path, err)
+		return nil, err
 	}
+	r.closer = f
 	return r, nil
 }
 
-// OpenReaderAt parses a chunk file served by an arbitrary io.ReaderAt
-// (used by tests and fault injection). name only labels errors.
+// OpenReaderAt parses a chunk file served by an io.ReaderAt of the given
+// size: Open's file, or bytes held in memory. name only labels errors.
 func OpenReaderAt(ra io.ReaderAt, size int64, name string) (*Reader, error) {
 	r := &Reader{ra: ra, size: size, path: name}
 	if err := r.readFooter(); err != nil {

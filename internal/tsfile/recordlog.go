@@ -10,14 +10,14 @@ import (
 )
 
 // RecordLog is an append-only log of length+CRC framed records. It backs
-// the delete sidecar (.mods files, Definition 2.5) and the engine WAL.
+// the delete sidecar (.mods files, Definition 2.5); the WAL's segment files
+// (Segment) frame their records the same way, after a header.
 //
 // Record framing: uvarint payload length | payload | uint32 CRC(payload).
 // A torn tail (partial record from a crash mid-append) is detected by the
 // CRC and truncated on open, mirroring standard WAL recovery behaviour.
 type RecordLog struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // maxRecordLen bounds a single record; larger lengths indicate corruption.
@@ -31,30 +31,53 @@ func OpenRecordLog(path string) (log *RecordLog, recovered [][]byte, err error) 
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("recordlog: %w", err)
 	}
-	valid := 0
-	rest := data
-	for len(rest) > 0 {
-		payload, n := parseRecord(rest)
-		if n == 0 {
-			break // torn tail
-		}
-		recovered = append(recovered, payload)
-		rest = rest[n:]
-		valid += n
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	recovered, valid := scanRecords(data)
+	f, err := openAppend(path, os.O_CREATE, valid)
 	if err != nil {
 		return nil, nil, fmt.Errorf("recordlog: %w", err)
 	}
+	return &RecordLog{f: f}, recovered, nil
+}
+
+// scanRecords parses the complete valid records at the start of data,
+// returning them and the bytes they span; a torn or corrupt record ends
+// the scan.
+func scanRecords(data []byte) (recs [][]byte, valid int) {
+	for valid < len(data) {
+		payload, n := parseRecord(data[valid:])
+		if n == 0 {
+			break
+		}
+		recs = append(recs, payload)
+		valid += n
+	}
+	return recs, valid
+}
+
+// openAppend opens path for appending at offset valid, truncating whatever
+// follows it (a torn tail).
+func openAppend(path string, flag, valid int) (*os.File, error) {
+	f, err := os.OpenFile(path, flag|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
 	if err := f.Truncate(int64(valid)); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("recordlog: truncate torn tail: %w", err)
+		return nil, fmt.Errorf("truncate torn tail: %w", err)
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("recordlog: %w", err)
+		return nil, err
 	}
-	return &RecordLog{f: f, path: path}, recovered, nil
+	return f, nil
+}
+
+// encodeRecord frames payload, in one allocation.
+func encodeRecord(payload []byte) []byte {
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(payload)+4)
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
 // parseRecord returns the payload and total encoded length of the first
@@ -79,11 +102,7 @@ func parseRecord(b []byte) (payload []byte, n int) {
 // Append writes one record. If sync is true the file is fsynced before
 // returning, making the record durable.
 func (l *RecordLog) Append(payload []byte, sync bool) error {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(buf); err != nil {
+	if _, err := l.f.Write(encodeRecord(payload)); err != nil {
 		return fmt.Errorf("recordlog: append: %w", err)
 	}
 	if sync {
@@ -92,31 +111,6 @@ func (l *RecordLog) Append(payload []byte, sync bool) error {
 		}
 	}
 	return nil
-}
-
-// Reset truncates the log to empty (used after a successful flush makes
-// the WAL obsolete).
-func (l *RecordLog) Reset() error {
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("recordlog: reset: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("recordlog: reset seek: %w", err)
-	}
-	return nil
-}
-
-// Path returns the log file path.
-func (l *RecordLog) Path() string { return l.path }
-
-// Size returns the log's current on-disk size in bytes (0 on stat
-// failure). The engine exposes it as the wal_bytes gauge.
-func (l *RecordLog) Size() int64 {
-	fi, err := l.f.Stat()
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }
 
 // Close releases the file handle.

@@ -115,28 +115,11 @@ func OpenSegmentAppend(path string) (seg *Segment, recovered [][]byte, tornBytes
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	valid := SegmentHeaderLen
-	rest := data[SegmentHeaderLen:]
-	for len(rest) > 0 {
-		payload, n := parseRecord(rest)
-		if n == 0 {
-			break // torn tail
-		}
-		recovered = append(recovered, payload)
-		rest = rest[n:]
-		valid += n
-	}
+	recovered, valid := scanRecords(data[SegmentHeaderLen:])
+	valid += SegmentHeaderLen
 	tornBytes = int64(len(data) - valid)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := openAppend(path, 0, valid)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("segment: %w", err)
-	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, nil, 0, fmt.Errorf("segment: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
 		return nil, nil, 0, fmt.Errorf("segment: %w", err)
 	}
 	return &Segment{f: f, path: path, hdr: hdr, size: int64(valid)}, recovered, tornBytes, nil
@@ -160,16 +143,11 @@ func ParseSegment(data []byte) (SegmentHeader, [][]byte, error) {
 	if err != nil {
 		return SegmentHeader{}, nil, err
 	}
-	var recs [][]byte
 	rest := data[SegmentHeaderLen:]
-	for len(rest) > 0 {
-		payload, n := parseRecord(rest)
-		if n == 0 {
-			return hdr, nil, fmt.Errorf("%w: segment %d: invalid record after %d records (%d bytes left)",
-				ErrCorrupt, hdr.Seq, len(recs), len(rest))
-		}
-		recs = append(recs, payload)
-		rest = rest[n:]
+	recs, valid := scanRecords(rest)
+	if valid < len(rest) {
+		return hdr, nil, fmt.Errorf("%w: segment %d: invalid record after %d records (%d bytes left)",
+			ErrCorrupt, hdr.Seq, len(recs), len(rest)-valid)
 	}
 	return hdr, recs, nil
 }
@@ -177,10 +155,7 @@ func ParseSegment(data []byte) (SegmentHeader, [][]byte, error) {
 // Append writes one record. With sync the file is fsynced before
 // returning, making the record durable.
 func (s *Segment) Append(payload []byte, sync bool) error {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	buf := encodeRecord(payload)
 	if _, err := s.f.Write(buf); err != nil {
 		return fmt.Errorf("segment: append: %w", err)
 	}

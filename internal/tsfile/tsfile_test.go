@@ -411,27 +411,6 @@ func TestRecordLogTruncatesTornTail(t *testing.T) {
 	}
 }
 
-func TestRecordLogReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	log, _, err := OpenRecordLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.Append([]byte("x"), false)
-	if err := log.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	log.Append([]byte("y"), true)
-	log.Close()
-	_, recs, err := OpenRecordLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || string(recs[0]) != "y" {
-		t.Fatalf("after reset: %q", recs)
-	}
-}
-
 func TestModLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.mods")
 	m, err := OpenModLog(path)

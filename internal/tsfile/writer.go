@@ -160,9 +160,6 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec enco
 	return meta, nil
 }
 
-// Metas returns the metadata of every chunk written so far.
-func (w *Writer) Metas() []storage.ChunkMeta { return w.metas }
-
 // Close writes the footer and syncs the file. The file is unreadable until
 // Close succeeds.
 func (w *Writer) Close() error {

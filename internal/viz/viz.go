@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"m4lsm/internal/series"
 )
@@ -51,15 +50,6 @@ func (c *Canvas) Set(x, y int) {
 	}
 	word, mask := c.pixel(x, y)
 	*word |= mask
-}
-
-// Get reports whether the pixel at (x, y) is lit.
-func (c *Canvas) Get(x, y int) bool {
-	if x < 0 || x >= c.W || y < 0 || y >= c.H {
-		return false
-	}
-	word, mask := c.pixel(x, y)
-	return *word&mask != 0
 }
 
 // Count returns the number of lit pixels.
@@ -119,22 +109,6 @@ func Diff(a, b *Canvas) int {
 		n += bits.OnesCount64(a.bits[i] ^ b.bits[i])
 	}
 	return n
-}
-
-// ASCII renders the canvas with '#' for lit pixels, one row per line.
-func (c *Canvas) ASCII() string {
-	var sb strings.Builder
-	for y := 0; y < c.H; y++ {
-		for x := 0; x < c.W; x++ {
-			if c.Get(x, y) {
-				sb.WriteByte('#')
-			} else {
-				sb.WriteByte('.')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // Viewport maps data coordinates to pixels: the half-open time range

@@ -353,3 +353,28 @@ func TestRasterizeSkipsOutOfRange(t *testing.T) {
 		t.Errorf("count = %d, want 1", c.Count())
 	}
 }
+
+// ASCII renders the canvas with '#' for lit pixels, one row per line.
+func (c *Canvas) ASCII() string {
+	var sb strings.Builder
+	for y := 0; y < c.H; y++ {
+		for x := 0; x < c.W; x++ {
+			if c.Get(x, y) {
+				sb.WriteByte('#')
+			} else {
+				sb.WriteByte('.')
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// Get reports whether the pixel at (x, y) is lit.
+func (c *Canvas) Get(x, y int) bool {
+	if x < 0 || x >= c.W || y < 0 || y >= c.H {
+		return false
+	}
+	word, mask := c.pixel(x, y)
+	return *word&mask != 0
+}

@@ -146,12 +146,6 @@ type TableRow struct {
 	SpanMillis int64 // measured span of the generated data at the given n
 }
 
-// Table2 regenerates the dataset summary of Table 2 for the four presets
-// at the given scale (scale 1 = paper cardinalities; 0 < scale <= 1).
-func Table2(scale float64, seed int64) []TableRow {
-	return Table2For(Presets(), scale, seed)
-}
-
 // Table2For regenerates the dataset summary for a chosen preset subset.
 func Table2For(presets []Preset, scale float64, seed int64) []TableRow {
 	rows := make([]TableRow, 0, len(presets))
@@ -278,31 +272,4 @@ func ApplyDeletes(e *lsm.Engine, seriesID string, data series.Series, opts Delet
 		}
 	}
 	return nil
-}
-
-// OverlapPercentage measures the fraction of chunks in the engine whose
-// time interval overlaps at least one other chunk of the same series. It
-// verifies that Load hit the requested §4.3 storage shape.
-func OverlapPercentage(e *lsm.Engine, seriesID string, r series.TimeRange) (float64, error) {
-	snap, err := e.Snapshot(seriesID, r)
-	if err != nil {
-		return 0, err
-	}
-	n := len(snap.Chunks)
-	if n == 0 {
-		return 0, nil
-	}
-	overlapping := 0
-	for i, a := range snap.Chunks {
-		for j, b := range snap.Chunks {
-			if i == j {
-				continue
-			}
-			if a.Meta.First.T <= b.Meta.Last.T && b.Meta.First.T <= a.Meta.Last.T {
-				overlapping++
-				break
-			}
-		}
-	}
-	return float64(overlapping) / float64(n), nil
 }

@@ -86,7 +86,7 @@ func TestSkewedPresetsHaveGaps(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	rows := Table2(0.001, 1)
+	rows := Table2For(Presets(), 0.001, 1)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -246,4 +246,31 @@ func TestLoadOverlapSecondWriteFullyOutOfOrder(t *testing.T) {
 	if info.UnseqFiles != 2 {
 		t.Errorf("unseq files = %d, want 2 (one per pair)", info.UnseqFiles)
 	}
+}
+
+// OverlapPercentage measures the fraction of chunks in the engine whose
+// time interval overlaps at least one other chunk of the same series. It
+// verifies that Load hit the requested §4.3 storage shape.
+func OverlapPercentage(e *lsm.Engine, seriesID string, r series.TimeRange) (float64, error) {
+	snap, err := e.Snapshot(seriesID, r)
+	if err != nil {
+		return 0, err
+	}
+	n := len(snap.Chunks)
+	if n == 0 {
+		return 0, nil
+	}
+	overlapping := 0
+	for i, a := range snap.Chunks {
+		for j, b := range snap.Chunks {
+			if i == j {
+				continue
+			}
+			if a.Meta.First.T <= b.Meta.Last.T && b.Meta.First.T <= a.Meta.Last.T {
+				overlapping++
+				break
+			}
+		}
+	}
+	return float64(overlapping) / float64(n), nil
 }
