@@ -18,6 +18,7 @@ package m4lsm_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -29,6 +30,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -214,7 +216,7 @@ func (tr *archTree) check(p *archPkg) {
 		}
 		if strings.HasSuffix(name, "_test.go") {
 			p.tests, p.tnames = append(p.tests, f), append(p.tnames, name)
-		} else {
+		} else if inDefaultBuild(tr.src[name]) {
 			p.files, p.names = append(p.files, f), append(p.names, name)
 		}
 	}
@@ -231,6 +233,29 @@ func (tr *archTree) check(p *archPkg) {
 			p.ifaces = append(p.ifaces, it)
 		}
 	}
+}
+
+// inDefaultBuild reports whether a file belongs to a plain go build: its
+// //go:build line, if any, holds with only the platform's GOOS and GOARCH,
+// gc and the go1.x release tags set (so a race-only file is left out, and
+// its !race twin type-checks alone).
+func inDefaultBuild(src []byte) bool {
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "package ") {
+			break
+		}
+		if !constraint.IsGoBuild(line) {
+			continue
+		}
+		expr, err := constraint.Parse(line)
+		if err != nil {
+			return true // the type-check reports what the compiler would
+		}
+		return expr.Eval(func(tag string) bool {
+			return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || strings.HasPrefix(tag, "go1.")
+		})
+	}
+	return true
 }
 
 // archEdit replaces the first occurrence of old in file with new; an empty
@@ -488,6 +513,7 @@ func init() {
 		{"fit_at_write", ruleFitAtWrite},
 		{"one_measurement_stack", ruleOneMeasurementStack},
 		{"columnar_read_path", ruleColumnarReadPath},
+		{"recycle_at_query_end", ruleRecycleAtQueryEnd},
 		{"design_invariants", ruleDesignInvariants},
 		{"production_api", ruleProductionAPI},
 	}
@@ -712,6 +738,16 @@ func ruleColumnarReadPath(tr *archTree) []string {
 	return none("rows built on the columnar read path", refs)
 }
 
+// ruleRecycleAtQueryEnd: a query hands the columns its uncached loads
+// decoded back to their sources when it ends, once its workers have
+// joined, and only the two owners of a query's loads do it:
+// computeMultiKinds (M4-LSM and MinMax) and mergeread.Read (every
+// merge-all read). No task recycles a column another task may still read.
+func ruleRecycleAtQueryEnd(tr *archTree) []string {
+	return onlyAt("storage.ChunkRef.Recycle references", tr.find(tr.sorted(), uses(is("internal/storage.ChunkRef.Recycle"))),
+		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/mergeread/mergeread.go:Read")
+}
+
 // ruleDesignInvariants: every invariant in DESIGN.md's table names the
 // tests, fuzzers or architecture rules that enforce it, and each name
 // resolves: a Test or Fuzz function in some _test.go file and, for
@@ -911,6 +947,8 @@ var archMutations = []struct {
 		"\nfunc rows(ts []int64, vs []float64) series.Series { return series.FromColumns(ts, vs) }\n"}}},
 	{"root Benchmark", "one_measurement_stack", []archEdit{{"m4lsm_test.go", "", "\nfunc BenchmarkOpen(b *testing.B) {}\n"}}},
 	{"exper imports the server", "one_measurement_stack", []archEdit{{"internal/exper/exper.go", "import (", "import (\n\t_ \"m4lsm/internal/server\""}}},
+	{"Recycle inside a load task", "recycle_at_query_end", []archEdit{{"internal/mergeread/mergeread.go",
+		"c.Task(i, \"load\", t)", "c.Task(i, \"load\", t)\n\t\t\tref.Recycle(l.chunks[i].cols.Times(), nil)"}}},
 	{"DESIGN names a missing test", "design_invariants", []archEdit{{"DESIGN.md", "`TestSpecMatchesBenchmarkJSON`", "`TestSpecMatchesBenchmarkJSON`, `TestNoSuchInvariant`"}}},
 	{"exported API only tests call", "production_api", []archEdit{{"internal/series/series.go", "",
 		"\n// Mid is the range's midpoint.\nfunc (r TimeRange) Mid() int64 { return r.Start + (r.End-r.Start)/2 }\n"}}},

@@ -212,4 +212,19 @@ func (s *Source) ReadValuesCached(meta storage.ChunkMeta) ([]float64, bool, erro
 	return vs, false, nil
 }
 
-var _ storage.CachedSource = (*Source)(nil)
+// Recycle implements storage.Recycler. An enabled cache may hold the very
+// columns a query hands back, so only a disabled one forwards them to the
+// source it wraps.
+func (s *Source) Recycle(ts []int64, vs []float64) {
+	if s.lru != nil && s.lru.capBytes > 0 {
+		return
+	}
+	if r, ok := s.inner.(storage.Recycler); ok {
+		r.Recycle(ts, vs)
+	}
+}
+
+var (
+	_ storage.CachedSource = (*Source)(nil)
+	_ storage.Recycler     = (*Source)(nil)
+)

@@ -13,6 +13,7 @@ import (
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/m4"
+	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
@@ -140,9 +141,20 @@ func table4Mix(snap *storage.Snapshot) []m4.Query {
 // over the Table 4 shape at paper_cold's size, 262 chunks, every load a
 // decode. One op is the whole mix; ms/query is its mean.
 func BenchmarkComputeTable4Mix(b *testing.B) {
+	benchTable4Mix(b, Options{Parallelism: 1})
+}
+
+// BenchmarkComputeTable4MixMetered is the same mix run as the server runs
+// the operator: on every core (parallelism 0) and metered into an
+// obs.Registry, so what workers share per task — counters, the task
+// histogram — shows in it.
+func BenchmarkComputeTable4MixMetered(b *testing.B) {
+	benchTable4Mix(b, Options{Metrics: obs.NewRegistry()})
+}
+
+func benchTable4Mix(b *testing.B, opts Options) {
 	snap, _ := table4Snapshot(b, 262)
 	qs := table4Mix(snap)
-	opts := Options{Parallelism: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

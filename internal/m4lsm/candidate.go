@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
@@ -72,18 +73,25 @@ type view struct {
 
 // spanComputer runs one candidate loop for one chunk list's range. It is a
 // worker's scratch, reset by every task it runs: its views (and their slots
-// and exclusion sets) belong to a single goroutine, and operator counters
-// accumulate in local before one flush when the task finishes.
+// and exclusion sets) belong to a single goroutine. Operator counters and
+// task timings accumulate in it across the worker's tasks of one series
+// and are flushed when the worker moves to another series and when the
+// wave ends: once per (worker, series) per wave, not once per task.
 type spanComputer struct {
 	op    *operator
 	span  series.TimeRange
 	views []view
-	local storage.Stats
+	local storage.Stats // op's counters since the last flush
+	tasks obs.Tally     // task durations since the last flush
 }
 
 // reset points the scratch at a new task, reusing its view arena.
 func (sc *spanComputer) reset(op *operator, span series.TimeRange, chunks []assignment) {
-	sc.op, sc.span, sc.local = op, span, storage.Stats{}
+	if sc.op != op {
+		sc.flush()
+		sc.op = op
+	}
+	sc.span = span
 	if cap(sc.views) < len(chunks) {
 		sc.views = make([]view, len(chunks))
 	}
@@ -91,6 +99,17 @@ func (sc *spanComputer) reset(op *operator, span series.TimeRange, chunks []assi
 	for i := range chunks {
 		sc.views[i].reset(&chunks[i], span)
 	}
+}
+
+// flush adds the worker's counters to its series' stats and its task
+// timings to the query's task histogram.
+func (sc *spanComputer) flush() {
+	if sc.op == nil {
+		return
+	}
+	sc.op.stats.Add(sc.local)
+	sc.local = storage.Stats{}
+	sc.op.clock.FlushTasks(&sc.tasks)
 }
 
 // reset restricts chunk metadata to the span: the virtual deletes of §3.1.

@@ -66,7 +66,7 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 	// sticky: a cancelled or budget-refused load must not poison the chunk
 	// state for other queries' semantics or mask the real error
 	// classification. (A later query with a fresh budget may load it.)
-	if err := op.ctx.Err(); err != nil {
+	if err := op.ctxErr(); err != nil {
 		return err
 	}
 	if err := op.budget.ChargeChunk(0); err != nil {
@@ -88,7 +88,7 @@ func (op *operator) ensureDataLocked(cs *chunkState) error {
 	if cs.hasData {
 		return nil
 	}
-	if err := op.ctx.Err(); err != nil {
+	if err := op.ctxErr(); err != nil {
 		return err
 	}
 	if err := op.budget.ChargeChunk(int64(cs.meta.Count)); err != nil {
@@ -150,7 +150,7 @@ func (sc *spanComputer) chunkFailed(v *view, err error) error {
 		return nil
 	}
 	op := sc.op
-	if cerr := op.ctx.Err(); cerr != nil {
+	if cerr := op.ctxErr(); cerr != nil {
 		return cerr
 	}
 	if op.opts.Strict {

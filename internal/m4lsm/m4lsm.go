@@ -161,6 +161,18 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 		plans[i] = newSeriesPlan(ctx, snap, q, opts, c)
 		lists += len(plans[i].work)
 	}
+	// The query owns the columns its loads decoded until it ends, and then,
+	// on success, error and cancellation alike, they go back to their
+	// sources: both waves have joined by then, and the aggregates are copies
+	// of the points they kept. The probes bound to them go too.
+	defer func() {
+		for _, p := range plans {
+			for _, cs := range p.op.states {
+				cs.ref.Recycle(cs.times, cs.values)
+				cs.times, cs.values, cs.probe = nil, nil, nil
+			}
+		}
+	}()
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -223,7 +235,9 @@ type task struct {
 // scratch. Tasks are laid out in (series, list, kind) order, and the pool
 // reports the failure of the lowest-index failing task, so the error a
 // wave returns — named by span and, in a batch, by series — does not depend
-// on the worker count. A done context wins over any task error.
+// on the worker count. A done context wins over any task error. Once the
+// pool has joined, every worker's counters and task timings are flushed,
+// so the series' stats are final whatever the wave's outcome.
 func runWave(ctx context.Context, scratch []spanComputer, tasks []task, batch int) error {
 	err := govern.RunPool(len(scratch), len(tasks), func(w, t int) error {
 		tk := tasks[t]
@@ -236,6 +250,9 @@ func runWave(ctx context.Context, scratch []spanComputer, tasks []task, batch in
 		}
 		return nil
 	})
+	for w := range scratch {
+		scratch[w].flush()
+	}
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
@@ -244,23 +261,25 @@ func runWave(ctx context.Context, scratch []spanComputer, tasks []task, batch in
 
 // timedG wraps computeG with per-task timing when the query's clock is
 // armed; otherwise it forwards with zero overhead beyond one nil check.
+// The trace gets each task as it ends, the task histogram the worker's
+// tally when the wave ends.
 func (op *operator) timedG(sc *spanComputer, spanIdx int, r series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
 	if op.clock == nil {
 		return op.computeG(sc, r, chunks, g)
 	}
 	t0 := time.Now()
 	pt, ok, err := op.computeG(sc, r, chunks, g)
-	op.clock.Task(spanIdx, g.String(), t0)
+	op.clock.TaskTo(&sc.tasks, spanIdx, g.String(), t0)
 	return pt, ok, err
 }
 
 // computeG evaluates one representation function over one chunk list's
 // range r, on the worker's scratch sc. Views are task-local; concurrent
 // tasks share only chunk states and summaries, both behind the chunk's
-// mutex. Per-task counters flush into the shared stats with one Add on the
-// way out.
+// mutex. The task's counters stay in the worker's scratch until the wave
+// ends (spanComputer.flush).
 func (op *operator) computeG(sc *spanComputer, r series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
-	if err := op.ctx.Err(); err != nil {
+	if err := op.ctxErr(); err != nil {
 		return series.Point{}, false, err
 	}
 	// Strict queries abort outright on a blown deadline; lenient ones keep
@@ -272,7 +291,6 @@ func (op *operator) computeG(sc *spanComputer, r series.TimeRange, chunks []assi
 		}
 	}
 	sc.reset(op, r, chunks)
-	defer func() { op.stats.Add(sc.local) }()
 	if op.opts.EagerLoad {
 		for i := range sc.views {
 			v := &sc.views[i]

@@ -17,6 +17,7 @@ import (
 // states, its deletes and delete index, and its per-series stats.
 type operator struct {
 	ctx      context.Context
+	done     <-chan struct{} // ctx.Done(), captured once: see ctxErr
 	snap     *storage.Snapshot
 	q        m4.Query
 	opts     Options
@@ -28,6 +29,19 @@ type operator struct {
 	degraded atomic.Bool    // a chunk was dropped; the result is partial
 
 	clock *mergeread.Clock // nil unless the query is traced or metered
+}
+
+// ctxErr is the query context's error, polled without taking the
+// context's lock: a non-blocking receive on the Done channel captured with
+// the plan, and ctx.Err() only once that channel is closed. Tasks and
+// loads poll it thousands of times per query.
+func (op *operator) ctxErr() error {
+	select {
+	case <-op.done:
+		return op.ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // addState materializes the shared chunkState for one snapshot chunk and
@@ -65,7 +79,7 @@ type seriesPlan struct {
 // chunks distributed to lists by index interval, and spans with no chunks
 // answered Empty with no task at all.
 func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options, c *mergeread.Clock) *seriesPlan {
-	op := &operator{ctx: ctx, snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget, clock: c}
+	op := &operator{ctx: ctx, done: ctx.Done(), snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget, clock: c}
 	if op.stats == nil {
 		op.stats = &storage.Stats{}
 	}

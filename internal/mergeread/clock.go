@@ -62,6 +62,30 @@ func (c *Clock) Task(coord int, name string, since time.Time) {
 	c.met.RecordTask(d)
 }
 
+// TaskTo records one task like Task, except that its duration joins the
+// worker's tally t instead of the task histogram: a worker running many
+// short tasks publishes them with one FlushTasks once its pool has joined.
+// The trace still gets every task as it ends.
+func (c *Clock) TaskTo(t *obs.Tally, coord int, name string, since time.Time) {
+	if c == nil {
+		return
+	}
+	d := time.Since(since)
+	c.tr.Task(coord, name, d)
+	if c.met != nil {
+		t.Observe(d.Seconds())
+	}
+}
+
+// FlushTasks publishes a worker's tally of task durations into the
+// operator's task histogram and empties it.
+func (c *Clock) FlushTasks(t *obs.Tally) {
+	if c == nil {
+		return
+	}
+	c.met.RecordTasks(t)
+}
+
 // Before returns a series' counters as its share of the statement starts,
 // the base Series subtracts.
 func (c *Clock) Before(s *storage.Stats) storage.Stats {

@@ -90,6 +90,11 @@ func Read(ctx context.Context, snaps []*storage.Snapshot, label string, opts Opt
 		if err == nil {
 			err = fold(i, l, inner, c)
 		}
+		// The loads and the fold have joined, and every fold copies out the
+		// points it keeps: the series' columns go back to their sources.
+		for ci, lc := range l.chunks {
+			snap.Chunks[ci].Recycle(lc.cols.Times(), lc.cols.Values())
+		}
 		if err == nil {
 			err = ctx.Err()
 		}
@@ -118,6 +123,8 @@ func SeriesError(batch int, id string, err error) error {
 
 // load decodes every chunk of one snapshot, fanning the loads across at
 // most par workers, and records the "load" phase. Read is its only caller.
+// The Loaded comes back with the error too, holding what was loaded before
+// the read failed, so that Read recycles it.
 func load(ctx context.Context, snap *storage.Snapshot, par int, opts Options, c *Clock) (*Loaded, error) {
 	t0 := c.Now()
 	l := &Loaded{
@@ -146,7 +153,7 @@ func load(ctx context.Context, snap *storage.Snapshot, par int, opts Options, c 
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return l, err
 	}
 	// Resolve the lenient failures by chunk index, so the warning order is
 	// deterministic across schedules.

@@ -205,3 +205,38 @@ func (h *Histogram) Count() int64 {
 func (h *Histogram) Quantile(q float64) float64 {
 	return h.sample().Quantile(q)
 }
+
+// TestTallyFlushMatchesObserve: a batch observed into a Tally and flushed
+// leaves a histogram exactly as observing each value on its own does —
+// same buckets and count, the sum equal up to rounding — and flushing
+// empties the tally, so a second flush adds nothing.
+func TestTallyFlushMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	each, batched := r.Histogram("each_seconds"), r.Histogram("batched_seconds")
+	var tl Tally
+	for i := 0; i < 1000; i++ {
+		v := float64(i*i%977) * 7e-6 // 0 .. ~6.8 ms, across several buckets
+		each.Observe(v)
+		tl.Observe(v)
+	}
+	batched.Flush(&tl)
+	batched.Flush(&tl)
+	var nilHist *Histogram
+	tl.Observe(1)
+	nilHist.Flush(&tl)
+	if tl != (Tally{}) {
+		t.Error("a flush into the nil histogram left the tally full")
+	}
+	a, b := each.sample(), batched.sample()
+	if a.Count != b.Count || a.Count != 1000 {
+		t.Errorf("count: observed %d, flushed %d, want 1000", a.Count, b.Count)
+	}
+	for i := range a.Counts {
+		if a.Counts[i] != b.Counts[i] {
+			t.Errorf("bucket %d: observed %d, flushed %d", i, a.Counts[i], b.Counts[i])
+		}
+	}
+	if d := a.Sum - b.Sum; d > 1e-9 || d < -1e-9 {
+		t.Errorf("sum: observed %v, flushed %v", a.Sum, b.Sum)
+	}
+}

@@ -74,6 +74,15 @@ func (m *OperatorMetrics) RecordTask(d time.Duration) {
 	m.taskSeconds.Observe(d.Seconds())
 }
 
+// RecordTasks publishes a worker's batch of task durations, in seconds,
+// and empties it: RecordTask for each of them, at the cost of one flush.
+func (m *OperatorMetrics) RecordTasks(t *Tally) {
+	if m == nil {
+		return
+	}
+	m.taskSeconds.Flush(t)
+}
+
 // RecordQuery accumulates one completed query's latency and I/O counters.
 func (m *OperatorMetrics) RecordQuery(elapsed time.Duration, chunksLoaded, chunksPruned, timeBlocks, pointsDecoded, cacheHits int64) {
 	if m == nil {

@@ -93,4 +93,15 @@ func (r *retrySource) ReadValues(meta ChunkMeta) ([]float64, error) {
 	return retry(r, func() ([]float64, error) { return r.inner.ReadValues(meta) })
 }
 
-var _ ChunkSource = (*retrySource)(nil)
+// Recycle implements Recycler: a retried read returns the wrapped source's
+// columns, so they go back to it.
+func (r *retrySource) Recycle(ts []int64, vs []float64) {
+	if rc, ok := r.inner.(Recycler); ok {
+		rc.Recycle(ts, vs)
+	}
+}
+
+var (
+	_ ChunkSource = (*retrySource)(nil)
+	_ Recycler    = (*retrySource)(nil)
+)

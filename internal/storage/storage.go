@@ -103,9 +103,11 @@ func (d Delete) String() string {
 // ChunkSource reads chunk contents given their metadata. Implementations:
 // tsfile.Reader (disk) and MemSource (tests, memtable snapshots).
 //
-// Returned columns are shared and must not be modified: a cache, a memtable
-// snapshot or another query may hold the very same slices. Callers may
-// retain them for as long as they like.
+// Ownership: the columns of an uncached file load belong to the query that
+// loaded them until it ends, and every other column — a cache's, a
+// memtable's — stays shared and read-only. The owning query hands its
+// columns back through ChunkRef.Recycle once nothing reads them; no caller
+// ever modifies a column.
 type ChunkSource interface {
 	// ReadChunk decodes the full chunk (timestamps and values).
 	ReadChunk(meta ChunkMeta) (series.Columns, error)
@@ -131,6 +133,17 @@ type CachedSource interface {
 	ReadTimesCached(meta ChunkMeta) (ts []int64, hit bool, err error)
 	// ReadValuesCached is ReadValues plus a served-from-cache flag.
 	ReadValuesCached(meta ChunkMeta) (vs []float64, hit bool, err error)
+}
+
+// Recycler is the optional interface of chunk sources whose loads decode
+// into columns they can reuse (tsfile.Reader). Wrappers forward it only
+// when no one else can be holding the columns: the retry layer always, a
+// cache only while it keeps nothing. MemSource and fault-injection
+// wrappers do not implement it, so their columns are never recycled.
+type Recycler interface {
+	// Recycle takes back columns a load of this source returned. Either
+	// may be nil.
+	Recycle(ts []int64, vs []float64)
 }
 
 // ChunkRef binds chunk metadata to its source and to the snapshot's cost
@@ -167,6 +180,15 @@ func (c ChunkRef) LoadValues() ([]float64, error) {
 	}
 	c.countLoad()
 	return vs, nil
+}
+
+// Recycle hands columns this ref's loads returned back to its source,
+// when the source is a Recycler. Only the query that loaded them calls it,
+// once its workers have joined and nothing reads the columns any more.
+func (c ChunkRef) Recycle(ts []int64, vs []float64) {
+	if r, ok := c.source.(Recycler); ok {
+		r.Recycle(ts, vs)
+	}
 }
 
 // countLoad attributes one full load to the query's stats.

@@ -129,8 +129,8 @@ func (r *Reader) Close() error {
 // blockBufs recycles the raw (still encoded) bytes of a chunk between
 // loads. A buffer's lifetime provably ends inside the Read call that took
 // it: the decoders copy every value out of it, so it goes back before they
-// return. The decoded columns are never pooled — caches, merges and
-// operators retain them.
+// return. The decoded columns come from the column pools (colpool.go) and
+// go back only through Recycle, from the query that loaded them.
 var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // readBlocks fetches the chunk's header and blocks, through the value block
@@ -170,19 +170,31 @@ func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, wantTimes, want
 	return times, values, nil
 }
 
-// decodeColumn decodes one block into a fresh column of exactly meta.Count
-// elements; a block holding any other count, or trailing bytes, is corrupt.
-// Every timestamp costs at least one encoded byte, so a count above the
-// timestamp block's length is refused before anything is allocated.
-func decodeColumn[T any](meta storage.ChunkMeta, block []byte, name string, decode func(dst []T, b []byte) ([]T, []byte, error)) ([]T, error) {
+// decodeColumn decodes one block into a column of exactly meta.Count
+// elements, taken from pool; a block holding any other count, or trailing
+// bytes, is corrupt, and its column goes straight back. Every timestamp
+// costs at least one encoded byte, so a count above the timestamp block's
+// length is refused before anything is allocated.
+func decodeColumn[T int64 | float64](meta storage.ChunkMeta, block []byte, name string, pool *columnPool[T], decode func(dst []T, b []byte) ([]T, []byte, error)) ([]T, error) {
 	if meta.Count < 0 || meta.Count > meta.TimesLen {
 		return nil, fmt.Errorf("%w: count %d in a %d-byte timestamp block", ErrCorrupt, meta.Count, meta.TimesLen)
 	}
-	col, rest, err := decode(make([]T, meta.Count), block)
+	dst := pool.get(int(meta.Count))
+	col, rest, err := decode(dst, block)
 	if err != nil || len(rest) != 0 {
+		pool.put(dst)
 		return nil, fmt.Errorf("%w: %s block decode (%v)", ErrCorrupt, name, err)
 	}
 	return col, nil
+}
+
+// Recycle implements storage.Recycler: it pools columns this reader
+// decoded, for later loads to decode into. The caller must own them — they
+// came from an uncached load of its own query — and must not read them
+// again. Either may be nil.
+func (r *Reader) Recycle(ts []int64, vs []float64) {
+	timeCols.put(ts)
+	valueCols.put(vs)
 }
 
 // ReadChunk implements storage.ChunkSource.
@@ -193,12 +205,13 @@ func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
 	if err != nil {
 		return series.Columns{}, err
 	}
-	ts, err := decodeColumn(meta, timesBlock, "timestamp", meta.Codec.DecodeTimesInto)
+	ts, err := decodeColumn(meta, timesBlock, "timestamp", &timeCols, meta.Codec.DecodeTimesInto)
 	if err != nil {
 		return series.Columns{}, err
 	}
-	vs, err := decodeColumn(meta, valuesBlock, "value", meta.Codec.DecodeValuesInto)
+	vs, err := decodeColumn(meta, valuesBlock, "value", &valueCols, meta.Codec.DecodeValuesInto)
 	if err != nil {
+		timeCols.put(ts)
 		return series.Columns{}, err
 	}
 	return series.NewColumns(ts, vs), nil
@@ -213,7 +226,7 @@ func (r *Reader) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeColumn(meta, timesBlock, "timestamp", meta.Codec.DecodeTimesInto)
+	return decodeColumn(meta, timesBlock, "timestamp", &timeCols, meta.Codec.DecodeTimesInto)
 }
 
 // ReadValues implements storage.ChunkSource: it verifies and decodes only
@@ -226,7 +239,10 @@ func (r *Reader) ReadValues(meta storage.ChunkMeta) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeColumn(meta, valuesBlock, "value", meta.Codec.DecodeValuesInto)
+	return decodeColumn(meta, valuesBlock, "value", &valueCols, meta.Codec.DecodeValuesInto)
 }
 
-var _ storage.ChunkSource = (*Reader)(nil)
+var (
+	_ storage.ChunkSource = (*Reader)(nil)
+	_ storage.Recycler    = (*Reader)(nil)
+)
