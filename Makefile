@@ -71,7 +71,8 @@ soak:
 # clause, the /write line-protocol parser, the Gorilla codec against its
 # bit-at-a-time reference, the timestamp decoder against its per-varint
 # reference, the step-regression build against its
-# reference, and the pyramid's range-set algebra against a bitmap. Go
+# reference, the pyramid's range-set algebra against a bitmap, and the PNG
+# encoder against image/png. Go
 # allows one -fuzz target per invocation, so each runs separately for
 # FUZZTIME (the seed corpus also runs in plain `make test`).
 fuzz:
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test ./internal/stepreg -run '^$$' -fuzz '^FuzzStepregBuild$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzRsetOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/viz -run '^$$' -fuzz '^FuzzWritePNG$$' -fuzztime $(FUZZTIME)
 
 # lint forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output

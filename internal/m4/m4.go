@@ -43,11 +43,14 @@ func (q Query) Range() series.TimeRange {
 // [Tqs+ceil(i*len/W), Tqs+ceil((i+1)*len/W)). With this formulation Span
 // and SpanIndex agree exactly with no floating-point drift.
 func (q Query) Span(i int) series.TimeRange {
-	length := q.Tqe - q.Tqs
-	return series.TimeRange{
-		Start: q.Tqs + ceilDiv(int64(i)*length, int64(q.W)),
-		End:   q.Tqs + ceilDiv(int64(i+1)*length, int64(q.W)),
-	}
+	return series.TimeRange{Start: q.SpanStart(i), End: q.SpanStart(i + 1)}
+}
+
+// SpanStart returns where span i starts, and for i = W the range's end: span
+// i is [SpanStart(i), SpanStart(i+1)), one division per boundary for a
+// caller that walks the spans in order.
+func (q Query) SpanStart(i int) int64 {
+	return q.Tqs + ceilDiv(int64(i)*(q.Tqe-q.Tqs), int64(q.W))
 }
 
 // SpanIndex returns the 0-based span containing t, or -1 if t lies outside

@@ -71,6 +71,7 @@ type seriesPlan struct {
 	work        []int                 // lists with at least one chunk, in list order
 	results     [][gCount]gResult     // parallel to work, one slot per kind
 	pyr         []storage.PyramidSpan // per span; nil when the pyramid answers none
+	bounds      []int64               // span i is [bounds[i], bounds[i+1]), q.Span taken once
 	statsBefore storage.Stats
 }
 
@@ -88,6 +89,10 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	op.deleteIx = storage.NewDeleteIndex(op.deletes)
 
 	p := &seriesPlan{op: op, statsBefore: c.Before(op.stats)}
+	p.bounds = make([]int64, q.W+1)
+	for i := range p.bounds {
+		p.bounds[i] = q.SpanStart(i)
+	}
 	p.out = make([]m4.Aggregate, q.W)
 	p.pyr = planPyramid(snap, q, p.out)
 	// Chunk states are materialized lazily: a chunk whose every span is
@@ -194,7 +199,7 @@ func (p *seriesPlan) listEnd(i int) int {
 // or an empty fragment, attaches no chunk.
 func (p *seriesPlan) listRange(l int) series.TimeRange {
 	i := l / 2
-	span := p.op.q.Span(i)
+	span := series.TimeRange{Start: p.bounds[i], End: p.bounds[i+1]}
 	switch {
 	case !p.pyramidSpan(i):
 		return span

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 	"sort"
 
 	"m4lsm/internal/encoding"
-	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
 )
 
@@ -61,15 +59,9 @@ func (p *Pyramid) Encode(wm uint64) []byte {
 			pl = encoding.AppendUvarint(pl, uint64(lv.log))
 			pl = appendRset(pl, lv.cover)
 			pl = encoding.AppendUvarint(pl, uint64(len(lv.cells)))
-			idxs := make([]int64, 0, len(lv.cells))
-			for idx := range lv.cells {
-				idxs = append(idxs, idx)
-			}
-			slices.Sort(idxs)
-			for _, idx := range idxs {
-				c := lv.cells[idx]
-				pl = encoding.AppendVarint(pl, idx)
-				for _, pt := range [4]series.Point{c.First, c.Last, c.Bottom, c.Top} {
+			for _, c := range lv.cells {
+				pl = encoding.AppendVarint(pl, c.idx)
+				for _, pt := range [4]series.Point{c.agg.First, c.agg.Last, c.agg.Bottom, c.agg.Top} {
 					pl = encoding.AppendVarint(pl, pt.T)
 					pl = binary.LittleEndian.AppendUint64(pl, math.Float64bits(pt.V))
 				}
@@ -111,14 +103,14 @@ func Decode(data []byte) (*Pyramid, uint64, error) {
 			lv := &level{log: uint(log), cover: d.rset()}
 			// 41 bytes minimum per cell bounds allocation to the input.
 			nCells := d.count(41, 1)
-			lv.cells = make(map[int64]m4.Aggregate, nCells)
+			lv.cells = make([]cellAt, 0, nCells)
 			for ci := uint64(0); ci < nCells && d.err == nil; ci++ {
-				idx := d.varint()
-				var c m4.Aggregate
-				for _, pt := range [4]*series.Point{&c.First, &c.Last, &c.Bottom, &c.Top} {
+				c := cellAt{idx: d.varint()}
+				d.check(ci == 0 || c.idx > lv.cells[ci-1].idx)
+				for _, pt := range [4]*series.Point{&c.agg.First, &c.agg.Last, &c.agg.Bottom, &c.agg.Top} {
 					pt.T, pt.V = d.varint(), d.float()
 				}
-				lv.cells[idx] = c
+				lv.cells = append(lv.cells, c)
 			}
 			sp.levels = append(sp.levels, lv)
 		}

@@ -8,7 +8,10 @@
 // manifest Encode produces.
 //
 // Layout. At level L, cell i is the m4.Aggregate of the merged series over
-// [i<<L, (i+1)<<L); empty cells are absent from the level's map. Alignment
+// [i<<L, (i+1)<<L). A level keeps its non-empty cells in one slice sorted
+// by index; empty cells are absent from it. Planning walks a level with a
+// forward cursor in time order, and a rebuild splices each re-derived index
+// range in place. Alignment
 // is absolute, not relative to the series, so cells stay valid when the
 // extent grows and when a directory reopens under another shard count.
 // Each series keeps a contiguous run of levels: the base (finest) level is
@@ -36,6 +39,7 @@ package pyramid
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -61,26 +65,60 @@ const (
 // level is one resolution of one series: cells of width 1<<log at
 // absolute alignment (cell i covers [i<<log, (i+1)<<log)).
 type level struct {
-	log   uint
-	cells map[int64]m4.Aggregate
+	log uint
+	// cells holds the non-empty cells, in strictly increasing index order,
+	// all inside cover.
+	cells []cellAt
 	// cover holds the cell-index ranges whose contents are known (cells
-	// absent from the map inside cover are known-empty).
+	// absent from cells inside cover are known-empty).
 	cover rset
 	// gen counts mutations; views capture it and refuse cells from a level
 	// rebuilt after the view was taken.
 	gen uint64
 }
 
+// cellAt is one non-empty cell of a level and its index.
+type cellAt struct {
+	idx int64
+	agg m4.Aggregate
+}
+
+// seek returns the position of the first cell at or after position from
+// whose index is at least idx. A cursor that moves a cell or two at a time,
+// as planning's and derivation's do, costs one or two comparisons; a longer
+// move is a binary search.
+func seek(cells []cellAt, from int, idx int64) int {
+	for end := min(from+2, len(cells)); from < end; from++ {
+		if cells[from].idx >= idx {
+			return from
+		}
+	}
+	lo, hi := from, len(cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cells[m].idx < idx {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// cell returns cell idx and whether it is non-empty.
+func (lv *level) cell(idx int64) (m4.Aggregate, bool) {
+	if k := seek(lv.cells, 0, idx); k < len(lv.cells) && lv.cells[k].idx == idx {
+		return lv.cells[k].agg, true
+	}
+	return m4.Aggregate{Empty: true}, false
+}
+
 // childrenOf folds the two children of parent cell idx; Empty when both
 // are.
 func (lv *level) childrenOf(idx int64) m4.Aggregate {
-	agg := m4.Aggregate{Empty: true}
-	if a, ok := lv.cells[idx<<1]; ok {
-		agg.Merge(a)
-	}
-	if b, ok := lv.cells[idx<<1|1]; ok {
-		agg.Merge(b)
-	}
+	agg, _ := lv.cell(idx << 1)
+	b, _ := lv.cell(idx<<1 | 1)
+	agg.Merge(b)
 	return agg
 }
 
@@ -223,6 +261,14 @@ func (p *Pyramid) CheckInvariants(id string) error {
 	if sp == nil {
 		return nil
 	}
+	for _, lv := range sp.levels {
+		for k, c := range lv.cells {
+			if (k > 0 && c.idx <= lv.cells[k-1].idx) || c.agg.Empty || !lv.cover.contains(c.idx, c.idx+1) {
+				return fmt.Errorf("%s L%d cell %d at position %d: out of order, empty or not covered (cover %v)",
+					id, lv.log, c.idx, k, lv.cover)
+			}
+		}
+	}
 	for li := 1; li < len(sp.levels); li++ {
 		child, parent := sp.levels[li-1], sp.levels[li]
 		for _, r := range parent.cover {
@@ -232,7 +278,7 @@ func (p *Pyramid) CheckInvariants(id string) error {
 						id, parent.log, idx, idx<<parent.log, (idx+1)<<parent.log, child.log, child.cover)
 				}
 				want := child.childrenOf(idx)
-				have, ok := parent.cells[idx]
+				have, ok := parent.cell(idx)
 				if ok == want.Empty || (ok && have != want) {
 					return fmt.Errorf("%s L%d cell %d [%d,%d): have ok=%v %v, want %v",
 						id, parent.log, idx, idx<<parent.log, (idx+1)<<parent.log, ok, have, want)
@@ -305,8 +351,11 @@ func (v *view) PlanSpans(q m4.Query, spans []storage.PyramidSpan, aggs []m4.Aggr
 	if sp == nil {
 		return 0
 	}
-	// live[li] is view level li's cells, nil when rebuilt since the snapshot.
+	// live[li] is view level li's cells, nil when rebuilt since the
+	// snapshot, and at[li] its cursor: spans come in time order, so every
+	// level is read front to back.
 	var live [maxLevels]*level
+	var at [maxLevels]int
 	for li, vl := range v.levels {
 		if lv := sp.level(vl.log); lv != nil && lv.gen == vl.gen {
 			live[li] = lv
@@ -314,13 +363,23 @@ func (v *view) PlanSpans(q m4.Query, spans []storage.PyramidSpan, aggs []m4.Aggr
 	}
 	base := v.levels[0].log
 	planned := 0
+	end := q.SpanStart(0)
 	for i := range spans {
-		span := q.Span(i)
-		slot := storage.PyramidSpan{Lo: cellCeil(span.Start, base), Hi: cellFloor(span.End, base)}
+		start := end
+		end = q.SpanStart(i + 1)
+		slot := storage.PyramidSpan{Lo: cellCeil(start, base), Hi: cellFloor(end, base)}
+		// No cell wider than the span's interior can tile it. Level li's
+		// cells are at least 1<<(base+li) wide, so the descent starts at
+		// most that many levels up.
+		width := uint64(slot.Hi - slot.Lo)
+		top := min(len(v.levels), bits.Len64(width)-int(base)) - 1
+		for top > 0 && uint64(1)<<v.levels[top].log > width {
+			top--
+		}
 		agg := m4.Aggregate{Empty: true}
 		pos := slot.Lo
 		for pos < slot.Hi && slot.Cells < maxPlanCells {
-			li := len(v.levels) - 1
+			li := top
 			var idx int64
 			for ; li >= 0; li-- {
 				vl := &v.levels[li]
@@ -332,8 +391,9 @@ func (v *view) PlanSpans(q m4.Query, spans []storage.PyramidSpan, aggs []m4.Aggr
 			if li < 0 || live[li] == nil {
 				break
 			}
-			if c, ok := live[li].cells[idx]; ok {
-				agg.Merge(c)
+			cells := live[li].cells
+			if at[li] = seek(cells, at[li], idx); at[li] < len(cells) && cells[at[li]].idx == idx {
+				agg.Merge(cells[at[li]].agg)
 			}
 			slot.Cells++
 			pos += int64(1) << v.levels[li].log

@@ -137,6 +137,86 @@ func TestRebuildAndPlanMatchScan(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no span planned after the rebuild")
 	}
+
+	// Incremental rebuilds that move cells inside a level's slice: late
+	// points land between existing cells, the head grows, both ends of the
+	// extent shrink, and an extent past maxBaseCells coarsens the base.
+	pts = kept
+	change := func(name string, next series.Series, stale ...int64) {
+		t.Helper()
+		for i := 0; i < len(stale); i += 2 {
+			p.MarkStale("s", stale[i], stale[i+1])
+		}
+		pts = next
+		p.Rebuild("s", pts[0].T, pts[len(pts)-1].T, func(r series.TimeRange) (series.Series, error) {
+			return pts.Slice(r), nil
+		})
+		if err := p.CheckInvariants("s"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkBase(t, name, p, "s", pts)
+		planned := 0
+		for _, q := range planQueries(rng, pts) {
+			planned += checkPlans(t, p.View("s", q.Range()), q, pts)
+		}
+		if planned == 0 {
+			t.Fatalf("%s: no span planned", name)
+		}
+	}
+	late := randomSeries(rng, 400, 4096, 8192) // into the deleted gap
+	change("late points", merged(pts, late), late[0].T, late[len(late)-1].T)
+	late = randomSeries(rng, 50, 500, 700)
+	change("late points between cells", merged(pts, late), late[0].T, late[len(late)-1].T)
+	head := randomSeries(rng, 300, 20000, 26000)
+	change("head growth", merged(pts, head), head[0].T, head[len(head)-1].T)
+	change("tail shrink", pts.Slice(series.TimeRange{Start: math.MinInt64, End: 15000}), 15000, 26000)
+	change("head shrink", pts.Slice(series.TimeRange{Start: -1000, End: math.MaxInt64}), -4000, -1001)
+	lmin := p.series["s"].levels[0].log
+	far := randomSeries(rng, 200, 30000, 400000)
+	change("base coarsening", merged(pts, far), far[0].T, far[len(far)-1].T)
+	if got := p.series["s"].levels[0].log; got <= lmin {
+		t.Fatalf("base level log %d after growing the extent past maxBaseCells, was %d", got, lmin)
+	}
+}
+
+// merged returns a plus the points of b at times a has no point at, in
+// time order.
+func merged(a, b series.Series) series.Series {
+	out := append(series.Series(nil), a...)
+	for _, p := range b {
+		if len(a.Slice(series.TimeRange{Start: p.T, End: p.T + 1})) == 0 {
+			out = append(out, p)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
+	return out
+}
+
+// planQueries returns queries over pts's extent: the whole of it at a few
+// widths, and random windows.
+func planQueries(rng *rand.Rand, pts series.Series) []m4.Query {
+	lo, hi := pts[0].T, pts[len(pts)-1].T+1
+	qs := []m4.Query{{Tqs: lo, Tqe: hi, W: 1}, {Tqs: lo, Tqe: hi, W: 7}, {Tqs: lo, Tqe: hi, W: 64}}
+	for i := 0; i < 20; i++ {
+		s := lo + rng.Int63n(hi-lo)
+		qs = append(qs, m4.Query{Tqs: s, Tqe: s + 1 + rng.Int63n(hi-s), W: 1 + rng.Intn(40)})
+	}
+	return qs
+}
+
+// checkBase requires the base level of id to hold, at every covered index,
+// exactly the scan of pts over that cell.
+func checkBase(t *testing.T, name string, p *Pyramid, id string, pts series.Series) {
+	t.Helper()
+	base := p.series[id].levels[0]
+	for _, r := range base.cover {
+		for idx := r.lo; idx < r.hi; idx++ {
+			have, _ := base.cell(idx)
+			if want := scan(pts, idx<<base.log, (idx+1)<<base.log); have != want {
+				t.Fatalf("%s: base L%d cell %d holds %v, the scan %v", name, base.log, idx, have, want)
+			}
+		}
+	}
 }
 
 // A view taken before a rebuild serves nothing from the levels the rebuild
@@ -223,6 +303,25 @@ func TestManifestRoundTrip(t *testing.T) {
 	for _, bad := range [][]byte{nil, enc[:len(enc)-1], append(append([]byte(nil), enc[:20]...), enc[21:]...), countBomb()} {
 		if _, _, err := Decode(bad); err == nil {
 			t.Fatalf("decoded a corrupt %d-byte manifest", len(bad))
+		}
+	}
+}
+
+// A level's cells are stored in index order, so a manifest whose cell
+// indexes do not strictly increase is refused.
+func TestDecodeRejectsUnsortedCells(t *testing.T) {
+	p := New()
+	rebuild(p, "s", series.Series{{T: 0, V: 1}, {T: 1, V: 2}, {T: 2, V: 3}})
+	base := p.series["s"].levels[0]
+	if len(base.cells) != 3 {
+		t.Fatalf("base level holds %d cells, want 3", len(base.cells))
+	}
+	for name, idxs := range map[string][3]int64{"unsorted": {0, 2, 1}, "duplicate": {0, 1, 1}} {
+		for k := range base.cells {
+			base.cells[k].idx = idxs[k]
+		}
+		if _, _, err := Decode(p.Encode(0)); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s cell indexes: Decode returned %v, want errCorrupt", name, err)
 		}
 	}
 }

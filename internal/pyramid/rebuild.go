@@ -1,15 +1,11 @@
 package pyramid
 
 import (
+	"slices"
+
 	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
 )
-
-// cellAt is one non-empty base cell folded by Rebuild before it is applied.
-type cellAt struct {
-	idx int64
-	agg m4.Aggregate
-}
 
 // Rebuild re-reads the stale ranges of series id and patches its cells
 // bottom-up: the base level from read's merged, delete-applied points over
@@ -19,8 +15,9 @@ type cellAt struct {
 // error leaves every stale range in place for the next rebuild. read runs
 // without the pyramid's lock, which is taken only around in-memory
 // snapshots and the final apply. Its cost is linear in the cells the stale
-// ranges touch plus the levels' coverage sets, never in the cells the
-// series holds elsewhere.
+// ranges touch plus the levels' coverage sets, plus, per re-derived index
+// range, one memmove of the level's cells after it; it never reads the
+// cells the series holds elsewhere.
 func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRange) (series.Series, error)) {
 	p.mu.RLock()
 	sp := p.series[id]
@@ -97,6 +94,9 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 		}
 		b := baseBuild{idxLo: r.lo >> base, idxHi: r.hi >> base, from: len(cells)}
 		for _, pt := range pts {
+			if pt.T < r.lo || pt.T >= r.hi {
+				continue // a stray point would break the level's index order
+			}
 			if idx := pt.T >> base; len(cells) > b.from && cells[len(cells)-1].idx == idx {
 				cells[len(cells)-1].agg.Observe(pt)
 			} else {
@@ -126,7 +126,7 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 		if lv := sp.level(log); lv != nil {
 			levels[i] = lv
 		} else {
-			levels[i] = &level{log: log, cells: make(map[int64]m4.Aggregate)}
+			levels[i] = &level{log: log}
 			fresh[i] = true
 		}
 	}
@@ -139,8 +139,8 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 	// inside the clip window: keeping a boundary parent whose out-of-extent
 	// child is dropped would break the parent⇒children coverage invariant,
 	// and when data later reappears there the orphaned parent would keep
-	// serving its old value. The map scan runs only when coverage actually
-	// sticks out of the window.
+	// serving its old value. The cells sit in index order, so dropping them
+	// trims both ends of the slice.
 	for _, lv := range levels {
 		idxLo := (clipLo + int64(1)<<lv.log - 1) >> lv.log // ceil
 		idxHi := clipHi >> lv.log                          // floor
@@ -150,29 +150,18 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 		clipped := lv.cover.intersect(idxLo, idxHi)
 		if clipped.size() != lv.cover.size() {
 			lv.cover = clipped
-			for idx := range lv.cells {
-				if idx < idxLo || idx >= idxHi {
-					delete(lv.cells, idx)
-				}
-			}
+			lv.cells = lv.cells[seek(lv.cells, 0, idxLo):seek(lv.cells, 0, idxHi)]
 			lv.gen++
 		}
 	}
 
+	// Each rebuilt index range's cells are replaced by its fresh ones, and
+	// each parent range a change reaches by its re-derived ones.
 	baseLv := levels[0]
 	var touched rset
+	at := 0
 	for _, b := range builds {
-		k := b.from
-		for idx := b.idxLo; idx < b.idxHi; idx++ {
-			for k < b.to && cells[k].idx < idx {
-				k++
-			}
-			if k < b.to && cells[k].idx == idx {
-				baseLv.cells[idx] = cells[k].agg
-			} else {
-				delete(baseLv.cells, idx)
-			}
-		}
+		at = baseLv.splice(at, b.idxLo, b.idxHi, cells[b.from:b.to])
 		touched = touched.push(b.idxLo, b.idxHi)
 	}
 	baseLv.cover = baseLv.cover.union(touched)
@@ -197,14 +186,22 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 		for _, r := range src {
 			ptouch = ptouch.push(r.lo>>1, ((r.hi-1)>>1)+1)
 		}
+		at, k := 0, 0 // cursors into parent.cells and child.cells
 		for _, r := range ptouch {
-			for idx := r.lo; idx < r.hi; idx++ {
-				if agg := child.childrenOf(idx); agg.Empty || !parent.cover.contains(idx, idx+1) {
-					delete(parent.cells, idx)
-				} else {
-					parent.cells[idx] = agg
+			// A covered parent cell is the fold of its non-empty children.
+			// derived reuses the buffer of cells already spliced in.
+			derived := cells[:0]
+			for k = seek(child.cells, k, r.lo<<1); k < len(child.cells) && child.cells[k].idx>>1 < r.hi; k++ {
+				c := child.cells[k]
+				idx := c.idx >> 1
+				if n := len(derived); n > 0 && derived[n-1].idx == idx {
+					derived[n-1].agg.Merge(c.agg)
+				} else if parent.cover.contains(idx, idx+1) {
+					derived = append(derived, cellAt{idx: idx, agg: c.agg})
 				}
 			}
+			at = parent.splice(at, r.lo, r.hi, derived)
+			cells = derived
 		}
 		parent.gen++
 		touched = ptouch
@@ -213,4 +210,13 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 	sp.stale = sp.stale.subtract(staleCopy)
 	p.dirty.Store(true)
 	p.rebuilds.Add(1)
+}
+
+// splice replaces the cells with index in [lo, hi) by with, whose indexes
+// lie in that range in increasing order, and returns the position after
+// them. The cells before position at have index below lo.
+func (lv *level) splice(at int, lo, hi int64, with []cellAt) int {
+	i := seek(lv.cells, at, lo)
+	lv.cells = slices.Replace(lv.cells, i, seek(lv.cells, i, hi), with...)
+	return i + len(with)
 }

@@ -18,9 +18,9 @@ func span(lo, hi int64) uint64 {
 	return (^uint64(0) >> (64 - hi)) &^ (uint64(1)<<lo - 1)
 }
 
-// bits is the oracle's view of a set inside [0, 64). It fails on a set
+// bitmap is the oracle's view of a set inside [0, 64). It fails on a set
 // that is not sorted, disjoint and coalesced, or that leaves the domain.
-func bits(t *testing.T, s rset) uint64 {
+func bitmap(t *testing.T, s rset) uint64 {
 	t.Helper()
 	var b uint64
 	for i, r := range s {
@@ -69,7 +69,7 @@ func FuzzRsetOps(f *testing.F) {
 					t.Fatalf("%v contains [%d, %d) = %v, want %v", a, lo, hi, got, want)
 				}
 			}
-			if bits(t, a) != oa || bits(t, b) != ob {
+			if bitmap(t, a) != oa || bitmap(t, b) != ob {
 				t.Fatalf("op %d [%d, %d): sets %v and %v, oracles %064b and %064b", ops[0]%7, lo, hi, a, b, oa, ob)
 			}
 			var n int64

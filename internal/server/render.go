@@ -20,6 +20,14 @@ import (
 	"m4lsm/internal/viz"
 )
 
+// A /render canvas is at most maxRenderWidth × maxRenderHeight pixels: its
+// size comes from the URL, and a canvas and the M4 answer behind it are
+// allocated in proportion to it.
+const (
+	maxRenderWidth  = 8192
+	maxRenderHeight = 4096
+)
+
 // renderStatement turns /render's URL parameters into the REPRESENT
 // statement it runs and the canvas height, or into the status and error
 // that refuse the request. The "series" parameter is one id, a
@@ -44,6 +52,9 @@ func (h *Handler) renderStatement(params url.Values) (stmt m4ql.Statement, heigh
 		if height, err = strconv.Atoi(hs); err != nil || height <= 0 {
 			return stmt, 0, http.StatusBadRequest, fmt.Errorf("bad h parameter")
 		}
+	}
+	if width > maxRenderWidth || height > maxRenderHeight {
+		return stmt, 0, http.StatusBadRequest, fmt.Errorf("w and h may be at most %d and %d", maxRenderWidth, maxRenderHeight)
 	}
 	specText := params.Get("repr")
 	if specText == "" {

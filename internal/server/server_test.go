@@ -166,6 +166,8 @@ func TestRenderErrors(t *testing.T) {
 		"/render?series=root.s1",
 		"/render?series=root.s1&tqs=0&tqe=0&w=10",
 		"/render?series=root.s1&tqs=0&tqe=100&w=10&h=-5",
+		"/render?series=root.s1&tqs=0&tqe=100&w=10&h=1000000",
+		"/render?series=root.s1&tqs=0&tqe=100&w=8193",
 	} {
 		if code := getJSON(t, srv.URL+u, nil); code != 400 {
 			t.Errorf("%s: status %d, want 400", u, code)

@@ -64,6 +64,10 @@ func (c *Canvas) Count() int {
 // DrawLine lights the pixels of the segment from (x0,y0) to (x1,y1) with
 // Bresenham's algorithm (no anti-aliasing: two-color charts).
 func (c *Canvas) DrawLine(x0, y0, x1, y1 int) {
+	if x0 == x1 {
+		c.column(x0, min(y0, y1), max(y0, y1))
+		return
+	}
 	dx := abs(x1 - x0)
 	dy := -abs(y1 - y0)
 	sx, sy := 1, 1
@@ -88,6 +92,21 @@ func (c *Canvas) DrawLine(x0, y0, x1, y1 int) {
 			err += dx
 			y0 += sy
 		}
+	}
+}
+
+// column lights pixels (x, y0) through (x, y1), y0 ≤ y1: Bresenham's
+// segment when dx = 0, which is three in four of an M4 chart's segments.
+// It clips once and then sets one word per row.
+func (c *Canvas) column(x, y0, y1 int) {
+	if x < 0 || x >= c.W {
+		return
+	}
+	y0, y1 = max(y0, 0), min(y1, c.H-1)
+	mask := uint64(1) << (63 - x%64)
+	for i := y0*c.stride + x/64; y0 <= y1; y0++ {
+		c.bits[i] |= mask
+		i += c.stride
 	}
 }
 
@@ -122,18 +141,7 @@ type Viewport struct {
 // ViewportFor derives a viewport from the series' own bounds over a query
 // range.
 func ViewportFor(s series.Series, tqs, tqe int64) Viewport {
-	vp := Viewport{Tqs: tqs, Tqe: tqe, VMin: math.Inf(1), VMax: math.Inf(-1)}
-	for _, p := range s {
-		if p.T < tqs || p.T >= tqe {
-			continue
-		}
-		vp.VMin = math.Min(vp.VMin, p.V)
-		vp.VMax = math.Max(vp.VMax, p.V)
-	}
-	if vp.VMin > vp.VMax { // no points in range
-		vp.VMin, vp.VMax = 0, 1
-	}
-	return vp
+	return ViewportForAll([]series.Series{s}, tqs, tqe)
 }
 
 // ViewportForAll derives one shared viewport spanning the value bounds of
@@ -142,7 +150,9 @@ func ViewportForAll(ss []series.Series, tqs, tqe int64) Viewport {
 	vp := Viewport{Tqs: tqs, Tqe: tqe, VMin: math.Inf(1), VMax: math.Inf(-1)}
 	for _, s := range ss {
 		for _, p := range s {
-			if p.T < tqs || p.T >= tqe {
+			// A value strictly inside the bounds changes neither, so only
+			// the others pay for math.Min and math.Max (NaN and signed zeros).
+			if p.T < tqs || p.T >= tqe || (p.V > vp.VMin && p.V < vp.VMax) {
 				continue
 			}
 			vp.VMin = math.Min(vp.VMin, p.V)
@@ -155,23 +165,36 @@ func ViewportForAll(ss []series.Series, tqs, tqe int64) Viewport {
 	return vp
 }
 
-// X maps a timestamp to its pixel column using the span mapping of
-// Definition 2.3.
-func (vp Viewport) X(t int64, w int) int {
-	return int(int64(w) * (t - vp.Tqs) / (vp.Tqe - vp.Tqs))
+// pixelMap is a viewport's mapping onto a w×h canvas, with what the
+// per-point loop divides by taken once.
+type pixelMap struct {
+	tqs, w, span int64
+	flat         bool // VMax == VMin
+	vmax, vrange float64
+	h            int
+	rows         float64 // h-1
 }
 
-// Y maps a value to its pixel row (0 at the top).
-func (vp Viewport) Y(v float64, h int) int {
-	if vp.VMax == vp.VMin {
-		return h / 2
+func (vp Viewport) mapping(w, h int) pixelMap {
+	return pixelMap{tqs: vp.Tqs, w: int64(w), span: vp.Tqe - vp.Tqs, flat: vp.VMax == vp.VMin,
+		vmax: vp.VMax, vrange: vp.VMax - vp.VMin, h: h, rows: float64(h - 1)}
+}
+
+// x maps a timestamp to its pixel column using the span mapping of
+// Definition 2.3.
+func (m pixelMap) x(t int64) int { return int(m.w * (t - m.tqs) / m.span) }
+
+// y maps a value to its pixel row (0 at the top).
+func (m pixelMap) y(v float64) int {
+	if m.flat {
+		return m.h / 2
 	}
-	y := int(math.Round((vp.VMax - v) / (vp.VMax - vp.VMin) * float64(h-1)))
+	y := int(math.Round((m.vmax - v) / m.vrange * m.rows))
 	if y < 0 {
 		y = 0
 	}
-	if y >= h {
-		y = h - 1
+	if y >= m.h {
+		y = m.h - 1
 	}
 	return y
 }
@@ -188,20 +211,33 @@ func Rasterize(s series.Series, vp Viewport, w, h int) *Canvas {
 
 // RasterizeOnto draws s into an existing canvas, for overlaying several
 // series (a multi-series render) on one shared viewport.
+//
+// Consecutive points in one pixel column, such as an M4 span's four, join
+// with vertical segments that share their end rows, so together they light
+// one run from the lowest row to the highest: the run is drawn once, when
+// the series leaves the column.
 func RasterizeOnto(c *Canvas, s series.Series, vp Viewport) {
-	w, h := c.W, c.H
+	m := vp.mapping(c.W, c.H)
 	havePrev := false
-	var px, py int
+	var px, py, lo, hi int // the previous point; the rows of its column's run
 	for _, p := range s {
 		if p.T < vp.Tqs || p.T >= vp.Tqe {
 			continue
 		}
-		x, y := vp.X(p.T, w), vp.Y(p.V, h)
-		if havePrev {
+		x, y := m.x(p.T), m.y(p.V)
+		switch {
+		case !havePrev:
+			lo, hi = y, y
+		case x == px:
+			lo, hi = min(lo, y), max(hi, y)
+		default:
+			c.column(px, lo, hi)
 			c.DrawLine(px, py, x, y)
-		} else {
-			c.Set(x, y)
+			lo, hi = y, y
 		}
 		px, py, havePrev = x, y, true
+	}
+	if havePrev {
+		c.column(px, lo, hi)
 	}
 }

@@ -2,8 +2,11 @@ package viz
 
 import (
 	"bytes"
+	"fmt"
+	adler32ref "hash/adler32"
 	"image/png"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -82,6 +85,94 @@ func TestDrawLineSymmetric(t *testing.T) {
 	}
 }
 
+// drawLineRef is Bresenham with one Set per pixel, and rasterizeRef the
+// per-point mapping written out in full: the rasterizer before its
+// vertical-run kernel and hoisted divisors, kept as the reference.
+func drawLineRef(c *Canvas, x0, y0, x1, y1 int) {
+	dx, dy := abs(x1-x0), -abs(y1-y0)
+	sx, sy := 1, 1
+	if x0 > x1 {
+		sx = -1
+	}
+	if y0 > y1 {
+		sy = -1
+	}
+	err := dx + dy
+	for {
+		c.Set(x0, y0)
+		if x0 == x1 && y0 == y1 {
+			return
+		}
+		e2 := 2 * err
+		if e2 >= dy {
+			err += dy
+			x0 += sx
+		}
+		if e2 <= dx {
+			err += dx
+			y0 += sy
+		}
+	}
+}
+
+func rasterizeRef(c *Canvas, s series.Series, vp Viewport) {
+	havePrev := false
+	var px, py int
+	for _, p := range s {
+		if p.T < vp.Tqs || p.T >= vp.Tqe {
+			continue
+		}
+		x := int(int64(c.W) * (p.T - vp.Tqs) / (vp.Tqe - vp.Tqs))
+		y := c.H / 2
+		if vp.VMax != vp.VMin {
+			y = min(max(int(math.Round((vp.VMax-p.V)/(vp.VMax-vp.VMin)*float64(c.H-1))), 0), c.H-1)
+		}
+		if havePrev {
+			drawLineRef(c, px, py, x, y)
+		} else {
+			c.Set(x, y)
+		}
+		px, py, havePrev = x, y, true
+	}
+}
+
+// TestRasterizeMatchesReference: random segments, clipped ones included,
+// and random series, full and M4-reduced, under viewports that clip their
+// values, draw the same pixels as the reference.
+func TestRasterizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		w, h := 1+rng.Intn(200), 1+rng.Intn(150)
+		got, want := NewCanvas(w, h), NewCanvas(w, h)
+		for i := 0; i < 20; i++ {
+			x0, x1 := rng.Intn(w+40)-20, rng.Intn(w+40)-20
+			if i%2 == 0 {
+				x1 = x0
+			}
+			y0, y1 := rng.Intn(h+40)-20, rng.Intn(h+40)-20
+			got.DrawLine(x0, y0, x1, y1)
+			drawLineRef(want, x0, y0, x1, y1)
+		}
+		s := genSeries(rng, 1+rng.Intn(4*w))
+		vp := ViewportFor(s, 0, s[len(s)-1].T+1)
+		if trial%3 == 0 { // clip values and time
+			mid := (vp.VMin + vp.VMax) / 2
+			vp.VMin, vp.VMax, vp.Tqs = mid-rng.Float64()*10, mid+rng.Float64()*10, vp.Tqe/4
+		}
+		RasterizeOnto(got, s, vp)
+		rasterizeRef(want, s, vp)
+		aggs, err := m4.ComputeSeries(m4.Query{Tqs: vp.Tqs, Tqe: vp.Tqe, W: w}, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RasterizeOnto(got, m4.Points(aggs), vp)
+		rasterizeRef(want, m4.Points(aggs), vp)
+		if d := Diff(got, want); d != 0 {
+			t.Fatalf("trial %d (%dx%d): %d pixels differ from the reference", trial, w, h, d)
+		}
+	}
+}
+
 func TestDiff(t *testing.T) {
 	a, b := NewCanvas(4, 4), NewCanvas(4, 4)
 	a.Set(0, 0)
@@ -107,14 +198,14 @@ func TestDiffPanicsOnSizeMismatch(t *testing.T) {
 
 func TestViewportMapping(t *testing.T) {
 	vp := Viewport{Tqs: 0, Tqe: 100, VMin: 0, VMax: 10}
-	if vp.X(0, 10) != 0 || vp.X(99, 10) != 9 || vp.X(50, 10) != 5 {
+	if m := vp.mapping(10, 0); m.x(0) != 0 || m.x(99) != 9 || m.x(50) != 5 {
 		t.Error("X mapping wrong")
 	}
-	if vp.Y(10, 11) != 0 || vp.Y(0, 11) != 10 || vp.Y(5, 11) != 5 {
-		t.Errorf("Y mapping wrong: %d %d %d", vp.Y(10, 11), vp.Y(0, 11), vp.Y(5, 11))
+	if m := vp.mapping(0, 11); m.y(10) != 0 || m.y(0) != 10 || m.y(5) != 5 {
+		t.Errorf("Y mapping wrong: %d %d %d", m.y(10), m.y(0), m.y(5))
 	}
 	flat := Viewport{Tqs: 0, Tqe: 10, VMin: 3, VMax: 3}
-	if flat.Y(3, 10) != 5 {
+	if flat.mapping(0, 10).y(3) != 5 {
 		t.Error("flat viewport must center values")
 	}
 }
@@ -128,6 +219,28 @@ func TestViewportFor(t *testing.T) {
 	empty := ViewportFor(s, 300, 400)
 	if empty.VMin != 0 || empty.VMax != 1 {
 		t.Errorf("empty viewport = %+v", empty)
+	}
+}
+
+// TestViewportForMatchesMinMaxFold: the value bounds are math.Min and
+// math.Max folded over every in-range point, signed zeros, infinities and
+// NaN included, bit for bit.
+func TestViewportForMatchesMinMaxFold(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 1, -1, 3.5, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		var s series.Series
+		for i := rng.Intn(6); i >= 0; i-- {
+			s = append(s, series.Point{T: int64(len(s)), V: special[rng.Intn(len(special))]})
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, p := range s {
+			lo, hi = math.Min(lo, p.V), math.Max(hi, p.V)
+		}
+		vp := ViewportFor(s, 0, int64(len(s)))
+		if math.Float64bits(vp.VMin) != math.Float64bits(lo) || math.Float64bits(vp.VMax) != math.Float64bits(hi) {
+			t.Fatalf("%v: bounds [%v, %v], the fold [%v, %v]", s, vp.VMin, vp.VMax, lo, hi)
+		}
 	}
 }
 
@@ -255,8 +368,10 @@ func TestWritePNG(t *testing.T) {
 }
 
 // TestWritePNGRoundTrip holds the direct encoder to image/png: at widths on
-// both sides of the byte and word boundaries, random bits and rasterized
-// random walks decode to the canvas's bounds and to Get at every pixel.
+// both sides of the byte and word boundaries, random bits, rasterized
+// random walks and flat and checkerboard canvases decode to the canvas's
+// bounds and to Get at every pixel. A checkerboard row matches nothing of
+// the row above it, the encoder's worst case.
 func TestWritePNGRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, w := range []int{1, 7, 8, 63, 64, 65, 1000, 1024} {
@@ -267,37 +382,105 @@ func TestWritePNGRoundTrip(t *testing.T) {
 			}
 			s := genSeries(rng, 1+rng.Intn(3*w))
 			walk := Rasterize(s, ViewportFor(s, 0, s[len(s)-1].T+1), w, h)
-			for name, c := range map[string]*Canvas{"noise": noise, "walk": walk} {
-				var buf bytes.Buffer
-				if err := c.WritePNG(&buf); err != nil {
-					t.Fatal(err)
-				}
-				img, err := png.Decode(&buf)
-				if err != nil {
-					t.Fatalf("%dx%d %s: %v", w, h, name, err)
-				}
-				if b := img.Bounds(); b.Min.X != 0 || b.Min.Y != 0 || b.Dx() != w || b.Dy() != h {
-					t.Fatalf("%dx%d %s: bounds %v", w, h, name, b)
-				}
-				lit := 0
-				for y := 0; y < h; y++ {
-					for x := 0; x < w; x++ {
-						r, g, b, _ := img.At(x, y).RGBA()
-						black := r == 0 && g == 0 && b == 0
-						if !black && (r != 0xffff || g != 0xffff || b != 0xffff) {
-							t.Fatalf("%dx%d %s: pixel (%d,%d) is neither black nor white", w, h, name, x, y)
-						}
-						if black != c.Get(x, y) {
-							t.Fatalf("%dx%d %s: pixel (%d,%d) decodes black=%v, Get=%v", w, h, name, x, y, black, c.Get(x, y))
-						}
-						if black {
-							lit++
-						}
+			black, checker := NewCanvas(w, h), NewCanvas(w, h)
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					black.Set(x, y)
+					if (x+y)%2 == 0 {
+						checker.Set(x, y)
 					}
 				}
-				if lit != c.Count() {
-					t.Fatalf("%dx%d %s: %d black pixels, Count %d", w, h, name, lit, c.Count())
+			}
+			canvases := map[string]*Canvas{"noise": noise, "walk": walk, "white": NewCanvas(w, h), "black": black, "checker": checker}
+			for name, c := range canvases {
+				checkPNG(t, fmt.Sprintf("%dx%d %s", w, h, name), c)
+			}
+		}
+	}
+	// A scanline longer than deflate's 32 KiB window has no row above to
+	// copy from; the widest that has one is 32767 bytes plus its filter byte.
+	for _, w := range []int{32767 * 8, 32767*8 + 1} {
+		c := NewCanvas(w, 3)
+		c.DrawLine(0, 0, w-1, 2)
+		c.DrawLine(5, 0, 5, 2)
+		checkPNG(t, fmt.Sprintf("%dx3 wide", w), c)
+	}
+}
+
+// checkPNG encodes c and requires image/png to decode it to c's bounds,
+// black exactly at the lit pixels and white elsewhere.
+func checkPNG(t *testing.T, name string, c *Canvas) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WritePNG(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img, err := png.Decode(&buf)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if b := img.Bounds(); b.Min.X != 0 || b.Min.Y != 0 || b.Dx() != c.W || b.Dy() != c.H {
+		t.Fatalf("%s: bounds %v", name, b)
+	}
+	lit := 0
+	for y := 0; y < c.H; y++ {
+		for x := 0; x < c.W; x++ {
+			r, g, b, _ := img.At(x, y).RGBA()
+			black := r == 0 && g == 0 && b == 0
+			if !black && (r != 0xffff || g != 0xffff || b != 0xffff) {
+				t.Fatalf("%s: pixel (%d,%d) is neither black nor white", name, x, y)
+			}
+			if black != c.Get(x, y) {
+				t.Fatalf("%s: pixel (%d,%d) decodes black=%v, Get=%v", name, x, y, black, c.Get(x, y))
+			}
+			if black {
+				lit++
+			}
+		}
+	}
+	if lit != c.Count() {
+		t.Fatalf("%s: %d black pixels, Count %d", name, lit, c.Count())
+	}
+}
+
+// FuzzWritePNG: any canvas decodes through image/png to Get at every pixel.
+// The canvas is w×h with pixel k (row-major) lit iff bit k%8 of
+// pattern[k/8 % len(pattern)] is set, so a pattern whose length divides
+// the row repeats rows and one that does not shifts them.
+func FuzzWritePNG(f *testing.F) {
+	f.Add(uint16(1024), uint8(40), []byte{0xff, 0, 0, 0x10})
+	f.Add(uint16(65), uint8(3), []byte{0x55})
+	f.Add(uint16(7), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, w uint16, h uint8, pattern []byte) {
+		c := NewCanvas(1+int(w)%2048, 1+int(h)%64)
+		if len(pattern) > 0 {
+			for y := 0; y < c.H; y++ {
+				for x := 0; x < c.W; x++ {
+					if k := y*c.W + x; pattern[k/8%len(pattern)]>>(k%8)&1 != 0 {
+						c.Set(x, y)
+					}
 				}
+			}
+		}
+		checkPNG(t, fmt.Sprintf("%dx%d", c.W, c.H), c)
+	})
+}
+
+// TestAdler32 holds the eight-bytes-at-a-time checksum to hash/adler32,
+// across its 5552-byte blocks and with every byte 0xff, the largest sums.
+func TestAdler32(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 3*5552+17)
+	for name, fill := range map[string]func(i int) byte{
+		"ff":     func(int) byte { return 0xff },
+		"random": func(int) byte { return byte(rng.Intn(256)) },
+	} {
+		for i := range buf {
+			buf[i] = fill(i)
+		}
+		for n := 0; n <= len(buf); n += 1 + n/7 {
+			if got, want := adler32(buf[:n]), adler32ref.Checksum(buf[:n]); got != want {
+				t.Fatalf("%s, %d bytes: adler32 %#x, hash/adler32 %#x", name, n, got, want)
 			}
 		}
 	}
@@ -343,6 +526,67 @@ func BenchmarkWritePNG(b *testing.B) {
 	}
 	b.ReportMetric(float64(buf.Len()), "bytes")
 }
+
+// BenchmarkRenderAligned draws what a cell-aligned /render draws: a
+// 2^19-point random walk, one point per tick, M4-reduced to 1024 columns
+// over windows of 1/2^k of its range (k = 0..4), on 1024×400 canvases.
+// Each iteration draws the next window, so both sub-benchmarks report the
+// mean over the five zooms.
+func BenchmarkRenderAligned(b *testing.B) {
+	const n, w, h = 1 << 19, 1024, 400
+	rng := rand.New(rand.NewSource(1))
+	walk := make(series.Series, n)
+	v := 0.0
+	for i := range walk {
+		v += rng.Float64()*2 - 1
+		walk[i] = series.Point{T: int64(i), V: v}
+	}
+	var reduced []series.Series
+	var windows []m4.Query
+	for k := 0; k < 5; k++ {
+		win := int64(n >> k)
+		q := m4.Query{Tqs: rng.Int63n(1<<k) * win, W: w}
+		q.Tqe = q.Tqs + win
+		aggs, err := m4.ComputeSeries(q, walk.Slice(q.Range()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reduced, windows = append(reduced, m4.Points(aggs)), append(windows, q)
+	}
+	draw := func(i int) *Canvas {
+		pts, q := reduced[i%len(reduced)], windows[i%len(windows)]
+		c := NewCanvas(w, h)
+		RasterizeOnto(c, pts, ViewportForAll([]series.Series{pts}, q.Tqs, q.Tqe))
+		return c
+	}
+	b.Run("rasterize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += draw(i).W
+		}
+	})
+	b.Run("png", func(b *testing.B) {
+		canvases := make([]*Canvas, len(reduced))
+		for i := range canvases {
+			canvases[i] = draw(i)
+		}
+		var buf bytes.Buffer
+		written := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := canvases[i%len(canvases)].WritePNG(&buf); err != nil {
+				b.Fatal(err)
+			}
+			written += buf.Len()
+		}
+		b.ReportMetric(float64(written)/float64(b.N), "bytes")
+	})
+}
+
+// sink keeps benchmark results live.
+var sink int
 
 func TestRasterizeSkipsOutOfRange(t *testing.T) {
 	s := series.Series{{T: -10, V: 0}, {T: 5, V: 5}, {T: 200, V: 9}}
