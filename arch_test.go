@@ -599,7 +599,7 @@ func rulePublicExamples(tr *archTree) []string {
 func ruleOneWritePath(tr *archTree) []string {
 	lsm := tr.pkgsUnder("internal/lsm")
 	// A memtable append is m[k] = append(...) into a map of the type of
-	// shard.mem, however the map is reached.
+	// Engine.mem, however the map is reached.
 	memAppend := func(p *archPkg, n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
@@ -614,11 +614,11 @@ func ruleOneWritePath(tr *archTree) []string {
 		if _, builtin := p.info.Uses[fn].(*types.Builtin); !ok || !builtin || fn.Name != "append" {
 			return false
 		}
-		shard := p.types.Scope().Lookup("shard")
-		if shard == nil {
+		engine := p.types.Scope().Lookup("Engine")
+		if engine == nil {
 			return false
 		}
-		mem, _, _ := types.LookupFieldOrMethod(shard.Type(), true, p.types, "mem")
+		mem, _, _ := types.LookupFieldOrMethod(engine.Type(), true, p.types, "mem")
 		return mem != nil && types.Identical(p.info.TypeOf(ix.X), mem.Type())
 	}
 	out := onlyAt("memtable appends", tr.find(lsm, memAppend), "internal/lsm/ingest.go:memAppend")
@@ -937,9 +937,9 @@ var archMutations = []struct {
 	{"second executor call in server", "one_read_path", []archEdit{{"internal/server/server.go", "",
 		"\nfunc again(ctx context.Context, h *Handler) { _, _ = m4ql.Exec(ctx, h.engine, m4ql.Statement{}) }\n"}}},
 	{"stepreg.Fit in m4lsm/load.go", "fit_at_write", []archEdit{{"internal/m4lsm/load.go", "", "\nfunc refit(ts []int64) *stepreg.Model { return stepreg.Fit(ts) }\n"}}},
-	{"memtable append through an alias outside ingest.go", "one_write_path", []archEdit{{"internal/lsm/shard.go", "",
-		"\nfunc (sh *shard) put(id string, p series.Point) {\n\tbuf := sh.mem\n\tbuf[id] = append(buf[id], p)\n}\n"}}},
-	{"walMu in lsm", "one_write_path", []archEdit{{"internal/lsm/shard.go", "", "\nvar walMu sync.Mutex\n"}}},
+	{"memtable append through an alias outside ingest.go", "one_write_path", []archEdit{{"internal/lsm/engine.go", "",
+		"\nfunc (e *Engine) put(id string, p series.Point) {\n\tbuf := e.mem\n\tbuf[id] = append(buf[id], p)\n}\n"}}},
+	{"walMu in lsm", "one_write_path", []archEdit{{"internal/lsm/engine.go", "", "\nvar walMu sync.Mutex\n"}}},
 	{"segment read outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nvar readSeg = tsfile.ReadSegment\n"}}},
 	{"WAL file name outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nconst walGlob = \"wal-*.log\"\n"}}},
 	{"internal/lsm import in pyramid", "one_chunk_writer", []archEdit{{"internal/pyramid/pyramid.go", "import (", "import (\n\t_ \"m4lsm/internal/lsm\""}}},

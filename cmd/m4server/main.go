@@ -65,7 +65,6 @@ func main() {
 		drainWait = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		slowQuery = flag.Duration("slow-query", 100*time.Millisecond, "minimum request latency recorded in /debug/slowlog")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		shards    = flag.Int("shards", 1, "engine shard count (series are hash-partitioned for concurrent writes and flushes)")
 
 		queryTimeout = flag.Duration("query-timeout", 0, "default per-query wall-clock budget (a statement TIMEOUT clause overrides it; 0 disables)")
 		querySlots   = flag.Int("query-slots", 0, "max concurrently executing /query and /render requests (0 disables admission control)")
@@ -80,11 +79,9 @@ func main() {
 		readRetries  = flag.Int("read-retries", 0, "retry attempts for transient chunk-read failures (0 = engine default)")
 		pyramid      = flag.Bool("pyramid", true, "maintain the M4 rollup pyramid (precomputed multi-resolution span aggregates); false always computes from chunks")
 
-		scrubEvery        = flag.Duration("scrub-interval", 0, "period of the background integrity scrubber (chunk CRCs, pyramid manifest, WAL segments; 0 disables — /admin/scrub still works on demand)")
 		walSegBytes       = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = engine default)")
-		syncWAL           = flag.Bool("sync-wal", false, "fsync the WAL before acknowledging writes (group commit amortizes the sync across concurrent writers)")
-		walGroup          = flag.Int("wal-group-size", 0, "max records per WAL group commit (0 = engine default 128)")
-		ingestQueuePoints = flag.Int("ingest-queue-points", 0, "per-shard ingest queue cap in points before backpressure (0 = engine default 65536)")
+		syncWAL           = flag.Bool("sync-wal", false, "fsync the WAL before acknowledging writes (one fsync per batch the ingest queue drains, shared by concurrent writers)")
+		ingestQueuePoints = flag.Int("ingest-queue-points", 0, "ingest queue cap in points before backpressure (0 = engine default 65536)")
 		ingestWait        = flag.Duration("ingest-enqueue-wait", 0, "max time a write blocks on a full ingest queue before the retryable backpressure error (0 = engine default 2s; negative fails immediately)")
 
 		selfMetrics = flag.Duration("self-metrics-interval", time.Second, "period at which the metrics registry is sampled into root.sys.* series inside the engine (0 disables)")
@@ -107,9 +104,8 @@ func main() {
 	slog.SetDefault(logger)
 
 	reg := obs.NewRegistry()
-	engine, err := lsm.Open(lsm.Options{Dir: *dir, Metrics: reg, NumShards: *shards, ReadRetries: *readRetries, DisablePyramid: !*pyramid,
-		ScrubInterval: *scrubEvery, WALSegmentBytes: *walSegBytes,
-		SyncWAL: *syncWAL, WALGroupSize: *walGroup,
+	engine, err := lsm.Open(lsm.Options{Dir: *dir, Metrics: reg, ReadRetries: *readRetries, DisablePyramid: !*pyramid,
+		WALSegmentBytes: *walSegBytes, SyncWAL: *syncWAL,
 		IngestQueuePoints: *ingestQueuePoints, IngestEnqueueWait: *ingestWait})
 	if err != nil {
 		logger.Error("open engine", "dir", *dir, "err", err)

@@ -11,8 +11,7 @@
 // The generator deliberately concentrates probability mass where the
 // engine's invariants live: out-of-order writes, same-timestamp overwrites
 // (version resolution), range deletes over flushed and unflushed data, and
-// interleaved Flush / Compact / Close-and-reopen (WAL replay, shard-tagged
-// records, reopening with a different shard count).
+// interleaved Flush / Compact / Close-and-reopen (WAL replay).
 package difftest
 
 import (
@@ -70,7 +69,6 @@ func (o Oracle) Merged(id string) series.Series {
 // the case's lifetime so Close-and-reopen steps can replay the WAL.
 type Case struct {
 	Seed   int64
-	Shards int
 	Oracle Oracle
 
 	// PyramidSpans counts query spans Check answered from rollup-pyramid
@@ -103,8 +101,7 @@ const (
 // Generate builds a random workload from seed and applies it to a fresh
 // engine in dir and to the oracle. Steps interleave out-of-order writes,
 // same-timestamp overwrites, range deletes, flushes, compactions and full
-// close-and-reopen cycles (reopening sometimes changes the shard count, so
-// shard-tagged WAL replay across resharding is exercised constantly).
+// close-and-reopen cycles (WAL replay).
 func Generate(seed int64, dir string) (*Case, error) {
 	return generate(seed, dir, false)
 }
@@ -113,7 +110,6 @@ func generate(seed int64, dir string, tieFree bool) (*Case, error) {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Case{
 		Seed:   seed,
-		Shards: 1 + rng.Intn(4),
 		Oracle: Oracle{},
 		dir:    dir,
 		tMax:   int64(200 + rng.Intn(800)),
@@ -146,7 +142,6 @@ func (c *Case) open() error {
 	e, err := lsm.Open(lsm.Options{
 		Dir:            c.dir,
 		FlushThreshold: 16,
-		NumShards:      c.Shards,
 	})
 	if err != nil {
 		return err
@@ -207,11 +202,6 @@ func (c *Case) step(rng *rand.Rand) error {
 	case opReopen:
 		if err := c.engine.Close(); err != nil {
 			return err
-		}
-		// Half the reopens change the shard count: the WAL's shard tags
-		// must not pin records to a layout.
-		if rng.Intn(2) == 0 {
-			c.Shards = 1 + rng.Intn(4)
 		}
 		return c.open()
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // Ingest-equivalence mode: the batched ingestion path (Engine.WriteBatch —
-// bounded per-shard queues, append workers, group-committed WAL records)
+// the bounded queue, the append worker, group-committed WAL records)
 // must be observationally identical to the point-by-point Write path. Twin
 // engines consume the same seeded workload in lockstep — engine A writes
 // every point individually, engine B ships the same points as multi-series
@@ -28,7 +28,6 @@ type IngestCase struct {
 
 	a, b         *lsm.Engine
 	dirA, dirB   string
-	shards       int
 	ids          []string
 	tMax         int64
 	value        func(*rand.Rand, int64) float64
@@ -43,7 +42,6 @@ func GenerateIngest(seed int64, dirA, dirB string) (*IngestCase, error) {
 		Oracle: Oracle{},
 		dirA:   dirA,
 		dirB:   dirB,
-		shards: 1 + rng.Intn(4),
 		tMax:   int64(200 + rng.Intn(800)),
 	}
 	c.value = tieFreeValue(c.tMax)
@@ -65,14 +63,13 @@ func GenerateIngest(seed int64, dirA, dirB string) (*IngestCase, error) {
 }
 
 func (c *IngestCase) open() error {
-	// Tiny ingest queues on the batched twin so the workload regularly rides
-	// the backpressure boundary, not just the happy path.
-	a, err := lsm.Open(lsm.Options{Dir: c.dirA, FlushThreshold: 16, NumShards: c.shards})
+	// A tiny ingest queue on the batched twin so the workload regularly
+	// rides the backpressure boundary, not just the happy path.
+	a, err := lsm.Open(lsm.Options{Dir: c.dirA, FlushThreshold: 16})
 	if err != nil {
 		return err
 	}
-	b, err := lsm.Open(lsm.Options{Dir: c.dirB, FlushThreshold: 16, NumShards: c.shards,
-		IngestQueuePoints: 64, WALGroupSize: 4})
+	b, err := lsm.Open(lsm.Options{Dir: c.dirB, FlushThreshold: 16, IngestQueuePoints: 64})
 	if err != nil {
 		a.Close()
 		return err
@@ -141,9 +138,6 @@ func (c *IngestCase) step(rng *rand.Rand) error {
 	case 3: // close and reopen both: B replays batch-encoded WAL records
 		if err := c.Close(); err != nil {
 			return err
-		}
-		if rng.Intn(2) == 0 {
-			c.shards = 1 + rng.Intn(4)
 		}
 		return c.open()
 	}

@@ -28,10 +28,10 @@ func TestGoldenPixelEquivalence(t *testing.T) {
 	if testing.Short() {
 		canvases = canvases[:2]
 	}
-	for pi, preset := range workload.Presets() {
+	for _, preset := range workload.Presets() {
 		preset := preset
 		t.Run(preset.Name, func(t *testing.T) {
-			e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), NumShards: 1 + pi, DisableWAL: true})
+			e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,10 +91,10 @@ func TestGoldenPixelEquivalenceRepr(t *testing.T) {
 		{Kind: reprops.KindLTTB},
 		{Kind: reprops.KindMinMaxLTTB, Ratio: 4},
 	}
-	for pi, preset := range workload.Presets() {
+	for _, preset := range workload.Presets() {
 		preset := preset
 		t.Run(preset.Name, func(t *testing.T) {
-			e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), NumShards: 1 + pi, DisableWAL: true})
+			e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,8 +7,8 @@ import (
 
 // RunPool runs tasks 0..n-1 on at most par worker goroutines that pull task
 // indexes off one shared counter. It is the repository's one worker pool:
-// the M4-LSM waves, the merge-all read's series and chunk loads, the UDF
-// span blocks and per-shard flush and compaction all run on it. run's w
+// the M4-LSM waves, the merge-all read's series and chunk loads and the
+// UDF span blocks all run on it. run's w
 // argument names the worker (0..par-1), so a caller may give each worker
 // its own scratch state. par <= 1 runs every task inline on the calling
 // goroutine as worker 0.

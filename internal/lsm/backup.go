@@ -1,15 +1,15 @@
 // Online backup and restore. Backup pins a consistent snapshot of the
 // database — immutable chunk files, the mods sidecar, the pyramid manifest
-// and the live WAL segments — under every shard lock, hardlinks or copies
+// and the live WAL segments — under the engine lock, hardlinks or copies
 // it into a backup directory, and seals the set with a checksummed
 // manifest recording each file's size and CRC. A backup without a valid
 // manifest (crash mid-backup) is rejected wholesale: restore never guesses
 // at a half-written set.
 //
-// The engine keeps serving during the copy: shard locks are held only long
+// The engine keeps serving during the copy: the lock is held only long
 // enough to hardlink immutable files and capture the active WAL segment's
 // record-aligned prefix; CRCs are computed from the backup copies after
-// the locks drop.
+// the lock drops.
 package lsm
 
 import (
@@ -47,7 +47,6 @@ type BackupFile struct {
 type BackupManifest struct {
 	CreatedUnix int64        `json:"createdUnix"`
 	NextVersion uint64       `json:"nextVersion"` // pinned version watermark
-	NumShards   int          `json:"numShards"`
 	Files       []BackupFile `json:"files"`
 }
 
@@ -101,7 +100,7 @@ func DecodeBackupManifest(b []byte) (BackupManifest, error) {
 
 // Backup writes a verified online backup of the database into dir (created
 // if missing; must be empty of manifest files). Safe under concurrent
-// writers: the snapshot is pinned under every shard lock, so it is exactly
+// writers: the snapshot is pinned under the engine lock, so it is exactly
 // the state some single instant observed.
 func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 	defer func() {
@@ -124,16 +123,15 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 	}
 	var caps []capture
 
-	e.lockAll()
+	e.mu.Lock()
 	if e.closed.Load() {
-		e.unlockAll()
+		e.mu.Unlock()
 		return m, errEngineClosed
 	}
 	m.CreatedUnix = time.Now().Unix()
 	m.NextVersion = e.nextVer.Load()
-	m.NumShards = len(e.shards)
 	// Chunk files are immutable and only unlinked by Compact, which needs
-	// every shard lock — blocked while we hold them.
+	// the engine lock — blocked while we hold it.
 	e.fileMu.Lock()
 	for _, r := range e.files {
 		caps = append(caps, capture{name: filepath.Base(r.Path()), path: r.Path()})
@@ -147,17 +145,17 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 			continue
 		}
 		if err != nil {
-			e.unlockAll()
+			e.mu.Unlock()
 			return m, fmt.Errorf("lsm: backup: %w", err)
 		}
 		caps = append(caps, capture{name: name, data: data})
 	}
 	// Sealed WAL segments are immutable like chunk files; the active one
-	// keeps growing after the locks drop, so its record-aligned bytes so
+	// keeps growing after the lock drops, so its record-aligned bytes so
 	// far are captured now.
 	sealed, activePath, active, err := e.wal.Capture()
 	if err != nil {
-		e.unlockAll()
+		e.mu.Unlock()
 		return m, fmt.Errorf("lsm: backup: %w", err)
 	}
 	for _, s := range sealed {
@@ -178,12 +176,12 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 			break
 		}
 	}
-	e.unlockAll()
+	e.mu.Unlock()
 	if linkErr != nil {
 		return m, fmt.Errorf("lsm: backup: %w", linkErr)
 	}
 
-	// Locks are gone; write the captured bytes and compute every CRC from
+	// The lock is gone; write the captured bytes and compute every CRC from
 	// the backup copies, so the manifest attests what is actually in dir.
 	var total int64
 	for _, c := range caps {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"m4lsm/internal/govern"
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -16,10 +15,8 @@ import (
 )
 
 // Compact merges every flushed chunk of every series into fresh,
-// non-overlapping chunks, applying all deletes, and removes the old chunk
-// files and delete sidecar entries. Shards compact concurrently — each
-// writes its own sequence file — up to the GOMAXPROCS budget (sequentially
-// under a StepHook, keeping fault schedules deterministic).
+// non-overlapping chunks of one new sequence file, applying all deletes,
+// and removes the old chunk files and delete sidecar entries.
 //
 // The paper's experiments run with compaction disabled (Table 4,
 // NO_COMPACTION) because overlapping chunks are exactly the state M4-LSM
@@ -31,8 +28,8 @@ func (e *Engine) Compact() error {
 	if err := e.writable(); err != nil {
 		return err
 	}
-	e.lockAll()
-	defer e.unlockAll()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return errEngineClosed
 	}
@@ -45,60 +42,39 @@ func (e *Engine) Compact() error {
 	return e.classifyWrite(err)
 }
 
-// compactLocked does Compact's work under every shard lock.
+// compactLocked does Compact's work under e.mu.
 func (e *Engine) compactLocked() error {
 	// Memtable contents ride along: flush first so the merge sees them.
-	for _, sh := range e.shards {
-		if _, err := e.flushShardLocked(sh); err != nil {
-			return err
-		}
-	}
-	// Write each shard's compacted generation to a fresh file before
-	// touching the old ones; a crash (or error) between here and the swap
-	// below leaves both generations on disk, and duplicate points merge
-	// idempotently. The merged output is in order, so it belongs to the
-	// sequence space. Series merge in sorted-id order within each shard, so
-	// the compacted layout is deterministic for a given shard count.
-	// Quarantined chunks cannot be read (their bytes fail CRC): the
-	// snapshot builder leaves them out, and the files holding them are set
-	// aside below instead of being removed, so the corrupt bytes stay
-	// available for salvage.
-	type shardGen struct {
-		merged map[string]series.Series
-		reader *tsfile.Reader
-	}
-	gens := make([]shardGen, len(e.shards))
-	err := govern.RunPool(e.shardParallelism(), len(e.shards), func(_, i int) error {
-		sh := e.shards[i]
-		ids := make([]string, 0, len(sh.chunks))
-		for id := range sh.chunks {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		merged := make(map[string]series.Series, len(ids))
-		for _, id := range ids {
-			data, err := mergeread.Merge(e.seriesSnapshot(sh, id, everything, 0, nil), everything)
-			if err != nil {
-				return fmt.Errorf("lsm: compact %s: %w", id, err)
-			}
-			if len(data) > 0 {
-				merged[id] = data
-			}
-		}
-		gens[i].merged = merged
-		r, err := e.writeChunkFile("seq", ids, merged, false)
-		gens[i].reader = r
+	if _, err := e.flushLocked(); err != nil {
 		return err
-	})
-	if err != nil {
-		// Drop whatever new-generation files were staged; the old
-		// generation was never touched and stays authoritative.
-		for _, g := range gens {
-			if g.reader != nil {
-				g.reader.Close()
-				os.Remove(g.reader.Path())
-			}
+	}
+	// Write the compacted generation to a fresh file before touching the
+	// old ones; a crash (or error) between here and the swap below leaves
+	// both generations on disk, and duplicate points merge idempotently.
+	// The merged output is in order, so it belongs to the sequence space.
+	// Series merge in sorted-id order, so the compacted layout is
+	// deterministic. Quarantined chunks cannot be read (their bytes fail
+	// CRC): the snapshot builder leaves them out, and the files holding
+	// them are set aside below instead of being removed, so the corrupt
+	// bytes stay available for salvage.
+	ids := make([]string, 0, len(e.chunks))
+	for id := range e.chunks {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	merged := make(map[string]series.Series, len(ids))
+	for _, id := range ids {
+		data, err := mergeread.Merge(e.seriesSnapshot(id, everything, 0, nil), everything)
+		if err != nil {
+			return fmt.Errorf("lsm: compact %s: %w", id, err)
 		}
+		if len(data) > 0 {
+			merged[id] = data
+		}
+	}
+	r, err := e.writeChunkFile("seq", ids, merged, false)
+	if err != nil {
+		// The old generation was never touched and stays authoritative.
 		return err
 	}
 
@@ -108,23 +84,19 @@ func (e *Engine) compactLocked() error {
 	e.fileMu.Lock()
 	oldFiles := e.files
 	e.files = nil
-	for _, g := range gens {
-		if g.reader != nil {
-			e.files = append(e.files, g.reader)
-		}
+	if r != nil {
+		e.files = append(e.files, r)
 	}
 	// The unsequence space is folded into the new sequence generation.
 	e.unseqFiles = 0
 	e.fileMu.Unlock()
-	for i, sh := range e.shards {
-		sh.chunks = make(map[string][]chunkEntry)
-		sh.maxSeqTime = make(map[string]int64)
-		if r := gens[i].reader; r != nil {
-			e.registerChunks(r)
-		}
-		for id, data := range gens[i].merged {
-			sh.maxSeqTime[id] = data[len(data)-1].T
-		}
+	e.chunks = make(map[string][]chunkEntry)
+	e.maxSeqTime = make(map[string]int64)
+	if r != nil {
+		e.registerChunks(r)
+	}
+	for id, data := range merged {
+		e.maxSeqTime[id] = data[len(data)-1].T
 	}
 	if err := e.retireFiles(oldFiles); err != nil {
 		return err
@@ -153,10 +125,8 @@ func (e *Engine) compactLocked() error {
 	// but with every memtable flushed and quarantined data folded away this
 	// is the cheapest moment to rebuild whatever is stale and persist the
 	// manifest.
-	for _, sh := range e.shards {
-		if err := e.pyrRebuildShard(sh); err != nil {
-			return err
-		}
+	if err := e.pyrRebuild(); err != nil {
+		return err
 	}
 	return e.pyrSave(0, true)
 }
@@ -187,8 +157,8 @@ func (e *Engine) retireFiles(old []*tsfile.Reader) error {
 	return nil
 }
 
-// resetMods replaces the delete sidecar with an empty one. Caller holds all
-// shard locks.
+// resetMods replaces the delete sidecar with an empty one. Caller holds
+// e.mu.
 func (e *Engine) resetMods() error {
 	path := filepath.Join(e.opts.Dir, "deletes.mods")
 	if err := e.modsLog().Close(); err != nil {

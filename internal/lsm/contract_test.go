@@ -10,6 +10,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"m4lsm/internal/faultfs"
 	"m4lsm/internal/obs"
@@ -88,21 +89,14 @@ func seriesView(t *testing.T, e *Engine, ids []string) map[string]series.Series 
 
 // TestWriteContract is the write-side twin of m4ql's TestReadContract: the
 // same entries issued as three Writes, three WriteBatches of one, or one
-// WriteBatch of three across shards must — under every outcome the write
+// WriteBatch of three must — under every outcome the write
 // path has — fail with the same error class and leave the same memtables,
 // Info, WAL bytes, metric deltas and kill + replay state. Since all three
 // are one path, the outcome cannot depend on the call's granularity.
 func TestWriteContract(t *testing.T) {
-	// One series per shard, in shard order, so a sequential worker applies
-	// the entries of a many-entry batch in the order three calls would.
-	var ids []string
-	for i := 0; len(ids) < 3; i++ {
-		if id := fmt.Sprintf("s%d", i); shardIndex(id, 3) == len(ids) {
-			ids = append(ids, id)
-		}
-	}
+	ids := []string{"s0", "s1", "s2"}
 	entries := []BatchEntry{
-		{SeriesID: ids[0], Points: pts(10, 1, 20, 2, 30, 3, 40, 4)}, // FlushThreshold 4: flushes its shard
+		{SeriesID: ids[0], Points: pts(10, 1, 20, 2, 30, 3, 40, 4)}, // FlushThreshold 4: flushes
 		{SeriesID: ids[1], Points: pts(5, 50, 15, 51)},
 		{SeriesID: ids[2], Points: pts(7, 70, 3, 71)},
 	}
@@ -150,7 +144,7 @@ func TestWriteContract(t *testing.T) {
 		entries []BatchEntry
 		hook    func() func(string) error // nil: never fails
 		closed  bool                      // Close the engine before writing
-		full    bool                      // saturate every shard queue first
+		full    bool                      // saturate the queue first
 		// behindQueue: the fault fires in a worker, after admission.
 		behindQueue bool
 		want        string
@@ -185,17 +179,23 @@ func TestWriteContract(t *testing.T) {
 			for _, form := range forms {
 				dir := t.TempDir()
 				reg := obs.NewRegistry()
-				// A StepHook (even one that never fails) selects the single
-				// sequential append worker, which makes WAL byte order a
-				// function of the entries alone.
+				// A one-point queue with a patient enqueue makes every run
+				// one entry: the next entry only gets in once the worker has
+				// taken the previous one, so WAL groups and byte order are a
+				// function of the entries alone. The backpressure case sheds
+				// at once instead.
+				wait := time.Minute
+				if tc.full {
+					wait = -1
+				}
 				hook := func(string) error { return nil }
 				if tc.hook != nil {
 					hook = tc.hook()
 				}
 				parked, release := make(chan struct{}), make(chan struct{})
 				var once sync.Once
-				opts := Options{Dir: dir, NumShards: 3, FlushThreshold: 4, Metrics: reg, SpaceProbeInterval: -1,
-					IngestQueuePoints: 1, IngestEnqueueWait: -1,
+				opts := Options{Dir: dir, FlushThreshold: 4, Metrics: reg, SpaceProbeInterval: -1,
+					IngestQueuePoints: 1, IngestEnqueueWait: wait,
 					StepHook: func(s string) error {
 						if tc.full && s == "ingest.drain" {
 							once.Do(func() { close(parked); <-release })
@@ -209,9 +209,8 @@ func TestWriteContract(t *testing.T) {
 				var fill sync.WaitGroup
 				if tc.full {
 					// The worker takes the first filler and blocks in the
-					// hook; one more per shard (the contract series, at a
-					// far-away timestamp) brings every queue to its cap.
-					for i, id := range append([]string{"park"}, ids...) {
+					// hook; a second one brings the queue to its cap.
+					for i, id := range []string{"park", "fill"} {
 						if i == 1 {
 							<-parked
 						}
@@ -223,7 +222,7 @@ func TestWriteContract(t *testing.T) {
 							}
 						}()
 					}
-					waitFor(t, func() bool { return e.ing.pointsIn.Load() == 4 })
+					waitFor(t, func() bool { return e.ing.pointsIn.Load() == 2 })
 				}
 				if tc.closed {
 					if err := e.Close(); err != nil {
@@ -263,7 +262,7 @@ func TestWriteContract(t *testing.T) {
 					got.WAL = append(got.WAL, raw...)
 				}
 				e.Kill()
-				e2, err := Open(Options{Dir: dir, NumShards: 3})
+				e2, err := Open(Options{Dir: dir})
 				if err != nil {
 					t.Fatalf("%s: reopen: %v", form.name, err)
 				}
@@ -275,11 +274,6 @@ func TestWriteContract(t *testing.T) {
 					out := map[string]series.Series{}
 					for _, ent := range entries[:n] {
 						out[ent.SeriesID] = series.SortDedup(append(series.Series(nil), ent.Points...))
-					}
-					for _, id := range ids {
-						if tc.full { // the fillers, and nothing of the shed write
-							out[id] = pts(-1000, 0)
-						}
 					}
 					return out
 				}

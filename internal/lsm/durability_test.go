@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -56,81 +58,150 @@ func TestWALSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestColdShardWALRetirement is the regression the segmented WAL exists
-// for: one cold shard with a single unflushed point must not pin the whole
-// log. The hot shard fills and seals segments; once it flushes, those
-// segments retire even though the cold shard has never flushed — and the
-// cold point still survives a kill.
-func TestColdShardWALRetirement(t *testing.T) {
-	// Pick series routed to different shards of a 2-shard engine.
-	hot, cold := "", ""
-	for i := 0; hot == "" || cold == ""; i++ {
-		id := fmt.Sprintf("s%d", i)
-		if shardIndex(id, 2) == 0 {
-			if hot == "" {
-				hot = id
-			}
-		} else if cold == "" {
-			cold = id
-		}
+// stripedWorkload is the fixed workload behind testdata/parent-cb3bb04-
+// shards1 and -shards3: commit cb3bb04 ran it with FlushThreshold 8,
+// WALSegmentBytes 128 and NumShards 1 and 3, then killed the engine. Under
+// three stripes root.s1 routed to stripe 0, root.s3 to 1, and root.s5 and
+// root.d to 2, so the killed directory holds chunk files, deletes.mods,
+// the pyramid manifest, stripe 0's checkpoint ("0 of 3") after its
+// auto-flush, and stripes 1 and 2's unflushed records on both sides of it.
+func stripedWorkload() []tortureOp {
+	return []tortureOp{
+		{kind: 'w', id: "root.s1", pts: pts(10, 1, 20, 2, 30, 3, 40, 4, 50, 5, 60, 6)},
+		{kind: 'w', id: "root.s3", pts: pts(15, 11, 25, 12, 35, 13, 45, 14, 55, 15)},
+		{kind: 'w', id: "root.s5", pts: pts(7, 21, 17, 22, 27, 23, 37, 24, 47, 25)},
+		{kind: 'w', id: "root.d", pts: pts(0, 30, 16, 31, 32, 32, 48, 33, 64, 34, 80, 35, 96, 36, 112, 37, 128, 38, 144, 39)},
+		{kind: 'd', id: "root.s3", start: 20, end: 40},
+		{kind: 'f'},
+		{kind: 'w', id: "root.s3", pts: pts(65, 16, 75, 17)},
+		{kind: 'w', id: "root.s5", pts: pts(57, 26, 3, 27)},
+		{kind: 'w', id: "root.s1", pts: pts(70, 7, 80, 8, 90, 9, 100, 10, 110, 11, 120, 12, 130, 13, 140, 14)},
+		{kind: 'w', id: "root.s1", pts: pts(25, 15, 150, 16)},
+		{kind: 'w', id: "root.s3", pts: pts(85, 18, 50, 19)},
+		{kind: 'd', id: "root.s5", start: 0, end: 10},
+		{kind: 'g', entries: []BatchEntry{
+			{SeriesID: "root.s3", Points: pts(95, 20)},
+			{SeriesID: "root.s5", Points: pts(67, 28, 77, 29)},
+		}},
 	}
+}
 
+// TestStripedWorkloadWritesParentBytes pins the on-disk formats: run at one
+// stripe, stripedWorkload leaves exactly the files, byte for byte, that
+// commit cb3bb04 left at one stripe — chunk files, deletes.mods, the
+// pyramid manifest and the WAL segments with their shard tags, checkpoint
+// and segment headers.
+func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir, NumShards: 2, WALSegmentBytes: 64, FlushThreshold: 45})
+	e, err := Open(Options{Dir: dir, FlushThreshold: 8, WALSegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hot shard fills and seals many segments first; the cold point then
-	// lands in the CURRENT active segment, so its pendingMin only pins that
-	// one — everything sealed before it can retire once the hot shard
-	// flushes.
-	for i := int64(0); i < 44; i++ {
-		if err := e.Write(hot, series.Point{T: i, V: float64(i)}); err != nil {
+	for _, op := range stripedWorkload() {
+		if err := execOp(e, op); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Write(cold, series.Point{T: 1, V: 42}); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Info()
-	if before.WALSegments < 3 {
-		t.Fatalf("WALSegments = %d before flush, want several", before.WALSegments)
-	}
-	if before.WALRetiredSegments != 0 {
-		t.Fatalf("retired %d segments before any flush", before.WALRetiredSegments)
-	}
-
-	// The 45th hot point trips the auto-flush of the hot shard only; its
-	// checkpoint clears the hot pendingMin and retirement drops every sealed
-	// segment below the cold point's — while the cold shard never flushed.
-	if err := e.Write(hot, series.Point{T: 44, V: 44}); err != nil {
-		t.Fatal(err)
-	}
-	after := e.Info()
-	if after.WALRetiredSegments == 0 {
-		t.Fatal("no segments retired after hot-shard flush with a cold shard present")
-	}
-	if after.WALRetiredBytes == 0 {
-		t.Fatal("retired segments reported zero bytes")
-	}
-	if after.WALBytes >= before.WALBytes {
-		t.Fatalf("wal bytes %d did not drop from %d", after.WALBytes, before.WALBytes)
-	}
 	e.Kill()
+	golden := filepath.Join("testdata", "parent-cb3bb04-shards1")
+	want, err := os.ReadDir(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("wrote %d files, the parent wrote %d", len(got), len(want))
+	}
+	for i, ent := range want {
+		if got[i].Name() != ent.Name() {
+			t.Fatalf("file %d is %s, the parent wrote %s", i, got[i].Name(), ent.Name())
+		}
+		a, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(golden, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs from the parent's bytes", ent.Name())
+		}
+	}
+}
 
-	e2, err := Open(Options{Dir: dir, NumShards: 2})
+// copyTestdata copies testdata/name into a fresh directory, which a test
+// may then open and mutate.
+func copyTestdata(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	src := filepath.Join("testdata", name)
+	ents, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e2.Close()
-	full := series.TimeRange{Start: 0, End: 100}
-	snap, err := e2.Snapshot(cold, full)
-	if err != nil {
-		t.Fatal(err)
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ent.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := materialize(t, snap, full)
-	if len(got) != 1 || got[0] != (series.Point{T: 1, V: 42}) {
-		t.Fatalf("cold point recovered as %v", got)
+	return dir
+}
+
+// TestParentStripedDirectoryReopens is the upgrade pin: a directory an
+// older build wrote and killed under one or three lock stripes reopens with
+// every acknowledged write and delete, equal to an oracle, and again after
+// a flush and a clean reopen. The 3-stripe checkpoint is ignored, so that
+// stripe's flushed tail replays redundantly.
+func TestParentStripedDirectoryReopens(t *testing.T) {
+	want := oracle{}
+	for _, op := range stripedWorkload() {
+		want.apply(op)
+	}
+	for _, name := range []string{"parent-cb3bb04-shards1", "parent-cb3bb04-shards3"} {
+		t.Run(name, func(t *testing.T) {
+			dir := copyTestdata(t, name)
+			check := func(phase string, e *Engine) {
+				t.Helper()
+				full := series.TimeRange{Start: -1 << 40, End: 1 << 40}
+				for _, id := range []string{"root.d", "root.s1", "root.s3", "root.s5"} {
+					snap, err := e.Snapshot(id, full)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := materialize(t, snap, full); !seriesEqual(got, want.series(id)) {
+						t.Fatalf("%s: %s = %v, want %v", phase, id, got, want.series(id))
+					}
+				}
+			}
+			e, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("reopened", e)
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, err = Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			check("flushed and reopened", e)
+			if info := e.Info(); info.MemtablePoints != 0 || info.WALSegments != 1 {
+				t.Fatalf("after the flush: %+v, want an empty memtable and one WAL segment", info)
+			}
+		})
 	}
 }
 
@@ -221,7 +292,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Files) == 0 || man.NumShards != 1 {
+	if len(man.Files) == 0 {
 		t.Fatalf("manifest = %+v", man)
 	}
 	// Mutations after the backup must not leak into it.
@@ -256,7 +327,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 // an interleaving that skips a point.
 func TestBackupUnderConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir, NumShards: 4, FlushThreshold: 32, WALSegmentBytes: 512})
+	e, err := Open(Options{Dir: dir, FlushThreshold: 32, WALSegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +365,7 @@ func TestBackupUnderConcurrentWriters(t *testing.T) {
 	if err := Restore(bdir, rdir); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(Options{Dir: rdir, NumShards: 4})
+	r, err := Open(Options{Dir: rdir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,12 +457,15 @@ func TestBackupDetectsTamper(t *testing.T) {
 	}
 }
 
+// parentBackupManifest was encoded by commit cb3bb04, which also recorded
+// the engine's lock-stripe count ("numShards": 3) in the manifest.
+const parentBackupManifest = "4d34424b01720000007b2263726561746564556e6978223a313730303030303030302c226e65787456657273696f6e223a392c226e756d536861726473223a332c2266696c6573223a5b7b226e616d65223a223030303030312e7365712e747366222c2273697a65223a3132382c22637263223a343636307d5d7d41e52b5b"
+
 // TestBackupManifestRoundTrip pins the manifest codec.
 func TestBackupManifestRoundTrip(t *testing.T) {
 	in := BackupManifest{
 		CreatedUnix: 1700000000,
 		NextVersion: 42,
-		NumShards:   3,
 		Files: []BackupFile{
 			{Name: "000000.seq.tsf", Size: 123, CRC: 0xdeadbeef},
 			{Name: "wal-0000000000000001.log", Size: 21, CRC: 1},
@@ -407,6 +481,16 @@ func TestBackupManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip: %+v != %+v", out, in)
+	}
+	// A manifest an older build wrote still decodes.
+	parent, _ := hex.DecodeString(parentBackupManifest)
+	old, err := DecodeBackupManifest(parent)
+	if err != nil {
+		t.Fatalf("parent manifest: %v", err)
+	}
+	if wantOld := (BackupManifest{CreatedUnix: 1700000000, NextVersion: 9,
+		Files: []BackupFile{{Name: "000001.seq.tsf", Size: 128, CRC: 0x1234}}}); !reflect.DeepEqual(old, wantOld) {
+		t.Fatalf("parent manifest = %+v, want %+v", old, wantOld)
 	}
 	// Entries that could escape the directory are rejected.
 	for _, bad := range []string{"../evil", "a/b", ".hidden", ""} {
@@ -596,7 +680,7 @@ func TestScrubCorruptSealedWALSegment(t *testing.T) {
 	if rep.WALSegmentsChecked == 0 {
 		t.Fatalf("no WAL segments checked: %+v", rep)
 	}
-	// The scrub flushes before touching the bad segment; with every shard
+	// The scrub flushes before touching the bad segment; with the log
 	// checkpointed, retirement usually unlinks it first and the quarantine
 	// rename finds it already gone. Either way the rotten file must not
 	// remain live under its original name.

@@ -10,18 +10,16 @@
 // metadata plus deletes; the unflushed memtable is exposed to the snapshot
 // as an in-memory chunk with a version higher than any flushed chunk.
 //
-// The engine is sharded: series are routed to NumShards independent lock
-// stripes by hash(seriesID), so writers to different series never contend
-// on one global mutex. The WAL is a sequence of segment files shared by all
-// shards (internal/wal); records carry a shard tag, and recovery routes
-// each record back to the owning shard by re-hashing the series id. Flush
-// and Compact run per-shard, concurrently up to the GOMAXPROCS budget.
+// One lock guards the memtables, the chunk registry and the sequence-space
+// watermarks; the WAL (internal/wal), the mods sidecar, the chunk-file list
+// and the version counter guard themselves (see the Engine comment for the
+// lock order).
 //
 // One file per concern: engine.go (options, lifecycle, Info, metrics),
 // ingest.go (the one write path and deletes), flush.go (flush and the one
 // chunk-file writer), read.go (snapshots through the one series-snapshot
 // builder, quarantine), recovery.go (chunk-file loading, WAL replay and its
-// payload codec), compact.go, shard.go, govern.go, pyramid.go (glue for
+// payload codec), compact.go, govern.go, pyramid.go (glue for
 // internal/pyramid), backup.go and scrub.go.
 package lsm
 
@@ -37,6 +35,7 @@ import (
 	"m4lsm/internal/cache"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/pyramid"
+	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
 	"m4lsm/internal/wal"
@@ -46,14 +45,6 @@ import (
 type Options struct {
 	// Dir is the database directory; it is created if missing.
 	Dir string
-	// NumShards splits the engine into independent lock stripes: series
-	// are routed by hash(seriesID) % NumShards and each shard owns its
-	// memtables, chunk registry, flush accounting and lock. The WAL stays
-	// one file with shard-tagged records, and a directory written under
-	// one shard count reopens correctly under any other (routing is a
-	// pure function of the series id). 0 or 1 (the default) keeps the
-	// engine single-striped.
-	NumShards int
 	// FlushThreshold is the number of buffered points per series that
 	// triggers an automatic flush, and the maximum chunk size; it is the
 	// analogue of IoTDB's avg_series_point_number_threshold (Table 4
@@ -72,8 +63,6 @@ type Options struct {
 	// mods append, each flush stage). A non-nil return aborts the step
 	// with that error, leaving partial on-disk state behind — the
 	// faultfs.StepInjector uses this to simulate a crash at any point.
-	// Installing a StepHook also forces per-shard maintenance to run
-	// sequentially, so injection schedules stay deterministic.
 	StepHook func(site string) error
 	// WrapSource, when set, wraps the chunk source of every chunk file,
 	// injecting chunk-level read faults at query time only — file opens
@@ -104,24 +93,13 @@ type Options struct {
 	DisablePyramid bool
 	// WALSegmentBytes is the size at which the active WAL segment is
 	// sealed and a fresh one started (see internal/wal); sealed segments
-	// retire individually as their shards flush. 0 means 1 MiB.
+	// retire once a flush checkpoints past them. 0 means 1 MiB.
 	WALSegmentBytes int64
-	// ScrubInterval, when positive, runs the background integrity
-	// scrubber that often: every chunk's CRCs, the pyramid manifest and
-	// the sealed WAL segments are re-verified from disk, and corrupt
-	// chunks are quarantined before any query can trip over them. 0
-	// disables the background pass (Scrub can still be called directly).
-	ScrubInterval time.Duration
-	// WALGroupSize bounds how many records one WAL group commit carries
-	// (leader/follower batching; see internal/wal). Concurrent writers
-	// share one fsync per group when SyncWAL is on. 0 means 128.
-	WALGroupSize int
-	// IngestQueuePoints caps each shard's ingest queue in points (see
-	// ingest.go): an enqueue that would overflow it blocks up to
-	// IngestEnqueueWait and then fails with the retryable
-	// ErrIngestBackpressure. 0 means 65536.
+	// IngestQueuePoints caps the ingest queue in points (see ingest.go):
+	// an enqueue that would overflow it blocks up to IngestEnqueueWait and
+	// then fails with the retryable ErrIngestBackpressure. 0 means 65536.
 	IngestQueuePoints int
-	// IngestEnqueueWait bounds how long a write blocks on a full shard
+	// IngestEnqueueWait bounds how long a write blocks on a full ingest
 	// queue before backpressure surfaces. 0 means 2s; negative fails
 	// immediately.
 	IngestEnqueueWait time.Duration
@@ -129,9 +107,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.NumShards <= 0 {
-		out.NumShards = 1
-	}
 	if out.FlushThreshold <= 0 {
 		out.FlushThreshold = 1000
 	}
@@ -141,26 +116,35 @@ func (o *Options) withDefaults() Options {
 // Engine is the LSM storage engine. All methods are safe for concurrent
 // use.
 //
-// Lock order: shard.mu → (wal, internal). A series operation takes its
-// shard's mutex first and may then call into the WAL (which owns its own
-// lock) or take fileMu (file-list update), never one inside the other;
-// quarMu nests inside anything. More than one shard lock is held only by
-// Close, Kill, Compact and Backup, which acquire all shards in index order.
+// Lock order: mu → (wal, internal). A series operation takes mu first and
+// may then call into the WAL (which owns its own lock) or take fileMu
+// (file-list update), never one inside the other; quarMu nests inside
+// anything.
 type Engine struct {
 	opts Options
 
-	shards []*shard
+	// mu guards the four fields below: writers, flushes and compaction
+	// hold it exclusively, snapshots share it.
+	mu  sync.RWMutex
+	mem map[string]series.Series // per-series unsorted write buffer
+	// memPts is the buffered point count across mem.
+	memPts int
+	chunks map[string][]chunkEntry // per-series flushed chunks
+	// Sequence/unsequence separation (reference [26]): per series, the
+	// largest timestamp flushed to the sequence space so far. Points at
+	// or before it are out-of-order and flush to unsequence files.
+	maxSeqTime map[string]int64
 
 	// nextVer is the global version counter ordering chunks and deletes
-	// across all shards (§2.2.1). Load() is always ≥ every version handed
-	// out so far, which is what memtable pseudo-chunks rely on.
+	// (§2.2.1). Load() is always ≥ every version handed out so far, which
+	// is what memtable pseudo-chunks rely on.
 	nextVer atomic.Uint64
 
-	// fileSeq numbers chunk files; allocation is atomic so concurrent
-	// per-shard flushes pick distinct names.
+	// fileSeq numbers chunk files.
 	fileSeq atomic.Int64
 
-	// fileMu guards the open-file bookkeeping shared by all shards.
+	// fileMu guards the open-file bookkeeping, which the scrubber and
+	// Info read without mu.
 	fileMu     sync.Mutex
 	files      []*tsfile.Reader
 	retired    []*tsfile.Reader // unlinked by compaction, kept open for live snapshots
@@ -169,13 +153,13 @@ type Engine struct {
 	// footer did not validate — crash leftovers recovered via the WAL.
 	badFiles int
 
-	// wal is the segmented, group-committed log shared by all shards; nil
-	// (a disabled log whose methods are no-ops) under DisableWAL.
+	// wal is the segmented write-ahead log; nil (a disabled log whose
+	// methods are no-ops) under DisableWAL.
 	wal *wal.Log
 
-	// ing owns the bounded ingest queues and their append workers (see
-	// ingest.go); workers take shard locks, so Close/Kill stop the
-	// ingester before lockAll.
+	// ing owns the bounded ingest queue and its append worker (see
+	// ingest.go); the worker takes mu, so Close/Kill stop the ingester
+	// before taking it.
 	ing *ingester
 
 	// mods is the shared delete sidecar; the ModLog is internally locked,
@@ -189,10 +173,10 @@ type Engine struct {
 	// Chunk-level read quarantine: chunks whose data failed a CRC or
 	// decode check during a query. Quarantined chunks are excluded from
 	// later snapshots (their reads can never succeed — the file bytes are
-	// wrong) and surface in Info and /healthz. Guarded by quarMu, not a
-	// shard lock: quarantine reports arrive from query worker goroutines
-	// while other queries hold shard read locks. Values are the (non-nil)
-	// read errors that condemned each chunk.
+	// wrong) and surface in Info and /healthz. Guarded by quarMu, not mu:
+	// quarantine reports arrive from query worker goroutines while other
+	// queries hold mu's read lock. Values are the (non-nil) read errors
+	// that condemned each chunk.
 	quarMu      sync.Mutex
 	quarantined map[chunkID]error
 
@@ -221,14 +205,8 @@ type Engine struct {
 	pyrLastSize int64
 	pyrSaves    atomic.Int64
 
-	// Background scrubber lifecycle (see scrub.go): the ticker goroutine
-	// is stopped before Close/Kill take the shard locks, because a scrub
-	// pass takes them itself.
-	scrubStop chan struct{}
-	scrubWG   sync.WaitGroup
-	scrubOnce sync.Once
-	scrubMu   sync.Mutex // serializes whole scrub passes and the resume cursor
-	scrubCur  int        // resume cursor: chunks already verified this cycle
+	scrubMu  sync.Mutex // serializes whole scrub passes and the resume cursor
+	scrubCur int        // resume cursor: chunks already verified this cycle
 
 	// Scrub and backup counters (see scrub.go / backup.go).
 	scrubRuns        atomic.Int64
@@ -258,8 +236,8 @@ type engineMetrics struct {
 	compactions   *obs.Counter
 	compactSecs   *obs.Histogram
 	quarantines   *obs.Counter
-	// Pyramid upkeep: one rebuild observation per shard that had stale
-	// series, one save observation per manifest written.
+	// Pyramid upkeep: one rebuild observation per flush or compaction
+	// that had stale series, one save observation per manifest written.
 	pyrRebuildSecs *obs.Histogram
 	pyrSaveSecs    *obs.Histogram
 }
@@ -277,6 +255,12 @@ func (e *Engine) bumpVersion(v storage.Version) {
 	}
 }
 
+// chunkEntry is one registered flushed chunk and the source it reads from.
+type chunkEntry struct {
+	meta storage.ChunkMeta
+	src  storage.ChunkSource
+}
+
 // modsLog returns the current delete sidecar.
 func (e *Engine) modsLog() *tsfile.ModLog { return e.mods.Load() }
 
@@ -292,15 +276,13 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		opts:        opts,
+		mem:         make(map[string]series.Series),
+		chunks:      make(map[string][]chunkEntry),
+		maxSeqTime:  make(map[string]int64),
 		quarantined: make(map[chunkID]error),
+		ing:         newIngester(),
 	}
 	e.nextVer.Store(1)
-	e.ing = newIngester(opts.NumShards)
-	e.shards = make([]*shard, opts.NumShards)
-	for i := range e.shards {
-		e.shards[i] = newShard()
-		e.shards[i].ix = i
-	}
 	if opts.ChunkCacheBytes > 0 {
 		e.cache = cache.NewLRU(opts.ChunkCacheBytes)
 	}
@@ -323,8 +305,7 @@ func Open(opts Options) (*Engine, error) {
 	// replayed ranges stale).
 	e.pyrLoad()
 	if !opts.DisableWAL {
-		e.wal, err = wal.Open(wal.Options{Dir: opts.Dir, Shards: len(e.shards),
-			SegmentBytes: opts.WALSegmentBytes, GroupSize: opts.WALGroupSize,
+		e.wal, err = wal.Open(wal.Options{Dir: opts.Dir, SegmentBytes: opts.WALSegmentBytes,
 			Sync: opts.SyncWAL, Step: opts.StepHook}, e.replayRecord, e.replayCheckpoint)
 		if err != nil {
 			e.closeFiles()
@@ -333,7 +314,6 @@ func Open(opts Options) (*Engine, error) {
 		}
 	}
 	e.registerMetrics(opts.Metrics)
-	e.startScrubber()
 	return e, nil
 }
 
@@ -437,7 +417,6 @@ func (e *Engine) step(site string) error {
 
 // Info summarizes engine state for tooling.
 type Info struct {
-	Shards         int
 	Files          int
 	UnseqFiles     int // files holding out-of-order (unsequence) data
 	Chunks         int
@@ -493,15 +472,12 @@ type Info struct {
 
 // Info returns a snapshot of engine statistics.
 func (e *Engine) Info() Info {
-	var chunks, memPts int
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for _, cs := range sh.chunks {
-			chunks += len(cs)
-		}
-		memPts += int(sh.memPts.Load())
-		sh.mu.RUnlock()
+	e.mu.RLock()
+	chunks, memPts := 0, e.memPts
+	for _, cs := range e.chunks {
+		chunks += len(cs)
 	}
+	e.mu.RUnlock()
 	e.fileMu.Lock()
 	files, unseq, bad := len(e.files), e.unseqFiles, e.badFiles
 	e.fileMu.Unlock()
@@ -512,7 +488,6 @@ func (e *Engine) Info() Info {
 	ps := e.pyr.Stats()
 	ws := e.wal.Stats()
 	return Info{
-		Shards:             len(e.shards),
 		Files:              files,
 		UnseqFiles:         unseq,
 		Chunks:             chunks,
@@ -545,29 +520,20 @@ func (e *Engine) Info() Info {
 	}
 }
 
-// Close flushes every shard's memtable and releases all file handles.
+// Close flushes the memtables and releases all file handles.
 func (e *Engine) Close() error {
-	// The scrubber and ingest workers take shard locks, so both must be
-	// fully stopped before lockAll — stopping them under the locks would
-	// deadlock. stopIngest(true) drains queued batches first, so every
-	// batch accepted before Close is flushed like a direct Write.
-	e.stopScrubber()
+	// The ingest worker takes mu, so it must be fully stopped first —
+	// stopping it under the lock would deadlock. stopIngest(true) drains
+	// queued batches first, so every batch accepted before Close is
+	// flushed like a direct Write.
 	e.stopIngest(true)
-	e.lockAll()
-	defer e.unlockAll()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return nil
 	}
-	var err error
-	flushed := 0
-	for _, sh := range e.shards {
-		var n int
-		if n, err = e.flushShardLocked(sh); err != nil {
-			break
-		}
-		flushed += n
-	}
-	err = e.afterFlush(flushed, true, err)
+	n, err := e.flushLocked()
+	err = e.afterFlush(n, true, err)
 	e.closed.Store(true)
 	e.closeFiles()
 	if cerr := e.modsLog().Close(); err == nil {
@@ -583,10 +549,9 @@ func (e *Engine) Close() error {
 // closed, nothing is flushed, the WAL is left as-is. Crash-recovery tests
 // pair it with a fresh Open over the same directory.
 func (e *Engine) Kill() {
-	e.stopScrubber()
 	e.stopIngest(false)
-	e.lockAll()
-	defer e.unlockAll()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return
 	}

@@ -4,38 +4,30 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"m4lsm/internal/encoding"
-	"m4lsm/internal/govern"
 	"m4lsm/internal/series"
 	"m4lsm/internal/tsfile"
 )
 
-// Flush persists every shard's memtable as chunk files and clears the WAL.
-// Shards flush concurrently (sequentially under a StepHook).
+// Flush persists the memtables as chunk files and clears the WAL. Its
+// afterFlush tail runs after e.mu is released.
 func (e *Engine) Flush() error {
 	if err := e.writable(); err != nil {
 		return err
 	}
-	var flushed atomic.Int64
-	err := govern.RunPool(e.shardParallelism(), len(e.shards), func(_, i int) error {
-		sh := e.shards[i]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if e.closed.Load() {
-			return errEngineClosed
-		}
-		n, err := e.flushShardLocked(sh)
-		flushed.Add(int64(n))
-		return err
-	})
-	return e.afterFlush(int(flushed.Load()), true, err)
+	n, err := 0, errEngineClosed
+	e.mu.Lock()
+	if !e.closed.Load() {
+		n, err = e.flushLocked()
+	}
+	e.mu.Unlock()
+	return e.afterFlush(n, true, err)
 }
 
-// afterFlush is the one tail every flush site runs — the ingest workers
-// (still under their shard's lock), Flush and Close: once points left a
+// afterFlush is the one tail every flush site runs — the ingest worker
+// (still under the engine lock), Flush and Close: once points left a
 // memtable, drop the WAL segments their checkpoints freed; then save the
 // pyramid manifest when it is due (pyrSave), which an explicit checkpoint
 // (Flush, Close) always makes it. Errors are classified, so ENOSPC
@@ -53,23 +45,23 @@ func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
 	return e.classifyWrite(err)
 }
 
-// flushShardLocked persists one shard's memtable, separating in-order data
-// from out-of-order arrivals the way IoTDB's sequence/unsequence spaces do
+// flushLocked persists the memtables, separating in-order data from
+// out-of-order arrivals the way IoTDB's sequence/unsequence spaces do
 // (reference [26] of the paper): per series, points later than everything
 // already flushed go to the sequence file (whose chunks never overlap
 // previously flushed ones), the rest to an unsequence file. Returns the
-// number of points flushed. Caller holds sh.mu.
-func (e *Engine) flushShardLocked(sh *shard) (int, error) {
-	flushPts := int(sh.memPts.Load())
+// number of points flushed. Caller holds e.mu.
+func (e *Engine) flushLocked() (int, error) {
+	flushPts := e.memPts
 	if flushPts == 0 {
 		// Nothing to write, but deletes and quarantines since the last
 		// flush may have staled cells over flushed data: rebuild them now,
-		// not at whatever write next fills this shard's memtable.
-		return 0, e.pyrRebuildShard(sh)
+		// not at whatever write next fills a memtable.
+		return 0, e.pyrRebuild()
 	}
 	flushStart := time.Now()
-	ids := make([]string, 0, len(sh.mem))
-	for id, buf := range sh.mem {
+	ids := make([]string, 0, len(e.mem))
+	for id, buf := range e.mem {
 		if len(buf) > 0 {
 			ids = append(ids, id)
 		}
@@ -78,9 +70,9 @@ func (e *Engine) flushShardLocked(sh *shard) (int, error) {
 	seq := map[string]series.Series{}
 	unseq := map[string]series.Series{}
 	for _, id := range ids {
-		data := series.SortDedup(sh.mem[id])
+		data := series.SortDedup(e.mem[id])
 		split := 0
-		if maxT, ok := sh.maxSeqTime[id]; ok {
+		if maxT, ok := e.maxSeqTime[id]; ok {
 			split = sort.Search(len(data), func(i int) bool { return data[i].T > maxT })
 		}
 		if split > 0 {
@@ -88,7 +80,7 @@ func (e *Engine) flushShardLocked(sh *shard) (int, error) {
 		}
 		if split < len(data) {
 			seq[id] = data[split:]
-			sh.maxSeqTime[id] = data[len(data)-1].T
+			e.maxSeqTime[id] = data[len(data)-1].T
 		}
 	}
 	for _, space := range []struct {
@@ -110,18 +102,18 @@ func (e *Engine) flushShardLocked(sh *shard) (int, error) {
 		e.fileMu.Unlock()
 		e.registerChunks(r)
 	}
-	sh.mem = make(map[string]series.Series)
-	sh.memPts.Store(0)
-	// The memtable is empty and the flushed chunks registered: sh.chunks
-	// plus the mods sidecar are the full merged state, so rebuild this
-	// shard's stale pyramid cells now. Only the fault hook can fail this.
-	if err := e.pyrRebuildShard(sh); err != nil {
+	e.mem = make(map[string]series.Series)
+	e.memPts = 0
+	// The memtable is empty and the flushed chunks registered: e.chunks
+	// plus the mods sidecar are the full merged state, so rebuild the
+	// stale pyramid cells now. Only the fault hook can fail this.
+	if err := e.pyrRebuild(); err != nil {
 		return 0, err
 	}
-	// Checkpoint while still holding sh.mu: every WAL record of this shard
-	// so far is now durable in chunk files, and no new write can race in
-	// before the checkpoint lands.
-	if err := e.wal.Checkpoint(sh.ix); err != nil {
+	// Checkpoint while still holding e.mu: every WAL record so far is now
+	// durable in chunk files, and no new write can race in before the
+	// checkpoint lands.
+	if err := e.wal.Checkpoint(); err != nil {
 		return 0, err
 	}
 	e.met.flushes.Inc()
@@ -190,13 +182,12 @@ func (e *Engine) writeChunkFile(space string, ids []string, data map[string]seri
 	return r, nil
 }
 
-// registerChunks adds every chunk of r to its series' shard registry,
-// behind one chunk source for the file. Caller holds the shards' locks (or
-// is single-threaded Open).
+// registerChunks adds every chunk of r to its series' registry, behind
+// one chunk source for the file. Caller holds e.mu (or is single-threaded
+// Open).
 func (e *Engine) registerChunks(r *tsfile.Reader) {
 	src := e.sourceFor(r)
 	for _, m := range r.Metas() {
-		sh, _ := e.shardFor(m.SeriesID)
-		sh.chunks[m.SeriesID] = append(sh.chunks[m.SeriesID], chunkEntry{meta: m, src: src})
+		e.chunks[m.SeriesID] = append(e.chunks[m.SeriesID], chunkEntry{meta: m, src: src})
 	}
 }

@@ -1,19 +1,18 @@
 // The write path. Every insert — Engine.Write, WriteBatch, the HTTP /write
 // handler, bulk loaders — is a batch of per-series entries that travels
 //
-//	WriteBatch → per-shard bounded queue → append worker → applyRun
+//	WriteBatch → bounded queue → append worker → applyRun
 //
 // and applyRun is the only code that turns entries into WAL records and
-// memtable points: one shard-lock hold, one wal.Commit for the run's
+// memtable points: one engine-lock hold, one wal.Commit for the run's
 // records, memAppend per entry, at most one flush, the shared afterFlush
 // tail. The caller blocks until every entry of its batch is resolved — ack
 // means "WAL group synced" — so the only thing the queue buys is batching:
-// a worker drains a whole run of entries queued by concurrent callers and
-// amortizes the lock round-trip and the fsync across them. One append
-// worker per shard; a single sequential worker under a StepHook so fault
-// schedules stay deterministic.
+// the worker drains a whole run of entries queued by concurrent callers
+// and amortizes the lock round-trip and the fsync across them. There is one
+// append worker, so runs apply in queue order.
 //
-// Backpressure, never unbounded buffering: each shard's queue is capped in
+// Backpressure, never unbounded buffering: the queue is capped in
 // points. An enqueue that would overflow blocks for at most
 // Options.IngestEnqueueWait and then fails with ErrIngestBackpressure, a
 // typed retryable error the HTTP layer maps to 429. Nothing is ever
@@ -23,7 +22,7 @@
 // Crash atomicity is per WAL record, i.e. per BatchEntry: a crashed batch
 // may recover any subset of its entries (each was its own record), but
 // never a partial entry. Step sites, in path order: ingest.enqueue (before
-// anything is queued), ingest.drain (before a worker touches its shard),
+// anything is queued), ingest.drain (before the worker takes the lock),
 // wal.append, wal.group (inside wal.Commit), wal.appended, then the flush
 // sites.
 package lsm
@@ -41,9 +40,9 @@ import (
 	"m4lsm/internal/wal"
 )
 
-// ErrIngestBackpressure marks a write rejected because a shard's ingest
-// queue stayed full past the enqueue deadline. The condition is transient
-// — workers are draining — so callers should back off and retry; point
+// ErrIngestBackpressure marks a write rejected because the ingest queue
+// stayed full past the enqueue deadline. The condition is transient — the
+// worker is draining — so callers should back off and retry; point
 // writes are idempotent overwrites, so retrying a partially enqueued batch
 // is safe.
 var ErrIngestBackpressure = errors.New("lsm: ingest queue full (backpressure, retry)")
@@ -60,10 +59,10 @@ var ErrInvalidWrite = errors.New("lsm: invalid write")
 var errEngineClosed = errors.New("lsm: engine closed")
 
 const (
-	defaultIngestQueuePoints = 1 << 16 // per shard
+	defaultIngestQueuePoints = 1 << 16
 	defaultIngestWait        = 2 * time.Second
 	// ingestDrainRun bounds how many queued items one worker round takes:
-	// enough to amortize the shard lock and share a group commit, small
+	// enough to amortize the engine lock and share a group commit, small
 	// enough that one round's latency stays bounded.
 	ingestDrainRun = 64
 )
@@ -75,7 +74,7 @@ type BatchEntry struct {
 	Points   []series.Point
 }
 
-// batchResult joins one WriteBatch caller with the workers draining its
+// batchResult joins one WriteBatch caller with the worker draining its
 // entries. The first error wins; done closes when the last entry resolves.
 type batchResult struct {
 	pending atomic.Int64
@@ -99,19 +98,17 @@ type ingestItem struct {
 	res      *batchResult
 }
 
-// ingester owns the per-shard bounded queues and the append workers. One
-// mutex guards every queue: queue operations are cheap (slice push/pop);
-// the expensive work — WAL group commit, memtable insert, flush — happens
-// outside it, so sharing one lock costs nothing and makes a sequential
-// single-worker mode (StepHook determinism) trivial.
+// ingester owns the bounded queue and the append worker. Its mutex only
+// guards queue operations (slice push/pop); the expensive work — WAL group
+// commit, memtable insert, flush — happens outside it.
 type ingester struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues [][]ingestItem // per shard
-	points []int          // queued points per shard
+	queue  []ingestItem
+	points int // queued points
 
-	closing bool // no new enqueues; workers drain what is queued, then exit
-	killed  bool // workers fail what is queued, then exit
+	closing bool // no new enqueues; the worker drains what is queued, then exits
+	killed  bool // the worker fails what is queued, then exits
 
 	started sync.Once
 	wg      sync.WaitGroup
@@ -123,40 +120,27 @@ type ingester struct {
 	backpressure atomic.Int64
 }
 
-func newIngester(shards int) *ingester {
-	ing := &ingester{queues: make([][]ingestItem, shards), points: make([]int, shards)}
+func newIngester() *ingester {
+	ing := &ingester{}
 	ing.cond = sync.NewCond(&ing.mu)
 	return ing
 }
 
-// queuedPoints reports the current queue depth across all shards.
+// queuedPoints reports the current queue depth.
 func (ing *ingester) queuedPoints() int {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	total := 0
-	for _, n := range ing.points {
-		total += n
-	}
-	return total
+	return ing.points
 }
 
-// startIngestWorkers launches the append workers on first use: one per
-// shard normally, a single worker walking every shard in index order when
-// a StepHook is installed (deterministic drain schedules, like
-// shardParallelism).
-func (e *Engine) startIngestWorkers() {
+// startIngestWorker launches the append worker on first use.
+func (e *Engine) startIngestWorker() {
 	e.ing.started.Do(func() {
-		first, n := 0, len(e.shards)
-		if e.opts.StepHook != nil {
-			first, n = -1, 1
-		}
-		e.ing.wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(ix int) {
-				defer e.ing.wg.Done()
-				e.ingestWorker(ix)
-			}(first + i)
-		}
+		e.ing.wg.Add(1)
+		go func() {
+			defer e.ing.wg.Done()
+			e.ingestWorker()
+		}()
 	})
 }
 
@@ -164,8 +148,8 @@ func (e *Engine) startIngestWorkers() {
 // overwrite earlier timestamps; the latest write for a timestamp wins. A
 // flush is triggered automatically when the buffer reaches FlushThreshold.
 // It is WriteBatch of one entry — the same queue, WAL record and error
-// classes, including the retryable ErrIngestBackpressure when the series'
-// shard queue stays saturated.
+// classes, including the retryable ErrIngestBackpressure when the queue
+// stays saturated.
 func (e *Engine) Write(seriesID string, pts ...series.Point) error {
 	return e.WriteBatch(BatchEntry{SeriesID: seriesID, Points: pts})
 }
@@ -180,9 +164,8 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	if err := e.writable(); err != nil {
 		return err
 	}
-	sh, shardIx := e.shardFor(seriesID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return errEngineClosed
 	}
@@ -203,7 +186,7 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 		// Pinned: the record's segment must survive until the delete is
 		// durable in the mods sidecar below — it claims no flush watermark
 		// (deletes carry no memtable points to flush).
-		rec[0] = wal.Record{Payload: encodeDeleteSharded(shardIx, d), Shard: shardIx, Pin: true}
+		rec[0] = wal.Record{Payload: encodeDelete(d), Pin: true}
 		if err := e.wal.Commit(rec[:]); err != nil {
 			return e.classifyWrite(err)
 		}
@@ -219,13 +202,31 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	// just retires later.
 	e.wal.Unpin(rec[0].Seq)
 	e.met.deletes.Inc()
-	sh.applyDeleteToMem(d)
+	e.applyDeleteToMem(d)
 	return nil
 }
 
-// WriteBatch ingests several series' points: entries are enqueued per
-// shard (blocking up to Options.IngestEnqueueWait when a queue is full,
-// then failing with ErrIngestBackpressure) and the call returns once every
+// applyDeleteToMem removes covered points from the write buffer, so points
+// written before the delete die while later writes survive. Caller holds
+// e.mu (or is single-threaded Open).
+func (e *Engine) applyDeleteToMem(d storage.Delete) {
+	buf := e.mem[d.SeriesID]
+	if len(buf) == 0 {
+		return
+	}
+	kept := buf[:0]
+	for _, p := range buf {
+		if !d.Covers(p.T) {
+			kept = append(kept, p)
+		}
+	}
+	e.memPts += len(kept) - len(buf)
+	e.mem[d.SeriesID] = kept
+}
+
+// WriteBatch ingests several series' points: entries are enqueued
+// (blocking up to Options.IngestEnqueueWait when the queue is full, then
+// failing with ErrIngestBackpressure) and the call returns once every
 // entry is durable, each entry one group-committed WAL record. On a
 // partially enqueued batch the call waits for the entries that did get in,
 // then reports the backpressure error; retrying the whole batch is safe
@@ -260,7 +261,7 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	if err := e.step("ingest.enqueue"); err != nil {
 		return e.classifyWrite(err)
 	}
-	e.startIngestWorkers()
+	e.startIngestWorker()
 	limit, wait := e.opts.IngestQueuePoints, e.opts.IngestEnqueueWait
 	if limit <= 0 {
 		limit = defaultIngestQueuePoints
@@ -269,9 +270,9 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 		wait = defaultIngestWait
 	}
 	res := &batchResult{done: make(chan struct{})}
-	// The caller holds one reference of its own so a worker finishing the
-	// first entry cannot close done while later entries are still being
-	// enqueued.
+	// The caller holds one reference of its own so the worker finishing
+	// the first entry cannot close done while later entries are still
+	// being enqueued.
 	res.pending.Store(1)
 	var queued, queuedPts int64
 	var enqErr error
@@ -280,8 +281,7 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 			continue
 		}
 		res.pending.Add(1)
-		_, shardIx := e.shardFor(ent.SeriesID)
-		if enqErr = e.ing.enqueue(shardIx, ingestItem{ent.SeriesID, ent.Points, res}, limit, wait); enqErr != nil {
+		if enqErr = e.ing.enqueue(ingestItem{ent.SeriesID, ent.Points, res}, limit, wait); enqErr != nil {
 			res.pending.Add(-1)
 			break
 		}
@@ -302,72 +302,59 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	return res.err
 }
 
-// enqueue adds one item to a shard's queue, blocking while the queue is at
-// its point cap, up to wait (<= 0: not at all). The cap is soft by one
-// item: a queue below it accepts an item of any size (otherwise an entry
-// larger than the cap could never be ingested).
-func (ing *ingester) enqueue(shardIx int, item ingestItem, maxPoints int, wait time.Duration) error {
+// enqueue adds one item to the queue, blocking while the queue is at its
+// point cap, up to wait (<= 0: not at all). The cap is soft by one item: a
+// queue below it accepts an item of any size (otherwise an entry larger
+// than the cap could never be ingested).
+func (ing *ingester) enqueue(item ingestItem, maxPoints int, wait time.Duration) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	if ing.points[shardIx] >= maxPoints && wait > 0 {
+	if ing.points >= maxPoints && wait > 0 {
 		// sync.Cond has no timed wait; a timer broadcast bounds the block.
 		deadline := time.Now().Add(wait)
 		timer := time.AfterFunc(wait, ing.cond.Broadcast)
 		defer timer.Stop()
-		for ing.points[shardIx] >= maxPoints && !ing.closing && !ing.killed && time.Now().Before(deadline) {
+		for ing.points >= maxPoints && !ing.closing && !ing.killed && time.Now().Before(deadline) {
 			ing.cond.Wait()
 		}
 	}
 	if ing.closing || ing.killed {
 		return errEngineClosed
 	}
-	if n := ing.points[shardIx]; n >= maxPoints {
+	if ing.points >= maxPoints {
 		ing.backpressure.Add(1)
-		return fmt.Errorf("%w: shard %d holds %d points", ErrIngestBackpressure, shardIx, n)
+		return fmt.Errorf("%w: queue holds %d points", ErrIngestBackpressure, ing.points)
 	}
-	ing.queues[shardIx] = append(ing.queues[shardIx], item)
-	ing.points[shardIx] += len(item.pts)
-	// Wake the shard's worker (and any writer whose timer fired).
+	ing.queue = append(ing.queue, item)
+	ing.points += len(item.pts)
+	// Wake the worker (and any writer whose timer fired).
 	ing.cond.Broadcast()
 	return nil
 }
 
-// take pops up to ingestDrainRun items from the head of one shard's queue.
-func (ing *ingester) take(shardIx int) []ingestItem {
-	q := ing.queues[shardIx]
-	n := min(len(q), ingestDrainRun)
+// take pops up to ingestDrainRun items from the head of the queue.
+func (ing *ingester) take() []ingestItem {
+	n := min(len(ing.queue), ingestDrainRun)
 	if n == 0 {
 		return nil
 	}
-	run, rest := q[:n:n], q[n:]
+	run, rest := ing.queue[:n:n], ing.queue[n:]
 	if len(rest) == 0 {
 		rest = nil // the run still aliases the array; the next enqueue starts a fresh one
 	}
-	ing.queues[shardIx] = rest
+	ing.queue = rest
 	for _, it := range run {
-		ing.points[shardIx] -= len(it.pts)
+		ing.points -= len(it.pts)
 	}
 	return run
 }
 
-// ingestWorker drains queue shardIx until shutdown; shardIx -1 is the
-// sequential mode: one worker walking every shard in index order.
-func (e *Engine) ingestWorker(shardIx int) {
+// ingestWorker drains the queue until shutdown.
+func (e *Engine) ingestWorker() {
 	ing := e.ing
 	for {
 		ing.mu.Lock()
-		var run []ingestItem
-		ix := shardIx
-		if shardIx >= 0 {
-			run = ing.take(shardIx)
-		} else {
-			for i := range ing.queues {
-				if run = ing.take(i); run != nil {
-					ix = i
-					break
-				}
-			}
-		}
+		run := ing.take()
 		if run == nil {
 			if ing.closing || ing.killed {
 				ing.mu.Unlock()
@@ -384,7 +371,7 @@ func (e *Engine) ingestWorker(shardIx int) {
 		if killed {
 			resolveRun(run, errEngineClosed)
 		} else {
-			resolveRun(run, e.applyRun(ix, run))
+			resolveRun(run, e.applyRun(run))
 		}
 	}
 }
@@ -404,23 +391,22 @@ func resolveRun(run []ingestItem, err error) {
 	}
 }
 
-// applyRun applies one run of queued items to their shard: all WAL records
-// committed as one group under a single shard-lock hold, then the memtable
+// applyRun applies one run of queued items: all WAL records committed as
+// one group under a single engine-lock hold, then the memtable
 // inserts, then at most one flush when a series crossed the threshold. An
 // error fails the whole run — faultfs.ErrCrash verbatim for the torture
 // harness, ENOSPC classified into read-only mode. A commit failure leaves
 // the memtable untouched; a flush failure loses nothing (the points are in
 // the memtable and the WAL) and reports a retryable error.
-func (e *Engine) applyRun(shardIx int, run []ingestItem) error {
-	// The drain site crashes before the shard is touched: the run's
+func (e *Engine) applyRun(run []ingestItem) error {
+	// The drain site crashes before the engine is touched: the run's
 	// records are not yet in the WAL, so the kill loses whole entries,
 	// never parts of one.
 	if err := e.step("ingest.drain"); err != nil {
 		return e.classifyWrite(err)
 	}
-	sh := e.shards[shardIx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return errEngineClosed
 	}
@@ -428,13 +414,13 @@ func (e *Engine) applyRun(shardIx int, run []ingestItem) error {
 		if err := e.step("wal.append"); err != nil {
 			return e.classifyWrite(err)
 		}
-		// The commit claims this shard's flush watermark inside the log, so
-		// the records' segment cannot retire before the shard's next flush
-		// checkpoint — and that checkpoint cannot race in between the commit
-		// and the memtable update because we hold the shard lock.
+		// The commit claims the flush watermark inside the log, so the
+		// records' segment cannot retire before the next flush checkpoint —
+		// and that checkpoint cannot race in between the commit and the
+		// memtable update because we hold the engine lock.
 		recs := make([]wal.Record, len(run))
 		for i, it := range run {
-			recs[i] = wal.Record{Payload: encodeInsertSharded(shardIx, it.seriesID, it.pts), Shard: shardIx}
+			recs[i] = wal.Record{Payload: encodeInsert(it.seriesID, it.pts)}
 		}
 		if err := e.wal.Commit(recs); err != nil {
 			return e.classifyWrite(err)
@@ -446,32 +432,32 @@ func (e *Engine) applyRun(shardIx int, run []ingestItem) error {
 	}
 	full := false
 	for _, it := range run {
-		full = e.memAppend(sh, it.seriesID, it.pts) || full
+		full = e.memAppend(it.seriesID, it.pts) || full
 		e.met.pointsWritten.Add(int64(len(it.pts)))
 	}
 	if !full {
 		return nil
 	}
-	n, err := e.flushShardLocked(sh)
+	n, err := e.flushLocked()
 	return e.afterFlush(n, false, err)
 }
 
 // memAppend is the only place points enter a memtable — applyRun for live
 // writes, replayRecord during recovery. It marks the touched pyramid cells
 // stale first and reports whether the series' buffer reached the flush
-// threshold. Caller holds sh.mu (or is single-threaded Open).
-func (e *Engine) memAppend(sh *shard, id string, pts []series.Point) (full bool) {
+// threshold. Caller holds e.mu (or is single-threaded Open).
+func (e *Engine) memAppend(id string, pts []series.Point) (full bool) {
 	e.markStalePoints(id, pts)
-	sh.mem[id] = append(sh.mem[id], pts...)
-	sh.memPts.Add(int64(len(pts)))
-	return len(sh.mem[id]) >= e.opts.FlushThreshold
+	e.mem[id] = append(e.mem[id], pts...)
+	e.memPts += len(pts)
+	return len(e.mem[id]) >= e.opts.FlushThreshold
 }
 
 // stopIngest shuts the ingest subsystem down. drain=true (Close) lets the
-// workers finish everything already queued; drain=false (Kill) fails the
-// queued items instead. Either way every worker has exited when this
-// returns, so callers may take all shard locks afterwards. Safe to call
-// when no worker was ever started, and idempotent.
+// worker finish everything already queued; drain=false (Kill) fails the
+// queued items instead. Either way the worker has exited when this
+// returns, so callers may take e.mu afterwards. Safe to call when no
+// worker was ever started, and idempotent.
 func (e *Engine) stopIngest(drain bool) {
 	ing := e.ing
 	ing.mu.Lock()
@@ -483,18 +469,14 @@ func (e *Engine) stopIngest(drain bool) {
 	ing.mu.Unlock()
 	ing.cond.Broadcast()
 	// Ensure the started.Do slot is burned so wg.Wait() covers a racing
-	// startIngestWorkers (its workers would see closing/killed and exit).
+	// startIngestWorker (its worker would see closing/killed and exit).
 	ing.started.Do(func() {})
 	ing.wg.Wait()
-	// Anything still queued (killed, or enqueued after the last worker
-	// exited) fails rather than dangling a waiter.
+	// Anything still queued (killed, or enqueued after the worker exited)
+	// fails rather than dangling a waiter.
 	ing.mu.Lock()
-	var leftovers []ingestItem
-	for i := range ing.queues {
-		leftovers = append(leftovers, ing.queues[i]...)
-		ing.queues[i] = nil
-		ing.points[i] = 0
-	}
+	leftovers := ing.queue
+	ing.queue, ing.points = nil, 0
 	ing.mu.Unlock()
 	resolveRun(leftovers, errEngineClosed)
 	ing.cond.Broadcast()

@@ -24,7 +24,7 @@ import (
 func TestWriteBatchMatchesWrite(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	opts := func(dir string) Options {
-		return Options{Dir: dir, FlushThreshold: 16, SyncWAL: true, NumShards: 3}
+		return Options{Dir: dir, FlushThreshold: 16, SyncWAL: true}
 	}
 	ea, err := Open(opts(dirA))
 	if err != nil {
@@ -197,7 +197,7 @@ func TestIngestBackpressureTyped(t *testing.T) {
 // exited once Close returns.
 func TestIngestGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	e, err := Open(Options{Dir: t.TempDir(), NumShards: 4})
+	e, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestIngestGoroutineLeak(t *testing.T) {
 // nothing may hang, and whatever was acknowledged must be durable.
 func TestIngestCloseWhileEnqueueing(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir, FlushThreshold: 32, NumShards: 2})
+	e, err := Open(Options{Dir: dir, FlushThreshold: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestIngestCloseWhileEnqueueing(t *testing.T) {
 	}
 	wg.Wait()
 
-	e2, err := Open(Options{Dir: dir, NumShards: 2})
+	e2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +269,11 @@ func TestIngestCloseWhileEnqueueing(t *testing.T) {
 }
 
 // TestIngestConcurrentHammer is the soak-gate stress: batched writers,
-// point writers and M4 readers racing on a sharded engine under -race, with
+// point writers and M4 readers racing on one engine under -race, with
 // an exact oracle check after quiescing. (One goroutine owns each series,
 // so the oracles need no locking.)
 func TestIngestConcurrentHammer(t *testing.T) {
-	e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 24, NumShards: 4})
+	e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestIngestConcurrentHammer(t *testing.T) {
 // fewer groups than records — i.e. commits actually amortized.
 func TestWALGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir, SyncWAL: true, FlushThreshold: 1 << 20, NumShards: 4})
+	e, err := Open(Options{Dir: dir, SyncWAL: true, FlushThreshold: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	}
 	e.Kill() // ack ⇒ synced: everything must survive an abrupt kill
 
-	e2, err := Open(Options{Dir: dir, NumShards: 4})
+	e2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Engine glue for the M4 rollup pyramid (internal/pyramid): the pyramid
 // owns its cells, stale sets and manifest format; the engine decides what
-// is live (shard registries minus quarantine, read through seriesSnapshot),
-// when to rebuild (the end of a flush or compaction, with the shard's
-// memtable empty, so sh.chunks plus the mods sidecar are exactly the
+// is live (the chunk registry minus quarantine, read through
+// seriesSnapshot), when to rebuild (the end of a flush or compaction, with
+// the memtables empty, so e.chunks plus the mods sidecar are exactly the
 // merged truth), and where the manifest lives. The pyramid's lock is a
-// leaf: it nests inside shard locks and is never held across I/O.
+// leaf: it nests inside e.mu and is never held across I/O.
 package lsm
 
 import (
@@ -21,7 +21,7 @@ import (
 const pyramidFileName = "pyramid.pyr"
 
 // markStalePoints marks the time extent of a write batch stale. Called
-// under the owning shard's lock, before the points land in the memtable.
+// under e.mu, before the points land in the memtable.
 func (e *Engine) markStalePoints(seriesID string, pts []series.Point) {
 	if e.pyr == nil || len(pts) == 0 {
 		return
@@ -33,13 +33,12 @@ func (e *Engine) markStalePoints(seriesID string, pts []series.Point) {
 	e.pyr.MarkStale(seriesID, lo, hi)
 }
 
-// pyrRebuildShard rebuilds the stale cells of every series owned by sh,
-// reading each through the same snapshot builder queries use. Caller holds
-// sh.mu with the shard's memtable empty. Only the StepHook (fault
-// injection) can fail it; read errors leave the affected series stale for
-// the next rebuild.
-func (e *Engine) pyrRebuildShard(sh *shard) error {
-	ids := e.pyr.Stale(func(id string) bool { return shardIndex(id, len(e.shards)) == sh.ix })
+// pyrRebuild rebuilds the stale cells of every series, reading each
+// through the same snapshot builder queries use. Caller holds e.mu with the
+// memtables empty. Only the StepHook (fault injection) can fail it; read
+// errors leave the affected series stale for the next rebuild.
+func (e *Engine) pyrRebuild() error {
+	ids := e.pyr.Stale()
 	if len(ids) == 0 {
 		return nil
 	}
@@ -52,11 +51,11 @@ func (e *Engine) pyrRebuildShard(sh *shard) error {
 		// Quarantined chunks are invisible to queries, so they are invisible
 		// to cells too; their ranges were marked stale on quarantine.
 		first, last := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, c := range e.seriesSnapshot(sh, id, everything, 0, nil).Chunks {
+		for _, c := range e.seriesSnapshot(id, everything, 0, nil).Chunks {
 			first, last = min(first, c.Meta.First.T), max(last, c.Meta.Last.T)
 		}
 		e.pyr.Rebuild(id, first, last, func(r series.TimeRange) (series.Series, error) {
-			return mergeread.Merge(e.seriesSnapshot(sh, id, r, 0, nil), r)
+			return mergeread.Merge(e.seriesSnapshot(id, r, 0, nil), r)
 		})
 	}
 	return nil
@@ -142,12 +141,10 @@ func (e *Engine) pyrLoad() {
 			e.pyr, wm, e.pyrLastSize = p, w, int64(len(data))
 		}
 	}
-	for _, sh := range e.shards {
-		for id, ces := range sh.chunks {
-			for _, ce := range ces {
-				if uint64(ce.meta.Version) >= wm {
-					e.pyr.MarkStale(id, ce.meta.First.T, ce.meta.Last.T)
-				}
+	for id, ces := range e.chunks {
+		for _, ce := range ces {
+			if uint64(ce.meta.Version) >= wm {
+				e.pyr.MarkStale(id, ce.meta.First.T, ce.meta.Last.T)
 			}
 		}
 	}

@@ -27,9 +27,8 @@ type chunkID struct {
 // intersecting it. The unflushed memtable appears as one in-memory chunk
 // with a version above all flushed chunks.
 func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapshot, error) {
-	sh, _ := e.shardFor(seriesID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed.Load() {
 		return nil, errEngineClosed
 	}
@@ -38,7 +37,7 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 	var memSrc *storage.MemSource
 	var memMeta storage.ChunkMeta
 	spare := 0
-	if buf := sh.mem[seriesID]; len(buf) > 0 {
+	if buf := e.mem[seriesID]; len(buf) > 0 {
 		src := storage.NewMemSource()
 		meta, err := src.AddChunk(seriesID, storage.Version(e.nextVer.Load()), series.SortDedup(buf.Clone()))
 		if err != nil {
@@ -48,7 +47,7 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 			memSrc, memMeta, spare = src, meta, 1
 		}
 	}
-	snap := e.seriesSnapshot(sh, seriesID, r, spare, &storage.Warnings{})
+	snap := e.seriesSnapshot(seriesID, r, spare, &storage.Warnings{})
 	if spare > 0 {
 		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(memMeta, memSrc, snap.Stats))
 	}
@@ -70,10 +69,10 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 // the half-open range r that is not quarantined, and every delete
 // overlapping r. A quarantined chunk is noted in warn (nil: silently). The
 // chunk list is allocated at its exact size plus spare slots for the
-// caller. Caller holds sh.mu.
-func (e *Engine) seriesSnapshot(sh *shard, id string, r series.TimeRange, spare int, warn *storage.Warnings) *storage.Snapshot {
+// caller. Caller holds e.mu.
+func (e *Engine) seriesSnapshot(id string, r series.TimeRange, spare int, warn *storage.Warnings) *storage.Snapshot {
 	snap := &storage.Snapshot{SeriesID: id, Stats: &storage.Stats{}, Warnings: warn}
-	chunks := sh.chunks[id]
+	chunks := e.chunks[id]
 	e.quarMu.Lock()
 	quarantined := func(m storage.ChunkMeta) error { return e.quarantined[chunkID{m.SeriesID, m.Version}] }
 	n := spare
@@ -104,38 +103,28 @@ func (e *Engine) seriesSnapshot(sh *shard, id string, r series.TimeRange, spare 
 
 // SeriesIDs lists every series with buffered or flushed data, sorted. The
 // sorted order is load-bearing: wildcard queries expand through it, so the
-// result must be deterministic across runs and shard counts.
+// result must be deterministic across runs.
 func (e *Engine) SeriesIDs() []string {
-	set := make(map[string]bool)
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for id := range sh.chunks {
-			set[id] = true
-		}
-		for id, buf := range sh.mem {
-			if len(buf) > 0 {
-				set[id] = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	ids := make([]string, 0, len(set))
-	for id := range set {
+	e.mu.RLock()
+	ids := make([]string, 0, len(e.chunks)+len(e.mem))
+	for id := range e.chunks {
 		ids = append(ids, id)
 	}
+	for id, buf := range e.mem {
+		if _, flushed := e.chunks[id]; len(buf) > 0 && !flushed {
+			ids = append(ids, id)
+		}
+	}
+	e.mu.RUnlock()
 	sort.Strings(ids)
 	return ids
 }
 
 // HasSeries reports whether seriesID has any buffered or flushed data.
 func (e *Engine) HasSeries(seriesID string) bool {
-	sh, _ := e.shardFor(seriesID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if len(sh.chunks[seriesID]) > 0 {
-		return true
-	}
-	return len(sh.mem[seriesID]) > 0
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.chunks[seriesID]) > 0 || len(e.mem[seriesID]) > 0
 }
 
 // quarantineChunk excludes a chunk whose bytes failed a CRC or decode

@@ -20,10 +20,10 @@ import (
 	"m4lsm/internal/tsfile"
 )
 
-// loadFiles opens every readable chunk file in the directory, routing each
-// chunk to its series' shard. Files without a valid footer (crash during
-// flush) are renamed aside; their contents are still in the WAL. Runs
-// single-threaded during Open, so no locks are taken.
+// loadFiles opens every readable chunk file in the directory and registers
+// its chunks. Files without a valid footer (crash during flush) are
+// renamed aside; their contents are still in the WAL. Runs single-threaded
+// during Open, so no locks are taken.
 func (e *Engine) loadFiles() error {
 	entries, err := os.ReadDir(e.opts.Dir)
 	if err != nil {
@@ -72,9 +72,8 @@ func (e *Engine) loadFiles() error {
 			if unseq {
 				continue
 			}
-			sh, _ := e.shardFor(m.SeriesID)
-			if cur, ok := sh.maxSeqTime[m.SeriesID]; !ok || m.Last.T > cur {
-				sh.maxSeqTime[m.SeriesID] = m.Last.T
+			if cur, ok := e.maxSeqTime[m.SeriesID]; !ok || m.Last.T > cur {
+				e.maxSeqTime[m.SeriesID] = m.Last.T
 			}
 		}
 	}
@@ -98,8 +97,8 @@ func parseFileSeq(name string) (int, bool) {
 	return seq, true
 }
 
-// closeFiles releases every open chunk-file handle. Callers hold all shard
-// locks (or run single-threaded during Open).
+// closeFiles releases every open chunk-file handle. Callers hold e.mu (or
+// run single-threaded during Open).
 func (e *Engine) closeFiles() {
 	e.fileMu.Lock()
 	defer e.fileMu.Unlock()
@@ -114,32 +113,30 @@ func (e *Engine) closeFiles() {
 }
 
 // replayRecord applies one recovered WAL record during Open (wal.Open
-// calls it in log order, single-threaded) and returns the shard whose
-// flush watermark the record re-claims: the owning shard for an insert,
-// none for a delete. Records carry the writer's shard index for
-// debuggability, but routing always re-hashes the series id so a directory
-// reopens correctly under a different NumShards.
-func (e *Engine) replayRecord(rec []byte) (claim int, err error) {
+// calls it in log order, single-threaded) and reports whether it re-claims
+// the flush watermark: an insert does, a delete does not. The shard tag
+// every record carries is skipped: it names the lock stripe of the build
+// that wrote it, and every stripe replays into the one memtable.
+func (e *Engine) replayRecord(rec []byte) (claim bool, err error) {
 	op := rec[0]
-	if op != walOpInsertSharded && op != walOpDeleteSharded {
-		return -1, fmt.Errorf("unknown wal op %d", op)
+	if op != walOpInsert && op != walOpDelete {
+		return false, fmt.Errorf("unknown wal op %d", op)
 	}
 	_, body, err := encoding.Uvarint(rec[1:])
 	if err != nil {
-		return -1, fmt.Errorf("wal shard tag: %w", err)
+		return false, fmt.Errorf("wal shard tag: %w", err)
 	}
-	if op == walOpInsertSharded {
+	if op == walOpInsert {
 		id, pts, err := decodeInsert(body)
 		if err != nil {
-			return -1, err
+			return false, err
 		}
-		sh, ix := e.shardFor(id)
-		e.memAppend(sh, id, pts)
-		return ix, nil
+		e.memAppend(id, pts)
+		return true, nil
 	}
 	d, err := decodeWALDelete(body)
 	if err != nil {
-		return -1, err
+		return false, err
 	}
 	// A delete reaches the WAL before the mods sidecar; a crash between the
 	// two appends leaves it in the WAL only. Re-append it so the delete
@@ -147,24 +144,20 @@ func (e *Engine) replayRecord(rec []byte) (claim int, err error) {
 	mods := e.modsLog()
 	if !slices.Contains(mods.All(), d) {
 		if err := mods.Append(d); err != nil {
-			return -1, err
+			return false, err
 		}
 		e.bumpVersion(d.Version)
 	}
-	sh, _ := e.shardFor(d.SeriesID)
 	e.pyr.MarkStale(d.SeriesID, d.Start, d.End)
-	sh.applyDeleteToMem(d)
-	return -1, nil
+	e.applyDeleteToMem(d)
+	return false, nil
 }
 
-// replayCheckpoint drops a shard's replayed memtable: the flush that wrote
-// the checkpoint made every earlier record of the shard durable in chunk
-// files. wal.Open only reports checkpoints written under this engine's
-// shard count, so the records it clears routed to exactly this shard.
-func (e *Engine) replayCheckpoint(shard int) {
-	sh := e.shards[shard]
-	sh.mem = make(map[string]series.Series)
-	sh.memPts.Store(0)
+// replayCheckpoint drops the replayed memtable: the flush that wrote the
+// checkpoint made every earlier record durable in chunk files.
+func (e *Engine) replayCheckpoint() {
+	e.mem = make(map[string]series.Series)
+	e.memPts = 0
 }
 
 // WAL payloads: the bytes the engine hands to wal.Log, which frames,
@@ -174,18 +167,18 @@ func (e *Engine) replayCheckpoint(shard int) {
 //	insert: 0x03 | uvarint shard | uvarint len(id) | id | uvarint n | n × (varint t, 8B v)
 //	delete: 0x04 | uvarint shard | uvarint len(id) | id | uvarint version | varint start | varint end
 //
-// The shard prefix names the writing shard. The tag is diagnostic: replay
-// always re-routes by hashing the series id, so WALs survive a NumShards
-// change. Ops 0x01/0x02 were the untagged pre-sharding forms; they are gone
-// and fail replay as "unknown wal op".
+// The shard tag is written as 0 and skipped on replay. Builds that striped
+// the engine wrote the stripe's index there, so their WALs replay
+// unchanged. Ops 0x01/0x02 were the untagged forms before that; they are
+// gone and fail replay as "unknown wal op".
 
 const (
-	walOpInsertSharded byte = 3
-	walOpDeleteSharded byte = 4
+	walOpInsert byte = 3
+	walOpDelete byte = 4
 )
 
-func encodeInsertSharded(shard int, seriesID string, pts []series.Point) []byte {
-	buf := encoding.AppendUvarint([]byte{walOpInsertSharded}, uint64(shard))
+func encodeInsert(seriesID string, pts []series.Point) []byte {
+	buf := encoding.AppendUvarint([]byte{walOpInsert}, 0)
 	buf = encoding.AppendUvarint(buf, uint64(len(seriesID)))
 	buf = append(buf, seriesID...)
 	buf = encoding.AppendUvarint(buf, uint64(len(pts)))
@@ -235,8 +228,8 @@ func decodeInsert(b []byte) (string, []series.Point, error) {
 	return id, pts, nil
 }
 
-func encodeDeleteSharded(shard int, d storage.Delete) []byte {
-	buf := encoding.AppendUvarint([]byte{walOpDeleteSharded}, uint64(shard))
+func encodeDelete(d storage.Delete) []byte {
+	buf := encoding.AppendUvarint([]byte{walOpDelete}, 0)
 	buf = encoding.AppendUvarint(buf, uint64(len(d.SeriesID)))
 	buf = append(buf, d.SeriesID...)
 	buf = encoding.AppendUvarint(buf, uint64(d.Version))

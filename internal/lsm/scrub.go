@@ -1,17 +1,17 @@
-// Background integrity scrubber. A scrub pass re-reads durable state from
-// disk and verifies it end to end: every chunk's CRCs (by decoding it the
-// same way a query would), the pyramid manifest, and every WAL segment.
+// Integrity scrubber. A scrub pass re-reads durable state from disk and
+// verifies it end to end: every chunk's CRCs (by decoding it the same way
+// a query would), the pyramid manifest, and every WAL segment.
 // Verification failures degrade exactly the way query-time failures do —
 // corrupt chunks are quarantined out of future snapshots, corrupt sealed
-// WAL segments are set aside as *.bad after the shards they might cover
-// have been re-secured by a flush — so silent bit rot is found and
-// contained before any query trips over it.
+// WAL segments are set aside as *.bad after a flush has re-secured the
+// records they might hold — so silent bit rot is found and contained
+// before any query trips over it. Passes run on demand (/admin/scrub,
+// m4cli).
 //
 // Scrub I/O is charged against a govern budget (ScrubOptions.Limits, set
-// per call; the background pass scans everything): an exhausted budget
-// ends the pass early and the next pass resumes at the cursor where this
-// one stopped, so scrubbing amortizes over passes instead of starving
-// queries.
+// per call): an exhausted budget ends the pass early and the next pass
+// resumes at the cursor where this one stopped, so scrubbing amortizes
+// over passes instead of starving queries.
 package lsm
 
 import (
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/pyramid"
@@ -53,8 +52,8 @@ type ScrubReport struct {
 	Errors  []string
 }
 
-// Scrub runs one integrity pass now (the background scrubber calls this on
-// its ticker; /admin/scrub calls it on demand). Passes are serialized.
+// Scrub runs one integrity pass now (/admin/scrub calls it on demand).
+// Passes are serialized.
 func (e *Engine) Scrub(opts ScrubOptions) (ScrubReport, error) {
 	e.scrubMu.Lock()
 	defer e.scrubMu.Unlock()
@@ -140,9 +139,9 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 
 // scrubWALSegments re-parses every WAL segment. Sealed segments must parse
 // completely (they were fsynced before the WAL moved on); a corrupt one is
-// set aside as *.bad — after a Flush has re-secured every shard's buffered
-// points in chunk files, so the records the bad segment held are no longer
-// the only copy of anything.
+// set aside as *.bad — after a Flush has re-secured the buffered points in
+// chunk files, so the records the bad segment held are no longer the only
+// copy of anything.
 func (e *Engine) scrubWALSegments(rep *ScrubReport) {
 	for _, s := range e.wal.Sealed() {
 		if e.closed.Load() {
@@ -158,9 +157,9 @@ func (e *Engine) scrubWALSegments(rep *ScrubReport) {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: %v", s.Seq, err))
 			continue
 		}
-		// Re-secure before quarantining: flushing every shard supersedes
-		// whatever records the corrupt segment held, so losing it cannot
-		// lose data that is only in the WAL.
+		// Re-secure before quarantining: a flush supersedes whatever
+		// records the corrupt segment held, so losing it cannot lose data
+		// that is only in the WAL.
 		if ferr := e.Flush(); ferr != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: flush before quarantine: %v", s.Seq, ferr))
 			continue
@@ -209,40 +208,4 @@ func (e *Engine) scrubPyramid(rep *ScrubReport) {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("pyramid manifest rewrite: %v", herr))
 		}
 	}
-}
-
-// startScrubber launches the periodic scrub goroutine when
-// Options.ScrubInterval is positive. Stopped by Close/Kill before they
-// take the shard locks (a pass takes them itself via Flush/Compact).
-func (e *Engine) startScrubber() {
-	if e.opts.ScrubInterval <= 0 {
-		return
-	}
-	e.scrubStop = make(chan struct{})
-	e.scrubWG.Add(1)
-	go func() {
-		defer e.scrubWG.Done()
-		tick := time.NewTicker(e.opts.ScrubInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-e.scrubStop:
-				return
-			case <-tick.C:
-				// Errors are carried by the scrub_* counters and the
-				// report; the background loop has no one to return them to.
-				e.Scrub(ScrubOptions{Heal: true}) //nolint:errcheck
-			}
-		}
-	}()
-}
-
-// stopScrubber halts the background scrubber and waits for an in-flight
-// pass to finish. Idempotent; a no-op when the scrubber never started.
-func (e *Engine) stopScrubber() {
-	if e.scrubStop == nil {
-		return
-	}
-	e.scrubOnce.Do(func() { close(e.scrubStop) })
-	e.scrubWG.Wait()
 }

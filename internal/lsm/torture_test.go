@@ -137,17 +137,14 @@ func execOp(e *Engine, op tortureOp) error {
 
 // runTortureAt executes the workload with a crash armed at the failAt-th
 // write-path step (0 = never), kills the engine, reopens the directory and
-// verifies recovery. The engine runs with shards shards and recovers with
-// reopenShards (shard-tagged WAL records must replay into any layout). It
-// returns the number of steps observed.
-func runTortureAt(t *testing.T, failAt int64, shards, reopenShards int) int64 {
+// verifies recovery. It returns the number of steps observed.
+func runTortureAt(t *testing.T, failAt int64) int64 {
 	t.Helper()
 	dir := t.TempDir()
 	inj := faultfs.NewStepInjector(failAt)
 	// The tiny segment size forces WAL rotation and retirement into the
 	// crash matrix: wal.rotate and wal.retire fire mid-workload.
-	e, err := Open(Options{Dir: dir, FlushThreshold: 8, StepHook: inj.Step, NumShards: shards,
-		WALSegmentBytes: 48})
+	e, err := Open(Options{Dir: dir, FlushThreshold: 8, StepHook: inj.Step, WALSegmentBytes: 48})
 	if err != nil {
 		t.Fatalf("failAt %d: open: %v", failAt, err)
 	}
@@ -183,7 +180,7 @@ func runTortureAt(t *testing.T, failAt int64, shards, reopenShards int) int64 {
 		withCrash.apply(*crashed)
 	}
 
-	e2, err := Open(Options{Dir: dir, NumShards: reopenShards})
+	e2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("failAt %d (site %v): recovery failed: %v", failAt, lastSite(inj), err)
 	}
@@ -267,26 +264,12 @@ func seriesEqual(a, b series.Series) bool {
 }
 
 func TestCrashRecoveryTorture(t *testing.T) {
-	total := runTortureAt(t, 0, 1, 1)
+	total := runTortureAt(t, 0)
 	if total < 20 {
 		t.Fatalf("workload hits only %d step sites; too small to be a torture", total)
 	}
 	for failAt := int64(1); failAt <= total; failAt++ {
-		runTortureAt(t, failAt, 1, 1)
-	}
-}
-
-// TestShardCrashRecoveryTorture reruns the crash matrix on a sharded
-// engine, recovering into a *different* shard count each time: the WAL's
-// shard tags are routing hints, not layout commitments, so replay must
-// re-hash every record into whatever layout the reopening engine has.
-func TestShardCrashRecoveryTorture(t *testing.T) {
-	total := runTortureAt(t, 0, 3, 2)
-	if total < 20 {
-		t.Fatalf("workload hits only %d step sites; too small to be a torture", total)
-	}
-	for failAt := int64(1); failAt <= total; failAt++ {
-		runTortureAt(t, failAt, 3, 2)
+		runTortureAt(t, failAt)
 	}
 }
 
@@ -327,21 +310,22 @@ func TestTortureSitesCovered(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentTorture exercises the tentpole's concurrency claims
-// all at once: per-series writer goroutines (each series has exactly one
-// writer, so its oracle needs no locking), a wildcard-style batched M4
-// reader over every listed series, and a compaction loop, all racing on a
-// sharded engine. Run under -race by `make check`. While the storm runs,
+// TestConcurrentStormTorture exercises the engine's concurrency claims all
+// at once: per-series writer goroutines (each series has exactly one
+// writer, so its oracle needs no locking) that also delete and flush, a
+// wildcard-style batched M4 reader over every listed series, and a
+// compaction loop, all racing on one engine. Run under -race by `make
+// check`. While the storm runs,
 // only success and internal consistency are asserted (reads race with
 // writes); after the writers join and the readers stop, the engine must
 // hold exactly the oracles' data and both operators must agree with the
 // reference scan.
-func TestShardConcurrentTorture(t *testing.T) {
+func TestConcurrentStormTorture(t *testing.T) {
 	const (
 		nSeries = 6
 		nOps    = 120
 	)
-	e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 16, NumShards: 4})
+	e, err := Open(Options{Dir: t.TempDir(), FlushThreshold: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -15,12 +16,12 @@ import (
 // input must never panic, and anything they accept must survive a re-encode
 // round trip (no two payloads decoding to states that re-encode
 // differently from what was stored). The encoders prefix the body with the
-// op byte and a one-byte shard tag (shard 0), hence the [2:].
+// op byte and a one-byte shard tag (0), hence the [2:].
 
 func FuzzDecodeInsert(f *testing.F) {
-	f.Add(encodeInsertSharded(0, "s1", []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}})[2:])
-	f.Add(encodeInsertSharded(0, "", nil)[2:])
-	f.Add(encodeInsertSharded(0, "unicode-séries", []series.Point{{T: math.MaxInt64, V: math.Inf(1)}})[2:])
+	f.Add(encodeInsert("s1", []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}})[2:])
+	f.Add(encodeInsert("", nil)[2:])
+	f.Add(encodeInsert("unicode-séries", []series.Point{{T: math.MaxInt64, V: math.Inf(1)}})[2:])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -28,7 +29,7 @@ func FuzzDecodeInsert(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := encodeInsertSharded(0, id, pts)
+		enc := encodeInsert(id, pts)
 		id2, pts2, err := decodeInsert(enc[2:])
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload rejected: %v", err)
@@ -45,8 +46,8 @@ func FuzzDecodeInsert(f *testing.F) {
 }
 
 func FuzzDecodeWALDelete(f *testing.F) {
-	f.Add(encodeDeleteSharded(0, storage.Delete{SeriesID: "s1", Version: 7, Start: -10, End: 10})[2:])
-	f.Add(encodeDeleteSharded(0, storage.Delete{Version: math.MaxUint64 >> 1})[2:])
+	f.Add(encodeDelete(storage.Delete{SeriesID: "s1", Version: 7, Start: -10, End: 10})[2:])
+	f.Add(encodeDelete(storage.Delete{Version: math.MaxUint64 >> 1})[2:])
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 's', 0x80})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -54,7 +55,7 @@ func FuzzDecodeWALDelete(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d2, err := decodeWALDelete(encodeDeleteSharded(0, d)[2:])
+		d2, err := decodeWALDelete(encodeDelete(d)[2:])
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload rejected: %v", err)
 		}
@@ -72,13 +73,14 @@ func FuzzBackupManifest(f *testing.F) {
 	good, _ := EncodeBackupManifest(BackupManifest{
 		CreatedUnix: 1700000000,
 		NextVersion: 9,
-		NumShards:   4,
 		Files: []BackupFile{
 			{Name: "000001.seq.tsf", Size: 128, CRC: 0x1234},
 			{Name: "wal-0000000000000001.log", Size: 21, CRC: 0x5678},
 		},
 	})
 	f.Add(good)
+	parent, _ := hex.DecodeString(parentBackupManifest)
+	f.Add(parent)
 	empty, _ := EncodeBackupManifest(BackupManifest{})
 	f.Add(empty)
 	f.Add([]byte{})

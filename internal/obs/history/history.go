@@ -29,10 +29,14 @@ import (
 	"m4lsm/internal/series"
 )
 
-// DefaultPrefix is where system series live, beside (never colliding with)
-// user series — user series ids are free-form, but the root.sys. namespace
-// is documented as reserved.
-const DefaultPrefix = "root.sys."
+// Prefix is where system series live, beside (never colliding with) user
+// series — user series ids are free-form, but the root.sys. namespace is
+// documented as reserved.
+const Prefix = "root.sys."
+
+// quantiles are the estimated quantiles persisted per histogram as
+// .p<percent> series, beside its count, sum and per-bucket series.
+var quantiles = [...]float64{0.50, 0.95, 0.99}
 
 // Sink receives each tick's points as one batch — one entry, one point per
 // system series; *lsm.Engine satisfies it. One batch per tick rather than
@@ -50,15 +54,6 @@ type Config struct {
 	Sink Sink
 	// Interval between samples (default 1s).
 	Interval time.Duration
-	// Prefix overrides DefaultPrefix.
-	Prefix string
-	// Quantiles are the estimated quantiles persisted per histogram as
-	// .p<percent> series (default 0.50, 0.95, 0.99).
-	Quantiles []float64
-	// SkipBuckets drops the per-bucket .bucket.le_* series, keeping only
-	// count/sum/quantiles — roughly a 3x reduction in system series for
-	// installations that never query raw distributions.
-	SkipBuckets bool
 	// Logger receives rate-limited write-failure logs; nil uses
 	// slog.Default().
 	Logger *slog.Logger
@@ -95,12 +90,6 @@ type Sampler struct {
 func New(cfg Config) *Sampler {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = DefaultPrefix
-	}
-	if len(cfg.Quantiles) == 0 {
-		cfg.Quantiles = []float64{0.50, 0.95, 0.99}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -164,22 +153,20 @@ func (s *Sampler) SampleOnce(now time.Time) (int, error) {
 
 	var qCount, rCount, cacheHits, cacheMisses float64
 	for _, sm := range s.cfg.Registry.Samples() {
-		base := s.cfg.Prefix + sm.Name + labelSuffix(sm.Labels)
+		base := SeriesName(sm.Name, sm.Labels)
 		switch sm.Kind {
 		case obs.SampleCounter, obs.SampleGauge:
 			write(base, sm.Value)
 		case obs.SampleHistogram:
 			write(base+".count", float64(sm.Hist.Count))
 			write(base+".sum", sm.Hist.Sum)
-			for _, q := range s.cfg.Quantiles {
+			for _, q := range quantiles {
 				write(base+quantileSuffix(q), sm.Hist.Quantile(q))
 			}
-			if !s.cfg.SkipBuckets {
-				for i, bound := range sm.Hist.Bounds {
-					write(base+".bucket.le_"+sanitize(formatBound(bound)), float64(sm.Hist.Counts[i]))
-				}
-				write(base+".bucket.le_inf", float64(sm.Hist.Counts[len(sm.Hist.Bounds)]))
+			for i, bound := range sm.Hist.Bounds {
+				write(base+".bucket.le_"+sanitize(formatBound(bound)), float64(sm.Hist.Counts[i]))
 			}
+			write(base+".bucket.le_inf", float64(sm.Hist.Counts[len(sm.Hist.Bounds)]))
 		}
 		// Inputs for the derived series below.
 		switch sm.Name {
@@ -219,14 +206,14 @@ func (s *Sampler) SampleOnce(now time.Time) (int, error) {
 		}
 		return cur - prev
 	}
-	write(s.cfg.Prefix+"derived.qps", rate("qps", qCount+rCount))
+	write(Prefix+"derived.qps", rate("qps", qCount+rCount))
 	dh := delta("cache_hits", cacheHits)
 	dm := delta("cache_misses", cacheMisses)
 	ratio := 0.0
 	if dh+dm > 0 {
 		ratio = dh / (dh + dm)
 	}
-	write(s.cfg.Prefix+"derived.cache_hit_ratio", ratio)
+	write(Prefix+"derived.cache_hit_ratio", ratio)
 	s.prevWhen = now
 
 	// A failed batch counts as a dropped tick even when some entries got in
@@ -248,13 +235,10 @@ func (s *Sampler) SampleOnce(now time.Time) (int, error) {
 
 // SeriesName maps one instrument identity to its system series id, the
 // naming contract between the sampler, the dashboard and tests:
-// <prefix><metric>[.<key>_<value>...] with label values sanitized to the
+// root.sys.<metric>[.<key>_<value>...] with label values sanitized to the
 // m4ql identifier alphabet.
-func SeriesName(prefix, metric string, labels []string) string {
-	if prefix == "" {
-		prefix = DefaultPrefix
-	}
-	return prefix + metric + labelSuffix(labels)
+func SeriesName(metric string, labels []string) string {
+	return Prefix + metric + labelSuffix(labels)
 }
 
 // labelSuffix renders the k1,v1,... list as .k1_v1.k2_v2 with sanitized

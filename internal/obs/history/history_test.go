@@ -102,37 +102,10 @@ func TestSampleOnceNamingContract(t *testing.T) {
 
 	// Every id obeys the naming contract prefix.
 	for _, id := range ids {
-		if len(id) < len(DefaultPrefix) || id[:len(DefaultPrefix)] != DefaultPrefix {
-			t.Errorf("series %s escapes the %s namespace", id, DefaultPrefix)
+		if len(id) < len(Prefix) || id[:len(Prefix)] != Prefix {
+			t.Errorf("series %s escapes the %s namespace", id, Prefix)
 		}
 	}
-}
-
-func TestSkipBuckets(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Histogram("h_seconds").Observe(0.01)
-	sink := newMemSink()
-	s := New(Config{Registry: reg, Sink: sink, SkipBuckets: true})
-	if _, err := s.SampleOnce(time.UnixMilli(1000)); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range sink.ids() {
-		if contains(id, ".bucket.") {
-			t.Errorf("SkipBuckets still wrote %s", id)
-		}
-	}
-	if pts := sink.points("root.sys.h_seconds.p95"); len(pts) != 1 {
-		t.Errorf("quantile series missing with SkipBuckets: %v", sink.ids())
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestCardinalityStable is the bounded-feedback invariant: ticks move
@@ -323,10 +296,10 @@ func TestQuantileSuffix(t *testing.T) {
 }
 
 func TestSeriesName(t *testing.T) {
-	if got := SeriesName("", "http_requests_total", []string{"endpoint", "/query"}); got != "root.sys.http_requests_total.endpoint_query" {
+	if got := SeriesName("http_requests_total", []string{"endpoint", "/query"}); got != "root.sys.http_requests_total.endpoint_query" {
 		t.Errorf("SeriesName = %q", got)
 	}
-	if got := SeriesName("x.", "m", nil); got != "x.m" {
-		t.Errorf("SeriesName with prefix = %q", got)
+	if got := SeriesName("m", nil); got != "root.sys.m" {
+		t.Errorf("SeriesName without labels = %q", got)
 	}
 }

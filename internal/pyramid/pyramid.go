@@ -13,7 +13,7 @@
 // forward cursor in time order, and a rebuild splices each re-derived index
 // range in place. Alignment
 // is absolute, not relative to the series, so cells stay valid when the
-// extent grows and when a directory reopens under another shard count.
+// extent grows.
 // Each series keeps a contiguous run of levels: the base (finest) level is
 // the finest whose cells cover the extent in at most maxBaseCells, and
 // every coarser level is derived from its children without touching data.
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -189,8 +188,8 @@ func (p *Pyramid) MarkStale(id string, start, end int64) {
 	p.invalidations.Add(1)
 }
 
-// Stale returns, sorted, the series with stale ranges that keep accepts.
-func (p *Pyramid) Stale(keep func(id string) bool) []string {
+// Stale returns, sorted, the series with stale ranges.
+func (p *Pyramid) Stale() []string {
 	if p == nil {
 		return nil
 	}
@@ -202,7 +201,6 @@ func (p *Pyramid) Stale(keep func(id string) bool) []string {
 		}
 	}
 	p.mu.RUnlock()
-	ids = slices.DeleteFunc(ids, func(id string) bool { return !keep(id) })
 	sort.Strings(ids)
 	return ids
 }

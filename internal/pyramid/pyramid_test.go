@@ -110,11 +110,8 @@ func TestRebuildAndPlanMatchScan(t *testing.T) {
 	if n := checkPlans(t, p.View("s", q.Range()), q, pts); n != 0 {
 		t.Fatalf("planned %d spans over a stale range", n)
 	}
-	if ids := p.Stale(func(string) bool { return true }); len(ids) != 1 || ids[0] != "s" {
+	if ids := p.Stale(); len(ids) != 1 || ids[0] != "s" {
 		t.Fatalf("Stale = %v, want [s]", ids)
-	}
-	if ids := p.Stale(func(string) bool { return false }); len(ids) != 0 {
-		t.Fatalf("Stale with a refusing filter = %v", ids)
 	}
 	var kept series.Series
 	for _, pt := range pts {
@@ -253,7 +250,7 @@ func TestRebuildReadErrorLeavesStale(t *testing.T) {
 func TestNilPyramidIsDisabled(t *testing.T) {
 	var p *Pyramid
 	p.MarkStale("s", 0, 10)
-	if p.Stale(func(string) bool { return true }) != nil || p.View("s", series.TimeRange{Start: 0, End: 10}) != nil ||
+	if p.Stale() != nil || p.View("s", series.TimeRange{Start: 0, End: 10}) != nil ||
 		p.Dirty() || p.Stats() != (Stats{}) || p.CheckInvariants("s") != nil {
 		t.Fatal("a nil pyramid is not inert")
 	}

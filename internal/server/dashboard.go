@@ -27,7 +27,7 @@ type dashChart struct {
 // sampler's naming contract (history.SeriesName) pins the ids.
 func dashboardCharts() []dashChart {
 	sys := func(metric string, labels ...string) string {
-		return history.SeriesName("", metric, labels)
+		return history.SeriesName(metric, labels)
 	}
 	qh := sys("http_request_seconds", "endpoint", "/query")
 	return []dashChart{
@@ -123,7 +123,7 @@ func (h *Handler) dashboard(w http.ResponseWriter, r *http.Request) {
 
 	sysSeries := 0
 	for _, id := range h.engine.SeriesIDs() {
-		if strings.HasPrefix(id, history.DefaultPrefix) {
+		if strings.HasPrefix(id, history.Prefix) {
 			sysSeries++
 		}
 	}

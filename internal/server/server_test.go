@@ -267,7 +267,7 @@ func renderOracle(t *testing.T, e *lsm.Engine, ids []string, params url.Values) 
 // Status, X-M4-Error, X-M4-Partial and Content-Type are the endpoint's
 // contract; every 200 must be byte-identical to renderOracle's drawing.
 func TestRenderMultiSeries(t *testing.T) {
-	e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), Metrics: obs.NewRegistry(), NumShards: 4})
+	e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,8 +290,7 @@ func TestWriteOverloadTorture(t *testing.T) {
 		t.Errorf("accounted for %d of %d requests", got, n)
 	}
 	// Soft cap: one oversized entry may land on a queue just under the cap,
-	// so the observable bound is cap + largest entry (3 points) per shard
-	// (single shard here).
+	// so the observable bound is cap + largest entry (3 points).
 	if m := maxQueued.Load(); m > queuePoints+3 {
 		t.Errorf("queue depth reached %d, bound is %d", m, queuePoints+3)
 	}
@@ -400,7 +399,7 @@ func TestWriteReadOnly503(t *testing.T) {
 // engine holds exactly what was acknowledged. One goroutine owns each
 // series, so the oracles need no locking.
 func TestIngestHammerHTTP(t *testing.T) {
-	srv, e := newWriteServer(t, Config{}, lsm.Options{FlushThreshold: 32, NumShards: 4})
+	srv, e := newWriteServer(t, Config{}, lsm.Options{FlushThreshold: 32})
 
 	const nWriters = 3
 	type owned struct {

@@ -12,8 +12,8 @@ import (
 // log of range tombstones. Deletes are never applied to chunk data on disk;
 // queries read them alongside chunk metadata (Definition 2.5).
 //
-// ModLog is safe for concurrent use: with the engine sharded, deletes on one
-// shard append while snapshots on other shards read. Readers get slice views
+// ModLog is safe for concurrent use: the engine's Info and metrics read it
+// without the engine's lock while a delete appends. Readers get slice views
 // of the append-only backing array; appends never mutate bytes a previously
 // returned view can see.
 type ModLog struct {

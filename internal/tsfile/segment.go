@@ -10,8 +10,8 @@ import (
 
 // Segment is one write-ahead-log segment file (wal-<seq>.log). Unlike the
 // monolithic RecordLog it starts with a fixed, checksummed header naming
-// the segment's sequence number and the shard count it was created under,
-// so recovery can order segments, detect renames, and tell a torn tail on
+// the segment's sequence number and the lock-stripe count of the engine
+// that created it, so recovery can order segments, detect renames, and tell a torn tail on
 // the newest segment (legal, truncated) from corruption in a sealed one
 // (illegal, quarantined).
 //
@@ -28,7 +28,7 @@ type Segment struct {
 type SegmentHeader struct {
 	Version byte   // format version, currently 1
 	Seq     uint64 // segment sequence number, strictly increasing per WAL
-	Shards  uint32 // engine shard count at creation (diagnostic)
+	Shards  uint32 // writer's lock-stripe count (diagnostic; written as 1)
 }
 
 // SegmentVersion is the current segment format version.

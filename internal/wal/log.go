@@ -1,22 +1,20 @@
 // Package wal is the engine's write-ahead log: a sequence of wal-<seq>.log
-// segment files (tsfile.Segment framing) shared by every shard, written
-// through a leader/follower group committer (commit.go).
+// segment files (tsfile.Segment framing), each Commit one group with one
+// fsync (commit.go).
 //
 // Appends go to the newest ("active") segment, which is sealed — fsynced
 // and closed — once it crosses Options.SegmentBytes, and a fresh segment
 // with the next sequence number takes over. The log carries opaque
-// payloads plus one record kind it defines itself, the checkpoint: when a
-// shard flushes, its checkpoint marks every earlier record of that shard
-// durable elsewhere, and a sealed segment is deleted as soon as no shard
-// has an unflushed record in it and no pinned record is in flight against
-// it. One cold shard therefore pins only the segments that actually hold
-// its records — typically just the active one — instead of the entire log.
+// payloads plus one record kind it defines itself, the checkpoint: when
+// the engine flushes, its checkpoint marks every earlier record durable
+// elsewhere, and a sealed segment is deleted as soon as it holds no
+// unflushed record and no pinned record is in flight against it.
 //
-// A Log owns its lock: callers never see the segments, watermarks or pins,
-// only the methods below. The caller's side of the contract is one rule —
-// Commit and Checkpoint for a shard are called while holding that shard's
-// own lock, so a checkpoint can never slip between a record's commit and
-// the caller applying it. A nil *Log is a disabled log: every method is a
+// A Log owns its lock: callers never see the segments, the watermark or
+// pins, only the methods below. The caller's side of the contract is one
+// rule — Commit and Checkpoint are called while holding the engine's own
+// lock, so a checkpoint can never slip between a record's commit and the
+// caller applying it. A nil *Log is a disabled log: every method is a
 // no-op that succeeds.
 package wal
 
@@ -30,7 +28,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/tsfile"
@@ -43,26 +40,23 @@ const (
 	// defaultSegmentBytes: large enough that small databases keep one
 	// segment, small enough that retirement keeps replay short.
 	defaultSegmentBytes = 1 << 20
-	// defaultGroupSize bounds one group commit: large enough to soak up a
-	// burst of ingest workers, small enough that one fsync stays bounded.
-	defaultGroupSize = 128
 	// opCheckpoint is the first payload byte of the log's own record:
 	//
 	//	0x05 | uvarint shard | uvarint numShards | uvarint upToSeq
 	//
-	// Caller payloads must start with any other byte (the engine uses
-	// 0x03 and 0x04).
+	// The counts name the writer's lock-stripe layout. The log writes
+	// "shard 0 of 1"; older builds striped the engine and wrote other
+	// counts, and a checkpoint of any other layout is ignored on replay.
+	// Caller payloads must start with any other byte (the engine uses 0x03
+	// and 0x04).
 	opCheckpoint byte = 5
 )
 
 // Options configures a Log.
 type Options struct {
-	Dir    string
-	Shards int // watermarks tracked; also stamped into headers and checkpoints
-	// SegmentBytes is the rotation threshold (0 = 1 MiB); GroupSize bounds
-	// the records of one group commit (0 = 128).
+	Dir string
+	// SegmentBytes is the rotation threshold (0 = 1 MiB).
 	SegmentBytes int64
-	GroupSize    int
 	// Sync fsyncs every group and checkpoint before acknowledging it.
 	Sync bool
 	// Step, when set, is the fault hook called at wal.group, wal.rotate,
@@ -88,7 +82,7 @@ type Stats struct {
 	TornTruncations     int
 	QuarantinedSegments int
 	Warnings            []string
-	Groups, Records     int64 // group commits issued, records they carried
+	Groups, Records     int64 // commits (one fsync each under Sync), records they carried
 }
 
 // Log is the segmented write-ahead log. All methods are safe for
@@ -96,24 +90,18 @@ type Stats struct {
 type Log struct {
 	opts Options
 
-	// Group-commit hand-off (commit.go). gmu only guards the pending queue
-	// and the leader flag — never I/O.
-	gmu     sync.Mutex
-	pending []pendingRec
-	leading bool
-	groups  atomic.Int64
-	records atomic.Int64
-
 	mu        sync.Mutex // guards everything below
 	active    *tsfile.Segment
 	activeSeq uint64
 	sealed    []Segment // ascending Seq
-	// pendingMin[shard] is the lowest segment holding an unflushed record
-	// of that shard (0 = none): claimed at commit, cleared by the shard's
-	// checkpoint, monotone per shard because segment seqs only grow.
-	pendingMin []uint64
+	// watermark is the lowest segment holding an unflushed record (0 =
+	// none): claimed at commit, cleared by a checkpoint, monotone between
+	// checkpoints because segment seqs only grow.
+	watermark uint64
 	// pins counts in-flight pinned records per segment (see Record.Pin).
 	pins map[uint64]int
+	// groups and records count commits and the records they carried.
+	groups, records int64
 
 	warnings     []string
 	quarantined  int
@@ -138,12 +126,11 @@ func parseSegmentName(name string) (uint64, bool) {
 
 // Open scans o.Dir for segments, replays every recovered record in log
 // order and returns the log positioned for appending. record applies one
-// caller payload and returns the shard whose unflushed data it carries
-// (its watermark is re-claimed at the record's segment; negative claims
-// nothing). checkpoint(shard) reports a checkpoint written under the same
-// shard count: everything record replayed for that shard so far is durable
-// elsewhere and must be dropped. Checkpoints of any other layout are
-// ignored, so the full tail replays — merely redundant.
+// caller payload and reports whether it carries unflushed data (the
+// watermark is then re-claimed at the record's segment). checkpoint
+// reports a checkpoint: everything record replayed so far is durable
+// elsewhere and must be dropped. Checkpoints written under a multi-stripe
+// layout are ignored, so the full tail replays — merely redundant.
 //
 // Sealed segments (all but the newest) were fsynced before the log moved
 // on, so one that does not parse completely is corrupt: it is set aside as
@@ -151,14 +138,11 @@ func parseSegmentName(name string) (uint64, bool) {
 // where a crash may legally have torn the tail (mid-append) or even the
 // header (mid-create); both keep the valid prefix — the torn record was
 // never acknowledged.
-func Open(o Options, record func(payload []byte) (claim int, err error), checkpoint func(shard int)) (*Log, error) {
+func Open(o Options, record func(payload []byte) (claim bool, err error), checkpoint func()) (*Log, error) {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
-	if o.GroupSize <= 0 {
-		o.GroupSize = defaultGroupSize
-	}
-	l := &Log{opts: o, pendingMin: make([]uint64, o.Shards), pins: make(map[uint64]int)}
+	l := &Log{opts: o, pins: make(map[uint64]int)}
 	entries, err := os.ReadDir(o.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -245,7 +229,7 @@ func Open(o Options, record func(payload []byte) (claim int, err error), checkpo
 }
 
 func (l *Log) create(seq uint64) (*tsfile.Segment, error) {
-	seg, err := tsfile.CreateSegment(SegmentPath(l.opts.Dir, seq), tsfile.SegmentHeader{Seq: seq, Shards: uint32(l.opts.Shards)})
+	seg, err := tsfile.CreateSegment(SegmentPath(l.opts.Dir, seq), tsfile.SegmentHeader{Seq: seq, Shards: 1})
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -254,45 +238,46 @@ func (l *Log) create(seq uint64) (*tsfile.Segment, error) {
 
 // replay routes one recovered record: the log's own checkpoints are
 // applied here, everything else goes to the caller.
-func (l *Log) replay(seq uint64, rec []byte, record func([]byte) (int, error), checkpoint func(int)) error {
+func (l *Log) replay(seq uint64, rec []byte, record func([]byte) (bool, error), checkpoint func()) error {
 	if len(rec) == 0 {
 		return errors.New("empty record")
 	}
 	if rec[0] != opCheckpoint {
 		claim, err := record(rec)
-		if err == nil && claim >= 0 && l.pendingMin[claim] == 0 {
-			l.pendingMin[claim] = seq
+		if err == nil && claim && l.watermark == 0 {
+			l.watermark = seq
 		}
 		return err
 	}
-	shard, numShards, err := decodeCheckpoint(rec[1:])
-	if err == nil && numShards == l.opts.Shards {
-		l.pendingMin[shard] = 0
-		checkpoint(shard)
+	numShards, err := decodeCheckpoint(rec[1:])
+	if err == nil && numShards == 1 {
+		l.watermark = 0
+		checkpoint()
 	}
 	return err
 }
 
-func encodeCheckpoint(shard, numShards int, upTo uint64) []byte {
-	buf := encoding.AppendUvarint([]byte{opCheckpoint}, uint64(shard))
-	buf = encoding.AppendUvarint(buf, uint64(numShards))
+func encodeCheckpoint(upTo uint64) []byte {
+	buf := encoding.AppendUvarint([]byte{opCheckpoint}, 0) // shard 0
+	buf = encoding.AppendUvarint(buf, 1)                   // of 1
 	return encoding.AppendUvarint(buf, upTo)
 }
 
-func decodeCheckpoint(b []byte) (shard, numShards int, err error) {
+// decodeCheckpoint validates a checkpoint body and returns its stripe count.
+func decodeCheckpoint(b []byte) (numShards int, err error) {
 	var f [3]uint64 // shard, numShards, upToSeq (diagnostic)
 	for i := range f {
 		if f[i], b, err = encoding.Uvarint(b); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	if len(b) != 0 {
-		return 0, 0, fmt.Errorf("wal checkpoint: %d trailing bytes", len(b))
+		return 0, fmt.Errorf("wal checkpoint: %d trailing bytes", len(b))
 	}
 	if f[1] == 0 || f[0] >= f[1] || f[1] > 1<<20 {
-		return 0, 0, fmt.Errorf("wal checkpoint: shard %d of %d", f[0], f[1])
+		return 0, fmt.Errorf("wal checkpoint: shard %d of %d", f[0], f[1])
 	}
-	return int(f[0]), int(f[1]), nil
+	return int(f[1]), nil
 }
 
 // read parses a sealed segment strictly; a failure wrapping
@@ -328,7 +313,7 @@ func (l *Log) setAside(s Segment, cause error) error {
 }
 
 // Quarantine sets a sealed segment that failed Verify aside as *.bad. The
-// caller has re-secured its records first (flushed every shard).
+// caller has re-secured its records first (flushed).
 func (l *Log) Quarantine(s Segment, cause error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -375,11 +360,11 @@ func (l *Log) rotate() error {
 	return old.Close()
 }
 
-// Checkpoint records that every earlier record of shard is durable
-// elsewhere: its watermark clears, and replay drops what it replayed for
-// the shard when it passes the record. The caller still holds the shard's
-// lock from the flush, so no new commit of the shard can slip in between.
-func (l *Log) Checkpoint(shard int) error {
+// Checkpoint records that every earlier record is durable elsewhere: the
+// watermark clears, and replay drops what it replayed when it passes the
+// record. The caller still holds the engine's lock from the flush, so no
+// new commit can slip in between.
+func (l *Log) Checkpoint() error {
 	if l == nil {
 		return nil
 	}
@@ -388,10 +373,10 @@ func (l *Log) Checkpoint(shard int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.active.Append(encodeCheckpoint(shard, l.opts.Shards, l.activeSeq), l.opts.Sync); err != nil {
+	if err := l.active.Append(encodeCheckpoint(l.activeSeq), l.opts.Sync); err != nil {
 		return err
 	}
-	l.pendingMin[shard] = 0
+	l.watermark = 0
 	return nil
 }
 
@@ -410,13 +395,13 @@ func (l *Log) Unpin(seq uint64) {
 	}
 }
 
-// Retire deletes every sealed segment no shard still needs: all segments
-// strictly below the lowest watermark and the lowest pinned seq. Their
+// Retire deletes every sealed segment the log no longer needs: all
+// segments strictly below the watermark and the lowest pinned seq. Their
 // records are all superseded by checkpoints, so retirement is a plain
-// unlink — crash-safe at any point. When no shard has any unflushed record
-// at all (and nothing is pinned), the active segment truncates back to its
+// unlink — crash-safe at any point. When there is no unflushed record at
+// all (and nothing is pinned), the active segment truncates back to its
 // header too: the check and the truncation share the lock with commits, so
-// a concurrent writer either claimed its watermark first (truncation is
+// a concurrent writer either claimed the watermark first (truncation is
 // skipped) or appends after it.
 func (l *Log) Retire() error {
 	if l == nil {
@@ -424,13 +409,10 @@ func (l *Log) Retire() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	allClear := len(l.pins) == 0
+	allClear := len(l.pins) == 0 && l.watermark == 0
 	limit := l.activeSeq // retire seq < limit
-	for _, pm := range l.pendingMin {
-		if pm != 0 {
-			allClear = false
-			limit = min(limit, pm)
-		}
+	if l.watermark != 0 {
+		limit = min(limit, l.watermark)
 	}
 	for seq := range l.pins {
 		limit = min(limit, seq)
@@ -471,7 +453,7 @@ func (l *Log) unlink(n int) error {
 
 // Reset drops the entire log after a compaction made every record
 // obsolete: sealed segments are unlinked and the active one truncates back
-// to its header. The caller holds every shard's lock.
+// to its header. The caller holds the engine's lock.
 func (l *Log) Reset() error {
 	if l == nil {
 		return nil
@@ -481,7 +463,7 @@ func (l *Log) Reset() error {
 	if err := l.unlink(len(l.sealed)); err != nil {
 		return err
 	}
-	clear(l.pendingMin)
+	l.watermark = 0
 	clear(l.pins)
 	return l.active.Truncate()
 }
@@ -534,8 +516,8 @@ func (l *Log) Stats() Stats {
 		TornTruncations:     l.torn,
 		QuarantinedSegments: l.quarantined,
 		Warnings:            append([]string(nil), l.warnings...),
-		Groups:              l.groups.Load(),
-		Records:             l.records.Load(),
+		Groups:              l.groups,
+		Records:             l.records,
 	}
 	for _, s := range l.sealed {
 		st.Bytes += s.Size

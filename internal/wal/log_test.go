@@ -14,23 +14,24 @@ import (
 	"m4lsm/internal/tsfile"
 )
 
-// replayed collects what Open hands back: caller payloads claim the shard
-// named by their second byte (the engine's tag layout), first byte 4 (the
-// engine's delete op) claims nothing.
+// replayed collects what Open hands back the way the engine does: a
+// checkpoint drops every record replayed before it. First byte 4 (the
+// engine's delete op) claims nothing; every other payload claims the
+// watermark.
 type replayed struct {
 	recs        [][]byte
-	checkpoints []int
+	checkpoints int
 }
 
-func (r *replayed) record(p []byte) (int, error) {
+func (r *replayed) record(p []byte) (bool, error) {
 	r.recs = append(r.recs, bytes.Clone(p))
-	if p[0] == 4 {
-		return -1, nil
-	}
-	return int(p[1]), nil
+	return p[0] != 4, nil
 }
 
-func (r *replayed) checkpoint(shard int) { r.checkpoints = append(r.checkpoints, shard) }
+func (r *replayed) checkpoint() {
+	r.recs = nil
+	r.checkpoints++
+}
 
 func open(t *testing.T, o Options) (*Log, *replayed) {
 	t.Helper()
@@ -43,9 +44,9 @@ func open(t *testing.T, o Options) (*Log, *replayed) {
 	return l, r
 }
 
-// rec builds a payload: op 3, shard tag, then body.
-func rec(shard int, body string) Record {
-	return Record{Payload: append([]byte{3, byte(shard)}, body...), Shard: shard}
+// rec builds a payload: op 3, shard tag 0, then body.
+func rec(body string) Record {
+	return Record{Payload: append([]byte{3, 0}, body...)}
 }
 
 func commit(t *testing.T, l *Log, recs ...Record) []Record {
@@ -58,12 +59,12 @@ func commit(t *testing.T, l *Log, recs ...Record) []Record {
 
 // TestGroupCommit pins the committer's batching semantics: one Commit of N
 // records is one group (one sync), every record is acknowledged with its
-// landing segment, and the shard's watermark is claimed.
+// landing segment, and the watermark is claimed.
 func TestGroupCommit(t *testing.T) {
-	l, _ := open(t, Options{Dir: t.TempDir(), Shards: 1, Sync: true})
+	l, _ := open(t, Options{Dir: t.TempDir(), Sync: true})
 	var recs []Record
 	for i := 0; i < 10; i++ {
-		recs = append(recs, rec(0, fmt.Sprint(i)))
+		recs = append(recs, rec(fmt.Sprint(i)))
 	}
 	commit(t, l, recs...)
 	st := l.Stats()
@@ -75,17 +76,18 @@ func TestGroupCommit(t *testing.T) {
 			t.Fatalf("record %d landed in segment %d, want 1", i, r.Seq)
 		}
 	}
-	if l.pendingMin[0] != 1 {
-		t.Fatalf("watermark = %d, want 1", l.pendingMin[0])
+	if l.watermark != 1 {
+		t.Fatalf("watermark = %d, want 1", l.watermark)
 	}
 }
 
-// TestGroupCommitConcurrent: concurrent committers share groups, a commit
-// larger than GroupSize splits, every acknowledged record replays after a
-// kill, and each committer's records keep their order.
+// TestGroupCommitConcurrent: the log is safe for concurrent committers.
+// Each commit is one group (one sync) however many callers race, every
+// acknowledged record replays after a kill, and each committer's records
+// keep their order.
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Dir: dir, Shards: 4, Sync: true, GroupSize: 4, SegmentBytes: 256}
+	o := Options{Dir: dir, Sync: true, SegmentBytes: 256}
 	l, _ := open(t, o)
 	const writers, rounds, perCommit = 8, 10, 6
 	var wg sync.WaitGroup
@@ -97,7 +99,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				var recs []Record
 				for j := 0; j < perCommit; j++ {
-					recs = append(recs, rec(w%4, fmt.Sprintf("w%d-%03d", w, i*perCommit+j)))
+					recs = append(recs, rec(fmt.Sprintf("w%d-%03d", w, i*perCommit+j)))
 				}
 				if err := l.Commit(recs); err != nil {
 					errs <- err
@@ -115,8 +117,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if st.Records != writers*rounds*perCommit {
 		t.Fatalf("records = %d, want %d", st.Records, writers*rounds*perCommit)
 	}
-	if st.Groups >= st.Records || st.Groups < st.Records/4 {
-		t.Fatalf("groups = %d for %d records under GroupSize 4", st.Groups, st.Records)
+	if st.Groups != writers*rounds {
+		t.Fatalf("groups = %d, want one per commit (%d)", st.Groups, writers*rounds)
 	}
 	if st.Segments < 3 {
 		t.Fatalf("segments = %d, want rotation under 256-byte segments", st.Segments)
@@ -142,72 +144,71 @@ func TestGroupCommitConcurrent(t *testing.T) {
 func TestFailedGroupClaimsNothing(t *testing.T) {
 	crash := errors.New("crash")
 	var armed bool
-	l, _ := open(t, Options{Dir: t.TempDir(), Shards: 1, Step: func(site string) error {
+	l, _ := open(t, Options{Dir: t.TempDir(), Step: func(site string) error {
 		if armed && site == "wal.group" {
 			return crash
 		}
 		return nil
 	}})
 	armed = true
-	pinned := rec(0, "b")
+	pinned := rec("b")
 	pinned.Pin = true
-	if err := l.Commit([]Record{rec(0, "a"), pinned}); !errors.Is(err, crash) {
+	if err := l.Commit([]Record{rec("a"), pinned}); !errors.Is(err, crash) {
 		t.Fatalf("commit = %v, want the injected crash", err)
 	}
-	if l.pendingMin[0] != 0 || len(l.pins) != 0 || l.Stats().Records != 0 {
-		t.Fatalf("failed group left state: watermark %d, pins %v, stats %+v", l.pendingMin[0], l.pins, l.Stats())
+	if l.watermark != 0 || len(l.pins) != 0 || l.Stats().Records != 0 {
+		t.Fatalf("failed group left state: watermark %d, pins %v, stats %+v", l.watermark, l.pins, l.Stats())
 	}
 }
 
-// TestCheckpointRetire is the reason the log is segmented: a cold shard
-// with one unflushed record pins only the segment holding it. The hot
-// shard's checkpoint frees every sealed segment below that — and once no
-// shard has anything unflushed, the active segment truncates to its header.
+// TestCheckpointRetire: a checkpoint frees every sealed segment below the
+// oldest unflushed record, the segment holding that record stays until the
+// next checkpoint, and once nothing is unflushed the active segment
+// truncates to its header.
 func TestCheckpointRetire(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Dir: dir, Shards: 2, SegmentBytes: 64}
+	o := Options{Dir: dir, SegmentBytes: 64}
 	l, _ := open(t, o)
 	for i := 0; i < 12; i++ {
-		commit(t, l, rec(0, fmt.Sprintf("hot-%02d", i)))
-	}
-	cold := commit(t, l, rec(1, "cold"))[0]
-	commit(t, l, rec(0, "hot-tail-to-rotate-past-the-cold-segment-................"), rec(0, "hot-last"))
-	before := l.Stats()
-	if before.Segments < 4 || cold.Seq == 1 || cold.Seq == l.activeSeq {
-		t.Fatalf("setup: %d segments, cold record in %d, active %d", before.Segments, cold.Seq, l.activeSeq)
+		commit(t, l, rec(fmt.Sprintf("flushed-%02d", i)))
 	}
 	if err := l.Retire(); err != nil || l.Stats().RetiredSegments != 0 {
 		t.Fatalf("retired before any checkpoint: %v, %+v", err, l.Stats())
 	}
-
-	if err := l.Checkpoint(0); err != nil {
+	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	tail := commit(t, l, rec("unflushed"))[0]
+	commit(t, l, rec("rotate-past-the-unflushed-record-..........................."), rec("last"))
+	before := l.Stats()
+	if before.Segments < 4 || tail.Seq == 1 || tail.Seq == l.activeSeq {
+		t.Fatalf("setup: %d segments, unflushed record in %d, active %d", before.Segments, tail.Seq, l.activeSeq)
 	}
 	if err := l.Retire(); err != nil {
 		t.Fatal(err)
 	}
 	after := l.Stats()
-	if want := int64(cold.Seq - 1); after.RetiredSegments != want {
-		t.Fatalf("retired %d segments, want the %d below the cold record's", after.RetiredSegments, want)
+	if want := int64(tail.Seq - 1); after.RetiredSegments != want {
+		t.Fatalf("retired %d segments, want the %d below the unflushed record's", after.RetiredSegments, want)
 	}
 	if after.Bytes >= before.Bytes || after.RetiredBytes == 0 {
 		t.Fatalf("bytes %d -> %d, retired bytes %d", before.Bytes, after.Bytes, after.RetiredBytes)
 	}
-	if sealed := l.Sealed(); sealed[0].Seq != cold.Seq {
-		t.Fatalf("oldest sealed segment = %d, want the cold record's %d", sealed[0].Seq, cold.Seq)
+	if sealed := l.Sealed(); sealed[0].Seq != tail.Seq {
+		t.Fatalf("oldest sealed segment = %d, want the unflushed record's %d", sealed[0].Seq, tail.Seq)
 	}
 	l.Close()
 
-	// A kill here replays the cold record, drops the hot ones at the
-	// checkpoint, and re-claims only the cold watermark.
+	// A kill here replays from the unflushed record on and re-claims the
+	// watermark at its segment.
 	l2, r := open(t, o)
-	if !reflect.DeepEqual(r.checkpoints, []int{0}) || string(r.recs[0][2:]) != "cold" {
-		t.Fatalf("replay: checkpoints %v, first record %q", r.checkpoints, r.recs[0])
+	if len(r.recs) != 3 || string(r.recs[0][2:]) != "unflushed" {
+		t.Fatalf("replay after the checkpoint: %q", r.recs)
 	}
-	if !reflect.DeepEqual(l2.pendingMin, []uint64{0, cold.Seq}) {
-		t.Fatalf("watermarks after replay = %v, want [0 %d]", l2.pendingMin, cold.Seq)
+	if l2.watermark != tail.Seq {
+		t.Fatalf("watermark after replay = %d, want %d", l2.watermark, tail.Seq)
 	}
-	if err := l2.Checkpoint(1); err != nil {
+	if err := l2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Retire(); err != nil {
@@ -221,14 +222,14 @@ func TestCheckpointRetire(t *testing.T) {
 // TestPinHoldsSegment: a pinned record claims no watermark but keeps its
 // segment (and blocks the all-clear truncation) until Unpin.
 func TestPinHoldsSegment(t *testing.T) {
-	l, _ := open(t, Options{Dir: t.TempDir(), Shards: 1, SegmentBytes: 32})
+	l, _ := open(t, Options{Dir: t.TempDir(), SegmentBytes: 32})
 	pinned := Record{Payload: []byte{4, 0, 'd', 'e', 'l'}, Pin: true}
 	got := commit(t, l, pinned)[0]
-	commit(t, l, rec(0, "fill-the-first-segment-past-32-bytes"), rec(0, "x"))
-	if l.pendingMin[0] != got.Seq {
-		t.Fatalf("setup: watermark %d, pinned segment %d", l.pendingMin[0], got.Seq)
+	commit(t, l, rec("fill-the-first-segment-past-32-bytes"), rec("x"))
+	if l.watermark != got.Seq {
+		t.Fatalf("setup: watermark %d, pinned segment %d", l.watermark, got.Seq)
 	}
-	if err := l.Checkpoint(0); err != nil {
+	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Retire(); err != nil {
@@ -252,9 +253,9 @@ func TestPinHoldsSegment(t *testing.T) {
 // the log appendable.
 func TestTornTailAndTornCreation(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Dir: dir, Shards: 1, SegmentBytes: 32}
+	o := Options{Dir: dir, SegmentBytes: 32}
 	l, _ := open(t, o)
-	commit(t, l, rec(0, "first-record-filling-segment-one"), rec(0, "second"))
+	commit(t, l, rec("first-record-filling-segment-one"), rec("second"))
 	l.Close()
 	f, err := os.OpenFile(SegmentPath(dir, 2), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -268,7 +269,7 @@ func TestTornTailAndTornCreation(t *testing.T) {
 	if len(r.recs) != 2 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn tail, 3 bytes") {
 		t.Fatalf("torn tail: replayed %q, %+v", r.recs, st)
 	}
-	next := commit(t, l2, rec(0, "third"))[0].Seq + 1
+	next := commit(t, l2, rec("third"))[0].Seq + 1
 	l2.Close()
 	os.WriteFile(SegmentPath(dir, next), []byte("M4W"), 0o644)
 
@@ -277,7 +278,7 @@ func TestTornTailAndTornCreation(t *testing.T) {
 	if len(r.recs) != 3 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn creation") {
 		t.Fatalf("torn creation: replayed %q, %+v", r.recs, st)
 	}
-	if got := commit(t, l3, rec(0, "fourth"))[0]; got.Seq != next {
+	if got := commit(t, l3, rec("fourth"))[0]; got.Seq != next {
 		t.Fatalf("after recreating segment %d: landed in %d", next, got.Seq)
 	}
 }
@@ -287,10 +288,10 @@ func TestTornTailAndTornCreation(t *testing.T) {
 // Verify/Quarantine pair does the same to a live log.
 func TestCorruptSealedSegment(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Dir: dir, Shards: 1, SegmentBytes: 32}
+	o := Options{Dir: dir, SegmentBytes: 32}
 	l, _ := open(t, o)
 	for i := 0; i < 4; i++ {
-		commit(t, l, rec(0, fmt.Sprintf("record-%d-filling-a-32-byte-segment", i)))
+		commit(t, l, rec(fmt.Sprintf("record-%d-filling-a-32-byte-segment", i)))
 	}
 	flip := func(seq uint64) {
 		raw, err := os.ReadFile(SegmentPath(dir, seq))
@@ -334,8 +335,8 @@ func TestCorruptSealedSegment(t *testing.T) {
 // TestResetAndCapture: Capture is a consistent image (sealed paths plus a
 // parseable prefix of the active segment); Reset drops everything.
 func TestResetAndCapture(t *testing.T) {
-	l, _ := open(t, Options{Dir: t.TempDir(), Shards: 1, SegmentBytes: 32})
-	commit(t, l, rec(0, "first-record-filling-segment-one"), rec(0, "second"))
+	l, _ := open(t, Options{Dir: t.TempDir(), SegmentBytes: 32})
+	commit(t, l, rec("first-record-filling-segment-one"), rec("second"))
 	sealed, activePath, active, err := l.Capture()
 	if err != nil {
 		t.Fatal(err)
@@ -351,15 +352,15 @@ func TestResetAndCapture(t *testing.T) {
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen || l.pendingMin[0] != 0 || len(l.pins) != 0 {
-		t.Fatalf("after reset: %+v, watermark %d, pins %v", st, l.pendingMin[0], l.pins)
+	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen || l.watermark != 0 || len(l.pins) != 0 {
+		t.Fatalf("after reset: %+v, watermark %d, pins %v", st, l.watermark, l.pins)
 	}
 }
 
 // TestNilLog: a nil *Log is a disabled log.
 func TestNilLog(t *testing.T) {
 	var l *Log
-	if err := errors.Join(l.Commit([]Record{rec(0, "x")}), l.Checkpoint(0), l.Retire(), l.Reset(), l.Close()); err != nil {
+	if err := errors.Join(l.Commit([]Record{rec("x")}), l.Checkpoint(), l.Retire(), l.Reset(), l.Close()); err != nil {
 		t.Fatal(err)
 	}
 	l.Unpin(1)
@@ -374,7 +375,9 @@ func TestNilLog(t *testing.T) {
 // lived inside internal/lsm) — two segments, a flush checkpoint, a
 // completed delete, a delete that reached the WAL but not the mods sidecar,
 // and a torn 3-byte tail. It must replay to the same records, in the same
-// order, with the same watermarks that commit recovered.
+// order. Its checkpoint was written under two stripes, so it is ignored:
+// every record replays (merely redundant) and the one watermark sits at the
+// first segment.
 func TestParentDirectoryReplays(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"wal-0000000000000001.log", "wal-0000000000000002.log"} {
@@ -384,7 +387,7 @@ func TestParentDirectoryReplays(t *testing.T) {
 		}
 		os.WriteFile(filepath.Join(dir, name), raw, 0o644) // Open truncates the torn tail
 	}
-	l, r := open(t, Options{Dir: dir, Shards: 2, SegmentBytes: 96})
+	l, r := open(t, Options{Dir: dir, SegmentBytes: 96})
 	want := []string{
 		"030102733101020000000000004540",                   // s1 (shard 1) t=1
 		"03000273300214000000000000f03f280000000000000040", // s0 (shard 0) t=10,20
@@ -402,25 +405,24 @@ func TestParentDirectoryReplays(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed records\n got %q\nwant %q", got, want)
 	}
-	if !reflect.DeepEqual(r.checkpoints, []int{0}) {
-		t.Fatalf("checkpoints = %v, want [0]", r.checkpoints)
+	if r.checkpoints != 0 {
+		t.Fatalf("checkpoints = %d, want 0 (the 2-stripe checkpoint is ignored)", r.checkpoints)
 	}
-	if !reflect.DeepEqual(l.pendingMin, []uint64{2, 1}) {
-		t.Fatalf("watermarks = %v, want [2 1] (shard 0 re-claimed after its checkpoint)", l.pendingMin)
+	if l.watermark != 1 {
+		t.Fatalf("watermark = %d, want 1", l.watermark)
 	}
 	st := l.Stats()
 	if st.Segments != 2 || st.Bytes != 119+106 || st.TornTruncations != 1 ||
 		len(st.Warnings) != 1 || st.Warnings[0] != "wal segment 2: torn tail, 3 bytes truncated" {
 		t.Fatalf("stats = %+v", st)
 	}
-	// A checkpoint written under another shard count is ignored.
-	r3 := &replayed{}
-	l3, err := Open(Options{Dir: dir, Shards: 3}, r3.record, r3.checkpoint)
-	if err != nil {
+	// A checkpoint this log writes is honoured on the next open.
+	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	defer l3.Close()
-	if len(r3.checkpoints) != 0 || !reflect.DeepEqual(l3.pendingMin, []uint64{1, 1, 0}) {
-		t.Fatalf("3-shard reopen: checkpoints %v, watermarks %v", r3.checkpoints, l3.pendingMin)
+	l.Close()
+	l2, r2 := open(t, Options{Dir: dir, SegmentBytes: 96})
+	if r2.checkpoints != 1 || len(r2.recs) != 0 || l2.watermark != 0 {
+		t.Fatalf("reopen after a checkpoint: %d checkpoints, %d records, watermark %d", r2.checkpoints, len(r2.recs), l2.watermark)
 	}
 }

@@ -62,15 +62,6 @@ func WithChunkCache(bytes int64) Option {
 	return func(o *lsm.Options) { o.ChunkCacheBytes = bytes }
 }
 
-// WithShards partitions the engine into n shards by series hash: each shard
-// owns its memtables, chunk registry and flush accounting under its own
-// lock, so writers and flushes of different series proceed concurrently.
-// Default 1. The on-disk WAL stays a single file (records are shard-tagged),
-// and a database may be reopened with a different shard count.
-func WithShards(n int) Option {
-	return func(o *lsm.Options) { o.NumShards = n }
-}
-
 // DB is an LSM time-series store rooted at a directory. All methods are
 // safe for concurrent use.
 type DB struct {
@@ -94,7 +85,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 // Write buffers points for a series. Points may arrive out of order and
 // may overwrite earlier timestamps (the latest write wins). It returns
 // once the points are in the WAL (synced under a durable configuration).
-// Writes pass through a bounded per-shard queue: when that stays saturated
+// Writes pass through a bounded queue: when that stays saturated
 // the call fails with the engine's retryable backpressure error
 // (lsm.ErrIngestBackpressure) rather than buffering without bound — back
 // off and retry; rewriting the same points is idempotent.
@@ -162,7 +153,6 @@ type Info struct {
 	Chunks         int
 	MemtablePoints int
 	Deletes        int
-	Shards         int
 
 	// BadFiles counts chunk files quarantined on disk (renamed *.bad)
 	// during crash recovery.
@@ -186,7 +176,6 @@ func (db *DB) Info() Info {
 		Chunks:            i.Chunks,
 		MemtablePoints:    i.MemtablePoints,
 		Deletes:           i.Deletes,
-		Shards:            i.Shards,
 		BadFiles:          i.BadFiles,
 		QuarantinedChunks: i.QuarantinedChunks,
 		ReadOnly:          i.ReadOnly,
