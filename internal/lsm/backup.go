@@ -129,14 +129,12 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 		return m, errEngineClosed
 	}
 	m.CreatedUnix = time.Now().Unix()
-	m.NextVersion = e.nextVer.Load()
+	m.NextVersion = e.nextVer
 	// Chunk files are immutable and only unlinked by Compact, which needs
 	// the engine lock — blocked while we hold it.
-	e.fileMu.Lock()
 	for _, r := range e.files {
 		caps = append(caps, capture{name: filepath.Base(r.Path()), path: r.Path()})
 	}
-	e.fileMu.Unlock()
 	// The mods sidecar and pyramid manifest are small; capture their bytes
 	// outright while mutation is blocked.
 	for _, name := range []string{"deletes.mods", pyramidFileName} {

@@ -81,7 +81,6 @@ func (e *Engine) compactLocked() error {
 	// Swap in the new generation: the old files are unlinked but their
 	// handles stay open until engine Close, so snapshots taken before this
 	// compaction can still read the chunks they reference.
-	e.fileMu.Lock()
 	oldFiles := e.files
 	e.files = nil
 	if r != nil {
@@ -89,7 +88,6 @@ func (e *Engine) compactLocked() error {
 	}
 	// The unsequence space is folded into the new sequence generation.
 	e.unseqFiles = 0
-	e.fileMu.Unlock()
 	e.chunks = make(map[string][]chunkEntry)
 	e.maxSeqTime = make(map[string]int64)
 	if r != nil {
@@ -118,9 +116,7 @@ func (e *Engine) compactLocked() error {
 		}
 	}
 	// Every quarantined chunk belonged to the retired generation.
-	e.quarMu.Lock()
 	e.quarantined = make(map[chunkID]error)
-	e.quarMu.Unlock()
 	// Compaction preserves the merged view, so existing cells stay valid;
 	// but with every memtable flushed and quarantined data folded away this
 	// is the cheapest moment to rebuild whatever is stale and persist the
@@ -133,17 +129,13 @@ func (e *Engine) compactLocked() error {
 
 // retireFiles unlinks the pre-compaction generation, setting aside (as
 // *.bad) each file that holds a quarantined chunk. The handles stay open
-// in e.retired for snapshots that still reference them.
+// in e.retired for snapshots that still reference them. Caller holds e.mu.
 func (e *Engine) retireFiles(old []*tsfile.Reader) error {
-	e.fileMu.Lock()
-	defer e.fileMu.Unlock()
 	for _, f := range old {
-		e.quarMu.Lock()
 		bad := slices.ContainsFunc(f.Metas(), func(m storage.ChunkMeta) bool {
 			_, q := e.quarantined[chunkID{m.SeriesID, m.Version}]
 			return q
 		})
-		e.quarMu.Unlock()
 		if bad {
 			if _, err := tsfile.SetAside(f.Path()); err != nil {
 				return fmt.Errorf("lsm: quarantine pre-compaction file: %w", err)
@@ -161,7 +153,7 @@ func (e *Engine) retireFiles(old []*tsfile.Reader) error {
 // e.mu.
 func (e *Engine) resetMods() error {
 	path := filepath.Join(e.opts.Dir, "deletes.mods")
-	if err := e.modsLog().Close(); err != nil {
+	if err := e.mods.Close(); err != nil {
 		return fmt.Errorf("lsm: close mods: %w", err)
 	}
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
@@ -171,6 +163,6 @@ func (e *Engine) resetMods() error {
 	if err != nil {
 		return fmt.Errorf("lsm: reopen mods: %w", err)
 	}
-	e.mods.Store(mods)
+	e.mods = mods
 	return nil
 }

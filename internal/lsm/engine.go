@@ -10,10 +10,12 @@
 // metadata plus deletes; the unflushed memtable is exposed to the snapshot
 // as an in-memory chunk with a version higher than any flushed chunk.
 //
-// One lock guards the memtables, the chunk registry and the sequence-space
-// watermarks; the WAL (internal/wal), the mods sidecar, the chunk-file list
-// and the version counter guard themselves (see the Engine comment for the
-// lock order).
+// One lock, Engine.mu, guards everything the engine owns: the memtables,
+// the chunk registry and sequence-space watermarks, the chunk-file list,
+// the quarantine set, the mods sidecar, the version and file-sequence
+// counters and the pyramid-manifest save schedule. The WAL (internal/wal),
+// the pyramid and the ingest queue keep leaf locks of their own (see the
+// Engine comment for the lock order).
 //
 // One file per concern: engine.go (options, lifecycle, Info, metrics),
 // ingest.go (the one write path and deletes), flush.go (flush and the one
@@ -116,15 +118,18 @@ func (o *Options) withDefaults() Options {
 // Engine is the LSM storage engine. All methods are safe for concurrent
 // use.
 //
-// Lock order: mu → (wal, internal). A series operation takes mu first and
-// may then call into the WAL (which owns its own lock) or take fileMu
-// (file-list update), never one inside the other; quarMu nests inside
-// anything.
+// Lock order: mu, then the leaf locks of the WAL, the pyramid and the ingest
+// queue, which never call back into the engine. Goroutines that do not hold
+// mu reach those three too: metrics read WAL stats, query workers plan on
+// pyramid views, writers enqueue while the worker holds mu across an fsync.
+// scrubMu is taken only outside mu. No code loads chunk data through a
+// snapshot carrying OnQuarantine while holding mu: the callback takes mu.
 type Engine struct {
 	opts Options
 
-	// mu guards the four fields below: writers, flushes and compaction
-	// hold it exclusively, snapshots share it.
+	// mu guards every field down to scrubMu: writers, flushes, compaction,
+	// quarantine and backup hold it exclusively; snapshots and Info share
+	// it.
 	mu  sync.RWMutex
 	mem map[string]series.Series // per-series unsorted write buffer
 	// memPts is the buffered point count across mem.
@@ -136,22 +141,38 @@ type Engine struct {
 	maxSeqTime map[string]int64
 
 	// nextVer is the global version counter ordering chunks and deletes
-	// (§2.2.1). Load() is always ≥ every version handed out so far, which
+	// (§2.2.1): always greater than every version handed out so far, which
 	// is what memtable pseudo-chunks rely on.
-	nextVer atomic.Uint64
+	nextVer uint64
 
 	// fileSeq numbers chunk files.
-	fileSeq atomic.Int64
+	fileSeq int64
 
-	// fileMu guards the open-file bookkeeping, which the scrubber and
-	// Info read without mu.
-	fileMu     sync.Mutex
 	files      []*tsfile.Reader
 	retired    []*tsfile.Reader // unlinked by compaction, kept open for live snapshots
 	unseqFiles int
 	// badFiles counts chunk files set aside (renamed *.bad) because their
 	// footer did not validate — crash leftovers recovered via the WAL.
 	badFiles int
+
+	// mods is the delete sidecar; Compact swaps in a fresh one.
+	mods *tsfile.ModLog
+
+	// Chunk-level read quarantine: chunks whose data failed a CRC or
+	// decode check during a query or a scrub. Quarantined chunks are
+	// excluded from later snapshots (their reads can never succeed — the
+	// file bytes are wrong) and surface in Info and /healthz. Values are
+	// the (non-nil) read errors that condemned each chunk.
+	quarantined map[chunkID]error
+
+	// The pyramid-manifest save schedule (see pyrSave): pyrUnsaved is the
+	// raw bytes flushed since the last save, pyrLastSize the size of the
+	// last manifest written or loaded.
+	pyrUnsaved  int64
+	pyrLastSize int64
+
+	scrubMu  sync.Mutex // serializes whole scrub passes and the resume cursor
+	scrubCur int        // resume cursor: chunks already verified this cycle
 
 	// wal is the segmented write-ahead log; nil (a disabled log whose
 	// methods are no-ops) under DisableWAL.
@@ -162,53 +183,28 @@ type Engine struct {
 	// before taking it.
 	ing *ingester
 
-	// mods is the shared delete sidecar; the ModLog is internally locked,
-	// and the pointer itself is atomic because Compact swaps in a fresh
-	// sidecar while Info may be reading concurrently.
-	mods atomic.Pointer[tsfile.ModLog]
+	// pyr is the M4 rollup pyramid, nil (whose methods are no-ops) when
+	// Options.DisablePyramid is set. See pyramid.go.
+	pyr *pyramid.Pyramid
 
 	cache  *cache.LRU // nil when caching is disabled
 	closed atomic.Bool
 
-	// Chunk-level read quarantine: chunks whose data failed a CRC or
-	// decode check during a query. Quarantined chunks are excluded from
-	// later snapshots (their reads can never succeed — the file bytes are
-	// wrong) and surface in Info and /healthz. Guarded by quarMu, not mu:
-	// quarantine reports arrive from query worker goroutines while other
-	// queries hold mu's read lock. Values are the (non-nil) read errors
-	// that condemned each chunk.
-	quarMu      sync.Mutex
-	quarantined map[chunkID]error
-
-	// Read-only degraded mode (disk full): readOnly is the hot-path flag,
-	// roMu guards the reason string, lastProbe rate-limits recovery
-	// probes, roTrips counts entries into the mode. Transient-read retry
-	// accounting (readRetries/retryExhausted) lives here too: the retry
-	// wrapper outlives individual snapshots.
-	readOnly       atomic.Bool
-	roMu           sync.Mutex
-	roReason       string
+	// Read-only degraded mode (disk full): readOnly holds the reason, nil
+	// while writable. It is atomic because classifyWrite runs both with
+	// and without mu held. lastProbe rate-limits recovery probes, roTrips
+	// counts entries into the mode. Transient-read retry accounting
+	// (readRetries/retryExhausted) lives here too: the retry wrapper
+	// outlives individual snapshots.
+	readOnly       atomic.Pointer[string]
 	roTrips        atomic.Int64
 	lastProbe      atomic.Int64
 	readRetries    atomic.Int64
 	retryExhausted atomic.Int64
 
-	// pyr is the M4 rollup pyramid, nil (whose methods are no-ops) when
-	// Options.DisablePyramid is set. Its lock is a leaf; see pyramid.go.
-	// pyrSaveMu serializes manifest writes and guards the save schedule:
-	// pyrUnsaved is the raw bytes flushed since the last save, pyrLastSize
-	// the size of the last manifest written or loaded (see pyrSave).
-	// pyrSaves counts saves.
-	pyr         *pyramid.Pyramid
-	pyrSaveMu   sync.Mutex
-	pyrUnsaved  int64
-	pyrLastSize int64
-	pyrSaves    atomic.Int64
-
-	scrubMu  sync.Mutex // serializes whole scrub passes and the resume cursor
-	scrubCur int        // resume cursor: chunks already verified this cycle
-
-	// Scrub and backup counters (see scrub.go / backup.go).
+	// Lifetime counters of manifest saves, scrubs and backups (see
+	// pyramid.go, scrub.go, backup.go), read by metrics without mu.
+	pyrSaves         atomic.Int64
 	scrubRuns        atomic.Int64
 	scrubChunks      atomic.Int64
 	scrubQuarantines atomic.Int64
@@ -242,17 +238,16 @@ type engineMetrics struct {
 	pyrSaveSecs    *obs.Histogram
 }
 
-// allocVersion hands out the next version number.
+// allocVersion hands out the next version number. Caller holds e.mu.
 func (e *Engine) allocVersion() storage.Version {
-	return storage.Version(e.nextVer.Add(1) - 1)
+	e.nextVer++
+	return storage.Version(e.nextVer - 1)
 }
 
 // bumpVersion raises the counter so future allocations exceed v. Only
 // called from single-threaded recovery.
 func (e *Engine) bumpVersion(v storage.Version) {
-	if uint64(v) >= e.nextVer.Load() {
-		e.nextVer.Store(uint64(v) + 1)
-	}
+	e.nextVer = max(e.nextVer, uint64(v)+1)
 }
 
 // chunkEntry is one registered flushed chunk and the source it reads from.
@@ -260,9 +255,6 @@ type chunkEntry struct {
 	meta storage.ChunkMeta
 	src  storage.ChunkSource
 }
-
-// modsLog returns the current delete sidecar.
-func (e *Engine) modsLog() *tsfile.ModLog { return e.mods.Load() }
 
 // Open opens (or creates) the database in opts.Dir, recovering state from
 // chunk files, the mods sidecar and the WAL.
@@ -281,8 +273,8 @@ func Open(opts Options) (*Engine, error) {
 		maxSeqTime:  make(map[string]int64),
 		quarantined: make(map[chunkID]error),
 		ing:         newIngester(),
+		nextVer:     1,
 	}
-	e.nextVer.Store(1)
 	if opts.ChunkCacheBytes > 0 {
 		e.cache = cache.NewLRU(opts.ChunkCacheBytes)
 	}
@@ -296,7 +288,7 @@ func Open(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	e.mods.Store(mods)
+	e.mods = mods
 	for _, d := range mods.All() {
 		e.bumpVersion(d.Version)
 	}
@@ -349,7 +341,7 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("lsm_quarantined_chunks", info(func(i Info) float64 { return float64(i.QuarantinedChunks) }))
 	reg.GaugeFunc("lsm_delete_tombstones", info(func(i Info) float64 { return float64(i.Deletes) }))
 	reg.GaugeFunc("lsm_read_only", func() float64 {
-		if e.readOnly.Load() {
+		if e.readOnly.Load() != nil {
 			return 1
 		}
 		return 0
@@ -470,32 +462,27 @@ type Info struct {
 	LastBackupUnix     int64
 }
 
-// Info returns a snapshot of engine statistics.
+// Info returns a snapshot of engine statistics: everything the engine
+// owns is read in one hold of e.mu.
 func (e *Engine) Info() Info {
-	e.mu.RLock()
-	chunks, memPts := 0, e.memPts
-	for _, cs := range e.chunks {
-		chunks += len(cs)
-	}
-	e.mu.RUnlock()
-	e.fileMu.Lock()
-	files, unseq, bad := len(e.files), e.unseqFiles, e.badFiles
-	e.fileMu.Unlock()
-	e.quarMu.Lock()
-	quar := len(e.quarantined)
-	e.quarMu.Unlock()
 	ro, roReason := e.ReadOnly()
 	ps := e.pyr.Stats()
 	ws := e.wal.Stats()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	chunks := 0
+	for _, cs := range e.chunks {
+		chunks += len(cs)
+	}
 	return Info{
-		Files:              files,
-		UnseqFiles:         unseq,
+		Files:              len(e.files),
+		UnseqFiles:         e.unseqFiles,
 		Chunks:             chunks,
-		MemtablePoints:     memPts,
-		NextVersion:        storage.Version(e.nextVer.Load()),
-		Deletes:            e.modsLog().Len(),
-		BadFiles:           bad,
-		QuarantinedChunks:  quar,
+		MemtablePoints:     e.memPts,
+		NextVersion:        storage.Version(e.nextVer),
+		Deletes:            len(e.mods.All()),
+		BadFiles:           e.badFiles,
+		QuarantinedChunks:  len(e.quarantined),
 		ReadOnly:           ro,
 		ReadOnlyReason:     roReason,
 		ReadRetries:        e.readRetries.Load(),
@@ -536,7 +523,7 @@ func (e *Engine) Close() error {
 	err = e.afterFlush(n, true, err)
 	e.closed.Store(true)
 	e.closeFiles()
-	if cerr := e.modsLog().Close(); err == nil {
+	if cerr := e.mods.Close(); err == nil {
 		err = cerr
 	}
 	if cerr := e.wal.Close(); err == nil {
@@ -557,6 +544,6 @@ func (e *Engine) Kill() {
 	}
 	e.closed.Store(true)
 	e.closeFiles()
-	e.modsLog().Close()
+	e.mods.Close()
 	e.wal.Close()
 }

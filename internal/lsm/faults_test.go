@@ -107,7 +107,7 @@ func buildFaultStore(t *testing.T, dir string) series.Series {
 // TestQueryQuarantineCorruptChunk corrupts one chunk's value block on disk
 // (footer and times stay valid), then checks the full degradation path: the
 // lenient query succeeds with a warning, the engine quarantines the chunk,
-// later snapshots exclude it, and compaction clears the quarantine.
+// later snapshots exclude it, and compaction clears the quarantine for good.
 func TestQueryQuarantineCorruptChunk(t *testing.T) {
 	dir := t.TempDir()
 	buildFaultStore(t, dir)
@@ -175,6 +175,15 @@ func TestQueryQuarantineCorruptChunk(t *testing.T) {
 	}
 	if n := e.Info().QuarantinedChunks; n != 0 {
 		t.Errorf("QuarantinedChunks after compact = %d, want 0", n)
+	}
+	// A query still holding a pre-compaction snapshot reads the corrupt
+	// chunk again after the swap: the chunk is no longer live, so it is
+	// not quarantined a second time.
+	if _, err := m4udf.Compute(snap, q); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Info().QuarantinedChunks; n != 0 {
+		t.Errorf("QuarantinedChunks after a pre-compaction read = %d, want 0", n)
 	}
 	snap4, err := e.Snapshot("s", q.Range())
 	if err != nil {

@@ -11,30 +11,28 @@ import (
 	"m4lsm/internal/tsfile"
 )
 
-// Flush persists the memtables as chunk files and clears the WAL. Its
-// afterFlush tail runs after e.mu is released.
+// Flush persists the memtables as chunk files and clears the WAL.
 func (e *Engine) Flush() error {
 	if err := e.writable(); err != nil {
 		return err
 	}
-	n, err := 0, errEngineClosed
 	e.mu.Lock()
-	if !e.closed.Load() {
-		n, err = e.flushLocked()
+	defer e.mu.Unlock()
+	if e.closed.Load() {
+		return errEngineClosed
 	}
-	e.mu.Unlock()
+	n, err := e.flushLocked()
 	return e.afterFlush(n, true, err)
 }
 
-// afterFlush is the one tail every flush site runs — the ingest worker
-// (still under the engine lock), Flush and Close: once points left a
-// memtable, drop the WAL segments their checkpoints freed; then save the
-// pyramid manifest when it is due (pyrSave), which an explicit checkpoint
-// (Flush, Close) always makes it. Errors are classified, so ENOSPC
-// anywhere in flush, retirement or the manifest save flips the engine
-// read-only with the typed error instead of surfacing as an anonymous I/O
-// failure; a failed flush loses nothing (memtable + WAL still hold the
-// points).
+// afterFlush is the one tail every flush site runs — the ingest worker,
+// Flush and Close, each with e.mu held: once points left a memtable, drop
+// the WAL segments their checkpoints freed; then save the pyramid manifest
+// when it is due (pyrSave), which an explicit checkpoint (Flush, Close)
+// always makes it. Errors are classified, so ENOSPC anywhere in flush,
+// retirement or the manifest save flips the engine read-only with the typed
+// error instead of surfacing as an anonymous I/O failure; a failed flush
+// loses nothing (memtable + WAL still hold the points).
 func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
 	if err == nil && flushed > 0 {
 		err = e.wal.Retire()
@@ -94,12 +92,10 @@ func (e *Engine) flushLocked() (int, error) {
 		if r == nil {
 			continue
 		}
-		e.fileMu.Lock()
 		e.files = append(e.files, r)
 		if space.name == "unseq" {
 			e.unseqFiles++
 		}
-		e.fileMu.Unlock()
 		e.registerChunks(r)
 	}
 	e.mem = make(map[string]series.Series)
@@ -131,12 +127,13 @@ func (e *Engine) flushLocked() (int, error) {
 // fault-injection site, and a step-hook "crash" mid-file leaves the
 // partial bytes on disk (Crash), unlike a write error, which cleans up
 // (Abort) — recovery sets the footer-less leftover aside and replays the
-// WAL. Compaction's writes are not step sites.
+// WAL. Compaction's writes are not step sites. Caller holds e.mu.
 func (e *Engine) writeChunkFile(space string, ids []string, data map[string]series.Series, steps bool) (*tsfile.Reader, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	name := fmt.Sprintf("%06d.%s.tsf", e.fileSeq.Add(1)-1, space)
+	name := fmt.Sprintf("%06d.%s.tsf", e.fileSeq, space)
+	e.fileSeq++
 	path := filepath.Join(e.opts.Dir, name)
 	step := func(stage string) error {
 		if !steps {

@@ -39,49 +39,30 @@ func (e *Engine) classifyWrite(err error) error {
 
 // enterReadOnly flips the degraded flag once and records the cause.
 func (e *Engine) enterReadOnly(cause error) {
-	e.roMu.Lock()
-	defer e.roMu.Unlock()
-	if e.readOnly.Load() {
-		return
+	reason := cause.Error()
+	if e.readOnly.CompareAndSwap(nil, &reason) {
+		e.roTrips.Add(1)
 	}
-	e.roReason = cause.Error()
-	e.readOnly.Store(true)
-	e.roTrips.Add(1)
-}
-
-// exitReadOnly clears the degraded flag after a successful space probe.
-func (e *Engine) exitReadOnly() {
-	e.roMu.Lock()
-	e.roReason = ""
-	e.readOnly.Store(false)
-	e.roMu.Unlock()
 }
 
 // ReadOnly reports whether the engine is currently degraded to read-only
 // and, if so, why.
 func (e *Engine) ReadOnly() (bool, string) {
-	if !e.readOnly.Load() {
-		return false, ""
+	if reason := e.readOnly.Load(); reason != nil {
+		return true, *reason
 	}
-	e.roMu.Lock()
-	defer e.roMu.Unlock()
-	return e.readOnly.Load(), e.roReason
+	return false, ""
 }
 
 // writable gates the mutating entry points while degraded: it re-probes
 // for disk space (rate-limited) and either recovers the engine or
 // returns the typed retryable error.
 func (e *Engine) writable() error {
-	if !e.readOnly.Load() {
+	reason := e.readOnly.Load()
+	if reason == nil || e.tryRecover() {
 		return nil
 	}
-	if e.tryRecover() {
-		return nil
-	}
-	e.roMu.Lock()
-	reason := e.roReason
-	e.roMu.Unlock()
-	return fmt.Errorf("%w: %s", ErrReadOnly, reason)
+	return fmt.Errorf("%w: %s", ErrReadOnly, *reason)
 }
 
 // tryRecover probes whether the directory accepts writes again, at most
@@ -112,7 +93,7 @@ func (e *Engine) tryRecover() bool {
 		return false
 	}
 	os.Remove(probe)
-	e.exitReadOnly()
+	e.readOnly.Store(nil)
 	return true
 }
 

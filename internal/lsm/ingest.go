@@ -195,7 +195,7 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	if err := e.step("mods.append"); err != nil {
 		return err
 	}
-	if err := e.modsLog().Append(d); err != nil {
+	if err := e.mods.Append(d); err != nil {
 		return e.classifyWrite(err)
 	}
 	// On any failure above the pin is kept: conservative, the segment

@@ -3,8 +3,9 @@
 // is live (the chunk registry minus quarantine, read through
 // seriesSnapshot), when to rebuild (the end of a flush or compaction, with
 // the memtables empty, so e.chunks plus the mods sidecar are exactly the
-// merged truth), and where the manifest lives. The pyramid's lock is a
-// leaf: it nests inside e.mu and is never held across I/O.
+// merged truth), and where and when the manifest is saved, always under
+// e.mu. The pyramid's lock is a leaf: it nests inside e.mu and is never
+// held across I/O.
 package lsm
 
 import (
@@ -76,10 +77,10 @@ const pointBytes = 16
 //
 // Write failures are swallowed: a stale manifest is safe because the
 // watermark re-marks anything newer on reopen. Only the StepHook can make
-// it fail, simulating a crash between flush and save.
+// it fail, simulating a crash between flush and save. Caller holds e.mu,
+// so no version is allocated while the state is encoded: the watermark is
+// exactly the state's.
 func (e *Engine) pyrSave(flushed int, checkpoint bool) error {
-	e.pyrSaveMu.Lock()
-	defer e.pyrSaveMu.Unlock()
 	e.pyrUnsaved += int64(flushed) * pointBytes
 	if !e.pyr.Dirty() || (!checkpoint && e.pyrUnsaved < e.pyrLastSize) {
 		return nil
@@ -88,11 +89,7 @@ func (e *Engine) pyrSave(flushed int, checkpoint bool) error {
 		return err
 	}
 	start := time.Now()
-	// The watermark is read BEFORE the state is encoded: versions allocated
-	// during the encode get Version >= wm and are re-marked stale on reopen
-	// even if the encoded state happened to include their effects.
-	wm := e.nextVer.Load()
-	data := e.pyr.Encode(wm)
+	data := e.pyr.Encode(e.nextVer)
 	if err := writeFileAtomic(filepath.Join(e.opts.Dir, pyramidFileName), data); err != nil {
 		e.pyr.MarkDirty()
 		return nil
@@ -148,7 +145,7 @@ func (e *Engine) pyrLoad() {
 			}
 		}
 	}
-	for _, d := range e.modsLog().All() {
+	for _, d := range e.mods.All() {
 		if uint64(d.Version) >= wm {
 			e.pyr.MarkStale(d.SeriesID, d.Start, d.End)
 		}

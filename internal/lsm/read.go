@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"m4lsm/internal/cache"
@@ -39,7 +40,7 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 	spare := 0
 	if buf := e.mem[seriesID]; len(buf) > 0 {
 		src := storage.NewMemSource()
-		meta, err := src.AddChunk(seriesID, storage.Version(e.nextVer.Load()), series.SortDedup(buf.Clone()))
+		meta, err := src.AddChunk(seriesID, storage.Version(e.nextVer), series.SortDedup(buf.Clone()))
 		if err != nil {
 			return nil, fmt.Errorf("lsm: memtable snapshot: %w", err)
 		}
@@ -55,6 +56,8 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 		// Only CRC/decode failures are permanent: the bytes on disk are
 		// wrong and every retry would fail. Transient read errors (I/O
 		// hiccups, injected faults) stay retryable on the next query.
+		// Query workers call this after Snapshot released e.mu, which
+		// quarantineChunk takes.
 		if !errors.Is(err, tsfile.ErrCorrupt) {
 			return
 		}
@@ -73,7 +76,6 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 func (e *Engine) seriesSnapshot(id string, r series.TimeRange, spare int, warn *storage.Warnings) *storage.Snapshot {
 	snap := &storage.Snapshot{SeriesID: id, Stats: &storage.Stats{}, Warnings: warn}
 	chunks := e.chunks[id]
-	e.quarMu.Lock()
 	quarantined := func(m storage.ChunkMeta) error { return e.quarantined[chunkID{m.SeriesID, m.Version}] }
 	n := spare
 	for _, ce := range chunks {
@@ -92,8 +94,7 @@ func (e *Engine) seriesSnapshot(id string, r series.TimeRange, spare int, warn *
 		}
 		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(ce.meta, ce.src, snap.Stats))
 	}
-	e.quarMu.Unlock()
-	for _, d := range e.modsLog().ForSeries(id) {
+	for _, d := range e.mods.ForSeries(id) {
 		if d.Start < r.End && d.End >= r.Start {
 			snap.Deletes = append(snap.Deletes, d)
 		}
@@ -129,23 +130,24 @@ func (e *Engine) HasSeries(seriesID string) bool {
 
 // quarantineChunk excludes a chunk whose bytes failed a CRC or decode
 // check from all future snapshots. Shared by the query path (via
-// Snapshot.OnQuarantine) and the integrity scrubber. Reports whether this
-// call was the first to quarantine the chunk.
+// Snapshot.OnQuarantine) and the integrity scrubber, neither of which holds
+// e.mu. A chunk compaction already folded away is not quarantined: a query
+// or scrub still reading the old generation reports it after the swap.
+// Reports whether this call quarantined the chunk.
 func (e *Engine) quarantineChunk(meta storage.ChunkMeta, err error) bool {
-	e.quarMu.Lock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	id := chunkID{meta.SeriesID, meta.Version}
-	_, dup := e.quarantined[id]
-	if !dup {
-		e.quarantined[id] = err
+	live := slices.ContainsFunc(e.chunks[meta.SeriesID], func(ce chunkEntry) bool { return ce.meta.Version == meta.Version })
+	if _, dup := e.quarantined[id]; dup || !live {
+		return false
 	}
-	e.quarMu.Unlock()
-	if !dup {
-		e.met.quarantines.Inc()
-		// The chunk's points vanish from the merged view; cells that
-		// included them are wrong until the next rebuild.
-		e.pyr.MarkStale(meta.SeriesID, meta.First.T, meta.Last.T)
-	}
-	return !dup
+	e.quarantined[id] = err
+	e.met.quarantines.Inc()
+	// The chunk's points vanish from the merged view; cells that included
+	// them are wrong until the next rebuild.
+	e.pyr.MarkStale(meta.SeriesID, meta.First.T, meta.Last.T)
+	return true
 }
 
 // sourceFor wraps a chunk file reader with query-time fault injection

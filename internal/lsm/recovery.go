@@ -59,8 +59,8 @@ func (e *Engine) loadFiles() error {
 			return fmt.Errorf("lsm: %w", err)
 		}
 		e.files = append(e.files, r)
-		if seq, ok := parseFileSeq(name); ok && int64(seq) >= e.fileSeq.Load() {
-			e.fileSeq.Store(int64(seq) + 1)
+		if seq, ok := parseFileSeq(name); ok {
+			e.fileSeq = max(e.fileSeq, int64(seq)+1)
 		}
 		unseq := strings.HasSuffix(name, ".unseq.tsf")
 		if unseq {
@@ -100,8 +100,6 @@ func parseFileSeq(name string) (int, bool) {
 // closeFiles releases every open chunk-file handle. Callers hold e.mu (or
 // run single-threaded during Open).
 func (e *Engine) closeFiles() {
-	e.fileMu.Lock()
-	defer e.fileMu.Unlock()
 	for _, f := range e.files {
 		f.Close()
 	}
@@ -141,9 +139,8 @@ func (e *Engine) replayRecord(rec []byte) (claim bool, err error) {
 	// A delete reaches the WAL before the mods sidecar; a crash between the
 	// two appends leaves it in the WAL only. Re-append it so the delete
 	// applies to flushed chunks, not just replayed points.
-	mods := e.modsLog()
-	if !slices.Contains(mods.All(), d) {
-		if err := mods.Append(d); err != nil {
+	if !slices.Contains(e.mods.All(), d) {
+		if err := e.mods.Append(d); err != nil {
 			return false, err
 		}
 		e.bumpVersion(d.Version)

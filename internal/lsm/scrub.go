@@ -86,9 +86,9 @@ func (e *Engine) Scrub(opts ScrubOptions) (ScrubReport, error) {
 // whose bytes fail CRC or decode checks. The resume cursor e.scrubCur
 // carries across budget-limited passes.
 func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
-	e.fileMu.Lock()
+	e.mu.RLock()
 	readers := append([]*tsfile.Reader(nil), e.files...)
-	e.fileMu.Unlock()
+	e.mu.RUnlock()
 	idx := 0
 	for _, r := range readers {
 		for _, meta := range r.Metas() {
@@ -100,9 +100,9 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 				rep.Partial = true
 				return
 			}
-			e.quarMu.Lock()
+			e.mu.RLock()
 			_, quarantined := e.quarantined[chunkID{meta.SeriesID, meta.Version}]
-			e.quarMu.Unlock()
+			e.mu.RUnlock()
 			if quarantined {
 				rep.ChunksSkipped++
 				continue
@@ -203,6 +203,11 @@ func (e *Engine) scrubPyramid(rep *ScrubReport) {
 		// Heal in place: the in-memory pyramid is authoritative while the
 		// engine runs, so marking it dirty and re-saving rewrites a clean
 		// manifest atomically.
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.closed.Load() {
+			return
+		}
 		e.pyr.MarkDirty()
 		if herr := e.pyrSave(0, true); herr != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("pyramid manifest rewrite: %v", herr))

@@ -96,6 +96,10 @@ func TestReadContract(t *testing.T) {
 		faults faultfs.Config // chunk-read faults of series a (zero: none)
 		ctx    context.Context
 		clause string
+		// spans replaces the statement's SPANS(7); closed runs it on a
+		// closed engine, where any read that takes a snapshot fails.
+		spans  int
+		closed bool
 		// Exactly one expectation: wantErr (errors.Is), wantErrText, or
 		// partial (which series blocks must be flagged; the clean series
 		// of a two-series statement must not be).
@@ -120,6 +124,9 @@ func TestReadContract(t *testing.T) {
 		// quarantines series a's chunks, later snapshots exclude them.
 		{name: "quarantined", faults: faultfs.Config{Seed: 1, FlipRate: 1}, ctx: context.Background(), partial: true},
 		{name: "quarantined-strict", faults: faultfs.Config{Seed: 1, FlipRate: 1}, ctx: context.Background(), clause: " STRICT", wantErrText: "strict read", namesA: true},
+		// Refused before any snapshot: on the closed engine a statement
+		// that got as far as a snapshot, let alone a plan, fails otherwise.
+		{name: "too-many-spans", ctx: context.Background(), spans: 1 << 30, closed: true, wantErr: ErrTooManySpans},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,10 +150,17 @@ func TestReadContract(t *testing.T) {
 					t.Fatal("corrupt reads quarantined nothing")
 				}
 			}
+			spans := 7
+			if tc.spans != 0 {
+				spans = tc.spans
+			}
+			if tc.closed {
+				e.Close()
+			}
 			for _, form := range contractForms {
 				for _, from := range []string{"a", "a, b"} {
-					q := fmt.Sprintf(`%sSELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)%s%s`,
-						form.head, form.sel, from, form.tail, tc.clause)
+					q := fmt.Sprintf(`%sSELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(%d)%s%s`,
+						form.head, form.sel, from, spans, form.tail, tc.clause)
 					res, plan, err := RunAny(tc.ctx, e, q)
 					if tc.namesA && from == "a, b" && (err == nil || !strings.Contains(err.Error(), `series "a"`)) {
 						t.Errorf("%s FROM a, b: err = %v, want it to name series \"a\"", form.name, err)

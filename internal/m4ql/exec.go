@@ -2,6 +2,7 @@ package m4ql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -146,6 +147,17 @@ type SeriesOutput struct {
 	Warnings []string
 }
 
+// MaxSpanOutputs caps what one statement may ask for: its span count times
+// the number of series it resolves to. The operators allocate per-span
+// state for every series before they read any data, so the cap bounds a
+// statement's memory whatever its SPANS clause says. /render's widest
+// canvas, 8192 columns, fits 128 series under it.
+const MaxSpanOutputs = 1 << 20
+
+// ErrTooManySpans marks a statement refused because its span count times
+// its resolved series count exceeds MaxSpanOutputs.
+var ErrTooManySpans = errors.New("m4ql: statement asks for too many spans")
+
 // resolveSeries turns the statement's FROM clause into the concrete series
 // list: explicit lists pass through in FROM order, wildcards expand against
 // the engine's sorted SeriesIDs filtered by prefix. An empty wildcard match
@@ -170,7 +182,9 @@ func resolveSeries(e *lsm.Engine, stmt Statement) []string {
 // holds everywhere:
 //
 //  1. resolve the series list (explicit FROM list or wildcard expansion; a
-//     single series is a list of one);
+//     single series is a list of one) and refuse the statement with
+//     ErrTooManySpans when its spans times its series exceed
+//     MaxSpanOutputs;
 //  2. take every series' snapshot before any operator runs;
 //  3. under STRICT, fail if a snapshot already excluded a quarantined chunk
 //     — a strict read never omits data silently;
@@ -191,6 +205,10 @@ func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, e
 		return nil, err
 	}
 	ids := resolveSeries(e, stmt)
+	if len(ids) > 0 && stmt.Query.W > MaxSpanOutputs/len(ids) {
+		return nil, fmt.Errorf("%w: SPANS(%d) over %d series exceeds %d span outputs",
+			ErrTooManySpans, stmt.Query.W, len(ids), MaxSpanOutputs)
+	}
 	snaps := make([]*storage.Snapshot, len(ids))
 	for i, id := range ids {
 		snap, err := e.Snapshot(id, stmt.Query.Range())

@@ -22,6 +22,8 @@ func FuzzParse(f *testing.F) {
 		`SELECT COUNT(v), AVG(v) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(7)`,
 		`EXPLAIN SELECT FirstTime(v), TopValue(v) FROM "quoted id" WHERE time >= -5 AND time < 5 GROUP BY SPANS(1)`,
 		`SELECT M4(*) FROM a, b, c WHERE time < 10 AND time >= 2 GROUP BY SPANS(1) REPRESENT m4`,
+		// Parses; Read refuses it with ErrTooManySpans before any snapshot.
+		`SELECT M4(*) FROM root.* WHERE time >= 0 AND time < 1000 GROUP BY SPANS(1073741824)`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -25,10 +25,11 @@
 // them, and only the ranges it re-read. A View uses a cell iff it is
 // covered and overlaps no stale range.
 //
-// Crash safety. The manifest carries a version watermark the owner reads
-// BEFORE the state is encoded; on reopen the owner re-marks stale whatever
-// the watermark does not vouch for, so a crash between "data durable" and
-// "manifest saved" costs rebuild work, never correctness.
+// Crash safety. The manifest carries the owner's version watermark at the
+// encode, which the owner allocates no version during; on reopen the owner
+// re-marks stale whatever the watermark does not vouch for, so a crash
+// between "data durable" and "manifest saved" costs rebuild work, never
+// correctness.
 //
 // Locking. One RWMutex guards every series. It is a leaf: under it the
 // package calls only lock-free pure functions (m4, encoding, sort), never

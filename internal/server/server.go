@@ -267,6 +267,8 @@ func mapQueryError(err error) (code int, kind string) {
 		return http.StatusServiceUnavailable, "read-only"
 	case errors.Is(err, lsm.ErrIngestBackpressure):
 		return http.StatusTooManyRequests, "backpressure"
+	case errors.Is(err, m4ql.ErrTooManySpans):
+		return http.StatusBadRequest, "too-many-spans"
 	}
 	return 0, ""
 }

@@ -2,7 +2,6 @@ package tsfile
 
 import (
 	"fmt"
-	"sync"
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/storage"
@@ -12,12 +11,11 @@ import (
 // log of range tombstones. Deletes are never applied to chunk data on disk;
 // queries read them alongside chunk metadata (Definition 2.5).
 //
-// ModLog is safe for concurrent use: the engine's Info and metrics read it
-// without the engine's lock while a delete appends. Readers get slice views
-// of the append-only backing array; appends never mutate bytes a previously
-// returned view can see.
+// ModLog is not safe for concurrent use: the caller serializes access (the
+// engine holds its lock). Readers get slice views of the append-only
+// backing array; appends never mutate bytes a previously returned view can
+// see.
 type ModLog struct {
-	mu   sync.RWMutex
 	log  *RecordLog
 	mods []storage.Delete
 }
@@ -46,8 +44,6 @@ func (m *ModLog) Append(d storage.Delete) error {
 	if d.End < d.Start {
 		return fmt.Errorf("mods: inverted delete range [%d,%d]", d.Start, d.End)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err := m.log.Append(appendDelete(nil, d), true); err != nil {
 		return err
 	}
@@ -57,23 +53,10 @@ func (m *ModLog) Append(d storage.Delete) error {
 
 // All returns every recorded delete in append order. The caller must not
 // modify the returned slice.
-func (m *ModLog) All() []storage.Delete {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.mods
-}
-
-// Len reports the number of recorded deletes.
-func (m *ModLog) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.mods)
-}
+func (m *ModLog) All() []storage.Delete { return m.mods }
 
 // ForSeries returns the deletes of one series in append order.
 func (m *ModLog) ForSeries(seriesID string) []storage.Delete {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	var out []storage.Delete
 	for _, d := range m.mods {
 		if d.SeriesID == seriesID {
@@ -84,11 +67,7 @@ func (m *ModLog) ForSeries(seriesID string) []storage.Delete {
 }
 
 // Close releases the sidecar file handle.
-func (m *ModLog) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.log.Close()
-}
+func (m *ModLog) Close() error { return m.log.Close() }
 
 func appendDelete(dst []byte, d storage.Delete) []byte {
 	dst = encoding.AppendUvarint(dst, uint64(len(d.SeriesID)))
