@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"html/template"
 	"net/http"
 
+	"m4lsm/internal/lsm"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4ql"
 )
@@ -59,26 +61,40 @@ func (h *Handler) ui(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	// Each series' range is its first and last live point: one M4 span
-	// over (nearly) all of time, read like any other statement. The window
-	// is ±2^61 so its width still fits an int64.
-	outs, err := m4ql.Read(r.Context(), h.engine, m4ql.Statement{Wildcard: true,
-		Query: m4.Query{Tqs: -(1 << 61), Tqe: 1 << 61, W: 1}})
+	rows, err := listSeries(r.Context(), h.engine, m4ql.MaxSpanOutputs)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
-	}
-	rows := make([]uiSeries, len(outs))
-	for i, o := range outs {
-		lo, hi := int64(0), int64(1)
-		if a := o.Aggregates[0]; !a.Empty {
-			lo, hi = a.First.T, a.Last.T+1
-		}
-		rows[i] = uiSeries{ID: o.SeriesID, Start: lo, End: hi, Query: fmt.Sprintf(
-			"SELECT M4(*) FROM %s WHERE time >= %d AND time < %d GROUP BY SPANS(100)", o.SeriesID, lo, hi)}
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := uiTemplate.Execute(w, struct{ Series []uiSeries }{rows}); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 	}
+}
+
+// listSeries lists every stored series with its range, its first and last
+// live point: one M4 span over (nearly) all of time, read like any other
+// statement. The window is ±2^61 so its width still fits an int64. Each
+// statement reads at most batch series, so with batch at most
+// m4ql.MaxSpanOutputs the listing stays under the span bound however many
+// series the store holds.
+func listSeries(ctx context.Context, e *lsm.Engine, batch int) ([]uiSeries, error) {
+	ids := e.SeriesIDs()
+	rows := make([]uiSeries, 0, len(ids))
+	for lo := 0; lo < len(ids); lo += batch {
+		outs, err := m4ql.Read(ctx, e, m4ql.Statement{Series: ids[lo:min(lo+batch, len(ids))],
+			Query: m4.Query{Tqs: -(1 << 61), Tqe: 1 << 61, W: 1}})
+		if err != nil {
+			return nil, err
+		}
+		for _, o := range outs {
+			start, end := int64(0), int64(1)
+			if a := o.Aggregates[0]; !a.Empty {
+				start, end = a.First.T, a.Last.T+1
+			}
+			rows = append(rows, uiSeries{ID: o.SeriesID, Start: start, End: end, Query: fmt.Sprintf(
+				"SELECT M4(*) FROM %s WHERE time >= %d AND time < %d GROUP BY SPANS(100)", o.SeriesID, start, end)})
+		}
+	}
+	return rows, nil
 }
