@@ -68,7 +68,7 @@ soak:
 
 # fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
 # footers, record logs, the pyramid manifest), the m4ql parser including the REPRESENT
-# clause, the /write line-protocol parser, the Gorilla codec against its
+# clause, the /write parser against its line-by-line reference, the Gorilla codec against its
 # bit-at-a-time reference, the timestamp decoder against its per-varint
 # reference, the step-regression build against its
 # reference, the pyramid's range-set algebra against a bitmap, and the PNG
@@ -92,7 +92,8 @@ fuzz:
 	$(GO) test ./internal/pyramid -run '^$$' -fuzz '^FuzzRsetOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/viz -run '^$$' -fuzz '^FuzzWritePNG$$' -fuzztime $(FUZZTIME)
 
-# lint forbids ad-hoc printing in library code: internal/ packages must log
+# lint fails on any Go file gofmt would reformat, tests and bench/ included.
+# It forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
 # It also keeps raw sleeps out of library code. The structural rules (one
@@ -101,6 +102,11 @@ fuzz:
 # read path, DESIGN.md's invariant table and no test-only production API)
 # are type-checked in arch_test.go, which plain `go test ./...` runs too.
 lint:
+	@bad=$$(gofmt -l *.go cmd internal examples bench); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: gofmt would reformat these files (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -rnE '(log\.(Print|Fatal|Panic)|fmt\.Print)' \
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
 	if [ -n "$$bad" ]; then \
@@ -128,7 +134,7 @@ bench-check:
 # the root-package benchmarks went, nothing else executes them, and a
 # benchmark that is never run stops compiling or starts failing unnoticed.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid ./internal/server
 
 # check is the standard gate for this repo: static analysis, the logging
 # and backoff greps and the architecture rules, the

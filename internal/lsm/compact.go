@@ -1,6 +1,9 @@
 package lsm
 
 import (
+	"cmp"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,9 +57,10 @@ func (e *Engine) compactLocked() error {
 	// The merged output is in order, so it belongs to the sequence space.
 	// Series merge in sorted-id order, so the compacted layout is
 	// deterministic. Quarantined chunks cannot be read (their bytes fail
-	// CRC): the snapshot builder leaves them out, and the files holding
-	// them are set aside below instead of being removed, so the corrupt
-	// bytes stay available for salvage.
+	// CRC): the snapshot builder leaves them out, compactSeries quarantines
+	// any it finds corrupt itself, and the files holding them are set aside
+	// below instead of being removed, so the corrupt bytes stay available
+	// for salvage.
 	ids := make([]string, 0, len(e.chunks))
 	for id := range e.chunks {
 		ids = append(ids, id)
@@ -64,7 +68,7 @@ func (e *Engine) compactLocked() error {
 	sort.Strings(ids)
 	merged := make(map[string]series.Series, len(ids))
 	for _, id := range ids {
-		data, err := mergeread.Merge(e.seriesSnapshot(id, everything, 0, nil), everything)
+		data, err := e.compactSeries(id)
 		if err != nil {
 			return fmt.Errorf("lsm: compact %s: %w", id, err)
 		}
@@ -125,6 +129,35 @@ func (e *Engine) compactLocked() error {
 		return err
 	}
 	return e.pyrSave(0, true)
+}
+
+// compactSeries merges every readable chunk of series id. A chunk whose
+// bytes fail their CRC or decode check (tsfile.ErrCorrupt) is quarantined,
+// as a query would, and the series is merged without it; any other read
+// error fails the merge. Caller holds e.mu.
+func (e *Engine) compactSeries(id string) (series.Series, error) {
+	snap := e.seriesSnapshot(id, everything, 0, nil)
+	// The lenient read reports each unreadable chunk here, one at a time
+	// (Parallelism 1), while this goroutine waits holding e.mu, and merges
+	// the rest.
+	var failed error
+	snap.OnQuarantine = func(meta storage.ChunkMeta, err error) {
+		if errors.Is(err, tsfile.ErrCorrupt) {
+			e.quarantineLocked(meta, err)
+		} else {
+			failed = cmp.Or(failed, err)
+		}
+	}
+	var data series.Series
+	err := mergeread.Read(context.Background(), []*storage.Snapshot{snap}, "", mergeread.Options{Parallelism: 1},
+		func(_ int, l *mergeread.Loaded, _ int, _ *mergeread.Clock) error {
+			data = l.Series(everything)
+			return nil
+		})
+	if err = cmp.Or(err, failed); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // retireFiles unlinks the pre-compaction generation, setting aside (as

@@ -14,6 +14,7 @@ import (
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4udf"
+	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
@@ -191,6 +192,87 @@ func TestQueryQuarantineCorruptChunk(t *testing.T) {
 	}
 	if _, err := m4lsm.ComputeContext(context.Background(), snap4, q, m4lsm.Options{Strict: true}); err != nil {
 		t.Errorf("strict query after compact: %v", err)
+	}
+}
+
+// TestCompactQuarantinesCorruptChunk corrupts one chunk's value block on
+// disk and compacts with no read before it: compaction itself finds the
+// chunk corrupt, quarantines it (counted once), sets its file aside as
+// *.bad and keeps every other point. A read error that is not corruption
+// still fails Compact, quarantining nothing.
+func TestCompactQuarantinesCorruptChunk(t *testing.T) {
+	dir := t.TempDir()
+	all := buildFaultStore(t, dir)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.tsf"))
+	if len(files) < 2 {
+		t.Fatalf("files = %v, want several", files)
+	}
+	r, err := tsfile.Open(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := r.Metas()[0]
+	r.Close()
+	raw, _ := os.ReadFile(files[0])
+	raw[meta.Offset+int64(meta.HeaderLen)+meta.TimesLen] ^= 0x40
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want series.Series
+	for _, p := range all {
+		if p.T < meta.First.T || p.T > meta.Last.T {
+			want = append(want, p)
+		}
+	}
+
+	// A transient read failure of any chunk fails the compaction.
+	hiccup := errors.New("injected: read hiccup")
+	failing := func(src storage.ChunkSource) storage.ChunkSource {
+		return sourceFunc{
+			read:  func(storage.ChunkMeta) (series.Columns, error) { return series.Columns{}, hiccup },
+			times: func(storage.ChunkMeta) ([]int64, error) { return nil, hiccup },
+		}
+	}
+	reg := obs.NewRegistry()
+	e, err := Open(Options{Dir: dir, Metrics: reg, WrapSource: failing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(); !errors.Is(err, hiccup) {
+		t.Fatalf("Compact over failing reads = %v, want the read error", err)
+	}
+	if n := e.Info().QuarantinedChunks; n != 0 {
+		t.Fatalf("QuarantinedChunks = %d after transient failures, want 0", n)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg = obs.NewRegistry()
+	e, err = Open(Options{Dir: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact over a corrupt chunk: %v", err)
+	}
+	if got := reg.Counter("lsm_quarantines_total").Value(); got != 1 {
+		t.Errorf("lsm_quarantines_total = %d, want 1", got)
+	}
+	if _, err := os.Stat(files[0] + ".bad"); err != nil {
+		t.Errorf("the corrupt chunk's file was not set aside: %v", err)
+	}
+	full := series.TimeRange{Start: -1 << 40, End: 1 << 40}
+	snap, err := e.Snapshot("s", full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := materialize(t, snap, full); !seriesEqual(got, want) {
+		t.Errorf("after compaction: %d points, want %d:\n%v\nwant\n%v", len(got), len(want), got, want)
+	}
+	if snap.Warnings.Len() != 0 {
+		t.Errorf("the compacted store warns: %v", snap.Warnings.List())
 	}
 }
 

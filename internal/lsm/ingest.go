@@ -231,6 +231,13 @@ func (e *Engine) applyDeleteToMem(d storage.Delete) {
 // partially enqueued batch the call waits for the entries that did get in,
 // then reports the backpressure error; retrying the whole batch is safe
 // because point writes are idempotent overwrites.
+//
+// WriteBatch keeps none of the caller's slices: the WAL record encoding
+// and the memtable append both copy the points, and once an entry is
+// queued the call returns only after it has resolved, on every path. So
+// when WriteBatch returns, accepted or refused, the caller may reuse or
+// overwrite entries and their Points (the HTTP /write handler recycles its
+// parse buffers this way).
 func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	total := 0
 	for _, ent := range entries {
@@ -405,6 +412,12 @@ func (e *Engine) applyRun(run []ingestItem) error {
 	if err := e.step("ingest.drain"); err != nil {
 		return e.classifyWrite(err)
 	}
+	// The records are encoded before the lock is taken: the encoding reads
+	// only the run, and the lock hold stays what needs it.
+	var recs []wal.Record
+	if e.wal != nil {
+		recs = encodeRun(run)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
@@ -418,10 +431,6 @@ func (e *Engine) applyRun(run []ingestItem) error {
 		// records' segment cannot retire before the next flush checkpoint —
 		// and that checkpoint cannot race in between the commit and the
 		// memtable update because we hold the engine lock.
-		recs := make([]wal.Record, len(run))
-		for i, it := range run {
-			recs[i] = wal.Record{Payload: encodeInsert(it.seriesID, it.pts)}
-		}
 		if err := e.wal.Commit(recs); err != nil {
 			return e.classifyWrite(err)
 		}
@@ -440,6 +449,23 @@ func (e *Engine) applyRun(run []ingestItem) error {
 	}
 	n, err := e.flushLocked()
 	return e.afterFlush(n, false, err)
+}
+
+// encodeRun encodes a run's insert records into one buffer of exactly
+// their total size, each record's payload a sub-slice of it.
+func encodeRun(run []ingestItem) []wal.Record {
+	size := 0
+	for _, it := range run {
+		size += insertSize(it.seriesID, it.pts)
+	}
+	buf := make([]byte, 0, size)
+	recs := make([]wal.Record, len(run))
+	for i, it := range run {
+		start := len(buf)
+		buf = appendInsert(buf, it.seriesID, it.pts)
+		recs[i].Payload = buf[start:len(buf):len(buf)]
+	}
+	return recs
 }
 
 // memAppend is the only place points enter a memtable — applyRun for live

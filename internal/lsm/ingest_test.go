@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -474,4 +475,75 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestWriteBatchKeepsNoCallerSlices pins WriteBatch's ownership rule, which
+// the HTTP /write handler relies on to recycle its parse buffers: once the
+// call returns, accepted or refused, the engine never reads the caller's
+// entries or points again. Every batch reuses one point buffer, which is
+// overwritten right after each call; the memtable, the flushed chunks and
+// the WAL (through a kill and replay) must hold what was written, and under
+// -race a late read by the append worker would be reported as a race.
+func TestWriteBatchKeepsNoCallerSlices(t *testing.T) {
+	dir := t.TempDir()
+	var refuse atomic.Bool
+	hook := func(site string) error {
+		if refuse.Load() && site == "wal.append" {
+			return errors.New("injected: refused")
+		}
+		return nil
+	}
+	e, err := Open(Options{Dir: dir, FlushThreshold: 48, SyncWAL: true, StepHook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracle{}
+	buf := make([]series.Point, 8)
+	entries := make([]BatchEntry, 2)
+	for round := 0; round < 20; round++ {
+		for j := range buf {
+			buf[j] = series.Point{T: int64(8*round + j), V: float64(round)}
+		}
+		entries[0] = BatchEntry{SeriesID: "a", Points: buf[:4]}
+		entries[1] = BatchEntry{SeriesID: "b", Points: buf[4:]}
+		refuse.Store(round%5 == 4)
+		err := e.WriteBatch(entries...)
+		if refuse.Load() != (err != nil) {
+			t.Fatalf("round %d: WriteBatch = %v with refusal %v", round, err, refuse.Load())
+		}
+		if err == nil {
+			for _, ent := range entries {
+				o.apply(tortureOp{kind: 'w', id: ent.SeriesID, pts: slices.Clone(ent.Points)})
+			}
+		}
+		for j := range buf {
+			buf[j] = series.Point{T: -1, V: -1}
+		}
+		entries[0], entries[1] = BatchEntry{SeriesID: "scribbled"}, BatchEntry{}
+	}
+	refuse.Store(false)
+	check := func(phase string, e *Engine) {
+		t.Helper()
+		full := series.TimeRange{Start: -1 << 40, End: 1 << 40}
+		for _, id := range []string{"a", "b"} {
+			snap, err := e.Snapshot(id, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := materialize(t, snap, full), o.series(id); !seriesEqual(got, want) {
+				t.Fatalf("%s: series %s holds %v, want %v", phase, id, got, want)
+			}
+		}
+		if e.HasSeries("scribbled") {
+			t.Fatalf("%s: a scribbled entry reached the engine", phase)
+		}
+	}
+	check("live", e)
+	e.Kill()
+	e, err = Open(Options{Dir: dir, FlushThreshold: 48, SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	check("replayed", e)
 }

@@ -137,6 +137,12 @@ func (e *Engine) HasSeries(seriesID string) bool {
 func (e *Engine) quarantineChunk(meta storage.ChunkMeta, err error) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.quarantineLocked(meta, err)
+}
+
+// quarantineLocked is quarantineChunk for a caller that holds e.mu, such
+// as compaction.
+func (e *Engine) quarantineLocked(meta storage.ChunkMeta, err error) bool {
 	id := chunkID{meta.SeriesID, meta.Version}
 	live := slices.ContainsFunc(e.chunks[meta.SeriesID], func(ce chunkEntry) bool { return ce.meta.Version == meta.Version })
 	if _, dup := e.quarantined[id]; dup || !live {

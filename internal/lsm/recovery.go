@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -174,8 +175,11 @@ const (
 	walOpDelete byte = 4
 )
 
-func encodeInsert(seriesID string, pts []series.Point) []byte {
-	buf := encoding.AppendUvarint([]byte{walOpInsert}, 0)
+// appendInsert appends the insert record of pts to dst; encodeRun is its
+// caller, and it writes each run's records into one buffer.
+func appendInsert(dst []byte, seriesID string, pts []series.Point) []byte {
+	buf := append(dst, walOpInsert)
+	buf = encoding.AppendUvarint(buf, 0)
 	buf = encoding.AppendUvarint(buf, uint64(len(seriesID)))
 	buf = append(buf, seriesID...)
 	buf = encoding.AppendUvarint(buf, uint64(len(pts)))
@@ -184,6 +188,21 @@ func encodeInsert(seriesID string, pts []series.Point) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.V))
 	}
 	return buf
+}
+
+// insertSize is the exact length of the insert record appendInsert writes.
+func insertSize(seriesID string, pts []series.Point) int {
+	// The op byte and the shard tag (0) take one byte each.
+	n := 2 + uvarintLen(uint64(len(seriesID))) + len(seriesID) + uvarintLen(uint64(len(pts))) + 8*len(pts)
+	for _, p := range pts {
+		n += uvarintLen(encoding.ZigZag(p.T))
+	}
+	return n
+}
+
+// uvarintLen is the number of bytes AppendUvarint writes for u.
+func uvarintLen(u uint64) int {
+	return (bits.Len64(u|1) + 6) / 7
 }
 
 func decodeInsert(b []byte) (string, []series.Point, error) {

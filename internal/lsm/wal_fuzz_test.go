@@ -18,6 +18,11 @@ import (
 // differently from what was stored). The encoders prefix the body with the
 // op byte and a one-byte shard tag (0), hence the [2:].
 
+// encodeInsert is one insert record in a buffer of its own.
+func encodeInsert(seriesID string, pts []series.Point) []byte {
+	return appendInsert(make([]byte, 0, insertSize(seriesID, pts)), seriesID, pts)
+}
+
 func FuzzDecodeInsert(f *testing.F) {
 	f.Add(encodeInsert("s1", []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}})[2:])
 	f.Add(encodeInsert("", nil)[2:])
@@ -30,6 +35,9 @@ func FuzzDecodeInsert(f *testing.F) {
 			return
 		}
 		enc := encodeInsert(id, pts)
+		if len(enc) != insertSize(id, pts) || len(enc) != cap(enc) {
+			t.Fatalf("insert record of %d bytes in a buffer of %d, insertSize says %d", len(enc), cap(enc), insertSize(id, pts))
+		}
 		id2, pts2, err := decodeInsert(enc[2:])
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload rejected: %v", err)
@@ -43,6 +51,30 @@ func FuzzDecodeInsert(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEncodeRun: a run's records share one buffer of exactly their total
+// size, and each payload is the bytes encodeInsert writes for its item.
+func TestEncodeRun(t *testing.T) {
+	run := []ingestItem{
+		{seriesID: "s1", pts: []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}}},
+		{seriesID: "unicode-séries", pts: []series.Point{{T: math.MinInt64, V: -1}, {T: math.MaxInt64 - 1, V: 2}}},
+		{seriesID: string(make([]byte, 200)), pts: []series.Point{{T: 1 << 40, V: math.Inf(-1)}}},
+	}
+	recs := encodeRun(run)
+	for i, it := range run {
+		want := encodeInsert(it.seriesID, it.pts)
+		if !reflect.DeepEqual(recs[i].Payload, want) {
+			t.Fatalf("record %d: % x, want % x", i, recs[i].Payload, want)
+		}
+		if cap(recs[i].Payload) != len(want) {
+			t.Fatalf("record %d has capacity %d past its %d bytes", i, cap(recs[i].Payload), len(want))
+		}
+	}
+	// One allocation for the bytes, one for the record headers.
+	if n := testing.AllocsPerRun(10, func() { encodeRun(run) }); n != 2 {
+		t.Fatalf("encodeRun made %v allocations, want 2", n)
+	}
 }
 
 func FuzzDecodeWALDelete(f *testing.F) {

@@ -9,6 +9,8 @@ package m4
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"m4lsm/internal/series"
 )
@@ -21,13 +23,17 @@ type Query struct {
 	W   int   // number of time spans (pixel columns)
 }
 
-// Validate checks the query parameters.
+// Validate checks the query parameters. The range's width must fit in an
+// int64: every consumer of a query measures it with Tqe-Tqs.
 func (q Query) Validate() error {
 	if q.W <= 0 {
 		return fmt.Errorf("m4: w must be positive, got %d", q.W)
 	}
 	if q.Tqe <= q.Tqs {
 		return fmt.Errorf("m4: empty query range [%d, %d)", q.Tqs, q.Tqe)
+	}
+	if q.Tqe-q.Tqs < 0 {
+		return fmt.Errorf("m4: query range [%d, %d) is wider than %d", q.Tqs, q.Tqe, int64(math.MaxInt64))
 	}
 	return nil
 }
@@ -48,26 +54,43 @@ func (q Query) Span(i int) series.TimeRange {
 
 // SpanStart returns where span i starts, and for i = W the range's end: span
 // i is [SpanStart(i), SpanStart(i+1)), one division per boundary for a
-// caller that walks the spans in order.
+// caller that walks the spans in order. i must lie in [0, W].
+//
+// The product i·(Tqe−Tqs) is taken in 128 bits, so a wide window (a
+// nanosecond series zoomed out over years) cannot overflow; a product that
+// fits in 64 bits takes the plain division.
 func (q Query) SpanStart(i int) int64 {
-	return q.Tqs + ceilDiv(int64(i)*(q.Tqe-q.Tqs), int64(q.W))
+	hi, lo := bits.Mul64(uint64(i), q.width())
+	quo, rem := div128(hi, lo, uint64(q.W))
+	if rem != 0 {
+		quo++
+	}
+	// quo ≤ Tqe−Tqs, so the sum lands in [Tqs, Tqe] and the unsigned
+	// addition wraps back into range exactly.
+	return int64(uint64(q.Tqs) + quo)
 }
 
 // SpanIndex returns the 0-based span containing t, or -1 if t lies outside
-// the query range.
+// the query range. W·(t−Tqs) is taken in 128 bits, as in SpanStart.
 func (q Query) SpanIndex(t int64) int {
 	if t < q.Tqs || t >= q.Tqe {
 		return -1
 	}
-	return int(int64(q.W) * (t - q.Tqs) / (q.Tqe - q.Tqs))
+	hi, lo := bits.Mul64(uint64(q.W), uint64(t)-uint64(q.Tqs))
+	quo, _ := div128(hi, lo, q.width())
+	return int(quo)
 }
 
-func ceilDiv(a, b int64) int64 {
-	d := a / b
-	if a%b != 0 && (a > 0) == (b > 0) {
-		d++
+// width is Tqe−Tqs as an unsigned number, exact for any Tqe > Tqs.
+func (q Query) width() uint64 { return uint64(q.Tqe) - uint64(q.Tqs) }
+
+// div128 divides the 128-bit hi:lo by d, whose quotient must fit in 64
+// bits (hi < d), taking the 64-bit division when hi is zero.
+func div128(hi, lo, d uint64) (quo, rem uint64) {
+	if hi == 0 {
+		return lo / d, lo % d
 	}
-	return d
+	return bits.Div64(hi, lo, d)
 }
 
 // Aggregate is the result of the four representation functions on one time

@@ -1,6 +1,8 @@
 package m4
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -275,15 +277,79 @@ func TestComputeSeriesAgainstPerSpanScan(t *testing.T) {
 	}
 }
 
-func TestCeilDiv(t *testing.T) {
-	cases := []struct{ a, b, want int64 }{
-		{0, 3, 0}, {1, 3, 1}, {3, 3, 1}, {4, 3, 2},
-		{-1, 3, 0}, {-3, 3, -1}, {-4, 3, -1},
-	}
-	for _, c := range cases {
-		if got := ceilDiv(c.a, c.b); got != c.want {
-			t.Errorf("ceilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+// TestSpanArithmeticAgainstBig checks SpanStart and SpanIndex against
+// their definitions computed with math/big, over ranges up to the widest an
+// int64 width allows and at offsets across the whole time domain:
+// SpanStart(i) = Tqs + ceil(i·len/W), SpanIndex(t) = floor(W·(t−Tqs)/len),
+// and every t lies in the span its index names.
+func TestSpanArithmeticAgainstBig(t *testing.T) {
+	bigStart := func(q Query, i int) int64 {
+		n := new(big.Int).Mul(big.NewInt(int64(i)), new(big.Int).Sub(big.NewInt(q.Tqe), big.NewInt(q.Tqs)))
+		w := big.NewInt(int64(q.W))
+		quo, rem := new(big.Int).QuoRem(n, w, new(big.Int))
+		if rem.Sign() != 0 {
+			quo.Add(quo, big.NewInt(1))
 		}
+		return quo.Add(quo, big.NewInt(q.Tqs)).Int64()
+	}
+	bigIndex := func(q Query, tt int64) int {
+		n := new(big.Int).Mul(big.NewInt(int64(q.W)), new(big.Int).Sub(big.NewInt(tt), big.NewInt(q.Tqs)))
+		return int(n.Quo(n, new(big.Int).Sub(big.NewInt(q.Tqe), big.NewInt(q.Tqs))).Int64())
+	}
+	rng := rand.New(rand.NewSource(13))
+	bases := []int64{0, 1_700_000_000_000, 1_700_000_000_000_000_000, -1_000_000_000_000, 4e18, -4e18, math.MinInt64}
+	widths := []int64{1, 7, 1000, 1 << 40, 1.8e18, math.MaxInt64 / 3, math.MaxInt64}
+	for trial := 0; trial < 3000; trial++ {
+		tqs := bases[rng.Intn(len(bases))]
+		if off := rng.Int63n(1000); tqs < 0 {
+			tqs += off
+		} else {
+			tqs -= off
+		}
+		width := widths[rng.Intn(len(widths))] - rng.Int63n(2)
+		if width < 1 {
+			width = 1
+		}
+		if tqs > math.MaxInt64-width {
+			tqs = math.MaxInt64 - width
+		}
+		q := Query{Tqs: tqs, Tqe: tqs + width, W: 1 + rng.Intn(1<<20)}
+		if trial%5 == 0 {
+			q.W = math.MaxInt32
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		for _, i := range []int{0, 1, q.W / 2, q.W - 1, q.W, rng.Intn(q.W + 1)} {
+			if got, want := q.SpanStart(i), bigStart(q, i); got != want {
+				t.Fatalf("%+v: SpanStart(%d) = %d, want %d", q, i, got, want)
+			}
+		}
+		for _, tt := range []int64{q.Tqs, q.Tqe - 1, q.Tqs + rng.Int63n(width), q.Tqs + width/2} {
+			idx := q.SpanIndex(tt)
+			if want := bigIndex(q, tt); idx != want {
+				t.Fatalf("%+v: SpanIndex(%d) = %d, want %d", q, tt, idx, want)
+			}
+			if sp := q.Span(idx); tt < sp.Start || tt >= sp.End {
+				t.Fatalf("%+v: t=%d has index %d, whose span is %v", q, tt, idx, sp)
+			}
+		}
+		if q.SpanIndex(q.Tqe) != -1 || (q.Tqs > math.MinInt64 && q.SpanIndex(q.Tqs-1) != -1) {
+			t.Fatalf("%+v: a time outside the range has a span", q)
+		}
+	}
+	// A width that does not fit in an int64 is refused.
+	for _, q := range []Query{
+		{Tqs: math.MinInt64, Tqe: 0, W: 10},
+		{Tqs: -1, Tqe: math.MaxInt64, W: 10},
+		{Tqs: math.MinInt64, Tqe: math.MaxInt64, W: 1},
+	} {
+		if err := q.Validate(); err == nil {
+			t.Errorf("%+v: validated a range wider than MaxInt64", q)
+		}
+	}
+	if err := (Query{Tqs: math.MinInt64, Tqe: -1, W: 1}).Validate(); err != nil {
+		t.Errorf("a range exactly MaxInt64 wide: %v", err)
 	}
 }
 

@@ -14,13 +14,13 @@ import (
 
 func TestParseRepresent(t *testing.T) {
 	cases := map[string]reprops.Spec{
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT minmax`:                  {Kind: reprops.KindMinMax},
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT LTTB`:                    {Kind: reprops.KindLTTB},
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT minmaxlttb`:              {Kind: reprops.KindMinMaxLTTB},
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT minmaxlttb:8`:            {Kind: reprops.KindMinMaxLTTB, Ratio: 8},
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT m4`:                      {Kind: reprops.KindM4},
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) USING UDF REPRESENT lttb STRICT`:   {Kind: reprops.KindLTTB},
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT lttb PARALLEL 2 TRACE`:   {Kind: reprops.KindLTTB},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT minmax`:                   {Kind: reprops.KindMinMax},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT LTTB`:                     {Kind: reprops.KindLTTB},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT minmaxlttb`:               {Kind: reprops.KindMinMaxLTTB},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT minmaxlttb:8`:             {Kind: reprops.KindMinMaxLTTB, Ratio: 8},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT m4`:                       {Kind: reprops.KindM4},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) USING UDF REPRESENT lttb STRICT`:    {Kind: reprops.KindLTTB},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT lttb PARALLEL 2 TRACE`:    {Kind: reprops.KindLTTB},
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) TIMEOUT 500 REPRESENT minmaxlttb:2`: {Kind: reprops.KindMinMaxLTTB, Ratio: 2},
 	}
 	for in, want := range cases {

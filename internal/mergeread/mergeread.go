@@ -273,7 +273,8 @@ func (it *Iterator) Next() (series.Point, bool) {
 
 // Merge materializes the merged series of Definition 2.7 restricted to r:
 // a strict, sequential merge-all read of one snapshot. It is the reference
-// the tests use and the engine's compaction and pyramid rebuild run on.
+// the tests use and the engine's pyramid rebuild runs on. (Compaction reads
+// leniently through Read, so that it can quarantine a corrupt chunk.)
 func Merge(snap *storage.Snapshot, r series.TimeRange) (series.Series, error) {
 	var out series.Series
 	err := Read(context.Background(), []*storage.Snapshot{snap}, "", Options{Parallelism: 1, Strict: true},

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -110,6 +111,46 @@ func TestWriteRejectsMalformed(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("body %q: status %d, want 400", tc.body, resp.StatusCode)
+			}
+		})
+	}
+	// Line-splitting edges: each answers as the reference parser does,
+	// with its error text when it rejects.
+	edges := []struct {
+		name, body string
+		status     int
+	}{
+		{"CRLF", "root.a 1 1\r\nroot.b 2 2\r\n", http.StatusOK},
+		{"NBSP and NEL", "root.a\u00a01\u00852\n\u00a0# comment\n", http.StatusOK},
+		{"lone 0xA0 byte", "root.a\xa01 1\n", http.StatusBadRequest},
+		{"1023-byte line", writeLine(maxWriteLineBytes-1) + "\n", http.StatusOK},
+		{"1024-byte line", writeLine(maxWriteLineBytes) + "\n", http.StatusBadRequest},
+		{"1025-byte line", writeLine(maxWriteLineBytes+1) + "\n", http.StatusBadRequest},
+		{"no final newline", "root.a 1 1\nroot.a 2 2", http.StatusOK},
+		{"bad line after a long one", "root.a 1 1\nroot.a 2\n" + writeLine(maxWriteLineBytes) + "\n", http.StatusBadRequest},
+	}
+	for _, tc := range edges {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postWrite(t, srv.URL, tc.body)
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
+			}
+			_, _, refErr := refParse(tc.body)
+			if (refErr == nil) != (tc.status == http.StatusOK) {
+				t.Fatalf("reference parser disagrees: %v", refErr)
+			}
+			if refErr == nil {
+				return
+			}
+			var got struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if want := refErrorText(refErr); got.Error != want {
+				t.Fatalf("error %q, want %q", got.Error, want)
 			}
 		})
 	}
@@ -507,8 +548,17 @@ func TestIngestHammerHTTP(t *testing.T) {
 	}
 }
 
-// FuzzWriteBody: the /write parser must never panic and must never emit a
-// non-finite point, whatever the body. Rejections must carry an error.
+// writeLine is a valid /write line of exactly n bytes before its newline.
+func writeLine(n int) string {
+	const tail = " 1 1"
+	return "s" + strings.Repeat("x", n-1-len(tail)) + tail
+}
+
+// FuzzWriteBody is a differential check: on every input the in-place
+// parser must agree with refParseWriteBody, the line-by-line parser it
+// replaced — accept or reject, the same error text, the same entries in the
+// same order with bit-identical points, the same total. On top of that, an
+// accepted body never carries a non-finite point or an empty series id.
 func FuzzWriteBody(f *testing.F) {
 	f.Add("root.a 10 1.5\nroot.b 20 -2\n")
 	f.Add("# comment\n\nroot.a 1 2\n")
@@ -520,33 +570,85 @@ func FuzzWriteBody(f *testing.F) {
 	f.Add(strings.Repeat("s 1 1\n", 1000))
 	f.Add("s " + strings.Repeat("9", 400) + " 1\n")
 	f.Add("\x00\xff\nroot.a 1 1\n")
+	f.Add("root.a 1 1\r\nroot.b 2 2\r\n\r\n")
+	f.Add("root.a\u00a01\u00a01\n\u00a0# nbsp comment\n")
+	f.Add("root.a\u00851 1\u2003\n")
+	f.Add("root.a\xa01 1\n")
+	f.Add(writeLine(maxWriteLineBytes-1) + "\n")
+	f.Add(writeLine(maxWriteLineBytes) + "\n")
+	f.Add(writeLine(maxWriteLineBytes+1) + "\n")
+	f.Add(writeLine(maxWriteLineBytes - 1))
+	f.Add("root.a 1 1\nroot.b 2 2")
 	f.Fuzz(func(t *testing.T, body string) {
-		sc := bufio.NewScanner(strings.NewReader(body))
-		sc.Buffer(make([]byte, 0, 256), maxWriteLineBytes)
-		entries, total, err := parseWriteBody(sc)
+		want, wantTotal, wantErr := refParse(body)
+		b := getWriteBatch()
+		defer b.release()
+		b.body.Reset()
+		b.body.WriteString(body)
+		err := b.parse()
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("in-place error %v, reference error %v", err, wantErr)
+		}
 		if err != nil {
-			if entries != nil {
-				t.Fatalf("error %v with non-nil entries", err)
+			if got, want := err.Error(), refErrorText(wantErr); got != want {
+				t.Fatalf("error %q, reference %q", got, want)
 			}
 			return
 		}
-		if total <= 0 || len(entries) == 0 {
-			t.Fatalf("accepted body with %d points / %d entries", total, len(entries))
+		if b.total != wantTotal || len(b.entries) != len(want) {
+			t.Fatalf("%d points in %d entries, reference %d in %d", b.total, len(b.entries), wantTotal, len(want))
 		}
 		n := 0
-		for _, ent := range entries {
+		for i, ent := range b.entries {
 			if ent.SeriesID == "" {
 				t.Fatal("accepted empty series id")
 			}
-			for _, p := range ent.Points {
+			if ent.SeriesID != want[i].SeriesID || len(ent.Points) != len(want[i].Points) {
+				t.Fatalf("entry %d: %q with %d points, reference %q with %d", i,
+					ent.SeriesID, len(ent.Points), want[i].SeriesID, len(want[i].Points))
+			}
+			for j, p := range ent.Points {
 				if math.IsNaN(p.V) || math.IsInf(p.V, 0) {
 					t.Fatalf("non-finite value %v passed the parser", p.V)
+				}
+				if q := want[i].Points[j]; p.T != q.T || math.Float64bits(p.V) != math.Float64bits(q.V) {
+					t.Fatalf("entry %d point %d: %v, reference %v", i, j, p, q)
 				}
 			}
 			n += len(ent.Points)
 		}
-		if n != total {
-			t.Fatalf("total %d != %d summed points", total, n)
+		if n != b.total {
+			t.Fatalf("total %d != %d summed points", b.total, n)
 		}
 	})
+}
+
+// BenchmarkWriteParse times the /write parse layer, body reader to batch
+// entries, on an ingest_ooo-shaped body: 8 series × 32 lines, millisecond
+// timestamps, full-precision values. Allocations per body should be a
+// handful per series, not per line.
+func BenchmarkWriteParse(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var body []byte
+	for s := 0; s < 8; s++ {
+		for i := 0; i < 32; i++ {
+			body = fmt.Appendf(body, "root.ooo.s%d %d %s\n", s, 1700000000000+int64(2*i),
+				strconv.FormatFloat(rng.NormFloat64()*100, 'g', -1, 64))
+		}
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		wb := getWriteBatch()
+		if err := wb.readBody(bytes.NewReader(body), int64(len(body))); err != nil {
+			b.Fatal(err)
+		}
+		if err := wb.parse(); err != nil {
+			b.Fatal(err)
+		}
+		if wb.total != 256 || len(wb.entries) != 8 {
+			b.Fatalf("%d points in %d entries", wb.total, len(wb.entries))
+		}
+		wb.release()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
 	"reflect"
 	"testing"
 )
@@ -159,6 +160,65 @@ func TestPublicDoor(t *testing.T) {
 		}
 		if form.twin != "" && !reflect.DeepEqual(rows[form.name], rows[form.twin]) {
 			t.Errorf("%s and %s disagree:\n%v\n%v", form.name, form.twin, rows[form.name], rows[form.twin])
+		}
+	}
+}
+
+// TestWideNanosecondWindow zooms out over a nanosecond series, where
+// W·(Tqe−Tqs) is far past 2^63, and requires both operators to answer what
+// the span definition computed with math/big says, from the memtable and
+// from disk. The first probe's 100 points all fall in one span (span 944:
+// a span is 1.8e15 ns wide); the second's fall in 100 spans of their own.
+func TestWideNanosecondWindow(t *testing.T) {
+	const base, tqe = int64(1_700_000_000_000_000_000), int64(1_800_000_000_000_000_000)
+	for _, probe := range []struct {
+		step int64
+		w    int
+	}{{1_000_000_000, 1000}, {1_000_000_000_000_000, 1800}} {
+		db := openDB(t)
+		pts := make([]Point, 100)
+		for i := range pts {
+			// 37 is prime to 100: distinct values, so bottom and top are unique.
+			pts[i] = Point{Time: base + int64(i)*probe.step, Value: float64(i * 37 % 100)}
+		}
+		if err := db.Write("root.ns", pts...); err != nil {
+			t.Fatal(err)
+		}
+		// The oracle: span of t is floor(W·t/Tqe) (Tqs is 0), then the
+		// four points of each span's time-ordered run.
+		var want [][]float64
+		for _, p := range pts {
+			n := new(big.Int).Mul(big.NewInt(int64(probe.w)), big.NewInt(p.Time))
+			span := float64(n.Quo(n, big.NewInt(tqe)).Int64())
+			tv := []float64{float64(p.Time), p.Value}
+			if k := len(want) - 1; k >= 0 && want[k][0] == span {
+				row := want[k]
+				copy(row[3:5], tv)
+				if p.Value < row[6] {
+					copy(row[5:7], tv)
+				}
+				if p.Value > row[8] {
+					copy(row[7:9], tv)
+				}
+				continue
+			}
+			want = append(want, append([]float64{span}, tv[0], tv[1], tv[0], tv[1], tv[0], tv[1], tv[0], tv[1]))
+		}
+		if probe.w == 1800 && len(want) != 100 {
+			t.Fatalf("the oracle puts the spread probe in %d spans", len(want))
+		}
+		for _, phase := range []string{"memtable", "flushed"} {
+			if phase == "flushed" {
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, using := range []string{"LSM", "UDF"} {
+				q := fmt.Sprintf("SELECT M4(*) FROM root.ns WHERE time >= 0 AND time < %d GROUP BY SPANS(%d) USING %s", tqe, probe.w, using)
+				if res := query(t, db, q); !reflect.DeepEqual(res.Rows, want) {
+					t.Errorf("%s, %s: %d rows, want %d:\n%v\nwant\n%v", q, phase, len(res.Rows), len(want), res.Rows, want)
+				}
+			}
 		}
 	}
 }
