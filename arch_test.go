@@ -516,6 +516,7 @@ func init() {
 		{"columnar_read_path", ruleColumnarReadPath},
 		{"recycle_at_query_end", ruleRecycleAtQueryEnd},
 		{"one_engine_lock", ruleOneEngineLock},
+		{"no_engine_goroutines", ruleNoEngineGoroutines},
 		{"design_invariants", ruleDesignInvariants},
 		{"production_api", ruleProductionAPI},
 	}
@@ -756,7 +757,7 @@ func ruleRecycleAtQueryEnd(tr *archTree) []string {
 // its caller serializes it. A mutex counts however a field holds it:
 // directly, behind a pointer, in a slice, array or map, or inside a struct,
 // unnamed or declared in lsm or tsfile. The one leaf is Engine.ing, the
-// ingest queue, whose lock writers take while the worker holds mu.
+// ingest queue, whose lock writers take while a drainer holds mu.
 func ruleOneEngineLock(tr *archTree) []string {
 	var out []string
 	for _, c := range []struct {
@@ -783,6 +784,16 @@ func ruleOneEngineLock(tr *archTree) []string {
 		}
 	}
 	return out
+}
+
+// ruleNoEngineGoroutines: the storage engine starts no goroutine. A writer
+// commits its own batch (and whatever queued behind it) under the engine's
+// lock, so lsm, wal, pyramid and tsfile hold no go statement: every
+// background lifecycle — start, drain, kill, join — lives with the caller.
+func ruleNoEngineGoroutines(tr *archTree) []string {
+	return none("go statement in the storage engine",
+		tr.find(tr.pkgsUnder("internal/lsm", "internal/wal", "internal/pyramid", "internal/tsfile"),
+			func(_ *archPkg, n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }))
 }
 
 // holdsMutex reports whether a value of type t is or contains a
@@ -1032,6 +1043,7 @@ var archMutations = []struct {
 		{"internal/tsfile/mods.go", "", "\ntype modLock struct{ mu sync.RWMutex }\n"}}},
 	{"RWMutex in ModLog", "one_engine_lock", []archEdit{{"internal/tsfile/mods.go", "import (", "import (\n\t\"sync\""},
 		{"internal/tsfile/mods.go", "\tlog  *RecordLog", "\tmu   sync.RWMutex\n\tlog  *RecordLog"}}},
+	{"go func in lsm", "no_engine_goroutines", []archEdit{{"internal/lsm/engine.go", "", "\nfunc spawn() { go func() {}() }\n"}}},
 	{"DESIGN names a missing test", "design_invariants", []archEdit{{"DESIGN.md", "`TestSpecMatchesBenchmarkJSON`", "`TestSpecMatchesBenchmarkJSON`, `TestNoSuchInvariant`"}}},
 	{"exported API only tests call", "production_api", []archEdit{{"internal/series/series.go", "",
 		"\n// Mid is the range's midpoint.\nfunc (r TimeRange) Mid() int64 { return r.Start + (r.End-r.Start)/2 }\n"}}},

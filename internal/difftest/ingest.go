@@ -11,7 +11,7 @@ import (
 )
 
 // Ingest-equivalence mode: the batched ingestion path (Engine.WriteBatch —
-// the bounded queue, the append worker, group-committed WAL records)
+// the bounded queue, one group-committed run per request)
 // must be observationally identical to the point-by-point Write path. Twin
 // engines consume the same seeded workload in lockstep — engine A writes
 // every point individually, engine B ships the same points as multi-series

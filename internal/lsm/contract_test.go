@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"m4lsm/internal/faultfs"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
+	"m4lsm/internal/tsfile"
 )
 
 // writeOutcome is everything a write is allowed to leave behind: its error
@@ -27,6 +29,15 @@ type writeOutcome struct {
 	WAL      []byte
 	Metrics  map[string]float64
 	Replayed map[string]series.Series
+}
+
+// groupOutcome is what the one-WriteBatch-of-three form leaves where its
+// one WAL group shows: a flush or a kill lands on the whole group, not on
+// the first entry's. It commits all of entries in that one group.
+type groupOutcome struct {
+	memPts, chunks int64 // Info's memtable points and chunks
+	walEntries     int   // how many of entries the WAL holds past its header
+	replayed       int   // how many of entries a kill + replay recovers
 }
 
 // writeClass names the error classes of the write contract.
@@ -47,28 +58,26 @@ func writeClass(err error) string {
 	}
 }
 
-// contractMetrics are compared as deltas across forms. Call-granularity
-// counters (lsm_ingest_batches_total, lsm_wal_group_commits_total) are
-// deliberately not: three Writes are three batches, one WriteBatch is one.
-// The two queue-admission counters at the end are compared only when no
-// fault is injected behind the queue: a many-entry batch has admitted all
-// its entries by the time a worker fails the first, three calls stop at
-// the first failure.
-var contractMetrics = []string{"lsm_points_written_total", "lsm_wal_appends_total", "lsm_wal_group_records_total",
-	"lsm_ingest_backpressure_total", "lsm_read_only_trips_total", "lsm_ingest_entries_total", "lsm_ingest_points_total"}
-
-func metricValues(reg *obs.Registry) map[string]float64 {
-	snap := reg.Snapshot()
-	out := map[string]float64{}
-	for _, name := range contractMetrics {
-		switch v := snap[name].(type) {
-		case int64:
-			out[name] = float64(v)
-		case float64:
-			out[name] = v
-		}
+// metricValues reads the write-path metrics compared as deltas across
+// forms, straight from the instruments behind their names: a registry
+// snapshot also evaluates the Info gauges, which wait for e.mu, and the
+// backpressure case reads these while a parked writer holds it.
+// Call-granularity counters (lsm_ingest_batches_total,
+// lsm_wal_group_commits_total) are deliberately not compared: three Writes
+// are three batches, one WriteBatch is one. The two queue-admission
+// counters at the end are compared only when no fault is injected behind
+// the queue: a many-entry batch is admitted whole before a drain fails it,
+// three calls stop at the first failure.
+func metricValues(e *Engine) map[string]float64 {
+	return map[string]float64{
+		"lsm_points_written_total":      float64(e.met.pointsWritten.Value()),
+		"lsm_wal_appends_total":         float64(e.met.walRecords.Value()),
+		"lsm_wal_group_records_total":   float64(e.wal.Stats().Records),
+		"lsm_ingest_backpressure_total": float64(e.ing.backpressure.Load()),
+		"lsm_read_only_trips_total":     float64(e.roTrips.Load()),
+		"lsm_ingest_entries_total":      float64(e.ing.entries.Load()),
+		"lsm_ingest_points_total":       float64(e.ing.pointsIn.Load()),
 	}
-	return out
 }
 
 func seriesView(t *testing.T, e *Engine, ids []string) map[string]series.Series {
@@ -92,7 +101,12 @@ func seriesView(t *testing.T, e *Engine, ids []string) map[string]series.Series 
 // WriteBatch of three must — under every outcome the write
 // path has — fail with the same error class and leave the same memtables,
 // Info, WAL bytes, metric deltas and kill + replay state. Since all three
-// are one path, the outcome cannot depend on the call's granularity.
+// are one path, the outcome cannot depend on the call's granularity —
+// except where the WAL group shows: one call is one group, so the batch of
+// three commits, flushes and recovers as one unit where the other forms
+// are three. In those cases (group) the batch of three is held to its own
+// expectations in the fields grouping decides, and to equality with the
+// other forms in every other field.
 func TestWriteContract(t *testing.T) {
 	ids := []string{"s0", "s1", "s2"}
 	entries := []BatchEntry{
@@ -145,14 +159,22 @@ func TestWriteContract(t *testing.T) {
 		hook    func() func(string) error // nil: never fails
 		closed  bool                      // Close the engine before writing
 		full    bool                      // saturate the queue first
-		// behindQueue: the fault fires in a worker, after admission.
+		// behindQueue: the fault fires in a drain, after admission.
 		behindQueue bool
 		want        string
 		// What must be in the live engine / survive kill + replay: how
 		// many of entries, in order (-1: not checked — closed engine).
 		live, replayed int
+		// group: the batch of three's outcome where its one WAL group
+		// shows (nil: it equals the other forms').
+		group *groupOutcome
 	}{
-		{name: "ok", entries: entries, want: "ok", live: 3, replayed: 3},
+		// Entry 0 fills s0's memtable: the flush it triggers covers the
+		// whole group, so the batch of three leaves no memtable points,
+		// three chunks and a WAL of its header alone, where the other
+		// forms leave s1 and s2 in the memtable and the WAL.
+		{name: "ok", entries: entries, want: "ok", live: 3, replayed: 3,
+			group: &groupOutcome{memPts: 0, chunks: 3, walEntries: 0, replayed: 3}},
 		{name: "empty-id", entries: withFirst(BatchEntry{Points: pts(1, 1)}), want: "invalid"},
 		{name: "nan", entries: withFirst(BatchEntry{SeriesID: ids[0], Points: []series.Point{{T: 1, V: nan()}}}), want: "invalid"},
 		{name: "closed", entries: entries, closed: true, want: "closed", live: -1},
@@ -168,9 +190,11 @@ func TestWriteContract(t *testing.T) {
 		{name: "crash-ingest.drain", entries: entries, want: "crash", behindQueue: true, hook: func() func(string) error { return dead("ingest.drain") }},
 		{name: "crash-wal.append", entries: entries, want: "crash", behindQueue: true, hook: func() func(string) error { return dead("wal.append") }},
 		{name: "crash-wal.group", entries: entries, want: "crash", behindQueue: true, hook: func() func(string) error { return dead("wal.group") }},
-		// The first entry's record is in the WAL when the kill lands, but
-		// not yet in its memtable: unacknowledged, recovered anyway.
-		{name: "crash-wal.appended", entries: entries, want: "crash", behindQueue: true, replayed: 1, hook: func() func(string) error { return dead("wal.appended") }},
+		// The first call's records are in the WAL when the kill lands, but
+		// not yet in the memtable: unacknowledged, recovered anyway — the
+		// first entry, or all three for the batch of three.
+		{name: "crash-wal.appended", entries: entries, want: "crash", behindQueue: true, replayed: 1, hook: func() func(string) error { return dead("wal.appended") },
+			group: &groupOutcome{memPts: 0, chunks: 0, walEntries: 3, replayed: 3}},
 		{name: "backpressure", entries: entries, full: true, want: "backpressure"},
 	}
 	for _, tc := range cases {
@@ -180,9 +204,9 @@ func TestWriteContract(t *testing.T) {
 				dir := t.TempDir()
 				reg := obs.NewRegistry()
 				// A one-point queue with a patient enqueue makes every run
-				// one entry: the next entry only gets in once the worker has
-				// taken the previous one, so WAL groups and byte order are a
-				// function of the entries alone. The backpressure case sheds
+				// one call: the next call only gets in once a drain has taken
+				// the previous one, so WAL groups and byte order are a
+				// function of the calls alone. The backpressure case sheds
 				// at once instead.
 				wait := time.Minute
 				if tc.full {
@@ -208,8 +232,9 @@ func TestWriteContract(t *testing.T) {
 				}
 				var fill sync.WaitGroup
 				if tc.full {
-					// The worker takes the first filler and blocks in the
-					// hook; a second one brings the queue to its cap.
+					// The first filler is elected drainer, takes e.mu and its
+					// own request, and blocks in the hook; a second one
+					// brings the queue to its cap and waits for the drainer.
 					for i, id := range []string{"park", "fill"} {
 						if i == 1 {
 							<-parked
@@ -229,8 +254,9 @@ func TestWriteContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				before := metricValues(reg)
-				got := writeOutcome{Class: writeClass(form.write(e, tc.entries)), Metrics: metricValues(reg)}
+				before, groupsBefore := metricValues(e), e.wal.Stats().Groups
+				got := writeOutcome{Class: writeClass(form.write(e, tc.entries)), Metrics: metricValues(e)}
+				groups := e.wal.Stats().Groups - groupsBefore
 				close(release)
 				fill.Wait()
 				for name, v := range before {
@@ -280,8 +306,16 @@ func TestWriteContract(t *testing.T) {
 				if tc.live >= 0 && !reflect.DeepEqual(got.Live, want(tc.live)) {
 					t.Errorf("%s: live engine holds %v, want the first %d entries", form.name, got.Live, tc.live)
 				}
-				if !reflect.DeepEqual(got.Replayed, want(tc.replayed)) {
-					t.Errorf("%s: kill + replay recovered %v, want the first %d entries", form.name, got.Replayed, tc.replayed)
+				oneGroup := tc.group != nil && form.name == "batch-of-many"
+				replayed := tc.replayed
+				if oneGroup {
+					replayed = tc.group.replayed
+				}
+				if !reflect.DeepEqual(got.Replayed, want(replayed)) {
+					t.Errorf("%s: kill + replay recovered %v, want the first %d entries", form.name, got.Replayed, replayed)
+				}
+				if oneGroup {
+					got = checkGroupOutcome(t, got, *first, *tc.group, entries, groups)
 				}
 				if tc.full && (got.Metrics["lsm_ingest_backpressure_total"] != 1 || got.Metrics["lsm_ingest_points_total"] != 0) {
 					t.Errorf("%s: shed write counted %v, want one backpressure and no ingested point", form.name, got.Metrics)
@@ -294,4 +328,52 @@ func TestWriteContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkGroupOutcome holds a one-group batch's outcome to want in the
+// fields grouping decides — Info's memtable points, chunks and WAL bytes,
+// the WAL's records, the two WAL record counters, the group count — and
+// returns it with those fields, and the replayed state the caller has
+// checked, set to first's, so that what is left must equal the other
+// forms' outcome field for field.
+func checkGroupOutcome(t *testing.T, got, first writeOutcome, want groupOutcome, entries []BatchEntry, groups int64) writeOutcome {
+	t.Helper()
+	if got.Info[0] != want.memPts || got.Info[1] != want.chunks {
+		t.Errorf("batch-of-many: %d memtable points in %d chunks, want %d in %d", got.Info[0], got.Info[1], want.memPts, want.chunks)
+	}
+	if got.Info[4] != int64(len(got.WAL)) {
+		t.Errorf("batch-of-many: Info counts %d WAL bytes, the segments hold %d", got.Info[4], len(got.WAL))
+	}
+	hdr, recs, err := tsfile.ParseSegment(got.WAL)
+	firstHdr, _, firstErr := tsfile.ParseSegment(first.WAL)
+	if err != nil || firstErr != nil || hdr != firstHdr {
+		t.Errorf("batch-of-many: WAL header %+v (%v), want %+v (%v)", hdr, err, firstHdr, firstErr)
+	}
+	ok := len(recs) == want.walEntries
+	for i := 0; ok && i < len(recs); i++ {
+		ok = bytes.Equal(recs[i], encodeInsert(entries[i].SeriesID, entries[i].Points))
+	}
+	if !ok {
+		t.Errorf("batch-of-many: WAL holds %d records, want the first %d entries' records", len(recs), want.walEntries)
+	}
+	for _, name := range []string{"lsm_wal_appends_total", "lsm_wal_group_records_total"} {
+		if got.Metrics[name] != float64(len(entries)) {
+			t.Errorf("batch-of-many: %s grew by %v, want %d", name, got.Metrics[name], len(entries))
+		}
+	}
+	if groups != 1 {
+		t.Errorf("batch-of-many: committed in %d WAL groups, want 1", groups)
+	}
+	got.Info[0], got.Info[1], got.Info[4] = first.Info[0], first.Info[1], first.Info[4]
+	got.WAL = first.WAL
+	metrics := map[string]float64{}
+	for name, v := range got.Metrics {
+		metrics[name] = v
+	}
+	for _, name := range []string{"lsm_wal_appends_total", "lsm_wal_group_records_total"} {
+		metrics[name] = first.Metrics[name]
+	}
+	got.Metrics = metrics
+	got.Replayed = first.Replayed
+	return got
 }

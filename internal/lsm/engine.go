@@ -121,7 +121,7 @@ func (o *Options) withDefaults() Options {
 // Lock order: mu, then the leaf locks of the WAL, the pyramid and the ingest
 // queue, which never call back into the engine. Goroutines that do not hold
 // mu reach those three too: metrics read WAL stats, query workers plan on
-// pyramid views, writers enqueue while the worker holds mu across an fsync.
+// pyramid views, writers enqueue while a drainer holds mu across an fsync.
 // scrubMu is taken only outside mu. No code loads chunk data through a
 // snapshot carrying OnQuarantine while holding mu: the callback takes mu.
 type Engine struct {
@@ -178,9 +178,8 @@ type Engine struct {
 	// methods are no-ops) under DisableWAL.
 	wal *wal.Log
 
-	// ing owns the bounded ingest queue and its append worker (see
-	// ingest.go); the worker takes mu, so Close/Kill stop the ingester
-	// before taking it.
+	// ing is the bounded ingest queue (see ingest.go): writers enqueue
+	// without mu, and the one caller elected drainer takes mu to apply it.
 	ing *ingester
 
 	// pyr is the M4 rollup pyramid, nil (whose methods are no-ops) when
@@ -507,17 +506,17 @@ func (e *Engine) Info() Info {
 	}
 }
 
-// Close flushes the memtables and releases all file handles.
+// Close applies every batch still queued, flushes the memtables and
+// releases all file handles: every batch accepted before Close is flushed
+// like a direct Write.
 func (e *Engine) Close() error {
-	// The ingest worker takes mu, so it must be fully stopped first —
-	// stopping it under the lock would deadlock. stopIngest(true) drains
-	// queued batches first, so every batch accepted before Close is
-	// flushed like a direct Write.
-	e.stopIngest(true)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return nil
+	}
+	e.ing.shut(false)
+	for e.drain() {
 	}
 	n, err := e.flushLocked()
 	err = e.afterFlush(n, true, err)
@@ -532,16 +531,17 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Kill abandons the engine the way a process kill would: file handles are
-// closed, nothing is flushed, the WAL is left as-is. Crash-recovery tests
-// pair it with a fresh Open over the same directory.
+// Kill abandons the engine the way a process kill would: queued batches
+// fail with errEngineClosed, file handles are closed, nothing is flushed,
+// the WAL is left as-is. Crash-recovery tests pair it with a fresh Open
+// over the same directory.
 func (e *Engine) Kill() {
-	e.stopIngest(false)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return
 	}
+	e.ing.shut(true)
 	e.closed.Store(true)
 	e.closeFiles()
 	e.mods.Close()

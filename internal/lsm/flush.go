@@ -25,7 +25,7 @@ func (e *Engine) Flush() error {
 	return e.afterFlush(n, true, err)
 }
 
-// afterFlush is the one tail every flush site runs — the ingest worker,
+// afterFlush is the one tail every flush site runs — applyRun,
 // Flush and Close, each with e.mu held: once points left a memtable, drop
 // the WAL segments their checkpoints freed; then save the pyramid manifest
 // when it is due (pyrSave), which an explicit checkpoint (Flush, Close)

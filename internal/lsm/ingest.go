@@ -1,30 +1,37 @@
 // The write path. Every insert — Engine.Write, WriteBatch, the HTTP /write
 // handler, bulk loaders — is a batch of per-series entries that travels
 //
-//	WriteBatch → bounded queue → append worker → applyRun
+//	WriteBatch → bounded queue → e.mu → applyRun
 //
-// and applyRun is the only code that turns entries into WAL records and
-// memtable points: one engine-lock hold, one wal.Commit for the run's
-// records, memAppend per entry, at most one flush, the shared afterFlush
-// tail. The caller blocks until every entry of its batch is resolved — ack
-// means "WAL group synced" — so the only thing the queue buys is batching:
-// the worker drains a whole run of entries queued by concurrent callers
-// and amortizes the lock round-trip and the fsync across them. There is one
-// append worker, so runs apply in queue order.
+// on the caller's own goroutine; the engine starts none. The caller encodes
+// its WAL records before any lock and queues the request as one item. Then
+// it waits until its request is resolved or no caller is draining; in the
+// latter case it becomes the drainer, takes the engine lock and applies
+// queued runs (up to ingestDrainRun requests each, in queue order) until
+// its own request is among the applied. applyRun is the only code that
+// turns entries into WAL records and memtable points — one wal.Commit for
+// the run's records, memAppend per entry, at most one flush, the shared
+// afterFlush tail — and every request of the run resolves with the run's
+// outcome, waking its caller at once. The caller returns once its request
+// is resolved — ack means "WAL group synced" — so the only thing the queue
+// buys is batching: callers that queue while the drainer is in an fsync
+// share the next group. This is flat combining with the queue's lock
+// electing the one drainer, so runs apply in queue order and one request
+// is always one group.
 //
 // Backpressure, never unbounded buffering: the queue is capped in
 // points. An enqueue that would overflow blocks for at most
 // Options.IngestEnqueueWait and then fails with ErrIngestBackpressure, a
-// typed retryable error the HTTP layer maps to 429. Nothing is ever
-// silently dropped — every entry is either acknowledged durable or its
-// batch's error says why not.
+// typed retryable error the HTTP layer maps to 429. A batch is admitted
+// whole or refused whole, and nothing is ever silently dropped — every
+// batch is either acknowledged durable or its error says why not.
 //
 // Crash atomicity is per WAL record, i.e. per BatchEntry: a crashed batch
 // may recover any subset of its entries (each was its own record), but
 // never a partial entry. Step sites, in path order: ingest.enqueue (before
-// anything is queued), ingest.drain (before the worker takes the lock),
-// wal.append, wal.group (inside wal.Commit), wal.appended, then the flush
-// sites.
+// anything is queued), ingest.drain (once the lock is held and the run
+// taken, before the engine is touched), wal.append, wal.group (inside
+// wal.Commit), wal.appended, then the flush sites.
 package lsm
 
 import (
@@ -37,14 +44,12 @@ import (
 
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
-	"m4lsm/internal/wal"
 )
 
 // ErrIngestBackpressure marks a write rejected because the ingest queue
 // stayed full past the enqueue deadline. The condition is transient — the
-// worker is draining — so callers should back off and retry; point
-// writes are idempotent overwrites, so retrying a partially enqueued batch
-// is safe.
+// queued callers are draining it — so callers should back off and retry;
+// nothing of the refused batch was queued.
 var ErrIngestBackpressure = errors.New("lsm: ingest queue full (backpressure, retry)")
 
 // ErrInvalidWrite marks a write batch rejected for its content before any
@@ -55,15 +60,15 @@ var ErrIngestBackpressure = errors.New("lsm: ingest queue full (backpressure, re
 var ErrInvalidWrite = errors.New("lsm: invalid write")
 
 // errEngineClosed is what every operation on a closed engine fails with,
-// queued-but-undrained entries included.
+// queued-but-undrained batches included.
 var errEngineClosed = errors.New("lsm: engine closed")
 
 const (
 	defaultIngestQueuePoints = 1 << 16
 	defaultIngestWait        = 2 * time.Second
-	// ingestDrainRun bounds how many queued items one worker round takes:
-	// enough to amortize the engine lock and share a group commit, small
-	// enough that one round's latency stays bounded.
+	// ingestDrainRun bounds how many queued requests one run takes: enough
+	// to amortize the engine lock and share a group commit, small enough
+	// that one run's latency stays bounded.
 	ingestDrainRun = 64
 )
 
@@ -74,44 +79,29 @@ type BatchEntry struct {
 	Points   []series.Point
 }
 
-// batchResult joins one WriteBatch caller with the worker draining its
-// entries. The first error wins; done closes when the last entry resolves.
-type batchResult struct {
-	pending atomic.Int64
-	mu      sync.Mutex
+// ingestReq is one queued WriteBatch call. entries alias the caller's
+// slices: the caller does not return before the request resolves, and
+// memAppend copies. recs are its WAL payloads, encoded before any lock.
+// done and err are written holding both e.mu and the queue's lock, so
+// either lock suffices to read them.
+type ingestReq struct {
+	entries []BatchEntry
+	recs    [][]byte
+	points  int
+	done    bool
 	err     error
-	done    chan struct{}
 }
 
-func (r *batchResult) finish(n int64) {
-	if r.pending.Add(-n) == 0 {
-		close(r.done)
-	}
-}
-
-// ingestItem is one queued BatchEntry. pts aliases the caller's slice: the
-// caller is blocked in WriteBatch until the item resolves, and memAppend
-// copies.
-type ingestItem struct {
-	seriesID string
-	pts      []series.Point
-	res      *batchResult
-}
-
-// ingester owns the bounded queue and the append worker. Its mutex only
-// guards queue operations (slice push/pop); the expensive work — WAL group
-// commit, memtable insert, flush — happens outside it.
+// ingester is the bounded queue. Its mutex, a leaf under e.mu, guards only
+// the queue and the drainer election; the work — WAL group commit,
+// memtable insert, flush — happens under e.mu.
 type ingester struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []ingestItem
-	points int // queued points
-
-	closing bool // no new enqueues; the worker drains what is queued, then exits
-	killed  bool // the worker fails what is queued, then exits
-
-	started sync.Once
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	cond     *sync.Cond // signals room in the queue, resolved requests, the drainer stepping down, and shutdown
+	queue    []*ingestReq
+	points   int  // queued points
+	draining bool // a caller has been elected to drain
+	closed   bool // Close or Kill: no new enqueues
 
 	// Lifetime counters, surfaced as metrics.
 	batches      atomic.Int64
@@ -131,17 +121,6 @@ func (ing *ingester) queuedPoints() int {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	return ing.points
-}
-
-// startIngestWorker launches the append worker on first use.
-func (e *Engine) startIngestWorker() {
-	e.ing.started.Do(func() {
-		e.ing.wg.Add(1)
-		go func() {
-			defer e.ing.wg.Done()
-			e.ingestWorker()
-		}()
-	})
 }
 
 // Write buffers points for seriesID. Points may arrive in any order and may
@@ -178,16 +157,15 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	// to the mods sidecar (see replayRecord). The reverse order would leave a
 	// half-applied delete — recorded against flushed chunks but not against
 	// WAL-replayed memtable points.
-	var rec [1]wal.Record
 	if e.wal != nil {
 		if err := e.step("wal.append"); err != nil {
 			return e.classifyWrite(err)
 		}
-		// Pinned: the record's segment must survive until the delete is
-		// durable in the mods sidecar below — it claims no flush watermark
-		// (deletes carry no memtable points to flush).
-		rec[0] = wal.Record{Payload: encodeDelete(d), Pin: true}
-		if err := e.wal.Commit(rec[:]); err != nil {
+		// The record claims the flush watermark like an insert, so its
+		// segment survives until the next checkpoint. Checkpoints are
+		// written by flushes under e.mu, which this call holds until the
+		// delete is in the mods sidecar: no retirement falls in between.
+		if err := e.wal.Commit([][]byte{encodeDelete(d)}); err != nil {
 			return e.classifyWrite(err)
 		}
 		e.met.walRecords.Inc()
@@ -198,9 +176,6 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	if err := e.mods.Append(d); err != nil {
 		return e.classifyWrite(err)
 	}
-	// On any failure above the pin is kept: conservative, the segment
-	// just retires later.
-	e.wal.Unpin(rec[0].Seq)
 	e.met.deletes.Inc()
 	e.applyDeleteToMem(d)
 	return nil
@@ -224,22 +199,20 @@ func (e *Engine) applyDeleteToMem(d storage.Delete) {
 	e.mem[d.SeriesID] = kept
 }
 
-// WriteBatch ingests several series' points: entries are enqueued
-// (blocking up to Options.IngestEnqueueWait when the queue is full, then
-// failing with ErrIngestBackpressure) and the call returns once every
-// entry is durable, each entry one group-committed WAL record. On a
-// partially enqueued batch the call waits for the entries that did get in,
-// then reports the backpressure error; retrying the whole batch is safe
-// because point writes are idempotent overwrites.
+// WriteBatch ingests several series' points as one request: it is queued
+// whole (blocking up to Options.IngestEnqueueWait when the queue is full,
+// then failing with ErrIngestBackpressure, with nothing queued) and the
+// call returns once the request is durable, its entries one WAL group of
+// one record each.
 //
 // WriteBatch keeps none of the caller's slices: the WAL record encoding
-// and the memtable append both copy the points, and once an entry is
+// and the memtable append both copy the points, and once the request is
 // queued the call returns only after it has resolved, on every path. So
 // when WriteBatch returns, accepted or refused, the caller may reuse or
 // overwrite entries and their Points (the HTTP /write handler recycles its
 // parse buffers this way).
 func (e *Engine) WriteBatch(entries ...BatchEntry) error {
-	total := 0
+	total, nonEmpty := 0, 0
 	for _, ent := range entries {
 		if ent.SeriesID == "" {
 			return fmt.Errorf("%w: empty series id", ErrInvalidWrite)
@@ -251,6 +224,9 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 			if p.T == math.MaxInt64 {
 				return fmt.Errorf("%w: timestamp %d is reserved", ErrInvalidWrite, p.T)
 			}
+		}
+		if len(ent.Points) > 0 {
+			nonEmpty++
 		}
 		total += len(ent.Points)
 	}
@@ -268,52 +244,80 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 	if err := e.step("ingest.enqueue"); err != nil {
 		return e.classifyWrite(err)
 	}
-	e.startIngestWorker()
-	limit, wait := e.opts.IngestQueuePoints, e.opts.IngestEnqueueWait
-	if limit <= 0 {
-		limit = defaultIngestQueuePoints
+	req := &ingestReq{entries: entries, points: total}
+	if e.wal != nil {
+		req.recs = encodeEntries(entries, nonEmpty)
+	}
+	err := e.ing.enqueue(req, e.opts.IngestQueuePoints, e.opts.IngestEnqueueWait)
+	e.ing.batches.Add(1)
+	if err != nil {
+		return err
+	}
+	e.ing.entries.Add(int64(nonEmpty))
+	e.ing.pointsIn.Add(int64(total))
+	if drainer, err := e.ing.await(req); !drainer {
+		return err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	defer e.ing.stepDown()
+	for !req.done {
+		// A queued request is resolved by a drain, Close or Kill; an
+		// unresolved one is still queued, so the queue is not empty.
+		if !e.drain() {
+			return errEngineClosed
+		}
+	}
+	return req.err
+}
+
+// await blocks until req is resolved or no caller is draining. It reports
+// whether the caller became the drainer; if not, req is resolved and err
+// is its outcome.
+func (ing *ingester) await(req *ingestReq) (drainer bool, err error) {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
+	for !req.done && ing.draining {
+		ing.cond.Wait()
+	}
+	if req.done {
+		return false, req.err
+	}
+	ing.draining = true
+	return true, nil
+}
+
+// stepDown ends the caller's turn as drainer and wakes the waiting callers,
+// one of which drains next. Caller holds e.mu.
+func (ing *ingester) stepDown() {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
+	ing.draining = false
+	ing.cond.Broadcast()
+}
+
+// resolve gives every request of run its outcome and wakes their callers.
+// Caller holds e.mu.
+func (ing *ingester) resolve(run []*ingestReq, err error) {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
+	for _, r := range run {
+		r.done, r.err = true, err
+	}
+	ing.cond.Broadcast()
+}
+
+// enqueue adds one request to the queue, blocking while the queue is at
+// its point cap (0: 65536), up to wait (0: 2s, < 0: not at all). The cap
+// is soft by one request: a queue below it accepts a request of any size
+// (otherwise a batch larger than the cap could never be ingested).
+func (ing *ingester) enqueue(req *ingestReq, maxPoints int, wait time.Duration) error {
+	if maxPoints <= 0 {
+		maxPoints = defaultIngestQueuePoints
 	}
 	if wait == 0 {
 		wait = defaultIngestWait
 	}
-	res := &batchResult{done: make(chan struct{})}
-	// The caller holds one reference of its own so the worker finishing
-	// the first entry cannot close done while later entries are still
-	// being enqueued.
-	res.pending.Store(1)
-	var queued, queuedPts int64
-	var enqErr error
-	for _, ent := range entries {
-		if len(ent.Points) == 0 {
-			continue
-		}
-		res.pending.Add(1)
-		if enqErr = e.ing.enqueue(ingestItem{ent.SeriesID, ent.Points, res}, limit, wait); enqErr != nil {
-			res.pending.Add(-1)
-			break
-		}
-		queued++
-		queuedPts += int64(len(ent.Points))
-	}
-	e.ing.batches.Add(1)
-	e.ing.entries.Add(queued)
-	e.ing.pointsIn.Add(queuedPts)
-	// Release the caller's reference and wait for the queued entries even
-	// when a later entry hit backpressure: returning while entries are in
-	// flight would detach the caller from the bounded queue.
-	res.finish(1)
-	<-res.done
-	if enqErr != nil {
-		return enqErr
-	}
-	return res.err
-}
-
-// enqueue adds one item to the queue, blocking while the queue is at its
-// point cap, up to wait (<= 0: not at all). The cap is soft by one item: a
-// queue below it accepts an item of any size (otherwise an entry larger
-// than the cap could never be ingested).
-func (ing *ingester) enqueue(item ingestItem, maxPoints int, wait time.Duration) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	if ing.points >= maxPoints && wait > 0 {
@@ -321,26 +325,27 @@ func (ing *ingester) enqueue(item ingestItem, maxPoints int, wait time.Duration)
 		deadline := time.Now().Add(wait)
 		timer := time.AfterFunc(wait, ing.cond.Broadcast)
 		defer timer.Stop()
-		for ing.points >= maxPoints && !ing.closing && !ing.killed && time.Now().Before(deadline) {
+		for ing.points >= maxPoints && !ing.closed && time.Now().Before(deadline) {
 			ing.cond.Wait()
 		}
 	}
-	if ing.closing || ing.killed {
+	if ing.closed {
 		return errEngineClosed
 	}
 	if ing.points >= maxPoints {
 		ing.backpressure.Add(1)
 		return fmt.Errorf("%w: queue holds %d points", ErrIngestBackpressure, ing.points)
 	}
-	ing.queue = append(ing.queue, item)
-	ing.points += len(item.pts)
-	// Wake the worker (and any writer whose timer fired).
-	ing.cond.Broadcast()
+	ing.queue = append(ing.queue, req)
+	ing.points += req.points
 	return nil
 }
 
-// take pops up to ingestDrainRun items from the head of the queue.
-func (ing *ingester) take() []ingestItem {
+// take pops up to ingestDrainRun requests from the head of the queue and
+// wakes the writers waiting for room.
+func (ing *ingester) take() []*ingestReq {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
 	n := min(len(ing.queue), ingestDrainRun)
 	if n == 0 {
 		return nil
@@ -350,82 +355,64 @@ func (ing *ingester) take() []ingestItem {
 		rest = nil // the run still aliases the array; the next enqueue starts a fresh one
 	}
 	ing.queue = rest
-	for _, it := range run {
-		ing.points -= len(it.pts)
+	for _, r := range run {
+		ing.points -= r.points
 	}
+	ing.cond.Broadcast()
 	return run
 }
 
-// ingestWorker drains the queue until shutdown.
-func (e *Engine) ingestWorker() {
-	ing := e.ing
-	for {
-		ing.mu.Lock()
-		run := ing.take()
-		if run == nil {
-			if ing.closing || ing.killed {
-				ing.mu.Unlock()
-				return
-			}
-			ing.cond.Wait()
-			ing.mu.Unlock()
-			continue
+// shut refuses every later enqueue and wakes the writers waiting for room;
+// drop also discards what is queued, resolving it with errEngineClosed.
+// Caller holds e.mu.
+func (ing *ingester) shut(drop bool) {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
+	ing.closed = true
+	if drop {
+		for _, r := range ing.queue {
+			r.done, r.err = true, errEngineClosed
 		}
-		killed := ing.killed
-		ing.mu.Unlock()
-		// Freed capacity: release writers blocked on a full queue.
-		ing.cond.Broadcast()
-		if killed {
-			resolveRun(run, errEngineClosed)
-		} else {
-			resolveRun(run, e.applyRun(run))
-		}
+		ing.queue, ing.points = nil, 0
 	}
+	ing.cond.Broadcast()
 }
 
-// resolveRun releases every item of a run to its waiting caller, with one
-// shared outcome.
-func resolveRun(run []ingestItem, err error) {
-	for _, it := range run {
-		if err != nil {
-			it.res.mu.Lock()
-			if it.res.err == nil {
-				it.res.err = err
-			}
-			it.res.mu.Unlock()
-		}
-		it.res.finish(1)
+// drain applies the next queued run and resolves every request in it with
+// the run's outcome; false when the queue was empty. Caller holds e.mu.
+func (e *Engine) drain() bool {
+	run := e.ing.take()
+	if run == nil {
+		return false
 	}
+	e.ing.resolve(run, e.applyRun(run))
+	return true
 }
 
-// applyRun applies one run of queued items: all WAL records committed as
-// one group under a single engine-lock hold, then the memtable
-// inserts, then at most one flush when a series crossed the threshold. An
-// error fails the whole run — faultfs.ErrCrash verbatim for the torture
-// harness, ENOSPC classified into read-only mode. A commit failure leaves
-// the memtable untouched; a flush failure loses nothing (the points are in
-// the memtable and the WAL) and reports a retryable error.
-func (e *Engine) applyRun(run []ingestItem) error {
+// applyRun applies one run of queued requests: all WAL records committed
+// as one group, then the memtable inserts, then at most one flush when a
+// series crossed the threshold. An error fails the whole run —
+// faultfs.ErrCrash verbatim for the torture harness, ENOSPC classified
+// into read-only mode. A commit failure leaves the memtable untouched; a
+// flush failure loses nothing (the points are in the memtable and the WAL)
+// and reports a retryable error. Caller holds e.mu.
+func (e *Engine) applyRun(run []*ingestReq) error {
 	// The drain site crashes before the engine is touched: the run's
 	// records are not yet in the WAL, so the kill loses whole entries,
 	// never parts of one.
 	if err := e.step("ingest.drain"); err != nil {
 		return e.classifyWrite(err)
 	}
-	// The records are encoded before the lock is taken: the encoding reads
-	// only the run, and the lock hold stays what needs it.
-	var recs []wal.Record
-	if e.wal != nil {
-		recs = encodeRun(run)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		return errEngineClosed
-	}
 	if e.wal != nil {
 		if err := e.step("wal.append"); err != nil {
 			return e.classifyWrite(err)
+		}
+		recs := run[0].recs
+		if len(run) > 1 {
+			recs = nil
+			for _, r := range run {
+				recs = append(recs, r.recs...)
+			}
 		}
 		// The commit claims the flush watermark inside the log, so the
 		// records' segment cannot retire before the next flush checkpoint —
@@ -440,9 +427,13 @@ func (e *Engine) applyRun(run []ingestItem) error {
 		}
 	}
 	full := false
-	for _, it := range run {
-		full = e.memAppend(it.seriesID, it.pts) || full
-		e.met.pointsWritten.Add(int64(len(it.pts)))
+	for _, r := range run {
+		for _, ent := range r.entries {
+			if len(ent.Points) > 0 {
+				full = e.memAppend(ent.SeriesID, ent.Points) || full
+			}
+		}
+		e.met.pointsWritten.Add(int64(r.points))
 	}
 	if !full {
 		return nil
@@ -451,19 +442,24 @@ func (e *Engine) applyRun(run []ingestItem) error {
 	return e.afterFlush(n, false, err)
 }
 
-// encodeRun encodes a run's insert records into one buffer of exactly
-// their total size, each record's payload a sub-slice of it.
-func encodeRun(run []ingestItem) []wal.Record {
+// encodeEntries encodes a request's insert records, one per non-empty
+// entry, into one buffer of exactly their total size, each record's
+// payload a sub-slice of it.
+func encodeEntries(entries []BatchEntry, nonEmpty int) [][]byte {
 	size := 0
-	for _, it := range run {
-		size += insertSize(it.seriesID, it.pts)
+	for _, ent := range entries {
+		if len(ent.Points) > 0 {
+			size += insertSize(ent.SeriesID, ent.Points)
+		}
 	}
 	buf := make([]byte, 0, size)
-	recs := make([]wal.Record, len(run))
-	for i, it := range run {
-		start := len(buf)
-		buf = appendInsert(buf, it.seriesID, it.pts)
-		recs[i].Payload = buf[start:len(buf):len(buf)]
+	recs := make([][]byte, 0, nonEmpty)
+	for _, ent := range entries {
+		if len(ent.Points) > 0 {
+			start := len(buf)
+			buf = appendInsert(buf, ent.SeriesID, ent.Points)
+			recs = append(recs, buf[start:len(buf):len(buf)])
+		}
 	}
 	return recs
 }
@@ -477,33 +473,4 @@ func (e *Engine) memAppend(id string, pts []series.Point) (full bool) {
 	e.mem[id] = append(e.mem[id], pts...)
 	e.memPts += len(pts)
 	return len(e.mem[id]) >= e.opts.FlushThreshold
-}
-
-// stopIngest shuts the ingest subsystem down. drain=true (Close) lets the
-// worker finish everything already queued; drain=false (Kill) fails the
-// queued items instead. Either way the worker has exited when this
-// returns, so callers may take e.mu afterwards. Safe to call when no
-// worker was ever started, and idempotent.
-func (e *Engine) stopIngest(drain bool) {
-	ing := e.ing
-	ing.mu.Lock()
-	if drain {
-		ing.closing = true
-	} else {
-		ing.killed = true
-	}
-	ing.mu.Unlock()
-	ing.cond.Broadcast()
-	// Ensure the started.Do slot is burned so wg.Wait() covers a racing
-	// startIngestWorker (its worker would see closing/killed and exit).
-	ing.started.Do(func() {})
-	ing.wg.Wait()
-	// Anything still queued (killed, or enqueued after the worker exited)
-	// fails rather than dangling a waiter.
-	ing.mu.Lock()
-	leftovers := ing.queue
-	ing.queue, ing.points = nil, 0
-	ing.mu.Unlock()
-	resolveRun(leftovers, errEngineClosed)
-	ing.cond.Broadcast()
 }

@@ -128,10 +128,10 @@ func TestWriteBatchValidation(t *testing.T) {
 	}
 }
 
-// TestIngestBackpressureTyped fills a one-point queue while the single
-// drain worker is parked inside an injected step hook, and requires the
-// overflowing WriteBatch to fail fast with the typed retryable error — then
-// requires the parked batches to complete once the worker resumes.
+// TestIngestBackpressureTyped fills a one-point queue while the first
+// caller is parked inside an injected step hook, holding e.mu, and requires
+// the overflowing WriteBatch to fail fast with the typed retryable error —
+// then requires the parked batches to complete once it resumes.
 func TestIngestBackpressureTyped(t *testing.T) {
 	drainEntered := make(chan struct{})
 	release := make(chan struct{})
@@ -155,11 +155,12 @@ func TestIngestBackpressureTyped(t *testing.T) {
 	defer e.Close()
 
 	errs := make(chan error, 2)
-	// Batch 1: taken by the worker, which then parks in the hook.
+	// Batch 1: its caller is elected drainer, takes e.mu and its own
+	// request, then parks in the hook.
 	go func() { errs <- e.WriteBatch(BatchEntry{SeriesID: "a", Points: pts(1, 1)}) }()
 	<-drainEntered
-	// Batch 2: queue is empty again (batch 1 was taken), so this enqueues
-	// and brings the queue to its cap.
+	// Batch 2: queue is empty again (batch 1 was taken), so this enqueues,
+	// brings the queue to its cap and waits for the drainer.
 	go func() { errs <- e.WriteBatch(BatchEntry{SeriesID: "b", Points: pts(2, 2)}) }()
 	waitFor(t, func() bool { return e.ing.queuedPoints() >= 1 })
 
@@ -194,8 +195,8 @@ func TestIngestBackpressureTyped(t *testing.T) {
 	}
 }
 
-// TestIngestGoroutineLeak pins the Close contract: every append worker has
-// exited once Close returns.
+// TestIngestGoroutineLeak pins that writes leave no goroutine behind: the
+// engine starts none, so none is left once Close returns.
 func TestIngestGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e, err := Open(Options{Dir: t.TempDir()})
@@ -430,6 +431,119 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestWriteBatchIsOneGroup: one request is one WAL group. A single caller
+// makes 1,000 calls of an 8-entry batch, flushes included, and every call
+// adds exactly one group of eight records — no drain ever takes half a
+// request.
+func TestWriteBatchIsOneGroup(t *testing.T) {
+	e, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const calls, perCall = 1000, 8
+	entries := make([]BatchEntry, perCall)
+	before := e.wal.Stats()
+	for i := 0; i < calls; i++ {
+		for j := range entries {
+			entries[j] = BatchEntry{SeriesID: fmt.Sprintf("s%d", j), Points: pts(int64(4*i), 1, int64(4*i+1), 2, int64(4*i+2), 3)}
+		}
+		if err := e.WriteBatch(entries...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.wal.Stats()
+	if g, r := st.Groups-before.Groups, st.Records-before.Records; g != calls || r != calls*perCall {
+		t.Fatalf("%d calls of %d entries made %d groups of %d records, want %d groups", calls, perCall, g, r, calls)
+	}
+	if e.Info().Files == 0 {
+		t.Fatal("setup: no flush ran between the calls")
+	}
+}
+
+// TestQueuedWritersShareAGroup: group commit needs no append worker.
+// The first caller parks at ingest.drain while it holds e.mu; eight
+// single-entry writers queue behind it. Once it is released, its own run is
+// one group and the next drainer commits all eight queued requests as the
+// second.
+func TestQueuedWritersShareAGroup(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(site string) error {
+		if site == "ingest.drain" {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+		return nil
+	}
+	e, err := Open(Options{Dir: t.TempDir(), SyncWAL: true, StepHook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const queued = 8
+	errs := make(chan error, queued+1)
+	go func() { errs <- e.Write("first", series.Point{T: 1, V: 1}) }()
+	<-parked
+	for i := 0; i < queued; i++ {
+		go func(i int) { errs <- e.Write(fmt.Sprintf("s%d", i), series.Point{T: int64(i), V: 1}) }(i)
+	}
+	// The lsm_ingest_queue_points gauge, read without a registry snapshot,
+	// whose Info gauges would wait for the parked caller's e.mu.
+	waitFor(t, func() bool { return e.ing.queuedPoints() == queued })
+	close(release)
+	for i := 0; i < queued+1; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if st := e.wal.Stats(); st.Groups != 2 || st.Records != queued+1 {
+		t.Fatalf("%d acknowledged writes made %d groups of %d records, want 2 groups", queued+1, st.Groups, st.Records)
+	}
+}
+
+// TestResolvedWriterReturnsWithoutEngineLock: a caller whose request
+// another drainer applied returns at once, while that drainer still holds
+// e.mu — it is woken with its outcome, not made to wait for the lock
+// behind the next group's fsync. The test plays the drainer itself: it
+// holds e.mu, marks the election taken and drains the queued request.
+func TestResolvedWriterReturnsWithoutEngineLock(t *testing.T) {
+	e, err := Open(Options{Dir: t.TempDir(), SyncWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.mu.Lock()
+	e.ing.mu.Lock()
+	e.ing.draining = true
+	e.ing.mu.Unlock()
+	errs := make(chan error, 1)
+	go func() { errs <- e.Write("a", series.Point{T: 1, V: 1}) }()
+	waitFor(t, func() bool { return e.ing.queuedPoints() == 1 })
+	if !e.drain() {
+		t.Fatal("the queued request was not drained")
+	}
+	returned := false
+	select {
+	case err := <-errs:
+		returned = true
+		if err != nil {
+			t.Errorf("resolved write: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+	}
+	e.ing.stepDown()
+	e.mu.Unlock()
+	if !returned {
+		t.Fatal("a resolved writer waited while the drainer held e.mu")
+	}
+	if st := e.wal.Stats(); st.Groups != 1 || st.Records != 1 {
+		t.Fatalf("%d groups of %d records, want 1 of 1", st.Groups, st.Records)
+	}
+}
+
 // TestENOSPCRetireFlipsReadOnly is the regression for the classify bug:
 // ENOSPC surfacing from the post-flush WAL-retire / pyrSave tail of
 // Write (and Flush) must flip the engine read-only with the typed error,
@@ -483,7 +597,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // entries or points again. Every batch reuses one point buffer, which is
 // overwritten right after each call; the memtable, the flushed chunks and
 // the WAL (through a kill and replay) must hold what was written, and under
-// -race a late read by the append worker would be reported as a race.
+// -race a late read by a later drain would be reported as a race.
 func TestWriteBatchKeepsNoCallerSlices(t *testing.T) {
 	dir := t.TempDir()
 	var refuse atomic.Bool

@@ -113,9 +113,13 @@ func (e *Engine) closeFiles() {
 
 // replayRecord applies one recovered WAL record during Open (wal.Open
 // calls it in log order, single-threaded) and reports whether it re-claims
-// the flush watermark: an insert does, a delete does not. The shard tag
-// every record carries is skipped: it names the lock stripe of the build
-// that wrote it, and every stripe replays into the one memtable.
+// the flush watermark: an insert does, a delete does not. A live delete
+// claims it only because every commit does; once replay is done its
+// record needs no keeping, since the mods sidecar then holds every
+// replayed delete (re-appended below when a crash came between the two
+// appends). The shard tag every record carries is skipped: it names the
+// lock stripe of the build that wrote it, and every stripe replays into
+// the one memtable.
 func (e *Engine) replayRecord(rec []byte) (claim bool, err error) {
 	op := rec[0]
 	if op != walOpInsert && op != walOpDelete {
@@ -175,8 +179,8 @@ const (
 	walOpDelete byte = 4
 )
 
-// appendInsert appends the insert record of pts to dst; encodeRun is its
-// caller, and it writes each run's records into one buffer.
+// appendInsert appends the insert record of pts to dst; encodeEntries is its
+// caller, and it writes each request's records into one buffer.
 func appendInsert(dst []byte, seriesID string, pts []series.Point) []byte {
 	buf := append(dst, walOpInsert)
 	buf = encoding.AppendUvarint(buf, 0)

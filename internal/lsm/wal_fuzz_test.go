@@ -53,27 +53,34 @@ func FuzzDecodeInsert(f *testing.F) {
 	})
 }
 
-// TestEncodeRun: a run's records share one buffer of exactly their total
-// size, and each payload is the bytes encodeInsert writes for its item.
-func TestEncodeRun(t *testing.T) {
-	run := []ingestItem{
-		{seriesID: "s1", pts: []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}}},
-		{seriesID: "unicode-séries", pts: []series.Point{{T: math.MinInt64, V: -1}, {T: math.MaxInt64 - 1, V: 2}}},
-		{seriesID: string(make([]byte, 200)), pts: []series.Point{{T: 1 << 40, V: math.Inf(-1)}}},
+// TestEncodeEntries: a request's records share one buffer of exactly their
+// total size, each payload is the bytes encodeInsert writes for its entry,
+// and an empty entry writes no record.
+func TestEncodeEntries(t *testing.T) {
+	entries := []BatchEntry{
+		{SeriesID: "s1", Points: []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}}},
+		{SeriesID: "empty"},
+		{SeriesID: "unicode-séries", Points: []series.Point{{T: math.MinInt64, V: -1}, {T: math.MaxInt64 - 1, V: 2}}},
+		{SeriesID: string(make([]byte, 200)), Points: []series.Point{{T: 1 << 40, V: math.Inf(-1)}}},
 	}
-	recs := encodeRun(run)
-	for i, it := range run {
-		want := encodeInsert(it.seriesID, it.pts)
-		if !reflect.DeepEqual(recs[i].Payload, want) {
-			t.Fatalf("record %d: % x, want % x", i, recs[i].Payload, want)
-		}
-		if cap(recs[i].Payload) != len(want) {
-			t.Fatalf("record %d has capacity %d past its %d bytes", i, cap(recs[i].Payload), len(want))
+	recs := encodeEntries(entries, 3)
+	var want [][]byte
+	for _, ent := range entries {
+		if len(ent.Points) > 0 {
+			want = append(want, encodeInsert(ent.SeriesID, ent.Points))
 		}
 	}
-	// One allocation for the bytes, one for the record headers.
-	if n := testing.AllocsPerRun(10, func() { encodeRun(run) }); n != 2 {
-		t.Fatalf("encodeRun made %v allocations, want 2", n)
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("records % x, want % x", recs, want)
+	}
+	for i, r := range recs {
+		if cap(r) != len(want[i]) {
+			t.Fatalf("record %d has capacity %d past its %d bytes", i, cap(r), len(want[i]))
+		}
+	}
+	// One allocation for the bytes, one for the payload headers.
+	if n := testing.AllocsPerRun(10, func() { encodeEntries(entries, 3) }); n != 2 {
+		t.Fatalf("encodeEntries made %v allocations, want 2", n)
 	}
 }
 

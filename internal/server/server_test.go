@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"image/png"
 	"io"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -159,6 +160,55 @@ func TestRender(t *testing.T) {
 	}
 	if img.Bounds().Dx() != 100 || img.Bounds().Dy() != 50 {
 		t.Errorf("bounds = %v", img.Bounds())
+	}
+}
+
+// TestRenderWideWindow: /render over a nanosecond window wider than
+// MaxInt64/w puts every point in its Definition 2.3 column: the PNG equals
+// viz.Rasterize of the points mapped to columns with math/big.
+func TestRenderWideWindow(t *testing.T) {
+	e, err := lsm.Open(lsm.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tqe, w, h = int64(1_800_000_000_000_000_000), 100, 40
+	var full series.Series
+	for i := int64(0); i < 300; i++ {
+		p := series.Point{T: i*(tqe/300) + i*7_777_777, V: float64(i%23) + float64(i)*1e-6}
+		full = append(full, p)
+		e.Write("root.ns", p)
+	}
+	e.Flush()
+	h2 := NewWith(e, Config{})
+	srv := httptest.NewServer(h2)
+	t.Cleanup(func() {
+		srv.Close()
+		h2.Close()
+		e.Close()
+	})
+	resp, err := http.Get(fmt.Sprintf("%s/render?series=root.ns&tqs=0&tqe=%d&w=%d&h=%d", srv.URL, tqe, w, h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("status %d, %v", resp.StatusCode, err)
+	}
+	mapped := make(series.Series, len(full))
+	for i, p := range full {
+		col := new(big.Int).Mul(big.NewInt(w), big.NewInt(p.T))
+		col.Quo(col, big.NewInt(tqe))
+		mapped[i] = series.Point{T: col.Int64(), V: p.V}
+	}
+	vp := viz.ViewportFor(full, 0, tqe)
+	vp.Tqs, vp.Tqe = 0, w
+	var want bytes.Buffer
+	if err := viz.Rasterize(mapped, vp, w, h).WritePNG(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want.Bytes()) {
+		t.Fatalf("PNG (%d bytes) differs from the math/big-mapped raster (%d bytes)", len(raw), want.Len())
 	}
 }
 

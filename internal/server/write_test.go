@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -194,7 +195,10 @@ func TestWriteAdmissionSheds(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	hook := func(site string) error {
-		if site == "ingest.drain" {
+		// Parked before the queue, holding the one write slot but not
+		// the engine lock, so /varz (whose engine gauges read Info under
+		// that lock) still answers.
+		if site == "ingest.enqueue" {
 			once.Do(func() {
 				close(drainEntered)
 				<-release
@@ -330,8 +334,8 @@ func TestWriteOverloadTorture(t *testing.T) {
 	if got := ok.Load() + shed.Load(); got != n {
 		t.Errorf("accounted for %d of %d requests", got, n)
 	}
-	// Soft cap: one oversized entry may land on a queue just under the cap,
-	// so the observable bound is cap + largest entry (3 points).
+	// Soft cap: one oversized request may land on a queue just under the
+	// cap, so the observable bound is cap + largest request (3 points).
 	if m := maxQueued.Load(); m > queuePoints+3 {
 		t.Errorf("queue depth reached %d, bound is %d", m, queuePoints+3)
 	}
@@ -355,32 +359,27 @@ func TestWriteBackpressure429(t *testing.T) {
 		}
 		return nil
 	}
-	srv, e := newWriteServer(t, Config{},
+	srv, _ := newWriteServer(t, Config{},
 		lsm.Options{StepHook: hook, IngestQueuePoints: 1, IngestEnqueueWait: -1})
 
-	done := make(chan int, 2)
+	done := make(chan *http.Response, 3)
 	post := func(body string) {
 		resp, err := http.Post(srv.URL+"/write", "text/plain", strings.NewReader(body))
 		if err != nil {
-			done <- -1
-			return
+			t.Error(err)
+			resp = &http.Response{Body: io.NopCloser(strings.NewReader(""))}
 		}
 		resp.Body.Close()
-		done <- resp.StatusCode
+		done <- resp
 	}
-	go post("root.a 1 1\n") // taken by the worker, which parks
+	go post("root.a 1 1\n") // takes the engine lock and its own request, then parks
 	<-drainEntered
-	go post("root.b 2 2\n") // enqueued: fills the 1-point queue
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Metrics().Snapshot()["lsm_ingest_queue_points"].(float64) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("second write never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp := postWrite(t, srv.URL, "root.c 3 3\n")
-	resp.Body.Close()
+	// Two more writes race for the one-point queue: the first to enqueue
+	// fills it and waits for the lock the parked write holds, the other
+	// overflows. Neither can be drained before release.
+	go post("root.b 2 2\n")
+	go post("root.c 3 3\n")
+	resp := <-done
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow write: status %d, want 429", resp.StatusCode)
 	}
@@ -393,8 +392,8 @@ func TestWriteBackpressure429(t *testing.T) {
 
 	close(release)
 	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Fatalf("parked write %d finished with %d", i, code)
+		if resp := <-done; resp.StatusCode != http.StatusOK {
+			t.Fatalf("parked write %d finished with %d", i, resp.StatusCode)
 		}
 	}
 }

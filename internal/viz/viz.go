@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 
+	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
 )
 
@@ -168,21 +169,21 @@ func ViewportForAll(ss []series.Series, tqs, tqe int64) Viewport {
 // pixelMap is a viewport's mapping onto a w×h canvas, with what the
 // per-point loop divides by taken once.
 type pixelMap struct {
-	tqs, w, span int64
-	flat         bool // VMax == VMin
+	q            m4.Query // the time range across w columns
+	flat         bool     // VMax == VMin
 	vmax, vrange float64
 	h            int
 	rows         float64 // h-1
 }
 
 func (vp Viewport) mapping(w, h int) pixelMap {
-	return pixelMap{tqs: vp.Tqs, w: int64(w), span: vp.Tqe - vp.Tqs, flat: vp.VMax == vp.VMin,
+	return pixelMap{q: m4.Query{Tqs: vp.Tqs, Tqe: vp.Tqe, W: w}, flat: vp.VMax == vp.VMin,
 		vmax: vp.VMax, vrange: vp.VMax - vp.VMin, h: h, rows: float64(h - 1)}
 }
 
-// x maps a timestamp to its pixel column using the span mapping of
-// Definition 2.3.
-func (m pixelMap) x(t int64) int { return int(m.w * (t - m.tqs) / m.span) }
+// x maps a timestamp in [Tqs, Tqe) to its pixel column: the span it falls
+// in under Definition 2.3, exact however wide the range.
+func (m pixelMap) x(t int64) int { return m.q.SpanIndex(t) }
 
 // y maps a value to its pixel row (0 at the top).
 func (m pixelMap) y(v float64) int {

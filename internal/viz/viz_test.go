@@ -7,6 +7,7 @@ import (
 	"image/png"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -207,6 +208,31 @@ func TestViewportMapping(t *testing.T) {
 	flat := Viewport{Tqs: 0, Tqe: 10, VMin: 3, VMax: 3}
 	if flat.mapping(0, 10).y(3) != 5 {
 		t.Error("flat viewport must center values")
+	}
+}
+
+// TestViewportMappingWide: the pixel column of a point in a window wider
+// than MaxInt64/w is its Definition 2.3 span, floor(w·(t−Tqs)/(Tqe−Tqs)),
+// exactly as math/big computes it.
+func TestViewportMappingWide(t *testing.T) {
+	const tqs, tqe, w = int64(0), int64(1_800_000_000_000_000_000), 1000
+	m := Viewport{Tqs: tqs, Tqe: tqe, VMin: 0, VMax: 1}.mapping(w, 1)
+	if got := m.x(1_700_000_000_000_000_000); got != 944 {
+		t.Fatalf("x(1.7e18) over [0, 1.8e18) at w=%d = %d, want 944", w, got)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range [][2]int64{{tqs, tqe}, {math.MinInt64 + 1, math.MaxInt64}, {-5e18, 4e18}} {
+		vp := Viewport{Tqs: r[0], Tqe: r[1], VMin: 0, VMax: 1}
+		m := vp.mapping(w, 1)
+		span := new(big.Int).Sub(big.NewInt(r[1]), big.NewInt(r[0]))
+		for i := 0; i < 1000; i++ {
+			t0 := r[0] + int64(rng.Uint64()%span.Uint64())
+			want := new(big.Int).Mul(big.NewInt(w), new(big.Int).Sub(big.NewInt(t0), big.NewInt(r[0])))
+			want.Quo(want, span)
+			if got := m.x(t0); int64(got) != want.Int64() {
+				t.Fatalf("[%d, %d): x(%d) = %d, want %d", r[0], r[1], t0, got, want.Int64())
+			}
+		}
 	}
 }
 

@@ -8,10 +8,10 @@
 // payloads plus one record kind it defines itself, the checkpoint: when
 // the engine flushes, its checkpoint marks every earlier record durable
 // elsewhere, and a sealed segment is deleted as soon as it holds no
-// unflushed record and no pinned record is in flight against it.
+// record committed since the last checkpoint.
 //
-// A Log owns its lock: callers never see the segments, the watermark or
-// pins, only the methods below. The caller's side of the contract is one
+// A Log owns its lock: callers never see the segments or the watermark,
+// only the methods below. The caller's side of the contract is one
 // rule — Commit and Checkpoint are called while holding the engine's own
 // lock, so a checkpoint can never slip between a record's commit and the
 // caller applying it. A nil *Log is a disabled log: every method is a
@@ -98,8 +98,6 @@ type Log struct {
 	// none): claimed at commit, cleared by a checkpoint, monotone between
 	// checkpoints because segment seqs only grow.
 	watermark uint64
-	// pins counts in-flight pinned records per segment (see Record.Pin).
-	pins map[uint64]int
 	// groups and records count commits and the records they carried.
 	groups, records int64
 
@@ -142,7 +140,7 @@ func Open(o Options, record func(payload []byte) (claim bool, err error), checkp
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
-	l := &Log{opts: o, pins: make(map[uint64]int)}
+	l := &Log{opts: o}
 	entries, err := os.ReadDir(o.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -380,48 +378,28 @@ func (l *Log) Checkpoint() error {
 	return nil
 }
 
-// Unpin releases the pin a committed Record{Pin: true} placed on segment
-// seq, once whatever it guarded is durable elsewhere.
-func (l *Log) Unpin(seq uint64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := l.pins[seq]; n > 1 {
-		l.pins[seq] = n - 1
-	} else {
-		delete(l.pins, seq)
-	}
-}
-
 // Retire deletes every sealed segment the log no longer needs: all
-// segments strictly below the watermark and the lowest pinned seq. Their
-// records are all superseded by checkpoints, so retirement is a plain
-// unlink — crash-safe at any point. When there is no unflushed record at
-// all (and nothing is pinned), the active segment truncates back to its
-// header too: the check and the truncation share the lock with commits, so
-// a concurrent writer either claimed the watermark first (truncation is
-// skipped) or appends after it.
+// segments strictly below the watermark. Their records are all superseded
+// by checkpoints, so retirement is a plain unlink — crash-safe at any
+// point. When there is no unflushed record at all, the active segment
+// truncates back to its header too: the check and the truncation share the
+// lock with commits, so a concurrent writer either claimed the watermark
+// first (truncation is skipped) or appends after it.
 func (l *Log) Retire() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	allClear := len(l.pins) == 0 && l.watermark == 0
 	limit := l.activeSeq // retire seq < limit
 	if l.watermark != 0 {
 		limit = min(limit, l.watermark)
-	}
-	for seq := range l.pins {
-		limit = min(limit, seq)
 	}
 	cut := 0
 	for cut < len(l.sealed) && l.sealed[cut].Seq < limit {
 		cut++
 	}
-	truncate := allClear && l.active.Size() > tsfile.SegmentHeaderLen
+	truncate := l.watermark == 0 && l.active.Size() > tsfile.SegmentHeaderLen
 	if cut == 0 && !truncate {
 		return nil
 	}
@@ -464,7 +442,6 @@ func (l *Log) Reset() error {
 		return err
 	}
 	l.watermark = 0
-	clear(l.pins)
 	return l.active.Truncate()
 }
 

@@ -45,36 +45,35 @@ func open(t *testing.T, o Options) (*Log, *replayed) {
 }
 
 // rec builds a payload: op 3, shard tag 0, then body.
-func rec(body string) Record {
-	return Record{Payload: append([]byte{3, 0}, body...)}
+func rec(body string) []byte {
+	return append([]byte{3, 0}, body...)
 }
 
-func commit(t *testing.T, l *Log, recs ...Record) []Record {
+// commit commits recs as one group and returns the segment the last one
+// landed in.
+func commit(t *testing.T, l *Log, recs ...[]byte) uint64 {
 	t.Helper()
 	if err := l.Commit(recs); err != nil {
 		t.Fatal(err)
 	}
-	return recs
+	return l.activeSeq
 }
 
 // TestGroupCommit pins the committer's batching semantics: one Commit of N
-// records is one group (one sync), every record is acknowledged with its
-// landing segment, and the watermark is claimed.
+// records is one group (one sync), and the watermark is claimed at the
+// segment they landed in.
 func TestGroupCommit(t *testing.T) {
 	l, _ := open(t, Options{Dir: t.TempDir(), Sync: true})
-	var recs []Record
+	var recs [][]byte
 	for i := 0; i < 10; i++ {
 		recs = append(recs, rec(fmt.Sprint(i)))
 	}
-	commit(t, l, recs...)
+	if seq := commit(t, l, recs...); seq != 1 {
+		t.Fatalf("records landed in segment %d, want 1", seq)
+	}
 	st := l.Stats()
 	if st.Groups != 1 || st.Records != 10 {
 		t.Fatalf("groups = %d, records = %d; want 1 and 10 (one commit, one sync)", st.Groups, st.Records)
-	}
-	for i, r := range recs {
-		if r.Seq != 1 {
-			t.Fatalf("record %d landed in segment %d, want 1", i, r.Seq)
-		}
 	}
 	if l.watermark != 1 {
 		t.Fatalf("watermark = %d, want 1", l.watermark)
@@ -97,7 +96,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				var recs []Record
+				var recs [][]byte
 				for j := 0; j < perCommit; j++ {
 					recs = append(recs, rec(fmt.Sprintf("w%d-%03d", w, i*perCommit+j)))
 				}
@@ -140,7 +139,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 }
 
 // TestFailedGroupClaimsNothing: a group that fails before any byte is
-// written acknowledges none of its records and claims no watermark or pin.
+// written acknowledges none of its records and claims no watermark.
 func TestFailedGroupClaimsNothing(t *testing.T) {
 	crash := errors.New("crash")
 	var armed bool
@@ -151,13 +150,11 @@ func TestFailedGroupClaimsNothing(t *testing.T) {
 		return nil
 	}})
 	armed = true
-	pinned := rec("b")
-	pinned.Pin = true
-	if err := l.Commit([]Record{rec("a"), pinned}); !errors.Is(err, crash) {
+	if err := l.Commit([][]byte{rec("a"), rec("b")}); !errors.Is(err, crash) {
 		t.Fatalf("commit = %v, want the injected crash", err)
 	}
-	if l.watermark != 0 || len(l.pins) != 0 || l.Stats().Records != 0 {
-		t.Fatalf("failed group left state: watermark %d, pins %v, stats %+v", l.watermark, l.pins, l.Stats())
+	if l.watermark != 0 || l.Stats().Records != 0 {
+		t.Fatalf("failed group left state: watermark %d, stats %+v", l.watermark, l.Stats())
 	}
 }
 
@@ -178,24 +175,24 @@ func TestCheckpointRetire(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tail := commit(t, l, rec("unflushed"))[0]
+	tail := commit(t, l, rec("unflushed"))
 	commit(t, l, rec("rotate-past-the-unflushed-record-..........................."), rec("last"))
 	before := l.Stats()
-	if before.Segments < 4 || tail.Seq == 1 || tail.Seq == l.activeSeq {
-		t.Fatalf("setup: %d segments, unflushed record in %d, active %d", before.Segments, tail.Seq, l.activeSeq)
+	if before.Segments < 4 || tail == 1 || tail == l.activeSeq {
+		t.Fatalf("setup: %d segments, unflushed record in %d, active %d", before.Segments, tail, l.activeSeq)
 	}
 	if err := l.Retire(); err != nil {
 		t.Fatal(err)
 	}
 	after := l.Stats()
-	if want := int64(tail.Seq - 1); after.RetiredSegments != want {
+	if want := int64(tail - 1); after.RetiredSegments != want {
 		t.Fatalf("retired %d segments, want the %d below the unflushed record's", after.RetiredSegments, want)
 	}
 	if after.Bytes >= before.Bytes || after.RetiredBytes == 0 {
 		t.Fatalf("bytes %d -> %d, retired bytes %d", before.Bytes, after.Bytes, after.RetiredBytes)
 	}
-	if sealed := l.Sealed(); sealed[0].Seq != tail.Seq {
-		t.Fatalf("oldest sealed segment = %d, want the unflushed record's %d", sealed[0].Seq, tail.Seq)
+	if sealed := l.Sealed(); sealed[0].Seq != tail {
+		t.Fatalf("oldest sealed segment = %d, want the unflushed record's %d", sealed[0].Seq, tail)
 	}
 	l.Close()
 
@@ -205,8 +202,8 @@ func TestCheckpointRetire(t *testing.T) {
 	if len(r.recs) != 3 || string(r.recs[0][2:]) != "unflushed" {
 		t.Fatalf("replay after the checkpoint: %q", r.recs)
 	}
-	if l2.watermark != tail.Seq {
-		t.Fatalf("watermark after replay = %d, want %d", l2.watermark, tail.Seq)
+	if l2.watermark != tail {
+		t.Fatalf("watermark after replay = %d, want %d", l2.watermark, tail)
 	}
 	if err := l2.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -219,15 +216,22 @@ func TestCheckpointRetire(t *testing.T) {
 	}
 }
 
-// TestPinHoldsSegment: a pinned record claims no watermark but keeps its
-// segment (and blocks the all-clear truncation) until Unpin.
-func TestPinHoldsSegment(t *testing.T) {
+// TestDeleteSegmentSurvivesUntilCheckpoint: a delete record claims the
+// watermark like an insert, so its segment survives retirement — and
+// blocks the all-clear truncation — until the next checkpoint, however
+// many segments later records fill.
+func TestDeleteSegmentSurvivesUntilCheckpoint(t *testing.T) {
 	l, _ := open(t, Options{Dir: t.TempDir(), SegmentBytes: 32})
-	pinned := Record{Payload: []byte{4, 0, 'd', 'e', 'l'}, Pin: true}
-	got := commit(t, l, pinned)[0]
+	del := commit(t, l, []byte{4, 0, 'd', 'e', 'l'})
 	commit(t, l, rec("fill-the-first-segment-past-32-bytes"), rec("x"))
-	if l.watermark != got.Seq {
-		t.Fatalf("setup: watermark %d, pinned segment %d", l.watermark, got.Seq)
+	if l.watermark != del {
+		t.Fatalf("setup: watermark %d, delete's segment %d", l.watermark, del)
+	}
+	if err := l.Retire(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.RetiredSegments != 0 || st.Segments < 2 {
+		t.Fatalf("delete's segment retired before a checkpoint: %+v", st)
 	}
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -235,15 +239,8 @@ func TestPinHoldsSegment(t *testing.T) {
 	if err := l.Retire(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.RetiredSegments != 0 || st.Segments < 2 {
-		t.Fatalf("pinned segment retired: %+v", st)
-	}
-	l.Unpin(got.Seq)
-	if err := l.Retire(); err != nil {
-		t.Fatal(err)
-	}
 	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen {
-		t.Fatalf("after unpin: %+v, want one header-only segment", st)
+		t.Fatalf("after the checkpoint: %+v, want one header-only segment", st)
 	}
 }
 
@@ -269,7 +266,7 @@ func TestTornTailAndTornCreation(t *testing.T) {
 	if len(r.recs) != 2 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn tail, 3 bytes") {
 		t.Fatalf("torn tail: replayed %q, %+v", r.recs, st)
 	}
-	next := commit(t, l2, rec("third"))[0].Seq + 1
+	next := commit(t, l2, rec("third")) + 1
 	l2.Close()
 	os.WriteFile(SegmentPath(dir, next), []byte("M4W"), 0o644)
 
@@ -278,8 +275,8 @@ func TestTornTailAndTornCreation(t *testing.T) {
 	if len(r.recs) != 3 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn creation") {
 		t.Fatalf("torn creation: replayed %q, %+v", r.recs, st)
 	}
-	if got := commit(t, l3, rec("fourth"))[0]; got.Seq != next {
-		t.Fatalf("after recreating segment %d: landed in %d", next, got.Seq)
+	if got := commit(t, l3, rec("fourth")); got != next {
+		t.Fatalf("after recreating segment %d: landed in %d", next, got)
 	}
 }
 
@@ -347,23 +344,21 @@ func TestResetAndCapture(t *testing.T) {
 	if hdr, recs, err := tsfile.ParseSegment(active); err != nil || hdr.Seq != 2 || len(recs) != 1 {
 		t.Fatalf("captured active prefix: %v, %v, %d records", err, hdr, len(recs))
 	}
-	pinned := Record{Payload: []byte{4, 0}, Pin: true}
-	commit(t, l, pinned)
+	commit(t, l, []byte{4, 0})
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen || l.watermark != 0 || len(l.pins) != 0 {
-		t.Fatalf("after reset: %+v, watermark %d, pins %v", st, l.watermark, l.pins)
+	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen || l.watermark != 0 {
+		t.Fatalf("after reset: %+v, watermark %d", st, l.watermark)
 	}
 }
 
 // TestNilLog: a nil *Log is a disabled log.
 func TestNilLog(t *testing.T) {
 	var l *Log
-	if err := errors.Join(l.Commit([]Record{rec("x")}), l.Checkpoint(), l.Retire(), l.Reset(), l.Close()); err != nil {
+	if err := errors.Join(l.Commit([][]byte{rec("x")}), l.Checkpoint(), l.Retire(), l.Reset(), l.Close()); err != nil {
 		t.Fatal(err)
 	}
-	l.Unpin(1)
 	if _, _, _, err := l.Capture(); err != nil || l.Sealed() != nil || !reflect.DeepEqual(l.Stats(), Stats{}) {
 		t.Fatal("disabled log reported state")
 	}
