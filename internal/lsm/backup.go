@@ -125,7 +125,7 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 
 	e.mu.Lock()
 	if e.closed.Load() {
-		e.mu.Unlock()
+		e.unlock()
 		return m, errEngineClosed
 	}
 	m.CreatedUnix = time.Now().Unix()
@@ -143,7 +143,7 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 			continue
 		}
 		if err != nil {
-			e.mu.Unlock()
+			e.unlock()
 			return m, fmt.Errorf("lsm: backup: %w", err)
 		}
 		caps = append(caps, capture{name: name, data: data})
@@ -153,7 +153,7 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 	// far are captured now.
 	sealed, activePath, active, err := e.wal.Capture()
 	if err != nil {
-		e.mu.Unlock()
+		e.unlock()
 		return m, fmt.Errorf("lsm: backup: %w", err)
 	}
 	for _, s := range sealed {
@@ -174,7 +174,7 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 			break
 		}
 	}
-	e.mu.Unlock()
+	e.unlock()
 	if linkErr != nil {
 		return m, fmt.Errorf("lsm: backup: %w", linkErr)
 	}

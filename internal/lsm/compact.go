@@ -32,7 +32,7 @@ func (e *Engine) Compact() error {
 		return err
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if e.closed.Load() {
 		return errEngineClosed
 	}
@@ -92,7 +92,7 @@ func (e *Engine) compactLocked() error {
 	}
 	// The unsequence space is folded into the new sequence generation.
 	e.unseqFiles = 0
-	e.chunks = make(map[string][]chunkEntry)
+	e.chunks, e.nChunks = make(map[string][]chunkEntry), 0
 	e.maxSeqTime = make(map[string]int64)
 	if r != nil {
 		e.registerChunks(r)

@@ -59,9 +59,8 @@ func writeClass(err error) string {
 }
 
 // metricValues reads the write-path metrics compared as deltas across
-// forms, straight from the instruments behind their names: a registry
-// snapshot also evaluates the Info gauges, which wait for e.mu, and the
-// backpressure case reads these while a parked writer holds it.
+// forms, straight from the instruments behind their names, while the
+// backpressure case's parked writer holds e.mu.
 // Call-granularity counters (lsm_ingest_batches_total,
 // lsm_wal_group_commits_total) are deliberately not compared: three Writes
 // are three batches, one WriteBatch is one. The two queue-admission

@@ -87,10 +87,11 @@ func stripedWorkload() []tortureOp {
 }
 
 // TestStripedWorkloadWritesParentBytes pins the on-disk formats: run at one
-// stripe, stripedWorkload leaves exactly the files, byte for byte, that
-// commit cb3bb04 left at one stripe — chunk files, deletes.mods, the
-// pyramid manifest and the WAL segments with their shard tags, checkpoint
-// and segment headers.
+// stripe, stripedWorkload leaves exactly the files that commit cb3bb04 left
+// at one stripe, and every one byte for byte — chunk files, deletes.mods and
+// the WAL segments with their shard tags, checkpoint and segment headers —
+// but the pyramid manifest, whose format has changed since: it must decode,
+// with every series' cells consistent.
 func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Options{Dir: dir, FlushThreshold: 8, WALSegmentBytes: 128})
@@ -127,7 +128,17 @@ func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a, b) {
+		if ent.Name() == pyramidFileName {
+			p, _, err := pyramid.Decode(a)
+			if err != nil {
+				t.Fatalf("%s: %v", ent.Name(), err)
+			}
+			for _, id := range []string{"root.d", "root.s1", "root.s3", "root.s5"} {
+				if err := p.CheckInvariants(id); err != nil {
+					t.Error(err)
+				}
+			}
+		} else if !bytes.Equal(a, b) {
 			t.Errorf("%s differs from the parent's bytes", ent.Name())
 		}
 	}

@@ -128,13 +128,15 @@ type Engine struct {
 	opts Options
 
 	// mu guards every field down to scrubMu: writers, flushes, compaction,
-	// quarantine and backup hold it exclusively; snapshots and Info share
-	// it.
+	// quarantine and backup hold it exclusively, and end by publishing
+	// counts (unlock); snapshots share it.
 	mu  sync.RWMutex
 	mem map[string]series.Series // per-series unsorted write buffer
 	// memPts is the buffered point count across mem.
 	memPts int
 	chunks map[string][]chunkEntry // per-series flushed chunks
+	// nChunks counts the chunks across chunks.
+	nChunks int
 	// Sequence/unsequence separation (reference [26]): per series, the
 	// largest timestamp flushed to the sequence space so far. Points at
 	// or before it are out-of-order and flush to unsequence files.
@@ -166,8 +168,8 @@ type Engine struct {
 	quarantined map[chunkID]error
 
 	// The pyramid-manifest save schedule (see pyrSave): pyrUnsaved is the
-	// raw bytes flushed since the last save, pyrLastSize the size of the
-	// last manifest written or loaded.
+	// points flushed since the last save, pyrLastSize the distinct points
+	// the last manifest written or loaded holds.
 	pyrUnsaved  int64
 	pyrLastSize int64
 
@@ -213,10 +215,31 @@ type Engine struct {
 	backupBytes      atomic.Int64
 	lastBackupUnix   atomic.Int64
 
+	// counts is what Info and the state gauges report of the state mu
+	// guards, published at the end of every write section (unlock), so a
+	// reader never waits for a writer.
+	counts atomic.Pointer[counts]
+
 	// met holds pre-resolved write-path instruments; every field is
 	// nil-safe, so instrumented code records unconditionally and a nil
 	// Options.Metrics costs one pointer check per site.
 	met engineMetrics
+}
+
+// counts is one immutable publication of the engine's counts.
+type counts struct {
+	memtablePoints, chunks, files, unseqFiles int
+	badFiles, quarantinedChunks, deletes      int
+	nextVersion                               storage.Version
+}
+
+// unlock publishes the counts and releases mu. Every write section ends
+// with it, so the published counts are the state's whenever mu is free.
+func (e *Engine) unlock() {
+	e.counts.Store(&counts{memtablePoints: e.memPts, chunks: e.nChunks, files: len(e.files),
+		unseqFiles: e.unseqFiles, badFiles: e.badFiles, quarantinedChunks: len(e.quarantined),
+		deletes: len(e.mods.All()), nextVersion: storage.Version(e.nextVer)})
+	e.mu.Unlock()
 }
 
 // engineMetrics are the engine's registry instruments (all nil when
@@ -304,6 +327,8 @@ func Open(opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("lsm: %w", err)
 		}
 	}
+	e.mu.Lock() // publishes the recovered counts
+	e.unlock()
 	e.registerMetrics(opts.Metrics)
 	return e, nil
 }
@@ -329,16 +354,16 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	info := func(f func(Info) float64) func() float64 {
-		return func() float64 { return f(e.Info()) }
+	count := func(f func(*counts) int) func() float64 {
+		return func() float64 { return float64(f(e.counts.Load())) }
 	}
-	reg.GaugeFunc("lsm_memtable_points", info(func(i Info) float64 { return float64(i.MemtablePoints) }))
-	reg.GaugeFunc("lsm_chunks", info(func(i Info) float64 { return float64(i.Chunks) }))
-	reg.GaugeFunc("lsm_files", info(func(i Info) float64 { return float64(i.Files) }))
-	reg.GaugeFunc("lsm_unseq_files", info(func(i Info) float64 { return float64(i.UnseqFiles) }))
-	reg.GaugeFunc("lsm_bad_files", info(func(i Info) float64 { return float64(i.BadFiles) }))
-	reg.GaugeFunc("lsm_quarantined_chunks", info(func(i Info) float64 { return float64(i.QuarantinedChunks) }))
-	reg.GaugeFunc("lsm_delete_tombstones", info(func(i Info) float64 { return float64(i.Deletes) }))
+	reg.GaugeFunc("lsm_memtable_points", count(func(c *counts) int { return c.memtablePoints }))
+	reg.GaugeFunc("lsm_chunks", count(func(c *counts) int { return c.chunks }))
+	reg.GaugeFunc("lsm_files", count(func(c *counts) int { return c.files }))
+	reg.GaugeFunc("lsm_unseq_files", count(func(c *counts) int { return c.unseqFiles }))
+	reg.GaugeFunc("lsm_bad_files", count(func(c *counts) int { return c.badFiles }))
+	reg.GaugeFunc("lsm_quarantined_chunks", count(func(c *counts) int { return c.quarantinedChunks }))
+	reg.GaugeFunc("lsm_delete_tombstones", count(func(c *counts) int { return c.deletes }))
 	reg.GaugeFunc("lsm_read_only", func() float64 {
 		if e.readOnly.Load() != nil {
 			return 1
@@ -461,27 +486,22 @@ type Info struct {
 	LastBackupUnix     int64
 }
 
-// Info returns a snapshot of engine statistics: everything the engine
-// owns is read in one hold of e.mu.
+// Info returns a snapshot of engine statistics. It never waits for e.mu:
+// the counts mu guards come from one publication (see unlock).
 func (e *Engine) Info() Info {
 	ro, roReason := e.ReadOnly()
 	ps := e.pyr.Stats()
 	ws := e.wal.Stats()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	chunks := 0
-	for _, cs := range e.chunks {
-		chunks += len(cs)
-	}
+	c := e.counts.Load()
 	return Info{
-		Files:              len(e.files),
-		UnseqFiles:         e.unseqFiles,
-		Chunks:             chunks,
-		MemtablePoints:     e.memPts,
-		NextVersion:        storage.Version(e.nextVer),
-		Deletes:            len(e.mods.All()),
-		BadFiles:           e.badFiles,
-		QuarantinedChunks:  len(e.quarantined),
+		Files:              c.files,
+		UnseqFiles:         c.unseqFiles,
+		Chunks:             c.chunks,
+		MemtablePoints:     c.memtablePoints,
+		NextVersion:        c.nextVersion,
+		Deletes:            c.deletes,
+		BadFiles:           c.badFiles,
+		QuarantinedChunks:  c.quarantinedChunks,
 		ReadOnly:           ro,
 		ReadOnlyReason:     roReason,
 		ReadRetries:        e.readRetries.Load(),
@@ -511,7 +531,7 @@ func (e *Engine) Info() Info {
 // like a direct Write.
 func (e *Engine) Close() error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if e.closed.Load() {
 		return nil
 	}
@@ -537,7 +557,7 @@ func (e *Engine) Close() error {
 // over the same directory.
 func (e *Engine) Kill() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if e.closed.Load() {
 		return
 	}

@@ -17,7 +17,7 @@ func (e *Engine) Flush() error {
 		return err
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if e.closed.Load() {
 		return errEngineClosed
 	}
@@ -187,4 +187,5 @@ func (e *Engine) registerChunks(r *tsfile.Reader) {
 	for _, m := range r.Metas() {
 		e.chunks[m.SeriesID] = append(e.chunks[m.SeriesID], chunkEntry{meta: m, src: src})
 	}
+	e.nChunks += len(r.Metas())
 }

@@ -144,7 +144,7 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 		return err
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	if e.closed.Load() {
 		return errEngineClosed
 	}
@@ -259,7 +259,7 @@ func (e *Engine) WriteBatch(entries ...BatchEntry) error {
 		return err
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	defer e.ing.stepDown()
 	for !req.done {
 		// A queued request is resolved by a drain, Close or Kill; an

@@ -490,8 +490,7 @@ func TestQueuedWritersShareAGroup(t *testing.T) {
 	for i := 0; i < queued; i++ {
 		go func(i int) { errs <- e.Write(fmt.Sprintf("s%d", i), series.Point{T: int64(i), V: 1}) }(i)
 	}
-	// The lsm_ingest_queue_points gauge, read without a registry snapshot,
-	// whose Info gauges would wait for the parked caller's e.mu.
+	// The lsm_ingest_queue_points gauge's source, read directly.
 	waitFor(t, func() bool { return e.ing.queuedPoints() == queued })
 	close(release)
 	for i := 0; i < queued+1; i++ {

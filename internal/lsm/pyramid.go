@@ -62,18 +62,16 @@ func (e *Engine) pyrRebuild() error {
 	return nil
 }
 
-// pointBytes is what one raw point weighs when pyrSave paces manifest
-// writes against flushed data: a timestamp and a value.
-const pointBytes = 16
-
 // pyrSave writes the manifest when cells changed since the last save and
 // the save is due. An explicit checkpoint (Flush, Close, Compact, scrub's
 // heal) is always due. An automatic flush, which passes the points it
-// moved, is due once the raw bytes flushed since the last save reach the
-// size of the last manifest: manifest writes then cost at most about one
-// byte per raw byte flushed, and a crash re-marks stale at most about
-// pyrLastSize/pointBytes points the watermark does not vouch for. Skipping
-// a save costs rebuild work after a crash, never a wrong answer.
+// moved, is due once the points flushed since the last save reach the
+// distinct points that save encoded (pyrLastSize, restored from the
+// manifest on Open): the manifest's codec work then stays at or below the
+// chunk codec work that paid for it, and a crash re-marks stale at most
+// about pyrLastSize flushed points the watermark does not vouch for, plus
+// what the WAL replays. Skipping a save costs rebuild work after a crash,
+// never a wrong answer.
 //
 // Write failures are swallowed: a stale manifest is safe because the
 // watermark re-marks anything newer on reopen. Only the StepHook can make
@@ -81,7 +79,7 @@ const pointBytes = 16
 // so no version is allocated while the state is encoded: the watermark is
 // exactly the state's.
 func (e *Engine) pyrSave(flushed int, checkpoint bool) error {
-	e.pyrUnsaved += int64(flushed) * pointBytes
+	e.pyrUnsaved += int64(flushed)
 	if !e.pyr.Dirty() || (!checkpoint && e.pyrUnsaved < e.pyrLastSize) {
 		return nil
 	}
@@ -94,7 +92,7 @@ func (e *Engine) pyrSave(flushed int, checkpoint bool) error {
 		e.pyr.MarkDirty()
 		return nil
 	}
-	e.pyrUnsaved, e.pyrLastSize = 0, int64(len(data))
+	e.pyrUnsaved, e.pyrLastSize = 0, e.pyr.Points()
 	e.pyrSaves.Add(1)
 	e.met.pyrSaveSecs.Observe(time.Since(start).Seconds())
 	return nil
@@ -135,7 +133,7 @@ func (e *Engine) pyrLoad() {
 	var wm uint64
 	if data, err := os.ReadFile(filepath.Join(e.opts.Dir, pyramidFileName)); err == nil {
 		if p, w, err := pyramid.Decode(data); err == nil {
-			e.pyr, wm, e.pyrLastSize = p, w, int64(len(data))
+			e.pyr, wm, e.pyrLastSize = p, w, p.Points()
 		}
 	}
 	for id, ces := range e.chunks {

@@ -10,6 +10,7 @@ import (
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/obs"
+	"m4lsm/internal/pyramid"
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
@@ -144,24 +145,107 @@ func TestPyramidOverwriteAtChunkEdges(t *testing.T) {
 	}
 }
 
-// Reopening a directory written under another lock-stripe count must keep
-// the persisted manifest usable: the pyramid is keyed by series, not
-// stripes. root.d of the 3-stripe golden directory (see stripedWorkload) was
-// fully flushed before the manifest was saved and never written again, so
-// with no flush since the reopen its cells must answer straight from the
-// manifest.
+// TestPyramidReopenReshard is the manifest-format upgrade pin. A directory
+// holding an older build's pyramid.pyr reopens with that manifest refused as
+// corrupt and every series stale: before the first flush nothing is planned
+// from cells and every answer, from chunks, equals the oracle; after it the
+// pyramid answers, still equal to the oracle. The directories are the
+// lock-striped golden ones (see stripedWorkload), and goldenManifestOps'
+// data under the format-1 manifest commit 8f81d1d wrote for it.
 func TestPyramidReopenReshard(t *testing.T) {
-	e, err := Open(Options{Dir: copyTestdata(t, "parent-cb3bb04-shards3")})
-	if err != nil {
-		t.Fatal(err)
+	striped := oracle{}
+	for _, op := range stripedWorkload() {
+		striped.apply(op)
 	}
-	defer e.Close()
-	if n := pyrVerify(t, e, "root.d", 256); n == 0 {
-		t.Fatal("root.d: pyramid unused after reopen with a different stripe count")
+	golden := oracle{}
+	for _, session := range goldenManifestOps() {
+		for _, op := range session {
+			golden.apply(op)
+		}
 	}
-	if info := e.Info(); info.PyramidSeries != 4 {
-		t.Fatalf("PyramidSeries = %d, want 4", info.PyramidSeries)
+	goldenDir := func(t *testing.T) string {
+		dir := t.TempDir()
+		if err := goldenManifestWorkload(dir); err != nil {
+			t.Fatal(err)
+		}
+		old, err := os.ReadFile(filepath.Join("testdata", "parent-8f81d1d", pyramidFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, pyramidFileName), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
+	for _, c := range []struct {
+		name string
+		dir  func(t *testing.T) string
+		want oracle
+	}{
+		{"parent-cb3bb04-shards1", func(t *testing.T) string { return copyTestdata(t, "parent-cb3bb04-shards1") }, striped},
+		{"parent-cb3bb04-shards3", func(t *testing.T) string { return copyTestdata(t, "parent-cb3bb04-shards3") }, striped},
+		{"parent-8f81d1d", goldenDir, golden},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := Open(Options{Dir: c.dir(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			answered := func() int64 {
+				var n int64
+				for id := range c.want {
+					n += oracleM4(t, e, id, c.want.series(id))
+				}
+				return n
+			}
+			if n := answered(); n != 0 {
+				t.Fatalf("%d spans planned from a manifest of the old format", n)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if n := answered(); n == 0 {
+				t.Fatal("pyramid unused after the first flush")
+			}
+			if info := e.Info(); info.PyramidSeries != len(c.want) || info.PyramidStaleRanges != 0 {
+				t.Fatalf("after the flush: %d pyramid series and %d stale ranges, want %d and none",
+					info.PyramidSeries, info.PyramidStaleRanges, len(c.want))
+			}
+		})
+	}
+}
+
+// oracleM4 answers a few query shapes over series id with the pyramid-
+// aware operator, requires each equal to M4 over want, and returns how many
+// spans the pyramid answered.
+func oracleM4(t *testing.T, e *Engine, id string, want series.Series) int64 {
+	t.Helper()
+	if err := e.PyrCheckInvariants(id); err != nil {
+		t.Fatalf("pyramid invariants: %v", err)
+	}
+	var spans int64
+	for _, q := range []m4.Query{{Tqs: -1024, Tqe: 1024, W: 4}, {Tqs: -1024, Tqe: 1024, W: 16}, {Tqs: 0, Tqe: 256, W: 8}} {
+		snap, err := e.Snapshot(id, q.Range())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m4lsm.Compute(snap, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := m4.ComputeSeries(q, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref {
+			if !m4.Equivalent(got[i], ref[i]) {
+				t.Fatalf("%s query %+v span %d: %v, the oracle %v", id, q, i, got[i], ref[i])
+			}
+		}
+		spans += snap.Stats.PyramidSpans
+	}
+	return spans
 }
 
 // A corrupt manifest must be discarded wholesale: the engine reopens with
@@ -374,11 +458,11 @@ func TestFlushRebuildsAfterDelete(t *testing.T) {
 }
 
 // TestAutoFlushSavesAmortized pins when automatic flushes write the
-// manifest: only once the raw bytes flushed since the last save (16 per
-// point) reach the size of the manifest that save wrote, so many flush
-// rounds cost a few saves. A kill after unsaved flushes loses nothing and
-// answers nothing wrong: reopen re-marks what the old manifest does not
-// vouch for, and the next flush rebuilds it.
+// manifest: once, and only once, the points flushed since the last save
+// reach the distinct points the manifest that save wrote holds, so many
+// flush rounds cost a few saves. A kill after unsaved flushes loses nothing and answers
+// nothing wrong: reopen re-marks what the old manifest does not vouch for,
+// and the next flush rebuilds it.
 func TestAutoFlushSavesAmortized(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -386,15 +470,26 @@ func TestAutoFlushSavesAmortized(t *testing.T) {
 	rounds := reg.Counter("lsm_flushes_total")
 	manifest := filepath.Join(dir, pyramidFileName)
 	saves, lastSaveAt := 0, int64(0)
+	// lastPoints reads the distinct points of the manifest on disk, the
+	// last save's; false before the first save.
+	lastPoints := func() (int64, bool) {
+		data, err := os.ReadFile(manifest)
+		if err != nil {
+			return 0, false
+		}
+		last, _, err := pyramid.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return last.Points(), true
+	}
 	hook := func(site string) error {
 		if site != "pyramid.save" {
 			return nil
 		}
 		// The step runs before the write: the file on disk is the last save's.
-		if fi, err := os.Stat(manifest); err == nil {
-			if flushed := pointBytes * (flushedPts.Value() - lastSaveAt); flushed < fi.Size() {
-				t.Errorf("save %d after %d flushed bytes, under the last manifest's %d", saves+1, flushed, fi.Size())
-			}
+		if last, ok := lastPoints(); ok && flushedPts.Value()-lastSaveAt < last {
+			t.Errorf("save %d after %d flushed points, under the last manifest's %d", saves+1, flushedPts.Value()-lastSaveAt, last)
 		}
 		saves++
 		lastSaveAt = flushedPts.Value()
@@ -424,6 +519,10 @@ func TestAutoFlushSavesAmortized(t *testing.T) {
 		if err := e.WriteBatch(entries...); err != nil {
 			t.Fatal(err)
 		}
+		// Nor is a save that is due skipped.
+		if last, ok := lastPoints(); ok && flushedPts.Value()-lastSaveAt >= last {
+			t.Fatalf("post %d: %d points flushed since the last save, whose manifest holds %d, and no save", i, flushedPts.Value()-lastSaveAt, last)
+		}
 		if i%10 != 9 {
 			head += 16
 		}
@@ -442,16 +541,22 @@ func TestAutoFlushSavesAmortized(t *testing.T) {
 		i++
 	}
 	t.Logf("%d automatic flush rounds, %d manifest saves", rounds.Value(), saves)
-	if n := rounds.Value(); n < 50 || int64(saves)*5 > n {
-		t.Fatalf("%d automatic flush rounds made %d manifest saves; want many rounds and at most a fifth as many saves", n, saves)
+	if n := rounds.Value(); n < 50 || saves < 3 || int64(saves)*5 > n {
+		t.Fatalf("%d automatic flush rounds made %d manifest saves; want many rounds, more than the first two saves and at most a fifth as many saves as rounds", n, saves)
 	}
 	e.Kill()
 
-	e2 := openTestEngine(t, Options{Dir: dir})
+	reopenedSaves := 0
+	e2 := openTestEngine(t, Options{Dir: dir, FlushThreshold: 64, StepHook: func(site string) error {
+		if site == "pyramid.save" {
+			reopenedSaves++
+		}
+		return nil
+	}})
 	if st := e2.pyr.Stats(); st.StaleRanges == 0 {
 		t.Fatal("reopen after unsaved flushes re-marked nothing stale")
 	}
-	full := series.TimeRange{Start: 0, End: head + 64}
+	full := series.TimeRange{Start: 0, End: head + 256}
 	for _, id := range ids {
 		snap, err := e2.Snapshot(id, full)
 		if err != nil {
@@ -461,6 +566,23 @@ func TestAutoFlushSavesAmortized(t *testing.T) {
 			t.Fatalf("%s: %d points read back, %d acknowledged", id, len(got), len(want))
 		}
 		pyrVerify(t, e2, id, full.End)
+	}
+	// The reopened engine paces by the manifest it loaded: an automatic
+	// flush of far fewer points than that manifest holds saves nothing.
+	entries := make([]BatchEntry, len(ids))
+	for s, id := range ids {
+		batch := make([]series.Point, 64)
+		for j := range batch {
+			batch[j] = series.Point{T: head + 64 + int64(j), V: float64(s + j%5)}
+		}
+		entries[s] = BatchEntry{SeriesID: id, Points: batch}
+		acked.apply(tortureOp{kind: 'w', id: id, pts: batch})
+	}
+	if err := e2.WriteBatch(entries...); err != nil {
+		t.Fatal(err)
+	}
+	if info := e2.Info(); info.MemtablePoints != 0 || reopenedSaves != 0 {
+		t.Fatalf("after an automatic flush on reopen: %d memtable points and %d saves, want 0 and 0", info.MemtablePoints, reopenedSaves)
 	}
 	if err := e2.Flush(); err != nil {
 		t.Fatal(err)

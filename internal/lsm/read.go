@@ -136,7 +136,7 @@ func (e *Engine) HasSeries(seriesID string) bool {
 // Reports whether this call quarantined the chunk.
 func (e *Engine) quarantineChunk(meta storage.ChunkMeta, err error) bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.quarantineLocked(meta, err)
 }
 

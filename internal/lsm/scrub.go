@@ -204,7 +204,7 @@ func (e *Engine) scrubPyramid(rep *ScrubReport) {
 		// engine runs, so marking it dirty and re-saving rewrites a clean
 		// manifest atomically.
 		e.mu.Lock()
-		defer e.mu.Unlock()
+		defer e.unlock()
 		if e.closed.Load() {
 			return
 		}

@@ -9,27 +9,34 @@ import (
 	"sort"
 
 	"m4lsm/internal/encoding"
+	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
 )
 
 // The manifest is magic | payload | CRC32(payload), where payload is
 // uvarint watermark, uvarint nSeries and, per series in id order: uvarint
 // len(id), id, extent (0, or 1 | varint minT | varint maxT), stale set,
-// uvarint nLevels and, per level finest first: uvarint log, cover set,
-// uvarint nCells, then per cell in index order varint idx and FP, LP, BP,
-// TP as varint t | 8-byte v. A set is uvarint n | n × (varint lo | varint
-// hi). Generations are volatile and not persisted.
-var manifestMagic = []byte{'M', '4', 'P', 'Y', 0x01}
+// uvarint nLevels and, when nLevels > 0, uvarint base log, every level's
+// cover set finest first, uvarint nCells and the base cells as columns: a
+// role byte per cell, then the times (encoding.EncodeTimes) and values
+// (encoding.EncodeValues) of each cell's distinct points (see roles). A
+// set is uvarint n | n × (varint lo | varint hi). A cell's index is its
+// First's time >> log; the coarser levels' cells are derived on Decode, and
+// generations are volatile.
+var manifestMagic = []byte{'M', '4', 'P', 'Y', 0x02}
 
 // errCorrupt reports an unreadable manifest. Its owner discards it and
 // re-marks every chunk stale.
 var errCorrupt = errors.New("pyramid: corrupt manifest")
 
-// Encode serializes every series' extent, stale set and levels with the
-// version watermark wm, CRC-trailed, and clears Dirty. It holds only the
-// read lock, so views, plans and other readers proceed during an encode;
-// writers (MarkStale, a rebuild's apply) wait for it.
+// Encode serializes every series' extent, stale set, covers and base cells
+// with the version watermark wm, CRC-trailed, and clears Dirty. It holds
+// only the read lock, so views, plans and other readers proceed during an
+// encode; writers (MarkStale, a rebuild's apply) wait for it. The output
+// is one buffer sized from the last manifest encoded or decoded.
 func (p *Pyramid) Encode(wm uint64) []byte {
+	p.enc.Lock()
+	defer p.enc.Unlock()
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	p.dirty.Store(false)
@@ -38,43 +45,76 @@ func (p *Pyramid) Encode(wm uint64) []byte {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	buf := append([]byte(nil), manifestMagic...)
-	var pl []byte
-	pl = encoding.AppendUvarint(pl, wm)
-	pl = encoding.AppendUvarint(pl, uint64(len(ids)))
+	buf := append(make([]byte, 0, p.enc.size+p.enc.size/8), manifestMagic...)
+	buf = encoding.AppendUvarint(buf, wm)
+	buf = encoding.AppendUvarint(buf, uint64(len(ids)))
+	points := 0
 	for _, id := range ids {
 		sp := p.series[id]
-		pl = encoding.AppendUvarint(pl, uint64(len(id)))
-		pl = append(pl, id...)
+		buf = encoding.AppendUvarint(buf, uint64(len(id)))
+		buf = append(buf, id...)
 		if sp.hasExtent {
-			pl = append(pl, 1)
-			pl = encoding.AppendVarint(pl, sp.minT)
-			pl = encoding.AppendVarint(pl, sp.maxT)
+			buf = append(buf, 1)
+			buf = encoding.AppendVarint(buf, sp.minT)
+			buf = encoding.AppendVarint(buf, sp.maxT)
 		} else {
-			pl = append(pl, 0)
+			buf = append(buf, 0)
 		}
-		pl = appendRset(pl, sp.stale)
-		pl = encoding.AppendUvarint(pl, uint64(len(sp.levels)))
+		buf = appendRset(buf, sp.stale)
+		buf = encoding.AppendUvarint(buf, uint64(len(sp.levels)))
+		if len(sp.levels) == 0 {
+			continue
+		}
+		buf = encoding.AppendUvarint(buf, uint64(sp.levels[0].log))
 		for _, lv := range sp.levels {
-			pl = encoding.AppendUvarint(pl, uint64(lv.log))
-			pl = appendRset(pl, lv.cover)
-			pl = encoding.AppendUvarint(pl, uint64(len(lv.cells)))
-			for _, c := range lv.cells {
-				pl = encoding.AppendVarint(pl, c.idx)
-				for _, pt := range [4]series.Point{c.agg.First, c.agg.Last, c.agg.Bottom, c.agg.Top} {
-					pl = encoding.AppendVarint(pl, pt.T)
-					pl = binary.LittleEndian.AppendUint64(pl, math.Float64bits(pt.V))
-				}
+			buf = appendRset(buf, lv.cover)
+		}
+		base := sp.levels[0].cells
+		buf = encoding.AppendUvarint(buf, uint64(len(base)))
+		times, vals := p.enc.times[:0], p.enc.vals[:0]
+		for i := range base {
+			var d [4]series.Point
+			n, code := roles(&base[i].agg, &d)
+			buf = append(buf, code)
+			for _, pt := range d[:n] {
+				times, vals = append(times, pt.T), append(vals, pt.V)
 			}
 		}
+		buf = encoding.EncodeValues(encoding.EncodeTimes(buf, times), vals)
+		points += len(times)
+		p.enc.times, p.enc.vals = times, vals
 	}
-	buf = append(buf, pl...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(pl))
+	p.enc.size = len(buf) + 4
+	p.points.Store(int64(points))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(manifestMagic):]))
 }
+
+// roles writes a cell's distinct points (by time and value bits) to d in
+// their order of first appearance among First, Bottom, Top and Last, and
+// returns their count and the cell's role byte: the index in d of each of
+// the four, two bits each in that order.
+func roles(a *m4.Aggregate, d *[4]series.Point) (n int, code byte) {
+	for r, pt := range [4]series.Point{a.First, a.Bottom, a.Top, a.Last} {
+		k := 0
+		for k < n && (d[k].T != pt.T || math.Float64bits(d[k].V) != math.Float64bits(pt.V)) {
+			k++
+		}
+		if k == n {
+			d[k], n = pt, n+1
+		}
+		code |= byte(k) << (2 * r)
+	}
+	return n, code
+}
+
+// roleCount returns how many distinct points role byte c names.
+func roleCount(c byte) int { return int(max(c&3, c>>2&3, c>>4&3, c>>6)) + 1 }
 
 // Decode inverts Encode, returning the restored pyramid (not Dirty) and its
 // watermark. Any framing violation rejects the whole manifest, and every
 // count is bounded by the bytes left before anything is allocated for it.
+// The coarser levels are derived only once every series has parsed, so a
+// rejected manifest allocates no more than its base cells.
 func Decode(data []byte) (*Pyramid, uint64, error) {
 	if len(data) < len(manifestMagic)+4 || string(data[:len(manifestMagic)]) != string(manifestMagic) {
 		return nil, 0, errCorrupt
@@ -88,6 +128,9 @@ func Decode(data []byte) (*Pyramid, uint64, error) {
 	// count and level count.
 	nSeries := d.count(4, 0)
 	p := &Pyramid{series: make(map[string]*seriesPyramid, nSeries)}
+	points := 0
+	var times []int64 // the column buffers, shared by every series
+	var vals []float64
 	for si := uint64(0); si < nSeries && d.err == nil; si++ {
 		id := string(d.take(d.uvarint()))
 		sp := &seriesPyramid{}
@@ -95,32 +138,88 @@ func Decode(data []byte) (*Pyramid, uint64, error) {
 			sp.minT, sp.maxT, sp.hasExtent = d.varint(), d.varint(), true
 		}
 		sp.stale = d.rset()
+		p.series[id] = sp
 		nLevels := d.uvarint()
-		d.check(nLevels <= maxLevels)
+		if nLevels == 0 || d.err != nil {
+			continue
+		}
+		log := d.uvarint()
+		d.check(nLevels <= maxLevels && log <= 62 && log+nLevels-1 <= 62)
 		for li := uint64(0); li < nLevels && d.err == nil; li++ {
-			log := d.uvarint()
-			d.check(log <= 62 && (li == 0 || uint(log) > sp.levels[li-1].log))
-			lv := &level{log: uint(log), cover: d.rset()}
-			// 41 bytes minimum per cell bounds allocation to the input.
-			nCells := d.count(41, 1)
-			lv.cells = make([]cellAt, 0, nCells)
-			for ci := uint64(0); ci < nCells && d.err == nil; ci++ {
-				c := cellAt{idx: d.varint()}
-				d.check(ci == 0 || c.idx > lv.cells[ci-1].idx)
-				for _, pt := range [4]*series.Point{&c.agg.First, &c.agg.Last, &c.agg.Bottom, &c.agg.Top} {
-					pt.T, pt.V = d.varint(), d.float()
-				}
-				lv.cells = append(lv.cells, c)
+			lv := &level{log: uint(log + li), cover: d.rset()}
+			// A parent cover claims only cells whose two children are
+			// covered, so derivation never invents a cell.
+			for _, r := range lv.cover {
+				d.check(li == 0 || (r.lo<<1>>1 == r.lo && r.hi<<1>>1 == r.hi && sp.levels[li-1].cover.contains(r.lo<<1, r.hi<<1)))
 			}
 			sp.levels = append(sp.levels, lv)
 		}
-		p.series[id] = sp
+		codes := d.take(d.count(1, 0))
+		n := 0
+		for _, c := range codes {
+			n += roleCount(c)
+		}
+		// Every time takes at least a byte.
+		d.check(n <= len(d.b)-d.off)
+		if d.err != nil {
+			break
+		}
+		if cap(times) < n {
+			times, vals = make([]int64, n), make([]float64, n)
+		}
+		ts, rest, err := encoding.DecodeTimesInto(times[:n], d.b[d.off:])
+		var vs []float64
+		if err == nil {
+			vs, rest, err = encoding.DecodeValuesInto(vals[:n], rest)
+		}
+		d.check(err == nil && len(ts) == n && len(vs) == n)
+		if d.err != nil {
+			break
+		}
+		d.off = len(d.b) - len(rest)
+		d.baseCells(sp.levels[0], codes, ts, vs)
+		points += n
 	}
 	d.check(d.off == len(d.b))
 	if d.err != nil {
 		return nil, 0, d.err
 	}
+	for _, sp := range p.series {
+		for li := 1; li < len(sp.levels); li++ {
+			child, parent := sp.levels[li-1], sp.levels[li]
+			n := 0 // the child cells' distinct parents bound the cells derived
+			for k := range child.cells {
+				if k == 0 || child.cells[k].idx>>1 != child.cells[k-1].idx>>1 {
+					n++
+				}
+			}
+			parent.cells = make([]cellAt, 0, n)
+			at := 0 // fold's cursor into child.cells
+			for _, r := range parent.cover {
+				parent.cells, at = fold(parent.cells, child.cells, at, r.lo, r.hi, parent.cover)
+			}
+		}
+	}
+	p.points.Store(int64(points))
+	p.enc.size = len(data)
 	return p, wm, nil
+}
+
+// baseCells rebuilds the base level's cells from their role bytes and the
+// columns of their distinct points, refusing a point outside its First's
+// cell, and cells out of index order or outside the level's cover.
+func (d *decoder) baseCells(lv *level, codes []byte, times []int64, vals []float64) {
+	lv.cells = make([]cellAt, len(codes))
+	at := 0
+	for i, c := range codes {
+		pt := func(r int) series.Point { k := at + int(c>>r&3); return series.Point{T: times[k], V: vals[k]} }
+		a := m4.Aggregate{First: pt(0), Bottom: pt(2), Top: pt(4), Last: pt(6)}
+		idx := a.First.T >> lv.log
+		d.check(a.Bottom.T>>lv.log == idx && a.Top.T>>lv.log == idx && a.Last.T>>lv.log == idx &&
+			lv.cover.contains(idx, idx+1) && (i == 0 || idx > lv.cells[i-1].idx))
+		lv.cells[i] = cellAt{idx: idx, agg: a}
+		at += roleCount(c)
+	}
 }
 
 func appendRset(dst []byte, s rset) []byte {
@@ -149,8 +248,7 @@ func (d *decoder) check(ok bool) {
 	}
 }
 
-// uvarint calls binary.Uvarint directly: it inlines, and a manifest read is
-// nine varints per cell.
+// uvarint calls binary.Uvarint directly: it inlines.
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
@@ -174,13 +272,6 @@ func (d *decoder) take(n uint64) []byte {
 	}
 	d.off += int(n)
 	return d.b[d.off-int(n) : d.off]
-}
-
-func (d *decoder) float() float64 {
-	if b := d.take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-	return 0
 }
 
 // count reads a count of items of at least size bytes each, refusing one

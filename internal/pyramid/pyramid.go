@@ -11,12 +11,17 @@
 // [i<<L, (i+1)<<L). A level keeps its non-empty cells in one slice sorted
 // by index; empty cells are absent from it. Planning walks a level with a
 // forward cursor in time order, and a rebuild splices each re-derived index
-// range in place. Alignment
-// is absolute, not relative to the series, so cells stay valid when the
-// extent grows.
-// Each series keeps a contiguous run of levels: the base (finest) level is
-// the finest whose cells cover the extent in at most maxBaseCells, and
-// every coarser level is derived from its children without touching data.
+// range in place. Alignment is absolute, not relative to the series, so
+// cells stay valid when the extent grows. Each series keeps a contiguous
+// run of levels: the base (finest) level is the finest whose cells cover
+// the extent in at most maxBaseCells, and every coarser level is derived
+// from its children without touching data.
+//
+// Manifest. Only what cannot be derived is stored: per series the extent,
+// stale set, base log and level count, every level's cover, and the base
+// cells alone, as columns through the chunk codecs (see manifest.go).
+// Decode derives each coarser level from its children inside its stored
+// cover, with the fold Rebuild uses.
 //
 // Invalidation. Cells are never edited on the write path. Each series keeps
 // a set of stale time ranges with one invariant: data not yet reflected in
@@ -33,8 +38,9 @@
 //
 // Locking. One RWMutex guards every series. It is a leaf: under it the
 // package calls only lock-free pure functions (m4, encoding, sort), never
-// caller-supplied code (Rebuild's read and Stale's keep run unlocked) and
-// never I/O, so callers may hold their own locks around any method.
+// caller-supplied code (Rebuild's read runs unlocked) and never I/O, so
+// callers may hold their own locks around any method. Encode takes the
+// encoder's own lock first, which nothing else takes.
 package pyramid
 
 import (
@@ -157,6 +163,17 @@ type Pyramid struct {
 	// clear it under the read lock without losing a set.
 	dirty atomic.Bool
 
+	// enc serializes encodes (before mu) and keeps what one leaves the
+	// next: the column buffers and the size of the last manifest encoded or
+	// decoded. points is the distinct base points that manifest holds.
+	enc struct {
+		sync.Mutex
+		times []int64
+		vals  []float64
+		size  int
+	}
+	points atomic.Int64
+
 	invalidations atomic.Int64 // MarkStale calls
 	rebuilds      atomic.Int64 // per-series rebuilds completed
 	rebuildErrors atomic.Int64 // rebuild reads that failed (left stale)
@@ -236,6 +253,10 @@ func (p *Pyramid) Stats() Stats {
 func (p *Pyramid) Dirty() bool {
 	return p != nil && p.dirty.Load()
 }
+
+// Points returns how many distinct base-level points the last Encode
+// wrote, or Decode read: the owner paces saves by it.
+func (p *Pyramid) Points() int64 { return p.points.Load() }
 
 // MarkDirty makes the next Dirty report true: the last Encode's bytes were
 // never stored, or the stored copy is bad.
@@ -436,13 +457,6 @@ type rng struct{ lo, hi int64 }
 // It serves both as a set of time ranges (staleness) and as a set of cell
 // indexes (level coverage).
 type rset []rng
-
-func (s rset) clone() rset {
-	if len(s) == 0 {
-		return nil
-	}
-	return append(rset(nil), s...)
-}
 
 // add unions [lo, hi) into the set, coalescing adjacent and overlapping
 // ranges.

@@ -25,7 +25,7 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 		p.mu.RUnlock()
 		return
 	}
-	staleCopy := sp.stale.clone()
+	staleCopy := slices.Clone(sp.stale)
 	oldLmin, hadLevels := uint(0), false
 	if len(sp.levels) > 0 {
 		oldLmin, hadLevels = sp.levels[0].log, true
@@ -188,18 +188,9 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 		}
 		at, k := 0, 0 // cursors into parent.cells and child.cells
 		for _, r := range ptouch {
-			// A covered parent cell is the fold of its non-empty children.
 			// derived reuses the buffer of cells already spliced in.
-			derived := cells[:0]
-			for k = seek(child.cells, k, r.lo<<1); k < len(child.cells) && child.cells[k].idx>>1 < r.hi; k++ {
-				c := child.cells[k]
-				idx := c.idx >> 1
-				if n := len(derived); n > 0 && derived[n-1].idx == idx {
-					derived[n-1].agg.Merge(c.agg)
-				} else if parent.cover.contains(idx, idx+1) {
-					derived = append(derived, cellAt{idx: idx, agg: c.agg})
-				}
-			}
+			var derived []cellAt
+			derived, k = fold(cells[:0], child.cells, k, r.lo, r.hi, parent.cover)
 			at = parent.splice(at, r.lo, r.hi, derived)
 			cells = derived
 		}
@@ -210,6 +201,24 @@ func (p *Pyramid) Rebuild(id string, first, last int64, read func(series.TimeRan
 	sp.stale = sp.stale.subtract(staleCopy)
 	p.dirty.Store(true)
 	p.rebuilds.Add(1)
+}
+
+// fold appends to dst, in index order, the parent cells of index range
+// [lo, hi) that cover holds, each the fold of its non-empty children among
+// child's cells from position k on, and returns dst and the position after
+// the children it read. Rebuild and Decode derive every coarser level with
+// it.
+func fold(dst, child []cellAt, k int, lo, hi int64, cover rset) ([]cellAt, int) {
+	for k = seek(child, k, lo<<1); k < len(child) && child[k].idx>>1 < hi; k++ {
+		c := &child[k]
+		idx := c.idx >> 1
+		if n := len(dst); n > 0 && dst[n-1].idx == idx {
+			dst[n-1].agg.Merge(c.agg)
+		} else if cover.contains(idx, idx+1) {
+			dst = append(dst, cellAt{idx: idx, agg: c.agg})
+		}
+	}
+	return dst, k
 }
 
 // splice replaces the cells with index in [lo, hi) by with, whose indexes

@@ -196,8 +196,7 @@ func TestWriteAdmissionSheds(t *testing.T) {
 	var once sync.Once
 	hook := func(site string) error {
 		// Parked before the queue, holding the one write slot but not
-		// the engine lock, so /varz (whose engine gauges read Info under
-		// that lock) still answers.
+		// the engine lock.
 		if site == "ingest.enqueue" {
 			once.Do(func() {
 				close(drainEntered)
@@ -251,6 +250,85 @@ func TestWriteAdmissionSheds(t *testing.T) {
 			t.Fatal("write inflight gauge never drained")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestScrapesDoNotWaitForWriters parks a write at ingest.drain, where it
+// holds the engine lock, and requires a registry snapshot, GET /metrics and
+// Info to answer within a bounded wait: the engine's state gauges and Info
+// read the counts the engine publishes, never its lock.
+func TestScrapesDoNotWaitForWriters(t *testing.T) {
+	checkNoGoroutineLeak(t)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var park atomic.Bool
+	hook := func(site string) error {
+		if site == "ingest.drain" && park.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+		return nil
+	}
+	srv, e := newWriteServer(t, Config{}, lsm.Options{StepHook: hook})
+	resp := postWrite(t, srv.URL, "root.a 1 1\n")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first write: status %d", resp.StatusCode)
+	}
+	park.Store(true)
+	written := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/write", "text/plain", strings.NewReader("root.a 2 2\n"))
+		if err != nil {
+			written <- -1
+			return
+		}
+		resp.Body.Close()
+		written <- resp.StatusCode
+	}()
+	<-parked
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s waited for the write holding the engine lock", what)
+		}
+	}
+	within("Registry.Snapshot", func() error {
+		if n := e.Metrics().Snapshot()["lsm_memtable_points"]; n != 1.0 {
+			return fmt.Errorf("lsm_memtable_points = %v, want 1", n)
+		}
+		return nil
+	})
+	within("GET /metrics", func() error {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && !bytes.Contains(body, []byte("lsm_chunks ")) {
+			err = fmt.Errorf("no lsm_chunks in %d bytes", len(body))
+		}
+		return err
+	})
+	within("Info", func() error {
+		if info := e.Info(); info.MemtablePoints != 1 {
+			return fmt.Errorf("MemtablePoints = %d, want 1", info.MemtablePoints)
+		}
+		return nil
+	})
+	close(release)
+	if code := <-written; code != http.StatusOK {
+		t.Fatalf("parked write finished with %d", code)
+	}
+	if info := e.Info(); info.MemtablePoints != 2 {
+		t.Fatalf("MemtablePoints = %d after the parked write, want 2", info.MemtablePoints)
 	}
 }
 
