@@ -54,9 +54,11 @@ cover:
 	fi
 
 # torture runs the crash-recovery suite on its own: every write-path step
-# site gets a simulated kill, recovery is checked against the oracle.
+# site gets a simulated kill, recovery is checked against the oracle; and
+# the whole of internal/wal: torn tails, torn creation, legacy segments.
 torture:
 	$(GO) test -race -run 'Torture|Fault|TornWAL|Quarantine|Cancel' -count=1 ./internal/lsm ./internal/m4lsm ./internal/faultfs
+	$(GO) test -race -count=1 ./internal/wal
 
 # soak is the short overload torture: admission-control shedding, per-query
 # budgets, deadline races in the worker pool, disk-full degradation, and the
@@ -98,8 +100,9 @@ fuzz:
 # stays structured and greppable. Commands, examples and tests are exempt.
 # It also keeps raw sleeps out of library code. The structural rules (one
 # read path, one merge-all read, one task shape, public examples, one write
-# path, one chunk writer, fit-at-write, one measurement stack, the columnar
-# read path, DESIGN.md's invariant table and no test-only production API)
+# path, one WAL file, one chunk writer, fit-at-write, one measurement stack,
+# the columnar read path, recycle at query end, one engine lock, no engine
+# goroutines, DESIGN.md's invariant table and no test-only production API)
 # are type-checked in arch_test.go, which plain `go test ./...` runs too.
 lint:
 	@bad=$$(gofmt -l *.go cmd internal examples bench); \

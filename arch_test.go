@@ -510,6 +510,7 @@ func init() {
 		{"one_task_shape", ruleOneTaskShape},
 		{"public_examples", rulePublicExamples},
 		{"one_write_path", ruleOneWritePath},
+		{"one_wal_file", ruleOneWALFile},
 		{"one_chunk_writer", ruleOneChunkWriter},
 		{"fit_at_write", ruleFitAtWrite},
 		{"one_measurement_stack", ruleOneMeasurementStack},
@@ -598,7 +599,7 @@ func rulePublicExamples(tr *archTree) []string {
 // (internal/lsm/ingest.go), called by applyRun and WAL replay; the log is
 // reached through internal/wal's methods only: lsm, tests included, has no
 // walMu or walAppend, and only wal and tsfile (and bench/) touch segment
-// files or spell their "wal-" names. Exempt: the -wal-* flags of m4server.
+// files or spell their "wal-" names.
 func ruleOneWritePath(tr *archTree) []string {
 	lsm := tr.pkgsUnder("internal/lsm")
 	// A memtable append is m[k] = append(...) into a map of the type of
@@ -639,20 +640,15 @@ func ruleOneWritePath(tr *archTree) []string {
 	outside := tr.pkgsOutside("internal/wal", "internal/tsfile", "bench")
 	out = append(out, none("segment file access outside internal/wal",
 		tr.find(outside, uses(is("internal/tsfile.CreateSegment", "internal/tsfile.OpenSegmentAppend", "internal/tsfile.ReadSegment", "internal/tsfile.ParseSegment"))))...)
-	flagName := map[ast.Node]bool{}
-	tr.find(tr.pkgsUnder("cmd/m4server"), func(p *archPkg, n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if obj := p.info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "flag" {
-					flagName[call.Args[0]] = true
-				}
-			}
-		}
-		return false
-	})
-	walName := stringLit("wal-")
-	return append(out, none(`WAL file name ("wal-") outside internal/wal`,
-		tr.find(outside, func(p *archPkg, n ast.Node) bool { return walName(p, n) && !flagName[n] }))...)
+	return append(out, none(`WAL file name ("wal-") outside internal/wal`, tr.find(outside, stringLit("wal-")))...)
+}
+
+// ruleOneWALFile: the write-ahead log is one file that never rotates, so a
+// segment file is created on wal.Open's path only: tsfile.CreateSegment is
+// referenced once, in Open.
+func ruleOneWALFile(tr *archTree) []string {
+	return onlyAt("tsfile.CreateSegment references", tr.find(tr.pkgsOutside("internal/tsfile"), uses(is("internal/tsfile.CreateSegment"))),
+		"internal/wal/log.go:Open")
 }
 
 // ruleOneChunkWriter: chunk files are written in one place, writeChunkFile
@@ -1026,6 +1022,8 @@ var archMutations = []struct {
 	{"walMu in lsm", "one_write_path", []archEdit{{"internal/lsm/engine.go", "", "\nvar walMu sync.Mutex\n"}}},
 	{"segment read outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nvar readSeg = tsfile.ReadSegment\n"}}},
 	{"WAL file name outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nconst walGlob = \"wal-*.log\"\n"}}},
+	{"rotate in Commit", "one_wal_file", []archEdit{{"internal/wal/commit.go", "package wal", "package wal\n\nimport \"m4lsm/internal/tsfile\""},
+		{"internal/wal/commit.go", "\tfor _, p := range payloads {", "\tif l.seg.Size() > 1<<20 {\n\t\tnext, err := tsfile.CreateSegment(SegmentPath(l.opts.Dir, 2), tsfile.SegmentHeader{Seq: 2, Shards: 1})\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n\t\tl.seg = next\n\t}\n\tfor _, p := range payloads {"}}},
 	{"internal/lsm import in pyramid", "one_chunk_writer", []archEdit{{"internal/pyramid/pyramid.go", "import (", "import (\n\t_ \"m4lsm/internal/lsm\""}}},
 	{"FromColumns in mergeread", "columnar_read_path", []archEdit{{"internal/mergeread/mergeread.go", "",
 		"\nfunc rows(ts []int64, vs []float64) series.Series { return series.FromColumns(ts, vs) }\n"}}},

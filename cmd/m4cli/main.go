@@ -113,9 +113,8 @@ func runSubcommand(dir string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scrub: chunks checked=%d quarantined=%d, wal segments checked=%d quarantined=%d, pyramidOK=%v healed=%v\n",
-			rep.ChunksChecked, rep.ChunksQuarantined,
-			rep.WALSegmentsChecked, rep.WALSegmentsQuarantined, rep.PyramidOK, rep.Healed)
+		fmt.Printf("scrub: chunks checked=%d quarantined=%d, pyramidOK=%v healed=%v\n",
+			rep.ChunksChecked, rep.ChunksQuarantined, rep.PyramidOK, rep.Healed)
 		for _, e := range rep.Errors {
 			fmt.Printf("scrub error: %s\n", e)
 		}

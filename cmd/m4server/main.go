@@ -34,6 +34,11 @@
 //	m4server -dir ./db -debug-addr localhost:6060
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 //
+// Writes land in one write-ahead log file in -dir (wal-<seq>.log) before
+// they are acknowledged, fsynced first under -sync-wal; every flush
+// truncates it back to its header, so a restart replays only the writes
+// since the last flush.
+//
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // get a drain window, then the engine is flushed and closed exactly once.
 package main
@@ -79,7 +84,6 @@ func main() {
 		readRetries  = flag.Int("read-retries", 0, "retry attempts for transient chunk-read failures (0 = engine default)")
 		pyramid      = flag.Bool("pyramid", true, "maintain the M4 rollup pyramid (precomputed multi-resolution span aggregates); false always computes from chunks")
 
-		walSegBytes       = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = engine default)")
 		syncWAL           = flag.Bool("sync-wal", false, "fsync the WAL before acknowledging writes (one fsync per batch the ingest queue drains, shared by concurrent writers)")
 		ingestQueuePoints = flag.Int("ingest-queue-points", 0, "ingest queue cap in points before backpressure (0 = engine default 65536)")
 		ingestWait        = flag.Duration("ingest-enqueue-wait", 0, "max time a write blocks on a full ingest queue before the retryable backpressure error (0 = engine default 2s; negative fails immediately)")
@@ -105,7 +109,7 @@ func main() {
 
 	reg := obs.NewRegistry()
 	engine, err := lsm.Open(lsm.Options{Dir: *dir, Metrics: reg, ReadRetries: *readRetries, DisablePyramid: !*pyramid,
-		WALSegmentBytes: *walSegBytes, SyncWAL: *syncWAL,
+		SyncWAL:           *syncWAL,
 		IngestQueuePoints: *ingestQueuePoints, IngestEnqueueWait: *ingestWait})
 	if err != nil {
 		logger.Error("open engine", "dir", *dir, "err", err)

@@ -1,13 +1,13 @@
 // Online backup and restore. Backup pins a consistent snapshot of the
 // database — immutable chunk files, the mods sidecar, the pyramid manifest
-// and the live WAL segments — under the engine lock, hardlinks or copies
+// and the WAL — under the engine lock, hardlinks or copies
 // it into a backup directory, and seals the set with a checksummed
 // manifest recording each file's size and CRC. A backup without a valid
 // manifest (crash mid-backup) is rejected wholesale: restore never guesses
 // at a half-written set.
 //
 // The engine keeps serving during the copy: the lock is held only long
-// enough to hardlink immutable files and capture the active WAL segment's
+// enough to hardlink immutable files and capture the WAL file's
 // record-aligned prefix; CRCs are computed from the backup copies after
 // the lock drops.
 package lsm
@@ -148,19 +148,19 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 		}
 		caps = append(caps, capture{name: name, data: data})
 	}
-	// Sealed WAL segments are immutable like chunk files; the active one
-	// keeps growing after the lock drops, so its record-aligned bytes so
-	// far are captured now.
-	sealed, activePath, active, err := e.wal.Capture()
+	// Legacy WAL segments not yet unlinked are immutable like chunk
+	// files; the WAL file keeps growing after the lock drops, so its
+	// record-aligned bytes so far are captured now.
+	legacy, walPath, walData, err := e.wal.Capture()
 	if err != nil {
 		e.unlock()
 		return m, fmt.Errorf("lsm: backup: %w", err)
 	}
-	for _, s := range sealed {
+	for _, s := range legacy {
 		caps = append(caps, capture{name: filepath.Base(s.Path), path: s.Path})
 	}
-	if activePath != "" {
-		caps = append(caps, capture{name: filepath.Base(activePath), data: active})
+	if walPath != "" {
+		caps = append(caps, capture{name: filepath.Base(walPath), data: walData})
 	}
 	// Hardlink the immutable files while still pinned: a link survives the
 	// source being unlinked later, and is O(1) regardless of size.

@@ -48,6 +48,8 @@ func (e *Engine) Compact() error {
 // compactLocked does Compact's work under e.mu.
 func (e *Engine) compactLocked() error {
 	// Memtable contents ride along: flush first so the merge sees them.
+	// The flush's checkpoint also empties the WAL, deletes included, so
+	// recovery cannot resurrect a tombstone the merge folds in.
 	if _, err := e.flushLocked(); err != nil {
 		return err
 	}
@@ -106,18 +108,6 @@ func (e *Engine) compactLocked() error {
 	// Deletes are folded into the compacted chunks; reset the sidecar.
 	if err := e.resetMods(); err != nil {
 		return err
-	}
-	// The WAL may still hold delete records (they don't count toward the
-	// flush threshold, so a flush can skip the reset). Everything in it
-	// is now durable in the compacted generation; drop it so recovery does
-	// not resurrect folded-in tombstones.
-	if e.wal != nil {
-		if err := e.step("compact.walreset"); err != nil {
-			return err
-		}
-		if err := e.wal.Reset(); err != nil {
-			return err
-		}
 	}
 	// Every quarantined chunk belonged to the retired generation.
 	e.quarantined = make(map[chunkID]error)

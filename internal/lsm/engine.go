@@ -93,10 +93,6 @@ type Options struct {
 	// takes the span×G path. The default (false) maintains the pyramid at
 	// flush/compact time. See pyramid.go.
 	DisablePyramid bool
-	// WALSegmentBytes is the size at which the active WAL segment is
-	// sealed and a fresh one started (see internal/wal); sealed segments
-	// retire once a flush checkpoints past them. 0 means 1 MiB.
-	WALSegmentBytes int64
 	// IngestQueuePoints caps the ingest queue in points (see ingest.go):
 	// an enqueue that would overflow it blocks up to IngestEnqueueWait and
 	// then fails with the retryable ErrIngestBackpressure. 0 means 65536.
@@ -311,16 +307,19 @@ func Open(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	e.mods = mods
+	// logged lets WAL replay re-append only the deletes mods lacks.
+	logged := make(map[storage.Delete]bool, len(mods.All()))
 	for _, d := range mods.All() {
 		e.bumpVersion(d.Version)
+		logged[d] = true
 	}
 	// The pyramid manifest loads after chunks and mods (its watermark
 	// validation walks both) and before WAL replay (which marks its own
 	// replayed ranges stale).
 	e.pyrLoad()
 	if !opts.DisableWAL {
-		e.wal, err = wal.Open(wal.Options{Dir: opts.Dir, SegmentBytes: opts.WALSegmentBytes,
-			Sync: opts.SyncWAL, Step: opts.StepHook}, e.replayRecord, e.replayCheckpoint)
+		replay := func(rec []byte) error { return e.replayRecord(rec, logged) }
+		e.wal, err = wal.Open(wal.Options{Dir: opts.Dir, Sync: opts.SyncWAL, Step: opts.StepHook}, replay, e.replayCheckpoint)
 		if err != nil {
 			e.closeFiles()
 			mods.Close()
@@ -380,7 +379,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("lsm_wal_segments", walStat(func(s wal.Stats) float64 { return float64(s.Segments) }))
 	reg.CounterFunc("lsm_wal_retired_total", walStat(func(s wal.Stats) float64 { return float64(s.RetiredSegments) }))
 	reg.CounterFunc("lsm_wal_retired_bytes_total", walStat(func(s wal.Stats) float64 { return float64(s.RetiredBytes) }))
-	reg.CounterFunc("lsm_wal_rotations_total", walStat(func(s wal.Stats) float64 { return float64(s.Rotations) }))
 	reg.CounterFunc("lsm_wal_torn_truncations_total", walStat(func(s wal.Stats) float64 { return float64(s.TornTruncations) }))
 	reg.GaugeFunc("lsm_wal_quarantined_segments", walStat(func(s wal.Stats) float64 { return float64(s.QuarantinedSegments) }))
 	reg.CounterFunc("lsm_wal_group_commits_total", walStat(func(s wal.Stats) float64 { return float64(s.Groups) }))
@@ -465,9 +463,10 @@ type Info struct {
 	PyramidCells       int
 	PyramidStaleRanges int
 
-	// Segmented-WAL state (zero when the WAL is disabled). WALWarnings
-	// carries recovery findings — torn tails truncated, segments
-	// quarantined — verbatim for /healthz.
+	// WAL state (zero when the WAL is disabled). WALSegments is 1 but
+	// while legacy segments an older build rotated await the first
+	// checkpoint. WALWarnings carries recovery findings — torn tails
+	// truncated, segments quarantined — verbatim for /healthz.
 	WALSegments            int
 	WALBytes               int64
 	WALRetiredSegments     int64

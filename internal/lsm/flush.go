@@ -26,17 +26,13 @@ func (e *Engine) Flush() error {
 }
 
 // afterFlush is the one tail every flush site runs — applyRun,
-// Flush and Close, each with e.mu held: once points left a memtable, drop
-// the WAL segments their checkpoints freed; then save the pyramid manifest
-// when it is due (pyrSave), which an explicit checkpoint (Flush, Close)
-// always makes it. Errors are classified, so ENOSPC anywhere in flush,
-// retirement or the manifest save flips the engine read-only with the typed
+// Flush and Close, each with e.mu held: save the pyramid manifest when it
+// is due (pyrSave), which an explicit checkpoint (Flush, Close) always
+// makes it. Errors are classified, so ENOSPC anywhere in the flush, its WAL
+// checkpoint or the manifest save flips the engine read-only with the typed
 // error instead of surfacing as an anonymous I/O failure; a failed flush
 // loses nothing (memtable + WAL still hold the points).
 func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
-	if err == nil && flushed > 0 {
-		err = e.wal.Retire()
-	}
 	if err == nil {
 		err = e.pyrSave(flushed, checkpoint)
 	}
@@ -47,17 +43,13 @@ func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
 // out-of-order arrivals the way IoTDB's sequence/unsequence spaces do
 // (reference [26] of the paper): per series, points later than everything
 // already flushed go to the sequence file (whose chunks never overlap
-// previously flushed ones), the rest to an unsequence file. Returns the
-// number of points flushed. Caller holds e.mu.
+// previously flushed ones), the rest to an unsequence file. With empty
+// memtables it writes nothing but still rebuilds the pyramid and
+// checkpoints the WAL: deletes and quarantines since the last flush may
+// have staled cells over flushed data, and deletes left records in the
+// log. Returns the number of points flushed. Caller holds e.mu.
 func (e *Engine) flushLocked() (int, error) {
-	flushPts := e.memPts
-	if flushPts == 0 {
-		// Nothing to write, but deletes and quarantines since the last
-		// flush may have staled cells over flushed data: rebuild them now,
-		// not at whatever write next fills a memtable.
-		return 0, e.pyrRebuild()
-	}
-	flushStart := time.Now()
+	flushStart, flushPts := time.Now(), e.memPts
 	ids := make([]string, 0, len(e.mem))
 	for id, buf := range e.mem {
 		if len(buf) > 0 {
@@ -107,14 +99,16 @@ func (e *Engine) flushLocked() (int, error) {
 		return 0, err
 	}
 	// Checkpoint while still holding e.mu: every WAL record so far is now
-	// durable in chunk files, and no new write can race in before the
-	// checkpoint lands.
+	// durable in chunk files or the mods sidecar, and no new write can race
+	// in before the checkpoint lands.
 	if err := e.wal.Checkpoint(); err != nil {
 		return 0, err
 	}
-	e.met.flushes.Inc()
-	e.met.flushedPoints.Add(int64(flushPts))
-	e.met.flushSeconds.Observe(time.Since(flushStart).Seconds())
+	if flushPts > 0 {
+		e.met.flushes.Inc()
+		e.met.flushedPoints.Add(int64(flushPts))
+		e.met.flushSeconds.Observe(time.Since(flushStart).Seconds())
+	}
 	return flushPts, nil
 }
 

@@ -161,10 +161,10 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 		if err := e.step("wal.append"); err != nil {
 			return e.classifyWrite(err)
 		}
-		// The record claims the flush watermark like an insert, so its
-		// segment survives until the next checkpoint. Checkpoints are
-		// written by flushes under e.mu, which this call holds until the
-		// delete is in the mods sidecar: no retirement falls in between.
+		// The record stays in the log until the next checkpoint.
+		// Checkpoints are written by flushes under e.mu, which this call
+		// holds until the delete is in the mods sidecar: no checkpoint
+		// falls in between.
 		if err := e.wal.Commit([][]byte{encodeDelete(d)}); err != nil {
 			return e.classifyWrite(err)
 		}
@@ -414,10 +414,9 @@ func (e *Engine) applyRun(run []*ingestReq) error {
 				recs = append(recs, r.recs...)
 			}
 		}
-		// The commit claims the flush watermark inside the log, so the
-		// records' segment cannot retire before the next flush checkpoint —
-		// and that checkpoint cannot race in between the commit and the
-		// memtable update because we hold the engine lock.
+		// The records stay in the log until the next flush checkpoint,
+		// which cannot race in between the commit and the memtable update
+		// because we hold the engine lock.
 		if err := e.wal.Commit(recs); err != nil {
 			return e.classifyWrite(err)
 		}

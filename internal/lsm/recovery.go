@@ -11,7 +11,6 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 
@@ -112,47 +111,44 @@ func (e *Engine) closeFiles() {
 }
 
 // replayRecord applies one recovered WAL record during Open (wal.Open
-// calls it in log order, single-threaded) and reports whether it re-claims
-// the flush watermark: an insert does, a delete does not. A live delete
-// claims it only because every commit does; once replay is done its
-// record needs no keeping, since the mods sidecar then holds every
-// replayed delete (re-appended below when a crash came between the two
-// appends). The shard tag every record carries is skipped: it names the
-// lock stripe of the build that wrote it, and every stripe replays into
-// the one memtable.
-func (e *Engine) replayRecord(rec []byte) (claim bool, err error) {
+// calls it in log order, single-threaded). logged holds every delete the
+// mods sidecar has, replayed ones included. The shard tag every record
+// carries is skipped: it names the lock stripe of the build that wrote it,
+// and every stripe replays into the one memtable.
+func (e *Engine) replayRecord(rec []byte, logged map[storage.Delete]bool) error {
 	op := rec[0]
 	if op != walOpInsert && op != walOpDelete {
-		return false, fmt.Errorf("unknown wal op %d", op)
+		return fmt.Errorf("unknown wal op %d", op)
 	}
 	_, body, err := encoding.Uvarint(rec[1:])
 	if err != nil {
-		return false, fmt.Errorf("wal shard tag: %w", err)
+		return fmt.Errorf("wal shard tag: %w", err)
 	}
 	if op == walOpInsert {
 		id, pts, err := decodeInsert(body)
 		if err != nil {
-			return false, err
+			return err
 		}
 		e.memAppend(id, pts)
-		return true, nil
+		return nil
 	}
 	d, err := decodeWALDelete(body)
 	if err != nil {
-		return false, err
+		return err
 	}
 	// A delete reaches the WAL before the mods sidecar; a crash between the
 	// two appends leaves it in the WAL only. Re-append it so the delete
 	// applies to flushed chunks, not just replayed points.
-	if !slices.Contains(e.mods.All(), d) {
+	if !logged[d] {
 		if err := e.mods.Append(d); err != nil {
-			return false, err
+			return err
 		}
+		logged[d] = true
 		e.bumpVersion(d.Version)
 	}
 	e.pyr.MarkStale(d.SeriesID, d.Start, d.End)
 	e.applyDeleteToMem(d)
-	return false, nil
+	return nil
 }
 
 // replayCheckpoint drops the replayed memtable: the flush that wrote the
@@ -162,8 +158,8 @@ func (e *Engine) replayCheckpoint() {
 	e.memPts = 0
 }
 
-// WAL payloads: the bytes the engine hands to wal.Log, which frames,
-// segments and group-commits them as opaque records (and defines op 0x05,
+// WAL payloads: the bytes the engine hands to wal.Log, which frames and
+// group-commits them as opaque records (and defines op 0x05,
 // the flush checkpoint, itself).
 //
 //	insert: 0x03 | uvarint shard | uvarint len(id) | id | uvarint n | n × (varint t, 8B v)

@@ -1,12 +1,11 @@
 // Integrity scrubber. A scrub pass re-reads durable state from disk and
 // verifies it end to end: every chunk's CRCs (by decoding it the same way
-// a query would), the pyramid manifest, and every WAL segment.
-// Verification failures degrade exactly the way query-time failures do —
-// corrupt chunks are quarantined out of future snapshots, corrupt sealed
-// WAL segments are set aside as *.bad after a flush has re-secured the
-// records they might hold — so silent bit rot is found and contained
-// before any query trips over it. Passes run on demand (/admin/scrub,
-// m4cli).
+// a query would) and the pyramid manifest. Verification failures degrade
+// exactly the way query-time failures do — corrupt chunks are quarantined
+// out of future snapshots — so silent bit rot is found and contained
+// before any query trips over it. The WAL has no pass: it holds only what
+// was committed since the last flush, and Open reads it whole. Passes run
+// on demand (/admin/scrub, m4cli).
 //
 // Scrub I/O is charged against a govern budget (ScrubOptions.Limits, set
 // per call): an exhausted budget ends the pass early and the next pass
@@ -40,10 +39,8 @@ type ScrubReport struct {
 	ChunksChecked     int
 	ChunksQuarantined int
 	// ChunksSkipped counts chunks already quarantined before the pass.
-	ChunksSkipped          int
-	WALSegmentsChecked     int
-	WALSegmentsQuarantined int
-	PyramidOK              bool
+	ChunksSkipped int
+	PyramidOK     bool
 	// Healed reports that quarantined chunks were compacted away.
 	Healed bool
 	// Partial is set when the govern budget ran out; the next pass resumes
@@ -67,7 +64,6 @@ func (e *Engine) Scrub(opts ScrubOptions) (ScrubReport, error) {
 
 	e.scrubChunkFiles(&rep, budget)
 	if !rep.Partial {
-		e.scrubWALSegments(&rep)
 		e.scrubPyramid(&rep)
 	}
 	e.scrubErrors.Add(int64(len(rep.Errors)))
@@ -135,50 +131,6 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 		}
 	}
 	e.scrubCur = 0 // full cycle completed
-}
-
-// scrubWALSegments re-parses every WAL segment. Sealed segments must parse
-// completely (they were fsynced before the WAL moved on); a corrupt one is
-// set aside as *.bad — after a Flush has re-secured the buffered points in
-// chunk files, so the records the bad segment held are no longer the only
-// copy of anything.
-func (e *Engine) scrubWALSegments(rep *ScrubReport) {
-	for _, s := range e.wal.Sealed() {
-		if e.closed.Load() {
-			rep.Partial = true
-			return
-		}
-		rep.WALSegmentsChecked++
-		err := s.Verify()
-		if err == nil || errors.Is(err, os.ErrNotExist) {
-			continue // intact, or retired concurrently — nothing left to verify
-		}
-		if !errors.Is(err, tsfile.ErrCorrupt) {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: %v", s.Seq, err))
-			continue
-		}
-		// Re-secure before quarantining: a flush supersedes whatever
-		// records the corrupt segment held, so losing it cannot lose data
-		// that is only in the WAL.
-		if ferr := e.Flush(); ferr != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("wal segment %d: flush before quarantine: %v", s.Seq, ferr))
-			continue
-		}
-		if serr := e.step("scrub.quarantine"); serr != nil {
-			rep.Errors = append(rep.Errors, serr.Error())
-			rep.Partial = true
-			return
-		}
-		if qerr := e.wal.Quarantine(s, err); qerr != nil {
-			if errors.Is(qerr, os.ErrNotExist) {
-				continue // the flush retired it before we could rename
-			}
-			rep.Errors = append(rep.Errors, qerr.Error())
-			continue
-		}
-		rep.WALSegmentsQuarantined++
-		e.scrubQuarantines.Add(1)
-	}
 }
 
 // scrubPyramid verifies the persisted pyramid manifest decodes. A corrupt

@@ -163,27 +163,27 @@ func TestHealthzTornWALWarning(t *testing.T) {
 }
 
 // TestHealthzDegradedOnQuarantinedWALSegment: a quarantined WAL segment
-// marks the server degraded.
+// marks the server degraded. The segments come from a directory an older
+// build rotated (internal/lsm's testdata/parent-cb3bb04-shards3: segments
+// 3 to 5); segment 4 is corrupted.
 func TestHealthzDegradedOnQuarantinedWALSegment(t *testing.T) {
 	dir := t.TempDir()
-	e, err := lsm.Open(lsm.Options{Dir: dir, WALSegmentBytes: 64, FlushThreshold: 1 << 20})
+	golden := filepath.Join("..", "lsm", "testdata", "parent-cb3bb04-shards3")
+	ents, err := os.ReadDir(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 30; i++ {
-		if err := e.Write("s", series.Point{T: i, V: float64(i)}); err != nil {
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(golden, ent.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	e.Kill()
-	walPath := filepath.Join(dir, "wal-0000000000000002.log")
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[tsfile.SegmentHeaderLen+2] ^= 0xff
-	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
-		t.Fatal(err)
+		if ent.Name() == "wal-0000000000000004.log" {
+			raw[tsfile.SegmentHeaderLen+2] ^= 0xff
+		}
+		if err := os.WriteFile(filepath.Join(dir, ent.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	e2, err := lsm.Open(lsm.Options{Dir: dir})

@@ -11,9 +11,10 @@ import (
 // Segment is one write-ahead-log segment file (wal-<seq>.log). Unlike the
 // monolithic RecordLog it starts with a fixed, checksummed header naming
 // the segment's sequence number and the lock-stripe count of the engine
-// that created it, so recovery can order segments, detect renames, and tell a torn tail on
-// the newest segment (legal, truncated) from corruption in a sealed one
-// (illegal, quarantined).
+// that created it, so recovery can order the segments an older, rotating
+// build left, detect renames, and tell a torn tail on the newest segment
+// (legal, truncated) from corruption in a sealed one (illegal,
+// quarantined).
 //
 // Record framing after the header is identical to RecordLog:
 // uvarint payload length | payload | uint32 CRC(payload).
@@ -168,8 +169,7 @@ func (s *Segment) Append(payload []byte, sync bool) error {
 	return nil
 }
 
-// Sync fsyncs the segment; rotation calls it before sealing so a sealed
-// segment is always fully durable.
+// Sync fsyncs the segment: one call covers a whole group commit.
 func (s *Segment) Sync() error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("segment: sync: %w", err)
@@ -177,7 +177,7 @@ func (s *Segment) Sync() error {
 	return nil
 }
 
-// Truncate drops every record, keeping only the header (compaction makes
+// Truncate drops every record, keeping only the header (a checkpoint makes
 // the whole WAL obsolete at once).
 func (s *Segment) Truncate() error {
 	if err := s.f.Truncate(SegmentHeaderLen); err != nil {

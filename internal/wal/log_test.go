@@ -15,17 +15,15 @@ import (
 )
 
 // replayed collects what Open hands back the way the engine does: a
-// checkpoint drops every record replayed before it. First byte 4 (the
-// engine's delete op) claims nothing; every other payload claims the
-// watermark.
+// checkpoint drops every record replayed before it.
 type replayed struct {
 	recs        [][]byte
 	checkpoints int
 }
 
-func (r *replayed) record(p []byte) (bool, error) {
+func (r *replayed) record(p []byte) error {
 	r.recs = append(r.recs, bytes.Clone(p))
-	return p[0] != 4, nil
+	return nil
 }
 
 func (r *replayed) checkpoint() {
@@ -49,34 +47,61 @@ func rec(body string) []byte {
 	return append([]byte{3, 0}, body...)
 }
 
-// commit commits recs as one group and returns the segment the last one
-// landed in.
-func commit(t *testing.T, l *Log, recs ...[]byte) uint64 {
+// commit commits recs as one group.
+func commit(t *testing.T, l *Log, recs ...[]byte) {
 	t.Helper()
 	if err := l.Commit(recs); err != nil {
 		t.Fatal(err)
 	}
-	return l.activeSeq
+}
+
+// legacyDir copies the two segments testdata/parent-5b6b9ab holds (see
+// TestParentDirectoryReplays) into a fresh directory: a log an older build
+// rotated, which Open must still replay.
+func legacyDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{"wal-0000000000000001.log", "wal-0000000000000002.log"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "parent-5b6b9ab", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// walFiles lists the segment files in dir.
+func walFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m {
+		m[i] = filepath.Base(m[i])
+	}
+	return m
 }
 
 // TestGroupCommit pins the committer's batching semantics: one Commit of N
-// records is one group (one sync), and the watermark is claimed at the
-// segment they landed in.
+// records is one group (one sync), appended to the log's one file.
 func TestGroupCommit(t *testing.T) {
-	l, _ := open(t, Options{Dir: t.TempDir(), Sync: true})
+	dir := t.TempDir()
+	l, _ := open(t, Options{Dir: dir, Sync: true})
 	var recs [][]byte
 	for i := 0; i < 10; i++ {
 		recs = append(recs, rec(fmt.Sprint(i)))
 	}
-	if seq := commit(t, l, recs...); seq != 1 {
-		t.Fatalf("records landed in segment %d, want 1", seq)
-	}
+	commit(t, l, recs...)
 	st := l.Stats()
 	if st.Groups != 1 || st.Records != 10 {
 		t.Fatalf("groups = %d, records = %d; want 1 and 10 (one commit, one sync)", st.Groups, st.Records)
 	}
-	if l.watermark != 1 {
-		t.Fatalf("watermark = %d, want 1", l.watermark)
+	if files := walFiles(t, dir); len(files) != 1 || files[0] != "wal-0000000000000001.log" || st.Segments != 1 {
+		t.Fatalf("files %v, %d segments; want wal-0000000000000001.log alone", files, st.Segments)
 	}
 }
 
@@ -86,7 +111,7 @@ func TestGroupCommit(t *testing.T) {
 // keep their order.
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Dir: dir, Sync: true, SegmentBytes: 256}
+	o := Options{Dir: dir, Sync: true}
 	l, _ := open(t, o)
 	const writers, rounds, perCommit = 8, 10, 6
 	var wg sync.WaitGroup
@@ -119,8 +144,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if st.Groups != writers*rounds {
 		t.Fatalf("groups = %d, want one per commit (%d)", st.Groups, writers*rounds)
 	}
-	if st.Segments < 3 {
-		t.Fatalf("segments = %d, want rotation under 256-byte segments", st.Segments)
+	if st.Segments != 1 {
+		t.Fatalf("segments = %d, want the one file", st.Segments)
 	}
 	l.Close() // nothing beyond the acknowledged syncs: a kill
 
@@ -139,7 +164,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 }
 
 // TestFailedGroupClaimsNothing: a group that fails before any byte is
-// written acknowledges none of its records and claims no watermark.
+// written acknowledges none of its records and leaves the log as it was.
 func TestFailedGroupClaimsNothing(t *testing.T) {
 	crash := errors.New("crash")
 	var armed bool
@@ -153,213 +178,184 @@ func TestFailedGroupClaimsNothing(t *testing.T) {
 	if err := l.Commit([][]byte{rec("a"), rec("b")}); !errors.Is(err, crash) {
 		t.Fatalf("commit = %v, want the injected crash", err)
 	}
-	if l.watermark != 0 || l.Stats().Records != 0 {
-		t.Fatalf("failed group left state: watermark %d, stats %+v", l.watermark, l.Stats())
+	if st := l.Stats(); st.Records != 0 || st.Bytes != tsfile.SegmentHeaderLen {
+		t.Fatalf("failed group left state: %+v", st)
 	}
 }
 
-// TestCheckpointRetire: a checkpoint frees every sealed segment below the
-// oldest unflushed record, the segment holding that record stays until the
-// next checkpoint, and once nothing is unflushed the active segment
-// truncates to its header.
+// TestCheckpointRetire: a checkpoint truncates the log to its header and
+// counts what it dropped; records committed after it replay after a kill;
+// a checkpoint of a header-only log does nothing, not even a step; and a
+// crash between the checkpoint record and the truncation (wal.retire)
+// replays nothing the checkpoint covers.
 func TestCheckpointRetire(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Dir: dir, SegmentBytes: 64}
+	var sites []string
+	crash := errors.New("crash")
+	var crashAt string
+	o := Options{Dir: dir, Step: func(site string) error {
+		sites = append(sites, site)
+		if site == crashAt {
+			return crash
+		}
+		return nil
+	}}
 	l, _ := open(t, o)
 	for i := 0; i < 12; i++ {
 		commit(t, l, rec(fmt.Sprintf("flushed-%02d", i)))
 	}
-	if err := l.Retire(); err != nil || l.Stats().RetiredSegments != 0 {
-		t.Fatalf("retired before any checkpoint: %v, %+v", err, l.Stats())
-	}
+	before := l.Stats()
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tail := commit(t, l, rec("unflushed"))
-	commit(t, l, rec("rotate-past-the-unflushed-record-..........................."), rec("last"))
-	before := l.Stats()
-	if before.Segments < 4 || tail == 1 || tail == l.activeSeq {
-		t.Fatalf("setup: %d segments, unflushed record in %d, active %d", before.Segments, tail, l.activeSeq)
-	}
-	if err := l.Retire(); err != nil {
-		t.Fatal(err)
-	}
 	after := l.Stats()
-	if want := int64(tail - 1); after.RetiredSegments != want {
-		t.Fatalf("retired %d segments, want the %d below the unflushed record's", after.RetiredSegments, want)
+	if after.Segments != 1 || after.Bytes != tsfile.SegmentHeaderLen || after.RetiredBytes <= before.Bytes-tsfile.SegmentHeaderLen {
+		t.Fatalf("after the checkpoint: %+v (before %+v), want one header-only file and every record retired", after, before)
 	}
-	if after.Bytes >= before.Bytes || after.RetiredBytes == 0 {
-		t.Fatalf("bytes %d -> %d, retired bytes %d", before.Bytes, after.Bytes, after.RetiredBytes)
+	sites = nil
+	if err := l.Checkpoint(); err != nil || len(sites) != 0 || l.Stats().RetiredBytes != after.RetiredBytes {
+		t.Fatalf("checkpoint of an empty log: %v, sites %v, %+v", err, sites, l.Stats())
 	}
-	if sealed := l.Sealed(); sealed[0].Seq != tail {
-		t.Fatalf("oldest sealed segment = %d, want the unflushed record's %d", sealed[0].Seq, tail)
-	}
+	commit(t, l, rec("unflushed"), rec("last"))
 	l.Close()
 
-	// A kill here replays from the unflushed record on and re-claims the
-	// watermark at its segment.
 	l2, r := open(t, o)
-	if len(r.recs) != 3 || string(r.recs[0][2:]) != "unflushed" {
-		t.Fatalf("replay after the checkpoint: %q", r.recs)
+	if len(r.recs) != 2 || string(r.recs[0][2:]) != "unflushed" || r.checkpoints != 0 {
+		t.Fatalf("replay after the checkpoint: %q, %d checkpoints", r.recs, r.checkpoints)
 	}
-	if l2.watermark != tail {
-		t.Fatalf("watermark after replay = %d, want %d", l2.watermark, tail)
+	crashAt = "wal.retire"
+	if err := l2.Checkpoint(); !errors.Is(err, crash) {
+		t.Fatalf("checkpoint = %v, want the crash at wal.retire", err)
+	}
+	l2.Close()
+	crashAt = ""
+	_, r = open(t, o)
+	if len(r.recs) != 0 || r.checkpoints != 1 {
+		t.Fatalf("replay after a crash at wal.retire: %q, %d checkpoints; want the checkpoint to drop both records", r.recs, r.checkpoints)
+	}
+}
+
+// TestDeleteSegmentSurvivesUntilCheckpoint: a delete record stays in the
+// log, however many records follow it, until the next checkpoint: it
+// replays after a kill, and only the checkpoint drops it.
+func TestDeleteSegmentSurvivesUntilCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := open(t, Options{Dir: dir})
+	del := []byte{4, 0, 'd', 'e', 'l'}
+	commit(t, l, del)
+	for i := 0; i < 20; i++ {
+		commit(t, l, rec(fmt.Sprintf("later-record-%02d", i)))
+	}
+	l.Close()
+	l2, r := open(t, Options{Dir: dir})
+	if len(r.recs) != 21 || !bytes.Equal(r.recs[0], del) {
+		t.Fatalf("replayed %d records, first %x; want the delete and the 20 after it", len(r.recs), r.recs[0])
 	}
 	if err := l2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Retire(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l2.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen {
-		t.Fatalf("all-clear retire left %+v, want one header-only segment", st)
-	}
-}
-
-// TestDeleteSegmentSurvivesUntilCheckpoint: a delete record claims the
-// watermark like an insert, so its segment survives retirement — and
-// blocks the all-clear truncation — until the next checkpoint, however
-// many segments later records fill.
-func TestDeleteSegmentSurvivesUntilCheckpoint(t *testing.T) {
-	l, _ := open(t, Options{Dir: t.TempDir(), SegmentBytes: 32})
-	del := commit(t, l, []byte{4, 0, 'd', 'e', 'l'})
-	commit(t, l, rec("fill-the-first-segment-past-32-bytes"), rec("x"))
-	if l.watermark != del {
-		t.Fatalf("setup: watermark %d, delete's segment %d", l.watermark, del)
-	}
-	if err := l.Retire(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.RetiredSegments != 0 || st.Segments < 2 {
-		t.Fatalf("delete's segment retired before a checkpoint: %+v", st)
-	}
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Retire(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen {
-		t.Fatalf("after the checkpoint: %+v, want one header-only segment", st)
+	l2.Close()
+	if _, r := open(t, Options{Dir: dir}); len(r.recs) != 0 {
+		t.Fatalf("replayed %d records after the checkpoint, want none", len(r.recs))
 	}
 }
 
 // TestTornTailAndTornCreation: the newest segment may legally end in a
 // partial record (crash mid-append) or be nothing but a partial header
-// (crash mid-rotation); both recover the valid prefix, say so, and leave
-// the log appendable.
+// (crash mid-creation); both recover the valid prefix, say so, and leave
+// the log appendable. The legacy directory's segment 2 ends in a torn
+// 3-byte tail; a partial header as segment 3 is what an older build's
+// crash mid-rotation left.
 func TestTornTailAndTornCreation(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{Dir: dir, SegmentBytes: 32}
-	l, _ := open(t, o)
-	commit(t, l, rec("first-record-filling-segment-one"), rec("second"))
-	l.Close()
-	f, err := os.OpenFile(SegmentPath(dir, 2), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0x09, 0x01, 0x02}) // length 9, 2 bytes present
-	f.Close()
-
-	l2, r := open(t, o)
-	st := l2.Stats()
-	if len(r.recs) != 2 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn tail, 3 bytes") {
+	dir := legacyDir(t)
+	l, r := open(t, Options{Dir: dir})
+	st := l.Stats()
+	if len(r.recs) != 8 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn tail, 3 bytes") {
 		t.Fatalf("torn tail: replayed %q, %+v", r.recs, st)
 	}
-	next := commit(t, l2, rec("third")) + 1
-	l2.Close()
-	os.WriteFile(SegmentPath(dir, next), []byte("M4W"), 0o644)
+	commit(t, l, rec("ninth"))
+	l.Close()
+	os.WriteFile(SegmentPath(dir, 3), []byte("M4W"), 0o644)
 
-	l3, r := open(t, o)
-	st = l3.Stats()
-	if len(r.recs) != 3 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn creation") {
+	l2, r := open(t, Options{Dir: dir})
+	st = l2.Stats()
+	if len(r.recs) != 9 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn creation") {
 		t.Fatalf("torn creation: replayed %q, %+v", r.recs, st)
 	}
-	if got := commit(t, l3, rec("fourth")); got != next {
-		t.Fatalf("after recreating segment %d: landed in %d", next, got)
+	commit(t, l2, rec("tenth"))
+	if _, path, _, err := l2.Capture(); err != nil || path != SegmentPath(dir, 3) {
+		t.Fatalf("after recreating segment 3: appending to %s (%v)", path, err)
+	}
+	l2.Close()
+	if _, r := open(t, Options{Dir: dir}); len(r.recs) != 10 || string(r.recs[9][2:]) != "tenth" {
+		t.Fatalf("reopen: replayed %q", r.recs)
 	}
 }
 
-// TestCorruptSealedSegment: a sealed segment with a flipped byte is set
-// aside on open (everything else still replays), and the scrubber's
-// Verify/Quarantine pair does the same to a live log.
+// TestCorruptSealedSegment: in a legacy directory, a sealed segment with a
+// flipped byte is set aside on open, with a warning, and everything after
+// it still replays.
 func TestCorruptSealedSegment(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{Dir: dir, SegmentBytes: 32}
-	l, _ := open(t, o)
-	for i := 0; i < 4; i++ {
-		commit(t, l, rec(fmt.Sprintf("record-%d-filling-a-32-byte-segment", i)))
-	}
-	flip := func(seq uint64) {
-		raw, err := os.ReadFile(SegmentPath(dir, seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[tsfile.SegmentHeaderLen+2] ^= 0xff
-		os.WriteFile(SegmentPath(dir, seq), raw, 0o644)
-	}
-	sealed := l.Sealed()
-	if len(sealed) != 3 || sealed[0].Verify() != nil {
-		t.Fatalf("setup: sealed %v", sealed)
-	}
-	flip(1)
-	err := sealed[0].Verify()
-	if !errors.Is(err, tsfile.ErrCorrupt) {
-		t.Fatalf("verify of flipped segment = %v", err)
-	}
-	if err := l.Quarantine(sealed[0], err); err != nil {
+	dir := legacyDir(t)
+	raw, err := os.ReadFile(SegmentPath(dir, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.QuarantinedSegments != 1 || st.Segments != 3 || l.Sealed()[0].Seq != 2 {
-		t.Fatalf("after quarantine: %+v", st)
-	}
-	l.Close()
+	raw[tsfile.SegmentHeaderLen+2] ^= 0xff
+	os.WriteFile(SegmentPath(dir, 1), raw, 0o644)
 
-	flip(3)
-	l2, r := open(t, o)
-	st := l2.Stats()
+	l, r := open(t, Options{Dir: dir})
+	st := l.Stats()
 	if st.QuarantinedSegments != 1 || !strings.Contains(st.Warnings[0], "corrupt") {
-		t.Fatalf("reopen over corrupt sealed segment: %+v", st)
+		t.Fatalf("open over a corrupt sealed segment: %+v", st)
 	}
-	if len(r.recs) != 2 { // segments 2 and 4 survive
-		t.Fatalf("replayed %d records, want 2", len(r.recs))
+	if len(r.recs) != 4 || fmt.Sprintf("%x", r.recs[0]) != "030002733002640000000000001440780000000000001840" {
+		t.Fatalf("replayed %x, want segment 2's four records", r.recs)
 	}
-	if m, _ := filepath.Glob(filepath.Join(dir, "wal-*.log.bad*")); len(m) != 2 {
+	if m, _ := filepath.Glob(filepath.Join(dir, "wal-*.log.bad*")); len(m) != 1 {
 		t.Fatalf("quarantined files: %v", m)
 	}
 }
 
-// TestResetAndCapture: Capture is a consistent image (sealed paths plus a
-// parseable prefix of the active segment); Reset drops everything.
+// TestResetAndCapture: Capture is a consistent image (the legacy segments'
+// paths plus a parseable prefix of the log's file), and the checkpoint
+// that resets the log unlinks the legacy segments and leaves the newest,
+// header-only.
 func TestResetAndCapture(t *testing.T) {
-	l, _ := open(t, Options{Dir: t.TempDir(), SegmentBytes: 32})
-	commit(t, l, rec("first-record-filling-segment-one"), rec("second"))
-	sealed, activePath, active, err := l.Capture()
+	dir := legacyDir(t)
+	l, _ := open(t, Options{Dir: dir})
+	commit(t, l, rec("ninth"))
+	legacy, path, data, err := l.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sealed) != 1 || filepath.Base(activePath) != filepath.Base(SegmentPath("", 2)) {
-		t.Fatalf("capture: sealed %v, active %s", sealed, activePath)
+	if len(legacy) != 1 || legacy[0].Seq != 1 || path != SegmentPath(dir, 2) {
+		t.Fatalf("capture: legacy %v, file %s", legacy, path)
 	}
-	if hdr, recs, err := tsfile.ParseSegment(active); err != nil || hdr.Seq != 2 || len(recs) != 1 {
-		t.Fatalf("captured active prefix: %v, %v, %d records", err, hdr, len(recs))
+	if hdr, recs, err := tsfile.ParseSegment(data); err != nil || hdr.Seq != 2 || len(recs) != 5 {
+		t.Fatalf("captured prefix: %v, %v, %d records", err, hdr, len(recs))
 	}
-	commit(t, l, []byte{4, 0})
-	if err := l.Reset(); err != nil {
+	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen || l.watermark != 0 {
-		t.Fatalf("after reset: %+v, watermark %d", st, l.watermark)
+	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen || st.RetiredSegments != 1 {
+		t.Fatalf("after the checkpoint: %+v", st)
+	}
+	if files := walFiles(t, dir); len(files) != 1 || files[0] != "wal-0000000000000002.log" {
+		t.Fatalf("files after the checkpoint: %v, want segment 2 alone", files)
+	}
+	if legacy, _, data, err := l.Capture(); err != nil || len(legacy) != 0 || len(data) != tsfile.SegmentHeaderLen {
+		t.Fatalf("capture after the checkpoint: %v, %v, %d bytes", err, legacy, len(data))
 	}
 }
 
 // TestNilLog: a nil *Log is a disabled log.
 func TestNilLog(t *testing.T) {
 	var l *Log
-	if err := errors.Join(l.Commit([][]byte{rec("x")}), l.Checkpoint(), l.Retire(), l.Reset(), l.Close()); err != nil {
+	if err := errors.Join(l.Commit([][]byte{rec("x")}), l.Checkpoint(), l.Close()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := l.Capture(); err != nil || l.Sealed() != nil || !reflect.DeepEqual(l.Stats(), Stats{}) {
+	if _, _, _, err := l.Capture(); err != nil || !reflect.DeepEqual(l.Stats(), Stats{}) {
 		t.Fatal("disabled log reported state")
 	}
 }
@@ -371,18 +367,10 @@ func TestNilLog(t *testing.T) {
 // completed delete, a delete that reached the WAL but not the mods sidecar,
 // and a torn 3-byte tail. It must replay to the same records, in the same
 // order. Its checkpoint was written under two stripes, so it is ignored:
-// every record replays (merely redundant) and the one watermark sits at the
-// first segment.
+// every record replays (merely redundant).
 func TestParentDirectoryReplays(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"wal-0000000000000001.log", "wal-0000000000000002.log"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "parent-5b6b9ab", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.WriteFile(filepath.Join(dir, name), raw, 0o644) // Open truncates the torn tail
-	}
-	l, r := open(t, Options{Dir: dir, SegmentBytes: 96})
+	dir := legacyDir(t)
+	l, r := open(t, Options{Dir: dir}) // Open truncates the torn tail
 	want := []string{
 		"030102733101020000000000004540",                   // s1 (shard 1) t=1
 		"03000273300214000000000000f03f280000000000000040", // s0 (shard 0) t=10,20
@@ -403,21 +391,25 @@ func TestParentDirectoryReplays(t *testing.T) {
 	if r.checkpoints != 0 {
 		t.Fatalf("checkpoints = %d, want 0 (the 2-stripe checkpoint is ignored)", r.checkpoints)
 	}
-	if l.watermark != 1 {
-		t.Fatalf("watermark = %d, want 1", l.watermark)
-	}
 	st := l.Stats()
 	if st.Segments != 2 || st.Bytes != 119+106 || st.TornTruncations != 1 ||
 		len(st.Warnings) != 1 || st.Warnings[0] != "wal segment 2: torn tail, 3 bytes truncated" {
 		t.Fatalf("stats = %+v", st)
 	}
-	// A checkpoint this log writes is honoured on the next open.
-	if err := l.Checkpoint(); err != nil {
-		t.Fatal(err)
+	// A checkpoint this log writes is honoured on the next open: crash
+	// between it and the unlinking of segment 1.
+	l.opts.Step = func(site string) error {
+		if site == "wal.retire" {
+			return errors.New("crash")
+		}
+		return nil
+	}
+	if err := l.Checkpoint(); err == nil {
+		t.Fatal("checkpoint passed the crash at wal.retire")
 	}
 	l.Close()
-	l2, r2 := open(t, Options{Dir: dir, SegmentBytes: 96})
-	if r2.checkpoints != 1 || len(r2.recs) != 0 || l2.watermark != 0 {
-		t.Fatalf("reopen after a checkpoint: %d checkpoints, %d records, watermark %d", r2.checkpoints, len(r2.recs), l2.watermark)
+	_, r2 := open(t, Options{Dir: dir})
+	if r2.checkpoints != 1 || len(r2.recs) != 0 {
+		t.Fatalf("reopen after a checkpoint: %d checkpoints, %d records", r2.checkpoints, len(r2.recs))
 	}
 }
