@@ -447,6 +447,31 @@ func onlyAt(what string, refs []archRef, want ...string) []string {
 	return []string{fmt.Sprintf("%s: want exactly [%s], found [%s]", what, strings.Join(want, ", "), strings.Join(found, ", "))}
 }
 
+// onlyWithin reports unless every site in refs is at one of the allowed
+// entries ("file" or "file:func") and every entry holds at least one.
+func onlyWithin(what string, refs []archRef, allowed ...string) []string {
+	var out []string
+	hit := make([]bool, len(allowed))
+	for _, r := range refs {
+		ok := false
+		for i, a := range allowed {
+			file, fn, _ := strings.Cut(a, ":")
+			if r.file == file && (fn == "" || r.fn == fn) {
+				ok, hit[i] = true, true
+			}
+		}
+		if !ok {
+			out = append(out, fmt.Sprintf("%s: %s outside [%s]", r, what, strings.Join(allowed, ", ")))
+		}
+	}
+	for i, a := range allowed {
+		if !hit[i] {
+			out = append(out, fmt.Sprintf("%s: none at %s", what, a))
+		}
+	}
+	return out
+}
+
 // none reports every site in refs.
 func none(what string, refs []archRef) []string {
 	var out []string
@@ -737,14 +762,31 @@ func ruleColumnarReadPath(tr *archTree) []string {
 	return none("rows built on the columnar read path", refs)
 }
 
-// ruleRecycleAtQueryEnd: a query hands the columns its uncached loads
-// decoded back to their sources when it ends, once its workers have
-// joined, and only the two owners of a query's loads do it:
-// computeMultiKinds (M4-LSM and MinMax) and mergeread.Read (every
-// merge-all read). No task recycles a column another task may still read.
+// ruleRecycleAtQueryEnd: what a query owns goes back when the query ends,
+// once its workers have joined, and only its owner hands it back. A query
+// hands the columns its uncached loads decoded back to their sources, and
+// only the two owners of a query's loads do it: computeMultiKinds (M4-LSM
+// and MinMax) and mergeread.Read (every merge-all read). The slice pools
+// are refilled only by the column reader, the operator's recycle (a plan's
+// tables through seriesPlan.release, which computeMultiKinds alone calls),
+// ReduceMultiContext's flatten, Outcome.Release and Canvas.Release; the
+// server's serve is the one caller of Outcome.Release, after the response
+// is written, and /render the one caller of Canvas.Release. No task
+// recycles what another task may still read.
 func ruleRecycleAtQueryEnd(tr *archTree) []string {
-	return onlyAt("storage.ChunkRef.Recycle references", tr.find(tr.sorted(), uses(is("internal/storage.ChunkRef.Recycle"))),
+	refs := func(key string) []archRef { return tr.find(tr.sorted(), uses(is(key))) }
+	out := onlyAt("storage.ChunkRef.Recycle references", refs("internal/storage.ChunkRef.Recycle"),
 		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/mergeread/mergeread.go:Read")
+	out = append(out, onlyWithin("slicepool.Pool.Put references", refs("internal/slicepool.Pool.Put"),
+		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/m4lsm/plan.go:release",
+		"internal/m4lsm/reduce.go:ReduceMultiContext", "internal/m4ql/exec.go:Release",
+		"internal/tsfile/reader.go", "internal/viz/viz.go:Release")...)
+	out = append(out, onlyAt("seriesPlan.release references", refs("internal/m4lsm.seriesPlan.release"),
+		"internal/m4lsm/m4lsm.go:computeMultiKinds")...)
+	out = append(out, onlyAt("m4ql.Outcome.Release references", refs("internal/m4ql.Outcome.Release"),
+		"internal/server/server.go:serve")...)
+	return append(out, onlyAt("viz.Canvas.Release references", refs("internal/viz.Canvas.Release"),
+		"internal/server/render.go:render")...)
 }
 
 // ruleOneEngineLock: the state the engine owns has one lock. lsm.Engine
@@ -1031,6 +1073,8 @@ var archMutations = []struct {
 	{"exper imports the server", "one_measurement_stack", []archEdit{{"internal/exper/exper.go", "import (", "import (\n\t_ \"m4lsm/internal/server\""}}},
 	{"Recycle inside a load task", "recycle_at_query_end", []archEdit{{"internal/mergeread/mergeread.go",
 		"c.Task(i, \"load\", t)", "c.Task(i, \"load\", t)\n\t\t\tref.Recycle(l.chunks[i].cols.Times(), nil)"}}},
+	{"release the plan inside runWave", "recycle_at_query_end", []archEdit{{"internal/m4lsm/m4lsm.go",
+		"r := &p.results[tk.k][tk.g]", "defer p.release()\n\t\tr := &p.results[tk.k][tk.g]"}}},
 	{"second mutex in Engine", "one_engine_lock", []archEdit{{"internal/lsm/engine.go",
 		"\tscrubCur int ", "\tfileMu   sync.Mutex\n\tscrubCur int "}}},
 	{"mutex inside an lsm struct in Engine", "one_engine_lock", []archEdit{{"internal/lsm/engine.go",

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"m4lsm/internal/series"
 )
@@ -230,8 +231,12 @@ func ComputeSeries(q Query, s series.Series) ([]Aggregate, error) {
 // and within one First is the earliest point and Last the latest, so the
 // output is built in order with no sort. A point at the time of the last
 // one kept is the same point of the merged series, and is dropped.
-func Points(aggs []Aggregate) series.Series {
-	out := make(series.Series, 0, 4*len(aggs))
+//
+// The points are appended to dst, which a caller that recycles its
+// buffers passes with its elements spread (m4lsm.ReduceMultiContext
+// passes a pooled slice); without it Points allocates the result.
+func Points(aggs []Aggregate, dst ...series.Point) series.Series {
+	out := slices.Grow(series.Series(dst), 4*len(aggs))
 	for _, a := range aggs {
 		if a.Empty {
 			continue

@@ -14,6 +14,7 @@ import (
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/obs"
+	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
@@ -168,24 +169,41 @@ func benchTable4Mix(b *testing.B, opts Options) {
 }
 
 // BenchmarkComputePyramid is one query answered from pyramid cells alone:
-// the snapshot and the operator over cell-aligned windows at w=1024.
+// the snapshot and the operator over cell-aligned windows at w=1024, as
+// aggregates (Compute) and as the points /render draws
+// (ReduceMultiContext, whose aggregates go back to their pool).
 func BenchmarkComputePyramid(b *testing.B) {
 	e := alignedEngine(b)
 	var qs []m4.Query
 	for off := int64(0); off+1<<16 <= alignedPoints; off += 1 << 13 {
 		qs = append(qs, m4.Query{Tqs: off, Tqe: off + 1<<16, W: 1024})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		snap := alignedSnapshot(b, e, q)
-		if _, err := Compute(snap, q); err != nil {
-			b.Fatal(err)
-		}
-		if loads := snap.Stats.Load().ChunksLoaded; loads != 0 {
-			b.Fatalf("aligned window loaded %d chunks", loads)
-		}
+	for _, bc := range []struct {
+		name string
+		run  func(*storage.Snapshot, m4.Query) error
+	}{
+		{"Compute", func(snap *storage.Snapshot, q m4.Query) error {
+			_, err := Compute(snap, q)
+			return err
+		}},
+		{"ReduceMultiContext", func(snap *storage.Snapshot, q m4.Query) error {
+			_, err := ReduceMultiContext(context.Background(), []*storage.Snapshot{snap}, q, reprops.Spec{}, Options{})
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				snap := alignedSnapshot(b, e, q)
+				if err := bc.run(snap, q); err != nil {
+					b.Fatal(err)
+				}
+				if loads := snap.Stats.Load().ChunksLoaded; loads != 0 {
+					b.Fatalf("aligned window loaded %d chunks", loads)
+				}
+			}
+		})
 	}
 }
 

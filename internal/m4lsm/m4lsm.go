@@ -146,7 +146,7 @@ func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Qu
 // Wave 1 runs FP on every list with chunks. FP proves a list empty by
 // chaining delete bounds without loading chunk data, so wave 2 runs the
 // rest kinds only on the lists whose FP found a point.
-func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts Options, rest []gKind, label string) ([][]m4.Aggregate, error) {
+func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts Options, rest []gKind, label string) (outs [][]m4.Aggregate, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,26 +161,38 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 		plans[i] = newSeriesPlan(ctx, snap, q, opts, c)
 		lists += len(plans[i].work)
 	}
-	// The query owns the columns its loads decoded until it ends, and then,
-	// on success, error and cancellation alike, they go back to their
-	// sources: both waves have joined by then, and the aggregates are copies
-	// of the points they kept. The probes bound to them go too.
-	defer func() {
-		for _, p := range plans {
-			for _, cs := range p.op.states {
-				cs.ref.Recycle(cs.times, cs.values)
-				cs.times, cs.values, cs.probe = nil, nil, nil
-			}
-		}
-	}()
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	// One scratch per worker and one task slice, shared by both waves: no
-	// task allocates its candidate-loop state.
-	scratch := make([]spanComputer, par)
-	tasks := make([]task, 0, lists*len(rest))
+	// task allocates its candidate-loop state. A pooled scratch keeps its
+	// view arena and forgets the operator it last served.
+	scratch := scratchPool.Get(par)
+	for w := range scratch {
+		scratch[w].op = nil
+	}
+	tasks := taskPool.Get(lists * len(rest))[:0]
+	// The query owns the columns its loads decoded, and its tables, until
+	// it ends, and then, on success, error and cancellation alike, they go
+	// back: both waves have joined by then, and the aggregates are copies
+	// of the points they kept. The probes bound to the columns go too. The
+	// aggregates themselves are the answer, and go back only on failure.
+	defer func() {
+		for _, p := range plans {
+			for i := range p.op.states {
+				cs := &p.op.states[i]
+				cs.ref.Recycle(cs.times, cs.values)
+				cs.times, cs.values, cs.probe = nil, nil, nil
+			}
+			p.release()
+			if err != nil {
+				AggregatePool.Put(p.out)
+			}
+		}
+		scratchPool.Put(scratch)
+		taskPool.Put(tasks)
+	}()
 	mark = c.Phase("plan", mark)
 
 	for _, p := range plans {
@@ -188,7 +200,7 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			tasks = append(tasks, task{p, k, gFP})
 		}
 	}
-	err := runWave(ctx, scratch, tasks, len(snaps))
+	err = runWave(ctx, scratch, tasks, len(snaps))
 	mark = c.Phase("wave-fp", mark)
 	if err != nil {
 		return nil, err
@@ -208,9 +220,9 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 	if err != nil {
 		return nil, err
 	}
-	outs := make([][]m4.Aggregate, len(plans))
+	outs = make([][]m4.Aggregate, len(plans))
 	for pi, p := range plans {
-		if err := p.assemble(rest); err != nil {
+		if err = p.assemble(rest); err != nil {
 			return nil, err
 		}
 		outs[pi] = p.out

@@ -3,6 +3,7 @@ package m4lsm
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -10,6 +11,7 @@ import (
 	"m4lsm/internal/m4"
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/series"
+	"m4lsm/internal/slicepool"
 	"m4lsm/internal/storage"
 )
 
@@ -22,7 +24,7 @@ type operator struct {
 	q        m4.Query
 	opts     Options
 	stats    *storage.Stats
-	states   []*chunkState
+	states   []chunkState     // a slab of one per snapshot chunk, filled in plan order
 	deletes  []storage.Delete // sorted by version
 	deleteIx *storage.DeleteIndex
 	budget   *govern.Budget // nil: unbudgeted (methods are nil-safe)
@@ -44,13 +46,17 @@ func (op *operator) ctxErr() error {
 	}
 }
 
-// addState materializes the shared chunkState for one snapshot chunk and
-// registers it for the end-of-query pruned sweep. The planner calls it on a
-// chunk's first list assignment only, so chunks the pyramid answers around
-// never allocate a state at all.
+// addState materializes the shared chunkState for one snapshot chunk in
+// the plan's slab, which also registers it for the end-of-query pruned
+// sweep. The planner calls it on a chunk's first list assignment only, so
+// chunks the pyramid answers around never take a state at all. The slab
+// holds one state per snapshot chunk, so it never grows and the states
+// never move.
 func (op *operator) addState(ref storage.ChunkRef) *chunkState {
-	cs := &chunkState{ref: ref, meta: ref.Meta}
-	op.states = append(op.states, cs)
+	n := len(op.states)
+	op.states = op.states[:n+1]
+	cs := &op.states[n]
+	*cs = chunkState{ref: ref, meta: ref.Meta}
 	return cs
 }
 
@@ -70,15 +76,60 @@ type seriesPlan struct {
 	out         []m4.Aggregate
 	work        []int                 // lists with at least one chunk, in list order
 	results     [][gCount]gResult     // parallel to work, one slot per kind
-	pyr         []storage.PyramidSpan // per span; nil when the pyramid answers none
+	pyr         []storage.PyramidSpan // per span; nil when the snapshot has no pyramid
+	pyrPlanned  int                   // the spans the pyramid answers
 	bounds      []int64               // span i is [bounds[i], bounds[i+1]), q.Span taken once
 	statsBefore storage.Stats
+}
+
+// A query's tables come from size-classed pools, and it hands them back
+// when it ends (computeMultiKinds' deferred recycle), so a query allocates
+// about what it returns. Two tables leave the operator: a plan's out, the
+// aggregates ComputeMultiContext answers with, and the points
+// ReduceMultiContext flattens them into. Their pools are exported so that
+// whoever ends up owning them can hand them back (m4ql.Outcome.Release);
+// a caller that never does leaves them to the collector. Under the race
+// detector everything handed back is poisoned (slicepool.Pool.Poison): a
+// read after release is a wrong answer, not a silent one.
+var (
+	// PointPool holds ReduceMultiContext's flattened points.
+	PointPool = slicepool.Pool[series.Point]{Poison: poisonPoint}
+	// AggregatePool holds the per-span aggregates of a plan.
+	AggregatePool = slicepool.Pool[m4.Aggregate]{Poison: m4.Aggregate{
+		First: poisonPoint, Last: poisonPoint, Bottom: poisonPoint, Top: poisonPoint}}
+
+	boundsPool     = slicepool.Pool[int64]{Poison: math.MinInt64}
+	intPool        = slicepool.Pool[int]{Poison: math.MinInt}
+	assignmentPool slicepool.Pool[assignment]
+	resultPool     = slicepool.Pool[[gCount]gResult]{Poison: [gCount]gResult{
+		{poisonPoint, true}, {poisonPoint, true}, {poisonPoint, true}, {poisonPoint, true}}}
+	spanPool    = slicepool.Pool[storage.PyramidSpan]{Poison: storage.PyramidSpan{Lo: math.MinInt64, Hi: math.MinInt64, Cells: math.MinInt}}
+	statePool   slicepool.Pool[chunkState]
+	taskPool    slicepool.Pool[task]
+	scratchPool slicepool.Pool[spanComputer]
+)
+
+// poisonPoint is what a released point reads as under the race detector.
+var poisonPoint = series.Point{T: math.MinInt64, V: math.NaN()}
+
+// release hands the plan's tables back to their pools once the query's
+// workers have joined and its columns are recycled. The aggregates are not
+// among them: the query answers with them.
+func (p *seriesPlan) release() {
+	boundsPool.Put(p.bounds)
+	intPool.Put(p.listOff)
+	intPool.Put(p.work)
+	assignmentPool.Put(p.assigned)
+	resultPool.Put(p.results)
+	spanPool.Put(p.pyr)
+	statePool.Put(p.op.states)
 }
 
 // newSeriesPlan builds the per-series operator state: one shared chunkState
 // per assigned chunk (the singleflight gate), deletes sorted by version,
 // chunks distributed to lists by index interval, and spans with no chunks
-// answered Empty with no task at all.
+// answered Empty with no task at all. Every table comes from the plan
+// pools, and release hands them back when the query ends.
 func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options, c *mergeread.Clock) *seriesPlan {
 	op := &operator{ctx: ctx, done: ctx.Done(), snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget, clock: c}
 	if op.stats == nil {
@@ -89,19 +140,21 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	op.deleteIx = storage.NewDeleteIndex(op.deletes)
 
 	p := &seriesPlan{op: op, statsBefore: c.Before(op.stats)}
-	p.bounds = make([]int64, q.W+1)
+	p.bounds = boundsPool.Get(q.W + 1)
 	for i := range p.bounds {
 		p.bounds[i] = q.SpanStart(i)
 	}
-	p.out = make([]m4.Aggregate, q.W)
-	p.pyr = planPyramid(snap, q, p.out)
+	p.out = AggregatePool.Get(q.W)
+	p.pyr, p.pyrPlanned = planPyramid(snap, q, p.out)
 	// Chunk states are materialized lazily: a chunk whose every span is
 	// answered from pyramid cells, and that misses the boundary fragments,
 	// never needs one, and on wide snapshots those per-chunk allocations
 	// would otherwise dominate an all-cells query's cost. This pass counts
 	// list l's chunks into listOff[l+1], and the lists with any.
 	lists := 2 * q.W
-	p.listOff = make([]int, lists+1)
+	p.listOff = intPool.Get(lists + 1)
+	clear(p.listOff)
+	op.states = statePool.Get(len(snap.Chunks))[:0]
 	nonEmpty := 0
 	for ci := range snap.Chunks {
 		var cs *chunkState
@@ -119,8 +172,9 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	for l := 1; l <= lists; l++ {
 		p.listOff[l] += p.listOff[l-1]
 	}
-	p.assigned = make([]assignment, p.listOff[lists])
-	for _, cs := range op.states {
+	p.assigned = assignmentPool.Get(p.listOff[lists])
+	for i := range op.states {
+		cs := &op.states[i]
 		p.joinLists(cs.meta, func(l int) {
 			p.assigned[p.listOff[l]] = assignment{cs: cs}
 			p.listOff[l]++
@@ -129,13 +183,14 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 	copy(p.listOff[1:], p.listOff[:lists])
 	p.listOff[0] = 0
 
-	p.work = make([]int, 0, nonEmpty)
+	p.work = intPool.Get(nonEmpty)[:0]
 	for l := 0; l < lists; l++ {
 		if len(p.chunks(l)) > 0 {
 			p.work = append(p.work, l)
 		}
 	}
-	p.results = make([][gCount]gResult, len(p.work))
+	p.results = resultPool.Get(len(p.work))
+	clear(p.results)
 	// A plain span starts Empty and a pyramid span as its folded cells;
 	// assemble folds the lists' aggregates around either.
 	var pyrSpans, pyrCells, pyrFallback int64
@@ -146,7 +201,7 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 			continue
 		}
 		p.out[i] = m4.Aggregate{Empty: true}
-		if p.pyr != nil && len(p.chunks(2*i)) > 0 {
+		if p.pyrPlanned > 0 && len(p.chunks(2*i)) > 0 {
 			pyrFallback++
 		}
 	}
@@ -183,7 +238,7 @@ func clampSpan(q m4.Query, t int64) int {
 }
 
 // pyramidSpan reports whether the pyramid answers span i's interior.
-func (p *seriesPlan) pyramidSpan(i int) bool { return p.pyr != nil && p.pyr[i].Cells > 0 }
+func (p *seriesPlan) pyramidSpan(i int) bool { return p.pyrPlanned > 0 && p.pyr[i].Cells > 0 }
 
 // listEnd bounds the lists a chunk of span i may join, 2i up to
 // listEnd(i): a plain span uses list 2i alone.
@@ -233,19 +288,17 @@ func (p *seriesPlan) chunks(l int) []assignment {
 // one list over the whole span.
 
 // planPyramid asks the snapshot's pyramid about every span in one call,
-// returning one plan per span (Cells == 0: no pyramid answer), or nil when
-// the pyramid is absent or answers no span. A planned span's folded cells
-// land in out[i]. A caller that wants the plain span path alone clears the
-// snapshot's Pyramid.
-func planPyramid(snap *storage.Snapshot, q m4.Query, out []m4.Aggregate) []storage.PyramidSpan {
+// returning one plan per span (Cells == 0: no pyramid answer) and how many
+// it planned, or nil when the pyramid is absent. A planned span's folded
+// cells land in out[i]. A caller that wants the plain span path alone
+// clears the snapshot's Pyramid.
+func planPyramid(snap *storage.Snapshot, q m4.Query, out []m4.Aggregate) ([]storage.PyramidSpan, int) {
 	if snap.Pyramid == nil {
-		return nil
+		return nil, 0
 	}
-	spans := make([]storage.PyramidSpan, q.W)
-	if snap.Pyramid.PlanSpans(q, spans, out) == 0 {
-		return nil
-	}
-	return spans
+	spans := spanPool.Get(q.W)
+	clear(spans)
+	return spans, snap.Pyramid.PlanSpans(q, spans, out)
 }
 
 // assemble folds each live list's results into its span's aggregate, in
@@ -293,8 +346,8 @@ func (p *seriesPlan) assemble(rest []gKind) error {
 	// answered around were never candidates, so they don't count as pruned
 	// (they show up in pyramidSpans/pyramidCells instead).
 	pruned := int64(0)
-	for _, cs := range op.states {
-		if !cs.hasData && cs.probe == nil {
+	for i := range op.states {
+		if cs := &op.states[i]; !cs.hasData && cs.probe == nil {
 			pruned++
 		}
 	}

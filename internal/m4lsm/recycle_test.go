@@ -8,12 +8,14 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"m4lsm/internal/cache"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4udf"
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/obs"
+	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
@@ -250,5 +252,48 @@ func TestTaskMetricsFlushedPerWorker(t *testing.T) {
 	}
 	if count != int64(tasks) {
 		t.Errorf("m4_task_seconds count %d, the trace saw %d tasks", count, tasks)
+	}
+}
+
+// TestReduceAllocatesItsPoints: once warm, an M4 query over cell-aligned
+// windows, answered from pyramid cells alone, allocates the points it
+// returns and at most 8 KiB besides: its plan tables, chunk states, task
+// slice, worker scratch and aggregates go back to their pools when it ends.
+func TestReduceAllocatesItsPoints(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	e := alignedEngine(t)
+	var qs []m4.Query
+	var snaps [][]*storage.Snapshot
+	for off := int64(0); off+1<<16 <= alignedPoints; off += 1 << 13 {
+		q := m4.Query{Tqs: off, Tqe: off + 1<<16, W: 1024}
+		qs, snaps = append(qs, q), append(snaps, []*storage.Snapshot{alignedSnapshot(t, e, q)})
+	}
+	reduce := func(i int) series.Series {
+		out, err := ReduceMultiContext(context.Background(), snaps[i], qs[i], reprops.Spec{}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	for i := range qs {
+		reduce(i)
+	}
+	const runs = 64
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start, returned := ms.TotalAlloc, 0
+	for r := 0; r < runs; r++ {
+		returned += int(unsafe.Sizeof(series.Point{})) * cap(reduce(r%len(qs)))
+	}
+	runtime.ReadMemStats(&ms)
+	perQuery, points := int(ms.TotalAlloc-start)/runs, returned/runs
+	if perQuery > points+8<<10 {
+		t.Errorf("a warm aligned query allocated %d B, of which its points are %d B; want at most 8 KiB besides", perQuery, points)
+	}
+	if loads := snaps[0][0].Stats.Load().ChunksLoaded; loads != 0 {
+		t.Fatalf("aligned window loaded %d chunks", loads)
 	}
 }

@@ -35,23 +35,33 @@ func ReduceMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Que
 	// The span-based operators differ only in the spans they plan, the
 	// rest wave they run, their label and how a series' aggregates become
 	// points.
-	spans, rest, label, points := q, restM4, "lsm", m4.Points
+	spans, rest, label, points, perSpan := q, restM4, "lsm", m4.Points, 4
 	switch spec.Kind {
 	case reprops.KindLTTB:
 		return reduceLTTB(ctx, snaps, q, opts)
 	case reprops.KindMinMax:
-		rest, label, points = restMinMax, "minmax", reprops.MinMaxPoints
+		rest, label, points, perSpan = restMinMax, "minmax", reprops.MinMaxPoints, 2
 	case reprops.KindMinMaxLTTB:
-		spans, rest, label = reprops.PreQuery(q, spec.EffectiveRatio()), restMinMax, "minmaxlttb"
-		points = func(a []m4.Aggregate) series.Series { return reprops.LTTB(reprops.MinMaxPoints(a), q.W) }
+		spans, rest, label, points, perSpan = reprops.PreQuery(q, spec.EffectiveRatio()), restMinMax, "minmaxlttb", reprops.MinMaxPoints, 2
 	}
 	aggs, err := computeMultiKinds(ctx, snaps, spans, opts, rest, label)
 	if err != nil {
 		return nil, err
 	}
+	// The aggregates never leave the package: each series' are flattened
+	// into points from PointPool and handed straight back. The points are
+	// the answer; MinMaxLTTB's preselection goes back once LTTB has copied
+	// what it keeps.
 	out := make([]series.Series, len(aggs))
 	for i, a := range aggs {
-		out[i] = points(a)
+		pts := points(a, PointPool.Get(perSpan * len(a))[:0]...)
+		AggregatePool.Put(a)
+		if spec.Kind == reprops.KindMinMaxLTTB {
+			out[i] = reprops.LTTB(pts, q.W)
+			PointPool.Put(pts)
+			continue
+		}
+		out[i] = pts
 	}
 	return out, nil
 }

@@ -329,6 +329,21 @@ func Exec(ctx context.Context, e *lsm.Engine, stmt Statement) (*Outcome, error) 
 	return o, nil
 }
 
+// Release hands the outcome's points and aggregates back to the operator's
+// pools (m4lsm.PointPool, m4lsm.AggregatePool) for later queries. Only a
+// caller that owns the outcome outright and reads none of its outputs again
+// may call it: the server does, once the response is written. Library
+// callers (DB.QueryContext, m4cli, Result) own their results and never
+// release them; the collector takes them.
+func (o *Outcome) Release() {
+	for i := range o.Outputs {
+		out := &o.Outputs[i]
+		m4lsm.PointPool.Put(out.Points)
+		m4lsm.AggregatePool.Put(out.Aggregates)
+		out.Points, out.Aggregates = nil, nil
+	}
+}
+
 // ExecuteContext is Exec followed by Result.
 func ExecuteContext(ctx context.Context, e *lsm.Engine, stmt Statement) (*Result, error) {
 	o, err := Exec(ctx, e, stmt)

@@ -31,6 +31,7 @@ package reprops
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -154,9 +155,10 @@ func PreQuery(q m4.Query, ratio int) m4.Query {
 // MinMaxPoints flattens M4 aggregates into the MinMax reduction: per
 // non-empty span the bottom and top points in time order, deduplicated
 // when a single point is both extremes. Span outputs are disjoint and
-// spans are in time order, so the result is sorted.
-func MinMaxPoints(aggs []m4.Aggregate) series.Series {
-	out := make(series.Series, 0, 2*len(aggs))
+// spans are in time order, so the result is sorted. The points are
+// appended to dst, as m4.Points appends its own.
+func MinMaxPoints(aggs []m4.Aggregate, dst ...series.Point) series.Series {
+	out := slices.Grow(series.Series(dst), 2*len(aggs))
 	for _, a := range aggs {
 		if a.Empty {
 			continue

@@ -97,8 +97,9 @@ type dashRow struct {
 // Charts whose series have no samples yet render a placeholder instead of a
 // 404. ?window=30m adjusts the time range, ?w/?h the chart size.
 func (h *Handler) dashboard(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query()
 	window := dashboardWindow
-	if v := r.URL.Query().Get("window"); v != "" {
+	if v := params.Get("window"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad window %q", v))
@@ -107,12 +108,12 @@ func (h *Handler) dashboard(w http.ResponseWriter, r *http.Request) {
 		window = d
 	}
 	cw, ch := 420, 120
-	if v := r.URL.Query().Get("w"); v != "" {
+	if v := params.Get("w"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= 4096 {
 			cw = n
 		}
 	}
-	if v := r.URL.Query().Get("h"); v != "" {
+	if v := params.Get("h"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= 2048 {
 			ch = n
 		}

@@ -72,6 +72,7 @@ func (h *Handler) renderStatement(params url.Values) (stmt m4ql.Statement, heigh
 	}
 	stmt.Query = m4.Query{Tqs: tqs, Tqe: tqe, W: width}
 	stmt.Represent = &spec
+	stmt.Trace = traced(params)
 	if err := stmt.Query.Validate(); err != nil {
 		return stmt, 0, http.StatusBadRequest, err
 	}
@@ -149,5 +150,6 @@ func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
 		if err := canvas.WritePNG(w); err != nil {
 			obs.Logger(r.Context()).Warn("write png", "err", err)
 		}
+		canvas.Release()
 	})
 }

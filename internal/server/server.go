@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"time"
@@ -381,17 +382,15 @@ func eventStats(ev *obs.Event, s storage.Stats) {
 }
 
 // serve is the query-class pipeline after an endpoint has turned its
-// request into a statement: ?trace= ("1", "true", ...) arms a trace, the
-// statement runs through the one read path, an execution error is mapped
-// to its status (fallback when mapQueryError has none), and the wide event
-// gets the operator, partial flag, warnings, cost counters and trace.
-// encode then writes the answer.
+// request into a statement: the statement runs through the one read path,
+// an execution error is mapped to its status (fallback when mapQueryError
+// has none), and the wide event gets the operator, partial flag, warnings,
+// cost counters and trace. encode then writes the answer, and once it has,
+// the outcome's points and aggregates go back to the operator's pools: the
+// request owns them, and nothing reads them after the response.
 func (h *Handler) serve(w http.ResponseWriter, r *http.Request, ev *obs.Event, stmt m4ql.Statement,
 	fallback int, encode func(http.ResponseWriter, *m4ql.Outcome)) {
 	ctx := r.Context()
-	if on, err := strconv.ParseBool(r.URL.Query().Get("trace")); err == nil && on {
-		ctx, _ = obs.WithTrace(ctx)
-	}
 	out, err := m4ql.Exec(ctx, h.engine, stmt)
 	if err != nil {
 		ev.Error = err.Error()
@@ -402,6 +401,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, ev *obs.Event, s
 		httpError(w, fallback, err)
 		return
 	}
+	defer out.Release()
 	ev.Operator = out.Operator
 	ev.Partial = out.Partial
 	ev.Warnings = len(out.Warnings)
@@ -424,10 +424,11 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, ev *obs.Event, s
 func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 	ev := &obs.Event{When: time.Now(), Endpoint: "/query", RequestID: w.Header().Get("X-Request-ID")}
 	defer h.finishEvent(w, ev)
+	params := r.URL.Query()
 	var q string
 	switch r.Method {
 	case http.MethodGet:
-		q = r.URL.Query().Get("q")
+		q = params.Get("q")
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, h.maxBody)
 		var body struct {
@@ -458,9 +459,17 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	stmt.Trace = stmt.Trace || traced(params)
 	h.serve(w, r, ev, stmt, http.StatusBadRequest, func(w http.ResponseWriter, out *m4ql.Outcome) {
 		writeJSON(w, http.StatusOK, out.Result())
 	})
+}
+
+// traced reports whether a request's ?trace= parameter ("1", "true", ...)
+// arms an execution trace.
+func traced(params url.Values) bool {
+	on, err := strconv.ParseBool(params.Get("trace"))
+	return err == nil && on
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -6,36 +6,35 @@ import (
 	"testing"
 )
 
-// TestSizeClasses: every pooled count maps to a class whose capacity holds
-// it with at most a quarter to spare, a class capacity is its own class,
-// and the classes fit the pool's table.
+// raceEnabled: see race_test.go.
+var raceEnabled bool
+
+// TestSizeClasses: a pooled column holds its count with at most a quarter
+// to spare, and a column of a class capacity gets exactly that capacity
+// (slicepool's own tests pin the class table).
 func TestSizeClasses(t *testing.T) {
-	prev := 0
-	for n := 1; n <= maxPooled; n += 1 + n/97 {
-		class, size := sizeClass(n)
-		if size < n || n > 8 && 4*size > 5*n+4 {
-			t.Fatalf("count %d: class capacity %d", n, size)
+	for n := 1; n <= 1<<16; n += 1 + n/97 {
+		ts := timeCols.Get(n)
+		if size := cap(ts); size < n || n > 8 && 4*size > 5*n+4 {
+			t.Fatalf("count %d: column capacity %d", n, size)
 		}
-		if c2, s2 := sizeClass(size); c2 != class || s2 != size {
-			t.Fatalf("capacity %d: class %d/%d, want %d/%d", size, c2, s2, class, size)
+		if vs := valueCols.Get(cap(ts)); cap(vs) != cap(ts) {
+			t.Fatalf("capacity %d: a column of that count has capacity %d", cap(ts), cap(vs))
 		}
-		if class < prev || class >= numClasses {
-			t.Fatalf("count %d: class %d after %d (table of %d)", n, class, prev, numClasses)
-		}
-		prev = class
+		timeCols.Put(ts)
 	}
-	if _, size := sizeClass(1000); size != 1024 {
+	if size := cap(timeCols.Get(1000)); size != 1024 {
 		t.Errorf("a 1000-point column has capacity %d, want 1024", size)
 	}
 }
 
 // TestRecycledColumnsArePoisoned: under the race detector (make check's
 // -race pass) a recycled column is overwritten before it is pooled — NaN
-// values and the poisonTime sentinel — so a query that reads a column
+// values and math.MinInt64 timestamps — so a query that reads a column
 // after handing it back gets a wrong answer, which difftest and the
 // operator tests report. This test is that read, done on purpose.
 func TestRecycledColumnsArePoisoned(t *testing.T) {
-	if !poisonRecycled {
+	if !raceEnabled {
 		t.Skip("recycled columns are poisoned only in race-detector builds")
 	}
 	r, meta := openBenchChunk(t)
@@ -46,8 +45,8 @@ func TestRecycledColumnsArePoisoned(t *testing.T) {
 	ts, vs := cols.Times(), cols.Values()
 	r.Recycle(ts, vs)
 	for i := range ts {
-		if ts[i] != poisonTime || !math.IsNaN(vs[i]) {
-			t.Fatalf("point %d after Recycle: (%d, %v), want (%d, NaN)", i, ts[i], vs[i], int64(poisonTime))
+		if ts[i] != math.MinInt64 || !math.IsNaN(vs[i]) {
+			t.Fatalf("point %d after Recycle: (%d, %v), want (%d, NaN)", i, ts[i], vs[i], int64(math.MinInt64))
 		}
 	}
 }
@@ -56,7 +55,7 @@ func TestRecycledColumnsArePoisoned(t *testing.T) {
 // recycled decodes into them, allocating neither column, and decodes the
 // same chunk bit for bit.
 func TestRecycledLoadAllocatesNothing(t *testing.T) {
-	if poisonRecycled {
+	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	r, meta := openBenchChunk(t)

@@ -10,6 +10,7 @@ import (
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
+	"m4lsm/internal/slicepool"
 	"m4lsm/internal/storage"
 )
 
@@ -175,14 +176,14 @@ func (r *Reader) readBlocks(buf *[]byte, meta storage.ChunkMeta, wantTimes, want
 // bytes, is corrupt, and its column goes straight back. Every timestamp
 // costs at least one encoded byte, so a count above the timestamp block's
 // length is refused before anything is allocated.
-func decodeColumn[T int64 | float64](meta storage.ChunkMeta, block []byte, name string, pool *columnPool[T], decode func(dst []T, b []byte) ([]T, []byte, error)) ([]T, error) {
+func decodeColumn[T int64 | float64](meta storage.ChunkMeta, block []byte, name string, pool *slicepool.Pool[T], decode func(dst []T, b []byte) ([]T, []byte, error)) ([]T, error) {
 	if meta.Count < 0 || meta.Count > meta.TimesLen {
 		return nil, fmt.Errorf("%w: count %d in a %d-byte timestamp block", ErrCorrupt, meta.Count, meta.TimesLen)
 	}
-	dst := pool.get(int(meta.Count))
+	dst := pool.Get(int(meta.Count))
 	col, rest, err := decode(dst, block)
 	if err != nil || len(rest) != 0 {
-		pool.put(dst)
+		pool.Put(dst)
 		return nil, fmt.Errorf("%w: %s block decode (%v)", ErrCorrupt, name, err)
 	}
 	return col, nil
@@ -193,8 +194,8 @@ func decodeColumn[T int64 | float64](meta storage.ChunkMeta, block []byte, name 
 // came from an uncached load of its own query — and must not read them
 // again. Either may be nil.
 func (r *Reader) Recycle(ts []int64, vs []float64) {
-	timeCols.put(ts)
-	valueCols.put(vs)
+	timeCols.Put(ts)
+	valueCols.Put(vs)
 }
 
 // ReadChunk implements storage.ChunkSource.
@@ -211,7 +212,7 @@ func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
 	}
 	vs, err := decodeColumn(meta, valuesBlock, "value", &valueCols, meta.Codec.DecodeValuesInto)
 	if err != nil {
-		timeCols.put(ts)
+		timeCols.Put(ts)
 		return series.Columns{}, err
 	}
 	return series.NewColumns(ts, vs), nil

@@ -17,6 +17,7 @@ import (
 
 	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
+	"m4lsm/internal/slicepool"
 )
 
 // Canvas is a binary pixel grid; (0,0) is the top-left corner. Each row
@@ -29,14 +30,29 @@ type Canvas struct {
 	bits   []uint64
 }
 
-// NewCanvas allocates a cleared canvas. It panics on non-positive
-// dimensions, which are always a programming error.
+// canvasWords pools canvas pixels. A released canvas reads all black under
+// the race detector.
+var canvasWords = slicepool.Pool[uint64]{Poison: ^uint64(0)}
+
+// NewCanvas returns a cleared canvas, its pixels taken from the canvas
+// pool. It panics on non-positive dimensions, which are always a
+// programming error.
 func NewCanvas(w, h int) *Canvas {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("viz: invalid canvas %dx%d", w, h))
 	}
 	stride := (w + 63) / 64
-	return &Canvas{W: w, H: h, stride: stride, bits: make([]uint64, stride*h)}
+	bits := canvasWords.Get(stride * h)
+	clear(bits)
+	return &Canvas{W: w, H: h, stride: stride, bits: bits}
+}
+
+// Release hands the canvas's pixels back for a later NewCanvas. The caller
+// must own the canvas and not use it again; the server's /render does,
+// once the PNG is written. A canvas never released is the collector's.
+func (c *Canvas) Release() {
+	canvasWords.Put(c.bits)
+	c.bits = nil
 }
 
 // pixel returns the word holding the in-bounds pixel (x, y) and its mask.
