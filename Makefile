@@ -98,12 +98,12 @@ fuzz:
 # It forbids ad-hoc printing in library code: internal/ packages must log
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
-# It also keeps raw sleeps out of library code. The structural rules (one
-# read path, one merge-all read, one task shape, public examples, one write
-# path, one WAL file, one chunk writer, fit-at-write, one measurement stack,
-# the columnar read path, recycle at query end, one engine lock, no engine
-# goroutines, DESIGN.md's invariant table and no test-only production API)
-# are type-checked in arch_test.go, which plain `go test ./...` runs too.
+# The structural rules (one read path, one merge-all read, one task shape,
+# public examples, one write path, one WAL file, one chunk writer,
+# fit-at-write, one measurement stack, the columnar read path, recycle at
+# query end, one engine lock, no engine goroutines, no library sleeps,
+# DESIGN.md's invariant table and no test-only production API) are
+# type-checked in arch_test.go, which plain `go test ./...` runs too.
 lint:
 	@bad=$$(gofmt -l *.go cmd internal examples bench); \
 	if [ -n "$$bad" ]; then \
@@ -114,15 +114,6 @@ lint:
 		--include='*.go' --exclude='*_test.go' internal/ *.go 2>/dev/null; true); \
 	if [ -n "$$bad" ]; then \
 		echo "lint: use log/slog instead of log.Print*/fmt.Print* in library code:"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rnE 'time\.Sleep' --include='*.go' --exclude='*_test.go' \
-		internal/ *.go 2>/dev/null \
-		| grep -v 'internal/govern/backoff\.go' \
-		| grep -v 'internal/faultfs/faultfs\.go'; true); \
-	if [ -n "$$bad" ]; then \
-		echo "lint: library code must not call time.Sleep for backoff; use govern.SleepBackoff"; \
-		echo "(deterministic jitter, context-aware). Exempt: govern/backoff.go, faultfs (injected latency)."; \
 		echo "$$bad"; exit 1; \
 	fi
 	$(GO) test -count=1 -run '^TestArchitecture' .

@@ -543,6 +543,7 @@ func init() {
 		{"recycle_at_query_end", ruleRecycleAtQueryEnd},
 		{"one_engine_lock", ruleOneEngineLock},
 		{"no_engine_goroutines", ruleNoEngineGoroutines},
+		{"no_library_sleeps", ruleNoLibrarySleeps},
 		{"design_invariants", ruleDesignInvariants},
 		{"production_api", ruleProductionAPI},
 	}
@@ -769,7 +770,8 @@ func ruleColumnarReadPath(tr *archTree) []string {
 // and MinMax) and mergeread.Read (every merge-all read). The slice pools
 // are refilled only by the column reader, the operator's recycle (a plan's
 // tables through seriesPlan.release, which computeMultiKinds alone calls),
-// ReduceMultiContext's flatten, Outcome.Release and Canvas.Release; the
+// ReduceMultiContext's flatten, GROUP BY's fold of the aggregates into rows
+// (groupby's computeFromM4), Outcome.Release and Canvas.Release; the
 // server's serve is the one caller of Outcome.Release, after the response
 // is written, and /render the one caller of Canvas.Release. No task
 // recycles what another task may still read.
@@ -779,7 +781,8 @@ func ruleRecycleAtQueryEnd(tr *archTree) []string {
 		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/mergeread/mergeread.go:Read")
 	out = append(out, onlyWithin("slicepool.Pool.Put references", refs("internal/slicepool.Pool.Put"),
 		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/m4lsm/plan.go:release",
-		"internal/m4lsm/reduce.go:ReduceMultiContext", "internal/m4ql/exec.go:Release",
+		"internal/m4lsm/reduce.go:ReduceMultiContext", "internal/groupby/groupby.go:computeFromM4",
+		"internal/m4ql/exec.go:Release",
 		"internal/tsfile/reader.go", "internal/viz/viz.go:Release")...)
 	out = append(out, onlyAt("seriesPlan.release references", refs("internal/m4lsm.seriesPlan.release"),
 		"internal/m4lsm/m4lsm.go:computeMultiKinds")...)
@@ -832,6 +835,20 @@ func ruleNoEngineGoroutines(tr *archTree) []string {
 	return none("go statement in the storage engine",
 		tr.find(tr.pkgsUnder("internal/lsm", "internal/wal", "internal/pyramid", "internal/tsfile"),
 			func(_ *archPkg, n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }))
+}
+
+// ruleNoLibrarySleeps: library code does not sleep. A wait belongs to a
+// caller that can cancel it, so no non-test file of the root package or
+// under internal/ references time.Sleep, however it is named or imported;
+// faultfs alone does, to inject latency.
+func ruleNoLibrarySleeps(tr *archTree) []string {
+	var pkgs []*archPkg
+	for _, p := range tr.pkgsUnder(".", "internal") {
+		if p.dir != "internal/faultfs" {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return none("time.Sleep in library code", tr.find(pkgs, uses(func(obj types.Object) bool { return objKey(obj) == "time.Sleep" })))
 }
 
 // holdsMutex reports whether a value of type t is or contains a
@@ -1086,6 +1103,8 @@ var archMutations = []struct {
 	{"RWMutex in ModLog", "one_engine_lock", []archEdit{{"internal/tsfile/mods.go", "import (", "import (\n\t\"sync\""},
 		{"internal/tsfile/mods.go", "\tlog  *RecordLog", "\tmu   sync.RWMutex\n\tlog  *RecordLog"}}},
 	{"go func in lsm", "no_engine_goroutines", []archEdit{{"internal/lsm/engine.go", "", "\nfunc spawn() { go func() {}() }\n"}}},
+	{"time.Sleep in lsm", "no_library_sleeps", []archEdit{{"internal/lsm/engine.go", "import (", "import (\n\tclock \"time\""},
+		{"internal/lsm/engine.go", "", "\nfunc nap() { clock.Sleep(clock.Millisecond) }\n"}}},
 	{"DESIGN names a missing test", "design_invariants", []archEdit{{"DESIGN.md", "`TestSpecMatchesBenchmarkJSON`", "`TestSpecMatchesBenchmarkJSON`, `TestNoSuchInvariant`"}}},
 	{"exported API only tests call", "production_api", []archEdit{{"internal/series/series.go", "",
 		"\n// Mid is the range's midpoint.\nfunc (r TimeRange) Mid() int64 { return r.Start + (r.End-r.Start)/2 }\n"}}},

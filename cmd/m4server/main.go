@@ -81,7 +81,6 @@ func main() {
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size bound; oversized bodies answer 400")
 		maxChunks    = flag.Int64("max-chunks-per-query", 0, "default cap on physical chunk loads per query (0 = unlimited)")
 		maxPoints    = flag.Int64("max-points-per-query", 0, "default cap on decoded points per query (0 = unlimited)")
-		readRetries  = flag.Int("read-retries", 0, "retry attempts for transient chunk-read failures (0 = engine default)")
 		pyramid      = flag.Bool("pyramid", true, "maintain the M4 rollup pyramid (precomputed multi-resolution span aggregates); false always computes from chunks")
 
 		syncWAL           = flag.Bool("sync-wal", false, "fsync the WAL before acknowledging writes (one fsync per batch the ingest queue drains, shared by concurrent writers)")
@@ -108,7 +107,7 @@ func main() {
 	slog.SetDefault(logger)
 
 	reg := obs.NewRegistry()
-	engine, err := lsm.Open(lsm.Options{Dir: *dir, Metrics: reg, ReadRetries: *readRetries, DisablePyramid: !*pyramid,
+	engine, err := lsm.Open(lsm.Options{Dir: *dir, Metrics: reg, DisablePyramid: !*pyramid,
 		SyncWAL:           *syncWAL,
 		IngestQueuePoints: *ingestQueuePoints, IngestEnqueueWait: *ingestWait})
 	if err != nil {

@@ -8,9 +8,10 @@
 //   - StepInjector: a write-path hook that simulates a process kill at the
 //     n-th WAL-append/flush/footer/reopen step, for crash-recovery torture.
 //
-// Every decision is a pure function of (seed, site): the same seed and the
-// same access pattern produce the same faults regardless of goroutine
-// scheduling, so parallel operators see reproducible failures.
+// Every decision is a pure function of (seed, site): a site fails the same
+// way on every read, whatever the goroutine scheduling, so parallel
+// operators see reproducible failures. A read is attempted once, so a test
+// that wants a fault to clear stops routing reads through the Source.
 package faultfs
 
 import (
@@ -72,13 +73,6 @@ type Config struct {
 	ShortRate float64       // short read
 	SlowRate  float64       // delayed read
 	Latency   time.Duration // delay applied by FaultSlow (default 1ms)
-
-	// PerAttempt models transient faults: each repeat access of the same
-	// site appends an attempt counter to the site key, so a retry draws an
-	// independent — still seed-deterministic — fault decision instead of
-	// re-failing identically forever. Off by default: the classic mode
-	// keeps a site's fate fixed, which the degradation tests rely on.
-	PerAttempt bool
 }
 
 // Stats counts the faults actually injected, by kind.
@@ -95,9 +89,6 @@ type Injector struct {
 	flips  atomic.Int64
 	shorts atomic.Int64
 	slows  atomic.Int64
-
-	mu       sync.Mutex
-	attempts map[string]int // per-site access counts (PerAttempt mode)
 }
 
 // NewInjector builds an injector for the config.
@@ -105,24 +96,7 @@ func NewInjector(cfg Config) *Injector {
 	if cfg.Latency <= 0 {
 		cfg.Latency = time.Millisecond
 	}
-	return &Injector{cfg: cfg, attempts: make(map[string]int)}
-}
-
-// attemptSite returns the effective site key: unchanged on the first
-// access (and always, outside PerAttempt mode), "#a<n>"-suffixed on the
-// n-th repeat so retries re-draw their fate deterministically.
-func (in *Injector) attemptSite(site string) string {
-	if !in.cfg.PerAttempt {
-		return site
-	}
-	in.mu.Lock()
-	n := in.attempts[site]
-	in.attempts[site] = n + 1
-	in.mu.Unlock()
-	if n == 0 {
-		return site
-	}
-	return fmt.Sprintf("%s#a%d", site, n)
+	return &Injector{cfg: cfg}
 }
 
 // mix64 finalizes a hash (murmur3's fmix64): FNV-1a alone avalanches too
@@ -205,7 +179,7 @@ func Wrap(src storage.ChunkSource, inj *Injector) *Source {
 }
 
 func (s *Source) fault(meta storage.ChunkMeta, op string) error {
-	site := s.inj.attemptSite(fmt.Sprintf("chunk:%s/v%d/%s", meta.SeriesID, meta.Version, op))
+	site := fmt.Sprintf("chunk:%s/v%d/%s", meta.SeriesID, meta.Version, op)
 	fault := s.inj.Decide(site)
 	switch fault {
 	case FaultNone:

@@ -221,30 +221,3 @@ func TestGateConcurrencyBound(t *testing.T) {
 		t.Fatalf("observed %d concurrent executions with %d slots", maxInFlight, slots)
 	}
 }
-
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	for attempt := 1; attempt <= 8; attempt++ {
-		a := Backoff(attempt, time.Millisecond, 20*time.Millisecond, 42)
-		b := Backoff(attempt, time.Millisecond, 20*time.Millisecond, 42)
-		if a != b {
-			t.Fatalf("attempt %d: %v != %v", attempt, a, b)
-		}
-		if a <= 0 || a > 20*time.Millisecond {
-			t.Fatalf("attempt %d out of bounds: %v", attempt, a)
-		}
-	}
-	if Backoff(1, time.Millisecond, time.Second, 1) == Backoff(1, time.Millisecond, time.Second, 2) {
-		t.Fatal("different seeds should jitter differently")
-	}
-}
-
-func TestSleepBackoffHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := SleepBackoff(ctx, 5, time.Second, time.Minute, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if err := SleepBackoff(context.Background(), 1, time.Microsecond, time.Millisecond, 1); err != nil {
-		t.Fatalf("short sleep: %v", err)
-	}
-}

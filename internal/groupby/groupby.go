@@ -128,7 +128,8 @@ func Compute(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []F
 }
 
 // computeFromM4 answers envelope functions from the merge-free operator,
-// all series in one batch.
+// all series in one batch. Each series' aggregates go back to the
+// operator's pool once folded: the rows are the answer.
 func computeFromM4(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([][]Row, error) {
 	aggs, err := m4lsm.ComputeMultiContext(ctx, snaps, q, opts)
 	if err != nil {
@@ -144,6 +145,7 @@ func computeFromM4(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, f
 				accums[i] = spanAccum{count: 1, min: a.Bottom.V, max: a.Top.V, first: a.First.V, last: a.Last.V}
 			}
 		}
+		m4lsm.AggregatePool.Put(aggs[si])
 		outs[si] = rows(accums, fns)
 	}
 	return outs, nil
@@ -194,15 +196,27 @@ func computeFromMerge(ctx context.Context, snaps []*storage.Snapshot, q m4.Query
 	return outs, nil
 }
 
-// rows projects the requested functions out of the non-empty spans.
+// rows projects the requested functions out of the non-empty spans. Every
+// row's Values is carved out of one backing slice.
 func rows(accums []spanAccum, fns []Func) []Row {
-	var out []Row
+	n := 0
+	for i := range accums {
+		if accums[i].count != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Row, 0, n)
+	vals := make([]float64, n*len(fns))
 	for i := range accums {
 		acc := &accums[i]
 		if acc.count == 0 {
 			continue
 		}
-		row := Row{Span: i, Values: make([]float64, len(fns))}
+		row := Row{Span: i, Values: vals[:len(fns):len(fns)]}
+		vals = vals[len(fns):]
 		for j, f := range fns {
 			switch f {
 			case Count:

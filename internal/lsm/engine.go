@@ -70,13 +70,6 @@ type Options struct {
 	// injecting chunk-level read faults at query time only — file opens
 	// and footer parses stay clean. Applied beneath the chunk cache.
 	WrapSource func(src storage.ChunkSource) storage.ChunkSource
-	// ReadRetries bounds how many times a transient chunk-read fault is
-	// retried (with deterministic jittered backoff) before it surfaces to
-	// the query. 0 means the default of 2 retries (3 attempts total).
-	// Detected corruption is never retried. RetryBaseDelay is the first
-	// backoff (default 1ms), doubling up to 50ms.
-	ReadRetries    int
-	RetryBaseDelay time.Duration
 	// SpaceProbeInterval rate-limits the disk-space probe that recovers
 	// the engine from read-only degraded mode after ENOSPC. 0 means the
 	// default of one probe per second; negative probes on every write
@@ -190,14 +183,10 @@ type Engine struct {
 	// Read-only degraded mode (disk full): readOnly holds the reason, nil
 	// while writable. It is atomic because classifyWrite runs both with
 	// and without mu held. lastProbe rate-limits recovery probes, roTrips
-	// counts entries into the mode. Transient-read retry accounting
-	// (readRetries/retryExhausted) lives here too: the retry wrapper
-	// outlives individual snapshots.
-	readOnly       atomic.Pointer[string]
-	roTrips        atomic.Int64
-	lastProbe      atomic.Int64
-	readRetries    atomic.Int64
-	retryExhausted atomic.Int64
+	// counts entries into the mode.
+	readOnly  atomic.Pointer[string]
+	roTrips   atomic.Int64
+	lastProbe atomic.Int64
 
 	// Lifetime counters of manifest saves, scrubs and backups (see
 	// pyramid.go, scrub.go, backup.go), read by metrics without mu.
@@ -370,8 +359,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		return 0
 	})
 	reg.CounterFunc("lsm_read_only_trips_total", func() float64 { return float64(e.roTrips.Load()) })
-	reg.CounterFunc("lsm_read_retries_total", func() float64 { return float64(e.readRetries.Load()) })
-	reg.CounterFunc("lsm_read_retry_exhausted_total", func() float64 { return float64(e.retryExhausted.Load()) })
 	walStat := func(f func(wal.Stats) float64) func() float64 {
 		return func() float64 { return f(e.wal.Stats()) }
 	}
@@ -451,10 +438,6 @@ type Info struct {
 	// the triggering error.
 	ReadOnly       bool
 	ReadOnlyReason string
-	// ReadRetries / ReadRetryExhausted count transient chunk-read
-	// retries and reads that failed even after all attempts.
-	ReadRetries        int64
-	ReadRetryExhausted int64
 
 	// Rollup-pyramid state: series with cells, total cells across all
 	// levels, and stale ranges awaiting rebuild. All zero when the
@@ -503,8 +486,6 @@ func (e *Engine) Info() Info {
 		QuarantinedChunks:  c.quarantinedChunks,
 		ReadOnly:           ro,
 		ReadOnlyReason:     roReason,
-		ReadRetries:        e.readRetries.Load(),
-		ReadRetryExhausted: e.retryExhausted.Load(),
 		PyramidSeries:      ps.Series,
 		PyramidCells:       ps.Cells,
 		PyramidStaleRanges: ps.StaleRanges,

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"m4lsm/internal/faultfs"
@@ -276,54 +278,138 @@ func TestCompactQuarantinesCorruptChunk(t *testing.T) {
 	}
 }
 
-// TestTransientFaultsNotQuarantined: injected read errors (I/O hiccups) must
-// degrade the query but stay retryable — no quarantine entry, and a later
-// fault-free query sees the full data.
+// TestTransientFaultsNotQuarantined: an injected read error (an I/O hiccup)
+// is attempted exactly once and degrades only the query that met it — a
+// warning naming the chunk, or under STRICT an error wrapping the fault —
+// and quarantines nothing: the next query reads the chunk again and
+// answers in full.
 func TestTransientFaultsNotQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	want := buildFaultStore(t, dir)
-
-	inj := faultfs.NewInjector(faultfs.Config{Seed: 7, ErrRate: 1})
-	faulty := true
-	e, err := Open(Options{Dir: dir, WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
-		wrapped := faultfs.Wrap(src, inj)
-		return sourceFunc{
-			read:  func(m storage.ChunkMeta) (series.Columns, error) { return pick(faulty, wrapped, src).ReadChunk(m) },
-			times: func(m storage.ChunkMeta) ([]int64, error) { return pick(faulty, wrapped, src).ReadTimes(m) },
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
 	full := series.TimeRange{Start: 0, End: 1 << 20}
-	snap, err := e.Snapshot("s", full)
-	if err != nil {
-		t.Fatal(err)
+	// Seven spans over six 20-unit chunks cut chunks, so M4-LSM loads some.
+	q := m4.Query{Tqs: 0, Tqe: 120, W: 7}
+	m4lsmRun := func(strict bool) func(*storage.Snapshot) ([]m4.Aggregate, error) {
+		return func(s *storage.Snapshot) ([]m4.Aggregate, error) {
+			return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{Strict: strict})
+		}
 	}
-	q := m4.Query{Tqs: 0, Tqe: 120, W: 6}
-	if _, err := m4udf.Compute(snap, q); err != nil {
-		t.Fatalf("lenient query: %v", err)
-	}
-	if snap.Warnings.Len() == 0 {
-		t.Fatal("every read faults but no warnings")
-	}
-	if n := e.Info().QuarantinedChunks; n != 0 {
-		t.Fatalf("transient faults quarantined %d chunks", n)
-	}
-	// The fault "clears" (e.g. the disk recovers): the same engine must now
-	// serve everything.
-	faulty = false
-	snap2, err := e.Snapshot("s", full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := materialize(t, snap2, full); !reflect.DeepEqual(got, want) {
-		t.Errorf("data lost after transient faults: got %d points, want %d", len(got), len(want))
-	}
-	if snap2.Warnings.Len() != 0 {
-		t.Errorf("warnings on clean snapshot: %v", snap2.Warnings.List())
+	for _, tc := range []struct {
+		name   string
+		every  bool // every read of the first query fails, not only its first
+		run    func(*storage.Snapshot) ([]m4.Aggregate, error)
+		strict bool
+	}{
+		{"every read fails", true, func(s *storage.Snapshot) ([]m4.Aggregate, error) { return m4udf.Compute(s, q) }, false},
+		{"fails once", false, m4lsmRun(false), false},
+		{"fails once strict", false, m4lsmRun(true), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := clean.Snapshot("s", full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := tc.run(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := clean.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			inj := faultfs.NewInjector(faultfs.Config{Seed: 7, ErrRate: 1})
+			var faulty, armed atomic.Bool
+			armed.Store(true)
+			var hit storage.ChunkMeta // the chunk whose read failed once
+			fails := func(m storage.ChunkMeta) bool {
+				if !faulty.Load() {
+					return false
+				}
+				if tc.every {
+					return true
+				}
+				if armed.CompareAndSwap(true, false) {
+					hit = m
+					return true
+				}
+				return false
+			}
+			reg := obs.NewRegistry()
+			e, err := Open(Options{Dir: dir, Metrics: reg, WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
+				wrapped := faultfs.Wrap(src, inj)
+				return sourceFunc{
+					read:  func(m storage.ChunkMeta) (series.Columns, error) { return pick(fails(m), wrapped, src).ReadChunk(m) },
+					times: func(m storage.ChunkMeta) ([]int64, error) { return pick(fails(m), wrapped, src).ReadTimes(m) },
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+
+			snap, err = e.Snapshot("s", full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faulty.Store(true)
+			_, err = tc.run(snap)
+			faulty.Store(false)
+			var failedLoads int64
+			if tc.strict {
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("strict query over a failed read = %v, want the injected fault", err)
+				}
+				failedLoads = 1
+			} else {
+				if err != nil {
+					t.Fatalf("lenient query: %v", err)
+				}
+				for _, w := range snap.Warnings.List() {
+					if strings.Contains(w, "unreadable, skipped") {
+						failedLoads++
+					}
+				}
+				if failedLoads == 0 {
+					t.Fatalf("reads failed but no chunk was reported: %v", snap.Warnings.List())
+				}
+				if name := fmt.Sprintf("chunk %s v%d unreadable", hit.SeriesID, hit.Version); !tc.every &&
+					(failedLoads != 1 || !slices.ContainsFunc(snap.Warnings.List(), func(w string) bool { return strings.Contains(w, name) })) {
+					t.Fatalf("one failed read: warnings %v, want one naming %q", snap.Warnings.List(), name)
+				}
+			}
+			if got := inj.Stats().Errors; got != failedLoads {
+				t.Errorf("%d injected errors for %d failed loads: a failed read must be attempted once", got, failedLoads)
+			}
+			if n := e.Info().QuarantinedChunks; n != 0 {
+				t.Fatalf("transient faults quarantined %d chunks", n)
+			}
+			if got := reg.Counter("lsm_quarantines_total").Value(); got != 0 {
+				t.Fatalf("lsm_quarantines_total = %d, want 0", got)
+			}
+
+			// The fault has cleared: the next snapshot reads every chunk again.
+			snap2, err := e.Snapshot("s", full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.run(snap2)
+			if err != nil {
+				t.Fatalf("query after the fault cleared: %v", err)
+			}
+			if !reflect.DeepEqual(got, oracle) {
+				t.Errorf("after the fault cleared: %v, want %v", got, oracle)
+			}
+			if pts := materialize(t, snap2, full); !reflect.DeepEqual(pts, want) {
+				t.Errorf("data lost after transient faults: got %d points, want %d", len(pts), len(want))
+			}
+			if snap2.Warnings.Len() != 0 {
+				t.Errorf("warnings on clean snapshot: %v", snap2.Warnings.List())
+			}
+		})
 	}
 }
 

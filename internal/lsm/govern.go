@@ -7,9 +7,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"time"
-
-	"m4lsm/internal/storage"
-	"m4lsm/internal/tsfile"
 )
 
 // ErrReadOnly marks writes rejected while the engine is in read-only
@@ -95,24 +92,4 @@ func (e *Engine) tryRecover() bool {
 	os.Remove(probe)
 	e.readOnly.Store(nil)
 	return true
-}
-
-// retryPolicy is the transient-read retry configuration of this engine's
-// chunk sources: bounded attempts with deterministic jittered backoff.
-// Detected corruption (tsfile.ErrCorrupt) is permanent — the bytes on
-// disk are wrong, re-reading cannot help — so it fails immediately and
-// keeps the quarantine path intact.
-func (e *Engine) retryPolicy() storage.RetryPolicy {
-	retries := e.opts.ReadRetries
-	if retries <= 0 {
-		retries = 2
-	}
-	return storage.RetryPolicy{
-		MaxAttempts: retries + 1,
-		BaseDelay:   e.opts.RetryBaseDelay,
-		Seed:        uint64(e.opts.FlushThreshold)*0x9e37 + 1, // any fixed, config-stable seed
-		IsPermanent: func(err error) bool { return errors.Is(err, tsfile.ErrCorrupt) },
-		OnRetry:     func() { e.readRetries.Add(1) },
-		OnExhausted: func() { e.retryExhausted.Add(1) },
-	}
 }

@@ -157,16 +157,14 @@ func (e *Engine) quarantineLocked(meta storage.ChunkMeta, err error) bool {
 }
 
 // sourceFor wraps a chunk file reader with query-time fault injection
-// (innermost, so cached loads are not re-faulted), the transient-read
-// retry layer (above injection, so a retry re-draws the fault; below the
-// cache, so only settled reads are cached) and the engine's shared cache
-// when caching is enabled.
+// (innermost, so cached loads are not re-faulted) and the engine's shared
+// cache when caching is enabled. A failed read is attempted once: its
+// error reaches the query that met it, and the next query reads again.
 func (e *Engine) sourceFor(r *tsfile.Reader) storage.ChunkSource {
 	var src storage.ChunkSource = r
 	if e.opts.WrapSource != nil {
 		src = e.opts.WrapSource(src)
 	}
-	src = storage.WithRetry(src, e.retryPolicy())
 	if e.cache == nil {
 		return src
 	}

@@ -8,12 +8,10 @@ import (
 	"syscall"
 	"testing"
 
-	"m4lsm/internal/faultfs"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4udf"
 	"m4lsm/internal/series"
-	"m4lsm/internal/storage"
 )
 
 // TestENOSPCFlushEntersReadOnly drives the disk-full degradation end to
@@ -234,104 +232,5 @@ func TestENOSPCWALAppendEntersReadOnly(t *testing.T) {
 	diskFull.Store(false)
 	if err := e.Write("s", pts(3, 3)...); err != nil {
 		t.Fatalf("write after recovery: %v", err)
-	}
-}
-
-// TestReadRetryRecoversTransientFault: one transient read fault must be
-// absorbed by the retry layer — clean result, no warnings, retry counted.
-func TestReadRetryRecoversTransientFault(t *testing.T) {
-	dir := t.TempDir()
-	want := buildFaultStore(t, dir)
-
-	var failOnce atomic.Int64
-	failOnce.Store(1)
-	e, err := Open(Options{
-		Dir:            dir,
-		RetryBaseDelay: 1, // nanosecond-scale: no real sleeping in tests
-		WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
-			return sourceFunc{
-				read: func(m storage.ChunkMeta) (series.Columns, error) {
-					if failOnce.Add(-1) == 0 {
-						return series.Columns{}, fmt.Errorf("%w: transient blip", faultfs.ErrInjected)
-					}
-					return src.ReadChunk(m)
-				},
-				times: func(m storage.ChunkMeta) ([]int64, error) { return src.ReadTimes(m) },
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	full := series.TimeRange{Start: 0, End: 1 << 20}
-	snap, err := e.Snapshot("s", full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := materialize(t, snap, full)
-	if len(got) != len(want) {
-		t.Fatalf("transient fault lost data despite retry: got %d points, want %d", len(got), len(want))
-	}
-	if snap.Warnings.Len() != 0 {
-		t.Fatalf("retried read still produced warnings: %v", snap.Warnings.List())
-	}
-	info := e.Info()
-	if info.ReadRetries != 1 {
-		t.Fatalf("ReadRetries = %d, want 1", info.ReadRetries)
-	}
-	if info.ReadRetryExhausted != 0 {
-		t.Fatalf("ReadRetryExhausted = %d, want 0", info.ReadRetryExhausted)
-	}
-}
-
-// TestReadRetryExhaustion: a persistently failing read must exhaust its
-// attempts, surface through the usual degradation path, and count as
-// exhausted.
-func TestReadRetryExhaustion(t *testing.T) {
-	dir := t.TempDir()
-	buildFaultStore(t, dir)
-
-	e, err := Open(Options{
-		Dir:            dir,
-		ReadRetries:    2,
-		RetryBaseDelay: 1,
-		WrapSource: func(src storage.ChunkSource) storage.ChunkSource {
-			return sourceFunc{
-				read: func(m storage.ChunkMeta) (series.Columns, error) {
-					return series.Columns{}, fmt.Errorf("%w: hard down", faultfs.ErrInjected)
-				},
-				times: func(m storage.ChunkMeta) ([]int64, error) {
-					return nil, fmt.Errorf("%w: hard down", faultfs.ErrInjected)
-				},
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	full := series.TimeRange{Start: 0, End: 1 << 20}
-	snap, err := e.Snapshot("s", full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := m4.Query{Tqs: 0, Tqe: 120, W: 6}
-	if _, err := m4udf.Compute(snap, q); err != nil {
-		t.Fatalf("lenient query must degrade, not fail: %v", err)
-	}
-	if snap.Warnings.Len() == 0 {
-		t.Fatal("no warnings despite exhausted retries")
-	}
-	info := e.Info()
-	if info.ReadRetryExhausted == 0 {
-		t.Fatal("no exhaustion recorded")
-	}
-	if info.ReadRetries != 2*info.ReadRetryExhausted {
-		t.Fatalf("ReadRetries = %d, want 2 per exhausted read (%d)", info.ReadRetries, info.ReadRetryExhausted)
-	}
-	// Transient faults must never quarantine, retried or not.
-	if info.QuarantinedChunks != 0 {
-		t.Fatalf("transient faults quarantined %d chunks", info.QuarantinedChunks)
 	}
 }

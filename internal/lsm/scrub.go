@@ -124,7 +124,7 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 					}
 				} else {
 					// Transient read failure: report, do not quarantine —
-					// the next pass (or query retry) may succeed.
+					// the next pass or query may succeed.
 					rep.Errors = append(rep.Errors, fmt.Sprintf("chunk %s v%d: %v", meta.SeriesID, meta.Version, err))
 				}
 			}

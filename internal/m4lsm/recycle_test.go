@@ -174,8 +174,8 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 	}
 }
 
-// TestRecycleReachesOnlyUncachedSources: queries recycle through the retry
-// layer and a disabled cache, and never through an enabled one.
+// TestRecycleReachesOnlyUncachedSources: queries recycle straight into the
+// reader and through a disabled cache, and never through an enabled one.
 func TestRecycleReachesOnlyUncachedSources(t *testing.T) {
 	cold, r := table4Snapshot(t, 16)
 	for _, tc := range []struct {
@@ -188,7 +188,7 @@ func TestRecycleReachesOnlyUncachedSources(t *testing.T) {
 		{"enabled cache", cache.NewLRU(1 << 30), false},
 	} {
 		rec := &recordingSource{ChunkSource: r}
-		src := cache.Wrap(storage.WithRetry(rec, storage.RetryPolicy{MaxAttempts: 3}), tc.lru)
+		src := cache.Wrap(rec, tc.lru)
 		s := &storage.Snapshot{SeriesID: cold.SeriesID, Deletes: cold.Deletes, Stats: &storage.Stats{}, Warnings: &storage.Warnings{}}
 		for _, c := range cold.Chunks {
 			s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, src, s.Stats))

@@ -136,10 +136,10 @@ type CachedSource interface {
 }
 
 // Recycler is the optional interface of chunk sources whose loads decode
-// into columns they can reuse (tsfile.Reader). Wrappers forward it only
-// when no one else can be holding the columns: the retry layer always, a
-// cache only while it keeps nothing. MemSource and fault-injection
-// wrappers do not implement it, so their columns are never recycled.
+// into columns they can reuse (tsfile.Reader). A wrapper forwards it only
+// when no one else can be holding the columns: a cache only while it keeps
+// nothing. MemSource and fault-injection wrappers do not implement it, so
+// their columns are never recycled.
 type Recycler interface {
 	// Recycle takes back columns a load of this source returned. Either
 	// may be nil.
