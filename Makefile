@@ -55,7 +55,8 @@ cover:
 
 # torture runs the crash-recovery suite on its own: every write-path step
 # site gets a simulated kill, recovery is checked against the oracle; and
-# the whole of internal/wal: torn tails, torn creation, legacy segments.
+# the whole of internal/wal: torn tails, group commit, checkpoints and the
+# refusal of an older build's segments.
 torture:
 	$(GO) test -race -run 'Torture|Fault|TornWAL|Quarantine|Cancel' -count=1 ./internal/lsm ./internal/m4lsm ./internal/faultfs
 	$(GO) test -race -count=1 ./internal/wal
@@ -68,8 +69,9 @@ soak:
 	$(GO) test -race -count=1 -run 'Overload|Admission|Budget|DeadlineRace|ENOSPC|ReadOnly|BodyBounds|Scrub|Ingest' \
 		./internal/server ./internal/lsm ./internal/m4lsm ./internal/m4ql ./internal/govern
 
-# fuzz exercises the crash-recovery parsers (WAL payloads, chunk-file
-# footers, record logs, the pyramid manifest), the m4ql parser including the REPRESENT
+# fuzz exercises the crash-recovery parsers (WAL payloads, the delete codec
+# the WAL shares with the .mods sidecar, chunk-file footers, record logs, the
+# WAL file as Open replays it, the pyramid manifest), the m4ql parser including the REPRESENT
 # clause, the /write parser against its line-by-line reference, the Gorilla codec against its
 # bit-at-a-time reference, the timestamp decoder against its per-varint
 # reference, the step-regression build against its
@@ -85,7 +87,7 @@ fuzz:
 	$(GO) test ./internal/lsm -run '^$$' -fuzz '^FuzzBackupManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/tsfile -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzBitStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeValues$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/encoding -run '^$$' -fuzz '^FuzzDecodeTimes$$' -fuzztime $(FUZZTIME)

@@ -624,8 +624,9 @@ func rulePublicExamples(tr *archTree) []string {
 // ruleOneWritePath: inserts reach a memtable in one place, memAppend
 // (internal/lsm/ingest.go), called by applyRun and WAL replay; the log is
 // reached through internal/wal's methods only: lsm, tests included, has no
-// walMu or walAppend, and only wal and tsfile (and bench/) touch segment
-// files or spell their "wal-" names.
+// walMu or walAppend, only wal and tsfile (and bench/) open a record log,
+// and only wal (and bench/) spells a WAL file name, "wal.log" or the
+// "wal-" of an older build's segments.
 func ruleOneWritePath(tr *archTree) []string {
 	lsm := tr.pkgsUnder("internal/lsm")
 	// A memtable append is m[k] = append(...) into a map of the type of
@@ -663,18 +664,19 @@ func ruleOneWritePath(tr *archTree) []string {
 			})
 		}
 	}
-	outside := tr.pkgsOutside("internal/wal", "internal/tsfile", "bench")
-	out = append(out, none("segment file access outside internal/wal",
-		tr.find(outside, uses(is("internal/tsfile.CreateSegment", "internal/tsfile.OpenSegmentAppend", "internal/tsfile.ReadSegment", "internal/tsfile.ParseSegment"))))...)
-	return append(out, none(`WAL file name ("wal-") outside internal/wal`, tr.find(outside, stringLit("wal-")))...)
+	out = append(out, none("record log opened outside internal/wal and internal/tsfile",
+		tr.find(tr.pkgsOutside("internal/wal", "internal/tsfile", "bench"), uses(is("internal/tsfile.OpenRecordLog"))))...)
+	walName := func(p *archPkg, n ast.Node) bool { return stringLit("wal.log")(p, n) || stringLit("wal-")(p, n) }
+	return append(out, none("WAL file name outside internal/wal", tr.find(tr.pkgsOutside("internal/wal", "bench"), walName))...)
 }
 
-// ruleOneWALFile: the write-ahead log is one file that never rotates, so a
-// segment file is created on wal.Open's path only: tsfile.CreateSegment is
-// referenced once, in Open.
+// ruleOneWALFile: the write-ahead log is one file that never rotates, and
+// it and the delete sidecar are the only record logs: within wal and
+// tsfile, tsfile.OpenRecordLog is referenced in tsfile.OpenModLog and
+// wal.Open alone.
 func ruleOneWALFile(tr *archTree) []string {
-	return onlyAt("tsfile.CreateSegment references", tr.find(tr.pkgsOutside("internal/tsfile"), uses(is("internal/tsfile.CreateSegment"))),
-		"internal/wal/log.go:Open")
+	return onlyAt("tsfile.OpenRecordLog references", tr.find(tr.pkgsUnder("internal/tsfile", "internal/wal"), uses(is("internal/tsfile.OpenRecordLog"))),
+		"internal/tsfile/mods.go:OpenModLog", "internal/wal/log.go:Open")
 }
 
 // ruleOneChunkWriter: chunk files are written in one place, writeChunkFile
@@ -1079,10 +1081,11 @@ var archMutations = []struct {
 	{"memtable append through an alias outside ingest.go", "one_write_path", []archEdit{{"internal/lsm/engine.go", "",
 		"\nfunc (e *Engine) put(id string, p series.Point) {\n\tbuf := e.mem\n\tbuf[id] = append(buf[id], p)\n}\n"}}},
 	{"walMu in lsm", "one_write_path", []archEdit{{"internal/lsm/engine.go", "", "\nvar walMu sync.Mutex\n"}}},
-	{"segment read outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nvar readSeg = tsfile.ReadSegment\n"}}},
-	{"WAL file name outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nconst walGlob = \"wal-*.log\"\n"}}},
+	{"record log opened in lsm", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "",
+		"\nfunc openLog(p string) (*tsfile.RecordLog, [][]byte, error) { return tsfile.OpenRecordLog(p, false) }\n"}}},
+	{"WAL file name outside wal", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "", "\nconst walName = \"wal.log\"\n"}}},
 	{"rotate in Commit", "one_wal_file", []archEdit{{"internal/wal/commit.go", "package wal", "package wal\n\nimport \"m4lsm/internal/tsfile\""},
-		{"internal/wal/commit.go", "\tfor _, p := range payloads {", "\tif l.seg.Size() > 1<<20 {\n\t\tnext, err := tsfile.CreateSegment(SegmentPath(l.opts.Dir, 2), tsfile.SegmentHeader{Seq: 2, Shards: 1})\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n\t\tl.seg = next\n\t}\n\tfor _, p := range payloads {"}}},
+		{"internal/wal/commit.go", "\tif err := l.log.Append(payloads, l.opts.Sync); err != nil {", "\tif l.log.Size() > 1<<20 {\n\t\tnext, _, err := tsfile.OpenRecordLog(l.path+\".2\", false)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n\t\tl.log = next\n\t}\n\tif err := l.log.Append(payloads, l.opts.Sync); err != nil {"}}},
 	{"internal/lsm import in pyramid", "one_chunk_writer", []archEdit{{"internal/pyramid/pyramid.go", "import (", "import (\n\t_ \"m4lsm/internal/lsm\""}}},
 	{"FromColumns in mergeread", "columnar_read_path", []archEdit{{"internal/mergeread/mergeread.go", "",
 		"\nfunc rows(ts []int64, vs []float64) series.Series { return series.FromColumns(ts, vs) }\n"}}},
@@ -1093,9 +1096,9 @@ var archMutations = []struct {
 	{"release the plan inside runWave", "recycle_at_query_end", []archEdit{{"internal/m4lsm/m4lsm.go",
 		"r := &p.results[tk.k][tk.g]", "defer p.release()\n\t\tr := &p.results[tk.k][tk.g]"}}},
 	{"second mutex in Engine", "one_engine_lock", []archEdit{{"internal/lsm/engine.go",
-		"\tscrubCur int ", "\tfileMu   sync.Mutex\n\tscrubCur int "}}},
+		"\tscrubCur scrubCursor", "\tfileMu   sync.Mutex\n\tscrubCur scrubCursor"}}},
 	{"mutex inside an lsm struct in Engine", "one_engine_lock", []archEdit{{"internal/lsm/engine.go",
-		"\tscrubCur int ", "\tfileSt   fileState\n\tscrubCur int "},
+		"\tscrubCur scrubCursor", "\tfileSt   fileState\n\tscrubCur scrubCursor"},
 		{"internal/lsm/engine.go", "", "\ntype fileState struct {\n\tn  int\n\tmu *sync.Mutex\n}\n"}}},
 	{"mutex inside a tsfile struct in ModLog", "one_engine_lock", []archEdit{{"internal/tsfile/mods.go", "import (", "import (\n\t\"sync\""},
 		{"internal/tsfile/mods.go", "\tlog  *RecordLog", "\tlocks []modLock\n\tlog  *RecordLog"},

@@ -34,10 +34,10 @@
 //	m4server -dir ./db -debug-addr localhost:6060
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 //
-// Writes land in one write-ahead log file in -dir (wal-<seq>.log) before
-// they are acknowledged, fsynced first under -sync-wal; every flush
-// truncates it back to its header, so a restart replays only the writes
-// since the last flush.
+// Writes land in one write-ahead log file in -dir (wal.log) before they
+// are acknowledged, fsynced first under -sync-wal; every flush truncates
+// it to empty, so a restart replays only the writes since the last flush.
+// A -dir an older build wrote (wal-<seq>.log segments) is refused.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // get a drain window, then the engine is flushed and closed exactly once.

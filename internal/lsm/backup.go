@@ -148,16 +148,12 @@ func (e *Engine) Backup(dir string) (m BackupManifest, err error) {
 		}
 		caps = append(caps, capture{name: name, data: data})
 	}
-	// Legacy WAL segments not yet unlinked are immutable like chunk
-	// files; the WAL file keeps growing after the lock drops, so its
+	// The WAL file keeps growing after the lock drops, so its
 	// record-aligned bytes so far are captured now.
-	legacy, walPath, walData, err := e.wal.Capture()
+	walPath, walData, err := e.wal.Capture()
 	if err != nil {
 		e.unlock()
 		return m, fmt.Errorf("lsm: backup: %w", err)
-	}
-	for _, s := range legacy {
-		caps = append(caps, capture{name: filepath.Base(s.Path), path: s.Path})
 	}
 	if walPath != "" {
 		caps = append(caps, capture{name: filepath.Base(walPath), data: walData})

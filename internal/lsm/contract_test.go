@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"sync"
 	"syscall"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"m4lsm/internal/faultfs"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
-	"m4lsm/internal/tsfile"
 )
 
 // writeOutcome is everything a write is allowed to leave behind: its error
@@ -25,7 +23,7 @@ import (
 type writeOutcome struct {
 	Class    string
 	Live     map[string]series.Series
-	Info     [6]int64 // memtable points, chunks, files, WAL segments, WAL bytes, read-only
+	Info     [5]int64 // memtable points, chunks, files, WAL bytes, read-only
 	WAL      []byte
 	Metrics  map[string]float64
 	Replayed map[string]series.Series
@@ -36,7 +34,7 @@ type writeOutcome struct {
 // the first entry's. It commits all of entries in that one group.
 type groupOutcome struct {
 	memPts, chunks int64 // Info's memtable points and chunks
-	walEntries     int   // how many of entries the WAL holds past its header
+	walEntries     int   // how many of entries the WAL holds
 	replayed       int   // how many of entries a kill + replay recovers
 }
 
@@ -170,7 +168,7 @@ func TestWriteContract(t *testing.T) {
 	}{
 		// Entry 0 fills s0's memtable: the flush it triggers covers the
 		// whole group, so the batch of three leaves no memtable points,
-		// three chunks and a WAL of its header alone, where the other
+		// three chunks and an empty WAL, where the other
 		// forms leave s1 and s2 in the memtable and the WAL.
 		{name: "ok", entries: entries, want: "ok", live: 3, replayed: 3,
 			group: &groupOutcome{memPts: 0, chunks: 3, walEntries: 0, replayed: 3}},
@@ -272,19 +270,12 @@ func TestWriteContract(t *testing.T) {
 					got.Live = seriesView(t, e, ids)
 				}
 				info := e.Info()
-				got.Info = [6]int64{int64(info.MemtablePoints), int64(info.Chunks), int64(info.Files),
-					int64(info.WALSegments), info.WALBytes, 0}
+				got.Info = [5]int64{int64(info.MemtablePoints), int64(info.Chunks), int64(info.Files), info.WALBytes, 0}
 				if info.ReadOnly {
-					got.Info[5] = 1
+					got.Info[4] = 1
 				}
-				segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-				sort.Strings(segs)
-				for _, seg := range segs {
-					raw, err := os.ReadFile(seg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got.WAL = append(got.WAL, raw...)
+				if got.WAL, err = os.ReadFile(filepath.Join(dir, "wal.log")); err != nil {
+					t.Fatal(err)
 				}
 				e.Kill()
 				e2, err := Open(Options{Dir: dir})
@@ -340,14 +331,10 @@ func checkGroupOutcome(t *testing.T, got, first writeOutcome, want groupOutcome,
 	if got.Info[0] != want.memPts || got.Info[1] != want.chunks {
 		t.Errorf("batch-of-many: %d memtable points in %d chunks, want %d in %d", got.Info[0], got.Info[1], want.memPts, want.chunks)
 	}
-	if got.Info[4] != int64(len(got.WAL)) {
-		t.Errorf("batch-of-many: Info counts %d WAL bytes, the segments hold %d", got.Info[4], len(got.WAL))
+	if got.Info[3] != int64(len(got.WAL)) {
+		t.Errorf("batch-of-many: Info counts %d WAL bytes, the file holds %d", got.Info[3], len(got.WAL))
 	}
-	hdr, recs, err := tsfile.ParseSegment(got.WAL)
-	firstHdr, _, firstErr := tsfile.ParseSegment(first.WAL)
-	if err != nil || firstErr != nil || hdr != firstHdr {
-		t.Errorf("batch-of-many: WAL header %+v (%v), want %+v (%v)", hdr, err, firstHdr, firstErr)
-	}
+	recs := walRecords(t, got.WAL)
 	ok := len(recs) == want.walEntries
 	for i := 0; ok && i < len(recs); i++ {
 		ok = bytes.Equal(recs[i], encodeInsert(entries[i].SeriesID, entries[i].Points))
@@ -363,7 +350,7 @@ func checkGroupOutcome(t *testing.T, got, first writeOutcome, want groupOutcome,
 	if groups != 1 {
 		t.Errorf("batch-of-many: committed in %d WAL groups, want 1", groups)
 	}
-	got.Info[0], got.Info[1], got.Info[4] = first.Info[0], first.Info[1], first.Info[4]
+	got.Info[0], got.Info[1], got.Info[3] = first.Info[0], first.Info[1], first.Info[3]
 	got.WAL = first.WAL
 	metrics := map[string]float64{}
 	for name, v := range got.Metrics {

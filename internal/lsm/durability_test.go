@@ -22,67 +22,6 @@ import (
 
 // --- WAL ----------------------------------------------------------------
 
-// TestLegacyWALSegmentsCleanup: a directory an older build rotated into
-// several WAL segments (testdata/parent-cb3bb04-shards3: segments 3 to 5)
-// replays every acknowledged write; the first flush leaves exactly one
-// wal-*.log, the newest, header-only; and a crash at wal.retire — the
-// checkpoint written, the older segments not yet unlinked — recovers the
-// same state.
-func TestLegacyWALSegmentsCleanup(t *testing.T) {
-	want := oracle{}
-	for _, op := range stripedWorkload() {
-		want.apply(op)
-	}
-	dir := copyTestdata(t, "parent-cb3bb04-shards3")
-	e, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOracle(t, "reopened", e, want)
-	if segs := e.Info().WALSegments; segs != 3 {
-		t.Fatalf("WALSegments = %d, want the 3 legacy segments", segs)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if info := e.Info(); info.WALSegments != 1 || info.WALBytes != tsfile.SegmentHeaderLen {
-		t.Fatalf("after the flush: %d segments, %d bytes; want one header-only file", info.WALSegments, info.WALBytes)
-	}
-	if files := walFiles(t, dir); len(files) != 1 || files[0] != "wal-0000000000000005.log" {
-		t.Fatalf("WAL files after the flush: %v, want the newest segment alone", files)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dir = copyTestdata(t, "parent-cb3bb04-shards3")
-	e, err = Open(Options{Dir: dir, StepHook: func(site string) error {
-		if site == "wal.retire" {
-			return faultfs.ErrCrash
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); !errors.Is(err, faultfs.ErrCrash) {
-		t.Fatalf("flush = %v, want the crash at wal.retire", err)
-	}
-	e.Kill()
-	if files := walFiles(t, dir); len(files) != 3 {
-		t.Fatalf("WAL files after the crash: %v, want all three", files)
-	}
-	e, err = Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	checkOracle(t, "crashed at wal.retire and reopened", e, want)
-	if info := e.Info(); info.MemtablePoints != 0 {
-		t.Fatalf("%d memtable points replayed past the checkpoint", info.MemtablePoints)
-	}
-}
-
 // TestFlushCheckpointsDeletes: a flush checkpoints the WAL even when the
 // memtables are empty, so a log holding only deletes does not outlive
 // Flush and Close, and the next Open replays none of them.
@@ -109,27 +48,27 @@ func TestFlushCheckpointsDeletes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if info := e.Info(); info.WALBytes <= tsfile.SegmentHeaderLen {
+	if info := e.Info(); info.WALBytes == 0 {
 		t.Fatalf("setup: WAL of %d bytes holds no delete", info.WALBytes)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if info := e.Info(); info.WALBytes != tsfile.SegmentHeaderLen {
-		t.Fatalf("after Flush: WAL of %d bytes, want the %d-byte header alone", info.WALBytes, tsfile.SegmentHeaderLen)
+	if info := e.Info(); info.WALBytes != 0 {
+		t.Fatalf("after Flush: WAL of %d bytes, want none", info.WALBytes)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(wal.SegmentPath(dir, 1)); err != nil || fi.Size() != tsfile.SegmentHeaderLen {
-		t.Fatalf("after Close: %v, want a header-only WAL file left to replay", fi)
+	if fi, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || fi.Size() != 0 {
+		t.Fatalf("after Close: %v, want an empty WAL file left to replay", fi)
 	}
 	e, err = Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if info := e.Info(); info.Deletes != 100 || info.MemtablePoints != 0 || info.WALBytes != tsfile.SegmentHeaderLen {
+	if info := e.Info(); info.Deletes != 100 || info.MemtablePoints != 0 || info.WALBytes != 0 {
 		t.Fatalf("reopened: %d deletes, %d memtable points, %d WAL bytes", info.Deletes, info.MemtablePoints, info.WALBytes)
 	}
 	full := series.TimeRange{Start: 0, End: 1000}
@@ -142,17 +81,24 @@ func TestFlushCheckpointsDeletes(t *testing.T) {
 	}
 }
 
-// walFiles lists the WAL segment files in dir by name.
-func walFiles(t *testing.T, dir string) []string {
+// walRecords replays a WAL file image through wal.Open, as recovery
+// would, and returns the caller records it holds.
+func walRecords(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
-	m, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	l, err := wal.Open(wal.Options{Dir: dir}, func(p []byte) error {
+		recs = append(recs, bytes.Clone(p))
+		return nil
+	}, func() { recs = nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range m {
-		m[i] = filepath.Base(m[i])
-	}
-	return m
+	l.Close()
+	return recs
 }
 
 // stripedWorkload is the fixed workload behind testdata/parent-cb3bb04-
@@ -184,15 +130,14 @@ func stripedWorkload() []tortureOp {
 	}
 }
 
-// TestStripedWorkloadWritesParentBytes pins the on-disk formats: run at one
-// stripe, stripedWorkload leaves the files that commit cb3bb04 left at one
-// stripe, byte for byte — chunk files and deletes.mods — but two. The
-// pyramid manifest's format has changed since: it must decode, with every
-// series' cells consistent. And the parent rotated its WAL at 128 bytes
-// into wal-0000000000000002.log and -03.log, where the one WAL file is
-// wal-0000000000000001.log: its header is the same format (version 1,
-// seq 1, one stripe), and its records are the parent segments' records,
-// in order, shard tags included.
+// TestStripedWorkloadWritesParentBytes pins the on-disk formats. Run at
+// one stripe, stripedWorkload leaves the chunk files and deletes.mods that
+// commit cb3bb04 left at one stripe, byte for byte. The pyramid manifest's
+// format has changed since: it must decode, with every series' cells
+// consistent. The WAL's format has changed too — one wal.log, framed like
+// deletes.mods, where the parent rotated wal-<seq>.log segments — so its
+// golden is its own: stripedWorkload up to its first flush, killed,
+// leaves testdata/stripedworkload-wal.log byte for byte.
 func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Options{Dir: dir, FlushThreshold: 8})
@@ -206,21 +151,6 @@ func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 	}
 	e.Kill()
 	golden := filepath.Join("testdata", "parent-cb3bb04-shards1")
-	var wantRecs [][]byte
-	for _, seq := range []uint64{2, 3} {
-		_, recs, err := tsfile.ReadSegment(wal.SegmentPath(golden, seq))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRecs = append(wantRecs, recs...)
-	}
-	hdr, recs, err := tsfile.ReadSegment(wal.SegmentPath(dir, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr != (tsfile.SegmentHeader{Version: 1, Seq: 1, Shards: 1}) || !reflect.DeepEqual(recs, wantRecs) {
-		t.Fatalf("WAL: header %+v, records %x; want version 1, seq 1, 1 stripe and the parent's records %x", hdr, recs, wantRecs)
-	}
 	want, err := os.ReadDir(golden)
 	if err != nil {
 		t.Fatal(err)
@@ -235,12 +165,16 @@ func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 			names = append(names, ent.Name())
 		}
 	}
-	if len(got) != len(names)+1 {
-		t.Fatalf("wrote %d files, want the parent's %d but its WAL segments, and one WAL file", len(got), len(names))
+	names = append(names, "wal.log")
+	if len(got) != len(names) {
+		t.Fatalf("wrote %d files, want the parent's %d but its WAL segments, and wal.log", len(got), len(names)-1)
 	}
 	for i, name := range names {
 		if got[i].Name() != name {
-			t.Fatalf("file %d is %s, the parent wrote %s", i, got[i].Name(), name)
+			t.Fatalf("file %d is %s, want %s", i, got[i].Name(), name)
+		}
+		if name == "wal.log" {
+			continue
 		}
 		a, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -263,6 +197,32 @@ func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 		} else if !bytes.Equal(a, b) {
 			t.Errorf("%s differs from the parent's bytes", name)
 		}
+	}
+
+	dir = t.TempDir()
+	e, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range stripedWorkload() {
+		if op.kind == 'f' {
+			break
+		}
+		if err := execOp(e, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Kill()
+	gotWAL, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWAL, err := os.ReadFile(filepath.Join("testdata", "stripedworkload-wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotWAL, wantWAL) {
+		t.Fatalf("wal.log\n got %x\nwant %x", gotWAL, wantWAL)
 	}
 }
 
@@ -303,92 +263,101 @@ func checkOracle(t *testing.T, phase string, e *Engine, want oracle) {
 	}
 }
 
-// TestParentStripedDirectoryReopens is the upgrade pin: a directory an
-// older build wrote and killed under one or three lock stripes reopens with
-// every acknowledged write and delete, equal to an oracle, and again after
-// a flush and a clean reopen. The 3-stripe checkpoint is ignored, so that
-// stripe's flushed tail replays redundantly.
-func TestParentStripedDirectoryReopens(t *testing.T) {
-	want := oracle{}
-	for _, op := range stripedWorkload() {
-		want.apply(op)
-	}
-	for _, name := range []string{"parent-cb3bb04-shards1", "parent-cb3bb04-shards3"} {
-		t.Run(name, func(t *testing.T) {
-			dir := copyTestdata(t, name)
+// TestParentStripedDirectoryRefused is the upgrade pin: a directory an
+// older build wrote and killed under one or three lock stripes holds its
+// acknowledged writes in wal-<seq>.log segments, a format this build does
+// not replay. Open refuses it with an error naming the first segment and
+// leaves every file byte-identical: no chunk file set aside, no sidecar
+// cut, no wal.log begun beside the segments.
+func TestParentStripedDirectoryRefused(t *testing.T) {
+	for _, c := range []struct{ name, first string }{
+		{"parent-cb3bb04-shards1", "wal-0000000000000002.log"},
+		{"parent-cb3bb04-shards3", "wal-0000000000000003.log"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := copyTestdata(t, c.name)
 			e, err := Open(Options{Dir: dir})
+			if err == nil {
+				e.Close()
+				t.Fatal("Open replayed an older build's WAL segments")
+			}
+			if !strings.Contains(err.Error(), c.first) {
+				t.Fatalf("error %q does not name %s", err, c.first)
+			}
+			want, err := os.ReadDir(filepath.Join("testdata", c.name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkOracle(t, "reopened", e, want)
-			if err := e.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			e, err = Open(Options{Dir: dir})
+			got, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
-			checkOracle(t, "flushed and reopened", e, want)
-			if info := e.Info(); info.MemtablePoints != 0 || info.WALSegments != 1 {
-				t.Fatalf("after the flush: %+v, want an empty memtable and one WAL segment", info)
+			if len(got) != len(want) {
+				t.Fatalf("%d files after the refusal, want the %d copied", len(got), len(want))
+			}
+			for i, ent := range want {
+				a, _ := os.ReadFile(filepath.Join(dir, got[i].Name()))
+				b, _ := os.ReadFile(filepath.Join("testdata", c.name, ent.Name()))
+				if got[i].Name() != ent.Name() || !bytes.Equal(a, b) {
+					t.Fatalf("file %d: %s (%d bytes), want %s byte-identical", i, got[i].Name(), len(a), ent.Name())
+				}
 			}
 		})
 	}
 }
 
-// TestCorruptSealedSegmentQuarantined: in a directory an older build
-// rotated (testdata/parent-cb3bb04-shards3), flipping a byte inside sealed
-// segment 4 must quarantine that segment on reopen (set aside as *.bad, a
-// warning raised) while segments 3 and 5 still replay.
-func TestCorruptSealedSegmentQuarantined(t *testing.T) {
-	dir := copyTestdata(t, "parent-cb3bb04-shards3")
-	// Corrupt a record byte in sealed segment 4 (header stays valid).
-	raw, err := os.ReadFile(wal.SegmentPath(dir, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[tsfile.SegmentHeaderLen+2] ^= 0xff
-	if err := os.WriteFile(wal.SegmentPath(dir, 4), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+// TestDamagedModsSetAside: a flipped byte in deletes.mods must not lose
+// acknowledged deletes silently. Open keeps the bytes from the damaged
+// record on in deletes.mods.bad, says so in RecoveryWarnings, and counts
+// a bad file, on this open and the next.
+func TestDamagedModsSetAside(t *testing.T) {
+	dir := t.TempDir()
 	e, err := Open(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("reopen with corrupt sealed segment: %v", err)
+		t.Fatal(err)
 	}
-	defer e.Close()
-	info := e.Info()
-	if info.WALQuarantinedSegments != 1 {
-		t.Fatalf("WALQuarantinedSegments = %d, want 1", info.WALQuarantinedSegments)
+	if err := e.Write("s", pts(10, 1, 20, 2, 30, 3)...); err != nil {
+		t.Fatal(err)
 	}
-	if len(info.WALWarnings) == 0 || !strings.Contains(info.WALWarnings[0], "corrupt") {
-		t.Fatalf("WALWarnings = %q", info.WALWarnings)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if m, _ := filepath.Glob(filepath.Join(dir, "wal-*.log.bad*")); len(m) != 1 {
-		t.Fatalf("quarantined segment files: %v", m)
+	for _, t0 := range []int64{10, 20} {
+		if err := e.Delete("s", t0, t0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Segments 3 and 5 still replayed: the engine has data on both sides
-	// of the hole, and none of segment 4's.
-	has := func(id string, ts int64) bool {
-		full := series.TimeRange{Start: -1 << 40, End: 1 << 40}
-		snap, err := e.Snapshot(id, full)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "deletes.mods")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[2] ^= 0xff // inside the first record's payload
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"open", "reopen"} {
+		e, err = Open(Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range materialize(t, snap, full) {
-			if p.T == ts {
-				return true
+		info := e.Info()
+		e.Close()
+		if info.BadFiles != 1 {
+			t.Fatalf("%s: BadFiles = %d, want the set-aside sidecar bytes", phase, info.BadFiles)
+		}
+		if phase == "open" {
+			want := fmt.Sprintf("deletes.mods: %d bytes past the last whole record set aside as deletes.mods.bad", len(raw))
+			if len(info.RecoveryWarnings) != 1 || info.RecoveryWarnings[0] != want {
+				t.Fatalf("RecoveryWarnings = %q, want %q", info.RecoveryWarnings, want)
 			}
 		}
-		return false
 	}
-	if !has("root.s3", 65) || !has("root.s5", 77) || has("root.s1", 150) {
-		t.Fatalf("root.s3 t=65 (segment 3) %v, root.s5 t=77 (segment 5) %v, root.s1 t=150 (segment 4) %v; want true, true, false",
-			has("root.s3", 65), has("root.s5", 77), has("root.s1", 150))
+	if kept, err := os.ReadFile(path + ".bad"); err != nil || !bytes.Equal(kept, raw) {
+		t.Fatalf("deletes.mods.bad holds %x (%v), want the damaged sidecar %x", kept, err, raw)
 	}
 }
 
@@ -598,7 +567,7 @@ func TestBackupManifestRoundTrip(t *testing.T) {
 		NextVersion: 42,
 		Files: []BackupFile{
 			{Name: "000000.seq.tsf", Size: 123, CRC: 0xdeadbeef},
-			{Name: "wal-0000000000000001.log", Size: 21, CRC: 1},
+			{Name: "wal.log", Size: 21, CRC: 1},
 		},
 	}
 	enc, err := EncodeBackupManifest(in)
@@ -769,6 +738,44 @@ func TestScrubBudgetResumes(t *testing.T) {
 	}
 	if passes < 2 {
 		t.Fatalf("budget of 2 chunks finished %d-chunk store in one pass", total)
+	}
+}
+
+// TestScrubCursorSurvivesCompaction: a budget-capped pass stops partway,
+// a compaction then rewrites every chunk into a new file, and the next
+// pass must check all of them: the cursor names a chunk of a file the
+// compaction removed, so the cycle starts over rather than skipping chunks
+// of the new file it never checked.
+func TestScrubCursorSurvivesCompaction(t *testing.T) {
+	e, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 16; i++ {
+		if err := e.Write(fmt.Sprintf("s%02d", i), pts(1, 1, 2, 2, 3, 3)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Info().Chunks; n != 16 {
+		t.Fatalf("setup: %d chunks, want 16", n)
+	}
+	rep, err := e.Scrub(ScrubOptions{Limits: govern.Limits{MaxChunks: 10}})
+	if err != nil || rep.ChunksChecked != 10 || !rep.Partial {
+		t.Fatalf("capped pass: %+v (%v), want 10 chunks checked and Partial", rep, err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Info().Chunks; n != 16 {
+		t.Fatalf("after the compaction: %d chunks, want 16", n)
+	}
+	rep, err = e.Scrub(ScrubOptions{})
+	if err != nil || rep.ChunksChecked != 16 || rep.Partial {
+		t.Fatalf("pass after the compaction: %+v (%v), want all 16 chunks checked", rep, err)
 	}
 }
 

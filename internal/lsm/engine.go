@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,9 +143,12 @@ type Engine struct {
 	files      []*tsfile.Reader
 	retired    []*tsfile.Reader // unlinked by compaction, kept open for live snapshots
 	unseqFiles int
-	// badFiles counts chunk files set aside (renamed *.bad) because their
-	// footer did not validate — crash leftovers recovered via the WAL.
+	// badFiles counts files set aside (*.bad): chunk files whose footer
+	// did not validate — crash leftovers recovered via the WAL — and
+	// delete-sidecar bytes past its last whole record.
 	badFiles int
+	// warnings are Open's recovery findings; fixed once Open returns.
+	warnings []string
 
 	// mods is the delete sidecar; Compact swaps in a fresh one.
 	mods *tsfile.ModLog
@@ -162,10 +166,10 @@ type Engine struct {
 	pyrUnsaved  int64
 	pyrLastSize int64
 
-	scrubMu  sync.Mutex // serializes whole scrub passes and the resume cursor
-	scrubCur int        // resume cursor: chunks already verified this cycle
+	scrubMu  sync.Mutex  // serializes whole scrub passes and the resume cursor
+	scrubCur scrubCursor // the first chunk this cycle has not verified
 
-	// wal is the segmented write-ahead log; nil (a disabled log whose
+	// wal is the write-ahead log; nil (a disabled log whose
 	// methods are no-ops) under DisableWAL.
 	wal *wal.Log
 
@@ -296,6 +300,10 @@ func Open(opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	e.mods = mods
+	if n, aside := mods.Torn(); n > 0 {
+		e.badFiles++
+		e.warnings = append(e.warnings, fmt.Sprintf("deletes.mods: %d bytes past the last whole record set aside as %s", n, filepath.Base(aside)))
+	}
 	// logged lets WAL replay re-append only the deletes mods lacks.
 	logged := make(map[storage.Delete]bool, len(mods.All()))
 	for _, d := range mods.All() {
@@ -363,11 +371,8 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		return func() float64 { return f(e.wal.Stats()) }
 	}
 	reg.GaugeFunc("lsm_wal_bytes", walStat(func(s wal.Stats) float64 { return float64(s.Bytes) }))
-	reg.GaugeFunc("lsm_wal_segments", walStat(func(s wal.Stats) float64 { return float64(s.Segments) }))
-	reg.CounterFunc("lsm_wal_retired_total", walStat(func(s wal.Stats) float64 { return float64(s.RetiredSegments) }))
 	reg.CounterFunc("lsm_wal_retired_bytes_total", walStat(func(s wal.Stats) float64 { return float64(s.RetiredBytes) }))
 	reg.CounterFunc("lsm_wal_torn_truncations_total", walStat(func(s wal.Stats) float64 { return float64(s.TornTruncations) }))
-	reg.GaugeFunc("lsm_wal_quarantined_segments", walStat(func(s wal.Stats) float64 { return float64(s.QuarantinedSegments) }))
 	reg.CounterFunc("lsm_wal_group_commits_total", walStat(func(s wal.Stats) float64 { return float64(s.Groups) }))
 	reg.CounterFunc("lsm_wal_group_records_total", walStat(func(s wal.Stats) float64 { return float64(s.Records) }))
 	reg.GaugeFunc("lsm_ingest_queue_points", func() float64 { return float64(e.ing.queuedPoints()) })
@@ -425,8 +430,9 @@ type Info struct {
 	NextVersion    storage.Version
 	Deletes        int
 
-	// BadFiles counts chunk files quarantined on disk (renamed *.bad)
-	// because their footer never validated — crash leftovers.
+	// BadFiles counts files set aside on disk (*.bad): chunk files whose
+	// footer never validated — crash leftovers — and delete-sidecar bytes
+	// past its last whole record.
 	BadFiles int
 	// QuarantinedChunks counts chunks excluded from snapshots after a
 	// CRC or decode failure during a query.
@@ -446,17 +452,14 @@ type Info struct {
 	PyramidCells       int
 	PyramidStaleRanges int
 
-	// WAL state (zero when the WAL is disabled). WALSegments is 1 but
-	// while legacy segments an older build rotated await the first
-	// checkpoint. WALWarnings carries recovery findings — torn tails
-	// truncated, segments quarantined — verbatim for /healthz.
-	WALSegments            int
-	WALBytes               int64
-	WALRetiredSegments     int64
-	WALRetiredBytes        int64
-	WALTornTruncations     int
-	WALQuarantinedSegments int
-	WALWarnings            []string
+	// WAL state (zero when the WAL is disabled).
+	WALBytes           int64
+	WALRetiredBytes    int64
+	WALTornTruncations int
+	// RecoveryWarnings carries what Open found and recovered around —
+	// a torn WAL tail truncated, delete-sidecar bytes set aside —
+	// verbatim for /healthz.
+	RecoveryWarnings []string
 
 	// Integrity-scrubber and backup lifetime counters (see scrub.go and
 	// backup.go).
@@ -496,13 +499,10 @@ func (e *Engine) Info() Info {
 		BackupRuns:         e.backupRuns.Load(),
 		LastBackupUnix:     e.lastBackupUnix.Load(),
 
-		WALSegments:            ws.Segments,
-		WALBytes:               ws.Bytes,
-		WALRetiredSegments:     ws.RetiredSegments,
-		WALRetiredBytes:        ws.RetiredBytes,
-		WALTornTruncations:     ws.TornTruncations,
-		WALQuarantinedSegments: ws.QuarantinedSegments,
-		WALWarnings:            ws.Warnings,
+		WALBytes:           ws.Bytes,
+		WALRetiredBytes:    ws.RetiredBytes,
+		WALTornTruncations: ws.TornTruncations,
+		RecoveryWarnings:   slices.Concat(e.warnings, ws.Warnings),
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
-	"m4lsm/internal/wal"
 )
 
 // TestUniqueBadSuffix: recovery must never overwrite an earlier quarantine
@@ -530,7 +529,7 @@ func TestTornWALTail(t *testing.T) {
 	}
 	e.Kill() // no flush: everything lives in the WAL
 
-	walPath := wal.SegmentPath(dir, 1) // the active (and only) WAL segment
+	walPath := filepath.Join(dir, "wal.log")
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -558,8 +557,8 @@ func TestTornWALTail(t *testing.T) {
 	if info.WALTornTruncations != 1 {
 		t.Errorf("WALTornTruncations = %d, want 1", info.WALTornTruncations)
 	}
-	if len(info.WALWarnings) != 1 || !strings.Contains(info.WALWarnings[0], "torn tail") {
-		t.Errorf("WALWarnings = %q, want one torn-tail warning", info.WALWarnings)
+	if len(info.RecoveryWarnings) != 1 || !strings.Contains(info.RecoveryWarnings[0], "torn tail") {
+		t.Errorf("RecoveryWarnings = %q, want one torn-tail warning", info.RecoveryWarnings)
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
+	"m4lsm/internal/tsfile"
 )
 
 // ErrIngestBackpressure marks a write rejected because the ingest queue
@@ -165,7 +166,7 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 		// Checkpoints are written by flushes under e.mu, which this call
 		// holds until the delete is in the mods sidecar: no checkpoint
 		// falls in between.
-		if err := e.wal.Commit([][]byte{encodeDelete(d)}); err != nil {
+		if err := e.wal.Commit([][]byte{tsfile.AppendDelete([]byte{walOpDelete}, d)}); err != nil {
 			return e.classifyWrite(err)
 		}
 		e.met.walRecords.Inc()

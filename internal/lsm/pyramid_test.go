@@ -149,14 +149,10 @@ func TestPyramidOverwriteAtChunkEdges(t *testing.T) {
 // holding an older build's pyramid.pyr reopens with that manifest refused as
 // corrupt and every series stale: before the first flush nothing is planned
 // from cells and every answer, from chunks, equals the oracle; after it the
-// pyramid answers, still equal to the oracle. The directories are the
-// lock-striped golden ones (see stripedWorkload), and goldenManifestOps'
-// data under the format-1 manifest commit 8f81d1d wrote for it.
+// pyramid answers, still equal to the oracle. The directory is
+// goldenManifestOps' data under the format-1 manifest commit 8f81d1d wrote
+// for it.
 func TestPyramidReopenReshard(t *testing.T) {
-	striped := oracle{}
-	for _, op := range stripedWorkload() {
-		striped.apply(op)
-	}
 	golden := oracle{}
 	for _, session := range goldenManifestOps() {
 		for _, op := range session {
@@ -182,8 +178,6 @@ func TestPyramidReopenReshard(t *testing.T) {
 		dir  func(t *testing.T) string
 		want oracle
 	}{
-		{"parent-cb3bb04-shards1", func(t *testing.T) string { return copyTestdata(t, "parent-cb3bb04-shards1") }, striped},
-		{"parent-cb3bb04-shards3", func(t *testing.T) string { return copyTestdata(t, "parent-cb3bb04-shards3") }, striped},
 		{"parent-8f81d1d", goldenDir, golden},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -18,12 +18,14 @@ import (
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
+	"m4lsm/internal/wal"
 )
 
 // loadFiles opens every readable chunk file in the directory and registers
 // its chunks. Files without a valid footer (crash during flush) are
-// renamed aside; their contents are still in the WAL. Runs single-threaded
-// during Open, so no locks are taken.
+// renamed aside; their contents are still in the WAL. A directory an older
+// build's WAL is in is refused first, before any file is touched. Runs
+// single-threaded during Open, so no locks are taken.
 func (e *Engine) loadFiles() error {
 	entries, err := os.ReadDir(e.opts.Dir)
 	if err != nil {
@@ -34,8 +36,11 @@ func (e *Engine) loadFiles() error {
 		if ent.IsDir() {
 			continue
 		}
-		if strings.Contains(ent.Name(), ".tsf.bad") {
-			e.badFiles++ // quarantined by an earlier recovery
+		if err := wal.CheckFile(e.opts.Dir, ent.Name()); err != nil {
+			return fmt.Errorf("lsm: %w", err)
+		}
+		if strings.Contains(ent.Name(), ".tsf.bad") || strings.Contains(ent.Name(), ".mods.bad") {
+			e.badFiles++ // set aside by an earlier recovery
 			continue
 		}
 		if strings.HasSuffix(ent.Name(), ".tsf") {
@@ -112,27 +117,20 @@ func (e *Engine) closeFiles() {
 
 // replayRecord applies one recovered WAL record during Open (wal.Open
 // calls it in log order, single-threaded). logged holds every delete the
-// mods sidecar has, replayed ones included. The shard tag every record
-// carries is skipped: it names the lock stripe of the build that wrote it,
-// and every stripe replays into the one memtable.
+// mods sidecar has, replayed ones included.
 func (e *Engine) replayRecord(rec []byte, logged map[storage.Delete]bool) error {
-	op := rec[0]
-	if op != walOpInsert && op != walOpDelete {
-		return fmt.Errorf("unknown wal op %d", op)
-	}
-	_, body, err := encoding.Uvarint(rec[1:])
-	if err != nil {
-		return fmt.Errorf("wal shard tag: %w", err)
-	}
-	if op == walOpInsert {
-		id, pts, err := decodeInsert(body)
+	if rec[0] == walOpInsert {
+		id, pts, err := decodeInsert(rec[1:])
 		if err != nil {
 			return err
 		}
 		e.memAppend(id, pts)
 		return nil
 	}
-	d, err := decodeWALDelete(body)
+	if rec[0] != walOpDelete {
+		return fmt.Errorf("unknown wal op %d", rec[0])
+	}
+	d, err := tsfile.ParseDelete(rec[1:])
 	if err != nil {
 		return err
 	}
@@ -162,13 +160,8 @@ func (e *Engine) replayCheckpoint() {
 // group-commits them as opaque records (and defines op 0x05,
 // the flush checkpoint, itself).
 //
-//	insert: 0x03 | uvarint shard | uvarint len(id) | id | uvarint n | n × (varint t, 8B v)
-//	delete: 0x04 | uvarint shard | uvarint len(id) | id | uvarint version | varint start | varint end
-//
-// The shard tag is written as 0 and skipped on replay. Builds that striped
-// the engine wrote the stripe's index there, so their WALs replay
-// unchanged. Ops 0x01/0x02 were the untagged forms before that; they are
-// gone and fail replay as "unknown wal op".
+//	insert: 0x03 | uvarint len(id) | id | uvarint n | n × (varint t, 8B v)
+//	delete: 0x04 | tsfile.AppendDelete's encoding, the .mods record payload
 
 const (
 	walOpInsert byte = 3
@@ -179,7 +172,6 @@ const (
 // caller, and it writes each request's records into one buffer.
 func appendInsert(dst []byte, seriesID string, pts []series.Point) []byte {
 	buf := append(dst, walOpInsert)
-	buf = encoding.AppendUvarint(buf, 0)
 	buf = encoding.AppendUvarint(buf, uint64(len(seriesID)))
 	buf = append(buf, seriesID...)
 	buf = encoding.AppendUvarint(buf, uint64(len(pts)))
@@ -192,8 +184,7 @@ func appendInsert(dst []byte, seriesID string, pts []series.Point) []byte {
 
 // insertSize is the exact length of the insert record appendInsert writes.
 func insertSize(seriesID string, pts []series.Point) int {
-	// The op byte and the shard tag (0) take one byte each.
-	n := 2 + uvarintLen(uint64(len(seriesID))) + len(seriesID) + uvarintLen(uint64(len(pts))) + 8*len(pts)
+	n := 1 + uvarintLen(uint64(len(seriesID))) + len(seriesID) + uvarintLen(uint64(len(pts))) + 8*len(pts)
 	for _, p := range pts {
 		n += uvarintLen(encoding.ZigZag(p.T))
 	}
@@ -242,42 +233,4 @@ func decodeInsert(b []byte) (string, []series.Point, error) {
 		return "", nil, fmt.Errorf("wal insert: %d trailing bytes", len(b))
 	}
 	return id, pts, nil
-}
-
-func encodeDelete(d storage.Delete) []byte {
-	buf := encoding.AppendUvarint([]byte{walOpDelete}, 0)
-	buf = encoding.AppendUvarint(buf, uint64(len(d.SeriesID)))
-	buf = append(buf, d.SeriesID...)
-	buf = encoding.AppendUvarint(buf, uint64(d.Version))
-	buf = encoding.AppendVarint(buf, d.Start)
-	buf = encoding.AppendVarint(buf, d.End)
-	return buf
-}
-
-func decodeWALDelete(b []byte) (storage.Delete, error) {
-	var d storage.Delete
-	idLen, b, err := encoding.Uvarint(b)
-	if err != nil {
-		return d, err
-	}
-	if idLen > uint64(len(b)) {
-		return d, fmt.Errorf("wal delete: id length %d", idLen)
-	}
-	d.SeriesID = string(b[:idLen])
-	b = b[idLen:]
-	ver, b, err := encoding.Uvarint(b)
-	if err != nil {
-		return d, err
-	}
-	d.Version = storage.Version(ver)
-	if d.Start, b, err = encoding.Varint(b); err != nil {
-		return d, err
-	}
-	if d.End, b, err = encoding.Varint(b); err != nil {
-		return d, err
-	}
-	if len(b) != 0 {
-		return d, fmt.Errorf("wal delete: %d trailing bytes", len(b))
-	}
-	return d, nil
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/pyramid"
@@ -78,6 +79,15 @@ func (e *Engine) Scrub(opts ScrubOptions) (ScrubReport, error) {
 	return rep, nil
 }
 
+// scrubCursor names the first chunk a scrub cycle has not verified by its
+// file's path and its index there: chunk files are immutable, so the name
+// survives a compaction that replaces the file list, and a cycle whose file
+// is gone starts over. The zero value is the start of a cycle.
+type scrubCursor struct {
+	path  string
+	chunk int
+}
+
 // scrubChunkFiles decodes every chunk from disk, quarantining the ones
 // whose bytes fail CRC or decode checks. The resume cursor e.scrubCur
 // carries across budget-limited passes.
@@ -85,11 +95,14 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 	e.mu.RLock()
 	readers := append([]*tsfile.Reader(nil), e.files...)
 	e.mu.RUnlock()
-	idx := 0
-	for _, r := range readers {
-		for _, meta := range r.Metas() {
-			idx++
-			if idx <= e.scrubCur {
+	at := e.scrubCur
+	start := slices.IndexFunc(readers, func(r *tsfile.Reader) bool { return r.Path() == at.path })
+	if start < 0 {
+		start, at = 0, scrubCursor{}
+	}
+	for i, r := range readers[start:] {
+		for j, meta := range r.Metas() {
+			if i == 0 && j < at.chunk {
 				continue // verified in an earlier partial pass this cycle
 			}
 			if e.closed.Load() {
@@ -105,7 +118,7 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 			}
 			if err := budget.ChargeChunk(meta.Count); err != nil {
 				rep.Partial = true
-				e.scrubCur = idx - 1 // resume at this chunk next pass
+				e.scrubCur = scrubCursor{r.Path(), j} // resume at this chunk next pass
 				return
 			}
 			rep.ChunksChecked++
@@ -115,7 +128,7 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 					if serr := e.step("scrub.quarantine"); serr != nil {
 						rep.Errors = append(rep.Errors, serr.Error())
 						rep.Partial = true
-						e.scrubCur = idx - 1
+						e.scrubCur = scrubCursor{r.Path(), j}
 						return
 					}
 					if e.quarantineChunk(meta, err) {
@@ -130,7 +143,7 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 			}
 		}
 	}
-	e.scrubCur = 0 // full cycle completed
+	e.scrubCur = scrubCursor{} // full cycle completed
 }
 
 // scrubPyramid verifies the persisted pyramid manifest decodes. A corrupt

@@ -15,8 +15,8 @@ import (
 // The WAL decoders parse bytes recovered from disk after a crash; arbitrary
 // input must never panic, and anything they accept must survive a re-encode
 // round trip (no two payloads decoding to states that re-encode
-// differently from what was stored). The encoders prefix the body with the
-// op byte and a one-byte shard tag (0), hence the [2:].
+// differently from what was stored). A record's body follows its op byte,
+// hence the [1:].
 
 // encodeInsert is one insert record in a buffer of its own.
 func encodeInsert(seriesID string, pts []series.Point) []byte {
@@ -24,9 +24,9 @@ func encodeInsert(seriesID string, pts []series.Point) []byte {
 }
 
 func FuzzDecodeInsert(f *testing.F) {
-	f.Add(encodeInsert("s1", []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}})[2:])
-	f.Add(encodeInsert("", nil)[2:])
-	f.Add(encodeInsert("unicode-séries", []series.Point{{T: math.MaxInt64, V: math.Inf(1)}})[2:])
+	f.Add(encodeInsert("s1", []series.Point{{T: 10, V: 1.5}, {T: -3, V: 0}})[1:])
+	f.Add(encodeInsert("", nil)[1:])
+	f.Add(encodeInsert("unicode-séries", []series.Point{{T: math.MaxInt64, V: math.Inf(1)}})[1:])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -38,7 +38,7 @@ func FuzzDecodeInsert(f *testing.F) {
 		if len(enc) != insertSize(id, pts) || len(enc) != cap(enc) {
 			t.Fatalf("insert record of %d bytes in a buffer of %d, insertSize says %d", len(enc), cap(enc), insertSize(id, pts))
 		}
-		id2, pts2, err := decodeInsert(enc[2:])
+		id2, pts2, err := decodeInsert(enc[1:])
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload rejected: %v", err)
 		}
@@ -84,17 +84,20 @@ func TestEncodeEntries(t *testing.T) {
 	}
 }
 
+// FuzzDecodeWALDelete: a WAL delete record is the op byte and the .mods
+// record's payload, so this is the one target for their shared codec,
+// tsfile.ParseDelete.
 func FuzzDecodeWALDelete(f *testing.F) {
-	f.Add(encodeDelete(storage.Delete{SeriesID: "s1", Version: 7, Start: -10, End: 10})[2:])
-	f.Add(encodeDelete(storage.Delete{Version: math.MaxUint64 >> 1})[2:])
+	f.Add(tsfile.AppendDelete(nil, storage.Delete{SeriesID: "s1", Version: 7, Start: -10, End: 10}))
+	f.Add(tsfile.AppendDelete(nil, storage.Delete{Version: math.MaxUint64 >> 1}))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 's', 0x80})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := decodeWALDelete(b)
+		d, err := tsfile.ParseDelete(b)
 		if err != nil {
 			return
 		}
-		d2, err := decodeWALDelete(encodeDelete(d)[2:])
+		d2, err := tsfile.ParseDelete(tsfile.AppendDelete([]byte{walOpDelete}, d)[1:])
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload rejected: %v", err)
 		}
@@ -114,7 +117,7 @@ func FuzzBackupManifest(f *testing.F) {
 		NextVersion: 9,
 		Files: []BackupFile{
 			{Name: "000001.seq.tsf", Size: 128, CRC: 0x1234},
-			{Name: "wal-0000000000000001.log", Size: 21, CRC: 0x5678},
+			{Name: "wal.log", Size: 21, CRC: 0x5678},
 		},
 	})
 	f.Add(good)

@@ -6,11 +6,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/series"
-	"m4lsm/internal/tsfile"
 )
 
 func postJSON(t *testing.T, url string, out interface{}) int {
@@ -87,7 +87,7 @@ func TestAdminScrub(t *testing.T) {
 }
 
 // TestHealthzWALAndScrubFields: /healthz reports the durability surfaces —
-// WAL segment state, scrub and backup counters.
+// WAL state, scrub and backup counters.
 func TestHealthzWALAndScrubFields(t *testing.T) {
 	srv := newServer(t)
 	var body map[string]interface{}
@@ -98,8 +98,8 @@ func TestHealthzWALAndScrubFields(t *testing.T) {
 	if !ok {
 		t.Fatalf("no wal object: %v", body)
 	}
-	if wal["segments"].(float64) < 1 {
-		t.Errorf("wal.segments = %v", wal["segments"])
+	if _, ok := wal["bytes"].(float64); !ok {
+		t.Errorf("wal.bytes = %v", wal["bytes"])
 	}
 	if _, ok := body["scrub"].(map[string]interface{}); !ok {
 		t.Errorf("no scrub object: %v", body)
@@ -121,9 +121,8 @@ func TestHealthzTornWALWarning(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Kill()
-	// Tear the active segment's tail: a record length claiming more bytes
-	// than follow.
-	walPath := filepath.Join(dir, "wal-0000000000000001.log")
+	// Tear the log's tail: a record length claiming more bytes than follow.
+	walPath := filepath.Join(dir, "wal.log")
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +151,9 @@ func TestHealthzTornWALWarning(t *testing.T) {
 	if wal["tornTruncations"].(float64) != 1 {
 		t.Errorf("tornTruncations = %v", wal["tornTruncations"])
 	}
-	warns, _ := wal["warnings"].([]interface{})
+	warns, _ := body["warnings"].([]interface{})
 	if len(warns) != 1 {
-		t.Fatalf("warnings = %v", wal["warnings"])
+		t.Fatalf("warnings = %v", body["warnings"])
 	}
 	// A torn tail alone is a normal crash artifact, not degradation.
 	if body["status"] != "ok" {
@@ -162,28 +161,29 @@ func TestHealthzTornWALWarning(t *testing.T) {
 	}
 }
 
-// TestHealthzDegradedOnQuarantinedWALSegment: a quarantined WAL segment
-// marks the server degraded. The segments come from a directory an older
-// build rotated (internal/lsm's testdata/parent-cb3bb04-shards3: segments
-// 3 to 5); segment 4 is corrupted.
-func TestHealthzDegradedOnQuarantinedWALSegment(t *testing.T) {
+// TestHealthzDegradedOnSetAsideMods: delete-sidecar bytes set aside at
+// open — a damaged record, and whatever acknowledged deletes follow it —
+// mark the server degraded, with the warning naming the file.
+func TestHealthzDegradedOnSetAsideMods(t *testing.T) {
 	dir := t.TempDir()
-	golden := filepath.Join("..", "lsm", "testdata", "parent-cb3bb04-shards3")
-	ents, err := os.ReadDir(golden)
+	e, err := lsm.Open(lsm.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ent := range ents {
-		raw, err := os.ReadFile(filepath.Join(golden, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ent.Name() == "wal-0000000000000004.log" {
-			raw[tsfile.SegmentHeaderLen+2] ^= 0xff
-		}
-		if err := os.WriteFile(filepath.Join(dir, ent.Name()), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.Delete("s", 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "deletes.mods")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[2] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	e2, err := lsm.Open(lsm.Options{Dir: dir})
@@ -201,11 +201,11 @@ func TestHealthzDegradedOnQuarantinedWALSegment(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/healthz", &body); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if body["status"] != "degraded" {
-		t.Errorf("status = %v, want degraded", body["status"])
+	if body["status"] != "degraded" || body["badFiles"].(float64) != 1 {
+		t.Errorf("status = %v, badFiles = %v; want degraded, 1", body["status"], body["badFiles"])
 	}
-	wal := body["wal"].(map[string]interface{})
-	if wal["quarantinedSegments"].(float64) != 1 {
-		t.Errorf("quarantinedSegments = %v", wal["quarantinedSegments"])
+	warns, _ := body["warnings"].([]interface{})
+	if len(warns) != 1 || !strings.Contains(warns[0].(string), "deletes.mods.bad") {
+		t.Errorf("warnings = %v, want the set-aside sidecar named", body["warnings"])
 	}
 }

@@ -20,7 +20,7 @@ import (
 func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
 	info := h.engine.Info()
 	status := "ok"
-	if info.BadFiles > 0 || info.QuarantinedChunks > 0 || info.WALQuarantinedSegments > 0 {
+	if info.BadFiles > 0 || info.QuarantinedChunks > 0 {
 		status = "degraded"
 	}
 	if info.ReadOnly {
@@ -37,19 +37,16 @@ func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
 		"quarantinedChunks": info.QuarantinedChunks,
 		"readOnly":          info.ReadOnly,
 		"readOnlyReason":    info.ReadOnlyReason,
+		"warnings":          info.RecoveryWarnings,
 		"uptimeSeconds":     time.Since(h.start).Seconds(),
 		"goVersion":         runtime.Version(),
 		"goroutines":        runtime.NumGoroutine(),
 		"version":           version,
 		"revision":          revision,
 		"wal": map[string]interface{}{
-			"segments":            info.WALSegments,
-			"bytes":               info.WALBytes,
-			"retiredSegments":     info.WALRetiredSegments,
-			"retiredBytes":        info.WALRetiredBytes,
-			"tornTruncations":     info.WALTornTruncations,
-			"quarantinedSegments": info.WALQuarantinedSegments,
-			"warnings":            info.WALWarnings,
+			"bytes":           info.WALBytes,
+			"retiredBytes":    info.WALRetiredBytes,
+			"tornTruncations": info.WALTornTruncations,
 		},
 		"scrub": map[string]interface{}{
 			"runs":          info.ScrubRuns,

@@ -2,7 +2,6 @@ package tsfile
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,19 +80,19 @@ func FuzzOpen(f *testing.F) {
 }
 
 // FuzzRecordLog feeds arbitrary bytes to the record-log recovery scan. The
-// scan must never panic, must stay appendable afterwards, and every record
-// it recovers must survive a reopen.
+// scan must never panic, must keep every byte it cuts off aside, must stay
+// appendable afterwards, and every record it recovers must survive a
+// reopen.
 func FuzzRecordLog(f *testing.F) {
 	var valid []byte
 	{
 		path := filepath.Join(f.TempDir(), "seed.log")
-		log, _, err := OpenRecordLog(path)
+		log, _, err := OpenRecordLog(path, false)
 		if err != nil {
 			f.Fatal(err)
 		}
-		log.Append([]byte("first"), false)
-		log.Append([]byte{}, false)
-		log.Append([]byte("third record"), true)
+		log.Append([][]byte{[]byte("first"), {}}, false)
+		log.Append([][]byte{[]byte("third record")}, true)
 		log.Close()
 		valid, err = os.ReadFile(path)
 		if err != nil {
@@ -110,18 +109,28 @@ func FuzzRecordLog(f *testing.F) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		log, recs, err := OpenRecordLog(path)
+		log, recs, err := OpenRecordLog(path, true)
 		if err != nil {
 			return
 		}
+		torn, aside := log.Torn()
+		if log.Size()+torn != int64(len(b)) {
+			t.Fatalf("%d record bytes and %d torn, of %d", log.Size(), torn, len(b))
+		}
+		if torn > 0 {
+			kept, err := os.ReadFile(aside)
+			if err != nil || !bytes.Equal(kept, b[log.Size():]) {
+				t.Fatalf("torn bytes kept as %q: %x (%v), want %x", aside, kept, err, b[log.Size():])
+			}
+		}
 		// The log must remain appendable after recovering arbitrary bytes.
-		if err := log.Append([]byte("after recovery"), false); err != nil {
+		if err := log.Append([][]byte{[]byte("after recovery")}, false); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if err := log.Close(); err != nil {
 			t.Fatal(err)
 		}
-		log2, recs2, err := OpenRecordLog(path)
+		log2, recs2, err := OpenRecordLog(path, false)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
@@ -136,31 +145,6 @@ func FuzzRecordLog(f *testing.F) {
 		}
 		if !bytes.Equal(recs2[len(recs)], []byte("after recovery")) {
 			t.Fatal("appended record lost")
-		}
-	})
-}
-
-// FuzzSegmentHeader: the WAL segment header decoder parses the first bytes
-// of files recovered after a crash; arbitrary input must never panic, every
-// rejection must wrap ErrCorrupt, and anything accepted must re-encode to
-// the exact bytes it was decoded from.
-func FuzzSegmentHeader(f *testing.F) {
-	f.Add(EncodeSegmentHeader(SegmentHeader{Version: SegmentVersion, Seq: 1, Shards: 4}))
-	f.Add(EncodeSegmentHeader(SegmentHeader{Version: SegmentVersion, Seq: ^uint64(0), Shards: ^uint32(0)}))
-	f.Add([]byte{})
-	f.Add([]byte("M4WS"))
-	f.Add(make([]byte, SegmentHeaderLen))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		hdr, err := DecodeSegmentHeader(b)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("rejection does not wrap ErrCorrupt: %v", err)
-			}
-			return
-		}
-		enc := EncodeSegmentHeader(hdr)
-		if len(b) < SegmentHeaderLen || !bytes.Equal(enc, b[:SegmentHeaderLen]) {
-			t.Fatalf("accepted header re-encodes differently: %x vs %x", enc, b)
 		}
 	})
 }

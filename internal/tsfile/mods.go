@@ -21,15 +21,17 @@ type ModLog struct {
 }
 
 // OpenModLog opens (or creates) the sidecar at path and recovers the
-// deletes recorded so far.
+// deletes recorded so far. Bytes past the last whole record may hold
+// acknowledged deletes behind a damaged one, so they are kept aside (see
+// Torn) rather than destroyed.
 func OpenModLog(path string) (*ModLog, error) {
-	log, recs, err := OpenRecordLog(path)
+	log, recs, err := OpenRecordLog(path, true)
 	if err != nil {
 		return nil, fmt.Errorf("mods: %w", err)
 	}
 	m := &ModLog{log: log}
 	for i, rec := range recs {
-		d, err := parseDelete(rec)
+		d, err := ParseDelete(rec)
 		if err != nil {
 			log.Close()
 			return nil, fmt.Errorf("mods: record %d: %w", i, err)
@@ -44,7 +46,7 @@ func (m *ModLog) Append(d storage.Delete) error {
 	if d.End < d.Start {
 		return fmt.Errorf("mods: inverted delete range [%d,%d]", d.Start, d.End)
 	}
-	if err := m.log.Append(appendDelete(nil, d), true); err != nil {
+	if err := m.log.Append([][]byte{AppendDelete(nil, d)}, true); err != nil {
 		return err
 	}
 	m.mods = append(m.mods, d)
@@ -66,10 +68,18 @@ func (m *ModLog) ForSeries(seriesID string) []storage.Delete {
 	return out
 }
 
+// Torn returns the bytes OpenModLog found past the last whole record and
+// the file it set them aside in.
+func (m *ModLog) Torn() (bytes int64, aside string) { return m.log.Torn() }
+
 // Close releases the sidecar file handle.
 func (m *ModLog) Close() error { return m.log.Close() }
 
-func appendDelete(dst []byte, d storage.Delete) []byte {
+// AppendDelete appends the encoding of d to dst: the payload of a .mods
+// record, and of a WAL delete record after its op byte.
+//
+//	uvarint len(id) | id | uvarint version | varint start | varint end
+func AppendDelete(dst []byte, d storage.Delete) []byte {
 	dst = encoding.AppendUvarint(dst, uint64(len(d.SeriesID)))
 	dst = append(dst, d.SeriesID...)
 	dst = encoding.AppendUvarint(dst, uint64(d.Version))
@@ -78,7 +88,9 @@ func appendDelete(dst []byte, d storage.Delete) []byte {
 	return dst
 }
 
-func parseDelete(b []byte) (storage.Delete, error) {
+// ParseDelete decodes one AppendDelete encoding; trailing bytes are an
+// error.
+func ParseDelete(b []byte) (storage.Delete, error) {
 	var d storage.Delete
 	idLen, b, err := encoding.Uvarint(b)
 	if err != nil {

@@ -5,38 +5,60 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
 // RecordLog is an append-only log of length+CRC framed records. It backs
-// the delete sidecar (.mods files, Definition 2.5); the WAL's segment files
-// (Segment) frame their records the same way, after a header.
+// both of the engine's logs: the delete sidecar (.mods files, Definition
+// 2.5) and the write-ahead log (internal/wal).
 //
 // Record framing: uvarint payload length | payload | uint32 CRC(payload).
-// A torn tail (partial record from a crash mid-append) is detected by the
-// CRC and truncated on open, mirroring standard WAL recovery behaviour.
+// Whatever follows the last whole record at open — a torn tail from a
+// crash mid-append, or damage, which the framing cannot tell apart — is
+// cut off, mirroring standard WAL recovery behaviour.
+//
+// RecordLog is not safe for concurrent use: its owner serializes access.
 type RecordLog struct {
-	f *os.File
+	f     *os.File
+	size  int64  // bytes of whole records; every append writes here
+	torn  int64  // bytes cut off the end at open
+	aside string // where those bytes were kept, if they were
+	buf   []byte // Append's framing scratch, reused across groups
 }
 
 // maxRecordLen bounds a single record; larger lengths indicate corruption.
 const maxRecordLen = 64 << 20
 
-// OpenRecordLog opens (or creates) the log for appending after scanning
-// existing records into recovered. A corrupt tail is truncated; corruption
-// in the middle of the file is an error.
-func OpenRecordLog(path string) (log *RecordLog, recovered [][]byte, err error) {
+// maxScratch bounds the framing scratch a log keeps between appends.
+const maxScratch = 1 << 20
+
+// OpenRecordLog opens (or creates) the log at path for appending after
+// scanning its whole records into recovered. With keepTorn, bytes past the
+// last whole record are first written, synced, to a file of their own under
+// SetAside's naming, so cutting them off destroys nothing; Torn reports
+// both.
+func OpenRecordLog(path string, keepTorn bool) (log *RecordLog, recovered [][]byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("recordlog: %w", err)
 	}
 	recovered, valid := scanRecords(data)
-	f, err := openAppend(path, os.O_CREATE, valid)
-	if err != nil {
+	l := &RecordLog{size: int64(valid), torn: int64(len(data) - valid)}
+	if keepTorn && l.torn > 0 {
+		if l.aside, err = writeAside(path, data[valid:]); err != nil {
+			return nil, nil, fmt.Errorf("recordlog: keep torn bytes: %w", err)
+		}
+	}
+	if l.f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644); err != nil {
 		return nil, nil, fmt.Errorf("recordlog: %w", err)
 	}
-	return &RecordLog{f: f}, recovered, nil
+	if l.torn > 0 {
+		if err := l.f.Truncate(l.size); err != nil {
+			l.f.Close()
+			return nil, nil, fmt.Errorf("recordlog: truncate torn tail: %w", err)
+		}
+	}
+	return l, recovered, nil
 }
 
 // scanRecords parses the complete valid records at the start of data,
@@ -52,32 +74,6 @@ func scanRecords(data []byte) (recs [][]byte, valid int) {
 		valid += n
 	}
 	return recs, valid
-}
-
-// openAppend opens path for appending at offset valid, truncating whatever
-// follows it (a torn tail).
-func openAppend(path string, flag, valid int) (*os.File, error) {
-	f, err := os.OpenFile(path, flag|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(int64(valid)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
-}
-
-// encodeRecord frames payload, in one allocation.
-func encodeRecord(payload []byte) []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(payload)+4)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
 // parseRecord returns the payload and total encoded length of the first
@@ -99,12 +95,25 @@ func parseRecord(b []byte) (payload []byte, n int) {
 	return payload, total
 }
 
-// Append writes one record. If sync is true the file is fsynced before
-// returning, making the record durable.
-func (l *RecordLog) Append(payload []byte, sync bool) error {
-	if _, err := l.f.Write(encodeRecord(payload)); err != nil {
+// Append writes payloads as consecutive records with one write at the end
+// of the last whole record, then, if sync is set, one fsync: the group is
+// durable when Append returns nil. A failed write may leave bytes past the
+// last whole record: later appends write over them, and an open cuts off
+// what is left.
+func (l *RecordLog) Append(payloads [][]byte, sync bool) error {
+	buf := l.buf[:0]
+	for _, p := range payloads {
+		buf = binary.AppendUvarint(buf, uint64(len(p)))
+		buf = append(buf, p...)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(p))
+	}
+	if cap(buf) <= maxScratch {
+		l.buf = buf
+	}
+	if _, err := l.f.WriteAt(buf, l.size); err != nil {
 		return fmt.Errorf("recordlog: append: %w", err)
 	}
+	l.size += int64(len(buf))
 	if sync {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("recordlog: sync: %w", err)
@@ -112,6 +121,23 @@ func (l *RecordLog) Append(payload []byte, sync bool) error {
 	}
 	return nil
 }
+
+// Truncate drops every record.
+func (l *RecordLog) Truncate() error {
+	if err := l.f.Truncate(0); err != nil {
+		return fmt.Errorf("recordlog: truncate: %w", err)
+	}
+	l.size = 0
+	return nil
+}
+
+// Size returns the bytes of whole records in the log. It is tracked in
+// memory, so it always sits on a record boundary.
+func (l *RecordLog) Size() int64 { return l.size }
+
+// Torn returns the bytes OpenRecordLog cut off past the last whole record,
+// and the file it kept them in ("" unless opened with keepTorn).
+func (l *RecordLog) Torn() (bytes int64, aside string) { return l.torn, l.aside }
 
 // Close releases the file handle.
 func (l *RecordLog) Close() error { return l.f.Close() }

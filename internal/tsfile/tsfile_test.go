@@ -349,9 +349,11 @@ func TestManyChunksOffsets(t *testing.T) {
 	}
 }
 
+// TestRecordLogRoundTrip: records appended in groups reopen in order, and
+// Size tracks the file.
 func TestRecordLogRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	log, recs, err := OpenRecordLog(path)
+	log, recs, err := OpenRecordLog(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +361,17 @@ func TestRecordLogRoundTrip(t *testing.T) {
 		t.Fatalf("fresh log has %d records", len(recs))
 	}
 	payloads := [][]byte{[]byte("a"), []byte("bb"), {}, []byte("dddd")}
-	for _, p := range payloads {
-		if err := log.Append(p, false); err != nil {
-			t.Fatal(err)
-		}
+	if err := log.Append(payloads[:3], false); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(payloads[3:], true); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != log.Size() {
+		t.Fatalf("file %v (%v), Size %d", fi, err, log.Size())
 	}
 	log.Close()
-	_, recs, err = OpenRecordLog(path)
+	_, recs, err = OpenRecordLog(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,35 +385,50 @@ func TestRecordLogRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecordLogTruncatesTornTail: a torn tail is cut off and reported, the
+// log stays appendable, and Truncate empties it.
 func TestRecordLogTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	log, _, err := OpenRecordLog(path)
+	log, _, err := OpenRecordLog(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.Append([]byte("complete"), true)
-	log.Append([]byte("torn-record"), true)
+	log.Append([][]byte{[]byte("complete")}, true)
+	log.Append([][]byte{[]byte("torn-record")}, true)
 	log.Close()
 	raw, _ := os.ReadFile(path)
 	os.WriteFile(path, raw[:len(raw)-3], 0o644) // crash mid-append
-	log2, recs, err := OpenRecordLog(path)
+	log2, recs, err := OpenRecordLog(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || string(recs[0]) != "complete" {
 		t.Fatalf("recovered %q", recs)
 	}
+	if torn, aside := log2.Torn(); torn != int64(len(raw)-3-13) || aside != "" {
+		t.Fatalf("Torn = %d, %q; want the torn record's %d bytes, not kept", torn, aside, len(raw)-3-13)
+	}
 	// The log must be appendable after truncation.
-	if err := log2.Append([]byte("after"), true); err != nil {
+	if err := log2.Append([][]byte{[]byte("after")}, true); err != nil {
 		t.Fatal(err)
 	}
 	log2.Close()
-	_, recs, err = OpenRecordLog(path)
+	log3, recs, err := OpenRecordLog(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || string(recs[1]) != "after" {
 		t.Fatalf("after re-append: %q", recs)
+	}
+	if err := log3.Truncate(); err != nil || log3.Size() != 0 {
+		t.Fatalf("Truncate: %v, Size %d", err, log3.Size())
+	}
+	if err := log3.Append([][]byte{[]byte("fresh")}, true); err != nil {
+		t.Fatal(err)
+	}
+	log3.Close()
+	if _, recs, _ := OpenRecordLog(path, false); len(recs) != 1 || string(recs[0]) != "fresh" {
+		t.Fatalf("after Truncate: %q", recs)
 	}
 }
 

@@ -56,13 +56,43 @@ var ErrCorrupt = errors.New("tsfile: corrupt file")
 // never overwritten: it may be the only copy of data an operator wants to
 // salvage by hand.
 func SetAside(path string) (string, error) {
+	bad, err := asideName(path)
+	if err != nil {
+		return "", err
+	}
+	return bad, os.Rename(path, bad)
+}
+
+// writeAside keeps data, bytes of path that failed validation, in a new
+// file under SetAside's naming, synced before it returns the name.
+func writeAside(path string, data []byte) (string, error) {
+	bad, err := asideName(path)
+	if err != nil {
+		return "", err
+	}
+	f, err := os.OpenFile(bad, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return bad, err
+}
+
+// asideName is the first quarantine name for path no file holds yet.
+func asideName(path string) (string, error) {
 	for i := 0; ; i++ {
 		bad := path + ".bad"
 		if i > 0 {
 			bad = fmt.Sprintf("%s.bad.%d", path, i)
 		}
 		if _, err := os.Lstat(bad); errors.Is(err, os.ErrNotExist) {
-			return bad, os.Rename(path, bad)
+			return bad, nil
 		} else if err != nil {
 			return "", err
 		}

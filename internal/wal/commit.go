@@ -1,8 +1,8 @@
 package wal
 
 // Commit. One call is one group: the log's lock is taken, the wal.group
-// step runs, every record is appended to the log's file, and ONE fsync
-// covers them all when Options.Sync is on. Batching happens before the
+// step runs, every record goes to the log's file in ONE write, and ONE
+// fsync covers them all when Options.Sync is on. Batching happens before the
 // log — the engine's caller holding its lock hands over the whole run of
 // queued requests per call — so the log itself has no queue. Its callers
 // are the engine's two writers, the insert run and the delete, both under
@@ -34,15 +34,8 @@ func (l *Log) Commit(payloads [][]byte) error {
 	if err := l.step("wal.group"); err != nil {
 		return err
 	}
-	for _, p := range payloads {
-		if err := l.seg.Append(p, false); err != nil {
-			return err
-		}
-	}
-	if l.opts.Sync {
-		if err := l.seg.Sync(); err != nil {
-			return err
-		}
+	if err := l.log.Append(payloads, l.opts.Sync); err != nil {
+		return err
 	}
 	l.groups++
 	l.records += int64(len(payloads))

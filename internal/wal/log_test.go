@@ -2,16 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-
-	"m4lsm/internal/tsfile"
 )
 
 // replayed collects what Open hands back the way the engine does: a
@@ -42,9 +42,9 @@ func open(t *testing.T, o Options) (*Log, *replayed) {
 	return l, r
 }
 
-// rec builds a payload: op 3, shard tag 0, then body.
+// rec builds a payload: op 3, then body.
 func rec(body string) []byte {
-	return append([]byte{3, 0}, body...)
+	return append([]byte{3}, body...)
 }
 
 // commit commits recs as one group.
@@ -55,28 +55,10 @@ func commit(t *testing.T, l *Log, recs ...[]byte) {
 	}
 }
 
-// legacyDir copies the two segments testdata/parent-5b6b9ab holds (see
-// TestParentDirectoryReplays) into a fresh directory: a log an older build
-// rotated, which Open must still replay.
-func legacyDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	for _, name := range []string{"wal-0000000000000001.log", "wal-0000000000000002.log"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "parent-5b6b9ab", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-// walFiles lists the segment files in dir.
+// walFiles lists the log files in dir.
 func walFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	m, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	m, err := filepath.Glob(filepath.Join(dir, "wal*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +66,13 @@ func walFiles(t *testing.T, dir string) []string {
 		m[i] = filepath.Base(m[i])
 	}
 	return m
+}
+
+// frame is one record as the log's file holds it.
+func frame(p []byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(p)))
+	b = append(b, p...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(p))
 }
 
 // TestGroupCommit pins the committer's batching semantics: one Commit of N
@@ -100,8 +89,8 @@ func TestGroupCommit(t *testing.T) {
 	if st.Groups != 1 || st.Records != 10 {
 		t.Fatalf("groups = %d, records = %d; want 1 and 10 (one commit, one sync)", st.Groups, st.Records)
 	}
-	if files := walFiles(t, dir); len(files) != 1 || files[0] != "wal-0000000000000001.log" || st.Segments != 1 {
-		t.Fatalf("files %v, %d segments; want wal-0000000000000001.log alone", files, st.Segments)
+	if files := walFiles(t, dir); len(files) != 1 || files[0] != "wal.log" {
+		t.Fatalf("files %v; want wal.log alone", files)
 	}
 }
 
@@ -144,9 +133,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if st.Groups != writers*rounds {
 		t.Fatalf("groups = %d, want one per commit (%d)", st.Groups, writers*rounds)
 	}
-	if st.Segments != 1 {
-		t.Fatalf("segments = %d, want the one file", st.Segments)
-	}
 	l.Close() // nothing beyond the acknowledged syncs: a kill
 
 	_, r := open(t, o)
@@ -155,7 +141,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 	last := map[byte]string{}
 	for _, p := range r.recs {
-		w, body := p[3], string(p[2:])
+		w, body := p[2], string(p[1:])
 		if body <= last[w] {
 			t.Fatalf("writer %c out of order: %q after %q", w, body, last[w])
 		}
@@ -178,14 +164,14 @@ func TestFailedGroupClaimsNothing(t *testing.T) {
 	if err := l.Commit([][]byte{rec("a"), rec("b")}); !errors.Is(err, crash) {
 		t.Fatalf("commit = %v, want the injected crash", err)
 	}
-	if st := l.Stats(); st.Records != 0 || st.Bytes != tsfile.SegmentHeaderLen {
+	if st := l.Stats(); st.Records != 0 || st.Bytes != 0 {
 		t.Fatalf("failed group left state: %+v", st)
 	}
 }
 
-// TestCheckpointRetire: a checkpoint truncates the log to its header and
-// counts what it dropped; records committed after it replay after a kill;
-// a checkpoint of a header-only log does nothing, not even a step; and a
+// TestCheckpointRetire: a checkpoint empties the log and counts what it
+// dropped; records committed after it replay after a kill; a checkpoint of
+// an empty log does nothing, not even a step; and a
 // crash between the checkpoint record and the truncation (wal.retire)
 // replays nothing the checkpoint covers.
 func TestCheckpointRetire(t *testing.T) {
@@ -209,8 +195,8 @@ func TestCheckpointRetire(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := l.Stats()
-	if after.Segments != 1 || after.Bytes != tsfile.SegmentHeaderLen || after.RetiredBytes <= before.Bytes-tsfile.SegmentHeaderLen {
-		t.Fatalf("after the checkpoint: %+v (before %+v), want one header-only file and every record retired", after, before)
+	if after.Bytes != 0 || after.RetiredBytes != before.Bytes+int64(len(frame([]byte{opCheckpoint}))) {
+		t.Fatalf("after the checkpoint: %+v (before %+v), want an empty file and every record and the checkpoint retired", after, before)
 	}
 	sites = nil
 	if err := l.Checkpoint(); err != nil || len(sites) != 0 || l.Stats().RetiredBytes != after.RetiredBytes {
@@ -220,7 +206,7 @@ func TestCheckpointRetire(t *testing.T) {
 	l.Close()
 
 	l2, r := open(t, o)
-	if len(r.recs) != 2 || string(r.recs[0][2:]) != "unflushed" || r.checkpoints != 0 {
+	if len(r.recs) != 2 || string(r.recs[0][1:]) != "unflushed" || r.checkpoints != 0 {
 		t.Fatalf("replay after the checkpoint: %q, %d checkpoints", r.recs, r.checkpoints)
 	}
 	crashAt = "wal.retire"
@@ -241,7 +227,7 @@ func TestCheckpointRetire(t *testing.T) {
 func TestDeleteSegmentSurvivesUntilCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := open(t, Options{Dir: dir})
-	del := []byte{4, 0, 'd', 'e', 'l'}
+	del := []byte{4, 'd', 'e', 'l'}
 	commit(t, l, del)
 	for i := 0; i < 20; i++ {
 		commit(t, l, rec(fmt.Sprintf("later-record-%02d", i)))
@@ -260,92 +246,97 @@ func TestDeleteSegmentSurvivesUntilCheckpoint(t *testing.T) {
 	}
 }
 
-// TestTornTailAndTornCreation: the newest segment may legally end in a
-// partial record (crash mid-append) or be nothing but a partial header
-// (crash mid-creation); both recover the valid prefix, say so, and leave
-// the log appendable. The legacy directory's segment 2 ends in a torn
-// 3-byte tail; a partial header as segment 3 is what an older build's
-// crash mid-rotation left.
-func TestTornTailAndTornCreation(t *testing.T) {
-	dir := legacyDir(t)
-	l, r := open(t, Options{Dir: dir})
-	st := l.Stats()
-	if len(r.recs) != 8 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn tail, 3 bytes") {
-		t.Fatalf("torn tail: replayed %q, %+v", r.recs, st)
-	}
-	commit(t, l, rec("ninth"))
+// TestTornTail: the log may legally end in a partial record (a crash
+// mid-append); Open recovers the valid prefix, says so, and leaves the log
+// appendable.
+func TestTornTail(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := open(t, Options{Dir: dir})
+	commit(t, l, rec("first"), rec("second"))
 	l.Close()
-	os.WriteFile(SegmentPath(dir, 3), []byte("M4W"), 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0x09, 0x03, 'x'}) // a record of 9 bytes, 2 present
+	f.Close()
 
 	l2, r := open(t, Options{Dir: dir})
-	st = l2.Stats()
-	if len(r.recs) != 9 || st.TornTruncations != 1 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "torn creation") {
-		t.Fatalf("torn creation: replayed %q, %+v", r.recs, st)
+	st := l2.Stats()
+	if len(r.recs) != 2 || st.TornTruncations != 1 || len(st.Warnings) != 1 || st.Warnings[0] != "wal.log: torn tail, 3 bytes truncated" {
+		t.Fatalf("torn tail: replayed %q, %+v", r.recs, st)
 	}
-	commit(t, l2, rec("tenth"))
-	if _, path, _, err := l2.Capture(); err != nil || path != SegmentPath(dir, 3) {
-		t.Fatalf("after recreating segment 3: appending to %s (%v)", path, err)
-	}
+	commit(t, l2, rec("third"))
 	l2.Close()
-	if _, r := open(t, Options{Dir: dir}); len(r.recs) != 10 || string(r.recs[9][2:]) != "tenth" {
+	if _, r := open(t, Options{Dir: dir}); len(r.recs) != 3 || string(r.recs[2][1:]) != "third" {
 		t.Fatalf("reopen: replayed %q", r.recs)
 	}
 }
 
-// TestCorruptSealedSegment: in a legacy directory, a sealed segment with a
-// flipped byte is set aside on open, with a warning, and everything after
-// it still replays.
-func TestCorruptSealedSegment(t *testing.T) {
-	dir := legacyDir(t)
-	raw, err := os.ReadFile(SegmentPath(dir, 1))
-	if err != nil {
-		t.Fatal(err)
+// TestOlderBuildRefused: testdata/parent-5b6b9ab holds the segmented WAL
+// an older build left (two wal-<seq>.log segments). Open refuses it with an
+// error naming the first segment, and leaves every file as it was: no
+// wal.log beside records it cannot replay.
+func TestOlderBuildRefused(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "parent-5b6b9ab")
+	names := []string{"wal-0000000000000001.log", "wal-0000000000000002.log"}
+	want := map[string][]byte{}
+	for _, name := range names {
+		raw, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = raw
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	raw[tsfile.SegmentHeaderLen+2] ^= 0xff
-	os.WriteFile(SegmentPath(dir, 1), raw, 0o644)
-
-	l, r := open(t, Options{Dir: dir})
-	st := l.Stats()
-	if st.QuarantinedSegments != 1 || !strings.Contains(st.Warnings[0], "corrupt") {
-		t.Fatalf("open over a corrupt sealed segment: %+v", st)
+	l, err := Open(Options{Dir: dir}, func([]byte) error { return nil }, func() {})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open replayed an older build's segments")
 	}
-	if len(r.recs) != 4 || fmt.Sprintf("%x", r.recs[0]) != "030002733002640000000000001440780000000000001840" {
-		t.Fatalf("replayed %x, want segment 2's four records", r.recs)
+	if !strings.Contains(err.Error(), names[0]) {
+		t.Fatalf("error %q does not name %s", err, names[0])
 	}
-	if m, _ := filepath.Glob(filepath.Join(dir, "wal-*.log.bad*")); len(m) != 1 {
-		t.Fatalf("quarantined files: %v", m)
+	if files := walFiles(t, dir); !reflect.DeepEqual(files, names) {
+		t.Fatalf("files after the refusal: %v, want %v", files, names)
+	}
+	for name, raw := range want {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("%s changed (%v)", name, err)
+		}
 	}
 }
 
-// TestResetAndCapture: Capture is a consistent image (the legacy segments'
-// paths plus a parseable prefix of the log's file), and the checkpoint
-// that resets the log unlinks the legacy segments and leaves the newest,
-// header-only.
+// TestResetAndCapture: Capture is a consistent image — the log's file and
+// its whole records so far — and the checkpoint that resets the log leaves
+// the file empty.
 func TestResetAndCapture(t *testing.T) {
-	dir := legacyDir(t)
+	dir := t.TempDir()
 	l, _ := open(t, Options{Dir: dir})
-	commit(t, l, rec("ninth"))
-	legacy, path, data, err := l.Capture()
+	commit(t, l, rec("first"), rec("second"))
+	commit(t, l, rec("third"))
+	path, data, err := l.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy) != 1 || legacy[0].Seq != 1 || path != SegmentPath(dir, 2) {
-		t.Fatalf("capture: legacy %v, file %s", legacy, path)
-	}
-	if hdr, recs, err := tsfile.ParseSegment(data); err != nil || hdr.Seq != 2 || len(recs) != 5 {
-		t.Fatalf("captured prefix: %v, %v, %d records", err, hdr, len(recs))
+	want := append(append(frame(rec("first")), frame(rec("second"))...), frame(rec("third"))...)
+	if path != filepath.Join(dir, "wal.log") || !bytes.Equal(data, want) {
+		t.Fatalf("capture: %s, %x; want wal.log and %x", path, data, want)
 	}
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Segments != 1 || st.Bytes != tsfile.SegmentHeaderLen || st.RetiredSegments != 1 {
+	if st := l.Stats(); st.Bytes != 0 {
 		t.Fatalf("after the checkpoint: %+v", st)
 	}
-	if files := walFiles(t, dir); len(files) != 1 || files[0] != "wal-0000000000000002.log" {
-		t.Fatalf("files after the checkpoint: %v, want segment 2 alone", files)
+	if files := walFiles(t, dir); len(files) != 1 || files[0] != "wal.log" {
+		t.Fatalf("files after the checkpoint: %v, want wal.log alone", files)
 	}
-	if legacy, _, data, err := l.Capture(); err != nil || len(legacy) != 0 || len(data) != tsfile.SegmentHeaderLen {
-		t.Fatalf("capture after the checkpoint: %v, %v, %d bytes", err, legacy, len(data))
+	if _, data, err := l.Capture(); err != nil || len(data) != 0 {
+		t.Fatalf("capture after the checkpoint: %v, %d bytes", err, len(data))
 	}
 }
 
@@ -355,61 +346,47 @@ func TestNilLog(t *testing.T) {
 	if err := errors.Join(l.Commit([][]byte{rec("x")}), l.Checkpoint(), l.Close()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := l.Capture(); err != nil || !reflect.DeepEqual(l.Stats(), Stats{}) {
+	if _, _, err := l.Capture(); err != nil || !reflect.DeepEqual(l.Stats(), Stats{}) {
 		t.Fatal("disabled log reported state")
 	}
 }
 
-// TestParentDirectoryReplays is the on-disk compatibility pin: testdata/
-// parent-5b6b9ab holds the WAL of a 2-shard engine written and killed
-// mid-workload by the commit before this package existed (when the log
-// lived inside internal/lsm) — two segments, a flush checkpoint, a
-// completed delete, a delete that reached the WAL but not the mods sidecar,
-// and a torn 3-byte tail. It must replay to the same records, in the same
-// order. Its checkpoint was written under two stripes, so it is ignored:
-// every record replays (merely redundant).
-func TestParentDirectoryReplays(t *testing.T) {
-	dir := legacyDir(t)
-	l, r := open(t, Options{Dir: dir}) // Open truncates the torn tail
-	want := []string{
-		"030102733101020000000000004540",                   // s1 (shard 1) t=1
-		"03000273300214000000000000f03f280000000000000040", // s0 (shard 0) t=10,20
-		"0300027330013c0000000000000840",                   // s0 t=30
-		"030002733001500000000000001040",                   // s0 t=40: flush, checkpoint follows
-		"030002733002640000000000001440780000000000001840", // segment 2: s0 t=50,60
-		"0401027331020000",                                 // delete s1 [0,0], completed
-		"030102733102040000000000804540060000000000004640", // s1 t=2,3
-		"0400027330036e8201",                               // delete s0 [55,65], WAL only
+// FuzzOpen hands arbitrary bytes to Open as the log's file. Open must
+// never panic, and whatever it replays — caller records and checkpoints,
+// in order — must be whole records: framed again, they are exactly the
+// file's first bytes.
+func FuzzOpen(f *testing.F) {
+	var valid []byte
+	for _, p := range [][]byte{rec("a"), {4, 1, 's', 2, 4, 6}, {opCheckpoint}, rec("bb")} {
+		valid = append(valid, frame(p)...)
 	}
-	var got []string
-	for _, p := range r.recs {
-		got = append(got, fmt.Sprintf("%x", p))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replayed records\n got %q\nwant %q", got, want)
-	}
-	if r.checkpoints != 0 {
-		t.Fatalf("checkpoints = %d, want 0 (the 2-stripe checkpoint is ignored)", r.checkpoints)
-	}
-	st := l.Stats()
-	if st.Segments != 2 || st.Bytes != 119+106 || st.TornTruncations != 1 ||
-		len(st.Warnings) != 1 || st.Warnings[0] != "wal segment 2: torn tail, 3 bytes truncated" {
-		t.Fatalf("stats = %+v", st)
-	}
-	// A checkpoint this log writes is honoured on the next open: crash
-	// between it and the unlinking of segment 1.
-	l.opts.Step = func(site string) error {
-		if site == "wal.retire" {
-			return errors.New("crash")
+	f.Add(valid)
+	f.Add(valid[:len(valid)-2]) // torn tail
+	f.Add([]byte{})
+	f.Add(frame(nil))                        // an empty record
+	f.Add(frame([]byte{opCheckpoint, 0, 1})) // a checkpoint with a body
+	f.Add(bytes.Repeat([]byte{0xFF}, 16))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}
-	if err := l.Checkpoint(); err == nil {
-		t.Fatal("checkpoint passed the crash at wal.retire")
-	}
-	l.Close()
-	_, r2 := open(t, Options{Dir: dir})
-	if r2.checkpoints != 1 || len(r2.recs) != 0 {
-		t.Fatalf("reopen after a checkpoint: %d checkpoints, %d records", r2.checkpoints, len(r2.recs))
-	}
+		var replayed []byte
+		l, err := Open(Options{Dir: dir},
+			func(p []byte) error {
+				replayed = append(replayed, frame(p)...)
+				return nil
+			},
+			func() { replayed = append(replayed, frame([]byte{opCheckpoint})...) })
+		if err != nil {
+			return
+		}
+		defer l.Close()
+		if !bytes.HasPrefix(b, replayed) {
+			t.Fatalf("replayed %x, not a prefix of the file %x", replayed, b)
+		}
+		if st := l.Stats(); st.Bytes != int64(len(replayed)) || (st.TornTruncations == 1) != (len(replayed) < len(b)) {
+			t.Fatalf("replayed %d bytes of %d, stats %+v", len(replayed), len(b), st)
+		}
+	})
 }

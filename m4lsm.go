@@ -154,8 +154,8 @@ type Info struct {
 	MemtablePoints int
 	Deletes        int
 
-	// BadFiles counts chunk files quarantined on disk (renamed *.bad)
-	// during crash recovery.
+	// BadFiles counts files set aside on disk (*.bad) during crash
+	// recovery: unreadable chunk files and damaged delete-log bytes.
 	BadFiles int
 	// QuarantinedChunks counts chunks excluded from queries after a CRC
 	// or decode failure.
