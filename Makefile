@@ -130,7 +130,7 @@ bench-check:
 # the root-package benchmarks went, nothing else executes them, and a
 # benchmark that is never run stops compiling or starts failing unnoticed.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/encoding ./internal/tsfile ./internal/stepreg ./internal/m4lsm ./internal/viz ./internal/pyramid ./internal/server ./internal/lsm
 
 # check is the standard gate for this repo: static analysis, the logging
 # and backoff greps and the architecture rules, the

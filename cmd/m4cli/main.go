@@ -46,7 +46,7 @@ func main() {
 		}
 		return
 	}
-	engine, err := lsm.Open(lsm.Options{Dir: *dir})
+	engine, err := openEngine(lsm.Options{Dir: *dir})
 	if err != nil {
 		log.Fatalf("m4cli: %v", err)
 	}
@@ -54,6 +54,16 @@ func main() {
 	fmt.Printf("m4cli: %s (%d series). Type .help for commands.\n",
 		*dir, len(engine.SeriesIDs()))
 	repl(engine, os.Stdin, os.Stdout)
+}
+
+// openEngine opens the database, and for a directory a server holds
+// open, names the way to back it up that does not need the directory.
+func openEngine(opts lsm.Options) (*lsm.Engine, error) {
+	engine, err := lsm.Open(opts)
+	if errors.Is(err, lsm.ErrLocked) {
+		return nil, fmt.Errorf("%w (if a server has it open, back it up over HTTP: POST /admin/backup?dir=<destdir>)", err)
+	}
+	return engine, err
 }
 
 // runSubcommand dispatches the one-shot operations. restore and verify work
@@ -64,7 +74,7 @@ func runSubcommand(dir string, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: m4cli -dir <db> backup <destdir>")
 		}
-		engine, err := lsm.Open(lsm.Options{Dir: dir})
+		engine, err := openEngine(lsm.Options{Dir: dir})
 		if err != nil {
 			return err
 		}
@@ -104,7 +114,7 @@ func runSubcommand(dir string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: m4cli -dir <db> scrub")
 		}
-		engine, err := lsm.Open(lsm.Options{Dir: dir})
+		engine, err := openEngine(lsm.Options{Dir: dir})
 		if err != nil {
 			return err
 		}
@@ -153,7 +163,7 @@ func runLoad(dir string, args []string) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%s: no points", path)
 	}
-	engine, err := lsm.Open(lsm.Options{Dir: dir, SyncWAL: *sync})
+	engine, err := openEngine(lsm.Options{Dir: dir, SyncWAL: *sync})
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strconv"
 	"strings"
@@ -104,6 +105,18 @@ func TestSubcommands(t *testing.T) {
 	if err := runSubcommand(dir, []string{"backup"}); err == nil {
 		t.Fatal("backup without dest accepted")
 	}
+	// A directory another engine holds is refused, naming the online way.
+	live, err := lsm.Open(lsm.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for _, args := range [][]string{{"backup", t.TempDir() + "/bk2"}, {"scrub"}} {
+		err := runSubcommand(dir, args)
+		if !errors.Is(err, lsm.ErrLocked) || !strings.Contains(err.Error(), "POST /admin/backup") {
+			t.Errorf("%s on a live directory: %v, want ErrLocked naming POST /admin/backup", args[0], err)
+		}
+	}
 }
 
 // TestLoadSubcommand bulk-ingests a CSV through the batched WriteBatch path
@@ -134,7 +147,7 @@ func TestLoadSubcommand(t *testing.T) {
 	}
 	total := 0
 	for _, c := range snap.Chunks {
-		data, err := c.Load()
+		data, err := c.Load(snap.Stats)
 		if err != nil {
 			t.Fatal(err)
 		}

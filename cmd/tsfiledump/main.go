@@ -1,7 +1,9 @@
 // Command tsfiledump inspects chunk files: the footer metadata of every
 // chunk (series, version, count, time interval, the four representation
 // points and the step-regression model fitted at write time: median Δt,
-// segment count and error window) and optionally the decoded points.
+// segment count and error window) and optionally the decoded points. With
+// -mods it lists a delete sidecar's deletes and the bytes past its last
+// whole record. It only reads: no file it is given changes.
 //
 // Usage:
 //
@@ -13,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"m4lsm/internal/tsfile"
 )
@@ -29,7 +33,9 @@ func main() {
 	}
 	for _, path := range flag.Args() {
 		if *mods {
-			dumpMods(path)
+			if err := dumpMods(os.Stdout, path); err != nil {
+				log.Fatalf("tsfiledump: %v", err)
+			}
 			continue
 		}
 		dumpFile(path, *points)
@@ -63,14 +69,19 @@ func dumpFile(path string, points bool) {
 	}
 }
 
-func dumpMods(path string) {
-	m, err := tsfile.OpenModLog(path)
+// dumpMods lists the sidecar at path, read-only, and says how many bytes
+// past its last whole record opening the database would set aside.
+func dumpMods(w io.Writer, path string) error {
+	dels, torn, err := tsfile.ReadModLog(path)
 	if err != nil {
-		log.Fatalf("tsfiledump: %v", err)
+		return err
 	}
-	defer m.Close()
-	fmt.Printf("%s: %d deletes\n", path, len(m.All()))
-	for i, d := range m.All() {
-		fmt.Printf("  [%d] %v\n", i, d)
+	fmt.Fprintf(w, "%s: %d deletes\n", path, len(dels))
+	for i, d := range dels {
+		fmt.Fprintf(w, "  [%d] %v\n", i, d)
 	}
+	if torn > 0 {
+		fmt.Fprintf(w, "  %d torn bytes past the last whole record: opening the database cuts them off and keeps them in a .bad file\n", torn)
+	}
+	return nil
 }

@@ -179,16 +179,16 @@ func TestEviction(t *testing.T) {
 func TestChunkRefCacheAttribution(t *testing.T) {
 	src, _, meta := setup(t, 1<<20)
 	stats := &storage.Stats{}
-	ref := storage.NewChunkRef(meta, src, stats)
+	ref := storage.NewChunkRef(meta, src)
 	for i := 0; i < 3; i++ {
-		if _, err := ref.Load(); err != nil {
+		if _, err := ref.Load(stats); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ref.LoadTimes(); err != nil { // served by the cached chunk
+	if _, err := ref.LoadTimes(stats); err != nil { // served by the cached chunk
 		t.Fatal(err)
 	}
-	if _, err := ref.LoadValues(); err != nil { // likewise
+	if _, err := ref.LoadValues(stats); err != nil { // likewise
 		t.Fatal(err)
 	}
 	got := stats.Load()
@@ -202,8 +202,8 @@ func TestChunkRefCacheAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats2 := &storage.Stats{}
-	ref2 := storage.NewChunkRef(m2, mem, stats2)
-	if _, err := ref2.Load(); err != nil {
+	ref2 := storage.NewChunkRef(m2, mem)
+	if _, err := ref2.Load(stats2); err != nil {
 		t.Fatal(err)
 	}
 	if got := stats2.Load(); got.CacheHits != 0 || got.CacheMisses != 0 {

@@ -23,7 +23,7 @@ func buildSnapshot(t *testing.T, chunks map[storage.Version]series.Series, dels 
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src, stats))
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
 	}
 	return snap
 }

@@ -155,9 +155,9 @@ func TestRandomWorkloadEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryLoop interleaves work with simulated crashes (reopening
-// the directory without Close) and verifies no acknowledged write or
-// delete is lost.
+// TestCrashRecoveryLoop interleaves work with simulated crashes (Kill,
+// then reopening the directory without Close) and verifies no
+// acknowledged write or delete is lost.
 func TestCrashRecoveryLoop(t *testing.T) {
 	const horizon = 500
 	dir := t.TempDir()
@@ -184,9 +184,10 @@ func TestCrashRecoveryLoop(t *testing.T) {
 			}
 			o.write(batch)
 		}
-		// Crash: abandon the engine without Close or Flush. The next
-		// Open must recover from WAL + files (file handles stay open
-		// until process exit, mirroring a crashed process).
+		// Crash: kill the engine, without Close or Flush. The next Open
+		// must recover from WAL + files. Kill releases the directory's
+		// lock, as a crashed process's exit does.
+		e.Kill()
 		r := series.TimeRange{Start: 0, End: horizon}
 		e2, err := lsm.Open(lsm.Options{Dir: dir, FlushThreshold: 16, SyncWAL: true})
 		if err != nil {
@@ -210,8 +211,6 @@ func TestCrashRecoveryLoop(t *testing.T) {
 			}
 		}
 		e2.Close()
-		// Reopen for the next round (the "crashed" engine e is dropped).
-		_ = e
 	}
 }
 

@@ -94,7 +94,7 @@ func (e *Engine) compactLocked() error {
 	}
 	// The unsequence space is folded into the new sequence generation.
 	e.unseqFiles = 0
-	e.chunks, e.nChunks = make(map[string][]chunkEntry), 0
+	e.chunks, e.reach, e.nChunks = make(map[string][]storage.ChunkRef), make(map[string][]int64), 0
 	e.maxSeqTime = make(map[string]int64)
 	if r != nil {
 		e.registerChunks(r)
@@ -110,7 +110,7 @@ func (e *Engine) compactLocked() error {
 		return err
 	}
 	// Every quarantined chunk belonged to the retired generation.
-	e.quarantined = make(map[chunkID]error)
+	e.quarantined, e.nQuarantined = make(map[string][]condemned), 0
 	// Compaction preserves the merged view, so existing cells stay valid;
 	// but with every memtable flushed and quarantined data folded away this
 	// is the cheapest moment to rebuild whatever is stale and persist the
@@ -126,7 +126,7 @@ func (e *Engine) compactLocked() error {
 // as a query would, and the series is merged without it; any other read
 // error fails the merge. Caller holds e.mu.
 func (e *Engine) compactSeries(id string) (series.Series, error) {
-	snap := e.seriesSnapshot(id, everything, 0, nil)
+	snap := e.seriesSnapshot(id, everything, nil)
 	// The lenient read reports each unreadable chunk here, one at a time
 	// (Parallelism 1), while this goroutine waits holding e.mu, and merges
 	// the rest.
@@ -155,11 +155,7 @@ func (e *Engine) compactSeries(id string) (series.Series, error) {
 // in e.retired for snapshots that still reference them. Caller holds e.mu.
 func (e *Engine) retireFiles(old []*tsfile.Reader) error {
 	for _, f := range old {
-		bad := slices.ContainsFunc(f.Metas(), func(m storage.ChunkMeta) bool {
-			_, q := e.quarantined[chunkID{m.SeriesID, m.Version}]
-			return q
-		})
-		if bad {
+		if slices.ContainsFunc(f.Metas(), e.isQuarantined) {
 			if _, err := tsfile.SetAside(f.Path()); err != nil {
 				return fmt.Errorf("lsm: quarantine pre-compaction file: %w", err)
 			}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -137,7 +138,8 @@ func stripedWorkload() []tortureOp {
 // consistent. The WAL's format has changed too — one wal.log, framed like
 // deletes.mods, where the parent rotated wal-<seq>.log segments — so its
 // golden is its own: stripedWorkload up to its first flush, killed,
-// leaves testdata/stripedworkload-wal.log byte for byte.
+// leaves testdata/stripedworkload-wal.log byte for byte. The empty LOCK
+// file, the directory's lock, is new beside them.
 func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Options{Dir: dir, FlushThreshold: 8})
@@ -165,15 +167,16 @@ func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 			names = append(names, ent.Name())
 		}
 	}
-	names = append(names, "wal.log")
+	names = append(names, "LOCK", "wal.log")
+	slices.Sort(names)
 	if len(got) != len(names) {
-		t.Fatalf("wrote %d files, want the parent's %d but its WAL segments, and wal.log", len(got), len(names)-1)
+		t.Fatalf("wrote %d files, want the parent's %d but its WAL segments, plus LOCK and wal.log", len(got), len(names)-2)
 	}
 	for i, name := range names {
 		if got[i].Name() != name {
 			t.Fatalf("file %d is %s, want %s", i, got[i].Name(), name)
 		}
-		if name == "wal.log" {
+		if name == "wal.log" || name == "LOCK" {
 			continue
 		}
 		a, err := os.ReadFile(filepath.Join(dir, name))
@@ -260,6 +263,77 @@ func checkOracle(t *testing.T, phase string, e *Engine, want oracle) {
 		if got := materialize(t, snap, full); !seriesEqual(got, want.series(id)) {
 			t.Fatalf("%s: %s = %v, want %v", phase, id, got, want.series(id))
 		}
+	}
+}
+
+// readDir returns every file of dir by name, with its bytes.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[ent.Name()] = string(b)
+	}
+	return files
+}
+
+// TestSecondOpenIsLocked: one engine per directory. While engine A has a
+// directory open, a second Open of it fails at once with ErrLocked naming
+// the directory, and every file stays byte-identical. Without the lock,
+// B's backup and close flushed A's WAL point and emptied wal.log under A;
+// A's next acknowledged record landed past 18 zero bytes, and after a kill
+// the directory failed to open ("wal record 0: empty record").
+func TestSecondOpenIsLocked(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(Options{Dir: dir, SyncWAL: true, FlushThreshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := series.Series(pts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5))
+	if err := a.Write("s", want[:4]...); err != nil { // a flush
+		t.Fatal(err)
+	}
+	if err := a.Write("s", want[4]); err != nil { // in the WAL only
+		t.Fatal(err)
+	}
+	before := readDir(t, dir)
+	if b, err := Open(Options{Dir: dir}); err == nil {
+		if _, err := b.Backup(t.TempDir()); err != nil {
+			t.Error(err)
+		}
+		b.Close()
+		t.Error("a second Open of a directory in use succeeded")
+	} else if !errors.Is(err, ErrLocked) || !strings.Contains(err.Error(), dir) {
+		t.Errorf("second Open: %v, want ErrLocked naming %s", err, dir)
+	}
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("the second Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	last := series.Point{T: 6, V: 6}
+	if err := a.Write("s", last); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, last)
+	a.Kill() // releases the lock, as Close does
+	c, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen after the kill: %v", err)
+	}
+	defer c.Close()
+	r := series.TimeRange{Start: 0, End: 100}
+	snap, err := c.Snapshot("s", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := materialize(t, snap, r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened %v, want every acknowledged point %v", got, want)
 	}
 }
 

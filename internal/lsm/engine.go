@@ -26,6 +26,7 @@
 package lsm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -116,6 +117,8 @@ func (o *Options) withDefaults() Options {
 // snapshot carrying OnQuarantine while holding mu: the callback takes mu.
 type Engine struct {
 	opts Options
+	// lock holds the directory's lock (see lockDir) until Close or Kill.
+	lock *os.File
 
 	// mu guards every field down to scrubMu: writers, flushes, compaction,
 	// quarantine and backup hold it exclusively, and end by publishing
@@ -124,8 +127,12 @@ type Engine struct {
 	mem map[string]series.Series // per-series unsorted write buffer
 	// memPts is the buffered point count across mem.
 	memPts int
-	chunks map[string][]chunkEntry // per-series flushed chunks
-	// nChunks counts the chunks across chunks.
+	// chunks is the registry: per series, the live flushed chunks in
+	// byStart order, copy-on-write (see publish), beside reach, the running
+	// maximum of their Last.T that the window search bisects.
+	chunks map[string][]storage.ChunkRef
+	reach  map[string][]int64
+	// nChunks counts the chunks registered, quarantined ones included.
 	nChunks int
 	// Sequence/unsequence separation (reference [26]): per series, the
 	// largest timestamp flushed to the sequence space so far. Points at
@@ -153,12 +160,12 @@ type Engine struct {
 	// mods is the delete sidecar; Compact swaps in a fresh one.
 	mods *tsfile.ModLog
 
-	// Chunk-level read quarantine: chunks whose data failed a CRC or
-	// decode check during a query or a scrub. Quarantined chunks are
-	// excluded from later snapshots (their reads can never succeed — the
-	// file bytes are wrong) and surface in Info and /healthz. Values are
-	// the (non-nil) read errors that condemned each chunk.
-	quarantined map[chunkID]error
+	// Chunk-level read quarantine, per series: chunks whose data failed a
+	// CRC or decode check in a query or a scrub, with the error. They leave
+	// the registry (their reads can never succeed — the file bytes are
+	// wrong); snapshots they overlap warn; Info and /healthz count them.
+	quarantined  map[string][]condemned
+	nQuarantined int
 
 	// The pyramid-manifest save schedule (see pyrSave): pyrUnsaved is the
 	// points flushed since the last save, pyrLastSize the distinct points
@@ -226,7 +233,7 @@ type counts struct {
 // with it, so the published counts are the state's whenever mu is free.
 func (e *Engine) unlock() {
 	e.counts.Store(&counts{memtablePoints: e.memPts, chunks: e.nChunks, files: len(e.files),
-		unseqFiles: e.unseqFiles, badFiles: e.badFiles, quarantinedChunks: len(e.quarantined),
+		unseqFiles: e.unseqFiles, badFiles: e.badFiles, quarantinedChunks: e.nQuarantined,
 		deletes: len(e.mods.All()), nextVersion: storage.Version(e.nextVer)})
 	e.mu.Unlock()
 }
@@ -261,15 +268,21 @@ func (e *Engine) bumpVersion(v storage.Version) {
 	e.nextVer = max(e.nextVer, uint64(v)+1)
 }
 
-// chunkEntry is one registered flushed chunk and the source it reads from.
-type chunkEntry struct {
+// condemned is one quarantined chunk and the read error that condemned it.
+type condemned struct {
 	meta storage.ChunkMeta
-	src  storage.ChunkSource
+	err  error
 }
 
+// ErrLocked is Open's error for a directory another engine has open, in
+// this process or another; the error names the directory.
+var ErrLocked = errors.New("database directory is in use by another engine")
+
 // Open opens (or creates) the database in opts.Dir, recovering state from
-// chunk files, the mods sidecar and the WAL.
-func Open(opts Options) (*Engine, error) {
+// chunk files, the mods sidecar and the WAL. It first takes the
+// directory's lock, and fails with ErrLocked, touching no file, when
+// another engine holds it.
+func Open(opts Options) (_ *Engine, err error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
 		return nil, errors.New("lsm: Options.Dir is required")
@@ -277,12 +290,32 @@ func Open(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
+	// A directory an older build's WAL is in is refused before the lock
+	// file is made, so the refusal touches no file either.
+	ents, err := os.ReadDir(opts.Dir)
+	for _, ent := range ents {
+		err = cmp.Or(err, wal.CheckFile(opts.Dir, ent.Name()))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("lsm: %w", err)
+	}
+	lock, err := lockDir(opts.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
 	e := &Engine{
 		opts:        opts,
+		lock:        lock,
 		mem:         make(map[string]series.Series),
-		chunks:      make(map[string][]chunkEntry),
+		chunks:      make(map[string][]storage.ChunkRef),
+		reach:       make(map[string][]int64),
 		maxSeqTime:  make(map[string]int64),
-		quarantined: make(map[chunkID]error),
+		quarantined: make(map[string][]condemned),
 		ing:         newIngester(),
 		nextVer:     1,
 	}
@@ -528,6 +561,7 @@ func (e *Engine) Close() error {
 	if cerr := e.wal.Close(); err == nil {
 		err = cerr
 	}
+	e.lock.Close()
 	return err
 }
 
@@ -546,4 +580,5 @@ func (e *Engine) Kill() {
 	e.closeFiles()
 	e.mods.Close()
 	e.wal.Close()
+	e.lock.Close()
 }

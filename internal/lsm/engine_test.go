@@ -44,7 +44,7 @@ func materialize(t *testing.T, snap *storage.Snapshot, r series.TimeRange) serie
 	}
 	best := map[int64]versioned{}
 	for _, c := range snap.Chunks {
-		data, err := c.Load()
+		data, err := c.Load(snap.Stats)
 		if err != nil {
 			t.Fatal(err)
 		}

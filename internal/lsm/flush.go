@@ -1,13 +1,17 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
 )
 
@@ -92,7 +96,7 @@ func (e *Engine) flushLocked() (int, error) {
 	}
 	e.mem = make(map[string]series.Series)
 	e.memPts = 0
-	// The memtable is empty and the flushed chunks registered: e.chunks
+	// The memtable is empty and the flushed chunks published: e.chunks
 	// plus the mods sidecar are the full merged state, so rebuild the
 	// stale pyramid cells now. Only the fault hook can fail this.
 	if err := e.pyrRebuild(); err != nil {
@@ -173,13 +177,49 @@ func (e *Engine) writeChunkFile(space string, ids []string, data map[string]seri
 	return r, nil
 }
 
-// registerChunks adds every chunk of r to its series' registry, behind
-// one chunk source for the file. Caller holds e.mu (or is single-threaded
-// Open).
-func (e *Engine) registerChunks(r *tsfile.Reader) {
-	src := e.sourceFor(r)
-	for _, m := range r.Metas() {
-		e.chunks[m.SeriesID] = append(e.chunks[m.SeriesID], chunkEntry{meta: m, src: src})
+// registerChunks adds every chunk of rs to its series' list, behind one
+// chunk source per file: appended past the list's published length, then
+// published in order. Caller holds e.mu (or is single-threaded Open).
+func (e *Engine) registerChunks(rs ...*tsfile.Reader) {
+	for _, r := range rs {
+		src := e.sourceFor(r)
+		for _, m := range r.Metas() {
+			e.chunks[m.SeriesID] = append(e.chunks[m.SeriesID], storage.NewChunkRef(m, src))
+		}
+		e.nChunks += len(r.Metas())
 	}
-	e.nChunks += len(r.Metas())
+	for id, refs := range e.chunks {
+		if len(refs) > len(e.reach[id]) {
+			e.publish(id, refs)
+		}
+	}
+}
+
+// byStart is the registry's order: by first timestamp, ties by version.
+func byStart(a, b storage.ChunkRef) int {
+	return cmp.Or(cmp.Compare(a.Meta.First.T, b.Meta.First.T), cmp.Compare(a.Meta.Version, b.Meta.Version))
+}
+
+// publish installs refs as series id's chunk list, whose first n chunks,
+// n the length of its reach, are published already, in order. Chunks past
+// n keep their place when they start at or after every chunk before them,
+// as a sequence flush's do; otherwise the list is sorted into a fresh
+// array. So no writer rewrites an element below a published length, and a
+// snapshot borrows its window without a copy. reach[i] is the latest
+// Last.T of refs[:i+1]. Caller holds e.mu.
+func (e *Engine) publish(id string, refs []storage.ChunkRef) {
+	n := len(e.reach[id])
+	if !slices.IsSortedFunc(refs[max(n-1, 0):], byStart) {
+		refs, n = slices.Clone(refs), 0
+		slices.SortFunc(refs, byStart)
+	}
+	reach, last := e.reach[id][:n], int64(math.MinInt64)
+	if n > 0 {
+		last = reach[n-1]
+	}
+	for _, c := range refs[n:] {
+		last = max(last, c.Meta.Last.T)
+		reach = append(reach, last)
+	}
+	e.chunks[id], e.reach[id] = refs, reach
 }

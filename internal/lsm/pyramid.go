@@ -52,11 +52,11 @@ func (e *Engine) pyrRebuild() error {
 		// Quarantined chunks are invisible to queries, so they are invisible
 		// to cells too; their ranges were marked stale on quarantine.
 		first, last := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, c := range e.seriesSnapshot(id, everything, 0, nil).Chunks {
-			first, last = min(first, c.Meta.First.T), max(last, c.Meta.Last.T)
+		if refs, reach := e.chunks[id], e.reach[id]; len(refs) > 0 {
+			first, last = refs[0].Meta.First.T, reach[len(reach)-1]
 		}
 		e.pyr.Rebuild(id, first, last, func(r series.TimeRange) (series.Series, error) {
-			return mergeread.Merge(e.seriesSnapshot(id, r, 0, nil), r)
+			return mergeread.Merge(e.seriesSnapshot(id, r, nil), r)
 		})
 	}
 	return nil
@@ -136,10 +136,10 @@ func (e *Engine) pyrLoad() {
 			e.pyr, wm, e.pyrLastSize = p, w, p.Points()
 		}
 	}
-	for id, ces := range e.chunks {
-		for _, ce := range ces {
-			if uint64(ce.meta.Version) >= wm {
-				e.pyr.MarkStale(id, ce.meta.First.T, ce.meta.Last.T)
+	for id, refs := range e.chunks {
+		for _, c := range refs {
+			if uint64(c.Meta.Version) >= wm {
+				e.pyr.MarkStale(id, c.Meta.First.T, c.Meta.Last.T)
 			}
 		}
 	}

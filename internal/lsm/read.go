@@ -17,12 +17,6 @@ import (
 // accepts, which excludes math.MaxInt64.
 var everything = series.TimeRange{Start: math.MinInt64, End: math.MaxInt64}
 
-// chunkID identifies one immutable chunk across snapshots.
-type chunkID struct {
-	seriesID string
-	version  storage.Version
-}
-
 // Snapshot returns an immutable view of seriesID for the half-open query
 // range r: every chunk whose closed interval overlaps r plus every delete
 // intersecting it. The unflushed memtable appears as one in-memory chunk
@@ -33,11 +27,7 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 	if e.closed.Load() {
 		return nil, errEngineClosed
 	}
-	// The memtable's chunk goes last; it is built first so the chunk list
-	// is allocated at its exact size.
-	var memSrc *storage.MemSource
-	var memMeta storage.ChunkMeta
-	spare := 0
+	snap := e.seriesSnapshot(seriesID, r, &storage.Warnings{})
 	if buf := e.mem[seriesID]; len(buf) > 0 {
 		src := storage.NewMemSource()
 		meta, err := src.AddChunk(seriesID, storage.Version(e.nextVer), series.SortDedup(buf.Clone()))
@@ -45,12 +35,9 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 			return nil, fmt.Errorf("lsm: memtable snapshot: %w", err)
 		}
 		if meta.OverlapsRange(r) {
-			memSrc, memMeta, spare = src, meta, 1
+			// The borrowed window is cap-limited: this append copies it.
+			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
 		}
-	}
-	snap := e.seriesSnapshot(seriesID, r, spare, &storage.Warnings{})
-	if spare > 0 {
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(memMeta, memSrc, snap.Stats))
 	}
 	snap.OnQuarantine = func(meta storage.ChunkMeta, err error) {
 		// Only CRC/decode failures are permanent: the bytes on disk are
@@ -70,29 +57,29 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 // seriesSnapshot is the one place a series' flushed state is selected, for
 // queries, pyramid rebuilds and compaction alike: every chunk overlapping
 // the half-open range r that is not quarantined, and every delete
-// overlapping r. A quarantined chunk is noted in warn (nil: silently). The
-// chunk list is allocated at its exact size plus spare slots for the
-// caller. Caller holds e.mu.
-func (e *Engine) seriesSnapshot(id string, r series.TimeRange, spare int, warn *storage.Warnings) *storage.Snapshot {
+// overlapping r. A quarantined chunk overlapping r is noted in warn (nil:
+// silently). The chunk list is the registry's window of chunks starting
+// before r ends whose reach gets to r, borrowed cap-limited so an append
+// copies it; a copy is filtered only if a chunk nested in a longer one
+// ends before r. Caller holds e.mu.
+func (e *Engine) seriesSnapshot(id string, r series.TimeRange, warn *storage.Warnings) *storage.Snapshot {
 	snap := &storage.Snapshot{SeriesID: id, Stats: &storage.Stats{}, Warnings: warn}
-	chunks := e.chunks[id]
-	quarantined := func(m storage.ChunkMeta) error { return e.quarantined[chunkID{m.SeriesID, m.Version}] }
-	n := spare
-	for _, ce := range chunks {
-		if ce.meta.OverlapsRange(r) && quarantined(ce.meta) == nil {
-			n++
+	refs, reach := e.chunks[id], e.reach[id]
+	lo := sort.Search(len(reach), func(i int) bool { return reach[i] >= r.Start })
+	hi := sort.Search(len(refs), func(i int) bool { return refs[i].Meta.First.T >= r.End })
+	if r.Start < r.End && lo < hi {
+		snap.Chunks = refs[lo:hi:hi]
+		// Only a chunk that starts before r, in [lo, mid), can end before it.
+		mid := sort.Search(len(refs), func(i int) bool { return refs[i].Meta.First.T >= r.Start })
+		before := func(c storage.ChunkRef) bool { return c.Meta.Last.T < r.Start }
+		if slices.ContainsFunc(refs[lo:mid], before) {
+			snap.Chunks = slices.DeleteFunc(slices.Clone(snap.Chunks), before)
 		}
 	}
-	snap.Chunks = make([]storage.ChunkRef, 0, n)
-	for _, ce := range chunks {
-		if !ce.meta.OverlapsRange(r) {
-			continue
+	for _, q := range e.quarantined[id] {
+		if q.meta.OverlapsRange(r) {
+			warn.Add("chunk %s v%d quarantined, excluded: %v", id, q.meta.Version, q.err)
 		}
-		if qerr := quarantined(ce.meta); qerr != nil {
-			warn.Add("chunk %s v%d quarantined, excluded: %v", ce.meta.SeriesID, ce.meta.Version, qerr)
-			continue
-		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(ce.meta, ce.src, snap.Stats))
 	}
 	for _, d := range e.mods.ForSeries(id) {
 		if d.Start < r.End && d.End >= r.Start {
@@ -125,7 +112,8 @@ func (e *Engine) SeriesIDs() []string {
 func (e *Engine) HasSeries(seriesID string) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.chunks[seriesID]) > 0 || len(e.mem[seriesID]) > 0
+	_, flushed := e.chunks[seriesID]
+	return flushed || len(e.mem[seriesID]) > 0
 }
 
 // quarantineChunk excludes a chunk whose bytes failed a CRC or decode
@@ -143,17 +131,27 @@ func (e *Engine) quarantineChunk(meta storage.ChunkMeta, err error) bool {
 // quarantineLocked is quarantineChunk for a caller that holds e.mu, such
 // as compaction.
 func (e *Engine) quarantineLocked(meta storage.ChunkMeta, err error) bool {
-	id := chunkID{meta.SeriesID, meta.Version}
-	live := slices.ContainsFunc(e.chunks[meta.SeriesID], func(ce chunkEntry) bool { return ce.meta.Version == meta.Version })
-	if _, dup := e.quarantined[id]; dup || !live {
+	id, refs := meta.SeriesID, e.chunks[meta.SeriesID]
+	i := slices.IndexFunc(refs, func(c storage.ChunkRef) bool { return c.Meta.Version == meta.Version })
+	if i < 0 { // quarantined already, or folded away
 		return false
 	}
-	e.quarantined[id] = err
+	// A fresh list and reach: snapshots keep the list they borrowed.
+	delete(e.reach, id)
+	e.publish(id, slices.Concat(refs[:i], refs[i+1:]))
+	e.quarantined[id] = append(e.quarantined[id], condemned{meta, err})
+	e.nQuarantined++
 	e.met.quarantines.Inc()
 	// The chunk's points vanish from the merged view; cells that included
 	// them are wrong until the next rebuild.
 	e.pyr.MarkStale(meta.SeriesID, meta.First.T, meta.Last.T)
 	return true
+}
+
+// isQuarantined reports whether m is in its series' quarantine list.
+// Caller holds e.mu.
+func (e *Engine) isQuarantined(m storage.ChunkMeta) bool {
+	return slices.ContainsFunc(e.quarantined[m.SeriesID], func(q condemned) bool { return q.meta.Version == m.Version })
 }
 
 // sourceFor wraps a chunk file reader with query-time fault injection

@@ -18,14 +18,12 @@ import (
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
-	"m4lsm/internal/wal"
 )
 
 // loadFiles opens every readable chunk file in the directory and registers
 // its chunks. Files without a valid footer (crash during flush) are
-// renamed aside; their contents are still in the WAL. A directory an older
-// build's WAL is in is refused first, before any file is touched. Runs
-// single-threaded during Open, so no locks are taken.
+// renamed aside; their contents are still in the WAL. Runs single-threaded
+// during Open, so no locks are taken.
 func (e *Engine) loadFiles() error {
 	entries, err := os.ReadDir(e.opts.Dir)
 	if err != nil {
@@ -35,9 +33,6 @@ func (e *Engine) loadFiles() error {
 	for _, ent := range entries {
 		if ent.IsDir() {
 			continue
-		}
-		if err := wal.CheckFile(e.opts.Dir, ent.Name()); err != nil {
-			return fmt.Errorf("lsm: %w", err)
 		}
 		if strings.Contains(ent.Name(), ".tsf.bad") || strings.Contains(ent.Name(), ".mods.bad") {
 			e.badFiles++ // set aside by an earlier recovery
@@ -71,7 +66,6 @@ func (e *Engine) loadFiles() error {
 		if unseq {
 			e.unseqFiles++
 		}
-		e.registerChunks(r)
 		for _, m := range r.Metas() {
 			e.bumpVersion(m.Version)
 			if unseq {
@@ -82,6 +76,7 @@ func (e *Engine) loadFiles() error {
 			}
 		}
 	}
+	e.registerChunks(e.files...) // one sort per series
 	return nil
 }
 

@@ -110,7 +110,7 @@ func (e *Engine) scrubChunkFiles(rep *ScrubReport, budget *govern.Budget) {
 				return
 			}
 			e.mu.RLock()
-			_, quarantined := e.quarantined[chunkID{meta.SeriesID, meta.Version}]
+			quarantined := e.isQuarantined(meta)
 			e.mu.RUnlock()
 			if quarantined {
 				rep.ChunksSkipped++

@@ -77,7 +77,7 @@ func table4Snapshot(tb testing.TB, chunks int) (*storage.Snapshot, *tsfile.Reade
 	}
 	snap := &storage.Snapshot{SeriesID: "root.mf03", Stats: &storage.Stats{}, Warnings: &storage.Warnings{}}
 	for _, m := range r.Metas() {
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(m, r, snap.Stats))
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(m, r))
 	}
 	lo, hi := data[0].T, data[len(data)-1].T
 	for i := 0; i < 20; i++ {
@@ -268,7 +268,7 @@ func TestTimestampBlockDecodedOnce(t *testing.T) {
 			stats := &storage.Stats{}
 			s := &storage.Snapshot{SeriesID: snap.SeriesID, Deletes: snap.Deletes, Stats: stats, Warnings: &storage.Warnings{}}
 			for _, c := range snap.Chunks {
-				s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, reads, stats))
+				s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, reads))
 			}
 			if _, err := ComputeContext(context.Background(), s, fullQuery(s, w), Options{Parallelism: par}); err != nil {
 				t.Fatal(err)

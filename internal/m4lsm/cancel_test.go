@@ -61,13 +61,13 @@ func slowSnapshot(t *testing.T, nChunks int, delay time.Duration) (*storage.Snap
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, slow, stats))
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, slow))
 		ver++
 		over, err := mem.AddChunk("s", ver, series.Series{{T: base + 5, V: 99}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(over, slow, stats))
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(over, slow))
 		ver++
 	}
 	return snap, slow
@@ -197,7 +197,7 @@ func degradedSnapshot(t *testing.T) *storage.Snapshot {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, bad, stats))
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, bad))
 	}
 	return snap
 }
@@ -254,14 +254,14 @@ func TestDegradedReportsOncePerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, mem, stats))
+	snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, mem))
 	// The bad chunk overwrites points across many spans, forcing loads.
 	over := series.Series{{T: 3, V: 100}, {T: 41, V: 100}, {T: 81, V: 100}, {T: 121, V: 100}}
 	badMeta, err := mem.AddChunk("s", 2, over)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Chunks = append(snap.Chunks, storage.NewChunkRef(badMeta, bad, stats))
+	snap.Chunks = append(snap.Chunks, storage.NewChunkRef(badMeta, bad))
 
 	q := m4.Query{Tqs: 0, Tqe: 128, W: 8}
 	if _, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: 4}); err != nil {

@@ -72,7 +72,7 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 	if err := op.budget.ChargeChunk(0); err != nil {
 		return err
 	}
-	ts, err := cs.ref.LoadTimes()
+	ts, err := cs.ref.LoadTimes(op.stats)
 	if err != nil {
 		cs.loadErr = err
 		return err
@@ -98,10 +98,10 @@ func (op *operator) ensureDataLocked(cs *chunkState) error {
 	// block alone: no chunk's timestamp block is decoded twice.
 	var err error
 	if cs.probe != nil {
-		cs.values, err = cs.ref.LoadValues()
+		cs.values, err = cs.ref.LoadValues(op.stats)
 	} else {
 		var cols series.Columns
-		if cols, err = cs.ref.Load(); err == nil {
+		if cols, err = cs.ref.Load(op.stats); err == nil {
 			cs.setTimes(cols.Times(), op.opts)
 			cs.values = cols.Values()
 		}

@@ -35,7 +35,7 @@ func buildSnapshot(t *testing.T, chunks map[storage.Version]series.Series, dels 
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src, stats))
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
 	}
 	return snap
 }
@@ -519,7 +519,7 @@ func TestNilStatsSnapshot(t *testing.T) {
 	}
 	snap := &storage.Snapshot{
 		SeriesID: "s",
-		Chunks:   []storage.ChunkRef{storage.NewChunkRef(meta, src, nil)},
+		Chunks:   []storage.ChunkRef{storage.NewChunkRef(meta, src)},
 	}
 	got, err := Compute(snap, m4.Query{Tqs: 0, Tqe: 20, W: 1})
 	if err != nil {

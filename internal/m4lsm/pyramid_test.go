@@ -194,7 +194,7 @@ func TestStrictErrorSameAtEveryParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src, stats))
+			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
 		}
 		cell := series.Point{T: 15, V: 3}
 		snap.Pyramid = stubPyramid{span: 1, plan: storage.PyramidSpan{Lo: 12, Hi: 18, Cells: 1},

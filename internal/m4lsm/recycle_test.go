@@ -76,7 +76,7 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 	mem := storage.NewMemSource()
 	s := &storage.Snapshot{SeriesID: cold.SeriesID, Deletes: cold.Deletes, Stats: &storage.Stats{}, Warnings: &storage.Warnings{}}
 	for _, c := range cold.Chunks {
-		s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, cached, s.Stats))
+		s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, cached))
 	}
 	// Two memtable chunks overwrite stretches of the file's data.
 	full := fullQuery(cold, 1)
@@ -90,7 +90,7 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Chunks = append(s.Chunks, storage.NewChunkRef(meta, mem, s.Stats))
+		s.Chunks = append(s.Chunks, storage.NewChunkRef(meta, mem))
 	}
 	if _, ok := any(mem).(storage.Recycler); ok {
 		t.Fatal("MemSource implements storage.Recycler: memtable columns would be recycled")
@@ -191,7 +191,7 @@ func TestRecycleReachesOnlyUncachedSources(t *testing.T) {
 		src := cache.Wrap(rec, tc.lru)
 		s := &storage.Snapshot{SeriesID: cold.SeriesID, Deletes: cold.Deletes, Stats: &storage.Stats{}, Warnings: &storage.Warnings{}}
 		for _, c := range cold.Chunks {
-			s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, src, s.Stats))
+			s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, src))
 		}
 		if _, err := ComputeContext(context.Background(), s, fullQuery(s, 100), Options{}); err != nil {
 			t.Fatal(err)

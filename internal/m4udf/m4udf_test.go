@@ -46,7 +46,7 @@ func TestComputeLoadsEveryChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src, stats))
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
 	}
 	if _, err := Compute(snap, m4.Query{Tqs: 0, Tqe: 100, W: 2}); err != nil {
 		t.Fatal(err)

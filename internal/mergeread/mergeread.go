@@ -141,7 +141,7 @@ func load(ctx context.Context, snap *storage.Snapshot, par int, opts Options, c 
 		if err == nil {
 			t := c.Now()
 			l.chunks[i] = loadedChunk{ver: ref.Meta.Version}
-			l.chunks[i].cols, err = ref.Load()
+			l.chunks[i].cols, err = ref.Load(snap.Stats)
 			// The chunk index is the task coordinate: a trace shows each
 			// load the merge paid, next to the fold's tasks.
 			c.Task(i, "load", t)

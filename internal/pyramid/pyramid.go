@@ -338,14 +338,18 @@ func (p *Pyramid) View(id string, r series.TimeRange) storage.PyramidSource {
 		return nil
 	}
 	v := &view{p: p, id: id, levels: make([]viewLevel, 0, len(sp.levels))}
+	// staleIdx is sp.stale in one level's cell indexes, rebuilt per level
+	// in one buffer: shifting keeps the sorted, coalesced ranges in order,
+	// so push builds it in one pass.
+	staleIdx := make(rset, 0, len(sp.stale))
 	for _, lv := range sp.levels {
 		qLo := r.Start >> lv.log
 		qHi := ((r.End - 1) >> lv.log) + 1
 		usable := lv.cover.intersect(qLo, qHi)
 		if len(usable) > 0 && len(sp.stale) > 0 {
-			var staleIdx rset
+			staleIdx = staleIdx[:0]
 			for _, s := range sp.stale {
-				staleIdx.add(s.lo>>lv.log, ((s.hi-1)>>lv.log)+1)
+				staleIdx = staleIdx.push(s.lo>>lv.log, ((s.hi-1)>>lv.log)+1)
 			}
 			usable = usable.subtract(staleIdx)
 		}
@@ -522,9 +526,13 @@ func (s rset) contains(lo, hi int64) bool {
 	return i < len(s) && s[i].lo <= lo
 }
 
-// subtract returns s minus o as a fresh set.
+// subtract returns s minus o as a fresh set, allocated once: every range
+// of o splits at most one range of s in two.
 func (s rset) subtract(o rset) rset {
 	var out rset
+	if len(s) > 0 && len(o) > 0 {
+		out = make(rset, 0, len(s)+len(o))
+	}
 	j := 0
 	for _, r := range s {
 		lo := r.lo

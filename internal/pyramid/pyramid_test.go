@@ -236,6 +236,28 @@ func TestViewRefusesCellsRebuiltSinceSnapshot(t *testing.T) {
 	}
 }
 
+// TestViewAllocatesPerLevel pins View's cost to its levels: each level's
+// stale index is built in one reused buffer, not by a reallocating insert
+// per stale range, so 64 stale ranges cost no more than one.
+func TestViewAllocatesPerLevel(t *testing.T) {
+	pts := randomSeries(rand.New(rand.NewSource(3)), 4000, 0, 1<<16)
+	p := New()
+	rebuild(p, "s", pts)
+	for i := int64(0); i < 64; i++ {
+		p.MarkStale("s", i<<10, i<<10+7)
+	}
+	sp := p.series["s"]
+	if len(sp.stale) != 64 || len(sp.levels) < 4 {
+		t.Fatalf("%d stale ranges over %d levels, want 64 over at least 4", len(sp.stale), len(sp.levels))
+	}
+	r := series.TimeRange{Start: 0, End: 1 << 16}
+	allocs := testing.AllocsPerRun(20, func() { p.View("s", r) })
+	if limit := float64(2*len(sp.levels) + 3); allocs > limit {
+		t.Errorf("View over %d stale ranges and %d levels allocates %.0f times, want at most %.0f",
+			len(sp.stale), len(sp.levels), allocs, limit)
+	}
+}
+
 func TestRebuildReadErrorLeavesStale(t *testing.T) {
 	p := New()
 	p.MarkStale("s", 0, 99)

@@ -79,7 +79,7 @@ func TestWriteEndpointIngests(t *testing.T) {
 	}
 	var got int
 	for _, c := range snap.Chunks {
-		data, err := c.Load()
+		data, err := c.Load(snap.Stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -611,7 +611,7 @@ func TestIngestHammerHTTP(t *testing.T) {
 		}
 		got := map[int64]float64{}
 		for _, c := range snap.Chunks {
-			data, err := c.Load()
+			data, err := c.Load(snap.Stats)
 			if err != nil {
 				t.Fatal(err)
 			}

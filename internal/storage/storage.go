@@ -146,39 +146,39 @@ type Recycler interface {
 	Recycle(ts []int64, vs []float64)
 }
 
-// ChunkRef binds chunk metadata to its source and to the snapshot's cost
-// counters. Operators load chunk contents exclusively through ChunkRef so
-// every experiment accounts cost identically.
+// ChunkRef binds chunk metadata to its source. Operators load chunk
+// contents exclusively through ChunkRef, charging the query's Stats, so
+// every experiment accounts cost identically. A ref carries no per-query
+// state: the engine's registry hands the same refs to every snapshot.
 type ChunkRef struct {
 	Meta   ChunkMeta
 	source ChunkSource
-	stats  *Stats
 }
 
-// NewChunkRef builds a reference; stats may be nil.
-func NewChunkRef(meta ChunkMeta, src ChunkSource, stats *Stats) ChunkRef {
-	return ChunkRef{Meta: meta, source: src, stats: stats}
+// NewChunkRef builds a reference.
+func NewChunkRef(meta ChunkMeta, src ChunkSource) ChunkRef {
+	return ChunkRef{Meta: meta, source: src}
 }
 
-// Load reads and decodes the full chunk.
-func (c ChunkRef) Load() (series.Columns, error) {
-	data, err := read(c, CachedSource.ReadChunkCached, ChunkSource.ReadChunk)
+// Load reads and decodes the full chunk, charging stats (nil: none).
+func (c ChunkRef) Load(stats *Stats) (series.Columns, error) {
+	data, err := read(c, stats, CachedSource.ReadChunkCached, ChunkSource.ReadChunk)
 	if err != nil {
 		return series.Columns{}, fmt.Errorf("load %v: %w", c.Meta, err)
 	}
-	c.countLoad()
+	c.countLoad(stats)
 	return data, nil
 }
 
 // LoadValues reads and decodes only the value block, completing a full load
 // of a chunk whose timestamps an earlier LoadTimes fetched. It counts as one
 // full load, exactly like Load.
-func (c ChunkRef) LoadValues() ([]float64, error) {
-	vs, err := read(c, CachedSource.ReadValuesCached, ChunkSource.ReadValues)
+func (c ChunkRef) LoadValues(stats *Stats) ([]float64, error) {
+	vs, err := read(c, stats, CachedSource.ReadValuesCached, ChunkSource.ReadValues)
 	if err != nil {
 		return nil, fmt.Errorf("load values %v: %w", c.Meta, err)
 	}
-	c.countLoad()
+	c.countLoad(stats)
 	return vs, nil
 }
 
@@ -191,52 +191,48 @@ func (c ChunkRef) Recycle(ts []int64, vs []float64) {
 	}
 }
 
-// countLoad attributes one full load to the query's stats.
-func (c ChunkRef) countLoad() {
-	if c.stats != nil {
-		atomic.AddInt64(&c.stats.ChunksLoaded, 1)
-		atomic.AddInt64(&c.stats.BytesRead, int64(c.Meta.HeaderLen)+c.Meta.TimesLen+c.Meta.ValuesLen)
-		atomic.AddInt64(&c.stats.PointsDecoded, c.Meta.Count)
+// countLoad attributes one full load to stats.
+func (c ChunkRef) countLoad(stats *Stats) {
+	if stats != nil {
+		atomic.AddInt64(&stats.ChunksLoaded, 1)
+		atomic.AddInt64(&stats.BytesRead, int64(c.Meta.HeaderLen)+c.Meta.TimesLen+c.Meta.ValuesLen)
+		atomic.AddInt64(&stats.PointsDecoded, c.Meta.Count)
 	}
 }
 
-// LoadTimes reads and decodes only the timestamp block.
-func (c ChunkRef) LoadTimes() ([]int64, error) {
-	ts, err := read(c, CachedSource.ReadTimesCached, ChunkSource.ReadTimes)
+// LoadTimes reads and decodes only the timestamp block, charging stats
+// (nil: none).
+func (c ChunkRef) LoadTimes(stats *Stats) ([]int64, error) {
+	ts, err := read(c, stats, CachedSource.ReadTimesCached, ChunkSource.ReadTimes)
 	if err != nil {
 		return nil, fmt.Errorf("load times %v: %w", c.Meta, err)
 	}
-	if c.stats != nil {
-		atomic.AddInt64(&c.stats.TimeBlocksLoaded, 1)
-		atomic.AddInt64(&c.stats.BytesRead, int64(c.Meta.HeaderLen)+c.Meta.TimesLen)
-		atomic.AddInt64(&c.stats.PointsDecoded, c.Meta.Count)
+	if stats != nil {
+		atomic.AddInt64(&stats.TimeBlocksLoaded, 1)
+		atomic.AddInt64(&stats.BytesRead, int64(c.Meta.HeaderLen)+c.Meta.TimesLen)
+		atomic.AddInt64(&stats.PointsDecoded, c.Meta.Count)
 	}
 	return ts, nil
 }
 
 // read performs one load shape through the ref's source: the cached form
-// when a cache sits under the ref, attributing its hit or miss.
-func read[T any](c ChunkRef, cached func(CachedSource, ChunkMeta) (T, bool, error), plain func(ChunkSource, ChunkMeta) (T, error)) (T, error) {
-	if cs, ok := c.source.(CachedSource); ok {
-		out, hit, err := cached(cs, c.Meta)
-		c.countCache(hit)
-		return out, err
-	}
-	return plain(c.source, c.Meta)
-}
-
-// countCache attributes one cached-source read to the query's stats.
+// when a cache sits under the ref, attributing its hit or miss to stats.
 // Hits and misses are only counted when a cache sits under the ref, so
 // both stay zero on the paper's cold configuration.
-func (c ChunkRef) countCache(hit bool) {
-	if c.stats == nil {
-		return
+func read[T any](c ChunkRef, stats *Stats, cached func(CachedSource, ChunkMeta) (T, bool, error), plain func(ChunkSource, ChunkMeta) (T, error)) (T, error) {
+	cs, ok := c.source.(CachedSource)
+	if !ok {
+		return plain(c.source, c.Meta)
 	}
-	if hit {
-		atomic.AddInt64(&c.stats.CacheHits, 1)
-	} else {
-		atomic.AddInt64(&c.stats.CacheMisses, 1)
+	out, hit, err := cached(cs, c.Meta)
+	switch {
+	case stats == nil:
+	case hit:
+		atomic.AddInt64(&stats.CacheHits, 1)
+	default:
+		atomic.AddInt64(&stats.CacheMisses, 1)
 	}
+	return out, err
 }
 
 // PyramidSpan is the pyramid's plan for one span of a query: the span's
@@ -268,7 +264,8 @@ type PyramidSource interface {
 
 // Snapshot is the immutable view of one series a query executes against:
 // every chunk overlapping the query plus every delete, with shared cost
-// counters and a shared warning collector.
+// counters and a shared warning collector. Chunks may be borrowed from its
+// producer and shared with other snapshots: read it, never write it.
 type Snapshot struct {
 	SeriesID string
 	Chunks   []ChunkRef
@@ -304,12 +301,12 @@ func (s *Snapshot) ReportBadChunk(meta ChunkMeta, err error) {
 // Stats accumulates the I/O and decode work of a query. The experiment
 // harness resets it per query and reports it next to wall-clock latency.
 //
-// A Stats pointer is shared by every ChunkRef of a snapshot and, under the
-// parallel operators, by every worker goroutine: all mutations go through
-// sync/atomic, so counting is race-free without a lock. Readers that may
-// observe the struct while a query is still running must use Load (or the
-// atomic-reading String); plain field reads are safe only after the query
-// has returned.
+// A Stats pointer is charged by every load of a snapshot's chunks and,
+// under the parallel operators, by every worker goroutine: all mutations
+// go through sync/atomic, so counting is race-free without a lock.
+// Readers that may observe the struct while a query is still running must
+// use Load (or the atomic-reading String); plain field reads are safe only
+// after the query has returned.
 type Stats struct {
 	ChunksLoaded     int64 // full chunk loads
 	TimeBlocksLoaded int64 // timestamp-only partial loads

@@ -141,21 +141,21 @@ func TestChunkRefCountsCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats Stats
-	ref := NewChunkRef(meta, src, &stats)
-	if _, err := ref.Load(); err != nil {
+	ref := NewChunkRef(meta, src)
+	if _, err := ref.Load(&stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.ChunksLoaded != 1 || stats.PointsDecoded != 2 || stats.BytesRead != 32 {
 		t.Errorf("after Load: %v", &stats)
 	}
-	if _, err := ref.LoadTimes(); err != nil {
+	if _, err := ref.LoadTimes(&stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.TimeBlocksLoaded != 1 || stats.PointsDecoded != 4 || stats.BytesRead != 48 {
 		t.Errorf("after LoadTimes: %v", &stats)
 	}
 	// The value half of a load counts as a full load, exactly like Load.
-	vs, err := ref.LoadValues()
+	vs, err := ref.LoadValues(&stats)
 	if err != nil || len(vs) != 2 || vs[1] != 2 {
 		t.Fatal(vs, err)
 	}
@@ -167,14 +167,14 @@ func TestChunkRefCountsCost(t *testing.T) {
 func TestChunkRefNilStats(t *testing.T) {
 	src := NewMemSource()
 	meta, _ := src.AddChunk("s", 1, series.Series{{T: 1, V: 1}})
-	ref := NewChunkRef(meta, src, nil)
-	if _, err := ref.Load(); err != nil {
+	ref := NewChunkRef(meta, src)
+	if _, err := ref.Load(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.LoadTimes(); err != nil {
+	if _, err := ref.LoadTimes(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.LoadValues(); err != nil {
+	if _, err := ref.LoadValues(nil); err != nil {
 		t.Fatal(err)
 	}
 }

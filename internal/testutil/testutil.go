@@ -76,7 +76,7 @@ func RandomSnapshot(rng *rand.Rand, cfg GenConfig) *storage.Snapshot {
 			if err != nil {
 				panic(err) // generator bug
 			}
-			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src, stats))
+			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
 		} else {
 			start := rng.Int63n(cfg.TimeHorizon)
 			end := start + rng.Int63n(cfg.TimeHorizon/4+1)
@@ -98,7 +98,7 @@ func NaiveMerge(snap *storage.Snapshot, r series.TimeRange) (series.Series, erro
 	}
 	best := map[int64]versioned{}
 	for _, c := range snap.Chunks {
-		data, err := c.Load()
+		data, err := c.Load(snap.Stats)
 		if err != nil {
 			return nil, err
 		}

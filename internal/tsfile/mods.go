@@ -2,6 +2,7 @@ package tsfile
 
 import (
 	"fmt"
+	"os"
 
 	"m4lsm/internal/encoding"
 	"m4lsm/internal/storage"
@@ -29,16 +30,38 @@ func OpenModLog(path string) (*ModLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mods: %w", err)
 	}
-	m := &ModLog{log: log}
+	mods, err := parseDeletes(recs)
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
+	return &ModLog{log: log, mods: mods}, nil
+}
+
+// ReadModLog reads the sidecar at path without opening it for writing:
+// the deletes its whole records hold, and the bytes past the last of them
+// that OpenModLog would cut off and set aside. Inspection tools use it.
+func ReadModLog(path string) (dels []storage.Delete, torn int64, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("mods: %w", err)
+	}
+	recs, valid := scanRecords(data)
+	dels, err = parseDeletes(recs)
+	return dels, int64(len(data) - valid), err
+}
+
+// parseDeletes decodes a sidecar's records.
+func parseDeletes(recs [][]byte) ([]storage.Delete, error) {
+	var mods []storage.Delete
 	for i, rec := range recs {
 		d, err := ParseDelete(rec)
 		if err != nil {
-			log.Close()
 			return nil, fmt.Errorf("mods: record %d: %w", i, err)
 		}
-		m.mods = append(m.mods, d)
+		mods = append(mods, d)
 	}
-	return m, nil
+	return mods, nil
 }
 
 // Append records one delete durably.
