@@ -104,7 +104,8 @@ fuzz:
 # public examples, one write path, one WAL file, one chunk writer,
 # fit-at-write, one measurement stack, the columnar read path, recycle at
 # query end, one engine lock, no engine goroutines, no library sleeps,
-# DESIGN.md's invariant table and no test-only production API) are
+# DESIGN.md's invariant table, no test-only production API and no knob
+# only tests set) are
 # type-checked in arch_test.go, which plain `go test ./...` runs too.
 lint:
 	@bad=$$(gofmt -l *.go cmd internal examples bench); \

@@ -201,7 +201,7 @@ func (tr *archTree) Import(ip string) (*types.Package, error) {
 // check parses p's files from tr.src and type-checks the non-test ones.
 func (tr *archTree) check(p *archPkg) {
 	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{}}
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	var names []string
 	for f := range tr.src {
 		if strings.HasSuffix(f, ".go") && path.Dir(f) == p.dir {
@@ -546,6 +546,7 @@ func init() {
 		{"no_library_sleeps", ruleNoLibrarySleeps},
 		{"design_invariants", ruleDesignInvariants},
 		{"production_api", ruleProductionAPI},
+		{"knobs_have_callers", ruleKnobsHaveCallers},
 	}
 }
 
@@ -1038,6 +1039,124 @@ func ruleProductionAPI(tr *archTree) []string {
 	return out
 }
 
+// knobAllow lists the exported fields of *Options and *Config structs that
+// only tests set on purpose, each with its reason.
+var knobAllow = map[string]string{
+	"internal/lsm.Options.StepHook":           "a fault-injection seam: tests abort write-path steps through it until an in-memory filesystem replaces it",
+	"internal/lsm.Options.WrapSource":         "a fault-injection seam: tests corrupt chunk reads through it until an in-memory filesystem replaces it",
+	"internal/lsm.Options.SpaceProbeInterval": "tests shorten the disk-space probe to leave read-only mode at once; the default suits every deployment",
+}
+
+// ruleKnobsHaveCallers: every exported field of a struct type under
+// internal/ whose name ends in Options or Config is set by non-test code
+// (bench/ counts) — keyed in a composite literal, assigned, incremented or
+// addressed, an assignment to a.b.c setting both b and c. A knob nobody
+// sets is a value nobody chose; knobAllow names the exceptions, a package
+// entry of archAllow exempts its package, and a stale knobAllow entry is a
+// violation too.
+func ruleKnobsHaveCallers(tr *archTree) []string {
+	// key names a field by its struct's type, so a field reads the same from
+	// every package whichever type-check produced it.
+	key := func(t types.Type, field string) string {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+			return strings.TrimPrefix(n.Obj().Pkg().Path(), archModule+"/") + "." + n.Obj().Name() + "." + field
+		}
+		return ""
+	}
+	written := map[string]bool{}
+	for _, p := range tr.sorted() {
+		// set marks every field selected on the way down to a written
+		// location: a.b[i].c = v sets c and b.
+		set := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.IndexExpr:
+					e = x.X
+					continue
+				case *ast.SelectorExpr:
+					if sel := p.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+						owner := sel.Recv()
+						for _, i := range sel.Index()[:len(sel.Index())-1] {
+							if ptr, ok := owner.(*types.Pointer); ok {
+								owner = ptr.Elem()
+							}
+							owner = owner.Underlying().(*types.Struct).Field(i).Type()
+						}
+						written[key(owner, x.Sel.Name)] = true
+						e = x.X
+						continue
+					}
+				}
+				return
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range x.Lhs {
+						set(l)
+					}
+				case *ast.IncDecStmt:
+					set(x.X)
+				case *ast.UnaryExpr:
+					if x.Op == token.AND {
+						set(x.X)
+					}
+				case *ast.CompositeLit:
+					for _, el := range x.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[key(p.info.Types[x].Type, id.Name)] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	declared := map[string]bool{}
+	for _, p := range tr.pkgsUnder("internal") {
+		for _, obj := range p.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || !strings.HasSuffix(tn.Name(), "Options") && !strings.HasSuffix(tn.Name(), "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				k := key(tn.Type(), f.Name())
+				if !f.Exported() || written[k] || archAllow[strings.TrimPrefix(p.path, archModule+"/")] != "" {
+					continue
+				}
+				declared[k] = true
+				if knobAllow[k] == "" {
+					out = append(out, fmt.Sprintf("%s: %s is set only by tests; delete the knob, or allow it with a reason",
+						tr.fset.Position(f.Pos()), k))
+				}
+			}
+		}
+	}
+	for k := range knobAllow {
+		if !declared[k] {
+			out = append(out, fmt.Sprintf("knob allow-list entry %s names no field only tests set", k))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestArchitecture(t *testing.T) {
 	tr := loadArchTree(t)
 	for _, p := range tr.sorted() {
@@ -1074,7 +1193,7 @@ var archMutations = []struct {
 	{"second tsfile.Create in lsm", "one_chunk_writer", []archEdit{{"internal/lsm/flush.go", "",
 		"\nfunc create(p string) (*tsfile.Writer, error) { return tsfile.Create(p) }\n"}}},
 	{"Snapshot through a renamed variable", "one_read_path", []archEdit{{"internal/server/server.go", "",
-		"\nfunc peek(eng *lsm.Engine, stmt m4ql.Statement) (*storage.Snapshot, error) {\n\treturn eng.Snapshot(\"root.s\", stmt.Query.Range())\n}\n"}}},
+		"\nfunc peek(eng *lsm.Engine, stmt m4ql.Statement) {\n\t_, _ = eng.Snapshot(\"root.s\", stmt.Query.Range())\n}\n"}}},
 	{"second executor call in server", "one_read_path", []archEdit{{"internal/server/server.go", "",
 		"\nfunc again(ctx context.Context, h *Handler) { _, _ = m4ql.Exec(ctx, h.engine, m4ql.Statement{}) }\n"}}},
 	{"stepreg.Fit in m4lsm/load.go", "fit_at_write", []archEdit{{"internal/m4lsm/load.go", "", "\nfunc refit(ts []int64) *stepreg.Model { return stepreg.Fit(ts) }\n"}}},
@@ -1111,6 +1230,8 @@ var archMutations = []struct {
 	{"DESIGN names a missing test", "design_invariants", []archEdit{{"DESIGN.md", "`TestSpecMatchesBenchmarkJSON`", "`TestSpecMatchesBenchmarkJSON`, `TestNoSuchInvariant`"}}},
 	{"exported API only tests call", "production_api", []archEdit{{"internal/series/series.go", "",
 		"\n// Mid is the range's midpoint.\nfunc (r TimeRange) Mid() int64 { return r.Start + (r.End-r.Start)/2 }\n"}}},
+	{"knob only tests set", "knobs_have_callers", []archEdit{{"internal/lsm/engine.go",
+		"\tDisablePyramid bool\n", "\tDisablePyramid bool\n\t// ReadAhead is a knob no production code sets.\n\tReadAhead int\n"}}},
 	{"rule strings in comments", "", []archEdit{{"internal/m4lsm/plan.go", "", "\n// substituted FP; govern.RunPool(\n"},
 		{"internal/server/server.go", "", "\n// e.Snapshot( engine.Snapshot( m4ql.Exec(\n"}}},
 }

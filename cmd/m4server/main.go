@@ -89,7 +89,6 @@ func main() {
 
 		selfMetrics = flag.Duration("self-metrics-interval", time.Second, "period at which the metrics registry is sampled into root.sys.* series inside the engine (0 disables)")
 		eventLog    = flag.String("event-log", "", "JSONL file receiving one wide event per /query and /render ('' keeps the tail in memory only, served at /debug/events)")
-		eventBuffer = flag.Int("event-buffer", 0, "event-log channel capacity before events are dropped and counted (0 = default 256)")
 		version     = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -130,7 +129,6 @@ func main() {
 		MaxBodyBytes:        *maxBody,
 		SelfMetricsInterval: *selfMetrics,
 		EventLogPath:        *eventLog,
-		EventLogBuffer:      *eventBuffer,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

@@ -1,13 +1,8 @@
 // Package cache provides a byte-bounded LRU for decoded chunk columns and
-// a ChunkSource decorator that serves repeated reads from memory. Real
-// deployments put such a cache under visualization queries because
-// interactive pan/zoom re-reads the same chunks; the paper's experiments
-// run cold (every query pays I/O), so the engine leaves the cache off
-// unless configured.
-//
-// Cost accounting: storage.Stats counts logical loads (what the operator
-// asked for); the cache keeps its own hit/miss counters so experiments can
-// report both.
+// a ChunkSource decorator that serves repeated reads from memory. The
+// engine reads chunk files directly — the paper's experiments run cold,
+// every query paying its I/O — so the benchmark's warm-read fixture is the
+// package's only user.
 package cache
 
 import (
@@ -47,8 +42,6 @@ type LRU struct {
 	used     int64
 	ll       *list.List // front = most recent
 	items    map[key]*list.Element
-
-	hits, misses, evictions int64
 }
 
 // NewLRU builds a cache bounded to capBytes of decoded column data
@@ -66,10 +59,8 @@ func (c *LRU) get(k key) (*entry, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*entry), true
 }
@@ -97,7 +88,6 @@ func (c *LRU) put(e *entry) {
 		c.ll.Remove(back)
 		delete(c.items, victim.key)
 		c.used -= victim.size
-		c.evictions++
 	}
 }
 
@@ -109,24 +99,6 @@ func (c *LRU) remove(k key) {
 		delete(c.items, k)
 		c.used -= el.Value.(*entry).size
 	}
-}
-
-// Stats reports cache effectiveness.
-type Stats struct {
-	Hits, Misses int64
-	Evictions    int64
-	UsedBytes    int64
-	Entries      int
-}
-
-// Stats returns a snapshot of the counters.
-func (c *LRU) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, UsedBytes: c.used, Entries: len(c.items)}
 }
 
 // Source decorates a ChunkSource with the shared LRU.
@@ -143,73 +115,54 @@ func Wrap(src storage.ChunkSource, lru *LRU) *Source {
 
 // ReadChunk implements storage.ChunkSource.
 func (s *Source) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
-	data, _, err := s.ReadChunkCached(meta)
-	return data, err
-}
-
-// ReadChunkCached implements storage.CachedSource: ReadChunk plus a
-// served-from-cache flag, letting ChunkRef attribute hits to the query.
-func (s *Source) ReadChunkCached(meta storage.ChunkMeta) (series.Columns, bool, error) {
 	k := key{meta.SeriesID, meta.Version, kindData}
 	if e, ok := s.lru.get(k); ok {
-		return e.cols, true, nil
+		return e.cols, nil
 	}
 	data, err := s.inner.ReadChunk(meta)
 	if err != nil {
-		return series.Columns{}, false, err
+		return series.Columns{}, err
 	}
 	s.lru.put(&entry{key: k, size: int64(data.Len()) * 16, cols: data})
-	return data, false, nil
+	return data, nil
 }
 
 // ReadTimes implements storage.ChunkSource. A cached full chunk also
 // serves timestamp reads.
 func (s *Source) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
-	ts, _, err := s.ReadTimesCached(meta)
-	return ts, err
-}
-
-// ReadTimesCached implements storage.CachedSource.
-func (s *Source) ReadTimesCached(meta storage.ChunkMeta) ([]int64, bool, error) {
 	if e, ok := s.lru.get(key{meta.SeriesID, meta.Version, kindData}); ok {
-		return e.cols.Times(), true, nil
+		return e.cols.Times(), nil
 	}
 	k := key{meta.SeriesID, meta.Version, kindTimes}
 	if e, ok := s.lru.get(k); ok {
-		return e.times, true, nil
+		return e.times, nil
 	}
 	ts, err := s.inner.ReadTimes(meta)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	s.lru.put(&entry{key: k, size: int64(len(ts)) * 8, times: ts})
-	return ts, false, nil
+	return ts, nil
 }
 
-// ReadValues implements storage.ChunkSource.
+// ReadValues implements storage.ChunkSource. A cached full chunk serves
+// the read. Otherwise the value block is read, and a cached timestamp entry
+// is upgraded to a full one with it; without one nothing is cached, since a
+// value column is never cached apart from its timestamps.
 func (s *Source) ReadValues(meta storage.ChunkMeta) ([]float64, error) {
-	vs, _, err := s.ReadValuesCached(meta)
-	return vs, err
-}
-
-// ReadValuesCached implements storage.CachedSource. A cached full chunk
-// serves the read. Otherwise the value block is read, and a cached
-// timestamp entry is upgraded to a full one with it; without one nothing is
-// cached, since a value column is never cached apart from its timestamps.
-func (s *Source) ReadValuesCached(meta storage.ChunkMeta) ([]float64, bool, error) {
 	k := key{meta.SeriesID, meta.Version, kindData}
 	if e, ok := s.lru.get(k); ok {
-		return e.cols.Values(), true, nil
+		return e.cols.Values(), nil
 	}
 	vs, err := s.inner.ReadValues(meta)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if e, ok := s.lru.get(key{meta.SeriesID, meta.Version, kindTimes}); ok {
 		s.lru.remove(e.key)
 		s.lru.put(&entry{key: k, size: int64(len(vs)) * 16, cols: series.NewColumns(e.times, vs)})
 	}
-	return vs, false, nil
+	return vs, nil
 }
 
 // Recycle implements storage.Recycler. An enabled cache may hold the very
@@ -224,7 +177,4 @@ func (s *Source) Recycle(ts []int64, vs []float64) {
 	}
 }
 
-var (
-	_ storage.CachedSource = (*Source)(nil)
-	_ storage.Recycler     = (*Source)(nil)
-)
+var _ storage.Recycler = (*Source)(nil)

@@ -39,6 +39,13 @@ func (c *countingSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
 	return c.inner.ReadValues(m)
 }
 
+// state reports the bytes and entries the cache holds.
+func (c *LRU) state() (used int64, entries int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.used, len(c.items)
+}
+
 func setup(t *testing.T, capBytes int64) (*Source, *countingSource, storage.ChunkMeta) {
 	t.Helper()
 	mem := storage.NewMemSource()
@@ -60,10 +67,6 @@ func TestCacheHitsSecondRead(t *testing.T) {
 	}
 	if phys.chunkReads != 1 {
 		t.Errorf("physical reads = %d, want 1", phys.chunkReads)
-	}
-	st := src.lru.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -103,15 +106,15 @@ func TestValueReadUpgradesTimesEntry(t *testing.T) {
 	if vs, err := src.ReadValues(meta); err != nil || len(vs) != 2 || vs[1] != 2 {
 		t.Fatal(vs, err)
 	}
-	if st := src.lru.Stats(); st.Entries != 0 {
-		t.Errorf("value column cached without its timestamps: %+v", st)
+	if used, entries := src.lru.state(); entries != 0 {
+		t.Errorf("value column cached without its timestamps: %d entries, %d bytes", entries, used)
 	}
 	src.ReadTimes(meta)
 	if vs, err := src.ReadValues(meta); err != nil || len(vs) != 2 || vs[1] != 2 {
 		t.Fatal(vs, err)
 	}
-	if st := src.lru.Stats(); st.Entries != 1 || st.UsedBytes != 2*16 {
-		t.Errorf("after upgrade: %+v, want one full entry", st)
+	if used, entries := src.lru.state(); entries != 1 || used != 2*16 {
+		t.Errorf("after upgrade: %d entries, %d bytes; want one full entry", entries, used)
 	}
 	cols, err := src.ReadChunk(meta)
 	if err != nil || cols.Len() != 2 {
@@ -131,8 +134,8 @@ func TestZeroCapacityPassthrough(t *testing.T) {
 	if phys.chunkReads != 2 {
 		t.Errorf("reads = %d, want 2 with cache disabled", phys.chunkReads)
 	}
-	if st := src.lru.Stats(); st.Hits != 0 || st.Entries != 0 {
-		t.Errorf("disabled cache has state: %+v", st)
+	if used, entries := src.lru.state(); used != 0 || entries != 0 {
+		t.Errorf("disabled cache holds %d entries, %d bytes", entries, used)
 	}
 }
 
@@ -152,9 +155,8 @@ func TestEviction(t *testing.T) {
 	for _, m := range metas {
 		src.ReadChunk(m)
 	}
-	st := lru.Stats()
-	if st.Entries != 3 || st.UsedBytes > 16*6 {
-		t.Errorf("after filling: %+v", st)
+	if used, entries := lru.state(); entries != 3 || used > 16*6 {
+		t.Errorf("after filling: %d entries, %d bytes", entries, used)
 	}
 	// Oldest (version 1) must have been evicted.
 	src.ReadChunk(metas[0])
@@ -167,47 +169,9 @@ func TestEviction(t *testing.T) {
 	if cs.chunkReads != before {
 		t.Error("recent entry was evicted")
 	}
-	// Filling left one eviction; the version-1 re-read evicted another.
-	if st := lru.Stats(); st.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", st.Evictions)
-	}
-}
-
-// TestChunkRefCacheAttribution: loads through a ChunkRef over a cached
-// source count hits and misses into the query's Stats, the path traces use
-// to report how much I/O the cache absorbed.
-func TestChunkRefCacheAttribution(t *testing.T) {
-	src, _, meta := setup(t, 1<<20)
-	stats := &storage.Stats{}
-	ref := storage.NewChunkRef(meta, src)
-	for i := 0; i < 3; i++ {
-		if _, err := ref.Load(stats); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ref.LoadTimes(stats); err != nil { // served by the cached chunk
-		t.Fatal(err)
-	}
-	if _, err := ref.LoadValues(stats); err != nil { // likewise
-		t.Fatal(err)
-	}
-	got := stats.Load()
-	if got.CacheMisses != 1 || got.CacheHits != 4 {
-		t.Errorf("hits=%d misses=%d, want 4/1", got.CacheHits, got.CacheMisses)
-	}
-	// An uncached source records neither.
-	mem := storage.NewMemSource()
-	m2, err := mem.AddChunk("u", 1, series.Series{{T: 1, V: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats2 := &storage.Stats{}
-	ref2 := storage.NewChunkRef(m2, mem)
-	if _, err := ref2.Load(stats2); err != nil {
-		t.Fatal(err)
-	}
-	if got := stats2.Load(); got.CacheHits != 0 || got.CacheMisses != 0 {
-		t.Errorf("cold source counted cache traffic: %+v", got)
+	// The version-1 re-read evicted the next oldest, version 2.
+	if _, ok := lru.items[key{"s", 2, kindData}]; ok {
+		t.Error("version 2 survived the re-read of version 1")
 	}
 }
 
@@ -215,7 +179,7 @@ func TestChunkRefCacheAttribution(t *testing.T) {
 // hit hands out the cached columns themselves, so it costs no allocation —
 // not even for a timestamp read answered from a cached full chunk.
 func TestWarmReadsShareColumns(t *testing.T) {
-	src, _, meta := setup(t, 1<<20)
+	src, phys, meta := setup(t, 1<<20)
 	cold, err := src.ReadChunk(meta)
 	if err != nil {
 		t.Fatal(err)
@@ -223,17 +187,20 @@ func TestWarmReadsShareColumns(t *testing.T) {
 	var (
 		cols series.Columns
 		ts   []int64
-		hit  bool
+		vs   []float64
 	)
-	if n := testing.AllocsPerRun(100, func() { cols, hit, _ = src.ReadChunkCached(meta) }); n != 0 || !hit {
-		t.Errorf("warm ReadChunkCached: %v allocs/op, hit=%v; want 0, true", n, hit)
+	if n := testing.AllocsPerRun(100, func() { cols, _ = src.ReadChunk(meta) }); n != 0 {
+		t.Errorf("warm ReadChunk: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { ts, hit, _ = src.ReadTimesCached(meta) }); n != 0 || !hit {
-		t.Errorf("warm ReadTimesCached: %v allocs/op, hit=%v; want 0, true", n, hit)
+	if n := testing.AllocsPerRun(100, func() { ts, _ = src.ReadTimes(meta) }); n != 0 {
+		t.Errorf("warm ReadTimes: %v allocs/op, want 0", n)
 	}
-	var vs []float64
-	if n := testing.AllocsPerRun(100, func() { vs, hit, _ = src.ReadValuesCached(meta) }); n != 0 || !hit {
-		t.Errorf("warm ReadValuesCached: %v allocs/op, hit=%v; want 0, true", n, hit)
+	if n := testing.AllocsPerRun(100, func() { vs, _ = src.ReadValues(meta) }); n != 0 {
+		t.Errorf("warm ReadValues: %v allocs/op, want 0", n)
+	}
+	if phys.chunkReads != 1 || phys.timeReads != 0 || phys.valueReads != 0 {
+		t.Errorf("physical reads chunk/times/values = %d/%d/%d, want 1/0/0",
+			phys.chunkReads, phys.timeReads, phys.valueReads)
 	}
 	if &cols.Times()[0] != &cold.Times()[0] || &ts[0] != &cold.Times()[0] || &cols.Values()[0] != &cold.Values()[0] || &vs[0] != &cold.Values()[0] {
 		t.Error("a warm read returned a copy of the cached columns")
@@ -246,8 +213,8 @@ func TestOversizeEntryNotCached(t *testing.T) {
 	src := Wrap(&countingSource{inner: mem}, lru)
 	meta, _ := mem.AddChunk("s", 1, series.Series{{T: 1, V: 1}, {T: 2, V: 2}})
 	src.ReadChunk(meta)
-	if st := lru.Stats(); st.Entries != 0 {
-		t.Errorf("oversize entry cached: %+v", st)
+	if used, entries := lru.state(); entries != 0 {
+		t.Errorf("oversize entry cached: %d entries, %d bytes", entries, used)
 	}
 }
 
@@ -294,8 +261,10 @@ func TestNilLRUSafe(t *testing.T) {
 		t.Error("nil LRU returned a hit")
 	}
 	lru.put(&entry{}) // must not panic
-	if st := lru.Stats(); st != (Stats{}) {
-		t.Errorf("nil stats = %+v", st)
+	mem := storage.NewMemSource()
+	meta, _ := mem.AddChunk("s", 1, series.Series{{T: 1, V: 1}})
+	if cols, err := Wrap(mem, lru).ReadChunk(meta); err != nil || cols.Len() != 1 {
+		t.Errorf("read through a nil LRU: %v, %v", cols, err)
 	}
 }
 
@@ -304,18 +273,18 @@ func TestUpdateExistingKeyAdjustsSize(t *testing.T) {
 	k := key{"s", 1, kindData}
 	lru.put(&entry{key: k, size: 100})
 	lru.put(&entry{key: k, size: 300})
-	if st := lru.Stats(); st.UsedBytes != 300 || st.Entries != 1 {
-		t.Errorf("stats = %+v", st)
+	if used, entries := lru.state(); used != 300 || entries != 1 {
+		t.Errorf("%d entries, %d bytes; want 1, 300", entries, used)
 	}
 }
 
 func ExampleLRU() {
 	mem := storage.NewMemSource()
 	meta, _ := mem.AddChunk("s", 1, series.Series{{T: 1, V: 1}})
-	src := Wrap(mem, NewLRU(1<<20))
+	phys := &countingSource{inner: mem}
+	src := Wrap(phys, NewLRU(1<<20))
 	src.ReadChunk(meta)
-	src.ReadChunk(meta)
-	st := src.lru.Stats()
-	fmt.Println(st.Hits, st.Misses)
-	// Output: 1 1
+	src.ReadChunk(meta) // served from memory
+	fmt.Println(phys.chunkReads)
+	// Output: 1
 }

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"m4lsm/internal/cache"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/pyramid"
 	"m4lsm/internal/series"
@@ -59,10 +58,6 @@ type Options struct {
 	// DisableWAL skips write-ahead logging (used by bulk loaders that
 	// flush explicitly and can regenerate data).
 	DisableWAL bool
-	// ChunkCacheBytes bounds an LRU over decoded chunk columns shared by
-	// all queries. 0 (the default) disables caching — the paper's
-	// experiments run cold.
-	ChunkCacheBytes int64
 	// StepHook, when set, is called at every write-path step (WAL append,
 	// mods append, each flush stage). A non-nil return aborts the step
 	// with that error, leaving partial on-disk state behind — the
@@ -70,7 +65,7 @@ type Options struct {
 	StepHook func(site string) error
 	// WrapSource, when set, wraps the chunk source of every chunk file,
 	// injecting chunk-level read faults at query time only — file opens
-	// and footer parses stay clean. Applied beneath the chunk cache.
+	// and footer parses stay clean.
 	WrapSource func(src storage.ChunkSource) storage.ChunkSource
 	// SpaceProbeInterval rate-limits the disk-space probe that recovers
 	// the engine from read-only degraded mode after ENOSPC. 0 means the
@@ -79,7 +74,7 @@ type Options struct {
 	SpaceProbeInterval time.Duration
 	// Metrics, when set, receives the engine's runtime metrics: write/
 	// flush/compaction counters and latency histograms, WAL size, memtable
-	// and chunk gauges, quarantine state, and chunk-cache effectiveness.
+	// and chunk gauges, and quarantine state.
 	// The same registry is shared with the query operators and the HTTP
 	// layer; nil (the default) disables all metric recording at zero cost.
 	Metrics *obs.Registry
@@ -188,7 +183,6 @@ type Engine struct {
 	// Options.DisablePyramid is set. See pyramid.go.
 	pyr *pyramid.Pyramid
 
-	cache  *cache.LRU // nil when caching is disabled
 	closed atomic.Bool
 
 	// Read-only degraded mode (disk full): readOnly holds the reason, nil
@@ -319,9 +313,6 @@ func Open(opts Options) (_ *Engine, err error) {
 		ing:         newIngester(),
 		nextVer:     1,
 	}
-	if opts.ChunkCacheBytes > 0 {
-		e.cache = cache.NewLRU(opts.ChunkCacheBytes)
-	}
 	if !opts.DisablePyramid {
 		e.pyr = pyramid.New()
 	}
@@ -432,14 +423,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		reg.CounterFunc("lsm_pyramid_invalidations_total", ps(func(s pyramid.Stats) float64 { return float64(s.Invalidations) }))
 		reg.CounterFunc("lsm_pyramid_saves_total", func() float64 { return float64(e.pyrSaves.Load()) })
 	}
-	cs := func(f func(cache.Stats) float64) func() float64 {
-		return func() float64 { return f(e.CacheStats()) }
-	}
-	reg.CounterFunc("chunk_cache_hits_total", cs(func(s cache.Stats) float64 { return float64(s.Hits) }))
-	reg.CounterFunc("chunk_cache_misses_total", cs(func(s cache.Stats) float64 { return float64(s.Misses) }))
-	reg.CounterFunc("chunk_cache_evictions_total", cs(func(s cache.Stats) float64 { return float64(s.Evictions) }))
-	reg.GaugeFunc("chunk_cache_used_bytes", cs(func(s cache.Stats) float64 { return float64(s.UsedBytes) }))
-	reg.GaugeFunc("chunk_cache_entries", cs(func(s cache.Stats) float64 { return float64(s.Entries) }))
 }
 
 // Metrics returns the registry the engine was opened with (nil when

@@ -459,51 +459,6 @@ func TestInfo(t *testing.T) {
 	}
 }
 
-func TestChunkCache(t *testing.T) {
-	e := openTestEngine(t, Options{FlushThreshold: 4, ChunkCacheBytes: 1 << 20})
-	e.Write("s1", pts(10, 1, 20, 2, 30, 3, 40, 4)...)
-	r := series.TimeRange{Start: 0, End: 100}
-	for i := 0; i < 3; i++ {
-		snap, err := e.Snapshot("s1", r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := materialize(t, snap, r)
-		if len(got) != 4 {
-			t.Fatalf("read %d points", len(got))
-		}
-	}
-	// The pyramid rebuild at flush time takes the one miss (and warms the
-	// cache); all three query reads hit.
-	st := e.CacheStats()
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Errorf("cache stats = %+v, want 3 hits / 1 miss", st)
-	}
-	// Cache keys are version-scoped, so compaction (new versions) must
-	// not serve stale data.
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	e.Write("s1", pts(50, 5)...)
-	e.Flush()
-	snap, _ := e.Snapshot("s1", r)
-	got := materialize(t, snap, r)
-	if len(got) != 5 {
-		t.Fatalf("after compaction+write: %d points", len(got))
-	}
-}
-
-func TestCacheDisabledByDefault(t *testing.T) {
-	e := openTestEngine(t, Options{})
-	e.Write("s1", pts(10, 1)...)
-	e.Flush()
-	snap, _ := e.Snapshot("s1", series.TimeRange{Start: 0, End: 100})
-	materialize(t, snap, series.TimeRange{Start: 0, End: 100})
-	if st := e.CacheStats(); st.Hits != 0 && st.Misses != 0 {
-		t.Errorf("cache active by default: %+v", st)
-	}
-}
-
 func TestSeqTrackingNegativeTimestampsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := Open(Options{Dir: dir})

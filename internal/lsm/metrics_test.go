@@ -65,8 +65,6 @@ func TestEngineMetricsExposition(t *testing.T) {
 		"lsm_pyramid_saves_total 3",
 		"# TYPE lsm_chunks gauge",
 		"lsm_wal_bytes",
-		"chunk_cache_entries",
-		"chunk_cache_evictions_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

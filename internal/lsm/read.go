@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"m4lsm/internal/cache"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
@@ -81,8 +80,8 @@ func (e *Engine) seriesSnapshot(id string, r series.TimeRange, warn *storage.War
 			warn.Add("chunk %s v%d quarantined, excluded: %v", id, q.meta.Version, q.err)
 		}
 	}
-	for _, d := range e.mods.ForSeries(id) {
-		if d.Start < r.End && d.End >= r.Start {
+	for _, d := range e.mods.All() {
+		if d.SeriesID == id && d.Start < r.End && d.End >= r.Start {
 			snap.Deletes = append(snap.Deletes, d)
 		}
 	}
@@ -154,22 +153,12 @@ func (e *Engine) isQuarantined(m storage.ChunkMeta) bool {
 	return slices.ContainsFunc(e.quarantined[m.SeriesID], func(q condemned) bool { return q.meta.Version == m.Version })
 }
 
-// sourceFor wraps a chunk file reader with query-time fault injection
-// (innermost, so cached loads are not re-faulted) and the engine's shared
-// cache when caching is enabled. A failed read is attempted once: its
-// error reaches the query that met it, and the next query reads again.
+// sourceFor is the chunk source of a file's reader: the reader itself, or
+// its query-time fault-injection wrapper. A failed read is attempted once:
+// its error reaches the query that met it, and the next query reads again.
 func (e *Engine) sourceFor(r *tsfile.Reader) storage.ChunkSource {
-	var src storage.ChunkSource = r
 	if e.opts.WrapSource != nil {
-		src = e.opts.WrapSource(src)
+		return e.opts.WrapSource(r)
 	}
-	if e.cache == nil {
-		return src
-	}
-	return cache.Wrap(src, e.cache)
-}
-
-// CacheStats reports chunk-cache effectiveness; zero when caching is off.
-func (e *Engine) CacheStats() cache.Stats {
-	return e.cache.Stats()
+	return r
 }

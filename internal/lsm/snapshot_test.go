@@ -43,7 +43,11 @@ func flushedSeries(tb testing.TB, n, per int) *Engine {
 // chunks of 2 points out of 1k, 10k and 100k, and the dash_aligned shape,
 // 640 chunks of 1,000 points read over the whole extent and its halves
 // down to 1/16. A snapshot borrows its window of the registry, so its cost
-// follows neither the series' length nor the window's.
+// follows neither the series' length nor the window's. Two more cases read
+// the newest data of 20,000 flushed points: under a memtable of 0, 100 and
+// 999 points, every tenth of them late, which each snapshot sorts; and
+// among 1,000 deletes of which 10 are the series' own, which each snapshot
+// filters.
 func BenchmarkSnapshot(b *testing.B) {
 	run := func(b *testing.B, e *Engine, r series.TimeRange) {
 		b.ReportAllocs()
@@ -61,6 +65,41 @@ func BenchmarkSnapshot(b *testing.B) {
 			run(b, e, series.TimeRange{Start: mid, End: mid + 22})
 		})
 	}
+	newest := series.TimeRange{Start: 19_000, End: 21_000}
+	for _, n := range []int{0, 100, 999} {
+		b.Run(fmt.Sprintf("memtable=%d", n), func(b *testing.B) {
+			e := flushedSeries(b, 20, 1000)
+			buf := make(series.Series, n)
+			for i := range buf {
+				buf[i] = series.Point{T: int64(20_000 + i), V: 1}
+				if i%10 == 9 { // late: back into the flushed extent
+					buf[i].T = int64(19_990 - i)
+				}
+			}
+			if err := e.WriteBatch(BatchEntry{SeriesID: "s", Points: buf}); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			run(b, e, newest)
+		})
+	}
+	b.Run("deletes", func(b *testing.B) {
+		e := flushedSeries(b, 20, 1000)
+		for i := 0; i < 1000; i++ {
+			id, t := fmt.Sprintf("other%d", i%7), int64(i*20)
+			if i%100 == 0 {
+				id, t = "s", int64(19_000+i)
+			}
+			if err := e.Delete(id, t, t+5); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if snap, _ := e.Snapshot("s", newest); len(snap.Deletes) != 10 {
+			b.Fatalf("snapshot holds %d deletes, want 10", len(snap.Deletes))
+		}
+		b.ResetTimer()
+		run(b, e, newest)
+	})
 	b.Run("dash_aligned", func(b *testing.B) {
 		e := flushedSeries(b, 640, 1000)
 		for k := 0; k <= 4; k++ {

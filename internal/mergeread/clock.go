@@ -106,8 +106,7 @@ func (c *Clock) Series(s *storage.Stats, before storage.Stats) {
 	if s != nil {
 		d = s.Load().Sub(before)
 	}
-	c.met.RecordQuery(time.Since(c.start), d.ChunksLoaded, d.ChunksPruned,
-		d.TimeBlocksLoaded, d.PointsDecoded, d.CacheHits)
+	c.met.RecordQuery(time.Since(c.start), d.ChunksLoaded, d.ChunksPruned, d.TimeBlocksLoaded, d.PointsDecoded)
 	c.met.RecordPyramid(d.PyramidSpans, d.PyramidCells, d.PyramidFallbackSpans)
 	if c.tr != nil {
 		c.total.Add(d)

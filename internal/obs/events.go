@@ -38,10 +38,6 @@ type Event struct {
 	BytesRead        int64 `json:"bytesRead,omitempty"`
 	PointsDecoded    int64 `json:"pointsDecoded,omitempty"`
 
-	// Cache hit/miss attribution for the loads above.
-	CacheHits   int64 `json:"cacheHits,omitempty"`
-	CacheMisses int64 `json:"cacheMisses,omitempty"`
-
 	// Rollup-pyramid attribution: cells consulted vs spans that fell back
 	// to the span×G path.
 	PyramidSpans         int64 `json:"pyramidSpans,omitempty"`

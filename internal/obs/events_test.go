@@ -141,7 +141,7 @@ func TestEventLogJSONLFile(t *testing.T) {
 	when := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 	l.Record(Event{When: when, RequestID: "req-1", Endpoint: "/query",
 		Statement: "SELECT M4(*) FROM s", Status: 200, ElapsedNs: 12345,
-		Operator: "lsm", ChunksLoaded: 3, CacheHits: 2, CacheMisses: 1,
+		Operator: "lsm", ChunksLoaded: 3, BytesRead: 4096,
 		PyramidSpans: 7, TraceID: "tr-1",
 		Phases: []PhaseTiming{{Name: "plan", Ns: 100}}})
 	l.Record(Event{When: when.Add(time.Second), RequestID: "req-2", Endpoint: "/render", Status: 429, Error: "shed"})
@@ -171,7 +171,7 @@ func TestEventLogJSONLFile(t *testing.T) {
 	}
 	e := events[0]
 	if e.RequestID != "req-1" || e.Statement != "SELECT M4(*) FROM s" ||
-		e.ChunksLoaded != 3 || e.CacheHits != 2 || e.PyramidSpans != 7 ||
+		e.ChunksLoaded != 3 || e.BytesRead != 4096 || e.PyramidSpans != 7 ||
 		e.TraceID != "tr-1" || len(e.Phases) != 1 || e.Phases[0].Name != "plan" {
 		t.Errorf("round-trip mismatch: %+v", e)
 	}

@@ -73,9 +73,8 @@ type Sampler struct {
 	writeErr *obs.Counter
 	lastUnix *obs.Gauge
 
-	// Derived-rate state: previous counter readings for the qps and cache
-	// hit-ratio series. Bounded by the registry's instrument set.
-	prev     map[string]float64
+	// Derived-rate state: the previous tick's request count and time.
+	prevReqs float64
 	prevWhen time.Time
 
 	startOnce sync.Once
@@ -100,7 +99,6 @@ func New(cfg Config) *Sampler {
 		points:   cfg.Registry.Counter("selfmetrics_points_total"),
 		writeErr: cfg.Registry.Counter("selfmetrics_write_errors_total"),
 		lastUnix: cfg.Registry.Gauge("selfmetrics_last_sample_unix"),
-		prev:     map[string]float64{},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -151,7 +149,7 @@ func (s *Sampler) SampleOnce(now time.Time) (int, error) {
 		}
 	}
 
-	var qCount, rCount, cacheHits, cacheMisses float64
+	var reqs float64 // /query and /render requests, for derived.qps
 	for _, sm := range s.cfg.Registry.Samples() {
 		base := SeriesName(sm.Name, sm.Labels)
 		switch sm.Kind {
@@ -168,53 +166,20 @@ func (s *Sampler) SampleOnce(now time.Time) (int, error) {
 			}
 			write(base+".bucket.le_inf", float64(sm.Hist.Counts[len(sm.Hist.Bounds)]))
 		}
-		// Inputs for the derived series below.
-		switch sm.Name {
-		case "http_requests_total":
-			if labelValue(sm.Labels, "endpoint") == "/query" {
-				qCount += sm.Value
-			}
-			if labelValue(sm.Labels, "endpoint") == "/render" {
-				rCount += sm.Value
-			}
-		case "chunk_cache_hits_total":
-			cacheHits = sm.Value
-		case "chunk_cache_misses_total":
-			cacheMisses = sm.Value
+		if ep := labelValue(sm.Labels, "endpoint"); sm.Name == "http_requests_total" && (ep == "/query" || ep == "/render") {
+			reqs += sm.Value
 		}
 	}
 
-	// Derived series: per-interval rates a dashboard wants directly, which
-	// cumulative counters cannot show without client-side differencing.
-	dt := now.Sub(s.prevWhen).Seconds()
-	if s.prevWhen.IsZero() || dt <= 0 {
-		dt = 0
+	// Derived series: the request rate over the last interval, which a
+	// dashboard wants directly and a cumulative counter cannot show without
+	// client-side differencing.
+	qps := 0.0
+	if dt := now.Sub(s.prevWhen).Seconds(); !s.prevWhen.IsZero() && dt > 0 && reqs >= s.prevReqs {
+		qps = (reqs - s.prevReqs) / dt
 	}
-	rate := func(key string, cur float64) float64 {
-		prev, ok := s.prev[key]
-		s.prev[key] = cur
-		if !ok || dt <= 0 || cur < prev {
-			return 0
-		}
-		return (cur - prev) / dt
-	}
-	delta := func(key string, cur float64) float64 {
-		prev, ok := s.prev[key]
-		s.prev[key] = cur
-		if !ok || cur < prev {
-			return 0
-		}
-		return cur - prev
-	}
-	write(Prefix+"derived.qps", rate("qps", qCount+rCount))
-	dh := delta("cache_hits", cacheHits)
-	dm := delta("cache_misses", cacheMisses)
-	ratio := 0.0
-	if dh+dm > 0 {
-		ratio = dh / (dh + dm)
-	}
-	write(Prefix+"derived.cache_hit_ratio", ratio)
-	s.prevWhen = now
+	write(Prefix+"derived.qps", qps)
+	s.prevReqs, s.prevWhen = reqs, now
 
 	// A failed batch counts as a dropped tick even when some entries got in
 	// before the error (re-sampling the same instant later is idempotent).

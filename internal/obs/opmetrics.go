@@ -15,7 +15,6 @@ type OperatorMetrics struct {
 	chunksPruned  *Counter
 	timeBlocks    *Counter
 	pointsDecoded *Counter
-	cacheHits     *Counter
 	pyramidSpans  *Counter
 	pyramidCells  *Counter
 	pyramidFalls  *Counter
@@ -44,7 +43,6 @@ func NewOperatorMetrics(r *Registry, op string) *OperatorMetrics {
 		chunksPruned:  r.Counter("m4_chunks_pruned_total", l...),
 		timeBlocks:    r.Counter("m4_time_blocks_loaded_total", l...),
 		pointsDecoded: r.Counter("m4_points_decoded_total", l...),
-		cacheHits:     r.Counter("m4_cache_hits_total", l...),
 		pyramidSpans:  r.Counter("m4_pyramid_spans_total", l...),
 		pyramidCells:  r.Counter("m4_pyramid_cells_total", l...),
 		pyramidFalls:  r.Counter("m4_pyramid_fallback_spans_total", l...),
@@ -84,7 +82,7 @@ func (m *OperatorMetrics) RecordTasks(t *Tally) {
 }
 
 // RecordQuery accumulates one completed query's latency and I/O counters.
-func (m *OperatorMetrics) RecordQuery(elapsed time.Duration, chunksLoaded, chunksPruned, timeBlocks, pointsDecoded, cacheHits int64) {
+func (m *OperatorMetrics) RecordQuery(elapsed time.Duration, chunksLoaded, chunksPruned, timeBlocks, pointsDecoded int64) {
 	if m == nil {
 		return
 	}
@@ -94,5 +92,4 @@ func (m *OperatorMetrics) RecordQuery(elapsed time.Duration, chunksLoaded, chunk
 	m.chunksPruned.Add(chunksPruned)
 	m.timeBlocks.Add(timeBlocks)
 	m.pointsDecoded.Add(pointsDecoded)
-	m.cacheHits.Add(cacheHits)
 }

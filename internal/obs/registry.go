@@ -170,7 +170,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
 
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time (for sources that keep their own monotonic counts, like
-// the chunk cache). fn must be safe for concurrent use.
+// the pyramid). fn must be safe for concurrent use.
 func (r *Registry) CounterFunc(name string, fn func() float64, labels ...string) {
 	if in := r.lookup(name, labels, kindFuncCounter); in != nil {
 		in.fn = fn

@@ -11,7 +11,7 @@ import (
 
 // Trace collects the execution structure of one query: named phases, the
 // per-(span, G) task timings of the operator's worker pool, named
-// counters (I/O stats, cache hits) and degradation warnings. A Trace is
+// counters (I/O stats, pyramid attribution) and degradation warnings. A Trace is
 // shared by every worker goroutine of the query, so all methods are safe
 // for concurrent use; the nil *Trace discards everything, which is the
 // fast path when tracing is off.

@@ -34,7 +34,6 @@ func dashboardCharts() []dashChart {
 		{Title: "Query+render QPS", Series: []string{sys("derived.qps")}},
 		{Title: "/query latency p50 / p95 / p99 (s)",
 			Series: []string{qh + ".p50", qh + ".p95", qh + ".p99"}},
-		{Title: "Chunk-cache hit ratio", Series: []string{sys("derived.cache_hit_ratio")}},
 		{Title: "WAL bytes", Series: []string{sys("lsm_wal_bytes")}},
 		{Title: "Memtable points", Series: []string{sys("lsm_memtable_points")}},
 		{Title: "Points written (cumulative)", Series: []string{sys("lsm_points_written_total")}},

@@ -27,7 +27,6 @@ import (
 	"m4lsm/internal/m4ql"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/obs/history"
-	"m4lsm/internal/storage"
 )
 
 // Config tunes the handler's observability plumbing; the zero value is
@@ -87,10 +86,6 @@ type Config struct {
 	// /render and /write request to this file. The in-memory tails behind
 	// /debug/events and /debug/slowlog are kept either way.
 	EventLogPath string
-	// EventLogBuffer is the bounded async event channel capacity (default
-	// 256); a full buffer drops events and counts them, never blocking the
-	// query path.
-	EventLogBuffer int
 }
 
 // Handler serves the HTTP API for one engine.
@@ -112,8 +107,13 @@ type Handler struct {
 	renderPartial *obs.Counter
 }
 
+// eventBuffer is the capacity of the event log's channel and of each of its
+// in-memory tails: a full channel drops events and counts them, never
+// blocking the request path.
+const eventBuffer = 256
+
 // NewWith builds the HTTP handler. The metrics registry is the engine's
-// (so /metrics exposes engine, cache and operator series next to the HTTP
+// (so /metrics exposes engine and operator series next to the HTTP
 // ones); an engine opened without one gets a handler-local registry, which
 // then carries only HTTP and operator metrics.
 func NewWith(e *lsm.Engine, cfg Config) *Handler {
@@ -152,13 +152,13 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 	reg.GaugeFunc("http_write_waiting", func() float64 { return float64(h.writeGate.Waiting()) })
 	buildinfo.Register(reg)
 
-	events, err := obs.NewEventLog(cfg.EventLogPath, cfg.EventLogBuffer, cfg.EventLogBuffer, threshold, logger)
+	events, err := obs.NewEventLog(cfg.EventLogPath, eventBuffer, eventBuffer, threshold, logger)
 	if err != nil {
 		// The event file is telemetry, not correctness: a bad path degrades
 		// to the in-memory tail instead of refusing to serve.
 		logger.Warn("event log file unavailable, keeping events in memory only",
 			"path", cfg.EventLogPath, "err", err)
-		events, _ = obs.NewEventLog("", cfg.EventLogBuffer, cfg.EventLogBuffer, threshold, logger)
+		events, _ = obs.NewEventLog("", eventBuffer, eventBuffer, threshold, logger)
 	}
 	h.events = events
 	reg.CounterFunc("events_recorded_total", func() float64 { return float64(h.events.Recorded()) })
@@ -368,19 +368,6 @@ func (h *Handler) finishEvent(w http.ResponseWriter, ev *obs.Event) {
 	h.events.Record(*ev)
 }
 
-// eventStats copies a query's cost counters into its wide event.
-func eventStats(ev *obs.Event, s storage.Stats) {
-	ev.ChunksLoaded = s.ChunksLoaded
-	ev.TimeBlocksLoaded = s.TimeBlocksLoaded
-	ev.BytesRead = s.BytesRead
-	ev.PointsDecoded = s.PointsDecoded
-	ev.CacheHits = s.CacheHits
-	ev.CacheMisses = s.CacheMisses
-	ev.PyramidSpans = s.PyramidSpans
-	ev.PyramidCells = s.PyramidCells
-	ev.PyramidFallbackSpans = s.PyramidFallbackSpans
-}
-
 // serve is the query-class pipeline after an endpoint has turned its
 // request into a statement: the statement runs through the one read path,
 // an execution error is mapped to its status (fallback when mapQueryError
@@ -405,7 +392,13 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, ev *obs.Event, s
 	ev.Operator = out.Operator
 	ev.Partial = out.Partial
 	ev.Warnings = len(out.Warnings)
-	eventStats(ev, out.Stats)
+	ev.ChunksLoaded = out.Stats.ChunksLoaded
+	ev.TimeBlocksLoaded = out.Stats.TimeBlocksLoaded
+	ev.BytesRead = out.Stats.BytesRead
+	ev.PointsDecoded = out.Stats.PointsDecoded
+	ev.PyramidSpans = out.Stats.PyramidSpans
+	ev.PyramidCells = out.Stats.PyramidCells
+	ev.PyramidFallbackSpans = out.Stats.PyramidFallbackSpans
 	if out.Trace != nil {
 		ev.TraceID = out.Trace.ID
 		ev.Phases = out.Trace.Phases

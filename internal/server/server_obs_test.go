@@ -172,7 +172,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE lsm_flushes_total counter", // engine layer
 		"lsm_points_written_total 500",
 		"lsm_chunks ",                                          // engine gauge
-		"chunk_cache_hits_total",                               // cache layer (zero, but exposed)
 		`m4_queries_total{op="lsm"} 1`,                         // operator layer
 		`m4_query_seconds_count{op="lsm"} 1`,                   // operator histogram
 		`http_requests_total{endpoint="/query",class="2xx"} 1`, // HTTP layer
@@ -181,6 +180,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	// Reads go straight to the chunk files: no cache family is exposed.
+	if strings.Contains(body, "cache_") {
+		t.Error("metrics expose a chunk-cache family")
 	}
 }
 

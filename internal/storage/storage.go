@@ -103,9 +103,9 @@ func (d Delete) String() string {
 // ChunkSource reads chunk contents given their metadata. Implementations:
 // tsfile.Reader (disk) and MemSource (tests, memtable snapshots).
 //
-// Ownership: the columns of an uncached file load belong to the query that
-// loaded them until it ends, and every other column — a cache's, a
-// memtable's — stays shared and read-only. The owning query hands its
+// Ownership: the columns of a chunk file load belong to the query that
+// loaded them until it ends, and every other column — a memtable's, a
+// cache's — stays shared and read-only. The owning query hands its
 // columns back through ChunkRef.Recycle once nothing reads them; no caller
 // ever modifies a column.
 type ChunkSource interface {
@@ -119,20 +119,6 @@ type ChunkSource interface {
 	// ReadValues decodes only the value block: the rest of a full load
 	// for a caller already holding the timestamps from ReadTimes.
 	ReadValues(meta ChunkMeta) ([]float64, error)
-}
-
-// CachedSource is the optional interface of chunk sources that can report
-// whether a read was served from memory (package cache implements it).
-// ChunkRef uses it to attribute cache hits and misses to the query's
-// Stats, so traces and results show how much I/O the cache absorbed.
-type CachedSource interface {
-	ChunkSource
-	// ReadChunkCached is ReadChunk plus a served-from-cache flag.
-	ReadChunkCached(meta ChunkMeta) (data series.Columns, hit bool, err error)
-	// ReadTimesCached is ReadTimes plus a served-from-cache flag.
-	ReadTimesCached(meta ChunkMeta) (ts []int64, hit bool, err error)
-	// ReadValuesCached is ReadValues plus a served-from-cache flag.
-	ReadValuesCached(meta ChunkMeta) (vs []float64, hit bool, err error)
 }
 
 // Recycler is the optional interface of chunk sources whose loads decode
@@ -162,7 +148,7 @@ func NewChunkRef(meta ChunkMeta, src ChunkSource) ChunkRef {
 
 // Load reads and decodes the full chunk, charging stats (nil: none).
 func (c ChunkRef) Load(stats *Stats) (series.Columns, error) {
-	data, err := read(c, stats, CachedSource.ReadChunkCached, ChunkSource.ReadChunk)
+	data, err := c.source.ReadChunk(c.Meta)
 	if err != nil {
 		return series.Columns{}, fmt.Errorf("load %v: %w", c.Meta, err)
 	}
@@ -174,7 +160,7 @@ func (c ChunkRef) Load(stats *Stats) (series.Columns, error) {
 // of a chunk whose timestamps an earlier LoadTimes fetched. It counts as one
 // full load, exactly like Load.
 func (c ChunkRef) LoadValues(stats *Stats) ([]float64, error) {
-	vs, err := read(c, stats, CachedSource.ReadValuesCached, ChunkSource.ReadValues)
+	vs, err := c.source.ReadValues(c.Meta)
 	if err != nil {
 		return nil, fmt.Errorf("load values %v: %w", c.Meta, err)
 	}
@@ -203,7 +189,7 @@ func (c ChunkRef) countLoad(stats *Stats) {
 // LoadTimes reads and decodes only the timestamp block, charging stats
 // (nil: none).
 func (c ChunkRef) LoadTimes(stats *Stats) ([]int64, error) {
-	ts, err := read(c, stats, CachedSource.ReadTimesCached, ChunkSource.ReadTimes)
+	ts, err := c.source.ReadTimes(c.Meta)
 	if err != nil {
 		return nil, fmt.Errorf("load times %v: %w", c.Meta, err)
 	}
@@ -213,26 +199,6 @@ func (c ChunkRef) LoadTimes(stats *Stats) ([]int64, error) {
 		atomic.AddInt64(&stats.PointsDecoded, c.Meta.Count)
 	}
 	return ts, nil
-}
-
-// read performs one load shape through the ref's source: the cached form
-// when a cache sits under the ref, attributing its hit or miss to stats.
-// Hits and misses are only counted when a cache sits under the ref, so
-// both stay zero on the paper's cold configuration.
-func read[T any](c ChunkRef, stats *Stats, cached func(CachedSource, ChunkMeta) (T, bool, error), plain func(ChunkSource, ChunkMeta) (T, error)) (T, error) {
-	cs, ok := c.source.(CachedSource)
-	if !ok {
-		return plain(c.source, c.Meta)
-	}
-	out, hit, err := cached(cs, c.Meta)
-	switch {
-	case stats == nil:
-	case hit:
-		atomic.AddInt64(&stats.CacheHits, 1)
-	default:
-		atomic.AddInt64(&stats.CacheMisses, 1)
-	}
-	return out, err
 }
 
 // PyramidSpan is the pyramid's plan for one span of a query: the span's
@@ -320,11 +286,6 @@ type Stats struct {
 	BoundaryProbes  int64 // Table 1 case b: closest-point probes for FP/LP recalculation
 	ChunksPruned    int64 // chunks answered purely from metadata
 
-	// Cache attribution (zero when the engine runs without a chunk cache):
-	// how many of the loads above were served from memory vs. paid I/O.
-	CacheHits   int64
-	CacheMisses int64
-
 	// Rollup-pyramid attribution (zero when the snapshot carries no
 	// pyramid or the operator ignores it).
 	PyramidSpans         int64 // spans answered fully or partially from cells
@@ -333,12 +294,11 @@ type Stats struct {
 }
 
 // fields lists every counter address, shared by the atomic accessors.
-func (s *Stats) fields() [14]*int64 {
-	return [14]*int64{
+func (s *Stats) fields() [12]*int64 {
+	return [12]*int64{
 		&s.ChunksLoaded, &s.TimeBlocksLoaded, &s.BytesRead, &s.PointsDecoded,
 		&s.CandidateRounds, &s.IndexProbes, &s.ExistProbes, &s.BoundaryProbes,
-		&s.ChunksPruned, &s.CacheHits, &s.CacheMisses,
-		&s.PyramidSpans, &s.PyramidCells, &s.PyramidFallbackSpans,
+		&s.ChunksPruned, &s.PyramidSpans, &s.PyramidCells, &s.PyramidFallbackSpans,
 	}
 }
 
@@ -367,8 +327,6 @@ func (s Stats) Map() map[string]int64 {
 		"existProbes":      s.ExistProbes,
 		"boundaryProbes":   s.BoundaryProbes,
 		"chunksPruned":     s.ChunksPruned,
-		"cacheHits":        s.CacheHits,
-		"cacheMisses":      s.CacheMisses,
 
 		"pyramidSpans":         s.PyramidSpans,
 		"pyramidCells":         s.PyramidCells,

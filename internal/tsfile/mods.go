@@ -80,17 +80,6 @@ func (m *ModLog) Append(d storage.Delete) error {
 // modify the returned slice.
 func (m *ModLog) All() []storage.Delete { return m.mods }
 
-// ForSeries returns the deletes of one series in append order.
-func (m *ModLog) ForSeries(seriesID string) []storage.Delete {
-	var out []storage.Delete
-	for _, d := range m.mods {
-		if d.SeriesID == seriesID {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Torn returns the bytes OpenModLog found past the last whole record and
 // the file it set them aside in.
 func (m *ModLog) Torn() (bytes int64, aside string) { return m.log.Torn() }

@@ -191,8 +191,7 @@ func decodeColumn[T int64 | float64](meta storage.ChunkMeta, block []byte, name 
 
 // Recycle implements storage.Recycler: it pools columns this reader
 // decoded, for later loads to decode into. The caller must own them — they
-// came from an uncached load of its own query — and must not read them
-// again. Either may be nil.
+// came from a load of its own query — and must not read them again. Either may be nil.
 func (r *Reader) Recycle(ts []int64, vs []float64) {
 	timeCols.Put(ts)
 	valueCols.Put(vs)

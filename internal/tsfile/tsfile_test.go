@@ -448,8 +448,8 @@ func TestModLogRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.ForSeries("s1"); len(got) != 2 || got[1].Version != 9 {
-		t.Fatalf("ForSeries = %v", got)
+	if got := m.All(); !reflect.DeepEqual(got, dels) {
+		t.Fatalf("All = %v", got)
 	}
 	m.Close()
 	m2, err := OpenModLog(path)

@@ -55,12 +55,20 @@ func WithSyncWAL() Option {
 	return func(o *lsm.Options) { o.SyncWAL = true }
 }
 
-// WithChunkCache bounds an LRU over decoded chunk columns shared by all
-// queries (useful for interactive pan/zoom, which re-reads chunks). Off by
-// default: the paper's experiments run cold.
-func WithChunkCache(bytes int64) Option {
-	return func(o *lsm.Options) { o.ChunkCacheBytes = bytes }
-}
+// Errors a caller can match with errors.Is. They are the engine's own
+// values, so every error that wraps one of them matches.
+var (
+	// ErrLocked is Open's error for a directory another DB, in this
+	// process or another, has open.
+	ErrLocked = lsm.ErrLocked
+	// ErrIngestBackpressure is Write's error when the bounded write queue
+	// stayed full: back off and retry; nothing of the refused write was
+	// queued.
+	ErrIngestBackpressure = lsm.ErrIngestBackpressure
+	// ErrReadOnly is a write's error while the disk is full: the store
+	// recovers by itself once space frees up, so back off and retry.
+	ErrReadOnly = lsm.ErrReadOnly
+)
 
 // DB is an LSM time-series store rooted at a directory. All methods are
 // safe for concurrent use.
@@ -85,10 +93,10 @@ func Open(dir string, opts ...Option) (*DB, error) {
 // Write buffers points for a series. Points may arrive out of order and
 // may overwrite earlier timestamps (the latest write wins). It returns
 // once the points are in the WAL (synced under a durable configuration).
-// Writes pass through a bounded queue: when that stays saturated
-// the call fails with the engine's retryable backpressure error
-// (lsm.ErrIngestBackpressure) rather than buffering without bound — back
-// off and retry; rewriting the same points is idempotent.
+// Writes pass through a bounded queue: when that stays saturated the call
+// fails with ErrIngestBackpressure rather than buffering without bound, and
+// with a full disk it fails with ErrReadOnly — in both cases back off and
+// retry; rewriting the same points is idempotent.
 func (db *DB) Write(seriesID string, pts ...Point) error {
 	internal := make([]series.Point, len(pts))
 	for i, p := range pts {

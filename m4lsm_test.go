@@ -115,6 +115,30 @@ func TestPublicPersistence(t *testing.T) {
 	}
 }
 
+// TestPublicErrLocked: a second Open of a directory a live DB holds fails
+// with the exported ErrLocked, and succeeds once the first DB closes.
+func TestPublicErrLocked(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, err := Open(dir); !errors.Is(err, ErrLocked) {
+		if second != nil {
+			second.Close()
+		}
+		t.Fatalf("second Open: %v, want ErrLocked", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(dir)
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	db.Close()
+}
+
 func TestPublicEmptySeries(t *testing.T) {
 	db := openDB(t)
 	if res := query(t, db, `SELECT M4(*) FROM missing WHERE time >= 0 AND time < 10 GROUP BY SPANS(4)`); len(res.Rows) != 0 || res.Partial {

@@ -13,7 +13,7 @@ import (
 // bottom/top tie differently.
 func buildConcurrencyDB(t *testing.T, ids ...string) *DB {
 	t.Helper()
-	db := openDB(t, WithFlushThreshold(64), WithChunkCache(1<<20))
+	db := openDB(t, WithFlushThreshold(64))
 	for _, id := range ids {
 		for i := 499; i >= 0; i-- {
 			db.Write(id, Point{Time: int64(i * 2), Value: float64((i*13)%41) + float64(i)/1000})
@@ -39,10 +39,10 @@ func m4Query(w int, op string, par int) string {
 	return q
 }
 
-// TestConcurrentM4ThroughCache fires many M4 statements at once through the
-// shared chunk cache: every goroutine must see the reference result, and the
-// shared LRU plus the per-query singleflight gates must survive -race.
-func TestConcurrentM4ThroughCache(t *testing.T) {
+// TestConcurrentM4 fires many M4 statements at once at the shared chunk
+// files: every goroutine must see the reference result, and the per-query
+// singleflight gates and the file readers' column pools must survive -race.
+func TestConcurrentM4(t *testing.T) {
 	db := buildConcurrencyDB(t, "s")
 	want := query(t, db, m4Query(37, "LSM", 1)).Rows
 	var wg sync.WaitGroup
@@ -50,8 +50,8 @@ func TestConcurrentM4ThroughCache(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Mix operators and parallelism so cached and uncached loads,
-			// sequential and pooled execution all interleave.
+			// Mix operators and parallelism so full and timestamp-only
+			// loads, sequential and pooled execution all interleave.
 			op := "LSM"
 			if g%3 == 0 {
 				op = "UDF"
@@ -108,14 +108,5 @@ func TestParallelismKnobPublic(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPublicChunkCacheOption: WithChunkCache serves a repeated read from memory.
-func TestPublicChunkCacheOption(t *testing.T) {
-	db := buildConcurrencyDB(t, "s")
-	first, second := query(t, db, m4Query(37, "UDF", 1)), query(t, db, m4Query(37, "UDF", 1))
-	if !reflect.DeepEqual(first.Rows, second.Rows) || second.Stats.CacheHits == 0 || second.Stats.CacheMisses != 0 {
-		t.Errorf("second read: hits %d misses %d", second.Stats.CacheHits, second.Stats.CacheMisses)
 	}
 }
