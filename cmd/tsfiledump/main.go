@@ -50,8 +50,8 @@ func dumpFile(path string, points bool) {
 	defer r.Close()
 	fmt.Printf("%s: %d chunks\n", path, len(r.Metas()))
 	for i, m := range r.Metas() {
-		fmt.Printf("  [%d] series=%s version=%d count=%d codec=%s offset=%d bytes=%d\n",
-			i, m.SeriesID, m.Version, m.Count, m.Codec, m.Offset,
+		fmt.Printf("  [%d] series=%s version=%d count=%d offset=%d bytes=%d\n",
+			i, m.SeriesID, m.Version, m.Count, m.Offset,
 			int64(m.HeaderLen)+m.TimesLen+m.ValuesLen)
 		fmt.Printf("      first=%v last=%v bottom=%v top=%v\n", m.First, m.Last, m.Bottom, m.Top)
 		fmt.Printf("      step model: median Δt=%d segments=%d maxErr=%d\n", m.Step.Median, len(m.Step.Changing)+1, m.Step.MaxErr)

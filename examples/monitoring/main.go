@@ -52,8 +52,8 @@ func main() {
 			values[sensor] += rng.NormFloat64() * 0.5
 			batch = append(batch, m4lsm.Point{Time: cursors[sensor], Value: values[sensor]})
 		}
-		// A slice of every batch arrives late (out of order) to land in
-		// the unsequence space.
+		// A slice of every batch arrives late (out of order): its flush
+		// writes it as chunks of its own, overlapping earlier ones.
 		cut := len(batch) - len(batch)/10
 		id := fmt.Sprintf("root.plant.sensor%02d", sensor)
 		if err := db.Write(id, batch[cut:]...); err != nil {
@@ -78,8 +78,8 @@ func main() {
 		}
 		fmt.Printf("== round %d: %d points per sensor ingested ==\n", round, round*pointsPer)
 		info := db.Info()
-		fmt.Printf("storage: %d chunks, %d files (%d unsequence), %d memtable points\n",
-			info.Chunks, info.Files, info.UnseqFiles, info.MemtablePoints)
+		fmt.Printf("storage: %d chunks, %d files, %d memtable points\n",
+			info.Chunks, info.Files, info.MemtablePoints)
 
 		m4 := query("M4(*)", "root.plant.*", 60)
 		aggs := query("COUNT(v), AVG(v), MIN(v), MAX(v)", "root.plant.*", 1)

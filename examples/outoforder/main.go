@@ -73,8 +73,8 @@ func main() {
 		}
 	}
 	info := db.Info()
-	fmt.Printf("storage: %d chunks in %d files (%d out-of-order), %d deletes\n",
-		info.Chunks, info.Files, info.UnseqFiles, info.Deletes)
+	fmt.Printf("storage: %d chunks in %d files, %d deletes\n",
+		info.Chunks, info.Files, info.Deletes)
 
 	var res [2]*m4lsm.QueryResult
 	for i, op := range []string{"LSM", "UDF"} {

@@ -129,15 +129,3 @@ func BenchmarkDecodeValuesGorillaHighEntropy(b *testing.B) {
 func BenchmarkDecodeValuesGorillaHighEntropyInto(b *testing.B) {
 	benchDecodeValues(b, highEntropyValues(1000), true)
 }
-
-func BenchmarkDecodeValuesPlain(b *testing.B) {
-	_, vs := sensorData(1000)
-	enc := EncodeValuesPlain(nil, vs)
-	b.SetBytes(8000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeValuesPlain(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,6 +1,6 @@
 // Package encoding implements the column codecs used inside chunk files:
 // zigzag varints, a delta-of-delta timestamp codec (the analogue of IoTDB's
-// TS_2DIFF), a Gorilla XOR codec for float64 values, and plain fallbacks.
+// TS_2DIFF) and a Gorilla XOR codec for float64 values.
 //
 // The decode cost of these codecs is part of what the paper's baseline pays
 // when it loads and merges whole chunks, so the codecs are real, not stubs.

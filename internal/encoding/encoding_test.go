@@ -143,10 +143,6 @@ func TestDecodeTimesCorrupt(t *testing.T) {
 	// anything is allocated for it (2^31 timestamps would be 16 GiB).
 	hostile := append(AppendUvarint(nil, 1<<31), enc[1:]...)
 	assertCorruptWithoutAllocating(t, "DecodeTimes", func() error { _, _, err := DecodeTimes(hostile); return err })
-	assertCorruptWithoutAllocating(t, "DecodeTimesPlain", func() error {
-		_, _, err := DecodeTimesPlain(AppendUvarint(nil, 1<<61)) // count*8 wraps to 0
-		return err
-	})
 	// A caller-owned destination pins the count.
 	if _, _, err := DecodeTimesInto(make([]int64, 3), enc); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("4-timestamp block decoded into a 3-element destination: %v", err)
@@ -270,10 +266,6 @@ func TestDecodeValuesCorrupt(t *testing.T) {
 	// 8*plen-63.
 	hostile := append(AppendUvarint(nil, 1<<31), enc[1:]...)
 	assertCorruptWithoutAllocating(t, "DecodeValues", func() error { _, _, err := DecodeValues(hostile); return err })
-	assertCorruptWithoutAllocating(t, "DecodeValuesPlain", func() error {
-		_, _, err := DecodeValuesPlain(AppendUvarint(nil, 1<<61))
-		return err
-	})
 	if _, _, err := DecodeValuesInto(make([]float64, 5), enc); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("4-value block decoded into a 5-element destination: %v", err)
 	}
@@ -282,56 +274,23 @@ func TestDecodeValuesCorrupt(t *testing.T) {
 	}
 }
 
-func TestPlainRoundTrip(t *testing.T) {
-	ts := []int64{-5, 0, 7, 1 << 60}
-	vs := []float64{1.5, math.Inf(1), -0.0, 42}
-	gotTS, rest, err := DecodeTimesPlain(EncodeTimesPlain(nil, ts))
-	if err != nil || len(rest) != 0 || !reflect.DeepEqual(gotTS, ts) {
-		t.Fatalf("times: %v %v %v", gotTS, rest, err)
-	}
-	gotVS, rest, err := DecodeValuesPlain(EncodeValuesPlain(nil, vs))
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("values: %v %v", rest, err)
-	}
-	for i := range vs {
-		if math.Float64bits(gotVS[i]) != math.Float64bits(vs[i]) {
-			t.Fatalf("values[%d] = %v", i, gotVS[i])
-		}
-	}
-}
-
-func TestPlainCorrupt(t *testing.T) {
-	enc := EncodeTimesPlain(nil, []int64{1, 2})
-	if _, _, err := DecodeTimesPlain(enc[:len(enc)-1]); err == nil {
-		t.Error("short plain timestamp block decoded")
-	}
-	encV := EncodeValuesPlain(nil, []float64{1, 2})
-	if _, _, err := DecodeValuesPlain(encV[:len(encV)-1]); err == nil {
-		t.Error("short plain value block decoded")
-	}
-}
-
 func TestCodecDispatch(t *testing.T) {
 	ts := []int64{10, 20, 35}
 	vs := []float64{1, 2, 1}
-	for _, c := range []Codec{CodecGorilla, CodecPlain} {
-		if !c.Valid() {
-			t.Fatalf("%v not valid", c)
-		}
-		gt, rest, err := c.DecodeTimesWith(c.EncodeTimesWith(nil, ts))
-		if err != nil || len(rest) != 0 || !reflect.DeepEqual(gt, ts) {
-			t.Fatalf("%v times: %v %v %v", c, gt, rest, err)
-		}
-		gv, rest, err := c.DecodeValuesWith(c.EncodeValuesWith(nil, vs))
-		if err != nil || len(rest) != 0 || !reflect.DeepEqual(gv, vs) {
-			t.Fatalf("%v values: %v %v %v", c, gv, rest, err)
-		}
+	c := CodecGorilla
+	if enc := c.EncodeTimesWith(nil, ts); !bytes.Equal(enc, EncodeTimes(nil, ts)) {
+		t.Fatalf("times encode to %x, want EncodeTimes' bytes", enc)
 	}
-	if Codec(9).Valid() {
-		t.Error("unknown codec reported valid")
+	if enc := c.EncodeValuesWith(nil, vs); !bytes.Equal(enc, EncodeValues(nil, vs)) {
+		t.Fatalf("values encode to %x, want EncodeValues' bytes", enc)
 	}
-	if CodecGorilla.String() != "gorilla" || CodecPlain.String() != "plain" || Codec(9).String() != "unknown" {
-		t.Error("codec names wrong")
+	gt, rest, err := c.DecodeTimesWith(c.EncodeTimesWith(nil, ts))
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(gt, ts) {
+		t.Fatalf("times: %v %v %v", gt, rest, err)
+	}
+	gv, rest, err := c.DecodeValuesWith(c.EncodeValuesWith(nil, vs))
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(gv, vs) {
+		t.Fatalf("values: %v %v %v", gv, rest, err)
 	}
 }
 
@@ -387,7 +346,8 @@ func TestBitStreamProperty(t *testing.T) {
 
 func TestCompressionRatioOnSensorLikeData(t *testing.T) {
 	// Regular 9s cadence with occasional gaps and a slowly drifting value:
-	// the Gorilla codec must beat plain encoding by a wide margin.
+	// the Gorilla codec must beat 16 B/pt, raw 8-byte timestamps and
+	// values, by a wide margin.
 	rng := rand.New(rand.NewSource(3))
 	n := 4096
 	ts := make([]int64, n)
@@ -404,9 +364,8 @@ func TestCompressionRatioOnSensorLikeData(t *testing.T) {
 		vs[i] = val
 	}
 	gor := len(EncodeTimes(nil, ts)) + len(EncodeValues(nil, vs))
-	plain := len(EncodeTimesPlain(nil, ts)) + len(EncodeValuesPlain(nil, vs))
-	if gor*2 >= plain {
-		t.Errorf("gorilla %dB vs plain %dB: expected >2x compression", gor, plain)
+	if raw := 16 * n; gor*2 >= raw {
+		t.Errorf("gorilla %dB vs raw %dB: expected >2x compression", gor, raw)
 	}
 	timesRoundTrip(t, ts)
 	valuesRoundTrip(t, vs)
@@ -419,9 +378,3 @@ func DecodeTimes(b []byte) ([]int64, []byte, error) { return DecodeTimesInto(nil
 // DecodeValues decodes a block produced by EncodeValues and returns the
 // values along with the remaining buffer.
 func DecodeValues(b []byte) ([]float64, []byte, error) { return DecodeValuesInto(nil, b) }
-
-// DecodeTimesPlain decodes a block produced by EncodeTimesPlain.
-func DecodeTimesPlain(b []byte) ([]int64, []byte, error) { return DecodeTimesPlainInto(nil, b) }
-
-// DecodeValuesPlain decodes a block produced by EncodeValuesPlain.
-func DecodeValuesPlain(b []byte) ([]float64, []byte, error) { return DecodeValuesPlainInto(nil, b) }

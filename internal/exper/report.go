@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/stepreg"
 	"m4lsm/internal/tsfile"
 	"m4lsm/internal/workload"
@@ -130,7 +129,7 @@ func RunFig8(cfg Config) ([]Fig8Result, error) {
 	out := make([]Fig8Result, 0, len(cfg.Datasets))
 	for _, p := range cfg.Datasets {
 		data := p.Generate(cfg.ChunkSize, cfg.Seed)
-		meta, err := w.WriteChunk(p.Name, 1, encoding.CodecGorilla, data)
+		meta, err := w.WriteChunk(p.Name, 1, data)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", p.Name, err)
 		}

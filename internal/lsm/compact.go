@@ -18,7 +18,7 @@ import (
 )
 
 // Compact merges every flushed chunk of every series into fresh,
-// non-overlapping chunks of one new sequence file, applying all deletes,
+// non-overlapping chunks of one new chunk file, applying all deletes,
 // and removes the old chunk files and delete sidecar entries.
 //
 // The paper's experiments run with compaction disabled (Table 4,
@@ -56,7 +56,6 @@ func (e *Engine) compactLocked() error {
 	// Write the compacted generation to a fresh file before touching the
 	// old ones; a crash (or error) between here and the swap below leaves
 	// both generations on disk, and duplicate points merge idempotently.
-	// The merged output is in order, so it belongs to the sequence space.
 	// Series merge in sorted-id order, so the compacted layout is
 	// deterministic. Quarantined chunks cannot be read (their bytes fail
 	// CRC): the snapshot builder leaves them out, compactSeries quarantines
@@ -68,17 +67,17 @@ func (e *Engine) compactLocked() error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	merged := make(map[string]series.Series, len(ids))
+	var merged []run
 	for _, id := range ids {
 		data, err := e.compactSeries(id)
 		if err != nil {
 			return fmt.Errorf("lsm: compact %s: %w", id, err)
 		}
 		if len(data) > 0 {
-			merged[id] = data
+			merged = append(merged, run{id, data})
 		}
 	}
-	r, err := e.writeChunkFile("seq", ids, merged, false)
+	r, err := e.writeChunkFile(merged, false)
 	if err != nil {
 		// The old generation was never touched and stays authoritative.
 		return err
@@ -92,15 +91,9 @@ func (e *Engine) compactLocked() error {
 	if r != nil {
 		e.files = append(e.files, r)
 	}
-	// The unsequence space is folded into the new sequence generation.
-	e.unseqFiles = 0
 	e.chunks, e.reach, e.nChunks = make(map[string][]storage.ChunkRef), make(map[string][]int64), 0
-	e.maxSeqTime = make(map[string]int64)
 	if r != nil {
 		e.registerChunks(r)
-	}
-	for id, data := range merged {
-		e.maxSeqTime[id] = data[len(data)-1].T
 	}
 	if err := e.retireFiles(oldFiles); err != nil {
 		return err

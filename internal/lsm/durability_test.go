@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"m4lsm/internal/govern"
 	"m4lsm/internal/pyramid"
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
 	"m4lsm/internal/wal"
 )
@@ -131,13 +133,59 @@ func stripedWorkload() []tortureOp {
 	}
 }
 
+// parentFlushes are the chunk files stripedWorkload's two flushes write,
+// each beside the files commit cb3bb04 wrote for the same flush: the
+// parent put a flush's late chunks in an unsequence file and its in-order
+// chunks in a sequence file, in that order; a flush now writes both runs,
+// in the same order, to one file.
+var parentFlushes = []struct {
+	file   string
+	parent []string
+}{
+	{"000000.tsf", []string{"000000.seq.tsf"}},
+	{"000001.tsf", []string{"000001.unseq.tsf", "000002.seq.tsf"}},
+}
+
+// chunkRegion returns a chunk file's chunks: the bytes from the end of its
+// 5-byte magic to the start of its footer, whose length is the uint64
+// before the 4-byte tail magic.
+func chunkRegion(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	const magicLen, tailLen = 5, 4 + 8 + 4
+	if len(raw) < magicLen+tailLen {
+		t.Fatalf("%d-byte chunk file", len(raw))
+	}
+	end := len(raw) - tailLen - int(binary.LittleEndian.Uint64(raw[len(raw)-12:]))
+	if end < magicLen {
+		t.Fatalf("footer length points outside a %d-byte file", len(raw))
+	}
+	return raw[magicLen:end]
+}
+
+// fileMetas returns the metadata of a chunk file's chunks, offsets zeroed.
+func fileMetas(t *testing.T, path string) []storage.ChunkMeta {
+	t.Helper()
+	r, err := tsfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	metas := slices.Clone(r.Metas())
+	for i := range metas {
+		metas[i].Offset = 0
+	}
+	return metas
+}
+
 // TestStripedWorkloadWritesParentBytes pins the on-disk formats. Run at
-// one stripe, stripedWorkload leaves the chunk files and deletes.mods that
-// commit cb3bb04 left at one stripe, byte for byte. The pyramid manifest's
-// format has changed since: it must decode, with every series' cells
-// consistent. The WAL's format has changed too — one wal.log, framed like
-// deletes.mods, where the parent rotated wal-<seq>.log segments — so its
-// golden is its own: stripedWorkload up to its first flush, killed,
+// one stripe, stripedWorkload leaves the chunks and deletes.mods that
+// commit cb3bb04 left at one stripe, byte for byte: each flush's file
+// holds the parent's chunk regions of that flush concatenated (see
+// parentFlushes), with the same metadata but for offsets. The pyramid
+// manifest's format has changed since: it must decode, with every series'
+// cells consistent. The WAL's format has changed too — one wal.log, framed
+// like deletes.mods, where the parent rotated wal-<seq>.log segments — so
+// its golden is its own: stripedWorkload up to its first flush, killed,
 // leaves testdata/stripedworkload-wal.log byte for byte. The empty LOCK
 // file, the directory's lock, is new beside them.
 func TestStripedWorkloadWritesParentBytes(t *testing.T) {
@@ -161,24 +209,46 @@ func TestStripedWorkloadWritesParentBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	names := []string{"LOCK", "wal.log"}
 	for _, ent := range want {
-		if !strings.HasPrefix(ent.Name(), "wal-") {
+		if !strings.HasPrefix(ent.Name(), "wal-") && !strings.HasSuffix(ent.Name(), ".tsf") {
 			names = append(names, ent.Name())
 		}
 	}
-	names = append(names, "LOCK", "wal.log")
-	slices.Sort(names)
-	if len(got) != len(names) {
-		t.Fatalf("wrote %d files, want the parent's %d but its WAL segments, plus LOCK and wal.log", len(got), len(names)-2)
+	for _, f := range parentFlushes {
+		names = append(names, f.file)
 	}
-	for i, name := range names {
-		if got[i].Name() != name {
-			t.Fatalf("file %d is %s, want %s", i, got[i].Name(), name)
+	slices.Sort(names)
+	var gotNames []string
+	for _, ent := range got {
+		gotNames = append(gotNames, ent.Name())
+	}
+	if !slices.Equal(gotNames, names) {
+		t.Fatalf("wrote %v, want %v", gotNames, names)
+	}
+	for _, f := range parentFlushes {
+		raw, err := os.ReadFile(filepath.Join(dir, f.file))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if name == "wal.log" || name == "LOCK" {
-			continue
+		var region []byte
+		var metas []storage.ChunkMeta
+		for _, name := range f.parent {
+			old, err := os.ReadFile(filepath.Join(golden, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			region = append(region, chunkRegion(t, old)...)
+			metas = append(metas, fileMetas(t, filepath.Join(golden, name))...)
 		}
+		if !bytes.Equal(chunkRegion(t, raw), region) {
+			t.Errorf("%s: chunks differ from the parent's %v", f.file, f.parent)
+		}
+		if got := fileMetas(t, filepath.Join(dir, f.file)); !reflect.DeepEqual(got, metas) {
+			t.Errorf("%s: metadata\n got %v\nwant %v", f.file, got, metas)
+		}
+	}
+	for _, name := range []string{"deletes.mods", pyramidFileName} {
 		a, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -377,6 +447,92 @@ func TestParentStripedDirectoryRefused(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParentChunkFilesOpen: the chunk files and deletes.mods an older
+// build left, a flush's late chunks in NNNNNN.unseq.tsf and its in-order
+// ones in NNNNNN.seq.tsf, open with every chunk and delete (the parent's
+// WAL segments, which this build refuses, left out). The next flush writes
+// one file, numbered after the parent's last.
+func TestParentChunkFilesOpen(t *testing.T) {
+	golden := filepath.Join("testdata", "parent-cb3bb04-shards1")
+	dir := copyTestdata(t, "parent-cb3bb04-shards1")
+	var chunks int
+	for _, name := range []string{"000000.seq.tsf", "000001.unseq.tsf", "000002.seq.tsf"} {
+		chunks += len(fileMetas(t, filepath.Join(golden, name)))
+	}
+	dels, _, err := tsfile.ReadModLog(filepath.Join(golden, "deletes.mods"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	for _, name := range append(wals, filepath.Join(dir, pyramidFileName)) {
+		if err := os.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if info := e.Info(); info.Files != 3 || info.Chunks != chunks || info.Deletes != len(dels) || info.BadFiles != 0 {
+		t.Fatalf("opened %d files, %d chunks, %d deletes, %d bad; want 3, %d, %d, 0",
+			info.Files, info.Chunks, info.Deletes, info.BadFiles, chunks, len(dels))
+	}
+	if err := e.Write("root.s1", pts(10, 99, 1000, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	metas := fileMetas(t, filepath.Join(dir, "000003.tsf"))
+	if len(metas) != 2 || metas[0].Last.T != 10 || metas[1].First.T != 1000 {
+		t.Fatalf("000003.tsf holds %v, want the late chunk at 10, then the in-order one at 1000", metas)
+	}
+}
+
+// TestFormat1ChunkFileRefused: a whole chunk file of footer format 1,
+// which no reader of this build understands, is not a torn flush. Open
+// fails naming it and sets no file aside, not even the torn file beside
+// it, so every file stays as it was. Setting it aside instead lost its
+// points: the WAL that held them had been checkpointed.
+func TestFormat1ChunkFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	seq0, err := os.ReadFile(filepath.Join("testdata", "parent-cb3bb04-shards1", "000000.seq.tsf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	format1, err := os.ReadFile(filepath.Join("..", "tsfile", "testdata", "parent-c39d07c", "golden.tsf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"000000.seq.tsf": string(seq0[:len(seq0)/2]), // a torn flush
+		"000001.seq.tsf": string(format1),
+	}
+	for name, raw := range want {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := Open(Options{Dir: dir})
+	if err == nil {
+		e.Close()
+		t.Fatal("Open accepted a format-1 chunk file")
+	}
+	if !strings.Contains(err.Error(), "000001.seq.tsf") {
+		t.Fatalf("error %q does not name 000001.seq.tsf", err)
+	}
+	got := readDir(t, dir)
+	delete(got, "LOCK")
+	if !reflect.DeepEqual(got, want) {
+		var names []string
+		for name := range got {
+			names = append(names, name)
+		}
+		t.Fatalf("after the refusal the directory holds %v, want the two files as written", names)
 	}
 }
 

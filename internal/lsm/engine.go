@@ -11,9 +11,9 @@
 // as an in-memory chunk with a version higher than any flushed chunk.
 //
 // One lock, Engine.mu, guards everything the engine owns: the memtables,
-// the chunk registry and sequence-space watermarks, the chunk-file list,
-// the quarantine set, the mods sidecar, the version and file-sequence
-// counters and the pyramid-manifest save schedule. The WAL (internal/wal),
+// the chunk registry, the chunk-file list, the quarantine set, the mods
+// sidecar, the version and file-sequence counters and the pyramid-manifest
+// save schedule. The WAL (internal/wal),
 // the pyramid and the ingest queue keep leaf locks of their own (see the
 // Engine comment for the lock order).
 //
@@ -124,15 +124,13 @@ type Engine struct {
 	memPts int
 	// chunks is the registry: per series, the live flushed chunks in
 	// byStart order, copy-on-write (see publish), beside reach, the running
-	// maximum of their Last.T that the window search bisects.
+	// maximum of their Last.T that the window search bisects. The last of
+	// a series' reach is its watermark: a flush's points at or before it
+	// are late (see flushLocked).
 	chunks map[string][]storage.ChunkRef
 	reach  map[string][]int64
 	// nChunks counts the chunks registered, quarantined ones included.
 	nChunks int
-	// Sequence/unsequence separation (reference [26]): per series, the
-	// largest timestamp flushed to the sequence space so far. Points at
-	// or before it are out-of-order and flush to unsequence files.
-	maxSeqTime map[string]int64
 
 	// nextVer is the global version counter ordering chunks and deletes
 	// (§2.2.1): always greater than every version handed out so far, which
@@ -142,9 +140,8 @@ type Engine struct {
 	// fileSeq numbers chunk files.
 	fileSeq int64
 
-	files      []*tsfile.Reader
-	retired    []*tsfile.Reader // unlinked by compaction, kept open for live snapshots
-	unseqFiles int
+	files   []*tsfile.Reader
+	retired []*tsfile.Reader // unlinked by compaction, kept open for live snapshots
 	// badFiles counts files set aside (*.bad): chunk files whose footer
 	// did not validate — crash leftovers recovered via the WAL — and
 	// delete-sidecar bytes past its last whole record.
@@ -218,16 +215,16 @@ type Engine struct {
 
 // counts is one immutable publication of the engine's counts.
 type counts struct {
-	memtablePoints, chunks, files, unseqFiles int
-	badFiles, quarantinedChunks, deletes      int
-	nextVersion                               storage.Version
+	memtablePoints, chunks, files        int
+	badFiles, quarantinedChunks, deletes int
+	nextVersion                          storage.Version
 }
 
 // unlock publishes the counts and releases mu. Every write section ends
 // with it, so the published counts are the state's whenever mu is free.
 func (e *Engine) unlock() {
 	e.counts.Store(&counts{memtablePoints: e.memPts, chunks: e.nChunks, files: len(e.files),
-		unseqFiles: e.unseqFiles, badFiles: e.badFiles, quarantinedChunks: e.nQuarantined,
+		badFiles: e.badFiles, quarantinedChunks: e.nQuarantined,
 		deletes: len(e.mods.All()), nextVersion: storage.Version(e.nextVer)})
 	e.mu.Unlock()
 }
@@ -308,7 +305,6 @@ func Open(opts Options) (_ *Engine, err error) {
 		mem:         make(map[string]series.Series),
 		chunks:      make(map[string][]storage.ChunkRef),
 		reach:       make(map[string][]int64),
-		maxSeqTime:  make(map[string]int64),
 		quarantined: make(map[string][]condemned),
 		ing:         newIngester(),
 		nextVer:     1,
@@ -380,7 +376,6 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("lsm_memtable_points", count(func(c *counts) int { return c.memtablePoints }))
 	reg.GaugeFunc("lsm_chunks", count(func(c *counts) int { return c.chunks }))
 	reg.GaugeFunc("lsm_files", count(func(c *counts) int { return c.files }))
-	reg.GaugeFunc("lsm_unseq_files", count(func(c *counts) int { return c.unseqFiles }))
 	reg.GaugeFunc("lsm_bad_files", count(func(c *counts) int { return c.badFiles }))
 	reg.GaugeFunc("lsm_quarantined_chunks", count(func(c *counts) int { return c.quarantinedChunks }))
 	reg.GaugeFunc("lsm_delete_tombstones", count(func(c *counts) int { return c.deletes }))
@@ -440,7 +435,6 @@ func (e *Engine) step(site string) error {
 // Info summarizes engine state for tooling.
 type Info struct {
 	Files          int
-	UnseqFiles     int // files holding out-of-order (unsequence) data
 	Chunks         int
 	MemtablePoints int
 	NextVersion    storage.Version
@@ -496,7 +490,6 @@ func (e *Engine) Info() Info {
 	c := e.counts.Load()
 	return Info{
 		Files:              c.files,
-		UnseqFiles:         c.unseqFiles,
 		Chunks:             c.chunks,
 		MemtablePoints:     c.memtablePoints,
 		NextVersion:        c.nextVersion,

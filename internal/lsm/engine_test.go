@@ -1,10 +1,13 @@
 package lsm
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,7 +16,7 @@ import (
 	"m4lsm/internal/tsfile"
 )
 
-func openTestEngine(t *testing.T, opts Options) *Engine {
+func openTestEngine(t testing.TB, opts Options) *Engine {
 	t.Helper()
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
@@ -114,13 +117,16 @@ func TestOverwriteAcrossChunks(t *testing.T) {
 	e.Write("s1", pts(20, 99, 30, 3)...) // overwrites t=20
 	e.Flush()
 	snap, _ := e.Snapshot("s1", series.TimeRange{Start: 0, End: 100})
-	// The second batch splits: t=20 is out of order (unsequence chunk),
-	// t=30 extends the sequence space.
+	// The second batch splits: t=20 is late, a chunk of its own, and t=30
+	// extends the in-order chunks. One file holds both.
 	if len(snap.Chunks) != 3 {
 		t.Fatalf("chunks = %d", len(snap.Chunks))
 	}
-	if e.Info().UnseqFiles != 1 {
-		t.Errorf("unseq files = %d, want 1", e.Info().UnseqFiles)
+	if late := snap.Chunks[1].Meta; late.First.T != 20 || late.Last.T != 20 || late.Version <= snap.Chunks[0].Meta.Version {
+		t.Errorf("late chunk = %v, want [20,20] newer than %v", late, snap.Chunks[0].Meta)
+	}
+	if n := e.Info().Files; n != 2 {
+		t.Errorf("files = %d, want 2, one per flush", n)
 	}
 	got := materialize(t, snap, series.TimeRange{Start: 0, End: 100})
 	want := series.Series(pts(10, 1, 20, 99, 30, 3))
@@ -380,20 +386,20 @@ func TestClosedEngineRejectsOps(t *testing.T) {
 
 func TestOutOfOrderWritesProduceOverlappingChunks(t *testing.T) {
 	e := openTestEngine(t, Options{FlushThreshold: 4})
-	e.Write("s1", pts(100, 1, 110, 1, 120, 1, 130, 1)...) // flushes (sequence)
-	e.Write("s1", pts(105, 2, 115, 2, 125, 2, 135, 2)...) // flushes: 105-125 unseq, 135 seq
+	e.Write("s1", pts(100, 1, 110, 1, 120, 1, 130, 1)...) // flushes (in order)
+	e.Write("s1", pts(105, 2, 115, 2, 125, 2, 135, 2)...) // flushes: 105-125 late, 135 in order
 	snap, _ := e.Snapshot("s1", series.TimeRange{Start: 0, End: 1000})
 	if len(snap.Chunks) != 3 {
 		t.Fatalf("chunks = %d", len(snap.Chunks))
 	}
-	// The unsequence chunk must overlap the first sequence chunk.
+	// The late chunk must overlap the first in-order chunk.
 	a, b := snap.Chunks[0].Meta, snap.Chunks[1].Meta
 	if a.Last.T < b.First.T || b.Last.T < a.First.T {
-		t.Errorf("unseq chunk does not overlap: %v vs %v", a, b)
+		t.Errorf("late chunk does not overlap: %v vs %v", a, b)
 	}
-	// Sequence chunks never overlap each other.
+	// In-order chunks never overlap each other.
 	if c := snap.Chunks[2].Meta; c.First.T <= a.Last.T {
-		t.Errorf("sequence chunks overlap: %v vs %v", a, c)
+		t.Errorf("in-order chunks overlap: %v vs %v", a, c)
 	}
 	got := materialize(t, snap, series.TimeRange{Start: 0, End: 1000})
 	if len(got) != 8 {
@@ -401,17 +407,56 @@ func TestOutOfOrderWritesProduceOverlappingChunks(t *testing.T) {
 	}
 }
 
-// TestSequenceChunksNeverOverlap is the seq/unseq space invariant: across
-// random out-of-order workloads, chunks from sequence files are pairwise
-// disjoint in time.
+// TestSequenceChunksNeverOverlap is the late/in-order invariant, checked
+// on every chunk file on disk at each reopen and at the end of random
+// out-of-order workloads with one Compact among them: no chunk straddles
+// its flush's watermark, the latest Last.T of its series' lower-versioned
+// chunks, so each either ends at or before it (late) or starts after it
+// (in order); and the in-order chunks are pairwise disjoint.
 func TestSequenceChunksNeverOverlap(t *testing.T) {
+	check := func(seed int64, dir string) {
+		t.Helper()
+		files, _ := filepath.Glob(filepath.Join(dir, "*.tsf"))
+		var metas []storage.ChunkMeta
+		for _, f := range files {
+			r, err := tsfile.Open(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metas = append(metas, r.Metas()...)
+			r.Close()
+		}
+		slices.SortFunc(metas, func(a, b storage.ChunkMeta) int { return cmp.Compare(a.Version, b.Version) })
+		wm := int64(math.MinInt64)
+		var inOrder []storage.ChunkMeta
+		for _, m := range metas {
+			switch {
+			case m.First.T > wm:
+				inOrder = append(inOrder, m)
+			case m.Last.T > wm:
+				t.Fatalf("seed %d: chunk %v straddles its watermark %d", seed, m, wm)
+			}
+			wm = max(wm, m.Last.T)
+		}
+		for i, a := range inOrder {
+			for _, b := range inOrder[i+1:] {
+				if a.First.T <= b.Last.T && b.First.T <= a.Last.T {
+					t.Fatalf("seed %d: in-order chunks overlap: %v vs %v", seed, a, b)
+				}
+			}
+		}
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		e, err := Open(Options{Dir: dir, FlushThreshold: 8})
-		if err != nil {
-			t.Fatal(err)
+		open := func() *Engine {
+			e, err := Open(Options{Dir: dir, FlushThreshold: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
 		}
+		e := open()
 		for op := 0; op < 60; op++ {
 			n := 1 + rng.Intn(6)
 			batch := make([]series.Point, n)
@@ -419,33 +464,21 @@ func TestSequenceChunksNeverOverlap(t *testing.T) {
 				batch[i] = series.Point{T: rng.Int63n(500), V: 1}
 			}
 			e.Write("s", series.SortDedup(batch)...)
-			if rng.Intn(5) == 0 {
+			switch {
+			case op == 30:
+				if err := e.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			case rng.Intn(10) == 0:
+				e.Close()
+				check(seed, dir)
+				e = open()
+			case rng.Intn(5) == 0:
 				e.Flush()
 			}
 		}
-		e.Flush()
 		e.Close()
-		// Inspect the files directly: collect seq chunk intervals.
-		files, _ := filepath.Glob(filepath.Join(dir, "*.seq.tsf"))
-		type iv struct{ lo, hi int64 }
-		var ivs []iv
-		for _, f := range files {
-			r, err := tsfile.Open(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range r.Metas() {
-				ivs = append(ivs, iv{m.First.T, m.Last.T})
-			}
-			r.Close()
-		}
-		for i := range ivs {
-			for j := i + 1; j < len(ivs); j++ {
-				if ivs[i].lo <= ivs[j].hi && ivs[j].lo <= ivs[i].hi {
-					t.Fatalf("seed %d: sequence chunks overlap: %v vs %v", seed, ivs[i], ivs[j])
-				}
-			}
-		}
+		check(seed, dir)
 	}
 }
 
@@ -469,13 +502,21 @@ func TestSeqTrackingNegativeTimestampsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	// -70 is out of order relative to the flushed max (-50); it must land
-	// in the unsequence space even though all timestamps are negative.
-	e2.Write("s", pts(-70, 3)...)
+	// -70 is late relative to the flushed max (-50); it must be a chunk
+	// apart from the in-order -40 even though all timestamps are negative.
+	e2.Write("s", pts(-70, 3, -40, 4)...)
 	if err := e2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e2.Info().UnseqFiles; got != 1 {
-		t.Errorf("unseq files = %d, want 1 (negative-time ordering lost on reopen)", got)
+	snap, err := e2.Snapshot("s", series.TimeRange{Start: -1000, End: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][2]int64
+	for _, c := range snap.Chunks {
+		got = append(got, [2]int64{c.Meta.First.T, c.Meta.Last.T})
+	}
+	if want := [][2]int64{{-100, -50}, {-70, -70}, {-40, -40}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("chunks %v, want %v (negative-time ordering lost on reopen)", got, want)
 	}
 }

@@ -580,9 +580,9 @@ func TestStepHookSiteNames(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"ingest.enqueue", "ingest.drain", "wal.append", "wal.group", "wal.appended", "flush.create:000000.seq.tsf",
-		"flush.chunk:000000.seq.tsf", "flush.footer:000000.seq.tsf",
-		"flush.reopen:000000.seq.tsf", "pyramid.rebuild", "flush.walreset",
+	want := []string{"ingest.enqueue", "ingest.drain", "wal.append", "wal.group", "wal.appended", "flush.create:000000.tsf",
+		"flush.chunk:000000.tsf", "flush.footer:000000.tsf",
+		"flush.reopen:000000.tsf", "pyramid.rebuild", "flush.walreset",
 		"wal.retire", "pyramid.save"}
 	if fmt.Sprint(sites) != fmt.Sprint(want) {
 		t.Errorf("sites = %v, want %v", sites, want)

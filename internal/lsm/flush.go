@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
@@ -43,11 +42,13 @@ func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
 	return e.classifyWrite(err)
 }
 
-// flushLocked persists the memtables, separating in-order data from
-// out-of-order arrivals the way IoTDB's sequence/unsequence spaces do
-// (reference [26] of the paper): per series, points later than everything
-// already flushed go to the sequence file (whose chunks never overlap
-// previously flushed ones), the rest to an unsequence file. With empty
+// flushLocked persists the memtables as one chunk file, keeping each
+// series' late points apart from its in-order ones the way IoTDB's
+// sequence/unsequence spaces do (reference [26] of the paper): points at or
+// before the series' watermark, the latest Last.T of its live flushed
+// chunks (the last of its reach), form its late run; the rest its in-order
+// run, whose chunks never overlap a flushed one. The file holds every
+// series' late run, in id order, then every in-order run. With empty
 // memtables it writes nothing but still rebuilds the pyramid and
 // checkpoints the WAL: deletes and quarantines since the last flush may
 // have staled cells over flushed data, and deletes left records in the
@@ -61,37 +62,27 @@ func (e *Engine) flushLocked() (int, error) {
 		}
 	}
 	sort.Strings(ids)
-	seq := map[string]series.Series{}
-	unseq := map[string]series.Series{}
+	var late, inOrder []run
 	for _, id := range ids {
 		data := series.SortDedup(e.mem[id])
 		split := 0
-		if maxT, ok := e.maxSeqTime[id]; ok {
-			split = sort.Search(len(data), func(i int) bool { return data[i].T > maxT })
+		if reach := e.reach[id]; len(reach) > 0 {
+			wm := reach[len(reach)-1]
+			split = sort.Search(len(data), func(i int) bool { return data[i].T > wm })
 		}
 		if split > 0 {
-			unseq[id] = data[:split]
+			late = append(late, run{id, data[:split]})
 		}
 		if split < len(data) {
-			seq[id] = data[split:]
-			e.maxSeqTime[id] = data[len(data)-1].T
+			inOrder = append(inOrder, run{id, data[split:]})
 		}
 	}
-	for _, space := range []struct {
-		name string
-		data map[string]series.Series
-	}{{"unseq", unseq}, {"seq", seq}} {
-		r, err := e.writeChunkFile(space.name, ids, space.data, true)
-		if err != nil {
-			return 0, err
-		}
-		if r == nil {
-			continue
-		}
+	r, err := e.writeChunkFile(append(late, inOrder...), true)
+	if err != nil {
+		return 0, err
+	}
+	if r != nil {
 		e.files = append(e.files, r)
-		if space.name == "unseq" {
-			e.unseqFiles++
-		}
 		e.registerChunks(r)
 	}
 	e.mem = make(map[string]series.Series)
@@ -116,21 +107,28 @@ func (e *Engine) flushLocked() (int, error) {
 	return flushPts, nil
 }
 
+// run is one series' points bound for a chunk file, sorted and
+// deduplicated.
+type run struct {
+	id  string
+	pts series.Series
+}
+
 // writeChunkFile is the one chunk-file writer, shared by flush and
-// compaction: it writes each series of data (sorted and deduplicated), in
-// ids order, as chunks of at most FlushThreshold points, so big batches
-// still yield paper-sized chunks, into a fresh file of the named space, and
-// reopens it for reading. It returns nil when data is empty. Registering
-// the file is the caller's job. Flushes pass steps: each stage is then a
-// fault-injection site, and a step-hook "crash" mid-file leaves the
-// partial bytes on disk (Crash), unlike a write error, which cleans up
-// (Abort) — recovery sets the footer-less leftover aside and replays the
-// WAL. Compaction's writes are not step sites. Caller holds e.mu.
-func (e *Engine) writeChunkFile(space string, ids []string, data map[string]series.Series, steps bool) (*tsfile.Reader, error) {
-	if len(data) == 0 {
+// compaction: it writes each run, in order, as chunks of at most
+// FlushThreshold points, so big batches still yield paper-sized chunks,
+// into a fresh file, and reopens it for reading. It returns nil when runs
+// is empty. Registering the file is the caller's job. Flushes pass steps:
+// each stage is then a fault-injection site, and a step-hook "crash"
+// mid-file leaves the partial bytes on disk (Crash), unlike a write error,
+// which cleans up (Abort) — recovery sets the footer-less leftover aside
+// and replays the WAL. Compaction's writes are not step sites. Caller
+// holds e.mu.
+func (e *Engine) writeChunkFile(runs []run, steps bool) (*tsfile.Reader, error) {
+	if len(runs) == 0 {
 		return nil, nil
 	}
-	name := fmt.Sprintf("%06d.%s.tsf", e.fileSeq, space)
+	name := fmt.Sprintf("%06d.tsf", e.fileSeq)
 	e.fileSeq++
 	path := filepath.Join(e.opts.Dir, name)
 	step := func(stage string) error {
@@ -146,14 +144,14 @@ func (e *Engine) writeChunkFile(space string, ids []string, data map[string]seri
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
-		for pts := data[id]; len(pts) > 0; {
+	for _, rn := range runs {
+		for pts := rn.pts; len(pts) > 0; {
 			n := min(len(pts), e.opts.FlushThreshold)
 			if err := step("chunk"); err != nil {
 				w.Crash()
 				return nil, err
 			}
-			if _, err := w.WriteChunk(id, e.allocVersion(), encoding.CodecGorilla, pts[:n]); err != nil {
+			if _, err := w.WriteChunk(rn.id, e.allocVersion(), pts[:n]); err != nil {
 				w.Abort()
 				return nil, err
 			}
@@ -203,7 +201,7 @@ func byStart(a, b storage.ChunkRef) int {
 // publish installs refs as series id's chunk list, whose first n chunks,
 // n the length of its reach, are published already, in order. Chunks past
 // n keep their place when they start at or after every chunk before them,
-// as a sequence flush's do; otherwise the list is sorted into a fresh
+// as a flush's in-order chunks do; otherwise the list is sorted into a fresh
 // array. So no writer rewrites an element below a published length, and a
 // snapshot borrows its window without a copy. reach[i] is the latest
 // Last.T of refs[:i+1]. Caller holds e.mu.

@@ -80,8 +80,8 @@ func (e *Engine) seriesSnapshot(id string, r series.TimeRange, warn *storage.War
 			warn.Add("chunk %s v%d quarantined, excluded: %v", id, q.meta.Version, q.err)
 		}
 	}
-	for _, d := range e.mods.All() {
-		if d.SeriesID == id && d.Start < r.End && d.End >= r.Start {
+	for _, d := range e.mods.Series(id) {
+		if d.Start < r.End && d.End >= r.Start {
 			snap.Deletes = append(snap.Deletes, d)
 		}
 	}

@@ -20,10 +20,12 @@ import (
 	"m4lsm/internal/tsfile"
 )
 
-// loadFiles opens every readable chunk file in the directory and registers
-// its chunks. Files without a valid footer (crash during flush) are
-// renamed aside; their contents are still in the WAL. Runs single-threaded
-// during Open, so no locks are taken.
+// loadFiles opens every chunk file in the directory and registers its
+// chunks. Files without a valid footer (crash during flush) are renamed
+// aside, but only once every other file opened: a file this build cannot
+// read fails Open with every file as it was. The contents of a torn file
+// are still in the WAL. Runs single-threaded during Open, so no locks are
+// taken.
 func (e *Engine) loadFiles() error {
 	entries, err := os.ReadDir(e.opts.Dir)
 	if err != nil {
@@ -43,15 +45,12 @@ func (e *Engine) loadFiles() error {
 		}
 	}
 	sort.Strings(names)
+	var torn []string
 	for _, name := range names {
 		path := filepath.Join(e.opts.Dir, name)
 		r, err := tsfile.Open(path)
 		if errors.Is(err, tsfile.ErrCorrupt) {
-			// Incomplete flush; set aside and rely on the WAL.
-			if _, err := tsfile.SetAside(path); err != nil {
-				return fmt.Errorf("lsm: quarantine %s: %w", name, err)
-			}
-			e.badFiles++
+			torn = append(torn, path)
 			continue
 		}
 		if err != nil {
@@ -62,24 +61,24 @@ func (e *Engine) loadFiles() error {
 		if seq, ok := parseFileSeq(name); ok {
 			e.fileSeq = max(e.fileSeq, int64(seq)+1)
 		}
-		unseq := strings.HasSuffix(name, ".unseq.tsf")
-		if unseq {
-			e.unseqFiles++
-		}
 		for _, m := range r.Metas() {
 			e.bumpVersion(m.Version)
-			if unseq {
-				continue
-			}
-			if cur, ok := e.maxSeqTime[m.SeriesID]; !ok || m.Last.T > cur {
-				e.maxSeqTime[m.SeriesID] = m.Last.T
-			}
 		}
+	}
+	for _, path := range torn {
+		if _, err := tsfile.SetAside(path); err != nil {
+			e.closeFiles()
+			return fmt.Errorf("lsm: quarantine %s: %w", filepath.Base(path), err)
+		}
+		e.badFiles++
 	}
 	e.registerChunks(e.files...) // one sort per series
 	return nil
 }
 
+// parseFileSeq reads a chunk file's number: NNNNNN.tsf, or the
+// NNNNNN.seq.tsf and NNNNNN.unseq.tsf of an older build, which wrote a
+// flush's late and in-order chunks to two files.
 func parseFileSeq(name string) (int, bool) {
 	base := strings.TrimSuffix(name, ".tsf")
 	base = strings.TrimSuffix(base, ".seq")

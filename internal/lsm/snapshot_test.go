@@ -47,7 +47,8 @@ func flushedSeries(tb testing.TB, n, per int) *Engine {
 // the newest data of 20,000 flushed points: under a memtable of 0, 100 and
 // 999 points, every tenth of them late, which each snapshot sorts; and
 // among 1,000 deletes of which 10 are the series' own, which each snapshot
-// filters.
+// filters, beside the same 10 deletes alone: a snapshot reads only its own
+// series' deletes, so the two cost the same.
 func BenchmarkSnapshot(b *testing.B) {
 	run := func(b *testing.B, e *Engine, r series.TimeRange) {
 		b.ReportAllocs()
@@ -83,23 +84,31 @@ func BenchmarkSnapshot(b *testing.B) {
 			run(b, e, newest)
 		})
 	}
-	b.Run("deletes", func(b *testing.B) {
-		e := flushedSeries(b, 20, 1000)
-		for i := 0; i < 1000; i++ {
-			id, t := fmt.Sprintf("other%d", i%7), int64(i*20)
-			if i%100 == 0 {
-				id, t = "s", int64(19_000+i)
-			}
-			if err := e.Delete(id, t, t+5); err != nil {
-				b.Fatal(err)
-			}
+	for _, others := range []bool{true, false} {
+		name := "deletes"
+		if !others {
+			name = "deletes_other=0"
 		}
-		if snap, _ := e.Snapshot("s", newest); len(snap.Deletes) != 10 {
-			b.Fatalf("snapshot holds %d deletes, want 10", len(snap.Deletes))
-		}
-		b.ResetTimer()
-		run(b, e, newest)
-	})
+		b.Run(name, func(b *testing.B) {
+			e := flushedSeries(b, 20, 1000)
+			for i := 0; i < 1000; i++ {
+				id, t := fmt.Sprintf("other%d", i%7), int64(i*20)
+				if i%100 == 0 {
+					id, t = "s", int64(19_000+i)
+				} else if !others {
+					continue
+				}
+				if err := e.Delete(id, t, t+5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if snap, _ := e.Snapshot("s", newest); len(snap.Deletes) != 10 {
+				b.Fatalf("snapshot holds %d deletes, want 10", len(snap.Deletes))
+			}
+			b.ResetTimer()
+			run(b, e, newest)
+		})
+	}
 	b.Run("dash_aligned", func(b *testing.B) {
 		e := flushedSeries(b, 640, 1000)
 		for k := 0; k <= 4; k++ {

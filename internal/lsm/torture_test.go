@@ -42,7 +42,7 @@ type tortureOp struct {
 }
 
 // tortureOps is a fixed workload: two series, out-of-order writes that split
-// into sequence/unsequence files, deletes covering flushed and unflushed
+// into late and in-order chunks, deletes covering flushed and unflushed
 // data, and explicit flushes between them. FlushThreshold 8 adds automatic
 // flushes mid-write on top.
 func tortureOps() []tortureOp {
@@ -53,7 +53,7 @@ func tortureOps() []tortureOp {
 		{kind: 'd', id: "a", start: 25, end: 45},                          // covers flushed and future data
 		{kind: 'w', id: "a", pts: pts(35, 9, 90, 10)},                     // 35 rewrites inside the deleted range
 		{kind: 'f'},
-		{kind: 'w', id: "a", pts: pts(12, 11, 22, 12)}, // out of order: unsequence space
+		{kind: 'w', id: "a", pts: pts(12, 11, 22, 12)}, // out of order: a late chunk
 		{kind: 'w', id: "b", pts: pts(8, 52, 25, 53)},
 		// Covers live points in a flushed chunk (t=5) AND in the memtable
 		// (t=8) at once: a crash between this delete's WAL and mods appends

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/obs"
 	"m4lsm/internal/reprops"
@@ -39,7 +38,7 @@ func table4Snapshot(tb testing.TB, chunks int) (*storage.Snapshot, *tsfile.Reade
 	rng := rand.New(rand.NewSource(1))
 	ver := storage.Version(1)
 	write := func(pts series.Series) {
-		if _, err := w.WriteChunk("root.mf03", ver, encoding.CodecGorilla, pts); err != nil {
+		if _, err := w.WriteChunk("root.mf03", ver, pts); err != nil {
 			tb.Fatal(err)
 		}
 		ver++

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
 )
 
@@ -49,13 +48,12 @@ func (m *MemSource) AddChunk(seriesID string, version Version, data series.Serie
 		SeriesID: seriesID,
 		Version:  version,
 		Count:    int64(len(data)),
-		Codec:    encoding.CodecPlain,
 		First:    first,
 		Last:     last,
 		Bottom:   bottom,
 		Top:      top,
-		// Synthetic sizes so cost counters stay meaningful: plain
-		// encoding is 8 bytes per column element.
+		// Synthetic sizes so cost counters stay meaningful: 8 bytes
+		// per column element, its raw width.
 		TimesLen:  int64(len(data)) * 8,
 		ValuesLen: int64(len(data)) * 8,
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/series"
 	"m4lsm/internal/stepreg"
@@ -31,10 +30,7 @@ type ChunkMeta struct {
 	SeriesID string
 	Version  Version
 	Count    int64
-	Codec    encoding.Codec
 	// HeaderLen is the bytes of chunk header before the timestamp block.
-	// It sits beside Codec, in what would otherwise be padding, so that
-	// Step costs a snapshot's chunk references no space.
 	HeaderLen int32
 
 	First  series.Point // FP(C^κ)

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/storage"
 )
 
@@ -18,7 +17,7 @@ func openBenchChunk(tb testing.TB) (*Reader, storage.ChunkMeta) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	meta, err := w.WriteChunk("root.walk", 1, encoding.CodecGorilla, goldenChunks()[0])
+	meta, err := w.WriteChunk("root.walk", 1, goldenChunks()[0])
 	if err != nil {
 		tb.Fatal(err)
 	}

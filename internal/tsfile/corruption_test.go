@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
@@ -25,7 +24,7 @@ func TestEveryByteFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := w.WriteChunk("s", 1, encoding.CodecGorilla, data)
+	meta, err := w.WriteChunk("s", 1, data)
 	if err != nil {
 		t.Fatal(err)
 	}

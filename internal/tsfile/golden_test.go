@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"m4lsm/internal/encoding"
 	"m4lsm/internal/series"
 	"m4lsm/internal/stepreg"
 	"m4lsm/internal/storage"
@@ -69,7 +68,7 @@ func writeGolden(path string) error {
 	}
 	for i, data := range goldenChunks() {
 		id := []string{"root.walk", "root.flat", "root.edge"}[i]
-		if _, err := w.WriteChunk(id, storage.Version(i+1), encoding.CodecGorilla, data); err != nil {
+		if _, err := w.WriteChunk(id, storage.Version(i+1), data); err != nil {
 			return err
 		}
 	}
@@ -143,8 +142,8 @@ func TestParentChunkFileRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenReaderAt(bytes.NewReader(old), int64(len(old)), golden); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("opening a format-1 file: %v, want ErrCorrupt", err)
+	if _, err := OpenReaderAt(bytes.NewReader(old), int64(len(old)), golden); !errors.Is(err, errFormat1) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("opening a format-1 file: %v, want the format-1 refusal, not ErrCorrupt", err)
 	}
 	rewritten := filepath.Join(t.TempDir(), "rewritten.tsf")
 	if err := writeGolden(rewritten); err != nil {

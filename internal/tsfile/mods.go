@@ -13,12 +13,14 @@ import (
 // queries read them alongside chunk metadata (Definition 2.5).
 //
 // ModLog is not safe for concurrent use: the caller serializes access (the
-// engine holds its lock). Readers get slice views of the append-only
-// backing array; appends never mutate bytes a previously returned view can
-// see.
+// engine holds its lock). Readers get slice views of append-only backing
+// arrays; appends never mutate bytes a previously returned view can see.
 type ModLog struct {
 	log  *RecordLog
 	mods []storage.Delete
+	// bySeries holds the same deletes per series, in append order, so a
+	// snapshot reads its own series' and no other's.
+	bySeries map[string][]storage.Delete
 }
 
 // OpenModLog opens (or creates) the sidecar at path and recovers the
@@ -35,7 +37,11 @@ func OpenModLog(path string) (*ModLog, error) {
 		log.Close()
 		return nil, err
 	}
-	return &ModLog{log: log, mods: mods}, nil
+	m := &ModLog{log: log, mods: mods, bySeries: map[string][]storage.Delete{}}
+	for _, d := range mods {
+		m.bySeries[d.SeriesID] = append(m.bySeries[d.SeriesID], d)
+	}
+	return m, nil
 }
 
 // ReadModLog reads the sidecar at path without opening it for writing:
@@ -73,12 +79,17 @@ func (m *ModLog) Append(d storage.Delete) error {
 		return err
 	}
 	m.mods = append(m.mods, d)
+	m.bySeries[d.SeriesID] = append(m.bySeries[d.SeriesID], d)
 	return nil
 }
 
 // All returns every recorded delete in append order. The caller must not
 // modify the returned slice.
 func (m *ModLog) All() []storage.Delete { return m.mods }
+
+// Series returns series id's recorded deletes in append order. The caller
+// must not modify the returned slice.
+func (m *ModLog) Series(id string) []storage.Delete { return m.bySeries[id] }
 
 // Torn returns the bytes OpenModLog found past the last whole record and
 // the file it set them aside in.

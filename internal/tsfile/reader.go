@@ -74,7 +74,7 @@ func (r *Reader) readFooter() error {
 		return err
 	}
 	if string(tail[12:]) == string(legacyFooterMagic) {
-		return fmt.Errorf("%w: footer format 1 (before step models) has no reader", ErrCorrupt)
+		return errFormat1
 	}
 	if string(tail[12:]) != string(footerMagic) {
 		return fmt.Errorf("%w: bad footer magic (file not closed?)", ErrCorrupt)
@@ -205,11 +205,11 @@ func (r *Reader) ReadChunk(meta storage.ChunkMeta) (series.Columns, error) {
 	if err != nil {
 		return series.Columns{}, err
 	}
-	ts, err := decodeColumn(meta, timesBlock, "timestamp", &timeCols, meta.Codec.DecodeTimesInto)
+	ts, err := decodeColumn(meta, timesBlock, "timestamp", &timeCols, encoding.DecodeTimesInto)
 	if err != nil {
 		return series.Columns{}, err
 	}
-	vs, err := decodeColumn(meta, valuesBlock, "value", &valueCols, meta.Codec.DecodeValuesInto)
+	vs, err := decodeColumn(meta, valuesBlock, "value", &valueCols, encoding.DecodeValuesInto)
 	if err != nil {
 		timeCols.Put(ts)
 		return series.Columns{}, err
@@ -226,7 +226,7 @@ func (r *Reader) ReadTimes(meta storage.ChunkMeta) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeColumn(meta, timesBlock, "timestamp", &timeCols, meta.Codec.DecodeTimesInto)
+	return decodeColumn(meta, timesBlock, "timestamp", &timeCols, encoding.DecodeTimesInto)
 }
 
 // ReadValues implements storage.ChunkSource: it verifies and decodes only
@@ -239,7 +239,7 @@ func (r *Reader) ReadValues(meta storage.ChunkMeta) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeColumn(meta, valuesBlock, "value", &valueCols, meta.Codec.DecodeValuesInto)
+	return decodeColumn(meta, valuesBlock, "value", &valueCols, encoding.DecodeValuesInto)
 }
 
 var (

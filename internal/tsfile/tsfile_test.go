@@ -40,7 +40,7 @@ func writeFile(t *testing.T, path string, chunks map[string][]series.Series) []s
 	ver := storage.Version(1)
 	for id, datas := range chunks {
 		for _, data := range datas {
-			m, err := w.WriteChunk(id, ver, encoding.CodecGorilla, data)
+			m, err := w.WriteChunk(id, ver, data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,33 +106,51 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBothCodecs: a chunk's codec byte, in its header and its footer
+// record, is always 0, Gorilla, and a file reads back bit for bit; a
+// footer naming codec 1, checksummed as if whole, is corrupt.
 func TestBothCodecs(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "gorilla.tsf")
 	data := genSeries(256, 3)
-	for _, codec := range []encoding.Codec{encoding.CodecGorilla, encoding.CodecPlain} {
-		path := filepath.Join(dir, codec.String()+".tsf")
-		w, err := Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.WriteChunk("s", 1, codec, data); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.ReadChunk(r.Metas()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Points(), data) {
-			t.Fatalf("%v: data mismatch", codec)
-		}
-		r.Close()
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteChunk("s", 1, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ReadChunk(r.Metas()[0])
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Points(), data) {
+		t.Fatal("gorilla: data mismatch")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Footer: uvarint count 1 | uvarint len("s") | "s" | uvarint version 1 | codec.
+	foot := footerStart(t, raw)
+	if c := raw[len(fileMagic)+len("s")+2]; c != 0 {
+		t.Fatalf("chunk header codec byte %d, want 0", c)
+	}
+	if c := raw[foot+4]; c != 0 {
+		t.Fatalf("footer codec byte %d, want 0", c)
+	}
+	raw[foot+4] = 1
+	tail := len(raw) - 16
+	binary.LittleEndian.PutUint32(raw[tail:], crc32.ChecksumIEEE(raw[foot:tail]))
+	if _, err := OpenReaderAt(bytes.NewReader(raw), int64(len(raw)), "plain.tsf"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a footer naming codec 1: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -142,14 +160,11 @@ func TestWriterRejectsBadChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if _, err := w.WriteChunk("s", 1, encoding.CodecGorilla, nil); err == nil {
+	if _, err := w.WriteChunk("s", 1, nil); err == nil {
 		t.Error("empty chunk accepted")
 	}
-	if _, err := w.WriteChunk("s", 1, encoding.CodecGorilla, series.Series{{T: 2, V: 0}, {T: 1, V: 0}}); err == nil {
+	if _, err := w.WriteChunk("s", 1, series.Series{{T: 2, V: 0}, {T: 1, V: 0}}); err == nil {
 		t.Error("unsorted chunk accepted")
-	}
-	if _, err := w.WriteChunk("s", 1, encoding.Codec(9), series.Series{{T: 1, V: 0}}); err == nil {
-		t.Error("bad codec accepted")
 	}
 }
 
@@ -159,13 +174,13 @@ func TestWriteAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, encoding.CodecGorilla, series.Series{{T: 1, V: 0}}); err != nil {
+	if _, err := w.WriteChunk("s", 1, series.Series{{T: 1, V: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 2, encoding.CodecGorilla, series.Series{{T: 2, V: 0}}); err == nil {
+	if _, err := w.WriteChunk("s", 2, series.Series{{T: 2, V: 0}}); err == nil {
 		t.Error("write after close accepted")
 	}
 	if err := w.Close(); err != nil {
@@ -179,7 +194,7 @@ func TestAbortLeavesNoFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, encoding.CodecGorilla, series.Series{{T: 1, V: 0}}); err != nil {
+	if _, err := w.WriteChunk("s", 1, series.Series{{T: 1, V: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Abort(); err != nil {
@@ -196,7 +211,7 @@ func TestOpenRejectsUnclosedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, encoding.CodecGorilla, genSeries(100, 4)); err != nil {
+	if _, err := w.WriteChunk("s", 1, genSeries(100, 4)); err != nil {
 		t.Fatal(err)
 	}
 	w.w.Flush() // simulate crash before footer
@@ -326,7 +341,7 @@ func TestManyChunksOffsets(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		data := genSeries(20+i, int64(i))
 		want = append(want, data)
-		if _, err := w.WriteChunk("s", storage.Version(i+1), encoding.CodecGorilla, data); err != nil {
+		if _, err := w.WriteChunk("s", storage.Version(i+1), data); err != nil {
 			t.Fatal(err)
 		}
 	}

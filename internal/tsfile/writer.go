@@ -47,8 +47,17 @@ var (
 	legacyFooterMagic = []byte{'M', '4', 'T', 'F'}
 )
 
+// codecByte is the codec field of every chunk header and footer record:
+// 0, Gorilla, the one encoding a chunk holds. Any other value is corrupt.
+const codecByte = 0
+
 // ErrCorrupt reports a structurally invalid chunk file.
 var ErrCorrupt = errors.New("tsfile: corrupt file")
+
+// errFormat1 reports a whole chunk file of footer format 1, which this
+// build cannot read. It does not wrap ErrCorrupt: the file is not a torn
+// flush, and recovery must not set it aside.
+var errFormat1 = errors.New("tsfile: footer format 1 (before step models) has no reader")
 
 // SetAside renames a file that failed validation to an unused quarantine
 // name — path.bad, or path.bad.1, path.bad.2, ... when earlier crashes
@@ -127,11 +136,11 @@ func Create(path string) (*Writer, error) {
 	return w, nil
 }
 
-// WriteChunk appends one chunk for seriesID with the given version and
-// codec. data must be non-empty and strictly increasing in time. The
-// returned metadata, which carries the step model fitted here, is also
-// recorded for the footer.
-func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec encoding.Codec, data series.Series) (storage.ChunkMeta, error) {
+// WriteChunk appends one chunk for seriesID with the given version. data
+// must be non-empty and strictly increasing in time. The returned
+// metadata, which carries the step model fitted here, is also recorded for
+// the footer.
+func (w *Writer) WriteChunk(seriesID string, version storage.Version, data series.Series) (storage.ChunkMeta, error) {
 	if w.closed {
 		return storage.ChunkMeta{}, errors.New("tsfile: writer closed")
 	}
@@ -142,20 +151,17 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec enco
 	if !ok {
 		return storage.ChunkMeta{}, fmt.Errorf("tsfile: chunk %s v%d: empty", seriesID, version)
 	}
-	if !codec.Valid() {
-		return storage.ChunkMeta{}, fmt.Errorf("tsfile: chunk %s v%d: bad codec %d", seriesID, version, codec)
-	}
 
 	cols := data.Columns()
-	w.times = codec.EncodeTimesWith(w.times[:0], cols.Times())
-	w.values = codec.EncodeValuesWith(w.values[:0], cols.Values())
+	w.times = encoding.EncodeTimes(w.times[:0], cols.Times())
+	w.values = encoding.EncodeValues(w.values[:0], cols.Values())
 	timesBlock, valuesBlock := w.times, w.values
 
 	var hdr []byte
 	hdr = encoding.AppendUvarint(hdr, uint64(len(seriesID)))
 	hdr = append(hdr, seriesID...)
 	hdr = encoding.AppendUvarint(hdr, uint64(version))
-	hdr = append(hdr, byte(codec))
+	hdr = append(hdr, codecByte)
 	hdr = encoding.AppendUvarint(hdr, uint64(len(data)))
 	hdr = encoding.AppendUvarint(hdr, uint64(len(timesBlock)))
 	hdr = encoding.AppendUvarint(hdr, uint64(len(valuesBlock)))
@@ -169,7 +175,6 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, codec enco
 		SeriesID:  seriesID,
 		Version:   version,
 		Count:     int64(len(data)),
-		Codec:     codec,
 		First:     first,
 		Last:      last,
 		Bottom:    bottom,
@@ -258,7 +263,7 @@ func appendMeta(dst []byte, m storage.ChunkMeta) []byte {
 	dst = encoding.AppendUvarint(dst, uint64(len(m.SeriesID)))
 	dst = append(dst, m.SeriesID...)
 	dst = encoding.AppendUvarint(dst, uint64(m.Version))
-	dst = append(dst, byte(m.Codec))
+	dst = append(dst, codecByte)
 	dst = encoding.AppendUvarint(dst, uint64(m.Count))
 	dst = encoding.AppendUvarint(dst, uint64(m.Offset))
 	dst = encoding.AppendUvarint(dst, uint64(m.HeaderLen))
@@ -293,11 +298,10 @@ func parseMeta(b []byte) (storage.ChunkMeta, []byte, error) {
 	if len(b) < 1 {
 		return m, nil, fmt.Errorf("%w: missing codec", ErrCorrupt)
 	}
-	m.Codec = encoding.Codec(b[0])
-	b = b[1:]
-	if !m.Codec.Valid() {
-		return m, nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, m.Codec)
+	if b[0] != codecByte {
+		return m, nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, b[0])
 	}
+	b = b[1:]
 	for _, f := range fields {
 		u, rest, err := encoding.Uvarint(b)
 		if err != nil {

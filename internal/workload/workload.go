@@ -210,8 +210,8 @@ func Load(e *lsm.Engine, seriesID string, data series.Series, opts LoadOptions) 
 			// Interleave this pair: both resulting chunks cover the
 			// union time range, i.e. they overlap fully. The union's
 			// last point goes into the first write so the second write
-			// is entirely out of order (otherwise its trailing points
-			// would land in the sequence space as a separate chunk).
+			// is entirely late (otherwise its trailing points would
+			// flush as a separate in-order chunk).
 			a, b := chunk(i), chunk(i+1)
 			merged := make(series.Series, 0, len(a)+len(b))
 			merged = append(merged, a...)

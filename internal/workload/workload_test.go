@@ -1,12 +1,15 @@
 package workload
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/series"
+	"m4lsm/internal/storage"
 )
 
 func TestPresetsGenerateValidSeries(t *testing.T) {
@@ -232,8 +235,8 @@ func TestApplyDeletesNoop(t *testing.T) {
 
 func TestLoadOverlapSecondWriteFullyOutOfOrder(t *testing.T) {
 	// The interleave writer must put the union's last point in the first
-	// write, so the second write lands entirely in the unsequence space
-	// and each pair yields exactly two chunks.
+	// write, so the second write is late as a whole and each pair yields
+	// exactly two chunks: the first write's, then one late chunk inside it.
 	e := newEngine(t, 100)
 	data := MF03().Generate(400, 5) // 2 pairs at chunk size 100
 	if err := Load(e, "s", data, LoadOptions{ChunkSize: 100, OverlapFraction: 1}); err != nil {
@@ -243,8 +246,17 @@ func TestLoadOverlapSecondWriteFullyOutOfOrder(t *testing.T) {
 	if info.Chunks != 4 {
 		t.Errorf("chunks = %d, want 4", info.Chunks)
 	}
-	if info.UnseqFiles != 2 {
-		t.Errorf("unseq files = %d, want 2 (one per pair)", info.UnseqFiles)
+	snap, err := e.Snapshot("s", series.TimeRange{Start: data[0].T, End: data[len(data)-1].T + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := slices.Clone(snap.Chunks)
+	slices.SortFunc(chunks, func(a, b storage.ChunkRef) int { return cmp.Compare(a.Meta.Version, b.Meta.Version) })
+	for i := 0; i+1 < len(chunks); i += 2 {
+		first, late := chunks[i].Meta, chunks[i+1].Meta
+		if late.Last.T > first.Last.T || late.Last.T < first.First.T {
+			t.Errorf("pair %d: second chunk %v is not late inside %v", i/2, late, first)
+		}
 	}
 }
 

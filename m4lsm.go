@@ -157,7 +157,6 @@ type QueryResult struct {
 // Info summarizes storage state.
 type Info struct {
 	Files          int
-	UnseqFiles     int // files holding out-of-order (unsequence) data
 	Chunks         int
 	MemtablePoints int
 	Deletes        int
@@ -180,7 +179,6 @@ func (db *DB) Info() Info {
 	i := db.engine.Info()
 	return Info{
 		Files:             i.Files,
-		UnseqFiles:        i.UnseqFiles,
 		Chunks:            i.Chunks,
 		MemtablePoints:    i.MemtablePoints,
 		Deletes:           i.Deletes,
