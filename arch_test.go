@@ -542,6 +542,7 @@ func init() {
 		{"columnar_read_path", ruleColumnarReadPath},
 		{"recycle_at_query_end", ruleRecycleAtQueryEnd},
 		{"one_engine_lock", ruleOneEngineLock},
+		{"one_admission_gate", ruleOneAdmissionGate},
 		{"no_engine_goroutines", ruleNoEngineGoroutines},
 		{"no_library_sleeps", ruleNoLibrarySleeps},
 		{"design_invariants", ruleDesignInvariants},
@@ -620,6 +621,15 @@ func rulePublicExamples(tr *archTree) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ruleOneAdmissionGate: each request class has one admission control.
+// /query and /render pass the one gate server.NewWith builds, and /write
+// is admitted by the engine's ingest queue alone, so outside govern (and
+// bench/) govern.NewGate is referenced once, in NewWith.
+func ruleOneAdmissionGate(tr *archTree) []string {
+	return onlyAt("govern.NewGate references", tr.find(tr.pkgsOutside("internal/govern", "bench"), uses(is("internal/govern.NewGate"))),
+		"internal/server/server.go:NewWith")
 }
 
 // ruleOneWritePath: inserts reach a memtable in one place, memAppend
@@ -1224,6 +1234,8 @@ var archMutations = []struct {
 		{"internal/tsfile/mods.go", "", "\ntype modLock struct{ mu sync.RWMutex }\n"}}},
 	{"RWMutex in ModLog", "one_engine_lock", []archEdit{{"internal/tsfile/mods.go", "import (", "import (\n\t\"sync\""},
 		{"internal/tsfile/mods.go", "\tlog  *RecordLog", "\tmu   sync.RWMutex\n\tlog  *RecordLog"}}},
+	{"second gate in server", "one_admission_gate", []archEdit{{"internal/server/server.go", "",
+		"\nvar writeGate = govern.NewGate(1, 0, time.Second)\n"}}},
 	{"go func in lsm", "no_engine_goroutines", []archEdit{{"internal/lsm/engine.go", "", "\nfunc spawn() { go func() {}() }\n"}}},
 	{"time.Sleep in lsm", "no_library_sleeps", []archEdit{{"internal/lsm/engine.go", "import (", "import (\n\tclock \"time\""},
 		{"internal/lsm/engine.go", "", "\nfunc nap() { clock.Sleep(clock.Millisecond) }\n"}}},
@@ -1233,7 +1245,7 @@ var archMutations = []struct {
 	{"knob only tests set", "knobs_have_callers", []archEdit{{"internal/lsm/engine.go",
 		"\tDisablePyramid bool\n", "\tDisablePyramid bool\n\t// ReadAhead is a knob no production code sets.\n\tReadAhead int\n"}}},
 	{"rule strings in comments", "", []archEdit{{"internal/m4lsm/plan.go", "", "\n// substituted FP; govern.RunPool(\n"},
-		{"internal/server/server.go", "", "\n// e.Snapshot( engine.Snapshot( m4ql.Exec(\n"}}},
+		{"internal/server/server.go", "", "\n// e.Snapshot( engine.Snapshot( m4ql.Exec( govern.NewGate(\n"}}},
 }
 
 func TestArchitectureMutations(t *testing.T) {

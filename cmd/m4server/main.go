@@ -39,6 +39,17 @@
 // it to empty, so a restart replays only the writes since the last flush.
 // A -dir an older build wrote (wal-<seq>.log segments) is refused.
 //
+// Each request class has one admission control. /query and /render pass
+// the query gate (-query-slots, -query-queue, -queue-wait): a request past
+// its queue is shed with 429, Retry-After and X-M4-Error: overloaded, and
+// -query-timeout, -max-chunks-per-query and -max-points-per-query are the
+// defaults every statement's budget starts from. /write is admitted by the
+// engine's ingest queue alone (-ingest-queue-points, -ingest-enqueue-wait):
+// a write that finds it full past the wait answers 429 with Retry-After
+// and X-M4-Error: backpressure. That queue bounds queued points, not the
+// bodies being read and parsed: /write memory is up to concurrent writers
+// times -max-body-bytes.
+//
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // get a drain window, then the engine is flushed and closed exactly once.
 package main
@@ -75,9 +86,6 @@ func main() {
 		querySlots   = flag.Int("query-slots", 0, "max concurrently executing /query and /render requests (0 disables admission control)")
 		queryQueue   = flag.Int("query-queue", 16, "queued query-class requests beyond the running ones before shedding with 429")
 		queueWait    = flag.Duration("queue-wait", time.Second, "max time a queued request waits for a slot before 429 (negative sheds immediately)")
-		writeSlots   = flag.Int("write-slots", 0, "max concurrently executing /write requests on a gate of their own (0 disables write admission control)")
-		writeQueue   = flag.Int("write-queue", 16, "queued /write requests beyond the running ones before shedding with 429")
-		writeWait    = flag.Duration("write-queue-wait", time.Second, "max time a queued /write waits for a slot before 429 (negative sheds immediately)")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size bound; oversized bodies answer 400")
 		maxChunks    = flag.Int64("max-chunks-per-query", 0, "default cap on physical chunk loads per query (0 = unlimited)")
 		maxPoints    = flag.Int64("max-points-per-query", 0, "default cap on decoded points per query (0 = unlimited)")
@@ -88,7 +96,7 @@ func main() {
 		ingestWait        = flag.Duration("ingest-enqueue-wait", 0, "max time a write blocks on a full ingest queue before the retryable backpressure error (0 = engine default 2s; negative fails immediately)")
 
 		selfMetrics = flag.Duration("self-metrics-interval", time.Second, "period at which the metrics registry is sampled into root.sys.* series inside the engine (0 disables)")
-		eventLog    = flag.String("event-log", "", "JSONL file receiving one wide event per /query and /render ('' keeps the tail in memory only, served at /debug/events)")
+		eventLog    = flag.String("event-log", "", "JSONL file receiving one wide event per /query, /render and /write ('' keeps the tail in memory only, served at /debug/events)")
 		version     = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -120,9 +128,6 @@ func main() {
 		QuerySlots:          *querySlots,
 		QueryQueueDepth:     *queryQueue,
 		QueryQueueWait:      *queueWait,
-		WriteSlots:          *writeSlots,
-		WriteQueueDepth:     *writeQueue,
-		WriteQueueWait:      *writeWait,
 		QueryTimeout:        *queryTimeout,
 		MaxChunksPerQuery:   *maxChunks,
 		MaxPointsPerQuery:   *maxPoints,

@@ -1,7 +1,7 @@
 // Package govern is the resource-governance layer: per-query budgets
 // (chunk loads, decoded points, a wall-clock deadline), an admission gate
-// with a bounded wait queue for the server's query endpoints, and a
-// deterministic jittered backoff for retrying transient reads.
+// with a bounded wait queue for the server's query endpoints, and the
+// bounded worker pool the operators run their tasks on.
 //
 // Everything is nil-safe in the style of internal/obs: a nil *Budget
 // charges nothing and never trips, a nil *Gate admits everything. Library
@@ -10,7 +10,6 @@
 package govern
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -143,22 +142,4 @@ func (b *Budget) Used() (chunks, points int64) {
 		return 0, 0
 	}
 	return b.chunks.Load(), b.points.Load()
-}
-
-// limitsKey carries server-default Limits through a context.Context so
-// the m4ql executor can budget queries without a signature change.
-type limitsKey struct{}
-
-// WithLimits attaches default per-query limits to ctx.
-func WithLimits(ctx context.Context, l Limits) context.Context {
-	if l.zero() {
-		return ctx
-	}
-	return context.WithValue(ctx, limitsKey{}, l)
-}
-
-// LimitsOf returns the limits attached by WithLimits, or the zero Limits.
-func LimitsOf(ctx context.Context) Limits {
-	l, _ := ctx.Value(limitsKey{}).(Limits)
-	return l
 }

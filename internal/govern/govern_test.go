@@ -86,19 +86,6 @@ func TestLimitsMerge(t *testing.T) {
 	}
 }
 
-func TestContextLimits(t *testing.T) {
-	ctx := WithLimits(context.Background(), Limits{MaxChunks: 7})
-	if l := LimitsOf(ctx); l.MaxChunks != 7 {
-		t.Fatalf("limits of ctx: %+v", l)
-	}
-	if l := LimitsOf(context.Background()); !l.zero() {
-		t.Fatalf("bare ctx limits: %+v", l)
-	}
-	if got := WithLimits(context.Background(), Limits{}); got != context.Background() {
-		t.Fatal("zero limits should not allocate a context")
-	}
-}
-
 func TestGateShedsAtTheDoor(t *testing.T) {
 	g := NewGate(1, 0, 0)
 	release, err := g.Acquire(context.Background())

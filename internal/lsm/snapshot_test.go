@@ -154,6 +154,41 @@ func TestSnapshotCostFollowsNoWindow(t *testing.T) {
 	}
 }
 
+// TestSnapshotDeletes: a snapshot lists exactly the series' deletes that
+// overlap its range, in append order, and a delete recorded afterwards
+// does not reach it.
+func TestSnapshotDeletes(t *testing.T) {
+	e := flushedSeries(t, 20, 1000)
+	newest := series.TimeRange{Start: 19_000, End: 21_000}
+	for i := 0; i < 10; i++ {
+		if err := e.Delete("s", int64(19_000+i*100), int64(19_005+i*100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := e.Snapshot("s", newest)
+	if len(before.Deletes) != 10 {
+		t.Fatalf("snapshot holds %d deletes, want 10", len(before.Deletes))
+	}
+	if err := e.Delete("s", 100, 105); err != nil { // outside newest
+		t.Fatal(err)
+	}
+	if len(before.Deletes) != 10 || before.Deletes[9].Start != 19_900 {
+		t.Fatalf("an earlier snapshot's deletes changed: %v", before.Deletes)
+	}
+	for _, r := range []series.TimeRange{newest, {Start: 0, End: 19_300}, {Start: 50, End: 60}} {
+		snap, _ := e.Snapshot("s", r)
+		var want []storage.Delete
+		for _, d := range e.mods.Series("s") {
+			if d.Start < r.End && d.End >= r.Start {
+				want = append(want, d)
+			}
+		}
+		if !slices.Equal(snap.Deletes, want) {
+			t.Errorf("range %v: deletes %v, want %v", r, snap.Deletes, want)
+		}
+	}
+}
+
 // chunkMetas copies the metadata of a snapshot's chunk list.
 func chunkMetas(snap *storage.Snapshot) []storage.ChunkMeta {
 	out := make([]storage.ChunkMeta, len(snap.Chunks))

@@ -90,11 +90,12 @@ func TestReadContract(t *testing.T) {
 	dir := contractStore(t)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	capped := govern.WithLimits(context.Background(), govern.Limits{MaxChunks: 1})
+	capped := govern.Limits{MaxChunks: 1}
 	cases := []struct {
 		name   string
 		faults faultfs.Config // chunk-read faults of series a (zero: none)
 		ctx    context.Context
+		limits govern.Limits // merged into the statement, as a server's defaults are
 		clause string
 		// spans replaces the statement's SPANS(7); closed runs it on a
 		// closed engine, where any read that takes a snapshot fails.
@@ -113,8 +114,8 @@ func TestReadContract(t *testing.T) {
 		{name: "clean", ctx: context.Background()},
 		{name: "degrade", faults: faultfs.Config{Seed: 1, ErrRate: 1}, ctx: context.Background(), partial: true},
 		{name: "strict", faults: faultfs.Config{Seed: 1, ErrRate: 1}, ctx: context.Background(), clause: " STRICT", wantErr: faultfs.ErrInjected, namesA: true},
-		{name: "budget", ctx: capped, partial: true},
-		{name: "budget-strict", ctx: capped, clause: " STRICT", wantErr: govern.ErrBudgetExceeded},
+		{name: "budget", ctx: context.Background(), limits: capped, partial: true},
+		{name: "budget-strict", ctx: context.Background(), limits: capped, clause: " STRICT", wantErr: govern.ErrBudgetExceeded},
 		// Every read of series a sleeps past the 1 ms clause, so the second
 		// chunk charge finds the deadline gone.
 		{name: "timeout", faults: faultfs.Config{Seed: 1, SlowRate: 1, Latency: 5 * time.Millisecond}, ctx: context.Background(), clause: " TIMEOUT 1", partial: true},
@@ -161,7 +162,7 @@ func TestReadContract(t *testing.T) {
 				for _, from := range []string{"a", "a, b"} {
 					q := fmt.Sprintf(`%sSELECT %s FROM %s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(%d)%s%s`,
 						form.head, form.sel, from, spans, form.tail, tc.clause)
-					res, plan, err := RunAny(tc.ctx, e, q)
+					res, plan, err := runLimited(tc.ctx, e, q, tc.limits)
 					if tc.namesA && from == "a, b" && (err == nil || !strings.Contains(err.Error(), `series "a"`)) {
 						t.Errorf("%s FROM a, b: err = %v, want it to name series \"a\"", form.name, err)
 					}
@@ -203,11 +204,27 @@ func TestReadContract(t *testing.T) {
 					if a := res.Series[0]; tc.faults != (faultfs.Config{}) && tc.faults.SlowRate == 0 && a.Partial != tc.partial {
 						t.Errorf("%s FROM a, b: series a partial=%v, want %v", form.name, a.Partial, tc.partial)
 					}
-					if b := res.Series[1]; tc.ctx != capped && tc.faults.SlowRate == 0 && (b.Partial || len(b.Rows) == 0) {
+					if b := res.Series[1]; tc.limits != capped && tc.faults.SlowRate == 0 && (b.Partial || len(b.Rows) == 0) {
 						t.Errorf("%s FROM a, b: clean series b partial=%v rows=%d", form.name, b.Partial, len(b.Rows))
 					}
 				}
 			}
 		})
 	}
+}
+
+// runLimited is RunAny with limits merged into the statement's own, the
+// way a server applies its per-query defaults.
+func runLimited(ctx context.Context, e *lsm.Engine, query string, limits govern.Limits) (*Result, string, error) {
+	stmt, err := Parse(query)
+	if err != nil {
+		return nil, "", err
+	}
+	stmt.Limits = stmt.Limits.Merge(limits)
+	if stmt.Explain {
+		plan, err := Explain(ctx, e, stmt)
+		return nil, plan, err
+	}
+	res, err := ExecuteContext(ctx, e, stmt)
+	return res, "", err
 }

@@ -188,9 +188,8 @@ func resolveSeries(e *lsm.Engine, stmt Statement) []string {
 //  2. take every series' snapshot before any operator runs;
 //  3. under STRICT, fail if a snapshot already excluded a quarantined chunk
 //     — a strict read never omits data silently;
-//  4. build one budget for the whole statement from its TIMEOUT clause over
-//     the limits the context carries (govern.WithLimits: the server's
-//     per-query defaults);
+//  4. build one budget for the whole statement from stmt.Limits (its
+//     TIMEOUT clause, over the per-query defaults a server merged in);
 //  5. dispatch form {M4 aggregates | REPRESENT points | GROUP BY rows} ×
 //     operator {LSM | UDF} through the batched entry points and collect each
 //     series' output with its own cost counters and warnings.
@@ -224,7 +223,7 @@ func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, e
 		}
 		snaps[i] = snap
 	}
-	budget := govern.NewBudget(govern.Limits{Timeout: stmt.Timeout}.Merge(govern.LimitsOf(ctx)))
+	budget := govern.NewBudget(stmt.Limits)
 	lsmOpts := m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
 	udfOpts := m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
 
@@ -490,8 +489,8 @@ func Explain(ctx context.Context, e *lsm.Engine, stmt Statement) (string, error)
 	} else {
 		fmt.Fprintf(&sb, "  parallel: GOMAXPROCS\n")
 	}
-	if stmt.Timeout > 0 {
-		fmt.Fprintf(&sb, "  timeout:  %v (soft budget)\n", stmt.Timeout)
+	if stmt.Limits.Timeout > 0 {
+		fmt.Fprintf(&sb, "  timeout:  %v (soft budget)\n", stmt.Limits.Timeout)
 	}
 	fmt.Fprintf(&sb, "  columns:  %s\n", strings.Join(columnStrings(stmt.Columns), ", "))
 	fmt.Fprintf(&sb, "executed in %v\n", res.Elapsed.Round(time.Microsecond))

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"m4lsm/internal/govern"
 	"m4lsm/internal/groupby"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/reprops"
@@ -95,11 +96,13 @@ type Statement struct {
 	// Trace is the TRACE clause: return a structured execution trace
 	// (phases, per-task timings, I/O counters) with the result.
 	Trace bool
-	// Timeout is the TIMEOUT <ms> clause: the query's soft wall-clock
-	// budget. When it expires the query degrades to a partial result with
-	// warnings (or fails typed under STRICT); it overrides any server-wide
-	// default. 0 means no statement-level timeout.
-	Timeout time.Duration
+	// Limits is the statement's budget. The TIMEOUT <ms> clause sets
+	// Limits.Timeout, the soft wall-clock budget: when it expires the query
+	// degrades to a partial result with warnings (or fails typed under
+	// STRICT). A server merges its per-query defaults into the zero fields
+	// before it runs the statement (Limits.Merge), so a clause overrides
+	// them. The zero value runs unbudgeted.
+	Limits govern.Limits
 	// Represent is the REPRESENT clause: execute an alternative
 	// representation operator (minmax, lttb, minmaxlttb[:ratio], or an
 	// explicit m4) and return point rows (time, value) instead of the
@@ -287,7 +290,7 @@ func Parse(input string) (Statement, error) {
 			if err != nil || ms < 1 {
 				return Statement{}, fmt.Errorf("m4ql: TIMEOUT wants positive milliseconds, got %q", msTok.text)
 			}
-			stmt.Timeout = time.Duration(ms) * time.Millisecond
+			stmt.Limits.Timeout = time.Duration(ms) * time.Millisecond
 			continue
 		}
 		break

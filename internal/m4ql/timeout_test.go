@@ -22,11 +22,11 @@ func TestParseTimeoutClause(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if stmt.Timeout != 250*time.Millisecond {
-			t.Errorf("%s: timeout = %v", q, stmt.Timeout)
+		if stmt.Limits != (govern.Limits{Timeout: 250 * time.Millisecond}) {
+			t.Errorf("%s: limits = %+v", q, stmt.Limits)
 		}
 	}
-	if stmt, err := Parse(`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4)`); err != nil || stmt.Timeout != 0 {
+	if stmt, err := Parse(`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4)`); err != nil || stmt.Limits != (govern.Limits{}) {
 		t.Errorf("absent clause: stmt=%+v err=%v", stmt, err)
 	}
 	bad := []string{
@@ -42,9 +42,9 @@ func TestParseTimeoutClause(t *testing.T) {
 	}
 }
 
-// TestExecuteTimeoutAndBudget: a generous TIMEOUT changes nothing; context
-// limits (the server's defaults) cap the query, degrading it in lenient
-// mode and failing it typed under STRICT.
+// TestExecuteTimeoutAndBudget: a generous TIMEOUT changes nothing; the
+// statement's limits (where a server merges its defaults) cap the query,
+// degrading it in lenient mode and failing it typed under STRICT.
 func TestExecuteTimeoutAndBudget(t *testing.T) {
 	e := newEngine(t)
 	for i := 0; i < 200; i++ {
@@ -68,9 +68,16 @@ func TestExecuteTimeoutAndBudget(t *testing.T) {
 		t.Error("generous TIMEOUT changed the result")
 	}
 
-	// Server-wide defaults arrive through the context.
-	ctx := govern.WithLimits(context.Background(), govern.Limits{MaxChunks: 1})
-	res, err = RunContext(ctx, e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)`)
+	// Server-wide defaults arrive merged into the statement.
+	capped := func(q string) (*Result, error) {
+		stmt, err := ParseQuery(q)
+		if err != nil {
+			return nil, err
+		}
+		stmt.Limits = stmt.Limits.Merge(govern.Limits{MaxChunks: 1})
+		return ExecuteContext(context.Background(), e, stmt)
+	}
+	res, err = capped(`SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7)`)
 	if err != nil {
 		t.Fatalf("lenient budgeted query must degrade, not fail: %v", err)
 	}
@@ -83,7 +90,7 @@ func TestExecuteTimeoutAndBudget(t *testing.T) {
 		}
 	}
 
-	_, err = RunContext(ctx, e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7) STRICT`)
+	_, err = capped(`SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7) STRICT`)
 	if !errors.Is(err, govern.ErrBudgetExceeded) {
 		t.Fatalf("strict budget-capped query: got %v, want ErrBudgetExceeded", err)
 	}

@@ -37,7 +37,8 @@ func dashboardCharts() []dashChart {
 		{Title: "WAL bytes", Series: []string{sys("lsm_wal_bytes")}},
 		{Title: "Memtable points", Series: []string{sys("lsm_memtable_points")}},
 		{Title: "Points written (cumulative)", Series: []string{sys("lsm_points_written_total")}},
-		{Title: "Shed requests / 429s (cumulative)", Series: []string{sys("http_shed_total")}},
+		// The two sources of 429s: the query gate and /write's ingest queue.
+		{Title: "Shed requests / 429s (cumulative)", Series: []string{sys("http_shed_total"), sys("lsm_ingest_backpressure_total")}},
 		{Title: "Scrub chunks checked (cumulative)", Series: []string{sys("scrub_chunks_checked_total")}},
 		{Title: "Pyramid cells", Series: []string{sys("lsm_pyramid_cells")}},
 	}

@@ -259,34 +259,76 @@ func TestOverloadTorture(t *testing.T) {
 }
 
 // TestQueryBudgetMapping drives the server-level default budget: a lenient
-// query degrades to 200 + partial, a STRICT one maps to 503 with the
-// budget-exceeded error kind.
+// /query or /render degrades to 200 + partial, a STRICT query maps to 503
+// with the budget-exceeded error kind. The defaults ride the statement,
+// not the admission wrapper, so they hold with admission off as well.
 func TestQueryBudgetMapping(t *testing.T) {
-	srv := newGatedServer(t, Config{QuerySlots: 4, MaxChunksPerQuery: 1}, nil)
+	for name, cfg := range map[string]Config{
+		"admission": {QuerySlots: 4, MaxChunksPerQuery: 1},
+		"no-gate":   {MaxChunksPerQuery: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv := newGatedServer(t, cfg, nil)
 
-	var res struct {
-		Partial  bool     `json:"partial"`
-		Warnings []string `json:"warnings"`
-	}
-	if code := getJSON(t, slowQueryURL(srv.URL), &res); code != 200 {
-		t.Fatalf("lenient budgeted query: status %d", code)
-	}
-	if !res.Partial || len(res.Warnings) == 0 {
-		t.Fatalf("budget-capped query not partial (partial=%v warnings=%d)", res.Partial, len(res.Warnings))
-	}
+			var res struct {
+				Partial  bool     `json:"partial"`
+				Warnings []string `json:"warnings"`
+			}
+			if code := getJSON(t, slowQueryURL(srv.URL), &res); code != 200 {
+				t.Fatalf("lenient budgeted query: status %d", code)
+			}
+			if !res.Partial || len(res.Warnings) == 0 {
+				t.Fatalf("budget-capped query not partial (partial=%v warnings=%d)", res.Partial, len(res.Warnings))
+			}
 
-	q := url.Values{}
-	q.Set("q", "SELECT M4(*) FROM root.s1 WHERE time >= 0 AND time < 3000 GROUP BY SPANS(5) USING LSM STRICT")
-	resp, err := http.Get(srv.URL + "/query?" + q.Encode())
-	if err != nil {
-		t.Fatal(err)
+			resp, err := http.Get(srv.URL + "/render?series=root.s1&tqs=0&tqe=3000&w=5&h=10")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 200 || resp.Header.Get("X-M4-Partial") == "" {
+				t.Fatalf("budget-capped render: status %d, X-M4-Partial %q; want 200 and partial",
+					resp.StatusCode, resp.Header.Get("X-M4-Partial"))
+			}
+
+			q := url.Values{}
+			q.Set("q", "SELECT M4(*) FROM root.s1 WHERE time >= 0 AND time < 3000 GROUP BY SPANS(5) USING LSM STRICT")
+			resp, err = http.Get(srv.URL + "/query?" + q.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("strict budgeted query: status %d, want 503", resp.StatusCode)
+			}
+			if kind := resp.Header.Get("X-M4-Error"); kind != "budget-exceeded" {
+				t.Errorf("X-M4-Error = %q, want budget-exceeded", kind)
+			}
+		})
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("strict budgeted query: status %d, want 503", resp.StatusCode)
+}
+
+// TestStatementTimeoutOverridesDefault: a server default timeout that has
+// passed before the first chunk load leaves a query partial, and the
+// statement's own TIMEOUT replaces it.
+func TestStatementTimeoutOverridesDefault(t *testing.T) {
+	srv := newGatedServer(t, Config{QueryTimeout: time.Nanosecond}, nil)
+	query := func(q string) (partial bool) {
+		t.Helper()
+		var res struct {
+			Partial bool `json:"partial"`
+		}
+		if code := getJSON(t, srv.URL+"/query?"+url.Values{"q": {q}}.Encode(), &res); code != 200 {
+			t.Fatalf("%s: status %d", q, code)
+		}
+		return res.Partial
 	}
-	if kind := resp.Header.Get("X-M4-Error"); kind != "budget-exceeded" {
-		t.Errorf("X-M4-Error = %q, want budget-exceeded", kind)
+	const q = "SELECT M4(*) FROM root.s1 WHERE time >= 0 AND time < 3000 GROUP BY SPANS(5) USING LSM"
+	if !query(q) {
+		t.Error("a query under a passed default timeout is not partial")
+	}
+	if query(q + " TIMEOUT 60000") {
+		t.Error("a statement TIMEOUT did not override the server's default")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"regexp"
 	"runtime"
@@ -98,6 +99,15 @@ func TestDashboardRendersChartsThroughM4(t *testing.T) {
 	matches := imgSrcRe.FindAllStringSubmatch(string(page), -1)
 	if len(matches) < 6 {
 		t.Fatalf("dashboard has %d charts, want >= 6:\n%s", len(matches), page)
+	}
+	// A 429 comes from the query gate or from /write's ingest queue: the
+	// shed chart draws both sources.
+	_, shedChart, _ := strings.Cut(string(page), "Shed requests / 429s")
+	if m := imgSrcRe.FindStringSubmatch(shedChart); m == nil {
+		t.Error("the shed chart has no image")
+	} else if src, err := url.Parse(html.UnescapeString(m[1])); err != nil ||
+		src.Query().Get("series") != "root.sys.http_shed_total,root.sys.lsm_ingest_backpressure_total" {
+		t.Errorf("the shed chart draws %q, want the query gate's and the ingest queue's 429s", m[1])
 	}
 	lit := 0
 	for _, m := range matches {

@@ -40,7 +40,8 @@ type Config struct {
 	SlowQueryThreshold time.Duration
 
 	// QuerySlots bounds concurrently executing query-class requests
-	// (/query and /render; health and metrics endpoints are never gated).
+	// (/query and /render; health and metrics endpoints are never gated,
+	// and /write is admitted by the engine's ingest queue alone).
 	// 0 disables admission control.
 	QuerySlots int
 	// QueryQueueDepth is how many query-class requests may wait for a slot
@@ -52,18 +53,11 @@ type Config struct {
 	// slot is free).
 	QueryQueueWait time.Duration
 
-	// WriteSlots / WriteQueueDepth / WriteQueueWait are the same admission
-	// knobs for the /write ingestion endpoint, on a gate of its own so a
-	// write flood cannot starve queries of admission (and vice versa).
-	// WriteSlots 0 disables write admission control.
-	WriteSlots      int
-	WriteQueueDepth int
-	WriteQueueWait  time.Duration
-
 	// QueryTimeout is the default soft wall-clock budget per query-class
-	// request; a statement-level TIMEOUT clause overrides it. When the
-	// budget expires the query degrades to a partial result with warnings
-	// (or fails with 503 under STRICT). 0 means no default.
+	// request; a statement-level TIMEOUT clause overrides it (serve merges
+	// these defaults into the statement's Limits). When the budget expires
+	// the query degrades to a partial result with warnings (or fails with
+	// 503 under STRICT). 0 means no default.
 	QueryTimeout time.Duration
 	// MaxChunksPerQuery / MaxPointsPerQuery are default per-query resource
 	// caps (physical chunk loads / decoded points); 0 means unlimited.
@@ -96,10 +90,9 @@ type Handler struct {
 	log    *slog.Logger
 	start  time.Time
 
-	gate      *govern.Gate  // query-class admission; nil: off
-	writeGate *govern.Gate  // /write admission; nil: off
-	limits    govern.Limits // default per-query budget (zero: unbudgeted)
-	maxBody   int64
+	gate    *govern.Gate  // query-class admission; nil: off
+	limits  govern.Limits // default per-query budget (zero: unbudgeted)
+	maxBody int64
 
 	events  *obs.EventLog    // wide-event request log and slow tail (always on)
 	sampler *history.Sampler // nil: self-metrics off
@@ -123,7 +116,6 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 	}
 	threshold := orDefault(cfg.SlowQueryThreshold, 100*time.Millisecond)
 	wait := orDefault(cfg.QueryQueueWait, time.Second)
-	writeWait := orDefault(cfg.WriteQueueWait, time.Second)
 	reg := e.Metrics()
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -139,7 +131,6 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 		log:           logger,
 		start:         time.Now(),
 		gate:          govern.NewGate(cfg.QuerySlots, cfg.QueryQueueDepth, wait),
-		writeGate:     govern.NewGate(cfg.WriteSlots, cfg.WriteQueueDepth, writeWait),
 		limits:        govern.Limits{MaxChunks: cfg.MaxChunksPerQuery, MaxPoints: cfg.MaxPointsPerQuery, Timeout: cfg.QueryTimeout},
 		maxBody:       maxBody,
 		renderPartial: reg.Counter("render_partial_total"),
@@ -147,9 +138,6 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 	reg.CounterFunc("http_shed_total", func() float64 { return float64(h.gate.Shed()) })
 	reg.GaugeFunc("http_query_inflight", func() float64 { return float64(h.gate.InFlight()) })
 	reg.GaugeFunc("http_query_waiting", func() float64 { return float64(h.gate.Waiting()) })
-	reg.CounterFunc("http_write_shed_total", func() float64 { return float64(h.writeGate.Shed()) })
-	reg.GaugeFunc("http_write_inflight", func() float64 { return float64(h.writeGate.InFlight()) })
-	reg.GaugeFunc("http_write_waiting", func() float64 { return float64(h.writeGate.Waiting()) })
 	buildinfo.Register(reg)
 
 	events, err := obs.NewEventLog(cfg.EventLogPath, eventBuffer, eventBuffer, threshold, logger)
@@ -181,9 +169,9 @@ func NewWith(e *lsm.Engine, cfg Config) *Handler {
 	h.handle("/", h.ui)
 	h.handle("/healthz", h.health)
 	h.handle("/series", h.series)
-	h.handle("/query", h.gated(h.query))
-	h.handle("/render", h.gated(h.render))
-	h.handle("/write", h.admitted(h.writeGate, h.write))
+	h.handle("/query", h.admitted(h.query))
+	h.handle("/render", h.admitted(h.render))
+	h.handle("/write", h.write)
 	h.handle("/dashboard", h.dashboard)
 	h.handle("/metrics", h.metrics)
 	h.handle("/varz", h.varz)
@@ -212,40 +200,24 @@ func (h *Handler) Close() error {
 	return h.events.Close()
 }
 
-// gated wraps a query-class endpoint with admission control and the default
-// per-query budget. Introspection endpoints (health, metrics, slowlog) stay
-// ungated so operators can always see an overloaded server.
-func (h *Handler) gated(fn http.HandlerFunc) http.HandlerFunc {
-	return h.admitted(h.gate, func(w http.ResponseWriter, r *http.Request) {
-		fn(w, r.WithContext(govern.WithLimits(r.Context(), h.limits)))
-	})
-}
-
-// admitted wraps an endpoint with one gate's admission control (queries and
-// writes each have their own, so neither class can starve the other). Shed
-// requests answer 429 with Retry-After; a client that disconnects while
-// queued gets 503 and is not counted as shed.
-func (h *Handler) admitted(gate *govern.Gate, fn http.HandlerFunc) http.HandlerFunc {
+// admitted wraps a query-class endpoint with the one admission gate.
+// Introspection endpoints (health, metrics, slowlog) are never gated, so
+// operators can always see an overloaded server, and /write is admitted by
+// the engine's ingest queue, so a write flood takes no query slot. A
+// rejection is answered like any mapped error: a shed request gets 429 with
+// Retry-After; a client that disconnects while queued gets 503 and is not
+// counted as shed.
+func (h *Handler) admitted(fn http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, err := gate.Acquire(r.Context())
+		release, err := h.gate.Acquire(r.Context())
 		if err != nil {
 			// Rejected before the endpoint ran: the endpoint cannot emit its
 			// wide event, so the gate does — every query-class request
 			// produces exactly one event, shed or served.
-			ev := obs.Event{When: time.Now(), Endpoint: r.URL.Path, Status: http.StatusServiceUnavailable,
-				RequestID: w.Header().Get("X-Request-ID"), Error: err.Error()}
-			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				retry := time.Second
-				var oe *govern.OverloadError
-				if errors.As(err, &oe) {
-					retry = oe.RetryAfter
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
-				w.Header().Set("X-M4-Error", "overloaded")
-				ev.Status = http.StatusTooManyRequests
-			}
-			h.events.Record(ev)
-			httpError(w, ev.Status, err)
+			code, kind := mapQueryError(err)
+			h.events.Record(obs.Event{When: time.Now(), Endpoint: r.URL.Path, Status: code,
+				RequestID: w.Header().Get("X-Request-ID"), Error: err.Error()})
+			writeMappedError(w, code, kind, err)
 			return
 		}
 		defer release()
@@ -276,11 +248,17 @@ func mapQueryError(err error) (code int, kind string) {
 
 // writeMappedError answers a classified error: the X-M4-Error header names
 // the condition machine-readably, and retryable conditions (overload,
-// read-only disk) carry a Retry-After hint.
+// backpressure, read-only disk) carry a Retry-After hint in whole seconds:
+// the gate's own suggestion for a shed request, else one second.
 func writeMappedError(w http.ResponseWriter, code int, kind string, err error) {
 	w.Header().Set("X-M4-Error", kind)
 	if kind == "overloaded" || kind == "read-only" || kind == "backpressure" {
-		w.Header().Set("Retry-After", "1")
+		retry := time.Second
+		var oe *govern.OverloadError
+		if errors.As(err, &oe) {
+			retry = oe.RetryAfter
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
 	}
 	httpError(w, code, err)
 }
@@ -369,7 +347,8 @@ func (h *Handler) finishEvent(w http.ResponseWriter, ev *obs.Event) {
 }
 
 // serve is the query-class pipeline after an endpoint has turned its
-// request into a statement: the statement runs through the one read path,
+// request into a statement: the server's per-query defaults fill the
+// statement's unset limits, the statement runs through the one read path,
 // an execution error is mapped to its status (fallback when mapQueryError
 // has none), and the wide event gets the operator, partial flag, warnings,
 // cost counters and trace. encode then writes the answer, and once it has,
@@ -378,6 +357,7 @@ func (h *Handler) finishEvent(w http.ResponseWriter, ev *obs.Event) {
 func (h *Handler) serve(w http.ResponseWriter, r *http.Request, ev *obs.Event, stmt m4ql.Statement,
 	fallback int, encode func(http.ResponseWriter, *m4ql.Outcome)) {
 	ctx := r.Context()
+	stmt.Limits = stmt.Limits.Merge(h.limits)
 	out, err := m4ql.Exec(ctx, h.engine, stmt)
 	if err != nil {
 		ev.Error = err.Error()

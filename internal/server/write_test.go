@@ -186,73 +186,6 @@ func TestWriteBodyBounds(t *testing.T) {
 	}
 }
 
-// TestWriteAdmissionSheds pins one /write in flight against a single-slot
-// write gate and proves the next one sheds with 429 + Retry-After +
-// X-M4-Error: overloaded, on the write gate's own counters.
-func TestWriteAdmissionSheds(t *testing.T) {
-	checkNoGoroutineLeak(t)
-	drainEntered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	hook := func(site string) error {
-		// Parked before the queue, holding the one write slot but not
-		// the engine lock.
-		if site == "ingest.enqueue" {
-			once.Do(func() {
-				close(drainEntered)
-				<-release
-			})
-		}
-		return nil
-	}
-	srv, _ := newWriteServer(t,
-		Config{WriteSlots: 1, WriteQueueDepth: 0, WriteQueueWait: -1},
-		lsm.Options{StepHook: hook})
-
-	firstDone := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(srv.URL+"/write", "text/plain", strings.NewReader("root.a 1 1\n"))
-		if err != nil {
-			firstDone <- -1
-			return
-		}
-		resp.Body.Close()
-		firstDone <- resp.StatusCode
-	}()
-	<-drainEntered
-
-	resp := postWrite(t, srv.URL, "root.b 2 2\n")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second write: status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-	if kind := resp.Header.Get("X-M4-Error"); kind != "overloaded" {
-		t.Errorf("X-M4-Error = %q, want overloaded", kind)
-	}
-	if shed := varzNumber(t, srv.URL, "http_write_shed_total"); shed < 1 {
-		t.Errorf("http_write_shed_total = %v after a shed", shed)
-	}
-	// The query gate is untouched: write overload must not charge queries.
-	if shed := varzNumber(t, srv.URL, "http_shed_total"); shed != 0 {
-		t.Errorf("http_shed_total = %v, want 0", shed)
-	}
-
-	close(release)
-	if code := <-firstDone; code != http.StatusOK {
-		t.Fatalf("pinned write finished with %d", code)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for varzNumber(t, srv.URL, "http_write_inflight") != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("write inflight gauge never drained")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestScrapesDoNotWaitForWriters parks a write at ingest.drain, where it
 // holds the engine lock, and requires a registry snapshot, GET /metrics and
 // Info to answer within a bounded wait: the engine's state gauges and Info
@@ -332,22 +265,32 @@ func TestScrapesDoNotWaitForWriters(t *testing.T) {
 	}
 }
 
-// TestWriteOverloadTorture floods /write through a narrow gate over an
-// engine with a deliberately tiny ingest queue. Every response is 200 or
-// 429-with-Retry-After — never a 500 or a hang — and the engine's
-// queue-depth gauge never exceeds its configured bound (+1 item of
-// soft-cap slack): overload sheds, it does not buffer.
+// TestWriteOverloadTorture floods /write over an engine with a
+// deliberately tiny ingest queue, /write's only admission control. Every
+// response is 200 or 429 with Retry-After and X-M4-Error: backpressure —
+// never a 500 or a hang — the engine's queue-depth gauge never exceeds its
+// configured bound (+ one request of soft-cap slack), and a one-slot query
+// gate that sheds at once sheds nothing: overload sheds, it does not
+// buffer, and /write never passes the queries' admission. The first drain
+// parks until a write has been shed, so every run reaches the 429 path.
 func TestWriteOverloadTorture(t *testing.T) {
 	checkNoGoroutineLeak(t)
 	const queuePoints = 8
+	firstShed := make(chan struct{})
+	var parkOnce, shedOnce sync.Once
 	hook := func(site string) error {
 		if site == "ingest.drain" {
+			parkOnce.Do(func() {
+				select {
+				case <-firstShed:
+				case <-time.After(10 * time.Second):
+				}
+			})
 			time.Sleep(time.Millisecond) // slow consumer: force queuing
 		}
 		return nil
 	}
-	srv, e := newWriteServer(t,
-		Config{WriteSlots: 2, WriteQueueDepth: 2, WriteQueueWait: 20 * time.Millisecond},
+	srv, e := newWriteServer(t, Config{QuerySlots: 1, QueryQueueWait: -1},
 		lsm.Options{StepHook: hook, IngestQueuePoints: queuePoints,
 			IngestEnqueueWait: 20 * time.Millisecond})
 
@@ -393,7 +336,12 @@ func TestWriteOverloadTorture(t *testing.T) {
 					errCh <- fmt.Errorf("429 without Retry-After")
 					return
 				}
+				if kind := resp.Header.Get("X-M4-Error"); kind != "backpressure" {
+					errCh <- fmt.Errorf("429 with X-M4-Error %q, want backpressure", kind)
+					return
+				}
 				shed.Add(1)
+				shedOnce.Do(func() { close(firstShed) })
 			default:
 				errCh <- fmt.Errorf("unexpected status %d", resp.StatusCode)
 			}
@@ -409,6 +357,9 @@ func TestWriteOverloadTorture(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Error("no write survived the burst")
 	}
+	if shed.Load() == 0 {
+		t.Error("no write was shed: the ingest queue's 429 path was never reached")
+	}
 	if got := ok.Load() + shed.Load(); got != n {
 		t.Errorf("accounted for %d of %d requests", got, n)
 	}
@@ -416,6 +367,9 @@ func TestWriteOverloadTorture(t *testing.T) {
 	// cap, so the observable bound is cap + largest request (3 points).
 	if m := maxQueued.Load(); m > queuePoints+3 {
 		t.Errorf("queue depth reached %d, bound is %d", m, queuePoints+3)
+	}
+	if counted := varzNumber(t, srv.URL, "http_shed_total"); counted != 0 {
+		t.Errorf("http_shed_total = %v after a write flood, want 0", counted)
 	}
 	t.Logf("burst: %d ok, %d shed, max queue depth %d", ok.Load(), shed.Load(), maxQueued.Load())
 }
