@@ -101,7 +101,7 @@ fuzz:
 # through log/slog (the server injects a request-scoped logger) so output
 # stays structured and greppable. Commands, examples and tests are exempt.
 # The structural rules (one read path, one merge-all read, one task shape,
-# public examples, one write path, one WAL file, one chunk writer,
+# public examples, one write path, sorted on write, one WAL file, one chunk writer,
 # fit-at-write, one measurement stack, the columnar read path, recycle at
 # query end, one engine lock, no engine goroutines, no library sleeps,
 # DESIGN.md's invariant table, no test-only production API and no knob

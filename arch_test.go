@@ -535,6 +535,7 @@ func init() {
 		{"one_task_shape", ruleOneTaskShape},
 		{"public_examples", rulePublicExamples},
 		{"one_write_path", ruleOneWritePath},
+		{"sorted_on_write", ruleSortedOnWrite},
 		{"one_wal_file", ruleOneWALFile},
 		{"one_chunk_writer", ruleOneChunkWriter},
 		{"fit_at_write", ruleFitAtWrite},
@@ -633,37 +634,31 @@ func ruleOneAdmissionGate(tr *archTree) []string {
 }
 
 // ruleOneWritePath: inserts reach a memtable in one place, memAppend
-// (internal/lsm/ingest.go), called by applyRun and WAL replay; the log is
+// (internal/lsm/ingest.go), called by applyRun and WAL replay, and deletes
+// in one more, applyDeleteToMem beside it; the log is
 // reached through internal/wal's methods only: lsm, tests included, has no
 // walMu or walAppend, only wal and tsfile (and bench/) open a record log,
 // and only wal (and bench/) spells a WAL file name, "wal.log" or the
 // "wal-" of an older build's segments.
 func ruleOneWritePath(tr *archTree) []string {
 	lsm := tr.pkgsUnder("internal/lsm")
-	// A memtable append is m[k] = append(...) into a map of the type of
-	// Engine.mem, however the map is reached.
-	memAppend := func(p *archPkg, n ast.Node) bool {
+	// A memtable write is m[k] = v into a map of the type of Engine.mem,
+	// however the map is reached.
+	memWrite := func(p *archPkg, n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		if !ok || len(as.Lhs) != 1 {
 			return false
 		}
 		ix, ok := as.Lhs[0].(*ast.IndexExpr)
-		call, isCall := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !isCall {
-			return false
-		}
-		fn, ok := call.Fun.(*ast.Ident)
-		if _, builtin := p.info.Uses[fn].(*types.Builtin); !ok || !builtin || fn.Name != "append" {
-			return false
-		}
 		engine := p.types.Scope().Lookup("Engine")
-		if engine == nil {
+		if !ok || engine == nil {
 			return false
 		}
 		mem, _, _ := types.LookupFieldOrMethod(engine.Type(), true, p.types, "mem")
 		return mem != nil && types.Identical(p.info.TypeOf(ix.X), mem.Type())
 	}
-	out := onlyAt("memtable appends", tr.find(lsm, memAppend), "internal/lsm/ingest.go:memAppend")
+	out := onlyAt("memtable writes", tr.find(lsm, memWrite),
+		"internal/lsm/ingest.go:applyDeleteToMem", "internal/lsm/ingest.go:memAppend")
 	for _, p := range lsm {
 		files, names := append(append([]*ast.File{}, p.files...), p.tests...), append(append([]string{}, p.names...), p.tnames...)
 		for i, f := range files {
@@ -679,6 +674,14 @@ func ruleOneWritePath(tr *archTree) []string {
 		tr.find(tr.pkgsOutside("internal/wal", "internal/tsfile", "bench"), uses(is("internal/tsfile.OpenRecordLog"))))...)
 	walName := func(p *archPkg, n ast.Node) bool { return stringLit("wal.log")(p, n) || stringLit("wal-")(p, n) }
 	return append(out, none("WAL file name outside internal/wal", tr.find(tr.pkgsOutside("internal/wal", "bench"), walName))...)
+}
+
+// ruleSortedOnWrite: a series' memtable is kept sorted and deduplicated as
+// it is written (memAppend), so a snapshot borrows it and a flush writes it
+// as it is; no code in internal/lsm sorts it again with series.SortDedup.
+func ruleSortedOnWrite(tr *archTree) []string {
+	return none("series.SortDedup in lsm; the memtable is sorted on write",
+		tr.find(tr.pkgsUnder("internal/lsm"), uses(is("internal/series.SortDedup"))))
 }
 
 // ruleOneWALFile: the write-ahead log is one file that never rotates, and
@@ -787,11 +790,19 @@ func ruleColumnarReadPath(tr *archTree) []string {
 // (groupby's computeFromM4), Outcome.Release and Canvas.Release; the
 // server's serve is the one caller of Outcome.Release, after the response
 // is written, and /render the one caller of Canvas.Release. No task
-// recycles what another task may still read.
+// recycles what another task may still read, and storage's in-memory
+// chunk, whose columns a memtable shares with the snapshots that borrowed
+// them, has no Recycle method at all.
 func ruleRecycleAtQueryEnd(tr *archTree) []string {
 	refs := func(key string) []archRef { return tr.find(tr.sorted(), uses(is(key))) }
-	out := onlyAt("storage.ChunkRef.Recycle references", refs("internal/storage.ChunkRef.Recycle"),
-		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/mergeread/mergeread.go:Read")
+	var out []string
+	if st := tr.pkgs[archModule+"/internal/storage"].types; st.Scope().Lookup("memChunk") == nil {
+		out = append(out, "internal/storage declares no memChunk")
+	} else if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(st.Scope().Lookup("memChunk").Type()), true, st, "Recycle"); m != nil {
+		out = append(out, "storage.memChunk has a Recycle method: memtable columns would be recycled")
+	}
+	out = append(out, onlyAt("storage.ChunkRef.Recycle references", refs("internal/storage.ChunkRef.Recycle"),
+		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/mergeread/mergeread.go:Read")...)
 	out = append(out, onlyWithin("slicepool.Pool.Put references", refs("internal/slicepool.Pool.Put"),
 		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/m4lsm/plan.go:release",
 		"internal/m4lsm/reduce.go:ReduceMultiContext", "internal/groupby/groupby.go:computeFromM4",
@@ -1208,7 +1219,9 @@ var archMutations = []struct {
 		"\nfunc again(ctx context.Context, h *Handler) { _, _ = m4ql.Exec(ctx, h.engine, m4ql.Statement{}) }\n"}}},
 	{"stepreg.Fit in m4lsm/load.go", "fit_at_write", []archEdit{{"internal/m4lsm/load.go", "", "\nfunc refit(ts []int64) *stepreg.Model { return stepreg.Fit(ts) }\n"}}},
 	{"memtable append through an alias outside ingest.go", "one_write_path", []archEdit{{"internal/lsm/engine.go", "",
-		"\nfunc (e *Engine) put(id string, p series.Point) {\n\tbuf := e.mem\n\tbuf[id] = append(buf[id], p)\n}\n"}}},
+		"\nfunc (e *Engine) put(id string, m memtable) {\n\tbuf := e.mem\n\tbuf[id] = m\n}\n"}}},
+	{"SortDedup back in Snapshot", "sorted_on_write", []archEdit{{"internal/lsm/read.go",
+		"if m := e.mem[seriesID];", "if m := (memtable{cols: series.SortDedup(e.mem[seriesID].cols.Points()).Columns()});"}}},
 	{"walMu in lsm", "one_write_path", []archEdit{{"internal/lsm/engine.go", "", "\nvar walMu sync.Mutex\n"}}},
 	{"record log opened in lsm", "one_write_path", []archEdit{{"internal/lsm/recovery.go", "",
 		"\nfunc openLog(p string) (*tsfile.RecordLog, [][]byte, error) { return tsfile.OpenRecordLog(p, false) }\n"}}},
@@ -1222,6 +1235,8 @@ var archMutations = []struct {
 	{"exper imports the server", "one_measurement_stack", []archEdit{{"internal/exper/exper.go", "import (", "import (\n\t_ \"m4lsm/internal/server\""}}},
 	{"Recycle inside a load task", "recycle_at_query_end", []archEdit{{"internal/mergeread/mergeread.go",
 		"c.Task(i, \"load\", t)", "c.Task(i, \"load\", t)\n\t\t\tref.Recycle(l.chunks[i].cols.Times(), nil)"}}},
+	{"Recycle on the in-memory chunk", "recycle_at_query_end", []archEdit{{"internal/storage/memchunk.go", "",
+		"\n// Recycle implements Recycler.\nfunc (c *memChunk) Recycle([]int64, []float64) {}\n"}}},
 	{"release the plan inside runWave", "recycle_at_query_end", []archEdit{{"internal/m4lsm/m4lsm.go",
 		"r := &p.results[tk.k][tk.g]", "defer p.release()\n\t\tr := &p.results[tk.k][tk.g]"}}},
 	{"second mutex in Engine", "one_engine_lock", []archEdit{{"internal/lsm/engine.go",

@@ -7,6 +7,7 @@ import (
 
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
+	"m4lsm/internal/testutil"
 )
 
 // countingSource counts physical reads.
@@ -48,8 +49,8 @@ func (c *LRU) state() (used int64, entries int) {
 
 func setup(t *testing.T, capBytes int64) (*Source, *countingSource, storage.ChunkMeta) {
 	t.Helper()
-	mem := storage.NewMemSource()
-	meta, err := mem.AddChunk("s", 1, series.Series{{T: 1, V: 1}, {T: 2, V: 2}})
+	mem := testutil.Chunks{}
+	meta, err := mem.Add(1, series.Series{{T: 1, V: 1}, {T: 2, V: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +141,13 @@ func TestZeroCapacityPassthrough(t *testing.T) {
 }
 
 func TestEviction(t *testing.T) {
-	mem := storage.NewMemSource()
+	mem := testutil.Chunks{}
 	lru := NewLRU(16 * 6) // room for ~3 two-point chunks (2*16 bytes each)
 	cs := &countingSource{inner: mem}
 	src := Wrap(cs, lru)
 	var metas []storage.ChunkMeta
 	for v := storage.Version(1); v <= 4; v++ {
-		m, err := mem.AddChunk("s", v, series.Series{{T: int64(v), V: 1}, {T: int64(v) + 10, V: 2}})
+		m, err := mem.Add(v, series.Series{{T: int64(v), V: 1}, {T: int64(v) + 10, V: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,10 +209,10 @@ func TestWarmReadsShareColumns(t *testing.T) {
 }
 
 func TestOversizeEntryNotCached(t *testing.T) {
-	mem := storage.NewMemSource()
+	mem := testutil.Chunks{}
 	lru := NewLRU(8)
 	src := Wrap(&countingSource{inner: mem}, lru)
-	meta, _ := mem.AddChunk("s", 1, series.Series{{T: 1, V: 1}, {T: 2, V: 2}})
+	meta, _ := mem.Add(1, series.Series{{T: 1, V: 1}, {T: 2, V: 2}})
 	src.ReadChunk(meta)
 	if used, entries := lru.state(); entries != 0 {
 		t.Errorf("oversize entry cached: %d entries, %d bytes", entries, used)
@@ -219,12 +220,12 @@ func TestOversizeEntryNotCached(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	mem := storage.NewMemSource()
+	mem := testutil.Chunks{}
 	lru := NewLRU(1 << 12)
 	src := Wrap(&countingSource{inner: mem}, lru)
 	var metas []storage.ChunkMeta
 	for v := storage.Version(1); v <= 32; v++ {
-		m, err := mem.AddChunk("s", v, series.Series{{T: int64(v), V: 1}})
+		m, err := mem.Add(v, series.Series{{T: int64(v), V: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,8 +262,8 @@ func TestNilLRUSafe(t *testing.T) {
 		t.Error("nil LRU returned a hit")
 	}
 	lru.put(&entry{}) // must not panic
-	mem := storage.NewMemSource()
-	meta, _ := mem.AddChunk("s", 1, series.Series{{T: 1, V: 1}})
+	mem := testutil.Chunks{}
+	meta, _ := mem.Add(1, series.Series{{T: 1, V: 1}})
 	if cols, err := Wrap(mem, lru).ReadChunk(meta); err != nil || cols.Len() != 1 {
 		t.Errorf("read through a nil LRU: %v, %v", cols, err)
 	}
@@ -279,8 +280,8 @@ func TestUpdateExistingKeyAdjustsSize(t *testing.T) {
 }
 
 func ExampleLRU() {
-	mem := storage.NewMemSource()
-	meta, _ := mem.AddChunk("s", 1, series.Series{{T: 1, V: 1}})
+	mem := testutil.Chunks{}
+	meta, _ := mem.Add(1, series.Series{{T: 1, V: 1}})
 	phys := &countingSource{inner: mem}
 	src := Wrap(phys, NewLRU(1<<20))
 	src.ReadChunk(meta)

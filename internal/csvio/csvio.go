@@ -48,7 +48,7 @@ func Read(r io.Reader, sortDedup bool) (series.Series, error) {
 	if sortDedup {
 		return series.SortDedup(out), nil
 	}
-	if err := out.Validate(); err != nil {
+	if err := out.Columns().Validate(); err != nil {
 		return nil, fmt.Errorf("csvio: %w (pass sortDedup to accept unsorted input)", err)
 	}
 	return out, nil

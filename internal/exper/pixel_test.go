@@ -32,7 +32,7 @@ func TestAllTechniquesProduceSortedSubBudgetOutput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tech.name, err)
 		}
-		if err := out.Validate(); err != nil {
+		if err := out.Columns().Validate(); err != nil {
 			t.Errorf("%s output: %v", tech.name, err)
 		}
 		if len(out) == 0 || len(out) > budgets[tech.name] {

@@ -128,12 +128,12 @@ func RunFig8(cfg Config) ([]Fig8Result, error) {
 	defer w.Abort() // only the chunks' metadata is wanted
 	out := make([]Fig8Result, 0, len(cfg.Datasets))
 	for _, p := range cfg.Datasets {
-		data := p.Generate(cfg.ChunkSize, cfg.Seed)
-		meta, err := w.WriteChunk(p.Name, 1, data)
+		cols := p.Generate(cfg.ChunkSize, cfg.Seed).Columns()
+		meta, err := w.WriteChunk(p.Name, 1, cols)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", p.Name, err)
 		}
-		ts := data.Times()
+		ts := cols.Times()
 		ix := stepreg.Bind(meta.Step, ts)
 		out = append(out, Fig8Result{
 			Dataset:     p.Name,

@@ -8,6 +8,7 @@ import (
 
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
+	"m4lsm/internal/testutil"
 )
 
 func TestDecideDeterministic(t *testing.T) {
@@ -53,10 +54,10 @@ func TestDecideRates(t *testing.T) {
 	}
 }
 
-func memSnapshotSource(t *testing.T) (storage.ChunkMeta, *storage.MemSource) {
+func memSnapshotSource(t *testing.T) (storage.ChunkMeta, testutil.Chunks) {
 	t.Helper()
-	src := storage.NewMemSource()
-	meta, err := src.AddChunk("s", 1, series.Series{{T: 1, V: 2}, {T: 3, V: 4}})
+	src := testutil.Chunks{}
+	meta, err := src.Add(1, series.Series{{T: 1, V: 2}, {T: 3, V: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestSourceFaults(t *testing.T) {
 		}
 	})
 	t.Run("value reads draw the data site", func(t *testing.T) {
-		mem := storage.NewMemSource()
+		mem := testutil.Chunks{}
 		s := Wrap(mem, NewInjector(Config{Seed: 3, ErrRate: 0.5}))
 		failed := 0
 		for v := storage.Version(1); v <= 40; v++ {
-			m, err := mem.AddChunk("s", v, series.Series{{T: 1, V: float64(v)}})
+			m, err := mem.Add(v, series.Series{{T: 1, V: float64(v)}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func (e *Engine) compactLocked() error {
 			return fmt.Errorf("lsm: compact %s: %w", id, err)
 		}
 		if len(data) > 0 {
-			merged = append(merged, run{id, data})
+			merged = append(merged, run{id, data.Columns()})
 		}
 	}
 	r, err := e.writeChunkFile(merged, false)

@@ -8,7 +8,8 @@
 // designed for (the paper's Table 4 runs without compaction; Compact is an
 // explicit maintenance call). Queries obtain an immutable Snapshot of chunk
 // metadata plus deletes; the unflushed memtable is exposed to the snapshot
-// as an in-memory chunk with a version higher than any flushed chunk.
+// as an in-memory chunk with a version higher than any flushed chunk,
+// borrowed: the memtable is kept sorted as it is written.
 //
 // One lock, Engine.mu, guards everything the engine owns: the memtables,
 // the chunk registry, the chunk-file list, the quarantine set, the mods
@@ -38,7 +39,6 @@ import (
 
 	"m4lsm/internal/obs"
 	"m4lsm/internal/pyramid"
-	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 	"m4lsm/internal/tsfile"
 	"m4lsm/internal/wal"
@@ -48,8 +48,9 @@ import (
 type Options struct {
 	// Dir is the database directory; it is created if missing.
 	Dir string
-	// FlushThreshold is the number of buffered points per series that
-	// triggers an automatic flush, and the maximum chunk size; it is the
+	// FlushThreshold is the number of distinct buffered points per series
+	// (an overwrite of a buffered timestamp adds none) that triggers an
+	// automatic flush, and the maximum chunk size; it is the
 	// analogue of IoTDB's avg_series_point_number_threshold (Table 4
 	// sets it to 1000). Default 1000.
 	FlushThreshold int
@@ -118,9 +119,12 @@ type Engine struct {
 	// mu guards every field down to scrubMu: writers, flushes, compaction,
 	// quarantine and backup hold it exclusively, and end by publishing
 	// counts (unlock); snapshots share it.
-	mu  sync.RWMutex
-	mem map[string]series.Series // per-series unsorted write buffer
-	// memPts is the buffered point count across mem.
+	mu sync.RWMutex
+	// mem is the memtable: per series one pair of columns, sorted,
+	// deduplicated and copy-on-write (see memAppend), which a snapshot
+	// borrows as a chunk and a flush writes as it is.
+	mem map[string]memtable
+	// memPts is the buffered point count across mem, distinct points.
 	memPts int
 	// chunks is the registry: per series, the live flushed chunks in
 	// byStart order, copy-on-write (see publish), beside reach, the running
@@ -302,7 +306,7 @@ func Open(opts Options) (_ *Engine, err error) {
 	e := &Engine{
 		opts:        opts,
 		lock:        lock,
-		mem:         make(map[string]series.Series),
+		mem:         make(map[string]memtable),
 		chunks:      make(map[string][]storage.ChunkRef),
 		reach:       make(map[string][]int64),
 		quarantined: make(map[string][]condemned),

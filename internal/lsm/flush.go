@@ -42,8 +42,9 @@ func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
 	return e.classifyWrite(err)
 }
 
-// flushLocked persists the memtables as one chunk file, keeping each
-// series' late points apart from its in-order ones the way IoTDB's
+// flushLocked persists the memtables as one chunk file, writing each
+// series' columns as they are, split at its watermark so its late points
+// stay apart from its in-order ones the way IoTDB's
 // sequence/unsequence spaces do (reference [26] of the paper): points at or
 // before the series' watermark, the latest Last.T of its live flushed
 // chunks (the last of its reach), form its late run; the rest its in-order
@@ -56,25 +57,25 @@ func (e *Engine) afterFlush(flushed int, checkpoint bool, err error) error {
 func (e *Engine) flushLocked() (int, error) {
 	flushStart, flushPts := time.Now(), e.memPts
 	ids := make([]string, 0, len(e.mem))
-	for id, buf := range e.mem {
-		if len(buf) > 0 {
+	for id, m := range e.mem {
+		if m.cols.Len() > 0 {
 			ids = append(ids, id)
 		}
 	}
 	sort.Strings(ids)
 	var late, inOrder []run
 	for _, id := range ids {
-		data := series.SortDedup(e.mem[id])
+		ts, vs := e.mem[id].cols.Times(), e.mem[id].cols.Values()
 		split := 0
 		if reach := e.reach[id]; len(reach) > 0 {
 			wm := reach[len(reach)-1]
-			split = sort.Search(len(data), func(i int) bool { return data[i].T > wm })
+			split = sort.Search(len(ts), func(i int) bool { return ts[i] > wm })
 		}
 		if split > 0 {
-			late = append(late, run{id, data[:split]})
+			late = append(late, run{id, series.NewColumns(ts[:split], vs[:split])})
 		}
-		if split < len(data) {
-			inOrder = append(inOrder, run{id, data[split:]})
+		if split < len(ts) {
+			inOrder = append(inOrder, run{id, series.NewColumns(ts[split:], vs[split:])})
 		}
 	}
 	r, err := e.writeChunkFile(append(late, inOrder...), true)
@@ -85,7 +86,8 @@ func (e *Engine) flushLocked() (int, error) {
 		e.files = append(e.files, r)
 		e.registerChunks(r)
 	}
-	e.mem = make(map[string]series.Series)
+	// Snapshots may still hold the flushed columns: they are never reused.
+	e.mem = make(map[string]memtable)
 	e.memPts = 0
 	// The memtable is empty and the flushed chunks published: e.chunks
 	// plus the mods sidecar are the full merged state, so rebuild the
@@ -110,8 +112,8 @@ func (e *Engine) flushLocked() (int, error) {
 // run is one series' points bound for a chunk file, sorted and
 // deduplicated.
 type run struct {
-	id  string
-	pts series.Series
+	id   string
+	cols series.Columns
 }
 
 // writeChunkFile is the one chunk-file writer, shared by flush and
@@ -145,17 +147,17 @@ func (e *Engine) writeChunkFile(runs []run, steps bool) (*tsfile.Reader, error) 
 		return nil, err
 	}
 	for _, rn := range runs {
-		for pts := rn.pts; len(pts) > 0; {
-			n := min(len(pts), e.opts.FlushThreshold)
+		for ts, vs := rn.cols.Times(), rn.cols.Values(); len(ts) > 0; {
+			n := min(len(ts), e.opts.FlushThreshold)
 			if err := step("chunk"); err != nil {
 				w.Crash()
 				return nil, err
 			}
-			if _, err := w.WriteChunk(rn.id, e.allocVersion(), pts[:n]); err != nil {
+			if _, err := w.WriteChunk(rn.id, e.allocVersion(), series.NewColumns(ts[:n], vs[:n])); err != nil {
 				w.Abort()
 				return nil, err
 			}
-			pts = pts[n:]
+			ts, vs = ts[n:], vs[n:]
 		}
 	}
 	if err := step("footer"); err != nil {

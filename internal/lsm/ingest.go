@@ -35,9 +35,12 @@
 package lsm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,22 +185,21 @@ func (e *Engine) Delete(seriesID string, start, end int64) error {
 	return nil
 }
 
-// applyDeleteToMem removes covered points from the write buffer, so points
-// written before the delete die while later writes survive. Caller holds
-// e.mu (or is single-threaded Open).
+// applyDeleteToMem removes covered points from the memtable, so points
+// written before the delete die while later writes survive. The survivors
+// go to fresh columns: snapshots may hold the old ones. Caller holds e.mu
+// (or is single-threaded Open).
 func (e *Engine) applyDeleteToMem(d storage.Delete) {
-	buf := e.mem[d.SeriesID]
-	if len(buf) == 0 {
+	ts, vs := e.mem[d.SeriesID].cols.Times(), e.mem[d.SeriesID].cols.Values()
+	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= d.Start })
+	hi := sort.Search(len(ts), func(i int) bool { return ts[i] > d.End })
+	if lo >= hi {
 		return
 	}
-	kept := buf[:0]
-	for _, p := range buf {
-		if !d.Covers(p.T) {
-			kept = append(kept, p)
-		}
-	}
-	e.memPts += len(kept) - len(buf)
-	e.mem[d.SeriesID] = kept
+	m := memtable{cols: series.NewColumns(slices.Concat(ts[:lo], ts[hi:]), slices.Concat(vs[:lo], vs[hi:]))}
+	m.extremes(0)
+	e.memPts -= hi - lo
+	e.mem[d.SeriesID] = m
 }
 
 // WriteBatch ingests several series' points as one request: it is queued
@@ -464,13 +466,93 @@ func encodeEntries(entries []BatchEntry, nonEmpty int) [][]byte {
 	return recs
 }
 
+// memtable is one series' unflushed points: sorted, deduplicated columns,
+// copy-on-write (see memAppend), and their extremes, kept as the points are
+// written, so a snapshot takes the memtable as a chunk without reading a
+// point.
+type memtable struct {
+	cols        series.Columns
+	bottom, top series.Point // its BP and TP
+}
+
+// extremes folds the points from index i on into bottom and top (from 0,
+// it finds them anew), keeping the earliest of equal extremes as
+// storage.ComputeMeta does.
+func (m *memtable) extremes(i int) {
+	ts, vs := m.cols.Times(), m.cols.Values()
+	_, _, bottom, top, ok := storage.ComputeMeta(series.NewColumns(ts[i:], vs[i:]))
+	if i == 0 || ok && bottom.V < m.bottom.V {
+		m.bottom = bottom
+	}
+	if i == 0 || ok && top.V > m.top.V {
+		m.top = top
+	}
+}
+
+// chunk is the memtable as the in-memory chunk a snapshot reads, borrowing
+// the points it holds now. The memtable is not empty.
+func (m memtable) chunk(id string, version storage.Version) storage.ChunkRef {
+	ts, vs := m.cols.Times(), m.cols.Values()
+	first, last := series.Point{T: ts[0], V: vs[0]}, series.Point{T: ts[len(ts)-1], V: vs[len(vs)-1]}
+	return storage.NewMemChunk(storage.ChunkMeta{SeriesID: id, Version: version,
+		First: first, Last: last, Bottom: m.bottom, Top: m.top}, m.cols)
+}
+
 // memAppend is the only place points enter a memtable — applyRun for live
-// writes, replayRecord during recovery. It marks the touched pyramid cells
-// stale first and reports whether the series' buffer reached the flush
-// threshold. Caller holds e.mu (or is single-threaded Open).
+// writes, replayRecord during recovery. A batch that starts after the
+// buffered points is appended in place, past the length any snapshot
+// borrowed; any other is merged into fresh columns. Either way a later
+// write of a timestamp wins, within the batch too. It marks the batch's
+// extent stale in the pyramid first, before the points are visible, and
+// reports whether the series holds FlushThreshold distinct points. Caller
+// holds e.mu (or is single-threaded Open).
 func (e *Engine) memAppend(id string, pts []series.Point) (full bool) {
-	e.markStalePoints(id, pts)
-	e.mem[id] = append(e.mem[id], pts...)
-	e.memPts += len(pts)
-	return len(e.mem[id]) >= e.opts.FlushThreshold
+	if len(pts) == 0 {
+		return false
+	}
+	if !slices.IsSortedFunc(pts, byTime) {
+		pts = slices.Clone(pts) // the caller's slice is not ours to sort
+		slices.SortStableFunc(pts, byTime)
+	}
+	e.pyr.MarkStale(id, pts[0].T, pts[len(pts)-1].T)
+	m := e.mem[id]
+	ts, vs := m.cols.Times(), m.cols.Values()
+	n := len(ts)
+	if n > 0 && pts[0].T <= ts[n-1] {
+		c := max(n+len(pts), e.opts.FlushThreshold) // room for in-order appends after it
+		ft, fv := make([]int64, 0, c), make([]float64, 0, c)
+		m.cols, n = series.NewColumns(mergeInto(ft, fv, ts, vs, pts)), 0
+	} else {
+		m.cols = series.NewColumns(mergeInto(slices.Grow(ts, len(pts)), slices.Grow(vs, len(pts)), nil, nil, pts))
+	}
+	m.extremes(n)
+	e.memPts += m.cols.Len() - len(ts)
+	e.mem[id] = m
+	return m.cols.Len() >= e.opts.FlushThreshold
+}
+
+// byTime orders points by timestamp alone.
+func byTime(a, b series.Point) int { return cmp.Compare(a.T, b.T) }
+
+// mergeInto appends to dt, dv the merge of the sorted, duplicate-free
+// columns ts, vs with pts, sorted by time: a point of pts replaces the one
+// of ts at its timestamp, and a later point of pts an earlier one. An
+// in-place append passes the buffered columns as dt, dv and none as ts, vs,
+// with pts starting after them, so no point already in dt is rewritten.
+func mergeInto(dt []int64, dv []float64, ts []int64, vs []float64, pts []series.Point) ([]int64, []float64) {
+	i := 0
+	for _, p := range pts {
+		for ; i < len(ts) && ts[i] < p.T; i++ {
+			dt, dv = append(dt, ts[i]), append(dv, vs[i])
+		}
+		if i < len(ts) && ts[i] == p.T {
+			i++
+		}
+		if k := len(dt) - 1; k >= 0 && dt[k] == p.T {
+			dv[k] = p.V
+			continue
+		}
+		dt, dv = append(dt, p.T), append(dv, p.V)
+	}
+	return append(dt, ts[i:]...), append(dv, vs[i:]...)
 }

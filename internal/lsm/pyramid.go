@@ -21,19 +21,6 @@ import (
 
 const pyramidFileName = "pyramid.pyr"
 
-// markStalePoints marks the time extent of a write batch stale. Called
-// under e.mu, before the points land in the memtable.
-func (e *Engine) markStalePoints(seriesID string, pts []series.Point) {
-	if e.pyr == nil || len(pts) == 0 {
-		return
-	}
-	lo, hi := pts[0].T, pts[0].T
-	for _, p := range pts[1:] {
-		lo, hi = min(lo, p.T), max(hi, p.T)
-	}
-	e.pyr.MarkStale(seriesID, lo, hi)
-}
-
 // pyrRebuild rebuilds the stale cells of every series, reading each
 // through the same snapshot builder queries use. Caller holds e.mu with the
 // memtables empty. Only the StepHook (fault injection) can fail it; read

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -19,7 +18,8 @@ var everything = series.TimeRange{Start: math.MinInt64, End: math.MaxInt64}
 // Snapshot returns an immutable view of seriesID for the half-open query
 // range r: every chunk whose closed interval overlaps r plus every delete
 // intersecting it. The unflushed memtable appears as one in-memory chunk
-// with a version above all flushed chunks.
+// with a version above all flushed chunks: its columns as they are, sorted
+// on write, borrowed up to their current length (see memAppend).
 func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapshot, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -27,15 +27,10 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 		return nil, errEngineClosed
 	}
 	snap := e.seriesSnapshot(seriesID, r, &storage.Warnings{})
-	if buf := e.mem[seriesID]; len(buf) > 0 {
-		src := storage.NewMemSource()
-		meta, err := src.AddChunk(seriesID, storage.Version(e.nextVer), series.SortDedup(buf.Clone()))
-		if err != nil {
-			return nil, fmt.Errorf("lsm: memtable snapshot: %w", err)
-		}
-		if meta.OverlapsRange(r) {
+	if m := e.mem[seriesID]; m.cols.Len() > 0 {
+		if mem := m.chunk(seriesID, storage.Version(e.nextVer)); mem.Meta.OverlapsRange(r) {
 			// The borrowed window is cap-limited: this append copies it.
-			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
+			snap.Chunks = append(snap.Chunks, mem)
 		}
 	}
 	snap.OnQuarantine = func(meta storage.ChunkMeta, err error) {
@@ -56,11 +51,11 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 // seriesSnapshot is the one place a series' flushed state is selected, for
 // queries, pyramid rebuilds and compaction alike: every chunk overlapping
 // the half-open range r that is not quarantined, and every delete
-// overlapping r. A quarantined chunk overlapping r is noted in warn (nil:
-// silently). The chunk list is the registry's window of chunks starting
-// before r ends whose reach gets to r, borrowed cap-limited so an append
-// copies it; a copy is filtered only if a chunk nested in a longer one
-// ends before r. Caller holds e.mu.
+// overlapping r, in append order. A quarantined chunk overlapping r is
+// noted in warn (nil: silently). The chunk list is the registry's window of
+// chunks starting before r ends whose reach gets to r, borrowed cap-limited
+// so an append copies it; a copy is filtered only if a chunk nested in a
+// longer one ends before r. Caller holds e.mu.
 func (e *Engine) seriesSnapshot(id string, r series.TimeRange, warn *storage.Warnings) *storage.Snapshot {
 	snap := &storage.Snapshot{SeriesID: id, Stats: &storage.Stats{}, Warnings: warn}
 	refs, reach := e.chunks[id], e.reach[id]
@@ -80,9 +75,25 @@ func (e *Engine) seriesSnapshot(id string, r series.TimeRange, warn *storage.War
 			warn.Add("chunk %s v%d quarantined, excluded: %v", id, q.meta.Version, q.err)
 		}
 	}
-	for _, d := range e.mods.Series(id) {
-		if d.Start < r.End && d.End >= r.Start {
-			snap.Deletes = append(snap.Deletes, d)
+	// The series' deletes are borrowed cap-limited, like its chunks, when
+	// all of them overlap r (the sidecar's lists are append-only), else
+	// the overlapping ones are copied into one exact allocation.
+	dels := e.mods.Series(id)
+	overlaps := func(d storage.Delete) bool { return d.Start < r.End && d.End >= r.Start }
+	n := 0
+	for _, d := range dels {
+		if overlaps(d) {
+			n++
+		}
+	}
+	if n == len(dels) {
+		snap.Deletes = dels[:n:n]
+	} else if n > 0 {
+		snap.Deletes = make([]storage.Delete, 0, n)
+		for _, d := range dels {
+			if overlaps(d) {
+				snap.Deletes = append(snap.Deletes, d)
+			}
 		}
 	}
 	return snap
@@ -97,8 +108,8 @@ func (e *Engine) SeriesIDs() []string {
 	for id := range e.chunks {
 		ids = append(ids, id)
 	}
-	for id, buf := range e.mem {
-		if _, flushed := e.chunks[id]; len(buf) > 0 && !flushed {
+	for id, m := range e.mem {
+		if _, flushed := e.chunks[id]; m.cols.Len() > 0 && !flushed {
 			ids = append(ids, id)
 		}
 	}
@@ -112,7 +123,7 @@ func (e *Engine) HasSeries(seriesID string) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	_, flushed := e.chunks[seriesID]
-	return flushed || len(e.mem[seriesID]) > 0
+	return flushed || e.mem[seriesID].cols.Len() > 0
 }
 
 // quarantineChunk excludes a chunk whose bytes failed a CRC or decode

@@ -146,7 +146,7 @@ func (e *Engine) replayRecord(rec []byte, logged map[storage.Delete]bool) error 
 // replayCheckpoint drops the replayed memtable: the flush that wrote the
 // checkpoint made every earlier record durable in chunk files.
 func (e *Engine) replayCheckpoint() {
-	e.mem = make(map[string]series.Series)
+	e.mem = make(map[string]memtable)
 	e.memPts = 0
 }
 

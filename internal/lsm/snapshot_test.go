@@ -45,10 +45,11 @@ func flushedSeries(tb testing.TB, n, per int) *Engine {
 // down to 1/16. A snapshot borrows its window of the registry, so its cost
 // follows neither the series' length nor the window's. Two more cases read
 // the newest data of 20,000 flushed points: under a memtable of 0, 100 and
-// 999 points, every tenth of them late, which each snapshot sorts; and
-// among 1,000 deletes of which 10 are the series' own, which each snapshot
-// filters, beside the same 10 deletes alone: a snapshot reads only its own
-// series' deletes, so the two cost the same.
+// 999 points, every tenth of them late, which the memtable sorted as they
+// were written, so each snapshot borrows it whatever its size; and among
+// 1,000 deletes of which 10 are the series' own, all overlapping the
+// window, which each snapshot borrows, beside the same 10 deletes alone: a
+// snapshot reads only its own series' deletes, so the two cost the same.
 func BenchmarkSnapshot(b *testing.B) {
 	run := func(b *testing.B, e *Engine, r series.TimeRange) {
 		b.ReportAllocs()

@@ -209,7 +209,7 @@ func TestPoints(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Points = %v, want %v", got, want)
 	}
-	if err := got.Validate(); err != nil {
+	if err := got.Columns().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -38,7 +38,7 @@ func table4Snapshot(tb testing.TB, chunks int) (*storage.Snapshot, *tsfile.Reade
 	rng := rand.New(rand.NewSource(1))
 	ver := storage.Version(1)
 	write := func(pts series.Series) {
-		if _, err := w.WriteChunk("root.mf03", ver, pts); err != nil {
+		if _, err := w.WriteChunk("root.mf03", ver, pts.Columns()); err != nil {
 			tb.Fatal(err)
 		}
 		ver++

@@ -13,6 +13,7 @@ import (
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
+	"m4lsm/internal/testutil"
 )
 
 // slowSource delays every read, so a cancellation arriving mid-query has
@@ -46,7 +47,7 @@ func (s *slowSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
 // by a higher version, so metadata alone cannot answer).
 func slowSnapshot(t *testing.T, nChunks int, delay time.Duration) (*storage.Snapshot, *slowSource) {
 	t.Helper()
-	mem := storage.NewMemSource()
+	mem := testutil.Chunks{}
 	slow := &slowSource{inner: mem, delay: delay}
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{SeriesID: "s", Stats: stats, Warnings: &storage.Warnings{}}
@@ -57,13 +58,13 @@ func slowSnapshot(t *testing.T, nChunks int, delay time.Duration) (*storage.Snap
 			{T: base, V: float64(i)}, {T: base + 5, V: float64(-i)},
 			{T: base + 10, V: float64(2 * i)}, {T: base + 15, V: 1},
 		}
-		meta, err := mem.AddChunk("s", ver, data)
+		meta, err := mem.Add(ver, data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, slow))
 		ver++
-		over, err := mem.AddChunk("s", ver, series.Series{{T: base + 5, V: 99}})
+		over, err := mem.Add(ver, series.Series{{T: base + 5, V: 99}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +185,7 @@ func (f *failingSource) ReadValues(m storage.ChunkMeta) ([]float64, error) {
 // degradedSnapshot: three overlapping chunks, the middle one unreadable.
 func degradedSnapshot(t *testing.T) *storage.Snapshot {
 	t.Helper()
-	mem := storage.NewMemSource()
+	mem := testutil.Chunks{}
 	bad := &failingSource{inner: mem, bad: map[storage.Version]bool{2: true}, err: errors.New("disk gone")}
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{SeriesID: "s", Stats: stats, Warnings: &storage.Warnings{}}
@@ -193,7 +194,7 @@ func degradedSnapshot(t *testing.T) *storage.Snapshot {
 		2: {{T: 10, V: 50}, {T: 30, V: -3}},
 		3: {{T: 5, V: 4}, {T: 35, V: 7}},
 	} {
-		meta, err := mem.AddChunk("s", ver, data)
+		meta, err := mem.Add(ver, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func TestDegradedQuery(t *testing.T) {
 // TestDegradedReportsOncePerChunk: a chunk feeding many spans appears once
 // in the warning list, not once per span×G task that touched it.
 func TestDegradedReportsOncePerChunk(t *testing.T) {
-	mem := storage.NewMemSource()
+	mem := testutil.Chunks{}
 	bad := &failingSource{inner: mem, bad: map[storage.Version]bool{2: true}, err: errors.New("io")}
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{SeriesID: "s", Stats: stats, Warnings: &storage.Warnings{}}
@@ -250,14 +251,14 @@ func TestDegradedReportsOncePerChunk(t *testing.T) {
 	for i := int64(0); i < 64; i++ {
 		wide = append(wide, series.Point{T: i * 2, V: float64(i % 7)})
 	}
-	meta, err := mem.AddChunk("s", 1, wide)
+	ref, err := testutil.MemChunk("s", 1, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, mem))
+	snap.Chunks = append(snap.Chunks, ref)
 	// The bad chunk overwrites points across many spans, forcing loads.
 	over := series.Series{{T: 3, V: 100}, {T: 41, V: 100}, {T: 81, V: 100}, {T: 121, V: 100}}
-	badMeta, err := mem.AddChunk("s", 2, over)
+	badMeta, err := mem.Add(2, over)
 	if err != nil {
 		t.Fatal(err)
 	}

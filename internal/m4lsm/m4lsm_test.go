@@ -15,7 +15,6 @@ import (
 // buildSnapshot assembles a snapshot from explicit chunks keyed by version.
 func buildSnapshot(t *testing.T, chunks map[storage.Version]series.Series, dels []storage.Delete) *storage.Snapshot {
 	t.Helper()
-	src := storage.NewMemSource()
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{SeriesID: "s", Stats: stats, Deletes: dels}
 	// Deterministic order: ascending version.
@@ -31,11 +30,11 @@ func buildSnapshot(t *testing.T, chunks map[storage.Version]series.Series, dels 
 		}
 	}
 	for _, ver := range vers {
-		meta, err := src.AddChunk("s", ver, chunks[ver])
+		ref, err := testutil.MemChunk("s", ver, chunks[ver])
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
+		snap.Chunks = append(snap.Chunks, ref)
 	}
 	return snap
 }
@@ -512,14 +511,13 @@ func TestStatsRoundsCounted(t *testing.T) {
 }
 
 func TestNilStatsSnapshot(t *testing.T) {
-	src := storage.NewMemSource()
-	meta, err := src.AddChunk("s", 1, series.Series{{T: 10, V: 1}})
+	ref, err := testutil.MemChunk("s", 1, series.Series{{T: 10, V: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := &storage.Snapshot{
 		SeriesID: "s",
-		Chunks:   []storage.ChunkRef{storage.NewChunkRef(meta, src)},
+		Chunks:   []storage.ChunkRef{ref},
 	}
 	got, err := Compute(snap, m4.Query{Tqs: 0, Tqe: 20, W: 1})
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
+	"m4lsm/internal/testutil"
 )
 
 const (
@@ -181,7 +182,7 @@ func (s stubPyramid) PlanSpans(q m4.Query, spans []storage.PyramidSpan, aggs []m
 func TestStrictErrorSameAtEveryParallelism(t *testing.T) {
 	q := m4.Query{Tqs: 0, Tqe: 40, W: 4}
 	run := func(par int) error {
-		mem := storage.NewMemSource()
+		mem := testutil.Chunks{}
 		bad := &failingSource{inner: mem, bad: map[storage.Version]bool{1: true, 2: true}, err: errors.New("disk gone")}
 		src := &slowSource{inner: bad, delay: 20 * time.Millisecond}
 		stats := &storage.Stats{}
@@ -190,7 +191,7 @@ func TestStrictErrorSameAtEveryParallelism(t *testing.T) {
 			{{T: 10, V: 1}, {T: 11, V: 2}, {T: 15, V: 3}},
 			{{T: 25, V: 4}, {T: 35, V: 5}},
 		} {
-			meta, err := mem.AddChunk("s", storage.Version(ver+1), data)
+			meta, err := mem.Add(storage.Version(ver+1), data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,6 +19,7 @@ import (
 	"m4lsm/internal/reprops"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
+	"m4lsm/internal/testutil"
 	"m4lsm/internal/tsfile"
 )
 
@@ -89,7 +90,6 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 	cold, r := table4Snapshot(t, 32)
 	file := &countingReader{Reader: r}
 	cached := cache.Wrap(file, cache.NewLRU(1<<30))
-	mem := storage.NewMemSource()
 	s := &storage.Snapshot{SeriesID: cold.SeriesID, Deletes: cold.Deletes, Stats: &storage.Stats{}, Warnings: &storage.Warnings{}}
 	for _, c := range cold.Chunks {
 		s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, cached))
@@ -102,14 +102,11 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 		for i := int64(0); i < 600; i++ {
 			rows = append(rows, series.Point{T: at + 1000*i, V: float64(k*1000) + float64(i%97)})
 		}
-		meta, err := mem.AddChunk(s.SeriesID, storage.Version(10_000+k), rows)
+		ref, err := testutil.MemChunk(s.SeriesID, storage.Version(10_000+k), rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Chunks = append(s.Chunks, storage.NewChunkRef(meta, mem))
-	}
-	if _, ok := any(mem).(storage.Recycler); ok {
-		t.Fatal("MemSource implements storage.Recycler: memtable columns would be recycled")
+		s.Chunks = append(s.Chunks, ref)
 	}
 
 	answer := func() (lsm, udf []m4.Aggregate, merged series.Series) {
@@ -146,7 +143,7 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 	want := map[storage.Version]held{}
 	read := func(c storage.ChunkRef) (series.Columns, bool) {
 		if c.Meta.Version >= 10_000 {
-			cols, err := mem.ReadChunk(c.Meta)
+			cols, err := c.Load(nil)
 			return cols, err == nil
 		}
 		before := file.reads.Load()

@@ -38,15 +38,14 @@ func TestComputeMatchesReference(t *testing.T) {
 }
 
 func TestComputeLoadsEveryChunk(t *testing.T) {
-	src := storage.NewMemSource()
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{SeriesID: "s", Stats: stats}
 	for v := storage.Version(1); v <= 5; v++ {
-		meta, err := src.AddChunk("s", v, series.Series{{T: int64(v) * 10, V: 1}})
+		ref, err := testutil.MemChunk("s", v, series.Series{{T: int64(v) * 10, V: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
+		snap.Chunks = append(snap.Chunks, ref)
 	}
 	if _, err := Compute(snap, m4.Query{Tqs: 0, Tqe: 100, W: 2}); err != nil {
 		t.Fatal(err)

@@ -14,15 +14,14 @@ import (
 // buildSnapshot assembles a snapshot from explicit chunks and deletes.
 func buildSnapshot(t *testing.T, chunks map[storage.Version]series.Series, dels []storage.Delete) *storage.Snapshot {
 	t.Helper()
-	src := storage.NewMemSource()
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{SeriesID: "s", Stats: stats, Deletes: dels}
 	for ver, data := range chunks {
-		meta, err := src.AddChunk("s", ver, data)
+		ref, err := testutil.MemChunk("s", ver, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
+		snap.Chunks = append(snap.Chunks, ref)
 	}
 	return snap
 }
@@ -196,7 +195,7 @@ func TestMergedOutputIsSorted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := got.Validate(); err != nil {
+		if err := got.Columns().Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -26,25 +26,12 @@ type Point struct {
 func (p Point) String() string { return fmt.Sprintf("(%d, %g)", p.T, p.V) }
 
 // Series is a sequence of points. Most code requires the strictly-increasing
-// time order enforced by Validate; construction helpers preserve it.
+// time order Columns.Validate enforces; construction helpers preserve it.
 type Series []Point
 
-// ErrUnsorted is returned by Validate for out-of-order or duplicate
-// timestamps.
+// ErrUnsorted is returned by Columns.Validate for out-of-order or
+// duplicate timestamps.
 var ErrUnsorted = errors.New("series: timestamps not strictly increasing")
-
-// Validate checks that timestamps strictly increase and values are not NaN.
-func (s Series) Validate() error {
-	for i := range s {
-		if i > 0 && s[i].T <= s[i-1].T {
-			return fmt.Errorf("%w: index %d (t=%d after t=%d)", ErrUnsorted, i, s[i].T, s[i-1].T)
-		}
-		if math.IsNaN(s[i].V) {
-			return fmt.Errorf("series: NaN value at index %d (t=%d)", i, s[i].T)
-		}
-	}
-	return nil
-}
 
 // SortDedup sorts the series by time and keeps, for duplicate timestamps,
 // the point that appears last in the input (mirroring overwrite semantics
@@ -124,6 +111,21 @@ func NewColumns(ts []int64, vs []float64) Columns {
 	return c
 }
 
+// Validate checks that timestamps strictly increase and values are not
+// NaN: what a chunk must hold.
+func (c Columns) Validate() error {
+	ts, vs := c[0].t, c[0].v
+	for i := range ts {
+		if i > 0 && ts[i] <= ts[i-1] {
+			return fmt.Errorf("%w: index %d (t=%d after t=%d)", ErrUnsorted, i, ts[i], ts[i-1])
+		}
+		if math.IsNaN(vs[i]) {
+			return fmt.Errorf("series: NaN value at index %d (t=%d)", i, ts[i])
+		}
+	}
+	return nil
+}
+
 // Columns splits the series into freshly allocated columns.
 func (s Series) Columns() Columns { return NewColumns(s.Times(), s.Values()) }
 
@@ -146,13 +148,6 @@ func (c Columns) Slice(r TimeRange) Columns {
 	lo := sort.Search(len(ts), func(i int) bool { return ts[i] >= r.Start })
 	hi := lo + sort.Search(len(ts)-lo, func(i int) bool { return ts[lo+i] >= r.End })
 	return NewColumns(ts[lo:hi], c[0].v[lo:hi])
-}
-
-// Clone returns a deep copy of the series.
-func (s Series) Clone() Series {
-	out := make(Series, len(s))
-	copy(out, s)
-	return out
 }
 
 // TimeRange is a half-open interval [Start, End) over timestamps, the shape
@@ -182,18 +177,4 @@ func (s Series) Slice(r TimeRange) Series {
 		return nil
 	}
 	return s[lo:hi]
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,8 +25,7 @@ func TestValidate(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.s.Validate()
-			if (err == nil) != tc.ok {
+			if err := tc.s.Columns().Validate(); (err == nil) != tc.ok {
 				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
 			}
 		})
@@ -51,7 +51,7 @@ func TestSortDedupKeepsLastWrite(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("SortDedup = %v, want %v", got, want)
 	}
-	if err := got.Validate(); err != nil {
+	if err := got.Columns().Validate(); err != nil {
 		t.Fatalf("result not valid: %v", err)
 	}
 }
@@ -72,8 +72,8 @@ func TestSortDedupProperty(t *testing.T) {
 		for i, r := range raw {
 			s[i] = Point{T: int64(r % 64), V: float64(i)}
 		}
-		got := SortDedup(s.Clone())
-		if err := got.Validate(); err != nil {
+		got := SortDedup(slices.Clone(s))
+		if err := got.Columns().Validate(); err != nil {
 			return false
 		}
 		// Every timestamp in the input must appear exactly once with the
@@ -255,15 +255,6 @@ func TestSliceAgainstLinearScan(t *testing.T) {
 				t.Fatalf("trial %d: Slice(%v)[%d] = %v, want %v", trial, r, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := Series{{1, 1}}
-	c := s.Clone()
-	c[0].V = 2
-	if s[0].V != 1 {
-		t.Error("Clone shares backing array")
 	}
 }
 

@@ -61,23 +61,25 @@ func (m ChunkMeta) String() string {
 		m.SeriesID, m.Version, m.Count, m.First.T, m.Last.T, m.Bottom.V, m.Top.V)
 }
 
-// ComputeMeta derives the four representation points of a sorted series.
-// ok is false for an empty series.
-func ComputeMeta(data series.Series) (first, last, bottom, top series.Point, ok bool) {
-	if len(data) == 0 {
+// ComputeMeta derives the four representation points of a sorted chunk.
+// ok is false for an empty one.
+func ComputeMeta(cols series.Columns) (first, last, bottom, top series.Point, ok bool) {
+	n := cols.Len()
+	if n == 0 {
 		return
 	}
-	first, last = data[0], data[len(data)-1]
-	bottom, top = data[0], data[0]
-	for _, p := range data[1:] {
-		if p.V < bottom.V {
-			bottom = p
+	ts, vs := cols.Times(), cols.Values()
+	lo, hi := 0, 0
+	for i, v := range vs[1:] {
+		if v < vs[lo] {
+			lo = i + 1
 		}
-		if p.V > top.V {
-			top = p
+		if v > vs[hi] {
+			hi = i + 1
 		}
 	}
-	return first, last, bottom, top, true
+	at := func(i int) series.Point { return series.Point{T: ts[i], V: vs[i]} }
+	return at(0), at(n - 1), at(lo), at(hi), true
 }
 
 // Delete is an append-only range tombstone D^κ deleting the closed time
@@ -97,7 +99,8 @@ func (d Delete) String() string {
 }
 
 // ChunkSource reads chunk contents given their metadata. Implementations:
-// tsfile.Reader (disk) and MemSource (tests, memtable snapshots).
+// tsfile.Reader (disk) and the in-memory chunk of NewMemChunk (memtable
+// snapshots, tests).
 //
 // Ownership: the columns of a chunk file load belong to the query that
 // loaded them until it ends, and every other column — a memtable's, a
@@ -120,8 +123,8 @@ type ChunkSource interface {
 // Recycler is the optional interface of chunk sources whose loads decode
 // into columns they can reuse (tsfile.Reader). A wrapper forwards it only
 // when no one else can be holding the columns: a cache only while it keeps
-// nothing. MemSource and fault-injection wrappers do not implement it, so
-// their columns are never recycled.
+// nothing. In-memory chunks and fault-injection wrappers do not implement
+// it, so their columns are never recycled.
 type Recycler interface {
 	// Recycle takes back columns a load of this source returned. Either
 	// may be nil.

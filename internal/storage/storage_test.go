@@ -11,7 +11,7 @@ import (
 
 func TestComputeMeta(t *testing.T) {
 	data := series.Series{{T: 10, V: 5}, {T: 20, V: -1}, {T: 30, V: 9}, {T: 40, V: 2}}
-	first, last, bottom, top, ok := ComputeMeta(data)
+	first, last, bottom, top, ok := ComputeMeta(data.Columns())
 	if !ok {
 		t.Fatal("ok = false")
 	}
@@ -21,7 +21,7 @@ func TestComputeMeta(t *testing.T) {
 	if bottom != (series.Point{T: 20, V: -1}) || top != (series.Point{T: 30, V: 9}) {
 		t.Errorf("bottom/top = %v/%v", bottom, top)
 	}
-	if _, _, _, _, ok := ComputeMeta(nil); ok {
+	if _, _, _, _, ok := ComputeMeta(series.Columns{}); ok {
 		t.Error("empty series reported ok")
 	}
 }
@@ -30,7 +30,7 @@ func TestComputeMetaTiesKeepEarliest(t *testing.T) {
 	// Definition 2.1 allows any extremal point; ComputeMeta keeps the
 	// earliest so the choice is deterministic.
 	data := series.Series{{T: 10, V: 5}, {T: 20, V: 5}, {T: 30, V: 1}, {T: 40, V: 1}}
-	_, _, bottom, top, _ := ComputeMeta(data)
+	_, _, bottom, top, _ := ComputeMeta(data.Columns())
 	if bottom.T != 30 {
 		t.Errorf("bottom.T = %d, want 30", bottom.T)
 	}
@@ -88,60 +88,44 @@ func TestDeleteCovers(t *testing.T) {
 	}
 }
 
-func TestMemSourceRoundTrip(t *testing.T) {
-	src := NewMemSource()
+// memRef builds sorted data as an in-memory chunk of series "s".
+func memRef(data series.Series) ChunkRef {
+	cols := data.Columns()
+	first, last, bottom, top, _ := ComputeMeta(cols)
+	return NewMemChunk(ChunkMeta{SeriesID: "s", Version: 1, First: first, Last: last, Bottom: bottom, Top: top}, cols)
+}
+
+func TestMemChunkRoundTrip(t *testing.T) {
 	data := series.Series{{T: 1, V: 1}, {T: 2, V: 4}, {T: 3, V: 0}}
-	meta, err := src.AddChunk("s1", 7, data)
-	if err != nil {
-		t.Fatal(err)
+	cols := data.Columns()
+	ref := NewMemChunk(ChunkMeta{SeriesID: "s1", Version: 7, Bottom: data[2], Top: data[1]}, cols)
+	if m := ref.Meta; m.SeriesID != "s1" || m.Version != 7 || m.Count != 3 || m.TimesLen != 24 || m.ValuesLen != 24 || m.Bottom.V != 0 || m.Top.V != 4 {
+		t.Errorf("meta = %+v", m)
 	}
-	if meta.Version != 7 || meta.Count != 3 || meta.Bottom.V != 0 || meta.Top.V != 4 {
-		t.Errorf("meta = %+v", meta)
-	}
-	got, err := src.ReadChunk(meta)
+	got, err := ref.Load(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 3 || got.Points()[1] != data[1] {
-		t.Errorf("ReadChunk = %v", got)
+		t.Errorf("Load = %v", got)
 	}
-	ts, err := src.ReadTimes(meta)
+	ts, err := ref.LoadTimes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != 3 || ts[2] != 3 {
-		t.Errorf("ReadTimes = %v", ts)
+	// The chunk borrows the columns: a load of the memtable costs no copy,
+	// and the borrow is cap-limited, so no reader's append reaches past it.
+	if &ts[0] != &cols.Times()[0] || &got.Values()[0] != &cols.Values()[0] {
+		t.Error("a load copied the columns")
 	}
-	// Every read of a registered chunk shares one set of columns: a probe
-	// of the memtable costs no copy.
-	again, _ := src.ReadChunk(meta)
-	if &ts[0] != &got.Times()[0] || &again.Values()[0] != &got.Values()[0] {
-		t.Error("reads of one chunk returned distinct columns")
-	}
-}
-
-func TestMemSourceErrors(t *testing.T) {
-	src := NewMemSource()
-	if _, err := src.AddChunk("s", 1, series.Series{{T: 2, V: 0}, {T: 1, V: 0}}); err == nil {
-		t.Error("unsorted chunk accepted")
-	}
-	if _, err := src.AddChunk("s", 1, nil); err == nil {
-		t.Error("empty chunk accepted")
-	}
-	if _, err := src.ReadChunk(ChunkMeta{SeriesID: "nope", Version: 1}); err == nil {
-		t.Error("missing chunk read succeeded")
+	if cap(got.Times()) != 3 || cap(got.Values()) != 3 || cap(ts) != 3 {
+		t.Errorf("borrowed columns have room past their length: caps %d, %d", cap(got.Times()), cap(got.Values()))
 	}
 }
 
 func TestChunkRefCountsCost(t *testing.T) {
-	src := NewMemSource()
-	data := series.Series{{T: 1, V: 1}, {T: 2, V: 2}}
-	meta, err := src.AddChunk("s", 1, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := memRef(series.Series{{T: 1, V: 1}, {T: 2, V: 2}})
 	var stats Stats
-	ref := NewChunkRef(meta, src)
 	if _, err := ref.Load(&stats); err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +149,7 @@ func TestChunkRefCountsCost(t *testing.T) {
 }
 
 func TestChunkRefNilStats(t *testing.T) {
-	src := NewMemSource()
-	meta, _ := src.AddChunk("s", 1, series.Series{{T: 1, V: 1}})
-	ref := NewChunkRef(meta, src)
+	ref := memRef(series.Series{{T: 1, V: 1}})
 	if _, err := ref.Load(nil); err != nil {
 		t.Fatal(err)
 	}

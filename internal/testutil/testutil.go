@@ -5,6 +5,7 @@
 package testutil
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -35,7 +36,6 @@ var DefaultGenConfig = GenConfig{
 // time ranges overlap freely and values collide across chunks, so
 // overwrite-by-version and delete rules are all exercised.
 func RandomSnapshot(rng *rand.Rand, cfg GenConfig) *storage.Snapshot {
-	src := storage.NewMemSource()
 	stats := &storage.Stats{}
 	snap := &storage.Snapshot{SeriesID: "s", Stats: stats}
 	ver := storage.Version(1)
@@ -72,11 +72,11 @@ func RandomSnapshot(rng *rand.Rand, cfg GenConfig) *storage.Snapshot {
 				data = append(data, series.Point{T: t, V: float64(rng.Intn(int(cfg.ValueRange))) - cfg.ValueRange/2})
 			}
 			sort.Slice(data, func(i, j int) bool { return data[i].T < data[j].T })
-			meta, err := src.AddChunk("s", ver, data)
+			ref, err := MemChunk("s", ver, data)
 			if err != nil {
 				panic(err) // generator bug
 			}
-			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
+			snap.Chunks = append(snap.Chunks, ref)
 		} else {
 			start := rng.Int63n(cfg.TimeHorizon)
 			end := start + rng.Int63n(cfg.TimeHorizon/4+1)
@@ -87,6 +87,45 @@ func RandomSnapshot(rng *rand.Rand, cfg GenConfig) *storage.Snapshot {
 		ver++
 	}
 	return snap
+}
+
+// MemChunk builds data as the in-memory chunk (id, ver), checked as the
+// chunk writer checks a chunk: non-empty, strictly increasing in time and
+// free of NaN.
+func MemChunk(id string, ver storage.Version, data series.Series) (storage.ChunkRef, error) {
+	cols := data.Columns()
+	if err := cols.Validate(); err != nil {
+		return storage.ChunkRef{}, fmt.Errorf("mem chunk %s v%d: %w", id, ver, err)
+	}
+	first, last, bottom, top, ok := storage.ComputeMeta(cols)
+	if !ok {
+		return storage.ChunkRef{}, fmt.Errorf("mem chunk %s v%d: empty", id, ver)
+	}
+	meta := storage.ChunkMeta{SeriesID: id, Version: ver, First: first, Last: last, Bottom: bottom, Top: top}
+	return storage.NewMemChunk(meta, cols), nil
+}
+
+// Chunks is an in-memory ChunkSource over several chunks of one series,
+// by version, for a test that wraps a source around them: with faults, a
+// cache or delays. Add every chunk before the first read.
+type Chunks map[storage.Version]storage.ChunkRef
+
+// Add builds data as chunk ver of series "s" and returns its metadata.
+func (c Chunks) Add(ver storage.Version, data series.Series) (storage.ChunkMeta, error) {
+	ref, err := MemChunk("s", ver, data)
+	c[ver] = ref
+	return ref.Meta, err
+}
+
+// ReadChunk implements storage.ChunkSource.
+func (c Chunks) ReadChunk(m storage.ChunkMeta) (series.Columns, error) { return c[m.Version].Load(nil) }
+
+// ReadTimes implements storage.ChunkSource.
+func (c Chunks) ReadTimes(m storage.ChunkMeta) ([]int64, error) { return c[m.Version].LoadTimes(nil) }
+
+// ReadValues implements storage.ChunkSource.
+func (c Chunks) ReadValues(m storage.ChunkMeta) ([]float64, error) {
+	return c[m.Version].LoadValues(nil)
 }
 
 // NaiveMerge computes the merged series of Definition 2.7 restricted to r

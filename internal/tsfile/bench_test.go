@@ -17,7 +17,7 @@ func openBenchChunk(tb testing.TB) (*Reader, storage.ChunkMeta) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	meta, err := w.WriteChunk("root.walk", 1, goldenChunks()[0])
+	meta, err := w.WriteChunk("root.walk", 1, goldenChunks()[0].Columns())
 	if err != nil {
 		tb.Fatal(err)
 	}

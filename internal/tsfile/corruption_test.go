@@ -24,7 +24,7 @@ func TestEveryByteFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := w.WriteChunk("s", 1, data)
+	meta, err := w.WriteChunk("s", 1, data.Columns())
 	if err != nil {
 		t.Fatal(err)
 	}

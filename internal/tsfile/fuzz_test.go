@@ -17,10 +17,10 @@ func fuzzSeedFile(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, genSeries(32, 5)); err != nil {
+	if _, err := w.WriteChunk("s", 1, genSeries(32, 5).Columns()); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := w.WriteChunk("t", 2, genSeries(8, 6)); err != nil {
+	if _, err := w.WriteChunk("t", 2, genSeries(8, 6).Columns()); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -68,7 +68,7 @@ func writeGolden(path string) error {
 	}
 	for i, data := range goldenChunks() {
 		id := []string{"root.walk", "root.flat", "root.edge"}[i]
-		if _, err := w.WriteChunk(id, storage.Version(i+1), data); err != nil {
+		if _, err := w.WriteChunk(id, storage.Version(i+1), data.Columns()); err != nil {
 			return err
 		}
 	}

@@ -40,7 +40,7 @@ func writeFile(t *testing.T, path string, chunks map[string][]series.Series) []s
 	ver := storage.Version(1)
 	for id, datas := range chunks {
 		for _, data := range datas {
-			m, err := w.WriteChunk(id, ver, data)
+			m, err := w.WriteChunk(id, ver, data.Columns())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatalf("values %s mismatch", m.SeriesID)
 		}
 		// Metadata must match ComputeMeta of the data.
-		f, l, b, tp, _ := storage.ComputeMeta(want)
+		f, l, b, tp, _ := storage.ComputeMeta(want.Columns())
 		if m.First != f || m.Last != l || m.Bottom != b || m.Top != tp {
 			t.Fatalf("meta points mismatch: %+v", m)
 		}
@@ -116,7 +116,7 @@ func TestBothCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, data); err != nil {
+	if _, err := w.WriteChunk("s", 1, data.Columns()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -160,10 +160,10 @@ func TestWriterRejectsBadChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Abort()
-	if _, err := w.WriteChunk("s", 1, nil); err == nil {
+	if _, err := w.WriteChunk("s", 1, series.Columns{}); err == nil {
 		t.Error("empty chunk accepted")
 	}
-	if _, err := w.WriteChunk("s", 1, series.Series{{T: 2, V: 0}, {T: 1, V: 0}}); err == nil {
+	if _, err := w.WriteChunk("s", 1, series.Series{{T: 2, V: 0}, {T: 1, V: 0}}.Columns()); err == nil {
 		t.Error("unsorted chunk accepted")
 	}
 }
@@ -174,13 +174,13 @@ func TestWriteAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, series.Series{{T: 1, V: 0}}); err != nil {
+	if _, err := w.WriteChunk("s", 1, series.Series{{T: 1, V: 0}}.Columns()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 2, series.Series{{T: 2, V: 0}}); err == nil {
+	if _, err := w.WriteChunk("s", 2, series.Series{{T: 2, V: 0}}.Columns()); err == nil {
 		t.Error("write after close accepted")
 	}
 	if err := w.Close(); err != nil {
@@ -194,7 +194,7 @@ func TestAbortLeavesNoFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, series.Series{{T: 1, V: 0}}); err != nil {
+	if _, err := w.WriteChunk("s", 1, series.Series{{T: 1, V: 0}}.Columns()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Abort(); err != nil {
@@ -211,7 +211,7 @@ func TestOpenRejectsUnclosedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteChunk("s", 1, genSeries(100, 4)); err != nil {
+	if _, err := w.WriteChunk("s", 1, genSeries(100, 4).Columns()); err != nil {
 		t.Fatal(err)
 	}
 	w.w.Flush() // simulate crash before footer
@@ -341,7 +341,7 @@ func TestManyChunksOffsets(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		data := genSeries(20+i, int64(i))
 		want = append(want, data)
-		if _, err := w.WriteChunk("s", storage.Version(i+1), data); err != nil {
+		if _, err := w.WriteChunk("s", storage.Version(i+1), data.Columns()); err != nil {
 			t.Fatal(err)
 		}
 	}

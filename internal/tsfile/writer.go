@@ -136,23 +136,22 @@ func Create(path string) (*Writer, error) {
 	return w, nil
 }
 
-// WriteChunk appends one chunk for seriesID with the given version. data
-// must be non-empty and strictly increasing in time. The returned
-// metadata, which carries the step model fitted here, is also recorded for
-// the footer.
-func (w *Writer) WriteChunk(seriesID string, version storage.Version, data series.Series) (storage.ChunkMeta, error) {
+// WriteChunk appends one chunk for seriesID with the given version, its
+// columns encoded as they are. cols must be non-empty and strictly
+// increasing in time. The returned metadata, which carries the step model
+// fitted here, is also recorded for the footer.
+func (w *Writer) WriteChunk(seriesID string, version storage.Version, cols series.Columns) (storage.ChunkMeta, error) {
 	if w.closed {
 		return storage.ChunkMeta{}, errors.New("tsfile: writer closed")
 	}
-	if err := data.Validate(); err != nil {
+	if err := cols.Validate(); err != nil {
 		return storage.ChunkMeta{}, fmt.Errorf("tsfile: chunk %s v%d: %w", seriesID, version, err)
 	}
-	first, last, bottom, top, ok := storage.ComputeMeta(data)
+	first, last, bottom, top, ok := storage.ComputeMeta(cols)
 	if !ok {
 		return storage.ChunkMeta{}, fmt.Errorf("tsfile: chunk %s v%d: empty", seriesID, version)
 	}
 
-	cols := data.Columns()
 	w.times = encoding.EncodeTimes(w.times[:0], cols.Times())
 	w.values = encoding.EncodeValues(w.values[:0], cols.Values())
 	timesBlock, valuesBlock := w.times, w.values
@@ -162,7 +161,7 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, data serie
 	hdr = append(hdr, seriesID...)
 	hdr = encoding.AppendUvarint(hdr, uint64(version))
 	hdr = append(hdr, codecByte)
-	hdr = encoding.AppendUvarint(hdr, uint64(len(data)))
+	hdr = encoding.AppendUvarint(hdr, uint64(cols.Len()))
 	hdr = encoding.AppendUvarint(hdr, uint64(len(timesBlock)))
 	hdr = encoding.AppendUvarint(hdr, uint64(len(valuesBlock)))
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(timesBlock))
@@ -174,7 +173,7 @@ func (w *Writer) WriteChunk(seriesID string, version storage.Version, data serie
 	meta := storage.ChunkMeta{
 		SeriesID:  seriesID,
 		Version:   version,
-		Count:     int64(len(data)),
+		Count:     int64(cols.Len()),
 		First:     first,
 		Last:      last,
 		Bottom:    bottom,

@@ -18,7 +18,7 @@ func TestPresetsGenerateValidSeries(t *testing.T) {
 		if len(data) != 5000 {
 			t.Fatalf("%s: %d points", p.Name, len(data))
 		}
-		if err := data.Validate(); err != nil {
+		if err := data.Columns().Validate(); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		for _, pt := range data {
