@@ -72,7 +72,7 @@ soak:
 # fuzz exercises the crash-recovery parsers (WAL payloads, the delete codec
 # the WAL shares with the .mods sidecar, chunk-file footers, record logs, the
 # WAL file as Open replays it, the pyramid manifest), the m4ql parser including the REPRESENT
-# clause, the /write parser against its line-by-line reference, the Gorilla codec against its
+# clause, /query's JSON encoder against encoding/json, the /write parser against its line-by-line reference, the Gorilla codec against its
 # bit-at-a-time reference, the timestamp decoder against its per-varint
 # reference, the step-regression build against its
 # reference, the pyramid's range-set algebra against a bitmap, and the PNG
@@ -81,6 +81,7 @@ soak:
 # FUZZTIME (the seed corpus also runs in plain `make test`).
 fuzz:
 	$(GO) test ./internal/m4ql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/m4ql -run '^$$' -fuzz '^FuzzQueryJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWriteBody$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lsm -run '^$$' -fuzz '^FuzzDecodeInsert$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lsm -run '^$$' -fuzz '^FuzzDecodeWALDelete$$' -fuzztime $(FUZZTIME)
@@ -102,7 +103,7 @@ fuzz:
 # stays structured and greppable. Commands, examples and tests are exempt.
 # The structural rules (one read path, one merge-all read, one task shape,
 # public examples, one write path, sorted on write, one WAL file, one chunk writer,
-# fit-at-write, one measurement stack, the columnar read path, recycle at
+# fit-at-write, one query encoder, one measurement stack, the columnar read path, recycle at
 # query end, one engine lock, no engine goroutines, no library sleeps,
 # DESIGN.md's invariant table, no test-only production API and no knob
 # only tests set) are

@@ -544,6 +544,7 @@ func init() {
 		{"recycle_at_query_end", ruleRecycleAtQueryEnd},
 		{"one_engine_lock", ruleOneEngineLock},
 		{"one_admission_gate", ruleOneAdmissionGate},
+		{"one_query_encoder", ruleOneQueryEncoder},
 		{"no_engine_goroutines", ruleNoEngineGoroutines},
 		{"no_library_sleeps", ruleNoLibrarySleeps},
 		{"design_invariants", ruleDesignInvariants},
@@ -631,6 +632,15 @@ func rulePublicExamples(tr *archTree) []string {
 func ruleOneAdmissionGate(tr *archTree) []string {
 	return onlyAt("govern.NewGate references", tr.find(tr.pkgsOutside("internal/govern", "bench"), uses(is("internal/govern.NewGate"))),
 		"internal/server/server.go:NewWith")
+}
+
+// ruleOneQueryEncoder: /query's answer is written by m4ql's one encoder,
+// Outcome.AppendJSON, straight from the typed outputs, so internal/server
+// never refers to Outcome.Result, whose float64 rows round every time
+// above 2^53.
+func ruleOneQueryEncoder(tr *archTree) []string {
+	return none("m4ql.Outcome.Result in the server; write the answer with Outcome.AppendJSON",
+		tr.find(tr.pkgsUnder("internal/server"), uses(is("internal/m4ql.Outcome.Result"))))
 }
 
 // ruleOneWritePath: inserts reach a memtable in one place, memAppend
@@ -1251,6 +1261,8 @@ var archMutations = []struct {
 		{"internal/tsfile/mods.go", "\tlog  *RecordLog", "\tmu   sync.RWMutex\n\tlog  *RecordLog"}}},
 	{"second gate in server", "one_admission_gate", []archEdit{{"internal/server/server.go", "",
 		"\nvar writeGate = govern.NewGate(1, 0, time.Second)\n"}}},
+	{"Result back in /query", "one_query_encoder", []archEdit{{"internal/server/server.go",
+		"writeAnswer(w, ev, out)", "writeJSON(w, http.StatusOK, out.Result())"}}},
 	{"go func in lsm", "no_engine_goroutines", []archEdit{{"internal/lsm/engine.go", "", "\nfunc spawn() { go func() {}() }\n"}}},
 	{"time.Sleep in lsm", "no_library_sleeps", []archEdit{{"internal/lsm/engine.go", "import (", "import (\n\tclock \"time\""},
 		{"internal/lsm/engine.go", "", "\nfunc nap() { clock.Sleep(clock.Millisecond) }\n"}}},

@@ -80,12 +80,66 @@ type Case struct {
 	engine *lsm.Engine
 	dir    string
 	ids    []string
-	tMax   int64
-	// value draws the value for a write at timestamp t. The default is
+	// Points sit at tMax positions k in [0, tMax), placed in the time
+	// domain at dom.at(k).
+	tMax int64
+	dom  domain
+	// value draws the value for a write at position k. The default is
 	// coarsely quantized (ties stress the operators' representative-point
-	// selection); GenerateRepr swaps in an injective t→v mapping so
+	// selection); GenerateRepr swaps in an injective k→v mapping so
 	// bit-for-bit representation comparisons are well-defined.
-	value func(rng *rand.Rand, t int64) float64
+	value func(rng *rand.Rand, k int64) float64
+}
+
+// domain places a case's point positions in the int64 time domain:
+// position k is the timestamp base + k·step. Each case draws its own, so
+// the harness covers the whole domain: timestamps from zero, epoch
+// milliseconds, epoch nanoseconds, negative ones, and ones near ±2^62,
+// with steps from one tick to about a millisecond in nanoseconds.
+type domain struct{ base, step int64 }
+
+// drawDomain draws the domain of a case whose positions run to 2·tMax, the
+// end of its widest query window.
+func drawDomain(rng *rand.Rand, tMax int64) domain {
+	steps := []int64{1, 1, 3, 1000, 1_000_003}
+	d := domain{step: steps[rng.Intn(len(steps))]}
+	switch rng.Intn(5) {
+	case 1: // epoch milliseconds
+		d.base = 1_600_000_000_000 + rng.Int63n(1e11)
+	case 2: // epoch nanoseconds, far above 2^53
+		d.base = 1_600_000_000_000_000_000 + rng.Int63n(1e17)
+	case 3: // negative, sometimes straddling zero
+		d.base = -rng.Int63n(1<<40) - tMax*d.step/2
+	case 4: // the domain's ends
+		d.base = -1 << 62
+		if rng.Intn(2) == 0 {
+			d.base = 1<<62 - 2*tMax*d.step
+		}
+	}
+	return d
+}
+
+// at is the timestamp of position k.
+func (d domain) at(k int64) int64 { return d.base + k*d.step }
+
+// index is the position of timestamp t.
+func (d domain) index(t int64) int64 { return (t - d.base) / d.step }
+
+// queries are the query shapes every check answers: the full range, a
+// strict subrange, a range extending past the data, w both smaller and
+// larger than the point count (zero-width spans when the step is one
+// tick), and the whole time domain around the data: a window MaxInt64
+// wide, the widest a query can be.
+func (d domain) queries(tMax int64) []m4.Query {
+	mid := d.at(tMax / 2)
+	return []m4.Query{
+		{Tqs: d.at(0), Tqe: d.at(tMax), W: 7},
+		{Tqs: d.at(0), Tqe: d.at(tMax), W: 31},
+		{Tqs: d.at(tMax / 4), Tqe: d.at(tMax / 2), W: 5},
+		{Tqs: d.at(tMax / 3), Tqe: d.at(2 * tMax), W: 13},
+		{Tqs: d.at(0), Tqe: d.at(tMax), W: int(tMax) * 2},
+		{Tqs: mid - 1<<62, Tqe: mid + (1<<62 - 1), W: 17},
+	}
 }
 
 // opKind is the per-step action distribution.
@@ -113,10 +167,11 @@ func generate(seed int64, dir string, tieFree bool) (*Case, error) {
 		Oracle: Oracle{},
 		dir:    dir,
 		tMax:   int64(200 + rng.Intn(800)),
-		value: func(rng *rand.Rand, t int64) float64 {
+		value: func(rng *rand.Rand, k int64) float64 {
 			return float64(rng.Intn(1000)) / 10
 		},
 	}
+	c.dom = drawDomain(rng, c.tMax)
 	if tieFree {
 		c.value = tieFreeValue(c.tMax)
 	}
@@ -161,8 +216,8 @@ func (c *Case) step(rng *rand.Rand) error {
 		n := 1 + rng.Intn(12)
 		pts := make([]series.Point, n)
 		for i := range pts {
-			t := rng.Int63n(c.tMax)
-			pts[i] = series.Point{T: t, V: c.value(rng, t)}
+			k := rng.Int63n(c.tMax)
+			pts[i] = series.Point{T: c.dom.at(k), V: c.value(rng, k)}
 		}
 		if err := c.engine.Write(id, pts...); err != nil {
 			return err
@@ -180,7 +235,7 @@ func (c *Case) step(rng *rand.Rand) error {
 		pts := make([]series.Point, 0, n)
 		for i := 0; i < n; i++ {
 			t := existing[rng.Intn(len(existing))].T
-			pts = append(pts, series.Point{T: t, V: c.value(rng, t)})
+			pts = append(pts, series.Point{T: t, V: c.value(rng, c.dom.index(t))})
 		}
 		if err := c.engine.Write(id, pts...); err != nil {
 			return err
@@ -189,8 +244,8 @@ func (c *Case) step(rng *rand.Rand) error {
 			c.Oracle.write(id, p)
 		}
 	case opDelete:
-		start := rng.Int63n(c.tMax)
-		end := start + rng.Int63n(c.tMax/4+1)
+		start := c.dom.at(rng.Int63n(c.tMax))
+		end := start + rng.Int63n(c.tMax/4+1)*c.dom.step
 		if err := c.engine.Delete(id, start, end); err != nil {
 			return err
 		}
@@ -224,21 +279,14 @@ func pick(rng *rand.Rand, weights []int) int {
 	return len(weights) - 1
 }
 
-// Check verifies the pyramid's structural invariants, then answers several
-// M4 query shapes four ways per series and fails on the first disagreement. The (tqs, tqe, w) shapes cover the full range, a
-// strict subrange, a range extending past the data, and w both smaller and
-// larger than the point count. It also cross-checks the batched multi-series
+// Check verifies the pyramid's structural invariants, then answers every
+// shape of domain.queries four ways per series and fails on the first
+// disagreement. It also cross-checks the batched multi-series
 // path against per-series queries, and rasterizes the M4 reduction against
 // the oracle's full merged series at a small canvas to assert the paper's
 // pixel-equivalence guarantee.
 func (c *Case) Check() error {
-	queries := []m4.Query{
-		{Tqs: 0, Tqe: c.tMax, W: 7},
-		{Tqs: 0, Tqe: c.tMax, W: 31},
-		{Tqs: c.tMax / 4, Tqe: c.tMax / 2, W: 5},
-		{Tqs: c.tMax / 3, Tqe: 2 * c.tMax, W: 13},
-		{Tqs: 0, Tqe: c.tMax, W: int(c.tMax) * 2}, // w > range: zero-width spans
-	}
+	queries := c.dom.queries(c.tMax)
 	for _, id := range c.ids {
 		if err := c.engine.PyrCheckInvariants(id); err != nil {
 			return fmt.Errorf("seed %d: pyramid invariants: %w", c.Seed, err)
@@ -323,7 +371,7 @@ func (c *Case) Check() error {
 // degradation warnings — budget accounting may never change a result that
 // fits the budget.
 func (c *Case) checkBudget() error {
-	q := m4.Query{Tqs: 0, Tqe: c.tMax, W: 31}
+	q := m4.Query{Tqs: c.dom.at(0), Tqe: c.dom.at(c.tMax), W: 31}
 	generous := govern.Limits{MaxChunks: 1 << 30, MaxPoints: 1 << 40, Timeout: time.Hour}
 	// Ties in value may resolve to different (equally valid) representative
 	// timestamps between the two operators, so each operator is compared
@@ -380,7 +428,7 @@ func (c *Case) checkBudget() error {
 // rasterizing the oracle's full merged series.
 func (c *Case) checkPixels() error {
 	const w, h = 41, 17
-	q := m4.Query{Tqs: 0, Tqe: c.tMax, W: w}
+	q := m4.Query{Tqs: c.dom.at(0), Tqe: c.dom.at(c.tMax), W: w}
 	for _, id := range c.ids {
 		full := c.Oracle.Merged(id)
 		snap, err := c.engine.Snapshot(id, q.Range())

@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"m4lsm/internal/series"
@@ -18,24 +20,59 @@ func TestDifferential(t *testing.T) {
 	if testing.Short() {
 		n = 200
 	}
-	var pyramidSpans int64
-	for i := 0; i < n; i++ {
-		seed := int64(i + 1)
+	var pyramidSpans atomic.Int64
+	seed, err := forSeeds(n, func(seed int64) error {
 		c, err := Generate(seed, t.TempDir())
 		if err != nil {
-			t.Fatalf("differential mismatch at seed %d (reproduce: difftest.Run(%d, dir)): %v", seed, seed, err)
+			return err
 		}
+		defer c.Close()
 		err = c.Check()
-		c.Close()
-		if err != nil {
-			t.Fatalf("differential mismatch at seed %d (reproduce: difftest.Run(%d, dir)): %v", seed, seed, err)
-		}
-		pyramidSpans += c.PyramidSpans
+		pyramidSpans.Add(c.PyramidSpans)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("differential mismatch at seed %d (reproduce: difftest.Run(%d, dir)): %v", seed, seed, err)
 	}
-	if pyramidSpans == 0 {
+	if pyramidSpans.Load() == 0 {
 		t.Fatal("pyramid answered zero spans across the whole differential run; pyramid checks were vacuous")
 	}
-	t.Logf("pyramid answered %d spans across %d cases", pyramidSpans, n)
+	t.Logf("pyramid answered %d spans across %d cases", pyramidSpans.Load(), n)
+}
+
+// forSeeds runs check for the seeds 1 to n on a few workers: the cases are
+// independent and spend much of their time waiting on the file system.
+// After a failure no new seed starts, and it returns the smallest failing
+// seed with its error.
+func forSeeds(n int, check func(seed int64) error) (int64, error) {
+	const workers = 4
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		failSeed int64
+		failErr  error
+		wg       sync.WaitGroup
+	)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := next.Add(1); seed <= int64(n); seed = next.Add(1) {
+				err := check(seed)
+				mu.Lock()
+				if err != nil && (failErr == nil || seed < failSeed) {
+					failSeed, failErr = seed, err
+				}
+				stop := failErr != nil
+				mu.Unlock()
+				if stop {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return failSeed, failErr
 }
 
 // TestOracleSemantics pins the oracle itself: latest write wins and deletes

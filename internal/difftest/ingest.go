@@ -30,6 +30,7 @@ type IngestCase struct {
 	dirA, dirB   string
 	ids          []string
 	tMax         int64
+	dom          domain
 	value        func(*rand.Rand, int64) float64
 	BatchEntries int64 // entries shipped through WriteBatch, for vacuity checks
 }
@@ -44,6 +45,7 @@ func GenerateIngest(seed int64, dirA, dirB string) (*IngestCase, error) {
 		dirB:   dirB,
 		tMax:   int64(200 + rng.Intn(800)),
 	}
+	c.dom = drawDomain(rng, c.tMax)
 	c.value = tieFreeValue(c.tMax)
 	nSeries := 1 + rng.Intn(3)
 	for s := 0; s < nSeries; s++ {
@@ -102,8 +104,8 @@ func (c *IngestCase) step(rng *rand.Rand) error {
 			used[id] = true
 			pts := make([]series.Point, 1+rng.Intn(10))
 			for i := range pts {
-				t := rng.Int63n(c.tMax)
-				pts[i] = series.Point{T: t, V: c.value(rng, t)}
+				k := rng.Int63n(c.tMax)
+				pts[i] = series.Point{T: c.dom.at(k), V: c.value(rng, k)}
 			}
 			entries = append(entries, lsm.BatchEntry{SeriesID: id, Points: pts})
 		}
@@ -121,8 +123,8 @@ func (c *IngestCase) step(rng *rand.Rand) error {
 		c.BatchEntries += int64(len(entries))
 	case 1: // range delete on both
 		id := c.ids[rng.Intn(len(c.ids))]
-		start := rng.Int63n(c.tMax)
-		end := start + rng.Int63n(c.tMax/4+1)
+		start := c.dom.at(rng.Int63n(c.tMax))
+		end := start + rng.Int63n(c.tMax/4+1)*c.dom.step
 		if err := c.a.Delete(id, start, end); err != nil {
 			return err
 		}
@@ -147,13 +149,7 @@ func (c *IngestCase) step(rng *rand.Rand) error {
 // Check answers every query shape on both twins and requires exact span
 // equality twin-to-twin and against the oracle reference.
 func (c *IngestCase) Check() error {
-	queries := []m4.Query{
-		{Tqs: 0, Tqe: c.tMax, W: 7},
-		{Tqs: 0, Tqe: c.tMax, W: 31},
-		{Tqs: c.tMax / 4, Tqe: c.tMax / 2, W: 5},
-		{Tqs: c.tMax / 3, Tqe: 2 * c.tMax, W: 13},
-	}
-	for _, q := range queries {
+	for _, q := range c.dom.queries(c.tMax) {
 		for _, id := range c.ids {
 			ref, err := m4.ComputeSeries(q, c.Oracle.Merged(id))
 			if err != nil {

@@ -1,6 +1,9 @@
 package difftest
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // TestDifferentialIngest is the batched-ingestion property test: twin
 // engines consume identical seeded workloads — one point by point through
@@ -14,22 +17,21 @@ func TestDifferentialIngest(t *testing.T) {
 	if testing.Short() {
 		n = 40
 	}
-	var entries int64
-	for i := 0; i < n; i++ {
-		seed := int64(i + 1)
+	var entries atomic.Int64
+	seed, err := forSeeds(n, func(seed int64) error {
 		c, err := GenerateIngest(seed, t.TempDir(), t.TempDir())
 		if err != nil {
-			t.Fatalf("ingest mismatch at seed %d (reproduce: difftest.RunIngestDiff(%d, dirA, dirB)): %v", seed, seed, err)
+			return err
 		}
-		err = c.Check()
-		c.Close()
-		if err != nil {
-			t.Fatalf("ingest mismatch at seed %d (reproduce: difftest.RunIngestDiff(%d, dirA, dirB)): %v", seed, seed, err)
-		}
-		entries += c.BatchEntries
+		defer c.Close()
+		entries.Add(c.BatchEntries)
+		return c.Check()
+	})
+	if err != nil {
+		t.Fatalf("ingest mismatch at seed %d (reproduce: difftest.RunIngestDiff(%d, dirA, dirB)): %v", seed, seed, err)
 	}
-	if entries == 0 {
+	if entries.Load() == 0 {
 		t.Fatal("no batch entries shipped across the whole ingest differential run; checks were vacuous")
 	}
-	t.Logf("shipped %d batch entries across %d twin cases", entries, n)
+	t.Logf("shipped %d batch entries across %d twin cases", entries.Load(), n)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"m4lsm/internal/m4"
 	"m4lsm/internal/m4lsm"
 	"m4lsm/internal/m4udf"
 	"m4lsm/internal/reprops"
@@ -27,18 +26,18 @@ import (
 // therefore maps each timestamp to a unique value, which makes every
 // representative point forced and exact equality the right assertion.
 
-// tieFreeValue returns an injective t→value mapping for t in [0, tMax)
-// with tMax < 1024. The integer part scrambles value order (so extremal
-// points land anywhere in a span, not at its edges) and the fractional
-// part t/1024 disambiguates: spacing 1/1024 exceeds the 7e-5 overwrite
-// offset, so distinct timestamps can never collide in value. Overwrites at
-// the same timestamp cycle through 8 distinct offsets, so latest-wins
-// resolution stays observable.
+// tieFreeValue returns an injective k→value mapping for positions k in
+// [0, tMax) with tMax < 1024. The integer part scrambles value order (so
+// extremal points land anywhere in a span, not at its edges) and the
+// fractional part k/1024 disambiguates: spacing 1/1024 exceeds the 7e-5
+// overwrite offset, so distinct positions can never collide in value.
+// Overwrites at the same position cycle through 8 distinct offsets, so
+// latest-wins resolution stays observable.
 func tieFreeValue(tMax int64) func(*rand.Rand, int64) float64 {
 	gen := 0
-	return func(_ *rand.Rand, t int64) float64 {
+	return func(_ *rand.Rand, k int64) float64 {
 		gen++
-		return float64((t*7919)%1024) + float64(t)/1024 + float64(gen%8)*1e-5
+		return float64((k*7919)%1024) + float64(k)/1024 + float64(gen%8)*1e-5
 	}
 }
 
@@ -67,14 +66,7 @@ func reprCheckSpecs() []reprops.Spec {
 // oracle's merged series exactly.
 func (c *Case) CheckRepr() error {
 	ctx := context.Background()
-	queries := []m4.Query{
-		{Tqs: 0, Tqe: c.tMax, W: 7},
-		{Tqs: 0, Tqe: c.tMax, W: 31},
-		{Tqs: c.tMax / 4, Tqe: c.tMax / 2, W: 5},
-		{Tqs: c.tMax / 3, Tqe: 2 * c.tMax, W: 13},
-		{Tqs: 0, Tqe: c.tMax, W: int(c.tMax) * 2}, // w > range: zero-width spans
-	}
-	for _, q := range queries {
+	for _, q := range c.dom.queries(c.tMax) {
 		for _, id := range c.ids {
 			merged := c.Oracle.Merged(id)
 			for _, spec := range reprCheckSpecs() {

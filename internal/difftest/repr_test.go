@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"m4lsm/internal/lsm"
@@ -28,24 +29,24 @@ func TestDifferentialRepr(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	var pyramidSpans int64
-	for i := 0; i < n; i++ {
-		seed := int64(i + 1)
+	var pyramidSpans atomic.Int64
+	seed, err := forSeeds(n, func(seed int64) error {
 		c, err := GenerateRepr(seed, t.TempDir())
 		if err != nil {
-			t.Fatalf("repr mismatch at seed %d (reproduce: difftest.RunRepr(%d, dir)): %v", seed, seed, err)
+			return err
 		}
+		defer c.Close()
 		err = c.CheckRepr()
-		c.Close()
-		if err != nil {
-			t.Fatalf("repr mismatch at seed %d (reproduce: difftest.RunRepr(%d, dir)): %v", seed, seed, err)
-		}
-		pyramidSpans += c.PyramidSpans
+		pyramidSpans.Add(c.PyramidSpans)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("repr mismatch at seed %d (reproduce: difftest.RunRepr(%d, dir)): %v", seed, seed, err)
 	}
-	if pyramidSpans == 0 {
+	if pyramidSpans.Load() == 0 {
 		t.Fatal("pyramid answered zero spans across the repr differential run; pyramid-on checks were vacuous")
 	}
-	t.Logf("pyramid answered %d spans across %d cases", pyramidSpans, n)
+	t.Logf("pyramid answered %d spans across %d cases", pyramidSpans.Load(), n)
 }
 
 // TestTieFreeValueInjective pins the property CheckRepr's exactness rests

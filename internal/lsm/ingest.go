@@ -519,7 +519,9 @@ func (e *Engine) memAppend(id string, pts []series.Point) (full bool) {
 	ts, vs := m.cols.Times(), m.cols.Values()
 	n := len(ts)
 	if n > 0 && pts[0].T <= ts[n-1] {
-		c := max(n+len(pts), e.opts.FlushThreshold) // room for in-order appends after it
+		// Room for in-order appends after it, sized from the buffer's fill:
+		// twice the merged length, capped at the flush threshold.
+		c := max(n+len(pts), min(2*(n+len(pts)), e.opts.FlushThreshold))
 		ft, fv := make([]int64, 0, c), make([]float64, 0, c)
 		m.cols, n = series.NewColumns(mergeInto(ft, fv, ts, vs, pts)), 0
 	} else {

@@ -22,6 +22,8 @@ import (
 // a delete and a flush; each step's snapshot is checked after every later
 // step. Readers query the first one throughout while the steps run, so
 // under -race a write into what it borrowed is also reported as a race.
+// Last, an overwrite of the newest buffered point, whose merge with the
+// columns' spare room must not land in place.
 func TestMemtableSnapshotsKeepTheirPoints(t *testing.T) {
 	e := openTestEngine(t, Options{FlushThreshold: 1000, DisableWAL: true, DisablePyramid: true})
 	write := func(start, end, step int64, v float64) {
@@ -140,6 +142,28 @@ func TestMemtableSnapshotsKeepTheirPoints(t *testing.T) {
 			}
 		}
 		take()
+	}
+
+	// An overwrite of the newest buffered timestamp merges too: written in
+	// place, it would change the last value a snapshot holds. Two points
+	// and then a late one leave the columns spare room, so a reallocation
+	// would not hide such a write.
+	if err := e.Write("u", series.Point{T: 10, V: 1}, series.Point{T: 20, V: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Write("u", series.Point{T: 5, V: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if cols := e.mem["u"].cols; cols.Len() == cap(cols.Values()) {
+		t.Fatal("the late merge left no spare room; the overwrite tests nothing")
+	}
+	snap := must(e.Snapshot("u", r))
+	if err := e.Write("u", series.Point{T: 20, V: 3}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := mergeread.Merge(snap, r)
+	if want := (series.Series{{T: 5, V: 0}, {T: 10, V: 1}, {T: 20, V: 2}}); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after overwriting the newest point, a snapshot taken before reads %v (%v), want %v", got, err, want)
 	}
 }
 

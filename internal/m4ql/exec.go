@@ -20,9 +20,13 @@ import (
 	"m4lsm/internal/storage"
 )
 
-// Result is the tabular output of an executed M4 query. Rows are one per
-// non-empty span: the 0-based span index followed by the projected columns.
-// Timestamps are reported as float64 (epoch milliseconds fit exactly).
+// Result is the tabular output of an executed M4 query, for in-process
+// callers (the root package's DB.QueryContext, m4cli, EXPLAIN) and as the
+// type a /query answer decodes into. Rows are one per non-empty span: the
+// 0-based span index followed by the projected columns. Rows hold times as
+// float64, exact for |t| < 2^53 (epoch milliseconds; not epoch
+// nanoseconds). The /query wire is exact at any time: Outcome.AppendJSON
+// writes times as int64, in these same JSON fields.
 type Result struct {
 	Columns []string    `json:"columns"`
 	Rows    [][]float64 `json:"rows"`
@@ -273,7 +277,8 @@ func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, e
 // Outcome is an executed statement before tabulation: the executor's typed
 // per-series outputs and the statement-level facts every surface reports.
 // A surface that draws points (the server's /render) reads Outputs
-// directly; Result tabulates rows for the others.
+// directly, /query writes them with AppendJSON, and Result tabulates rows
+// for the in-process callers.
 type Outcome struct {
 	Outputs  []SeriesOutput
 	Operator string
@@ -366,17 +371,9 @@ func (o *Outcome) Result() *Result {
 		Warnings:  o.Warnings,
 		Trace:     o.Trace,
 	}
-	switch {
-	case stmt.Represent != nil:
-		res.Columns = []string{"time", "value"}
+	res.Columns = columns(stmt)
+	if stmt.Represent != nil {
 		res.Represent = stmt.Represent.String()
-	case len(stmt.Aggregates) > 0:
-		res.Columns = []string{"span"}
-		for _, f := range stmt.Aggregates {
-			res.Columns = append(res.Columns, f.String())
-		}
-	default:
-		res.Columns = append([]string{"span"}, columnStrings(stmt.Columns)...)
 	}
 	if !stmt.Multi() {
 		res.Rows = rows(stmt, o.Outputs[0])
@@ -388,6 +385,22 @@ func (o *Outcome) Result() *Result {
 			Partial: len(out.Warnings) > 0, Warnings: out.Warnings}
 	}
 	return res
+}
+
+// columns names the statement's output columns: time and value for
+// REPRESENT, else the span index and the projected columns or functions.
+func columns(stmt Statement) []string {
+	switch {
+	case stmt.Represent != nil:
+		return []string{"time", "value"}
+	case len(stmt.Aggregates) > 0:
+		cols := []string{"span"}
+		for _, f := range stmt.Aggregates {
+			cols = append(cols, f.String())
+		}
+		return cols
+	}
+	return append([]string{"span"}, columnStrings(stmt.Columns)...)
 }
 
 // rows tabulates one series' output in the statement's form: (time, value)

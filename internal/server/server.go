@@ -19,6 +19,7 @@ import (
 	"net/url"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"time"
 
 	"m4lsm/internal/buildinfo"
@@ -434,8 +435,39 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 	}
 	stmt.Trace = stmt.Trace || traced(params)
 	h.serve(w, r, ev, stmt, http.StatusBadRequest, func(w http.ResponseWriter, out *m4ql.Outcome) {
-		writeJSON(w, http.StatusOK, out.Result())
+		writeAnswer(w, ev, out)
 	})
+}
+
+// answerBuffers recycles /query bodies. A buffer grown past
+// maxPooledAnswer is left to the collector, so one huge answer does not
+// stay pinned in the pool.
+var answerBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledAnswer = 1 << 20
+
+// writeAnswer writes the outcome's JSON answer, encoded whole into a pooled
+// buffer before the status line goes out: an answer holding a value JSON
+// cannot carry (±Inf or NaN) is a 500 that names its series and span,
+// never a 200 with an empty body.
+func writeAnswer(w http.ResponseWriter, ev *obs.Event, out *m4ql.Outcome) {
+	buf := answerBuffers.Get().(*[]byte)
+	body, err := out.AppendJSON((*buf)[:0])
+	if err != nil {
+		ev.Error = err.Error()
+		writeMappedError(w, http.StatusInternalServerError, "unencodable", err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		if _, err := w.Write(body); err != nil {
+			slog.Default().Warn("m4server: write response", "err", err)
+		}
+	}
+	if cap(body) <= maxPooledAnswer {
+		*buf = body[:0]
+		answerBuffers.Put(buf)
+	}
 }
 
 // traced reports whether a request's ?trace= parameter ("1", "true", ...)
