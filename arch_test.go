@@ -533,6 +533,7 @@ func init() {
 		{"one_read_path", ruleOneReadPath},
 		{"one_merge_all_read", ruleOneMergeAllRead},
 		{"one_task_shape", ruleOneTaskShape},
+		{"no_query_goroutines", ruleNoQueryGoroutines},
 		{"public_examples", rulePublicExamples},
 		{"one_write_path", ruleOneWritePath},
 		{"sorted_on_write", ruleSortedOnWrite},
@@ -584,26 +585,40 @@ func ruleOneReadPath(tr *archTree) []string {
 
 // ruleOneMergeAllRead: chunks are loaded for a merge in one place,
 // mergeread's load, referred to once, by mergeread.Read (the UDF baseline,
-// LTTB and GROUP BY's scan are folds over it); the operator packages fan
-// work out on govern.RunPool only, never on a WaitGroup or a goroutine of
-// their own.
+// LTTB and GROUP BY's scan are folds over it).
 func ruleOneMergeAllRead(tr *archTree) []string {
-	out := onlyAt("mergeread load references", tr.find(tr.pkgsUnder("internal/mergeread"), uses(is("internal/mergeread.load"))),
+	return onlyAt("mergeread load references", tr.find(tr.pkgsUnder("internal/mergeread"), uses(is("internal/mergeread.load"))),
 		"internal/mergeread/mergeread.go:Read")
+}
+
+// ruleNoQueryGoroutines: a query runs on its caller's goroutine. The
+// operator packages start no goroutine and hold no WaitGroup or mutex:
+// every chunk state, scratch and counter a query touches is its own, and
+// concurrency lives between requests, above the operators.
+func ruleNoQueryGoroutines(tr *archTree) []string {
 	ops := tr.pkgsUnder("internal/m4lsm", "internal/m4udf", "internal/mergeread", "internal/groupby")
-	out = append(out, none("sync.WaitGroup in an operator package; use govern.RunPool",
-		tr.find(ops, uses(func(obj types.Object) bool { return objKey(obj) == "sync.WaitGroup" })))...)
-	return append(out, none("go statement in an operator package; use govern.RunPool",
-		tr.find(ops, func(_ *archPkg, n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }))...)
+	out := none("go statement in an operator package",
+		tr.find(ops, func(_ *archPkg, n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }))
+	return append(out, none("WaitGroup or mutex in an operator package",
+		tr.find(ops, uses(func(obj types.Object) bool {
+			return slices.Contains([]string{"sync.WaitGroup", "sync.Mutex", "sync.RWMutex"}, objKey(obj))
+		})))...)
 }
 
 // ruleOneTaskShape: spans and pyramid fragments are chunk lists run by the
-// same two waves, so m4lsm refers to govern.RunPool once, in runWave, and
-// has one FP-substitution warning, in assemble.
+// same two waves in one function: the candidate loop's entry,
+// operator.computeG, is called in timedG alone, timedG in runWave alone,
+// and runWave twice, both times by computeMultiKinds (wave 1, then wave
+// 2). m4lsm has one FP-substitution warning, in assemble.
 func ruleOneTaskShape(tr *archTree) []string {
 	m4lsm := tr.pkgsUnder("internal/m4lsm")
-	out := onlyAt("govern.RunPool references in m4lsm", tr.find(m4lsm, uses(is("internal/govern.RunPool"))),
-		"internal/m4lsm/m4lsm.go:runWave")
+	refs := func(key string) []archRef { return tr.find(m4lsm, uses(is(key))) }
+	out := onlyWithin("operator.computeG references", refs("internal/m4lsm.operator.computeG"),
+		"internal/m4lsm/m4lsm.go:timedG")
+	out = append(out, onlyWithin("operator.timedG references", refs("internal/m4lsm.operator.timedG"),
+		"internal/m4lsm/m4lsm.go:runWave")...)
+	out = append(out, onlyAt("runWave references", refs("internal/m4lsm.runWave"),
+		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/m4lsm/m4lsm.go:computeMultiKinds")...)
 	return append(out, onlyAt(`"substituted FP" warnings in m4lsm`, tr.find(m4lsm, stringLit("substituted FP")),
 		"internal/m4lsm/plan.go:assemble")...)
 }
@@ -967,6 +982,7 @@ var archAllow = map[string]string{
 	"internal/difftest.RunIngestDiff": "difftest's reproduce entry point for the ingest twins",
 	"internal/difftest.RunRepr":       "difftest's reproduce entry point for REPRESENT",
 	"internal/series.Series.Slice":    "the reference span slicing the m4, groupby and pyramid oracles compare against",
+	"internal/m4.Query.Span":          "the reference span definition the m4, storage, groupby, pyramid and integration tests check against",
 	"internal/govern.Budget.Used":     "tests read a budget's charges back; the operators only charge",
 	"internal/obs.Counter.Value":      "tests read one counter back; production reads the registry through Snapshot",
 }
@@ -1213,12 +1229,18 @@ var archMutations = []struct {
 	edits []archEdit
 }{
 	{"second mergeread load", "one_merge_all_read", []archEdit{{"internal/mergeread/mergeread.go",
-		"l, err := load(ctx, snap, inner, opts, c)", "_, _ = load(ctx, snap, inner, opts, c)\n\t\tl, err := load(ctx, snap, inner, opts, c)"}}},
-	{"WaitGroup in m4udf", "one_merge_all_read", []archEdit{{"internal/m4udf/m4udf.go", "import (", "import (\n\t\"sync\""},
+		"l, err := load(ctx, snap, opts, c)", "_, _ = load(ctx, snap, opts, c)\n\t\tl, err := load(ctx, snap, opts, c)"}}},
+	{"WaitGroup in m4udf", "no_query_goroutines", []archEdit{{"internal/m4udf/m4udf.go", "import (", "import (\n\t\"sync\""},
 		{"internal/m4udf/m4udf.go", "", "\nvar pending sync.WaitGroup\n"}}},
-	{"go func in groupby", "one_merge_all_read", []archEdit{{"internal/groupby/groupby.go", "", "\nfunc spawn() { go func() {}() }\n"}}},
-	{"second RunPool in m4lsm", "one_task_shape", []archEdit{{"internal/m4lsm/m4lsm.go", "",
-		"\nfunc pool() error { return govern.RunPool(1, 1, func(w, t int) error { return nil }) }\n"}}},
+	{"go func in groupby", "no_query_goroutines", []archEdit{{"internal/groupby/groupby.go", "", "\nfunc spawn() { go func() {}() }\n"}}},
+	{"go func in m4lsm", "no_query_goroutines", []archEdit{{"internal/m4lsm/m4lsm.go", "",
+		"\nfunc spawn(done chan<- struct{}) { go func() { close(done) }() }\n"}}},
+	{"mutex in a chunk state", "no_query_goroutines", []archEdit{{"internal/m4lsm/load.go", "import (", "import (\n\t\"sync\""},
+		{"internal/m4lsm/load.go", "\ttimes    []int64", "\tmu       sync.Mutex\n\ttimes    []int64"}}},
+	{"third wave in m4lsm", "one_task_shape", []archEdit{{"internal/m4lsm/m4lsm.go",
+		"\terr = runWave(ctx, sc, plans, rest)", "\terr = runWave(ctx, sc, plans, rest)\n\t_ = runWave(ctx, sc, plans, waveFP)"}}},
+	{"task run outside runWave", "one_task_shape", []archEdit{{"internal/m4lsm/plan.go", "",
+		"\nfunc (p *seriesPlan) fp(sc *spanComputer, k int) (series.Point, bool, error) {\n\treturn p.op.computeG(sc, p.listRange(p.work[k]), p.chunks(p.work[k]), gFP)\n}\n"}}},
 	{"second FP substitution in m4lsm", "one_task_shape", []archEdit{{"internal/m4lsm/plan.go", "", "\nvar fallback = \"span 0: substituted FP\"\n"}}},
 	{"internal import in an example", "public_examples", []archEdit{{"examples/quickstart/main.go", "import (", "import (\n\t_ \"m4lsm/internal/series\""}}},
 	{"second tsfile.Create in lsm", "one_chunk_writer", []archEdit{{"internal/lsm/flush.go", "",
@@ -1248,7 +1270,7 @@ var archMutations = []struct {
 	{"Recycle on the in-memory chunk", "recycle_at_query_end", []archEdit{{"internal/storage/memchunk.go", "",
 		"\n// Recycle implements Recycler.\nfunc (c *memChunk) Recycle([]int64, []float64) {}\n"}}},
 	{"release the plan inside runWave", "recycle_at_query_end", []archEdit{{"internal/m4lsm/m4lsm.go",
-		"r := &p.results[tk.k][tk.g]", "defer p.release()\n\t\tr := &p.results[tk.k][tk.g]"}}},
+		"r := &p.results[k][g]", "defer p.release()\n\t\t\t\tr := &p.results[k][g]"}}},
 	{"second mutex in Engine", "one_engine_lock", []archEdit{{"internal/lsm/engine.go",
 		"\tscrubCur scrubCursor", "\tfileMu   sync.Mutex\n\tscrubCur scrubCursor"}}},
 	{"mutex inside an lsm struct in Engine", "one_engine_lock", []archEdit{{"internal/lsm/engine.go",
@@ -1271,7 +1293,7 @@ var archMutations = []struct {
 		"\n// Mid is the range's midpoint.\nfunc (r TimeRange) Mid() int64 { return r.Start + (r.End-r.Start)/2 }\n"}}},
 	{"knob only tests set", "knobs_have_callers", []archEdit{{"internal/lsm/engine.go",
 		"\tDisablePyramid bool\n", "\tDisablePyramid bool\n\t// ReadAhead is a knob no production code sets.\n\tReadAhead int\n"}}},
-	{"rule strings in comments", "", []archEdit{{"internal/m4lsm/plan.go", "", "\n// substituted FP; govern.RunPool(\n"},
+	{"rule strings in comments", "", []archEdit{{"internal/m4lsm/plan.go", "", "\n// substituted FP; go func() {}(); var mu sync.Mutex; op.computeG(sc, r, chunks, g)\n"},
 		{"internal/server/server.go", "", "\n// e.Snapshot( engine.Snapshot( m4ql.Exec( govern.NewGate(\n"}}},
 }
 

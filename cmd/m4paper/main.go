@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chunk    = fs.Int("chunk", 1000, "points per chunk (paper: 1000)")
 		w        = fs.Int("w", 1000, "time spans for the non-w experiments (paper: 1000)")
 		reps     = fs.Int("reps", 3, "repetitions per query; minimum latency reported")
-		par      = fs.Int("parallel", 0, "worker goroutines per query (0 = GOMAXPROCS)")
 		seed     = fs.Int64("seed", 42, "generator seed")
 		markdown = fs.Bool("markdown", false, "emit Markdown tables instead of text")
 		datasets = fs.String("datasets", "", "comma-separated dataset filter (e.g. MF03,KOB); empty = all")
@@ -58,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "m4paper "+buildinfo.String())
 		return 0
 	}
-	cfg := exper.Config{Scale: *scale, ChunkSize: *chunk, W: *w, Reps: *reps, Seed: *seed, Parallelism: *par}
+	cfg := exper.Config{Scale: *scale, ChunkSize: *chunk, W: *w, Reps: *reps, Seed: *seed}
 	var err error
 	if cfg.Datasets, err = selectDatasets(*datasets); err != nil {
 		fmt.Fprintf(stderr, "m4paper: %v\n", err)

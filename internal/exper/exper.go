@@ -12,7 +12,6 @@
 package exper
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
@@ -41,9 +40,6 @@ type Config struct {
 	Reps int
 	// Seed drives all generators.
 	Seed int64
-	// Parallelism is passed to both operators (0 = GOMAXPROCS, 1 =
-	// sequential).
-	Parallelism int
 	// Datasets to run; defaults to the four Table 2 presets.
 	Datasets []workload.Preset
 }
@@ -143,7 +139,7 @@ func measure(cfg Config, b *builtDataset, name string, q m4.Query) (Measurement,
 			return m, err
 		}
 		start := time.Now()
-		udfAggs, err := m4udf.ComputeContext(context.Background(), snap, q, m4udf.Options{Parallelism: cfg.Parallelism})
+		udfAggs, err := m4udf.Compute(snap, q)
 		if err != nil {
 			return m, err
 		}
@@ -157,7 +153,7 @@ func measure(cfg Config, b *builtDataset, name string, q m4.Query) (Measurement,
 			return m, err
 		}
 		start = time.Now()
-		lsmAggs, err := m4lsm.ComputeContext(context.Background(), snap, q, m4lsm.Options{Parallelism: cfg.Parallelism})
+		lsmAggs, err := m4lsm.Compute(snap, q)
 		if err != nil {
 			return m, err
 		}

@@ -44,11 +44,7 @@ func checkMeasurements(t *testing.T, ms []Measurement, param string, perDataset 
 }
 
 func TestRunFig10(t *testing.T) {
-	cfg := tiny()
-	ms, err := RunFig10(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := runSweep(t, "fig10", RunFig10)
 	checkMeasurements(t, ms, "w", len(Fig10W))
 	// Shape: the UDF load count is identical across w (it always loads
 	// everything); the LSM load count must not decrease with w.
@@ -73,10 +69,7 @@ func TestRunFig10(t *testing.T) {
 }
 
 func TestRunFig11(t *testing.T) {
-	ms, err := RunFig11(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := runSweep(t, "fig11", RunFig11)
 	checkMeasurements(t, ms, "rangeFraction", len(Fig11Fractions))
 	// Shape: UDF loads grow with the range fraction.
 	for _, group := range groupByDataset(ms) {
@@ -88,10 +81,7 @@ func TestRunFig11(t *testing.T) {
 }
 
 func TestRunFig12(t *testing.T) {
-	ms, err := RunFig12(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := runSweep(t, "fig12", RunFig12)
 	checkMeasurements(t, ms, "overlapPct", len(Fig12Overlaps))
 	// Shape: at zero overlap M4-LSM loads almost nothing; the UDF load
 	// count stays roughly constant (it loads everything regardless).
@@ -105,18 +95,12 @@ func TestRunFig12(t *testing.T) {
 }
 
 func TestRunFig13(t *testing.T) {
-	ms, err := RunFig13(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := runSweep(t, "fig13", RunFig13)
 	checkMeasurements(t, ms, "deletePct", len(Fig13DeletePcts))
 }
 
 func TestRunFig14(t *testing.T) {
-	ms, err := RunFig14(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := runSweep(t, "fig14", RunFig14)
 	checkMeasurements(t, ms, "deleteRangeMult", len(Fig14RangeMultipliers))
 }
 

@@ -9,8 +9,8 @@
 //     n-th WAL-append/flush/footer/reopen step, for crash-recovery torture.
 //
 // Every decision is a pure function of (seed, site): a site fails the same
-// way on every read, whatever the goroutine scheduling, so parallel
-// operators see reproducible failures. A read is attempted once, so a test
+// way on every read, whatever the goroutine scheduling, so concurrent
+// queries see reproducible failures. A read is attempted once, so a test
 // that wants a fault to clear stops routing reads through the Source.
 package faultfs
 

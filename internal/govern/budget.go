@@ -1,7 +1,6 @@
 // Package govern is the resource-governance layer: per-query budgets
-// (chunk loads, decoded points, a wall-clock deadline), an admission gate
-// with a bounded wait queue for the server's query endpoints, and the
-// bounded worker pool the operators run their tasks on.
+// (chunk loads, decoded points, a wall-clock deadline) and an admission
+// gate with a bounded wait queue for the server's query endpoints.
 //
 // Everything is nil-safe in the style of internal/obs: a nil *Budget
 // charges nothing and never trips, a nil *Gate admits everything. Library

@@ -102,9 +102,8 @@ func representable(fns []Func) bool {
 // surviving points are omitted. It runs under the same contract as the M4
 // and REPRESENT forms: ctx cancels, opts.Strict fails on an unreadable
 // chunk where the default drops it with a snapshot warning, opts.Budget
-// caps loads, opts.Parallelism bounds the workers and opts.Metrics
-// receives the operator counters (op="lsm" for the envelope path,
-// op="groupby" for the merge scan).
+// caps loads and opts.Metrics receives the operator counters (op="lsm"
+// for the envelope path, op="groupby" for the merge scan).
 func Compute(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([][]Row, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -164,8 +163,8 @@ type spanAccum struct {
 // series' merged stream is scanned once into per-span accumulators.
 func computeFromMerge(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, fns []Func, opts m4lsm.Options) ([][]Row, error) {
 	outs := make([][]Row, len(snaps))
-	mopts := mergeread.Options{Parallelism: opts.Parallelism, Strict: opts.Strict, Metrics: opts.Metrics, Budget: opts.Budget}
-	err := mergeread.Read(ctx, snaps, "groupby", mopts, func(i int, l *mergeread.Loaded, _ int, _ *mergeread.Clock) error {
+	mopts := mergeread.Options{Strict: opts.Strict, Metrics: opts.Metrics, Budget: opts.Budget}
+	err := mergeread.Read(ctx, snaps, "groupby", mopts, func(i int, l *mergeread.Loaded, _ *mergeread.Clock) error {
 		accums := make([]spanAccum, q.W)
 		it := l.Iterator(q.Range())
 		for p, ok := it.Next(); ok; p, ok = it.Next() {

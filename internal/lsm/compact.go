@@ -120,9 +120,8 @@ func (e *Engine) compactLocked() error {
 // error fails the merge. Caller holds e.mu.
 func (e *Engine) compactSeries(id string) (series.Series, error) {
 	snap := e.seriesSnapshot(id, everything, nil)
-	// The lenient read reports each unreadable chunk here, one at a time
-	// (Parallelism 1), while this goroutine waits holding e.mu, and merges
-	// the rest.
+	// The lenient read reports each unreadable chunk here, on this
+	// goroutine, which holds e.mu, and merges the rest.
 	var failed error
 	snap.OnQuarantine = func(meta storage.ChunkMeta, err error) {
 		if errors.Is(err, tsfile.ErrCorrupt) {
@@ -132,8 +131,8 @@ func (e *Engine) compactSeries(id string) (series.Series, error) {
 		}
 	}
 	var data series.Series
-	err := mergeread.Read(context.Background(), []*storage.Snapshot{snap}, "", mergeread.Options{Parallelism: 1},
-		func(_ int, l *mergeread.Loaded, _ int, _ *mergeread.Clock) error {
+	err := mergeread.Read(context.Background(), []*storage.Snapshot{snap}, "", mergeread.Options{},
+		func(_ int, l *mergeread.Loaded, _ *mergeread.Clock) error {
 			data = l.Series(everything)
 			return nil
 		})

@@ -107,7 +107,7 @@ func (o *Options) withDefaults() Options {
 //
 // Lock order: mu, then the leaf locks of the WAL, the pyramid and the ingest
 // queue, which never call back into the engine. Goroutines that do not hold
-// mu reach those three too: metrics read WAL stats, query workers plan on
+// mu reach those three too: metrics read WAL stats, queries plan on
 // pyramid views, writers enqueue while a drainer holds mu across an fsync.
 // scrubMu is taken only outside mu. No code loads chunk data through a
 // snapshot carrying OnQuarantine while holding mu: the callback takes mu.

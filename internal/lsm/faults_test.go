@@ -472,13 +472,13 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			for name, run := range map[string]func(*storage.Snapshot) ([]m4.Aggregate, error){
 				"m4lsm": func(s *storage.Snapshot) ([]m4.Aggregate, error) {
-					return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{Parallelism: 4})
+					return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{})
 				},
 				"m4udf": func(s *storage.Snapshot) ([]m4.Aggregate, error) {
-					return m4udf.ComputeContext(context.Background(), s, q, m4udf.Options{Parallelism: 4})
+					return m4udf.ComputeContext(context.Background(), s, q, m4udf.Options{})
 				},
 				"m4lsm/strict": func(s *storage.Snapshot) ([]m4.Aggregate, error) {
-					return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{Parallelism: 4, Strict: true})
+					return m4lsm.ComputeContext(context.Background(), s, q, m4lsm.Options{Strict: true})
 				},
 			} {
 				snap, err := e.Snapshot("s", q.Range())

@@ -55,7 +55,7 @@ func TestMemtableSnapshotsKeepTheirPoints(t *testing.T) {
 		if a.merged, err = mergeread.Merge(snap, r); err != nil {
 			return a, err
 		}
-		a.aggs, err = m4lsm.ComputeContext(context.Background(), snap, q, m4lsm.Options{Parallelism: 2})
+		a.aggs, err = m4lsm.ComputeContext(context.Background(), snap, q, m4lsm.Options{})
 		return a, err
 	}
 	type held struct {

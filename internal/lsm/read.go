@@ -37,7 +37,7 @@ func (e *Engine) Snapshot(seriesID string, r series.TimeRange) (*storage.Snapsho
 		// Only CRC/decode failures are permanent: the bytes on disk are
 		// wrong and every retry would fail. Transient read errors (I/O
 		// hiccups, injected faults) stay retryable on the next query.
-		// Query workers call this after Snapshot released e.mu, which
+		// Queries call this after Snapshot released e.mu, which
 		// quarantineChunk takes.
 		if !errors.Is(err, tsfile.ErrCorrupt) {
 			return

@@ -189,8 +189,7 @@ func ComputeStream(q Query, next func() (series.Point, bool)) ([]Aggregate, erro
 // Fold observes a stream of latest points in strictly increasing time
 // order into out, the query's q.W span slots, already initialized: points
 // outside the query's range are skipped, and the first out-of-order point
-// is ErrUnsorted. Streams over disjoint time ranges may fold into the same
-// slots concurrently, since each point touches only its own span's slot.
+// is ErrUnsorted.
 func Fold(q Query, out []Aggregate, next func() (series.Point, bool)) error {
 	prevT := int64(0)
 	first := true

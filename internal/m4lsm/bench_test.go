@@ -137,17 +137,17 @@ func table4Mix(snap *storage.Snapshot) []m4.Query {
 	return qs
 }
 
-// BenchmarkComputeTable4Mix runs paper_cold's window mix at parallelism 1
-// over the Table 4 shape at paper_cold's size, 262 chunks, every load a
-// decode. One op is the whole mix; ms/query is its mean.
+// BenchmarkComputeTable4Mix runs paper_cold's window mix over the Table 4
+// shape at paper_cold's size, 262 chunks, every load a decode. One op is
+// the whole mix; ms/query is its mean.
 func BenchmarkComputeTable4Mix(b *testing.B) {
-	benchTable4Mix(b, Options{Parallelism: 1})
+	benchTable4Mix(b, Options{})
 }
 
-// BenchmarkComputeTable4MixMetered is the same mix run as the server runs
-// the operator: on every core (parallelism 0) and metered into an
-// obs.Registry, so what workers share per task — counters, the task
-// histogram — shows in it.
+// BenchmarkComputeTable4MixMetered is the same mix metered into an
+// obs.Registry, as the server runs the operator; the two differ only in
+// metering, so the gap between them is what the counters and the task
+// histogram cost.
 func BenchmarkComputeTable4MixMetered(b *testing.B) {
 	benchTable4Mix(b, Options{Metrics: obs.NewRegistry()})
 }
@@ -215,7 +215,7 @@ func TestComputeAllocsDoNotScaleWithTasks(t *testing.T) {
 	allocs := func(w int) float64 {
 		q := fullQuery(snap, w)
 		return testing.AllocsPerRun(3, func() {
-			if _, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: 2}); err != nil {
+			if _, err := ComputeContext(context.Background(), snap, q, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -261,29 +261,27 @@ func (b *blockReads) ReadValues(m storage.ChunkMeta) ([]float64, error) {
 // chunk's timestamp block, or its value block, twice.
 func TestTimestampBlockDecodedOnce(t *testing.T) {
 	snap, r := table4Snapshot(t, 32)
-	for _, par := range []int{1, 4} {
-		for _, w := range []int{10, 100, 1000} {
-			reads := &blockReads{inner: r, times: map[storage.Version]int{}, vals: map[storage.Version]int{}}
-			stats := &storage.Stats{}
-			s := &storage.Snapshot{SeriesID: snap.SeriesID, Deletes: snap.Deletes, Stats: stats, Warnings: &storage.Warnings{}}
-			for _, c := range snap.Chunks {
-				s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, reads))
+	for _, w := range []int{10, 100, 1000} {
+		reads := &blockReads{inner: r, times: map[storage.Version]int{}, vals: map[storage.Version]int{}}
+		stats := &storage.Stats{}
+		s := &storage.Snapshot{SeriesID: snap.SeriesID, Deletes: snap.Deletes, Stats: stats, Warnings: &storage.Warnings{}}
+		for _, c := range snap.Chunks {
+			s.Chunks = append(s.Chunks, storage.NewChunkRef(c.Meta, reads))
+		}
+		if _, err := Compute(s, fullQuery(s, w)); err != nil {
+			t.Fatal(err)
+		}
+		completed := 0
+		for ver, n := range reads.times {
+			if n > 1 || reads.vals[ver] > 1 {
+				t.Errorf("w=%d: chunk v%d: timestamp block decoded %d times, value block %d", w, ver, n, reads.vals[ver])
 			}
-			if _, err := ComputeContext(context.Background(), s, fullQuery(s, w), Options{Parallelism: par}); err != nil {
-				t.Fatal(err)
+			if n == 1 && reads.vals[ver] == 1 {
+				completed++
 			}
-			completed := 0
-			for ver, n := range reads.times {
-				if n > 1 || reads.vals[ver] > 1 {
-					t.Errorf("par %d w=%d: chunk v%d: timestamp block decoded %d times, value block %d", par, w, ver, n, reads.vals[ver])
-				}
-				if n == 1 && reads.vals[ver] == 1 {
-					completed++
-				}
-			}
-			if int64(completed) != stats.ChunksLoaded {
-				t.Errorf("par %d w=%d: %d chunks fully read, stats count %d loads", par, w, completed, stats.ChunksLoaded)
-			}
+		}
+		if int64(completed) != stats.ChunksLoaded {
+			t.Errorf("w=%d: %d chunks fully read, stats count %d loads", w, completed, stats.ChunksLoaded)
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestComputeContextCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := m4.Query{Tqs: 0, Tqe: 80, W: 4}
-	if _, err := ComputeContext(ctx, snap, q, Options{Parallelism: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := ComputeContext(ctx, snap, q, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := slow.reads.Load(); n != 0 {
@@ -90,9 +90,9 @@ func TestComputeContextCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestComputeContextCancelMidQuery cancels while workers sit in slow loads.
-// ComputeContext must return context.Canceled only after every worker has
-// exited, so the load counters are frozen the moment it returns.
+// TestComputeContextCancelMidQuery cancels while the query sits in slow
+// loads. ComputeContext returns context.Canceled, and the load counters
+// are frozen the moment it returns.
 func TestComputeContextCancelMidQuery(t *testing.T) {
 	const nChunks = 24
 	snap, _ := slowSnapshot(t, nChunks, 4*time.Millisecond)
@@ -103,7 +103,7 @@ func TestComputeContextCancelMidQuery(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancel()
 	}()
-	_, err := ComputeContext(ctx, snap, q, Options{Parallelism: 4})
+	_, err := ComputeContext(ctx, snap, q, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -111,7 +111,7 @@ func TestComputeContextCancelMidQuery(t *testing.T) {
 	if after.ChunksLoaded+after.TimeBlocksLoaded >= 2*nChunks {
 		t.Errorf("cancellation skipped nothing: %+v", after)
 	}
-	// Frozen thereafter: no worker survives the return.
+	// Frozen thereafter: nothing of the query survives the return.
 	time.Sleep(50 * time.Millisecond)
 	later := snap.Stats.Load()
 	if later != after {
@@ -128,7 +128,7 @@ func TestM4UDFComputeContextCancel(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancel()
 	}()
-	_, err := m4udf.ComputeContext(ctx, snap, q, m4udf.Options{Parallelism: 4})
+	_, err := m4udf.ComputeContext(ctx, snap, q, m4udf.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -147,8 +147,8 @@ func TestMergereadLoadContextCancel(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancel()
 	}()
-	err := mergeread.Read(ctx, []*storage.Snapshot{snap}, "udf", mergeread.Options{Parallelism: 4, Strict: true},
-		func(int, *mergeread.Loaded, int, *mergeread.Clock) error { return nil })
+	err := mergeread.Read(ctx, []*storage.Snapshot{snap}, "udf", mergeread.Options{Strict: true},
+		func(int, *mergeread.Loaded, *mergeread.Clock) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -265,7 +265,7 @@ func TestDegradedReportsOncePerChunk(t *testing.T) {
 	snap.Chunks = append(snap.Chunks, storage.NewChunkRef(badMeta, bad))
 
 	q := m4.Query{Tqs: 0, Tqe: 128, W: 8}
-	if _, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: 4}); err != nil {
+	if _, err := ComputeContext(context.Background(), snap, q, Options{}); err != nil {
 		t.Fatalf("lenient: %v", err)
 	}
 	if n := snap.Warnings.Len(); n != 1 {

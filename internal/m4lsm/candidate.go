@@ -71,12 +71,12 @@ type view struct {
 	dead     bool    // no surviving points in the span
 }
 
-// spanComputer runs one candidate loop for one chunk list's range. It is a
-// worker's scratch, reset by every task it runs: its views (and their slots
-// and exclusion sets) belong to a single goroutine. Operator counters and
-// task timings accumulate in it across the worker's tasks of one series
-// and are flushed when the worker moves to another series and when the
-// wave ends: once per (worker, series) per wave, not once per task.
+// spanComputer runs one candidate loop for one chunk list's range. It is
+// the query's scratch, reset by every task: its views (and their slots and
+// exclusion sets) hold one task's state. Operator counters and task
+// timings accumulate in it across the tasks of one series and are flushed
+// when the tasks move to another series and when the wave ends: once per
+// series per wave, not once per task.
 type spanComputer struct {
 	op    *operator
 	span  series.TimeRange
@@ -101,7 +101,7 @@ func (sc *spanComputer) reset(op *operator, span series.TimeRange, chunks []assi
 	}
 }
 
-// flush adds the worker's counters to its series' stats and its task
+// flush adds the scratch's counters to its series' stats and its task
 // timings to the query's task histogram.
 func (sc *spanComputer) flush() {
 	if sc.op == nil {

@@ -313,7 +313,7 @@ func TestSplitChunkOverwrittenExtremumScansAfresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 4}, {Parallelism: 1, EagerLoad: true}} {
+	for _, opts := range []Options{{}, {EagerLoad: true}} {
 		type result struct {
 			aggs []m4.Aggregate
 			err  error

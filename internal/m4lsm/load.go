@@ -3,7 +3,6 @@ package m4lsm
 import (
 	"errors"
 	"slices"
-	"sync"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/series"
@@ -11,23 +10,20 @@ import (
 	"m4lsm/internal/storage"
 )
 
-// chunkState caches per-chunk loads across spans and functions. The mutex
-// is the singleflight gate: N workers racing to materialize the same chunk
-// serialize on it, the first performs the LoadTimes/Load/LoadValues I/O,
-// and the rest find the columns already present — exactly one load per
-// chunk per query regardless of parallelism. The loaded columns are written
-// once under the lock and never mutated, so post-ensure reads outside the
-// lock are safe. The lock also guards the chunk's assignments' summaries.
+// chunkState caches one chunk's loads across the spans and functions of
+// one query: the first task that needs the timestamps or the data performs
+// the LoadTimes/Load/LoadValues I/O, and every later one finds the columns
+// already present — at most one load of each block per chunk per query.
+// The loaded columns are written once and never mutated.
 type chunkState struct {
 	ref  storage.ChunkRef
 	meta storage.ChunkMeta
 
-	mu       sync.Mutex
 	times    []int64       // the timestamp column: of the full load itself, or of an earlier partial load
 	values   []float64     // the value column, nil until a full load
 	probe    stepreg.Probe // bound with the timestamps: nil until they are loaded
 	hasData  bool
-	loadErr  error // sticky: a failed load is not retried per worker
+	loadErr  error // sticky: a failed load is not retried within the query
 	reported bool  // the failure has been reported to the snapshot
 }
 
@@ -37,7 +33,7 @@ type chunkState struct {
 // list's range.
 type assignment struct {
 	cs  *chunkState
-	sum summary // guarded by cs.mu
+	sum summary
 }
 
 // summary is a chunk's FP/LP/BP/TP over its assignment's range after the
@@ -51,8 +47,6 @@ type summary struct {
 
 // ensureTimes loads the chunk's timestamps and binds its probe.
 func (op *operator) ensureTimes(cs *chunkState) error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	if cs.loadErr != nil {
 		return cs.loadErr
 	}
@@ -60,12 +54,11 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 		return nil
 	}
 	if op.opts.DisablePartialLoad {
-		return op.ensureDataLocked(cs)
+		return op.ensureData(cs)
 	}
 	// Cancellation and budget are checked before I/O only and never made
 	// sticky: a cancelled or budget-refused load must not poison the chunk
-	// state for other queries' semantics or mask the real error
-	// classification. (A later query with a fresh budget may load it.)
+	// state or mask the real error classification.
 	if err := op.ctxErr(); err != nil {
 		return err
 	}
@@ -81,7 +74,9 @@ func (op *operator) ensureTimes(cs *chunkState) error {
 	return nil
 }
 
-func (op *operator) ensureDataLocked(cs *chunkState) error {
+// ensureData loads the chunk's data: its value block, and its timestamps
+// unless a probe already loaded them.
+func (op *operator) ensureData(cs *chunkState) error {
 	if cs.loadErr != nil {
 		return cs.loadErr
 	}
@@ -157,12 +152,10 @@ func (sc *spanComputer) chunkFailed(v *view, err error) error {
 		return err
 	}
 	v.dead = true
-	op.degraded.Store(true)
+	op.degraded = true
 	cs := v.cs
-	cs.mu.Lock()
 	already := cs.reported
 	cs.reported = true
-	cs.mu.Unlock()
 	switch {
 	case already:
 	case errors.Is(err, govern.ErrBudgetExceeded):
@@ -190,16 +183,14 @@ func (sc *spanComputer) materialize(v *view) error {
 	return nil
 }
 
-// summarize loads the chunk and returns its summary over r, under the
-// chunk's singleflight mutex. Without exclusions that is the assignment's
-// shared summary, scanned once per (chunk, range) per query by whichever
-// task gets there first; a view's overwrite exclusions are its own task's
-// business, so with any the range is scanned afresh and nothing is shared.
+// summarize loads the chunk and returns its summary over r. Without
+// exclusions that is the assignment's shared summary, scanned once per
+// (chunk, range) per query by whichever task gets there first; a view's
+// overwrite exclusions are its own task's business, so with any the range
+// is scanned afresh and nothing is shared.
 func (op *operator) summarize(a *assignment, r series.TimeRange, excluded []int64) (summary, error) {
 	cs := a.cs
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if err := op.ensureDataLocked(cs); err != nil {
+	if err := op.ensureData(cs); err != nil {
 		return summary{}, err
 	}
 	if len(excluded) > 0 {

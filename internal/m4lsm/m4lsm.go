@@ -32,7 +32,6 @@ package m4lsm
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"m4lsm/internal/govern"
@@ -43,17 +42,9 @@ import (
 	"m4lsm/internal/storage"
 )
 
-// Options tune the operator; the zero value is the paper's configuration
-// (run on every available core). The non-default settings exist for the
-// ablation studies in DESIGN.md §6.
+// Options tune the operator; the zero value is the paper's configuration.
+// The non-default settings exist for the ablation studies in DESIGN.md §6.
 type Options struct {
-	// Parallelism bounds the worker goroutines that evaluate the
-	// (chunk list, G) tasks: 0 uses GOMAXPROCS, 1 runs single-threaded on the
-	// calling goroutine. The result is byte-identical at every setting —
-	// tasks are independent and write disjoint output slots — and full
-	// chunk loads are deduplicated by a per-chunk singleflight gate, so
-	// Stats.ChunksLoaded does not depend on the worker count either.
-	Parallelism int
 	// DisableStepIndex replaces step-regression probes with plain binary
 	// search.
 	DisableStepIndex bool
@@ -91,16 +82,14 @@ func Compute(snap *storage.Snapshot, q m4.Query) ([]m4.Aggregate, error) {
 }
 
 // ComputeContext is Compute under a context and options: cancellation stops
-// the worker pool at the next task or chunk-load boundary and returns
-// ctx.Err(). The snapshot's cost counters are final once ComputeContext
-// returns — every worker has joined, cancelled or not.
+// the query at the next task or chunk-load boundary and returns ctx.Err().
+// The snapshot's cost counters are final once ComputeContext returns,
+// cancelled or not.
 //
 // The implementation is a one-series batch: see ComputeMultiContext, which
 // plans the (chunk list, G) task decomposition (plan.go), runs the two
-// waves (FP first, then LP/BP/TP for the surviving lists) over the shared
-// worker pool, and assembles the aggregates. The decomposition is identical
-// at every parallelism level and batch size, so the output is byte-identical
-// whatever the worker count.
+// waves (FP first, then LP/BP/TP for the surviving lists) and assembles the
+// aggregates.
 func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options) ([]m4.Aggregate, error) {
 	outs, err := ComputeMultiContext(ctx, []*storage.Snapshot{snap}, q, opts)
 	if err != nil {
@@ -115,18 +104,19 @@ func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, opt
 // prover and the substitution source for degraded reads — but its point is
 // not part of the MinMax output).
 var (
+	waveFP     = []gKind{gFP}
 	restM4     = []gKind{gLP, gBP, gTP}
 	restMinMax = []gKind{gBP, gTP}
 )
 
 // ComputeMultiContext evaluates one M4 query over several series' snapshots
-// as a single batch: the tasks of every series feed one shared worker pool,
-// so a fleet-style dashboard query (one chart per sensor) costs two pool
-// waves total instead of two per series. Results are positional — out[i]
-// belongs to snaps[i] — and byte-identical to running ComputeContext on
-// each snapshot alone: the decomposition into tasks is the same, only the
-// scheduling is batched. Per-series cost counters, warnings and degradation
-// stay attributed to each snapshot's own Stats and Warnings.
+// as a single batch: every series' tasks run in the same two waves, so a
+// fleet-style dashboard query (one chart per sensor) takes one plan and one
+// scratch. Results are positional — out[i] belongs to snaps[i] — and
+// byte-identical to running ComputeContext on each snapshot alone: the
+// decomposition into tasks is the same. Per-series cost counters, warnings
+// and degradation stay attributed to each snapshot's own Stats and
+// Warnings.
 //
 // The single-series ComputeContext is this batch with one plan, so there is
 // exactly one candidate-loop implementation to keep correct.
@@ -156,27 +146,19 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 	c := mergeread.StartClock(ctx, opts.Metrics, label)
 	mark := c.Now()
 	plans := make([]*seriesPlan, len(snaps))
-	lists := 0
 	for i, snap := range snaps {
 		plans[i] = newSeriesPlan(ctx, snap, q, opts, c)
-		lists += len(plans[i].work)
 	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	// One scratch per worker and one task slice, shared by both waves: no
-	// task allocates its candidate-loop state. A pooled scratch keeps its
-	// view arena and forgets the operator it last served.
-	scratch := scratchPool.Get(par)
-	for w := range scratch {
-		scratch[w].op = nil
-	}
-	tasks := taskPool.Get(lists * len(rest))[:0]
+	// One scratch serves every task of both waves: no task allocates its
+	// candidate-loop state. A pooled scratch keeps its view arena and
+	// forgets the operator it last served.
+	scratch := scratchPool.Get(1)
+	sc := &scratch[0]
+	sc.op = nil
 	// The query owns the columns its loads decoded, and its tables, until
 	// it ends, and then, on success, error and cancellation alike, they go
-	// back: both waves have joined by then, and the aggregates are copies
-	// of the points they kept. The probes bound to the columns go too. The
+	// back: both waves are over by then, and the aggregates are copies of
+	// the points they kept. The probes bound to the columns go too. The
 	// aggregates themselves are the answer, and go back only on failure.
 	defer func() {
 		for _, p := range plans {
@@ -191,31 +173,15 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 			}
 		}
 		scratchPool.Put(scratch)
-		taskPool.Put(tasks)
 	}()
 	mark = c.Phase("plan", mark)
 
-	for _, p := range plans {
-		for k := range p.work {
-			tasks = append(tasks, task{p, k, gFP})
-		}
-	}
-	err = runWave(ctx, scratch, tasks, len(snaps))
+	err = runWave(ctx, sc, plans, waveFP)
 	mark = c.Phase("wave-fp", mark)
 	if err != nil {
 		return nil, err
 	}
-	tasks = tasks[:0]
-	for _, p := range plans {
-		for k := range p.work {
-			if p.results[k][gFP].ok {
-				for _, g := range rest {
-					tasks = append(tasks, task{p, k, g})
-				}
-			}
-		}
-	}
-	err = runWave(ctx, scratch, tasks, len(snaps))
+	err = runWave(ctx, sc, plans, rest)
 	mark = c.Phase("wave-rest", mark)
 	if err != nil {
 		return nil, err
@@ -235,36 +201,33 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 	return outs, nil
 }
 
-// task is the unit of work of both waves: function g over the chunk list
-// p.work[k], its result landing in p.results[k][g].
-type task struct {
-	p *seriesPlan
-	k int
-	g gKind
-}
-
-// runWave runs one wave's tasks on the shared pool, each on its worker's
-// scratch. Tasks are laid out in (series, list, kind) order, and the pool
-// reports the failure of the lowest-index failing task, so the error a
-// wave returns — named by span and, in a batch, by series — does not depend
-// on the worker count. A done context wins over any task error. Once the
-// pool has joined, every worker's counters and task timings are flushed,
-// so the series' stats are final whatever the wave's outcome.
-func runWave(ctx context.Context, scratch []spanComputer, tasks []task, batch int) error {
-	err := govern.RunPool(len(scratch), len(tasks), func(w, t int) error {
-		tk := tasks[t]
-		p, l := tk.p, tk.p.work[tk.k]
-		r := &p.results[tk.k][tk.g]
-		var err error
-		r.pt, r.ok, err = p.op.timedG(&scratch[w], l/2, p.listRange(l), p.chunks(l), tk.g)
-		if err != nil {
-			return mergeread.SeriesError(batch, p.op.snap.SeriesID, fmt.Errorf("m4lsm: span %d: %w", l/2, err))
+// runWave runs one wave on the query's scratch: each function of kinds
+// over each chunk list p.work[k] of each plan, in (series, list, kind)
+// order, its result landing in p.results[k][g]. A function other than FP
+// runs only on a list whose FP found a point, so wave 1 passes FP alone
+// and wave 2 the rest kinds. The first failing task ends the wave, so a
+// STRICT error names the lowest failing span, and in a batch its series; a
+// done context wins over any task error. The scratch's counters and task
+// timings are flushed whatever the outcome, so the series' stats are final
+// when the wave returns.
+func runWave(ctx context.Context, sc *spanComputer, plans []*seriesPlan, kinds []gKind) error {
+	var err error
+tasks:
+	for _, p := range plans {
+		for k, l := range p.work {
+			for _, g := range kinds {
+				if g != gFP && !p.results[k][gFP].ok {
+					break
+				}
+				r := &p.results[k][g]
+				if r.pt, r.ok, err = p.op.timedG(sc, l/2, p.listRange(l), p.chunks(l), g); err != nil {
+					err = mergeread.SeriesError(len(plans), p.op.snap.SeriesID, fmt.Errorf("m4lsm: span %d: %w", l/2, err))
+					break tasks
+				}
+			}
 		}
-		return nil
-	})
-	for w := range scratch {
-		scratch[w].flush()
 	}
+	sc.flush()
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
@@ -273,7 +236,7 @@ func runWave(ctx context.Context, scratch []spanComputer, tasks []task, batch in
 
 // timedG wraps computeG with per-task timing when the query's clock is
 // armed; otherwise it forwards with zero overhead beyond one nil check.
-// The trace gets each task as it ends, the task histogram the worker's
+// The trace gets each task as it ends, the task histogram the scratch's
 // tally when the wave ends.
 func (op *operator) timedG(sc *spanComputer, spanIdx int, r series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
 	if op.clock == nil {
@@ -286,10 +249,9 @@ func (op *operator) timedG(sc *spanComputer, spanIdx int, r series.TimeRange, ch
 }
 
 // computeG evaluates one representation function over one chunk list's
-// range r, on the worker's scratch sc. Views are task-local; concurrent
-// tasks share only chunk states and summaries, both behind the chunk's
-// mutex. The task's counters stay in the worker's scratch until the wave
-// ends (spanComputer.flush).
+// range r, on the query's scratch sc. Views are task-local; tasks share
+// chunk states and summaries. The task's counters stay in the scratch
+// until its series changes or the wave ends (spanComputer.flush).
 func (op *operator) computeG(sc *spanComputer, r series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
 	if err := op.ctxErr(); err != nil {
 		return series.Point{}, false, err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
@@ -28,7 +27,7 @@ type operator struct {
 	deletes  []storage.Delete // sorted by version
 	deleteIx *storage.DeleteIndex
 	budget   *govern.Budget // nil: unbudgeted (methods are nil-safe)
-	degraded atomic.Bool    // a chunk was dropped; the result is partial
+	degraded bool           // a chunk was dropped; the result is partial
 
 	clock *mergeread.Clock // nil unless the query is traced or metered
 }
@@ -46,7 +45,7 @@ func (op *operator) ctxErr() error {
 	}
 }
 
-// addState materializes the shared chunkState for one snapshot chunk in
+// addState materializes the query's chunkState for one snapshot chunk in
 // the plan's slab, which also registers it for the end-of-query pruned
 // sweep. The planner calls it on a chunk's first list assignment only, so
 // chunks the pyramid answers around never take a state at all. The slab
@@ -105,7 +104,6 @@ var (
 		{poisonPoint, true}, {poisonPoint, true}, {poisonPoint, true}, {poisonPoint, true}}}
 	spanPool    = slicepool.Pool[storage.PyramidSpan]{Poison: storage.PyramidSpan{Lo: math.MinInt64, Hi: math.MinInt64, Cells: math.MinInt}}
 	statePool   slicepool.Pool[chunkState]
-	taskPool    slicepool.Pool[task]
 	scratchPool slicepool.Pool[spanComputer]
 )
 
@@ -113,7 +111,7 @@ var (
 var poisonPoint = series.Point{T: math.MinInt64, V: math.NaN()}
 
 // release hands the plan's tables back to their pools once the query's
-// workers have joined and its columns are recycled. The aggregates are not
+// waves are over and its columns are recycled. The aggregates are not
 // among them: the query answers with them.
 func (p *seriesPlan) release() {
 	boundsPool.Put(p.bounds)
@@ -125,8 +123,8 @@ func (p *seriesPlan) release() {
 	statePool.Put(p.op.states)
 }
 
-// newSeriesPlan builds the per-series operator state: one shared chunkState
-// per assigned chunk (the singleflight gate), deletes sorted by version,
+// newSeriesPlan builds the per-series operator state: one chunkState per
+// assigned chunk, shared by every task over it, deletes sorted by version,
 // chunks distributed to lists by index interval, and spans with no chunks
 // answered Empty with no task at all. Every table comes from the plan
 // pools, and release hands them back when the query ends.
@@ -206,9 +204,7 @@ func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts
 		}
 	}
 	if pyrSpans+pyrFallback > 0 {
-		atomic.AddInt64(&op.stats.PyramidSpans, pyrSpans)
-		atomic.AddInt64(&op.stats.PyramidCells, pyrCells)
-		atomic.AddInt64(&op.stats.PyramidFallbackSpans, pyrFallback)
+		op.stats.Add(storage.Stats{PyramidSpans: pyrSpans, PyramidCells: pyrCells, PyramidFallbackSpans: pyrFallback})
 	}
 	return p
 }
@@ -326,7 +322,7 @@ func (p *seriesPlan) assemble(rest []gKind) error {
 				// metadata, the data load failed later). FP's point is a
 				// real surviving point of the list, so keep it — a valid,
 				// if non-extremal, representation — and warn.
-				if !op.opts.Strict && op.degraded.Load() {
+				if !op.opts.Strict && op.degraded {
 					op.snap.Warnings.Add("span %d: %v lost with its dropped chunks, substituted FP", i, g)
 					continue
 				}
@@ -341,7 +337,6 @@ func (p *seriesPlan) assemble(rest []gKind) error {
 			p.out[i].Merge(agg)
 		}
 	}
-	// Workers have joined; the chunk-state flags are safe to read plainly.
 	// Only chunks assigned to a list have states — chunks the pyramid
 	// answered around were never candidates, so they don't count as pruned
 	// (they show up in pyramidSpans/pyramidCells instead).
@@ -351,6 +346,6 @@ func (p *seriesPlan) assemble(rest []gKind) error {
 			pruned++
 		}
 	}
-	atomic.AddInt64(&op.stats.ChunksPruned, pruned)
+	op.stats.Add(storage.Stats{ChunksPruned: pruned})
 	return nil
 }

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 
 	"m4lsm/internal/lsm"
 	"m4lsm/internal/m4"
@@ -124,7 +124,7 @@ func TestPyramidPlanAllocsDoNotScaleWithSpans(t *testing.T) {
 func TestMinMaxFragmentsRunOnlyMinMaxKinds(t *testing.T) {
 	e := alignedEngine(t)
 	q := m4.Query{Tqs: 37, Tqe: alignedPoints - 91, W: 500}
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 
 	m4Snap := alignedSnapshot(t, e, q)
 	if _, err := ComputeContext(context.Background(), m4Snap, q, opts); err != nil {
@@ -174,42 +174,30 @@ func (s stubPyramid) PlanSpans(q m4.Query, spans []storage.PyramidSpan, aggs []m
 	return 1
 }
 
-// TestStrictErrorSameAtEveryParallelism: a STRICT query over two
-// unreadable chunks, one in a pyramid span's left fragment and one in a
-// plain span, names the same span whatever the worker count. Reads are
-// slowed down so that, with more than one worker, both failing tasks start
-// before either fails.
-func TestStrictErrorSameAtEveryParallelism(t *testing.T) {
+// TestStrictErrorNamesLowestSpan: a STRICT query over two unreadable
+// chunks, one in a pyramid span's left fragment and one in a plain span,
+// both of whose FP needs a timestamp load, fails on the first failing task
+// in (series, list, kind) order, so its error names the lower span.
+func TestStrictErrorNamesLowestSpan(t *testing.T) {
 	q := m4.Query{Tqs: 0, Tqe: 40, W: 4}
-	run := func(par int) error {
-		mem := testutil.Chunks{}
-		bad := &failingSource{inner: mem, bad: map[storage.Version]bool{1: true, 2: true}, err: errors.New("disk gone")}
-		src := &slowSource{inner: bad, delay: 20 * time.Millisecond}
-		stats := &storage.Stats{}
-		snap := &storage.Snapshot{SeriesID: "s", Stats: stats, Warnings: &storage.Warnings{}}
-		for ver, data := range []series.Series{
-			{{T: 10, V: 1}, {T: 11, V: 2}, {T: 15, V: 3}},
-			{{T: 25, V: 4}, {T: 35, V: 5}},
-		} {
-			meta, err := mem.Add(storage.Version(ver+1), data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
+	mem := testutil.Chunks{}
+	src := &failingSource{inner: mem, bad: map[storage.Version]bool{1: true, 2: true}, err: errors.New("disk gone")}
+	snap := &storage.Snapshot{SeriesID: "s", Stats: &storage.Stats{}, Warnings: &storage.Warnings{}}
+	for ver, data := range []series.Series{
+		{{T: 5, V: 1}, {T: 11, V: 2}, {T: 15, V: 3}},
+		{{T: 25, V: 4}, {T: 35, V: 5}},
+	} {
+		meta, err := mem.Add(storage.Version(ver+1), data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cell := series.Point{T: 15, V: 3}
-		snap.Pyramid = stubPyramid{span: 1, plan: storage.PyramidSpan{Lo: 12, Hi: 18, Cells: 1},
-			cell: m4.Aggregate{First: cell, Last: cell, Bottom: cell, Top: cell}}
-		_, err := ComputeContext(context.Background(), snap, q, Options{Strict: true, Parallelism: par})
-		return err
+		snap.Chunks = append(snap.Chunks, storage.NewChunkRef(meta, src))
 	}
-	want := run(1)
-	if want == nil {
-		t.Fatal("PARALLEL 1: strict query over unreadable chunks succeeded")
-	}
-	for _, par := range []int{2, 4, 8} {
-		if got := run(par); got == nil || got.Error() != want.Error() {
-			t.Errorf("PARALLEL %d: error %v; PARALLEL 1 returned %v", par, got, want)
-		}
+	cell := series.Point{T: 15, V: 3}
+	snap.Pyramid = stubPyramid{span: 1, plan: storage.PyramidSpan{Lo: 12, Hi: 18, Cells: 1},
+		cell: m4.Aggregate{First: cell, Last: cell, Bottom: cell, Top: cell}}
+	_, err := ComputeContext(context.Background(), snap, q, Options{Strict: true})
+	if err == nil || !strings.HasPrefix(err.Error(), "m4lsm: span 1: ") || !strings.Contains(err.Error(), "disk gone") {
+		t.Fatalf("strict query over unreadable chunks: error %v, want span 1's", err)
 	}
 }

@@ -44,7 +44,7 @@ func TestComputeRecyclesDecodedColumns(t *testing.T) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		start := ms.TotalAlloc
-		if _, err := ComputeContext(context.Background(), snap, q, Options{Parallelism: 2}); err != nil {
+		if _, err := ComputeContext(context.Background(), snap, q, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)
@@ -113,10 +113,10 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 		t.Helper()
 		q := fullQuery(s, 100)
 		var err error
-		if lsm, err = ComputeContext(context.Background(), s, q, Options{Parallelism: 2}); err != nil {
+		if lsm, err = ComputeContext(context.Background(), s, q, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if udf, err = m4udf.ComputeContext(context.Background(), s, q, mergeread.Options{Parallelism: 2}); err != nil {
+		if udf, err = m4udf.ComputeContext(context.Background(), s, q, mergeread.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if merged, err = mergeread.Merge(s, q.Range()); err != nil {
@@ -163,7 +163,7 @@ func TestSharedColumnsNeverRecycled(t *testing.T) {
 	// into recycled ones.
 	for i := 0; i < 4; i++ {
 		for _, w := range []int{100, 1000} {
-			if _, err := ComputeContext(context.Background(), cold, fullQuery(cold, w), Options{Parallelism: 2}); err != nil {
+			if _, err := ComputeContext(context.Background(), cold, fullQuery(cold, w), Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -220,10 +220,10 @@ func TestRecycleReachesOnlyUncachedSources(t *testing.T) {
 }
 
 // TestTaskMetricsFlushedPerWorker: counters and task timings are flushed
-// once per worker and series, not per task, yet a metered and traced batch
-// reports every task — the task histogram's count equals the number of
-// tasks the trace saw — and each series' counters are final, equal to an
-// unmetered sequential run's, when the query returns.
+// from the query's one scratch once per series and wave, not per task, yet
+// a metered and traced batch reports every task — the task histogram's
+// count equals the number of tasks the trace saw — and each series'
+// counters are final, equal to an unmetered run's, when the query returns.
 func TestTaskMetricsFlushedPerWorker(t *testing.T) {
 	a, _ := table4Snapshot(t, 16)
 	b, _ := table4Snapshot(t, 24)
@@ -240,7 +240,7 @@ func TestTaskMetricsFlushedPerWorker(t *testing.T) {
 			*s.Stats = storage.Stats{}
 		}
 	}
-	if _, err := ComputeMultiContext(context.Background(), []*storage.Snapshot{a, b}, q, Options{Parallelism: 1}); err != nil {
+	if _, err := ComputeMultiContext(context.Background(), []*storage.Snapshot{a, b}, q, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	want := stats(a, b)
@@ -248,11 +248,11 @@ func TestTaskMetricsFlushedPerWorker(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	ctx, tr := obs.WithTrace(context.Background())
-	if _, err := ComputeMultiContext(ctx, []*storage.Snapshot{a, b}, q, Options{Parallelism: 4, Metrics: reg}); err != nil {
+	if _, err := ComputeMultiContext(ctx, []*storage.Snapshot{a, b}, q, Options{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if got := stats(a, b); !reflect.DeepEqual(got, want) {
-		t.Errorf("counters at parallelism 4, metered: %+v, want %+v", got, want)
+		t.Errorf("counters metered: %+v, want %+v", got, want)
 	}
 	tasks := len(tr.Finish().Tasks)
 	if tasks == 0 {
@@ -271,8 +271,8 @@ func TestTaskMetricsFlushedPerWorker(t *testing.T) {
 
 // TestReduceAllocatesItsPoints: once warm, an M4 query over cell-aligned
 // windows, answered from pyramid cells alone, allocates the points it
-// returns and at most 8 KiB besides: its plan tables, chunk states, task
-// slice, worker scratch and aggregates go back to their pools when it ends.
+// returns and at most 8 KiB besides: its plan tables, chunk states,
+// scratch and aggregates go back to their pools when it ends.
 func TestReduceAllocatesItsPoints(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

@@ -71,8 +71,8 @@ func ReduceMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Que
 // range goes through the sequential triangle selection.
 func reduceLTTB(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts Options) ([]series.Series, error) {
 	out := make([]series.Series, len(snaps))
-	mopts := mergeread.Options{Parallelism: opts.Parallelism, Strict: opts.Strict, Metrics: opts.Metrics, Budget: opts.Budget}
-	err := mergeread.Read(ctx, snaps, "lttb", mopts, func(i int, l *mergeread.Loaded, _ int, c *mergeread.Clock) error {
+	mopts := mergeread.Options{Strict: opts.Strict, Metrics: opts.Metrics, Budget: opts.Budget}
+	err := mergeread.Read(ctx, snaps, "lttb", mopts, func(i int, l *mergeread.Loaded, c *mergeread.Clock) error {
 		t0 := c.Now()
 		out[i] = reprops.LTTB(l.Series(q.Range()), q.W)
 		c.Task(i, "select", t0)

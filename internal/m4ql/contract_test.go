@@ -74,7 +74,7 @@ var contractForms = []struct{ name, head, sel, tail string }{
 	{"represent-minmax", "", "M4(*)", " REPRESENT minmax"},
 	{"represent-lttb", "", "M4(*)", " REPRESENT lttb"},
 	{"represent-udf", "", "M4(*)", " REPRESENT lttb USING UDF"},
-	{"groupby-merge", "", "COUNT(v), AVG(v)", " PARALLEL 2"},
+	{"groupby-merge", "", "COUNT(v), AVG(v)", ""},
 	{"groupby-envelope", "", "MIN(v), MAX(v)", ""},
 	// EXPLAIN runs the statement too: a degraded read must show in the
 	// plan, or it prices a partial answer as a whole one.

@@ -228,8 +228,8 @@ func Read(ctx context.Context, e *lsm.Engine, stmt Statement) ([]SeriesOutput, e
 		snaps[i] = snap
 	}
 	budget := govern.NewBudget(stmt.Limits)
-	lsmOpts := m4lsm.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
-	udfOpts := m4udf.Options{Parallelism: stmt.Parallelism, Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
+	lsmOpts := m4lsm.Options{Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
+	udfOpts := m4udf.Options{Strict: stmt.Strict, Metrics: e.Metrics(), Budget: budget}
 
 	outs := make([]SeriesOutput, len(ids))
 	var err error
@@ -298,7 +298,7 @@ type Outcome struct {
 }
 
 // Exec runs a parsed statement under a context (cancellation aborts the
-// operator's worker pool and returns ctx.Err()) through Read, and computes
+// operator and returns ctx.Err()) through Read, and computes
 // the statement-level facts. A single-series statement must resolve to
 // exactly one series.
 func Exec(ctx context.Context, e *lsm.Engine, stmt Statement) (*Outcome, error) {
@@ -496,11 +496,6 @@ func Explain(ctx context.Context, e *lsm.Engine, stmt Statement) (string, error)
 			desc = fmt.Sprintf("MinMax preselection at %d spans feeding LTTB", stmt.Query.W*stmt.Represent.EffectiveRatio())
 		}
 		fmt.Fprintf(&sb, "  represent: %s (%s)\n", stmt.Represent, desc)
-	}
-	if stmt.Parallelism > 0 {
-		fmt.Fprintf(&sb, "  parallel: %d workers\n", stmt.Parallelism)
-	} else {
-		fmt.Fprintf(&sb, "  parallel: GOMAXPROCS\n")
 	}
 	if stmt.Limits.Timeout > 0 {
 		fmt.Fprintf(&sb, "  timeout:  %v (soft budget)\n", stmt.Limits.Timeout)

@@ -14,7 +14,7 @@ func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`SELECT M4(*) FROM root.kob WHERE time >= 0 AND time < 1000 GROUP BY SPANS(10) USING LSM`,
 		`SELECT M4(*) FROM root.* WHERE time >= 0 AND time < 1000 GROUP BY SPANS(10) REPRESENT minmax`,
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(7) REPRESENT minmaxlttb:8 PARALLEL 2 TIMEOUT 100 STRICT TRACE`,
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(7) REPRESENT minmaxlttb:8 TIMEOUT 100 STRICT TRACE`,
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(7) REPRESENT lttb USING UDF`,
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(7) REPRESENT minmaxlttb:`,
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(7) REPRESENT minmaxlttb:999`,

@@ -347,63 +347,21 @@ func TestExecuteAggregates(t *testing.T) {
 	}
 }
 
+// TestParseParallelClause: PARALLEL n was removed, and a statement that
+// still carries it, in any position or form, is refused by name.
 func TestParseParallelClause(t *testing.T) {
 	for _, q := range []string{
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) PARALLEL 3`,
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) USING UDF PARALLEL 3`,
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) PARALLEL 3 USING UDF`,
-	} {
-		stmt, err := Parse(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if stmt.Parallelism != 3 {
-			t.Errorf("%s: parallelism = %d", q, stmt.Parallelism)
-		}
-	}
-	if stmt, err := Parse(`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4)`); err != nil || stmt.Parallelism != 0 {
-		t.Errorf("absent clause: stmt=%+v err=%v", stmt, err)
-	}
-	bad := []string{
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) PARALLEL 0`,
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) PARALLEL -2`,
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) parallel 3 USING UDF`,
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) PARALLEL`,
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) PARALLEL 2 PARALLEL 2`,
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) USING LSM USING LSM`,
-	}
-	for _, q := range bad {
-		if _, err := Parse(q); err == nil {
-			t.Errorf("accepted: %s", q)
+	} {
+		if _, err := Parse(q); err == nil || err.Error() != "m4ql: PARALLEL was removed; a query runs on one goroutine" {
+			t.Errorf("%s: err = %v, want PARALLEL's removal named", q, err)
 		}
 	}
-}
-
-func TestExecuteParallelClause(t *testing.T) {
-	e := newEngine(t)
-	for i := 199; i >= 0; i-- {
-		e.Write("s", series.Point{T: int64(i * 5), V: float64((i * 13) % 31)})
-	}
-	e.Flush()
-	e.Delete("s", 200, 400)
-	base, err := Run(e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7) PARALLEL 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, suffix := range []string{`PARALLEL 4`, `USING UDF PARALLEL 4`} {
-		res, err := Run(e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7) `+suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Rows, base.Rows) {
-			t.Errorf("%s: rows diverge from sequential LSM run", suffix)
-		}
-	}
-	explain, err := Explain(t.Context(), e, mustParse(t, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(7) PARALLEL 4`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(explain, "parallel: 4 workers") {
-		t.Errorf("explain missing parallel line:\n%s", explain)
+	if _, err := Parse(`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) USING LSM USING LSM`); err == nil {
+		t.Error("accepted a duplicate USING clause")
 	}
 }
 

@@ -83,10 +83,6 @@ type Statement struct {
 	WildcardPrefix string
 	Query          m4.Query
 	Operator       Operator
-	// Parallelism is the PARALLEL n clause: worker goroutines for the
-	// operator. 0 (clause absent) lets the operator default to GOMAXPROCS;
-	// PARALLEL 1 forces a sequential run.
-	Parallelism int
 	// Aggregates, when non-empty, selects the GroupBy form instead of the
 	// M4 form: SELECT COUNT(v), AVG(v), ... per span.
 	Aggregates []groupby.Func
@@ -201,9 +197,9 @@ func Parse(input string) (Statement, error) {
 		return Statement{}, err
 	}
 
-	// Trailing clauses: USING <op>, REPRESENT <spec>, PARALLEL <n>,
-	// TIMEOUT <ms>, STRICT and TRACE, each at most once, in any order.
-	var haveUsing, haveParallel, haveTimeout bool
+	// Trailing clauses: USING <op>, REPRESENT <spec>, TIMEOUT <ms>, STRICT
+	// and TRACE, each at most once, in any order.
+	var haveUsing, haveTimeout bool
 	for {
 		switch {
 		case keywordIs(p.peek(), "represent"):
@@ -261,21 +257,8 @@ func Parse(input string) (Statement, error) {
 			}
 			continue
 		case keywordIs(p.peek(), "parallel"):
-			if haveParallel {
-				return Statement{}, fmt.Errorf("m4ql: duplicate PARALLEL clause")
-			}
-			haveParallel = true
-			p.next()
-			nTok, err := p.expect(tokNumber, "parallelism")
-			if err != nil {
-				return Statement{}, err
-			}
-			n, err := strconv.Atoi(nTok.text)
-			if err != nil || n < 1 {
-				return Statement{}, fmt.Errorf("m4ql: PARALLEL wants a positive worker count, got %q", nTok.text)
-			}
-			stmt.Parallelism = n
-			continue
+			// Removed syntax is refused by name, not as an unknown token.
+			return Statement{}, fmt.Errorf("m4ql: PARALLEL was removed; a query runs on one goroutine")
 		case keywordIs(p.peek(), "timeout"):
 			if haveTimeout {
 				return Statement{}, fmt.Errorf("m4ql: duplicate TIMEOUT clause")

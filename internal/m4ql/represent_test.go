@@ -20,7 +20,7 @@ func TestParseRepresent(t *testing.T) {
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT minmaxlttb:8`:             {Kind: reprops.KindMinMaxLTTB, Ratio: 8},
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT m4`:                       {Kind: reprops.KindM4},
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) USING UDF REPRESENT lttb STRICT`:    {Kind: reprops.KindLTTB},
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT lttb PARALLEL 2 TRACE`:    {Kind: reprops.KindLTTB},
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) REPRESENT lttb TRACE`:               {Kind: reprops.KindLTTB},
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(10) TIMEOUT 500 REPRESENT minmaxlttb:2`: {Kind: reprops.KindMinMaxLTTB, Ratio: 2},
 	}
 	for in, want := range cases {

@@ -16,7 +16,7 @@ func TestParseTimeoutClause(t *testing.T) {
 	for _, q := range []string{
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) TIMEOUT 250`,
 		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) TIMEOUT 250 USING UDF`,
-		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) STRICT TIMEOUT 250 PARALLEL 2`,
+		`SELECT M4(*) FROM s WHERE time >= 0 AND time < 100 GROUP BY SPANS(4) STRICT TIMEOUT 250 TRACE`,
 	} {
 		stmt, err := Parse(q)
 		if err != nil {

@@ -5,18 +5,14 @@
 // and streams the M4 representation over it. Chunk metadata is never
 // consulted (§A.5.2).
 //
-// Both forms are folds over mergeread.Read, the one merge-all read. The M4
-// scan parallelizes per span block: the w spans are partitioned into
-// contiguous blocks and each worker runs its own k-way merge restricted to
-// its block's time range. Every point belongs to exactly one span, so the
-// blocks write disjoint output slots and the result is byte-identical to
-// the sequential scan.
+// Both forms are folds over mergeread.Read, the one merge-all read: the M4
+// scan is one k-way merge over the query's range, each point observed
+// into its span's slot.
 package m4udf
 
 import (
 	"context"
 
-	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
 	"m4lsm/internal/mergeread"
 	"m4lsm/internal/reprops"
@@ -35,7 +31,7 @@ func Compute(snap *storage.Snapshot, q m4.Query) ([]m4.Aggregate, error) {
 }
 
 // ComputeContext is Compute under a context and options: cancellation is
-// observed between chunk loads and span blocks and returns ctx.Err(); the
+// observed between chunk loads and after the scan and returns ctx.Err(); the
 // snapshot's cost counters are final once ComputeContext returns.
 func ComputeContext(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options) ([]m4.Aggregate, error) {
 	outs, err := ComputeMultiContext(ctx, []*storage.Snapshot{snap}, q, opts)
@@ -54,27 +50,14 @@ func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Qu
 		return nil, err
 	}
 	outs := make([][]m4.Aggregate, len(snaps))
-	err := mergeread.Read(ctx, snaps, "udf", opts, func(i int, l *mergeread.Loaded, par int, c *mergeread.Clock) error {
+	err := mergeread.Read(ctx, snaps, "udf", opts, func(i int, l *mergeread.Loaded, c *mergeread.Clock) error {
 		t0 := c.Now()
 		out := make([]m4.Aggregate, q.W)
 		for k := range out {
 			out[k].Empty = true
 		}
-		blocks := min(par, q.W)
-		err := govern.RunPool(blocks, blocks, func(_, b int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			// Block b covers spans [b*W/blocks, (b+1)*W/blocks): contiguous,
-			// and span boundaries are exact (m4.Span and m4.SpanIndex agree),
-			// so an iterator over the block's time range yields exactly the
-			// points of those spans. Its first span is the task coordinate.
-			lo, hi := b*q.W/blocks, (b+1)*q.W/blocks
-			t := c.Now()
-			err := m4.Fold(q, out, l.Iterator(series.TimeRange{Start: q.Span(lo).Start, End: q.Span(hi - 1).End}).Next)
-			c.Task(lo, "scan", t)
-			return err
-		})
+		err := m4.Fold(q, out, l.Iterator(q.Range()).Next)
+		c.Task(i, "scan", t0)
 		c.Phase("scan", t0)
 		outs[i] = out
 		return err
@@ -96,7 +79,7 @@ func ReduceMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Que
 		return nil, err
 	}
 	outs := make([]series.Series, len(snaps))
-	err := mergeread.Read(ctx, snaps, "udf", opts, func(i int, l *mergeread.Loaded, _ int, c *mergeread.Clock) error {
+	err := mergeread.Read(ctx, snaps, "udf", opts, func(i int, l *mergeread.Loaded, c *mergeread.Clock) error {
 		t0 := c.Now()
 		var err error
 		outs[i], err = reprops.Reduce(spec, q, l.Series(q.Range()))

@@ -51,7 +51,7 @@ func (c *Clock) Phase(name string, since time.Time) time.Time {
 	return now
 }
 
-// Task records one worker-pool task that began at since, under the
+// Task records one operator task that began at since, under the
 // coordinate coord (a span, chunk or series index) and name.
 func (c *Clock) Task(coord int, name string, since time.Time) {
 	if c == nil {
@@ -63,8 +63,8 @@ func (c *Clock) Task(coord int, name string, since time.Time) {
 }
 
 // TaskTo records one task like Task, except that its duration joins the
-// worker's tally t instead of the task histogram: a worker running many
-// short tasks publishes them with one FlushTasks once its pool has joined.
+// tally t instead of the task histogram: an operator running many short
+// tasks publishes them with one FlushTasks.
 // The trace still gets every task as it ends.
 func (c *Clock) TaskTo(t *obs.Tally, coord int, name string, since time.Time) {
 	if c == nil {
@@ -77,8 +77,8 @@ func (c *Clock) TaskTo(t *obs.Tally, coord int, name string, since time.Time) {
 	}
 }
 
-// FlushTasks publishes a worker's tally of task durations into the
-// operator's task histogram and empties it.
+// FlushTasks publishes a tally of task durations into the operator's
+// task histogram and empties it.
 func (c *Clock) FlushTasks(t *obs.Tally) {
 	if c == nil {
 		return

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/obs"
@@ -22,9 +21,8 @@ import (
 )
 
 // Loaded holds every chunk of a snapshot decoded exactly once, ready to
-// feed any number of iterators. Splitting the load from the merge lets a
-// fold fan per-span scans across goroutines without loading (and counting)
-// each chunk once per worker.
+// feed any number of iterators: GROUP BY, LTTB, the UDF baseline and
+// compaction each fold over it.
 type Loaded struct {
 	chunks  []loadedChunk
 	deletes *storage.DeleteIndex
@@ -37,11 +35,6 @@ type loadedChunk struct {
 
 // Options configure a merge-all read.
 type Options struct {
-	// Parallelism bounds the goroutines of the whole read: the series fan
-	// out across them, and each series' chunk loads and fold share what is
-	// left. 0 uses GOMAXPROCS, 1 is fully sequential. Each chunk is loaded
-	// exactly once at any setting, so the cost counters do not depend on it.
-	Parallelism int
 	// Strict fails the read on the first unreadable chunk. The default
 	// drops it, reporting it through the snapshot's Warnings/OnQuarantine,
 	// and merges the rest.
@@ -59,39 +52,31 @@ type Options struct {
 }
 
 // A Fold turns one series' loaded chunks into its form's output for batch
-// position i. par bounds the workers it may use inside the series, and c
-// times its tasks (c is nil, and free, when nothing is measured).
-type Fold func(i int, l *Loaded, par int, c *Clock) error
+// position i; c times its tasks (c is nil, and free, when nothing is
+// measured).
+type Fold func(i int, l *Loaded, c *Clock) error
 
 // Read is the one merge-all read, the shape of the M4-UDF baseline
 // (Fig. 2(b)) and of every operator that needs each surviving point: per
-// series, load every chunk once under ctx, Strict and Budget, then hand
-// the loaded chunks to fold. The series fan out across one worker pool,
-// each getting the pool's share of the parallelism for its loads and fold,
-// so the read never oversubscribes it and a batch of one gets all of it.
-// label names the operator in metrics and traces; every series records its
-// counters there, and a multi-series error names its series. Cancellation
-// is observed between chunk loads and after each fold, and returns
-// ctx.Err(); the snapshots' counters are final once Read returns.
+// series, in order, load every chunk once under ctx, Strict and Budget,
+// then hand the loaded chunks to fold. label names the operator in metrics
+// and traces; every series records its counters there, and a multi-series
+// error names its series. Cancellation is observed between chunk loads and
+// after each fold, and returns ctx.Err(); the snapshots' counters are
+// final once Read returns.
 func Read(ctx context.Context, snaps []*storage.Snapshot, label string, opts Options, fold Fold) error {
 	if len(snaps) == 0 {
 		return nil
 	}
 	c := StartClock(ctx, opts.Metrics, label)
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	inner := max(1, par/len(snaps))
-	err := govern.RunPool(par, len(snaps), func(_, i int) error {
-		snap := snaps[i]
+	for i, snap := range snaps {
 		before := c.Before(snap.Stats)
-		l, err := load(ctx, snap, inner, opts, c)
+		l, err := load(ctx, snap, opts, c)
 		if err == nil {
-			err = fold(i, l, inner, c)
+			err = fold(i, l, c)
 		}
-		// The loads and the fold have joined, and every fold copies out the
-		// points it keeps: the series' columns go back to their sources.
+		// Every fold copies out the points it keeps: the series' columns
+		// go back to their sources.
 		for ci, lc := range l.chunks {
 			snap.Chunks[ci].Recycle(lc.cols.Times(), lc.cols.Values())
 		}
@@ -102,10 +87,6 @@ func Read(ctx context.Context, snaps []*storage.Snapshot, label string, opts Opt
 			return SeriesError(len(snaps), snap.SeriesID, err)
 		}
 		c.Series(snap.Stats, before)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	c.Done()
 	return nil
@@ -121,22 +102,21 @@ func SeriesError(batch int, id string, err error) error {
 	return fmt.Errorf("series %q: %w", id, err)
 }
 
-// load decodes every chunk of one snapshot, fanning the loads across at
-// most par workers, and records the "load" phase. Read is its only caller.
-// The Loaded comes back with the error too, holding what was loaded before
-// the read failed, so that Read recycles it.
-func load(ctx context.Context, snap *storage.Snapshot, par int, opts Options, c *Clock) (*Loaded, error) {
+// load decodes every chunk of one snapshot in order and records the "load"
+// phase. Read is its only caller. The Loaded comes back with the error
+// too, holding what was loaded before the read failed, so that Read
+// recycles it. A chunk that fails leniently is reported and dropped from
+// the merge.
+func load(ctx context.Context, snap *storage.Snapshot, opts Options, c *Clock) (*Loaded, error) {
 	t0 := c.Now()
 	l := &Loaded{
 		chunks:  make([]loadedChunk, len(snap.Chunks)),
 		deletes: storage.NewDeleteIndex(snap.Deletes),
 	}
-	errs := make([]error, len(snap.Chunks))
-	err := govern.RunPool(par, len(snap.Chunks), func(_, i int) error {
+	for i, ref := range snap.Chunks {
 		if err := ctx.Err(); err != nil {
-			return err
+			return l, err
 		}
-		ref := snap.Chunks[i]
 		err := opts.Budget.ChargeChunk(int64(ref.Meta.Count))
 		if err == nil {
 			t := c.Now()
@@ -146,30 +126,19 @@ func load(ctx context.Context, snap *storage.Snapshot, par int, opts Options, c 
 			// load the merge paid, next to the fold's tasks.
 			c.Task(i, "load", t)
 		}
-		if err != nil && opts.Strict {
-			return err
-		}
-		errs[i] = err
-		return nil
-	})
-	if err != nil {
-		return l, err
-	}
-	// Resolve the lenient failures by chunk index, so the warning order is
-	// deterministic across schedules.
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, govern.ErrBudgetExceeded) {
+		switch {
+		case err == nil:
+		case opts.Strict:
+			return l, err
+		case errors.Is(err, govern.ErrBudgetExceeded):
 			// Nothing is wrong with the chunk's bytes: warn, don't
 			// quarantine.
-			m := snap.Chunks[i].Meta
-			snap.Warnings.Add("chunk %s v%d skipped by budget: %v", m.SeriesID, m.Version, err)
-		} else {
-			snap.ReportBadChunk(snap.Chunks[i].Meta, err)
+			snap.Warnings.Add("chunk %s v%d skipped by budget: %v", ref.Meta.SeriesID, ref.Meta.Version, err)
+			l.chunks[i] = loadedChunk{} // empty series: dropped from the merge
+		default:
+			snap.ReportBadChunk(ref.Meta, err)
+			l.chunks[i] = loadedChunk{}
 		}
-		l.chunks[i] = loadedChunk{} // empty series: dropped from the merge
 	}
 	c.Phase("load", t0)
 	return l, nil
@@ -186,8 +155,8 @@ func (l *Loaded) Series(r series.TimeRange) series.Series {
 }
 
 // Iterator positions a merge over the loaded chunks restricted to the
-// half-open range r. Iterators are independent: many goroutines may each
-// run their own over the same Loaded.
+// half-open range r. Iterators are independent: a fold may run several
+// over the same Loaded.
 func (l *Loaded) Iterator(r series.TimeRange) *Iterator {
 	it := &Iterator{deletes: l.deletes}
 	for _, c := range l.chunks {
@@ -277,8 +246,8 @@ func (it *Iterator) Next() (series.Point, bool) {
 // leniently through Read, so that it can quarantine a corrupt chunk.)
 func Merge(snap *storage.Snapshot, r series.TimeRange) (series.Series, error) {
 	var out series.Series
-	err := Read(context.Background(), []*storage.Snapshot{snap}, "", Options{Parallelism: 1, Strict: true},
-		func(_ int, l *Loaded, _ int, _ *Clock) error {
+	err := Read(context.Background(), []*storage.Snapshot{snap}, "", Options{Strict: true},
+		func(_ int, l *Loaded, _ *Clock) error {
 			out = l.Series(r)
 			return nil
 		})

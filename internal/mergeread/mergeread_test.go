@@ -141,7 +141,7 @@ func TestIteratorStreaming(t *testing.T) {
 		2: {{T: 20, V: 2}},
 	}, nil)
 	var it *Iterator
-	err := Read(context.Background(), []*storage.Snapshot{snap}, "", Options{}, func(_ int, l *Loaded, _ int, _ *Clock) error {
+	err := Read(context.Background(), []*storage.Snapshot{snap}, "", Options{}, func(_ int, l *Loaded, _ *Clock) error {
 		it = l.Iterator(series.TimeRange{Start: 0, End: 100})
 		return nil
 	})

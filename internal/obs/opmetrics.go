@@ -64,7 +64,7 @@ func (m *OperatorMetrics) RecordPyramid(spans, cells, fallbacks int64) {
 	m.pyramidFalls.Add(fallbacks)
 }
 
-// RecordTask observes one worker-pool task duration.
+// RecordTask observes one operator task's duration.
 func (m *OperatorMetrics) RecordTask(d time.Duration) {
 	if m == nil {
 		return
@@ -72,7 +72,7 @@ func (m *OperatorMetrics) RecordTask(d time.Duration) {
 	m.taskSeconds.Observe(d.Seconds())
 }
 
-// RecordTasks publishes a worker's batch of task durations, in seconds,
+// RecordTasks publishes a batch of task durations, in seconds,
 // and empties it: RecordTask for each of them, at the cost of one flush.
 func (m *OperatorMetrics) RecordTasks(t *Tally) {
 	if m == nil {

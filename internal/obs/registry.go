@@ -235,9 +235,9 @@ func (b *histogramBuckets) addSum(v float64) {
 
 // Tally is one goroutine's batch of observations for a histogram with the
 // default buckets: Observe touches no shared state, and Histogram.Flush
-// publishes the whole batch with one atomic add per bucket it reached. A
-// worker that times many short tasks observes into its own Tally and
-// flushes once, instead of contending on the histogram per task.
+// publishes the whole batch with one atomic add per bucket it reached. An
+// operator that times many short tasks observes into its own Tally and
+// flushes once, instead of an atomic add per task.
 type Tally struct {
 	counts [len(defaultBuckets) + 1]int64
 	n      int64

@@ -10,11 +10,10 @@ import (
 )
 
 // Trace collects the execution structure of one query: named phases, the
-// per-(span, G) task timings of the operator's worker pool, named
-// counters (I/O stats, pyramid attribution) and degradation warnings. A Trace is
-// shared by every worker goroutine of the query, so all methods are safe
-// for concurrent use; the nil *Trace discards everything, which is the
-// fast path when tracing is off.
+// per-(span, G) task timings of the operator, named counters (I/O stats,
+// pyramid attribution) and degradation warnings. All methods are safe for
+// concurrent use; the nil *Trace discards everything, which is the fast
+// path when tracing is off.
 type Trace struct {
 	id    string
 	start time.Time
@@ -32,8 +31,8 @@ type PhaseTiming struct {
 	Ns   int64  `json:"ns"`
 }
 
-// TaskTiming is one unit of worker-pool execution: for M4-LSM a (span, G)
-// task, for M4-UDF a chunk load or span-block scan.
+// TaskTiming is one unit of operator execution: for M4-LSM a (span, G)
+// task, for M4-UDF a chunk load or a series' scan.
 type TaskTiming struct {
 	Span int    `json:"span"`
 	G    string `json:"g"`
@@ -41,8 +40,8 @@ type TaskTiming struct {
 }
 
 // Snapshot is the JSON form of a completed trace, returned next to query
-// results. TaskTotalNs is the exact sum of Tasks[].Ns — worker busy time,
-// which exceeds wall time ElapsedNs when tasks ran in parallel.
+// results. TaskTotalNs is the exact sum of Tasks[].Ns, the operator's
+// busy time.
 type Snapshot struct {
 	ID          string           `json:"id"`
 	ElapsedNs   int64            `json:"elapsedNs"`
@@ -89,7 +88,7 @@ func (t *Trace) Phase(name string, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Task records one worker-pool task's duration.
+// Task records one operator task's duration.
 func (t *Trace) Task(span int, g string, d time.Duration) {
 	if t == nil {
 		return
@@ -122,7 +121,7 @@ func (t *Trace) Warn(warnings ...string) {
 }
 
 // Finish renders the trace for the result payload. Tasks are ordered by
-// (span, G) so the output is deterministic whatever the worker schedule;
+// (span, G) so the output is deterministic;
 // ElapsedNs is wall time since WithTrace.
 func (t *Trace) Finish() *Snapshot {
 	if t == nil {

@@ -144,3 +144,46 @@ func TestQueryNonFiniteIsNotOK(t *testing.T) {
 		}
 	}
 }
+
+// TestRenderNonFiniteIsNotOK: /render never draws a chart from a stored
+// ±Inf, which would stretch its value axis to infinity. Like /query it
+// answers 500 with X-M4-Error: unencodable, naming the series, for one
+// series and for an overlay, on every representation.
+func TestRenderNonFiniteIsNotOK(t *testing.T) {
+	h := queryHandler(t, func(e *lsm.Engine) error {
+		if err := e.Write("root.a", series.Point{T: 10, V: 1}, series.Point{T: 50, V: 2}); err != nil {
+			return err
+		}
+		if err := e.Write("root.pos", series.Point{T: 10, V: 1}, series.Point{T: 50, V: math.Inf(1)}); err != nil {
+			return err
+		}
+		return e.Write("root.neg", series.Point{T: 20, V: math.Inf(-1)}, series.Point{T: 60, V: 3})
+	})
+	cases := []struct{ params, series string }{
+		{"series=root.pos", `"root.pos"`},
+		{"series=root.neg", `"root.neg"`},
+		{"series=root.neg&repr=lttb", `"root.neg"`},
+		{"series=root.pos&repr=minmax", `"root.pos"`},
+		{"series=root.a,root.neg", `"root.neg"`},
+		{"series=root.*", `"root.neg"`},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/render?tqs=0&tqe=100&w=8&h=4&"+c.params, nil))
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: status %d, %s, body is not an error: %v", c.params, rec.Code, rec.Header().Get("Content-Type"), err)
+		}
+		if rec.Code != http.StatusInternalServerError || rec.Header().Get("X-M4-Error") != "unencodable" || !strings.Contains(body.Error, c.series) {
+			t.Errorf("%s: status %d, X-M4-Error %q, error %q; want 500 unencodable naming %s",
+				c.params, rec.Code, rec.Header().Get("X-M4-Error"), body.Error, c.series)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/render?tqs=0&tqe=100&w=8&h=4&series=root.a", nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "image/png" {
+		t.Errorf("finite series: status %d, %s; want a PNG", rec.Code, rec.Header().Get("Content-Type"))
+	}
+}

@@ -6,6 +6,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -138,6 +139,14 @@ func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
 		}
 		q := stmt.Query
 		vp := viz.ViewportForAll(reduced, q.Tqs, q.Tqe)
+		if math.IsInf(vp.VMin, 0) || math.IsInf(vp.VMax, 0) || math.IsNaN(vp.VMin) || math.IsNaN(vp.VMax) {
+			// No axis scales to a non-finite value: refuse, as /query
+			// refuses to encode one, instead of drawing a blank chart.
+			err := nonFiniteSeries(out, q)
+			ev.Error = err.Error()
+			writeMappedError(w, http.StatusInternalServerError, "unencodable", err)
+			return
+		}
 		canvas := viz.NewCanvas(q.W, height)
 		for _, s := range reduced {
 			viz.RasterizeOnto(canvas, s, vp)
@@ -152,4 +161,17 @@ func (h *Handler) render(w http.ResponseWriter, r *http.Request) {
 		}
 		canvas.Release()
 	})
+}
+
+// nonFiniteSeries names the first series, in output order, whose points in
+// the query's range hold a value that is not finite.
+func nonFiniteSeries(out *m4ql.Outcome, q m4.Query) error {
+	for _, o := range out.Outputs {
+		for _, p := range o.Points {
+			if q.Range().Contains(p.T) && (math.IsInf(p.V, 0) || math.IsNaN(p.V)) {
+				return fmt.Errorf("series %q holds %v at t=%d, which no chart can scale to", o.SeriesID, p.V, p.T)
+			}
+		}
+	}
+	return fmt.Errorf("a rendered value is not finite")
 }

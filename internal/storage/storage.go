@@ -169,7 +169,7 @@ func (c ChunkRef) LoadValues(stats *Stats) ([]float64, error) {
 
 // Recycle hands columns this ref's loads returned back to its source,
 // when the source is a Recycler. Only the query that loaded them calls it,
-// once its workers have joined and nothing reads the columns any more.
+// once it has ended and nothing reads the columns any more.
 func (c ChunkRef) Recycle(ts []int64, vs []float64) {
 	if r, ok := c.source.(Recycler); ok {
 		r.Recycle(ts, vs)
@@ -266,9 +266,9 @@ func (s *Snapshot) ReportBadChunk(meta ChunkMeta, err error) {
 // Stats accumulates the I/O and decode work of a query. The experiment
 // harness resets it per query and reports it next to wall-clock latency.
 //
-// A Stats pointer is charged by every load of a snapshot's chunks and,
-// under the parallel operators, by every worker goroutine: all mutations
-// go through sync/atomic, so counting is race-free without a lock.
+// A Stats pointer is charged by every load of a snapshot's chunks and by
+// the operator that reads them: all mutations go through sync/atomic, so a
+// Stats several goroutines share counts race-free without a lock.
 // Readers that may observe the struct while a query is still running must
 // use Load (or the atomic-reading String); plain field reads are safe only
 // after the query has returned.
@@ -334,7 +334,7 @@ func (s Stats) Map() map[string]int64 {
 }
 
 // Add accumulates o into s atomically. o is taken by value and read with
-// plain loads: callers pass either a literal or a worker-local Stats no
+// plain loads: callers pass either a literal or a scratch Stats no
 // other goroutine is mutating. Zero fields — most of a task's counters —
 // cost no atomic operation.
 func (s *Stats) Add(o Stats) {
@@ -347,7 +347,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Load returns a copy of the counters read with atomic loads, safe to call
-// while workers are still adding. The copy is per-field consistent, not a
+// while a query is still adding. The copy is per-field consistent, not a
 // cross-field snapshot.
 func (s *Stats) Load() Stats {
 	var out Stats

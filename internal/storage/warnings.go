@@ -7,9 +7,9 @@ import (
 
 // Warnings collects per-query degradation notes: chunks skipped because
 // they could not be read, quarantine decisions, anything the caller should
-// see next to a partial result. A Warnings pointer is shared by every
-// worker of a query, so all methods are safe for concurrent use; the nil
-// Warnings discards everything, letting operators report unconditionally.
+// see next to a partial result. All methods are safe for concurrent use;
+// the nil Warnings discards everything, letting operators report
+// unconditionally.
 type Warnings struct {
 	mu    sync.Mutex
 	notes []string

@@ -18,7 +18,8 @@
 //
 // The same statement language covers GROUP BY aggregates, REPRESENT
 // reductions (minmax, lttb, minmaxlttb), several series (`FROM a, b` or a
-// `root.*` wildcard), PARALLEL, TIMEOUT and STRICT. Basic usage:
+// `root.*` wildcard), TIMEOUT and STRICT. A statement runs on its caller's
+// goroutine; concurrent calls run side by side. Basic usage:
 //
 //	db, err := m4lsm.Open(dir)
 //	db.Write("root.sensor", m4lsm.Point{Time: 1000, Value: 21.5})

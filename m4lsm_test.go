@@ -158,7 +158,7 @@ func TestPublicDoor(t *testing.T) {
 		{"represent-minmax", "M4(*)", " REPRESENT minmax", ""},
 		{"represent-lttb", "M4(*)", " REPRESENT lttb", ""},
 		{"represent-udf", "M4(*)", " REPRESENT lttb USING UDF", "represent-lttb"},
-		{"groupby-merge", "COUNT(v), AVG(v)", " PARALLEL 2", ""},
+		{"groupby-merge", "COUNT(v), AVG(v)", "", ""},
 		{"groupby-envelope", "MIN(v), MAX(v)", "", ""},
 	}
 	cancelled, cancel := context.WithCancel(t.Context())
