@@ -533,6 +533,7 @@ func init() {
 		{"one_read_path", ruleOneReadPath},
 		{"one_merge_all_read", ruleOneMergeAllRead},
 		{"one_task_shape", ruleOneTaskShape},
+		{"one_operator_clock", ruleOneOperatorClock},
 		{"no_query_goroutines", ruleNoQueryGoroutines},
 		{"public_examples", rulePublicExamples},
 		{"one_write_path", ruleOneWritePath},
@@ -607,20 +608,34 @@ func ruleNoQueryGoroutines(tr *archTree) []string {
 
 // ruleOneTaskShape: spans and pyramid fragments are chunk lists run by the
 // same two waves in one function: the candidate loop's entry,
-// operator.computeG, is called in timedG alone, timedG in runWave alone,
-// and runWave twice, both times by computeMultiKinds (wave 1, then wave
-// 2). m4lsm has one FP-substitution warning, in assemble.
+// operator.computeG, is called in runWave alone, and runWave twice, both
+// times by computeMultiKinds (wave 1, then wave 2). m4lsm has one
+// FP-substitution warning, in assemble.
 func ruleOneTaskShape(tr *archTree) []string {
 	m4lsm := tr.pkgsUnder("internal/m4lsm")
 	refs := func(key string) []archRef { return tr.find(m4lsm, uses(is(key))) }
 	out := onlyWithin("operator.computeG references", refs("internal/m4lsm.operator.computeG"),
-		"internal/m4lsm/m4lsm.go:timedG")
-	out = append(out, onlyWithin("operator.timedG references", refs("internal/m4lsm.operator.timedG"),
-		"internal/m4lsm/m4lsm.go:runWave")...)
+		"internal/m4lsm/m4lsm.go:runWave")
 	out = append(out, onlyAt("runWave references", refs("internal/m4lsm.runWave"),
 		"internal/m4lsm/m4lsm.go:computeMultiKinds", "internal/m4lsm/m4lsm.go:computeMultiKinds")...)
 	return append(out, onlyAt(`"substituted FP" warnings in m4lsm`, tr.find(m4lsm, stringLit("substituted FP")),
 		"internal/m4lsm/plan.go:assemble")...)
+}
+
+// ruleOneOperatorClock: a query is timed by its phases. The operators read
+// the clock through mergeread.Clock, once per phase and once per series,
+// so non-test m4lsm and m4udf do not import time: no task has a clock.
+func ruleOneOperatorClock(tr *archTree) []string {
+	var out []string
+	for _, p := range tr.pkgsUnder("internal/m4lsm", "internal/m4udf") {
+		for file, ips := range p.imports(false) {
+			if slices.Contains(ips, "time") {
+				out = append(out, fmt.Sprintf("%s imports time; an operator is timed by mergeread.Clock's phases", file))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // rulePublicExamples: examples use the public package only, so an outside
@@ -1239,8 +1254,10 @@ var archMutations = []struct {
 		{"internal/m4lsm/load.go", "\ttimes    []int64", "\tmu       sync.Mutex\n\ttimes    []int64"}}},
 	{"third wave in m4lsm", "one_task_shape", []archEdit{{"internal/m4lsm/m4lsm.go",
 		"\terr = runWave(ctx, sc, plans, rest)", "\terr = runWave(ctx, sc, plans, rest)\n\t_ = runWave(ctx, sc, plans, waveFP)"}}},
-	{"task run outside runWave", "one_task_shape", []archEdit{{"internal/m4lsm/plan.go", "",
-		"\nfunc (p *seriesPlan) fp(sc *spanComputer, k int) (series.Point, bool, error) {\n\treturn p.op.computeG(sc, p.listRange(p.work[k]), p.chunks(p.work[k]), gFP)\n}\n"}}},
+	{"task run outside runWave", "one_task_shape", []archEdit{{"internal/m4lsm/m4lsm.go",
+		"\tmark = c.Phase(\"plan\", mark)", "\t_, _, _ = plans[0].op.computeG(sc, plans[0].listRange(0), plans[0].chunks(0), gFP)\n\tmark = c.Phase(\"plan\", mark)"}}},
+	{"per-task clock in runWave", "one_operator_clock", []archEdit{{"internal/m4lsm/m4lsm.go", "import (", "import (\n\t\"time\""},
+		{"internal/m4lsm/m4lsm.go", "r := &p.results[k][g]", "t0 := time.Now()\n\t\t\t\t_ = t0\n\t\t\t\tr := &p.results[k][g]"}}},
 	{"second FP substitution in m4lsm", "one_task_shape", []archEdit{{"internal/m4lsm/plan.go", "", "\nvar fallback = \"span 0: substituted FP\"\n"}}},
 	{"internal import in an example", "public_examples", []archEdit{{"examples/quickstart/main.go", "import (", "import (\n\t_ \"m4lsm/internal/series\""}}},
 	{"second tsfile.Create in lsm", "one_chunk_writer", []archEdit{{"internal/lsm/flush.go", "",
@@ -1266,7 +1283,7 @@ var archMutations = []struct {
 	{"root Benchmark", "one_measurement_stack", []archEdit{{"m4lsm_test.go", "", "\nfunc BenchmarkOpen(b *testing.B) {}\n"}}},
 	{"exper imports the server", "one_measurement_stack", []archEdit{{"internal/exper/exper.go", "import (", "import (\n\t_ \"m4lsm/internal/server\""}}},
 	{"Recycle inside a load task", "recycle_at_query_end", []archEdit{{"internal/mergeread/mergeread.go",
-		"c.Task(i, \"load\", t)", "c.Task(i, \"load\", t)\n\t\t\tref.Recycle(l.chunks[i].cols.Times(), nil)"}}},
+		"l.chunks[i].cols, err = ref.Load(snap.Stats)", "l.chunks[i].cols, err = ref.Load(snap.Stats)\n\t\t\tref.Recycle(l.chunks[i].cols.Times(), nil)"}}},
 	{"Recycle on the in-memory chunk", "recycle_at_query_end", []archEdit{{"internal/storage/memchunk.go", "",
 		"\n// Recycle implements Recycler.\nfunc (c *memChunk) Recycle([]int64, []float64) {}\n"}}},
 	{"release the plan inside runWave", "recycle_at_query_end", []archEdit{{"internal/m4lsm/m4lsm.go",

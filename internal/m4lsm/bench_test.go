@@ -146,8 +146,8 @@ func BenchmarkComputeTable4Mix(b *testing.B) {
 
 // BenchmarkComputeTable4MixMetered is the same mix metered into an
 // obs.Registry, as the server runs the operator; the two differ only in
-// metering, so the gap between them is what the counters and the task
-// histogram cost.
+// metering, so the gap between them is what the phase clock, the
+// per-series counters and the query histogram cost.
 func BenchmarkComputeTable4MixMetered(b *testing.B) {
 	benchTable4Mix(b, Options{Metrics: obs.NewRegistry()})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"m4lsm/internal/obs"
 	"m4lsm/internal/series"
 	"m4lsm/internal/storage"
 )
@@ -73,16 +72,15 @@ type view struct {
 
 // spanComputer runs one candidate loop for one chunk list's range. It is
 // the query's scratch, reset by every task: its views (and their slots and
-// exclusion sets) hold one task's state. Operator counters and task
-// timings accumulate in it across the tasks of one series and are flushed
-// when the tasks move to another series and when the wave ends: once per
-// series per wave, not once per task.
+// exclusion sets) hold one task's state. Operator counters accumulate in it
+// across the tasks of one series and are flushed when the tasks move to
+// another series and when the wave ends: once per series per wave, not
+// once per task.
 type spanComputer struct {
 	op    *operator
 	span  series.TimeRange
 	views []view
 	local storage.Stats // op's counters since the last flush
-	tasks obs.Tally     // task durations since the last flush
 }
 
 // reset points the scratch at a new task, reusing its view arena.
@@ -101,15 +99,13 @@ func (sc *spanComputer) reset(op *operator, span series.TimeRange, chunks []assi
 	}
 }
 
-// flush adds the scratch's counters to its series' stats and its task
-// timings to the query's task histogram.
+// flush adds the scratch's counters to its series' stats.
 func (sc *spanComputer) flush() {
 	if sc.op == nil {
 		return
 	}
 	sc.op.stats.Add(sc.local)
 	sc.local = storage.Stats{}
-	sc.op.clock.FlushTasks(&sc.tasks)
 }
 
 // reset restricts chunk metadata to the span: the virtual deletes of §3.1.

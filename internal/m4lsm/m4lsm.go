@@ -32,7 +32,6 @@ package m4lsm
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"m4lsm/internal/govern"
 	"m4lsm/internal/m4"
@@ -60,8 +59,8 @@ type Options struct {
 	// and the result is computed from the remaining chunks.
 	Strict bool
 	// Metrics, when non-nil, receives the operator's query counters and
-	// latency histograms (labelled op="lsm"). Nil — the default — skips
-	// all instrumentation on the hot path.
+	// its per-series query latency (labelled op="lsm"). Nil — the
+	// default — skips all instrumentation on the hot path.
 	Metrics *obs.Registry
 	// Budget, when non-nil, caps the resources this query may spend: every
 	// physical load (timestamps or full data) charges one chunk, a full
@@ -207,9 +206,9 @@ func computeMultiKinds(ctx context.Context, snaps []*storage.Snapshot, q m4.Quer
 // runs only on a list whose FP found a point, so wave 1 passes FP alone
 // and wave 2 the rest kinds. The first failing task ends the wave, so a
 // STRICT error names the lowest failing span, and in a batch its series; a
-// done context wins over any task error. The scratch's counters and task
-// timings are flushed whatever the outcome, so the series' stats are final
-// when the wave returns.
+// done context wins over any task error. The scratch's counters are
+// flushed whatever the outcome, so the series' stats are final when the
+// wave returns.
 func runWave(ctx context.Context, sc *spanComputer, plans []*seriesPlan, kinds []gKind) error {
 	var err error
 tasks:
@@ -220,7 +219,7 @@ tasks:
 					break
 				}
 				r := &p.results[k][g]
-				if r.pt, r.ok, err = p.op.timedG(sc, l/2, p.listRange(l), p.chunks(l), g); err != nil {
+				if r.pt, r.ok, err = p.op.computeG(sc, p.listRange(l), p.chunks(l), g); err != nil {
 					err = mergeread.SeriesError(len(plans), p.op.snap.SeriesID, fmt.Errorf("m4lsm: span %d: %w", l/2, err))
 					break tasks
 				}
@@ -232,20 +231,6 @@ tasks:
 		return cerr
 	}
 	return err
-}
-
-// timedG wraps computeG with per-task timing when the query's clock is
-// armed; otherwise it forwards with zero overhead beyond one nil check.
-// The trace gets each task as it ends, the task histogram the scratch's
-// tally when the wave ends.
-func (op *operator) timedG(sc *spanComputer, spanIdx int, r series.TimeRange, chunks []assignment, g gKind) (series.Point, bool, error) {
-	if op.clock == nil {
-		return op.computeG(sc, r, chunks, g)
-	}
-	t0 := time.Now()
-	pt, ok, err := op.computeG(sc, r, chunks, g)
-	op.clock.TaskTo(&sc.tasks, spanIdx, g.String(), t0)
-	return pt, ok, err
 }
 
 // computeG evaluates one representation function over one chunk list's

@@ -28,8 +28,6 @@ type operator struct {
 	deleteIx *storage.DeleteIndex
 	budget   *govern.Budget // nil: unbudgeted (methods are nil-safe)
 	degraded bool           // a chunk was dropped; the result is partial
-
-	clock *mergeread.Clock // nil unless the query is traced or metered
 }
 
 // ctxErr is the query context's error, polled without taking the
@@ -129,7 +127,7 @@ func (p *seriesPlan) release() {
 // answered Empty with no task at all. Every table comes from the plan
 // pools, and release hands them back when the query ends.
 func newSeriesPlan(ctx context.Context, snap *storage.Snapshot, q m4.Query, opts Options, c *mergeread.Clock) *seriesPlan {
-	op := &operator{ctx: ctx, done: ctx.Done(), snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget, clock: c}
+	op := &operator{ctx: ctx, done: ctx.Done(), snap: snap, q: q, opts: opts, stats: snap.Stats, budget: opts.Budget}
 	if op.stats == nil {
 		op.stats = &storage.Stats{}
 	}

@@ -75,7 +75,7 @@ func reduceLTTB(ctx context.Context, snaps []*storage.Snapshot, q m4.Query, opts
 	err := mergeread.Read(ctx, snaps, "lttb", mopts, func(i int, l *mergeread.Loaded, c *mergeread.Clock) error {
 		t0 := c.Now()
 		out[i] = reprops.LTTB(l.Series(q.Range()), q.W)
-		c.Task(i, "select", t0)
+		c.Phase("select", t0)
 		return nil
 	})
 	if err != nil {

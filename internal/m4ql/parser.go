@@ -90,7 +90,7 @@ type Statement struct {
 	// instead of degrading to the readable ones with warnings.
 	Strict bool
 	// Trace is the TRACE clause: return a structured execution trace
-	// (phases, per-task timings, I/O counters) with the result.
+	// (phases, I/O counters) with the result.
 	Trace bool
 	// Limits is the statement's budget. The TIMEOUT <ms> clause sets
 	// Limits.Timeout, the soft wall-clock budget: when it expires the query

@@ -54,64 +54,72 @@ func TestParseTraceClause(t *testing.T) {
 	}
 }
 
-// TestExecuteTrace checks the trace contract both operators share: per-task
-// timings whose exact sum is TaskTotalNs, sequential phases, and the I/O
+// TestExecuteTrace checks the trace contract every operator shares: its
+// phases in order, summing to no more than the elapsed time, and the I/O
 // counters of the query.
 func TestExecuteTrace(t *testing.T) {
 	e := traceEngine(t)
-	for _, op := range []string{"LSM", "UDF"} {
-		res, err := Run(e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(4) USING `+op+` TRACE`)
+	for _, tc := range []struct{ tail, phases string }{
+		{" USING LSM", "plan wave-fp wave-rest assemble"},
+		{" USING UDF", "load scan"},
+		{" REPRESENT minmax USING UDF", "load reduce"},
+		{" REPRESENT lttb", "load select"},
+	} {
+		res, err := Run(e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(4)`+tc.tail+` TRACE`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := res.Trace
 		if tr == nil {
-			t.Fatalf("%s: no trace on TRACE query", op)
+			t.Fatalf("%s: no trace on TRACE query", tc.tail)
 		}
 		if tr.ID == "" || tr.ElapsedNs <= 0 {
-			t.Errorf("%s: trace header = %+v", op, tr)
+			t.Errorf("%s: trace header = %+v", tc.tail, tr)
 		}
-		if len(tr.Tasks) == 0 || len(tr.Phases) == 0 {
-			t.Fatalf("%s: trace empty: %d tasks, %d phases", op, len(tr.Tasks), len(tr.Phases))
-		}
+		var names []string
 		sum := int64(0)
-		for _, task := range tr.Tasks {
-			sum += task.Ns
+		for _, ph := range tr.Phases {
+			names, sum = append(names, ph.Name), sum+ph.Ns
 		}
-		if sum != tr.TaskTotalNs {
-			t.Errorf("%s: task sum %d != TaskTotalNs %d", op, sum, tr.TaskTotalNs)
+		if got := strings.Join(names, " "); got != tc.phases {
+			t.Errorf("%s: phases %q, want %q", tc.tail, got, tc.phases)
+		}
+		if sum > tr.ElapsedNs {
+			t.Errorf("%s: phases sum to %d ns, more than the %d ns elapsed", tc.tail, sum, tr.ElapsedNs)
 		}
 		if tr.Counters["chunksLoaded"]+tr.Counters["chunksPruned"] == 0 {
-			t.Errorf("%s: no chunk accounting in counters: %v", op, tr.Counters)
+			t.Errorf("%s: no chunk accounting in counters: %v", tc.tail, tr.Counters)
 		}
 	}
 }
 
-// TestExecuteTraceLSMTasks checks the M4-LSM task decomposition: each
-// non-empty span contributes exactly one task per representation function.
-func TestExecuteTraceLSMTasks(t *testing.T) {
-	e := traceEngine(t)
-	res, err := Run(e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(4) USING LSM TRACE`)
+// TestTraceSizeIndependentOfTasks: a trace holds phases and counters, not
+// one entry per (span, G) task, so a thousand spans over 20,000 unpyramided
+// points trace in under 2 KiB.
+func TestTraceSizeIndependentOfTasks(t *testing.T) {
+	e, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisablePyramid: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type key struct {
-		span int
-		g    string
-	}
-	seen := map[key]int{}
-	for _, task := range res.Trace.Tasks {
-		seen[key{task.Span, task.G}]++
-	}
-	for span := 0; span < 4; span++ {
-		for _, g := range []string{"FP", "LP", "BP", "TP"} {
-			if n := seen[key{span, g}]; n != 1 {
-				t.Errorf("span %d %s: %d tasks, want 1", span, g, n)
-			}
+	defer e.Close()
+	for i := 0; i < 20000; i++ {
+		if err := e.Write("s", series.Point{T: int64(i), V: float64(i % 97)}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(seen) != 16 {
-		t.Errorf("distinct tasks = %d, want 16", len(seen))
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(e, `SELECT M4(*) FROM s WHERE time >= 0 AND time < 20000 GROUP BY SPANS(1000) TRACE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) >= 2048 {
+		t.Errorf("trace is %d bytes, want under 2 KiB", len(b))
 	}
 }
 
@@ -135,7 +143,7 @@ func TestExecuteContextArmedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || len(res.Trace.Tasks) == 0 {
+	if res.Trace == nil || len(res.Trace.Phases) == 0 {
 		t.Fatal("context-armed trace not attached")
 	}
 }
@@ -153,7 +161,7 @@ func TestExecuteTraceJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := string(b)
-	for _, want := range []string{`"trace"`, `"taskTotalNs"`, `"tasks"`, `"g":"FP"`} {
+	for _, want := range []string{`"trace"`, `"phases"`, `"name":"wave-fp"`} {
 		if !strings.Contains(got, want) {
 			t.Errorf("result JSON missing %s", want)
 		}
@@ -161,7 +169,7 @@ func TestExecuteTraceJSON(t *testing.T) {
 }
 
 // TestExecuteGroupByTrace: the aggregate form attaches a trace too (phase
-// plus counters; the group-by scan has no per-task decomposition).
+// plus counters).
 func TestExecuteGroupByTrace(t *testing.T) {
 	e := traceEngine(t)
 	res, err := Run(e, `SELECT COUNT(v), AVG(v) FROM s WHERE time >= 0 AND time < 1000 GROUP BY SPANS(4) TRACE`)

@@ -57,7 +57,6 @@ func ComputeMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Qu
 			out[k].Empty = true
 		}
 		err := m4.Fold(q, out, l.Iterator(q.Range()).Next)
-		c.Task(i, "scan", t0)
 		c.Phase("scan", t0)
 		outs[i] = out
 		return err
@@ -83,7 +82,7 @@ func ReduceMultiContext(ctx context.Context, snaps []*storage.Snapshot, q m4.Que
 		t0 := c.Now()
 		var err error
 		outs[i], err = reprops.Reduce(spec, q, l.Series(q.Range()))
-		c.Task(i, "reduce", t0)
+		c.Phase("reduce", t0)
 		return err
 	})
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // Clock is one operator's instrumentation over one statement, shared by the
-// merge-all read and the M4-LSM batch: the trace's phases and tasks, the
-// operator metrics, and each series' share of the cost counters. The nil
+// merge-all read and the M4-LSM batch: the trace's phases, the operator
+// metrics, and each series' share of the cost counters. The nil
 // *Clock — what StartClock returns when nothing is measured — discards
 // everything, so an unmeasured query pays one nil check per call.
 type Clock struct {
@@ -31,8 +31,8 @@ func StartClock(ctx context.Context, reg *obs.Registry, label string) *Clock {
 	return &Clock{tr: tr, met: met, start: time.Now()}
 }
 
-// Now returns the current time for a later Phase or Task, or the zero time
-// when the clock is off.
+// Now returns the current time for a later Phase, or the zero time when
+// the clock is off.
 func (c *Clock) Now() time.Time {
 	if c == nil {
 		return time.Time{}
@@ -49,41 +49,6 @@ func (c *Clock) Phase(name string, since time.Time) time.Time {
 	now := time.Now()
 	c.tr.Phase(name, now.Sub(since))
 	return now
-}
-
-// Task records one operator task that began at since, under the
-// coordinate coord (a span, chunk or series index) and name.
-func (c *Clock) Task(coord int, name string, since time.Time) {
-	if c == nil {
-		return
-	}
-	d := time.Since(since)
-	c.tr.Task(coord, name, d)
-	c.met.RecordTask(d)
-}
-
-// TaskTo records one task like Task, except that its duration joins the
-// tally t instead of the task histogram: an operator running many short
-// tasks publishes them with one FlushTasks.
-// The trace still gets every task as it ends.
-func (c *Clock) TaskTo(t *obs.Tally, coord int, name string, since time.Time) {
-	if c == nil {
-		return
-	}
-	d := time.Since(since)
-	c.tr.Task(coord, name, d)
-	if c.met != nil {
-		t.Observe(d.Seconds())
-	}
-}
-
-// FlushTasks publishes a tally of task durations into the operator's
-// task histogram and empties it.
-func (c *Clock) FlushTasks(t *obs.Tally) {
-	if c == nil {
-		return
-	}
-	c.met.RecordTasks(t)
 }
 
 // Before returns a series' counters as its share of the statement starts,

@@ -52,7 +52,7 @@ type Options struct {
 }
 
 // A Fold turns one series' loaded chunks into its form's output for batch
-// position i; c times its tasks (c is nil, and free, when nothing is
+// position i; c times it as a phase (c is nil, and free, when nothing is
 // measured).
 type Fold func(i int, l *Loaded, c *Clock) error
 
@@ -119,12 +119,8 @@ func load(ctx context.Context, snap *storage.Snapshot, opts Options, c *Clock) (
 		}
 		err := opts.Budget.ChargeChunk(int64(ref.Meta.Count))
 		if err == nil {
-			t := c.Now()
 			l.chunks[i] = loadedChunk{ver: ref.Meta.Version}
 			l.chunks[i].cols, err = ref.Load(snap.Stats)
-			// The chunk index is the task coordinate: a trace shows each
-			// load the merge paid, next to the fold's tasks.
-			c.Task(i, "load", t)
 		}
 		switch {
 		case err == nil:

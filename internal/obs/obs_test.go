@@ -105,7 +105,6 @@ func TestNilSafety(t *testing.T) {
 
 	var tr *Trace
 	tr.Phase("p", time.Second)
-	tr.Task(0, "FP", time.Second)
 	tr.SetCounters(map[string]int64{"c": 1})
 	tr.Warn("w")
 	if tr.Finish() != nil {
@@ -144,18 +143,11 @@ func TestTrace(t *testing.T) {
 	if TraceOf(context.Background()) != nil {
 		t.Fatal("TraceOf invented a trace")
 	}
-	tr.Phase("plan", 5*time.Microsecond)
-	var wg sync.WaitGroup
-	for span := 0; span < 4; span++ {
-		wg.Add(1)
-		go func(span int) {
-			defer wg.Done()
-			for _, g := range []string{"FP", "LP", "BP", "TP"} {
-				tr.Task(span, g, time.Duration(span+1)*time.Microsecond)
-			}
-		}(span)
+	phases := []string{"plan", "wave-fp", "wave-rest", "assemble"}
+	for _, name := range phases {
+		start := time.Now()
+		tr.Phase(name, time.Since(start))
 	}
-	wg.Wait()
 	tr.Warn("degraded")
 	tr.SetCounters(map[string]int64{"chunksLoaded": 9})
 
@@ -163,21 +155,18 @@ func TestTrace(t *testing.T) {
 	if snap.ID == "" || snap.ElapsedNs <= 0 {
 		t.Errorf("snapshot header: %+v", snap)
 	}
-	if len(snap.Tasks) != 16 {
-		t.Fatalf("tasks = %d", len(snap.Tasks))
+	if len(snap.Phases) != len(phases) {
+		t.Fatalf("phases = %+v, want %v", snap.Phases, phases)
 	}
 	var sum int64
-	for i, task := range snap.Tasks {
-		sum += task.Ns
-		if i > 0 {
-			prev := snap.Tasks[i-1]
-			if task.Span < prev.Span || (task.Span == prev.Span && task.G < prev.G) {
-				t.Errorf("tasks unsorted at %d: %+v after %+v", i, task, prev)
-			}
+	for i, ph := range snap.Phases {
+		if ph.Name != phases[i] {
+			t.Errorf("phase %d is %q, want %q", i, ph.Name, phases[i])
 		}
+		sum += ph.Ns
 	}
-	if sum != snap.TaskTotalNs {
-		t.Errorf("TaskTotalNs = %d, tasks sum to %d", snap.TaskTotalNs, sum)
+	if sum > snap.ElapsedNs {
+		t.Errorf("phases sum to %d ns, more than the %d ns elapsed", sum, snap.ElapsedNs)
 	}
 	if snap.Counters["chunksLoaded"] != 9 || len(snap.Warnings) != 1 {
 		t.Errorf("counters/warnings: %+v", snap)
@@ -204,39 +193,4 @@ func (h *Histogram) Count() int64 {
 // (see HistogramSample.Quantile for the conventions). 0 on nil.
 func (h *Histogram) Quantile(q float64) float64 {
 	return h.sample().Quantile(q)
-}
-
-// TestTallyFlushMatchesObserve: a batch observed into a Tally and flushed
-// leaves a histogram exactly as observing each value on its own does —
-// same buckets and count, the sum equal up to rounding — and flushing
-// empties the tally, so a second flush adds nothing.
-func TestTallyFlushMatchesObserve(t *testing.T) {
-	r := NewRegistry()
-	each, batched := r.Histogram("each_seconds"), r.Histogram("batched_seconds")
-	var tl Tally
-	for i := 0; i < 1000; i++ {
-		v := float64(i*i%977) * 7e-6 // 0 .. ~6.8 ms, across several buckets
-		each.Observe(v)
-		tl.Observe(v)
-	}
-	batched.Flush(&tl)
-	batched.Flush(&tl)
-	var nilHist *Histogram
-	tl.Observe(1)
-	nilHist.Flush(&tl)
-	if tl != (Tally{}) {
-		t.Error("a flush into the nil histogram left the tally full")
-	}
-	a, b := each.sample(), batched.sample()
-	if a.Count != b.Count || a.Count != 1000 {
-		t.Errorf("count: observed %d, flushed %d, want 1000", a.Count, b.Count)
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			t.Errorf("bucket %d: observed %d, flushed %d", i, a.Counts[i], b.Counts[i])
-		}
-	}
-	if d := a.Sum - b.Sum; d > 1e-9 || d < -1e-9 {
-		t.Errorf("sum: observed %v, flushed %v", a.Sum, b.Sum)
-	}
 }

@@ -10,7 +10,6 @@ import "time"
 type OperatorMetrics struct {
 	queries       *Counter
 	querySeconds  *Histogram
-	taskSeconds   *Histogram
 	chunksLoaded  *Counter
 	chunksPruned  *Counter
 	timeBlocks    *Counter
@@ -38,7 +37,6 @@ func NewOperatorMetrics(r *Registry, op string) *OperatorMetrics {
 	m = &OperatorMetrics{
 		queries:       r.Counter("m4_queries_total", l...),
 		querySeconds:  r.Histogram("m4_query_seconds", l...),
-		taskSeconds:   r.Histogram("m4_task_seconds", l...),
 		chunksLoaded:  r.Counter("m4_chunks_loaded_total", l...),
 		chunksPruned:  r.Counter("m4_chunks_pruned_total", l...),
 		timeBlocks:    r.Counter("m4_time_blocks_loaded_total", l...),
@@ -62,23 +60,6 @@ func (m *OperatorMetrics) RecordPyramid(spans, cells, fallbacks int64) {
 	m.pyramidSpans.Add(spans)
 	m.pyramidCells.Add(cells)
 	m.pyramidFalls.Add(fallbacks)
-}
-
-// RecordTask observes one operator task's duration.
-func (m *OperatorMetrics) RecordTask(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.taskSeconds.Observe(d.Seconds())
-}
-
-// RecordTasks publishes a batch of task durations, in seconds,
-// and empties it: RecordTask for each of them, at the cost of one flush.
-func (m *OperatorMetrics) RecordTasks(t *Tally) {
-	if m == nil {
-		return
-	}
-	m.taskSeconds.Flush(t)
 }
 
 // RecordQuery accumulates one completed query's latency and I/O counters.

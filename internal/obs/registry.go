@@ -103,7 +103,7 @@ func (r *Registry) lookup(name string, labels []string, kind instrKind) *instrum
 	}
 	in := &instrument{name: name, labels: ls, labelKVs: append([]string(nil), labels...), kind: kind}
 	if kind == kindHistogram {
-		in.hist = newHistogramBuckets(defaultBuckets[:])
+		in.hist = newHistogramBuckets(defaultBuckets)
 	}
 	r.instr[key] = in
 	return in
@@ -178,9 +178,9 @@ func (r *Registry) CounterFunc(name string, fn func() float64, labels ...string)
 }
 
 // defaultBuckets are latency-shaped upper bounds in seconds: 50µs .. ~26s
-// in powers of four, a spread that resolves both in-memory span tasks and
-// slow disk-bound queries with 10 buckets.
-var defaultBuckets = [...]float64{
+// in powers of four, a spread that resolves both in-memory queries and slow
+// disk-bound ones with 10 buckets.
+var defaultBuckets = []float64{
 	50e-6, 200e-6, 800e-6, 3.2e-3, 12.8e-3, 51.2e-3, 204.8e-3, 819.2e-3, 3.2768, 13.1072,
 }
 
@@ -231,43 +231,6 @@ func (b *histogramBuckets) addSum(v float64) {
 			return
 		}
 	}
-}
-
-// Tally is one goroutine's batch of observations for a histogram with the
-// default buckets: Observe touches no shared state, and Histogram.Flush
-// publishes the whole batch with one atomic add per bucket it reached. An
-// operator that times many short tasks observes into its own Tally and
-// flushes once, instead of an atomic add per task.
-type Tally struct {
-	counts [len(defaultBuckets) + 1]int64
-	n      int64
-	sum    float64
-}
-
-// Observe records one value in the batch.
-func (t *Tally) Observe(v float64) {
-	t.counts[sort.SearchFloat64s(defaultBuckets[:], v)]++
-	t.n++
-	t.sum += v
-}
-
-// Flush adds t's observations to h and empties t. The histogram's count
-// and buckets read as if each value had been observed on its own; its sum
-// may differ from that in the last bits of rounding.
-func (h *Histogram) Flush(t *Tally) {
-	if h == nil || t.n == 0 {
-		*t = Tally{}
-		return
-	}
-	b := h.in.hist
-	for i, n := range t.counts {
-		if n != 0 {
-			b.counts[i].Add(n)
-		}
-	}
-	b.count.Add(t.n)
-	b.addSum(t.sum)
-	*t = Tally{}
 }
 
 // sorted returns the instruments ordered by (name, labels) for stable

@@ -4,14 +4,12 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Trace collects the execution structure of one query: named phases, the
-// per-(span, G) task timings of the operator, named counters (I/O stats,
-// pyramid attribution) and degradation warnings. All methods are safe for
+// Trace collects the execution structure of one query: named phases,
+// named counters (I/O stats, pyramid attribution) and degradation warnings. All methods are safe for
 // concurrent use; the nil *Trace discards everything, which is the fast
 // path when tracing is off.
 type Trace struct {
@@ -20,7 +18,6 @@ type Trace struct {
 
 	mu       sync.Mutex
 	phases   []PhaseTiming
-	tasks    []TaskTiming
 	counters map[string]int64
 	warnings []string
 }
@@ -31,25 +28,14 @@ type PhaseTiming struct {
 	Ns   int64  `json:"ns"`
 }
 
-// TaskTiming is one unit of operator execution: for M4-LSM a (span, G)
-// task, for M4-UDF a chunk load or a series' scan.
-type TaskTiming struct {
-	Span int    `json:"span"`
-	G    string `json:"g"`
-	Ns   int64  `json:"ns"`
-}
-
 // Snapshot is the JSON form of a completed trace, returned next to query
-// results. TaskTotalNs is the exact sum of Tasks[].Ns, the operator's
-// busy time.
+// results.
 type Snapshot struct {
-	ID          string           `json:"id"`
-	ElapsedNs   int64            `json:"elapsedNs"`
-	Phases      []PhaseTiming    `json:"phases,omitempty"`
-	Tasks       []TaskTiming     `json:"tasks,omitempty"`
-	TaskTotalNs int64            `json:"taskTotalNs"`
-	Counters    map[string]int64 `json:"counters,omitempty"`
-	Warnings    []string         `json:"warnings,omitempty"`
+	ID        string           `json:"id"`
+	ElapsedNs int64            `json:"elapsedNs"`
+	Phases    []PhaseTiming    `json:"phases,omitempty"`
+	Counters  map[string]int64 `json:"counters,omitempty"`
+	Warnings  []string         `json:"warnings,omitempty"`
 }
 
 type traceKey struct{}
@@ -65,7 +51,7 @@ func NewTraceID() string {
 }
 
 // WithTrace arms tracing on the context: operators executing under the
-// returned context record phases and task timings into the returned
+// returned context record their phases and counters into the returned
 // Trace.
 func WithTrace(ctx context.Context) (context.Context, *Trace) {
 	tr := &Trace{id: NewTraceID(), start: time.Now(), counters: map[string]int64{}}
@@ -85,16 +71,6 @@ func (t *Trace) Phase(name string, d time.Duration) {
 	}
 	t.mu.Lock()
 	t.phases = append(t.phases, PhaseTiming{Name: name, Ns: d.Nanoseconds()})
-	t.mu.Unlock()
-}
-
-// Task records one operator task's duration.
-func (t *Trace) Task(span int, g string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.tasks = append(t.tasks, TaskTiming{Span: span, G: g, Ns: d.Nanoseconds()})
 	t.mu.Unlock()
 }
 
@@ -120,9 +96,8 @@ func (t *Trace) Warn(warnings ...string) {
 	t.mu.Unlock()
 }
 
-// Finish renders the trace for the result payload. Tasks are ordered by
-// (span, G) so the output is deterministic;
-// ElapsedNs is wall time since WithTrace.
+// Finish renders the trace for the result payload; ElapsedNs is wall time
+// since WithTrace.
 func (t *Trace) Finish() *Snapshot {
 	if t == nil {
 		return nil
@@ -134,12 +109,7 @@ func (t *Trace) Finish() *Snapshot {
 		ID:        t.id,
 		ElapsedNs: elapsed.Nanoseconds(),
 		Phases:    append([]PhaseTiming(nil), t.phases...),
-		Tasks:     append([]TaskTiming(nil), t.tasks...),
 		Warnings:  append([]string(nil), t.warnings...),
-	}
-	sortTasks(snap.Tasks)
-	for _, task := range snap.Tasks {
-		snap.TaskTotalNs += task.Ns
 	}
 	if len(t.counters) > 0 {
 		snap.Counters = make(map[string]int64, len(t.counters))
@@ -148,13 +118,4 @@ func (t *Trace) Finish() *Snapshot {
 		}
 	}
 	return snap
-}
-
-func sortTasks(tasks []TaskTiming) {
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Span != tasks[j].Span {
-			return tasks[i].Span < tasks[j].Span
-		}
-		return tasks[i].G < tasks[j].G
-	})
 }

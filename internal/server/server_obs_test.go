@@ -73,18 +73,12 @@ func TestHealthDegraded(t *testing.T) {
 type traceResult struct {
 	Rows  [][]float64 `json:"rows"`
 	Trace *struct {
-		ID          string `json:"id"`
-		ElapsedNs   int64  `json:"elapsedNs"`
-		TaskTotalNs int64  `json:"taskTotalNs"`
-		Phases      []struct {
+		ID        string `json:"id"`
+		ElapsedNs int64  `json:"elapsedNs"`
+		Phases    []struct {
 			Name string `json:"name"`
 			Ns   int64  `json:"ns"`
 		} `json:"phases"`
-		Tasks []struct {
-			Span int    `json:"span"`
-			G    string `json:"g"`
-			Ns   int64  `json:"ns"`
-		} `json:"tasks"`
 		Counters map[string]int64 `json:"counters"`
 	} `json:"trace"`
 }
@@ -102,18 +96,16 @@ func TestQueryTraceParam(t *testing.T) {
 	if tr.ID == "" || tr.ElapsedNs <= 0 {
 		t.Errorf("trace header: %+v", tr)
 	}
-	if len(tr.Tasks) != 5*4 {
-		t.Errorf("tasks = %d, want 20 (5 spans x 4 functions)", len(tr.Tasks))
-	}
+	var names []string
 	sum := int64(0)
-	for _, task := range tr.Tasks {
-		sum += task.Ns
+	for _, ph := range tr.Phases {
+		names, sum = append(names, ph.Name), sum+ph.Ns
 	}
-	if sum != tr.TaskTotalNs {
-		t.Errorf("task sum %d != taskTotalNs %d", sum, tr.TaskTotalNs)
+	if got := strings.Join(names, " "); got != "plan wave-fp wave-rest assemble" {
+		t.Errorf("phases %q, want the M4-LSM operator's four", got)
 	}
-	if len(tr.Phases) == 0 {
-		t.Error("no phases")
+	if sum > tr.ElapsedNs {
+		t.Errorf("phases sum to %d ns, more than the %d ns elapsed", sum, tr.ElapsedNs)
 	}
 	if _, ok := tr.Counters["chunksLoaded"]; !ok {
 		t.Errorf("counters = %v", tr.Counters)
